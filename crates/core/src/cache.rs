@@ -242,6 +242,50 @@ impl<V: Copy> KeyedCache<V> {
     }
 }
 
+/// The three probe memos planning reads and fills — ASK (source
+/// selection), check queries (LADE), and COUNT (cost model) — as one
+/// value, so clearing and per-endpoint invalidation cannot miss one.
+pub struct ProbeCaches {
+    /// ASK answers per (pattern, endpoint).
+    pub ask: ProbeCache<bool>,
+    /// COUNT answers per (pattern, endpoint).
+    pub count: ProbeCache<u64>,
+    /// Check-query verdicts per (rendered check, endpoint).
+    pub check: KeyedCache<bool>,
+}
+
+impl ProbeCaches {
+    /// Creates the caches; `capacity` bounds the ASK and COUNT tables
+    /// (`None` = the paper's unbounded hash table).
+    pub fn new(enabled: bool, capacity: Option<usize>) -> Self {
+        fn probe<V: Copy>(enabled: bool, capacity: Option<usize>) -> ProbeCache<V> {
+            match capacity {
+                Some(cap) => ProbeCache::with_capacity(enabled, cap),
+                None => ProbeCache::new(enabled),
+            }
+        }
+        ProbeCaches {
+            ask: probe(enabled, capacity),
+            count: probe(enabled, capacity),
+            check: KeyedCache::new(enabled),
+        }
+    }
+
+    /// Drops every memoized probe.
+    pub fn clear(&self) {
+        self.ask.clear();
+        self.count.clear();
+        self.check.clear();
+    }
+
+    /// Drops every answer recorded against one endpoint.
+    pub fn invalidate_endpoint(&self, ep: EndpointId) {
+        self.ask.invalidate_endpoint(ep);
+        self.count.invalidate_endpoint(ep);
+        self.check.invalidate_endpoint(ep);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -198,12 +198,7 @@ impl DelayDecision {
 }
 
 /// Decides which subqueries to delay given cardinalities and endpoint
-/// fan-outs.
-pub fn decide_delays(cardinalities: &[u64], fanouts: &[usize], policy: DelayPolicy) -> Vec<bool> {
-    decide_delays_detailed(cardinalities, fanouts, policy).delayed
-}
-
-/// [`decide_delays`] plus the per-channel verdicts and thresholds.
+/// fan-outs, with the per-channel verdicts and thresholds.
 pub fn decide_delays_detailed(
     cardinalities: &[u64],
     fanouts: &[usize],
@@ -337,6 +332,10 @@ pub fn filters_for_pattern<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decide_delays(cards: &[u64], fanouts: &[usize], policy: DelayPolicy) -> Vec<bool> {
+        decide_delays_detailed(cards, fanouts, policy).delayed
+    }
 
     #[test]
     fn erfc_reference_values() {

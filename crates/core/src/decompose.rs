@@ -18,7 +18,7 @@
 use crate::gjv::GjvAnalysis;
 use crate::source_selection::SourceMap;
 use crate::subquery::Subquery;
-use lusail_endpoint::{EndpointId, TraceEvent, TraceSink};
+use lusail_endpoint::EndpointId;
 use lusail_sparql::ast::TriplePattern;
 
 /// Decomposes `triples` into subqueries. Returns groups of *indices* into
@@ -98,22 +98,6 @@ pub fn decompose(
             Subquery::new(tps, srcs)
         })
         .collect()
-}
-
-/// [`decompose`] with one [`TraceEvent::Decomposed`] recording the shape
-/// of the result (subquery count and the GJVs that forced the split).
-pub fn decompose_traced(
-    triples: &[TriplePattern],
-    sources: &SourceMap,
-    analysis: &GjvAnalysis,
-    trace: &TraceSink,
-) -> Vec<Subquery> {
-    let subqueries = decompose(triples, sources, analysis);
-    trace.emit(|| TraceEvent::Decomposed {
-        subqueries: subqueries.len(),
-        gjvs: analysis.gjvs.len(),
-    });
-    subqueries
 }
 
 /// True when the whole conjunctive block can run as **one** subquery at
@@ -341,23 +325,5 @@ mod tests {
         for sq in &sqs {
             assert_eq!(sq.sources, vec![0, 1]);
         }
-    }
-
-    #[test]
-    fn traced_decomposition_records_its_shape() {
-        let triples = qa_triples();
-        let sm = sources_for(&triples, &[]);
-        let mut a = analysis(&[(2, 3)]);
-        a.gjvs.push("U".into());
-        let sink = TraceSink::enabled();
-        let sqs = decompose_traced(&triples, &sm, &a, &sink);
-        assert_eq!(sqs.len(), 2);
-        assert_eq!(
-            sink.events(),
-            vec![TraceEvent::Decomposed {
-                subqueries: 2,
-                gjvs: 1,
-            }]
-        );
     }
 }

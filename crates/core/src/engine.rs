@@ -12,25 +12,26 @@
 //! relevant endpoint and the results are concatenated — the paper's
 //! fast path for LUBM Q1/Q2.
 
-use crate::cache::{KeyedCache, ProbeCache};
-use crate::cost::{
-    decide_delays, decide_delays_detailed, estimate_cardinalities, DelayPolicy, SubqueryCosts,
-};
-use crate::decompose::{decompose, decompose_traced, is_disjoint};
+use crate::cache::ProbeCaches;
+use crate::cost::{decide_delays_detailed, estimate_cardinalities, DelayPolicy, SubqueryCosts};
+use crate::decompose::{decompose, is_disjoint};
 use crate::exec::{evaluate_subqueries, ExecConfig, Net};
 use crate::explain::render_pattern;
-use crate::gjv::detect_gjvs;
+use crate::gjv::{detect_gjvs, GjvAnalysis};
 use crate::metrics::QueryMetrics;
+use crate::mqo::BatchMemo;
 use crate::source_selection::{select_sources, SourceMap};
-use crate::subquery::Subquery;
+use crate::subquery::{push_filters_into, Subquery};
 use lusail_endpoint::{
     Clock, EndpointFailure, EndpointId, ExecOptions, Federation, FederationError, QueryOutcome,
-    RequestPolicy, SystemClock, TraceEvent,
+    RequestPolicy, StatsSnapshot, SystemClock, TraceEvent, TraceSink,
 };
 use lusail_sparql::ast::{Expression, GroupPattern, Query};
 use lusail_sparql::SolutionSet;
+use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -145,9 +146,7 @@ pub struct Lusail {
     config: LusailConfig,
     policy: RequestPolicy,
     clock: Option<Arc<dyn Clock>>,
-    ask_cache: ProbeCache<bool>,
-    count_cache: ProbeCache<u64>,
-    check_cache: KeyedCache<bool>,
+    pub(crate) caches: ProbeCaches,
 }
 
 impl Default for Lusail {
@@ -160,18 +159,8 @@ impl Lusail {
     /// Creates an engine with the given configuration and the default
     /// request policy.
     pub fn new(config: LusailConfig) -> Self {
-        let caching = config.use_cache;
-        let capacity = config.probe_cache_capacity;
-        fn probe_cache<V: Copy>(caching: bool, capacity: Option<usize>) -> ProbeCache<V> {
-            match capacity {
-                Some(cap) => ProbeCache::with_capacity(caching, cap),
-                None => ProbeCache::new(caching),
-            }
-        }
         Lusail {
-            ask_cache: probe_cache(caching, capacity),
-            count_cache: probe_cache(caching, capacity),
-            check_cache: KeyedCache::new(caching),
+            caches: ProbeCaches::new(config.use_cache, config.probe_cache_capacity),
             config,
             policy: RequestPolicy::default(),
             clock: None,
@@ -202,9 +191,7 @@ impl Lusail {
 
     /// Drops every memoized probe (between benchmark repetitions).
     pub fn clear_caches(&self) {
-        self.ask_cache.clear();
-        self.count_cache.clear();
-        self.check_cache.clear();
+        self.caches.clear();
     }
 
     /// Drops every memoized probe answer (ASK / COUNT / check) recorded
@@ -215,20 +202,19 @@ impl Lusail {
     /// health-transition hook so the invalidation lands *mid-query*,
     /// before any concurrent tenant's next planning read.
     pub fn invalidate_endpoint_probes(&self, ep: lusail_endpoint::EndpointId) {
-        self.ask_cache.invalidate_endpoint(ep);
-        self.count_cache.invalidate_endpoint(ep);
-        self.check_cache.invalidate_endpoint(ep);
+        self.caches.invalidate_endpoint(ep);
     }
 
     /// Aggregated diagnostics over the ASK and COUNT probe caches —
     /// nonzero `evictions` means the configured capacity bound is
     /// saturated, the signal a serving layer watches.
     pub fn probe_cache_stats(&self) -> ProbeCacheStats {
+        let (ask, count) = (&self.caches.ask, &self.caches.count);
         ProbeCacheStats {
-            hits: self.ask_cache.hits() + self.count_cache.hits(),
-            misses: self.ask_cache.misses() + self.count_cache.misses(),
-            evictions: self.ask_cache.evictions() + self.count_cache.evictions(),
-            entries: self.ask_cache.len() + self.count_cache.len(),
+            hits: ask.hits() + count.hits(),
+            misses: ask.misses() + count.misses(),
+            evictions: ask.evictions() + count.evictions(),
+            entries: ask.len() + count.len(),
         }
     }
 
@@ -289,9 +275,7 @@ impl Lusail {
         // data, or its group may be served by a replica next time), so
         // per-endpoint cache entries are dropped rather than trusted.
         for failure in report.iter().filter(|f| f.dead) {
-            self.ask_cache.invalidate_endpoint(failure.endpoint);
-            self.count_cache.invalidate_endpoint(failure.endpoint);
-            self.check_cache.invalidate_endpoint(failure.endpoint);
+            self.caches.invalidate_endpoint(failure.endpoint);
             // Offline statistics summarize the *primary's* store; once the
             // group is served by a replica (which may have diverged), a
             // conclusive local answer can no longer be trusted, so the
@@ -322,134 +306,158 @@ impl Lusail {
         query: &Query,
         opts: &ExecOptions,
     ) -> Result<QueryResult, FederationError> {
+        self.execute_on(fed, query, opts, None)
+    }
+
+    /// The one execution path: [`Lusail::plan`] then
+    /// [`Lusail::execute_plan`] on a fresh per-query [`Net`]. A solo query
+    /// passes no memo; a batch item passes the batch's, and additionally
+    /// inherits the failure attribution of every lost relation it reused.
+    pub(crate) fn execute_on(
+        &self,
+        fed: &Federation,
+        query: &Query,
+        opts: &ExecOptions,
+        mut memo: Option<&mut BatchMemo>,
+    ) -> Result<QueryResult, FederationError> {
         if fed.is_empty() {
             return Err(FederationError::EmptyFederation);
         }
         let net = self.fresh_net_with(opts);
-        let result = self.execute_with_net(fed, query, &net);
-        opts.trace.emit(|| TraceEvent::QueryFinished {
-            rows: result.solutions.len(),
-            complete: result.complete,
+        let plan = self.plan(fed, &query.pattern, Some(query), &self.caches, &net);
+        let (solutions, mut metrics) = self.execute_plan(fed, plan, &net, memo.as_deref_mut());
+        let (complete, mut failures) = self.finish(fed, &net, &mut metrics);
+        if let Some(memo) = memo {
+            memo.finish_item(&mut failures);
+        }
+        net.trace.emit(|| TraceEvent::QueryFinished {
+            rows: solutions.len(),
+            complete,
         });
-        Ok(result)
+        Ok(QueryResult {
+            solutions,
+            metrics,
+            complete,
+            failures,
+        })
     }
 
-    fn execute_with_net(&self, fed: &Federation, query: &Query, net: &Net) -> QueryResult {
+    /// LADE for one group pattern: source selection, GJV detection, the
+    /// disjoint check, decomposition, filter pushdown, projection
+    /// shrinking, and the cost model — the only place any of them is
+    /// called. `top` is the query whose top-level pattern `group` is;
+    /// nested OPTIONAL / UNION / NOT EXISTS groups pass `None` and differ
+    /// in exactly three ways: there is no query to ship whole (no disjoint
+    /// fast path), their consumers are joins (projections stay full), and
+    /// they emit no planning trace events (EXPLAIN ANALYZE renders the
+    /// top-level plan). `caches` is the engine's own for execution and a
+    /// throw-away set for EXPLAIN.
+    pub(crate) fn plan<'q>(
+        &self,
+        fed: &Federation,
+        group: &'q GroupPattern,
+        top: Option<&'q Query>,
+        caches: &ProbeCaches,
+        net: &Net,
+    ) -> Plan<'q> {
         // A federated `SELECT (COUNT(*) AS ?c)` must count the *global*
         // result, not concatenate per-endpoint counts: normalize it to an
         // aggregate query handled at the mediator.
-        if let Some(rewritten) = query.count_star_as_aggregate() {
-            return self.execute_with_net(fed, &rewritten, net);
-        }
-        let mut metrics = QueryMetrics::default();
-        // Phase timings come from the same (injectable) clock the request
-        // client uses, so EXPLAIN ANALYZE is deterministic under the test
-        // clock: a `ManualClock` only advances on simulated sleeps.
-        let clock = self.timing_clock();
-        let t_total = clock.now();
-
-        if let Some((endpoints, sets)) = fed.stats_overview() {
-            net.trace
-                .emit(|| TraceEvent::StatsLoaded { endpoints, sets });
-        }
-
-        // ---- Phase 1: source selection --------------------------------
-        let s0 = fed.stats_snapshot();
-        let t0 = clock.now();
-        let sources = select_sources(fed, &query.pattern, &self.ask_cache, net);
-        metrics.source_selection = clock.now().saturating_sub(t0);
-        let s1 = fed.stats_snapshot();
-        metrics.requests_source_selection = s1.since(&s0);
-
-        // A required pattern with no source ⇒ empty result, no more work.
-        if sources.any_required_empty(&query.pattern.triples) {
-            metrics.total = clock.now().saturating_sub(t_total);
-            let (complete, failures) = self.finish(fed, net, &mut metrics);
-            return QueryResult {
-                solutions: SolutionSet::empty(query.output_vars()),
-                metrics,
-                complete,
-                failures,
-            };
-        }
-
-        // ---- Phase 2: analysis (LADE + cost model) ---------------------
-        let t1 = clock.now();
-        let analysis = if self.config.disable_lade {
-            crate::gjv::GjvAnalysis::default()
-        } else {
-            detect_gjvs(
-                fed,
-                &query.pattern.triples,
-                &sources,
-                &self.check_cache,
-                net,
-            )
+        let top = top.map(|q| match q.count_star_as_aggregate() {
+            Some(rewritten) => Cow::Owned(rewritten),
+            None => Cow::Borrowed(q),
+        });
+        let trace = match top {
+            Some(_) => net.trace.clone(),
+            None => TraceSink::disabled(),
         };
-        metrics.check_queries = analysis.check_queries;
-        metrics.gjvs = analysis.gjvs.clone();
+        let started = net.clock.now();
+        if let Some((endpoints, sets)) = top.as_ref().and_then(|_| fed.stats_overview()) {
+            trace.emit(|| TraceEvent::StatsLoaded { endpoints, sets });
+        }
+
+        let s0 = fed.stats_snapshot();
+        let t0 = net.clock.now();
+        let sources = select_sources(fed, group, &caches.ask, net);
+        let source_selection = net.clock.now().saturating_sub(t0);
+        let s1 = fed.stats_snapshot();
+        let mut plan = Plan {
+            group,
+            top,
+            sources,
+            gjvs: Vec::new(),
+            check_queries: 0,
+            shape: PlanShape::Empty,
+            started,
+            source_selection,
+            analysis: Duration::ZERO,
+            requests_source_selection: s1.since(&s0),
+            requests_analysis: StatsSnapshot::default(),
+        };
+        // A required pattern with no source ⇒ empty result, no more work.
+        if plan.sources.any_required_empty(&group.triples) {
+            return plan;
+        }
+
+        let t1 = net.clock.now();
+        let lade = !self.config.disable_lade;
+        let analysis = if lade {
+            detect_gjvs(fed, &group.triples, &plan.sources, &caches.check, net)
+        } else {
+            GjvAnalysis::default()
+        };
 
         // Disjoint fast path (Algorithm 3, line 2): the entire query can be
-        // answered independently at each endpoint.
-        let order_vars_projected = {
+        // answered independently at each endpoint — provided nothing in it
+        // (nested clauses, aggregates, an ORDER BY key the endpoints would
+        // project away) has to be evaluated over the global result.
+        let ships_whole = plan.top.as_deref().is_some_and(|query| {
             let out = query.output_vars();
-            query.order_by.iter().all(|k| out.contains(&k.var))
-        };
-        let simple_pattern = query.pattern.optionals.is_empty()
-            && query.pattern.unions.is_empty()
-            && query.pattern.not_exists.is_empty()
-            && query.pattern.values.is_none()
-            && query.aggregates.is_empty()
-            && order_vars_projected
-            && !query.pattern.triples.is_empty();
-        if !self.config.disable_lade
-            && simple_pattern
-            && is_disjoint(&query.pattern.triples, &sources, &analysis)
-        {
-            metrics.analysis = clock.now().saturating_sub(t1);
-            let s2 = fed.stats_snapshot();
-            metrics.requests_analysis = s2.since(&s1);
-            metrics.subqueries = 1;
-            net.trace.emit(|| TraceEvent::Decomposed {
+            lade && !group.triples.is_empty()
+                && group.optionals.is_empty()
+                && group.unions.is_empty()
+                && group.not_exists.is_empty()
+                && group.values.is_none()
+                && query.aggregates.is_empty()
+                && query.order_by.iter().all(|k| out.contains(&k.var))
+        });
+        plan.shape = if ships_whole && is_disjoint(&group.triples, &plan.sources, &analysis) {
+            trace.emit(|| TraceEvent::Decomposed {
                 subqueries: 1,
                 gjvs: analysis.gjvs.len(),
             });
-            let t2 = clock.now();
-            let solutions = self.execute_disjoint(fed, query, &sources, net);
-            metrics.execution = clock.now().saturating_sub(t2);
-            metrics.requests_execution = fed.stats_snapshot().since(&s2);
-            metrics.result_rows = solutions.len();
-            metrics.total = clock.now().saturating_sub(t_total);
-            let (complete, failures) = self.finish(fed, net, &mut metrics);
-            return QueryResult {
-                solutions,
-                metrics,
-                complete,
-                failures,
+            PlanShape::Disjoint {
+                sources: plan.sources.sources(&group.triples[0]).to_vec(),
+            }
+        } else {
+            let mut subqueries = if lade {
+                decompose(&group.triples, &plan.sources, &analysis)
+            } else {
+                // The §II strawman: one subquery per triple pattern.
+                group
+                    .triples
+                    .iter()
+                    .map(|tp| Subquery::new(vec![tp.clone()], plan.sources.sources(tp).to_vec()))
+                    .collect()
             };
-        }
-
-        // General path: decompose, estimate, and plan the top-level group.
-        let mut subqueries = if self.config.disable_lade {
-            let subqueries = singleton_subqueries(&query.pattern.triples, &sources);
-            net.trace.emit(|| TraceEvent::Decomposed {
+            trace.emit(|| TraceEvent::Decomposed {
                 subqueries: subqueries.len(),
                 gjvs: analysis.gjvs.len(),
             });
-            subqueries
-        } else {
-            decompose_traced(&query.pattern.triples, &sources, &analysis, &net.trace)
-        };
-        let global_filters = push_filters(&query.pattern.filters, &mut subqueries);
-        shrink_projections(query, &mut subqueries, &global_filters);
-        metrics.subqueries = subqueries.len();
-
-        let costs = if subqueries.len() > 1 {
-            let cardinality = estimate_cardinalities(fed, net, &subqueries, &self.count_cache);
+            let global_filters = push_filters_into(&group.filters, &mut subqueries);
+            if let Some(query) = plan.top.as_deref() {
+                shrink_projections(query, &mut subqueries, &global_filters);
+            }
+            // A lone subquery has nothing to be delayed behind: no probes.
+            let cardinality = if subqueries.len() > 1 {
+                estimate_cardinalities(fed, net, &subqueries, &caches.count)
+            } else {
+                vec![0; subqueries.len()]
+            };
             let fanouts: Vec<usize> = subqueries.iter().map(|sq| sq.sources.len()).collect();
             let decision = decide_delays_detailed(&cardinality, &fanouts, self.config.delay_policy);
             for (i, sq) in subqueries.iter().enumerate() {
-                net.trace.emit(|| TraceEvent::SubqueryPlanned {
+                trace.emit(|| TraceEvent::SubqueryPlanned {
                     index: i,
                     patterns: sq
                         .triples
@@ -463,254 +471,171 @@ impl Lusail {
                     delay_reason: decision.reason(i, cardinality[i], fanouts[i]),
                 });
             }
-            SubqueryCosts {
-                cardinality,
-                delayed: decision.delayed,
-            }
-        } else {
-            for (i, sq) in subqueries.iter().enumerate() {
-                net.trace.emit(|| TraceEvent::SubqueryPlanned {
-                    index: i,
-                    patterns: sq
-                        .triples
-                        .iter()
-                        .map(|tp| render_pattern(tp, fed.dict()))
-                        .collect(),
-                    sources: sq.sources.len(),
-                    cardinality: 0,
-                    fanout: sq.sources.len(),
-                    delayed: false,
-                    delay_reason: None,
-                });
-            }
-            SubqueryCosts {
-                cardinality: vec![0; subqueries.len()],
-                delayed: vec![false; subqueries.len()],
+            PlanShape::Decomposed {
+                subqueries,
+                costs: SubqueryCosts {
+                    cardinality,
+                    delayed: decision.delayed,
+                },
+                global_filters,
             }
         };
-        metrics.analysis = clock.now().saturating_sub(t1);
+        plan.gjvs = analysis.gjvs;
+        plan.check_queries = analysis.check_queries;
+        plan.analysis = net.clock.now().saturating_sub(t1);
+        plan.requests_analysis = fed.stats_snapshot().since(&s1);
+        plan
+    }
+
+    /// SAPE for one [`Plan`]: the only caller of the subquery executor and
+    /// the only place [`QueryMetrics`] phase fields are stamped. Nested
+    /// groups are planned and executed here, lazily, through the same two
+    /// functions — after the outer BGP, in clause order, which is the wire
+    /// order seeded fault plans are drawn against — and see the same batch
+    /// `memo` as the outer group. Query-level modifiers (aggregation,
+    /// ORDER BY over the full schema, projection, DISTINCT, LIMIT) apply to
+    /// a top-level plan only, at the mediator, over the complete federated
+    /// solution sequence; the paper notes Lusail's LIMIT is naive (see the
+    /// C4 discussion, §VI-C).
+    pub(crate) fn execute_plan(
+        &self,
+        fed: &Federation,
+        plan: Plan<'_>,
+        net: &Net,
+        mut memo: Option<&mut BatchMemo>,
+    ) -> (SolutionSet, QueryMetrics) {
         let s2 = fed.stats_snapshot();
-        metrics.requests_analysis = s2.since(&s1);
-
-        // ---- Phase 3: execution (SAPE) ---------------------------------
-        let t2 = clock.now();
-        let exec_cfg = ExecConfig::for_engine(&self.config, net.threads);
-        let (mut solutions, report) = evaluate_subqueries(fed, net, &subqueries, &costs, &exec_cfg);
-        metrics.delayed_subqueries = report.delayed;
-
-        // Combine the nested groups at the global level.
-        solutions = self.apply_nested(fed, &query.pattern, solutions, &global_filters, net);
-
-        // Query-level modifiers (aggregation, ORDER BY over the full
-        // schema, projection, DISTINCT, LIMIT) happen here, at the
-        // mediator, over the complete federated solution sequence. The
-        // paper notes Lusail's LIMIT is naive: compute everything, return
-        // the first `limit` rows (see the C4 discussion, §VI-C).
-        solutions = lusail_store::eval::apply_modifiers(solutions, query, fed.dict());
-
-        metrics.execution = clock.now().saturating_sub(t2);
+        let t2 = net.clock.now();
+        let (group, top) = (plan.group, plan.top.as_deref());
+        let mut metrics = QueryMetrics {
+            source_selection: plan.source_selection,
+            analysis: plan.analysis,
+            requests_source_selection: plan.requests_source_selection,
+            requests_analysis: plan.requests_analysis,
+            check_queries: plan.check_queries,
+            gjvs: plan.gjvs,
+            ..QueryMetrics::default()
+        };
+        let solutions = match plan.shape {
+            PlanShape::Empty => SolutionSet::empty(match top {
+                Some(query) => query.output_vars(),
+                None => group.all_vars(),
+            }),
+            PlanShape::Disjoint { sources } => {
+                metrics.subqueries = 1;
+                let query = top.expect("only a top-level plan is disjoint");
+                ship_whole(fed, query, &sources, net)
+            }
+            PlanShape::Decomposed {
+                subqueries,
+                costs,
+                global_filters,
+            } => {
+                metrics.subqueries = subqueries.len();
+                if let Some(memo) = memo.as_deref_mut() {
+                    memo.count_subqueries(subqueries.len());
+                }
+                let exec_cfg = ExecConfig::for_engine(&self.config, net.threads);
+                let (mut solutions, delayed) = evaluate_subqueries(
+                    fed,
+                    net,
+                    &subqueries,
+                    &costs,
+                    &exec_cfg,
+                    memo.as_deref_mut(),
+                );
+                metrics.delayed_subqueries = delayed;
+                if let Some(v) = &group.values {
+                    let values_rel = SolutionSet {
+                        vars: v.vars.clone(),
+                        rows: v.rows.clone(),
+                    };
+                    solutions = solutions.hash_join(&values_rel);
+                }
+                solutions =
+                    lusail_store::eval::join_nested_groups(solutions, group, fed.dict(), |sub| {
+                        let nested = self.plan(fed, sub, None, &self.caches, net);
+                        self.execute_plan(fed, nested, net, memo.as_deref_mut()).0
+                    });
+                lusail_store::eval::retain_filtered(&mut solutions, &global_filters, fed.dict());
+                match top {
+                    Some(query) => {
+                        lusail_store::eval::apply_modifiers(solutions, query, fed.dict())
+                    }
+                    None => solutions,
+                }
+            }
+        };
+        metrics.execution = net.clock.now().saturating_sub(t2);
         metrics.requests_execution = fed.stats_snapshot().since(&s2);
         metrics.result_rows = solutions.len();
-        metrics.total = clock.now().saturating_sub(t_total);
-        let (complete, failures) = self.finish(fed, net, &mut metrics);
-        QueryResult {
-            solutions,
-            metrics,
-            complete,
-            failures,
-        }
-    }
-
-    /// Disjoint fast path: the original query (projection, filters,
-    /// DISTINCT, LIMIT and all) goes verbatim to every relevant endpoint;
-    /// results are concatenated.
-    pub(crate) fn execute_disjoint(
-        &self,
-        fed: &Federation,
-        query: &Query,
-        sources: &SourceMap,
-        net: &Net,
-    ) -> SolutionSet {
-        let eps: Vec<EndpointId> = sources.sources(&query.pattern.triples[0]).to_vec();
-        let tasks: Vec<(EndpointId, ())> = eps.iter().map(|&ep| (ep, ())).collect();
-        let results = net.handler.run(fed, tasks, |ep_id, _, _| {
-            net.select_or_lose(fed, ep_id, query, query.output_vars())
-        });
-        let mut out = SolutionSet::empty(query.output_vars());
-        for (_, _, sols) in results {
-            out.append(sols);
-        }
-        // Endpoints already projected; re-establish the global ordering
-        // and modifiers over the concatenation.
-        lusail_store::eval::apply_order(&mut out, &query.order_by, fed.dict());
-        if query.distinct {
-            out.dedup();
-        }
-        if let Some(limit) = query.limit {
-            out.truncate(limit);
-        }
-        out
-    }
-
-    /// Evaluates a nested group (OPTIONAL / UNION / NOT EXISTS bodies)
-    /// recursively: its own decomposition and SAPE execution, producing a
-    /// solution set over the group's variables.
-    fn execute_group(&self, fed: &Federation, group: &GroupPattern, net: &Net) -> SolutionSet {
-        // Source selection for this group's patterns (cache-served when the
-        // engine probed them already during the main pass).
-        let sources = select_sources(fed, group, &self.ask_cache, net);
-        if sources.any_required_empty(&group.triples) {
-            return SolutionSet::empty(group.all_vars());
-        }
-        let analysis = detect_gjvs(fed, &group.triples, &sources, &self.check_cache, net);
-        let mut subqueries = decompose(&group.triples, &sources, &analysis);
-        let global_filters = push_filters(&group.filters, &mut subqueries);
-        // Nested groups keep full projections: their consumers are joins.
-        let costs = if subqueries.len() > 1 {
-            let cardinality = estimate_cardinalities(fed, net, &subqueries, &self.count_cache);
-            let fanouts: Vec<usize> = subqueries.iter().map(|sq| sq.sources.len()).collect();
-            let delayed = decide_delays(&cardinality, &fanouts, self.config.delay_policy);
-            SubqueryCosts {
-                cardinality,
-                delayed,
-            }
-        } else {
-            SubqueryCosts {
-                cardinality: vec![0; subqueries.len()],
-                delayed: vec![false; subqueries.len()],
-            }
-        };
-        let exec_cfg = ExecConfig::for_engine(&self.config, net.threads);
-        let (solutions, _) = evaluate_subqueries(fed, net, &subqueries, &costs, &exec_cfg);
-        self.apply_nested(fed, group, solutions, &global_filters, net)
-    }
-
-    /// Applies a group's nested clauses to already-computed BGP solutions:
-    /// VALUES join, UNION joins, OPTIONAL left joins, NOT EXISTS anti
-    /// joins, and the remaining (un-pushed) filters.
-    fn apply_nested(
-        &self,
-        fed: &Federation,
-        group: &GroupPattern,
-        mut solutions: SolutionSet,
-        global_filters: &[Expression],
-        net: &Net,
-    ) -> SolutionSet {
-        if let Some(v) = &group.values {
-            let values_rel = SolutionSet {
-                vars: v.vars.clone(),
-                rows: v.rows.clone(),
-            };
-            solutions = solutions.hash_join(&values_rel);
-        }
-        solutions = lusail_store::eval::join_nested_groups(solutions, group, fed.dict(), |sub| {
-            self.execute_group(fed, sub, net)
-        });
-        lusail_store::eval::retain_filtered(&mut solutions, global_filters, fed.dict());
-        solutions
+        metrics.total = net.clock.now().saturating_sub(plan.started);
+        (solutions, metrics)
     }
 }
 
-/// What compile-time planning decided for a conjunctive query. Mirrors
-/// the branch structure of `execute_with_net` exactly so a caller holding
-/// the same [`Net`] can complete execution without re-running (and
-/// re-paying for) source selection — failed ASK probes are not cached, so
-/// planning twice costs real wire requests against degraded federations.
-pub(crate) enum ConjunctivePlan {
+/// What [`Lusail::plan`] decided for one group pattern — the value
+/// [`Lusail::execute_plan`] runs and EXPLAIN renders.
+pub(crate) struct Plan<'q> {
+    /// The planned group pattern.
+    group: &'q GroupPattern,
+    /// The query `group` is the top-level pattern of (`COUNT(*)` already
+    /// rewritten); `None` for a nested group.
+    top: Option<Cow<'q, Query>>,
+    /// Relevant endpoints per triple pattern (nested groups' included).
+    pub(crate) sources: SourceMap,
+    /// Global join variables of the group's BGP.
+    pub(crate) gjvs: Vec<String>,
+    /// Check queries LADE evaluated.
+    pub(crate) check_queries: u64,
+    /// How the group is evaluated.
+    pub(crate) shape: PlanShape,
+    // What planning cost, for `execute_plan` to stamp into the metrics.
+    started: Duration,
+    source_selection: Duration,
+    analysis: Duration,
+    requests_source_selection: StatsSnapshot,
+    requests_analysis: StatsSnapshot,
+}
+
+/// The three ways a group is evaluated.
+pub(crate) enum PlanShape {
     /// A required pattern has no relevant source: the answer is empty.
     Empty,
-    /// The disjoint fast path applies (Algorithm 3, line 2): ship the
-    /// whole query to each relevant endpoint and concatenate.
-    Disjoint(SourceMap),
-    /// Decomposed subqueries ready for (shared) evaluation; any filters
-    /// that could not be pushed apply at the mediator after the joins.
-    Planned {
+    /// The disjoint fast path (Algorithm 3, line 2): ship the whole query
+    /// to each of `sources` and concatenate.
+    Disjoint { sources: Vec<EndpointId> },
+    /// Subqueries for SAPE; `global_filters` could not be pushed into any
+    /// of them and apply at the mediator after the joins.
+    Decomposed {
         subqueries: Vec<Subquery>,
         costs: SubqueryCosts,
         global_filters: Vec<Expression>,
     },
 }
 
-impl Lusail {
-    /// Compile-time planning for a *conjunctive* query: source selection,
-    /// LADE, the disjoint check, filter pushdown, projection shrinking,
-    /// and the cost model. The returned [`ConjunctivePlan`] reproduces
-    /// `execute_with_net`'s own routing decisions, so executing it against
-    /// the same [`Net`] yields the same answers and the same wire traffic
-    /// as a solo run. Callers must pre-screen queries with nested clauses,
-    /// aggregates, non-SELECT forms, empty patterns, or `disable_lade` —
-    /// those take paths this planner does not model. Used by the
-    /// multi-query optimizer.
-    pub(crate) fn plan_conjunctive(
-        &self,
-        fed: &Federation,
-        query: &Query,
-        net: &Net,
-    ) -> ConjunctivePlan {
-        let sources = select_sources(fed, &query.pattern, &self.ask_cache, net);
-        if sources.any_required_empty(&query.pattern.triples) {
-            return ConjunctivePlan::Empty;
-        }
-        let analysis = detect_gjvs(
-            fed,
-            &query.pattern.triples,
-            &sources,
-            &self.check_cache,
-            net,
-        );
-        let order_vars_projected = {
-            let out = query.output_vars();
-            query.order_by.iter().all(|k| out.contains(&k.var))
-        };
-        let simple_pattern = query.pattern.optionals.is_empty()
-            && query.pattern.unions.is_empty()
-            && query.pattern.not_exists.is_empty()
-            && query.pattern.values.is_none()
-            && query.aggregates.is_empty()
-            && order_vars_projected
-            && !query.pattern.triples.is_empty();
-        if simple_pattern && is_disjoint(&query.pattern.triples, &sources, &analysis) {
-            return ConjunctivePlan::Disjoint(sources);
-        }
-        let mut subqueries =
-            decompose_traced(&query.pattern.triples, &sources, &analysis, &net.trace);
-        let global_filters = push_filters(&query.pattern.filters, &mut subqueries);
-        shrink_projections(query, &mut subqueries, &global_filters);
-        let costs = if subqueries.len() > 1 {
-            let cardinality = estimate_cardinalities(fed, net, &subqueries, &self.count_cache);
-            let fanouts: Vec<usize> = subqueries.iter().map(|sq| sq.sources.len()).collect();
-            let decision = decide_delays_detailed(&cardinality, &fanouts, self.config.delay_policy);
-            for (i, sq) in subqueries.iter().enumerate() {
-                net.trace.emit(|| TraceEvent::SubqueryPlanned {
-                    index: i,
-                    patterns: sq
-                        .triples
-                        .iter()
-                        .map(|tp| render_pattern(tp, fed.dict()))
-                        .collect(),
-                    sources: sq.sources.len(),
-                    cardinality: cardinality[i],
-                    fanout: fanouts[i],
-                    delayed: decision.delayed[i],
-                    delay_reason: decision.reason(i, cardinality[i], fanouts[i]),
-                });
-            }
-            SubqueryCosts {
-                cardinality,
-                delayed: decision.delayed,
-            }
-        } else {
-            SubqueryCosts {
-                cardinality: vec![0; subqueries.len()],
-                delayed: vec![false; subqueries.len()],
-            }
-        };
-        ConjunctivePlan::Planned {
-            subqueries,
-            costs,
-            global_filters,
-        }
+/// Disjoint fast path: the original query (projection, filters, DISTINCT,
+/// LIMIT and all) goes verbatim to every relevant endpoint; results are
+/// concatenated.
+fn ship_whole(fed: &Federation, query: &Query, sources: &[EndpointId], net: &Net) -> SolutionSet {
+    let tasks: Vec<(EndpointId, ())> = sources.iter().map(|&ep| (ep, ())).collect();
+    let results = net.handler.run(fed, tasks, |ep_id, _, _| {
+        net.select_or_lose(fed, ep_id, query, query.output_vars())
+    });
+    let mut out = SolutionSet::empty(query.output_vars());
+    for (_, _, sols) in results {
+        out.append(sols);
     }
+    // Endpoints already projected; re-establish the global ordering
+    // and modifiers over the concatenation.
+    lusail_store::eval::apply_order(&mut out, &query.order_by, fed.dict());
+    if query.distinct {
+        out.dedup();
+    }
+    if let Some(limit) = query.limit {
+        out.truncate(limit);
+    }
+    out
 }
 
 impl lusail_endpoint::FederatedEngine for Lusail {
@@ -735,23 +660,6 @@ impl lusail_endpoint::FederatedEngine for Lusail {
     fn reset(&self) {
         self.clear_caches();
     }
-}
-
-/// One subquery per triple pattern (LADE disabled): the §II strawman.
-fn singleton_subqueries(
-    triples: &[lusail_sparql::ast::TriplePattern],
-    sources: &SourceMap,
-) -> Vec<Subquery> {
-    triples
-        .iter()
-        .map(|tp| Subquery::new(vec![tp.clone()], sources.sources(tp).to_vec()))
-        .collect()
-}
-
-/// Pushes each filter into every subquery containing all its variables;
-/// returns the filters that could not be pushed (applied globally).
-fn push_filters(filters: &[Expression], subqueries: &mut [Subquery]) -> Vec<Expression> {
-    crate::subquery::push_filters_into(filters, subqueries)
 }
 
 /// Shrinks each subquery's projection to the variables actually needed

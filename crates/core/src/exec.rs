@@ -22,6 +22,7 @@
 
 use crate::cost::SubqueryCosts;
 use crate::join::{join_components, par_hash_join, Relation};
+use crate::mqo::BatchMemo;
 use crate::subquery::Subquery;
 use lusail_endpoint::{
     Clock, EndpointId, EndpointRef, Federation, HealthHook, RequestKind, RequestPolicy,
@@ -202,6 +203,9 @@ pub struct Net {
     pub client: ResilientClient,
     /// Conservative-fallback counters for this query.
     pub degradation: Degradation,
+    /// The clock the client schedules against; phase timings read the
+    /// same one, so EXPLAIN ANALYZE is deterministic under a test clock.
+    pub clock: Arc<dyn Clock>,
     /// The trace sink the whole context emits into (disabled by default).
     pub trace: TraceSink,
     /// The worker-thread budget shared by endpoint dispatch and
@@ -243,7 +247,7 @@ impl Net {
         hook: Option<HealthHook>,
     ) -> Self {
         let threads = threads.max(1);
-        let mut client = ResilientClient::traced(policy, clock, trace.clone());
+        let mut client = ResilientClient::traced(policy, Arc::clone(&clock), trace.clone());
         if let Some(hook) = hook {
             client = client.with_transition_hook(hook);
         }
@@ -251,6 +255,7 @@ impl Net {
             handler: RequestHandler::with_threads(trace.clone(), threads),
             client,
             degradation: Degradation::default(),
+            clock,
             trace,
             threads,
         }
@@ -259,8 +264,25 @@ impl Net {
     /// A `SELECT` carrying result data, with replica-aware failover: a
     /// request that exhausts its retries on one replica-group member is
     /// transparently re-issued against the next healthy member. Only when
-    /// every member has failed does it degrade to an empty partition and
-    /// mark the query incomplete.
+    /// every member has failed is the partition lost (`None`) and the
+    /// query marked incomplete.
+    pub fn try_select(
+        &self,
+        fed: &Federation,
+        ep_id: EndpointId,
+        q: &Query,
+    ) -> Option<SolutionSet> {
+        match self.client.select_failover(fed, ep_id, q) {
+            Ok((_, sols)) => Some(sols),
+            Err(_) => {
+                self.degradation.record_data_loss();
+                None
+            }
+        }
+    }
+
+    /// [`Net::try_select`] with a lost partition degraded to an empty one
+    /// over `vars`.
     pub fn select_or_lose(
         &self,
         fed: &Federation,
@@ -268,17 +290,12 @@ impl Net {
         q: &Query,
         vars: Vec<String>,
     ) -> SolutionSet {
-        match self.client.select_failover(fed, ep_id, q) {
-            Ok((_, sols)) => sols,
-            Err(_) => {
-                self.degradation.record_data_loss();
-                SolutionSet::empty(vars)
-            }
-        }
+        self.try_select(fed, ep_id, q)
+            .unwrap_or_else(|| SolutionSet::empty(vars))
     }
 }
 
-/// Execution tuning knobs used by [`evaluate_subqueries`].
+/// Execution tuning knobs used by `evaluate_subqueries`.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
     /// Number of bindings per `VALUES` block in bound subqueries (and the
@@ -343,24 +360,25 @@ fn adapted_block_size(config: &ExecConfig, probe_bindings: usize, observed_rows:
     )
 }
 
-/// Counters reported back to the engine's metrics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExecReport {
-    /// How many subqueries were delayed by the cost model.
-    pub delayed: usize,
-}
-
 /// SAPE subquery evaluation (Algorithm 3): evaluates all subqueries and
 /// joins their results. `costs` supplies the delay decisions and estimated
 /// cardinalities. Returns the joined solution set (one relation; genuinely
-/// disconnected components are cross-joined at the end) plus a report.
-pub fn evaluate_subqueries(
+/// disconnected components are cross-joined at the end) plus how many
+/// subqueries stayed delayed.
+///
+/// `memo` is the batch hook: phase 1 takes a non-delayed relation an
+/// earlier item of the batch already fetched from it and records the ones
+/// it fetches itself. Everything downstream — join order, the bindings
+/// delayed subqueries are shipped with — sees the same relations either
+/// way, so a batched query executes exactly as it would alone.
+pub(crate) fn evaluate_subqueries(
     fed: &Federation,
     net: &Net,
     subqueries: &[Subquery],
     costs: &SubqueryCosts,
     config: &ExecConfig,
-) -> (SolutionSet, ExecReport) {
+    memo: Option<&mut BatchMemo>,
+) -> (SolutionSet, usize) {
     assert_eq!(subqueries.len(), costs.delayed.len());
     let mut delayed_idx: Vec<usize> = (0..subqueries.len())
         .filter(|&i| costs.delayed[i])
@@ -381,41 +399,9 @@ pub fn evaluate_subqueries(
         net.trace
             .emit(|| TraceEvent::SubqueryPromoted { index: best });
     }
-    let report = ExecReport {
-        delayed: delayed_idx.len(),
-    };
+    let delayed = delayed_idx.len();
 
-    // Phase 1: concurrent evaluation of non-delayed subqueries.
-    let tasks: Vec<(EndpointId, usize)> = non_delayed
-        .iter()
-        .flat_map(|&i| subqueries[i].sources.iter().map(move |&ep| (ep, i)))
-        .collect();
-    let results = net.handler.run(fed, tasks, |ep_id, _, &i| {
-        net.select_or_lose(
-            fed,
-            ep_id,
-            &subqueries[i].to_query(None),
-            subqueries[i].projection.clone(),
-        )
-    });
-
-    // Regroup per subquery, consuming the results (no clones).
-    let mut by_subquery: lusail_rdf::FxHashMap<usize, Vec<SolutionSet>> =
-        lusail_rdf::FxHashMap::default();
-    for (_, i, sols) in results {
-        by_subquery.entry(i).or_default().push(sols);
-    }
-    let mut relations: Vec<Relation> = Vec::new();
-    for &i in &non_delayed {
-        let parts = by_subquery.remove(&i).unwrap_or_default();
-        let rel = concat_partitions(&subqueries[i], parts);
-        net.trace.emit(|| TraceEvent::SubqueryEvaluated {
-            index: i,
-            rows: rel.sols.len(),
-            partitions: rel.partitions,
-        });
-        relations.push(rel);
-    }
+    let relations = fetch_concurrent(fed, net, subqueries, &non_delayed, memo);
 
     // Join whatever is joinable so the found bindings are already reduced.
     let mut components = join_components(
@@ -551,7 +537,65 @@ pub fn evaluate_subqueries(
             cost: left_rows as f64 + right_rows as f64,
         });
     }
-    (acc, report)
+    (acc, delayed)
+}
+
+/// Phase 1: the non-delayed subqueries' relations, in `non_delayed` order.
+/// Those the batch memo holds are reused; the rest are submitted
+/// concurrently to all their relevant endpoints (and memoized).
+fn fetch_concurrent(
+    fed: &Federation,
+    net: &Net,
+    subqueries: &[Subquery],
+    non_delayed: &[usize],
+    mut memo: Option<&mut BatchMemo>,
+) -> Vec<Relation> {
+    let mut shared: lusail_rdf::FxHashMap<usize, Relation> = non_delayed
+        .iter()
+        .filter_map(|&i| Some((i, memo.as_deref_mut()?.lookup(i, &subqueries[i], net)?)))
+        .collect();
+    let tasks: Vec<(EndpointId, usize)> = non_delayed
+        .iter()
+        .filter(|i| !shared.contains_key(i))
+        .flat_map(|&i| subqueries[i].sources.iter().map(move |&ep| (ep, i)))
+        .collect();
+    let failures_before = match memo {
+        Some(_) => net.client.report(fed),
+        None => Vec::new(),
+    };
+    let results = net.handler.run(fed, tasks, |ep_id, _, &i| {
+        net.try_select(fed, ep_id, &subqueries[i].to_query(None))
+    });
+
+    // Regroup per subquery, consuming the results (no clones). A lost
+    // partition stays in the list, empty, so the partition count the join
+    // cost model reads does not depend on which endpoints answered.
+    let mut by_subquery: lusail_rdf::FxHashMap<usize, (Vec<SolutionSet>, bool)> =
+        lusail_rdf::FxHashMap::default();
+    for (_, i, sols) in results {
+        let (parts, lost) = by_subquery.entry(i).or_default();
+        *lost |= sols.is_none();
+        parts.push(sols.unwrap_or_else(|| SolutionSet::empty(subqueries[i].projection.clone())));
+    }
+    non_delayed
+        .iter()
+        .map(|&i| {
+            if let Some(rel) = shared.remove(&i) {
+                return rel;
+            }
+            let (parts, lost) = by_subquery.remove(&i).unwrap_or_default();
+            let rel = concat_partitions(&subqueries[i], parts);
+            net.trace.emit(|| TraceEvent::SubqueryEvaluated {
+                index: i,
+                rows: rel.sols.len(),
+                partitions: rel.partitions,
+            });
+            if let Some(memo) = memo.as_deref_mut() {
+                memo.store(fed, net, &subqueries[i], &rel, lost, &failures_before);
+            }
+            rel
+        })
+        .collect()
 }
 
 /// Concatenates per-endpoint partitions into one relation, remembering the
@@ -785,9 +829,9 @@ mod sape_tests {
             ..ExecConfig::default()
         };
         let before = fed.stats_snapshot();
-        let (sols, report) = evaluate_subqueries(&fed, &net, &sqs, &costs, &config);
+        let (sols, delayed) = evaluate_subqueries(&fed, &net, &sqs, &costs, &config, None);
         let window = fed.stats_snapshot().since(&before);
-        assert_eq!(report.delayed, 1);
+        assert_eq!(delayed, 1);
         assert_eq!(sols.len(), 10);
         // Phase 1: one select at A. Phase 2: 20 bindings / 4 per block =
         // 5 selects at B.
@@ -809,9 +853,9 @@ mod sape_tests {
             ..ExecConfig::default()
         };
         let before = fed.stats_snapshot();
-        let (sols, report) = evaluate_subqueries(&fed, &net, &sqs, &costs, &config);
+        let (sols, delayed) = evaluate_subqueries(&fed, &net, &sqs, &costs, &config, None);
         let window = fed.stats_snapshot().since(&before);
-        assert_eq!(report.delayed, 1);
+        assert_eq!(delayed, 1);
         assert_eq!(sols.len(), 10);
         // Phase 1: one select at A. Phase 2: the 4-binding probe block
         // returns 2 rows, so the sizer scales way past the 16 remaining
@@ -850,9 +894,9 @@ mod sape_tests {
         };
         let net = Net::default();
         let config = ExecConfig::default();
-        let (sols, report) = evaluate_subqueries(&fed, &net, &sqs, &costs, &config);
+        let (sols, delayed) = evaluate_subqueries(&fed, &net, &sqs, &costs, &config, None);
         // One was promoted to the concurrent phase; one stayed delayed.
-        assert_eq!(report.delayed, 1);
+        assert_eq!(delayed, 1);
         assert_eq!(sols.len(), 10);
     }
 
@@ -867,9 +911,9 @@ mod sape_tests {
         let net = Net::default();
         let config = ExecConfig::default();
         let before = fed.stats_snapshot();
-        let (sols, report) = evaluate_subqueries(&fed, &net, &sqs, &costs, &config);
+        let (sols, delayed) = evaluate_subqueries(&fed, &net, &sqs, &costs, &config, None);
         let window = fed.stats_snapshot().since(&before);
-        assert_eq!(report.delayed, 0);
+        assert_eq!(delayed, 0);
         assert_eq!(sols.len(), 10);
         // Both subqueries run unbound: exactly 2 selects.
         assert_eq!(window.select_requests, 2);
@@ -879,14 +923,15 @@ mod sape_tests {
     fn empty_subquery_list_yields_single_empty_row() {
         let (fed, _) = chain_fed();
         let net = Net::default();
-        let (sols, report) = evaluate_subqueries(
+        let (sols, delayed) = evaluate_subqueries(
             &fed,
             &net,
             &[],
             &SubqueryCosts::default(),
             &ExecConfig::default(),
+            None,
         );
-        assert_eq!(report.delayed, 0);
+        assert_eq!(delayed, 0);
         assert_eq!(sols.len(), 1);
         assert!(sols.vars.is_empty());
     }

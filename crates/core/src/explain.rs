@@ -1,5 +1,5 @@
-//! `EXPLAIN`: run Lusail's compile-time pipeline (source selection, LADE,
-//! cost model) without executing, and render the resulting plan.
+//! `EXPLAIN`: run the engine's planner (`Lusail::plan` — source selection,
+//! LADE, cost model) without executing, and render the plan it returned.
 //!
 //! `EXPLAIN ANALYZE` goes further: it *executes* the query with an
 //! enabled [`TraceSink`] and renders the plan tree annotated with what
@@ -13,13 +13,9 @@
 //! Used by the CLI's `explain` subcommand and by tests that assert on
 //! planning decisions without paying for execution.
 
-use crate::cache::{KeyedCache, ProbeCache};
-use crate::cost::{decide_delays, estimate_cardinalities};
-use crate::decompose::{decompose, is_disjoint};
-use crate::engine::Lusail;
-use crate::gjv::detect_gjvs;
+use crate::cache::ProbeCaches;
+use crate::engine::{Lusail, PlanShape};
 use crate::metrics::QueryMetrics;
-use crate::source_selection::select_sources;
 use crate::trace::{QueryTrace, RequestKind, TraceEvent, TraceSink};
 use lusail_endpoint::{Federation, FederationError};
 use lusail_rdf::Dictionary;
@@ -49,9 +45,12 @@ pub struct QueryPlan {
     pub sources: Vec<(String, Vec<String>)>,
     /// Detected global join variables.
     pub gjvs: Vec<String>,
+    /// True if a required pattern has no relevant source: the answer is
+    /// empty and nothing past source selection runs.
+    pub empty: bool,
     /// True if the whole query ships unchanged to every endpoint.
     pub disjoint: bool,
-    /// The subqueries (empty when `disjoint`).
+    /// The subqueries (empty when `empty` or `disjoint`).
     pub subqueries: Vec<SubqueryPlan>,
     /// Check queries evaluated during analysis.
     pub check_queries: u64,
@@ -71,6 +70,14 @@ impl QueryPlan {
             self.gjvs.join(", "),
             self.check_queries
         );
+        if self.empty {
+            let _ = writeln!(
+                out,
+                "plan: EMPTY — a required pattern has no relevant source; \
+                 the answer is empty without further requests"
+            );
+            return out;
+        }
         if self.disjoint {
             let _ = writeln!(
                 out,
@@ -111,84 +118,53 @@ pub(crate) fn render_pattern(tp: &TriplePattern, dict: &Dictionary) -> String {
 }
 
 impl Lusail {
-    /// Produces the compile-time plan for `query` without executing it.
-    /// Probes (ASK / check / COUNT) do run against the endpoints, exactly
-    /// as the execution path would issue them, and are cached the same
-    /// way.
+    /// Produces the compile-time plan for `query` without executing it:
+    /// the very `Plan` execution would run, so the
+    /// two cannot disagree. Probes (ASK / check / COUNT) do run against
+    /// the endpoints, exactly as execution would issue them, but are
+    /// memoized in throw-away caches — EXPLAIN never warms the engine.
     pub fn explain(&self, fed: &Federation, query: &Query) -> QueryPlan {
-        // Use private-but-crate-visible caches through fresh ones when the
-        // engine's are disabled; the engine's caches are reachable via the
-        // same execution path, so reuse them by running the same phases.
         let net = self.fresh_net();
-        let ask_cache = ProbeCache::new(true);
-        let check_cache = KeyedCache::new(true);
-        let count_cache = ProbeCache::new(true);
-
+        let caches = ProbeCaches::new(true, None);
+        let plan = self.plan(fed, &query.pattern, Some(query), &caches, &net);
         let dict = fed.dict();
-        let sources = select_sources(fed, &query.pattern, &ask_cache, &net);
-        let rendered_sources: Vec<(String, Vec<String>)> = sources
-            .iter()
-            .map(|(tp, srcs)| {
-                (
-                    render_pattern(tp, dict),
-                    srcs.iter()
-                        .map(|&id| fed.endpoint(id).name().to_string())
+        let names = |ids: &[lusail_endpoint::EndpointId]| -> Vec<String> {
+            ids.iter()
+                .map(|&id| fed.endpoint(id).name().to_string())
+                .collect()
+        };
+        let subqueries = match &plan.shape {
+            PlanShape::Decomposed {
+                subqueries, costs, ..
+            } => subqueries
+                .iter()
+                .enumerate()
+                .map(|(i, sq)| SubqueryPlan {
+                    triples: sq
+                        .triples
+                        .iter()
+                        .map(|tp| render_pattern(tp, dict))
                         .collect(),
-                )
-            })
-            .collect();
-
-        let analysis = detect_gjvs(fed, &query.pattern.triples, &sources, &check_cache, &net);
-        let simple_pattern = query.pattern.optionals.is_empty()
-            && query.pattern.unions.is_empty()
-            && query.pattern.not_exists.is_empty()
-            && query.pattern.values.is_none()
-            && !query.pattern.triples.is_empty();
-        let disjoint = simple_pattern && is_disjoint(&query.pattern.triples, &sources, &analysis);
-
-        let mut plan = QueryPlan {
-            sources: rendered_sources,
-            gjvs: analysis.gjvs.clone(),
-            disjoint,
-            subqueries: Vec::new(),
-            check_queries: analysis.check_queries,
+                    sources: names(&sq.sources),
+                    projection: sq.projection.clone(),
+                    cardinality: costs.cardinality[i],
+                    delayed: costs.delayed[i],
+                })
+                .collect(),
+            _ => Vec::new(),
         };
-        if disjoint {
-            return plan;
+        QueryPlan {
+            sources: plan
+                .sources
+                .iter()
+                .map(|(tp, srcs)| (render_pattern(tp, dict), names(srcs)))
+                .collect(),
+            gjvs: plan.gjvs,
+            empty: matches!(plan.shape, PlanShape::Empty),
+            disjoint: matches!(plan.shape, PlanShape::Disjoint { .. }),
+            subqueries,
+            check_queries: plan.check_queries,
         }
-
-        let subqueries = decompose(&query.pattern.triples, &sources, &analysis);
-        let cardinality = if subqueries.len() > 1 {
-            estimate_cardinalities(fed, &net, &subqueries, &count_cache)
-        } else {
-            vec![0; subqueries.len()]
-        };
-        let fanouts: Vec<usize> = subqueries.iter().map(|sq| sq.sources.len()).collect();
-        let delayed = if subqueries.len() > 1 {
-            decide_delays(&cardinality, &fanouts, self.config().delay_policy)
-        } else {
-            vec![false; subqueries.len()]
-        };
-        plan.subqueries = subqueries
-            .iter()
-            .enumerate()
-            .map(|(i, sq)| SubqueryPlan {
-                triples: sq
-                    .triples
-                    .iter()
-                    .map(|tp| render_pattern(tp, dict))
-                    .collect(),
-                sources: sq
-                    .sources
-                    .iter()
-                    .map(|&id| fed.endpoint(id).name().to_string())
-                    .collect(),
-                projection: sq.projection.clone(),
-                cardinality: cardinality[i],
-                delayed: delayed[i],
-            })
-            .collect();
-        plan
     }
 
     /// `EXPLAIN ANALYZE`: executes `query` with tracing enabled and

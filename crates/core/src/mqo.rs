@@ -4,11 +4,16 @@
 //! A batch of queries often shares subqueries after decomposition — in
 //! the paper's motivating scenario many users ask overlapping analytical
 //! queries over the same decentralized graphs. [`Lusail::execute_batch`]
-//! decomposes every query first, identifies *identical* subqueries
-//! (same normalized patterns, filters, and sources), evaluates each
-//! distinct non-delayed subquery **once**, and reuses its relation across
-//! all queries in the batch. Delayed subqueries are evaluated per query
-//! (their bound `VALUES` blocks depend on the query's other subqueries).
+//! runs every item through the engine's one planner and one executor
+//! (`Lusail::plan` → `Lusail::execute_plan`, exactly as a solo query) and
+//! hands the executor a `BatchMemo`: phase 1 of SAPE takes the relation
+//! of any non-delayed subquery an earlier item already fetched —
+//! *identical* normalized patterns, filters, sources, and projection —
+//! from the memo instead of the wire, and records the ones it fetches.
+//! Nothing else differs from solo execution: delayed subqueries are bound
+//! with `VALUES` from the item's own joined relations, joins take the same
+//! order, and nested OPTIONAL / UNION / NOT EXISTS groups share through the
+//! same memo.
 //!
 //! [`Lusail::execute_batch_with`] is the options-aware form the query
 //! server's cross-tenant batching scheduler drives: every item carries its
@@ -18,27 +23,24 @@
 //! degrades every dependent item with the producing evaluation's failure
 //! attribution merged into its report.
 
-use crate::cache::pattern_key;
 use crate::cost::SubqueryCosts;
-use crate::engine::{Lusail, QueryResult};
-use crate::exec::{evaluate_subqueries, ExecConfig};
+use crate::engine::{Lusail, PlanShape, QueryResult};
+use crate::exec::{evaluate_subqueries, ExecConfig, Net};
+use crate::join::Relation;
 use crate::subquery::Subquery;
 use lusail_endpoint::{EndpointFailure, ExecOptions, Federation, FederationError, TraceEvent};
 use lusail_sparql::ast::Query;
 use lusail_sparql::SolutionSet;
 use std::collections::HashMap;
 
-/// A normalized signature for subquery sharing: pattern keys (variables
-/// canonicalized), sources, pushed filters, and projection. Two subqueries
-/// with equal signatures evaluate to multiset-equal relations (pinned by
-/// the signature-soundness property test), which is what makes reusing a
-/// memoized relation across queries safe.
+/// A normalized signature for subquery sharing: the patterns (in sorted
+/// order, variable names kept — the projection names them), sources,
+/// pushed filters, and projection. Two subqueries with equal signatures
+/// evaluate to multiset-equal relations (pinned by the signature-soundness
+/// property test), which is what makes reusing a memoized relation across
+/// queries safe.
 pub fn subquery_signature(sq: &Subquery) -> String {
-    let mut keys: Vec<String> = sq
-        .triples
-        .iter()
-        .map(|tp| format!("{:?}", pattern_key(tp)))
-        .collect();
+    let mut keys: Vec<String> = sq.triples.iter().map(|tp| format!("{tp:?}")).collect();
     keys.sort();
     format!("{:?}|{:?}|{:?}|{:?}", keys, sq.sources, sq.filters, {
         let mut p = sq.projection.clone();
@@ -89,7 +91,9 @@ pub enum BatchOutcome {
 /// which endpoints misbehaved while producing it, and what it cost on the
 /// wire (the savings each reuse records).
 struct SharedEntry {
-    relation: SolutionSet,
+    /// The batch item that fetched the relation.
+    item: usize,
+    relation: Relation,
     lost: bool,
     failures: Vec<EndpointFailure>,
     requests_spent: u64,
@@ -144,14 +148,98 @@ fn failure_delta(before: &[EndpointFailure], after: Vec<EndpointFailure>) -> Vec
         .collect()
 }
 
+/// The batch's shared-relation memo: what phase 1 of the executor
+/// consults and fills (see `exec::evaluate_subqueries`), plus the running
+/// [`BatchReport`] and the failure attribution the *current* item has
+/// inherited through lost relations an earlier item fetched — the item
+/// never touched those endpoints itself, so its own client report cannot
+/// know about them. Sharing is *across* items only: a query that repeats
+/// one of its own subqueries fetches it twice, as it does solo, so a batch
+/// of one is wire-identical to solo execution.
+#[derive(Default)]
+pub(crate) struct BatchMemo {
+    shared: HashMap<String, SharedEntry>,
+    report: BatchReport,
+    /// Position of the current item in the batch.
+    item: usize,
+    inherited: Vec<EndpointFailure>,
+}
+
+impl BatchMemo {
+    /// The memoized relation for `sq` (subquery `index` of the current
+    /// item), in `sq`'s own column order. A relation with a hole degrades
+    /// the dependent query honestly: incompleteness and the producing
+    /// failures are inherited along with the rows.
+    pub(crate) fn lookup(&mut self, index: usize, sq: &Subquery, net: &Net) -> Option<Relation> {
+        let entry = self.shared.get(&subquery_signature(sq))?;
+        if entry.item == self.item {
+            return None;
+        }
+        self.report.shared_hits += 1;
+        self.report.wire_requests_saved += entry.requests_spent;
+        net.trace.emit(|| TraceEvent::SubqueryShared {
+            index,
+            saved_requests: entry.requests_spent,
+        });
+        if entry.lost {
+            net.degradation.record_data_loss();
+            merge_failures(&mut self.inherited, &entry.failures);
+        }
+        Some(Relation {
+            sols: entry.relation.sols.project(&sq.projection),
+            partitions: entry.relation.partitions,
+        })
+    }
+
+    /// Memoizes the relation the current item just fetched for `sq`.
+    /// `lost` says a partition of it failed; the failure growth since
+    /// `failures_before` at `sq`'s own endpoints is then its attribution.
+    pub(crate) fn store(
+        &mut self,
+        fed: &Federation,
+        net: &Net,
+        sq: &Subquery,
+        relation: &Relation,
+        lost: bool,
+        failures_before: &[EndpointFailure],
+    ) {
+        let mut failures = Vec::new();
+        if lost {
+            failures = failure_delta(failures_before, net.client.report(fed));
+            failures.retain(|f| sq.sources.contains(&fed.primary_of(f.endpoint)));
+        }
+        self.shared.insert(
+            subquery_signature(sq),
+            SharedEntry {
+                item: self.item,
+                relation: relation.clone(),
+                lost,
+                failures,
+                // One SELECT per relevant endpoint: what a reuse saves.
+                requests_spent: sq.sources.len() as u64,
+            },
+        );
+    }
+
+    /// Counts one decomposed group's subqueries into the report.
+    pub(crate) fn count_subqueries(&mut self, n: usize) {
+        self.report.total_subqueries += n;
+    }
+
+    /// Ends the current item: merges what it inherited into its report.
+    pub(crate) fn finish_item(&mut self, failures: &mut Vec<EndpointFailure>) {
+        merge_failures(failures, &std::mem::take(&mut self.inherited));
+        self.item += 1;
+    }
+}
+
 impl Lusail {
     /// Executes a batch of queries, sharing identical subquery results.
     ///
     /// Returns one [`QueryResult`] per query (same order) plus a
-    /// [`BatchReport`] describing how much work was shared. Queries with
-    /// nested clauses (OPTIONAL/UNION/NOT EXISTS) fall back to the
-    /// single-query path for those clauses but still share their
-    /// top-level subqueries.
+    /// [`BatchReport`] describing how much work was shared. Every query
+    /// shape shares: the subqueries of nested OPTIONAL / UNION / NOT
+    /// EXISTS groups go through the same memo as top-level ones.
     pub fn execute_batch(
         &self,
         fed: &Federation,
@@ -203,14 +291,9 @@ impl Lusail {
     ) -> (Vec<BatchOutcome>, BatchReport) {
         let clock = self.timing_clock();
         let start = clock.now();
-        let mut shared: HashMap<String, SharedEntry> = HashMap::new();
-        let mut report = BatchReport::default();
+        let mut memo = BatchMemo::default();
         let mut outcomes = Vec::with_capacity(items.len());
         for item in items {
-            if fed.is_empty() {
-                outcomes.push(BatchOutcome::Error(FederationError::EmptyFederation));
-                continue;
-            }
             let elapsed = clock.now().saturating_sub(start);
             let opts = match item.opts.deadline {
                 Some(d) if elapsed >= d => {
@@ -220,37 +303,32 @@ impl Lusail {
                 Some(d) => item.opts.clone().with_deadline(d - elapsed),
                 None => item.opts.clone(),
             };
-            let outcome =
-                match self.execute_with_shared(fed, &item.query, &opts, &mut shared, &mut report) {
+            outcomes.push(
+                match self.execute_on(fed, &item.query, &opts, Some(&mut memo)) {
                     Ok(result) => BatchOutcome::Finished(Box::new(result)),
                     Err(e) => BatchOutcome::Error(e),
-                };
-            outcomes.push(outcome);
+                },
+            );
         }
-        report.distinct_subqueries = shared.len();
+        let mut report = memo.report;
+        report.distinct_subqueries = memo.shared.len();
         (outcomes, report)
     }
 
-    /// Plans the conjunctive core of `query` and returns its decomposed
-    /// subqueries — the units [`subquery_signature`] keys the batch memo
-    /// by. `None` when the query takes a non-conjunctive path (nested
-    /// clauses, aggregates, non-SELECT forms, the disjoint fast path, or
-    /// no relevant sources).
+    /// Plans `query` and returns its top-level decomposed subqueries — the
+    /// units [`subquery_signature`] keys the batch memo by. `None` when the
+    /// plan is not a decomposition (the disjoint fast path, or a required
+    /// pattern with no relevant source).
     pub fn plan_subqueries(&self, fed: &Federation, query: &Query) -> Option<Vec<Subquery>> {
-        if fed.is_empty()
-            || self.config().disable_lade
-            || query.pattern.triples.is_empty()
-            || !query.pattern.optionals.is_empty()
-            || !query.pattern.unions.is_empty()
-            || !query.pattern.not_exists.is_empty()
-            || !query.aggregates.is_empty()
-            || !matches!(query.form, lusail_sparql::ast::QueryForm::Select)
-        {
+        if fed.is_empty() {
             return None;
         }
         let net = self.fresh_net();
-        match self.plan_conjunctive(fed, query, &net) {
-            crate::engine::ConjunctivePlan::Planned { subqueries, .. } => Some(subqueries),
+        match self
+            .plan(fed, &query.pattern, Some(query), &self.caches, &net)
+            .shape
+        {
+            PlanShape::Decomposed { subqueries, .. } => Some(subqueries),
             _ => None,
         }
     }
@@ -270,223 +348,9 @@ impl Lusail {
                 delayed: vec![false],
             },
             &ExecConfig::for_engine(self.config(), net.threads),
+            None,
         );
         relation
-    }
-
-    /// Single-query execution that consults/extends the batch memo for
-    /// non-delayed subqueries. Implementation: run the normal pipeline but
-    /// intercept the subquery-evaluation stage.
-    fn execute_with_shared(
-        &self,
-        fed: &Federation,
-        query: &Query,
-        opts: &ExecOptions,
-        shared: &mut HashMap<String, SharedEntry>,
-        report: &mut BatchReport,
-    ) -> Result<QueryResult, FederationError> {
-        // Reuse the standard compile-time pipeline via explain-like calls,
-        // then execute with memoized relations. To keep one code path, we
-        // reuse `Lusail::execute_with` when the query has nested clauses
-        // (the memo still helps those through the probe caches).
-        let has_nested = !query.pattern.optionals.is_empty()
-            || !query.pattern.unions.is_empty()
-            || !query.pattern.not_exists.is_empty();
-        // Aggregates, non-SELECT forms, empty patterns, and disabled LADE
-        // take the full single-query path (mediator-side grouping,
-        // CountStar normalization, the §II strawman decomposition). These
-        // are structural checks — no wire traffic is spent before the
-        // routing decision.
-        if has_nested
-            || !query.aggregates.is_empty()
-            || !matches!(query.form, lusail_sparql::ast::QueryForm::Select)
-            || query.pattern.triples.is_empty()
-            || self.config().disable_lade
-        {
-            return self.execute_with(fed, query, opts);
-        }
-
-        // From here on, every outcome of planning executes against this
-        // one Net. Falling back to `execute_with` after planning would
-        // build a second Net and re-issue the probes planning already
-        // paid for (failed ASKs are never cached), making a batched run
-        // cost *more* wire than solo — the exact regression the
-        // batched-vs-solo oracle rejects.
-        let net = self.fresh_net_with(opts);
-        let (subqueries, costs, global_filters) = match self.plan_conjunctive(fed, query, &net) {
-            crate::engine::ConjunctivePlan::Empty => {
-                // A required pattern with no source: empty result, same as
-                // the solo early return.
-                let mut metrics = crate::metrics::QueryMetrics::default();
-                let (complete, failures) = self.finish(fed, &net, &mut metrics);
-                net.trace
-                    .emit(|| TraceEvent::QueryFinished { rows: 0, complete });
-                return Ok(QueryResult {
-                    solutions: SolutionSet::empty(query.output_vars()),
-                    metrics,
-                    complete,
-                    failures,
-                });
-            }
-            crate::engine::ConjunctivePlan::Disjoint(sources) => {
-                let solutions = self.execute_disjoint(fed, query, &sources, &net);
-                let mut metrics = crate::metrics::QueryMetrics {
-                    subqueries: 1,
-                    result_rows: solutions.len(),
-                    ..Default::default()
-                };
-                let (complete, failures) = self.finish(fed, &net, &mut metrics);
-                net.trace.emit(|| TraceEvent::QueryFinished {
-                    rows: solutions.len(),
-                    complete,
-                });
-                return Ok(QueryResult {
-                    solutions,
-                    metrics,
-                    complete,
-                    failures,
-                });
-            }
-            crate::engine::ConjunctivePlan::Planned {
-                subqueries,
-                costs,
-                global_filters,
-            } => (subqueries, costs, global_filters),
-        };
-        report.total_subqueries += subqueries.len();
-
-        // Evaluate with sharing: replace each non-delayed subquery whose
-        // signature is memoized by a zero-cost cached relation. We model
-        // this by executing only the *missing* subqueries through the
-        // normal path, then joining cached relations in.
-        let exec_cfg = ExecConfig::for_engine(self.config(), net.threads);
-
-        // One pass: cached relations come from the memo; missing
-        // non-delayed subqueries are evaluated alone (concurrently per
-        // endpoint) and memoized; delayed subqueries collect for the
-        // standard two-phase treatment against the joined bindings.
-        let mut relations: Vec<SolutionSet> = Vec::new();
-        let mut delayed_subqueries: Vec<Subquery> = Vec::new();
-        let mut delayed_cards: Vec<u64> = Vec::new();
-        // Failures inherited from shared relations an *earlier* item
-        // evaluated — this item never touched those endpoints itself, so
-        // its own client report cannot know about them.
-        let mut inherited: Vec<EndpointFailure> = Vec::new();
-        for (i, sq) in subqueries.iter().enumerate() {
-            if costs.delayed[i] {
-                delayed_subqueries.push(sq.clone());
-                delayed_cards.push(costs.cardinality[i]);
-                continue;
-            }
-            let sig = subquery_signature(sq);
-            if let Some(entry) = shared.get(&sig) {
-                report.shared_hits += 1;
-                report.wire_requests_saved += entry.requests_spent;
-                net.trace.emit(|| TraceEvent::SubqueryShared {
-                    index: i,
-                    saved_requests: entry.requests_spent,
-                });
-                // A relation with a hole degrades every dependent query
-                // honestly: incompleteness and the producing failures are
-                // inherited along with the rows.
-                if entry.lost {
-                    net.degradation.record_data_loss();
-                    merge_failures(&mut inherited, &entry.failures);
-                }
-                relations.push(entry.relation.clone());
-                continue;
-            }
-            let loss_before = net.degradation.data_loss();
-            let wire_before = fed.stats_snapshot();
-            let fail_before = net.client.report(fed);
-            let (rel, _) = evaluate_subqueries(
-                fed,
-                &net,
-                std::slice::from_ref(sq),
-                &SubqueryCosts {
-                    cardinality: vec![costs.cardinality[i]],
-                    delayed: vec![false],
-                },
-                &exec_cfg,
-            );
-            let requests_spent = fed.stats_snapshot().since(&wire_before).total_requests();
-            let failures = failure_delta(&fail_before, net.client.report(fed));
-            // A non-delayed subquery only issues result-bearing SELECTs,
-            // so any failure growth in its window is lost data. The sticky
-            // per-query flag covers the first transition as well.
-            let lost = failures.iter().any(|f| f.failed_requests > 0)
-                || (!loss_before && net.degradation.data_loss());
-            shared.insert(
-                sig,
-                SharedEntry {
-                    relation: rel.clone(),
-                    lost,
-                    failures,
-                    requests_spent,
-                },
-            );
-            relations.push(rel);
-        }
-
-        // Join the shared/non-delayed relations, then run the delayed ones
-        // through the standard machinery with the joined bindings
-        // available: reuse evaluate_subqueries by handing it the delayed
-        // subqueries plus one pseudo-relation seeded via VALUES. Simpler
-        // and equivalent: join delayed results with the accumulated
-        // relation using the single-query executor on just those
-        // subqueries, then merge.
-        let mut solutions = relations
-            .into_iter()
-            .reduce(|a, b| a.hash_join(&b))
-            .unwrap_or(SolutionSet {
-                vars: Vec::new(),
-                rows: vec![Vec::new()],
-            });
-        // An empty non-delayed join zeroes the query: skip the delayed
-        // phase entirely, exactly as the single-query executor's bound
-        // `VALUES` blocks degenerate to no requests without bindings.
-        let had_nondelayed = !subqueries.is_empty() && subqueries.len() > delayed_subqueries.len();
-        let skip_delayed = had_nondelayed && solutions.rows.is_empty();
-        if !delayed_subqueries.is_empty() && !skip_delayed {
-            let costs = SubqueryCosts {
-                cardinality: delayed_cards,
-                delayed: vec![true; delayed_subqueries.len()],
-            };
-            // Delayed-only evaluation promotes the most selective one, so
-            // bindings flow as usual; join its output in.
-            let (delayed_rel, _) =
-                evaluate_subqueries(fed, &net, &delayed_subqueries, &costs, &exec_cfg);
-            solutions = solutions.hash_join(&delayed_rel);
-        }
-
-        // Query-level clauses: VALUES join, then the filters that could
-        // not be pushed into any subquery (mediator-side, exactly where
-        // the solo path applies them), then the standard modifier tail.
-        if let Some(v) = &query.pattern.values {
-            let values_rel = SolutionSet {
-                vars: v.vars.clone(),
-                rows: v.rows.clone(),
-            };
-            solutions = solutions.hash_join(&values_rel);
-        }
-        lusail_store::eval::retain_filtered(&mut solutions, &global_filters, fed.dict());
-        let solutions = lusail_store::eval::apply_modifiers(solutions, query, fed.dict());
-        let mut metrics = crate::metrics::QueryMetrics {
-            result_rows: solutions.len(),
-            ..Default::default()
-        };
-        let (complete, mut failures) = self.finish(fed, &net, &mut metrics);
-        merge_failures(&mut failures, &inherited);
-        net.trace.emit(|| TraceEvent::QueryFinished {
-            rows: solutions.len(),
-            complete,
-        });
-        Ok(QueryResult {
-            solutions,
-            metrics,
-            complete,
-            failures,
-        })
     }
 }
 
@@ -663,19 +527,76 @@ mod tests {
     }
 
     #[test]
-    fn batch_falls_back_for_nested_queries() {
+    fn nested_query_shares_its_outer_relation_with_a_conjunctive_one() {
+        // The OPTIONAL query's outer BGP and the join query's first
+        // subquery are the same `?s p ?v` relation: one fetch serves both.
         let (fed, oracle) = fed();
-        let q = parse_query(
+        let nested = parse_query(
             "SELECT * WHERE { ?s <http://x/p> ?v . OPTIONAL { ?v <http://x/r> ?n } }",
             fed.dict(),
         )
         .unwrap();
+        let join = parse_query(
+            "SELECT * WHERE { ?s <http://x/p> ?v . ?v <http://x/q> ?o }",
+            fed.dict(),
+        )
+        .unwrap();
         let engine = Lusail::default();
-        let (results, _) = engine
+        let (results, report) = engine
+            .execute_batch(&fed, &[nested.clone(), join.clone()])
+            .unwrap();
+        assert!(report.shared_hits >= 1, "{report:?}");
+        for (r, q) in results.iter().zip([&nested, &join]) {
+            let expected = lusail_store::eval::evaluate(&oracle, q).canonicalize();
+            assert_eq!(r.solutions.canonicalize(), expected);
+        }
+    }
+
+    #[test]
+    fn batch_of_one_binds_its_delayed_subquery_like_solo() {
+        // 1000 `?s p ?v` triples at A, one `?v q ?o` at B: the cost model
+        // delays the big subquery so it ships bound to B's single ?v.
+        // Fetching it unbound instead moves ~1000 rows for the same request
+        // count, which a request-count oracle cannot see.
+        let dict = Dictionary::shared();
+        let mut a = TripleStore::new(Arc::clone(&dict));
+        let mut b = TripleStore::new(Arc::clone(&dict));
+        for i in 0..1000 {
+            a.insert_terms(
+                &Term::iri(format!("http://a/s{i}")),
+                &Term::iri("http://x/p"),
+                &Term::iri(format!("http://shared/v{i}")),
+            );
+        }
+        b.insert_terms(
+            &Term::iri("http://shared/v0"),
+            &Term::iri("http://x/q"),
+            &Term::iri("http://b/o"),
+        );
+        let mut fed = Federation::new(dict);
+        fed.add(Arc::new(LocalEndpoint::new("A", a)));
+        fed.add(Arc::new(LocalEndpoint::new("B", b)));
+        let q = parse_query(
+            "SELECT * WHERE { ?s <http://x/p> ?v . ?v <http://x/q> ?o }",
+            fed.dict(),
+        )
+        .unwrap();
+
+        let before = fed.stats_snapshot();
+        let solo = Lusail::default().execute(&fed, &q).unwrap();
+        let solo_window = fed.stats_snapshot().since(&before);
+        let before = fed.stats_snapshot();
+        let (batched, _) = Lusail::default()
             .execute_batch(&fed, std::slice::from_ref(&q))
             .unwrap();
-        let expected = lusail_store::eval::evaluate(&oracle, &q).canonicalize();
-        assert_eq!(results[0].solutions.canonicalize(), expected);
+        let batched_window = fed.stats_snapshot().since(&before);
+
+        assert_eq!(batched[0].metrics.delayed_subqueries, 1);
+        assert_eq!(solo.metrics.delayed_subqueries, 1);
+        // Two COUNT answers, B's one row, A's one bound row.
+        assert_eq!(batched_window.rows_returned, 4);
+        assert_eq!(batched_window, solo_window);
+        assert_eq!(batched[0].solutions.len(), 1);
     }
 
     /// A federation whose B endpoint (predicates q/r) is wrapped in a

@@ -203,7 +203,7 @@ pub enum Violation {
         /// The diverging item's position in the batch.
         index: usize,
         /// Which facet diverged (`outcome`, `solutions`, `complete`,
-        /// `failures`, or `wire`).
+        /// `failures`, `metrics`, `wire`, or `bytes`).
         facet: &'static str,
         /// The facet's value in the batched execution.
         batched: String,
@@ -604,7 +604,13 @@ pub fn check_backends(
 ///
 /// Wire contract: batching is a pure saving — the batch never issues
 /// more total requests than the sequential baseline, and in a clean run
-/// whose report claims saved requests, strictly fewer.
+/// whose report claims saved requests, strictly fewer. A batch of one has
+/// nothing to share, so its whole counter window (per-kind requests,
+/// bytes both ways, rows returned, rows scanned) must *equal* solo's.
+///
+/// Plan contract: item `i` carries the same planning metrics (subquery
+/// and delayed-subquery counts, GJVs, check queries) as solo run `i` —
+/// the memo may elide fetches, never change what was planned.
 ///
 /// Returns the batch's [`BatchReport`](lusail_core::BatchReport) so
 /// sweeps can assert aggregate sharing coverage.
@@ -647,10 +653,8 @@ pub fn check_batched(
             .map_err(|e| Violation::EngineError(format!("{e:?}")))?;
         solos.push(result);
     }
-    let solo_wire = solo_fed
-        .stats_snapshot()
-        .since(&solo_before)
-        .total_requests();
+    let solo_window = solo_fed.stats_snapshot().since(&solo_before);
+    let solo_wire = solo_window.total_requests();
 
     // The solo answers themselves stay under the ordinary oracle
     // contract when nothing is faulted (LIMIT aside — any k oracle rows
@@ -679,7 +683,8 @@ pub fn check_batched(
         .collect();
     let before = fed.stats_snapshot();
     let (outcomes, report) = engine.execute_batch_with(&fed, &items);
-    let batched_wire = fed.stats_snapshot().since(&before).total_requests();
+    let batched_window = fed.stats_snapshot().since(&before);
+    let batched_wire = batched_window.total_requests();
 
     for (index, (outcome, solo)) in outcomes.iter().zip(&solos).enumerate() {
         let diverged = |facet, batched: String, solo: String| Violation::BatchDivergence {
@@ -727,6 +732,29 @@ pub fn check_batched(
                 format!("{want_blamed:?}"),
             ));
         }
+        let planned = |m: &lusail_core::QueryMetrics| {
+            format!(
+                "{} subqueries, {} delayed, gjvs {:?}, {} check queries",
+                m.subqueries, m.delayed_subqueries, m.gjvs, m.check_queries
+            )
+        };
+        if planned(&result.metrics) != planned(&solo.metrics) {
+            return Err(diverged(
+                "metrics",
+                planned(&result.metrics),
+                planned(&solo.metrics),
+            ));
+        }
+    }
+
+    if window == 1 && batched_window != solo_window {
+        return Err(Violation::BatchDivergence {
+            window,
+            index: 0,
+            facet: "bytes",
+            batched: format!("{batched_window:?}"),
+            solo: format!("{solo_window:?}"),
+        });
     }
 
     if batched_wire > solo_wire {

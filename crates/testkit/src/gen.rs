@@ -226,6 +226,31 @@ impl Case {
         }
     }
 
+    /// Grafts one UNION (two single-pattern branches), one OPTIONAL, and
+    /// one FILTER NOT EXISTS group onto the query, each joining the BGP on
+    /// its seed variable — the shapes whose groups the engine plans and
+    /// executes recursively. Drawn from the case's own seed (on a separate
+    /// stream, so the generated case itself is untouched).
+    pub fn with_nested_groups(mut self, config: &GenConfig) -> Case {
+        let mut rng = Rng::new(self.seed ^ 0x9E57_ED00_0000_0005);
+        let seed_var = self.query.pattern.triples[0].s.clone();
+        let group = |rng: &mut Rng, object: &str| {
+            let p = Term::iri(format!("http://fuzz/p{}", rng.below(config.link_preds)));
+            GroupPattern::bgp(vec![TriplePattern::new(
+                seed_var.clone(),
+                PatternTerm::Const(self.dict.encode(&p)),
+                PatternTerm::Var(object.to_string()),
+            )])
+        };
+        let branches = vec![group(&mut rng, "u"), group(&mut rng, "u")];
+        let optional = group(&mut rng, "n1");
+        let not_exists = group(&mut rng, "n2");
+        self.query.pattern.unions.push(branches);
+        self.query.pattern.optionals.push(optional);
+        self.query.pattern.not_exists.push(not_exists);
+        self
+    }
+
     /// Builds the per-endpoint stores. Endpoint `i` holds every triple
     /// with `homes == i` (possibly none — empty endpoints are legal).
     pub fn stores(&self) -> Vec<TripleStore> {

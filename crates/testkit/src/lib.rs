@@ -124,17 +124,23 @@ pub fn run_backend_case(
 /// compare item-by-item, and on failure shrink and package the repro.
 /// `faulty` draws a *dead-only* fault plan — the only fault family
 /// invariant under the request elision batching performs (see
-/// [`FaultSpec::random_dead_only`]). Returns the batch's
+/// [`FaultSpec::random_dead_only`]). `nested` grafts UNION, OPTIONAL, and
+/// NOT EXISTS groups onto the query ([`Case::with_nested_groups`]).
+/// Returns the batch's
 /// [`BatchReport`](lusail_core::BatchReport) so sweeps can assert
 /// aggregate sharing coverage.
 pub fn run_batched_case(
     case_seed: u64,
     config: &GenConfig,
     faulty: bool,
+    nested: bool,
     window: usize,
     threads: usize,
 ) -> Result<lusail_core::BatchReport, Box<Repro>> {
-    let case = Case::generate(case_seed, config);
+    let mut case = Case::generate(case_seed, config);
+    if nested {
+        case = case.with_nested_groups(config);
+    }
     let faults = if faulty {
         let mut rng = lusail_benchdata::common::Rng::new(case_seed ^ 0xFA17_0000_0000_0004);
         FaultSpec::random_dead_only(&mut rng, case.n_endpoints)

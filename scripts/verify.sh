@@ -5,14 +5,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The root manifest's `default-members` makes the bare commands cover the
+# whole workspace (root package and every crate under crates/).
 echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -261,15 +261,17 @@ fn storage_backends_are_observationally_identical() {
     }
 }
 
-/// Batched-vs-solo differential sweep: 30 seeded cases, clean and under
-/// dead-only fault plans, at batch windows 1, 2, and 8 and worker
-/// budgets 1 and 4 (alternating across the stream). `check_batched`
+/// Batched-vs-solo differential sweep: 30 seeded cases plus a 10-case
+/// nested slice (UNION + OPTIONAL + NOT EXISTS grafted onto every query),
+/// clean and under dead-only fault plans, at batch windows 1, 2, and 8 and
+/// worker budgets 1 and 4 (alternating across the stream). `check_batched`
 /// submits the window's copies of the case's query as one MQO batch and
 /// demands every batched answer be byte-identical to the sequential solo
 /// execution of the same query — canonicalized solutions, completeness
-/// flag, and failure attribution — with the batch never issuing more
-/// wire requests than the sequential baseline (strictly fewer whenever a
-/// clean batch claims savings). LIMIT is excluded: any `k` oracle rows
+/// flag, failure attribution, and planning metrics — with the batch never
+/// issuing more wire requests than the sequential baseline (strictly fewer
+/// whenever a clean batch claims savings, and the identical counter window
+/// for a batch of one). LIMIT is excluded: any `k` oracle rows
 /// are a correct limited answer, so "byte-identical" would be
 /// ill-defined. Fault plans are dead-only because transient fates are
 /// drawn per request index — not invariant under the elision batching
@@ -284,12 +286,13 @@ fn batched_execution_is_byte_identical_to_solo() {
     let mut stream = Rng::new(seed_from_env(DEFAULT_STREAM_SEED) ^ 0xBA7C_4ED1);
     let mut shared_hits = 0u64;
     let mut saved_requests = 0u64;
-    for i in 0..30 {
+    for i in 0..40 {
         let case_seed = stream.next_u64();
         let threads = if i % 2 == 0 { 1 } else { 4 };
+        let nested = i >= 30;
         for faulty in [false, true] {
             for window in [1usize, 2, 8] {
-                match run_batched_case(case_seed, &config, faulty, window, threads) {
+                match run_batched_case(case_seed, &config, faulty, nested, window, threads) {
                     Ok(report) => {
                         shared_hits += report.shared_hits;
                         saved_requests += report.wire_requests_saved;

@@ -2,8 +2,8 @@
 //! EXPLAIN plans, and multi-query optimization.
 
 use lusail_baselines::{FedX, HiBisCus, HibiscusIndex, Splendid, VoidIndex};
-use lusail_benchdata::{lubm, qfed};
-use lusail_core::Lusail;
+use lusail_benchdata::{bio2rdf, lrb, lubm, qfed};
+use lusail_core::{Lusail, TraceEvent, TraceSink};
 use lusail_endpoint::ExecOptions;
 use lusail_endpoint::FederatedEngine;
 use std::sync::Arc;
@@ -76,33 +76,134 @@ fn order_by_with_limit_returns_global_top_k() {
     assert_eq!(names, ["University 0", "University 1"]);
 }
 
+/// Asserts EXPLAIN's plan for `query` is the one execution runs: same
+/// GJVs, same disjoint / empty verdict, same subqueries with the same
+/// delay flags and (pushed-down, shrunk) projections. Execution's side is
+/// read from what it reports — metrics, its planning trace events, and
+/// `plan_subqueries` — not from the plan EXPLAIN holds.
+fn assert_explain_matches_execution(
+    engine: &Lusail,
+    fed: &lusail_endpoint::Federation,
+    query: &lusail_sparql::Query,
+    name: &str,
+) -> lusail_core::QueryPlan {
+    let plan = engine.explain(fed, query);
+    let sink = TraceSink::enabled();
+    let opts = ExecOptions::default().with_trace(sink.clone());
+    let result = engine.execute_with(fed, query, &opts).unwrap();
+    let mut planned: Vec<(usize, bool)> = sink
+        .events()
+        .into_iter()
+        .filter_map(|ev| match ev {
+            TraceEvent::SubqueryPlanned { index, delayed, .. } => Some((index, delayed)),
+            _ => None,
+        })
+        .collect();
+    planned.sort();
+
+    assert_eq!(plan.gjvs, result.metrics.gjvs, "{name}: GJVs");
+    assert_eq!(plan.empty, result.metrics.subqueries == 0, "{name}: empty");
+    assert_eq!(
+        plan.disjoint,
+        result.metrics.subqueries == 1 && planned.is_empty(),
+        "{name}: disjoint"
+    );
+    if plan.disjoint || plan.empty {
+        assert!(plan.subqueries.is_empty(), "{name}");
+        return plan;
+    }
+    assert_eq!(
+        plan.subqueries.len(),
+        result.metrics.subqueries,
+        "{name}: subquery count"
+    );
+    let delays: Vec<(usize, bool)> = plan
+        .subqueries
+        .iter()
+        .map(|sq| sq.delayed)
+        .enumerate()
+        .collect();
+    assert_eq!(delays, planned, "{name}: delay decisions");
+    let executed = engine
+        .plan_subqueries(fed, query)
+        .unwrap_or_else(|| panic!("{name}: execution decomposes, the planner does not"));
+    for (sq, run) in plan.subqueries.iter().zip(&executed) {
+        assert_eq!(sq.projection, run.projection, "{name}: projection");
+    }
+    plan
+}
+
 #[test]
 fn explain_matches_execution_decisions() {
-    let w = lubm::generate(&lubm::LubmConfig::new(4));
-    let engine = Lusail::default();
-    for name in ["Q1", "Q2", "Q3", "Q4"] {
-        let q = &w.query(name).query;
-        let plan = engine.explain(&w.federation, q);
-        let result = engine.execute(&w.federation, q).unwrap();
-        assert_eq!(
-            plan.gjvs, result.metrics.gjvs,
-            "{name}: explain and execute disagree on GJVs"
-        );
-        if plan.disjoint {
-            assert_eq!(result.metrics.subqueries, 1, "{name}");
-        } else {
-            assert_eq!(
-                plan.subqueries.len(),
-                result.metrics.subqueries,
-                "{name}: explain and execute disagree on subquery count"
-            );
-            let planned_delayed = plan.subqueries.iter().filter(|s| s.delayed).count();
-            assert_eq!(
-                planned_delayed, result.metrics.delayed_subqueries,
-                "{name}: explain and execute disagree on delays"
-            );
+    let workloads = [
+        ("lubm", lubm::generate(&lubm::LubmConfig::new(4))),
+        ("qfed", qfed::generate(&qfed::QfedConfig::default())),
+        ("lrb", lrb::generate(&lrb::LrbConfig::default())),
+        (
+            "bio2rdf",
+            bio2rdf::generate(&bio2rdf::Bio2RdfConfig::default()),
+        ),
+    ];
+    for (workload, w) in &workloads {
+        let engine = Lusail::default();
+        for nq in &w.queries {
+            let name = format!("{workload}/{}", nq.name);
+            assert_explain_matches_execution(&engine, &w.federation, &nq.query, &name);
         }
     }
+}
+
+/// The shapes EXPLAIN used to get wrong because it re-derived the plan:
+/// anything the mediator must evaluate over the global result is not
+/// DISJOINT, a sourceless required pattern is EMPTY, and `disable_lade`
+/// decomposes per pattern.
+#[test]
+fn explain_matches_execution_on_mediator_side_shapes() {
+    let w = lubm::generate(&lubm::LubmConfig::new(2));
+    let fed = &w.federation;
+    let parse = |body: &str| {
+        lusail_sparql::parse_query(&format!("PREFIX ub: <{}> {body}", lubm::UB), fed.dict())
+            .unwrap()
+    };
+    let engine = Lusail::default();
+
+    // The bare pattern ships whole …
+    let bare = parse("SELECT ?n WHERE { ?u a ub:University . ?u ub:name ?n }");
+    assert!(assert_explain_matches_execution(&engine, fed, &bare, "bare").disjoint);
+    // … but not under an aggregate, COUNT(*), or an ORDER BY key the
+    // endpoints would project away.
+    for (name, text) in [
+        (
+            "aggregate",
+            "SELECT (COUNT(?u) AS ?c) WHERE { ?u a ub:University . ?u ub:name ?n }",
+        ),
+        (
+            "count-star",
+            "SELECT (COUNT(*) AS ?c) WHERE { ?u a ub:University . ?u ub:name ?n }",
+        ),
+        (
+            "order-by-unprojected",
+            "SELECT ?n WHERE { ?u a ub:University . ?u ub:name ?n } ORDER BY ?u",
+        ),
+    ] {
+        let plan = assert_explain_matches_execution(&engine, fed, &parse(text), name);
+        assert!(!plan.disjoint, "{name}");
+        assert_eq!(plan.subqueries.len(), 1, "{name}");
+        assert!(!plan.render().contains("DISJOINT"), "{name}");
+    }
+
+    let nowhere = parse("SELECT ?x WHERE { ?x <http://nowhere/p> ?y . ?x ub:name ?n }");
+    let plan = assert_explain_matches_execution(&engine, fed, &nowhere, "empty");
+    assert!(plan.empty);
+    assert!(plan.render().contains("plan: EMPTY"), "{}", plan.render());
+
+    let strawman = Lusail::new(lusail_core::LusailConfig {
+        disable_lade: true,
+        ..Default::default()
+    });
+    let plan = assert_explain_matches_execution(&strawman, fed, &bare, "disable_lade");
+    assert_eq!(plan.subqueries.len(), 2);
+    assert_eq!(plan.check_queries, 0);
 }
 
 #[test]
