@@ -3,11 +3,15 @@
 
 use lusail_core::exec::Net;
 use lusail_core::source_selection::SourceMap;
-use lusail_endpoint::{EndpointId, Federation};
+use lusail_endpoint::{
+    EndpointId, ExecOptions, Federation, FederationError, QueryOutcome, RequestPolicy, SystemClock,
+    TraceEvent,
+};
 use lusail_rdf::FxHashSet;
 use lusail_sparql::ast::{Expression, GroupPattern, Query, QueryForm, TriplePattern, ValuesBlock};
 use lusail_sparql::SolutionSet;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// An evaluation unit: either an *exclusive group* (several patterns whose
 /// only relevant source is one identical endpoint) or a single pattern.
@@ -45,6 +49,45 @@ impl Unit {
             limit: None,
         }
     }
+}
+
+/// The query driver all three baseline engines share: applies the
+/// deadline override, builds the per-query [`Net`] from the options, runs
+/// the engine's `execute_inner(net, loss)`, derives completeness from the
+/// loss flag and the network's degradation record, closes the trace with
+/// [`TraceEvent::QueryFinished`] and attaches the per-endpoint failure
+/// report.
+pub fn run_query(
+    mut policy: RequestPolicy,
+    fed: &Federation,
+    opts: &ExecOptions,
+    execute_inner: impl FnOnce(&Net, &AtomicBool) -> SolutionSet,
+) -> Result<QueryOutcome, FederationError> {
+    if fed.is_empty() {
+        return Err(FederationError::EmptyFederation);
+    }
+    if let Some(deadline) = opts.deadline {
+        policy.query_budget = deadline;
+    }
+    let net = Net::build(
+        policy,
+        Arc::new(SystemClock::default()),
+        opts.trace.clone(),
+        opts.thread_budget(),
+        opts.on_health_transition.clone(),
+    );
+    let loss = AtomicBool::new(false);
+    let solutions = execute_inner(&net, &loss);
+    let complete = !loss.load(Ordering::Relaxed) && !net.degradation.data_loss();
+    opts.trace.emit(|| TraceEvent::QueryFinished {
+        rows: solutions.len(),
+        complete,
+    });
+    Ok(QueryOutcome {
+        solutions,
+        complete,
+        failures: net.client.report(fed),
+    })
 }
 
 /// Groups patterns into FedX's exclusive groups: patterns whose relevant
@@ -121,19 +164,20 @@ pub fn order_units(mut units: Vec<Unit>) -> Vec<Unit> {
     ordered
 }
 
-/// Evaluates a unit with no bindings: one SELECT per relevant endpoint,
-/// dispatched through the net's budgeted request handler (endpoints run
-/// in parallel up to the thread budget), results concatenated in source
-/// order. An endpoint that fails (after the client's retries) contributes
-/// nothing and raises the `loss` flag — the engine reports the query
-/// incomplete instead of aborting.
-pub fn evaluate_unbound(
+/// Evaluates a unit, restricted to the `values` bindings if given: one
+/// SELECT per relevant endpoint, dispatched through the net's budgeted
+/// request handler (endpoints run in parallel up to the thread budget),
+/// results concatenated in source order. An endpoint that fails (after the
+/// client's retries) contributes nothing and raises the `loss` flag — the
+/// engine reports the query incomplete instead of aborting.
+pub fn fetch_unit(
     fed: &Federation,
     unit: &Unit,
+    values: Option<ValuesBlock>,
     net: &Net,
     loss: &AtomicBool,
 ) -> SolutionSet {
-    let q = unit.to_query(None);
+    let q = unit.to_query(values);
     let tasks: Vec<(EndpointId, ())> = unit.sources.iter().map(|&ep| (ep, ())).collect();
     let results = net.handler.run(fed, tasks, |ep_id, _, _| {
         match net.client.select_failover(fed, ep_id, &q) {
@@ -151,6 +195,58 @@ pub fn evaluate_unbound(
         }
     }
     out
+}
+
+/// The left-deep unit pipeline FedX and HiBISCuS share: exclusive groups
+/// over `sources` with the group's filters pushed in, variable-counting
+/// order, the first unit fetched unbound and each later one bound-joined
+/// in blocks of `block_size`, starting from the group's `VALUES` rows if
+/// it has any. `limit` is the first-k cutoff; it reaches the last bound
+/// join only when nothing downstream (nested clauses, leftover filters)
+/// can drop or multiply rows. Returns the bindings and the filters no
+/// unit could absorb.
+pub fn evaluate_units(
+    fed: &Federation,
+    group: &GroupPattern,
+    sources: &SourceMap,
+    block_size: usize,
+    limit: Option<usize>,
+    net: &Net,
+    loss: &AtomicBool,
+) -> (SolutionSet, Vec<Expression>) {
+    let mut units = exclusive_groups(&group.triples, sources);
+    let global_filters = push_filters(&group.filters, &mut units);
+    let units = order_units(units);
+    let simple = group.optionals.is_empty()
+        && group.unions.is_empty()
+        && group.not_exists.is_empty()
+        && global_filters.is_empty();
+
+    let mut current = match group.values {
+        Some(ref v) => SolutionSet {
+            vars: v.vars.clone(),
+            rows: v.rows.clone(),
+        },
+        None => SolutionSet {
+            vars: Vec::new(),
+            rows: vec![Vec::new()],
+        },
+    };
+    for (i, unit) in units.iter().enumerate() {
+        let is_first = current.vars.is_empty() && current.len() == 1;
+        current = if is_first {
+            fetch_unit(fed, unit, None, net, loss)
+        } else {
+            let cutoff = limit.filter(|_| simple && i + 1 == units.len());
+            bound_join(fed, &current, unit, block_size, cutoff, net, loss)
+        };
+        if current.is_empty() {
+            // Short-circuit: downstream joins cannot revive rows, but
+            // OPTIONAL/UNION clauses may still contribute columns.
+            break;
+        }
+    }
+    (current, global_filters)
 }
 
 /// Block nested-loop **bound join** (FedX §4): ships the current
@@ -179,7 +275,7 @@ pub fn bound_join(
         .collect();
     if shared.is_empty() || current.is_empty() {
         // Cross product or empty input: fall back to unbound evaluation.
-        let fetched = evaluate_unbound(fed, unit, net, loss);
+        let fetched = fetch_unit(fed, unit, None, net, loss);
         return current.hash_join(&fetched);
     }
 
@@ -197,23 +293,7 @@ pub fn bound_join(
             vars: shared.clone(),
             rows: block.to_vec(),
         };
-        let q = unit.to_query(Some(vb));
-        let tasks: Vec<(EndpointId, ())> = unit.sources.iter().map(|&ep| (ep, ())).collect();
-        let results = net.handler.run(fed, tasks, |ep_id, _, _| {
-            match net.client.select_failover(fed, ep_id, &q) {
-                Ok((_, part)) => Some(part),
-                Err(_) => {
-                    loss.store(true, Ordering::Relaxed);
-                    None
-                }
-            }
-        });
-        let mut fetched = SolutionSet::empty(unit.vars());
-        for (_, _, part) in results {
-            if let Some(part) = part {
-                fetched.append(part);
-            }
-        }
+        let fetched = fetch_unit(fed, unit, Some(vb), net, loss);
         let block_join = current.hash_join(&fetched);
         match &mut joined {
             None => joined = Some(block_join),
@@ -318,7 +398,7 @@ mod tests {
         assert_eq!(joined.len(), 5);
         assert!(!loss.load(Ordering::Relaxed));
         // Identical to evaluating unbound then joining.
-        let unbound = evaluate_unbound(&fed, &unit, &net, &loss);
+        let unbound = fetch_unit(&fed, &unit, None, &net, &loss);
         assert_eq!(
             joined.canonicalize(),
             current.hash_join(&unbound).canonicalize()

@@ -15,21 +15,16 @@
 //! which is what we implement — the request counts and data volumes are
 //! identical, only the wire syntax differs.)
 
-use crate::common::{
-    bound_join, evaluate_unbound, exclusive_groups, order_units, push_filters, Unit,
-};
+use crate::common::{evaluate_units, exclusive_groups, fetch_unit, push_filters, run_query, Unit};
 use lusail_core::cache::ProbeCache;
 use lusail_core::exec::Net;
 use lusail_core::source_selection::{select_sources, SourceMap};
 use lusail_endpoint::{
-    EndpointId, ExecOptions, FederatedEngine, Federation, FederationError, QueryOutcome,
-    RequestPolicy, SystemClock, TraceEvent,
+    ExecOptions, FederatedEngine, Federation, FederationError, QueryOutcome, RequestPolicy,
 };
-use lusail_rdf::TermId;
-use lusail_sparql::ast::{Expression, GroupPattern, Query};
+use lusail_sparql::ast::{GroupPattern, Query};
 use lusail_sparql::SolutionSet;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::AtomicBool;
 
 /// FedX tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -101,31 +96,8 @@ impl FedX {
         query: &Query,
         opts: &ExecOptions,
     ) -> Result<QueryOutcome, FederationError> {
-        if fed.is_empty() {
-            return Err(FederationError::EmptyFederation);
-        }
-        let mut policy = self.policy;
-        if let Some(deadline) = opts.deadline {
-            policy.query_budget = deadline;
-        }
-        let net = Net::build(
-            policy,
-            Arc::new(SystemClock::default()),
-            opts.trace.clone(),
-            opts.thread_budget(),
-            opts.on_health_transition.clone(),
-        );
-        let loss = AtomicBool::new(false);
-        let solutions = self.execute_inner(fed, query, &net, &loss);
-        let complete = !loss.load(Ordering::Relaxed) && !net.degradation.data_loss();
-        opts.trace.emit(|| TraceEvent::QueryFinished {
-            rows: solutions.len(),
-            complete,
-        });
-        Ok(QueryOutcome {
-            solutions,
-            complete,
-            failures: net.client.report(fed),
+        run_query(self.policy, fed, opts, |net, loss| {
+            self.execute_inner(fed, query, net, loss)
         })
     }
 
@@ -165,55 +137,15 @@ impl FedX {
         net: &Net,
         loss: &AtomicBool,
     ) -> SolutionSet {
-        let mut units = exclusive_groups(&group.triples, sources);
-        let global_filters = push_filters(&group.filters, &mut units);
-        let units = order_units(units);
-
-        // FedX's first-k cutoff is sound only when nothing downstream can
-        // drop or multiply rows.
-        let simple = group.optionals.is_empty()
-            && group.unions.is_empty()
-            && group.not_exists.is_empty()
-            && global_filters.is_empty();
-
-        let mut current = match group.values {
-            Some(ref v) => SolutionSet {
-                vars: v.vars.clone(),
-                rows: v.rows.clone(),
-            },
-            None => SolutionSet {
-                vars: Vec::new(),
-                rows: vec![Vec::new()],
-            },
-        };
-        let n_units = units.len();
-        for (i, unit) in units.iter().enumerate() {
-            let is_first = current.vars.is_empty() && current.len() == 1;
-            if is_first {
-                let fetched = evaluate_unbound(fed, unit, net, loss);
-                current = fetched;
-            } else {
-                let cutoff = if simple && i + 1 == n_units {
-                    limit
-                } else {
-                    None
-                };
-                current = bound_join(
-                    fed,
-                    &current,
-                    unit,
-                    self.config.block_size,
-                    cutoff,
-                    net,
-                    loss,
-                );
-            }
-            if current.is_empty() {
-                // Short-circuit: downstream joins cannot revive rows, but
-                // OPTIONAL/UNION clauses may still contribute columns.
-                break;
-            }
-        }
+        let (mut current, global_filters) = evaluate_units(
+            fed,
+            group,
+            sources,
+            self.config.block_size,
+            limit,
+            net,
+            loss,
+        );
 
         // OPTIONALs take FedX's bound left-fetch; UNION and NOT EXISTS go
         // through the shared nested-group machinery.
@@ -263,7 +195,7 @@ impl FedX {
                 .cloned()
                 .collect();
             if !shared.is_empty() && !current.is_empty() {
-                let fetched = bound_fetch(
+                let mut fetched = bound_fetch(
                     fed,
                     current,
                     unit,
@@ -272,7 +204,8 @@ impl FedX {
                     net,
                     loss,
                 );
-                return apply_filters(fed, fetched, &global_filters);
+                lusail_store::eval::retain_filtered(&mut fetched, &global_filters, fed.dict());
+                return fetched;
             }
         }
         self.evaluate_group(fed, group, sources, None, net, loss)
@@ -298,37 +231,10 @@ fn bound_fetch(
             vars: shared.to_vec(),
             rows: block.to_vec(),
         };
-        let q = unit.to_query(Some(vb));
-        let tasks: Vec<(EndpointId, ())> = unit.sources.iter().map(|&ep| (ep, ())).collect();
-        let results = net.handler.run(fed, tasks, |ep_id, _, _| {
-            match net.client.select_failover(fed, ep_id, &q) {
-                Ok((_, part)) => Some(part),
-                Err(_) => {
-                    loss.store(true, Ordering::Relaxed);
-                    None
-                }
-            }
-        });
-        for (_, _, part) in results {
-            if let Some(part) = part {
-                fetched.append(part);
-            }
-        }
+        fetched.append(fetch_unit(fed, unit, Some(vb), net, loss));
     }
     fetched.dedup();
     fetched
-}
-
-fn apply_filters(fed: &Federation, mut sols: SolutionSet, filters: &[Expression]) -> SolutionSet {
-    let vars = sols.vars.clone();
-    let dict = fed.dict();
-    sols.rows.retain(|row| {
-        let ctx: (&[String], &[Option<TermId>]) = (&vars, row);
-        filters
-            .iter()
-            .all(|f| lusail_store::expr::eval_filter(f, &ctx, dict))
-    });
-    sols
 }
 
 impl FederatedEngine for FedX {

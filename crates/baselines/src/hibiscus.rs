@@ -10,19 +10,18 @@
 //! Lusail's LADE — says nothing about whether the *instances* are
 //! co-located, so pattern-at-a-time execution remains.
 
-use crate::common::{bound_join, evaluate_unbound, exclusive_groups, order_units, push_filters};
+use crate::common::{evaluate_units, run_query};
 use lusail_core::cache::ProbeCache;
 use lusail_core::exec::Net;
 use lusail_core::source_selection::{select_sources, SourceMap};
 use lusail_endpoint::{
     EndpointId, ExecOptions, FederatedEngine, Federation, FederationError, LocalEndpoint,
-    QueryOutcome, RequestPolicy, SystemClock, TraceEvent,
+    QueryOutcome, RequestPolicy,
 };
 use lusail_rdf::{FxHashMap, FxHashSet, TermId};
 use lusail_sparql::ast::{GroupPattern, Query, TriplePattern};
 use lusail_sparql::SolutionSet;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
 
 /// Subject and object authority sets for one predicate at one endpoint.
@@ -195,31 +194,8 @@ impl HiBisCus {
         query: &Query,
         opts: &ExecOptions,
     ) -> Result<QueryOutcome, FederationError> {
-        if fed.is_empty() {
-            return Err(FederationError::EmptyFederation);
-        }
-        let mut policy = self.policy;
-        if let Some(deadline) = opts.deadline {
-            policy.query_budget = deadline;
-        }
-        let net = Net::build(
-            policy,
-            Arc::new(SystemClock::default()),
-            opts.trace.clone(),
-            opts.thread_budget(),
-            opts.on_health_transition.clone(),
-        );
-        let loss = AtomicBool::new(false);
-        let solutions = self.execute_inner(fed, query, &net, &loss);
-        let complete = !loss.load(Ordering::Relaxed) && !net.degradation.data_loss();
-        opts.trace.emit(|| TraceEvent::QueryFinished {
-            rows: solutions.len(),
-            complete,
-        });
-        Ok(QueryOutcome {
-            solutions,
-            complete,
-            failures: net.client.report(fed),
+        run_query(self.policy, fed, opts, |net, loss| {
+            self.execute_inner(fed, query, net, loss)
         })
     }
 
@@ -265,41 +241,8 @@ impl HiBisCus {
         // may simply not match).
         let sources = self.index.prune(&group.triples, raw_sources);
 
-        let mut units = exclusive_groups(&group.triples, &sources);
-        let global_filters = push_filters(&group.filters, &mut units);
-        let units = order_units(units);
-        let simple = group.optionals.is_empty()
-            && group.unions.is_empty()
-            && group.not_exists.is_empty()
-            && global_filters.is_empty();
-
-        let mut current = match group.values {
-            Some(ref v) => SolutionSet {
-                vars: v.vars.clone(),
-                rows: v.rows.clone(),
-            },
-            None => SolutionSet {
-                vars: Vec::new(),
-                rows: vec![Vec::new()],
-            },
-        };
-        let n_units = units.len();
-        for (i, unit) in units.iter().enumerate() {
-            let is_first = current.vars.is_empty() && current.len() == 1;
-            if is_first {
-                current = evaluate_unbound(fed, unit, net, loss);
-            } else {
-                let cutoff = if simple && i + 1 == n_units {
-                    limit
-                } else {
-                    None
-                };
-                current = bound_join(fed, &current, unit, self.block_size, cutoff, net, loss);
-            }
-            if current.is_empty() {
-                break;
-            }
-        }
+        let (mut current, global_filters) =
+            evaluate_units(fed, group, &sources, self.block_size, limit, net, loss);
         current = lusail_store::eval::join_nested_groups(current, group, fed.dict(), |sub| {
             self.evaluate_group(fed, sub, None, raw_sources, net, loss)
         });

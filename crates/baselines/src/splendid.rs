@@ -16,18 +16,18 @@
 //! bindings like FedX, which is why it collapses on large intermediate
 //! results, as the paper observes).
 
+use crate::common::run_query;
 use lusail_core::cache::ProbeCache;
 use lusail_core::exec::Net;
 use lusail_core::source_selection::SourceMap;
 use lusail_endpoint::{
     EndpointId, ExecOptions, FederatedEngine, Federation, FederationError, LocalEndpoint,
-    QueryOutcome, RequestKind, RequestPolicy, SystemClock, TraceEvent,
+    QueryOutcome, RequestKind, RequestPolicy,
 };
 use lusail_rdf::{FxHashMap, TermId};
 use lusail_sparql::ast::{GroupPattern, Query, TriplePattern, ValuesBlock};
 use lusail_sparql::SolutionSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// VOID-style statistics for one endpoint.
@@ -216,31 +216,8 @@ impl Splendid {
         query: &Query,
         opts: &ExecOptions,
     ) -> Result<QueryOutcome, FederationError> {
-        if fed.is_empty() {
-            return Err(FederationError::EmptyFederation);
-        }
-        let mut policy = self.policy;
-        if let Some(deadline) = opts.deadline {
-            policy.query_budget = deadline;
-        }
-        let net = Net::build(
-            policy,
-            Arc::new(SystemClock::default()),
-            opts.trace.clone(),
-            opts.thread_budget(),
-            opts.on_health_transition.clone(),
-        );
-        let loss = AtomicBool::new(false);
-        let solutions = self.execute_inner(fed, query, &net, &loss);
-        let complete = !loss.load(Ordering::Relaxed) && !net.degradation.data_loss();
-        opts.trace.emit(|| TraceEvent::QueryFinished {
-            rows: solutions.len(),
-            complete,
-        });
-        Ok(QueryOutcome {
-            solutions,
-            complete,
-            failures: net.client.report(fed),
+        run_query(self.policy, fed, opts, |net, loss| {
+            self.execute_inner(fed, query, net, loss)
         })
     }
 

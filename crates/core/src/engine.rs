@@ -42,8 +42,6 @@ pub struct LusailConfig {
     pub block_size: usize,
     /// Memoize ASK / COUNT / check-query results across queries.
     pub use_cache: bool,
-    /// Row-count threshold for parallel hash-join probing.
-    pub parallel_join_threshold: usize,
     /// Scale `VALUES` block sizes from the first block's observed response
     /// cardinality (see [`ExecConfig::adaptive_values`]). The adapted size
     /// never drops below `block_size`.
@@ -65,7 +63,6 @@ impl Default for LusailConfig {
             delay_policy: DelayPolicy::MuSigma,
             block_size: 100,
             use_cache: true,
-            parallel_join_threshold: 50_000,
             adaptive_values: true,
             disable_lade: false,
             probe_cache_capacity: None,
@@ -535,7 +532,7 @@ impl Lusail {
                 if let Some(memo) = memo.as_deref_mut() {
                     memo.count_subqueries(subqueries.len());
                 }
-                let exec_cfg = ExecConfig::for_engine(&self.config, net.threads);
+                let exec_cfg = ExecConfig::for_engine(&self.config);
                 let (mut solutions, delayed) = evaluate_subqueries(
                     fed,
                     net,

@@ -21,7 +21,7 @@
 //!    the worst case stays exactly the fixed-size schedule.
 
 use crate::cost::SubqueryCosts;
-use crate::join::{join_components, par_hash_join, Relation};
+use crate::join::{join_components, Relation};
 use crate::mqo::BatchMemo;
 use crate::subquery::Subquery;
 use lusail_endpoint::{
@@ -208,9 +208,6 @@ pub struct Net {
     pub clock: Arc<dyn Clock>,
     /// The trace sink the whole context emits into (disabled by default).
     pub trace: TraceSink,
-    /// The worker-thread budget shared by endpoint dispatch and
-    /// partitioned hash joins (`1` = fully sequential).
-    pub threads: usize,
 }
 
 impl Default for Net {
@@ -246,7 +243,6 @@ impl Net {
         threads: usize,
         hook: Option<HealthHook>,
     ) -> Self {
-        let threads = threads.max(1);
         let mut client = ResilientClient::traced(policy, Arc::clone(&clock), trace.clone());
         if let Some(hook) = hook {
             client = client.with_transition_hook(hook);
@@ -257,7 +253,6 @@ impl Net {
             degradation: Degradation::default(),
             clock,
             trace,
-            threads,
         }
     }
 
@@ -301,8 +296,6 @@ pub struct ExecConfig {
     /// Number of bindings per `VALUES` block in bound subqueries (and the
     /// probe-block size when adaptive sizing is on).
     pub block_size: usize,
-    /// Row-count threshold above which hash-join probing is parallelized.
-    pub parallel_join_threshold: usize,
     /// Scale the `VALUES` block size from the first block's observed
     /// response cardinality. The adapted size never drops below
     /// `block_size`, so the request count never exceeds fixed sizing.
@@ -311,34 +304,27 @@ pub struct ExecConfig {
     pub values_target_rows: usize,
     /// Upper bound on an adapted block size.
     pub max_block_size: usize,
-    /// Worker-thread budget for partitioned hash joins (`1` = sequential).
-    pub threads: usize,
 }
 
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
             block_size: 100,
-            parallel_join_threshold: 50_000,
             adaptive_values: true,
             values_target_rows: 1024,
             max_block_size: 4096,
-            threads: 1,
         }
     }
 }
 
 impl ExecConfig {
-    /// Maps the engine configuration plus a per-query thread budget onto
-    /// the executor's knobs. The single-query and batch paths both build
-    /// their config here — if they disagreed, batched answers could
-    /// diverge from solo execution.
-    pub(crate) fn for_engine(config: &crate::engine::LusailConfig, threads: usize) -> ExecConfig {
+    /// Maps the engine configuration onto the executor's knobs. The
+    /// single-query and batch paths both build their config here — if they
+    /// disagreed, batched answers could diverge from solo execution.
+    pub(crate) fn for_engine(config: &crate::engine::LusailConfig) -> ExecConfig {
         ExecConfig {
             block_size: config.block_size,
-            parallel_join_threshold: config.parallel_join_threshold,
             adaptive_values: config.adaptive_values,
-            threads,
             ..ExecConfig::default()
         }
     }
@@ -404,12 +390,7 @@ pub(crate) fn evaluate_subqueries(
     let relations = fetch_concurrent(fed, net, subqueries, &non_delayed, memo);
 
     // Join whatever is joinable so the found bindings are already reduced.
-    let mut components = join_components(
-        relations,
-        config.parallel_join_threshold,
-        config.threads,
-        &net.trace,
-    );
+    let mut components = join_components(relations, &net.trace);
 
     // Phase 2: delayed subqueries, most selective (refined) first.
     while !delayed_idx.is_empty() {
@@ -502,12 +483,7 @@ pub(crate) fn evaluate_subqueries(
             partitions: relation.partitions,
         });
         components.push(relation);
-        components = join_components(
-            components,
-            config.parallel_join_threshold,
-            config.threads,
-            &net.trace,
-        );
+        components = join_components(components, &net.trace);
     }
 
     // Cross-join any genuinely disconnected components.
@@ -521,13 +497,7 @@ pub(crate) fn evaluate_subqueries(
     };
     for r in iter {
         let (left_rows, right_rows) = (acc.len(), r.sols.len());
-        acc = par_hash_join(
-            &acc,
-            &r.sols,
-            1,
-            config.threads,
-            config.parallel_join_threshold,
-        );
+        acc = acc.hash_join(&r.sols);
         net.trace.emit(|| TraceEvent::JoinStep {
             left_rows,
             right_rows,
@@ -824,7 +794,6 @@ mod sape_tests {
         let net = Net::default();
         let config = ExecConfig {
             block_size: 4,
-            parallel_join_threshold: usize::MAX,
             adaptive_values: false,
             ..ExecConfig::default()
         };
@@ -849,7 +818,6 @@ mod sape_tests {
         let net = Net::default();
         let config = ExecConfig {
             block_size: 4,
-            parallel_join_threshold: usize::MAX,
             ..ExecConfig::default()
         };
         let before = fed.stats_snapshot();

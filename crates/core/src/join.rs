@@ -11,12 +11,13 @@
 //! JoinCost(S, R) = |S| / S.threads  +  |R| / R.threads
 //! ```
 //!
-//! (hash + probe, each parallel over its partitions). Probing is
-//! parallelized across row chunks when a side is large.
+//! (hash + probe, each parallel over its partitions). The partitions
+//! order the joins; every join itself runs on the one sequential
+//! build/probe kernel, [`SolutionSet::join`].
 
 use lusail_endpoint::{TraceEvent, TraceSink};
-use lusail_rdf::{FxHashMap, TermId};
-use lusail_sparql::solution::{Row, SolutionSet};
+use lusail_rdf::FxHashMap;
+use lusail_sparql::solution::SolutionSet;
 
 /// A subquery result at the global level.
 #[derive(Debug, Clone)]
@@ -42,17 +43,10 @@ impl Relation {
 /// Joins every *connected component* of the relation graph (edges =
 /// shared variables) down to a single relation, using DP join ordering
 /// inside each component. Disconnected components are returned separately
-/// — the caller decides whether a cross product is actually needed.
-/// `threads` is the worker budget for parallel probing (`1` = fully
-/// sequential joins). Each executed hash join emits one
-/// [`TraceEvent::JoinStep`] into `trace` with its input/output
-/// cardinalities and the `JoinCost` that ordered it.
-pub fn join_components(
-    relations: Vec<Relation>,
-    parallel_threshold: usize,
-    threads: usize,
-    trace: &TraceSink,
-) -> Vec<Relation> {
+/// — the caller decides whether a cross product is actually needed. Each
+/// executed hash join emits one [`TraceEvent::JoinStep`] into `trace` with
+/// its input/output cardinalities and the `JoinCost` that ordered it.
+pub fn join_components(relations: Vec<Relation>, trace: &TraceSink) -> Vec<Relation> {
     let n = relations.len();
     if n <= 1 {
         return relations;
@@ -93,37 +87,43 @@ pub fn join_components(
     }
     components
         .into_iter()
-        .map(|c| join_connected(c, parallel_threshold, threads, trace))
+        .map(|c| join_connected(c, trace))
         .collect()
 }
 
 /// Joins a connected set of relations into one, ordering by DP when small
 /// enough and by greedy smallest-pair otherwise.
-fn join_connected(
-    mut relations: Vec<Relation>,
-    parallel_threshold: usize,
-    threads: usize,
-    trace: &TraceSink,
-) -> Relation {
+fn join_connected(mut relations: Vec<Relation>, trace: &TraceSink) -> Relation {
     if relations.len() == 1 {
         return relations.pop().unwrap();
     }
     if relations.len() <= 12 {
-        dp_join(relations, parallel_threshold, threads, trace)
+        dp_join(relations, trace)
     } else {
-        greedy_join(relations, parallel_threshold, threads, trace)
+        greedy_join(relations, trace)
+    }
+}
+
+/// Executes one join step of a plan and traces it as a
+/// [`TraceEvent::JoinStep`] carrying the `JoinCost` that ordered it.
+fn join_step(left: &Relation, right: &Relation, cost: f64, trace: &TraceSink) -> Relation {
+    let sols = left.sols.hash_join(&right.sols);
+    trace.emit(|| TraceEvent::JoinStep {
+        left_rows: left.sols.len(),
+        right_rows: right.sols.len(),
+        output_rows: sols.len(),
+        cost,
+    });
+    Relation {
+        sols,
+        partitions: left.partitions.max(right.partitions),
     }
 }
 
 /// Bushy DP over subsets: `best[mask]` is the cheapest plan joining the
 /// relations in `mask`, considering only connected splits (no cross
 /// products within a component).
-fn dp_join(
-    relations: Vec<Relation>,
-    parallel_threshold: usize,
-    threads: usize,
-    trace: &TraceSink,
-) -> Relation {
+fn dp_join(relations: Vec<Relation>, trace: &TraceSink) -> Relation {
     #[derive(Clone)]
     struct Plan {
         cost: f64,
@@ -213,15 +213,13 @@ fn dp_join(
     // mask (shouldn't happen for a connected component), fall back to
     // greedy.
     if !plans.contains_key(&full) {
-        return greedy_join(relations, parallel_threshold, threads, trace);
+        return greedy_join(relations, trace);
     }
 
     fn execute(
         mask: u32,
         plans: &FxHashMap<u32, Plan>,
         relations: &mut [Option<Relation>],
-        threshold: usize,
-        threads: usize,
         trace: &TraceSink,
     ) -> Relation {
         let plan = &plans[&mask];
@@ -233,33 +231,21 @@ fn dp_join(
                 relations[i].take().expect("leaf used once")
             }
             Some((l, r)) => {
-                let left = execute(l, plans, relations, threshold, threads, trace);
-                let right = execute(r, plans, relations, threshold, threads, trace);
-                let partitions = left.partitions.max(right.partitions);
-                let sols = par_hash_join(&left.sols, &right.sols, partitions, threads, threshold);
-                trace.emit(|| TraceEvent::JoinStep {
-                    left_rows: left.sols.len(),
-                    right_rows: right.sols.len(),
-                    output_rows: sols.len(),
-                    // The marginal DP step cost that ordered this join.
-                    cost: plan.cost - plans[&l].cost - plans[&r].cost,
-                });
-                Relation { sols, partitions }
+                let left = execute(l, plans, relations, trace);
+                let right = execute(r, plans, relations, trace);
+                // The marginal DP step cost that ordered this join.
+                let cost = plan.cost - plans[&l].cost - plans[&r].cost;
+                join_step(&left, &right, cost, trace)
             }
         }
     }
     let mut slots: Vec<Option<Relation>> = relations.into_iter().map(Some).collect();
-    execute(full, &plans, &mut slots, parallel_threshold, threads, trace)
+    execute(full, &plans, &mut slots, trace)
 }
 
 /// Greedy fallback: repeatedly join the connected pair with the smallest
 /// combined work.
-fn greedy_join(
-    mut relations: Vec<Relation>,
-    parallel_threshold: usize,
-    threads: usize,
-    trace: &TraceSink,
-) -> Relation {
+fn greedy_join(mut relations: Vec<Relation>, trace: &TraceSink) -> Relation {
     while relations.len() > 1 {
         let mut best: Option<(usize, usize, f64)> = None;
         for i in 0..relations.len() {
@@ -277,30 +263,13 @@ fn greedy_join(
             // Not connected after all: cross-join the first two.
             let b = relations.remove(1);
             let a = relations.remove(0);
-            let cost = a.work() + b.work();
-            let partitions = a.partitions.max(b.partitions);
-            let sols = par_hash_join(&a.sols, &b.sols, partitions, threads, parallel_threshold);
-            trace.emit(|| TraceEvent::JoinStep {
-                left_rows: a.sols.len(),
-                right_rows: b.sols.len(),
-                output_rows: sols.len(),
-                cost,
-            });
-            relations.insert(0, Relation { sols, partitions });
+            let joined = join_step(&a, &b, a.work() + b.work(), trace);
+            relations.insert(0, joined);
             continue;
         };
         let b = relations.remove(j);
         let a = relations.remove(i);
-        let cost = a.work() + b.work();
-        let partitions = a.partitions.max(b.partitions);
-        let sols = par_hash_join(&a.sols, &b.sols, partitions, threads, parallel_threshold);
-        trace.emit(|| TraceEvent::JoinStep {
-            left_rows: a.sols.len(),
-            right_rows: b.sols.len(),
-            output_rows: sols.len(),
-            cost,
-        });
-        relations.push(Relation { sols, partitions });
+        relations.push(join_step(&a, &b, a.work() + b.work(), trace));
     }
     relations.pop().unwrap_or(Relation {
         sols: SolutionSet {
@@ -311,124 +280,27 @@ fn greedy_join(
     })
 }
 
-/// Hash join with parallel probing: the probe side is split into chunks
-/// processed by scoped threads against a shared build table. `threads` is
-/// the worker budget; the effective worker count is
-/// `partitions.min(threads)`, so a budget of `1` is always the sequential
-/// path. Output rows are concatenated in chunk order, which is exactly the
-/// probe-row order the sequential [`SolutionSet::hash_join`] produces —
-/// the result bytes are identical at every budget. Falls back to the
-/// sequential join when the inputs are small or any join-key cell is
-/// unbound (the rare OPTIONAL-produced case, which needs the
-/// compatibility fallback).
+/// [`SolutionSet::hash_join`] under the name and signature the benchmark
+/// crate's join probe calls. `partitions`, `threads` and `threshold` are
+/// ignored: the chunked parallel probe this function used to run was
+/// deleted after it measured slower at two workers than at one on the
+/// 50 k × 50 k probe, the only input that reached it (DESIGN.md,
+/// "Parallel execution"). The result bytes are the sequential join's at
+/// every budget — unbound join-key cells included.
 pub fn par_hash_join(
     a: &SolutionSet,
     b: &SolutionSet,
-    partitions: usize,
-    threads: usize,
-    threshold: usize,
+    _partitions: usize,
+    _threads: usize,
+    _threshold: usize,
 ) -> SolutionSet {
-    let shared: Vec<String> = a
-        .vars
-        .iter()
-        .filter(|v| b.col(v).is_some())
-        .cloned()
-        .collect();
-    let threads = partitions.max(1).min(threads.max(1));
-    if shared.is_empty() || threads == 1 || a.len().max(b.len()) < threshold {
-        return a.hash_join(b);
-    }
-
-    let (build, probe, build_is_a) = if a.len() <= b.len() {
-        (a, b, true)
-    } else {
-        (b, a, false)
-    };
-    let build_cols: Vec<usize> = shared.iter().map(|v| build.col(v).unwrap()).collect();
-    let probe_cols: Vec<usize> = shared.iter().map(|v| probe.col(v).unwrap()).collect();
-
-    // Unbound key cells require the compatibility fallback.
-    let any_unbound = build
-        .rows
-        .iter()
-        .any(|r| build_cols.iter().any(|&c| r[c].is_none()))
-        || probe
-            .rows
-            .iter()
-            .any(|r| probe_cols.iter().any(|&c| r[c].is_none()));
-    if any_unbound {
-        return a.hash_join(b);
-    }
-
-    let mut table: FxHashMap<Vec<TermId>, Vec<usize>> = FxHashMap::default();
-    for (i, row) in build.rows.iter().enumerate() {
-        let key: Vec<TermId> = build_cols.iter().map(|&c| row[c].unwrap()).collect();
-        table.entry(key).or_default().push(i);
-    }
-
-    let out_vars: Vec<String> = a
-        .vars
-        .iter()
-        .cloned()
-        .chain(b.vars.iter().filter(|v| a.col(v).is_none()).cloned())
-        .collect();
-    // Precompute output column sources: (from_a, col).
-    let col_src: Vec<(bool, usize)> = out_vars
-        .iter()
-        .map(|v| match a.col(v) {
-            Some(c) => (true, c),
-            None => (false, b.col(v).unwrap()),
-        })
-        .collect();
-
-    let chunk = probe.rows.len().div_ceil(threads);
-    let mut rows: Vec<Row> = Vec::new();
-    std::thread::scope(|scope| {
-        let table = &table;
-        let col_src = &col_src;
-        let probe_cols = &probe_cols;
-        let handles: Vec<_> = probe
-            .rows
-            .chunks(chunk.max(1))
-            .map(|chunk_rows| {
-                scope.spawn(move || {
-                    let mut out: Vec<Row> = Vec::new();
-                    for prow in chunk_rows {
-                        let key: Vec<TermId> =
-                            probe_cols.iter().map(|&c| prow[c].unwrap()).collect();
-                        if let Some(matches) = table.get(&key) {
-                            for &bi in matches {
-                                let brow = &build.rows[bi];
-                                let (arow, brow2): (&Row, &Row) = if build_is_a {
-                                    (brow, prow)
-                                } else {
-                                    (prow, brow)
-                                };
-                                let row: Row = col_src
-                                    .iter()
-                                    .map(|&(from_a, c)| if from_a { arow[c] } else { brow2[c] })
-                                    .collect();
-                                out.push(row);
-                            }
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            rows.extend(h.join().expect("join worker panicked"));
-        }
-    });
-    SolutionSet {
-        vars: out_vars,
-        rows,
-    }
+    a.hash_join(b)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lusail_rdf::TermId;
 
     fn rel(vars: &[&str], rows: Vec<Vec<u32>>, partitions: usize) -> Relation {
         Relation {
@@ -448,7 +320,7 @@ mod tests {
         let a = rel(&["x", "y"], vec![vec![1, 10], vec![2, 20]], 1);
         let b = rel(&["y", "z"], vec![vec![10, 100], vec![20, 200]], 1);
         let c = rel(&["z", "w"], vec![vec![100, 7]], 1);
-        let out = join_components(vec![a, b, c], usize::MAX, 4, &TraceSink::disabled());
+        let out = join_components(vec![a, b, c], &TraceSink::disabled());
         assert_eq!(out.len(), 1);
         let sols = &out[0].sols;
         assert_eq!(sols.len(), 1);
@@ -469,7 +341,7 @@ mod tests {
     fn disconnected_components_stay_apart() {
         let a = rel(&["x"], vec![vec![1]], 1);
         let b = rel(&["y"], vec![vec![2]], 1);
-        let out = join_components(vec![a, b], usize::MAX, 4, &TraceSink::disabled());
+        let out = join_components(vec![a, b], &TraceSink::disabled());
         assert_eq!(out.len(), 2);
     }
 
@@ -484,7 +356,7 @@ mod tests {
                 1,
             ));
         }
-        let out = join_components(rels, usize::MAX, 4, &TraceSink::disabled());
+        let out = join_components(rels, &TraceSink::disabled());
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].sols.len(), 2);
         assert_eq!(out[0].sols.vars.len(), 7);
@@ -531,7 +403,7 @@ mod tests {
                 1,
             ));
         }
-        let out = join_components(rels, usize::MAX, 4, &TraceSink::disabled());
+        let out = join_components(rels, &TraceSink::disabled());
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].sols.len(), 2);
     }
@@ -542,7 +414,7 @@ mod tests {
         let b = rel(&["y", "z"], vec![vec![10, 100], vec![20, 200]], 1);
         let c = rel(&["z", "w"], vec![vec![100, 7]], 1);
         let sink = TraceSink::enabled();
-        let out = join_components(vec![a, b, c], usize::MAX, 4, &sink);
+        let out = join_components(vec![a, b, c], &sink);
         assert_eq!(out.len(), 1);
         let events = sink.events();
         // Three relations join in exactly two steps, innermost first.

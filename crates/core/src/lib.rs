@@ -19,8 +19,7 @@
 //!    rejection) are *delayed* and later evaluated as bound subqueries
 //!    over `VALUES` blocks of already-found bindings. Non-delayed
 //!    subqueries run concurrently, one worker per endpoint, and results
-//!    are combined with dynamic-programming-ordered partitioned hash
-//!    joins.
+//!    are combined with dynamic-programming-ordered hash joins.
 //!
 //! Entry point: [`Lusail::execute`].
 

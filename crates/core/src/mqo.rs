@@ -347,7 +347,7 @@ impl Lusail {
                 cardinality: vec![1],
                 delayed: vec![false],
             },
-            &ExecConfig::for_engine(self.config(), net.threads),
+            &ExecConfig::for_engine(self.config()),
             None,
         );
         relation

@@ -207,7 +207,7 @@ pub struct ExecOptions {
     /// Structured event sink. A disabled sink (the default) costs nothing.
     pub trace: TraceSink,
     /// Physical parallelism budget: how many worker threads the executor
-    /// may use for endpoint dispatch and partitioned hash joins. `1`
+    /// may use for endpoint dispatch (mediator joins are sequential). `1`
     /// (the default) runs fully inline — request order, work counters,
     /// traces, and results are identical at every budget; higher budgets
     /// only change wall-clock time.

@@ -367,14 +367,24 @@ struct PollFd {
 
 const POLLIN: i16 = 0x001;
 
+/// C's `nfds_t`: `unsigned long` on Linux, `unsigned int` on macOS and
+/// the BSDs.
+#[cfg(any(target_os = "linux", target_os = "android"))]
+type NfdsT = std::ffi::c_ulong;
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+type NfdsT = std::ffi::c_uint;
+
 extern "C" {
-    fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
+    fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: std::ffi::c_int) -> std::ffi::c_int;
 }
 
 /// Polls with a timeout in milliseconds. A signal interruption reports
 /// as an empty readiness set so the caller re-checks its shutdown flag.
 fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<()> {
-    let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
+    let nfds = NfdsT::try_from(fds.len()).expect("pollfd count fits nfds_t");
+    // SAFETY: `fds` is an exclusively borrowed slice of `repr(C)` structs
+    // laid out as C's `struct pollfd`, and `nfds` is exactly its length.
+    let n = unsafe { poll(fds.as_mut_ptr(), nfds, timeout_ms) };
     if n < 0 {
         let e = std::io::Error::last_os_error();
         if e.kind() != ErrorKind::Interrupted {

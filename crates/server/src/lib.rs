@@ -82,11 +82,6 @@ pub struct ServerConfig {
     pub default_tenant: TenantPolicy,
     /// Per-tenant overrides, keyed by tenant name.
     pub tenants: HashMap<String, TenantPolicy>,
-    /// Shed new queries while every endpoint of the federation is
-    /// believed dead (circuit open) — the load-shedding signal from the
-    /// existing health model. Recovery is observed through the next
-    /// complete query.
-    pub shed_when_unhealthy: bool,
     /// Cross-tenant batching: admitted queries accumulate in a bounded
     /// window and shared subqueries are evaluated once (see [`batch`]).
     pub batch: BatchConfig,
@@ -99,7 +94,6 @@ impl Default for ServerConfig {
             threads_per_query: 1,
             default_tenant: TenantPolicy::default(),
             tenants: HashMap::new(),
-            shed_when_unhealthy: true,
             batch: BatchConfig::default(),
         }
     }
@@ -427,7 +421,10 @@ impl QueryServer {
         if deadline.is_zero() {
             return Err(Rejection::DeadlineExceeded);
         }
-        if self.config.shed_when_unhealthy {
+        // Shed while every endpoint of the federation is believed dead
+        // (circuit open); recovery is observed through the next complete
+        // query.
+        {
             let down = self.unhealthy.lock().unwrap();
             let ids = self.fed.all_ids();
             if !ids.is_empty() && ids.iter().all(|id| down.contains(id)) {

@@ -155,326 +155,201 @@ impl SolutionSet {
 
     /// Hash-joins two solution sets on their shared variables. Rows join if
     /// all shared variables that are bound on both sides agree; the SPARQL
-    /// compatibility rule (unbound matches anything) applies.
-    ///
-    /// For the common case where shared variables are bound on both sides
-    /// this is a standard build/probe hash join on the key of shared
-    /// variables; rows with unbound key parts fall back to a scan bucket.
-    /// A single shared variable (the overwhelmingly common case) avoids
-    /// per-row key allocations entirely.
+    /// compatibility rule (unbound matches anything) applies. With no
+    /// shared variable this is the cross product.
     pub fn hash_join(&self, other: &SolutionSet) -> SolutionSet {
-        let shared: Vec<String> = self
-            .vars
-            .iter()
-            .filter(|v| other.col(v).is_some())
-            .cloned()
-            .collect();
-        if shared.is_empty() {
-            return self.cross_join(other);
-        }
-        if shared.len() == 1 {
-            return self.hash_join_single(other, &shared[0]);
-        }
-        let out_vars: Vec<String> = self
-            .vars
-            .iter()
-            .cloned()
-            .chain(other.vars.iter().filter(|v| self.col(v).is_none()).cloned())
-            .collect();
-
-        // Build side: smaller relation.
-        let (build, probe, build_is_self) = if self.rows.len() <= other.rows.len() {
-            (self, other, true)
-        } else {
-            (other, self, false)
-        };
-        let build_key_cols: Vec<usize> = shared.iter().map(|v| build.col(v).unwrap()).collect();
-        let probe_key_cols: Vec<usize> = shared.iter().map(|v| probe.col(v).unwrap()).collect();
-
-        let mut table: FxHashMap<Vec<TermId>, Vec<usize>> = FxHashMap::default();
-        let mut unbound_keys: Vec<usize> = Vec::new();
-        for (i, row) in build.rows.iter().enumerate() {
-            let key: Option<Vec<TermId>> = build_key_cols.iter().map(|&c| row[c]).collect();
-            match key {
-                Some(key) => table.entry(key).or_default().push(i),
-                None => unbound_keys.push(i),
-            }
-        }
-
-        // Precompute output column sources once: (self column, other
-        // column); the join column may be unbound on one side, so both are
-        // consulted.
-        let col_src: Vec<(Option<usize>, Option<usize>)> = out_vars
-            .iter()
-            .map(|v| (self.col(v), other.col(v)))
-            .collect();
-        let mut out = SolutionSet::empty(out_vars);
-        let mut emit = |self_row: &Row, other_row: &Row| {
-            let row: Row = col_src
-                .iter()
-                .map(|&(sc, oc)| {
-                    let a = sc.and_then(|c| self_row[c]);
-                    let b = oc.and_then(|c| other_row[c]);
-                    a.or(b)
-                })
-                .collect();
-            out.rows.push(row);
-        };
-
-        for prow in &probe.rows {
-            let key: Option<Vec<TermId>> = probe_key_cols.iter().map(|&c| prow[c]).collect();
-            if let Some(key) = key {
-                if let Some(matches) = table.get(&key) {
-                    for &bi in matches {
-                        let brow = &build.rows[bi];
-                        let (srow, orow) = if build_is_self {
-                            (brow, prow)
-                        } else {
-                            (prow, brow)
-                        };
-                        emit(srow, orow);
-                    }
-                }
-                // Build rows with unbound key parts are compatible with any
-                // probe row whose remaining values agree.
-                for &bi in &unbound_keys {
-                    let brow = &build.rows[bi];
-                    if compatible(brow, &build_key_cols, prow, &probe_key_cols) {
-                        let (srow, orow) = if build_is_self {
-                            (brow, prow)
-                        } else {
-                            (prow, brow)
-                        };
-                        emit(srow, orow);
-                    }
-                }
-            } else {
-                // Probe row has unbound key parts: scan the whole build side.
-                for brow in &build.rows {
-                    if compatible(brow, &build_key_cols, prow, &probe_key_cols) {
-                        let (srow, orow) = if build_is_self {
-                            (brow, prow)
-                        } else {
-                            (prow, brow)
-                        };
-                        emit(srow, orow);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Single-shared-variable hash join: keys are raw `TermId`s, no
-    /// per-row allocation.
-    fn hash_join_single(&self, other: &SolutionSet, var: &str) -> SolutionSet {
-        let out_vars: Vec<String> = self
-            .vars
-            .iter()
-            .cloned()
-            .chain(other.vars.iter().filter(|v| self.col(v).is_none()).cloned())
-            .collect();
-        let (build, probe, build_is_self) = if self.rows.len() <= other.rows.len() {
-            (self, other, true)
-        } else {
-            (other, self, false)
-        };
-        let bc = build.col(var).expect("shared var");
-        let pc = probe.col(var).expect("shared var");
-
-        let mut table: FxHashMap<TermId, Vec<usize>> = FxHashMap::default();
-        let mut unbound_keys: Vec<usize> = Vec::new();
-        for (i, row) in build.rows.iter().enumerate() {
-            match row[bc] {
-                Some(key) => table.entry(key).or_default().push(i),
-                None => unbound_keys.push(i),
-            }
-        }
-
-        // Precompute output column sources: (from_self, column).
-        let col_src: Vec<(bool, usize)> = out_vars
-            .iter()
-            .map(|v| match self.col(v) {
-                Some(c) => (true, c),
-                None => (false, other.col(v).expect("var from other")),
-            })
-            .collect();
-        let mut out = SolutionSet::empty(out_vars);
-        let jc = out.col(var).expect("join var in schema");
-        let emit = |self_row: &Row, other_row: &Row, key: Option<TermId>, out: &mut SolutionSet| {
-            let mut row: Row = col_src
-                .iter()
-                .map(|&(from_self, c)| if from_self { self_row[c] } else { other_row[c] })
-                .collect();
-            // The join column may have been copied from the side where
-            // it was unbound; patch it with the agreed value.
-            if row[jc].is_none() {
-                row[jc] = key;
-            }
-            out.rows.push(row);
-        };
-
-        for prow in &probe.rows {
-            match prow[pc] {
-                Some(key) => {
-                    if let Some(matches) = table.get(&key) {
-                        for &bi in matches {
-                            let brow = &build.rows[bi];
-                            let (srow, orow) = if build_is_self {
-                                (brow, prow)
-                            } else {
-                                (prow, brow)
-                            };
-                            emit(srow, orow, Some(key), &mut out);
-                        }
-                    }
-                    // Build rows unbound on the join var match any key.
-                    for &bi in &unbound_keys {
-                        let brow = &build.rows[bi];
-                        let (srow, orow) = if build_is_self {
-                            (brow, prow)
-                        } else {
-                            (prow, brow)
-                        };
-                        emit(srow, orow, Some(key), &mut out);
-                    }
-                }
-                None => {
-                    // Probe row unbound on the join var: compatible with
-                    // every build row.
-                    for brow in &build.rows {
-                        let (srow, orow) = if build_is_self {
-                            (brow, prow)
-                        } else {
-                            (prow, brow)
-                        };
-                        emit(srow, orow, brow[bc], &mut out);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Cross product (no shared variables).
-    fn cross_join(&self, other: &SolutionSet) -> SolutionSet {
-        let out_vars: Vec<String> = self
-            .vars
-            .iter()
-            .cloned()
-            .chain(other.vars.iter().cloned())
-            .collect();
-        let mut out = SolutionSet::empty(out_vars);
-        out.rows.reserve(self.rows.len() * other.rows.len());
-        for a in &self.rows {
-            for b in &other.rows {
-                let mut row = a.clone();
-                row.extend(b.iter().copied());
-                out.rows.push(row);
-            }
-        }
-        out
+        self.join(other, JoinKind::Inner, None)
     }
 
     /// Left-joins `other` into `self` (OPTIONAL semantics): rows that find
     /// no compatible partner keep their bindings with the right-hand columns
     /// unbound.
     pub fn left_join(&self, other: &SolutionSet) -> SolutionSet {
-        let shared: Vec<String> = self
-            .vars
-            .iter()
-            .filter(|v| other.col(v).is_some())
-            .cloned()
-            .collect();
-        let out_vars: Vec<String> = self
-            .vars
-            .iter()
-            .cloned()
-            .chain(other.vars.iter().filter(|v| self.col(v).is_none()).cloned())
-            .collect();
-        let mut out = SolutionSet::empty(out_vars);
-        let self_cols: Vec<usize> = shared.iter().map(|v| self.col(v).unwrap()).collect();
-        let other_cols: Vec<usize> = shared.iter().map(|v| other.col(v).unwrap()).collect();
-
-        // Index the right side by fully-bound key.
-        let mut table: FxHashMap<Vec<TermId>, Vec<usize>> = FxHashMap::default();
-        let mut loose: Vec<usize> = Vec::new();
-        for (i, row) in other.rows.iter().enumerate() {
-            let key: Option<Vec<TermId>> = other_cols.iter().map(|&c| row[c]).collect();
-            match key {
-                Some(k) => table.entry(k).or_default().push(i),
-                None => loose.push(i),
-            }
-        }
-
-        for srow in &self.rows {
-            let mut matched = false;
-            let key: Option<Vec<TermId>> = self_cols.iter().map(|&c| srow[c]).collect();
-            let mut candidates: Vec<usize> = Vec::new();
-            match key {
-                Some(ref k) => {
-                    if let Some(v) = table.get(k) {
-                        candidates.extend_from_slice(v);
-                    }
-                    candidates.extend_from_slice(&loose);
-                }
-                None => candidates.extend(0..other.rows.len()),
-            }
-            for oi in candidates {
-                let orow = &other.rows[oi];
-                if compatible(srow, &self_cols, orow, &other_cols) {
-                    matched = true;
-                    let mut row: Row = Vec::with_capacity(out.vars.len());
-                    for v in &out.vars {
-                        let a = self.col(v).and_then(|c| srow[c]);
-                        let b = other.col(v).and_then(|c| orow[c]);
-                        row.push(a.or(b));
-                    }
-                    out.rows.push(row);
-                }
-            }
-            if !matched {
-                let mut row: Row = Vec::with_capacity(out.vars.len());
-                for v in &out.vars {
-                    row.push(self.col(v).and_then(|c| srow[c]));
-                }
-                out.rows.push(row);
-            }
-        }
-        out
+        self.join(other, JoinKind::Left, None)
     }
 
     /// Anti-join: keeps rows of `self` with **no** compatible partner in
-    /// `other` (the semantics of `FILTER NOT EXISTS` joined on shared vars).
+    /// `other` (the semantics of `FILTER NOT EXISTS` joined on shared
+    /// vars; with none shared, `self` survives only if `other` is empty).
     pub fn anti_join(&self, other: &SolutionSet) -> SolutionSet {
-        let shared: Vec<String> = self
-            .vars
-            .iter()
-            .filter(|v| other.col(v).is_some())
+        self.join(other, JoinKind::Anti, None)
+    }
+
+    /// The join kernel — the only build/probe loop in the workspace. A left
+    /// row (`self`) and a right row (`other`) *pair* when every shared
+    /// variable bound on both sides agrees ([`compatible`]) and, if `accept`
+    /// is given, the merged row satisfies it; `kind` says what the pairs
+    /// become. The merged schema is `self`'s columns followed by `other`'s
+    /// new ones, a shared cell taking whichever side is bound.
+    ///
+    /// One side is hashed on the shared variables — the smaller one for a
+    /// keyed `Inner` join, `other` otherwise — and the rows of the opposite
+    /// side probe it. The key is a raw `TermId` for one shared variable (no
+    /// per-row allocation) and a `Vec<TermId>` otherwise; with no shared
+    /// variable every build row lands in the one empty-key bucket, which
+    /// makes the join the cross product.
+    ///
+    /// **Order.** Output follows probe-row order. Within one probe row,
+    /// partners come as: the hash bucket in build order, then the *loose*
+    /// build rows (those with an unbound key cell) in build order; a probe
+    /// row with an unbound key cell of its own scans the whole build side
+    /// in order. A `Left`/`Anti` row without a partner is emitted at its
+    /// probe position.
+    pub fn join(
+        &self,
+        other: &SolutionSet,
+        kind: JoinKind,
+        accept: Option<JoinPredicate>,
+    ) -> SolutionSet {
+        // The (left, right) columns of every shared variable.
+        let shared: Vec<(usize, usize)> = (self.vars.iter().enumerate())
+            .filter_map(|(l, v)| other.col(v).map(|r| (l, r)))
+            .collect();
+        if shared.len() == 1 {
+            self.join_keyed::<TermId>(other, kind, accept, &shared)
+        } else {
+            self.join_keyed::<Vec<TermId>>(other, kind, accept, &shared)
+        }
+    }
+
+    fn join_keyed<K: JoinKey>(
+        &self,
+        other: &SolutionSet,
+        kind: JoinKind,
+        accept: Option<JoinPredicate>,
+        shared: &[(usize, usize)],
+    ) -> SolutionSet {
+        // Output column sources, computed once: `shared`, and the right
+        // columns that extend a left row into the merged row.
+        let extra: Vec<usize> = (0..other.vars.len())
+            .filter(|&r| self.col(&other.vars[r]).is_none())
+            .collect();
+        let merged_vars: Vec<String> = (self.vars.iter())
+            .chain(extra.iter().map(|&r| &other.vars[r]))
             .cloned()
             .collect();
-        if shared.is_empty() {
-            // NOT EXISTS with no shared variables: keep rows only if the
-            // other pattern has no solutions at all.
-            return if other.rows.is_empty() {
-                self.clone()
-            } else {
-                SolutionSet::empty(self.vars.clone())
-            };
-        }
-        let self_cols: Vec<usize> = shared.iter().map(|v| self.col(v).unwrap()).collect();
-        let other_cols: Vec<usize> = shared.iter().map(|v| other.col(v).unwrap()).collect();
-        let mut out = SolutionSet::empty(self.vars.clone());
-        for srow in &self.rows {
-            let has_match = other
-                .rows
-                .iter()
-                .any(|orow| compatible(srow, &self_cols, orow, &other_cols));
-            if !has_match {
-                out.rows.push(srow.clone());
+        let build_is_left =
+            kind == JoinKind::Inner && !shared.is_empty() && self.len() <= other.len();
+        let (build, probe) = if build_is_left {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        let (build_cols, probe_cols): (Vec<usize>, Vec<usize>) = shared
+            .iter()
+            .map(|&(l, r)| if build_is_left { (l, r) } else { (r, l) })
+            .unzip();
+        // The hash table maps a key to the first build row carrying it and
+        // `next` chains on to the later ones: no allocation per key.
+        // Inserting back to front leaves every chain in build order.
+        let mut table: FxHashMap<K, usize> = FxHashMap::default();
+        let mut next: Vec<Option<usize>> = vec![None; build.rows.len()];
+        let mut loose: Vec<usize> = Vec::new();
+        for (i, row) in build.rows.iter().enumerate().rev() {
+            match K::of(row, &build_cols) {
+                Some(key) => next[i] = table.insert(key, i),
+                None => loose.push(i),
             }
         }
-        out
+        loose.reverse();
+
+        // An anti-join keeps the left schema; the others emit merged rows.
+        let out_width = match kind {
+            JoinKind::Anti => self.vars.len(),
+            _ => merged_vars.len(),
+        };
+        let merge = |lrow: &Row, rrow: &Row| -> Row {
+            let mut row = Vec::with_capacity(merged_vars.len());
+            row.extend_from_slice(lrow);
+            row.extend(extra.iter().map(|&r| rrow[r]));
+            for &(l, r) in shared {
+                if row[l].is_none() {
+                    row[l] = rrow[r];
+                }
+            }
+            row
+        };
+        let mut rows: Vec<Row> = Vec::new();
+        for prow in &probe.rows {
+            // Candidate partners: the hash bucket (compatible by
+            // construction), then the rows to check cell by cell — the
+            // loose build rows, or the whole build side when `prow` has an
+            // unbound key cell itself.
+            let (first, loose, scan) = match K::of(prow, &probe_cols) {
+                Some(key) => (table.get(&key).copied(), &loose[..], 0..0),
+                None => (None, &[][..], 0..build.rows.len()),
+            };
+            let bucket = std::iter::successors(first, |&bi| next[bi]).map(|bi| (bi, true));
+            let unhashed = loose.iter().copied().chain(scan).map(|bi| (bi, false));
+            let mut paired = false;
+            for (bi, hashed) in bucket.chain(unhashed) {
+                let brow = &build.rows[bi];
+                if !hashed && !compatible(brow, &build_cols, prow, &probe_cols) {
+                    continue;
+                }
+                if kind != JoinKind::Anti || accept.is_some() {
+                    let merged = if build_is_left {
+                        merge(brow, prow)
+                    } else {
+                        merge(prow, brow)
+                    };
+                    if accept.is_some_and(|accept| !accept(&merged_vars, &merged)) {
+                        continue;
+                    }
+                    if kind != JoinKind::Anti {
+                        rows.push(merged);
+                    }
+                }
+                paired = true;
+                if kind == JoinKind::Anti {
+                    break; // NOT EXISTS is settled by one partner
+                }
+            }
+            if !paired && kind != JoinKind::Inner {
+                let mut row = prow.clone();
+                row.resize(out_width, None);
+                rows.push(row);
+            }
+        }
+        let mut vars = merged_vars;
+        vars.truncate(out_width);
+        SolutionSet { vars, rows }
+    }
+}
+
+/// What the pairs found by [`SolutionSet::join`] become.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JoinKind {
+    /// One merged row per pair.
+    Inner,
+    /// `Inner`, plus every left row without a partner, its right-hand
+    /// columns unbound (`OPTIONAL`).
+    Left,
+    /// Only the left rows without a partner, unmerged (`FILTER NOT EXISTS`).
+    Anti,
+}
+
+/// An extra pairing condition for [`SolutionSet::join`], called with the
+/// merged schema and a merged candidate row. This is how the store's
+/// evaluator passes correlated `FILTER`s into the join without this crate
+/// knowing how expressions are evaluated.
+pub type JoinPredicate<'a> = &'a dyn Fn(&[String], &[Option<TermId>]) -> bool;
+
+/// A hashable join key over a row's key columns: `None` when any key cell
+/// is unbound (such rows cannot be hashed and go through [`compatible`]).
+trait JoinKey: std::hash::Hash + Eq + Sized {
+    fn of(row: &Row, cols: &[usize]) -> Option<Self>;
+}
+
+impl JoinKey for TermId {
+    fn of(row: &Row, cols: &[usize]) -> Option<Self> {
+        row[cols[0]]
+    }
+}
+
+impl JoinKey for Vec<TermId> {
+    fn of(row: &Row, cols: &[usize]) -> Option<Self> {
+        cols.iter().map(|&c| row[c]).collect()
     }
 }
 

@@ -19,7 +19,7 @@ use crate::backend::StorageBackend;
 use crate::expr::eval_filter;
 use lusail_rdf::TermId;
 use lusail_sparql::ast::{GroupPattern, PatternTerm, Query, QueryForm, TriplePattern};
-use lusail_sparql::solution::{Row, SolutionSet};
+use lusail_sparql::solution::{JoinKind, JoinPredicate, Row, SolutionSet};
 
 /// Evaluates a query against a store, producing its solution set.
 ///
@@ -72,7 +72,8 @@ pub fn apply_modifiers(
 ) -> SolutionSet {
     if !q.aggregates.is_empty() {
         sols = apply_group_by(&sols, &q.group_by, &q.aggregates, dict);
-        apply_having(&mut sols, &q.having, dict);
+        // HAVING: aggregate aliases are ordinary columns at this point.
+        retain_filtered(&mut sols, &q.having, dict);
         apply_order(&mut sols, &q.order_by, dict);
     } else {
         // ORDER BY before projection: its keys may be non-projected vars.
@@ -270,8 +271,19 @@ pub fn join_nested_groups(
     sols
 }
 
-/// Drops rows failing any of the filters (the FILTER retain loop shared
-/// by every engine).
+/// True when `row` (over `vars`) satisfies every filter.
+fn passes(
+    filters: &[lusail_sparql::ast::Expression],
+    vars: &[String],
+    row: &[Option<TermId>],
+    dict: &lusail_rdf::Dictionary,
+) -> bool {
+    let ctx = (vars, row);
+    filters.iter().all(|f| eval_filter(f, &ctx, dict))
+}
+
+/// Drops rows failing any of the filters (the FILTER / HAVING retain loop
+/// shared by every engine).
 pub fn retain_filtered(
     sols: &mut SolutionSet,
     filters: &[lusail_sparql::ast::Expression],
@@ -280,11 +292,25 @@ pub fn retain_filtered(
     if filters.is_empty() {
         return;
     }
-    let vars = sols.vars.clone();
-    sols.rows.retain(|row| {
-        let ctx: (&[String], &[Option<TermId>]) = (&vars, row);
-        filters.iter().all(|f| eval_filter(f, &ctx, dict))
-    });
+    let SolutionSet { vars, rows } = sols;
+    rows.retain(|row| passes(filters, vars, row, dict));
+}
+
+/// [`SolutionSet::join`] with correlated filters as the pairing predicate.
+fn join_filtered(
+    left: &SolutionSet,
+    right: &SolutionSet,
+    kind: JoinKind,
+    filters: &[lusail_sparql::ast::Expression],
+    dict: &lusail_rdf::Dictionary,
+) -> SolutionSet {
+    let accept = |vars: &[String], row: &[Option<TermId>]| passes(filters, vars, row, dict);
+    let accept: Option<JoinPredicate> = if filters.is_empty() {
+        None
+    } else {
+        Some(&accept)
+    };
+    left.join(right, kind, accept)
 }
 
 /// SPARQL `LeftJoin(P1, P2, F)`: a left row extends with a compatible
@@ -299,57 +325,7 @@ pub fn left_join_filtered(
     filters: &[lusail_sparql::ast::Expression],
     dict: &lusail_rdf::Dictionary,
 ) -> SolutionSet {
-    if filters.is_empty() {
-        return left.left_join(right);
-    }
-    let out_vars: Vec<String> = left
-        .vars
-        .iter()
-        .cloned()
-        .chain(right.vars.iter().filter(|v| left.col(v).is_none()).cloned())
-        .collect();
-    let shared: Vec<(usize, usize)> = left
-        .vars
-        .iter()
-        .enumerate()
-        .filter_map(|(i, v)| right.col(v).map(|j| (i, j)))
-        .collect();
-    let mut out = SolutionSet::empty(out_vars);
-    for lrow in &left.rows {
-        let mut matched = false;
-        for rrow in &right.rows {
-            let compatible = shared.iter().all(|&(i, j)| match (lrow[i], rrow[j]) {
-                (Some(a), Some(b)) => a == b,
-                _ => true,
-            });
-            if !compatible {
-                continue;
-            }
-            let merged: Row = out
-                .vars
-                .iter()
-                .map(|v| {
-                    let a = left.col(v).and_then(|c| lrow[c]);
-                    let b = right.col(v).and_then(|c| rrow[c]);
-                    a.or(b)
-                })
-                .collect();
-            let ctx: (&[String], &[Option<TermId>]) = (&out.vars, &merged);
-            if filters.iter().all(|f| eval_filter(f, &ctx, dict)) {
-                matched = true;
-                out.rows.push(merged);
-            }
-        }
-        if !matched {
-            let row: Row = out
-                .vars
-                .iter()
-                .map(|v| left.col(v).and_then(|c| lrow[c]))
-                .collect();
-            out.rows.push(row);
-        }
-    }
-    out
+    join_filtered(left, right, JoinKind::Left, filters, dict)
 }
 
 /// `FILTER NOT EXISTS` with correlated filters: a left row is dropped
@@ -361,64 +337,7 @@ pub fn anti_join_filtered(
     filters: &[lusail_sparql::ast::Expression],
     dict: &lusail_rdf::Dictionary,
 ) -> SolutionSet {
-    if filters.is_empty() {
-        return left.anti_join(right);
-    }
-    let merged_vars: Vec<String> = left
-        .vars
-        .iter()
-        .cloned()
-        .chain(right.vars.iter().filter(|v| left.col(v).is_none()).cloned())
-        .collect();
-    let shared: Vec<(usize, usize)> = left
-        .vars
-        .iter()
-        .enumerate()
-        .filter_map(|(i, v)| right.col(v).map(|j| (i, j)))
-        .collect();
-    let mut out = SolutionSet::empty(left.vars.clone());
-    for lrow in &left.rows {
-        let exists = right.rows.iter().any(|rrow| {
-            let compatible = shared.iter().all(|&(i, j)| match (lrow[i], rrow[j]) {
-                (Some(a), Some(b)) => a == b,
-                _ => true,
-            });
-            if !compatible {
-                return false;
-            }
-            let merged: Row = merged_vars
-                .iter()
-                .map(|v| {
-                    let a = left.col(v).and_then(|c| lrow[c]);
-                    let b = right.col(v).and_then(|c| rrow[c]);
-                    a.or(b)
-                })
-                .collect();
-            let ctx: (&[String], &[Option<TermId>]) = (&merged_vars, &merged);
-            filters.iter().all(|f| eval_filter(f, &ctx, dict))
-        });
-        if !exists {
-            out.rows.push(lrow.clone());
-        }
-    }
-    out
-}
-
-/// Filters grouped rows by `HAVING` constraints (aggregate aliases are in
-/// scope as ordinary columns at this point).
-pub fn apply_having(
-    sols: &mut SolutionSet,
-    having: &[lusail_sparql::ast::Expression],
-    dict: &lusail_rdf::Dictionary,
-) {
-    if having.is_empty() {
-        return;
-    }
-    let vars = sols.vars.clone();
-    sols.rows.retain(|row| {
-        let ctx: (&[String], &[Option<TermId>]) = (&vars, row);
-        having.iter().all(|h| eval_filter(h, &ctx, dict))
-    });
+    join_filtered(left, right, JoinKind::Anti, filters, dict)
 }
 
 /// Sorts solutions by `ORDER BY` keys: unbound first, then numeric order

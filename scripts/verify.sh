@@ -19,6 +19,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# The benchmark crate is a workspace of its own with its own lock file; it
+# calls the engine only through public items (par_hash_join, hash_join,
+# SolutionSet { vars, rows } literals, ...), so an engine API change that
+# breaks it shows here instead of in the pipeline.
+echo "==> benchmark crate builds and passes its tests against this engine"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> EXPLAIN ANALYZE trace smoke (LUBM Q4, fixed clock)"
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT

@@ -11,7 +11,7 @@
 //!   [--explain-analyze [--fixed-clock]]` — run a
 //!   federated query over the given endpoint files and print the results
 //!   as a table. `--threads N` sets the worker budget for dispatching
-//!   per-endpoint subqueries and partitioned joins (default 1 —
+//!   per-endpoint subqueries (default 1 —
 //!   sequential; any budget returns byte-identical results). `--replica NAME=FILE.nt` registers FILE.nt as a replica
 //!   of the endpoint named NAME (same partition, failover target);
 //!   `--kill NAME` makes the named endpoint permanently unavailable and

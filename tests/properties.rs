@@ -15,11 +15,13 @@
 
 use lusail_baselines::FedX;
 use lusail_benchdata::common::Rng;
+use lusail_core::join::par_hash_join;
 use lusail_core::Lusail;
 use lusail_endpoint::ExecOptions;
 use lusail_endpoint::{FederatedEngine, Federation, LocalEndpoint};
 use lusail_rdf::{Dictionary, Term, TermId};
 use lusail_sparql::ast::{GroupPattern, PatternTerm, Query, TriplePattern};
+use lusail_sparql::solution::{JoinKind, JoinPredicate};
 use lusail_sparql::{parse_query, write_query, SolutionSet};
 use lusail_store::TripleStore;
 use lusail_testkit::seed_from_env;
@@ -106,6 +108,158 @@ fn anti_join_and_semi_join_partition() {
                 "case {case}: row in both join and anti-join"
             );
         }
+    }
+}
+
+/// Nested-loop reference for [`SolutionSet::join`]: SPARQL compatibility
+/// on the shared variables, `a.or(b)` merge, optional predicate on the
+/// merged row. Left-row order, partners in right-row order.
+fn reference_join(
+    left: &SolutionSet,
+    right: &SolutionSet,
+    kind: JoinKind,
+    accept: Option<JoinPredicate>,
+) -> SolutionSet {
+    let mut vars = left.vars.clone();
+    vars.extend(right.vars.iter().filter(|v| left.col(v).is_none()).cloned());
+    let cell = |set: &SolutionSet, row: &[Option<TermId>], v: &str| set.col(v).and_then(|c| row[c]);
+    let mut rows = Vec::new();
+    for lrow in &left.rows {
+        let mut partners = Vec::new();
+        for rrow in &right.rows {
+            let compatible = left.vars.iter().all(|v| {
+                let (a, b) = (cell(left, lrow, v), cell(right, rrow, v));
+                a.is_none() || b.is_none() || a == b
+            });
+            let merged: Vec<Option<TermId>> = (vars.iter())
+                .map(|v| cell(left, lrow, v).or(cell(right, rrow, v)))
+                .collect();
+            if compatible && accept.is_none_or(|accept| accept(&vars, &merged)) {
+                partners.push(merged);
+            }
+        }
+        match kind {
+            JoinKind::Inner => rows.extend(partners),
+            JoinKind::Left if !partners.is_empty() => rows.extend(partners),
+            JoinKind::Anti if !partners.is_empty() => {}
+            JoinKind::Left | JoinKind::Anti => {
+                let width = if kind == JoinKind::Left {
+                    vars.len()
+                } else {
+                    left.vars.len()
+                };
+                let mut row = lrow.clone();
+                row.resize(width, None);
+                rows.push(row);
+            }
+        }
+    }
+    if kind == JoinKind::Anti {
+        vars.truncate(left.vars.len());
+    }
+    SolutionSet { vars, rows }
+}
+
+/// Relations over `shared` common variables (in opposite column orders)
+/// plus one private column each, ~10 % of the cells unbound.
+fn rand_join_inputs(rng: &mut Rng, shared: usize, rows: usize) -> (SolutionSet, SolutionSet) {
+    let keys: Vec<String> = (0..shared).map(|i| format!("k{i}")).collect();
+    let mut relation = |vars: Vec<String>| SolutionSet {
+        rows: (0..rng.below(rows + 1))
+            .map(|_| {
+                (0..vars.len())
+                    .map(|_| (!rng.chance(0.1)).then(|| TermId(rng.below(4) as u32)))
+                    .collect()
+            })
+            .collect(),
+        vars,
+    };
+    let left = relation(keys.iter().cloned().chain(["l".to_string()]).collect());
+    let right = relation(
+        ["r".to_string()]
+            .into_iter()
+            .chain(keys.into_iter().rev())
+            .collect(),
+    );
+    (left, right)
+}
+
+#[test]
+fn join_kernel_matches_nested_loop_reference() {
+    let mut rng = Rng::new(seed_from_env(0xA6));
+    // A predicate on a merged column that only the right side supplies.
+    let r_is_even = |vars: &[String], row: &[Option<TermId>]| {
+        let r = vars
+            .iter()
+            .position(|v| v == "r")
+            .expect("merged schema has ?r");
+        row[r].is_some_and(|id| id.0 % 2 == 0)
+    };
+    let mut with_unbound_key = 0;
+    for case in 0..400 {
+        let shared = case % 4;
+        let (a, b) = rand_join_inputs(&mut rng, shared, 12);
+        let unbound_key = [&a, &b].into_iter().any(|set| {
+            (set.rows.iter())
+                .any(|row| (0..shared).any(|k| row[set.col(&format!("k{k}")).unwrap()].is_none()))
+        });
+        with_unbound_key += unbound_key as usize;
+        for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Anti] {
+            for accept in [None, Some(&r_is_even as JoinPredicate)] {
+                let got = a.join(&b, kind, accept);
+                let want = reference_join(&a, &b, kind, accept);
+                let ctx = format!(
+                    "case {case}: {shared} shared, {kind:?}, predicate {}",
+                    accept.is_some()
+                );
+                assert_eq!(got.canonicalize(), want.canonicalize(), "{ctx}");
+                // Left-driven kinds with fully bound keys also keep the
+                // reference's row sequence.
+                if kind != JoinKind::Inner && !unbound_key {
+                    assert_eq!(got, want, "{ctx}: row sequence");
+                }
+            }
+        }
+        // The public wrappers are the kernel, and `par_hash_join` returns the
+        // sequential join's bytes at every budget, below and above its
+        // threshold.
+        let inner = a.hash_join(&b);
+        assert_eq!(inner, a.join(&b, JoinKind::Inner, None), "case {case}");
+        assert_eq!(
+            a.left_join(&b),
+            a.join(&b, JoinKind::Left, None),
+            "case {case}"
+        );
+        assert_eq!(
+            a.anti_join(&b),
+            a.join(&b, JoinKind::Anti, None),
+            "case {case}"
+        );
+        for threads in [1, 2, 4] {
+            for threshold in [0, usize::MAX] {
+                assert_eq!(
+                    par_hash_join(&a, &b, 4, threads, threshold),
+                    inner,
+                    "case {case}"
+                );
+            }
+        }
+    }
+    assert!(with_unbound_key > 100, "generator must exercise loose rows");
+}
+
+/// The input the old parallel join bailed out of: above the threshold,
+/// with unbound join-key cells on both sides.
+#[test]
+fn par_hash_join_above_threshold_with_unbound_keys() {
+    let mut rng = Rng::new(seed_from_env(0xA7));
+    let (a, b) = rand_join_inputs(&mut rng, 2, 300);
+    assert!(a.rows.iter().chain(&b.rows).any(|row| row.contains(&None)));
+    let want = reference_join(&a, &b, JoinKind::Inner, None).canonicalize();
+    for threads in [1, 2, 4] {
+        let got = par_hash_join(&a, &b, 4, threads, 100);
+        assert_eq!(got, a.hash_join(&b), "threads {threads}: row sequence");
+        assert_eq!(got.canonicalize(), want, "threads {threads}");
     }
 }
 

@@ -3,8 +3,8 @@
 //!
 //! The worker budget (`ExecOptions::with_threads`) is a *physical*
 //! execution knob: it decides how many scoped threads dispatch
-//! per-endpoint subqueries and partition parallel hash joins, and must
-//! never change anything observable. Each generated case runs every
+//! per-endpoint subqueries (mediator joins run on the one sequential join
+//! kernel at every budget), and must never change anything observable. Each generated case runs every
 //! engine at budgets 1, 2, and 8 — clean and under a seeded fault plan —
 //! and the three observations must compare equal: byte-identical
 //! canonicalized solution multisets, identical completeness flags, and
