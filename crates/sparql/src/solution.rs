@@ -92,6 +92,25 @@ impl SolutionSet {
         }
     }
 
+    /// [`project`](Self::project) for an owner: the same result, reusing
+    /// every row's allocation. A projection onto the schema itself returns
+    /// `self` untouched.
+    pub fn into_projected(mut self, vars: &[String]) -> SolutionSet {
+        if self.vars == vars {
+            return self;
+        }
+        let cols: Vec<Option<usize>> = vars.iter().map(|v| self.col(v)).collect();
+        let mut scratch: Row = Vec::with_capacity(cols.len());
+        for row in &mut self.rows {
+            scratch.clear();
+            scratch.extend(cols.iter().map(|c| c.and_then(|c| row[c])));
+            row.clear();
+            row.extend_from_slice(&scratch);
+        }
+        self.vars = vars.to_vec();
+        self
+    }
+
     /// Removes duplicate rows, preserving first-seen order.
     pub fn dedup(&mut self) {
         let mut seen = lusail_rdf::FxHashSet::default();
@@ -460,6 +479,33 @@ mod tests {
         assert_eq!(p.rows.len(), 3);
         p.dedup();
         assert_eq!(p.rows, vec![vec![id(1)]]);
+    }
+
+    #[test]
+    fn into_projected_equals_project() {
+        let s = set(
+            &["x", "y", "z"],
+            vec![vec![id(1), id(2), None], vec![id(4), None, id(6)]],
+        );
+        let schemas: [&[&str]; 5] = [
+            &["x", "y", "z"],               // identity
+            &["z", "x", "y"],               // permuted
+            &["y"],                         // narrowed
+            &["y", "ghost", "x", "z", "y"], // widened: absent and repeated vars
+            &[],
+        ];
+        for schema in schemas {
+            let vars: Vec<String> = schema.iter().map(|v| v.to_string()).collect();
+            assert_eq!(
+                s.clone().into_projected(&vars),
+                s.project(&vars),
+                "{schema:?}"
+            );
+        }
+        // The identity projection hands the rows back unmoved.
+        let kept = s.rows[0].as_ptr();
+        let vars = s.vars.clone();
+        assert_eq!(s.into_projected(&vars).rows[0].as_ptr(), kept);
     }
 
     #[test]

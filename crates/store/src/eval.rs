@@ -2,13 +2,28 @@
 //!
 //! Evaluation strategy:
 //!
-//! * **BGP** — index nested-loop join: triple patterns are ordered greedily
-//!   by boundness (constants plus already-bound variables) with the
-//!   index-estimated cardinality of their constant positions as
-//!   tie-breaker (see [`plan_bgp_order`]), then each solution row is
-//!   extended by an index range scan. A `LIMIT` on a simple group (no
-//!   filters/optionals/unions) is pushed into the scan, which makes `ASK`
-//!   and Lusail's `LIMIT 1` check queries cheap.
+//! * **BGP** — index nested-loop join over one plan. [`plan_bgp_order`]
+//!   orders the triple patterns greedily by `(disconnected, free positions,
+//!   estimated cardinality, textual position)`: a pattern sharing no
+//!   variable with what is already bound is a Cartesian product and waits
+//!   until nothing connected remains. The ordered patterns are compiled
+//!   once, each position resolved to a constant or a column of a single
+//!   binding array, and run as a **depth-first pipeline**: a match of
+//!   pattern *k* is extended through patterns *k+1…* before the next match
+//!   of *k* is looked at, and every complete binding goes to a *sink*.
+//!   Three sinks exist: *collect* (one row per solution, with the pushed
+//!   `LIMIT` — [`evaluate`], [`eval_group`]), *count* ([`count`] and
+//!   `COUNT(*)`: nothing is allocated) and *first hit* ([`ask`]: a count
+//!   that stops at one). The counting sinks sit on the pipeline only when
+//!   the group is a bare BGP; otherwise the group is collected first.
+//!
+//!   Depth-first visits solutions in the order a level-by-level expansion
+//!   would list them — that order is "by match of pattern 1, then by match
+//!   of pattern 2, …", which is what the recursion enumerates — so row
+//!   sequences do not depend on the strategy, and nothing but the current
+//!   binding is ever held. It is also why a `LIMIT` (or `ASK`) bounds every
+//!   level: the pipeline stops the moment the sink has enough, where the
+//!   level-by-level form had to finish every level but the last.
 //! * **UNION** — branches evaluated independently, concatenated, then
 //!   joined with the surrounding solutions.
 //! * **OPTIONAL** — left join.
@@ -18,7 +33,7 @@
 use crate::backend::StorageBackend;
 use crate::expr::eval_filter;
 use lusail_rdf::TermId;
-use lusail_sparql::ast::{GroupPattern, PatternTerm, Query, QueryForm, TriplePattern};
+use lusail_sparql::ast::{GroupPattern, PatternTerm, Query, QueryForm, TriplePattern, ValuesBlock};
 use lusail_sparql::solution::{JoinKind, JoinPredicate, Row, SolutionSet};
 
 /// Evaluates a query against a store, producing its solution set.
@@ -30,15 +45,14 @@ use lusail_sparql::solution::{JoinKind, JoinPredicate, Row, SolutionSet};
 pub fn evaluate(store: &dyn StorageBackend, q: &Query) -> SolutionSet {
     match &q.form {
         QueryForm::Ask => {
-            let sols = eval_group(store, &q.pattern, Some(1));
             let mut out = SolutionSet::empty(Vec::new());
-            if !sols.is_empty() {
+            if ask(store, q) {
                 out.rows.push(Vec::new());
             }
             out
         }
         QueryForm::CountStar(alias) => {
-            let n = eval_group(store, &q.pattern, None).len() as i64;
+            let n = count(store, q) as i64;
             let id = store.dict().encode(&lusail_rdf::Term::int(n));
             SolutionSet {
                 vars: vec![alias.clone()],
@@ -83,7 +97,7 @@ pub fn apply_modifiers(
         // short-circuited to an empty result.
         let projection = q.output_vars();
         if !projection.is_empty() {
-            sols = sols.project(&projection);
+            sols = sols.into_projected(&projection);
         }
     }
     if q.distinct {
@@ -389,43 +403,60 @@ fn compare_cells(
     }
 }
 
-/// Evaluates an `ASK`-style existence check for the query's pattern.
+/// Evaluates an `ASK`-style existence check for the query's pattern: the
+/// *first hit* sink — a count that stops at one.
 pub fn ask(store: &dyn StorageBackend, q: &Query) -> bool {
-    !eval_group(store, &q.pattern, Some(1)).is_empty()
+    count_group(store, &q.pattern, Some(1)) > 0
 }
 
 /// Counts the solutions of the query's pattern.
 pub fn count(store: &dyn StorageBackend, q: &Query) -> u64 {
-    eval_group(store, &q.pattern, None).len() as u64
+    count_group(store, &q.pattern, None)
+}
+
+/// True when the group is a bare BGP (plus `VALUES`): every binding the
+/// pipeline completes is a final solution, so a limit or a counting sink
+/// can sit directly on the pipeline.
+fn is_simple(g: &GroupPattern) -> bool {
+    g.filters.is_empty() && g.optionals.is_empty() && g.unions.is_empty() && g.not_exists.is_empty()
+}
+
+/// The number of solutions of a group, counting no further than `cap`. On a
+/// simple group this is the *count* sink: no row is ever allocated.
+fn count_group(store: &dyn StorageBackend, g: &GroupPattern, cap: Option<usize>) -> u64 {
+    if !is_simple(g) {
+        return eval_group(store, g, cap).len() as u64;
+    }
+    let mut n = 0usize;
+    Pipeline::compile(store, g).run(store, g.values.as_ref(), &mut |_| {
+        n += 1;
+        cap.is_none_or(|cap| n < cap)
+    });
+    n as u64
 }
 
 /// Evaluates a group pattern. `limit` is an upper bound on the number of
-/// rows the caller needs; it is only *pushed into* the scan when the group
-/// is simple enough that early rows are final rows.
+/// rows the caller needs; it is only *pushed into* the pipeline when the
+/// group is simple enough that early rows are final rows.
 pub fn eval_group(
     store: &dyn StorageBackend,
     g: &GroupPattern,
     limit: Option<usize>,
 ) -> SolutionSet {
-    let simple = g.filters.is_empty()
-        && g.optionals.is_empty()
-        && g.unions.is_empty()
-        && g.not_exists.is_empty();
-    let scan_limit = if simple { limit } else { None };
+    let scan_limit = if is_simple(g) { limit } else { None };
 
-    // Seed solutions from the VALUES block, if any.
-    let mut sols = match &g.values {
-        Some(v) => SolutionSet {
-            vars: v.vars.clone(),
-            rows: v.rows.clone(),
-        },
-        None => SolutionSet {
-            vars: Vec::new(),
-            rows: vec![Vec::new()],
-        },
+    // The *collect* sink: one allocation per solution, none per level.
+    let pipeline = Pipeline::compile(store, g);
+    let mut rows: Vec<Row> = Vec::new();
+    pipeline.run(store, g.values.as_ref(), &mut |binding| {
+        rows.push(binding.to_vec());
+        scan_limit.is_none_or(|l| rows.len() < l)
+    });
+    let mut sols = SolutionSet {
+        vars: pipeline.vars,
+        rows,
     };
 
-    sols = eval_bgp(store, &g.triples, sols, scan_limit);
     sols = join_nested_groups(sols, g, store.dict(), |sub| eval_group(store, sub, None));
     retain_filtered(&mut sols, &g.filters, store.dict());
 
@@ -435,77 +466,49 @@ pub fn eval_group(
     sols
 }
 
-/// Extends `sols` by the conjunctive triple patterns using the
-/// selectivity-greedy order of [`plan_bgp_order`] and index nested-loop
-/// joins. Stops early once `limit` rows exist after the final pattern.
-/// When the store's reorder flag is off (see
-/// [`StorageBackend::set_reorder`]), patterns run in textual order — the
-/// unoptimized baseline the bench harness measures against.
-fn eval_bgp(
-    store: &dyn StorageBackend,
-    triples: &[TriplePattern],
-    mut sols: SolutionSet,
-    limit: Option<usize>,
-) -> SolutionSet {
-    let order: Vec<usize> = if store.reorder_enabled() {
-        plan_bgp_order(store, triples, &sols.vars)
-    } else {
-        (0..triples.len()).collect()
-    };
-    for (k, &i) in order.iter().enumerate() {
-        let is_last = k + 1 == order.len();
-        let row_cap = if is_last { limit } else { None };
-        sols = extend(store, &sols, &triples[i], row_cap);
-        if sols.is_empty() {
-            return sols; // Short-circuit: the BGP has no solutions.
-        }
-    }
-    sols
-}
-
-/// Plans the evaluation order of a BGP's patterns: greedily pick, at each
-/// step, the pattern with the fewest still-free positions (constants and
-/// already-bound variables count as bound), breaking ties by the
-/// index-estimated cardinality of its constant positions and then by
-/// original position. `bound` seeds the bound-variable set (e.g. from a
-/// VALUES block). The returned indices are into `triples`.
+/// Plans the evaluation order of a BGP's patterns. At each step the greedy
+/// planner picks the remaining pattern with the smallest key
+/// `(disconnected, free, estimate, position)`:
 ///
-/// Boundness depends only on which variables appear earlier in the chosen
-/// order — never on row contents — so the plan can be computed once up
-/// front, and pinned in tests.
+/// * `disconnected` — the pattern has variables and none of them is in the
+///   bound set (the variables of the patterns chosen so far plus `bound`,
+///   e.g. the `VALUES` variables). Joining it now would be a Cartesian
+///   product, so it waits until no connected pattern remains — which only
+///   happens when the BGP really has several components;
+/// * `free` — its still-free positions (constants and bound variables
+///   count as bound);
+/// * `estimate` — the index-estimated cardinality of its constant
+///   positions (bound variables vary per row and are left out);
+/// * `position` — its place in the query text.
+///
+/// The returned indices are into `triples`. Boundness depends only on
+/// which variables appear earlier in the chosen order — never on row
+/// contents — so the plan is computed once up front, and pinned in tests.
 pub fn plan_bgp_order(
     store: &dyn StorageBackend,
     triples: &[TriplePattern],
     bound: &[String],
 ) -> Vec<usize> {
-    let mut bound: Vec<String> = bound.to_vec();
+    let estimates: Vec<u64> = (triples.iter())
+        .map(|tp| store.estimate(tp.s.as_const(), tp.p.as_const(), tp.o.as_const()))
+        .collect();
+    let mut bound: Vec<&str> = bound.iter().map(String::as_str).collect();
     let mut remaining: Vec<usize> = (0..triples.len()).collect();
     let mut order = Vec::with_capacity(triples.len());
     while !remaining.is_empty() {
-        let mut best_pos = 0usize;
-        let mut best_key = (usize::MAX, u64::MAX);
-        for (pos, &i) in remaining.iter().enumerate() {
-            let tp = &triples[i];
-            let is_bound = |t: &PatternTerm| match t {
-                PatternTerm::Const(_) => true,
-                PatternTerm::Var(v) => bound.iter().any(|b| b == v),
-            };
-            let free = [&tp.s, &tp.p, &tp.o]
-                .into_iter()
-                .filter(|t| !is_bound(t))
-                .count();
-            // Estimate with constants only (bound vars vary per row).
-            let est = store.estimate(tp.s.as_const(), tp.p.as_const(), tp.o.as_const());
-            let key = (free, est);
-            if key < best_key {
-                best_key = key;
-                best_pos = pos;
-            }
-        }
+        let (best_pos, _) = (remaining.iter().enumerate())
+            .map(|(pos, &i)| {
+                let tp = &triples[i];
+                let free = tp.vars().filter(|v| !bound.contains(v)).count();
+                let disconnected = free > 0 && free == tp.vars().count();
+                (pos, (disconnected, free, estimates[i]))
+            })
+            .min_by_key(|&(_, key)| key)
+            .expect("remaining is non-empty");
         let i = remaining.remove(best_pos);
         for v in triples[i].vars() {
-            if !bound.iter().any(|b| b == v) {
-                bound.push(v.to_string());
+            if !bound.contains(&v) {
+                bound.push(v);
             }
         }
         order.push(i);
@@ -513,83 +516,109 @@ pub fn plan_bgp_order(
     order
 }
 
-/// Joins the current solutions with one triple pattern via index lookups.
-fn extend(
-    store: &dyn StorageBackend,
-    sols: &SolutionSet,
-    tp: &TriplePattern,
-    limit: Option<usize>,
-) -> SolutionSet {
-    // Output schema: existing vars plus any new ones from this pattern.
-    let mut vars = sols.vars.clone();
-    for v in tp.vars() {
-        if !vars.iter().any(|x| x == v) {
-            vars.push(v.to_string());
-        }
-    }
-    let mut out = SolutionSet::empty(vars);
-
-    // Precompute column resolution for the pattern positions.
-    let resolve = |t: &PatternTerm, row: &Row| -> Resolved {
-        match t {
-            PatternTerm::Const(id) => Resolved::Bound(*id),
-            PatternTerm::Var(v) => match sols.col(v).and_then(|c| row[c]) {
-                Some(id) => Resolved::Bound(id),
-                None => Resolved::Free(out_col(&out.vars, v)),
-            },
-        }
-    };
-
-    'rows: for row in &sols.rows {
-        let rs = resolve(&tp.s, row);
-        let rp = resolve(&tp.p, row);
-        let ro = resolve(&tp.o, row);
-        let (qs, qp, qo) = (rs.bound(), rp.bound(), ro.bound());
-        let done = !store.scan(qs, qp, qo, |t| {
-            // Consistency for repeated free variables within the pattern
-            // (e.g. `?x ?p ?x`): positions sharing a column must agree.
-            let mut new_row: Row = vec![None; out.vars.len()];
-            for (i, val) in row.iter().enumerate() {
-                new_row[i] = *val;
-            }
-            for (r, actual) in [(&rs, t.s), (&rp, t.p), (&ro, t.o)] {
-                if let Resolved::Free(c) = r {
-                    match new_row[*c] {
-                        None => new_row[*c] = Some(actual),
-                        Some(prev) if prev == actual => {}
-                        Some(_) => return true, // inconsistent; skip match
-                    }
-                }
-            }
-            out.rows.push(new_row);
-            match limit {
-                Some(l) => out.rows.len() < l,
-                None => true,
-            }
-        });
-        if done {
-            break 'rows;
-        }
-    }
-    out
-}
-
-fn out_col(vars: &[String], v: &str) -> usize {
-    vars.iter().position(|x| x == v).expect("var in schema")
-}
-
+/// Where a pattern position takes its value: a constant of the query, or a
+/// column of the binding array — a bound variable when the cell is filled
+/// at the time the pattern runs, a free one when it is not.
 #[derive(Clone, Copy)]
-enum Resolved {
-    Bound(TermId),
-    Free(usize),
+enum Slot {
+    Const(TermId),
+    Col(usize),
 }
 
-impl Resolved {
-    fn bound(&self) -> Option<TermId> {
-        match self {
-            Resolved::Bound(id) => Some(*id),
-            Resolved::Free(_) => None,
+/// A BGP compiled for execution: the patterns in plan order with every
+/// position resolved to a [`Slot`], over the schema `vars` (the `VALUES`
+/// variables, then each pattern's new variables in plan order).
+struct Pipeline {
+    vars: Vec<String>,
+    steps: Vec<[Slot; 3]>,
+}
+
+impl Pipeline {
+    /// Orders the group's triple patterns ([`plan_bgp_order`], or textual
+    /// order when the store's reorder flag is off — the unoptimized
+    /// baseline the bench harness measures against) and resolves their
+    /// positions.
+    fn compile(store: &dyn StorageBackend, g: &GroupPattern) -> Pipeline {
+        let mut vars: Vec<String> = g.values.as_ref().map_or(Vec::new(), |v| v.vars.clone());
+        let order: Vec<usize> = if store.reorder_enabled() {
+            plan_bgp_order(store, &g.triples, &vars)
+        } else {
+            (0..g.triples.len()).collect()
+        };
+        let steps = (order.iter())
+            .map(|&i| {
+                let tp = &g.triples[i];
+                [&tp.s, &tp.p, &tp.o].map(|t| match t {
+                    PatternTerm::Const(id) => Slot::Const(*id),
+                    PatternTerm::Var(v) => {
+                        Slot::Col(vars.iter().position(|x| x == v).unwrap_or_else(|| {
+                            vars.push(v.clone());
+                            vars.len() - 1
+                        }))
+                    }
+                })
+            })
+            .collect();
+        Pipeline { vars, steps }
+    }
+
+    /// Hands every solution of the BGP to `sink`, as a binding over
+    /// `self.vars`, until the sink returns `false`. Seeds are the borrowed
+    /// `VALUES` rows (`UNDEF` cells stay free), or one empty binding.
+    fn run(
+        &self,
+        store: &dyn StorageBackend,
+        values: Option<&ValuesBlock>,
+        sink: &mut dyn FnMut(&[Option<TermId>]) -> bool,
+    ) {
+        let mut binding: Row = vec![None; self.vars.len()];
+        let unseeded = [Row::new()];
+        for seed in values.map_or(&unseeded[..], |v| &v.rows) {
+            binding[..seed.len()].copy_from_slice(seed);
+            if !self.descend(store, 0, &mut binding, sink) {
+                return;
+            }
         }
+    }
+
+    /// Index nested-loop join, depth first: extends `binding` by every
+    /// match of pattern `depth`, descending into the next pattern before
+    /// moving to the next match, and hands the binding to `sink` once every
+    /// pattern has matched. Cells bound at this level are cleared again on
+    /// the way out. Returns `false` when the sink asked to stop.
+    fn descend(
+        &self,
+        store: &dyn StorageBackend,
+        depth: usize,
+        binding: &mut [Option<TermId>],
+        sink: &mut dyn FnMut(&[Option<TermId>]) -> bool,
+    ) -> bool {
+        let Some(step) = self.steps.get(depth) else {
+            return sink(binding);
+        };
+        // The scan key, and the column each still-free position binds.
+        let mut key = [None; 3];
+        let mut free = [None; 3];
+        for (i, slot) in step.iter().enumerate() {
+            match *slot {
+                Slot::Const(id) => key[i] = Some(id),
+                Slot::Col(c) if binding[c].is_some() => key[i] = binding[c],
+                Slot::Col(c) => free[i] = Some(c),
+            }
+        }
+        store.scan(key[0], key[1], key[2], |t| {
+            // A variable repeated within the pattern (`?x ?p ?x`) binds at
+            // its first position and must agree at the later ones.
+            let consistent = (free.iter().zip([t.s, t.p, t.o])).all(|(c, actual)| match *c {
+                Some(c) => *binding[c].get_or_insert(actual) == actual,
+                None => true,
+            });
+            let go_on = !consistent || self.descend(store, depth + 1, binding, sink);
+            for c in free.into_iter().flatten() {
+                binding[c] = None;
+            }
+            go_on
+        })
     }
 }
 
@@ -849,6 +878,244 @@ mod tests {
         let textual = run(&st, q).canonicalize();
         st.set_reorder(true);
         assert_eq!(ordered, textual);
+    }
+}
+
+/// The pipeline held to the evaluator it replaced.
+#[cfg(test)]
+mod pipeline_tests {
+    use super::*;
+    use crate::columns::ColumnStore;
+    use crate::store::TripleStore;
+    use lusail_rdf::{Dictionary, Triple};
+    use std::sync::Arc;
+
+    /// The breadth-first evaluator the pipeline replaced, kept as
+    /// the reference: one materialised solution set per pattern, each row
+    /// extended by an index scan, the limit applied to the last level only,
+    /// and an empty level ending the evaluation (with that level's schema).
+    fn reference_bgp(
+        store: &dyn StorageBackend,
+        g: &GroupPattern,
+        limit: Option<usize>,
+    ) -> SolutionSet {
+        let mut sols = match &g.values {
+            Some(v) => SolutionSet {
+                vars: v.vars.clone(),
+                rows: v.rows.clone(),
+            },
+            None => SolutionSet {
+                vars: Vec::new(),
+                rows: vec![Vec::new()],
+            },
+        };
+        let order: Vec<usize> = if store.reorder_enabled() {
+            plan_bgp_order(store, &g.triples, &sols.vars)
+        } else {
+            (0..g.triples.len()).collect()
+        };
+        for (k, &i) in order.iter().enumerate() {
+            let row_cap = if k + 1 == order.len() { limit } else { None };
+            sols = reference_extend(store, &sols, &g.triples[i], row_cap);
+            if sols.is_empty() {
+                return sols;
+            }
+        }
+        sols
+    }
+
+    fn reference_extend(
+        store: &dyn StorageBackend,
+        sols: &SolutionSet,
+        tp: &TriplePattern,
+        limit: Option<usize>,
+    ) -> SolutionSet {
+        let mut vars = sols.vars.clone();
+        for v in tp.vars() {
+            if !vars.iter().any(|x| x == v) {
+                vars.push(v.to_string());
+            }
+        }
+        let mut out = SolutionSet::empty(vars);
+        // A position is bound (`Ok`) or names the output column it fills.
+        let resolve = |t: &PatternTerm, row: &Row| -> Result<TermId, usize> {
+            match t {
+                PatternTerm::Const(id) => Ok(*id),
+                PatternTerm::Var(v) => match sols.col(v).and_then(|c| row[c]) {
+                    Some(id) => Ok(id),
+                    None => Err((out.vars.iter().position(|x| x == v)).expect("var in schema")),
+                },
+            }
+        };
+        'rows: for row in &sols.rows {
+            let rs = resolve(&tp.s, row);
+            let rp = resolve(&tp.p, row);
+            let ro = resolve(&tp.o, row);
+            let done = !store.scan(rs.ok(), rp.ok(), ro.ok(), |t| {
+                let mut new_row: Row = vec![None; out.vars.len()];
+                new_row[..row.len()].copy_from_slice(row);
+                for (r, actual) in [(&rs, t.s), (&rp, t.p), (&ro, t.o)] {
+                    if let Err(c) = r {
+                        match new_row[*c] {
+                            None => new_row[*c] = Some(actual),
+                            Some(prev) if prev == actual => {}
+                            Some(_) => return true, // inconsistent; skip match
+                        }
+                    }
+                }
+                out.rows.push(new_row);
+                limit.is_none_or(|l| out.rows.len() < l)
+            });
+            if done {
+                break 'rows;
+            }
+        }
+        out
+    }
+
+    /// SplitMix64, so the cases replay from the case index alone.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// What the generated cases exercised (asserted at the end).
+    #[derive(Default)]
+    struct Coverage {
+        repeated_var: usize,
+        undef_cell: usize,
+        empty_bgp: usize,
+        empty_intermediate_level: usize,
+        limit_saved_scans: usize,
+        nonempty: usize,
+    }
+
+    /// Eight ids serve as subjects, predicates and objects alike, so every
+    /// position joins with every other and `?x ?p ?x` has matches.
+    fn random_triples(rng: &mut Rng) -> Vec<Triple> {
+        (0..rng.below(40))
+            .map(|_| {
+                let mut id = || TermId(1 + rng.below(8) as u32);
+                Triple::new(id(), id(), id())
+            })
+            .collect()
+    }
+
+    fn random_group(rng: &mut Rng, cov: &mut Coverage) -> GroupPattern {
+        let term = |rng: &mut Rng| match rng.below(3) {
+            0 => PatternTerm::Const(TermId(1 + rng.below(8) as u32)),
+            _ => PatternTerm::Var(["a", "b", "c", "d"][rng.below(4)].to_string()),
+        };
+        let triples: Vec<TriplePattern> = (0..rng.below(5))
+            .map(|_| TriplePattern::new(term(rng), term(rng), term(rng)))
+            .collect();
+        cov.empty_bgp += usize::from(triples.is_empty());
+        cov.repeated_var += usize::from(triples.iter().any(|tp| {
+            let vars: Vec<&str> = tp.vars().collect();
+            (1..vars.len()).any(|i| vars[..i].contains(&vars[i]))
+        }));
+        let values = (rng.below(2) == 0).then(|| {
+            // `e` occurs in no pattern: a seed column the BGP never touches.
+            let vars: Vec<String> = (["a", "c", "e"].iter())
+                .filter(|_| rng.below(2) == 0)
+                .map(|v| v.to_string())
+                .collect();
+            let rows: Vec<Row> = (0..rng.below(4))
+                .map(|_| {
+                    (vars.iter())
+                        .map(|_| (rng.below(4) > 0).then(|| TermId(1 + rng.below(8) as u32)))
+                        .collect()
+                })
+                .collect();
+            cov.undef_cell += usize::from(rows.iter().flatten().any(|cell| cell.is_none()));
+            ValuesBlock { vars, rows }
+        });
+        GroupPattern {
+            triples,
+            values,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn pipeline_matches_the_breadth_first_reference() {
+        let mut rng = Rng(0xE7A1);
+        let mut cov = Coverage::default();
+        for case in 0..400 {
+            let dict = Dictionary::shared();
+            let triples = random_triples(&mut rng);
+            let mut btree = TripleStore::new(Arc::clone(&dict));
+            for t in &triples {
+                btree.insert(*t);
+            }
+            let columns = ColumnStore::from_store(&btree);
+            let g = random_group(&mut rng, &mut cov);
+            let query = Query::select_all(g.clone());
+            let backends: [&dyn StorageBackend; 2] = [&btree, &columns];
+            for store in backends {
+                for reorder in [true, false] {
+                    store.set_reorder(reorder);
+                    let ctx = format!("case {case}, {}, reorder {reorder}", store.kind());
+                    let mut full_len = 0;
+                    for limit in [None, Some(1), Some(3)] {
+                        let before = store.rows_scanned();
+                        let mut want = reference_bgp(store, &g, limit);
+                        let want_scans = store.rows_scanned() - before;
+                        let before = store.rows_scanned();
+                        let got = eval_group(store, &g, limit);
+                        let got_scans = store.rows_scanned() - before;
+
+                        if let Some(l) = limit {
+                            want.truncate(l);
+                        }
+                        assert_eq!(got.rows, want.rows, "{ctx}, limit {limit:?}: row sequence");
+                        if !want.is_empty() {
+                            assert_eq!(got.vars, want.vars, "{ctx}, limit {limit:?}: schema");
+                        }
+                        match limit {
+                            None => {
+                                assert_eq!(got_scans, want_scans, "{ctx}: rows scanned");
+                                full_len = got.len();
+                                let short_circuited = want.vars.len() < got.vars.len();
+                                cov.empty_intermediate_level += usize::from(short_circuited);
+                                cov.nonempty += usize::from(!got.is_empty());
+                            }
+                            Some(_) => {
+                                assert!(got_scans <= want_scans, "{ctx}, limit {limit:?}");
+                                cov.limit_saved_scans += usize::from(got_scans < want_scans);
+                            }
+                        }
+                    }
+                    assert_eq!(count(store, &query), full_len as u64, "{ctx}: count");
+                    assert_eq!(ask(store, &query), full_len > 0, "{ctx}: ask");
+                }
+            }
+        }
+        assert!(
+            cov.repeated_var > 20,
+            "repeated variables: {}",
+            cov.repeated_var
+        );
+        assert!(cov.undef_cell > 20, "UNDEF cells: {}", cov.undef_cell);
+        assert!(cov.empty_bgp > 20, "empty BGPs: {}", cov.empty_bgp);
+        assert!(
+            cov.empty_intermediate_level > 20,
+            "empty intermediate levels: {}",
+            cov.empty_intermediate_level
+        );
+        assert!(
+            cov.limit_saved_scans > 20,
+            "limits that saved scans: {}",
+            cov.limit_saved_scans
+        );
+        assert!(cov.nonempty > 200, "non-empty results: {}", cov.nonempty);
     }
 }
 

@@ -101,6 +101,16 @@ if [ "$columns_bytes" -ge "$btree_bytes" ]; then
 fi
 echo "backend smoke: identical output, resident $btree_bytes -> $columns_bytes B"
 
+echo "==> plan smoke (LUBM Q2 on columns: the endpoints join without a cross product)"
+# Q2 is shipped whole to each endpoint. Connected-first ordering answers it
+# in 10577 scanned rows here; `Professor x Course` first costs 15617.
+scanned=$(grep -o '[0-9]* store rows scanned' "$tmpdir/q2_columns.txt" | cut -d' ' -f1)
+if [ -z "$scanned" ] || [ "$scanned" -gt 11000 ]; then
+    echo "plan smoke: Q2 scanned ${scanned:-?} store rows (ceiling 11000)" >&2
+    exit 1
+fi
+echo "plan smoke: Q2 scanned $scanned store rows (ceiling 11000)"
+
 echo "==> stats smoke (LUBM Q1, offline statistics elide probes, results unchanged)"
 cargo run --release -q --bin lusail-cli -- stats \
     --endpoint "$tmpdir/univ-0.nt" --endpoint "$tmpdir/univ-1.nt" \
@@ -226,9 +236,9 @@ grep -q '(0 abandoned)' "$tmpdir/serve_batch.log" || {
 }
 echo "batching smoke: 2 identical tables, $shared_hits shared subquery hit(s)"
 
-echo "==> bench smoke (counters reproduce BENCH_10.json across thread budgets, gate holds)"
+echo "==> bench smoke (counters reproduce BENCH_14.json across thread budgets, gate holds)"
 cargo run --release -q -p lusail-bench --bin lusail-bench -- \
-    check --against BENCH_10.json --workload lubm --query Q4 --threads 1 --threads 4
+    check --against BENCH_14.json --workload lubm --query Q4 --threads 1 --threads 4
 
 echo "==> fuzz smoke (200 iterations, 30 s cap)"
 set +e
