@@ -227,10 +227,7 @@ pub fn evaluate_units(
             vars: v.vars.clone(),
             rows: v.rows.clone(),
         },
-        None => SolutionSet {
-            vars: Vec::new(),
-            rows: vec![Vec::new()],
-        },
+        None => SolutionSet::unit(),
     };
     for (i, unit) in units.iter().enumerate() {
         let is_first = current.vars.is_empty() && current.len() == 1;
@@ -288,10 +285,10 @@ pub fn bound_join(
     // block's contribution before shipping the next); within a block the
     // per-endpoint requests fan out through the budgeted handler.
     let mut joined: Option<SolutionSet> = None;
-    for block in tuples.chunks(block_size) {
+    for rows in tuples.chunks(block_size) {
         let vb = ValuesBlock {
             vars: shared.clone(),
-            rows: block.to_vec(),
+            rows,
         };
         let fetched = fetch_unit(fed, unit, Some(vb), net, loss);
         let block_join = current.hash_join(&fetched);
@@ -380,7 +377,7 @@ mod tests {
         let mut current = SolutionSet::empty(vec!["s".into()]);
         for i in 0..10 {
             let id = dict.encode(&Term::iri(format!("http://x/s{i}")));
-            current.rows.push(vec![Some(id)]);
+            current.rows.push(&[Some(id)]);
         }
         let p2id = dict.encode(&p2);
         let unit = Unit {

@@ -226,10 +226,10 @@ fn bound_fetch(
 ) -> SolutionSet {
     let tuples = current.distinct_tuples(shared);
     let mut fetched = SolutionSet::empty(unit.vars());
-    for block in tuples.chunks(block_size) {
+    for rows in tuples.chunks(block_size) {
         let vb = lusail_sparql::ast::ValuesBlock {
             vars: shared.to_vec(),
-            rows: block.to_vec(),
+            rows,
         };
         fetched.append(fetch_unit(fed, unit, Some(vb), net, loss));
     }

@@ -264,10 +264,7 @@ impl Splendid {
                 vars: v.vars.clone(),
                 rows: v.rows.clone(),
             },
-            None => SolutionSet {
-                vars: Vec::new(),
-                rows: vec![Vec::new()],
-            },
+            None => SolutionSet::unit(),
         };
         for &i in &order {
             let tp = &group.triples[i];
@@ -324,10 +321,10 @@ impl Splendid {
         loss: &AtomicBool,
     ) -> SolutionSet {
         let mut out = SolutionSet::empty(pattern_vars(tp));
-        for tuple in current.distinct_tuples(shared) {
+        for rows in current.distinct_tuples(shared).chunks(1) {
             let vb = ValuesBlock {
                 vars: shared.to_vec(),
-                rows: vec![tuple],
+                rows,
             };
             let mut pattern = GroupPattern::bgp(vec![tp.clone()]);
             pattern.values = Some(vb);

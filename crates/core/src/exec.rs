@@ -29,6 +29,7 @@ use lusail_endpoint::{
     ResilientClient, SystemClock, TraceEvent, TraceSink,
 };
 use lusail_sparql::ast::{Query, ValuesBlock};
+use lusail_sparql::Rows;
 use lusail_sparql::SolutionSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -409,28 +410,26 @@ pub(crate) fn evaluate_subqueries(
                     // bindings before shipping every block everywhere.
                     sources = refine_sources(fed, net, sq, &var, &values, &sources);
                 }
-                let make_block = |chunk: &[lusail_rdf::TermId]| ValuesBlock {
-                    vars: vec![var.clone()],
-                    rows: chunk.iter().map(|&id| vec![Some(id)]).collect(),
-                };
+                // A task names its block by index: the one copy of a block
+                // is the one its request's query owns.
                 let dispatch = |blocks: Vec<ValuesBlock>| -> Vec<SolutionSet> {
-                    let tasks: Vec<(EndpointId, ValuesBlock)> = sources
+                    let tasks: Vec<(EndpointId, usize)> = sources
                         .iter()
-                        .flat_map(|&ep| blocks.iter().cloned().map(move |b| (ep, b)))
+                        .flat_map(|&ep| (0..blocks.len()).map(move |b| (ep, b)))
                         .collect();
-                    for (ep, block) in &tasks {
+                    for &(endpoint, b) in &tasks {
                         net.trace.emit(|| TraceEvent::ValuesBatch {
                             subquery: pick,
-                            endpoint: *ep,
-                            bindings: block.rows.len(),
+                            endpoint,
+                            bindings: blocks[b].rows.len(),
                         });
                     }
                     net.handler
-                        .run(fed, tasks, |ep_id, _, block: &ValuesBlock| {
+                        .run(fed, tasks, |ep_id, _, &b| {
                             net.select_or_lose(
                                 fed,
                                 ep_id,
-                                &sq.to_query(Some(block.clone())),
+                                &sq.to_query(Some(blocks[b].clone())),
                                 sq.projection.clone(),
                             )
                         })
@@ -446,13 +445,16 @@ pub(crate) fn evaluate_subqueries(
                     // Probe: ship the first block at the configured size and
                     // let its response cardinality set the remaining sizes.
                     let (first, tail) = values.split_at(base);
-                    let probe_parts = dispatch(vec![make_block(first)]);
+                    let probe_parts = dispatch(vec![values_block(&var, first)]);
                     let observed: usize = probe_parts.iter().map(SolutionSet::len).sum();
                     parts.extend(probe_parts);
                     rest = tail;
                     size = adapted_block_size(config, first.len(), observed);
                 }
-                let blocks: Vec<ValuesBlock> = rest.chunks(size).map(make_block).collect();
+                let blocks: Vec<ValuesBlock> = rest
+                    .chunks(size)
+                    .map(|chunk| values_block(&var, chunk))
+                    .collect();
                 if !blocks.is_empty() {
                     parts.extend(dispatch(blocks));
                 }
@@ -490,10 +492,7 @@ pub(crate) fn evaluate_subqueries(
     let mut iter = components.into_iter();
     let mut acc = match iter.next() {
         Some(r) => r.sols,
-        None => SolutionSet {
-            vars: Vec::new(),
-            rows: vec![Vec::new()],
-        },
+        None => SolutionSet::unit(),
     };
     for r in iter {
         let (left_rows, right_rows) = (acc.len(), r.sols.len());
@@ -631,6 +630,15 @@ fn best_binding(
     best
 }
 
+/// The `VALUES` block binding `var` to each of `values` in turn.
+fn values_block(var: &str, values: &[lusail_rdf::TermId]) -> ValuesBlock {
+    let cells = values.iter().copied().map(Some).collect();
+    ValuesBlock {
+        vars: vec![var.to_string()],
+        rows: Rows::from_cells(1, values.len(), cells),
+    }
+}
+
 /// Source refinement for variable-predicate subqueries: one bound `ASK`
 /// per candidate endpoint, dropping endpoints with no matching data. The
 /// paper found this far cheaper than shipping every block everywhere. A
@@ -643,13 +651,9 @@ fn refine_sources(
     values: &[lusail_rdf::TermId],
     sources: &[EndpointId],
 ) -> Vec<EndpointId> {
-    let block = ValuesBlock {
-        vars: vec![var.to_string()],
-        rows: values.iter().map(|&id| vec![Some(id)]).collect(),
-    };
     let mut pattern = lusail_sparql::ast::GroupPattern::bgp(sq.triples.clone());
     pattern.filters = sq.filters.clone();
-    pattern.values = Some(block);
+    pattern.values = Some(values_block(var, values));
     let ask = Query::ask(pattern);
     let tasks: Vec<(EndpointId, ())> = sources.iter().map(|&ep| (ep, ())).collect();
     let results = net.handler.run(fed, tasks, |ep_id, ep, _| {

@@ -272,10 +272,7 @@ fn greedy_join(mut relations: Vec<Relation>, trace: &TraceSink) -> Relation {
         relations.push(join_step(&a, &b, a.work() + b.work(), trace));
     }
     relations.pop().unwrap_or(Relation {
-        sols: SolutionSet {
-            vars: Vec::new(),
-            rows: vec![Vec::new()],
-        },
+        sols: SolutionSet::unit(),
         partitions: 1,
     })
 }
@@ -379,7 +376,7 @@ mod tests {
         let a = Relation {
             sols: SolutionSet {
                 vars: vec!["x".into(), "y".into()],
-                rows: vec![vec![Some(TermId(1)), None]],
+                rows: vec![vec![Some(TermId(1)), None]].into_iter().collect(),
             },
             partitions: 2,
         };

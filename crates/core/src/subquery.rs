@@ -139,7 +139,7 @@ mod tests {
         sq.projection = vec!["a".into()];
         let vb = ValuesBlock {
             vars: vec!["a".into()],
-            rows: vec![vec![Some(TermId(7))]],
+            rows: vec![vec![Some(TermId(7))]].into_iter().collect(),
         };
         let q = sq.to_query(Some(vb.clone()));
         assert_eq!(q.projection, ["a"]);

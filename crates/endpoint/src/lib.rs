@@ -37,7 +37,7 @@ pub use network::{NetworkProfile, NetworkStats, StatsSnapshot};
 pub use resilience::{Clock, HealthHook, ManualClock, RequestPolicy, ResilientClient, SystemClock};
 pub use trace::{HealthState, RequestKind, TraceEvent, TraceSink};
 
-use lusail_sparql::{write_query, Query, SolutionSet};
+use lusail_sparql::{query_wire_len, Query, SolutionSet};
 use lusail_store::{BackendKind, StorageBackend, TripleStore};
 use std::sync::Arc;
 use std::time::Duration;
@@ -136,7 +136,7 @@ impl LocalEndpoint {
     /// Accounts for one request: serialized request size, latency and
     /// transfer delay, sleeping if the profile says to.
     fn charge(&self, q: &Query, response_bytes: u64, rows: u64) {
-        let request_bytes = write_query(q, self.store.dict()).len() as u64;
+        let request_bytes = query_wire_len(q, self.store.dict()) as u64;
         let virtual_time =
             self.profile.latency + self.profile.transfer_time(request_bytes + response_bytes);
         self.stats

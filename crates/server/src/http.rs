@@ -51,6 +51,7 @@ use std::time::{Duration, Instant};
 /// row, up to 100 tab-separated rows (`UNDEF` for unbound), and a
 /// truncation marker — one line each, `\n`-terminated.
 pub fn render_solutions(sols: &SolutionSet, dict: &Dictionary) -> String {
+    use std::fmt::Write as _;
     let mut out = String::new();
     if sols.vars.is_empty() {
         out.push_str("(no variables)\n");
@@ -59,14 +60,15 @@ pub fn render_solutions(sols: &SolutionSet, dict: &Dictionary) -> String {
     out.push_str(&sols.vars.join("\t"));
     out.push('\n');
     for row in sols.rows.iter().take(100) {
-        let cells: Vec<String> = row
-            .iter()
-            .map(|c| match c {
-                Some(id) => dict.decode(*id).to_string(),
-                None => "UNDEF".to_string(),
-            })
-            .collect();
-        out.push_str(&cells.join("\t"));
+        for (i, cell) in row.iter().enumerate() {
+            if i > 0 {
+                out.push('\t');
+            }
+            match cell {
+                Some(id) => write!(out, "{}", dict.decode(*id)).expect("writing to a String"),
+                None => out.push_str("UNDEF"),
+            }
+        }
         out.push('\n');
     }
     if sols.rows.len() > 100 {

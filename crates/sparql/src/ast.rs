@@ -6,6 +6,7 @@
 //! block. This is the shape Lusail's locality-aware decomposition (LADE)
 //! operates on directly.
 
+use crate::rows::Rows;
 use lusail_rdf::TermId;
 
 /// A position in a triple pattern: either a variable (by name, without the
@@ -191,8 +192,8 @@ impl Expression {
 pub struct ValuesBlock {
     /// The block's variables, in column order.
     pub vars: Vec<String>,
-    /// Rows; `None` encodes `UNDEF`.
-    pub rows: Vec<Vec<Option<TermId>>>,
+    /// Rows, `vars.len()` cells each; `None` encodes `UNDEF`.
+    pub rows: Rows,
 }
 
 /// A group graph pattern (the content of `{ … }`), flattened.

@@ -12,7 +12,7 @@
 //! * [`writer`] — a serializer back to SPARQL text, used to simulate the
 //!   wire format between the federated engine and the endpoints;
 //! * [`solution`] — result sets (`SolutionSet`) exchanged between engines
-//!   and endpoints.
+//!   and endpoints, over [`rows`] — one flat buffer of cells per relation.
 //!
 //! The subset is exactly what the paper's workloads exercise; anything
 //! outside it is a parse error rather than a silent misinterpretation.
@@ -20,12 +20,16 @@
 pub mod ast;
 pub mod lexer;
 pub mod parser;
+pub mod rows;
 pub mod solution;
+#[cfg(test)]
+mod test_rng;
 pub mod writer;
 
 pub use ast::{
     CmpOp, Expression, GroupPattern, PatternTerm, Query, QueryForm, TriplePattern, ValuesBlock,
 };
 pub use parser::{parse_query, ParseError};
-pub use solution::{Row, SolutionSet};
-pub use writer::write_query;
+pub use rows::Rows;
+pub use solution::SolutionSet;
+pub use writer::{query_wire_len, write_query};

@@ -6,6 +6,7 @@
 
 use crate::ast::*;
 use crate::lexer::{tokenize, Token};
+use crate::rows::Rows;
 use lusail_rdf::{vocab, Dictionary, Term, TermId};
 
 /// A parse error with a human-readable message.
@@ -479,12 +480,13 @@ impl<'a> Parser<'a> {
             }
         }
         self.expect_punct('{')?;
-        let mut rows = Vec::new();
+        let mut rows = Rows::default();
+        let mut row = Vec::with_capacity(vars.len());
         loop {
             if self.eat_punct('}') {
                 break;
             }
-            let mut row = Vec::with_capacity(vars.len());
+            row.clear();
             if multi {
                 self.expect_punct('(')?;
                 while !self.eat_punct(')') {
@@ -500,7 +502,7 @@ impl<'a> Parser<'a> {
                     vars.len()
                 )));
             }
-            rows.push(row);
+            rows.push(&row);
         }
         Ok(ValuesBlock { vars, rows })
     }

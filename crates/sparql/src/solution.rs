@@ -1,19 +1,23 @@
 //! Solution sets: the tabular results exchanged between endpoints and
 //! federated engines.
+//!
+//! A [`SolutionSet`] is a schema (`vars`) over flat [`Rows`]: one strided
+//! buffer per relation, rows handed out as `&[Option<TermId>]` slices whose
+//! column order follows `vars`. Every operation here reads slices and
+//! writes into one output buffer — no row is a heap object of its own.
 
+use crate::rows::{Rows, NO_ROW};
+use lusail_rdf::fx::FxHasher;
 use lusail_rdf::{FxHashMap, TermId};
-
-/// One solution row; column order follows [`SolutionSet::vars`]. `None`
-/// means the variable is unbound in this solution (e.g. OPTIONAL misses).
-pub type Row = Vec<Option<TermId>>;
+use std::hash::Hasher;
 
 /// A set of solutions over a fixed variable schema.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SolutionSet {
     /// Column names (variable names without `?`), in column order.
     pub vars: Vec<String>,
-    /// The solution rows.
-    pub rows: Vec<Row>,
+    /// The solution rows, `vars.len()` cells each.
+    pub rows: Rows,
 }
 
 impl SolutionSet {
@@ -21,7 +25,16 @@ impl SolutionSet {
     pub fn empty(vars: Vec<String>) -> Self {
         SolutionSet {
             vars,
-            rows: Vec::new(),
+            rows: Rows::default(),
+        }
+    }
+
+    /// The one solution that binds nothing (the answer of `SELECT * {}` and
+    /// of a satisfied `ASK`): the identity of [`hash_join`](Self::hash_join).
+    pub fn unit() -> Self {
+        SolutionSet {
+            vars: Vec::new(),
+            rows: Rows::unit(),
         }
     }
 
@@ -50,30 +63,22 @@ impl SolutionSet {
     /// `other` are added as columns (unbound in existing rows).
     pub fn append(&mut self, other: SolutionSet) {
         if self.vars == other.vars {
-            self.rows.extend(other.rows);
-            return;
+            return self.rows.extend(&other.rows);
         }
-        // Add any new columns.
+        let old_width = self.vars.len();
         for v in &other.vars {
             if self.col(v).is_none() {
                 self.vars.push(v.clone());
-                for row in &mut self.rows {
-                    row.push(None);
-                }
             }
         }
-        let mapping: Vec<usize> = other
-            .vars
-            .iter()
-            .map(|v| self.col(v).expect("column just added"))
-            .collect();
-        for orow in other.rows {
-            let mut row = vec![None; self.vars.len()];
-            for (j, val) in orow.into_iter().enumerate() {
-                row[mapping[j]] = val;
-            }
-            self.rows.push(row);
+        if self.vars.len() > old_width {
+            let widened: Vec<Option<usize>> = (0..self.vars.len())
+                .map(|c| (c < old_width).then_some(c))
+                .collect();
+            self.rows = self.rows.project(&widened);
         }
+        let aligned: Vec<Option<usize>> = self.vars.iter().map(|v| other.col(v)).collect();
+        self.rows.extend(&other.rows.project(&aligned));
     }
 
     /// Projects onto the given variables (in the given order). Variables
@@ -81,40 +86,24 @@ impl SolutionSet {
     /// treatment of projecting an unbound variable.
     pub fn project(&self, vars: &[String]) -> SolutionSet {
         let cols: Vec<Option<usize>> = vars.iter().map(|v| self.col(v)).collect();
-        let rows = self
-            .rows
-            .iter()
-            .map(|row| cols.iter().map(|c| c.and_then(|c| row[c])).collect())
-            .collect();
         SolutionSet {
             vars: vars.to_vec(),
-            rows,
+            rows: self.rows.project(&cols),
         }
     }
 
-    /// [`project`](Self::project) for an owner: the same result, reusing
-    /// every row's allocation. A projection onto the schema itself returns
-    /// `self` untouched.
-    pub fn into_projected(mut self, vars: &[String]) -> SolutionSet {
+    /// [`project`](Self::project) for an owner: a projection onto the schema
+    /// itself returns `self` untouched.
+    pub fn into_projected(self, vars: &[String]) -> SolutionSet {
         if self.vars == vars {
             return self;
         }
-        let cols: Vec<Option<usize>> = vars.iter().map(|v| self.col(v)).collect();
-        let mut scratch: Row = Vec::with_capacity(cols.len());
-        for row in &mut self.rows {
-            scratch.clear();
-            scratch.extend(cols.iter().map(|c| c.and_then(|c| row[c])));
-            row.clear();
-            row.extend_from_slice(&scratch);
-        }
-        self.vars = vars.to_vec();
-        self
+        self.project(vars)
     }
 
     /// Removes duplicate rows, preserving first-seen order.
     pub fn dedup(&mut self) {
-        let mut seen = lusail_rdf::FxHashSet::default();
-        self.rows.retain(|row| seen.insert(row.clone()));
+        self.rows.dedup();
     }
 
     /// Truncates to at most `n` rows.
@@ -122,19 +111,17 @@ impl SolutionSet {
         self.rows.truncate(n);
     }
 
-    /// The distinct binding tuples over the given (present) columns, in
-    /// first-seen order. Used by bound joins to build `VALUES` blocks.
-    pub fn distinct_tuples(&self, vars: &[String]) -> Vec<Row> {
-        let cols: Vec<usize> = vars.iter().filter_map(|v| self.col(v)).collect();
-        let mut seen = lusail_rdf::FxHashSet::default();
-        let mut out = Vec::new();
-        for row in &self.rows {
-            let tuple: Row = cols.iter().map(|&c| row[c]).collect();
-            if seen.insert(tuple.clone()) {
-                out.push(tuple);
-            }
+    /// The distinct binding tuples over the given columns, in first-seen
+    /// order: `vars.len()` cells each. Used by bound joins to build `VALUES`
+    /// blocks. Panics on a variable absent from the schema — the tuples
+    /// would not have the arity of `vars`.
+    pub fn distinct_tuples(&self, vars: &[String]) -> Rows {
+        for v in vars {
+            assert!(self.col(v).is_some(), "distinct_tuples: no column ?{v}");
         }
-        out
+        let mut tuples = self.project(vars).rows;
+        tuples.dedup();
+        tuples
     }
 
     /// The distinct bound values of `var` across all rows.
@@ -144,7 +131,7 @@ impl SolutionSet {
         };
         let mut seen = lusail_rdf::FxHashSet::default();
         let mut out = Vec::new();
-        for row in &self.rows {
+        for row in self.rows.iter() {
             if let Some(id) = row[c] {
                 if seen.insert(id) {
                     out.push(id);
@@ -203,13 +190,18 @@ impl SolutionSet {
     ///
     /// One side is hashed on the shared variables — the smaller one for a
     /// keyed `Inner` join, `other` otherwise — and the rows of the opposite
-    /// side probe it. The key is a raw `TermId` for one shared variable (no
-    /// per-row allocation) and a `Vec<TermId>` otherwise; with no shared
-    /// variable every build row lands in the one empty-key bucket, which
-    /// makes the join the cross product.
+    /// side probe it. The table maps the hash of a row's key cells to the
+    /// first build row carrying it and chains on to the later ones by row
+    /// index; a candidate is confirmed by comparing key cells, so neither
+    /// side ever builds a key. With no shared variable every build row is
+    /// in the one chain of the empty key, which makes the join the cross
+    /// product.
+    ///
+    /// Merged rows are written at the tail of the one output buffer and cut
+    /// off again when `accept` rejects them.
     ///
     /// **Order.** Output follows probe-row order. Within one probe row,
-    /// partners come as: the hash bucket in build order, then the *loose*
+    /// partners come as: the hash chain in build order, then the *loose*
     /// build rows (those with an unbound key cell) in build order; a probe
     /// row with an unbound key cell of its own scans the whole build side
     /// in order. A `Left`/`Anti` row without a partner is emitted at its
@@ -220,30 +212,16 @@ impl SolutionSet {
         kind: JoinKind,
         accept: Option<JoinPredicate>,
     ) -> SolutionSet {
-        // The (left, right) columns of every shared variable.
+        // Output column sources, computed once: the (left, right) columns of
+        // every shared variable, and the right columns that extend a left
+        // row into the merged row.
         let shared: Vec<(usize, usize)> = (self.vars.iter().enumerate())
             .filter_map(|(l, v)| other.col(v).map(|r| (l, r)))
             .collect();
-        if shared.len() == 1 {
-            self.join_keyed::<TermId>(other, kind, accept, &shared)
-        } else {
-            self.join_keyed::<Vec<TermId>>(other, kind, accept, &shared)
-        }
-    }
-
-    fn join_keyed<K: JoinKey>(
-        &self,
-        other: &SolutionSet,
-        kind: JoinKind,
-        accept: Option<JoinPredicate>,
-        shared: &[(usize, usize)],
-    ) -> SolutionSet {
-        // Output column sources, computed once: `shared`, and the right
-        // columns that extend a left row into the merged row.
         let extra: Vec<usize> = (0..other.vars.len())
             .filter(|&r| self.col(&other.vars[r]).is_none())
             .collect();
-        let merged_vars: Vec<String> = (self.vars.iter())
+        let mut vars: Vec<String> = (self.vars.iter())
             .chain(extra.iter().map(|&r| &other.vars[r]))
             .cloned()
             .collect();
@@ -258,15 +236,14 @@ impl SolutionSet {
             .iter()
             .map(|&(l, r)| if build_is_left { (l, r) } else { (r, l) })
             .unzip();
-        // The hash table maps a key to the first build row carrying it and
-        // `next` chains on to the later ones: no allocation per key.
         // Inserting back to front leaves every chain in build order.
-        let mut table: FxHashMap<K, usize> = FxHashMap::default();
-        let mut next: Vec<Option<usize>> = vec![None; build.rows.len()];
+        let mut heads: FxHashMap<u64, usize> =
+            FxHashMap::with_capacity_and_hasher(build.len(), Default::default());
+        let mut next: Vec<usize> = vec![NO_ROW; build.len()];
         let mut loose: Vec<usize> = Vec::new();
         for (i, row) in build.rows.iter().enumerate().rev() {
-            match K::of(row, &build_cols) {
-                Some(key) => next[i] = table.insert(key, i),
+            match key_hash(row, &build_cols) {
+                Some(key) => next[i] = heads.insert(key, i).unwrap_or(NO_ROW),
                 None => loose.push(i),
             }
         }
@@ -275,48 +252,47 @@ impl SolutionSet {
         // An anti-join keeps the left schema; the others emit merged rows.
         let out_width = match kind {
             JoinKind::Anti => self.vars.len(),
-            _ => merged_vars.len(),
+            _ => vars.len(),
         };
-        let merge = |lrow: &Row, rrow: &Row| -> Row {
-            let mut row = Vec::with_capacity(merged_vars.len());
-            row.extend_from_slice(lrow);
-            row.extend(extra.iter().map(|&r| rrow[r]));
-            for &(l, r) in shared {
-                if row[l].is_none() {
-                    row[l] = rrow[r];
-                }
-            }
-            row
-        };
-        let mut rows: Vec<Row> = Vec::new();
-        for prow in &probe.rows {
-            // Candidate partners: the hash bucket (compatible by
-            // construction), then the rows to check cell by cell — the
-            // loose build rows, or the whole build side when `prow` has an
-            // unbound key cell itself.
-            let (first, loose, scan) = match K::of(prow, &probe_cols) {
-                Some(key) => (table.get(&key).copied(), &loose[..], 0..0),
-                None => (None, &[][..], 0..build.rows.len()),
+        let mut cells: Vec<Option<TermId>> = Vec::new();
+        let mut len = 0;
+        for prow in probe.rows.iter() {
+            // Candidate partners, each checked cell by cell: the hash chain
+            // and the loose build rows, or the whole build side when `prow`
+            // has an unbound key cell itself.
+            let (first, loose, scan) = match key_hash(prow, &probe_cols) {
+                Some(key) => (heads.get(&key).copied(), &loose[..], 0..0),
+                None => (None, &[][..], 0..build.len()),
             };
-            let bucket = std::iter::successors(first, |&bi| next[bi]).map(|bi| (bi, true));
-            let unhashed = loose.iter().copied().chain(scan).map(|bi| (bi, false));
+            let chain = std::iter::successors(first, |&bi| Some(next[bi]).filter(|&n| n != NO_ROW));
             let mut paired = false;
-            for (bi, hashed) in bucket.chain(unhashed) {
+            for bi in chain.chain(loose.iter().copied()).chain(scan) {
                 let brow = &build.rows[bi];
-                if !hashed && !compatible(brow, &build_cols, prow, &probe_cols) {
+                if !compatible(brow, &build_cols, prow, &probe_cols) {
                     continue;
                 }
                 if kind != JoinKind::Anti || accept.is_some() {
-                    let merged = if build_is_left {
-                        merge(brow, prow)
+                    let (lrow, rrow) = if build_is_left {
+                        (brow, prow)
                     } else {
-                        merge(prow, brow)
+                        (prow, brow)
                     };
-                    if accept.is_some_and(|accept| !accept(&merged_vars, &merged)) {
-                        continue;
+                    let at = cells.len();
+                    cells.extend_from_slice(lrow);
+                    cells.extend(extra.iter().map(|&r| rrow[r]));
+                    for &(l, r) in &shared {
+                        if cells[at + l].is_none() {
+                            cells[at + l] = rrow[r];
+                        }
                     }
-                    if kind != JoinKind::Anti {
-                        rows.push(merged);
+                    let accepted = accept.is_none_or(|accept| accept(&vars, &cells[at..]));
+                    if accepted && kind != JoinKind::Anti {
+                        len += 1;
+                    } else {
+                        cells.truncate(at);
+                    }
+                    if !accepted {
+                        continue;
                     }
                 }
                 paired = true;
@@ -325,14 +301,17 @@ impl SolutionSet {
                 }
             }
             if !paired && kind != JoinKind::Inner {
-                let mut row = prow.clone();
-                row.resize(out_width, None);
-                rows.push(row);
+                let at = cells.len();
+                cells.extend_from_slice(prow);
+                cells.resize(at + out_width, None);
+                len += 1;
             }
         }
-        let mut vars = merged_vars;
         vars.truncate(out_width);
-        SolutionSet { vars, rows }
+        SolutionSet {
+            vars,
+            rows: Rows::from_cells(out_width, len, cells),
+        }
     }
 }
 
@@ -354,27 +333,24 @@ pub enum JoinKind {
 /// knowing how expressions are evaluated.
 pub type JoinPredicate<'a> = &'a dyn Fn(&[String], &[Option<TermId>]) -> bool;
 
-/// A hashable join key over a row's key columns: `None` when any key cell
-/// is unbound (such rows cannot be hashed and go through [`compatible`]).
-trait JoinKey: std::hash::Hash + Eq + Sized {
-    fn of(row: &Row, cols: &[usize]) -> Option<Self>;
-}
-
-impl JoinKey for TermId {
-    fn of(row: &Row, cols: &[usize]) -> Option<Self> {
-        row[cols[0]]
+/// The hash of a row's key cells: `None` when any of them is unbound (such
+/// rows cannot be hashed and meet every candidate through [`compatible`]).
+fn key_hash(row: &[Option<TermId>], cols: &[usize]) -> Option<u64> {
+    let mut h = FxHasher::default();
+    for &c in cols {
+        h.write_u32(row[c]?.0);
     }
-}
-
-impl JoinKey for Vec<TermId> {
-    fn of(row: &Row, cols: &[usize]) -> Option<Self> {
-        cols.iter().map(|&c| row[c]).collect()
-    }
+    Some(h.finish())
 }
 
 /// SPARQL compatibility on the given key columns: every position where both
 /// rows are bound must agree.
-fn compatible(a: &Row, a_cols: &[usize], b: &Row, b_cols: &[usize]) -> bool {
+fn compatible(
+    a: &[Option<TermId>],
+    a_cols: &[usize],
+    b: &[Option<TermId>],
+    b_cols: &[usize],
+) -> bool {
     a_cols
         .iter()
         .zip(b_cols)
@@ -385,18 +361,27 @@ fn compatible(a: &Row, a_cols: &[usize], b: &Row, b_cols: &[usize]) -> bool {
 }
 
 #[cfg(test)]
+mod reference_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    type Row = Vec<Option<TermId>>;
 
     fn id(n: u32) -> Option<TermId> {
         Some(TermId(n))
     }
 
-    fn set(vars: &[&str], rows: Vec<Vec<Option<TermId>>>) -> SolutionSet {
+    fn set(vars: &[&str], rows: Vec<Row>) -> SolutionSet {
         SolutionSet {
             vars: vars.iter().map(|s| s.to_string()).collect(),
-            rows,
+            rows: rows.into_iter().collect(),
         }
+    }
+
+    fn owned(rows: &Rows) -> Vec<Row> {
+        rows.iter().map(<[_]>::to_vec).collect()
     }
 
     #[test]
@@ -408,7 +393,7 @@ mod tests {
         );
         let j = a.hash_join(&b);
         assert_eq!(j.vars, ["x", "y", "z"]);
-        let mut rows = j.rows.clone();
+        let mut rows = owned(&j.rows);
         rows.sort();
         assert_eq!(
             rows,
@@ -429,7 +414,7 @@ mod tests {
         let a = set(&["x", "y"], vec![vec![id(1), None]]);
         let b = set(&["y", "z"], vec![vec![id(10), id(100)]]);
         let j = a.hash_join(&b);
-        assert_eq!(j.rows, vec![vec![id(1), id(10), id(100)]]);
+        assert_eq!(owned(&j.rows), vec![vec![id(1), id(10), id(100)]]);
     }
 
     #[test]
@@ -437,7 +422,7 @@ mod tests {
         let a = set(&["x"], vec![vec![id(1)], vec![id(2)]]);
         let b = set(&["x", "n"], vec![vec![id(1), id(9)]]);
         let j = a.left_join(&b);
-        let mut rows = j.rows.clone();
+        let mut rows = owned(&j.rows);
         rows.sort();
         assert_eq!(rows, vec![vec![id(1), id(9)], vec![id(2), None]]);
     }
@@ -447,7 +432,7 @@ mod tests {
         let a = set(&["x"], vec![vec![id(1)], vec![id(2)]]);
         let b = set(&["x"], vec![vec![id(1)]]);
         let j = a.anti_join(&b);
-        assert_eq!(j.rows, vec![vec![id(2)]]);
+        assert_eq!(owned(&j.rows), vec![vec![id(2)]]);
     }
 
     #[test]
@@ -465,8 +450,8 @@ mod tests {
         let b = set(&["y", "z"], vec![vec![id(3), id(4)]]);
         a.append(b);
         assert_eq!(a.vars, ["x", "y", "z"]);
-        assert_eq!(a.rows[0], vec![id(1), id(2), None]);
-        assert_eq!(a.rows[1], vec![None, id(3), id(4)]);
+        assert_eq!(a.rows[0], [id(1), id(2), None]);
+        assert_eq!(a.rows[1], [None, id(3), id(4)]);
     }
 
     #[test]
@@ -478,7 +463,7 @@ mod tests {
         let mut p = s.project(&["x".to_string()]);
         assert_eq!(p.rows.len(), 3);
         p.dedup();
-        assert_eq!(p.rows, vec![vec![id(1)]]);
+        assert_eq!(owned(&p.rows), vec![vec![id(1)]]);
     }
 
     #[test]
@@ -492,17 +477,15 @@ mod tests {
             &["z", "x", "y"],               // permuted
             &["y"],                         // narrowed
             &["y", "ghost", "x", "z", "y"], // widened: absent and repeated vars
-            &[],
+            &[],                            // zero-width rows keep their count
         ];
         for schema in schemas {
             let vars: Vec<String> = schema.iter().map(|v| v.to_string()).collect();
-            assert_eq!(
-                s.clone().into_projected(&vars),
-                s.project(&vars),
-                "{schema:?}"
-            );
+            let projected = s.clone().into_projected(&vars);
+            assert_eq!(projected, s.project(&vars), "{schema:?}");
+            assert_eq!(projected.len(), 2, "{schema:?}");
         }
-        // The identity projection hands the rows back unmoved.
+        // The identity projection hands the buffer back unmoved.
         let kept = s.rows[0].as_ptr();
         let vars = s.vars.clone();
         assert_eq!(s.into_projected(&vars).rows[0].as_ptr(), kept);
@@ -518,9 +501,85 @@ mod tests {
     }
 
     #[test]
+    fn distinct_tuples_have_the_arity_of_their_vars() {
+        let s = set(
+            &["x", "y", "z"],
+            vec![
+                vec![id(1), id(2), id(3)],
+                vec![id(1), id(9), id(3)],
+                vec![None, id(2), id(3)],
+            ],
+        );
+        let vars = ["z".to_string(), "x".to_string()];
+        let tuples = s.distinct_tuples(&vars);
+        assert_eq!(owned(&tuples), vec![vec![id(3), id(1)], vec![id(3), None]]);
+        // No variables: every row is the same empty tuple.
+        assert_eq!(s.distinct_tuples(&[]), Rows::unit());
+    }
+
+    #[test]
+    #[should_panic(expected = "no column ?ghost")]
+    fn distinct_tuples_rejects_a_variable_outside_the_schema() {
+        let s = set(&["x"], vec![vec![id(1)]]);
+        s.distinct_tuples(&["x".to_string(), "ghost".to_string()]);
+    }
+
+    #[test]
     fn canonicalize_is_order_insensitive() {
         let a = set(&["x", "y"], vec![vec![id(1), id(2)], vec![id(3), id(4)]]);
         let b = set(&["y", "x"], vec![vec![id(4), id(3)], vec![id(2), id(1)]]);
         assert_eq!(a.canonicalize(), b.canonicalize());
+    }
+
+    /// Zero-width rows: the unit relation is the identity of the join and
+    /// an empty one annihilates it; counts survive every operation.
+    #[test]
+    fn zero_width_rows_keep_their_count() {
+        let unit = SolutionSet::unit();
+        assert_eq!(unit.len(), 1);
+        assert_eq!(unit.wire_bytes(), 0);
+        let a = set(&["x"], vec![vec![id(1)], vec![id(2)]]);
+        assert_eq!(unit.hash_join(&a), a);
+        assert_eq!(a.hash_join(&unit), a);
+        assert_eq!(unit.hash_join(&unit), unit);
+        assert_eq!(unit.left_join(&unit), unit);
+        assert!(unit.anti_join(&unit).is_empty());
+        assert_eq!(unit.anti_join(&SolutionSet::default()), unit);
+        assert!(a.hash_join(&SolutionSet::default()).is_empty());
+
+        // Three empty solutions: appended, deduplicated, truncated.
+        let mut three = unit.clone();
+        three.append(unit.clone());
+        three.append(unit.clone());
+        assert_eq!(three.len(), 3);
+        assert_eq!(three.hash_join(&a).len(), 6);
+        assert_eq!(three.canonicalize().len(), 3);
+        three.truncate(2);
+        assert_eq!(three.len(), 2);
+        three.dedup();
+        assert_eq!(three, unit);
+    }
+
+    /// `SolutionSet { vars, rows: <empty iterator>.collect() }` — the shape
+    /// literals produce — behaves as the empty relation over `vars`.
+    #[test]
+    fn empty_rows_fit_under_any_schema() {
+        let empty = set(&["x", "y"], vec![]);
+        assert_eq!(empty, SolutionSet::empty(empty.vars.clone()));
+        let a = set(&["y", "z"], vec![vec![id(1), id(2)]]);
+        assert!(empty.hash_join(&a).is_empty());
+        assert_eq!(empty.hash_join(&a).vars, ["x", "y", "z"]);
+        assert_eq!(
+            owned(&a.left_join(&empty).rows),
+            vec![vec![id(1), id(2), None]]
+        );
+        let mut grown = empty.clone();
+        grown.append(a.clone());
+        assert_eq!(owned(&grown.rows), vec![vec![None, id(1), id(2)]]);
+        let mut same = set(&["y", "z"], vec![]);
+        same.append(a.clone());
+        assert_eq!(same, a);
+        assert_eq!(empty.canonicalize().vars, ["x", "y"]);
+        assert_eq!(empty.wire_bytes(), 4);
     }
 }

@@ -6,22 +6,43 @@
 
 use crate::ast::*;
 use lusail_rdf::{Dictionary, TermId};
-use std::fmt::Write;
+use std::fmt::{self, Write};
 
 /// Serializes a query to SPARQL text.
 pub fn write_query(q: &Query, dict: &Dictionary) -> String {
     let mut out = String::new();
+    write_query_to(&mut out, q, dict).expect("writing to a String cannot fail");
+    out
+}
+
+/// The length in bytes of [`write_query`]'s text, without building it: the
+/// same writer run over a sink that only counts. The simulated network
+/// charges every request by this number.
+pub fn query_wire_len(q: &Query, dict: &Dictionary) -> usize {
+    struct ByteCount(usize);
+    impl Write for ByteCount {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+    let mut count = ByteCount(0);
+    write_query_to(&mut count, q, dict).expect("counting cannot fail");
+    count.0
+}
+
+fn write_query_to<W: Write>(out: &mut W, q: &Query, dict: &Dictionary) -> fmt::Result {
     match &q.form {
         QueryForm::Select => {
-            out.push_str("SELECT ");
+            out.write_str("SELECT ")?;
             if q.distinct {
-                out.push_str("DISTINCT ");
+                out.write_str("DISTINCT ")?;
             }
             if q.projection.is_empty() && q.aggregates.is_empty() {
-                out.push_str("* ");
+                out.write_str("* ")?;
             } else {
                 for v in &q.projection {
-                    let _ = write!(out, "?{v} ");
+                    write!(out, "?{v} ")?;
                 }
                 for a in &q.aggregates {
                     let func = match a.func {
@@ -31,138 +52,130 @@ pub fn write_query(q: &Query, dict: &Dictionary) -> String {
                         AggFunc::Max => "MAX",
                         AggFunc::Avg => "AVG",
                     };
-                    let _ = write!(out, "({func}(");
+                    write!(out, "({func}(")?;
                     if a.distinct {
-                        out.push_str("DISTINCT ");
+                        out.write_str("DISTINCT ")?;
                     }
                     match &a.var {
-                        Some(v) => {
-                            let _ = write!(out, "?{v}");
-                        }
-                        None => out.push('*'),
+                        Some(v) => write!(out, "?{v}")?,
+                        None => out.write_char('*')?,
                     }
-                    let _ = write!(out, ") AS ?{}) ", a.alias);
+                    write!(out, ") AS ?{}) ", a.alias)?;
                 }
             }
         }
-        QueryForm::Ask => out.push_str("ASK "),
-        QueryForm::CountStar(alias) => {
-            let _ = write!(out, "SELECT (COUNT(*) AS ?{alias}) ");
-        }
+        QueryForm::Ask => out.write_str("ASK ")?,
+        QueryForm::CountStar(alias) => write!(out, "SELECT (COUNT(*) AS ?{alias}) ")?,
     }
     if !matches!(q.form, QueryForm::Ask) {
-        out.push_str("WHERE ");
+        out.write_str("WHERE ")?;
     }
-    write_group(&mut out, &q.pattern, dict);
+    write_group(out, &q.pattern, dict)?;
     if !q.group_by.is_empty() {
-        out.push_str(" GROUP BY");
+        out.write_str(" GROUP BY")?;
         for v in &q.group_by {
-            let _ = write!(out, " ?{v}");
+            write!(out, " ?{v}")?;
         }
     }
     for h in &q.having {
-        out.push_str(" HAVING (");
-        write_expr(&mut out, h, dict);
-        out.push(')');
+        out.write_str(" HAVING (")?;
+        write_expr(out, h, dict)?;
+        out.write_char(')')?;
     }
     if !q.order_by.is_empty() {
-        out.push_str(" ORDER BY");
+        out.write_str(" ORDER BY")?;
         for key in &q.order_by {
             if key.descending {
-                let _ = write!(out, " DESC(?{})", key.var);
+                write!(out, " DESC(?{})", key.var)?;
             } else {
-                let _ = write!(out, " ?{}", key.var);
+                write!(out, " ?{}", key.var)?;
             }
         }
     }
     if let Some(limit) = q.limit {
-        let _ = write!(out, " LIMIT {limit}");
+        write!(out, " LIMIT {limit}")?;
     }
-    out
+    Ok(())
 }
 
-fn write_group(out: &mut String, g: &GroupPattern, dict: &Dictionary) {
-    out.push_str("{ ");
+fn write_group<W: Write>(out: &mut W, g: &GroupPattern, dict: &Dictionary) -> fmt::Result {
+    out.write_str("{ ")?;
     for t in &g.triples {
-        write_pattern_term(out, &t.s, dict);
-        out.push(' ');
-        write_pattern_term(out, &t.p, dict);
-        out.push(' ');
-        write_pattern_term(out, &t.o, dict);
-        out.push_str(" . ");
+        write_pattern_term(out, &t.s, dict)?;
+        out.write_char(' ')?;
+        write_pattern_term(out, &t.p, dict)?;
+        out.write_char(' ')?;
+        write_pattern_term(out, &t.o, dict)?;
+        out.write_str(" . ")?;
     }
     if let Some(values) = &g.values {
-        write_values(out, values, dict);
+        write_values(out, values, dict)?;
     }
     for branches in &g.unions {
         for (i, b) in branches.iter().enumerate() {
             if i > 0 {
-                out.push_str(" UNION ");
+                out.write_str(" UNION ")?;
             }
-            write_group(out, b, dict);
+            write_group(out, b, dict)?;
         }
-        out.push(' ');
+        out.write_char(' ')?;
     }
     for opt in &g.optionals {
-        out.push_str("OPTIONAL ");
-        write_group(out, opt, dict);
-        out.push(' ');
+        out.write_str("OPTIONAL ")?;
+        write_group(out, opt, dict)?;
+        out.write_char(' ')?;
     }
     for ne in &g.not_exists {
-        out.push_str("FILTER NOT EXISTS ");
-        write_group(out, ne, dict);
-        out.push(' ');
+        out.write_str("FILTER NOT EXISTS ")?;
+        write_group(out, ne, dict)?;
+        out.write_char(' ')?;
     }
     for f in &g.filters {
-        out.push_str("FILTER (");
-        write_expr(out, f, dict);
-        out.push_str(") ");
+        out.write_str("FILTER (")?;
+        write_expr(out, f, dict)?;
+        out.write_str(") ")?;
     }
-    out.push('}');
+    out.write_char('}')
 }
 
-fn write_values(out: &mut String, v: &ValuesBlock, dict: &Dictionary) {
-    out.push_str("VALUES (");
+fn write_values<W: Write>(out: &mut W, v: &ValuesBlock, dict: &Dictionary) -> fmt::Result {
+    out.write_str("VALUES (")?;
     for var in &v.vars {
-        let _ = write!(out, "?{var} ");
+        write!(out, "?{var} ")?;
     }
-    out.push_str(") { ");
-    for row in &v.rows {
-        out.push('(');
+    out.write_str(") { ")?;
+    for row in v.rows.iter() {
+        out.write_char('(')?;
         for cell in row {
             match cell {
-                Some(id) => write_const(out, *id, dict),
-                None => out.push_str("UNDEF"),
+                Some(id) => write_const(out, *id, dict)?,
+                None => out.write_str("UNDEF")?,
             }
-            out.push(' ');
+            out.write_char(' ')?;
         }
-        out.push_str(") ");
+        out.write_str(") ")?;
     }
-    out.push_str("} ");
+    out.write_str("} ")
 }
 
-fn write_pattern_term(out: &mut String, t: &PatternTerm, dict: &Dictionary) {
+fn write_pattern_term<W: Write>(out: &mut W, t: &PatternTerm, dict: &Dictionary) -> fmt::Result {
     match t {
-        PatternTerm::Var(v) => {
-            let _ = write!(out, "?{v}");
-        }
+        PatternTerm::Var(v) => write!(out, "?{v}"),
         PatternTerm::Const(id) => write_const(out, *id, dict),
     }
 }
 
-fn write_const(out: &mut String, id: TermId, dict: &Dictionary) {
-    let _ = write!(out, "{}", dict.decode(id));
+fn write_const<W: Write>(out: &mut W, id: TermId, dict: &Dictionary) -> fmt::Result {
+    write!(out, "{}", dict.decode(id))
 }
 
-fn write_expr(out: &mut String, e: &Expression, dict: &Dictionary) {
+fn write_expr<W: Write>(out: &mut W, e: &Expression, dict: &Dictionary) -> fmt::Result {
     match e {
-        Expression::Var(v) => {
-            let _ = write!(out, "?{v}");
-        }
-        Expression::Const(id) => write_const(out, *id, dict),
+        Expression::Var(v) => write!(out, "?{v}")?,
+        Expression::Const(id) => write_const(out, *id, dict)?,
         Expression::Cmp(op, a, b) => {
-            out.push('(');
-            write_expr(out, a, dict);
+            out.write_char('(')?;
+            write_expr(out, a, dict)?;
             let sym = match op {
                 CmpOp::Eq => "=",
                 CmpOp::Ne => "!=",
@@ -171,68 +184,68 @@ fn write_expr(out: &mut String, e: &Expression, dict: &Dictionary) {
                 CmpOp::Gt => ">",
                 CmpOp::Ge => ">=",
             };
-            let _ = write!(out, " {sym} ");
-            write_expr(out, b, dict);
-            out.push(')');
+            write!(out, " {sym} ")?;
+            write_expr(out, b, dict)?;
+            out.write_char(')')?;
         }
         Expression::And(a, b) => {
-            out.push('(');
-            write_expr(out, a, dict);
-            out.push_str(" && ");
-            write_expr(out, b, dict);
-            out.push(')');
+            out.write_char('(')?;
+            write_expr(out, a, dict)?;
+            out.write_str(" && ")?;
+            write_expr(out, b, dict)?;
+            out.write_char(')')?;
         }
         Expression::Or(a, b) => {
-            out.push('(');
-            write_expr(out, a, dict);
-            out.push_str(" || ");
-            write_expr(out, b, dict);
-            out.push(')');
+            out.write_char('(')?;
+            write_expr(out, a, dict)?;
+            out.write_str(" || ")?;
+            write_expr(out, b, dict)?;
+            out.write_char(')')?;
         }
         Expression::Not(a) => {
-            out.push_str("!(");
-            write_expr(out, a, dict);
-            out.push(')');
+            out.write_str("!(")?;
+            write_expr(out, a, dict)?;
+            out.write_char(')')?;
         }
-        Expression::Bound(v) => {
-            let _ = write!(out, "BOUND(?{v})");
-        }
+        Expression::Bound(v) => write!(out, "BOUND(?{v})")?,
         Expression::Regex(a, pat, ci) => {
-            out.push_str("REGEX(");
-            write_expr(out, a, dict);
-            let _ = write!(out, ", \"{pat}\"");
+            out.write_str("REGEX(")?;
+            write_expr(out, a, dict)?;
+            write!(out, ", \"{pat}\"")?;
             if *ci {
-                out.push_str(", \"i\"");
+                out.write_str(", \"i\"")?;
             }
-            out.push(')');
+            out.write_char(')')?;
         }
         Expression::Contains(a, s) => {
-            out.push_str("CONTAINS(");
-            write_expr(out, a, dict);
-            let _ = write!(out, ", \"{s}\")");
+            out.write_str("CONTAINS(")?;
+            write_expr(out, a, dict)?;
+            write!(out, ", \"{s}\")")?;
         }
         Expression::Str(a) => {
-            out.push_str("STR(");
-            write_expr(out, a, dict);
-            out.push(')');
+            out.write_str("STR(")?;
+            write_expr(out, a, dict)?;
+            out.write_char(')')?;
         }
         Expression::Lang(a) => {
-            out.push_str("LANG(");
-            write_expr(out, a, dict);
-            out.push(')');
+            out.write_str("LANG(")?;
+            write_expr(out, a, dict)?;
+            out.write_char(')')?;
         }
         Expression::LangMatches(a, r) => {
-            out.push_str("LANGMATCHES(");
-            write_expr(out, a, dict);
-            let _ = write!(out, ", \"{r}\")");
+            out.write_str("LANGMATCHES(")?;
+            write_expr(out, a, dict)?;
+            write!(out, ", \"{r}\")")?;
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_query;
+    use crate::test_rng::Rng;
     use lusail_rdf::Dictionary;
 
     fn roundtrip(query: &str) {
@@ -309,7 +322,7 @@ mod tests {
         )]);
         pattern.values = Some(ValuesBlock {
             vars: vec!["x".into(), "y".into()],
-            rows,
+            rows: rows.into_iter().collect(),
         });
         let q1 = Query::select_all(pattern);
         let text = write_query(&q1, &dict);
@@ -340,12 +353,164 @@ mod tests {
         )]);
         pattern.values = Some(ValuesBlock {
             vars: vec!["x".into()],
-            rows,
+            rows: rows.into_iter().collect(),
         });
         let q1 = Query::select_all(pattern);
         let text = write_query(&q1, &dict);
         let q2 = parse_query(&text, &dict)
             .unwrap_or_else(|e| panic!("re-parse of {text:?} failed: {e}"));
         assert_eq!(q1, q2, "roundtrip mismatch for {text:?}");
+    }
+
+    fn rand_var(rng: &mut Rng) -> String {
+        ["a", "b", "c", "long_name"][rng.below(4)].to_string()
+    }
+
+    fn rand_const(rng: &mut Rng, dict: &Dictionary) -> TermId {
+        use lusail_rdf::Term;
+        dict.encode(&match rng.below(7) {
+            0 => Term::iri("http://x/e?q=1&r=2#frag"),
+            1 => Term::lit("he said \"hi\"\n\tbackslash \\ done"),
+            2 => Term::lang_lit("gr\u{fc}\u{df}e \"quoted\"", "de"),
+            3 => Term::int(-42),
+            4 => Term::lit(""),
+            5 => Term::iri(format!("http://x/e{}", rng.below(1000))),
+            _ => Term::lit("\u{1F600} four-byte scalar"),
+        })
+    }
+
+    fn rand_expr(rng: &mut Rng, dict: &Dictionary, depth: usize) -> Expression {
+        let leaf = |rng: &mut Rng| match rng.coin() {
+            true => Expression::Var(rand_var(rng)),
+            false => Expression::Const(rand_const(rng, dict)),
+        };
+        if depth == 0 {
+            return leaf(rng);
+        }
+        let sub = |rng: &mut Rng| Box::new(rand_expr(rng, dict, depth - 1));
+        match rng.below(11) {
+            0 => {
+                let ops = [
+                    CmpOp::Eq,
+                    CmpOp::Ne,
+                    CmpOp::Lt,
+                    CmpOp::Le,
+                    CmpOp::Gt,
+                    CmpOp::Ge,
+                ];
+                Expression::Cmp(ops[rng.below(6)], sub(rng), sub(rng))
+            }
+            1 => Expression::And(sub(rng), sub(rng)),
+            2 => Expression::Or(sub(rng), sub(rng)),
+            3 => Expression::Not(sub(rng)),
+            4 => Expression::Bound(rand_var(rng)),
+            5 => Expression::Regex(sub(rng), "^ab+".to_string(), rng.coin()),
+            6 => Expression::Contains(sub(rng), "needle".to_string()),
+            7 => Expression::Str(sub(rng)),
+            8 => Expression::Lang(sub(rng)),
+            9 => Expression::LangMatches(sub(rng), "en".to_string()),
+            _ => leaf(rng),
+        }
+    }
+
+    fn rand_group(rng: &mut Rng, dict: &Dictionary, depth: usize) -> GroupPattern {
+        let term = |rng: &mut Rng| match rng.coin() {
+            true => PatternTerm::Var(rand_var(rng)),
+            false => PatternTerm::Const(rand_const(rng, dict)),
+        };
+        let mut g = GroupPattern::bgp(
+            (0..rng.below(4))
+                .map(|_| TriplePattern::new(term(rng), term(rng), term(rng)))
+                .collect(),
+        );
+        g.filters = (0..rng.below(3)).map(|_| rand_expr(rng, dict, 2)).collect();
+        if rng.coin() {
+            let vars: Vec<String> = (0..rng.below(4)).map(|i| format!("v{i}")).collect();
+            let rows: Vec<Vec<Option<TermId>>> = (0..rng.below(5))
+                .map(|_| {
+                    (vars.iter())
+                        .map(|_| (rng.below(3) > 0).then(|| rand_const(rng, dict)))
+                        .collect()
+                })
+                .collect();
+            g.values = Some(ValuesBlock {
+                vars,
+                rows: rows.into_iter().collect(),
+            });
+        }
+        if depth > 0 {
+            let sub = |rng: &mut Rng| rand_group(rng, dict, depth - 1);
+            g.optionals = (0..rng.below(2)).map(|_| sub(rng)).collect();
+            g.not_exists = (0..rng.below(2)).map(|_| sub(rng)).collect();
+            g.unions = (0..rng.below(2))
+                .map(|_| (0..1 + rng.below(3)).map(|_| sub(rng)).collect())
+                .collect();
+        }
+        g
+    }
+
+    fn rand_query(rng: &mut Rng, dict: &Dictionary) -> Query {
+        let mut q = Query::select_all(rand_group(rng, dict, 2));
+        match rng.below(6) {
+            0 => return Query::ask(q.pattern),
+            1 => q.form = QueryForm::CountStar(rand_var(rng)),
+            2 => {
+                let funcs = [
+                    AggFunc::Count,
+                    AggFunc::Sum,
+                    AggFunc::Min,
+                    AggFunc::Max,
+                    AggFunc::Avg,
+                ];
+                q.aggregates = (0..1 + rng.below(3))
+                    .map(|i| Aggregate {
+                        func: funcs[rng.below(5)],
+                        var: rng.coin().then(|| rand_var(rng)),
+                        distinct: rng.coin(),
+                        alias: format!("agg{i}"),
+                    })
+                    .collect();
+                q.group_by = (0..rng.below(3)).map(|_| rand_var(rng)).collect();
+                q.projection = q.group_by.clone();
+                q.having = (0..rng.below(2)).map(|_| rand_expr(rng, dict, 1)).collect();
+            }
+            _ => q.projection = (0..rng.below(3)).map(|_| rand_var(rng)).collect(),
+        }
+        q.distinct = rng.coin();
+        q.order_by = (0..rng.below(3))
+            .map(|_| OrderKey {
+                var: rand_var(rng),
+                descending: rng.coin(),
+            })
+            .collect();
+        q.limit = rng.coin().then(|| rng.below(100_000));
+        q
+    }
+
+    /// The simulated network charges a request `query_wire_len` bytes and
+    /// every wire counter is gated byte-exact: the counting sink must see
+    /// exactly the text `write_query` builds.
+    #[test]
+    fn query_wire_len_is_the_length_of_the_written_text() {
+        let mut rng = Rng(0x16_0010);
+        let dict = Dictionary::new();
+        let (mut undef, mut nested, mut aggregates, mut longest) = (0, 0, 0, 0);
+        for case in 0..500 {
+            let q = rand_query(&mut rng, &dict);
+            let text = write_query(&q, &dict);
+            assert_eq!(
+                query_wire_len(&q, &dict),
+                text.len(),
+                "case {case}:\n{text}"
+            );
+            undef += usize::from(text.contains("UNDEF"));
+            nested += usize::from(text.contains("OPTIONAL") && text.contains("UNION"));
+            aggregates += usize::from(!q.aggregates.is_empty());
+            longest = longest.max(text.len());
+        }
+        assert!(undef > 50, "queries with UNDEF cells: {undef}");
+        assert!(nested > 50, "queries with OPTIONAL and UNION: {nested}");
+        assert!(aggregates > 50, "aggregate queries: {aggregates}");
+        assert!(longest > 2000, "longest query: {longest} bytes");
     }
 }

@@ -34,7 +34,8 @@ use crate::backend::StorageBackend;
 use crate::expr::eval_filter;
 use lusail_rdf::TermId;
 use lusail_sparql::ast::{GroupPattern, PatternTerm, Query, QueryForm, TriplePattern, ValuesBlock};
-use lusail_sparql::solution::{JoinKind, JoinPredicate, Row, SolutionSet};
+use lusail_sparql::solution::{JoinKind, JoinPredicate, SolutionSet};
+use lusail_sparql::Rows;
 
 /// Evaluates a query against a store, producing its solution set.
 ///
@@ -45,18 +46,18 @@ use lusail_sparql::solution::{JoinKind, JoinPredicate, Row, SolutionSet};
 pub fn evaluate(store: &dyn StorageBackend, q: &Query) -> SolutionSet {
     match &q.form {
         QueryForm::Ask => {
-            let mut out = SolutionSet::empty(Vec::new());
             if ask(store, q) {
-                out.rows.push(Vec::new());
+                SolutionSet::unit()
+            } else {
+                SolutionSet::default()
             }
-            out
         }
         QueryForm::CountStar(alias) => {
             let n = count(store, q) as i64;
             let id = store.dict().encode(&lusail_rdf::Term::int(n));
             SolutionSet {
                 vars: vec![alias.clone()],
-                rows: vec![vec![Some(id)]],
+                rows: Rows::from_cells(1, 1, vec![Some(id)]),
             }
         }
         QueryForm::Select => {
@@ -130,33 +131,30 @@ pub fn apply_group_by(
         .map(|a| a.var.as_deref().and_then(|v| sols.col(v)))
         .collect();
 
-    // Group rows by key; preserve first-seen group order.
-    let mut groups: FxHashMap<Vec<Option<TermId>>, Vec<usize>> = FxHashMap::default();
-    let mut order: Vec<Vec<Option<TermId>>> = Vec::new();
-    if sols.rows.is_empty() && group_by.is_empty() {
+    // Group rows by key; preserve first-seen group order. The keys are one
+    // flat relation of their own and the table borrows its rows.
+    let keys = sols.rows.project(&key_cols);
+    let mut index: FxHashMap<&[Option<TermId>], usize> = FxHashMap::default();
+    let mut groups: Vec<(&[Option<TermId>], Vec<usize>)> = Vec::new();
+    if sols.is_empty() && group_by.is_empty() {
         // SPARQL: aggregating an empty solution sequence with no GROUP BY
         // yields one row (COUNT = 0).
-        groups.insert(Vec::new(), Vec::new());
-        order.push(Vec::new());
+        groups.push((&[], Vec::new()));
     }
-    for (i, row) in sols.rows.iter().enumerate() {
-        let key: Vec<Option<TermId>> = key_cols.iter().map(|c| c.and_then(|c| row[c])).collect();
-        groups
-            .entry(key.clone())
-            .or_insert_with(|| {
-                order.push(key.clone());
-                Vec::new()
-            })
-            .push(i);
+    for (i, key) in keys.iter().enumerate() {
+        let g = *index.entry(key).or_insert_with(|| {
+            groups.push((key, Vec::new()));
+            groups.len() - 1
+        });
+        groups[g].1.push(i);
     }
 
     let mut out_vars: Vec<String> = group_by.to_vec();
     out_vars.extend(aggregates.iter().map(|a| a.alias.clone()));
     let mut out = SolutionSet::empty(out_vars);
 
-    for key in order {
-        let members = &groups[&key];
-        let mut row: Row = key.clone();
+    for (key, members) in &groups {
+        let mut row = key.to_vec();
         for (ai, agg) in aggregates.iter().enumerate() {
             let value: Option<TermId> = match agg.func {
                 AggFunc::Count => {
@@ -241,7 +239,7 @@ pub fn apply_group_by(
             };
             row.push(value);
         }
-        out.rows.push(row);
+        out.rows.push(&row);
     }
     out
 }
@@ -445,11 +443,12 @@ pub fn eval_group(
 ) -> SolutionSet {
     let scan_limit = if is_simple(g) { limit } else { None };
 
-    // The *collect* sink: one allocation per solution, none per level.
+    // The *collect* sink: every solution is copied to the tail of one
+    // buffer — no allocation per solution, none per level.
     let pipeline = Pipeline::compile(store, g);
-    let mut rows: Vec<Row> = Vec::new();
+    let mut rows = Rows::default();
     pipeline.run(store, g.values.as_ref(), &mut |binding| {
-        rows.push(binding.to_vec());
+        rows.push(binding);
         scan_limit.is_none_or(|l| rows.len() < l)
     });
     let mut sols = SolutionSet {
@@ -571,9 +570,9 @@ impl Pipeline {
         values: Option<&ValuesBlock>,
         sink: &mut dyn FnMut(&[Option<TermId>]) -> bool,
     ) {
-        let mut binding: Row = vec![None; self.vars.len()];
-        let unseeded = [Row::new()];
-        for seed in values.map_or(&unseeded[..], |v| &v.rows) {
+        let mut binding = vec![None; self.vars.len()];
+        let unseeded = Rows::unit();
+        for seed in values.map_or(&unseeded, |v| &v.rows).iter() {
             binding[..seed.len()].copy_from_slice(seed);
             if !self.descend(store, 0, &mut binding, sink) {
                 return;
@@ -828,6 +827,38 @@ mod tests {
     }
 
     #[test]
+    fn ask_answer_is_one_row_of_no_cells() {
+        let st = fixture();
+        let yes = run(&st, "ASK { ?x <http://u/type> <http://u/Student> }");
+        assert_eq!((yes.len(), yes.vars.len()), (1, 0));
+        assert_eq!(yes, SolutionSet::unit());
+        let no = run(&st, "ASK { ?x <http://u/type> <http://u/Robot> }");
+        assert!(no.is_empty());
+    }
+
+    #[test]
+    fn empty_group_is_the_identity_of_its_nested_joins() {
+        let st = fixture();
+        // The outer group has no pattern: its one empty solution left-joins
+        // with both students, and survives a NOT EXISTS that finds nothing.
+        let s = run(
+            &st,
+            "SELECT * WHERE { OPTIONAL { ?x <http://u/type> <http://u/Student> } }",
+        );
+        assert_eq!((s.len(), s.vars.len()), (2, 1));
+        let s = run(
+            &st,
+            "SELECT * WHERE { FILTER NOT EXISTS { ?x <http://u/type> <http://u/Robot> } }",
+        );
+        assert_eq!((s.len(), s.get(0, "x")), (1, None));
+        let s = run(
+            &st,
+            "SELECT * WHERE { FILTER NOT EXISTS { ?x <http://u/type> <http://u/Student> } }",
+        );
+        assert!(s.is_empty());
+    }
+
+    #[test]
     fn projection_of_missing_var_is_unbound() {
         let st = fixture();
         let s = run(&st, "SELECT ?ghost WHERE { ?x <http://u/advisor> ?p }");
@@ -904,10 +935,7 @@ mod pipeline_tests {
                 vars: v.vars.clone(),
                 rows: v.rows.clone(),
             },
-            None => SolutionSet {
-                vars: Vec::new(),
-                rows: vec![Vec::new()],
-            },
+            None => SolutionSet::unit(),
         };
         let order: Vec<usize> = if store.reorder_enabled() {
             plan_bgp_order(store, &g.triples, &sols.vars)
@@ -938,7 +966,7 @@ mod pipeline_tests {
         }
         let mut out = SolutionSet::empty(vars);
         // A position is bound (`Ok`) or names the output column it fills.
-        let resolve = |t: &PatternTerm, row: &Row| -> Result<TermId, usize> {
+        let resolve = |t: &PatternTerm, row: &[Option<TermId>]| -> Result<TermId, usize> {
             match t {
                 PatternTerm::Const(id) => Ok(*id),
                 PatternTerm::Var(v) => match sols.col(v).and_then(|c| row[c]) {
@@ -947,12 +975,12 @@ mod pipeline_tests {
                 },
             }
         };
-        'rows: for row in &sols.rows {
+        'rows: for row in sols.rows.iter() {
             let rs = resolve(&tp.s, row);
             let rp = resolve(&tp.p, row);
             let ro = resolve(&tp.o, row);
             let done = !store.scan(rs.ok(), rp.ok(), ro.ok(), |t| {
-                let mut new_row: Row = vec![None; out.vars.len()];
+                let mut new_row = vec![None; out.vars.len()];
                 new_row[..row.len()].copy_from_slice(row);
                 for (r, actual) in [(&rs, t.s), (&rp, t.p), (&ro, t.o)] {
                     if let Err(c) = r {
@@ -963,7 +991,7 @@ mod pipeline_tests {
                         }
                     }
                 }
-                out.rows.push(new_row);
+                out.rows.push(&new_row);
                 limit.is_none_or(|l| out.rows.len() < l)
             });
             if done {
@@ -974,10 +1002,10 @@ mod pipeline_tests {
     }
 
     /// SplitMix64, so the cases replay from the case index alone.
-    struct Rng(u64);
+    pub(super) struct Rng(pub(super) u64);
 
     impl Rng {
-        fn below(&mut self, n: usize) -> usize {
+        pub(super) fn below(&mut self, n: usize) -> usize {
             self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -1027,7 +1055,7 @@ mod pipeline_tests {
                 .filter(|_| rng.below(2) == 0)
                 .map(|v| v.to_string())
                 .collect();
-            let rows: Vec<Row> = (0..rng.below(4))
+            let rows: Vec<Vec<Option<TermId>>> = (0..rng.below(4))
                 .map(|_| {
                     (vars.iter())
                         .map(|_| (rng.below(4) > 0).then(|| TermId(1 + rng.below(8) as u32)))
@@ -1035,7 +1063,10 @@ mod pipeline_tests {
                 })
                 .collect();
             cov.undef_cell += usize::from(rows.iter().flatten().any(|cell| cell.is_none()));
-            ValuesBlock { vars, rows }
+            ValuesBlock {
+                vars,
+                rows: rows.into_iter().collect(),
+            }
         });
         GroupPattern {
             triples,
@@ -1195,5 +1226,81 @@ mod order_tests {
         let text = lusail_sparql::write_query(&q, st.dict());
         let q2 = parse_query(&text, st.dict()).unwrap();
         assert_eq!(q, q2);
+    }
+
+    /// `apply_order` and `retain_filtered` held to the `Vec<Row>` code they
+    /// replaced: the same comparator under `Vec::sort_by`, the same
+    /// predicate under `Vec::retain`.
+    #[test]
+    fn order_and_filter_match_the_row_vector_code() {
+        use lusail_sparql::ast::{CmpOp, Expression, OrderKey};
+        type Row = Vec<Option<TermId>>;
+        let dict = Dictionary::shared();
+        // Numbers that compare numerically, strings that compare as terms.
+        let ids: Vec<TermId> = ([Term::int(7), Term::int(-3), Term::int(40)].iter())
+            .chain(&[Term::lit("b"), Term::lit("a"), Term::iri("http://u/z")])
+            .map(|t| dict.encode(t))
+            .collect();
+        let mut rng = super::pipeline_tests::Rng(0x16_0020);
+        let mut below = |n: usize| rng.below(n);
+        let vars: Vec<String> = ["a", "b", "c"].iter().map(|v| v.to_string()).collect();
+        let (mut reordered, mut dropped) = (0, 0);
+        for case in 0..200 {
+            let rows: Vec<Row> = (0..below(25))
+                .map(|_| {
+                    (0..3)
+                        .map(|_| (below(5) > 0).then(|| ids[below(ids.len())]))
+                        .collect()
+                })
+                .collect();
+            let sols = SolutionSet {
+                vars: vars.clone(),
+                rows: rows.iter().cloned().collect(),
+            };
+            let owned =
+                |s: &SolutionSet| -> Vec<Row> { s.rows.iter().map(<[_]>::to_vec).collect() };
+
+            // `ghost` is not a column: such a key orders nothing.
+            let keys: Vec<OrderKey> = (0..1 + below(3))
+                .map(|_| OrderKey {
+                    var: ["a", "b", "c", "ghost"][below(4)].to_string(),
+                    descending: below(2) == 0,
+                })
+                .collect();
+            let mut want = rows.clone();
+            want.sort_by(|x, y| {
+                for key in &keys {
+                    let Some(c) = sols.col(&key.var) else {
+                        continue;
+                    };
+                    let ord = compare_cells(x[c], y[c], &dict);
+                    if ord != std::cmp::Ordering::Equal {
+                        return if key.descending { ord.reverse() } else { ord };
+                    }
+                }
+                std::cmp::Ordering::Equal
+            });
+            let mut got = sols.clone();
+            apply_order(&mut got, &keys, &dict);
+            assert_eq!(owned(&got), want, "case {case}: {keys:?}");
+            reordered += usize::from(want != rows);
+
+            let filters = [Expression::Cmp(
+                CmpOp::Lt,
+                Box::new(Expression::Var("a".into())),
+                Box::new(Expression::Var("b".into())),
+            )];
+            let mut want = rows.clone();
+            want.retain(|row| passes(&filters, &vars, row, &dict));
+            let mut got = sols.clone();
+            retain_filtered(&mut got, &filters, &dict);
+            assert_eq!(owned(&got), want, "case {case}: filter");
+            dropped += usize::from(want.len() < rows.len() && !want.is_empty());
+        }
+        assert!(reordered > 100, "sorts that moved a row: {reordered}");
+        assert!(
+            dropped > 50,
+            "filters that kept some and dropped some: {dropped}"
+        );
     }
 }

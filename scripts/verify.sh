@@ -26,6 +26,8 @@ cargo fmt --check
 echo "==> benchmark crate builds and passes its tests against this engine"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+# Every exact count of every workload repeats from run to run (~1 min).
+cargo run --release -q --offline --manifest-path benchmark/Cargo.toml -- selfcheck
 
 echo "==> EXPLAIN ANALYZE trace smoke (LUBM Q4, fixed clock)"
 tmpdir=$(mktemp -d)

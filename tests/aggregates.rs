@@ -36,7 +36,7 @@ fn sales_store(dict: &Arc<Dictionary>) -> TripleStore {
 fn lookup(sols: &lusail_sparql::SolutionSet, dict: &Dictionary, key: &str, col: &str) -> String {
     let kcol = sols.col("r").unwrap();
     let vcol = sols.col(col).unwrap();
-    for row in &sols.rows {
+    for row in sols.rows.iter() {
         if dict.decode(row[kcol].unwrap()).lexical() == key {
             return dict.decode(row[vcol].unwrap()).lexical().to_string();
         }

@@ -130,9 +130,9 @@ fn dead_endpoint_degrades_to_partial_results() {
             partial.len() < expected.len(),
             "{name}: no rows went missing although an endpoint is dead"
         );
-        for row in &partial.rows {
+        for row in partial.rows.iter() {
             assert!(
-                expected.rows.contains(row),
+                expected.rows.iter().any(|r| r == row),
                 "{name}: spurious row not in the oracle result"
             );
         }

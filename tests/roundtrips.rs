@@ -154,16 +154,16 @@ fn append_of_shards_equals_whole() {
             .collect();
         let all = SolutionSet {
             vars: vec!["a".into(), "b".into()],
-            rows,
+            rows: rows.iter().cloned().collect(),
         };
-        let cut = rng.below(30).min(all.rows.len());
+        let cut = rng.below(30).min(rows.len());
         let mut left = SolutionSet {
             vars: all.vars.clone(),
-            rows: all.rows[..cut].to_vec(),
+            rows: rows[..cut].iter().cloned().collect(),
         };
         let right = SolutionSet {
             vars: all.vars.clone(),
-            rows: all.rows[cut..].to_vec(),
+            rows: rows[cut..].iter().cloned().collect(),
         };
         left.append(right);
         assert_eq!(left.canonicalize(), all.canonicalize(), "case {case}");

@@ -86,7 +86,7 @@ fn is_multiset_subset(sub: &SolutionSet, sup: &SolutionSet) -> bool {
         )
     };
     let mut i = 0;
-    for row in &sup.rows {
+    for row in sup.rows.iter() {
         if i == sub.rows.len() {
             return true;
         }
