@@ -1,30 +1,34 @@
-//! `lusail-bench` — the deterministic benchmark harness.
+//! `lusail-bench` — the counter gate and the paper's figures.
 //!
 //! ```text
-//! lusail-bench run   [--out PATH] [--iters N] [--seed N] [--fixed-clock]
-//!                    [--workload NAME]... [--query NAME]... [--threads N]...
-//! lusail-bench check --against PATH [--workload NAME]... [--query NAME]...
-//!                    [--threads N]...
+//! lusail-bench counters [--write] [--workload NAME]... [--query NAME]...
+//! lusail-bench figures  [NAME]...
 //! ```
 //!
-//! `run` executes the suite (see `lusail_bench::suite`) and writes the
-//! schema-stable JSON report; it fails if the optimization regression
-//! gate does not hold. `check` re-runs the in-scope slice with the
-//! committed report's seed and compares the deterministic counter
-//! sections exactly, then re-validates the gate on the committed file —
-//! the CI smoke `scripts/verify.sh` runs.
+//! `counters` runs the in-scope lines of `crates/bench/counters.tsv` (see
+//! `lusail_bench::counters`) at every thread budget on both storage
+//! backends, holds the fresh run to the optimization inequalities and the
+//! measured storage-footprint floor, and compares it with the committed
+//! file column by column; `--write` regenerates the file instead of
+//! comparing. `figures` regenerates the named tables of EXPERIMENTS.md
+//! (all of them when none is named) into `results/*.csv`.
 
-use lusail_bench::json;
-use lusail_bench::serve::run_serve_bench;
-use lusail_bench::suite::{
-    check_gate, check_thread_invariance, compare_runs, run_suite, SuiteOptions,
-};
+use lusail_bench::counters::{self, Scope};
+use lusail_bench::figures;
 use lusail_benchdata::lubm;
 use lusail_rdf::Triple;
-use lusail_store::{ColumnStore, StorageBackend, TripleStore};
+use lusail_store::{ColumnStore, TripleStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::Arc;
+
+/// The committed counter file, next to this crate's manifest.
+const COUNTERS_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/counters.tsv");
+
+/// The minimum btree/columns resident-byte ratio: the columnar backend
+/// must pack at least this many times more triples per resident byte.
+const FOOTPRINT_RATIO_FLOOR: f64 = 5.0;
 
 /// A counting wrapper around the system allocator: `LIVE_BYTES` tracks
 /// net live heap bytes, so the footprint measurement below can report the
@@ -71,250 +75,161 @@ fn live_bytes() -> isize {
 /// departments): the same pre-collected triples are materialized into
 /// each backend inside an allocator-delta window. The temporary BTree
 /// store the columnar build sorts from is dropped *inside* the columnar
-/// window, so that window nets out to the packed columns alone. The
-/// resulting section feeds the `check_gate` footprint floor.
-fn measure_footprint() -> json::Value {
-    use json::Value;
+/// window, so that window nets out to the packed columns alone. Fails
+/// below [`FOOTPRINT_RATIO_FLOOR`]; returns the printable gate line.
+fn check_footprint() -> Result<String, String> {
     let cfg = lubm::LubmConfig {
         departments: 3840,
         ..lubm::LubmConfig::new(1)
     };
     let workload = lubm::generate(&cfg);
-    let dict = std::sync::Arc::clone(workload.oracle.dict());
+    let dict = Arc::clone(workload.oracle.dict());
     let mut triples: Vec<Triple> = Vec::with_capacity(workload.oracle.len());
     workload.oracle.scan(None, None, None, |t| {
         triples.push(t);
         true
     });
     drop(workload);
+    let build_btree = || {
+        let mut store = TripleStore::new(Arc::clone(&dict));
+        for &t in &triples {
+            store.insert(t);
+        }
+        store
+    };
 
     let before = live_bytes();
-    let mut btree = TripleStore::new(std::sync::Arc::clone(&dict));
-    for &t in &triples {
-        btree.insert(t);
-    }
+    let btree = build_btree();
     let btree_bytes = (live_bytes() - before).max(0) as u64;
-    let btree_model = StorageBackend::resident_bytes(&btree);
     drop(btree);
 
     let before = live_bytes();
-    let columns = {
-        let mut tmp = TripleStore::new(std::sync::Arc::clone(&dict));
-        for &t in &triples {
-            tmp.insert(t);
-        }
-        ColumnStore::from_store(&tmp)
-    };
+    let columns = ColumnStore::from_store(&build_btree());
     let columns_bytes = (live_bytes() - before).max(0) as u64;
-    let columns_model = columns.resident_bytes();
+    drop(columns);
 
-    let mut fp = Value::object();
-    fp.set("triples", Value::U64(triples.len() as u64));
-    fp.set("btree_resident_bytes", Value::U64(btree_bytes));
-    fp.set("columns_resident_bytes", Value::U64(columns_bytes));
-    // The backends' own self-reported models ride along for context; the
-    // gate reads only the measured deltas above.
-    fp.set("btree_model_bytes", Value::U64(btree_model));
-    fp.set("columns_model_bytes", Value::U64(columns_model));
-    fp
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: lusail-bench run [--out PATH] [--iters N] [--seed N] [--fixed-clock]\n\
-         \x20                       [--workload NAME]... [--query NAME]... [--threads N]...\n\
-         \x20                       [--backend btree|columns]... [--serve]\n\
-         \x20      lusail-bench check --against PATH [--workload NAME]... [--query NAME]...\n\
-         \x20                       [--threads N]... [--backend btree|columns]..."
-    );
-    std::process::exit(2);
-}
-
-struct Cli {
-    command: String,
-    out: Option<String>,
-    against: Option<String>,
-    serve: bool,
-    opts: SuiteOptions,
-}
-
-fn parse_args() -> Cli {
-    let mut args = std::env::args().skip(1);
-    let command = match args.next() {
-        Some(c) if c == "run" || c == "check" => c,
-        _ => usage(),
-    };
-    let mut cli = Cli {
-        command,
-        out: None,
-        against: None,
-        serve: false,
-        opts: SuiteOptions::default(),
-    };
-    let need = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        args.next().unwrap_or_else(|| {
-            eprintln!("{flag} needs a value");
-            std::process::exit(2);
-        })
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => cli.out = Some(need(&mut args, "--out")),
-            "--against" => cli.against = Some(need(&mut args, "--against")),
-            "--iters" => {
-                cli.opts.iters = need(&mut args, "--iters").parse().unwrap_or_else(|_| {
-                    eprintln!("--iters needs a positive integer");
-                    std::process::exit(2);
-                })
-            }
-            "--seed" => {
-                cli.opts.seed = need(&mut args, "--seed").parse().unwrap_or_else(|_| {
-                    eprintln!("--seed needs an unsigned integer");
-                    std::process::exit(2);
-                })
-            }
-            "--fixed-clock" => cli.opts.fixed_clock = true,
-            "--serve" => cli.serve = true,
-            "--workload" => cli.opts.workloads.push(need(&mut args, "--workload")),
-            "--backend" => {
-                let name = need(&mut args, "--backend");
-                if lusail_store::BackendKind::parse(&name).is_none() {
-                    eprintln!("--backend must be one of: btree, columns");
-                    std::process::exit(2);
-                }
-                cli.opts.backends.push(name);
-            }
-            "--query" => cli.opts.queries.push(need(&mut args, "--query")),
-            "--threads" => {
-                cli.opts
-                    .threads
-                    .push(need(&mut args, "--threads").parse().unwrap_or_else(|_| {
-                        eprintln!("--threads needs a positive integer");
-                        std::process::exit(2);
-                    }))
-            }
-            _ => usage(),
-        }
+    let n = triples.len();
+    if n == 0 || columns_bytes == 0 {
+        return Err("footprint: measured an empty store".into());
     }
-    cli
+    let ratio = btree_bytes as f64 / columns_bytes as f64;
+    if ratio < FOOTPRINT_RATIO_FLOOR {
+        return Err(format!(
+            "footprint: columns holds only {ratio:.2}x more triples per resident byte \
+             than btree (floor {FOOTPRINT_RATIO_FLOOR}x) — {btree_bytes} vs {columns_bytes} \
+             bytes for {n} triples"
+        ));
+    }
+    Ok(format!(
+        "footprint: {n} triples, btree {btree_bytes} B ({:.1} B/triple), columns \
+         {columns_bytes} B ({:.1} B/triple), ratio {ratio:.1}x >= {FOOTPRINT_RATIO_FLOOR}x",
+        btree_bytes as f64 / n as f64,
+        columns_bytes as f64 / n as f64,
+    ))
+}
+
+fn usage() -> ExitCode {
+    eprintln!(
+        "usage: lusail-bench counters [--write] [--workload NAME]... [--query NAME]...\n\
+         \x20      lusail-bench figures [NAME]...   (names: {})",
+        figures::names().join(", ")
+    );
+    ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
-    let cli = parse_args();
-    match cli.command.as_str() {
-        "run" => cmd_run(&cli),
-        "check" => cmd_check(&cli),
-        _ => unreachable!(),
-    }
-}
-
-fn cmd_run(cli: &Cli) -> ExitCode {
-    let mut doc = run_suite(&cli.opts);
-    // The footprint section only joins full-scope reports (it measures a
-    // fixed large store, independent of the run filters, but partial
-    // reports are throwaway slices that should stay cheap).
-    let full_scope = cli.opts.workloads.is_empty()
-        && cli.opts.queries.is_empty()
-        && cli.opts.backends.is_empty();
-    if full_scope {
-        doc.set("footprint", measure_footprint());
-    }
-    // The closed-loop serving benchmark is opt-in: wall-clock latencies
-    // vary by machine, so it only joins reports meant to carry them.
-    if cli.serve {
-        doc.set("serve", run_serve_bench(cli.opts.seed));
-    }
-    let text = doc.render();
-    match &cli.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {path}");
-        }
-        None => print!("{text}"),
-    }
-    match check_thread_invariance(&doc) {
-        Ok(0) => {}
-        Ok(n) => println!("thread invariance ok: {n} cross-budget comparison(s)"),
-        Err(e) => {
-            eprintln!("thread invariance FAILED: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    // The gate only applies when the scope covers its workloads in full.
-    if full_scope {
-        match check_gate(&doc) {
-            Ok(lines) => {
-                for line in lines {
-                    println!("gate ok: {line}");
+    let mut args = std::env::args().skip(1);
+    match args.next().as_deref() {
+        Some("counters") => {
+            let mut write = false;
+            let mut scope = Scope::default();
+            while let Some(arg) = args.next() {
+                let filter = match arg.as_str() {
+                    "--write" => {
+                        write = true;
+                        continue;
+                    }
+                    "--workload" => &mut scope.workloads,
+                    "--query" => &mut scope.queries,
+                    _ => return usage(),
+                };
+                match args.next() {
+                    Some(name) => filter.push(name),
+                    None => return usage(),
                 }
             }
-            Err(e) => {
-                eprintln!("regression gate FAILED: {e}");
-                return ExitCode::FAILURE;
+            cmd_counters(&scope, write)
+        }
+        Some("figures") => {
+            let wanted: Vec<String> = args.collect();
+            match figures::run(&wanted) {
+                Ok(()) => ExitCode::SUCCESS,
+                Err(unknown) => {
+                    eprintln!("unknown figure {unknown}");
+                    usage()
+                }
             }
         }
+        _ => usage(),
     }
-    ExitCode::SUCCESS
 }
 
-fn cmd_check(cli: &Cli) -> ExitCode {
-    let Some(path) = &cli.against else {
-        eprintln!("check needs --against PATH");
+fn cmd_counters(scope: &Scope, write: bool) -> ExitCode {
+    let full = scope.workloads.is_empty() && scope.queries.is_empty();
+    if write && !full {
+        eprintln!("--write regenerates the whole file: drop --workload/--query");
         return ExitCode::from(2);
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline = match json::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{path} is not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Re-run the in-scope slice with the committed seed: the counter
-    // sections must be exactly reproducible. Wall iterations are skipped
-    // (iters=1) — times are excluded from the comparison anyway.
-    let mut opts = cli.opts.clone();
-    opts.iters = 1;
-    opts.fixed_clock = true;
-    opts.seed = baseline
-        .get("seed")
-        .and_then(json::Value::as_u64)
-        .unwrap_or(0);
-    let fresh = run_suite(&opts);
-    match compare_runs(&fresh, &baseline) {
-        Ok(n) => println!("counters check ok: {n} run(s) reproduced exactly"),
-        Err(e) => {
-            eprintln!("counters check FAILED: {e}");
-            return ExitCode::FAILURE;
-        }
     }
-    match check_thread_invariance(&fresh) {
-        Ok(0) => {}
-        Ok(n) => println!("thread invariance ok: {n} cross-budget comparison(s)"),
-        Err(e) => {
-            eprintln!("thread invariance FAILED: {e}");
-            return ExitCode::FAILURE;
-        }
+    let (fresh, twins) = counters::run(scope);
+    if fresh.is_empty() {
+        eprintln!("no line in scope: nothing to compare");
+        return ExitCode::from(2);
     }
-    match check_gate(&baseline) {
-        Ok(lines) => {
-            for line in lines {
-                println!("gate ok: {line}");
+    println!(
+        "{} line(s) run at threads {{1, 4}} x backends {{btree, columns}}",
+        fresh.len()
+    );
+    let mut failures: Vec<String> = twins
+        .iter()
+        .map(|m| format!("thread/backend invariance: {m}"))
+        .collect();
+    let gates = counters::check_inequalities(&fresh, scope).and_then(|mut lines| {
+        lines.push(check_footprint()?);
+        Ok(lines)
+    });
+    match gates {
+        Ok(lines) => lines.iter().for_each(|l| println!("gate ok: {l}")),
+        Err(e) => failures.push(format!("regression gate: {e}")),
+    }
+    if !write {
+        let committed = std::fs::read_to_string(COUNTERS_PATH)
+            .map_err(|e| e.to_string())
+            .and_then(|text| counters::parse(&text).map_err(|e| e.to_string()));
+        match committed {
+            Ok(mut committed) => {
+                committed.retain(|l| scope.contains(l));
+                let drift = counters::diff(&committed, &fresh);
+                failures.extend(drift.iter().map(|m| format!("counters check: {m}")));
             }
+            Err(e) => failures.push(format!("{COUNTERS_PATH}: {e}")),
         }
-        Err(e) => {
-            eprintln!("regression gate FAILED: {e}");
-            return ExitCode::FAILURE;
+    } else if failures.is_empty() {
+        match std::fs::write(COUNTERS_PATH, counters::render(&fresh)) {
+            Ok(()) => println!("wrote {COUNTERS_PATH}"),
+            Err(e) => failures.push(format!("cannot write {COUNTERS_PATH}: {e}")),
         }
+    }
+    for failure in &failures {
+        eprintln!("FAILED {failure}");
+    }
+    if !failures.is_empty() {
+        return ExitCode::FAILURE;
+    }
+    if !write {
+        println!(
+            "counters check ok: {} line(s) reproduced exactly",
+            fresh.len()
+        );
     }
     ExitCode::SUCCESS
 }

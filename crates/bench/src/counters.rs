@@ -1,0 +1,685 @@
+//! The byte-exact counter gate behind `lusail-bench counters`.
+//!
+//! One committed text file, `crates/bench/counters.tsv`, holds one line
+//! per (workload, config, engine, query): result rows, completeness, and
+//! the thirteen work counters of that run — wire requests by kind, bytes,
+//! store rows scanned, `VALUES` blocks/bindings, join probe rows, virtual
+//! network time — on an accounting-only WAN profile (40 ms RTT,
+//! 10 Mbit/s; nothing sleeps). Counters come from `StatsSnapshot` windows
+//! and the structured trace and repeat exactly.
+//!
+//! The configurations:
+//!
+//! * **baseline** — store-side triple-pattern reordering off, Lusail's
+//!   adaptive `VALUES` sizing off (the pre-optimization engine);
+//! * **optimized** — both on (the defaults);
+//! * **stats** — optimized plus offline characteristic-set statistics
+//!   ([`lusail_store::EndpointStats`]) attached to every endpoint, so
+//!   Lusail's planner answers conclusive ASK/COUNT/check probes locally
+//!   (the baselines ignore them — their lines double as an inertness
+//!   control).
+//!
+//! The axes that must not matter are asserted, not stored: [`run`]
+//! executes every line at worker budgets {1, 4} on both storage backends
+//! and reports any twin that differs from the btree/1-thread run in any
+//! column. [`check_inequalities`] holds the fresh run to the optimization
+//! claims, and [`diff`] compares it with the committed file.
+
+use crate::{build_engine, ENGINES};
+use lusail_benchdata::{bio2rdf, lubm, qfed, Workload};
+use lusail_core::{LusailConfig, QueryTrace, RequestKind, TraceSink};
+use lusail_endpoint::{ExecOptions, NetworkProfile};
+use lusail_store::{BackendKind, EndpointStats};
+use std::fmt;
+use std::sync::Arc;
+use std::time::Duration;
+
+/// The workload axis.
+pub const WORKLOADS: [&str; 3] = ["lubm", "qfed", "bio2rdf"];
+
+/// The configuration axis (see module docs).
+pub const CONFIGS: [&str; 3] = ["baseline", "optimized", "stats"];
+
+/// Worker budgets every line must be identical at.
+const THREADS: [usize; 2] = [1, 4];
+
+/// The columns that identify a line.
+pub const KEY_COLUMNS: [&str; 4] = ["workload", "config", "engine", "query"];
+
+/// The columns that are compared: result rows, completeness (1 = every
+/// endpoint answered), then the thirteen work counters.
+pub const VALUE_COLUMNS: [&str; 15] = [
+    "rows",
+    "complete",
+    "ask_requests",
+    "select_requests",
+    "count_requests",
+    "check_queries",
+    "total_requests",
+    "bytes_sent",
+    "bytes_returned",
+    "rows_returned",
+    "rows_scanned",
+    "virtual_time_ns",
+    "values_blocks",
+    "values_bindings",
+    "join_probe_rows",
+];
+
+/// First line of the file: the generator seed offset and the profile the
+/// counters were taken on. Parsed by exact match.
+const HEADER: &str = "# lusail-bench counters: seed 0, profile wan-sim (40 ms RTT, 10 Mbit/s)";
+
+/// One line of `counters.tsv`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Line {
+    /// Values of [`KEY_COLUMNS`].
+    pub key: [String; 4],
+    /// Values of [`VALUE_COLUMNS`].
+    pub values: [u64; 15],
+}
+
+impl Line {
+    /// The value of one of [`VALUE_COLUMNS`].
+    pub fn get(&self, column: &str) -> u64 {
+        let i = VALUE_COLUMNS
+            .iter()
+            .position(|c| *c == column)
+            .unwrap_or_else(|| panic!("no value column {column}"));
+        self.values[i]
+    }
+}
+
+/// Renders lines as the committed file's text.
+pub fn render(lines: &[Line]) -> String {
+    let mut out = format!("{HEADER}\n");
+    out.push_str(&KEY_COLUMNS.join("\t"));
+    for column in VALUE_COLUMNS {
+        out.push('\t');
+        out.push_str(column);
+    }
+    out.push('\n');
+    for line in lines {
+        out.push_str(&line.key.join("\t"));
+        for value in line.values {
+            out.push_str(&format!("\t{value}"));
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Why a `counters.tsv` text was refused; every variant names the
+/// 1-based line at fault.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ParseError {
+    /// Line 1 is not the expected header comment.
+    BadHeader { line: usize },
+    /// The column-name line names a column this build does not know (or
+    /// knows at another position).
+    UnknownColumn { line: usize, name: String },
+    /// A line has the wrong number of tab-separated fields.
+    FieldCount {
+        line: usize,
+        found: usize,
+        expected: usize,
+    },
+    /// A value field is not an unsigned integer.
+    BadValue {
+        line: usize,
+        column: &'static str,
+        text: String,
+    },
+    /// Two lines carry the same key.
+    DuplicateKey {
+        line: usize,
+        first_line: usize,
+        key: String,
+    },
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ParseError::BadHeader { line } => write!(f, "line {line}: expected `{HEADER}`"),
+            ParseError::UnknownColumn { line, name } => {
+                write!(f, "line {line}: unknown column `{name}`")
+            }
+            ParseError::FieldCount {
+                line,
+                found,
+                expected,
+            } => write!(f, "line {line}: {found} fields, expected {expected}"),
+            ParseError::BadValue { line, column, text } => {
+                write!(
+                    f,
+                    "line {line}: {column} `{text}` is not an unsigned integer"
+                )
+            }
+            ParseError::DuplicateKey {
+                line,
+                first_line,
+                key,
+            } => write!(f, "line {line}: key {key} already on line {first_line}"),
+        }
+    }
+}
+
+/// Parses the committed file's text; the inverse of [`render`].
+pub fn parse(text: &str) -> Result<Vec<Line>, ParseError> {
+    let expected = KEY_COLUMNS.len() + VALUE_COLUMNS.len();
+    let field_count = |line: usize, found: usize| {
+        if found == expected {
+            Ok(())
+        } else {
+            Err(ParseError::FieldCount {
+                line,
+                found,
+                expected,
+            })
+        }
+    };
+    let mut rows = text.lines();
+    if rows.next() != Some(HEADER) {
+        return Err(ParseError::BadHeader { line: 1 });
+    }
+    let names: Vec<&str> = rows.next().unwrap_or_default().split('\t').collect();
+    for (name, known) in names.iter().zip(KEY_COLUMNS.iter().chain(&VALUE_COLUMNS)) {
+        if name != known {
+            return Err(ParseError::UnknownColumn {
+                line: 2,
+                name: name.to_string(),
+            });
+        }
+    }
+    field_count(2, names.len())?;
+    let mut lines: Vec<Line> = Vec::new();
+    for (i, row) in rows.enumerate() {
+        let line = i + 3;
+        let fields: Vec<&str> = row.split('\t').collect();
+        field_count(line, fields.len())?;
+        let key: [String; 4] = std::array::from_fn(|k| fields[k].to_string());
+        let mut values = [0u64; 15];
+        for (v, column) in VALUE_COLUMNS.iter().enumerate() {
+            let text = fields[KEY_COLUMNS.len() + v];
+            values[v] = text.parse().map_err(|_| ParseError::BadValue {
+                line,
+                column,
+                text: text.to_string(),
+            })?;
+        }
+        if let Some(first) = lines.iter().position(|l| l.key == key) {
+            return Err(ParseError::DuplicateKey {
+                line,
+                first_line: first + 3,
+                key: key.join("/"),
+            });
+        }
+        lines.push(Line { key, values });
+    }
+    Ok(lines)
+}
+
+/// One column of one line that differs between two sources.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Mismatch {
+    /// The line's key (workload, config, engine, query).
+    pub key: [String; 4],
+    /// The differing column, or `"line"` when one side has no such line.
+    pub column: &'static str,
+    /// `(source, value)` of the reference side.
+    pub want: (String, String),
+    /// `(source, value)` of the side held against it.
+    pub got: (String, String),
+}
+
+impl fmt::Display for Mismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} {}: {} {}, {} {}",
+            self.key.join("/"),
+            self.column,
+            self.want.0,
+            self.want.1,
+            self.got.0,
+            self.got.1
+        )
+    }
+}
+
+/// Every column in which `got` differs from `want` (same key assumed).
+fn diff_line(want: (&str, &Line), got: (&str, &Line), out: &mut Vec<Mismatch>) {
+    for (i, column) in VALUE_COLUMNS.iter().enumerate() {
+        if want.1.values[i] != got.1.values[i] {
+            out.push(Mismatch {
+                key: want.1.key.clone(),
+                column,
+                want: (want.0.to_string(), want.1.values[i].to_string()),
+                got: (got.0.to_string(), got.1.values[i].to_string()),
+            });
+        }
+    }
+}
+
+/// Compares a fresh run with the committed lines of the same scope: the
+/// two must hold the same keys with identical values in every column.
+pub fn diff(committed: &[Line], fresh: &[Line]) -> Vec<Mismatch> {
+    let sources = ("counters.tsv", "fresh run");
+    let absent = |line: &Line, present_in: &str, absent_from: &str| Mismatch {
+        key: line.key.clone(),
+        column: "line",
+        want: (present_in.to_string(), "present".to_string()),
+        got: (absent_from.to_string(), "absent".to_string()),
+    };
+    let mut out = Vec::new();
+    for line in fresh {
+        match committed.iter().find(|c| c.key == line.key) {
+            Some(c) => diff_line((sources.0, c), (sources.1, line), &mut out),
+            None => out.push(absent(line, sources.1, sources.0)),
+        }
+    }
+    for c in committed {
+        if !fresh.iter().any(|line| line.key == c.key) {
+            out.push(absent(c, sources.0, sources.1));
+        }
+    }
+    out
+}
+
+/// Which lines to run: empty filters mean everything.
+#[derive(Debug, Clone, Default)]
+pub struct Scope {
+    /// Workload filter (empty = all of [`WORKLOADS`]).
+    pub workloads: Vec<String>,
+    /// Query-name filter (empty = all queries of each workload).
+    pub queries: Vec<String>,
+}
+
+impl Scope {
+    fn wants(filter: &[String], name: &str) -> bool {
+        filter.is_empty() || filter.iter().any(|f| f.eq_ignore_ascii_case(name))
+    }
+
+    /// True when `line` is one this scope runs.
+    pub fn contains(&self, line: &Line) -> bool {
+        Self::wants(&self.workloads, &line.key[0]) && Self::wants(&self.queries, &line.key[3])
+    }
+}
+
+/// Builds one workload on the accounting-only WAN profile: virtual
+/// latency and bandwidth are charged into `virtual_time_ns`, nothing
+/// sleeps.
+fn build_workload(name: &str, backend: BackendKind) -> Workload {
+    let wan_sim = |n: usize| {
+        Some(vec![
+            NetworkProfile {
+                latency: Duration::from_millis(40),
+                bandwidth_bytes_per_sec: Some(10 * 1_000_000 / 8),
+                sleep: false,
+            };
+            n
+        ])
+    };
+    match name {
+        "lubm" => lubm::generate(&lubm::LubmConfig {
+            profiles: wan_sim(3),
+            backend,
+            ..lubm::LubmConfig::new(3)
+        }),
+        "qfed" => qfed::generate(&qfed::QfedConfig {
+            profiles: wan_sim(4),
+            backend,
+            ..Default::default()
+        }),
+        "bio2rdf" => bio2rdf::generate(&bio2rdf::Bio2RdfConfig {
+            profiles: wan_sim(5),
+            backend,
+            ..Default::default()
+        }),
+        other => panic!("unknown workload {other}"),
+    }
+}
+
+/// One traced run on a fresh engine: the counter window plus the
+/// trace-derived work totals, as the values of [`VALUE_COLUMNS`].
+fn traced_run(
+    engine: &str,
+    workload: &Workload,
+    query: &lusail_sparql::Query,
+    adaptive_values: bool,
+    threads: usize,
+) -> [u64; 15] {
+    let config = LusailConfig {
+        adaptive_values,
+        ..LusailConfig::default()
+    };
+    let engine = build_engine(engine, workload, config);
+    let sink = TraceSink::enabled();
+    let before = workload.federation.stats_snapshot();
+    let opts = ExecOptions::default()
+        .with_threads(threads)
+        .with_trace(sink.clone());
+    let outcome = engine
+        .run_with(&workload.federation, query, &opts)
+        .expect("bench federations are non-empty");
+    let window = workload.federation.stats_snapshot().since(&before);
+    let trace = QueryTrace::from_sink(&sink);
+    let (values_blocks, values_bindings) = trace.values_batch_totals();
+    [
+        outcome.solutions.len() as u64,
+        outcome.complete as u64,
+        window.ask_requests,
+        window.select_requests,
+        window.count_requests,
+        trace.requests(RequestKind::Check).requests,
+        window.total_requests(),
+        window.bytes_sent,
+        window.bytes_returned,
+        window.rows_returned,
+        window.rows_scanned,
+        window.virtual_time_ns,
+        values_blocks as u64,
+        values_bindings as u64,
+        trace.join_probe_rows(),
+    ]
+}
+
+/// Runs every in-scope line at each worker budget on each backend.
+/// Returns the btree / 1-thread lines, in file order, and every column in
+/// which a twin (other budget, other backend) differs from them.
+pub fn run(scope: &Scope) -> (Vec<Line>, Vec<Mismatch>) {
+    run_with_reorder(scope, |config| config != "baseline")
+}
+
+/// [`run`] with the store-side pattern-reordering switch of each config
+/// chosen by the caller (the regression test turns it off everywhere).
+fn run_with_reorder(scope: &Scope, reorder: impl Fn(&str) -> bool) -> (Vec<Line>, Vec<Mismatch>) {
+    let mut lines: Vec<Line> = Vec::new();
+    let mut mismatches = Vec::new();
+    for workload_name in WORKLOADS {
+        if !Scope::wants(&scope.workloads, workload_name) {
+            continue;
+        }
+        for config in CONFIGS {
+            for backend in BackendKind::ALL {
+                // A fresh federation per pass: counters start cold and the
+                // reorder flag applies to the whole pass.
+                let workload = build_workload(workload_name, backend);
+                for ep in &workload.endpoints {
+                    ep.store().set_reorder(reorder(config));
+                }
+                if config == "stats" {
+                    // The offline phase: summaries built before any run
+                    // window opens, so nothing of it leaks into counters.
+                    for (id, ep) in workload.endpoints.iter().enumerate() {
+                        let stats = EndpointStats::build(ep.store());
+                        workload.federation.attach_stats(id, Arc::new(stats));
+                    }
+                }
+                for engine in ENGINES {
+                    for nq in &workload.queries {
+                        if !Scope::wants(&scope.queries, &nq.name) {
+                            continue;
+                        }
+                        for threads in THREADS {
+                            let values = traced_run(
+                                engine,
+                                &workload,
+                                &nq.query,
+                                config != "baseline",
+                                threads,
+                            );
+                            let key = [workload_name, config, engine, nq.name.as_str()]
+                                .map(str::to_string);
+                            let twin = Line { key, values };
+                            // The btree / 1-thread run of a key comes first.
+                            match lines.iter().find(|l| l.key == twin.key) {
+                                None => lines.push(twin),
+                                Some(reference) => {
+                                    let source = format!("{backend}/t{threads}");
+                                    let got = (source.as_str(), &twin);
+                                    diff_line(("btree/t1", reference), got, &mut mismatches);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    (lines, mismatches)
+}
+
+/// The optimization claims, computed from a run: on every workload a
+/// `stats` line must report the rows and completeness of its `optimized`
+/// twin (statistics may only elide work, never change answers); and, for
+/// each of LUBM and QFed run in full, Lusail's optimized configuration
+/// must scan strictly fewer store rows than baseline without issuing more
+/// wire requests, and the stats configuration must issue strictly fewer
+/// wire requests than optimized. Returns the printable gate lines.
+pub fn check_inequalities(lines: &[Line], scope: &Scope) -> Result<Vec<String>, String> {
+    let of = |workload: &'static str, config: &'static str| {
+        lines
+            .iter()
+            .filter(move |l| l.key[0] == workload && l.key[1] == config)
+    };
+    for workload in WORKLOADS {
+        for (stats, optimized) in of(workload, "stats").zip(of(workload, "optimized")) {
+            for column in ["rows", "complete"] {
+                if stats.get(column) != optimized.get(column) {
+                    return Err(format!(
+                        "{} {column}: optimized {}, stats {} — statistics changed results",
+                        stats.key.join("/"),
+                        optimized.get(column),
+                        stats.get(column)
+                    ));
+                }
+            }
+        }
+    }
+    let mut report = Vec::new();
+    for workload in ["lubm", "qfed"] {
+        // Sums over a query subset prove nothing about the workload.
+        if !scope.queries.is_empty() || !Scope::wants(&scope.workloads, workload) {
+            continue;
+        }
+        let sum = |config: &'static str, column: &str| -> u64 {
+            of(workload, config)
+                .filter(|l| l.key[2] == "Lusail")
+                .map(|l| l.get(column))
+                .sum()
+        };
+        let scanned = ["baseline", "optimized"].map(|c| sum(c, "rows_scanned"));
+        let requests = CONFIGS.map(|c| sum(c, "total_requests"));
+        if scanned[1] >= scanned[0] {
+            return Err(format!(
+                "{workload}: optimized rows_scanned {} is not below baseline {}",
+                scanned[1], scanned[0]
+            ));
+        }
+        if requests[1] > requests[0] {
+            return Err(format!(
+                "{workload}: optimized total_requests {} exceeds baseline {}",
+                requests[1], requests[0]
+            ));
+        }
+        if requests[2] >= requests[1] {
+            return Err(format!(
+                "{workload}: stats total_requests {} is not below optimized {} — \
+                 statistics elided nothing",
+                requests[2], requests[1]
+            ));
+        }
+        report.push(format!(
+            "{workload}/Lusail: rows_scanned {} -> {}, requests {} -> {} -> {} (stats)",
+            scanned[0], scanned[1], requests[0], requests[1], requests[2]
+        ));
+    }
+    Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The committed file, as `cargo test` sees it.
+    const COMMITTED: &str = include_str!("../counters.tsv");
+
+    /// LUBM Q1 + Q4: the tier-1 slice.
+    fn small_scope() -> Scope {
+        Scope {
+            workloads: vec!["lubm".into()],
+            queries: vec!["Q1".into(), "Q4".into()],
+        }
+    }
+
+    fn in_scope(scope: &Scope) -> Vec<Line> {
+        let mut lines = parse(COMMITTED).expect("committed counters.tsv parses");
+        lines.retain(|l| scope.contains(l));
+        lines
+    }
+
+    #[test]
+    fn committed_file_round_trips_and_malformed_files_are_typed_errors() {
+        let lines = parse(COMMITTED).unwrap();
+        assert_eq!(lines.len(), 192);
+        assert_eq!(render(&lines), COMMITTED);
+        assert_eq!(parse(&render(&lines[..5])).unwrap(), lines[..5]);
+
+        let rows: Vec<&str> = COMMITTED.lines().collect();
+        let with = |line: usize, text: String| {
+            let mut rows: Vec<String> = rows[..4].iter().map(|r| r.to_string()).collect();
+            rows[line - 1] = text;
+            parse(&rows.join("\n"))
+        };
+        assert_eq!(
+            with(1, "# something else".into()),
+            Err(ParseError::BadHeader { line: 1 })
+        );
+        assert_eq!(
+            with(2, rows[1].replace("rows_scanned", "rows_skipped")),
+            Err(ParseError::UnknownColumn {
+                line: 2,
+                name: "rows_skipped".into()
+            })
+        );
+        let short = rows[3].rsplit_once('\t').unwrap().0;
+        assert_eq!(
+            with(4, short.into()),
+            Err(ParseError::FieldCount {
+                line: 4,
+                found: 18,
+                expected: 19
+            })
+        );
+        assert_eq!(
+            with(4, format!("{short}\t-1")),
+            Err(ParseError::BadValue {
+                line: 4,
+                column: "join_probe_rows",
+                text: "-1".into()
+            })
+        );
+        let err = with(4, rows[2].into()).unwrap_err();
+        assert_eq!(
+            err,
+            ParseError::DuplicateKey {
+                line: 4,
+                first_line: 3,
+                key: "lubm/baseline/Lusail/Q1".into()
+            }
+        );
+        assert!(err.to_string().starts_with("line 4: "), "{err}");
+    }
+
+    #[test]
+    fn tier1_slice_reproduces_the_committed_counters_at_every_twin() {
+        let scope = small_scope();
+        let (fresh, twins) = run(&scope);
+        assert_eq!(twins, Vec::new(), "a thread or backend twin diverged");
+        assert_eq!(diff(&in_scope(&scope), &fresh), Vec::new());
+        assert_eq!(fresh.len(), 3 * 4 * 2);
+        // Out of the gate's full-workload scope: no aggregate lines, but
+        // the stats-vs-optimized result identity still holds.
+        assert_eq!(check_inequalities(&fresh, &scope), Ok(Vec::new()));
+    }
+
+    #[test]
+    fn a_mismatch_names_the_line_the_counter_and_both_values() {
+        let committed = in_scope(&small_scope());
+        let mut fresh = committed.clone();
+        let i = fresh
+            .iter()
+            .position(|l| l.key == ["lubm", "optimized", "FedX", "Q4"])
+            .unwrap();
+        let was = fresh[i].get("bytes_sent");
+        fresh[i].values[7] += 1;
+        let dropped = fresh.pop().unwrap();
+        let report: Vec<String> = diff(&committed, &fresh)
+            .iter()
+            .map(Mismatch::to_string)
+            .collect();
+        assert_eq!(
+            report,
+            [
+                format!(
+                    "lubm/optimized/FedX/Q4 bytes_sent: counters.tsv {was}, fresh run {}",
+                    was + 1
+                ),
+                format!(
+                    "{} line: counters.tsv present, fresh run absent",
+                    dropped.key.join("/")
+                ),
+            ]
+        );
+    }
+
+    /// The PR-14 regression: endpoints evaluating BGPs in textual pattern
+    /// order cross `University x Department` on LUBM Q1.
+    #[test]
+    fn textual_pattern_order_fails_on_lubm_q1_rows_scanned() {
+        let scope = Scope {
+            workloads: vec!["lubm".into()],
+            queries: vec!["Q1".into()],
+        };
+        let (fresh, _) = run_with_reorder(&scope, |_| false);
+        let report = diff(&in_scope(&scope), &fresh);
+        let hit = report
+            .iter()
+            .find(|m| m.key == ["lubm", "optimized", "Lusail", "Q1"] && m.column == "rows_scanned")
+            .unwrap_or_else(|| panic!("regression not caught: {report:?}"));
+        assert!(hit.got.1.parse::<u64>().unwrap() > hit.want.1.parse::<u64>().unwrap());
+        // The baseline lines never reordered: they still reproduce.
+        assert!(report.iter().all(|m| m.key[1] != "baseline"), "{report:?}");
+    }
+
+    #[test]
+    fn inequalities_fail_when_an_optimization_stops_paying() {
+        let line = |config: &str, rows: u64, scanned: u64, requests: u64| {
+            let mut values = [0u64; 15];
+            values[0] = rows;
+            values[1] = 1;
+            values[6] = requests;
+            values[10] = scanned;
+            ["lubm", "qfed"].map(|w| Line {
+                key: [w, config, "Lusail", "Q1"].map(str::to_string),
+                values,
+            })
+        };
+        let check = |base: (u64, u64), opt: (u64, u64), stats: (u64, u64)| {
+            let lines = [
+                line("baseline", 5, base.0, base.1),
+                line("optimized", 5, opt.0, opt.1),
+                line("stats", stats.0, opt.0, stats.1),
+            ]
+            .concat();
+            check_inequalities(&lines, &Scope::default())
+        };
+        assert_eq!(check((100, 10), (50, 10), (5, 9)).unwrap().len(), 2);
+        assert!(check((100, 10), (100, 10), (5, 9)).is_err()); // no scan win
+        assert!(check((100, 10), (50, 11), (5, 9)).is_err()); // request regress
+        assert!(check((100, 10), (50, 10), (5, 10)).is_err()); // no elision
+        assert!(check((100, 10), (50, 10), (6, 9)).is_err()); // stats changed rows
+    }
+}

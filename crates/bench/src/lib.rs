@@ -1,14 +1,16 @@
-//! Harness utilities shared by the per-figure experiment binaries.
+//! The `lusail-bench` harness: the byte-exact counter gate
+//! ([`counters`]) and the paper's tables and figures ([`figures`]).
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md for the index). The helpers here run an engine on a
+//! The helpers here build the four-engine roster, run an engine on a
 //! query with request accounting and a soft timeout, and print/persist
 //! result tables.
 
-pub mod json;
-pub mod serve;
-pub mod suite;
+pub mod counters;
+pub mod figures;
 
+use lusail_baselines::{FedX, HiBisCus, HibiscusIndex, Splendid, VoidIndex};
+use lusail_benchdata::Workload;
+use lusail_core::{Lusail, LusailConfig};
 use lusail_endpoint::ExecOptions;
 use lusail_endpoint::{FederatedEngine, Federation, StatsSnapshot};
 use lusail_sparql::{Query, SolutionSet};
@@ -16,6 +18,28 @@ use std::io::Write as _;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The engine axis, in table-column order.
+pub const ENGINES: [&str; 4] = ["Lusail", "FedX", "HiBISCuS", "SPLENDID"];
+
+/// Instantiates one engine of [`ENGINES`] over `workload` — the only
+/// place the roster is built. `lusail` configures Lusail and is ignored
+/// by the baselines; the index-building baselines preprocess the endpoint
+/// handles here (their offline phase, before any counter window opens).
+pub fn build_engine(
+    name: &str,
+    workload: &Workload,
+    lusail: LusailConfig,
+) -> Arc<dyn FederatedEngine> {
+    let refs = workload.endpoint_refs();
+    match name {
+        "Lusail" => Arc::new(Lusail::new(lusail)),
+        "FedX" => Arc::new(FedX::default()),
+        "HiBISCuS" => Arc::new(HiBisCus::new(HibiscusIndex::build(&refs))),
+        "SPLENDID" => Arc::new(Splendid::new(VoidIndex::build(&refs))),
+        other => panic!("unknown engine {other}"),
+    }
+}
 
 /// The outcome of one engine/query run.
 #[derive(Debug, Clone)]
@@ -42,21 +66,12 @@ impl RunResult {
         self.solutions.as_ref().map(|s| s.len())
     }
 
-    /// Milliseconds for table printing; `f64::NAN` on timeout.
-    pub fn ms(&self) -> f64 {
-        if self.timed_out() {
-            f64::NAN
-        } else {
-            self.elapsed.as_secs_f64() * 1e3
-        }
-    }
-
     /// A compact display cell: time in ms, or `TIMEOUT`.
     pub fn cell(&self) -> String {
         if self.timed_out() {
             "TIMEOUT".to_string()
         } else {
-            format!("{:.1}", self.ms())
+            format!("{:.1}", self.elapsed.as_secs_f64() * 1e3)
         }
     }
 }

@@ -171,7 +171,8 @@ fn try_parse(buf: &[u8]) -> Result<Option<(Request, usize)>, String> {
         }
         return Ok(None);
     };
-    let head = String::from_utf8_lossy(&buf[..header_end]).into_owned();
+    let head = std::str::from_utf8(&buf[..header_end])
+        .map_err(|_| "request head is not valid UTF-8".to_string())?;
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or_default();
     let mut parts = request_line.split(' ');
@@ -186,11 +187,19 @@ fn try_parse(buf: &[u8]) -> Result<Option<(Request, usize)>, String> {
         .filter_map(|l| l.split_once(':'))
         .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
         .collect();
-    let content_length: usize = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .and_then(|(_, v)| v.parse().ok())
-        .unwrap_or(0);
+    // The body's length decides where the next pipelined request starts,
+    // so a length that cannot be read, or two that disagree, is fatal.
+    let mut content_length: Option<usize> = None;
+    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+        let n = v
+            .parse()
+            .map_err(|_| format!("unparsable Content-Length {v:?}"))?;
+        if content_length.is_some_and(|first| first != n) {
+            return Err("conflicting Content-Length headers".into());
+        }
+        content_length = Some(n);
+    }
+    let content_length = content_length.unwrap_or(0);
     if content_length > 8 << 20 {
         return Err("request body too large".into());
     }
@@ -198,7 +207,8 @@ fn try_parse(buf: &[u8]) -> Result<Option<(Request, usize)>, String> {
     if buf.len() < total {
         return Ok(None);
     }
-    let body = String::from_utf8_lossy(&buf[header_end + 4..total]).into_owned();
+    let body = String::from_utf8(buf[header_end + 4..total].to_vec())
+        .map_err(|_| "request body is not valid UTF-8".to_string())?;
     Ok(Some((
         Request {
             method,

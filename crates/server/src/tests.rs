@@ -175,39 +175,47 @@ fn concurrent_tenants_never_overshoot_global_capacity() {
         ..ServerConfig::default()
     };
     let (server, query) = tiny_server(config);
-    let mut handles = Vec::new();
-    for t in 0..8 {
-        let server = Arc::clone(&server);
-        let query = query.clone();
-        handles.push(thread::spawn(move || {
-            let tenant = format!("t{t}");
-            let mut ok = 0u64;
-            let mut shed = 0u64;
-            for _ in 0..20 {
-                match server.execute(&tenant, &query) {
-                    Ok(r) => {
-                        assert_eq!(r.solutions.len(), 5);
-                        ok += 1;
+    // Runs `clients` closed-loop tenants, 20 queries each; returns the
+    // (answered, shed) totals.
+    let run_clients = |clients: usize| -> (u64, u64) {
+        let handles: Vec<_> = (0..clients)
+            .map(|t| {
+                let server = Arc::clone(&server);
+                let query = query.clone();
+                thread::spawn(move || {
+                    let tenant = format!("t{t}");
+                    let mut ok = 0u64;
+                    let mut shed = 0u64;
+                    for _ in 0..20 {
+                        match server.execute(&tenant, &query) {
+                            Ok(r) => {
+                                assert_eq!(r.solutions.len(), 5);
+                                ok += 1;
+                            }
+                            Err(ServeError::Rejected(r)) => {
+                                assert_eq!(r.code(), "shed");
+                                shed += 1;
+                            }
+                            Err(other) => panic!("unexpected error {other}"),
+                        }
                     }
-                    Err(ServeError::Rejected(r)) => {
-                        assert_eq!(r.code(), "shed");
-                        shed += 1;
-                    }
-                    Err(other) => panic!("unexpected error {other}"),
-                }
-            }
-            (ok, shed)
-        }));
-    }
-    let mut total_ok = 0;
-    let mut total_shed = 0;
-    for h in handles {
-        let (ok, shed) = h.join().unwrap();
-        total_ok += ok;
-        total_shed += shed;
-    }
+                    (ok, shed)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .fold((0, 0), |(ok, shed), (o, s)| (ok + o, shed + s))
+    };
+    // Below capacity nothing is shed: two clients can never hold more
+    // than the two slots.
+    assert_eq!(run_clients(2), (40, 0));
+    assert_eq!(server.counters().total_rejected(), 0);
+    // Over capacity every query is either answered or shed with a reason.
+    let (total_ok, total_shed) = run_clients(8);
     let c = server.counters();
-    assert_eq!(c.admitted, total_ok);
+    assert_eq!(c.admitted, 40 + total_ok);
     assert_eq!(c.shed, total_shed);
     assert_eq!(total_ok + total_shed, 160);
     assert_eq!(server.in_flight(), 0);
@@ -441,23 +449,20 @@ fn post_sparql(stream: &mut std::net::TcpStream, query: &str) -> (u16, String) {
     read_response(stream)
 }
 
-#[test]
-fn idle_keepalive_connections_cost_no_query_slots() {
-    use std::io::Write as _;
-    use std::net::{TcpListener, TcpStream};
+/// Runs the HTTP loop over the tiny federation on an ephemeral port for
+/// the duration of `body`, then flips the shutdown flag and returns the
+/// drain report (the loop must exit within a bounded wait).
+fn with_http_loop(
+    config: ServerConfig,
+    body: impl FnOnce(std::net::SocketAddr, &Arc<QueryServer>),
+) -> crate::DrainReport {
     use std::sync::atomic::AtomicBool;
-    use std::sync::mpsc;
-
     let (fed, _dict) = tiny_federation();
-    let config = ServerConfig {
-        max_in_flight: 2,
-        ..ServerConfig::default()
-    };
     let server = QueryServer::new(fed, Lusail::default(), config);
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let shutdown: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
-    let (done_tx, done_rx) = mpsc::channel();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
     {
         let server = Arc::clone(&server);
         thread::spawn(move || {
@@ -465,48 +470,153 @@ fn idle_keepalive_connections_cost_no_query_slots() {
             done_tx.send(report).unwrap();
         });
     }
-    let query = "SELECT ?s ?o WHERE { ?s <http://x/p> ?o }";
-
-    // 64 keep-alive connections that never send a byte. A thread-per-
-    // session server would burn a worker (and, with capacity counted per
-    // socket, the whole admission budget) on each; the evented loop just
-    // holds the sockets.
-    let mut idle: Vec<TcpStream> = (0..64).map(|_| TcpStream::connect(addr).unwrap()).collect();
-
-    // Both query slots stay usable beneath the idle crowd.
-    let mut busy: Vec<_> = (0..2)
-        .map(|_| {
-            thread::spawn(move || {
-                let mut conn = TcpStream::connect(addr).unwrap();
-                post_sparql(&mut conn, query)
-            })
-        })
-        .collect();
-    for h in busy.drain(..) {
-        let (status, body) = h.join().unwrap();
-        assert_eq!(status, 200, "{body}");
-        assert_eq!(body.lines().count(), 6, "header + 5 rows: {body}");
-    }
-
-    // The idle connections are live, not leaked: /healthz answers on one…
-    idle[0]
-        .write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
-        .unwrap();
-    let (status, body) = read_response(&mut idle[0]);
-    assert_eq!((status, body.as_str()), (200, "ok\n"));
-    // …and a second request on the *same* socket proves keep-alive reuse.
-    let (status, _) = post_sparql(&mut idle[0], query);
-    assert_eq!(status, 200);
-
-    // SIGTERM-style shutdown: the flag flips, the loop drains and exits
-    // within a bounded wait even with 63 sockets still idle.
+    body(addr, &server);
     shutdown.store(true, Ordering::SeqCst);
     let report = done_rx
         .recv_timeout(Duration::from_secs(10))
         .expect("shutdown must drain and exit promptly");
-    assert_eq!(report.abandoned, 0);
     assert_eq!(server.in_flight(), 0);
-    drop(idle);
+    report
+}
+
+#[test]
+fn idle_keepalive_connections_cost_no_query_slots() {
+    use std::io::Write as _;
+    use std::net::TcpStream;
+    let config = ServerConfig {
+        max_in_flight: 2,
+        ..ServerConfig::default()
+    };
+    // SIGTERM-style shutdown at the end: the loop drains and exits within
+    // a bounded wait even with 63 sockets still idle.
+    let report = with_http_loop(config, |addr, _server| {
+        let query = "SELECT ?s ?o WHERE { ?s <http://x/p> ?o }";
+
+        // 64 keep-alive connections that never send a byte. A thread-per-
+        // session server would burn a worker (and, with capacity counted
+        // per socket, the whole admission budget) on each; the evented
+        // loop just holds the sockets.
+        let mut idle: Vec<TcpStream> = (0..64).map(|_| TcpStream::connect(addr).unwrap()).collect();
+
+        // Both query slots stay usable beneath the idle crowd.
+        let mut busy: Vec<_> = (0..2)
+            .map(|_| {
+                thread::spawn(move || {
+                    let mut conn = TcpStream::connect(addr).unwrap();
+                    post_sparql(&mut conn, query)
+                })
+            })
+            .collect();
+        for h in busy.drain(..) {
+            let (status, body) = h.join().unwrap();
+            assert_eq!(status, 200, "{body}");
+            assert_eq!(body.lines().count(), 6, "header + 5 rows: {body}");
+        }
+
+        // The idle connections are live, not leaked: /healthz answers on one…
+        idle[0]
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            .unwrap();
+        let (status, body) = read_response(&mut idle[0]);
+        assert_eq!((status, body.as_str()), (200, "ok\n"));
+        // …and a second request on the *same* socket proves keep-alive reuse.
+        let (status, _) = post_sparql(&mut idle[0], query);
+        assert_eq!(status, 200);
+    });
+    assert_eq!(report.abandoned, 0);
+}
+
+/// Sends raw request bytes on a fresh connection and returns the first
+/// response plus whether the server then closed the connection without
+/// sending anything more.
+fn raw_exchange(addr: std::net::SocketAddr, request: &[u8]) -> (u16, String, bool) {
+    use std::io::{Read as _, Write as _};
+    let mut conn = std::net::TcpStream::connect(addr).unwrap();
+    conn.write_all(request).unwrap();
+    let (status, body) = read_response(&mut conn);
+    conn.set_read_timeout(Some(Duration::from_millis(300)))
+        .unwrap();
+    let closed = matches!(conn.read(&mut [0u8; 64]), Ok(0));
+    (status, body, closed)
+}
+
+#[test]
+fn unparsable_content_length_is_a_protocol_error_not_a_zero_length_body() {
+    with_http_loop(ServerConfig::default(), |addr, _| {
+        // Read as 0, the length would turn the body into a second,
+        // pipelined request that /healthz then answers.
+        let (status, body, closed) = raw_exchange(
+            addr,
+            b"POST /sparql HTTP/1.1\r\nContent-Length: 4x\r\n\r\n\
+              GET /healthz HTTP/1.1\r\n\r\n",
+        );
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("unparsable Content-Length"), "{body}");
+        assert!(closed, "the body bytes must not be served as a request");
+    });
+}
+
+#[test]
+fn conflicting_content_lengths_are_a_protocol_error() {
+    with_http_loop(ServerConfig::default(), |addr, _| {
+        let query = "SELECT ?s ?o WHERE { ?s <http://x/p> ?o }";
+        let request = |second: usize| {
+            let first = query.len();
+            format!(
+                "POST /sparql HTTP/1.1\r\nContent-Length: {first}\r\n\
+                 Content-Length: {second}\r\n\r\n{query}"
+            )
+        };
+        let (status, body, closed) = raw_exchange(addr, request(0).as_bytes());
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("conflicting Content-Length"), "{body}");
+        assert!(closed);
+        // A repeated header that agrees with itself is not a conflict.
+        let (status, body, _) = raw_exchange(addr, request(query.len()).as_bytes());
+        assert_eq!(status, 200, "{body}");
+    });
+}
+
+#[test]
+fn invalid_utf8_in_head_or_body_is_a_protocol_error() {
+    with_http_loop(ServerConfig::default(), |addr, _| {
+        // Decoded lossily, both would be evaluated with U+FFFD substituted.
+        let query = b"SELECT ?s WHERE { ?s <http://x/p> \"\xff\" }";
+        let mut request = format!(
+            "POST /sparql HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            query.len()
+        )
+        .into_bytes();
+        request.extend_from_slice(query);
+        let (status, body, closed) = raw_exchange(addr, &request);
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("body is not valid UTF-8"), "{body}");
+        assert!(closed);
+
+        let (status, body, closed) =
+            raw_exchange(addr, b"GET /healthz HTTP/1.1\r\nX-Tenant: \xc3\x28\r\n\r\n");
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("head is not valid UTF-8"), "{body}");
+        assert!(closed);
+    });
+}
+
+#[test]
+fn multi_byte_utf8_body_is_measured_in_bytes_and_answers_200() {
+    with_http_loop(ServerConfig::default(), |addr, _| {
+        let mut conn = std::net::TcpStream::connect(addr).unwrap();
+        // `post_sparql` sends the length in bytes; a character-counted
+        // read would cut this query short.
+        let (status, body) = post_sparql(
+            &mut conn,
+            "SELECT ?s WHERE { ?s <http://x/p> \"日本語のリテラル — é\" }",
+        );
+        assert_eq!((status, body.as_str()), (200, "s\n"));
+        // The connection is still in sync for the next request.
+        let (status, body) = post_sparql(&mut conn, "SELECT ?s WHERE { ?s <http://x/p> ?o }");
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(body.lines().count(), 6, "header + 5 rows: {body}");
+    });
 }
 
 #[test]

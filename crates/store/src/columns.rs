@@ -19,9 +19,9 @@
 //!
 //! Every column lives in a [`PackedVec`]: fixed-width bit-packed `u32`
 //! values, width chosen per column as the bit-length of its maximum. On
-//! the 1 M-triple LUBM store of `lusail-bench`'s footprint section this
-//! measures 12.8 bytes per triple (2.2 of them the subject ranks), versus
-//! 75.5 for the three-B-tree layout.
+//! the 1 M-triple LUBM store `lusail-bench counters` builds for its
+//! footprint floor this measures 12.8 bytes per triple (2.2 of them the
+//! subject ranks), versus 75.5 for the three-B-tree layout.
 //!
 //! All eight scan paths binary-search to the exact run and emit triples
 //! in the same index order as the BTree backend (SPO for subject-led,

@@ -238,9 +238,19 @@ grep -q '(0 abandoned)' "$tmpdir/serve_batch.log" || {
 }
 echo "batching smoke: 2 identical tables, $shared_hits shared subquery hit(s)"
 
-echo "==> bench smoke (counters reproduce BENCH_14.json across thread budgets, gate holds)"
-cargo run --release -q -p lusail-bench --bin lusail-bench -- \
-    check --against BENCH_14.json --workload lubm --query Q4 --threads 1 --threads 4
+echo "==> counter gate (all 192 lines of crates/bench/counters.tsv at threads {1,4} x both backends, inequalities, footprint floor; ~10 s)"
+cargo run --release -q -p lusail-bench -- counters
+
+echo "==> figure smoke (fig3: FedX requests grow with endpoints, Lusail stays at one per endpoint)"
+# `figures` writes results/ under the working directory: keep it out of the repo.
+(root=$PWD && cd "$tmpdir" && "$root/target/release/lusail-bench" figures fig3_fedx_sensitivity > fig3.txt)
+# endpoints, fedx ms, fedx requests, lusail ms, lusail requests, rows
+grep -q '^4,[0-9.]*,"6,892",[0-9.]*,4,328$' "$tmpdir/results/fig3_lubm_q2.csv" || {
+    echo "figure smoke: LUBM Q2 on 4 endpoints is not FedX 6,892 vs Lusail 4 requests" >&2
+    cat "$tmpdir/results/fig3_lubm_q2.csv" >&2
+    exit 1
+}
+echo "figure smoke: LUBM Q2 on 4 endpoints, FedX 6,892 requests vs Lusail 4"
 
 echo "==> fuzz smoke (200 iterations, 30 s cap)"
 set +e
