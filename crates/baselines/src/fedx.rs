@@ -16,7 +16,7 @@
 //! identical, only the wire syntax differs.)
 
 use crate::common::{evaluate_units, exclusive_groups, fetch_unit, push_filters, run_query, Unit};
-use lusail_core::cache::ProbeCache;
+use lusail_core::cache::{PatternKey, ProbeCache};
 use lusail_core::exec::Net;
 use lusail_core::source_selection::{select_sources, SourceMap};
 use lusail_endpoint::{
@@ -48,7 +48,7 @@ impl Default for FedXConfig {
 pub struct FedX {
     config: FedXConfig,
     policy: RequestPolicy,
-    ask_cache: ProbeCache<bool>,
+    ask_cache: ProbeCache<PatternKey, bool>,
 }
 
 impl Default for FedX {

@@ -11,7 +11,7 @@
 //! co-located, so pattern-at-a-time execution remains.
 
 use crate::common::{evaluate_units, run_query};
-use lusail_core::cache::ProbeCache;
+use lusail_core::cache::{PatternKey, ProbeCache};
 use lusail_core::exec::Net;
 use lusail_core::source_selection::{select_sources, SourceMap};
 use lusail_endpoint::{
@@ -145,7 +145,7 @@ pub struct HiBisCus {
     index: HibiscusIndex,
     block_size: usize,
     policy: RequestPolicy,
-    ask_cache: ProbeCache<bool>,
+    ask_cache: ProbeCache<PatternKey, bool>,
 }
 
 impl HiBisCus {

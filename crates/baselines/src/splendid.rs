@@ -17,12 +17,11 @@
 //! results, as the paper observes).
 
 use crate::common::run_query;
-use lusail_core::cache::ProbeCache;
 use lusail_core::exec::Net;
 use lusail_core::source_selection::SourceMap;
 use lusail_endpoint::{
     EndpointId, ExecOptions, FederatedEngine, Federation, FederationError, LocalEndpoint,
-    QueryOutcome, RequestKind, RequestPolicy,
+    QueryOutcome, RequestPolicy,
 };
 use lusail_rdf::{FxHashMap, TermId};
 use lusail_sparql::ast::{GroupPattern, Query, TriplePattern, ValuesBlock};
@@ -129,7 +128,6 @@ pub struct Splendid {
     index: VoidIndex,
     config: SplendidConfig,
     policy: RequestPolicy,
-    ask_cache: ProbeCache<bool>,
 }
 
 impl Splendid {
@@ -144,7 +142,6 @@ impl Splendid {
             index,
             config,
             policy: RequestPolicy::default(),
-            ask_cache: ProbeCache::new(true),
         }
     }
 
@@ -173,12 +170,9 @@ impl Splendid {
                 // Verify constants with ASK; a failed probe keeps the
                 // candidate (assume relevant — never loses answers).
                 let tasks: Vec<(EndpointId, ())> = candidates.iter().map(|&ep| (ep, ())).collect();
-                let tp_clone = tp.clone();
-                let results = net.handler.run(fed, tasks, move |ep_id, ep, _| {
-                    let q = Query::ask(GroupPattern::bgp(vec![tp_clone.clone()]));
-                    net.client
-                        .request_kind(ep_id, RequestKind::Ask, || ep.ask(&q))
-                        .unwrap_or(true)
+                let q = Query::ask(GroupPattern::bgp(vec![tp.clone()]));
+                let results = net.handler.run(fed, tasks, |ep_id, ep, _| {
+                    net.ask_or_relevant(ep_id, ep, &q)
                 });
                 results
                     .into_iter()
@@ -390,10 +384,6 @@ impl FederatedEngine for Splendid {
         opts: &ExecOptions,
     ) -> Result<QueryOutcome, FederationError> {
         self.execute_with(fed, query, opts)
-    }
-
-    fn reset(&self) {
-        self.ask_cache.clear();
     }
 }
 

@@ -10,6 +10,7 @@ use lusail_endpoint::EndpointId;
 use lusail_rdf::{FxHashMap, TermId};
 use lusail_sparql::ast::{PatternTerm, TriplePattern};
 use std::collections::VecDeque;
+use std::hash::Hash;
 use std::sync::Mutex;
 
 /// A canonical form of a triple pattern: variables replaced by their index
@@ -25,28 +26,28 @@ enum KeyTerm {
 
 /// Normalizes a pattern into its cache key.
 pub fn pattern_key(tp: &TriplePattern) -> PatternKey {
-    let mut seen: Vec<String> = Vec::with_capacity(3);
-    let mut norm = |t: &PatternTerm| match t {
+    let mut seen: [&str; 3] = [""; 3];
+    let mut n = 0;
+    PatternKey([&tp.s, &tp.p, &tp.o].map(|t| match t {
         PatternTerm::Const(id) => KeyTerm::Const(*id),
         PatternTerm::Var(v) => {
-            let idx = match seen.iter().position(|s| s == v) {
+            let idx = match seen[..n].iter().position(|s| s == v) {
                 Some(i) => i,
                 None => {
-                    seen.push(v.clone());
-                    seen.len() - 1
+                    seen[n] = v;
+                    n += 1;
+                    n - 1
                 }
             };
             KeyTerm::Var(idx as u8)
         }
-    };
-    // Borrow checker: normalize in order.
-    let s = norm(&tp.s);
-    let p = norm(&tp.p);
-    let o = norm(&tp.o);
-    PatternKey([s, p, o])
+    }))
 }
 
-/// A thread-safe memo table keyed by `(PatternKey, EndpointId)`.
+/// A thread-safe memo table keyed by `(K, EndpointId)` — `K` is a
+/// [`PatternKey`] for ASK and COUNT probes and the rendered check text for
+/// check queries, so all three memos share one bound and one set of
+/// counters.
 ///
 /// Optionally capacity-bounded: when full, inserting a *new* key evicts
 /// the least-recently-used entry, so memory stays proportional to the
@@ -55,34 +56,31 @@ pub fn pattern_key(tp: &TriplePattern) -> PatternKey {
 /// concurrent sharing (the server's cross-query cache) two racing hits
 /// can interleave in either order but can never leave `order`
 /// inconsistent with `map`. `new` builds an unbounded cache (the paper's
-/// hash table); `with_capacity` bounds it.
-pub struct ProbeCache<V: Copy> {
+/// hash table); `bounded` takes the capacity.
+pub struct ProbeCache<K, V> {
     enabled: bool,
     capacity: Option<usize>,
-    inner: Mutex<ProbeCacheInner<V>>,
+    inner: Mutex<ProbeCacheInner<K, V>>,
 }
 
-struct ProbeCacheInner<V> {
-    map: FxHashMap<(PatternKey, EndpointId), V>,
-    order: VecDeque<(PatternKey, EndpointId)>,
+struct ProbeCacheInner<K, V> {
+    map: FxHashMap<(K, EndpointId), V>,
+    order: VecDeque<(K, EndpointId)>,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
-impl<V: Copy> ProbeCache<V> {
+impl<K: Clone + Eq + Hash, V: Copy> ProbeCache<K, V> {
     /// Creates an unbounded cache; if `enabled` is false, every lookup
     /// misses (and is not counted — the cache is never consulted).
     pub fn new(enabled: bool) -> Self {
-        Self::build(enabled, None)
+        Self::bounded(enabled, None)
     }
 
-    /// Creates a cache holding at most `capacity` entries.
-    pub fn with_capacity(enabled: bool, capacity: usize) -> Self {
-        Self::build(enabled, Some(capacity))
-    }
-
-    fn build(enabled: bool, capacity: Option<usize>) -> Self {
+    /// Creates a cache holding at most `capacity` entries (`None` =
+    /// unbounded).
+    pub fn bounded(enabled: bool, capacity: Option<usize>) -> Self {
         ProbeCache {
             enabled,
             capacity,
@@ -100,7 +98,7 @@ impl<V: Copy> ProbeCache<V> {
     /// A hit also refreshes the entry's recency — the touch happens under
     /// the same lock as the lookup, so it is atomic with respect to
     /// concurrent readers and writers.
-    pub fn get(&self, key: &PatternKey, ep: EndpointId) -> Option<V> {
+    pub fn get(&self, key: &K, ep: EndpointId) -> Option<V> {
         if !self.enabled {
             return None;
         }
@@ -126,7 +124,7 @@ impl<V: Copy> ProbeCache<V> {
     /// Stores a probe result, evicting the least-recently-used entry when
     /// a capacity bound is exceeded. Overwriting an existing key never
     /// evicts.
-    pub fn put(&self, key: PatternKey, ep: EndpointId, value: V) {
+    pub fn put(&self, key: K, ep: EndpointId, value: V) {
         if !self.enabled {
             return;
         }
@@ -195,79 +193,26 @@ impl<V: Copy> ProbeCache<V> {
     }
 }
 
-/// A generic string-keyed memo (used for check queries, whose identity
-/// involves two patterns plus an optional type constraint).
-pub struct KeyedCache<V: Copy> {
-    enabled: bool,
-    map: Mutex<FxHashMap<(String, EndpointId), V>>,
-}
-
-impl<V: Copy> KeyedCache<V> {
-    /// Creates a cache; if `enabled` is false, every lookup misses.
-    pub fn new(enabled: bool) -> Self {
-        KeyedCache {
-            enabled,
-            map: Mutex::new(FxHashMap::default()),
-        }
-    }
-
-    /// Looks up a memoized result.
-    pub fn get(&self, key: &str, ep: EndpointId) -> Option<V> {
-        if !self.enabled {
-            return None;
-        }
-        self.map
-            .lock()
-            .unwrap()
-            .get(&(key.to_string(), ep))
-            .copied()
-    }
-
-    /// Stores a result.
-    pub fn put(&self, key: String, ep: EndpointId, value: V) {
-        if self.enabled {
-            self.map.lock().unwrap().insert((key, ep), value);
-        }
-    }
-
-    /// Drops all entries.
-    pub fn clear(&self) {
-        self.map.lock().unwrap().clear();
-    }
-
-    /// Drops every entry keyed to the given endpoint (stale after the
-    /// endpoint failed mid-query).
-    pub fn invalidate_endpoint(&self, ep: EndpointId) {
-        self.map.lock().unwrap().retain(|(_, e), _| *e != ep);
-    }
-}
-
 /// The three probe memos planning reads and fills — ASK (source
 /// selection), check queries (LADE), and COUNT (cost model) — as one
 /// value, so clearing and per-endpoint invalidation cannot miss one.
 pub struct ProbeCaches {
     /// ASK answers per (pattern, endpoint).
-    pub ask: ProbeCache<bool>,
+    pub ask: ProbeCache<PatternKey, bool>,
     /// COUNT answers per (pattern, endpoint).
-    pub count: ProbeCache<u64>,
+    pub count: ProbeCache<PatternKey, u64>,
     /// Check-query verdicts per (rendered check, endpoint).
-    pub check: KeyedCache<bool>,
+    pub check: ProbeCache<String, bool>,
 }
 
 impl ProbeCaches {
-    /// Creates the caches; `capacity` bounds the ASK and COUNT tables
+    /// Creates the caches; `capacity` bounds each of the three tables
     /// (`None` = the paper's unbounded hash table).
     pub fn new(enabled: bool, capacity: Option<usize>) -> Self {
-        fn probe<V: Copy>(enabled: bool, capacity: Option<usize>) -> ProbeCache<V> {
-            match capacity {
-                Some(cap) => ProbeCache::with_capacity(enabled, cap),
-                None => ProbeCache::new(enabled),
-            }
-        }
         ProbeCaches {
-            ask: probe(enabled, capacity),
-            count: probe(enabled, capacity),
-            check: KeyedCache::new(enabled),
+            ask: ProbeCache::bounded(enabled, capacity),
+            count: ProbeCache::bounded(enabled, capacity),
+            check: ProbeCache::bounded(enabled, capacity),
         }
     }
 
@@ -321,26 +266,24 @@ mod tests {
 
     #[test]
     fn cache_roundtrip_and_hits() {
-        let cache: ProbeCache<bool> = ProbeCache::new(true);
-        let key = pattern_key(&TriplePattern::new(v("x"), c(1), v("y")));
-        assert_eq!(cache.get(&key, 0), None);
-        cache.put(key.clone(), 0, true);
-        assert_eq!(cache.get(&key, 0), Some(true));
-        assert_eq!(cache.get(&key, 1), None); // different endpoint
+        let cache: ProbeCache<u32, bool> = ProbeCache::new(true);
+        assert_eq!(cache.get(&1, 0), None);
+        cache.put(1, 0, true);
+        assert_eq!(cache.get(&1, 0), Some(true));
+        assert_eq!(cache.get(&1, 1), None); // different endpoint
         assert_eq!(cache.hits(), 1);
         cache.clear();
-        assert_eq!(cache.get(&key, 0), None);
+        assert_eq!(cache.get(&1, 0), None);
     }
 
     #[test]
     fn hit_and_miss_accounting_is_exact() {
-        let cache: ProbeCache<u64> = ProbeCache::new(true);
-        let key = pattern_key(&TriplePattern::new(v("x"), c(1), v("y")));
-        assert_eq!(cache.get(&key, 0), None); // miss 1
-        cache.put(key.clone(), 0, 7);
-        assert_eq!(cache.get(&key, 0), Some(7)); // hit 1
-        assert_eq!(cache.get(&key, 0), Some(7)); // hit 2
-        assert_eq!(cache.get(&key, 1), None); // miss 2 (other endpoint)
+        let cache: ProbeCache<u32, u64> = ProbeCache::new(true);
+        assert_eq!(cache.get(&1, 0), None); // miss 1
+        cache.put(1, 0, 7);
+        assert_eq!(cache.get(&1, 0), Some(7)); // hit 1
+        assert_eq!(cache.get(&1, 0), Some(7)); // hit 2
+        assert_eq!(cache.get(&1, 1), None); // miss 2 (other endpoint)
         assert_eq!((cache.hits(), cache.misses()), (2, 2));
         cache.clear();
         assert_eq!((cache.hits(), cache.misses()), (0, 0));
@@ -348,55 +291,47 @@ mod tests {
 
     #[test]
     fn disabled_cache_never_hits() {
-        let cache: ProbeCache<u64> = ProbeCache::new(false);
-        let key = pattern_key(&TriplePattern::new(v("x"), c(1), v("y")));
-        cache.put(key.clone(), 0, 42);
-        assert_eq!(cache.get(&key, 0), None);
+        let cache: ProbeCache<u32, u64> = ProbeCache::new(false);
+        cache.put(1, 0, 42);
+        assert_eq!(cache.get(&1, 0), None);
         // A disabled cache is never consulted, so nothing is counted.
         assert_eq!((cache.hits(), cache.misses()), (0, 0));
     }
 
     #[test]
     fn bounded_cache_evicts_oldest_insertion_first() {
-        let cache: ProbeCache<u64> = ProbeCache::with_capacity(true, 2);
-        let k1 = pattern_key(&TriplePattern::new(v("x"), c(1), v("y")));
-        let k2 = pattern_key(&TriplePattern::new(v("x"), c(2), v("y")));
-        let k3 = pattern_key(&TriplePattern::new(v("x"), c(3), v("y")));
-        cache.put(k1.clone(), 0, 1);
-        cache.put(k2.clone(), 0, 2);
+        let cache: ProbeCache<u32, u64> = ProbeCache::bounded(true, Some(2));
+        cache.put(1, 0, 1);
+        cache.put(2, 0, 2);
         assert_eq!(cache.len(), 2);
-        cache.put(k3.clone(), 0, 3);
+        cache.put(3, 0, 3);
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(&k1, 0), None); // oldest entry evicted
-        assert_eq!(cache.get(&k2, 0), Some(2));
-        assert_eq!(cache.get(&k3, 0), Some(3));
+        assert_eq!(cache.get(&1, 0), None); // oldest entry evicted
+        assert_eq!(cache.get(&2, 0), Some(2));
+        assert_eq!(cache.get(&3, 0), Some(3));
     }
 
     #[test]
     fn a_hit_refreshes_recency_so_the_cold_entry_is_evicted() {
-        let cache: ProbeCache<u64> = ProbeCache::with_capacity(true, 2);
-        let k1 = pattern_key(&TriplePattern::new(v("x"), c(1), v("y")));
-        let k2 = pattern_key(&TriplePattern::new(v("x"), c(2), v("y")));
-        let k3 = pattern_key(&TriplePattern::new(v("x"), c(3), v("y")));
-        cache.put(k1.clone(), 0, 1);
-        cache.put(k2.clone(), 0, 2);
-        // Touch k1: under FIFO it would still be evicted next; under LRU
-        // the untouched k2 is now the victim.
-        assert_eq!(cache.get(&k1, 0), Some(1));
-        cache.put(k3.clone(), 0, 3);
-        assert_eq!(cache.get(&k1, 0), Some(1));
-        assert_eq!(cache.get(&k2, 0), None);
-        assert_eq!(cache.get(&k3, 0), Some(3));
+        let cache: ProbeCache<u32, u64> = ProbeCache::bounded(true, Some(2));
+        cache.put(1, 0, 1);
+        cache.put(2, 0, 2);
+        // Touch key 1: under FIFO it would still be evicted next; under LRU
+        // the untouched key 2 is now the victim.
+        assert_eq!(cache.get(&1, 0), Some(1));
+        cache.put(3, 0, 3);
+        assert_eq!(cache.get(&1, 0), Some(1));
+        assert_eq!(cache.get(&2, 0), None);
+        assert_eq!(cache.get(&3, 0), Some(3));
         assert_eq!(cache.evictions(), 1);
     }
 
     #[test]
     fn eviction_counter_tracks_saturation_and_resets_on_clear() {
-        let cache: ProbeCache<u64> = ProbeCache::with_capacity(true, 1);
+        let cache: ProbeCache<u32, u64> = ProbeCache::bounded(true, Some(1));
         assert_eq!(cache.evictions(), 0);
         for i in 0..5 {
-            let k = pattern_key(&TriplePattern::new(v("x"), c(i), v("y")));
-            cache.put(k, 0, u64::from(i));
+            cache.put(i, 0, u64::from(i));
         }
         assert_eq!(cache.evictions(), 4);
         cache.clear();
@@ -405,43 +340,38 @@ mod tests {
 
     #[test]
     fn overwriting_an_existing_key_does_not_evict() {
-        let cache: ProbeCache<u64> = ProbeCache::with_capacity(true, 2);
-        let k1 = pattern_key(&TriplePattern::new(v("x"), c(1), v("y")));
-        let k2 = pattern_key(&TriplePattern::new(v("x"), c(2), v("y")));
-        cache.put(k1.clone(), 0, 1);
-        cache.put(k2.clone(), 0, 2);
-        cache.put(k1.clone(), 0, 10); // overwrite while full
+        let cache: ProbeCache<u32, u64> = ProbeCache::bounded(true, Some(2));
+        cache.put(1, 0, 1);
+        cache.put(2, 0, 2);
+        cache.put(1, 0, 10); // overwrite while full
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(&k1, 0), Some(10));
-        assert_eq!(cache.get(&k2, 0), Some(2));
+        assert_eq!(cache.get(&1, 0), Some(10));
+        assert_eq!(cache.get(&2, 0), Some(2));
     }
 
     #[test]
     fn invalidate_endpoint_drops_only_that_endpoints_entries() {
-        let cache: ProbeCache<u64> = ProbeCache::with_capacity(true, 4);
-        let k1 = pattern_key(&TriplePattern::new(v("x"), c(1), v("y")));
-        let k2 = pattern_key(&TriplePattern::new(v("x"), c(2), v("y")));
-        cache.put(k1.clone(), 0, 1);
-        cache.put(k1.clone(), 1, 2);
-        cache.put(k2.clone(), 0, 3);
+        let cache: ProbeCache<u32, u64> = ProbeCache::bounded(true, Some(4));
+        cache.put(1, 0, 1);
+        cache.put(1, 1, 2);
+        cache.put(2, 0, 3);
         cache.invalidate_endpoint(0);
-        assert_eq!(cache.get(&k1, 0), None);
-        assert_eq!(cache.get(&k2, 0), None);
-        assert_eq!(cache.get(&k1, 1), Some(2));
+        assert_eq!(cache.get(&1, 0), None);
+        assert_eq!(cache.get(&2, 0), None);
+        assert_eq!(cache.get(&1, 1), Some(2));
         // The eviction order stays consistent: filling the cache after
         // invalidation still evicts oldest-first without panicking.
         for i in 10..14 {
-            cache.put(pattern_key(&TriplePattern::new(v("x"), c(i), v("y"))), 2, 0);
+            cache.put(i, 2, 0);
         }
         assert_eq!(cache.len(), 4);
     }
 
     #[test]
     fn unbounded_cache_never_evicts() {
-        let cache: ProbeCache<u64> = ProbeCache::new(true);
+        let cache: ProbeCache<u32, u64> = ProbeCache::new(true);
         for i in 0..100 {
-            let k = pattern_key(&TriplePattern::new(v("x"), c(i), v("y")));
-            cache.put(k, 0, u64::from(i));
+            cache.put(i, 0, u64::from(i));
         }
         assert_eq!(cache.len(), 100);
     }

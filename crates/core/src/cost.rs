@@ -21,12 +21,13 @@
 //! Fig. 9) is the default; the other thresholds are kept for the Fig. 9
 //! reproduction.
 
-use crate::cache::{pattern_key, ProbeCache};
+use crate::cache::{pattern_key, PatternKey, ProbeCache};
 use crate::exec::Net;
+use crate::probe;
 use crate::subquery::Subquery;
-use lusail_endpoint::{EndpointId, Federation, RequestKind};
-use lusail_sparql::ast::{Expression, GroupPattern, Query, TriplePattern};
-use std::sync::atomic::Ordering;
+use lusail_endpoint::{EndpointId, Federation};
+use lusail_rdf::FxHashMap;
+use lusail_sparql::ast::{Expression, TriplePattern};
 
 /// The delay-threshold policy (Fig. 9 in the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -51,74 +52,35 @@ pub struct SubqueryCosts {
     pub delayed: Vec<bool>,
 }
 
-/// Estimates `C(sq)` for every subquery using COUNT probes. A probe whose
-/// endpoint fails (after retries) degrades gracefully: the endpoint's
-/// total triple count stands in as a conservative upper bound — erring
-/// toward delaying the subquery — and the fallback is not cached.
+/// Estimates `C(sq)` for every subquery using COUNT probes, one per
+/// distinct (pattern, endpoint), answered by `probe::resolve` (memo, then
+/// statistics, then the wire; a failed probe falls back to the endpoint's
+/// total triple count).
 pub fn estimate_cardinalities(
     fed: &Federation,
     net: &Net,
     subqueries: &[Subquery],
-    cache: &ProbeCache<u64>,
+    cache: &ProbeCache<PatternKey, u64>,
 ) -> Vec<u64> {
-    // Gather the distinct (pattern, endpoint) probes needed, reusing the
-    // cache. Pushed filters are attached per-subquery, so the probe key is
-    // the bare pattern; subqueries with filters probe slightly high, which
+    // Pushed filters are attached per-subquery, so the probe key is the
+    // bare pattern; subqueries with filters probe slightly high, which
     // only errs toward delaying them.
-    let mut needed: Vec<(EndpointId, TriplePattern)> = Vec::new();
-    let mut known: lusail_rdf::FxHashMap<(crate::cache::PatternKey, EndpointId), u64> =
-        lusail_rdf::FxHashMap::default();
-    let mut requested: lusail_rdf::FxHashSet<(crate::cache::PatternKey, EndpointId)> =
-        lusail_rdf::FxHashSet::default();
+    let mut probes: Vec<(EndpointId, &TriplePattern)> = Vec::new();
+    let mut index: FxHashMap<(PatternKey, EndpointId), usize> = FxHashMap::default();
     for sq in subqueries {
         for tp in &sq.triples {
             let key = pattern_key(tp);
             for &ep in &sq.sources {
-                if let Some(c) = cache.get(&key, ep) {
-                    known.insert((key.clone(), ep), c);
-                } else if let Some(c) = fed.stats_for(ep).and_then(|s| s.count_pattern(tp)) {
-                    // Offline statistics carry the pattern's *exact*
-                    // count (see `EndpointStats::count_pattern`), so the
-                    // downstream delay decision is unchanged and the
-                    // wire probe can be elided outright. Like the ASK
-                    // path, the answer is not written into the cache.
-                    if known.insert((key.clone(), ep), c).is_none() {
-                        net.trace
-                            .emit(|| lusail_endpoint::TraceEvent::StatsAnswered {
-                                endpoint: ep,
-                                kind: RequestKind::Count,
-                            });
-                    }
-                } else if requested.insert((key.clone(), ep)) {
-                    needed.push((ep, tp.clone()));
-                }
+                index.entry((key.clone(), ep)).or_insert_with(|| {
+                    probes.push((ep, tp));
+                    probes.len() - 1
+                });
             }
         }
     }
-    let probed = net
-        .handler
-        .run(fed, needed, |ep_id, ep, tp: &TriplePattern| {
-            net.client.request_kind(ep_id, RequestKind::Count, || {
-                ep.count(&Query::count(GroupPattern::bgp(vec![tp.clone()])))
-            })
-        });
-    for (ep, tp, c) in probed {
-        let key = pattern_key(&tp);
-        match c {
-            Ok(c) => {
-                cache.put(key.clone(), ep, c);
-                known.insert((key, ep), c);
-            }
-            Err(_) => {
-                net.degradation
-                    .counts_defaulted
-                    .fetch_add(1, Ordering::Relaxed);
-                known.insert((key, ep), fed.endpoint(ep).triple_count() as u64);
-            }
-        }
-    }
+    let counts = probe::resolve::<probe::Count>(fed, net, cache, &probes);
     let count_of = |tp: &TriplePattern, ep: EndpointId| -> u64 {
-        known.get(&(pattern_key(tp), ep)).copied().unwrap_or(0)
+        index.get(&(pattern_key(tp), ep)).map_or(0, |&i| counts[i])
     };
 
     subqueries

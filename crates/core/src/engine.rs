@@ -50,10 +50,10 @@ pub struct LusailConfig {
     /// pattern becomes its own subquery (the §II strawman of evaluating
     /// each pattern independently); SAPE still schedules and joins them.
     pub disable_lade: bool,
-    /// Capacity bound for the ASK / COUNT probe caches. `None` (the
-    /// default, the paper's unbounded hash table) never evicts; a
-    /// long-lived server sets a bound so cache memory stays proportional
-    /// to it across millions of queries, with LRU eviction.
+    /// Capacity bound for each of the ASK / COUNT / check probe caches.
+    /// `None` (the default, the paper's unbounded hash table) never
+    /// evicts; a long-lived server sets a bound so cache memory stays
+    /// proportional to it across millions of queries, with LRU eviction.
     pub probe_cache_capacity: Option<usize>,
 }
 
@@ -769,8 +769,16 @@ mod tests {
     }
 
     fn check_against_oracle(fed: &Federation, oracle: &TripleStore, text: &str) -> QueryResult {
+        check_engine_against_oracle(&Lusail::default(), fed, oracle, text)
+    }
+
+    fn check_engine_against_oracle(
+        engine: &Lusail,
+        fed: &Federation,
+        oracle: &TripleStore,
+        text: &str,
+    ) -> QueryResult {
         let q = parse_query(text, fed.dict()).unwrap();
-        let engine = Lusail::default();
         let result = engine.execute(fed, &q).unwrap();
         let expected = lusail_store::eval::evaluate(oracle, &q);
         assert_eq!(
@@ -899,6 +907,31 @@ mod tests {
             "PREFIX ub: <http://ub/> SELECT ?S ?P WHERE { \
                ?S ub:advisor ?P . VALUES ?P { <http://ep2/Tim> } }",
         );
+    }
+
+    #[test]
+    fn probe_cache_capacity_bounds_the_check_memo() {
+        let (fed, oracle) = universities();
+        let engine = Lusail::new(LusailConfig {
+            probe_cache_capacity: Some(2),
+            ..LusailConfig::default()
+        });
+        // Three same-source joins with disjoint check queries: ten
+        // (check, endpoint) verdicts in all.
+        let mut asked = 0;
+        for bgp in [
+            "?S ub:advisor ?P . ?S ub:takesCourse ?C",
+            "?S ub:advisor ?P . ?P ub:teacherOf ?C",
+            "?P ub:teacherOf ?C . ?P ub:PhDDegreeFrom ?U",
+        ] {
+            let text = format!("PREFIX ub: <http://ub/> SELECT * WHERE {{ {bgp} }}");
+            asked += check_engine_against_oracle(&engine, &fed, &oracle, &text)
+                .metrics
+                .check_queries;
+        }
+        assert!(asked > 2, "only {asked} check queries were asked");
+        assert!(engine.caches.check.len() <= 2);
+        assert!(engine.caches.check.evictions() > 0);
     }
 
     #[test]

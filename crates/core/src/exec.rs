@@ -183,6 +183,13 @@ pub struct Degradation {
 }
 
 impl Degradation {
+    /// Counts a failed ASK and returns its conservative answer: the
+    /// endpoint is assumed relevant, which can only cost extra requests.
+    pub fn assume_relevant(&self) -> bool {
+        self.asks_assumed_relevant.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
     /// Marks that result-bearing data was lost (a failed execution SELECT).
     pub fn record_data_loss(&self) {
         self.data_loss.store(true, Ordering::Relaxed);
@@ -288,6 +295,15 @@ impl Net {
     ) -> SolutionSet {
         self.try_select(fed, ep_id, q)
             .unwrap_or_else(|| SolutionSet::empty(vars))
+    }
+
+    /// A wire-only `ASK` (no memo, no statistics — the query carries
+    /// bindings or constants those cannot speak for); a failed one keeps
+    /// its endpoint via [`Degradation::assume_relevant`].
+    pub fn ask_or_relevant(&self, ep_id: EndpointId, ep: &EndpointRef, q: &Query) -> bool {
+        self.client
+            .request_kind(ep_id, RequestKind::Ask, || ep.ask(q))
+            .unwrap_or_else(|_| self.degradation.assume_relevant())
     }
 }
 
@@ -657,18 +673,7 @@ fn refine_sources(
     let ask = Query::ask(pattern);
     let tasks: Vec<(EndpointId, ())> = sources.iter().map(|&ep| (ep, ())).collect();
     let results = net.handler.run(fed, tasks, |ep_id, ep, _| {
-        match net
-            .client
-            .request_kind(ep_id, RequestKind::Ask, || ep.ask(&ask))
-        {
-            Ok(relevant) => relevant,
-            Err(_) => {
-                net.degradation
-                    .asks_assumed_relevant
-                    .fetch_add(1, Ordering::Relaxed);
-                true
-            }
-        }
+        net.ask_or_relevant(ep_id, ep, &ask)
     });
     let refined: Vec<EndpointId> = results
         .into_iter()

@@ -34,13 +34,13 @@
 //! every remote-referenced entity and destroy the disjointness of LUBM
 //! Q1/Q2 that §VI-C reports.
 
-use crate::cache::KeyedCache;
+use crate::cache::ProbeCache;
 use crate::exec::Net;
+use crate::probe;
 use crate::source_selection::SourceMap;
 use lusail_endpoint::{EndpointId, Federation, RequestKind};
 use lusail_rdf::{vocab, FxHashSet, TermId};
 use lusail_sparql::ast::{GroupPattern, PatternTerm, Query, TriplePattern};
-use std::sync::atomic::Ordering;
 
 /// The result of GJV analysis over one basic graph pattern.
 #[derive(Debug, Clone, Default)]
@@ -81,15 +81,23 @@ enum Role {
     Predicate,
 }
 
+/// A check probe: the query the wire sees and its memo key.
+pub(crate) struct CheckQuery {
+    pub(crate) query: Query,
+    /// The serialized structure — stable and canonical enough for
+    /// memoization (term ids are stable within a dictionary).
+    pub(crate) sig: String,
+}
+
 /// Runs Algorithm 1 over the triple patterns of one conjunctive block.
-/// A check query whose endpoint fails (after retries) degrades gracefully:
-/// the pair is *assumed conflicting* — a false positive costs extra remote
-/// joins, never answers — and the assumption is not cached.
+/// Check queries are answered by `probe::resolve` (memo, then
+/// statistics, then the wire; a failed check assumes the pair conflicting
+/// — a false positive costs extra remote joins, never answers).
 pub fn detect_gjvs(
     fed: &Federation,
     triples: &[TriplePattern],
     sources: &SourceMap,
-    cache: &KeyedCache<bool>,
+    cache: &ProbeCache<String, bool>,
     net: &Net,
 ) -> GjvAnalysis {
     let mut analysis = GjvAnalysis::default();
@@ -173,33 +181,22 @@ pub fn detect_gjvs(
                 is_gjv = true;
             } else {
                 let type_info = type_of(var);
-                let mut checks: Vec<(usize, usize, Query, String)> = Vec::new();
-                let push_check =
+                let mut checks: Vec<(usize, usize, CheckQuery)> = Vec::new();
+                let difference = |keep: usize, probe: usize| {
+                    check_query(var, &triples[keep], &triples[probe], type_info, triples)
+                };
+                let home = |keep: usize| home_check_query(var, &triples[keep], type_info, triples);
+                // One check per (pair, rendered text).
+                let push =
                     |i: usize,
                      j: usize,
-                     keep: usize,
-                     probe: usize,
-                     checks: &mut Vec<(usize, usize, Query, String)>| {
-                        let (q, sig) =
-                            check_query(var, &triples[keep], &triples[probe], type_info, triples);
+                     check: CheckQuery,
+                     checks: &mut Vec<(usize, usize, CheckQuery)>| {
                         if !checks
                             .iter()
-                            .any(|(a, b, _, s)| (*a, *b) == (i, j) && *s == sig)
+                            .any(|(a, b, c)| (*a, *b) == (i, j) && c.sig == check.sig)
                         {
-                            checks.push((i, j, q, sig));
-                        }
-                    };
-                let push_home_check =
-                    |i: usize,
-                     j: usize,
-                     keep: usize,
-                     checks: &mut Vec<(usize, usize, Query, String)>| {
-                        let (q, sig) = home_check_query(var, &triples[keep], type_info, triples);
-                        if !checks
-                            .iter()
-                            .any(|(a, b, _, s)| (*a, *b) == (i, j) && *s == sig)
-                        {
-                            checks.push((i, j, q, sig));
+                            checks.push((i, j, check));
                         }
                     };
                 // Enumerate occurrence pairs. For an (object TPᵢ, subject
@@ -231,20 +228,18 @@ pub fn detect_gjvs(
                         }
                         match (ri, rj) {
                             (Role::Object, Role::Subject) => {
-                                push_check(i, j, i, j, &mut checks);
+                                push(i, j, difference(i, j), &mut checks);
                             }
                             (Role::Subject, Role::Object) => {
-                                push_check(i, j, j, i, &mut checks);
-                            }
-                            (Role::Object, Role::Object) => {
-                                push_check(i, j, i, j, &mut checks);
-                                push_check(i, j, j, i, &mut checks);
-                                push_home_check(i, j, i, &mut checks);
-                                push_home_check(i, j, j, &mut checks);
+                                push(i, j, difference(j, i), &mut checks);
                             }
                             _ => {
-                                push_check(i, j, i, j, &mut checks);
-                                push_check(i, j, j, i, &mut checks);
+                                push(i, j, difference(i, j), &mut checks);
+                                push(i, j, difference(j, i), &mut checks);
+                                if (ri, rj) == (Role::Object, Role::Object) {
+                                    push(i, j, home(i), &mut checks);
+                                    push(i, j, home(j), &mut checks);
+                                }
                             }
                         }
                     }
@@ -252,60 +247,25 @@ pub fn detect_gjvs(
 
                 // Evaluate check queries at all relevant endpoints
                 // (identical source lists for both patterns of a pair).
-                let mut tasks: Vec<(EndpointId, usize)> = Vec::new();
-                let mut outcomes: Vec<bool> = vec![false; checks.len()];
-                for (ci, (i, _, q, sig)) in checks.iter().enumerate() {
+                let mut probes: Vec<(EndpointId, &CheckQuery)> = Vec::new();
+                let mut pairs: Vec<(usize, usize)> = Vec::new();
+                for (i, j, check) in &checks {
                     for &ep in sources.sources(&triples[*i]) {
-                        match cache.get(sig, ep) {
-                            Some(nonempty) => outcomes[ci] |= nonempty,
-                            // Cache miss: offline statistics answer next
-                            // when conclusive for the probe's shape (see
-                            // `stats_check_answer`), eliding the wire
-                            // select; the answer is not cached.
-                            None => match fed.stats_for(ep).and_then(|s| stats_check_answer(&s, q))
-                            {
-                                Some(nonempty) => {
-                                    net.trace
-                                        .emit(|| lusail_endpoint::TraceEvent::StatsAnswered {
-                                            endpoint: ep,
-                                            kind: RequestKind::Check,
-                                        });
-                                    outcomes[ci] |= nonempty;
-                                }
-                                None => tasks.push((ep, ci)),
-                            },
-                        }
+                        probes.push((ep, check));
+                        pairs.push(key(*i, *j));
                     }
                 }
-                let attempts_before = net.client.wire_attempts(RequestKind::Check);
-                let results = net.handler.run(fed, tasks, |ep_id, ep, &ci| {
-                    net.client
-                        .request_kind(ep_id, RequestKind::Check, || ep.select(&checks[ci].2))
-                        .map(|sols| !sols.is_empty())
-                });
                 // `check_queries` counts wire attempts, exactly like the
                 // endpoint-side select counter it is documented as a part
                 // of: a retried check counts once per attempt and a
                 // circuit-broken one not at all.
+                let attempts_before = net.client.wire_attempts(RequestKind::Check);
+                let nonempty = probe::resolve::<probe::Check>(fed, net, cache, &probes);
                 analysis.check_queries +=
                     net.client.wire_attempts(RequestKind::Check) - attempts_before;
-                for (ep, ci, nonempty) in results {
-                    match nonempty {
-                        Ok(nonempty) => {
-                            cache.put(checks[ci].3.clone(), ep, nonempty);
-                            outcomes[ci] |= nonempty;
-                        }
-                        Err(_) => {
-                            net.degradation
-                                .checks_assumed_conflict
-                                .fetch_add(1, Ordering::Relaxed);
-                            outcomes[ci] = true;
-                        }
-                    }
-                }
-                for (ci, (i, j, _, _)) in checks.iter().enumerate() {
-                    if outcomes[ci] {
-                        analysis.conflicts.insert(key(*i, *j));
+                for (pair, nonempty) in pairs.into_iter().zip(nonempty) {
+                    if nonempty {
+                        analysis.conflicts.insert(pair);
                         is_gjv = true;
                     }
                 }
@@ -322,15 +282,56 @@ pub fn detect_gjvs(
 /// Builds the paper's check query (Fig. 6): instances of `var` matching
 /// `keep` that have **no** local match in `probe`. Constants (other than
 /// the predicate) inside the probe pattern are replaced with fresh
-/// variables; a known type constraint is added. Returns the query and a
-/// stable signature for caching.
+/// variables; a known type constraint is added.
 fn check_query(
     var: &str,
     keep: &TriplePattern,
     probe: &TriplePattern,
     type_info: Option<(usize, TermId)>,
     triples: &[TriplePattern],
-) -> (Query, String) {
+) -> CheckQuery {
+    // Probe pattern: keep the analyzed variable, the predicate, and any
+    // variable shared with the kept pattern (preserving multi-variable
+    // join correlation makes the NOT EXISTS stricter, i.e. strictly more
+    // conservative); generalize constants and unrelated variables to
+    // fresh names so the check is about *locality*, not specific values.
+    let fresh = |tag: &str, t: &PatternTerm| -> PatternTerm {
+        match t {
+            PatternTerm::Var(v) if v == var || keep.mentions(v) => PatternTerm::Var(v.clone()),
+            _ => PatternTerm::Var(format!("__chk_{tag}")),
+        }
+    };
+    let inner = TriplePattern::new(fresh("s", &probe.s), probe.p.clone(), fresh("o", &probe.o));
+    not_exists_probe(var, keep, inner, type_info, triples)
+}
+
+/// Builds the home-check probe used for object–object joins: instances of
+/// `var` matching `keep` that are **not** the subject of any local triple.
+/// A non-empty result means some instance is a remote reference whose home
+/// endpoint may contribute further matches — the pair must not be grouped.
+fn home_check_query(
+    var: &str,
+    keep: &TriplePattern,
+    type_info: Option<(usize, TermId)>,
+    triples: &[TriplePattern],
+) -> CheckQuery {
+    let inner = TriplePattern::new(
+        PatternTerm::Var(var.to_string()),
+        PatternTerm::Var("__chk_hp".to_string()),
+        PatternTerm::Var("__chk_ho".to_string()),
+    );
+    not_exists_probe(var, keep, inner, type_info, triples)
+}
+
+/// `SELECT ?var { [?var rdf:type T .] keep FILTER NOT EXISTS { inner } }
+/// LIMIT 1` — the shape both check builders share.
+fn not_exists_probe(
+    var: &str,
+    keep: &TriplePattern,
+    inner: TriplePattern,
+    type_info: Option<(usize, TermId)>,
+    triples: &[TriplePattern],
+) -> CheckQuery {
     let mut outer = vec![keep.clone()];
     if let Some((ti, ty)) = type_info {
         let type_tp = &triples[ti];
@@ -346,21 +347,9 @@ fn check_query(
             );
         }
     }
-    // Probe pattern: keep the analyzed variable, the predicate, and any
-    // variable shared with the kept pattern (preserving multi-variable
-    // join correlation makes the NOT EXISTS stricter, i.e. strictly more
-    // conservative); generalize constants and unrelated variables to
-    // fresh names so the check is about *locality*, not specific values.
-    let fresh = |tag: &str, t: &PatternTerm| -> PatternTerm {
-        match t {
-            PatternTerm::Var(v) if v == var || keep.mentions(v) => PatternTerm::Var(v.clone()),
-            _ => PatternTerm::Var(format!("__chk_{tag}")),
-        }
-    };
-    let inner = TriplePattern::new(fresh("s", &probe.s), probe.p.clone(), fresh("o", &probe.o));
     let mut pattern = GroupPattern::bgp(outer);
     pattern.not_exists.push(GroupPattern::bgp(vec![inner]));
-    let q = Query {
+    let query = Query {
         form: lusail_sparql::ast::QueryForm::Select,
         distinct: false,
         projection: vec![var.to_string()],
@@ -371,56 +360,8 @@ fn check_query(
         order_by: Vec::new(),
         limit: Some(1),
     };
-    // Signature: the serialized text is stable and canonical enough for
-    // memoization (term ids are stable within a dictionary).
-    let sig = write_query_for_sig(&q);
-    (q, sig)
-}
-
-/// Builds the home-check probe used for object–object joins: instances of
-/// `var` matching `keep` that are **not** the subject of any local triple.
-/// A non-empty result means some instance is a remote reference whose home
-/// endpoint may contribute further matches — the pair must not be grouped.
-fn home_check_query(
-    var: &str,
-    keep: &TriplePattern,
-    type_info: Option<(usize, TermId)>,
-    triples: &[TriplePattern],
-) -> (Query, String) {
-    let mut outer = vec![keep.clone()];
-    if let Some((ti, ty)) = type_info {
-        let type_tp = &triples[ti];
-        if type_tp != keep {
-            outer.insert(
-                0,
-                TriplePattern::new(
-                    PatternTerm::Var(var.to_string()),
-                    type_tp.p.clone(),
-                    PatternTerm::Const(ty),
-                ),
-            );
-        }
-    }
-    let inner = TriplePattern::new(
-        PatternTerm::Var(var.to_string()),
-        PatternTerm::Var("__chk_hp".to_string()),
-        PatternTerm::Var("__chk_ho".to_string()),
-    );
-    let mut pattern = GroupPattern::bgp(outer);
-    pattern.not_exists.push(GroupPattern::bgp(vec![inner]));
-    let q = Query {
-        form: lusail_sparql::ast::QueryForm::Select,
-        distinct: false,
-        projection: vec![var.to_string()],
-        pattern,
-        aggregates: Vec::new(),
-        group_by: Vec::new(),
-        having: Vec::new(),
-        order_by: Vec::new(),
-        limit: Some(1),
-    };
-    let sig = write_query_for_sig(&q);
-    (q, sig)
+    let sig = write_query_for_sig(&query);
+    CheckQuery { query, sig }
 }
 
 /// A dictionary-free signature: serialize structure with raw term ids.
@@ -487,7 +428,7 @@ fn write_query_for_sig(q: &Query) -> String {
 /// [`ask_pattern`]: lusail_store::EndpointStats::ask_pattern
 /// [`objects_foreign`]: lusail_store::EndpointStats::objects_foreign
 /// [`any_signature_with_without`]: lusail_store::EndpointStats::any_signature_with_without
-fn stats_check_answer(stats: &lusail_store::EndpointStats, q: &Query) -> Option<bool> {
+pub(crate) fn stats_check_answer(stats: &lusail_store::EndpointStats, q: &Query) -> Option<bool> {
     let var = q.projection.first()?.as_str();
     // The reasoning below assumes the exact probe shape the builders
     // above produce; answer only that shape, never a partial view of a
@@ -563,7 +504,6 @@ fn stats_check_answer(stats: &lusail_store::EndpointStats, q: &Query) -> Option<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::ProbeCache;
     use crate::source_selection::select_sources;
     use lusail_endpoint::LocalEndpoint;
     use lusail_rdf::{Dictionary, Term};
@@ -575,6 +515,12 @@ mod tests {
     /// EP1 (MIT-like): all professors got their PhD locally; EP2 has Tim,
     /// whose PhD university (incl. its address) lives at EP1.
     fn universities() -> Federation {
+        universities_with_locals().0
+    }
+
+    /// [`universities`] plus handles on the two local endpoints (the
+    /// federation's trait objects hide their stores).
+    fn universities_with_locals() -> (Federation, [Arc<LocalEndpoint>; 2]) {
         let dict = Dictionary::shared();
         let ub = |l: &str| Term::iri(format!("http://ub/{l}"));
         let e1 = |l: &str| Term::iri(format!("http://ep1/{l}"));
@@ -606,10 +552,15 @@ mod tests {
         ep2.insert_terms(&e2("Tim"), &ub("PhDDegreeFrom"), &e1("MIT"));
         ep2.insert_terms(&e2("UoQ"), &ub("address"), &Term::lit("QQQ"));
 
+        let locals = [
+            Arc::new(LocalEndpoint::new("EP1", ep1)),
+            Arc::new(LocalEndpoint::new("EP2", ep2)),
+        ];
         let mut fed = Federation::new(dict);
-        fed.add(Arc::new(LocalEndpoint::new("EP1", ep1)));
-        fed.add(Arc::new(LocalEndpoint::new("EP2", ep2)));
-        fed
+        for local in &locals {
+            fed.add(Arc::clone(local) as _);
+        }
+        (fed, locals)
     }
 
     fn qa(fed: &Federation) -> lusail_sparql::Query {
@@ -629,7 +580,7 @@ mod tests {
         let net = Net::default();
         let ask_cache = ProbeCache::new(true);
         let sources = select_sources(fed, &q.pattern, &ask_cache, &net);
-        let check_cache = KeyedCache::new(true);
+        let check_cache = ProbeCache::new(true);
         detect_gjvs(fed, &q.pattern.triples, &sources, &check_cache, &net)
     }
 
@@ -842,11 +793,11 @@ mod tests {
                     TriplePattern::new(v("v"), v("k"), v("x")),
                 ] {
                     for type_info in [None, Some((0usize, ty_id))] {
-                        queries.push(check_query("v", keep, &probe, type_info, &triples).0);
+                        queries.push(check_query("v", keep, &probe, type_info, &triples).query);
                     }
                 }
                 for type_info in [None, Some((0usize, ty_id))] {
-                    queries.push(home_check_query("v", keep, type_info, &triples).0);
+                    queries.push(home_check_query("v", keep, type_info, &triples).query);
                 }
             }
             for q in &queries {
@@ -871,14 +822,13 @@ mod tests {
 
     #[test]
     fn stats_elide_check_probes_without_changing_the_analysis() {
-        let fed = universities();
+        let (fed, locals) = universities_with_locals();
         let q = qa(&fed);
         let baseline = analyze(&fed, &q);
         let wire = fed.stats_snapshot();
-        for id in 0..fed.len() {
-            let mut st = TripleStore::new(Arc::clone(fed.dict()));
-            rebuild_endpoint_store(&fed, id, &mut st);
-            fed.attach_stats(id, Arc::new(lusail_store::EndpointStats::build(&st)));
+        for (id, local) in locals.iter().enumerate() {
+            let stats = lusail_store::EndpointStats::build(local.store());
+            fed.attach_stats(id, Arc::new(stats));
         }
         let with_stats = analyze(&fed, &q);
         assert_eq!(with_stats.gjvs, baseline.gjvs);
@@ -891,34 +841,6 @@ mod tests {
             stats_selects < baseline_selects,
             "stats run issued {stats_selects} selects vs {baseline_selects}"
         );
-    }
-
-    /// Re-creates endpoint `id`'s triples (the trait object hides the
-    /// store, so tests rebuild it from the same fixture data).
-    fn rebuild_endpoint_store(fed: &Federation, id: usize, st: &mut TripleStore) {
-        let ub = |l: &str| Term::iri(format!("http://ub/{l}"));
-        let e1 = |l: &str| Term::iri(format!("http://ep1/{l}"));
-        let e2 = |l: &str| Term::iri(format!("http://ep2/{l}"));
-        if fed.endpoint(id).name() == "EP1" {
-            st.insert_terms(&e1("Kim"), &ub("advisor"), &e1("Joy"));
-            st.insert_terms(&e1("Kim"), &ub("takesCourse"), &e1("c1"));
-            st.insert_terms(&e1("Joy"), &ub("teacherOf"), &e1("c1"));
-            st.insert_terms(&e1("Joy"), &ub("type"), &ub("Professor"));
-            st.insert_terms(&e1("Joy"), &ub("PhDDegreeFrom"), &e1("CMU"));
-            st.insert_terms(&e1("CMU"), &ub("address"), &Term::lit("CCCC"));
-            st.insert_terms(&e1("MIT"), &ub("address"), &Term::lit("XXX"));
-            st.insert_terms(&e1("Bob"), &ub("advisor"), &e1("Ann"));
-            st.insert_terms(&e1("Bob"), &ub("takesCourse"), &e1("c2"));
-            st.insert_terms(&e1("Ann"), &ub("type"), &ub("Professor"));
-            st.insert_terms(&e1("Ann"), &ub("PhDDegreeFrom"), &e1("CMU"));
-        } else {
-            st.insert_terms(&e2("Lee"), &ub("advisor"), &e2("Tim"));
-            st.insert_terms(&e2("Lee"), &ub("takesCourse"), &e2("c3"));
-            st.insert_terms(&e2("Tim"), &ub("teacherOf"), &e2("c3"));
-            st.insert_terms(&e2("Tim"), &ub("type"), &ub("Professor"));
-            st.insert_terms(&e2("Tim"), &ub("PhDDegreeFrom"), &e1("MIT"));
-            st.insert_terms(&e2("UoQ"), &ub("address"), &Term::lit("QQQ"));
-        }
     }
 
     #[test]

@@ -34,6 +34,7 @@ pub mod gjv;
 pub mod join;
 pub mod metrics;
 pub mod mqo;
+mod probe;
 pub mod source_selection;
 pub mod subquery;
 pub mod trace;

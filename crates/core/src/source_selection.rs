@@ -5,11 +5,11 @@
 //! patterns of one query are issued in parallel through the elastic
 //! request handler (one worker per endpoint).
 
-use crate::cache::{pattern_key, ProbeCache};
+use crate::cache::{PatternKey, ProbeCache};
 use crate::exec::Net;
+use crate::probe;
 use lusail_endpoint::{EndpointId, Federation};
-use lusail_sparql::ast::{GroupPattern, Query, TriplePattern};
-use std::sync::atomic::Ordering;
+use lusail_sparql::ast::{GroupPattern, TriplePattern};
 
 /// Relevant endpoints for every triple pattern of a query, in
 /// `GroupPattern::all_triples` order.
@@ -79,95 +79,51 @@ impl SourceMap {
 }
 
 /// Runs source selection for every triple pattern of `pattern` (including
-/// nested OPTIONAL/UNION/NOT EXISTS groups) against all endpoints. A probe
-/// whose endpoint fails (after retries) degrades gracefully: the endpoint
-/// is *assumed relevant* — a safe over-approximation that can only cost
-/// extra requests, never answers — and the assumption is not cached.
+/// nested OPTIONAL/UNION/NOT EXISTS groups) against all endpoints, one
+/// `ASK` probe per distinct pattern per endpoint, answered by
+/// `probe::resolve` (memo, then statistics, then the wire; a failed probe
+/// assumes the endpoint relevant).
 pub fn select_sources(
     fed: &Federation,
     pattern: &GroupPattern,
-    cache: &ProbeCache<bool>,
+    cache: &ProbeCache<PatternKey, bool>,
     net: &Net,
 ) -> SourceMap {
-    let triples: Vec<TriplePattern> = pattern.all_triples().into_iter().cloned().collect();
-    let mut entries: Vec<(TriplePattern, Vec<EndpointId>)> = Vec::with_capacity(triples.len());
+    let triples = pattern.all_triples();
 
     // Deduplicate patterns: repeated patterns share one probe set.
-    let mut unique: Vec<TriplePattern> = Vec::new();
+    let mut unique: Vec<&TriplePattern> = Vec::new();
     for tp in &triples {
         if !unique.contains(tp) {
-            unique.push(tp.clone());
+            unique.push(tp);
         }
     }
 
-    // Build the probe task list, skipping cached answers. Only *logical*
-    // endpoints (replica-group primaries) are probed: replicas hold the
-    // same data, so probing them as independent sources would duplicate
-    // every result row. Failover reaches them through the replica group,
-    // not through source selection.
+    // Only *logical* endpoints (replica-group primaries) are probed:
+    // replicas hold the same data, so probing them as independent sources
+    // would duplicate every result row. Failover reaches them through the
+    // replica group, not through source selection.
     let logical = fed.logical_ids();
-    let mut tasks: Vec<(EndpointId, TriplePattern)> = Vec::new();
-    let mut known: Vec<(TriplePattern, EndpointId, bool)> = Vec::new();
-    for tp in &unique {
-        let key = pattern_key(tp);
-        for &ep_id in &logical {
-            match cache.get(&key, ep_id) {
-                Some(answer) => known.push((tp.clone(), ep_id, answer)),
-                // Cache miss: offline statistics answer next, when they
-                // are attached for the endpoint *and* conclusive for the
-                // pattern (a conclusive answer is exact — see
-                // `EndpointStats::ask_pattern`). Stats answers are not
-                // written into the probe cache: the cache is invalidated
-                // per-endpoint on death and stats independently so, and
-                // mixing the two would blur that audit trail.
-                None => match fed.stats_for(ep_id).and_then(|s| s.ask_pattern(tp)) {
-                    Some(answer) => {
-                        net.trace
-                            .emit(|| lusail_endpoint::TraceEvent::StatsAnswered {
-                                endpoint: ep_id,
-                                kind: lusail_endpoint::RequestKind::Ask,
-                            });
-                        known.push((tp.clone(), ep_id, answer));
-                    }
-                    None => tasks.push((ep_id, tp.clone())),
-                },
-            }
-        }
-    }
+    let probes: Vec<(EndpointId, &TriplePattern)> = unique
+        .iter()
+        .flat_map(|&tp| logical.iter().map(move |&ep| (ep, tp)))
+        .collect();
+    let answers = probe::resolve::<probe::Ask>(fed, net, cache, &probes);
 
-    // Probe uncached (endpoint, pattern) pairs in parallel by endpoint.
-    let probed = net
-        .handler
-        .run(fed, tasks, |ep_id, ep, tp: &TriplePattern| {
-            let q = Query::ask(GroupPattern::bgp(vec![tp.clone()]));
-            net.client
-                .request_kind(ep_id, lusail_endpoint::RequestKind::Ask, || ep.ask(&q))
-        });
-    for (ep_id, tp, answer) in probed {
-        match answer {
-            Ok(answer) => {
-                cache.put(pattern_key(&tp), ep_id, answer);
-                known.push((tp, ep_id, answer));
-            }
-            Err(_) => {
-                net.degradation
-                    .asks_assumed_relevant
-                    .fetch_add(1, Ordering::Relaxed);
-                known.push((tp, ep_id, true));
-            }
-        }
-    }
-
-    for tp in triples {
-        let mut sources: Vec<EndpointId> = known
-            .iter()
-            .filter(|(t, _, ans)| *ans && *t == tp)
-            .map(|(_, ep, _)| *ep)
-            .collect();
-        sources.sort_unstable();
-        sources.dedup();
-        entries.push((tp, sources));
-    }
+    let entries = triples
+        .into_iter()
+        .map(|tp| {
+            let mut sources: Vec<EndpointId> = probes
+                .iter()
+                .zip(&answers)
+                .filter(|((_, t), &relevant)| relevant && *t == tp)
+                .map(|((ep, _), _)| *ep)
+                .collect();
+            sources.sort_unstable();
+            sources.dedup();
+            (tp.clone(), sources)
+        })
+        .collect();
     SourceMap { entries }
 }
 
@@ -181,6 +137,12 @@ mod tests {
     use std::sync::Arc;
 
     fn fed() -> Federation {
+        fed_with_a().0
+    }
+
+    /// [`fed`] plus a handle on endpoint A (the federation's trait objects
+    /// hide their stores).
+    fn fed_with_a() -> (Federation, Arc<LocalEndpoint>) {
         let dict = Dictionary::shared();
         let mut a = TripleStore::new(Arc::clone(&dict));
         a.insert_terms(
@@ -194,10 +156,11 @@ mod tests {
             &Term::iri("http://x/q"),
             &Term::iri("http://x/o2"),
         );
+        let a = Arc::new(LocalEndpoint::new("A", a));
         let mut fed = Federation::new(dict);
-        fed.add(Arc::new(LocalEndpoint::new("A", a)));
+        fed.add(Arc::clone(&a) as _);
         fed.add(Arc::new(LocalEndpoint::new("B", b)));
-        fed
+        (fed, a)
     }
 
     #[test]
@@ -249,7 +212,7 @@ mod tests {
 
     #[test]
     fn stats_elide_conclusive_asks_without_changing_sources() {
-        let f = fed();
+        let (f, a) = fed_with_a();
         let q = parse_query(
             "SELECT * WHERE { ?s <http://x/p> ?o . ?s <http://x/q> ?o2 }",
             f.dict(),
@@ -260,33 +223,13 @@ mod tests {
         let wire = f.stats_snapshot();
         // Attach stats for endpoint A only: its two probes (p present,
         // q absent) are both conclusive, so only B's two go to the wire.
-        for id in 0..f.len() {
-            if f.endpoint(id).name() == "A" {
-                f.attach_stats(
-                    id,
-                    Arc::new(lusail_store::EndpointStats::build(&store_of(&f, id))),
-                );
-            }
-        }
+        let stats = lusail_store::EndpointStats::build(a.store());
+        f.attach_stats(0, Arc::new(stats));
         let sm = select_sources(&f, &q.pattern, &ProbeCache::new(false), &net);
         assert_eq!(f.stats_snapshot().since(&wire).ask_requests, 2);
         for (tp, sources) in sm.iter() {
             assert_eq!(sources, baseline.sources(tp));
         }
-    }
-
-    /// Rebuilds the store content of endpoint `id` (tests only — local
-    /// endpoints do not expose their store through the trait object).
-    fn store_of(f: &Federation, id: usize) -> TripleStore {
-        let mut st = TripleStore::new(Arc::clone(f.dict()));
-        if f.endpoint(id).name() == "A" {
-            st.insert_terms(
-                &Term::iri("http://x/s1"),
-                &Term::iri("http://x/p"),
-                &Term::iri("http://x/o1"),
-            );
-        }
-        st
     }
 
     #[test]

@@ -343,16 +343,7 @@ pub fn oracle_solutions(case: &Case) -> SolutionSet {
 /// otherwise the subset + completeness-honesty contract applies.
 pub fn check(case: &Case, engine: EngineKind, faults: &FaultSpec) -> Result<(), Violation> {
     let (fed, locals) = case.federation(faults);
-    check_on(
-        case,
-        engine,
-        &fed,
-        &locals,
-        faults.is_clean(),
-        false,
-        None,
-        1,
-    )
+    observe_on(case, engine, &fed, &locals, faults.is_clean(), 1, None).map(drop)
 }
 
 /// Everything observable about one run at a given worker budget: the
@@ -380,10 +371,18 @@ pub fn observe(
     threads: usize,
 ) -> Result<Observation, Violation> {
     let (fed, locals) = case.federation(faults);
-    observe_on(case, engine, &fed, &locals, faults.is_clean(), threads)
+    observe_on(
+        case,
+        engine,
+        &fed,
+        &locals,
+        faults.is_clean(),
+        threads,
+        None,
+    )
 }
 
-/// The shared trailing half of [`observe`]: run the engine over an
+/// The one run every check goes through: run the engine over an
 /// already-built federation, enforce the oracle contract and trace
 /// invariants, and return the run's [`Observation`].
 fn observe_on(
@@ -393,13 +392,14 @@ fn observe_on(
     locals: &[Arc<LocalEndpoint>],
     clean: bool,
     threads: usize,
+    tuning: Option<LusailTuning>,
 ) -> Result<Observation, Violation> {
     let policy = if clean {
         clean_policy()
     } else {
         faulty_policy()
     };
-    let runner = engine.build_tuned(locals, policy, None);
+    let runner = engine.build_tuned(locals, policy, tuning);
     let before = fed.stats_snapshot();
     let sink = TraceSink::enabled();
     let opts = ExecOptions::default()
@@ -410,12 +410,22 @@ fn observe_on(
         .map_err(|e| Violation::EngineError(format!("{e:?}")))?;
     let window = fed.stats_snapshot().since(&before);
     check_trace_invariants(&QueryTrace::from_sink(&sink), &window)?;
-    check_outcome(case, clean, false, &outcome)?;
+    check_outcome(case, clean, &outcome)?;
     Ok(Observation {
         solutions: outcome.solutions.canonicalize(),
         complete: outcome.complete,
         window,
     })
+}
+
+/// The per-kind wire request counters two runs are compared on, labelled.
+fn wire_kinds(a: &StatsSnapshot, b: &StatsSnapshot) -> [(&'static str, u64, u64); 4] {
+    [
+        ("ask", a.ask_requests, b.ask_requests),
+        ("count", a.count_requests, b.count_requests),
+        ("select", a.select_requests, b.select_requests),
+        ("total", a.total_requests(), b.total_requests()),
+    ]
 }
 
 /// The stats-vs-wire differential: runs `engine` over the case twice —
@@ -445,7 +455,7 @@ pub fn check_stats(
 ) -> Result<(), Violation> {
     let clean = faults.is_clean();
     let (fed_off, locals_off) = case.federation(faults);
-    let off = observe_on(case, engine, &fed_off, &locals_off, clean, threads)?;
+    let off = observe_on(case, engine, &fed_off, &locals_off, clean, threads, None)?;
 
     let (fed_on, locals_on) = case.federation(faults);
     for (i, ep) in locals_on.iter().enumerate() {
@@ -453,7 +463,7 @@ pub fn check_stats(
             fed_on.attach_stats(i, Arc::new(lusail_store::EndpointStats::build(ep.store())));
         }
     }
-    let on = observe_on(case, engine, &fed_on, &locals_on, clean, threads)?;
+    let on = observe_on(case, engine, &fed_on, &locals_on, clean, threads, None)?;
 
     if on.solutions != off.solutions {
         return Err(Violation::StatsDivergence {
@@ -469,21 +479,7 @@ pub fn check_stats(
             off: off.complete.to_string(),
         });
     }
-    let kinds: [(&'static str, u64, u64); 4] = [
-        ("ask", on.window.ask_requests, off.window.ask_requests),
-        ("count", on.window.count_requests, off.window.count_requests),
-        (
-            "select",
-            on.window.select_requests,
-            off.window.select_requests,
-        ),
-        (
-            "total",
-            on.window.total_requests(),
-            off.window.total_requests(),
-        ),
-    ];
-    for (kind, on_n, off_n) in kinds {
+    for (kind, on_n, off_n) in wire_kinds(&on.window, &off.window) {
         if on_n > off_n {
             return Err(Violation::StatsRequestRegression {
                 kind,
@@ -516,9 +512,9 @@ pub fn check_backends(
 ) -> Result<(), Violation> {
     let clean = faults.is_clean();
     let (fed_b, locals_b) = case.federation_on(faults, lusail_store::BackendKind::Btree);
-    let btree = observe_on(case, engine, &fed_b, &locals_b, clean, threads)?;
+    let btree = observe_on(case, engine, &fed_b, &locals_b, clean, threads, None)?;
     let (fed_c, locals_c) = case.federation_on(faults, lusail_store::BackendKind::Columns);
-    let columns = observe_on(case, engine, &fed_c, &locals_c, clean, threads)?;
+    let columns = observe_on(case, engine, &fed_c, &locals_c, clean, threads, None)?;
 
     if btree.solutions != columns.solutions {
         return Err(Violation::BackendDivergence {
@@ -534,34 +530,15 @@ pub fn check_backends(
             columns: columns.complete.to_string(),
         });
     }
-    let kinds: [(&'static str, u64, u64); 5] = [
-        (
-            "ask",
-            btree.window.ask_requests,
-            columns.window.ask_requests,
-        ),
-        (
-            "count",
-            btree.window.count_requests,
-            columns.window.count_requests,
-        ),
-        (
-            "select",
-            btree.window.select_requests,
-            columns.window.select_requests,
-        ),
-        (
-            "total",
-            btree.window.total_requests(),
-            columns.window.total_requests(),
-        ),
-        (
-            "rows_scanned",
-            btree.window.rows_scanned,
-            columns.window.rows_scanned,
-        ),
-    ];
-    for (kind, b, c) in kinds {
+    let scanned = (
+        "rows_scanned",
+        btree.window.rows_scanned,
+        columns.window.rows_scanned,
+    );
+    for (kind, b, c) in wire_kinds(&btree.window, &columns.window)
+        .into_iter()
+        .chain([scanned])
+    {
         if b != c {
             return Err(Violation::BackendDivergence {
                 facet: kind,
@@ -791,16 +768,16 @@ pub fn check_tuned(
     tuning: LusailTuning,
 ) -> Result<(), Violation> {
     let (fed, locals) = case.federation(faults);
-    check_on(
+    observe_on(
         case,
         engine,
         &fed,
         &locals,
         faults.is_clean(),
-        false,
-        Some(tuning),
         1,
+        Some(tuning),
     )
+    .map(drop)
 }
 
 /// [`check`] over a *replicated* federation (see
@@ -819,46 +796,11 @@ pub fn check_replicated(
     require_complete: bool,
 ) -> Result<(), Violation> {
     let (fed, locals) = case.replicated_federation(faults, replication);
-    check_on(
-        case,
-        engine,
-        &fed,
-        &locals,
-        faults.is_clean(),
-        require_complete,
-        None,
-        1,
-    )
-}
-
-#[allow(clippy::fn_params_excessive_bools, clippy::too_many_arguments)]
-fn check_on(
-    case: &Case,
-    engine: EngineKind,
-    fed: &lusail_endpoint::Federation,
-    locals: &[Arc<LocalEndpoint>],
-    clean: bool,
-    require_complete: bool,
-    tuning: Option<LusailTuning>,
-    threads: usize,
-) -> Result<(), Violation> {
-    let policy = if clean {
-        clean_policy()
-    } else {
-        faulty_policy()
-    };
-    let runner = engine.build_tuned(locals, policy, tuning);
-    let before = fed.stats_snapshot();
-    let sink = TraceSink::enabled();
-    let opts = ExecOptions::default()
-        .with_threads(threads)
-        .with_trace(sink.clone());
-    let outcome = runner
-        .run_with(fed, &case.query, &opts)
-        .map_err(|e| Violation::EngineError(format!("{e:?}")))?;
-    let window = fed.stats_snapshot().since(&before);
-    check_trace_invariants(&QueryTrace::from_sink(&sink), &window)?;
-    check_outcome(case, clean, require_complete, &outcome)
+    let run = observe_on(case, engine, &fed, &locals, faults.is_clean(), 1, None)?;
+    if require_complete && !run.complete {
+        return Err(Violation::DegradedDespiteReplicas);
+    }
+    Ok(())
 }
 
 /// The oracle contract applied to an already-obtained outcome: exact
@@ -867,12 +809,8 @@ fn check_on(
 fn check_outcome(
     case: &Case,
     clean: bool,
-    require_complete: bool,
     outcome: &lusail_endpoint::QueryOutcome,
 ) -> Result<(), Violation> {
-    if require_complete && !outcome.complete {
-        return Err(Violation::DegradedDespiteReplicas);
-    }
     let got = outcome.solutions.canonicalize();
     let full = oracle_solutions(case);
 

@@ -39,6 +39,37 @@ pub use gen::{Case, FaultSpec, GenConfig};
 pub use seed::{parse_seed, seed_from_env, SEED_ENV_VAR};
 pub use shrink::{shrink, Repro};
 
+use lusail_benchdata::common::Rng;
+
+/// The body every driver shares: draw the fault plan from the case's own
+/// seed stream (`fault_seed` is the case seed salted per driver, `None`
+/// for a clean run), check, and on failure shrink, re-check the shrunk
+/// pair for its own violation and package the repro.
+fn drive<T>(
+    case: Case,
+    fault_seed: Option<u64>,
+    draw: fn(&mut Rng, usize) -> FaultSpec,
+    engine: EngineKind,
+    check: impl Fn(&Case, &FaultSpec) -> Result<T, Violation>,
+) -> Result<T, Box<Repro>> {
+    let faults = match fault_seed {
+        Some(seed) => draw(&mut Rng::new(seed), case.n_endpoints),
+        None => FaultSpec::default(),
+    };
+    check(&case, &faults).map_err(|first_violation| {
+        let (small, small_faults) = shrink(&case, &faults, &|c, f| check(c, f).is_err());
+        let violation = check(&small, &small_faults)
+            .err()
+            .unwrap_or(first_violation);
+        Box::new(Repro {
+            case: small,
+            faults: small_faults,
+            engine,
+            violation,
+        })
+    })
+}
+
 /// Runs one seeded stats-vs-wire differential case end-to-end for one
 /// engine (see [`check_stats`]): generate, run with and without offline
 /// statistics, compare, and on failure shrink and package the repro.
@@ -53,29 +84,14 @@ pub fn run_stats_case(
     threads: usize,
 ) -> Result<(), Box<Repro>> {
     let case = Case::generate(case_seed, config);
-    let faults = if faulty {
-        let mut rng = lusail_benchdata::common::Rng::new(case_seed ^ 0xFA17_0000_0000_0002);
-        FaultSpec::random_dead_only(&mut rng, case.n_endpoints)
-    } else {
-        FaultSpec::default()
-    };
-    match check_stats(&case, engine, &faults, threads) {
-        Ok(()) => Ok(()),
-        Err(first_violation) => {
-            let still_fails =
-                |c: &Case, f: &FaultSpec| -> bool { check_stats(c, engine, f, threads).is_err() };
-            let (small, small_faults) = shrink(&case, &faults, &still_fails);
-            let violation = check_stats(&small, engine, &small_faults, threads)
-                .err()
-                .unwrap_or(first_violation);
-            Err(Box::new(Repro {
-                case: small,
-                faults: small_faults,
-                engine,
-                violation,
-            }))
-        }
-    }
+    let fault_seed = faulty.then_some(case_seed ^ 0xFA17_0000_0000_0002);
+    drive(
+        case,
+        fault_seed,
+        FaultSpec::random_dead_only,
+        engine,
+        |c, f| check_stats(c, engine, f, threads),
+    )
 }
 
 /// Runs one seeded backend-differential case end-to-end for one engine
@@ -92,30 +108,10 @@ pub fn run_backend_case(
     threads: usize,
 ) -> Result<(), Box<Repro>> {
     let case = Case::generate(case_seed, config);
-    let faults = if faulty {
-        let mut rng = lusail_benchdata::common::Rng::new(case_seed ^ 0xFA17_0000_0000_0003);
-        FaultSpec::random(&mut rng, case.n_endpoints)
-    } else {
-        FaultSpec::default()
-    };
-    match check_backends(&case, engine, &faults, threads) {
-        Ok(()) => Ok(()),
-        Err(first_violation) => {
-            let still_fails = |c: &Case, f: &FaultSpec| -> bool {
-                check_backends(c, engine, f, threads).is_err()
-            };
-            let (small, small_faults) = shrink(&case, &faults, &still_fails);
-            let violation = check_backends(&small, engine, &small_faults, threads)
-                .err()
-                .unwrap_or(first_violation);
-            Err(Box::new(Repro {
-                case: small,
-                faults: small_faults,
-                engine,
-                violation,
-            }))
-        }
-    }
+    let fault_seed = faulty.then_some(case_seed ^ 0xFA17_0000_0000_0003);
+    drive(case, fault_seed, FaultSpec::random, engine, |c, f| {
+        check_backends(c, engine, f, threads)
+    })
 }
 
 /// Runs one seeded batched-vs-solo differential case end-to-end (see
@@ -141,35 +137,18 @@ pub fn run_batched_case(
     if nested {
         case = case.with_nested_groups(config);
     }
-    let faults = if faulty {
-        let mut rng = lusail_benchdata::common::Rng::new(case_seed ^ 0xFA17_0000_0000_0004);
-        FaultSpec::random_dead_only(&mut rng, case.n_endpoints)
-    } else {
-        FaultSpec::default()
-    };
-    match check_batched(&case, &faults, window, threads) {
-        Ok(report) => Ok(report),
-        Err(first_violation) => {
-            let still_fails =
-                |c: &Case, f: &FaultSpec| -> bool { check_batched(c, f, window, threads).is_err() };
-            let (small, small_faults) = shrink(&case, &faults, &still_fails);
-            let violation = check_batched(&small, &small_faults, window, threads)
-                .err()
-                .unwrap_or(first_violation);
-            Err(Box::new(Repro {
-                case: small,
-                faults: small_faults,
-                engine: EngineKind::Lusail,
-                violation,
-            }))
-        }
-    }
+    let fault_seed = faulty.then_some(case_seed ^ 0xFA17_0000_0000_0004);
+    drive(
+        case,
+        fault_seed,
+        FaultSpec::random_dead_only,
+        EngineKind::Lusail,
+        |c, f| check_batched(c, f, window, threads),
+    )
 }
 
 /// Runs one seeded case end-to-end for one engine: generate, check, and
-/// on failure shrink and package the repro. `faulty` draws a fault plan
-/// from the case's own seed stream so the plan is as reproducible as the
-/// case.
+/// on failure shrink and package the repro.
 pub fn run_case(
     case_seed: u64,
     config: &GenConfig,
@@ -177,26 +156,8 @@ pub fn run_case(
     faulty: bool,
 ) -> Result<(), Box<Repro>> {
     let case = Case::generate(case_seed, config);
-    let faults = if faulty {
-        let mut rng = lusail_benchdata::common::Rng::new(case_seed ^ 0xFA17_0000_0000_0001);
-        FaultSpec::random(&mut rng, case.n_endpoints)
-    } else {
-        FaultSpec::default()
-    };
-    match check(&case, engine, &faults) {
-        Ok(()) => Ok(()),
-        Err(first_violation) => {
-            let still_fails = |c: &Case, f: &FaultSpec| -> bool { check(c, engine, f).is_err() };
-            let (small, small_faults) = shrink(&case, &faults, &still_fails);
-            let violation = check(&small, engine, &small_faults)
-                .err()
-                .unwrap_or(first_violation);
-            Err(Box::new(Repro {
-                case: small,
-                faults: small_faults,
-                engine,
-                violation,
-            }))
-        }
-    }
+    let fault_seed = faulty.then_some(case_seed ^ 0xFA17_0000_0000_0001);
+    drive(case, fault_seed, FaultSpec::random, engine, |c, f| {
+        check(c, engine, f)
+    })
 }

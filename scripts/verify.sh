@@ -19,6 +19,27 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> one probe path (memo -> statistics -> wire -> degrade is written in crates/core/src/probe.rs only)"
+# Non-test code is everything above a file's `#[cfg(test)]` module.
+scattered=0
+for f in crates/core/src/*.rs crates/baselines/src/*.rs; do
+    if grep -q 'KeyedCache' "$f"; then
+        echo "$f: KeyedCache is back (the check memo is a ProbeCache)" >&2
+        scattered=1
+    fi
+    [ "$f" = crates/core/src/probe.rs ] && continue
+    code=$(sed '/#\[cfg(test)\]/,$d' "$f" | tr '\n' ' ')
+    if grep -q 'stats_for(' <<<"$code"; then
+        echo "$f: consults statistics outside probe::resolve" >&2
+        scattered=1
+    fi
+    if grep -Eq 'request_kind\([^|]*RequestKind::(Count|Check)' <<<"$code"; then
+        echo "$f: sends a COUNT or check probe outside probe::resolve" >&2
+        scattered=1
+    fi
+done
+[ "$scattered" -eq 0 ]
+
 # The benchmark crate is a workspace of its own with its own lock file; it
 # calls the engine only through public items (par_hash_join, hash_join,
 # SolutionSet { vars, rows } literals, ...), so an engine API change that

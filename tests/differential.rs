@@ -183,9 +183,10 @@ fn tuned_adaptive_batching_matches_the_oracle() {
 /// `check_stats` demands byte-identical canonicalized solutions and
 /// completeness flags, per-kind wire requests stats-on ≤ stats-off, and
 /// both runs individually passing the oracle contract and trace
-/// invariants. (Only Lusail consults statistics today — the baselines run
-/// as an "attached stats are inert elsewhere" control.) Failures shrink
-/// to a self-contained repro like every other sweep here.
+/// invariants. (Lusail, FedX and HiBISCuS consult statistics — the latter
+/// two through `select_sources`; SPLENDID selects sources from its own
+/// VOID index and runs as the "attached stats are inert" control.)
+/// Failures shrink to a self-contained repro like every other sweep here.
 #[test]
 fn stats_elision_is_invisible_in_results() {
     let config = GenConfig::default();
