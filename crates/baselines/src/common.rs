@@ -1,67 +1,36 @@
-//! Machinery shared by the baseline engines: evaluation units (exclusive
-//! groups), bound joins, and clause handling.
+//! Machinery shared by the baseline engines: the query driver, exclusive
+//! groups, bound joins, and clause handling. The engines' work unit is
+//! Lusail's [`Subquery`] (projecting every variable), and all their data
+//! comes through `lusail_core::fetch`.
 
 use lusail_core::exec::Net;
+use lusail_core::fetch::fetch_from;
 use lusail_core::source_selection::SourceMap;
+use lusail_core::subquery::{push_filters_into, Subquery};
 use lusail_endpoint::{
-    EndpointId, ExecOptions, Federation, FederationError, QueryOutcome, RequestPolicy, SystemClock,
-    TraceEvent,
+    ExecOptions, Federation, FederationError, QueryOutcome, RequestPolicy, SystemClock, TraceEvent,
 };
 use lusail_rdf::FxHashSet;
-use lusail_sparql::ast::{Expression, GroupPattern, Query, QueryForm, TriplePattern, ValuesBlock};
+use lusail_sparql::ast::{Expression, GroupPattern, Query, TriplePattern, ValuesBlock};
 use lusail_sparql::SolutionSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// An evaluation unit: either an *exclusive group* (several patterns whose
-/// only relevant source is one identical endpoint) or a single pattern.
-#[derive(Debug, Clone)]
-pub struct Unit {
-    /// The unit's triple patterns.
-    pub triples: Vec<TriplePattern>,
-    /// Relevant endpoints.
-    pub sources: Vec<EndpointId>,
-    /// Filters pushed into the unit.
-    pub filters: Vec<Expression>,
-}
-
-impl Unit {
-    /// All variables of the unit.
-    pub fn vars(&self) -> Vec<String> {
-        lusail_sparql::ast::collect_pattern_vars(&self.triples)
-    }
-
-    /// Renders the unit as a SELECT over all its variables, with an
-    /// optional bindings block.
-    pub fn to_query(&self, values: Option<ValuesBlock>) -> Query {
-        let mut pattern = GroupPattern::bgp(self.triples.clone());
-        pattern.filters = self.filters.clone();
-        pattern.values = values;
-        Query {
-            form: QueryForm::Select,
-            distinct: false,
-            projection: self.vars(),
-            pattern,
-            aggregates: Vec::new(),
-            group_by: Vec::new(),
-            having: Vec::new(),
-            order_by: Vec::new(),
-            limit: None,
-        }
-    }
-}
-
 /// The query driver all three baseline engines share: applies the
-/// deadline override, builds the per-query [`Net`] from the options, runs
-/// the engine's `execute_inner(net, loss)`, derives completeness from the
-/// loss flag and the network's degradation record, closes the trace with
-/// [`TraceEvent::QueryFinished`] and attaches the per-endpoint failure
-/// report.
+/// deadline override, builds the per-query [`Net`] from the options,
+/// normalizes a federated `SELECT (COUNT(*) AS ?c)` to a mediator-side
+/// aggregate, runs the engine's `select_sources`, answers empty when a
+/// required pattern has no source, otherwise runs the engine's
+/// `evaluate_group` (handed the first-k cutoff where one is sound) and the
+/// query's modifiers, derives completeness from the network's degradation
+/// record, closes the trace with [`TraceEvent::QueryFinished`] and attaches
+/// the per-endpoint failure report.
 pub fn run_query(
     mut policy: RequestPolicy,
     fed: &Federation,
+    query: &Query,
     opts: &ExecOptions,
-    execute_inner: impl FnOnce(&Net, &AtomicBool) -> SolutionSet,
+    select_sources: impl FnOnce(&GroupPattern, &Net) -> SourceMap,
+    evaluate_group: impl FnOnce(&GroupPattern, &SourceMap, Option<usize>, &Net) -> SolutionSet,
 ) -> Result<QueryOutcome, FederationError> {
     if fed.is_empty() {
         return Err(FederationError::EmptyFederation);
@@ -76,9 +45,21 @@ pub fn run_query(
         opts.thread_budget(),
         opts.on_health_transition.clone(),
     );
-    let loss = AtomicBool::new(false);
-    let solutions = execute_inner(&net, &loss);
-    let complete = !loss.load(Ordering::Relaxed) && !net.degradation.data_loss();
+    let rewritten = query.count_star_as_aggregate();
+    let query = rewritten.as_ref().unwrap_or(query);
+    let sources = select_sources(&query.pattern, &net);
+    let solutions = if sources.any_required_empty(&query.pattern.triples) {
+        SolutionSet::empty(query.output_vars())
+    } else {
+        // The first-k cutoff is unsound under ORDER BY, DISTINCT, and
+        // aggregation: all must see every row before truncation.
+        let cutoff = query.limit.filter(|_| {
+            query.order_by.is_empty() && !query.distinct && query.aggregates.is_empty()
+        });
+        let solutions = evaluate_group(&query.pattern, &sources, cutoff, &net);
+        lusail_store::eval::apply_modifiers(solutions, query, fed.dict())
+    };
+    let complete = !net.degradation.data_loss();
     opts.trace.emit(|| TraceEvent::QueryFinished {
         rows: solutions.len(),
         complete,
@@ -93,50 +74,28 @@ pub fn run_query(
 /// Groups patterns into FedX's exclusive groups: patterns whose relevant
 /// source list is exactly one endpoint are merged per endpoint; everything
 /// else becomes a singleton unit sent to all its sources.
-pub fn exclusive_groups(triples: &[TriplePattern], sources: &SourceMap) -> Vec<Unit> {
-    let mut units: Vec<Unit> = Vec::new();
+pub fn exclusive_groups(triples: &[TriplePattern], sources: &SourceMap) -> Vec<Subquery> {
+    let mut units: Vec<Subquery> = Vec::new();
     for tp in triples {
         let srcs = sources.sources(tp).to_vec();
         if srcs.len() == 1 {
             // Try to join an existing exclusive group for this endpoint.
-            if let Some(u) = units
-                .iter_mut()
-                .find(|u| u.sources.len() == 1 && u.sources == srcs)
-            {
+            if let Some(u) = units.iter_mut().find(|u| u.sources == srcs) {
                 u.triples.push(tp.clone());
+                u.projection = u.vars();
                 continue;
             }
         }
-        units.push(Unit {
-            triples: vec![tp.clone()],
-            sources: srcs,
-            filters: Vec::new(),
-        });
+        units.push(Subquery::new(vec![tp.clone()], srcs));
     }
     units
-}
-
-impl lusail_core::subquery::FilterTarget for Unit {
-    fn mentions_var(&self, var: &str) -> bool {
-        self.triples.iter().any(|t| t.mentions(var))
-    }
-
-    fn push_filter(&mut self, filter: Expression) {
-        self.filters.push(filter);
-    }
-}
-
-/// Pushes filters whose variables are all local to one unit; returns the
-/// rest.
-pub fn push_filters(filters: &[Expression], units: &mut [Unit]) -> Vec<Expression> {
-    lusail_core::subquery::push_filters_into(filters, units)
 }
 
 /// FedX's variable-counting heuristic: order units so that each step binds
 /// as many variables as possible — fewest *free* variables first, with
 /// constants counting as bound, preferring exclusive groups on ties.
-pub fn order_units(mut units: Vec<Unit>) -> Vec<Unit> {
-    let mut ordered: Vec<Unit> = Vec::with_capacity(units.len());
+pub fn order_units(mut units: Vec<Subquery>) -> Vec<Subquery> {
+    let mut ordered: Vec<Subquery> = Vec::with_capacity(units.len());
     let mut bound: FxHashSet<String> = FxHashSet::default();
     while !units.is_empty() {
         let (idx, _) = units
@@ -144,7 +103,7 @@ pub fn order_units(mut units: Vec<Unit>) -> Vec<Unit> {
             .enumerate()
             .min_by_key(|(_, u)| {
                 let free = u
-                    .vars()
+                    .projection
                     .iter()
                     .filter(|v| !bound.contains(v.as_str()))
                     .count();
@@ -156,45 +115,45 @@ pub fn order_units(mut units: Vec<Unit>) -> Vec<Unit> {
             })
             .expect("non-empty units");
         let u = units.remove(idx);
-        for v in u.vars() {
-            bound.insert(v);
-        }
+        bound.extend(u.projection.iter().cloned());
         ordered.push(u);
     }
     ordered
 }
 
-/// Evaluates a unit, restricted to the `values` bindings if given: one
-/// SELECT per relevant endpoint, dispatched through the net's budgeted
-/// request handler (endpoints run in parallel up to the thread budget),
-/// results concatenated in source order. An endpoint that fails (after the
-/// client's retries) contributes nothing and raises the `loss` flag — the
-/// engine reports the query incomplete instead of aborting.
-pub fn fetch_unit(
-    fed: &Federation,
-    unit: &Unit,
-    values: Option<ValuesBlock>,
-    net: &Net,
-    loss: &AtomicBool,
-) -> SolutionSet {
-    let q = unit.to_query(values);
-    let tasks: Vec<(EndpointId, ())> = unit.sources.iter().map(|&ep| (ep, ())).collect();
-    let results = net.handler.run(fed, tasks, |ep_id, _, _| {
-        match net.client.select_failover(fed, ep_id, &q) {
-            Ok((_, part)) => Some(part),
-            Err(_) => {
-                loss.store(true, Ordering::Relaxed);
-                None
-            }
-        }
-    });
-    let mut out = SolutionSet::empty(unit.vars());
-    for (_, _, part) in results {
-        if let Some(part) = part {
-            out.append(part);
-        }
-    }
-    out
+/// `VALUES`-block shipping, the one copy the baselines share: the distinct
+/// `shared` bindings of `current` go to every relevant endpoint of `unit`
+/// in blocks of `block_size` (at least 1), one request per block per
+/// endpoint. Yields each block's rows as the caller asks for them, so a
+/// caller that stops early ships no further block; blocks go out one after
+/// the other, and within a block the per-endpoint requests fan out through
+/// the budgeted handler.
+pub fn bound_fetch<'a>(
+    fed: &'a Federation,
+    net: &'a Net,
+    current: &SolutionSet,
+    unit: &'a Subquery,
+    shared: &'a [String],
+    block_size: usize,
+) -> impl Iterator<Item = SolutionSet> + 'a {
+    let blocks: Vec<_> = current
+        .distinct_tuples(shared)
+        .chunks(block_size.max(1))
+        .collect();
+    blocks.into_iter().map(move |rows| {
+        let values = ValuesBlock {
+            vars: shared.to_vec(),
+            rows,
+        };
+        fetch_from(fed, net, &unit.to_query(Some(values)), &unit.sources)
+    })
+}
+
+/// The variables of `current` that `unit` mentions: what a bound fetch
+/// ships.
+pub fn shared_vars(current: &SolutionSet, unit: &Subquery) -> Vec<String> {
+    let mentioned = |v: &&String| unit.mentions(v);
+    current.vars.iter().filter(mentioned).cloned().collect()
 }
 
 /// The left-deep unit pipeline FedX and HiBISCuS share: exclusive groups
@@ -212,10 +171,9 @@ pub fn evaluate_units(
     block_size: usize,
     limit: Option<usize>,
     net: &Net,
-    loss: &AtomicBool,
 ) -> (SolutionSet, Vec<Expression>) {
     let mut units = exclusive_groups(&group.triples, sources);
-    let global_filters = push_filters(&group.filters, &mut units);
+    let global_filters = push_filters_into(&group.filters, &mut units);
     let units = order_units(units);
     let simple = group.optionals.is_empty()
         && group.unions.is_empty()
@@ -232,10 +190,10 @@ pub fn evaluate_units(
     for (i, unit) in units.iter().enumerate() {
         let is_first = current.vars.is_empty() && current.len() == 1;
         current = if is_first {
-            fetch_unit(fed, unit, None, net, loss)
+            fetch_from(fed, net, &unit.to_query(None), &unit.sources)
         } else {
             let cutoff = limit.filter(|_| simple && i + 1 == units.len());
-            bound_join(fed, &current, unit, block_size, cutoff, net, loss)
+            bound_join(fed, &current, unit, block_size, cutoff, net)
         };
         if current.is_empty() {
             // Short-circuit: downstream joins cannot revive rows, but
@@ -257,52 +215,28 @@ pub fn evaluate_units(
 pub fn bound_join(
     fed: &Federation,
     current: &SolutionSet,
-    unit: &Unit,
+    unit: &Subquery,
     block_size: usize,
     limit: Option<usize>,
     net: &Net,
-    loss: &AtomicBool,
 ) -> SolutionSet {
-    let unit_vars = unit.vars();
-    let shared: Vec<String> = current
-        .vars
-        .iter()
-        .filter(|v| unit_vars.contains(v))
-        .cloned()
-        .collect();
+    let shared = shared_vars(current, unit);
     if shared.is_empty() || current.is_empty() {
         // Cross product or empty input: fall back to unbound evaluation.
-        let fetched = fetch_unit(fed, unit, None, net, loss);
+        let fetched = fetch_from(fed, net, &unit.to_query(None), &unit.sources);
         return current.hash_join(&fetched);
     }
-
-    // Distinct binding tuples over the shared variables.
-    let tuples = current.distinct_tuples(&shared);
-
     // Join distributes over the union of block results, so each block is
     // joined once and appended — no re-join over the accumulated set. The
-    // block loop stays sequential (the first-k cutoff must see each
-    // block's contribution before shipping the next); within a block the
-    // per-endpoint requests fan out through the budgeted handler.
-    let mut joined: Option<SolutionSet> = None;
-    for rows in tuples.chunks(block_size) {
-        let vb = ValuesBlock {
-            vars: shared.clone(),
-            rows,
-        };
-        let fetched = fetch_unit(fed, unit, Some(vb), net, loss);
-        let block_join = current.hash_join(&fetched);
-        match &mut joined {
-            None => joined = Some(block_join),
-            Some(j) => j.append(block_join),
-        }
-        if let Some(k) = limit {
-            if joined.as_ref().is_some_and(|j| j.len() >= k) {
-                return joined.unwrap();
-            }
+    // first-k cutoff sees each block's contribution before the next ships.
+    let mut joined = current.hash_join(&SolutionSet::empty(unit.projection.clone()));
+    for fetched in bound_fetch(fed, net, current, unit, &shared, block_size) {
+        joined.append(current.hash_join(&fetched));
+        if limit.is_some_and(|k| joined.len() >= k) {
+            break;
         }
     }
-    joined.unwrap_or_else(|| current.hash_join(&SolutionSet::empty(unit_vars)))
+    joined
 }
 
 #[cfg(test)]
@@ -343,6 +277,7 @@ mod tests {
         let units = exclusive_groups(&[t1, t2, t3], &sources);
         assert_eq!(units.len(), 2);
         assert_eq!(units[0].triples.len(), 2); // exclusive group at ep 0
+        assert_eq!(units[0].projection, ["a", "b", "d"]); // of both patterns
         assert_eq!(units[1].sources, vec![0, 1]);
     }
 
@@ -380,22 +315,20 @@ mod tests {
             current.rows.push(&[Some(id)]);
         }
         let p2id = dict.encode(&p2);
-        let unit = Unit {
-            triples: vec![TriplePattern::new(v("s"), PatternTerm::Const(p2id), v("o"))],
-            sources: vec![0],
-            filters: Vec::new(),
-        };
+        let unit = Subquery::new(
+            vec![TriplePattern::new(v("s"), PatternTerm::Const(p2id), v("o"))],
+            vec![0],
+        );
         let net = Net::default();
-        let loss = AtomicBool::new(false);
         let before = fed.stats_snapshot();
-        let joined = bound_join(&fed, &current, &unit, 3, None, &net, &loss);
+        let joined = bound_join(&fed, &current, &unit, 3, None, &net);
         let window = fed.stats_snapshot().since(&before);
         // 10 bindings / block 3 = 4 blocks = 4 requests.
         assert_eq!(window.select_requests, 4);
         assert_eq!(joined.len(), 5);
-        assert!(!loss.load(Ordering::Relaxed));
+        assert!(!net.degradation.data_loss());
         // Identical to evaluating unbound then joining.
-        let unbound = fetch_unit(&fed, &unit, None, &net, &loss);
+        let unbound = fetch_from(&fed, &net, &unit.to_query(None), &unit.sources);
         assert_eq!(
             joined.canonicalize(),
             current.hash_join(&unbound).canonicalize()
@@ -414,7 +347,7 @@ mod tests {
             Box::new(Expression::Var("b".into())),
             Box::new(Expression::Var("y".into())),
         );
-        let rest = push_filters(&[local, global.clone()], &mut units);
+        let rest = push_filters_into(&[local, global.clone()], &mut units);
         assert_eq!(rest, vec![global]);
         assert_eq!(units[0].filters.len(), 1);
     }

@@ -15,16 +15,17 @@
 //! which is what we implement — the request counts and data volumes are
 //! identical, only the wire syntax differs.)
 
-use crate::common::{evaluate_units, exclusive_groups, fetch_unit, push_filters, run_query, Unit};
+use crate::common::{bound_fetch, evaluate_units, exclusive_groups, run_query, shared_vars};
 use lusail_core::cache::{PatternKey, ProbeCache};
 use lusail_core::exec::Net;
+use lusail_core::fetch::concat;
 use lusail_core::source_selection::{select_sources, SourceMap};
+use lusail_core::subquery::push_filters_into;
 use lusail_endpoint::{
     ExecOptions, FederatedEngine, Federation, FederationError, QueryOutcome, RequestPolicy,
 };
 use lusail_sparql::ast::{GroupPattern, Query};
 use lusail_sparql::SolutionSet;
-use std::sync::atomic::AtomicBool;
 
 /// FedX tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -96,35 +97,14 @@ impl FedX {
         query: &Query,
         opts: &ExecOptions,
     ) -> Result<QueryOutcome, FederationError> {
-        run_query(self.policy, fed, opts, |net, loss| {
-            self.execute_inner(fed, query, net, loss)
-        })
-    }
-
-    fn execute_inner(
-        &self,
-        fed: &Federation,
-        query: &Query,
-        net: &Net,
-        loss: &AtomicBool,
-    ) -> SolutionSet {
-        if let Some(rewritten) = query.count_star_as_aggregate() {
-            return self.execute_inner(fed, &rewritten, net, loss);
-        }
-        let sources = select_sources(fed, &query.pattern, &self.ask_cache, net);
-        if sources.any_required_empty(&query.pattern.triples) {
-            return SolutionSet::empty(query.output_vars());
-        }
-        // The first-k cutoff is unsound under ORDER BY, DISTINCT, and
-        // aggregation: all must see every row before truncation.
-        let cutoff = if query.order_by.is_empty() && !query.distinct && query.aggregates.is_empty()
-        {
-            query.limit
-        } else {
-            None
-        };
-        let solutions = self.evaluate_group(fed, &query.pattern, &sources, cutoff, net, loss);
-        lusail_store::eval::apply_modifiers(solutions, query, fed.dict())
+        run_query(
+            self.policy,
+            fed,
+            query,
+            opts,
+            |pattern, net| select_sources(fed, pattern, &self.ask_cache, net),
+            |group, sources, cutoff, net| self.evaluate_group(fed, group, sources, cutoff, net),
+        )
     }
 
     /// Left-deep pipeline over the group's units, then nested clauses.
@@ -135,23 +115,15 @@ impl FedX {
         sources: &SourceMap,
         limit: Option<usize>,
         net: &Net,
-        loss: &AtomicBool,
     ) -> SolutionSet {
-        let (mut current, global_filters) = evaluate_units(
-            fed,
-            group,
-            sources,
-            self.config.block_size,
-            limit,
-            net,
-            loss,
-        );
+        let (mut current, global_filters) =
+            evaluate_units(fed, group, sources, self.config.block_size, limit, net);
 
         // OPTIONALs take FedX's bound left-fetch; UNION and NOT EXISTS go
         // through the shared nested-group machinery.
         for opt in &group.optionals {
             let (inner, correlated) = opt.split_correlated_filters();
-            let os = self.evaluate_optional(fed, &inner, sources, &current, net, loss);
+            let os = self.evaluate_optional(fed, &inner, sources, &current, net);
             current =
                 lusail_store::eval::left_join_filtered(&current, &os, &correlated, fed.dict());
         }
@@ -161,7 +133,7 @@ impl FedX {
             current,
             &without_optionals,
             fed.dict(),
-            |sub| self.evaluate_group(fed, sub, sources, None, net, loss),
+            |sub| self.evaluate_group(fed, sub, sources, None, net),
         );
         lusail_store::eval::retain_filtered(&mut current, &global_filters, fed.dict());
         current
@@ -177,64 +149,28 @@ impl FedX {
         sources: &SourceMap,
         current: &SolutionSet,
         net: &Net,
-        loss: &AtomicBool,
     ) -> SolutionSet {
-        // Single-unit optionals with shared vars: bound retrieval.
+        // Single-unit optionals with shared vars: bound retrieval, without
+        // joining back (the caller left-joins).
         let mut units = exclusive_groups(&group.triples, sources);
-        let global_filters = push_filters(&group.filters, &mut units);
+        let global_filters = push_filters_into(&group.filters, &mut units);
         if units.len() == 1
             && group.optionals.is_empty()
             && group.unions.is_empty()
             && group.not_exists.is_empty()
         {
-            let unit = &units[0];
-            let shared: Vec<String> = current
-                .vars
-                .iter()
-                .filter(|v| unit.vars().contains(v))
-                .cloned()
-                .collect();
+            let shared = shared_vars(current, &units[0]);
             if !shared.is_empty() && !current.is_empty() {
-                let mut fetched = bound_fetch(
-                    fed,
-                    current,
-                    unit,
-                    &shared,
-                    self.config.block_size,
-                    net,
-                    loss,
-                );
+                let unit = &units[0];
+                let blocks = bound_fetch(fed, net, current, unit, &shared, self.config.block_size);
+                let mut fetched = concat(unit.projection.clone(), blocks.map(Some));
+                fetched.dedup();
                 lusail_store::eval::retain_filtered(&mut fetched, &global_filters, fed.dict());
                 return fetched;
             }
         }
-        self.evaluate_group(fed, group, sources, None, net, loss)
+        self.evaluate_group(fed, group, sources, None, net)
     }
-}
-
-/// Fetches a unit's rows restricted to blocks of the given bindings,
-/// without joining back (the caller left-joins). Per-endpoint requests
-/// fan out through the budgeted handler; results keep source order.
-fn bound_fetch(
-    fed: &Federation,
-    current: &SolutionSet,
-    unit: &Unit,
-    shared: &[String],
-    block_size: usize,
-    net: &Net,
-    loss: &AtomicBool,
-) -> SolutionSet {
-    let tuples = current.distinct_tuples(shared);
-    let mut fetched = SolutionSet::empty(unit.vars());
-    for rows in tuples.chunks(block_size) {
-        let vb = lusail_sparql::ast::ValuesBlock {
-            vars: shared.to_vec(),
-            rows,
-        };
-        fetched.append(fetch_unit(fed, unit, Some(vb), net, loss));
-    }
-    fetched.dedup();
-    fetched
 }
 
 impl FederatedEngine for FedX {
@@ -327,6 +263,31 @@ mod tests {
         // 4 blocks × 2 endpoints = 8 selects. Plus 4 ASKs.
         assert_eq!(window.select_requests, 10);
         assert_eq!(window.ask_requests, 4);
+    }
+
+    #[test]
+    fn block_size_zero_answers_like_block_size_one() {
+        let (fed, _) = fed_and_oracle();
+        let q = parse_query(
+            "SELECT ?s ?o WHERE { ?s <http://x/p> ?m . ?m <http://x/q> ?o }",
+            fed.dict(),
+        )
+        .unwrap();
+        let run = |block_size: usize| {
+            let engine = FedX::new(FedXConfig {
+                block_size,
+                use_cache: true,
+            });
+            let before = fed.stats_snapshot();
+            let solutions = engine.execute(&fed, &q).unwrap().solutions;
+            let window = fed.stats_snapshot().since(&before);
+            (solutions, window.total_requests())
+        };
+        let (one, one_requests) = run(1);
+        let (zero, zero_requests) = run(0);
+        assert_eq!(zero, one);
+        // 4 ASKs, 2 unbound selects, 20 one-binding blocks × 2 endpoints.
+        assert_eq!((zero_requests, one_requests), (46, 46));
     }
 
     #[test]

@@ -21,7 +21,6 @@ use lusail_endpoint::{
 use lusail_rdf::{FxHashMap, FxHashSet, TermId};
 use lusail_sparql::ast::{GroupPattern, Query, TriplePattern};
 use lusail_sparql::SolutionSet;
-use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
 
 /// Subject and object authority sets for one predicate at one endpoint.
@@ -194,35 +193,16 @@ impl HiBisCus {
         query: &Query,
         opts: &ExecOptions,
     ) -> Result<QueryOutcome, FederationError> {
-        run_query(self.policy, fed, opts, |net, loss| {
-            self.execute_inner(fed, query, net, loss)
-        })
-    }
-
-    fn execute_inner(
-        &self,
-        fed: &Federation,
-        query: &Query,
-        net: &Net,
-        loss: &AtomicBool,
-    ) -> SolutionSet {
-        if let Some(rewritten) = query.count_star_as_aggregate() {
-            return self.execute_inner(fed, &rewritten, net, loss);
-        }
-        let raw_sources = select_sources(fed, &query.pattern, &self.ask_cache, net);
-        if raw_sources.any_required_empty(&query.pattern.triples) {
-            return SolutionSet::empty(query.output_vars());
-        }
-        // The first-k cutoff is unsound under ORDER BY, DISTINCT, and
-        // aggregation: all must see every row before truncation.
-        let cutoff = if query.order_by.is_empty() && !query.distinct && query.aggregates.is_empty()
-        {
-            query.limit
-        } else {
-            None
-        };
-        let solutions = self.evaluate_group(fed, &query.pattern, cutoff, &raw_sources, net, loss);
-        lusail_store::eval::apply_modifiers(solutions, query, fed.dict())
+        run_query(
+            self.policy,
+            fed,
+            query,
+            opts,
+            |pattern, net| select_sources(fed, pattern, &self.ask_cache, net),
+            |group, raw_sources, cutoff, net| {
+                self.evaluate_group(fed, group, cutoff, raw_sources, net)
+            },
+        )
     }
 
     fn evaluate_group(
@@ -232,7 +212,6 @@ impl HiBisCus {
         limit: Option<usize>,
         raw_sources: &SourceMap,
         net: &Net,
-        loss: &AtomicBool,
     ) -> SolutionSet {
         // Authority pruning before unit formation: fewer sources can mean
         // more exclusive groups. Pruning only considers *this* group's
@@ -242,9 +221,9 @@ impl HiBisCus {
         let sources = self.index.prune(&group.triples, raw_sources);
 
         let (mut current, global_filters) =
-            evaluate_units(fed, group, &sources, self.block_size, limit, net, loss);
+            evaluate_units(fed, group, &sources, self.block_size, limit, net);
         current = lusail_store::eval::join_nested_groups(current, group, fed.dict(), |sub| {
-            self.evaluate_group(fed, sub, None, raw_sources, net, loss)
+            self.evaluate_group(fed, sub, None, raw_sources, net)
         });
         lusail_store::eval::retain_filtered(&mut current, &global_filters, fed.dict());
         current

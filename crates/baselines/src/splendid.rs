@@ -16,17 +16,18 @@
 //! bindings like FedX, which is why it collapses on large intermediate
 //! results, as the paper observes).
 
-use crate::common::run_query;
+use crate::common::{bound_fetch, run_query, shared_vars};
 use lusail_core::exec::Net;
+use lusail_core::fetch::{concat, fetch_from};
 use lusail_core::source_selection::SourceMap;
+use lusail_core::subquery::Subquery;
 use lusail_endpoint::{
     EndpointId, ExecOptions, FederatedEngine, Federation, FederationError, LocalEndpoint,
     QueryOutcome, RequestPolicy,
 };
 use lusail_rdf::{FxHashMap, TermId};
-use lusail_sparql::ast::{GroupPattern, Query, TriplePattern, ValuesBlock};
+use lusail_sparql::ast::{GroupPattern, Query, TriplePattern};
 use lusail_sparql::SolutionSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// VOID-style statistics for one endpoint.
@@ -169,16 +170,8 @@ impl Splendid {
             let sources = if tp.bound_positions() > 1 && candidates.len() > 1 {
                 // Verify constants with ASK; a failed probe keeps the
                 // candidate (assume relevant — never loses answers).
-                let tasks: Vec<(EndpointId, ())> = candidates.iter().map(|&ep| (ep, ())).collect();
-                let q = Query::ask(GroupPattern::bgp(vec![tp.clone()]));
-                let results = net.handler.run(fed, tasks, |ep_id, ep, _| {
-                    net.ask_or_relevant(ep_id, ep, &q)
-                });
-                results
-                    .into_iter()
-                    .filter(|(_, _, ok)| *ok)
-                    .map(|(ep, _, _)| ep)
-                    .collect()
+                let ask = Query::ask(GroupPattern::bgp(vec![tp.clone()]));
+                net.ask_relevant(fed, &candidates, &ask)
             } else {
                 candidates
             };
@@ -210,27 +203,15 @@ impl Splendid {
         query: &Query,
         opts: &ExecOptions,
     ) -> Result<QueryOutcome, FederationError> {
-        run_query(self.policy, fed, opts, |net, loss| {
-            self.execute_inner(fed, query, net, loss)
-        })
-    }
-
-    fn execute_inner(
-        &self,
-        fed: &Federation,
-        query: &Query,
-        net: &Net,
-        loss: &AtomicBool,
-    ) -> SolutionSet {
-        if let Some(rewritten) = query.count_star_as_aggregate() {
-            return self.execute_inner(fed, &rewritten, net, loss);
-        }
-        let sources = self.select_sources(fed, &query.pattern, net);
-        if sources.any_required_empty(&query.pattern.triples) {
-            return SolutionSet::empty(query.output_vars());
-        }
-        let solutions = self.evaluate_group(fed, &query.pattern, &sources, net, loss);
-        lusail_store::eval::apply_modifiers(solutions, query, fed.dict())
+        run_query(
+            self.policy,
+            fed,
+            query,
+            opts,
+            |pattern, net| self.select_sources(fed, pattern, net),
+            // SPLENDID has no first-k cutoff.
+            |group, sources, _, net| self.evaluate_group(fed, group, sources, net),
+        )
     }
 
     fn evaluate_group(
@@ -239,7 +220,6 @@ impl Splendid {
         group: &GroupPattern,
         sources: &SourceMap,
         net: &Net,
-        loss: &AtomicBool,
     ) -> SolutionSet {
         // Order patterns greedily by total index estimate.
         let mut order: Vec<usize> = (0..group.triples.len()).collect();
@@ -262,32 +242,21 @@ impl Splendid {
         };
         for &i in &order {
             let tp = &group.triples[i];
-            let srcs = sources.sources(tp);
-            let shared: Vec<String> = current
-                .vars
-                .iter()
-                .filter(|v| tp.mentions(v))
-                .cloned()
-                .collect();
+            let unit = Subquery::new(vec![tp.clone()], sources.sources(tp).to_vec());
+            let shared = shared_vars(&current, &unit);
             let use_bind = !shared.is_empty()
                 && !current.is_empty()
                 && (current.len() as f64) < self.config.bind_join_threshold;
             let fetched = if use_bind {
                 // SPLENDID's bind join: one request per binding (no
                 // blocking), per relevant endpoint.
-                self.bind_fetch(fed, &current, tp, &shared, srcs, net, loss)
+                let blocks = bound_fetch(fed, net, &current, &unit, &shared, 1);
+                let mut fetched = concat(unit.projection.clone(), blocks.map(Some));
+                fetched.dedup();
+                fetched
             } else {
                 // Hash join: full parallel retrieval of the pattern.
-                let tasks: Vec<(EndpointId, ())> = srcs.iter().map(|&ep| (ep, ())).collect();
-                let q = pattern_query(tp);
-                let results = net.handler.run(fed, tasks, move |ep_id, _, _| {
-                    net.select_or_lose(fed, ep_id, &q, pattern_vars(tp))
-                });
-                let mut out = SolutionSet::empty(pattern_vars(tp));
-                for (_, _, sols) in results {
-                    out.append(sols);
-                }
-                out
+                fetch_from(fed, net, &unit.to_query(None), &unit.sources)
             };
             current = current.hash_join(&fetched);
             if current.is_empty() {
@@ -296,79 +265,10 @@ impl Splendid {
         }
 
         current = lusail_store::eval::join_nested_groups(current, group, fed.dict(), |sub| {
-            self.evaluate_group(fed, sub, sources, net, loss)
+            self.evaluate_group(fed, sub, sources, net)
         });
         lusail_store::eval::retain_filtered(&mut current, &group.filters, fed.dict());
         current
-    }
-
-    /// One request per distinct binding tuple per endpoint.
-    #[allow(clippy::too_many_arguments)]
-    fn bind_fetch(
-        &self,
-        fed: &Federation,
-        current: &SolutionSet,
-        tp: &TriplePattern,
-        shared: &[String],
-        srcs: &[EndpointId],
-        net: &Net,
-        loss: &AtomicBool,
-    ) -> SolutionSet {
-        let mut out = SolutionSet::empty(pattern_vars(tp));
-        for rows in current.distinct_tuples(shared).chunks(1) {
-            let vb = ValuesBlock {
-                vars: shared.to_vec(),
-                rows,
-            };
-            let mut pattern = GroupPattern::bgp(vec![tp.clone()]);
-            pattern.values = Some(vb);
-            let q = Query {
-                form: lusail_sparql::ast::QueryForm::Select,
-                distinct: false,
-                projection: pattern_vars(tp),
-                pattern,
-                aggregates: Vec::new(),
-                group_by: Vec::new(),
-                having: Vec::new(),
-                order_by: Vec::new(),
-                limit: None,
-            };
-            let tasks: Vec<(EndpointId, ())> = srcs.iter().map(|&ep| (ep, ())).collect();
-            let results = net.handler.run(fed, tasks, |ep_id, _, _| {
-                match net.client.select_failover(fed, ep_id, &q) {
-                    Ok((_, part)) => Some(part),
-                    Err(_) => {
-                        loss.store(true, Ordering::Relaxed);
-                        None
-                    }
-                }
-            });
-            for (_, _, part) in results {
-                if let Some(part) = part {
-                    out.append(part);
-                }
-            }
-        }
-        out.dedup();
-        out
-    }
-}
-
-fn pattern_vars(tp: &TriplePattern) -> Vec<String> {
-    lusail_sparql::ast::collect_pattern_vars(std::iter::once(tp))
-}
-
-fn pattern_query(tp: &TriplePattern) -> Query {
-    Query {
-        form: lusail_sparql::ast::QueryForm::Select,
-        distinct: false,
-        projection: pattern_vars(tp),
-        pattern: GroupPattern::bgp(vec![tp.clone()]),
-        aggregates: Vec::new(),
-        group_by: Vec::new(),
-        having: Vec::new(),
-        order_by: Vec::new(),
-        limit: None,
     }
 }
 
@@ -491,5 +391,46 @@ mod tests {
         // request; then p side bind-joins with one request per binding (4)
         // at endpoint A.
         assert_eq!(window.select_requests, 1 + 4);
+    }
+
+    #[test]
+    fn endpoint_dying_mid_bind_join_is_recorded_by_the_net_alone() {
+        use lusail_endpoint::{FaultProfile, FlakyEndpoint};
+        let (_, eps, _) = build();
+        let refs: Vec<&LocalEndpoint> = eps.iter().map(|e| e.as_ref()).collect();
+        let engine = Splendid::with_config(
+            VoidIndex::build(&refs),
+            SplendidConfig {
+                bind_join_threshold: 1_000.0,
+            },
+        );
+        // A serves two of the four one-binding requests, then dies for good.
+        let dying_fed = || {
+            let mut fed = Federation::new(Arc::clone(eps[0].store().dict()));
+            fed.add(Arc::new(FlakyEndpoint::new(
+                Arc::clone(&eps[0]) as Arc<dyn SparqlEndpoint>,
+                FaultProfile::dies_after(2),
+            )));
+            fed.add(Arc::clone(&eps[1]) as Arc<dyn SparqlEndpoint>);
+            fed
+        };
+        let fed = dying_fed();
+        let q = parse_query(
+            "SELECT ?s ?o WHERE { ?s <http://x/p> ?m . ?m <http://x/q> ?o }",
+            fed.dict(),
+        )
+        .unwrap();
+
+        let net = Net::default();
+        let sources = engine.select_sources(&fed, &q.pattern, &net);
+        let rows = engine.evaluate_group(&fed, &q.pattern, &sources, &net);
+        assert_eq!(rows.len(), 2);
+        assert!(net.degradation.data_loss());
+
+        let outcome = engine.execute(&dying_fed(), &q).unwrap();
+        assert_eq!(outcome.solutions.len(), 2);
+        assert!(!outcome.complete);
+        assert_eq!(outcome.failures.len(), 1);
+        assert_eq!(outcome.failures[0].endpoint, 0);
     }
 }

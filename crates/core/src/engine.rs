@@ -15,8 +15,9 @@
 use crate::cache::ProbeCaches;
 use crate::cost::{decide_delays_detailed, estimate_cardinalities, DelayPolicy, SubqueryCosts};
 use crate::decompose::{decompose, is_disjoint};
-use crate::exec::{evaluate_subqueries, ExecConfig, Net};
+use crate::exec::{evaluate_subqueries, Net};
 use crate::explain::render_pattern;
+use crate::fetch::fetch_from;
 use crate::gjv::{detect_gjvs, GjvAnalysis};
 use crate::metrics::QueryMetrics;
 use crate::mqo::BatchMemo;
@@ -43,8 +44,8 @@ pub struct LusailConfig {
     /// Memoize ASK / COUNT / check-query results across queries.
     pub use_cache: bool,
     /// Scale `VALUES` block sizes from the first block's observed response
-    /// cardinality (see [`ExecConfig::adaptive_values`]). The adapted size
-    /// never drops below `block_size`.
+    /// cardinality. The adapted size never drops below `block_size`, so the
+    /// request count never exceeds fixed sizing.
     pub adaptive_values: bool,
     /// Ablation switch: disable locality-aware decomposition. Every triple
     /// pattern becomes its own subquery (the §II strawman of evaluating
@@ -532,13 +533,12 @@ impl Lusail {
                 if let Some(memo) = memo.as_deref_mut() {
                     memo.count_subqueries(subqueries.len());
                 }
-                let exec_cfg = ExecConfig::for_engine(&self.config);
                 let (mut solutions, delayed) = evaluate_subqueries(
                     fed,
                     net,
                     &subqueries,
                     &costs,
-                    &exec_cfg,
+                    &self.config,
                     memo.as_deref_mut(),
                 );
                 metrics.delayed_subqueries = delayed;
@@ -615,14 +615,7 @@ pub(crate) enum PlanShape {
 /// LIMIT and all) goes verbatim to every relevant endpoint; results are
 /// concatenated.
 fn ship_whole(fed: &Federation, query: &Query, sources: &[EndpointId], net: &Net) -> SolutionSet {
-    let tasks: Vec<(EndpointId, ())> = sources.iter().map(|&ep| (ep, ())).collect();
-    let results = net.handler.run(fed, tasks, |ep_id, _, _| {
-        net.select_or_lose(fed, ep_id, query, query.output_vars())
-    });
-    let mut out = SolutionSet::empty(query.output_vars());
-    for (_, _, sols) in results {
-        out.append(sols);
-    }
+    let mut out = fetch_from(fed, net, query, sources);
     // Endpoints already projected; re-establish the global ordering
     // and modifiers over the concatenation.
     lusail_store::eval::apply_order(&mut out, &query.order_by, fed.dict());

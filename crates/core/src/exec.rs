@@ -21,6 +21,8 @@
 //!    the worst case stays exactly the fixed-size schedule.
 
 use crate::cost::SubqueryCosts;
+use crate::engine::LusailConfig;
+use crate::fetch::{concat, fetch, fetch_from};
 use crate::join::{join_components, Relation};
 use crate::mqo::BatchMemo;
 use crate::subquery::Subquery;
@@ -264,103 +266,46 @@ impl Net {
         }
     }
 
-    /// A `SELECT` carrying result data, with replica-aware failover: a
-    /// request that exhausts its retries on one replica-group member is
-    /// transparently re-issued against the next healthy member. Only when
-    /// every member has failed is the partition lost (`None`) and the
-    /// query marked incomplete.
-    pub fn try_select(
+    /// Narrows `candidates` to the endpoints answering `ask` with `true`.
+    /// The `ASK` is wire-only (no memo, no statistics — it carries bindings
+    /// or constants those cannot speak for); a failed one keeps its
+    /// endpoint via [`Degradation::assume_relevant`].
+    pub fn ask_relevant(
         &self,
         fed: &Federation,
-        ep_id: EndpointId,
-        q: &Query,
-    ) -> Option<SolutionSet> {
-        match self.client.select_failover(fed, ep_id, q) {
-            Ok((_, sols)) => Some(sols),
-            Err(_) => {
-                self.degradation.record_data_loss();
-                None
-            }
-        }
-    }
-
-    /// [`Net::try_select`] with a lost partition degraded to an empty one
-    /// over `vars`.
-    pub fn select_or_lose(
-        &self,
-        fed: &Federation,
-        ep_id: EndpointId,
-        q: &Query,
-        vars: Vec<String>,
-    ) -> SolutionSet {
-        self.try_select(fed, ep_id, q)
-            .unwrap_or_else(|| SolutionSet::empty(vars))
-    }
-
-    /// A wire-only `ASK` (no memo, no statistics — the query carries
-    /// bindings or constants those cannot speak for); a failed one keeps
-    /// its endpoint via [`Degradation::assume_relevant`].
-    pub fn ask_or_relevant(&self, ep_id: EndpointId, ep: &EndpointRef, q: &Query) -> bool {
-        self.client
-            .request_kind(ep_id, RequestKind::Ask, || ep.ask(q))
-            .unwrap_or_else(|_| self.degradation.assume_relevant())
+        candidates: &[EndpointId],
+        ask: &Query,
+    ) -> Vec<EndpointId> {
+        let tasks: Vec<(EndpointId, ())> = candidates.iter().map(|&ep| (ep, ())).collect();
+        let answers = self.handler.run(fed, tasks, |ep_id, ep, _| {
+            self.client
+                .request_kind(ep_id, RequestKind::Ask, || ep.ask(ask))
+                .unwrap_or_else(|_| self.degradation.assume_relevant())
+        });
+        answers
+            .into_iter()
+            .filter(|(_, _, relevant)| *relevant)
+            .map(|(ep, _, _)| ep)
+            .collect()
     }
 }
 
-/// Execution tuning knobs used by `evaluate_subqueries`.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecConfig {
-    /// Number of bindings per `VALUES` block in bound subqueries (and the
-    /// probe-block size when adaptive sizing is on).
-    pub block_size: usize,
-    /// Scale the `VALUES` block size from the first block's observed
-    /// response cardinality. The adapted size never drops below
-    /// `block_size`, so the request count never exceeds fixed sizing.
-    pub adaptive_values: bool,
-    /// Response rows per request the adaptive sizer aims for.
-    pub values_target_rows: usize,
-    /// Upper bound on an adapted block size.
-    pub max_block_size: usize,
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        ExecConfig {
-            block_size: 100,
-            adaptive_values: true,
-            values_target_rows: 1024,
-            max_block_size: 4096,
-        }
-    }
-}
-
-impl ExecConfig {
-    /// Maps the engine configuration onto the executor's knobs. The
-    /// single-query and batch paths both build their config here — if they
-    /// disagreed, batched answers could diverge from solo execution.
-    pub(crate) fn for_engine(config: &crate::engine::LusailConfig) -> ExecConfig {
-        ExecConfig {
-            block_size: config.block_size,
-            adaptive_values: config.adaptive_values,
-            ..ExecConfig::default()
-        }
-    }
-}
+/// Response rows per request the adaptive `VALUES` sizer aims for.
+const VALUES_TARGET_ROWS: usize = 1024;
+/// Upper bound on an adapted block size.
+const MAX_BLOCK_SIZE: usize = 4096;
 
 /// Block size for the post-probe `VALUES` blocks: scales the configured
-/// size toward `values_target_rows` response rows per request using the
+/// size toward [`VALUES_TARGET_ROWS`] response rows per request using the
 /// probe block's bindings-in → rows-out ratio. Integer-only and clamped to
-/// `[block_size, max_block_size]`, so the schedule stays deterministic and
+/// `[block_size, MAX_BLOCK_SIZE]`, so the schedule stays deterministic and
 /// never issues more requests than fixed sizing would.
-fn adapted_block_size(config: &ExecConfig, probe_bindings: usize, observed_rows: usize) -> usize {
+fn adapted_block_size(block_size: usize, probe_bindings: usize, observed_rows: usize) -> usize {
     // Rows produced per hundred bindings; an empty response floors at one
     // row so highly selective subqueries adapt to the largest blocks.
     let rows_per_hundred = (observed_rows.max(1) * 100) / probe_bindings.max(1);
-    let ideal = (config.values_target_rows * 100) / rows_per_hundred.max(1);
-    ideal.clamp(
-        config.block_size.max(1),
-        config.max_block_size.max(config.block_size.max(1)),
-    )
+    let ideal = (VALUES_TARGET_ROWS * 100) / rows_per_hundred.max(1);
+    ideal.clamp(block_size, MAX_BLOCK_SIZE.max(block_size))
 }
 
 /// SAPE subquery evaluation (Algorithm 3): evaluates all subqueries and
@@ -379,7 +324,7 @@ pub(crate) fn evaluate_subqueries(
     net: &Net,
     subqueries: &[Subquery],
     costs: &SubqueryCosts,
-    config: &ExecConfig,
+    config: &LusailConfig,
     memo: Option<&mut BatchMemo>,
 ) -> (SolutionSet, usize) {
     assert_eq!(subqueries.len(), costs.delayed.len());
@@ -418,7 +363,7 @@ pub(crate) fn evaluate_subqueries(
         // Choose the binding variable: a subquery variable bound in some
         // component, preferring the fewest distinct values.
         let binding = best_binding(sq, &components);
-        let relation = match binding {
+        let sols = match binding {
             Some((var, values)) => {
                 let mut sources = sq.sources.clone();
                 if sq.triples.iter().any(|t| t.p.is_var()) && sources.len() > 1 {
@@ -426,35 +371,28 @@ pub(crate) fn evaluate_subqueries(
                     // bindings before shipping every block everywhere.
                     sources = refine_sources(fed, net, sq, &var, &values, &sources);
                 }
-                // A task names its block by index: the one copy of a block
-                // is the one its request's query owns.
-                let dispatch = |blocks: Vec<ValuesBlock>| -> Vec<SolutionSet> {
-                    let tasks: Vec<(EndpointId, usize)> = sources
-                        .iter()
-                        .flat_map(|&ep| (0..blocks.len()).map(move |b| (ep, b)))
-                        .collect();
-                    for &(endpoint, b) in &tasks {
-                        net.trace.emit(|| TraceEvent::ValuesBatch {
-                            subquery: pick,
-                            endpoint,
-                            bindings: blocks[b].rows.len(),
-                        });
-                    }
-                    net.handler
-                        .run(fed, tasks, |ep_id, _, &b| {
-                            net.select_or_lose(
-                                fed,
-                                ep_id,
-                                &sq.to_query(Some(blocks[b].clone())),
-                                sq.projection.clone(),
-                            )
-                        })
+                // One query per block: every endpoint's request borrows it.
+                let dispatch = |blocks: Vec<ValuesBlock>| -> Vec<Option<SolutionSet>> {
+                    let queries: Vec<(usize, Query)> = blocks
                         .into_iter()
-                        .map(|(_, _, sols)| sols)
-                        .collect()
+                        .map(|block| (block.rows.len(), sq.to_query(Some(block))))
+                        .collect();
+                    let mut requests: Vec<(EndpointId, &Query)> = Vec::new();
+                    for &endpoint in &sources {
+                        for (bindings, query) in &queries {
+                            net.trace.emit(|| TraceEvent::ValuesBatch {
+                                subquery: pick,
+                                endpoint,
+                                bindings: *bindings,
+                            });
+                            requests.push((endpoint, query));
+                        }
+                    }
+                    let answers = fetch(fed, net, &requests);
+                    answers.into_iter().map(|(_, part)| part).collect()
                 };
                 let base = config.block_size.max(1);
-                let mut parts: Vec<SolutionSet> = Vec::new();
+                let mut parts: Vec<Option<SolutionSet>> = Vec::new();
                 let mut rest: &[lusail_rdf::TermId] = &values;
                 let mut size = base;
                 if config.adaptive_values && values.len() > base {
@@ -462,10 +400,10 @@ pub(crate) fn evaluate_subqueries(
                     // let its response cardinality set the remaining sizes.
                     let (first, tail) = values.split_at(base);
                     let probe_parts = dispatch(vec![values_block(&var, first)]);
-                    let observed: usize = probe_parts.iter().map(SolutionSet::len).sum();
+                    let observed: usize = probe_parts.iter().flatten().map(SolutionSet::len).sum();
                     parts.extend(probe_parts);
                     rest = tail;
-                    size = adapted_block_size(config, first.len(), observed);
+                    size = adapted_block_size(base, first.len(), observed);
                 }
                 let blocks: Vec<ValuesBlock> = rest
                     .chunks(size)
@@ -477,22 +415,16 @@ pub(crate) fn evaluate_subqueries(
                 // Blocks partition *distinct* values of one variable, so a
                 // row matches exactly one block: concatenation introduces
                 // no duplicates beyond what unbound evaluation would have.
-                let mut rel = concat_partitions(sq, parts);
-                // The cost model's `threads` term is endpoint streams, not
-                // endpoint × block request count.
-                rel.partitions = sq.sources.len().max(1);
-                rel
+                concat(sq.projection.clone(), parts)
             }
-            None => {
-                // No usable bindings: evaluate unbound.
-                let tasks: Vec<(EndpointId, ())> = sq.sources.iter().map(|&ep| (ep, ())).collect();
-                let results = net.handler.run(fed, tasks, |ep_id, _, _| {
-                    net.select_or_lose(fed, ep_id, &sq.to_query(None), sq.projection.clone())
-                });
-                let parts: Vec<SolutionSet> =
-                    results.into_iter().map(|(_, _, sols)| sols).collect();
-                concat_partitions(sq, parts)
-            }
+            // No usable bindings: evaluate unbound.
+            None => fetch_from(fed, net, &sq.to_query(None), &sq.sources),
+        };
+        // The cost model's `threads` term is endpoint streams, not endpoint
+        // × block request count.
+        let relation = Relation {
+            sols,
+            partitions: sq.sources.len().max(1),
         };
 
         net.trace.emit(|| TraceEvent::SubqueryEvaluated {
@@ -539,28 +471,29 @@ fn fetch_concurrent(
         .iter()
         .filter_map(|&i| Some((i, memo.as_deref_mut()?.lookup(i, &subqueries[i], net)?)))
         .collect();
-    let tasks: Vec<(EndpointId, usize)> = non_delayed
+    // One query per subquery still to fetch; each of its sources' requests
+    // borrows it.
+    let queries: Vec<(usize, Query)> = non_delayed
         .iter()
         .filter(|i| !shared.contains_key(i))
-        .flat_map(|&i| subqueries[i].sources.iter().map(move |&ep| (ep, i)))
+        .map(|&i| (i, subqueries[i].to_query(None)))
         .collect();
+    let (requests, owners): (Vec<(EndpointId, &Query)>, Vec<usize>) = queries
+        .iter()
+        .flat_map(|(i, q)| subqueries[*i].sources.iter().map(move |&ep| ((ep, q), *i)))
+        .unzip();
     let failures_before = match memo {
         Some(_) => net.client.report(fed),
         None => Vec::new(),
     };
-    let results = net.handler.run(fed, tasks, |ep_id, _, &i| {
-        net.try_select(fed, ep_id, &subqueries[i].to_query(None))
-    });
 
-    // Regroup per subquery, consuming the results (no clones). A lost
-    // partition stays in the list, empty, so the partition count the join
-    // cost model reads does not depend on which endpoints answered.
-    let mut by_subquery: lusail_rdf::FxHashMap<usize, (Vec<SolutionSet>, bool)> =
+    // Regroup per subquery, consuming the answers (no clones). A lost
+    // partition stays in the list so the partition count the join cost
+    // model reads does not depend on which endpoints answered.
+    let mut by_subquery: lusail_rdf::FxHashMap<usize, Vec<Option<SolutionSet>>> =
         lusail_rdf::FxHashMap::default();
-    for (_, i, sols) in results {
-        let (parts, lost) = by_subquery.entry(i).or_default();
-        *lost |= sols.is_none();
-        parts.push(sols.unwrap_or_else(|| SolutionSet::empty(subqueries[i].projection.clone())));
+    for (r, part) in fetch(fed, net, &requests) {
+        by_subquery.entry(owners[r]).or_default().push(part);
     }
     non_delayed
         .iter()
@@ -568,8 +501,12 @@ fn fetch_concurrent(
             if let Some(rel) = shared.remove(&i) {
                 return rel;
             }
-            let (parts, lost) = by_subquery.remove(&i).unwrap_or_default();
-            let rel = concat_partitions(&subqueries[i], parts);
+            let parts = by_subquery.remove(&i).unwrap_or_default();
+            let lost = parts.iter().any(Option::is_none);
+            let rel = Relation {
+                partitions: parts.len().max(1),
+                sols: concat(subqueries[i].projection.clone(), parts),
+            };
             net.trace.emit(|| TraceEvent::SubqueryEvaluated {
                 index: i,
                 rows: rel.sols.len(),
@@ -581,17 +518,6 @@ fn fetch_concurrent(
             rel
         })
         .collect()
-}
-
-/// Concatenates per-endpoint partitions into one relation, remembering the
-/// partition count for the join cost model.
-fn concat_partitions(sq: &Subquery, parts: Vec<SolutionSet>) -> Relation {
-    let mut sols = SolutionSet::empty(sq.projection.clone());
-    let partitions = parts.len().max(1);
-    for p in parts {
-        sols.append(p);
-    }
-    Relation { sols, partitions }
 }
 
 /// The next delayed subquery: smallest cardinality after refinement by the
@@ -671,15 +597,7 @@ fn refine_sources(
     pattern.filters = sq.filters.clone();
     pattern.values = Some(values_block(var, values));
     let ask = Query::ask(pattern);
-    let tasks: Vec<(EndpointId, ())> = sources.iter().map(|&ep| (ep, ())).collect();
-    let results = net.handler.run(fed, tasks, |ep_id, ep, _| {
-        net.ask_or_relevant(ep_id, ep, &ask)
-    });
-    let refined: Vec<EndpointId> = results
-        .into_iter()
-        .filter(|(_, _, ok)| *ok)
-        .map(|(ep, _, _)| ep)
-        .collect();
+    let refined = net.ask_relevant(fed, sources, &ask);
     if refined.is_empty() {
         sources.to_vec()
     } else {
@@ -801,10 +719,10 @@ mod sape_tests {
             delayed: vec![false, true],
         };
         let net = Net::default();
-        let config = ExecConfig {
+        let config = LusailConfig {
             block_size: 4,
             adaptive_values: false,
-            ..ExecConfig::default()
+            ..LusailConfig::default()
         };
         let before = fed.stats_snapshot();
         let (sols, delayed) = evaluate_subqueries(&fed, &net, &sqs, &costs, &config, None);
@@ -825,9 +743,9 @@ mod sape_tests {
             delayed: vec![false, true],
         };
         let net = Net::default();
-        let config = ExecConfig {
+        let config = LusailConfig {
             block_size: 4,
-            ..ExecConfig::default()
+            ..LusailConfig::default()
         };
         let before = fed.stats_snapshot();
         let (sols, delayed) = evaluate_subqueries(&fed, &net, &sqs, &costs, &config, None);
@@ -836,29 +754,24 @@ mod sape_tests {
         assert_eq!(sols.len(), 10);
         // Phase 1: one select at A. Phase 2: the 4-binding probe block
         // returns 2 rows, so the sizer scales way past the 16 remaining
-        // bindings (clamped at max_block_size) and ships them in a single
+        // bindings (clamped at `MAX_BLOCK_SIZE`) and ships them in a single
         // block: 2 selects at B instead of fixed sizing's 5.
         assert_eq!(window.select_requests, 1 + 2);
     }
 
     #[test]
     fn adapted_size_never_shrinks_and_respects_bounds() {
-        let config = ExecConfig {
-            block_size: 100,
-            values_target_rows: 1024,
-            max_block_size: 4096,
-            ..ExecConfig::default()
-        };
+        // Block size 100, against the 1024-row target and the 4096 cap.
         // Empty probe response: maximally selective, jump to the cap.
-        assert_eq!(adapted_block_size(&config, 100, 0), 4096);
+        assert_eq!(adapted_block_size(100, 100, 0), 4096);
         // One row per binding: target rows per request.
-        assert_eq!(adapted_block_size(&config, 100, 100), 1024);
+        assert_eq!(adapted_block_size(100, 100, 100), 1024);
         // Explosive fan-out (10 rows per binding): clamped at the floor —
         // the schedule never gets *more* requests than fixed sizing.
-        assert_eq!(adapted_block_size(&config, 100, 1000), 102);
-        assert_eq!(adapted_block_size(&config, 100, 10_000), 100);
+        assert_eq!(adapted_block_size(100, 100, 1000), 102);
+        assert_eq!(adapted_block_size(100, 100, 10_000), 100);
         // Degenerate probe sizes never divide by zero.
-        assert_eq!(adapted_block_size(&config, 0, 0), 1024);
+        assert_eq!(adapted_block_size(100, 0, 0), 1024);
     }
 
     #[test]
@@ -870,7 +783,7 @@ mod sape_tests {
             delayed: vec![true, true],
         };
         let net = Net::default();
-        let config = ExecConfig::default();
+        let config = LusailConfig::default();
         let (sols, delayed) = evaluate_subqueries(&fed, &net, &sqs, &costs, &config, None);
         // One was promoted to the concurrent phase; one stayed delayed.
         assert_eq!(delayed, 1);
@@ -886,7 +799,7 @@ mod sape_tests {
             delayed: vec![false, false],
         };
         let net = Net::default();
-        let config = ExecConfig::default();
+        let config = LusailConfig::default();
         let before = fed.stats_snapshot();
         let (sols, delayed) = evaluate_subqueries(&fed, &net, &sqs, &costs, &config, None);
         let window = fed.stats_snapshot().since(&before);
@@ -905,7 +818,7 @@ mod sape_tests {
             &net,
             &[],
             &SubqueryCosts::default(),
-            &ExecConfig::default(),
+            &LusailConfig::default(),
             None,
         );
         assert_eq!(delayed, 0);

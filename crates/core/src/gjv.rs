@@ -350,15 +350,8 @@ fn not_exists_probe(
     let mut pattern = GroupPattern::bgp(outer);
     pattern.not_exists.push(GroupPattern::bgp(vec![inner]));
     let query = Query {
-        form: lusail_sparql::ast::QueryForm::Select,
-        distinct: false,
-        projection: vec![var.to_string()],
-        pattern,
-        aggregates: Vec::new(),
-        group_by: Vec::new(),
-        having: Vec::new(),
-        order_by: Vec::new(),
         limit: Some(1),
+        ..Query::select(vec![var.to_string()], pattern)
     };
     let sig = write_query_for_sig(&query);
     CheckQuery { query, sig }

@@ -30,6 +30,7 @@ pub mod decompose;
 pub mod engine;
 pub mod exec;
 pub mod explain;
+pub mod fetch;
 pub mod gjv;
 pub mod join;
 pub mod metrics;

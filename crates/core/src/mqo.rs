@@ -25,7 +25,7 @@
 
 use crate::cost::SubqueryCosts;
 use crate::engine::{Lusail, PlanShape, QueryResult};
-use crate::exec::{evaluate_subqueries, ExecConfig, Net};
+use crate::exec::{evaluate_subqueries, Net};
 use crate::join::Relation;
 use crate::subquery::Subquery;
 use lusail_endpoint::{EndpointFailure, ExecOptions, Federation, FederationError, TraceEvent};
@@ -347,7 +347,7 @@ impl Lusail {
                 cardinality: vec![1],
                 delayed: vec![false],
             },
-            &ExecConfig::for_engine(self.config()),
+            self.config(),
             None,
         );
         relation

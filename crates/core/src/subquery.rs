@@ -3,30 +3,17 @@
 use lusail_endpoint::EndpointId;
 use lusail_sparql::ast::{Expression, GroupPattern, Query, TriplePattern, ValuesBlock};
 
-/// Anything filters can be pushed into: Lusail subqueries and the
-/// baselines' evaluation units both implement this, sharing one pushdown
-/// routine ([`push_filters_into`]).
-pub trait FilterTarget {
-    /// True if the target's patterns mention the variable.
-    fn mentions_var(&self, var: &str) -> bool;
-    /// Attaches a filter to the target.
-    fn push_filter(&mut self, filter: Expression);
-}
-
-/// Pushes each filter into every target containing all its variables;
+/// Pushes each filter into every subquery containing all its variables;
 /// returns the filters that could not be pushed anywhere (the caller
 /// applies them globally, per §IV-C's clause-placement rule).
-pub fn push_filters_into<T: FilterTarget>(
-    filters: &[Expression],
-    targets: &mut [T],
-) -> Vec<Expression> {
+pub fn push_filters_into(filters: &[Expression], subqueries: &mut [Subquery]) -> Vec<Expression> {
     let mut global = Vec::new();
     for f in filters {
         let vars = f.vars();
         let mut pushed = false;
-        for t in targets.iter_mut() {
-            if !vars.is_empty() && vars.iter().all(|v| t.mentions_var(v)) {
-                t.push_filter(f.clone());
+        for sq in subqueries.iter_mut() {
+            if !vars.is_empty() && vars.iter().all(|v| sq.mentions(v)) {
+                sq.filters.push(f.clone());
                 pushed = true;
             }
         }
@@ -51,9 +38,6 @@ pub struct Subquery {
     /// The variables to project back to the federated engine: join
     /// variables, globally-filtered variables, and query output variables.
     pub projection: Vec<String>,
-    /// True if this subquery came from an `OPTIONAL` group; its result is
-    /// left-joined rather than joined.
-    pub optional: bool,
 }
 
 impl Subquery {
@@ -66,7 +50,6 @@ impl Subquery {
             filters: Vec::new(),
             sources,
             projection,
-            optional: false,
         }
     }
 
@@ -86,27 +69,7 @@ impl Subquery {
         let mut pattern = GroupPattern::bgp(self.triples.clone());
         pattern.filters = self.filters.clone();
         pattern.values = values;
-        Query {
-            form: lusail_sparql::ast::QueryForm::Select,
-            distinct: false,
-            projection: self.projection.clone(),
-            pattern,
-            aggregates: Vec::new(),
-            group_by: Vec::new(),
-            having: Vec::new(),
-            order_by: Vec::new(),
-            limit: None,
-        }
-    }
-}
-
-impl FilterTarget for Subquery {
-    fn mentions_var(&self, var: &str) -> bool {
-        self.mentions(var)
-    }
-
-    fn push_filter(&mut self, filter: Expression) {
-        self.filters.push(filter);
+        Query::select(self.projection.clone(), pattern)
     }
 }
 

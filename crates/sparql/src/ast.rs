@@ -392,12 +392,13 @@ pub struct Query {
 }
 
 impl Query {
-    /// A plain `SELECT *` over the given pattern.
-    pub fn select_all(pattern: GroupPattern) -> Self {
+    /// A plain `SELECT` of `projection` (empty = `SELECT *`) over the given
+    /// pattern: no modifiers, no aggregates.
+    pub fn select(projection: Vec<String>, pattern: GroupPattern) -> Self {
         Query {
             form: QueryForm::Select,
             distinct: false,
-            projection: Vec::new(),
+            projection,
             pattern,
             aggregates: Vec::new(),
             group_by: Vec::new(),
@@ -407,18 +408,16 @@ impl Query {
         }
     }
 
+    /// A plain `SELECT *` over the given pattern.
+    pub fn select_all(pattern: GroupPattern) -> Self {
+        Query::select(Vec::new(), pattern)
+    }
+
     /// An `ASK` over the given pattern.
     pub fn ask(pattern: GroupPattern) -> Self {
         Query {
             form: QueryForm::Ask,
-            distinct: false,
-            projection: Vec::new(),
-            pattern,
-            aggregates: Vec::new(),
-            group_by: Vec::new(),
-            having: Vec::new(),
-            order_by: Vec::new(),
-            limit: None,
+            ..Query::select_all(pattern)
         }
     }
 
@@ -426,14 +425,7 @@ impl Query {
     pub fn count(pattern: GroupPattern) -> Self {
         Query {
             form: QueryForm::CountStar("c".into()),
-            distinct: false,
-            projection: Vec::new(),
-            pattern,
-            aggregates: Vec::new(),
-            group_by: Vec::new(),
-            having: Vec::new(),
-            order_by: Vec::new(),
-            limit: None,
+            ..Query::select_all(pattern)
         }
     }
 

@@ -40,6 +40,25 @@ for f in crates/core/src/*.rs crates/baselines/src/*.rs; do
 done
 [ "$scattered" -eq 0 ]
 
+echo "==> one fetch path (dispatch -> failover -> lose -> concatenate is written in crates/core/src/fetch.rs only)"
+scattered=0
+for f in crates/core/src/*.rs crates/baselines/src/*.rs; do
+    if grep -Eq 'FilterTarget|struct Unit|ExecConfig' "$f"; then
+        echo "$f: a second work-unit type or executor config is back (Subquery and LusailConfig are the only ones)" >&2
+        scattered=1
+    fi
+    [ "$f" = crates/core/src/fetch.rs ] && continue
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -q 'select_failover('; then
+        echo "$f: runs a data-bearing SELECT outside fetch::fetch" >&2
+        scattered=1
+    fi
+done
+if grep -q 'AtomicBool' crates/baselines/src/*.rs; then
+    echo "crates/baselines/src: a loss flag beside net.degradation is back" >&2
+    scattered=1
+fi
+[ "$scattered" -eq 0 ]
+
 # The benchmark crate is a workspace of its own with its own lock file; it
 # calls the engine only through public items (par_hash_join, hash_join,
 # SolutionSet { vars, rows } literals, ...), so an engine API change that
