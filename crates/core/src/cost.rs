@@ -27,7 +27,7 @@ use crate::probe;
 use crate::subquery::Subquery;
 use lusail_endpoint::{EndpointId, Federation};
 use lusail_rdf::FxHashMap;
-use lusail_sparql::ast::{Expression, TriplePattern};
+use lusail_sparql::ast::TriplePattern;
 
 /// The delay-threshold policy (Fig. 9 in the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -277,18 +277,6 @@ pub fn erfc(x: f64) -> f64 {
     } else {
         1.0 - erf
     }
-}
-
-/// Restricts a set of filters to those whose variables all occur in `tp`
-/// (usable for sharpening a COUNT probe).
-pub fn filters_for_pattern<'a>(
-    filters: &'a [Expression],
-    tp: &TriplePattern,
-) -> Vec<&'a Expression> {
-    filters
-        .iter()
-        .filter(|f| f.vars().iter().all(|v| tp.mentions(v)))
-        .collect()
 }
 
 #[cfg(test)]

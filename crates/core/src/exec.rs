@@ -23,7 +23,7 @@
 use crate::cost::SubqueryCosts;
 use crate::engine::LusailConfig;
 use crate::fetch::{concat, fetch, fetch_from};
-use crate::join::{join_components, Relation};
+use crate::join::join_components;
 use crate::mqo::BatchMemo;
 use crate::subquery::Subquery;
 use lusail_endpoint::{
@@ -420,31 +420,20 @@ pub(crate) fn evaluate_subqueries(
             // No usable bindings: evaluate unbound.
             None => fetch_from(fed, net, &sq.to_query(None), &sq.sources),
         };
-        // The cost model's `threads` term is endpoint streams, not endpoint
-        // × block request count.
-        let relation = Relation {
-            sols,
-            partitions: sq.sources.len().max(1),
-        };
-
         net.trace.emit(|| TraceEvent::SubqueryEvaluated {
             index: pick,
-            rows: relation.sols.len(),
-            partitions: relation.partitions,
+            rows: sols.len(),
         });
-        components.push(relation);
+        components.push(sols);
         components = join_components(components, &net.trace);
     }
 
     // Cross-join any genuinely disconnected components.
     let mut iter = components.into_iter();
-    let mut acc = match iter.next() {
-        Some(r) => r.sols,
-        None => SolutionSet::unit(),
-    };
+    let mut acc = iter.next().unwrap_or_else(SolutionSet::unit);
     for r in iter {
-        let (left_rows, right_rows) = (acc.len(), r.sols.len());
-        acc = acc.hash_join(&r.sols);
+        let (left_rows, right_rows) = (acc.len(), r.len());
+        acc = acc.hash_join(&r);
         net.trace.emit(|| TraceEvent::JoinStep {
             left_rows,
             right_rows,
@@ -466,8 +455,8 @@ fn fetch_concurrent(
     subqueries: &[Subquery],
     non_delayed: &[usize],
     mut memo: Option<&mut BatchMemo>,
-) -> Vec<Relation> {
-    let mut shared: lusail_rdf::FxHashMap<usize, Relation> = non_delayed
+) -> Vec<SolutionSet> {
+    let mut shared: lusail_rdf::FxHashMap<usize, SolutionSet> = non_delayed
         .iter()
         .filter_map(|&i| Some((i, memo.as_deref_mut()?.lookup(i, &subqueries[i], net)?)))
         .collect();
@@ -487,9 +476,7 @@ fn fetch_concurrent(
         None => Vec::new(),
     };
 
-    // Regroup per subquery, consuming the answers (no clones). A lost
-    // partition stays in the list so the partition count the join cost
-    // model reads does not depend on which endpoints answered.
+    // Regroup per subquery, consuming the answers (no clones).
     let mut by_subquery: lusail_rdf::FxHashMap<usize, Vec<Option<SolutionSet>>> =
         lusail_rdf::FxHashMap::default();
     for (r, part) in fetch(fed, net, &requests) {
@@ -503,14 +490,10 @@ fn fetch_concurrent(
             }
             let parts = by_subquery.remove(&i).unwrap_or_default();
             let lost = parts.iter().any(Option::is_none);
-            let rel = Relation {
-                partitions: parts.len().max(1),
-                sols: concat(subqueries[i].projection.clone(), parts),
-            };
+            let rel = concat(subqueries[i].projection.clone(), parts);
             net.trace.emit(|| TraceEvent::SubqueryEvaluated {
                 index: i,
-                rows: rel.sols.len(),
-                partitions: rel.partitions,
+                rows: rel.len(),
             });
             if let Some(memo) = memo.as_deref_mut() {
                 memo.store(fed, net, &subqueries[i], &rel, lost, &failures_before);
@@ -526,7 +509,7 @@ fn pick_most_selective(
     delayed: &[usize],
     subqueries: &[Subquery],
     costs: &SubqueryCosts,
-    components: &[Relation],
+    components: &[SolutionSet],
 ) -> usize {
     *delayed
         .iter()
@@ -534,9 +517,9 @@ fn pick_most_selective(
             let sq = &subqueries[i];
             let mut refined = costs.cardinality[i];
             for comp in components {
-                for v in &comp.sols.vars {
+                for v in &comp.vars {
                     if sq.mentions(v) {
-                        let n = comp.sols.len() as u64;
+                        let n = comp.len() as u64;
                         refined = refined.min(n);
                     }
                 }
@@ -551,15 +534,15 @@ fn pick_most_selective(
 /// distinct values.
 fn best_binding(
     sq: &Subquery,
-    components: &[Relation],
+    components: &[SolutionSet],
 ) -> Option<(String, Vec<lusail_rdf::TermId>)> {
     let mut best: Option<(String, Vec<lusail_rdf::TermId>)> = None;
     for comp in components {
-        for v in &comp.sols.vars {
+        for v in &comp.vars {
             if !sq.mentions(v) {
                 continue;
             }
-            let values = comp.sols.distinct_values(v);
+            let values = comp.distinct_values(v);
             if values.is_empty() {
                 continue;
             }

@@ -235,16 +235,12 @@ pub fn render_analyze(trace: &QueryTrace, metrics: Option<&QueryMetrics>) -> Str
     // subquery is evaluated exactly once (concurrent in phase 1 or bound
     // in phase 2); nested-group re-evaluations overwrite, which keeps the
     // render small rather than exhaustive.
-    let mut actual: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
+    let mut actual: BTreeMap<usize, usize> = BTreeMap::new();
     let mut promoted: Vec<usize> = Vec::new();
     for ev in &trace.events {
         match ev {
-            TraceEvent::SubqueryEvaluated {
-                index,
-                rows,
-                partitions,
-            } => {
-                actual.insert(*index, (*rows, *partitions));
+            TraceEvent::SubqueryEvaluated { index, rows } => {
+                actual.insert(*index, *rows);
             }
             TraceEvent::SubqueryPromoted { index } => promoted.push(*index),
             _ => {}
@@ -280,7 +276,7 @@ pub fn render_analyze(trace: &QueryTrace, metrics: Option<&QueryMetrics>) -> Str
             None => "[concurrent]".to_string(),
         };
         let actual_part = match actual.get(index) {
-            Some((rows, parts)) => format!("actual rows {rows} in {parts} partition(s)"),
+            Some(rows) => format!("actual rows {rows}"),
             None => "not evaluated".to_string(),
         };
         let _ = writeln!(
@@ -593,9 +589,9 @@ requests:
   check   0 requests  0 wire attempts  0 failed
 decomposition: 2 subqueries  (1 global join variables)
   subquery 1 [DELAYED: cardinality 10 > μ+kσ threshold 1.0]  \
-est. cardinality 10  actual rows 10 in 1 partition(s)  @ 1 endpoint(s)
+est. cardinality 10  actual rows 10  @ 1 endpoint(s)
       ?s <http://x/p> ?v
-  subquery 2 [concurrent]  est. cardinality 1  actual rows 1 in 1 partition(s)  @ 1 endpoint(s)
+  subquery 2 [concurrent]  est. cardinality 1  actual rows 1  @ 1 endpoint(s)
       ?v <http://x/q> ?o
 values traffic: 1 block(s), 1 binding(s)
 joins:
@@ -656,9 +652,9 @@ requests:
   check   0 requests  0 wire attempts  0 failed
 decomposition: 2 subqueries  (1 global join variables)
   subquery 1 [DELAYED: cardinality 10 > μ+kσ threshold 1.0]  \
-est. cardinality 10  actual rows 10 in 1 partition(s)  @ 1 endpoint(s)
+est. cardinality 10  actual rows 10  @ 1 endpoint(s)
       ?s <http://x/p> ?v
-  subquery 2 [concurrent]  est. cardinality 1  actual rows 1 in 1 partition(s)  @ 1 endpoint(s)
+  subquery 2 [concurrent]  est. cardinality 1  actual rows 1  @ 1 endpoint(s)
       ?v <http://x/q> ?o
 values traffic: 1 block(s), 1 binding(s)
 joins:

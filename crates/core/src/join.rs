@@ -1,43 +1,25 @@
-//! Global join evaluation: DP-ordered, partitioned hash joins (§V-B "Join
+//! Global join evaluation: DP-ordered hash joins (§V-B "Join
 //! Evaluation").
 //!
-//! Each subquery result is a relation whose *true* cardinality is known
-//! and whose rows arrived in per-endpoint partitions. Join order within a
-//! connected component (relations sharing variables) is chosen by the
-//! dynamic-programming enumeration of bushy trees without cross products
-//! (Moerkotte & Neumann), with the paper's cost function
+//! Each subquery result is a relation whose *true* cardinality is known.
+//! Join order within a connected component (relations sharing variables)
+//! is chosen by the dynamic-programming enumeration of bushy trees without
+//! cross products (Moerkotte & Neumann), with the paper's cost function
 //!
 //! ```text
 //! JoinCost(S, R) = |S| / S.threads  +  |R| / R.threads
 //! ```
 //!
-//! (hash + probe, each parallel over its partitions). The partitions
-//! order the joins; every join itself runs on the one sequential
-//! build/probe kernel, [`SolutionSet::join`].
+//! at `threads = 1`: every join runs on the one sequential build/probe
+//! kernel, [`SolutionSet::hash_join`], so a step costs `|S| + |R|`
+//! (DESIGN.md, Substitutions).
 
 use lusail_endpoint::{TraceEvent, TraceSink};
 use lusail_rdf::FxHashMap;
 use lusail_sparql::solution::SolutionSet;
 
-/// A subquery result at the global level.
-#[derive(Debug, Clone)]
-pub struct Relation {
-    /// The rows.
-    pub sols: SolutionSet,
-    /// How many partitions (endpoint result streams / worker threads)
-    /// back the relation — the `threads` term of the cost model.
-    pub partitions: usize,
-}
-
-impl Relation {
-    /// The paper's per-relation parallel-work term `|R| / R.threads`.
-    fn work(&self) -> f64 {
-        self.sols.len() as f64 / self.partitions.max(1) as f64
-    }
-
-    fn shares_var(&self, other: &Relation) -> bool {
-        self.sols.vars.iter().any(|v| other.sols.col(v).is_some())
-    }
+fn shares_var(a: &SolutionSet, b: &SolutionSet) -> bool {
+    a.vars.iter().any(|v| b.col(v).is_some())
 }
 
 /// Joins every *connected component* of the relation graph (edges =
@@ -46,7 +28,7 @@ impl Relation {
 /// — the caller decides whether a cross product is actually needed. Each
 /// executed hash join emits one [`TraceEvent::JoinStep`] into `trace` with
 /// its input/output cardinalities and the `JoinCost` that ordered it.
-pub fn join_components(relations: Vec<Relation>, trace: &TraceSink) -> Vec<Relation> {
+pub fn join_components(relations: Vec<SolutionSet>, trace: &TraceSink) -> Vec<SolutionSet> {
     let n = relations.len();
     if n <= 1 {
         return relations;
@@ -62,7 +44,7 @@ pub fn join_components(relations: Vec<Relation>, trace: &TraceSink) -> Vec<Relat
     }
     for i in 0..n {
         for j in i + 1..n {
-            if relations[i].shares_var(&relations[j]) {
+            if shares_var(&relations[i], &relations[j]) {
                 let (a, b) = (find(&mut parent, i), find(&mut parent, j));
                 if a != b {
                     parent[a] = b;
@@ -70,10 +52,9 @@ pub fn join_components(relations: Vec<Relation>, trace: &TraceSink) -> Vec<Relat
             }
         }
     }
-    let mut components: Vec<Vec<Relation>> = Vec::new();
+    let mut components: Vec<Vec<SolutionSet>> = Vec::new();
     let mut roots: Vec<usize> = Vec::new();
-    let rels: Vec<Relation> = relations;
-    for (i, rel) in rels.into_iter().enumerate() {
+    for (i, rel) in relations.into_iter().enumerate() {
         let root = find(&mut parent, i);
         let idx = match roots.iter().position(|&r| r == root) {
             Some(idx) => idx,
@@ -93,7 +74,7 @@ pub fn join_components(relations: Vec<Relation>, trace: &TraceSink) -> Vec<Relat
 
 /// Joins a connected set of relations into one, ordering by DP when small
 /// enough and by greedy smallest-pair otherwise.
-fn join_connected(mut relations: Vec<Relation>, trace: &TraceSink) -> Relation {
+fn join_connected(mut relations: Vec<SolutionSet>, trace: &TraceSink) -> SolutionSet {
     if relations.len() == 1 {
         return relations.pop().unwrap();
     }
@@ -106,31 +87,27 @@ fn join_connected(mut relations: Vec<Relation>, trace: &TraceSink) -> Relation {
 
 /// Executes one join step of a plan and traces it as a
 /// [`TraceEvent::JoinStep`] carrying the `JoinCost` that ordered it.
-fn join_step(left: &Relation, right: &Relation, cost: f64, trace: &TraceSink) -> Relation {
-    let sols = left.sols.hash_join(&right.sols);
+fn join_step(left: &SolutionSet, right: &SolutionSet, cost: f64, trace: &TraceSink) -> SolutionSet {
+    let sols = left.hash_join(right);
     trace.emit(|| TraceEvent::JoinStep {
-        left_rows: left.sols.len(),
-        right_rows: right.sols.len(),
+        left_rows: left.len(),
+        right_rows: right.len(),
         output_rows: sols.len(),
         cost,
     });
-    Relation {
-        sols,
-        partitions: left.partitions.max(right.partitions),
-    }
+    sols
 }
 
 /// Bushy DP over subsets: `best[mask]` is the cheapest plan joining the
 /// relations in `mask`, considering only connected splits (no cross
 /// products within a component).
-fn dp_join(relations: Vec<Relation>, trace: &TraceSink) -> Relation {
+fn dp_join(relations: Vec<SolutionSet>, trace: &TraceSink) -> SolutionSet {
     #[derive(Clone)]
     struct Plan {
         cost: f64,
         // (left mask, right mask); single relations have no split.
         split: Option<(u32, u32)>,
         rows: f64,
-        partitions: usize,
     }
     let n = relations.len();
     let full: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
@@ -141,8 +118,7 @@ fn dp_join(relations: Vec<Relation>, trace: &TraceSink) -> Relation {
             Plan {
                 cost: 0.0,
                 split: None,
-                rows: r.sols.len() as f64,
-                partitions: r.partitions,
+                rows: r.len() as f64,
             },
         );
     }
@@ -153,7 +129,7 @@ fn dp_join(relations: Vec<Relation>, trace: &TraceSink) -> Relation {
         .map(|i| {
             let mut mask = 0u32;
             for j in 0..n {
-                if i != j && relations[i].shares_var(&relations[j]) {
+                if i != j && shares_var(&relations[i], &relations[j]) {
                     mask |= 1 << j;
                 }
             }
@@ -178,25 +154,17 @@ fn dp_join(relations: Vec<Relation>, trace: &TraceSink) -> Relation {
             if left < right {
                 if let (Some(pl), Some(pr)) = (plans.get(&left), plans.get(&right)) {
                     if connected(left, right) {
-                        // JoinCost: hash the smaller side, probe the other.
-                        let (s_rows, s_parts, r_rows, r_parts) = if pl.rows <= pr.rows {
-                            (pl.rows, pl.partitions, pr.rows, pr.partitions)
-                        } else {
-                            (pr.rows, pr.partitions, pl.rows, pl.partitions)
-                        };
-                        let step = s_rows / s_parts.max(1) as f64 + r_rows / r_parts.max(1) as f64;
-                        let cost = pl.cost + pr.cost + step;
+                        // JoinCost: hash one side, probe the other.
+                        let cost = pl.cost + pr.cost + pl.rows + pr.rows;
                         // Optimistic output estimate: the smaller input (a
                         // key join usually reduces); exact sizes are only
                         // known after execution.
-                        let rows = s_rows.min(r_rows).max(1.0);
-                        let partitions = s_parts.max(r_parts);
+                        let rows = pl.rows.min(pr.rows).max(1.0);
                         if best.as_ref().is_none_or(|b| cost < b.cost) {
                             best = Some(Plan {
                                 cost,
                                 split: Some((left, right)),
                                 rows,
-                                partitions,
                             });
                         }
                     }
@@ -219,9 +187,9 @@ fn dp_join(relations: Vec<Relation>, trace: &TraceSink) -> Relation {
     fn execute(
         mask: u32,
         plans: &FxHashMap<u32, Plan>,
-        relations: &mut [Option<Relation>],
+        relations: &mut [Option<SolutionSet>],
         trace: &TraceSink,
-    ) -> Relation {
+    ) -> SolutionSet {
         let plan = &plans[&mask];
         match plan.split {
             None => {
@@ -239,21 +207,21 @@ fn dp_join(relations: Vec<Relation>, trace: &TraceSink) -> Relation {
             }
         }
     }
-    let mut slots: Vec<Option<Relation>> = relations.into_iter().map(Some).collect();
+    let mut slots: Vec<Option<SolutionSet>> = relations.into_iter().map(Some).collect();
     execute(full, &plans, &mut slots, trace)
 }
 
 /// Greedy fallback: repeatedly join the connected pair with the smallest
 /// combined work.
-fn greedy_join(mut relations: Vec<Relation>, trace: &TraceSink) -> Relation {
+fn greedy_join(mut relations: Vec<SolutionSet>, trace: &TraceSink) -> SolutionSet {
     while relations.len() > 1 {
         let mut best: Option<(usize, usize, f64)> = None;
         for i in 0..relations.len() {
             for j in i + 1..relations.len() {
-                if !relations[i].shares_var(&relations[j]) {
+                if !shares_var(&relations[i], &relations[j]) {
                     continue;
                 }
-                let cost = relations[i].work() + relations[j].work();
+                let cost = (relations[i].len() + relations[j].len()) as f64;
                 if best.is_none_or(|(_, _, c)| cost < c) {
                     best = Some((i, j, cost));
                 }
@@ -263,18 +231,15 @@ fn greedy_join(mut relations: Vec<Relation>, trace: &TraceSink) -> Relation {
             // Not connected after all: cross-join the first two.
             let b = relations.remove(1);
             let a = relations.remove(0);
-            let joined = join_step(&a, &b, a.work() + b.work(), trace);
+            let joined = join_step(&a, &b, (a.len() + b.len()) as f64, trace);
             relations.insert(0, joined);
             continue;
         };
         let b = relations.remove(j);
         let a = relations.remove(i);
-        relations.push(join_step(&a, &b, a.work() + b.work(), trace));
+        relations.push(join_step(&a, &b, (a.len() + b.len()) as f64, trace));
     }
-    relations.pop().unwrap_or(Relation {
-        sols: SolutionSet::unit(),
-        partitions: 1,
-    })
+    relations.pop().unwrap_or_else(SolutionSet::unit)
 }
 
 /// [`SolutionSet::hash_join`] under the name and signature the benchmark
@@ -299,27 +264,24 @@ mod tests {
     use super::*;
     use lusail_rdf::TermId;
 
-    fn rel(vars: &[&str], rows: Vec<Vec<u32>>, partitions: usize) -> Relation {
-        Relation {
-            sols: SolutionSet {
-                vars: vars.iter().map(|s| s.to_string()).collect(),
-                rows: rows
-                    .into_iter()
-                    .map(|r| r.into_iter().map(|x| Some(TermId(x))).collect())
-                    .collect(),
-            },
-            partitions,
+    fn rel(vars: &[&str], rows: Vec<Vec<u32>>) -> SolutionSet {
+        SolutionSet {
+            vars: vars.iter().map(|s| s.to_string()).collect(),
+            rows: rows
+                .into_iter()
+                .map(|r| r.into_iter().map(|x| Some(TermId(x))).collect())
+                .collect(),
         }
     }
 
     #[test]
     fn chain_join_produces_expected_rows() {
-        let a = rel(&["x", "y"], vec![vec![1, 10], vec![2, 20]], 1);
-        let b = rel(&["y", "z"], vec![vec![10, 100], vec![20, 200]], 1);
-        let c = rel(&["z", "w"], vec![vec![100, 7]], 1);
+        let a = rel(&["x", "y"], vec![vec![1, 10], vec![2, 20]]);
+        let b = rel(&["y", "z"], vec![vec![10, 100], vec![20, 200]]);
+        let c = rel(&["z", "w"], vec![vec![100, 7]]);
         let out = join_components(vec![a, b, c], &TraceSink::disabled());
         assert_eq!(out.len(), 1);
-        let sols = &out[0].sols;
+        let sols = &out[0];
         assert_eq!(sols.len(), 1);
         let canon = sols.canonicalize();
         assert_eq!(canon.vars, ["w", "x", "y", "z"]);
@@ -336,8 +298,8 @@ mod tests {
 
     #[test]
     fn disconnected_components_stay_apart() {
-        let a = rel(&["x"], vec![vec![1]], 1);
-        let b = rel(&["y"], vec![vec![2]], 1);
+        let a = rel(&["x"], vec![vec![1]]);
+        let b = rel(&["y"], vec![vec![2]]);
         let out = join_components(vec![a, b], &TraceSink::disabled());
         assert_eq!(out.len(), 2);
     }
@@ -345,27 +307,26 @@ mod tests {
     #[test]
     fn star_join_with_many_relations() {
         // A center relation joined with 5 satellites.
-        let mut rels = vec![rel(&["c", "a0"], vec![vec![1, 10], vec![2, 20]], 2)];
+        let mut rels = vec![rel(&["c", "a0"], vec![vec![1, 10], vec![2, 20]])];
         for i in 0..5 {
             rels.push(rel(
                 &["c", &format!("s{i}")],
                 vec![vec![1, 100 + i], vec![2, 200 + i]],
-                1,
             ));
         }
         let out = join_components(rels, &TraceSink::disabled());
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].sols.len(), 2);
-        assert_eq!(out[0].sols.vars.len(), 7);
+        assert_eq!(out[0].len(), 2);
+        assert_eq!(out[0].vars.len(), 7);
     }
 
     #[test]
     fn par_join_matches_sequential() {
         let n = 2_000u32;
-        let a = rel(&["x", "y"], (0..n).map(|i| vec![i, i * 2]).collect(), 4);
-        let b = rel(&["y", "z"], (0..n).map(|i| vec![i, i + 1]).collect(), 4);
-        let seq = a.sols.hash_join(&b.sols).canonicalize();
-        let par = par_hash_join(&a.sols, &b.sols, 4, 4, 100).canonicalize();
+        let a = rel(&["x", "y"], (0..n).map(|i| vec![i, i * 2]).collect());
+        let b = rel(&["y", "z"], (0..n).map(|i| vec![i, i + 1]).collect());
+        let seq = a.hash_join(&b).canonicalize();
+        let par = par_hash_join(&a, &b, 4, 4, 100).canonicalize();
         assert_eq!(seq, par);
         // y values 0..2n step 2 that are < n: n/2 matches.
         assert_eq!(par.len(), (n / 2) as usize);
@@ -373,15 +334,12 @@ mod tests {
 
     #[test]
     fn par_join_falls_back_on_unbound_keys() {
-        let a = Relation {
-            sols: SolutionSet {
-                vars: vec!["x".into(), "y".into()],
-                rows: vec![vec![Some(TermId(1)), None]].into_iter().collect(),
-            },
-            partitions: 2,
+        let a = SolutionSet {
+            vars: vec!["x".into(), "y".into()],
+            rows: vec![vec![Some(TermId(1)), None]].into_iter().collect(),
         };
-        let b = rel(&["y", "z"], vec![vec![10, 100]], 2);
-        let out = par_hash_join(&a.sols, &b.sols, 2, 2, 0);
+        let b = rel(&["y", "z"], vec![vec![10, 100]]);
+        let out = par_hash_join(&a, &b, 2, 2, 0);
         assert_eq!(out.len(), 1);
         assert_eq!(
             out.rows[0],
@@ -397,19 +355,18 @@ mod tests {
             rels.push(rel(
                 &[&format!("v{i}"), &format!("v{}", i + 1)],
                 vec![vec![1, 1], vec![2, 2]],
-                1,
             ));
         }
         let out = join_components(rels, &TraceSink::disabled());
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].sols.len(), 2);
+        assert_eq!(out[0].len(), 2);
     }
 
     #[test]
     fn join_steps_are_traced_with_cardinalities_and_cost() {
-        let a = rel(&["x", "y"], vec![vec![1, 10], vec![2, 20]], 1);
-        let b = rel(&["y", "z"], vec![vec![10, 100], vec![20, 200]], 1);
-        let c = rel(&["z", "w"], vec![vec![100, 7]], 1);
+        let a = rel(&["x", "y"], vec![vec![1, 10], vec![2, 20]]);
+        let b = rel(&["y", "z"], vec![vec![10, 100], vec![20, 200]]);
+        let c = rel(&["z", "w"], vec![vec![100, 7]]);
         let sink = TraceSink::enabled();
         let out = join_components(vec![a, b, c], &sink);
         assert_eq!(out.len(), 1);
@@ -434,6 +391,6 @@ mod tests {
         let TraceEvent::JoinStep { output_rows, .. } = events[1] else {
             unreachable!()
         };
-        assert_eq!(output_rows, out[0].sols.len());
+        assert_eq!(output_rows, out[0].len());
     }
 }

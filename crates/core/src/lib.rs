@@ -24,7 +24,6 @@
 //! Entry point: [`Lusail::execute`].
 
 pub mod cache;
-pub mod cluster;
 pub mod cost;
 pub mod decompose;
 pub mod engine;
@@ -40,7 +39,6 @@ pub mod source_selection;
 pub mod subquery;
 pub mod trace;
 
-pub use cluster::LusailCluster;
 pub use cost::DelayPolicy;
 pub use engine::{Lusail, LusailConfig, ProbeCacheStats, QueryResult};
 pub use explain::{render_analyze, QueryPlan, SubqueryPlan};

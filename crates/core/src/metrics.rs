@@ -62,13 +62,6 @@ impl QueryMetrics {
             + sum(&self.requests_analysis)
             + sum(&self.requests_execution)
     }
-
-    /// Accumulated simulated network time across all phases (nanoseconds).
-    pub fn total_virtual_network_ns(&self) -> u64 {
-        self.requests_source_selection.virtual_time_ns
-            + self.requests_analysis.virtual_time_ns
-            + self.requests_execution.virtual_time_ns
-    }
 }
 
 #[cfg(test)]

@@ -26,7 +26,6 @@
 use crate::cost::SubqueryCosts;
 use crate::engine::{Lusail, PlanShape, QueryResult};
 use crate::exec::{evaluate_subqueries, Net};
-use crate::join::Relation;
 use crate::subquery::Subquery;
 use lusail_endpoint::{EndpointFailure, ExecOptions, Federation, FederationError, TraceEvent};
 use lusail_sparql::ast::Query;
@@ -93,7 +92,7 @@ pub enum BatchOutcome {
 struct SharedEntry {
     /// The batch item that fetched the relation.
     item: usize,
-    relation: Relation,
+    relation: SolutionSet,
     lost: bool,
     failures: Vec<EndpointFailure>,
     requests_spent: u64,
@@ -170,7 +169,7 @@ impl BatchMemo {
     /// item), in `sq`'s own column order. A relation with a hole degrades
     /// the dependent query honestly: incompleteness and the producing
     /// failures are inherited along with the rows.
-    pub(crate) fn lookup(&mut self, index: usize, sq: &Subquery, net: &Net) -> Option<Relation> {
+    pub(crate) fn lookup(&mut self, index: usize, sq: &Subquery, net: &Net) -> Option<SolutionSet> {
         let entry = self.shared.get(&subquery_signature(sq))?;
         if entry.item == self.item {
             return None;
@@ -185,10 +184,7 @@ impl BatchMemo {
             net.degradation.record_data_loss();
             merge_failures(&mut self.inherited, &entry.failures);
         }
-        Some(Relation {
-            sols: entry.relation.sols.project(&sq.projection),
-            partitions: entry.relation.partitions,
-        })
+        Some(entry.relation.project(&sq.projection))
     }
 
     /// Memoizes the relation the current item just fetched for `sq`.
@@ -199,7 +195,7 @@ impl BatchMemo {
         fed: &Federation,
         net: &Net,
         sq: &Subquery,
-        relation: &Relation,
+        relation: &SolutionSet,
         lost: bool,
         failures_before: &[EndpointFailure],
     ) {

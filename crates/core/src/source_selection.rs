@@ -47,35 +47,6 @@ impl SourceMap {
     pub fn any_required_empty(&self, required: &[TriplePattern]) -> bool {
         required.iter().any(|tp| self.sources(tp).is_empty())
     }
-
-    /// The union of all patterns' sources.
-    pub fn all_sources(&self) -> Vec<EndpointId> {
-        let mut out: Vec<EndpointId> = Vec::new();
-        for (_, s) in &self.entries {
-            for id in s {
-                if !out.contains(id) {
-                    out.push(*id);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// The intersection of the sources of the given patterns (endpoints
-    /// able to answer all of them).
-    pub fn common_sources(&self, patterns: &[TriplePattern]) -> Vec<EndpointId> {
-        let mut iter = patterns.iter();
-        let Some(first) = iter.next() else {
-            return Vec::new();
-        };
-        let mut acc: Vec<EndpointId> = self.sources(first).to_vec();
-        for tp in iter {
-            let s = self.sources(tp);
-            acc.retain(|id| s.contains(id));
-        }
-        acc
-    }
 }
 
 /// Runs source selection for every triple pattern of `pattern` (including
@@ -178,8 +149,6 @@ mod tests {
         assert_eq!(sm.sources(&q.pattern.triples[1]), &[1]);
         assert!(sm.sources(&q.pattern.triples[2]).is_empty());
         assert!(sm.any_required_empty(&q.pattern.triples));
-        assert_eq!(sm.all_sources(), vec![0, 1]);
-        assert!(sm.common_sources(&q.pattern.triples[0..2]).is_empty());
     }
 
     #[test]

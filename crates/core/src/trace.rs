@@ -122,14 +122,6 @@ impl QueryTrace {
             .collect()
     }
 
-    /// All recorded circuit-health transitions, in emission order.
-    pub fn health_transitions(&self) -> Vec<&TraceEvent> {
-        self.events
-            .iter()
-            .filter(|ev| matches!(ev, TraceEvent::HealthTransition { .. }))
-            .collect()
-    }
-
     /// True when the trace records any resilience activity (failover,
     /// hedging, or a circuit transition) worth rendering.
     pub fn has_resilience_events(&self) -> bool {
@@ -375,6 +367,5 @@ mod tests {
         assert!(trace.has_resilience_events());
         assert_eq!(trace.failovers().len(), 1);
         assert_eq!(trace.hedges().len(), 1);
-        assert_eq!(trace.health_transitions().len(), 1);
     }
 }

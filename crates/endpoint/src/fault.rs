@@ -145,11 +145,6 @@ impl FlakyEndpoint {
         ep
     }
 
-    /// Appends entries to the fault script.
-    pub fn push_script(&self, entries: impl IntoIterator<Item = Option<EndpointError>>) {
-        self.script.lock().unwrap().extend(entries);
-    }
-
     /// Decides one request's fate. `bump` records a failed attempt of the
     /// right request kind on the wrapper's stats.
     fn intercept(&self, bump: impl Fn(&NetworkStats)) -> Result<(), EndpointError> {

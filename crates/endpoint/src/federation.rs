@@ -388,18 +388,6 @@ fn realize(kind: EntryKind, faults: Option<FaultProfile>, backend: BackendKind) 
     }
 }
 
-/// Builds a federation directly from named stores (test/bench helper).
-pub fn federation_from_stores(
-    dict: Arc<Dictionary>,
-    stores: Vec<(String, TripleStore)>,
-) -> Federation {
-    let mut builder = Federation::builder(dict);
-    for (name, store) in stores {
-        builder = builder.endpoint(name, store);
-    }
-    builder.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

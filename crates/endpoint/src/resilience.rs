@@ -150,19 +150,6 @@ impl Default for RequestPolicy {
 }
 
 impl RequestPolicy {
-    /// A policy that never retries, never waits, and never trips — the
-    /// legacy fail-fast behaviour.
-    pub fn no_retries() -> Self {
-        RequestPolicy {
-            max_retries: 0,
-            base_backoff: Duration::ZERO,
-            jitter: 0.0,
-            deadline: Duration::ZERO,
-            trip_threshold: 0,
-            ..RequestPolicy::default()
-        }
-    }
-
     /// The backoff before retry number `attempt` (0-based), with the
     /// deterministic jitter stream keyed by `nonce`.
     pub fn backoff_for(&self, attempt: u32, nonce: u64) -> Duration {

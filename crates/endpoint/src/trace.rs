@@ -158,8 +158,6 @@ pub enum TraceEvent {
         index: usize,
         /// Actual rows returned (across endpoints).
         rows: usize,
-        /// Result partitions (endpoint streams) backing the relation.
-        partitions: usize,
     },
     /// A subquery was served from a batch's shared-relation memo
     /// (multi-query optimization) instead of being re-evaluated. No

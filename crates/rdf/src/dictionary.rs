@@ -74,11 +74,6 @@ impl Dictionary {
         self.encode(&Term::iri(iri))
     }
 
-    /// Interns a plain literal given as a string.
-    pub fn encode_lit(&self, lexical: &str) -> TermId {
-        self.encode(&Term::lit(lexical))
-    }
-
     /// Looks up a term id without interning. Returns `None` if the term has
     /// never been seen.
     pub fn lookup(&self, term: &Term) -> Option<TermId> {

@@ -56,16 +56,6 @@ impl Term {
         }
     }
 
-    /// Returns true if this term is an IRI.
-    pub fn is_iri(&self) -> bool {
-        matches!(self, Term::Iri(_))
-    }
-
-    /// Returns true if this term is a literal.
-    pub fn is_literal(&self) -> bool {
-        matches!(self, Term::Literal { .. })
-    }
-
     /// The lexical value of the term: IRI text, literal lexical form, or
     /// blank-node label.
     pub fn lexical(&self) -> &str {

@@ -78,7 +78,8 @@ pub fn render_solutions(sols: &SolutionSet, dict: &Dictionary) -> String {
 }
 
 /// Decodes `%XX` escapes and `+` (space) in a URL query component.
-pub fn percent_decode(s: &str) -> String {
+/// `None` when the decoded bytes are not valid UTF-8.
+pub fn percent_decode(s: &str) -> Option<String> {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
@@ -114,7 +115,7 @@ pub fn percent_decode(s: &str) -> String {
             }
         }
     }
-    String::from_utf8_lossy(&out).into_owned()
+    String::from_utf8(out).ok()
 }
 
 /// One parsed HTTP request.
@@ -139,8 +140,9 @@ impl Request {
             .map(|(_, v)| v.as_str())
     }
 
-    /// The value of one `key=` parameter in the query string, decoded.
-    fn query_param(&self, key: &str) -> Option<String> {
+    /// The value of one `key=` parameter in the query string, decoded:
+    /// `None` when absent, `Some(None)` when it does not decode to UTF-8.
+    fn query_param(&self, key: &str) -> Option<Option<String>> {
         self.query_string.split('&').find_map(|pair| {
             let (k, v) = pair.split_once('=')?;
             (k == key).then(|| percent_decode(v))
@@ -317,17 +319,20 @@ fn stats_body(server: &QueryServer) -> String {
 /// Executes a `/sparql` request to a response triple. Runs on a worker
 /// thread — admission, batching windows, and the engine may all block.
 fn handle_sparql(server: &QueryServer, request: &Request) -> (u16, &'static str, String) {
+    let bad_request = |reason: &str| {
+        let body = format!("error: bad request\ncode: parse\nreason: {reason}\n");
+        (400, "Bad Request", body)
+    };
     let text = if request.method == "GET" {
-        request.query_param("query")
+        match request.query_param("query") {
+            Some(None) => return bad_request("query is not valid UTF-8"),
+            text => text.flatten(),
+        }
     } else {
         (!request.body.is_empty()).then(|| request.body.clone())
     };
     let Some(text) = text else {
-        return (
-            400,
-            "Bad Request",
-            "error: bad request\ncode: parse\nreason: missing query\n".to_string(),
-        );
+        return bad_request("missing query");
     };
     let tenant = request.header("x-tenant").unwrap_or("default").to_string();
     let deadline = request
@@ -337,13 +342,7 @@ fn handle_sparql(server: &QueryServer, request: &Request) -> (u16, &'static str,
     let dict = Arc::clone(server.federation().dict());
     let query = match parse_query(&text, &dict) {
         Ok(q) => q,
-        Err(e) => {
-            return (
-                400,
-                "Bad Request",
-                format!("error: bad request\ncode: parse\nreason: {e:?}\n"),
-            )
-        }
+        Err(e) => return bad_request(&format!("{e:?}")),
     };
     match server.execute_with_deadline(&tenant, &query, deadline) {
         Ok(result) => {

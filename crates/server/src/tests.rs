@@ -236,11 +236,16 @@ fn render_solutions_matches_cli_table_shape() {
 
 #[test]
 fn percent_decode_handles_escapes_plus_and_garbage() {
-    assert_eq!(percent_decode("a+b"), "a b");
-    assert_eq!(percent_decode("%3Fs"), "?s");
-    assert_eq!(percent_decode("SELECT%20%2A"), "SELECT *");
-    assert_eq!(percent_decode("100%"), "100%");
-    assert_eq!(percent_decode("%zz"), "%zz");
+    let decoded = |s| percent_decode(s).expect("valid UTF-8");
+    assert_eq!(decoded("a+b"), "a b");
+    assert_eq!(decoded("%3Fs"), "?s");
+    assert_eq!(decoded("SELECT%20%2A"), "SELECT *");
+    assert_eq!(decoded("100%"), "100%");
+    assert_eq!(decoded("%zz"), "%zz");
+    assert_eq!(decoded("%C3%A9"), "é");
+    // Not UTF-8 once decoded: refused, never U+FFFD-substituted.
+    assert_eq!(percent_decode("%FF"), None);
+    assert_eq!(percent_decode("%C3%28"), None);
 }
 
 // ---------- cross-tenant batching -------------------------------------------
@@ -598,6 +603,16 @@ fn invalid_utf8_in_head_or_body_is_a_protocol_error() {
         assert_eq!(status, 400, "{body}");
         assert!(body.contains("head is not valid UTF-8"), "{body}");
         assert!(closed);
+
+        // The same bytes percent-encoded in a GET are a well-framed
+        // request carrying an undecodable query: a typed parse error on
+        // a connection that stays open.
+        let (status, body, closed) =
+            raw_exchange(addr, b"GET /sparql?query=SELECT%20%FF HTTP/1.1\r\n\r\n");
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("code: parse"), "{body}");
+        assert!(body.contains("query is not valid UTF-8"), "{body}");
+        assert!(!closed);
     });
 }
 

@@ -72,11 +72,6 @@ impl TriplePattern {
         self.s.as_var() == Some(var)
     }
 
-    /// True if `var` occurs in the object position.
-    pub fn has_object_var(&self, var: &str) -> bool {
-        self.o.as_var() == Some(var)
-    }
-
     /// True if `var` occurs anywhere in the pattern.
     pub fn mentions(&self, var: &str) -> bool {
         self.vars().any(|v| v == var)
@@ -487,7 +482,6 @@ mod tests {
         assert_eq!(vars, ["s", "o"]);
         assert!(tp.has_subject_var("s"));
         assert!(!tp.has_subject_var("o"));
-        assert!(tp.has_object_var("o"));
         assert_eq!(tp.bound_positions(), 1);
     }
 

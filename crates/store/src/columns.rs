@@ -167,16 +167,6 @@ impl ColumnStore {
         Self::from_rows(Arc::clone(store.dict()), rows)
     }
 
-    /// Builds the columnar layout from raw triples (sorted and
-    /// deduplicated here).
-    pub fn from_triples(dict: Arc<Dictionary>, triples: Vec<Triple>) -> ColumnStore {
-        let mut rows: Vec<(u32, u32, u32)> =
-            triples.into_iter().map(|t| (t.s.0, t.p.0, t.o.0)).collect();
-        rows.sort_unstable();
-        rows.dedup();
-        Self::from_rows(dict, rows)
-    }
-
     fn from_rows(dict: Arc<Dictionary>, rows: Vec<(u32, u32, u32)>) -> ColumnStore {
         let n = rows.len();
 

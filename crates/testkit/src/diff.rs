@@ -13,14 +13,23 @@
 //!   subsumption, where variables bound only inside a lost OPTIONAL group
 //!   may come back unbound), and an outcome flagged `complete` must be
 //!   indistinguishable from a clean run.
+//!
+//! [`observe`] holds one run to that contract and to the trace invariants.
+//! Every further oracle is one relation over its [`Observation`]s: a row
+//! of [`AXES`] names [`Setup`]s whose runs must [`compare`] equal in
+//! solutions and completeness, with each counter under `=` or `≤`.
 
 use crate::gen::{Case, FaultSpec};
 use lusail_baselines::{FedX, HiBisCus, HibiscusIndex, Splendid, VoidIndex};
+use lusail_benchdata::common::Rng;
 use lusail_core::{Lusail, LusailConfig, QueryTrace, RequestKind, TraceSink};
 use lusail_endpoint::{ExecOptions, FederatedEngine, LocalEndpoint, RequestPolicy, StatsSnapshot};
 use lusail_sparql::SolutionSet;
+use lusail_store::BackendKind::{self, Btree, Columns};
+use std::fmt::Display;
 use std::sync::Arc;
 use std::time::Duration;
+use Rel::{Equal, Free, RightLe};
 
 /// The four engines under differential test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,18 +72,10 @@ impl EngineKind {
 
     /// Instantiates the engine. The index-building baselines preprocess
     /// the given endpoint handles (their offline phase sees clean data
-    /// even when the federation injects faults at query time).
+    /// even when the federation injects faults at query time). `tuning`
+    /// overrides Lusail's execution knobs (the baselines have no
+    /// equivalent and ignore it).
     pub fn build(
-        self,
-        endpoints: &[Arc<LocalEndpoint>],
-        policy: RequestPolicy,
-    ) -> Box<dyn FederatedEngine> {
-        self.build_tuned(endpoints, policy, None)
-    }
-
-    /// [`EngineKind::build`] with an optional Lusail tuning override
-    /// (ignored by the baselines, which have no equivalent knobs).
-    pub fn build_tuned(
         self,
         endpoints: &[Arc<LocalEndpoint>],
         policy: RequestPolicy,
@@ -83,14 +84,10 @@ impl EngineKind {
         let refs: Vec<&LocalEndpoint> = endpoints.iter().map(|e| e.as_ref()).collect();
         match self {
             EngineKind::Lusail => {
-                let config = match tuning {
-                    Some(t) => LusailConfig {
-                        block_size: t.block_size,
-                        adaptive_values: t.adaptive_values,
-                        ..LusailConfig::default()
-                    },
-                    None => LusailConfig::default(),
-                };
+                let mut config = LusailConfig::default();
+                if let Some(t) = tuning {
+                    (config.block_size, config.adaptive_values) = (t.block_size, t.adaptive_values);
+                }
                 Box::new(Lusail::new(config).with_policy(policy))
             }
             EngineKind::FedX => Box::new(FedX::default().with_policy(policy)),
@@ -148,16 +145,6 @@ pub enum Violation {
     },
     /// The engine returned a federation-level error on a legal input.
     EngineError(String),
-    /// Trace invariant: the summed wire attempts of one request kind in
-    /// the trace disagree with the federation's request counters.
-    TraceRequestMismatch {
-        /// The request-kind label (`ask`, `count`, or `select+check`).
-        kind: &'static str,
-        /// Wire attempts summed over the trace's request events.
-        trace_attempts: u64,
-        /// Requests the federation counters recorded.
-        stats_requests: u64,
-    },
     /// Trace invariant: a subquery was recorded delayed without a reason.
     MissingDelayReason {
         /// The offending subquery's index.
@@ -170,57 +157,24 @@ pub enum Violation {
         /// How many trailing events follow the finish.
         count: usize,
     },
-    /// Every replica group kept a healthy member, yet the outcome was
-    /// flagged incomplete — failover should have absorbed every kill.
+    /// Every replica group (a lone endpoint is a group of one) kept a
+    /// healthy member, yet the outcome was flagged incomplete.
     DegradedDespiteReplicas,
-    /// The stats-on run diverged from the stats-off run — statistics may
-    /// only *elide* probes, never change what the query returns.
-    StatsDivergence {
-        /// Which facet diverged (`rows`, `solutions`, or `complete`).
+    /// Two things that must be observationally related were not: an
+    /// [`AXES`] row's sides (through [`compare`]), the solo runs and the
+    /// batch (axis `batched`, from [`check_batched`]), or the trace and
+    /// the federation's counters (axis `trace`).
+    Divergence {
+        /// The axis name.
+        axis: &'static str,
+        /// Which facet broke its relation: `solutions`, `complete`, one
+        /// of [`COUNTERS`], `window` (the whole counter window), or a
+        /// batch-only facet (`outcome`, `failures`, `metrics`, `wire`).
         facet: &'static str,
-        /// The facet's value with statistics attached.
-        on: String,
-        /// The facet's value without statistics.
-        off: String,
-    },
-    /// The stats-on run issued *more* wire requests of some kind than the
-    /// stats-off run — statistics must be a pure saving.
-    StatsRequestRegression {
-        /// The request-counter label.
-        kind: &'static str,
-        /// Requests with statistics attached.
-        on: u64,
-        /// Requests without statistics.
-        off: u64,
-    },
-    /// A batched execution diverged from the solo execution of the same
-    /// query — multi-query batching may only *elide* wire traffic, never
-    /// change what a query returns, how its completeness is flagged, or
-    /// which endpoints its failures are attributed to.
-    BatchDivergence {
-        /// The batch-window size the divergence occurred at.
-        window: usize,
-        /// The diverging item's position in the batch.
-        index: usize,
-        /// Which facet diverged (`outcome`, `solutions`, `complete`,
-        /// `failures`, `metrics`, `wire`, or `bytes`).
-        facet: &'static str,
-        /// The facet's value in the batched execution.
-        batched: String,
-        /// The facet's value in the solo execution.
-        solo: String,
-    },
-    /// The same run on the two storage backends disagreed — backends must
-    /// be observationally identical (solutions, completeness, per-kind
-    /// wire requests, and rows scanned).
-    BackendDivergence {
-        /// Which facet diverged (`solutions`, `complete`, a request-kind
-        /// label, `rows_scanned`, or `counters`).
-        facet: &'static str,
-        /// The facet's value on the BTree backend.
-        btree: String,
-        /// The facet's value on the columnar backend.
-        columns: String,
+        /// The facet's value on the left-hand side.
+        left: String,
+        /// The facet's value on the right-hand side.
+        right: String,
     },
 }
 
@@ -244,15 +198,6 @@ impl std::fmt::Display for Violation {
                 "outcome flagged complete but rows are missing ({got} of {want})"
             ),
             Violation::EngineError(e) => write!(f, "engine error: {e}"),
-            Violation::TraceRequestMismatch {
-                kind,
-                trace_attempts,
-                stats_requests,
-            } => write!(
-                f,
-                "trace/stats mismatch for {kind} requests: trace recorded \
-                 {trace_attempts} wire attempts, federation counted {stats_requests}"
-            ),
             Violation::MissingDelayReason { index } => write!(
                 f,
                 "subquery {index} was delayed without a recorded delay reason"
@@ -268,44 +213,28 @@ impl std::fmt::Display for Violation {
                 "outcome flagged incomplete although every replica group \
                  had a healthy member"
             ),
-            Violation::StatsDivergence { facet, on, off } => write!(
-                f,
-                "stats-on run diverged from stats-off on {facet}: \
-                 {on} with stats, {off} without"
-            ),
-            Violation::StatsRequestRegression { kind, on, off } => write!(
-                f,
-                "stats-on run issued more {kind} requests than stats-off \
-                 ({on} vs {off})"
-            ),
-            Violation::BatchDivergence {
-                window,
-                index,
+            Violation::Divergence {
+                axis,
                 facet,
-                batched,
-                solo,
+                left,
+                right,
             } => write!(
                 f,
-                "batched execution diverged from solo on {facet} \
-                 (window {window}, item {index}): {batched} batched, \
-                 {solo} solo"
-            ),
-            Violation::BackendDivergence {
-                facet,
-                btree,
-                columns,
-            } => write!(
-                f,
-                "storage backends diverged on {facet}: {btree} on btree, \
-                 {columns} on columns"
+                "axis `{axis}` diverged on {facet}: left {left}, right {right}"
             ),
         }
     }
 }
 
-/// Request policy for clean runs: nothing fails, so retries never fire.
-pub fn clean_policy() -> RequestPolicy {
-    RequestPolicy::default()
+/// The request policy of a run: in a clean one nothing fails, so the
+/// default (whose retries never fire) serves; a faulty one gets
+/// [`faulty_policy`].
+pub fn policy(clean: bool) -> RequestPolicy {
+    if clean {
+        RequestPolicy::default()
+    } else {
+        faulty_policy()
+    }
 }
 
 /// Request policy for faulty runs: a couple of fast retries with
@@ -338,21 +267,41 @@ pub fn oracle_solutions(case: &Case) -> SolutionSet {
     lusail_store::eval::evaluate(&case.oracle(), &q).canonicalize()
 }
 
-/// Runs `engine` over the case's federation and checks it against the
-/// oracle. `faults.is_clean()` selects the strict equality contract;
-/// otherwise the subset + completeness-honesty contract applies.
-pub fn check(case: &Case, engine: EngineKind, faults: &FaultSpec) -> Result<(), Violation> {
-    let (fed, locals) = case.federation(faults);
-    observe_on(case, engine, &fed, &locals, faults.is_clean(), 1, None).map(drop)
+/// Everything about a run that an axis may vary.
+#[derive(Debug, Clone, Copy)]
+pub struct Setup {
+    /// Attach [`EndpointStats`](lusail_store::EndpointStats) built from
+    /// every *healthy* endpoint's store. Faulted endpoints get none — the
+    /// state invalidation converges to after a death is observed — so
+    /// conclusive answers never speak for data the engine cannot reach.
+    pub stats: bool,
+    /// The storage backend the endpoints' stores are materialized into.
+    pub backend: BackendKind,
+    /// The worker budget ([`ExecOptions::with_threads`]).
+    pub threads: usize,
+    /// Lusail execution-tuning override (`None` = defaults).
+    pub tuning: Option<LusailTuning>,
+    /// Copies of every endpoint (1 = unreplicated; see
+    /// [`Case::federation_on`] for the id layout fault plans index).
+    pub replication: usize,
 }
 
-/// Everything observable about one run at a given worker budget: the
-/// canonicalized solutions, the completeness flag, and the full window of
-/// federation request counters. The parallel executor's determinism
-/// contract is that two observations differing only in `threads` compare
-/// equal — same rows, same wire traffic, request for request.
-#[derive(Debug, Clone, PartialEq)]
+impl Setup {
+    /// The setup sweeps start from and axes edit.
+    pub const BASE: Setup = Setup {
+        stats: false,
+        backend: Btree,
+        threads: 1,
+        tuning: None,
+        replication: 1,
+    };
+}
+
+/// Everything observable about one run.
+#[derive(Debug, Clone)]
 pub struct Observation {
+    /// The setup the run was observed under (quoted by [`compare`]).
+    pub setup: Setup,
     /// Canonicalized solution multiset.
     pub solutions: SolutionSet,
     /// The outcome's completeness flag.
@@ -361,233 +310,221 @@ pub struct Observation {
     pub window: StatsSnapshot,
 }
 
-/// Runs `engine` over the case's federation with `threads` workers,
-/// enforces the oracle contract *and* the trace invariants, and returns
-/// the run's [`Observation`] for cross-budget comparison.
+/// The one run every check goes through: builds the case's federation as
+/// `setup` says, runs `engine` over it, enforces the oracle contract
+/// (strict equality when `faults.is_clean()`, else subset + completeness
+/// honesty) *and* the trace invariants, and returns the [`Observation`].
+/// When the plan leaves every replica group a healthy member (a clean
+/// plan, or a [`FaultSpec::random_primary_kill`] one at replication ≥ 2)
+/// nothing can be lost, so an incomplete outcome is itself a violation.
 pub fn observe(
     case: &Case,
     engine: EngineKind,
     faults: &FaultSpec,
-    threads: usize,
+    setup: &Setup,
 ) -> Result<Observation, Violation> {
-    let (fed, locals) = case.federation(faults);
-    observe_on(
-        case,
-        engine,
-        &fed,
-        &locals,
-        faults.is_clean(),
-        threads,
-        None,
-    )
-}
-
-/// The one run every check goes through: run the engine over an
-/// already-built federation, enforce the oracle contract and trace
-/// invariants, and return the run's [`Observation`].
-fn observe_on(
-    case: &Case,
-    engine: EngineKind,
-    fed: &lusail_endpoint::Federation,
-    locals: &[Arc<LocalEndpoint>],
-    clean: bool,
-    threads: usize,
-    tuning: Option<LusailTuning>,
-) -> Result<Observation, Violation> {
-    let policy = if clean {
-        clean_policy()
-    } else {
-        faulty_policy()
-    };
-    let runner = engine.build_tuned(locals, policy, tuning);
+    let clean = faults.is_clean();
+    let (fed, locals) = case.federation_on(faults, setup.backend, setup.replication);
+    if setup.stats {
+        for (i, ep) in locals.iter().enumerate() {
+            if faults.healthy(i) {
+                fed.attach_stats(i, Arc::new(lusail_store::EndpointStats::build(ep.store())));
+            }
+        }
+    }
+    let runner = engine.build(&locals, policy(clean), setup.tuning);
     let before = fed.stats_snapshot();
     let sink = TraceSink::enabled();
     let opts = ExecOptions::default()
-        .with_threads(threads)
+        .with_threads(setup.threads)
         .with_trace(sink.clone());
     let outcome = runner
-        .run_with(fed, &case.query, &opts)
+        .run_with(&fed, &case.query, &opts)
         .map_err(|e| Violation::EngineError(format!("{e:?}")))?;
     let window = fed.stats_snapshot().since(&before);
     check_trace_invariants(&QueryTrace::from_sink(&sink), &window)?;
-    check_outcome(case, clean, &outcome)?;
+    let (solutions, complete) = (outcome.solutions.canonicalize(), outcome.complete);
+    check_outcome(case, clean, &solutions, complete)?;
+    if !complete && faults.spares_every_group(case.n_endpoints, setup.replication) {
+        return Err(Violation::DegradedDespiteReplicas);
+    }
     Ok(Observation {
-        solutions: outcome.solutions.canonicalize(),
-        complete: outcome.complete,
+        setup: *setup,
+        solutions,
+        complete,
         window,
     })
 }
 
-/// The per-kind wire request counters two runs are compared on, labelled.
-fn wire_kinds(a: &StatsSnapshot, b: &StatsSnapshot) -> [(&'static str, u64, u64); 4] {
-    [
-        ("ask", a.ask_requests, b.ask_requests),
-        ("count", a.count_requests, b.count_requests),
-        ("select", a.select_requests, b.select_requests),
-        ("total", a.total_requests(), b.total_requests()),
-    ]
+/// How the right-hand side of an axis must relate to the left on one
+/// counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rel {
+    /// The counters coincide.
+    Equal,
+    /// The right-hand side never counts more — it is a pure saving.
+    RightLe,
+    /// Unconstrained.
+    Free,
 }
 
-/// The stats-vs-wire differential: runs `engine` over the case twice —
-/// once without statistics and once with [`EndpointStats`] built from
-/// every *healthy* endpoint's store — and demands that statistics are
-/// invisible except as elided traffic:
-///
-/// * byte-identical canonicalized solutions and completeness flags
-///   (both runs also individually pass the ordinary oracle contract and
-///   trace invariants);
-/// * per-kind wire requests with stats on ≤ with stats off.
-///
-/// Faulted sweeps must use [`FaultSpec::random_dead_only`] plans: a
-/// transiently-flaky endpoint draws each fate from its request *index*,
-/// so eliding a probe would shift every later fate and the two runs would
-/// legitimately diverge. Dead-only plans are elision-invariant. Stats are
-/// withheld from dead endpoints — the state PR 4's invalidation converges
-/// to after a death is observed — so conclusive answers never speak for
-/// an endpoint whose data the engine can no longer reach.
-///
-/// [`EndpointStats`]: lusail_store::EndpointStats
-pub fn check_stats(
-    case: &Case,
-    engine: EngineKind,
-    faults: &FaultSpec,
-    threads: usize,
-) -> Result<(), Violation> {
-    let clean = faults.is_clean();
-    let (fed_off, locals_off) = case.federation(faults);
-    let off = observe_on(case, engine, &fed_off, &locals_off, clean, threads, None)?;
-
-    let (fed_on, locals_on) = case.federation(faults);
-    for (i, ep) in locals_on.iter().enumerate() {
-        if faults.profiles.get(i).copied().flatten().is_none() {
-            fed_on.attach_stats(i, Arc::new(lusail_store::EndpointStats::build(ep.store())));
+impl Rel {
+    fn holds(self, left: u64, right: u64) -> bool {
+        match self {
+            Rel::Equal => left == right,
+            Rel::RightLe => right <= left,
+            Rel::Free => true,
         }
     }
-    let on = observe_on(case, engine, &fed_on, &locals_on, clean, threads, None)?;
+}
 
-    if on.solutions != off.solutions {
-        return Err(Violation::StatsDivergence {
-            facet: "solutions",
-            on: format!("{} rows", on.solutions.len()),
-            off: format!("{} rows", off.solutions.len()),
-        });
+/// Reads one counter out of a window.
+pub type Counter = fn(&StatsSnapshot) -> u64;
+
+/// The counter facets an axis relates, in [`Axis::counters`] order: the
+/// per-kind wire requests and the store rows scanned.
+pub const COUNTERS: [(&str, Counter); 4] = [
+    ("ask", |w| w.ask_requests),
+    ("count", |w| w.count_requests),
+    ("select", |w| w.select_requests),
+    ("rows_scanned", |w| w.rows_scanned),
+];
+
+/// One differential oracle: the runs under `left` and under each of
+/// `rights` (edits of a sweep's base [`Setup`]; the left is observed once
+/// per case) must agree on solutions and completeness and relate on the
+/// counters as the row says. Every run also passes [`observe`]'s own
+/// contract.
+pub struct Axis {
+    /// The row's name, quoted in [`Violation::Divergence`].
+    pub name: &'static str,
+    /// The left-hand setup.
+    pub left: fn(Setup) -> Setup,
+    /// The right-hand setups, each compared against the left.
+    pub rights: &'static [fn(Setup) -> Setup],
+    /// The relation on each of [`COUNTERS`].
+    pub counters: [Rel; 4],
+    /// Whether the whole counter window (bytes both ways, rows returned,
+    /// fault injections, …) must coincide too.
+    pub whole_window: bool,
+    /// The fault family the relation is invariant under. Transient fates
+    /// are drawn per request *index*, so [`FaultSpec::random`] only suits
+    /// an axis whose sides issue identical request streams; one that
+    /// elides requests needs [`FaultSpec::random_dead_only`].
+    pub faults: fn(&mut Rng, usize) -> FaultSpec,
+    /// XOR-ed into the case seed to seed the fault plan.
+    pub salt: u64,
+}
+
+/// The differential axes.
+///
+/// * `stats` — statistics may only *elide* probes: identical answers,
+///   per-kind wire requests with stats attached ≤ without.
+/// * `backends` — BTree indexes and compressed sorted columns are
+///   byte-identical in everything observable. Identity (not mere
+///   equivalence) holds because generated cases are smaller than the
+///   BTree estimate cap, so both backends hand `plan_bgp_order` the same
+///   exact estimates, hence the same plans, scans and request streams.
+/// * `threads` — the worker budget is a physical knob: the executor
+///   preserves each endpoint's request subsequence exactly, so the same
+///   faults fire on the same requests at any budget.
+pub const AXES: &[Axis] = &[
+    Axis {
+        name: "stats",
+        left: |s| Setup { stats: false, ..s },
+        rights: &[|s| Setup { stats: true, ..s }],
+        counters: [RightLe, RightLe, RightLe, Free],
+        whole_window: false,
+        faults: FaultSpec::random_dead_only,
+        salt: 0xFA17_0000_0000_0002,
+    },
+    Axis {
+        name: "backends",
+        left: |s| Setup {
+            backend: Btree,
+            ..s
+        },
+        rights: &[|s| Setup {
+            backend: Columns,
+            ..s
+        }],
+        counters: [Equal; 4],
+        whole_window: true,
+        faults: FaultSpec::random,
+        salt: 0xFA17_0000_0000_0003,
+    },
+    Axis {
+        name: "threads",
+        left: |s| Setup { threads: 1, ..s },
+        rights: &[|s| Setup { threads: 2, ..s }, |s| Setup { threads: 8, ..s }],
+        counters: [Equal; 4],
+        whole_window: true,
+        faults: FaultSpec::random,
+        salt: 0xFA17_0000_0000_0001,
+    },
+];
+
+impl Axis {
+    /// The [`AXES`] row called `name`.
+    pub fn named(name: &str) -> &'static Axis {
+        AXES.iter()
+            .find(|axis| axis.name == name)
+            .unwrap_or_else(|| panic!("no differential axis named {name:?}"))
     }
-    if on.complete != off.complete {
-        return Err(Violation::StatsDivergence {
-            facet: "complete",
-            on: on.complete.to_string(),
-            off: off.complete.to_string(),
-        });
+}
+
+/// The one differential relation: `left` and `right` must agree on
+/// solutions and completeness, and on each counter as `axis` says.
+pub fn compare(axis: &Axis, left: &Observation, right: &Observation) -> Result<(), Violation> {
+    let fail = |facet, l: &dyn Display, r: &dyn Display| {
+        Err(Violation::Divergence {
+            axis: axis.name,
+            facet,
+            left: format!("{l} under {:?}", left.setup),
+            right: format!("{r} under {:?}", right.setup),
+        })
+    };
+    if left.solutions != right.solutions {
+        let rows = |o: &Observation| format!("{} rows", o.solutions.len());
+        return fail("solutions", &rows(left), &rows(right));
     }
-    for (kind, on_n, off_n) in wire_kinds(&on.window, &off.window) {
-        if on_n > off_n {
-            return Err(Violation::StatsRequestRegression {
-                kind,
-                on: on_n,
-                off: off_n,
-            });
+    if left.complete != right.complete {
+        return fail("complete", &left.complete, &right.complete);
+    }
+    for ((facet, counter), rel) in COUNTERS.iter().zip(axis.counters) {
+        let (l, r) = (counter(&left.window), counter(&right.window));
+        if !rel.holds(l, r) {
+            return fail(facet, &l, &r);
         }
+    }
+    if axis.whole_window && left.window != right.window {
+        let (l, r) = (left.window, right.window);
+        return fail("window", &format_args!("{l:?}"), &format_args!("{r:?}"));
     }
     Ok(())
 }
 
-/// The backend-differential oracle: runs `engine` over the case once per
-/// storage backend — the same stores materialized as BTree indexes and as
-/// compressed sorted columns — and demands the two runs be byte-identical
-/// in everything observable: canonicalized solutions, the completeness
-/// flag, every per-kind wire request counter, and `rows_scanned`.
-///
-/// Identity (not mere equivalence) holds because generated cases are
-/// smaller than the BTree estimate cap, so both backends hand
-/// `plan_bgp_order` the same exact estimates, producing the same plans,
-/// the same scans, and the same request streams — which also makes the
-/// check fault-plan-invariant: injected fates are drawn per request
-/// index, and the indexes coincide. Both runs additionally pass the
-/// ordinary oracle contract and trace invariants on their own.
-pub fn check_backends(
-    case: &Case,
-    engine: EngineKind,
-    faults: &FaultSpec,
-    threads: usize,
-) -> Result<(), Violation> {
-    let clean = faults.is_clean();
-    let (fed_b, locals_b) = case.federation_on(faults, lusail_store::BackendKind::Btree);
-    let btree = observe_on(case, engine, &fed_b, &locals_b, clean, threads, None)?;
-    let (fed_c, locals_c) = case.federation_on(faults, lusail_store::BackendKind::Columns);
-    let columns = observe_on(case, engine, &fed_c, &locals_c, clean, threads, None)?;
-
-    if btree.solutions != columns.solutions {
-        return Err(Violation::BackendDivergence {
-            facet: "solutions",
-            btree: format!("{} rows", btree.solutions.len()),
-            columns: format!("{} rows", columns.solutions.len()),
-        });
-    }
-    if btree.complete != columns.complete {
-        return Err(Violation::BackendDivergence {
-            facet: "complete",
-            btree: btree.complete.to_string(),
-            columns: columns.complete.to_string(),
-        });
-    }
-    let scanned = (
-        "rows_scanned",
-        btree.window.rows_scanned,
-        columns.window.rows_scanned,
-    );
-    for (kind, b, c) in wire_kinds(&btree.window, &columns.window)
-        .into_iter()
-        .chain([scanned])
-    {
-        if b != c {
-            return Err(Violation::BackendDivergence {
-                facet: kind,
-                btree: b.to_string(),
-                columns: c.to_string(),
-            });
-        }
-    }
-    // Catch-all: the full counter window (bytes, rows returned, fault
-    // injections, VALUES blocks, …) must coincide too.
-    if btree.window != columns.window {
-        return Err(Violation::BackendDivergence {
-            facet: "counters",
-            btree: format!("{:?}", btree.window),
-            columns: format!("{:?}", columns.window),
-        });
-    }
-    Ok(())
-}
-
-/// The batched-vs-solo differential: submits `window` copies of the
-/// case's query as one MQO batch and demands that every batched answer
-/// is indistinguishable from the solo execution of the same query —
-/// byte-identical canonicalized solutions, the same completeness flag,
-/// and the same per-query failure attribution (the set of endpoints
-/// blamed), clean and under seeded faults alike.
+/// The batched-vs-solo differential — the one oracle that is not a pair
+/// of [`Setup`]s: `window` sequential solo runs of the case's query
+/// against the same `window` copies submitted as one MQO batch, reported
+/// as [`Violation::Divergence`] on axis `batched` (left = solo, right =
+/// batch). Item `i` of the batch must be indistinguishable from solo run
+/// `i`: byte-identical canonicalized solutions, the same completeness
+/// flag, failure attribution (the set of endpoints blamed) and planning
+/// metrics — the memo may elide fetches, never change what was planned.
 ///
 /// The solo baseline is exactly what a server with batching disabled
 /// does: one engine executes the window's queries sequentially, probe
-/// caches shared, subquery sharing off. Item `i` of the batch is
-/// compared against sequential run `i`, so engine-cache warming is
+/// caches shared, subquery sharing off — so engine-cache warming is
 /// identical on both sides and the *only* difference under test is the
-/// batch's shared-relation memo.
-///
-/// Faulted sweeps must use [`FaultSpec::random_dead_only`] plans:
-/// transient fates are drawn per request index, so eliding a shared
-/// subquery's requests would shift every later fate and the two sides
-/// would legitimately diverge. Dead-only plans are elision- and
-/// order-invariant.
+/// batch's shared-relation memo. Faulted sweeps must use
+/// [`FaultSpec::random_dead_only`] plans, the fault family invariant
+/// under the elision (and reordering) of requests.
 ///
 /// Wire contract: batching is a pure saving — the batch never issues
 /// more total requests than the sequential baseline, and in a clean run
 /// whose report claims saved requests, strictly fewer. A batch of one has
-/// nothing to share, so its whole counter window (per-kind requests,
-/// bytes both ways, rows returned, rows scanned) must *equal* solo's.
-///
-/// Plan contract: item `i` carries the same planning metrics (subquery
-/// and delayed-subquery counts, GJVs, check queries) as solo run `i` —
-/// the memo may elide fetches, never change what was planned.
+/// nothing to share, so its whole counter window must *equal* solo's.
 ///
 /// Returns the batch's [`BatchReport`](lusail_core::BatchReport) so
 /// sweeps can assert aggregate sharing coverage.
@@ -597,229 +534,122 @@ pub fn check_batched(
     window: usize,
     threads: usize,
 ) -> Result<lusail_core::BatchReport, Violation> {
-    use lusail_core::{BatchItem, BatchOutcome};
-    use std::collections::BTreeSet;
+    use lusail_core::{BatchItem, BatchOutcome, QueryResult};
 
     let clean = faults.is_clean();
-    let policy = || {
-        if clean {
-            clean_policy()
-        } else {
-            faulty_policy()
-        }
-    };
+    let engine = || Lusail::default().with_policy(policy(clean));
     let opts = ExecOptions::default().with_threads(threads);
 
-    fn blamed(failures: &[lusail_endpoint::EndpointFailure]) -> BTreeSet<String> {
-        failures
-            .iter()
-            .filter(|f| f.failed_requests > 0 || f.dead)
-            .map(|f| f.name.clone())
-            .collect()
-    }
-
-    // Solo baseline: sequential runs on one engine over its own
-    // federation instance.
-    let (solo_fed, _solo_locals) = case.federation(faults);
-    let solo_engine = Lusail::new(LusailConfig::default()).with_policy(policy());
-    let solo_before = solo_fed.stats_snapshot();
-    let mut solos = Vec::with_capacity(window);
-    for _ in 0..window {
-        let result = solo_engine
-            .execute_with(&solo_fed, &case.query, &opts)
-            .map_err(|e| Violation::EngineError(format!("{e:?}")))?;
-        solos.push(result);
-    }
-    let solo_window = solo_fed.stats_snapshot().since(&solo_before);
-    let solo_wire = solo_window.total_requests();
+    // Solo baseline: sequential runs on one engine, own federation.
+    let (fed, _locals) = case.federation(faults);
+    let solo_engine = engine();
+    let before = fed.stats_snapshot();
+    let solos = (0..window)
+        .map(|_| solo_engine.execute_with(&fed, &case.query, &opts))
+        .collect::<Result<Vec<QueryResult>, _>>()
+        .map_err(|e| Violation::EngineError(format!("{e:?}")))?;
+    let solo_window = fed.stats_snapshot().since(&before);
 
     // The solo answers themselves stay under the ordinary oracle
     // contract when nothing is faulted (LIMIT aside — any k oracle rows
     // are correct, and the batched side must simply pick the same ones).
     if clean && case.query.limit.is_none() {
-        let oracle = oracle_solutions(case);
-        for solo in &solos {
-            let got = solo.solutions.canonicalize();
-            if got != oracle {
-                return Err(Violation::Mismatch {
-                    got: got.len(),
-                    want: oracle.len(),
-                });
-            }
+        let want = oracle_solutions(case);
+        let mut answers = solos.iter().map(|solo| solo.solutions.canonicalize());
+        if let Some(got) = answers.find(|got| *got != want) {
+            let (got, want) = (got.len(), want.len());
+            return Err(Violation::Mismatch { got, want });
         }
     }
 
     // Batched run: the same window of queries as one MQO batch.
     let (fed, _locals) = case.federation(faults);
-    let engine = Lusail::new(LusailConfig::default()).with_policy(policy());
-    let items: Vec<BatchItem> = (0..window)
-        .map(|_| BatchItem {
-            query: case.query.clone(),
-            opts: opts.clone(),
-        })
-        .collect();
+    let query = case.query.clone();
+    let items = vec![BatchItem { query, opts }; window];
     let before = fed.stats_snapshot();
-    let (outcomes, report) = engine.execute_batch_with(&fed, &items);
-    let batched_window = fed.stats_snapshot().since(&before);
-    let batched_wire = batched_window.total_requests();
+    let (outcomes, report) = engine().execute_batch_with(&fed, &items);
+    let batch_window = fed.stats_snapshot().since(&before);
 
-    for (index, (outcome, solo)) in outcomes.iter().zip(&solos).enumerate() {
-        let diverged = |facet, batched: String, solo: String| Violation::BatchDivergence {
-            window,
-            index,
+    let diverged = |facet, solo: String, batch: String| Violation::Divergence {
+        axis: "batched",
+        facet,
+        left: solo,
+        right: batch,
+    };
+    // What an item must share with its solo run beyond the solutions.
+    let facets = |r: &QueryResult| {
+        let blamed: std::collections::BTreeSet<&str> = r
+            .failures
+            .iter()
+            .filter(|f| f.failed_requests > 0 || f.dead)
+            .map(|f| f.name.as_str())
+            .collect();
+        let m = &r.metrics;
+        let planned = format!(
+            "{} subqueries, {} delayed, gjvs {:?}, {} check queries",
+            m.subqueries, m.delayed_subqueries, m.gjvs, m.check_queries
+        );
+        [
+            ("complete", r.complete.to_string()),
+            ("failures", format!("{blamed:?}")),
+            ("metrics", planned),
+        ]
+    };
+    for (i, (outcome, solo)) in outcomes.iter().zip(&solos).enumerate() {
+        let item = |value: &dyn Display| format!("{value} (item {i} of {window})");
+        let BatchOutcome::Finished(result) = outcome else {
+            let outcome = format!("{outcome:?}");
+            return Err(diverged("outcome", item(&"finished"), item(&outcome)));
+        };
+        if result.solutions.canonicalize() != solo.solutions.canonicalize() {
+            let rows = |r: &QueryResult| item(&format_args!("{} rows", r.solutions.len()));
+            return Err(diverged("solutions", rows(solo), rows(result)));
+        }
+        for ((facet, solo), (_, batch)) in facets(solo).into_iter().zip(facets(result)) {
+            if solo != batch {
+                return Err(diverged(facet, item(&solo), item(&batch)));
+            }
+        }
+    }
+
+    let (solo_wire, batch_wire) = (solo_window.total_requests(), batch_window.total_requests());
+    let claimed = report.wire_requests_saved;
+    let whole = |facet| {
+        Err(diverged(
             facet,
-            batched,
-            solo,
-        };
-        let result = match outcome {
-            BatchOutcome::Finished(result) => result,
-            BatchOutcome::DeadlineExpired => {
-                return Err(diverged(
-                    "outcome",
-                    "deadline-expired".into(),
-                    "finished".into(),
-                ));
-            }
-            BatchOutcome::Error(e) => {
-                return Err(diverged("outcome", format!("{e:?}"), "finished".into()));
-            }
-        };
-        let got = result.solutions.canonicalize();
-        let want = solo.solutions.canonicalize();
-        if got != want {
-            return Err(diverged(
-                "solutions",
-                format!("{} rows", got.len()),
-                format!("{} rows", want.len()),
-            ));
-        }
-        if result.complete != solo.complete {
-            return Err(diverged(
-                "complete",
-                result.complete.to_string(),
-                solo.complete.to_string(),
-            ));
-        }
-        let got_blamed = blamed(&result.failures);
-        let want_blamed = blamed(&solo.failures);
-        if got_blamed != want_blamed {
-            return Err(diverged(
-                "failures",
-                format!("{got_blamed:?}"),
-                format!("{want_blamed:?}"),
-            ));
-        }
-        let planned = |m: &lusail_core::QueryMetrics| {
+            format!("{solo_wire} requests in {window} solo runs: {solo_window:?}"),
             format!(
-                "{} subqueries, {} delayed, gjvs {:?}, {} check queries",
-                m.subqueries, m.delayed_subqueries, m.gjvs, m.check_queries
-            )
-        };
-        if planned(&result.metrics) != planned(&solo.metrics) {
-            return Err(diverged(
-                "metrics",
-                planned(&result.metrics),
-                planned(&solo.metrics),
-            ));
-        }
-    }
-
-    if window == 1 && batched_window != solo_window {
-        return Err(Violation::BatchDivergence {
-            window,
-            index: 0,
-            facet: "bytes",
-            batched: format!("{batched_window:?}"),
-            solo: format!("{solo_window:?}"),
-        });
-    }
-
-    if batched_wire > solo_wire {
-        return Err(Violation::BatchDivergence {
-            window,
-            index: 0,
-            facet: "wire",
-            batched: format!("{batched_wire} requests"),
-            solo: format!("{solo_wire} requests"),
-        });
-    }
-    if clean && report.wire_requests_saved > 0 && batched_wire >= solo_wire {
-        return Err(Violation::BatchDivergence {
-            window,
-            index: 0,
-            facet: "wire",
-            batched: format!(
-                "{batched_wire} requests (claims {} saved)",
-                report.wire_requests_saved
+                "{batch_wire} requests, {claimed} claimed saved, in one batch: {batch_window:?}"
             ),
-            solo: format!("{solo_wire} requests"),
-        });
+        ))
+    };
+    if window == 1 && batch_window != solo_window {
+        return whole("window");
+    }
+    if batch_wire > solo_wire || (clean && claimed > 0 && batch_wire == solo_wire) {
+        return whole("wire");
     }
     Ok(report)
 }
 
-/// [`check`] with a [`LusailTuning`] override, so sweeps can exercise the
-/// adaptive `VALUES` batching and bound-subquery paths that the default
-/// `block_size` of 100 never reaches on small generated cases.
-pub fn check_tuned(
-    case: &Case,
-    engine: EngineKind,
-    faults: &FaultSpec,
-    tuning: LusailTuning,
-) -> Result<(), Violation> {
-    let (fed, locals) = case.federation(faults);
-    observe_on(
-        case,
-        engine,
-        &fed,
-        &locals,
-        faults.is_clean(),
-        1,
-        Some(tuning),
-    )
-    .map(drop)
-}
-
-/// [`check`] over a *replicated* federation (see
-/// [`Case::replicated_federation`]). `require_complete` encodes the
-/// failover guarantee: when the fault plan leaves every replica group a
-/// healthy member (e.g. a [`FaultSpec::random_primary_kill`] plan at
-/// replication ≥ 2), the engines must return the exact oracle answer
-/// *and* flag it complete — an incomplete outcome is itself a violation.
-/// With `require_complete` false (e.g. a whole group killed) the ordinary
-/// honesty contract applies.
-pub fn check_replicated(
-    case: &Case,
-    engine: EngineKind,
-    faults: &FaultSpec,
-    replication: usize,
-    require_complete: bool,
-) -> Result<(), Violation> {
-    let (fed, locals) = case.replicated_federation(faults, replication);
-    let run = observe_on(case, engine, &fed, &locals, faults.is_clean(), 1, None)?;
-    if require_complete && !run.complete {
-        return Err(Violation::DegradedDespiteReplicas);
-    }
-    Ok(())
-}
-
-/// The oracle contract applied to an already-obtained outcome: exact
-/// equality when clean (or claimed complete), honesty (subset +
-/// subsumption) when degraded, and the `LIMIT` row-count rules.
+/// The oracle contract applied to an outcome's canonicalized solutions
+/// and completeness flag: exact equality when clean (or claimed
+/// complete), honesty (subset + subsumption) when degraded, and the
+/// `LIMIT` row-count rules.
 fn check_outcome(
     case: &Case,
     clean: bool,
-    outcome: &lusail_endpoint::QueryOutcome,
+    got: &SolutionSet,
+    complete: bool,
 ) -> Result<(), Violation> {
-    let got = outcome.solutions.canonicalize();
     let full = oracle_solutions(case);
 
-    if clean || outcome.complete {
+    if clean || complete {
         // A clean run — or a faulty one that *claims* completeness — must
         // match the oracle exactly.
         match case.query.limit {
             None => {
-                if got != full {
+                if *got != full {
                     return Err(if clean {
                         Violation::Mismatch {
                             got: got.len(),
@@ -876,7 +706,7 @@ fn check_outcome(
                 && mentioned_in_optionals(&case.query.pattern, v)
         })
         .collect();
-    let may_degrade = !clean && !outcome.complete;
+    let may_degrade = !clean && !complete;
     for row in got.rows.iter() {
         let exact = full.rows.iter().any(|oracle_row| oracle_row == row);
         let subsumed = may_degrade
@@ -901,37 +731,30 @@ fn check_outcome(
 /// The trace invariants every engine must uphold (clean *and* faulted):
 ///
 /// 1. The wire attempts summed over the trace's request events equal the
-///    federation's request counters, per kind. Retried requests count
-///    once per attempt in both; circuit-broken requests count in
-///    neither. (`Check` queries are wire-level SELECTs, so their
-///    attempts merge into the select counter.)
+///    federation's request counters, per kind (a [`Violation::Divergence`]
+///    on axis `trace` otherwise). Retried requests count once per attempt
+///    in both; circuit-broken requests count in neither. (`Check` queries
+///    are wire-level SELECTs, so their attempts merge into `select`.)
 /// 2. Every subquery recorded as delayed carries a delay reason.
 /// 3. The trace ends with exactly one query-finished event — nothing is
 ///    recorded after it.
 pub fn check_trace_invariants(trace: &QueryTrace, window: &StatsSnapshot) -> Result<(), Violation> {
-    let checks: [(&'static str, u64, u64); 3] = [
+    let attempts = |kind| trace.requests(kind).attempts;
+    for (facet, traced, counted) in [
+        ("ask", attempts(RequestKind::Ask), window.ask_requests),
+        ("count", attempts(RequestKind::Count), window.count_requests),
         (
-            "ask",
-            trace.requests(RequestKind::Ask).attempts,
-            window.ask_requests,
-        ),
-        (
-            "count",
-            trace.requests(RequestKind::Count).attempts,
-            window.count_requests,
-        ),
-        (
-            "select+check",
+            "select",
             trace.select_wire_attempts(),
             window.select_requests,
         ),
-    ];
-    for (kind, trace_attempts, stats_requests) in checks {
-        if trace_attempts != stats_requests {
-            return Err(Violation::TraceRequestMismatch {
-                kind,
-                trace_attempts,
-                stats_requests,
+    ] {
+        if traced != counted {
+            return Err(Violation::Divergence {
+                axis: "trace",
+                facet,
+                left: format!("{traced} wire attempts traced"),
+                right: format!("{counted} requests counted by the federation"),
             });
         }
     }
@@ -986,8 +809,86 @@ mod tests {
         for seed in 0..6 {
             let case = Case::generate(seed, &cfg);
             for engine in EngineKind::ALL {
-                if let Err(v) = check(&case, engine, &FaultSpec::default()) {
+                if let Err(v) = observe(&case, engine, &FaultSpec::default(), &Setup::BASE) {
                     panic!("seed {seed} engine {}: {v}", engine.name());
+                }
+            }
+        }
+    }
+
+    /// The oracle rejecting: for every row and every facet, a right-hand
+    /// side that differs from the left in that facet alone is a
+    /// `Divergence` naming the row and the facet exactly when the row
+    /// constrains it — `Equal` both ways, `RightLe` only when the right
+    /// counts more.
+    #[test]
+    fn every_axis_rejects_a_divergence_in_each_facet_it_constrains() {
+        let left = Observation {
+            setup: Setup::BASE,
+            solutions: SolutionSet::unit(),
+            complete: true,
+            window: StatsSnapshot {
+                ask_requests: 5,
+                count_requests: 5,
+                select_requests: 5,
+                rows_scanned: 5,
+                bytes_sent: 5,
+                ..StatsSnapshot::default()
+            },
+        };
+        type Mutation = fn(&mut Observation, u64);
+        // Setter `i` writes the counter `COUNTERS[i]` reads.
+        let setters: [Mutation; 4] = [
+            |o, n| o.window.ask_requests = n,
+            |o, n| o.window.count_requests = n,
+            |o, n| o.window.select_requests = n,
+            |o, n| o.window.rows_scanned = n,
+        ];
+        for ((_, get), set) in COUNTERS.iter().zip(setters) {
+            let mut probe = left.clone();
+            set(&mut probe, 77);
+            assert_eq!(get(&probe.window), 77);
+        }
+        for axis in AXES {
+            compare(axis, &left, &left).expect("an observation agrees with itself");
+            let mut facets: Vec<(&str, Rel, Mutation)> = vec![
+                ("solutions", Equal, |o, _| {
+                    o.solutions = SolutionSet::empty(vec![])
+                }),
+                ("complete", Equal, |o, _| o.complete = false),
+                (
+                    "window",
+                    if axis.whole_window { Equal } else { Free },
+                    |o, n| o.window.bytes_sent = n,
+                ),
+            ];
+            for (i, (facet, _)) in COUNTERS.iter().enumerate() {
+                facets.push((facet, axis.counters[i], setters[i]));
+            }
+            for (facet, rel, mutate) in facets {
+                for n in [4, 6] {
+                    let mut right = left.clone();
+                    mutate(&mut right, n);
+                    let rejected = match compare(axis, &left, &right) {
+                        Ok(()) => false,
+                        Err(Violation::Divergence {
+                            axis: a, facet: f, ..
+                        }) => {
+                            assert_eq!((a, f), (axis.name, facet));
+                            true
+                        }
+                        Err(other) => panic!("axis {} facet {facet}: {other}", axis.name),
+                    };
+                    let expected = match rel {
+                        Free => false,
+                        Equal => true,
+                        RightLe => n > 5,
+                    };
+                    assert_eq!(
+                        rejected, expected,
+                        "axis {} facet {facet} right-hand {n} vs left 5",
+                        axis.name
+                    );
                 }
             }
         }

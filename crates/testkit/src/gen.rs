@@ -76,6 +76,19 @@ impl FaultSpec {
         self.profiles.iter().all(|p| p.is_none())
     }
 
+    /// True when endpoint `id` has no fault profile.
+    pub fn healthy(&self, id: usize) -> bool {
+        self.profiles.get(id).copied().flatten().is_none()
+    }
+
+    /// True when every replica group of `n_endpoints` logical endpoints
+    /// replicated `replication` times (ids as in [`Case::federation_on`])
+    /// keeps a healthy member — failover can then absorb every injected
+    /// fault.
+    pub fn spares_every_group(&self, n_endpoints: usize, replication: usize) -> bool {
+        (0..n_endpoints).all(|i| (0..replication).any(|k| self.healthy(k * n_endpoints + i)))
+    }
+
     /// Draws a fault plan for `n_endpoints` endpoints: each endpoint is
     /// flaky with probability ½ (at least one always is), and with small
     /// probability one endpoint is permanently dead.
@@ -105,7 +118,7 @@ impl FaultSpec {
     /// containing them is not invariant under probe elision. Dead-only
     /// plans are: a dead endpoint fails every request whether or not
     /// earlier probes were skipped, which is what lets the stats-vs-wire
-    /// differential (`check_stats`) demand byte-identical solutions
+    /// differential (the `stats` axis) demand byte-identical solutions
     /// under faults.
     pub fn random_dead_only(rng: &mut Rng, n_endpoints: usize) -> FaultSpec {
         let mut profiles: Vec<Option<FaultProfile>> = (0..n_endpoints)
@@ -123,7 +136,7 @@ impl FaultSpec {
     /// Draws a *primary-kill* plan for a federation of `n_endpoints`
     /// logical endpoints replicated `replication` times. Profiles are
     /// indexed by final endpoint id (see
-    /// [`Case::replicated_federation`]): only primaries (ids
+    /// [`Case::federation_on`]): only primaries (ids
     /// `0..n_endpoints`) are ever killed — dead outright or dying after
     /// serving a few requests — and at least one is. Replicas stay
     /// healthy, so every group keeps a live member and failover must be
@@ -272,72 +285,53 @@ impl Case {
         all
     }
 
-    /// Builds the federation, optionally wrapping endpoints in
-    /// [`FlakyEndpoint`](lusail_endpoint::FlakyEndpoint)s per `faults`.
-    /// Also returns the plain [`LocalEndpoint`] handles (the index-building
-    /// baselines preprocess endpoint data directly, bypassing faults — an
-    /// index is built offline, before the network gets a say).
+    /// Builds the federation on the BTree backend, unreplicated,
+    /// optionally wrapping endpoints in
+    /// [`FlakyEndpoint`](lusail_endpoint::FlakyEndpoint)s per `faults`
+    /// (see [`Case::federation_on`]).
     pub fn federation(&self, faults: &FaultSpec) -> (Federation, Vec<Arc<LocalEndpoint>>) {
-        self.federation_on(faults, lusail_store::BackendKind::Btree)
+        self.federation_on(faults, lusail_store::BackendKind::Btree, 1)
     }
 
-    /// [`Case::federation`] with the endpoints' stores materialized into
-    /// the chosen storage backend (the backend-differential oracle builds
-    /// the same case once per backend).
+    /// Builds the federation with the endpoints' stores materialized into
+    /// `backend` and every endpoint replicated `replication` times.
+    /// Primaries keep ids `0..n_endpoints` (so an unreplicated federation
+    /// is id-identical); copy `k ≥ 1` of endpoint `i` gets id
+    /// `k * n_endpoints + i` and serves the same partition.
+    /// `faults.profiles` is indexed by *final* endpoint id, so a plan can
+    /// kill primaries, replicas, or whole groups. Also returns the
+    /// primaries' plain [`LocalEndpoint`] handles: the index-building
+    /// baselines preprocess endpoint data directly, bypassing faults (an
+    /// index is built offline, before the network gets a say), and cover
+    /// logical sources only (replicas hold no data of their own).
     pub fn federation_on(
         &self,
         faults: &FaultSpec,
         backend: lusail_store::BackendKind,
-    ) -> (Federation, Vec<Arc<LocalEndpoint>>) {
-        let mut builder = Federation::builder(Arc::clone(&self.dict));
-        let mut locals = Vec::with_capacity(self.n_endpoints);
-        for (i, store) in self.stores().into_iter().enumerate() {
-            let ep = Arc::new(LocalEndpoint::on_backend(
-                format!("ep{i}"),
-                store,
-                backend,
-                Default::default(),
-            ));
-            builder = builder.custom(Arc::clone(&ep) as Arc<dyn SparqlEndpoint>);
-            if let Some(profile) = faults.profiles.get(i).copied().flatten() {
-                builder = builder.faults(profile);
-            }
-            locals.push(ep);
-        }
-        (builder.build(), locals)
-    }
-
-    /// Builds the federation with every endpoint replicated `replication`
-    /// times. Primaries keep ids `0..n_endpoints` (so an unreplicated
-    /// federation is id-identical); copy `k ≥ 1` of endpoint `i` gets id
-    /// `k * n_endpoints + i` and serves the same partition.
-    /// `faults.profiles` is indexed by *final* endpoint id, so a plan can
-    /// kill primaries, replicas, or whole groups. Returns the primaries'
-    /// plain handles for the index-building baselines (indices cover
-    /// logical sources only; replicas hold no data of their own).
-    pub fn replicated_federation(
-        &self,
-        faults: &FaultSpec,
         replication: usize,
     ) -> (Federation, Vec<Arc<LocalEndpoint>>) {
         assert!(replication >= 1, "replication must be at least 1");
         let mut builder = Federation::builder(Arc::clone(&self.dict));
         let mut locals = Vec::with_capacity(self.n_endpoints);
-        for (i, store) in self.stores().into_iter().enumerate() {
-            let ep = Arc::new(LocalEndpoint::new(format!("ep{i}"), store));
-            builder = builder.custom(Arc::clone(&ep) as Arc<dyn SparqlEndpoint>);
-            if let Some(profile) = faults.profiles.get(i).copied().flatten() {
-                builder = builder.faults(profile);
-            }
-            locals.push(ep);
-        }
-        for k in 1..replication {
+        for k in 0..replication {
             for (i, store) in self.stores().into_iter().enumerate() {
+                let name = match k {
+                    0 => format!("ep{i}"),
+                    _ => format!("ep{i}r{k}"),
+                };
+                let ep = Arc::new(LocalEndpoint::on_backend(
+                    name,
+                    store,
+                    backend,
+                    Default::default(),
+                ));
+                builder = builder.custom(Arc::clone(&ep) as Arc<dyn SparqlEndpoint>);
+                if k == 0 {
+                    locals.push(ep);
+                } else {
+                    builder = builder.replica_of(format!("ep{i}"));
+                }
                 let id = k * self.n_endpoints + i;
-                let ep = Arc::new(LocalEndpoint::new(format!("ep{i}r{k}"), store));
-                builder = builder
-                    .custom(ep as Arc<dyn SparqlEndpoint>)
-                    .replica_of(format!("ep{i}"));
                 if let Some(profile) = faults.profiles.get(id).copied().flatten() {
                     builder = builder.faults(profile);
                 }
@@ -580,7 +574,8 @@ mod tests {
     fn replicated_federation_keeps_primary_ids_and_appends_replicas() {
         let case = Case::generate(3, &GenConfig::default());
         let (plain, _) = case.federation(&FaultSpec::default());
-        let (fed, locals) = case.replicated_federation(&FaultSpec::default(), 2);
+        let (fed, locals) =
+            case.federation_on(&FaultSpec::default(), lusail_store::BackendKind::Btree, 2);
         assert_eq!(locals.len(), case.n_endpoints);
         assert_eq!(fed.len(), case.n_endpoints * 2);
         assert_eq!(fed.logical_ids(), plain.all_ids());

@@ -32,8 +32,8 @@ pub mod seed;
 pub mod shrink;
 
 pub use diff::{
-    check, check_backends, check_batched, check_replicated, check_stats, check_trace_invariants,
-    check_tuned, observe, oracle_solutions, EngineKind, LusailTuning, Observation, Violation,
+    check_batched, check_trace_invariants, compare, observe, oracle_solutions, Axis, EngineKind,
+    LusailTuning, Observation, Rel, Setup, Violation, AXES,
 };
 pub use gen::{Case, FaultSpec, GenConfig};
 pub use seed::{parse_seed, seed_from_env, SEED_ENV_VAR};
@@ -42,19 +42,21 @@ pub use shrink::{shrink, Repro};
 use lusail_benchdata::common::Rng;
 
 /// The body every driver shares: draw the fault plan from the case's own
-/// seed stream (`fault_seed` is the case seed salted per driver, `None`
-/// for a clean run), check, and on failure shrink, re-check the shrunk
-/// pair for its own violation and package the repro.
+/// seed stream (the case seed XOR the driver's `salt`; no plan unless
+/// `faulty`), check, and on failure shrink, re-check the shrunk pair for
+/// its own violation and package the repro.
 fn drive<T>(
     case: Case,
-    fault_seed: Option<u64>,
+    faulty: bool,
+    salt: u64,
     draw: fn(&mut Rng, usize) -> FaultSpec,
     engine: EngineKind,
     check: impl Fn(&Case, &FaultSpec) -> Result<T, Violation>,
 ) -> Result<T, Box<Repro>> {
-    let faults = match fault_seed {
-        Some(seed) => draw(&mut Rng::new(seed), case.n_endpoints),
-        None => FaultSpec::default(),
+    let faults = if faulty {
+        draw(&mut Rng::new(case.seed ^ salt), case.n_endpoints)
+    } else {
+        FaultSpec::default()
     };
     check(&case, &faults).map_err(|first_violation| {
         let (small, small_faults) = shrink(&case, &faults, &|c, f| check(c, f).is_err());
@@ -70,61 +72,32 @@ fn drive<T>(
     })
 }
 
-/// Runs one seeded stats-vs-wire differential case end-to-end for one
-/// engine (see [`check_stats`]): generate, run with and without offline
-/// statistics, compare, and on failure shrink and package the repro.
-/// `faulty` draws a *dead-only* fault plan (the only fault family under
-/// which probe elision is behavior-invariant — see
-/// [`FaultSpec::random_dead_only`]).
-pub fn run_stats_case(
+/// Runs one seeded case end-to-end along one [`AXES`] row for one
+/// engine: generate, observe the row's left setup once and each right
+/// setup (all as edits of `base`), [`compare`], and on failure shrink to
+/// a repro. `faulty` draws a plan from the row's fault family and salt.
+pub fn run_axis_case(
     case_seed: u64,
     config: &GenConfig,
     engine: EngineKind,
+    axis: &Axis,
     faulty: bool,
-    threads: usize,
+    base: Setup,
 ) -> Result<(), Box<Repro>> {
     let case = Case::generate(case_seed, config);
-    let fault_seed = faulty.then_some(case_seed ^ 0xFA17_0000_0000_0002);
-    drive(
-        case,
-        fault_seed,
-        FaultSpec::random_dead_only,
-        engine,
-        |c, f| check_stats(c, engine, f, threads),
-    )
-}
-
-/// Runs one seeded backend-differential case end-to-end for one engine
-/// (see [`check_backends`]): generate, materialize the same federation on
-/// the BTree and columnar backends, run both, demand byte-identical
-/// observations, and on failure shrink and package the repro. `faulty`
-/// draws a full-random fault plan — backend identity must hold under any
-/// fault family, since identical request streams see identical fates.
-pub fn run_backend_case(
-    case_seed: u64,
-    config: &GenConfig,
-    engine: EngineKind,
-    faulty: bool,
-    threads: usize,
-) -> Result<(), Box<Repro>> {
-    let case = Case::generate(case_seed, config);
-    let fault_seed = faulty.then_some(case_seed ^ 0xFA17_0000_0000_0003);
-    drive(case, fault_seed, FaultSpec::random, engine, |c, f| {
-        check_backends(c, engine, f, threads)
+    drive(case, faulty, axis.salt, axis.faults, engine, |c, f| {
+        let left = observe(c, engine, f, &(axis.left)(base))?;
+        axis.rights
+            .iter()
+            .try_for_each(|right| compare(axis, &left, &observe(c, engine, f, &right(base))?))
     })
 }
 
 /// Runs one seeded batched-vs-solo differential case end-to-end (see
-/// [`check_batched`]; only the Lusail engine batches): generate, execute
-/// the case's query `window` times solo and once as one MQO batch,
-/// compare item-by-item, and on failure shrink and package the repro.
-/// `faulty` draws a *dead-only* fault plan — the only fault family
-/// invariant under the request elision batching performs (see
-/// [`FaultSpec::random_dead_only`]). `nested` grafts UNION, OPTIONAL, and
-/// NOT EXISTS groups onto the query ([`Case::with_nested_groups`]).
-/// Returns the batch's
-/// [`BatchReport`](lusail_core::BatchReport) so sweeps can assert
-/// aggregate sharing coverage.
+/// [`check_batched`], which also says why `faulty` draws a *dead-only*
+/// plan; only Lusail batches), shrinking a failure to a repro. `nested`
+/// grafts UNION, OPTIONAL, and NOT EXISTS groups onto the query
+/// ([`Case::with_nested_groups`]). Returns the batch's report.
 pub fn run_batched_case(
     case_seed: u64,
     config: &GenConfig,
@@ -137,14 +110,10 @@ pub fn run_batched_case(
     if nested {
         case = case.with_nested_groups(config);
     }
-    let fault_seed = faulty.then_some(case_seed ^ 0xFA17_0000_0000_0004);
-    drive(
-        case,
-        fault_seed,
-        FaultSpec::random_dead_only,
-        EngineKind::Lusail,
-        |c, f| check_batched(c, f, window, threads),
-    )
+    let (salt, draw) = (0xFA17_0000_0000_0004, FaultSpec::random_dead_only);
+    drive(case, faulty, salt, draw, EngineKind::Lusail, |c, f| {
+        check_batched(c, f, window, threads)
+    })
 }
 
 /// Runs one seeded case end-to-end for one engine: generate, check, and
@@ -156,8 +125,8 @@ pub fn run_case(
     faulty: bool,
 ) -> Result<(), Box<Repro>> {
     let case = Case::generate(case_seed, config);
-    let fault_seed = faulty.then_some(case_seed ^ 0xFA17_0000_0000_0001);
-    drive(case, fault_seed, FaultSpec::random, engine, |c, f| {
-        check(c, engine, f)
+    let salt = 0xFA17_0000_0000_0001;
+    drive(case, faulty, salt, FaultSpec::random, engine, |c, f| {
+        observe(c, engine, f, &Setup::BASE).map(drop)
     })
 }

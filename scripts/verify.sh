@@ -59,6 +59,26 @@ if grep -q 'AtomicBool' crates/baselines/src/*.rs; then
 fi
 [ "$scattered" -eq 0 ]
 
+echo "==> one differential relation (an oracle axis is a row of AXES in crates/testkit/src/diff.rs, not a function)"
+scattered=0
+if grep -Eq 'pub fn check_(stats|backends|tuned|replicated)' crates/testkit/src/diff.rs; then
+    echo "crates/testkit/src/diff.rs: a per-axis checker is back (add an Axis row; observe takes a Setup)" >&2
+    scattered=1
+fi
+if grep -E '^    [A-Za-z]*(Divergence|Regression)\b' crates/testkit/src/diff.rs | grep -qv '^    Divergence {'; then
+    echo "crates/testkit/src/diff.rs: Violation has a second divergence variant beside Divergence" >&2
+    scattered=1
+fi
+if grep -q 'assert_eq!' tests/thread_invariance.rs || ! grep -q 'Axis::named("threads")' tests/thread_invariance.rs; then
+    echo "tests/thread_invariance.rs: compares observations itself instead of running the threads row" >&2
+    scattered=1
+fi
+if grep -Eq 'struct Relation|\bpartitions:' crates/core/src/*.rs; then
+    echo "crates/core/src: the per-relation partition count is back (mediator joins are sequential: threads = 1)" >&2
+    scattered=1
+fi
+[ "$scattered" -eq 0 ]
+
 # The benchmark crate is a workspace of its own with its own lock file; it
 # calls the engine only through public items (par_hash_join, hash_join,
 # SolutionSet { vars, rows } literals, ...), so an engine API change that

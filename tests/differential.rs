@@ -23,8 +23,8 @@
 
 use lusail_benchdata::common::Rng;
 use lusail_testkit::{
-    check_replicated, check_tuned, run_backend_case, run_batched_case, run_case, run_stats_case,
-    seed_from_env, Case, EngineKind, FaultSpec, GenConfig, LusailTuning, SEED_ENV_VAR,
+    observe, run_axis_case, run_batched_case, run_case, seed_from_env, Axis, Case, EngineKind,
+    FaultSpec, GenConfig, LusailTuning, Setup, SEED_ENV_VAR,
 };
 
 /// Default stream seed; overridable via `LUSAIL_TEST_SEED`.
@@ -85,16 +85,31 @@ fn splendid_matches_the_oracle() {
     drive(EngineKind::Splendid);
 }
 
+/// The base setup at a worker budget (the axis sweeps alternate 1 and 4).
+fn at(threads: usize) -> Setup {
+    Setup {
+        threads,
+        ..Setup::BASE
+    }
+}
+
+/// One replica per endpoint, for the two replicated sweeps.
+const REPLICATION: usize = 2;
+const REPLICATED: Setup = Setup {
+    replication: REPLICATION,
+    ..Setup::BASE
+};
+
 /// Replicated-partition sweep: every endpoint gets one replica
 /// (replication 2) and a seeded fault plan kills one or more *primaries*
 /// — dead outright or dying after a few served requests, the
 /// "primary killed mid-query" scenario. Since every replica group keeps a
 /// healthy member, failover must absorb every kill: all four engines are
 /// required to return the exact oracle answer with `complete = true`
-/// (`check_replicated` turns an incomplete outcome into a violation).
+/// (`observe` turns an incomplete outcome into a violation whenever the
+/// plan spares a member of every group).
 #[test]
 fn replicated_partitions_survive_primary_kills() {
-    const REPLICATION: usize = 2;
     let config = GenConfig::default();
     let mut stream = Rng::new(seed_from_env(DEFAULT_STREAM_SEED) ^ 0x5EB1_1CA7);
     for i in 0..30 {
@@ -102,8 +117,9 @@ fn replicated_partitions_survive_primary_kills() {
         let case = Case::generate(case_seed, &config);
         let mut fault_rng = Rng::new(case_seed ^ 0xF417_0C11);
         let faults = FaultSpec::random_primary_kill(&mut fault_rng, case.n_endpoints, REPLICATION);
+        assert!(faults.spares_every_group(case.n_endpoints, REPLICATION));
         for engine in EngineKind::ALL {
-            if let Err(v) = check_replicated(&case, engine, &faults, REPLICATION, true) {
+            if let Err(v) = observe(&case, engine, &faults, &REPLICATED) {
                 panic!(
                     "replicated case {i} (seed {case_seed:#x}, {}): {v}",
                     engine.name()
@@ -116,11 +132,9 @@ fn replicated_partitions_survive_primary_kills() {
 /// Honesty when a *whole* replica group is dead: no replica can absorb
 /// the kill, so rows may go missing — the contract degrades to the
 /// faulty-mode one (no invented rows, `complete` only when nothing is
-/// actually missing), which `check_replicated` enforces with
-/// `require_complete = false`.
+/// actually missing).
 #[test]
 fn whole_group_death_degrades_honestly() {
-    const REPLICATION: usize = 2;
     let config = GenConfig::default();
     let mut stream = Rng::new(seed_from_env(DEFAULT_STREAM_SEED) ^ 0xDEAD_97F0);
     for i in 0..10 {
@@ -132,7 +146,7 @@ fn whole_group_death_degrades_honestly() {
         profiles[case.n_endpoints] = Some(lusail_endpoint::FaultProfile::dead());
         let faults = FaultSpec { profiles };
         for engine in EngineKind::ALL {
-            if let Err(v) = check_replicated(&case, engine, &faults, REPLICATION, false) {
+            if let Err(v) = observe(&case, engine, &faults, &REPLICATED) {
                 panic!(
                     "group-death case {i} (seed {case_seed:#x}, {}): {v}",
                     engine.name()
@@ -151,9 +165,12 @@ fn whole_group_death_degrades_honestly() {
 /// every engine is held to the usual oracle contract, clean and faulted.
 #[test]
 fn tuned_adaptive_batching_matches_the_oracle() {
-    let tuning = LusailTuning {
-        block_size: 2,
-        adaptive_values: true,
+    let tuned = Setup {
+        tuning: Some(LusailTuning {
+            block_size: 2,
+            adaptive_values: true,
+        }),
+        ..Setup::BASE
     };
     let config = GenConfig::default();
     let mut stream = Rng::new(seed_from_env(DEFAULT_STREAM_SEED) ^ 0xADA7_B10C);
@@ -165,7 +182,7 @@ fn tuned_adaptive_batching_matches_the_oracle() {
         let faulty = FaultSpec::random(&mut fault_rng, case.n_endpoints);
         for engine in EngineKind::ALL {
             for faults in [&clean, &faulty] {
-                if let Err(v) = check_tuned(&case, engine, faults, tuning) {
+                if let Err(v) = observe(&case, engine, faults, &tuned) {
                     panic!(
                         "tuned case {i} (seed {case_seed:#x}, {}, {} mode): {v}",
                         engine.name(),
@@ -180,7 +197,7 @@ fn tuned_adaptive_batching_matches_the_oracle() {
 /// Stats-vs-wire differential sweep: 30 seeded cases, every engine, with
 /// offline statistics attached vs absent, clean and under dead-only fault
 /// plans, at worker budgets 1 and 4. Statistics may only *elide* probes:
-/// `check_stats` demands byte-identical canonicalized solutions and
+/// the `stats` axis demands byte-identical canonicalized solutions and
 /// completeness flags, per-kind wire requests stats-on ≤ stats-off, and
 /// both runs individually passing the oracle contract and trace
 /// invariants. (Lusail, FedX and HiBISCuS consult statistics — the latter
@@ -189,6 +206,7 @@ fn tuned_adaptive_batching_matches_the_oracle() {
 /// Failures shrink to a self-contained repro like every other sweep here.
 #[test]
 fn stats_elision_is_invisible_in_results() {
+    let axis = Axis::named("stats");
     let config = GenConfig::default();
     let mut stream = Rng::new(seed_from_env(DEFAULT_STREAM_SEED) ^ 0x57A7_57A7);
     for i in 0..30 {
@@ -199,7 +217,9 @@ fn stats_elision_is_invisible_in_results() {
         let threads = if i % 2 == 0 { 1 } else { 4 };
         for engine in EngineKind::ALL {
             for faulty in [false, true] {
-                if let Err(repro) = run_stats_case(case_seed, &config, engine, faulty, threads) {
+                if let Err(repro) =
+                    run_axis_case(case_seed, &config, engine, axis, faulty, at(threads))
+                {
                     panic!(
                         "stats case {i} (seed {case_seed:#x}, {}, {} mode, {threads} threads):\n{repro}",
                         engine.name(),
@@ -214,15 +234,16 @@ fn stats_elision_is_invisible_in_results() {
 /// Backend-differential sweep: 30 seeded cases, every engine, each case
 /// materialized on the BTree backend *and* the compressed sorted-column
 /// backend, clean and under full-random fault plans, at worker budgets 1
-/// and 4. The contract is strict identity, not subset: `check_backends`
-/// demands byte-identical canonicalized solutions, completeness flags,
-/// per-kind wire request counters, `rows_scanned`, and the full counter
-/// window on both backends (generated cases sit below the BTree estimate
-/// cap, so both backends plan identically — see the `check_backends`
+/// and 4. The contract is strict identity, not subset: the `backends`
+/// axis demands byte-identical canonicalized solutions, completeness
+/// flags, per-kind wire request counters, `rows_scanned`, and the full
+/// counter window on both backends (generated cases sit below the BTree
+/// estimate cap, so both backends plan identically — see the `AXES`
 /// docs). A failure shrinks to a self-contained repro and replays via
 /// `LUSAIL_TEST_SEED` like every other sweep here.
 #[test]
 fn storage_backends_are_observationally_identical() {
+    let axis = Axis::named("backends");
     let config = GenConfig::default();
     if std::env::var(SEED_ENV_VAR).is_ok() {
         let case_seed = seed_from_env(DEFAULT_STREAM_SEED);
@@ -230,7 +251,7 @@ fn storage_backends_are_observationally_identical() {
             for faulty in [false, true] {
                 for threads in [1, 4] {
                     if let Err(repro) =
-                        run_backend_case(case_seed, &config, engine, faulty, threads)
+                        run_axis_case(case_seed, &config, engine, axis, faulty, at(threads))
                     {
                         panic!(
                             "replayed backend case {case_seed:#x} ({}, {} mode, {threads} threads):\n{repro}",
@@ -250,7 +271,9 @@ fn storage_backends_are_observationally_identical() {
         let threads = if i % 2 == 0 { 1 } else { 4 };
         for engine in EngineKind::ALL {
             for faulty in [false, true] {
-                if let Err(repro) = run_backend_case(case_seed, &config, engine, faulty, threads) {
+                if let Err(repro) =
+                    run_axis_case(case_seed, &config, engine, axis, faulty, at(threads))
+                {
                     panic!(
                         "backend case {i} (seed {case_seed:#x}, {}, {} mode, {threads} threads):\n{repro}",
                         engine.name(),

@@ -14,7 +14,7 @@ use lusail_endpoint::{Federation, LocalEndpoint};
 use lusail_rdf::{Dictionary, Term};
 use lusail_sparql::parse_query;
 use lusail_store::TripleStore;
-use lusail_testkit::diff::{clean_policy, faulty_policy};
+use lusail_testkit::diff::policy;
 use lusail_testkit::{Case, EngineKind, FaultSpec, GenConfig};
 use std::sync::Arc;
 
@@ -116,11 +116,7 @@ fn check_query_count_stays_inside_analysis_selects_under_faults() {
         for faulty in [false, true] {
             let faults = fault_plan(seed, case.n_endpoints, faulty);
             let (fed, _locals) = case.federation(&faults);
-            let policy = if faulty {
-                faulty_policy()
-            } else {
-                clean_policy()
-            };
+            let policy = policy(!faulty);
             let engine = Lusail::default().with_policy(policy);
             let sink = TraceSink::enabled();
             let result = engine
@@ -154,13 +150,9 @@ fn baselines_issue_no_check_queries_clean_or_faulted() {
         for faulty in [false, true] {
             let faults = fault_plan(seed, case.n_endpoints, faulty);
             let (fed, locals) = case.federation(&faults);
-            let policy = if faulty {
-                faulty_policy()
-            } else {
-                clean_policy()
-            };
+            let policy = policy(!faulty);
             for kind in [EngineKind::FedX, EngineKind::Hibiscus, EngineKind::Splendid] {
-                let runner = kind.build(&locals, policy);
+                let runner = kind.build(&locals, policy, None);
                 let sink = TraceSink::enabled();
                 let _ = runner.run_with(
                     &fed,
