@@ -35,6 +35,9 @@ pub fn run_query(
     if fed.is_empty() {
         return Err(FederationError::EmptyFederation);
     }
+    if !query.exists.is_empty() {
+        return Err(FederationError::ProjectedExists);
+    }
     if let Some(deadline) = opts.deadline {
         policy.query_budget = deadline;
     }

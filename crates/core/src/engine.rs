@@ -51,6 +51,11 @@ pub struct LusailConfig {
     /// pattern becomes its own subquery (the §II strawman of evaluating
     /// each pattern independently); SAPE still schedules and joins them.
     pub disable_lade: bool,
+    /// Ablation switch: send the planning probes (ASK, check, COUNT) bound
+    /// for one endpoint in one phase as one request instead of one each.
+    /// Plans and answers are the same either way; only the number of
+    /// round trips differs.
+    pub coalesce_probes: bool,
     /// Capacity bound for each of the ASK / COUNT / check probe caches.
     /// `None` (the default, the paper's unbounded hash table) never
     /// evicts; a long-lived server sets a bound so cache memory stays
@@ -66,6 +71,7 @@ impl Default for LusailConfig {
             use_cache: true,
             adaptive_values: true,
             disable_lade: false,
+            coalesce_probes: true,
             probe_cache_capacity: None,
         }
     }
@@ -231,13 +237,16 @@ impl Lusail {
         if let Some(deadline) = opts.deadline {
             policy.query_budget = deadline;
         }
-        Net::build(
-            policy,
-            self.timing_clock(),
-            opts.trace.clone(),
-            opts.thread_budget(),
-            opts.on_health_transition.clone(),
-        )
+        Net {
+            coalesce_probes: self.config.coalesce_probes,
+            ..Net::build(
+                policy,
+                self.timing_clock(),
+                opts.trace.clone(),
+                opts.thread_budget(),
+                opts.on_health_transition.clone(),
+            )
+        }
     }
 
     /// The clock phase timings (and retry backoff) are measured against:
@@ -320,6 +329,9 @@ impl Lusail {
     ) -> Result<QueryResult, FederationError> {
         if fed.is_empty() {
             return Err(FederationError::EmptyFederation);
+        }
+        if !query.exists.is_empty() {
+            return Err(FederationError::ProjectedExists);
         }
         let net = self.fresh_net_with(opts);
         let plan = self.plan(fed, &query.pattern, Some(query), &self.caches, &net);

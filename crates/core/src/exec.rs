@@ -27,8 +27,8 @@ use crate::join::join_components;
 use crate::mqo::BatchMemo;
 use crate::subquery::Subquery;
 use lusail_endpoint::{
-    Clock, EndpointId, EndpointRef, Federation, HealthHook, RequestKind, RequestPolicy,
-    ResilientClient, SystemClock, TraceEvent, TraceSink,
+    Clock, EndpointId, EndpointRef, Federation, HealthHook, RequestPolicy, ResilientClient,
+    SystemClock, TraceEvent, TraceSink,
 };
 use lusail_sparql::ast::{Query, ValuesBlock};
 use lusail_sparql::Rows;
@@ -218,6 +218,10 @@ pub struct Net {
     pub clock: Arc<dyn Clock>,
     /// The trace sink the whole context emits into (disabled by default).
     pub trace: TraceSink,
+    /// Send the planning probes bound for one endpoint as one request
+    /// (`probe.rs`). Off unless the engine turns it on: the baselines model
+    /// systems that send one `ASK` per (pattern, endpoint).
+    pub coalesce_probes: bool,
 }
 
 impl Default for Net {
@@ -263,30 +267,8 @@ impl Net {
             degradation: Degradation::default(),
             clock,
             trace,
+            coalesce_probes: false,
         }
-    }
-
-    /// Narrows `candidates` to the endpoints answering `ask` with `true`.
-    /// The `ASK` is wire-only (no memo, no statistics — it carries bindings
-    /// or constants those cannot speak for); a failed one keeps its
-    /// endpoint via [`Degradation::assume_relevant`].
-    pub fn ask_relevant(
-        &self,
-        fed: &Federation,
-        candidates: &[EndpointId],
-        ask: &Query,
-    ) -> Vec<EndpointId> {
-        let tasks: Vec<(EndpointId, ())> = candidates.iter().map(|&ep| (ep, ())).collect();
-        let answers = self.handler.run(fed, tasks, |ep_id, ep, _| {
-            self.client
-                .request_kind(ep_id, RequestKind::Ask, || ep.ask(ask))
-                .unwrap_or_else(|_| self.degradation.assume_relevant())
-        });
-        answers
-            .into_iter()
-            .filter(|(_, _, relevant)| *relevant)
-            .map(|(ep, _, _)| ep)
-            .collect()
     }
 }
 

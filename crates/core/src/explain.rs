@@ -583,7 +583,7 @@ plan: DISJOINT — ship the whole query to every relevant endpoint and concatena
         let expected = "\
 EXPLAIN ANALYZE
 requests:
-  ask     4 requests  4 wire attempts  0 failed
+  ask     2 requests  2 wire attempts  0 failed
   select  2 requests  2 wire attempts  0 failed
   count   2 requests  2 wire attempts  0 failed
   check   0 requests  0 wire attempts  0 failed

@@ -11,13 +11,36 @@
 //!    [`TraceEvent::StatsAnswered`] and *not* written into the memo: the
 //!    memo is invalidated per endpoint on death and statistics
 //!    independently so, and mixing the two would blur that audit trail;
-//! 3. what is left goes to the **wire**, in list order, through the
-//!    request handler and the resilient client; an `Ok` answer is memoized;
+//! 3. what is left goes to the **wire**, each endpoint's probes in list
+//!    order and a probe listed twice only once, through the request handler
+//!    and the resilient client; an `Ok` answer is memoized. With
+//!    [`Net::coalesce_probes`] an endpoint's probes are **one request**
+//!    (below), otherwise one request each;
 //! 4. a probe whose endpoint fails (after retries) **degrades** to the
 //!    kind's conservative answer, counted in [`Degradation`] and never
-//!    memoized — a wrong guess may cost extra requests, never answers.
+//!    memoized — a wrong guess may cost extra requests, never answers. A
+//!    failed coalesced request degrades each of its members that way.
 //!
 //! What differs per kind is the three-row table of [`Kind`] impls below.
+//!
+//! # The coalesced request
+//!
+//! Every probe is a number at heart — does a group match (1 or 0), how many
+//! triples match a pattern — so an endpoint's probes fit one `SELECT` that
+//! returns one row, built by [`coalesced`]: an existence [`Member`] is a
+//! projected `(EXISTS { … } AS ?aN)`, a counting one a `UNION` branch of its
+//! own variables under `(COUNT(?sN) AS ?cN)`:
+//!
+//! ```text
+//! SELECT (EXISTS { ?x <p> ?y } AS ?a0) (EXISTS { ?x <q> ?z FILTER NOT EXISTS { … } } AS ?a1) WHERE { }
+//! SELECT (COUNT(?s0) AS ?c0) (COUNT(?s1) AS ?c1) WHERE { { ?s0 <p> ?o0 } UNION { ?s1 <q> ?o1 } }
+//! ```
+//!
+//! Both are SPARQL 1.1 that `lusail-sparql` writes, parses and charges by
+//! length, and the store evaluates member by member on the sinks the
+//! stand-alone probes use (`lusail_store::eval`), so the endpoint scans the
+//! same rows either way. The request is traced and retried as one, under
+//! the kind's own label.
 //!
 //! [`Degradation`]: crate::exec::Degradation
 
@@ -27,7 +50,10 @@ use crate::gjv::{stats_check_answer, CheckQuery};
 use lusail_endpoint::{
     EndpointError, EndpointId, EndpointRef, Federation, RequestKind, TraceEvent,
 };
-use lusail_sparql::ast::{GroupPattern, Query, TriplePattern};
+use lusail_rdf::Dictionary;
+use lusail_sparql::ast::{
+    AggFunc, Aggregate, ExistsTest, GroupPattern, PatternTerm, Query, TriplePattern,
+};
 use lusail_store::EndpointStats;
 use std::hash::Hash;
 use std::sync::atomic::Ordering;
@@ -47,9 +73,23 @@ pub(crate) trait Kind {
     fn key(probe: &Self::Probe) -> Self::Key;
     /// `Some` only when the statistics are conclusive for this probe.
     fn from_stats(stats: &EndpointStats, probe: &Self::Probe) -> Option<Self::Answer>;
+    /// The probe as a request of its own.
     fn on_wire(ep: &EndpointRef, probe: &Self::Probe) -> Result<Self::Answer, EndpointError>;
+    /// The probe as a member of a coalesced request.
+    fn member(probe: &Self::Probe) -> Member<'_>;
+    /// The answer the member's number stands for.
+    fn from_member(n: u64) -> Self::Answer;
     /// Counts the degradation and returns the conservative answer.
     fn degrade(fed: &Federation, net: &Net, ep: EndpointId) -> Self::Answer;
+}
+
+/// What a probe asks inside a coalesced request; either way the answer is
+/// one number.
+pub(crate) enum Member<'p> {
+    /// Does the group have a solution? `1` or `0`.
+    Exists(GroupPattern),
+    /// How many triples match the pattern (which has a variable to count)?
+    Count(&'p TriplePattern),
 }
 
 /// Source-selection `ASK`: a failed probe assumes the endpoint relevant.
@@ -69,6 +109,12 @@ impl Kind for Ask {
     }
     fn on_wire(ep: &EndpointRef, tp: &TriplePattern) -> Result<bool, EndpointError> {
         ep.ask(&Query::ask(GroupPattern::bgp(vec![tp.clone()])))
+    }
+    fn member(tp: &TriplePattern) -> Member<'_> {
+        Member::Exists(GroupPattern::bgp(vec![tp.clone()]))
+    }
+    fn from_member(n: u64) -> bool {
+        n > 0
     }
     fn degrade(_: &Federation, net: &Net, _: EndpointId) -> bool {
         net.degradation.assume_relevant()
@@ -93,6 +139,16 @@ impl Kind for Count {
     }
     fn on_wire(ep: &EndpointRef, tp: &TriplePattern) -> Result<u64, EndpointError> {
         ep.count(&Query::count(GroupPattern::bgp(vec![tp.clone()])))
+    }
+    fn member(tp: &TriplePattern) -> Member<'_> {
+        match tp.vars().next() {
+            Some(_) => Member::Count(tp),
+            // Nothing to count: a fully bound pattern matches once or not.
+            None => Member::Exists(GroupPattern::bgp(vec![tp.clone()])),
+        }
+    }
+    fn from_member(n: u64) -> u64 {
+        n
     }
     fn degrade(fed: &Federation, net: &Net, ep: EndpointId) -> u64 {
         net.degradation
@@ -121,6 +177,12 @@ impl Kind for Check {
     fn on_wire(ep: &EndpointRef, check: &CheckQuery) -> Result<bool, EndpointError> {
         ep.select(&check.query).map(|sols| !sols.is_empty())
     }
+    fn member(check: &CheckQuery) -> Member<'_> {
+        Member::Exists(check.query.pattern.clone())
+    }
+    fn from_member(n: u64) -> bool {
+        n > 0
+    }
     fn degrade(_: &Federation, net: &Net, _: EndpointId) -> bool {
         net.degradation
             .checks_assumed_conflict
@@ -129,10 +191,13 @@ impl Kind for Check {
     }
 }
 
+/// The members of one wire request: `(index into the item list, memo key)`.
+type Members<K> = Vec<(usize, <K as Kind>::Key)>;
+
 /// Answers every `(endpoint, probe)` item, in order, by the module's rule.
-/// Items are never de-duplicated or reordered: each endpoint sees exactly
-/// the request subsequence the caller listed, so seeded fault fates (drawn
-/// per request index) depend on the caller's list alone.
+/// Items are never reordered: each endpoint sees the probes the caller
+/// listed for it in list order, so seeded fault fates (drawn per request
+/// index) depend on the caller's list alone.
 pub(crate) fn resolve<K: Kind>(
     fed: &Federation,
     net: &Net,
@@ -140,7 +205,11 @@ pub(crate) fn resolve<K: Kind>(
     items: &[(EndpointId, &K::Probe)],
 ) -> Vec<K::Answer> {
     let mut answers: Vec<Option<K::Answer>> = Vec::with_capacity(items.len());
-    let mut misses: Vec<(EndpointId, (usize, K::Key))> = Vec::new();
+    // One task per wire request, holding the members it answers.
+    let mut tasks: Vec<(EndpointId, Members<K>)> = Vec::new();
+    // Items whose key an earlier item already sends to the same endpoint
+    // (`?a p ?b` and `?c p ?d` share a memo key): `(item, that earlier one)`.
+    let mut repeats: Vec<(usize, usize)> = Vec::new();
     for (i, &(ep, probe)) in items.iter().enumerate() {
         let key = K::key(probe);
         let answer = memo.get(&key, ep).or_else(|| {
@@ -151,27 +220,151 @@ pub(crate) fn resolve<K: Kind>(
             });
             Some(answer)
         });
-        if answer.is_none() {
-            misses.push((ep, (i, key)));
-        }
         answers.push(answer);
+        if answer.is_some() {
+            continue;
+        }
+        let mut sent = (tasks.iter().filter(|(e, _)| *e == ep)).flat_map(|(_, members)| members);
+        if let Some(&(first, _)) = sent.find(|(_, k)| *k == key) {
+            repeats.push((i, first));
+            continue;
+        }
+        let group = (tasks.iter_mut().find(|(e, _)| *e == ep)).filter(|_| net.coalesce_probes);
+        match group {
+            Some((_, members)) => members.push((i, key)),
+            None => tasks.push((ep, vec![(i, key)])),
+        }
     }
-    let sent = net.handler.run(fed, misses, |ep_id, ep, (i, _)| {
-        net.client
-            .request_kind(ep_id, K::REQUEST, || K::on_wire(ep, items[*i].1))
-    });
-    for (ep, (i, key), result) in sent {
-        answers[i] = Some(match result {
-            Ok(answer) => {
-                memo.put(key, ep, answer);
-                answer
+    let sent = net.handler.run(fed, tasks, |ep_id, ep, members| {
+        let probes = members.iter().map(|(i, _)| items[*i].1);
+        net.client.request_kind(ep_id, K::REQUEST, || {
+            if net.coalesce_probes {
+                coalesced::<K>(ep, fed.dict(), probes.clone())
+            } else {
+                probes.clone().map(|probe| K::on_wire(ep, probe)).collect()
             }
-            Err(_) => K::degrade(fed, net, ep),
-        });
+        })
+    });
+    for (ep, members, result) in sent {
+        match result {
+            Ok(group) => {
+                for ((i, key), answer) in members.into_iter().zip(group) {
+                    memo.put(key, ep, answer);
+                    answers[i] = Some(answer);
+                }
+            }
+            Err(_) => {
+                for (i, _) in members {
+                    answers[i] = Some(K::degrade(fed, net, ep));
+                }
+            }
+        }
+    }
+    for (i, first) in repeats {
+        answers[i] = answers[first];
     }
     answers
         .into_iter()
         .map(|a| a.expect("every memo and statistics miss was sent to the wire"))
+        .collect()
+}
+
+impl Net {
+    /// Narrows `candidates` to the endpoints answering `ask` with `true` —
+    /// the one probe that bypasses [`resolve`]: it carries the bindings or
+    /// constants of a running query, which no memo or statistics speak
+    /// for, and it is the only probe its endpoint gets at that point. A
+    /// failed one keeps its endpoint, like a failed source-selection `ASK`.
+    pub fn ask_relevant(
+        &self,
+        fed: &Federation,
+        candidates: &[EndpointId],
+        ask: &Query,
+    ) -> Vec<EndpointId> {
+        let tasks: Vec<(EndpointId, ())> = candidates.iter().map(|&ep| (ep, ())).collect();
+        let answers = self.handler.run(fed, tasks, |ep_id, ep, _| {
+            self.client
+                .request_kind(ep_id, RequestKind::Ask, || ep.ask(ask))
+                .unwrap_or_else(|_| self.degradation.assume_relevant())
+        });
+        answers
+            .into_iter()
+            .filter(|(_, _, relevant)| *relevant)
+            .map(|(ep, _, _)| ep)
+            .collect()
+    }
+}
+
+/// Sends `probes` to `ep` as one `SELECT` (see the module docs) and reads
+/// the members' answers off its single row. A response that lacks a cell,
+/// or holds something other than a boolean or a count in one, was cut short
+/// on the way: [`EndpointError::Interrupted`], which the client retries.
+fn coalesced<'p, K: Kind>(
+    ep: &EndpointRef,
+    dict: &Dictionary,
+    probes: impl Iterator<Item = &'p K::Probe>,
+) -> Result<Vec<K::Answer>, EndpointError>
+where
+    K::Probe: 'p,
+{
+    let mut query = Query::select_all(GroupPattern::default());
+    let mut branches = Vec::new();
+    // Where each member's answer will be: whether among the counts, and its
+    // rank there. A row lists the counts before the existence tests.
+    let mut cells = Vec::new();
+    for (n, probe) in probes.enumerate() {
+        match K::member(probe) {
+            Member::Exists(group) => {
+                cells.push((false, query.exists.len()));
+                let alias = format!("a{n}");
+                query.exists.push(ExistsTest { group, alias });
+            }
+            Member::Count(tp) => {
+                cells.push((true, query.aggregates.len()));
+                // The branch gets variables of its own, named after the
+                // position of their first occurrence (`?x p ?x` stays a
+                // repeated variable), and counts the first of them: bound
+                // in each of its solutions and in no other branch's.
+                let positions = [(&tp.s, 's'), (&tp.p, 'p'), (&tp.o, 'o')];
+                let [s, p, o] = positions.map(|(term, _)| match term {
+                    PatternTerm::Var(_) => {
+                        let first = positions.iter().find(|(t, _)| *t == term);
+                        let (_, position) = first.expect("the term is at a position");
+                        PatternTerm::Var(format!("{position}{n}"))
+                    }
+                    constant => constant.clone(),
+                });
+                let own = TriplePattern::new(s, p, o);
+                query.aggregates.push(Aggregate {
+                    func: AggFunc::Count,
+                    var: own.vars().next().map(str::to_string),
+                    distinct: false,
+                    alias: format!("c{n}"),
+                });
+                branches.push(GroupPattern::bgp(vec![own]));
+            }
+        }
+    }
+    match branches.len() {
+        0 => {}
+        // A one-branch `UNION` is the branch.
+        1 => query.pattern = branches.remove(0),
+        _ => query.pattern.unions.push(branches),
+    }
+    let answer = ep.select(&query)?;
+    let row = answer.rows.iter().next().unwrap_or_default();
+    let tests_from = query.aggregates.len();
+    (cells.into_iter())
+        .map(|(counted, rank)| {
+            let cell = if counted { rank } else { tests_from + rank };
+            let term = dict.decode((*row.get(cell)?)?);
+            match term.lexical() {
+                "true" => Some(1),
+                "false" => Some(0),
+                count => count.parse().ok(),
+            }
+        })
+        .map(|n| n.map(K::from_member).ok_or(EndpointError::Interrupted))
         .collect()
 }
 
@@ -212,6 +405,19 @@ mod tests {
         fed
     }
 
+    fn net(sink: &TraceSink, coalesce_probes: bool) -> Net {
+        Net {
+            coalesce_probes,
+            ..Net::build(
+                RequestPolicy::default(),
+                Arc::new(SystemClock::default()),
+                sink.clone(),
+                1,
+                None,
+            )
+        }
+    }
+
     /// `(answer, wire requests, StatsAnswered events, degradations)` of
     /// resolving one probe at endpoint 0.
     fn run<K: Kind>(
@@ -221,13 +427,7 @@ mod tests {
         counter: fn(&Degradation) -> &AtomicU64,
     ) -> (K::Answer, u64, u64, u64) {
         let sink = TraceSink::enabled();
-        let net = Net::build(
-            RequestPolicy::default(),
-            Arc::new(SystemClock::default()),
-            sink.clone(),
-            1,
-            None,
-        );
+        let net = net(&sink, false);
         let answer = resolve::<K>(fed, &net, memo, &[(0, probe)])[0];
         (
             answer,
@@ -271,31 +471,123 @@ mod tests {
         assert!(memo.is_empty(), "{kind}: degraded answer memoized");
     }
 
+    /// The rule for an endpoint's probes coalesced. `group` is a probe the
+    /// memo holds (as `cached`), one the statistics decide, and two that
+    /// need the wire — the last three really answering `truths`.
+    fn a_group_is_one_request<K: Kind>(
+        dict: &Arc<Dictionary>,
+        group: [&K::Probe; 4],
+        cached: K::Answer,
+        truths: [K::Answer; 3],
+        fallback: K::Answer,
+        counter: fn(&Degradation) -> &AtomicU64,
+    ) where
+        K::Answer: PartialEq + Debug,
+        K::Key: Debug,
+    {
+        let kind = K::REQUEST.name();
+        let items = group.map(|probe| (0, probe));
+        let [hit, decided, wire_a, wire_b] = group.map(K::key);
+        let traced = |sink: &TraceSink| QueryTrace::from_sink(sink).requests(K::REQUEST);
+        // Only the two wire members travel, as one request, and only they
+        // are memoized.
+        let memo = ProbeCache::new(true);
+        memo.put(hit, 0, cached);
+        let fed = federation(dict, false, true);
+        let sink = TraceSink::enabled();
+        let got = resolve::<K>(&fed, &net(&sink, true), &memo, &items);
+        assert_eq!(got, [cached, truths[0], truths[1], truths[2]], "{kind}");
+        assert_eq!(
+            fed.stats_snapshot().total_requests(),
+            1,
+            "{kind}: on the wire"
+        );
+        let requests = traced(&sink);
+        assert_eq!((requests.requests, requests.failures), (1, 0), "{kind}");
+        let answered = QueryTrace::from_sink(&sink).stats_answered(K::REQUEST);
+        assert_eq!(answered, 1, "{kind}: statistics");
+        assert_eq!(memo.get(&decided, 0), None, "{kind}: statistics memoized");
+        assert_eq!(memo.get(&wire_a, 0), Some(truths[1]), "{kind}: wire");
+        assert_eq!(memo.get(&wire_b, 0), Some(truths[2]), "{kind}: wire");
+        // A dead endpoint fails the one request; every member degrades by
+        // its kind's row and is counted, and none is memoized.
+        let memo = ProbeCache::new(true);
+        let fed = federation(dict, true, false);
+        let sink = TraceSink::enabled();
+        let net = net(&sink, true);
+        let got = resolve::<K>(&fed, &net, &memo, &items);
+        assert_eq!(got, [fallback; 4], "{kind}: dead endpoint");
+        let requests = traced(&sink);
+        assert_eq!((requests.requests, requests.failures), (1, 1), "{kind}");
+        let degraded = counter(&net.degradation).load(Ordering::Relaxed);
+        assert_eq!(degraded, 4, "{kind}: degradations counted");
+        assert!(memo.is_empty(), "{kind}: degraded answer memoized");
+    }
+
     #[test]
     fn every_kind_answers_memo_then_statistics_then_wire_then_degrades() {
         let dict = Dictionary::shared();
         let parse = |text: &str| parse_query(text, &dict).unwrap();
-        let absent = parse("SELECT * WHERE { ?s <http://x/absent> ?o }");
-        follows_the_rule::<Ask>(
-            &dict,
-            &absent.pattern.triples[0],
-            [false, true, true],
-            |d| &d.asks_assumed_relevant,
-        );
-        let p = parse("SELECT * WHERE { ?s <http://x/p> ?o }");
-        follows_the_rule::<Count>(&dict, &p.pattern.triples[0], [2, 99, 3], |d| {
-            &d.counts_defaulted
-        });
-        // Every subject with a `q` triple (s1) also has a `p` triple.
-        let check = CheckQuery {
-            query: parse(
-                "SELECT ?v WHERE { ?v <http://x/q> ?b \
-                 FILTER NOT EXISTS { ?v <http://x/p> ?__chk_o } } LIMIT 1",
-            ),
-            sig: "q-minus-p".into(),
+        let pattern = |tp: &str| {
+            parse(&format!("SELECT * {{ {tp} }}"))
+                .pattern
+                .triples
+                .remove(0)
         };
-        follows_the_rule::<Check>(&dict, &check, [false, true, true], |d| {
-            &d.checks_assumed_conflict
-        });
+        // Statistics decide `?s <p> ?o` and an absent predicate; a constant
+        // subject or object needs the wire.
+        let absent = pattern("?s <http://x/absent> ?o");
+        let p = pattern("?s <http://x/p> ?o");
+        let of_s1 = pattern("<http://x/s1> ?p ?o");
+        let s2_q = pattern("<http://x/s2> <http://x/q> ?o");
+        let s1_p_o1 = pattern("<http://x/s1> <http://x/p> <http://x/o1>");
+        let asks_assumed: fn(&Degradation) -> &AtomicU64 = |d| &d.asks_assumed_relevant;
+        follows_the_rule::<Ask>(&dict, &absent, [false, true, true], asks_assumed);
+        a_group_is_one_request::<Ask>(
+            &dict,
+            [&absent, &p, &of_s1, &s2_q],
+            true,
+            [true, true, false],
+            true,
+            asks_assumed,
+        );
+        let counts_defaulted: fn(&Degradation) -> &AtomicU64 = |d| &d.counts_defaulted;
+        follows_the_rule::<Count>(&dict, &p, [2, 99, 3], counts_defaulted);
+        // The fully bound pattern has nothing to count: an existence member.
+        a_group_is_one_request::<Count>(
+            &dict,
+            [&absent, &p, &of_s1, &s1_p_o1],
+            99,
+            [2, 2, 1],
+            3,
+            counts_defaulted,
+        );
+        // `keep FILTER NOT EXISTS { ?v <probe> ?__chk_o }`: statistics decide
+        // it when `keep` is `?v <q> ?b`, not when it has a constant object.
+        let check = |sig: &str, keep: &str, probe: &str| {
+            let inner = format!("?v <http://x/{probe}> ?__chk_o");
+            let text =
+                format!("SELECT ?v WHERE {{ {keep} FILTER NOT EXISTS {{ {inner} }} }} LIMIT 1");
+            CheckQuery {
+                query: parse(&text),
+                sig: sig.into(),
+            }
+        };
+        // Every subject with a `q` triple (s1) also has a `p` triple; s1
+        // (holding o1) has a `q` triple, s2 (holding o3) has none.
+        let q_minus_p = check("q-minus-p", "?v <http://x/q> ?b", "p");
+        let o1_minus_q = check("o1-minus-q", "?v <http://x/p> <http://x/o1>", "q");
+        let o3_minus_q = check("o3-minus-q", "?v <http://x/p> <http://x/o3>", "q");
+        let checks_assumed: fn(&Degradation) -> &AtomicU64 = |d| &d.checks_assumed_conflict;
+        follows_the_rule::<Check>(&dict, &q_minus_p, [false, true, true], checks_assumed);
+        let memoized = check("memoized", "?v <http://x/p> ?b", "q");
+        a_group_is_one_request::<Check>(
+            &dict,
+            [&memoized, &q_minus_p, &o1_minus_q, &o3_minus_q],
+            false,
+            [false, false, true],
+            true,
+            checks_assumed,
+        );
     }
 }

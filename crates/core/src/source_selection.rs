@@ -52,8 +52,9 @@ impl SourceMap {
 /// Runs source selection for every triple pattern of `pattern` (including
 /// nested OPTIONAL/UNION/NOT EXISTS groups) against all endpoints, one
 /// `ASK` probe per distinct pattern per endpoint, answered by
-/// `probe::resolve` (memo, then statistics, then the wire; a failed probe
-/// assumes the endpoint relevant).
+/// `probe::resolve` (memo, then statistics, then the wire — where patterns
+/// that differ only in variable names are one probe; a failed probe assumes
+/// the endpoint relevant).
 pub fn select_sources(
     fed: &Federation,
     pattern: &GroupPattern,
@@ -149,6 +150,26 @@ mod tests {
         assert_eq!(sm.sources(&q.pattern.triples[1]), &[1]);
         assert!(sm.sources(&q.pattern.triples[2]).is_empty());
         assert!(sm.any_required_empty(&q.pattern.triples));
+    }
+
+    #[test]
+    fn patterns_that_differ_in_variable_names_share_one_probe() {
+        // `?a p ?b` and `?c p ?d` are different patterns with one memo key:
+        // each endpoint is asked once and both patterns get the answer.
+        let f = fed();
+        let q = parse_query(
+            "SELECT * WHERE { ?a <http://x/p> ?b . ?c <http://x/p> ?d }",
+            f.dict(),
+        )
+        .unwrap();
+        let sm = select_sources(&f, &q.pattern, &ProbeCache::new(true), &Net::default());
+        assert_eq!(
+            f.stats_snapshot().ask_requests,
+            2,
+            "one member per endpoint"
+        );
+        assert_eq!(sm.sources(&q.pattern.triples[0]), &[0]);
+        assert_eq!(sm.sources(&q.pattern.triples[1]), &[0]);
     }
 
     #[test]

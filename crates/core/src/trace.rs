@@ -82,6 +82,22 @@ impl QueryTrace {
             .collect()
     }
 
+    /// What was planned at the top level: `[subqueries, global join
+    /// variables, delayed subqueries]`; zeros when nothing was decomposed.
+    pub fn planned(&self) -> [usize; 3] {
+        let mut planned = [0; 3];
+        for ev in &self.events {
+            match ev {
+                TraceEvent::Decomposed { subqueries, gjvs } => {
+                    (planned[0], planned[1]) = (*subqueries, *gjvs)
+                }
+                TraceEvent::SubqueryPlanned { delayed: true, .. } => planned[2] += 1,
+                _ => {}
+            }
+        }
+        planned
+    }
+
     /// Position of the [`TraceEvent::QueryFinished`] event, if any.
     pub fn finish_index(&self) -> Option<usize> {
         self.events

@@ -73,6 +73,10 @@ impl std::error::Error for EndpointError {}
 pub enum FederationError {
     /// The federation has no endpoints.
     EmptyFederation,
+    /// The query projects `(EXISTS {…} AS ?v)` tests. That is an endpoint
+    /// form — coalesced planning probes travel as one — which no mediator
+    /// evaluates over the federation.
+    ProjectedExists,
 }
 
 impl fmt::Display for FederationError {
@@ -81,6 +85,10 @@ impl fmt::Display for FederationError {
             FederationError::EmptyFederation => {
                 write!(f, "the federation has no endpoints")
             }
+            FederationError::ProjectedExists => write!(
+                f,
+                "projected EXISTS tests are evaluated by endpoints only, not over a federation"
+            ),
         }
     }
 }

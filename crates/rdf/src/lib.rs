@@ -38,6 +38,8 @@ pub mod vocab {
     pub const XSD_INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
     /// `xsd:decimal`.
     pub const XSD_DECIMAL: &str = "http://www.w3.org/2001/XMLSchema#decimal";
+    /// `xsd:boolean`.
+    pub const XSD_BOOLEAN: &str = "http://www.w3.org/2001/XMLSchema#boolean";
     /// `xsd:string`.
     pub const XSD_STRING: &str = "http://www.w3.org/2001/XMLSchema#string";
 }

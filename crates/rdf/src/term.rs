@@ -47,6 +47,15 @@ impl Term {
         }
     }
 
+    /// Convenience constructor for a boolean literal (`xsd:boolean`).
+    pub fn boolean(value: bool) -> Self {
+        Term::Literal {
+            lexical: value.to_string(),
+            lang: None,
+            datatype: Some(crate::vocab::XSD_BOOLEAN.to_string()),
+        }
+    }
+
     /// Convenience constructor for a language-tagged literal.
     pub fn lang_lit(lexical: impl Into<String>, lang: impl Into<String>) -> Self {
         Term::Literal {

@@ -352,6 +352,20 @@ pub struct Aggregate {
     pub alias: String,
 }
 
+/// One projected existence test: `(EXISTS { group } AS ?alias)`, a boolean
+/// column. Only *uncorrelated* tests are supported — the group shares no
+/// variable with the query's `WHERE` pattern (the parser rejects the rest)
+/// — so a test has one value for the whole query, and an endpoint finds it
+/// with a single first-hit probe. This is how a batch of source-selection
+/// `ASK`s or LADE check queries travels as one request.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExistsTest {
+    /// The tested group pattern.
+    pub group: GroupPattern,
+    /// The output variable name.
+    pub alias: String,
+}
+
 /// One `ORDER BY` key: a variable and its direction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OrderKey {
@@ -374,6 +388,8 @@ pub struct Query {
     pub pattern: GroupPattern,
     /// Aggregate projection items (empty for plain SELECT).
     pub aggregates: Vec<Aggregate>,
+    /// Projected existence tests, output after every other column.
+    pub exists: Vec<ExistsTest>,
     /// `GROUP BY` keys (empty groups everything into one row when
     /// aggregates are present).
     pub group_by: Vec<String>,
@@ -396,6 +412,7 @@ impl Query {
             projection,
             pattern,
             aggregates: Vec::new(),
+            exists: Vec::new(),
             group_by: Vec::new(),
             having: Vec::new(),
             order_by: Vec::new(),
@@ -443,9 +460,11 @@ impl Query {
         Some(rewritten)
     }
 
-    /// The variables this query returns: group keys plus aggregate aliases
-    /// when aggregating; otherwise the explicit projection, or every
-    /// pattern variable for `SELECT *`.
+    /// The variables of the solution sequence this query returns: group
+    /// keys plus aggregate aliases when aggregating; otherwise the explicit
+    /// projection, or every pattern variable for `SELECT *`. The aliases of
+    /// projected [`ExistsTest`]s are not variables of the solutions and are
+    /// not listed: the endpoint evaluator appends those columns after these.
     pub fn output_vars(&self) -> Vec<String> {
         if !self.aggregates.is_empty() {
             let mut out = self.group_by.clone();
@@ -461,8 +480,11 @@ impl Query {
         }
         if !self.projection.is_empty() {
             self.projection.clone()
-        } else {
+        } else if self.exists.is_empty() {
             self.pattern.all_vars()
+        } else {
+            // `SELECT (EXISTS {…} AS ?a) …` projects its tests alone.
+            Vec::new()
         }
     }
 }

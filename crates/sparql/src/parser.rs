@@ -182,6 +182,7 @@ impl<'a> Parser<'a> {
         let mut form = QueryForm::Select;
         let mut projection = Vec::new();
         let mut aggregates: Vec<Aggregate> = Vec::new();
+        let mut exists: Vec<ExistsTest> = Vec::new();
         if self.eat_punct('*') {
             // SELECT * — empty projection.
         } else {
@@ -193,18 +194,38 @@ impl<'a> Parser<'a> {
                         }
                     }
                     Token::Punct('(') => {
-                        aggregates.push(self.parse_aggregate()?);
+                        let after = self.tokens.get(self.pos + 1);
+                        if matches!(after, Some(Token::Word(w)) if w.eq_ignore_ascii_case("EXISTS"))
+                        {
+                            exists.push(self.parse_exists_test()?);
+                        } else {
+                            aggregates.push(self.parse_aggregate()?);
+                        }
                     }
                     _ => break,
                 }
             }
-            if projection.is_empty() && aggregates.is_empty() {
-                return self.error("expected projection variables, '*', or (AGG(…) AS ?v)");
+            if projection.is_empty() && aggregates.is_empty() && exists.is_empty() {
+                return self.error(
+                    "expected projection variables, '*', (AGG(…) AS ?v) or (EXISTS {…} AS ?v)",
+                );
             }
         }
         // WHERE is optional in SPARQL.
         self.eat_keyword("WHERE");
         let pattern = self.parse_group()?;
+        // A projected EXISTS is evaluated once per query, not once per
+        // solution: that is only its SPARQL meaning when it is uncorrelated.
+        let outer = pattern.all_vars();
+        for test in &exists {
+            if let Some(v) = test.group.all_vars().iter().find(|v| outer.contains(v)) {
+                return Err(ParseError(format!(
+                    "projected EXISTS (AS ?{}) shares ?{v} with the WHERE pattern; \
+                     only uncorrelated tests are supported",
+                    test.alias
+                )));
+            }
+        }
         let mut group_by = Vec::new();
         if self.eat_keyword("GROUP") {
             self.expect_keyword("BY")?;
@@ -225,6 +246,7 @@ impl<'a> Parser<'a> {
         // CountStar form (the wire protocol for cardinality probes).
         if group_by.is_empty()
             && projection.is_empty()
+            && exists.is_empty()
             && aggregates.len() == 1
             && aggregates[0].func == AggFunc::Count
             && aggregates[0].var.is_none()
@@ -286,6 +308,7 @@ impl<'a> Parser<'a> {
             projection,
             pattern,
             aggregates,
+            exists,
             group_by,
             having,
             order_by,
@@ -330,6 +353,20 @@ impl<'a> Parser<'a> {
             distinct,
             alias,
         })
+    }
+
+    /// Parses `(EXISTS { … } AS ?alias)`.
+    fn parse_exists_test(&mut self) -> Result<ExistsTest, ParseError> {
+        self.expect_punct('(')?;
+        self.expect_keyword("EXISTS")?;
+        let group = self.parse_group()?;
+        self.expect_keyword("AS")?;
+        let alias = match self.next() {
+            Token::Var(v) => v,
+            t => return Err(ParseError(format!("expected alias variable, got {t}"))),
+        };
+        self.expect_punct(')')?;
+        Ok(ExistsTest { group, alias })
     }
 
     /// Parses `{ … }` into a flattened [`GroupPattern`].

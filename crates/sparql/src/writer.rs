@@ -38,7 +38,7 @@ fn write_query_to<W: Write>(out: &mut W, q: &Query, dict: &Dictionary) -> fmt::R
             if q.distinct {
                 out.write_str("DISTINCT ")?;
             }
-            if q.projection.is_empty() && q.aggregates.is_empty() {
+            if q.projection.is_empty() && q.aggregates.is_empty() && q.exists.is_empty() {
                 out.write_str("* ")?;
             } else {
                 for v in &q.projection {
@@ -61,6 +61,11 @@ fn write_query_to<W: Write>(out: &mut W, q: &Query, dict: &Dictionary) -> fmt::R
                         None => out.write_char('*')?,
                     }
                     write!(out, ") AS ?{}) ", a.alias)?;
+                }
+                for test in &q.exists {
+                    out.write_str("(EXISTS ")?;
+                    write_group(out, &test.group, dict)?;
+                    write!(out, " AS ?{}) ", test.alias)?;
                 }
             }
         }
@@ -269,6 +274,31 @@ mod tests {
     }
 
     #[test]
+    fn roundtrip_coalesced_probe_forms() {
+        // Existence members: a plain pattern, and a check query's group.
+        roundtrip(
+            "SELECT (EXISTS { ?s <http://x/p> ?o } AS ?a0) \
+             (EXISTS { ?v <http://x/q> ?b FILTER NOT EXISTS { ?v <http://x/p> ?c } } AS ?a1) \
+             WHERE { }",
+        );
+        // Count members: one branch of own variables per aggregate, with a
+        // member that has nothing to count as an existence test.
+        roundtrip(
+            "SELECT (COUNT(?s0) AS ?c0) (COUNT(?p2) AS ?c2) \
+             (EXISTS { <http://x/s> <http://x/p> <http://x/o> } AS ?a1) \
+             WHERE { { ?s0 <http://x/p> ?o0 } UNION { <http://x/s> ?p2 ?o2 } }",
+        );
+        roundtrip("SELECT ?s (EXISTS { ?x <http://x/p> ?y } AS ?a) WHERE { ?s <http://x/q> ?o }");
+        // A test that shares a variable with the WHERE pattern would have to
+        // be evaluated per solution: refused.
+        let dict = Dictionary::new();
+        let correlated =
+            "SELECT (EXISTS { ?s <http://x/p> ?o } AS ?a) WHERE { ?s <http://x/q> ?z }";
+        let err = parse_query(correlated, &dict).unwrap_err();
+        assert!(err.0.contains("shares ?s"), "{err}");
+    }
+
+    #[test]
     fn roundtrip_filters() {
         roundtrip(
             "SELECT ?x WHERE { ?x <http://x/age> ?a . FILTER ((?a >= 18 && !(?a > 65)) || BOUND(?x)) }",
@@ -474,6 +504,32 @@ mod tests {
                 q.projection = q.group_by.clone();
                 q.having = (0..rng.below(2)).map(|_| rand_expr(rng, dict, 1)).collect();
             }
+            3 => {
+                // The coalesced probe forms (`lusail-core`'s `probe.rs`):
+                // projected existence tests, and plain counts over a UNION.
+                q = Query::select_all(GroupPattern::default());
+                q.exists = (0..1 + rng.below(4))
+                    .map(|i| ExistsTest {
+                        group: rand_group(rng, dict, 1),
+                        alias: format!("a{i}"),
+                    })
+                    .collect();
+                if rng.coin() {
+                    let branches: Vec<GroupPattern> = (0..2 + rng.below(3))
+                        .map(|_| rand_group(rng, dict, 0))
+                        .collect();
+                    q.aggregates = (0..branches.len())
+                        .map(|i| Aggregate {
+                            func: AggFunc::Count,
+                            var: Some(rand_var(rng)),
+                            distinct: false,
+                            alias: format!("c{i}"),
+                        })
+                        .collect();
+                    q.pattern.unions.push(branches);
+                }
+                return q;
+            }
             _ => q.projection = (0..rng.below(3)).map(|_| rand_var(rng)).collect(),
         }
         q.distinct = rng.coin();
@@ -494,7 +550,7 @@ mod tests {
     fn query_wire_len_is_the_length_of_the_written_text() {
         let mut rng = Rng(0x16_0010);
         let dict = Dictionary::new();
-        let (mut undef, mut nested, mut aggregates, mut longest) = (0, 0, 0, 0);
+        let (mut undef, mut nested, mut aggregates, mut longest, mut exists) = (0, 0, 0, 0, 0);
         for case in 0..500 {
             let q = rand_query(&mut rng, &dict);
             let text = write_query(&q, &dict);
@@ -506,11 +562,13 @@ mod tests {
             undef += usize::from(text.contains("UNDEF"));
             nested += usize::from(text.contains("OPTIONAL") && text.contains("UNION"));
             aggregates += usize::from(!q.aggregates.is_empty());
+            exists += usize::from(text.contains("(EXISTS {"));
             longest = longest.max(text.len());
         }
         assert!(undef > 50, "queries with UNDEF cells: {undef}");
         assert!(nested > 50, "queries with OPTIONAL and UNION: {nested}");
         assert!(aggregates > 50, "aggregate queries: {aggregates}");
+        assert!(exists > 50, "queries projecting EXISTS tests: {exists}");
         assert!(longest > 2000, "longest query: {longest} bytes");
     }
 }

@@ -15,7 +15,11 @@
 //!   `LIMIT` — [`evaluate`], [`eval_group`]), *count* ([`count`] and
 //!   `COUNT(*)`: nothing is allocated) and *first hit* ([`ask`]: a count
 //!   that stops at one). The counting sinks sit on the pipeline only when
-//!   the group is a bare BGP; otherwise the group is collected first.
+//!   the group is a bare BGP; otherwise the group is collected first. A
+//!   projected `(EXISTS {…} AS ?a)` is a first hit too, and `COUNT`s over
+//!   a `UNION` of bare BGPs are one count per branch ([`count_branches`]),
+//!   so a request that coalesces many planning probes scans exactly the
+//!   rows its members would have scanned one by one.
 //!
 //!   Depth-first visits solutions in the order a level-by-level expansion
 //!   would list them — that order is "by match of pattern 1, then by match
@@ -32,6 +36,7 @@
 
 use crate::backend::StorageBackend;
 use crate::expr::eval_filter;
+use crate::store::ESTIMATE_CAP;
 use lusail_rdf::TermId;
 use lusail_sparql::ast::{GroupPattern, PatternTerm, Query, QueryForm, TriplePattern, ValuesBlock};
 use lusail_sparql::solution::{JoinKind, JoinPredicate, SolutionSet};
@@ -43,6 +48,8 @@ use lusail_sparql::Rows;
 /// * For `ASK`, returns a one-row/zero-row set over no variables.
 /// * For `SELECT (COUNT(*) AS ?alias)`, returns one row binding the alias
 ///   to an integer literal.
+/// * Projected `(EXISTS {…} AS ?alias)` tests become trailing columns
+///   holding the `xsd:boolean` of one first-hit probe each.
 pub fn evaluate(store: &dyn StorageBackend, q: &Query) -> SolutionSet {
     match &q.form {
         QueryForm::Ask => {
@@ -61,18 +68,112 @@ pub fn evaluate(store: &dyn StorageBackend, q: &Query) -> SolutionSet {
             }
         }
         QueryForm::Select => {
-            // LIMIT can only be pushed into matching when there is no
-            // DISTINCT (which collapses rows afterwards), no ORDER BY, and
-            // no aggregation (both must see every row before truncation).
-            let push_limit = if q.distinct || !q.order_by.is_empty() || !q.aggregates.is_empty() {
-                None
-            } else {
-                q.limit
+            let sols = match count_branches(store, q) {
+                Some(counted) => apply_modifiers_after_grouping(counted, q, store.dict()),
+                None => {
+                    // LIMIT can only be pushed into matching when there is
+                    // no DISTINCT (which collapses rows afterwards), no
+                    // ORDER BY, and no aggregation (both must see every row
+                    // before truncation).
+                    let push_limit =
+                        if q.distinct || !q.order_by.is_empty() || !q.aggregates.is_empty() {
+                            None
+                        } else {
+                            q.limit
+                        };
+                    let sols = eval_group(store, &q.pattern, push_limit);
+                    apply_modifiers(sols, q, store.dict())
+                }
             };
-            let sols = eval_group(store, &q.pattern, push_limit);
-            apply_modifiers(sols, q, store.dict())
+            with_exists_columns(store, q, sols)
         }
     }
+}
+
+/// Appends one boolean column per projected `EXISTS` test. A test is
+/// uncorrelated (see [`ExistsTest`](lusail_sparql::ast::ExistsTest)), so it
+/// has one value for every solution: a single *first hit* probe of its
+/// group, appended to each row.
+fn with_exists_columns(store: &dyn StorageBackend, q: &Query, sols: SolutionSet) -> SolutionSet {
+    if q.exists.is_empty() {
+        return sols;
+    }
+    let boolean = |b: bool| Some(store.dict().encode(&lusail_rdf::Term::boolean(b)));
+    let (yes, no) = (boolean(true), boolean(false));
+    let SolutionSet { mut vars, rows } = sols;
+    vars.reserve_exact(q.exists.len());
+    let mut row = Vec::with_capacity(vars.len() + q.exists.len());
+    row.resize(vars.len(), None);
+    for test in &q.exists {
+        vars.push(test.alias.clone());
+        row.push(match count_group(store, &test.group, Some(1)) {
+            0 => no,
+            _ => yes,
+        });
+    }
+    let mut widened = Rows::default();
+    for solution in rows.iter() {
+        row[..solution.len()].copy_from_slice(solution);
+        widened.push(&row);
+    }
+    SolutionSet {
+        vars,
+        rows: widened,
+    }
+}
+
+/// `SELECT (COUNT(?v) AS ?c)… { {A} UNION {B} … }` without materialising a
+/// row: when every aggregate is a plain `COUNT`, nothing is grouped, and
+/// the pattern is one bare BGP or one `UNION` of them, a branch contributes
+/// its solution count to `COUNT(*)` and to `COUNT(?v)` of every variable
+/// its triples bind — each branch counted once, by the *count* sink.
+/// `None` when the query is not of that shape (or a counted variable is
+/// bound by a `VALUES` block alone, whose `UNDEF` cells this cannot see).
+fn count_branches(store: &dyn StorageBackend, q: &Query) -> Option<SolutionSet> {
+    use lusail_sparql::ast::AggFunc;
+    let g = &q.pattern;
+    let plain_counts = !q.aggregates.is_empty()
+        && (q.aggregates.iter()).all(|a| a.func == AggFunc::Count && !a.distinct);
+    if !plain_counts || !q.group_by.is_empty() || !q.projection.is_empty() {
+        return None;
+    }
+    let branches: &[GroupPattern] = match g.unions.as_slice() {
+        [] if is_simple(g) => std::slice::from_ref(g),
+        [branches]
+            if g.triples.is_empty()
+                && g.filters.is_empty()
+                && g.optionals.is_empty()
+                && g.not_exists.is_empty()
+                && g.values.is_none()
+                && branches.iter().all(is_simple) =>
+        {
+            branches
+        }
+        _ => return None,
+    };
+    let binds = |b: &GroupPattern, v: &str| b.triples.iter().any(|tp| tp.mentions(v));
+    let seeds = |b: &GroupPattern, v: &str| {
+        (b.values.as_ref()).is_some_and(|values| values.vars.iter().any(|x| x == v))
+    };
+    if (q.aggregates.iter().filter_map(|a| a.var.as_deref()))
+        .any(|v| branches.iter().any(|b| seeds(b, v) && !binds(b, v)))
+    {
+        return None;
+    }
+    let mut counts: Vec<Option<u64>> = vec![None; branches.len()];
+    let cells = (q.aggregates.iter())
+        .map(|a| {
+            let n: u64 = (branches.iter().zip(&mut counts))
+                .filter(|(b, _)| a.var.as_deref().is_none_or(|v| binds(b, v)))
+                .map(|(b, n)| *n.get_or_insert_with(|| count_group(store, b, None)))
+                .sum();
+            Some(store.dict().encode(&lusail_rdf::Term::int(n as i64)))
+        })
+        .collect();
+    Some(SolutionSet {
+        vars: q.aggregates.iter().map(|a| a.alias.clone()).collect(),
+        rows: Rows::from_cells(q.aggregates.len(), 1, cells),
+    })
 }
 
 /// Applies a query's solution modifiers to already-computed pattern
@@ -80,13 +181,23 @@ pub fn evaluate(store: &dyn StorageBackend, q: &Query) -> SolutionSet {
 /// BY (over the *full* schema — sort keys need not be projected),
 /// projection, DISTINCT, LIMIT. Shared by the local evaluator, the Lusail
 /// engine, and the baseline engines.
-pub fn apply_modifiers(
+pub fn apply_modifiers(sols: SolutionSet, q: &Query, dict: &lusail_rdf::Dictionary) -> SolutionSet {
+    let sols = if q.aggregates.is_empty() {
+        sols
+    } else {
+        apply_group_by(&sols, &q.group_by, &q.aggregates, dict)
+    };
+    apply_modifiers_after_grouping(sols, q, dict)
+}
+
+/// [`apply_modifiers`] from HAVING on, over solutions that are already
+/// grouped and aggregated when the query aggregates.
+fn apply_modifiers_after_grouping(
     mut sols: SolutionSet,
     q: &Query,
     dict: &lusail_rdf::Dictionary,
 ) -> SolutionSet {
     if !q.aggregates.is_empty() {
-        sols = apply_group_by(&sols, &q.group_by, &q.aggregates, dict);
         // HAVING: aggregate aliases are ordinary columns at this point.
         retain_filtered(&mut sols, &q.having, dict);
         apply_order(&mut sols, &q.order_by, dict);
@@ -95,9 +206,10 @@ pub fn apply_modifiers(
         apply_order(&mut sols, &q.order_by, dict);
         // Always project onto the query's output schema — `SELECT *` must
         // expose every pattern variable as a column even when the BGP
-        // short-circuited to an empty result.
+        // short-circuited to an empty result, and a query that projects
+        // only `EXISTS` tests keeps its rows and none of their cells.
         let projection = q.output_vars();
-        if !projection.is_empty() {
+        if !projection.is_empty() || !q.exists.is_empty() {
             sols = sols.into_projected(&projection);
         }
     }
@@ -421,9 +533,30 @@ fn is_simple(g: &GroupPattern) -> bool {
 
 /// The number of solutions of a group, counting no further than `cap`. On a
 /// simple group this is the *count* sink: no row is ever allocated.
+///
+/// An uncapped count of a single triple pattern is read off the index when
+/// [`StorageBackend::estimate`] is exact for it, with no row scanned: always
+/// for the fully bound, the `(?, p, ?)` and the all-free shape, and for the
+/// other five whenever the estimate is below [`ESTIMATE_CAP`] — there the
+/// BTree backend's capped range walk has seen every match, and the test
+/// reads the same on the columnar backend, whose estimates are all exact.
 fn count_group(store: &dyn StorageBackend, g: &GroupPattern, cap: Option<usize>) -> u64 {
     if !is_simple(g) {
         return eval_group(store, g, cap).len() as u64;
+    }
+    if let (None, None, [tp]) = (cap, &g.values, g.triples.as_slice()) {
+        let repeated = (tp.vars().enumerate()).any(|(i, v)| tp.vars().take(i).any(|w| w == v));
+        if !repeated {
+            let (s, p, o) = (tp.s.as_const(), tp.p.as_const(), tp.o.as_const());
+            let n = store.estimate(s, p, o);
+            let always_exact = matches!(
+                (s, p, o),
+                (Some(_), Some(_), Some(_)) | (None, Some(_), None) | (None, None, None)
+            );
+            if always_exact || n < ESTIMATE_CAP {
+                return n;
+            }
+        }
     }
     let mut n = 0usize;
     Pipeline::compile(store, g).run(store, g.values.as_ref(), &mut |_| {
@@ -452,7 +585,7 @@ pub fn eval_group(
         scan_limit.is_none_or(|l| rows.len() < l)
     });
     let mut sols = SolutionSet {
-        vars: pipeline.vars,
+        vars: pipeline.vars.into_iter().map(str::to_string).collect(),
         rows,
     };
 
@@ -488,6 +621,10 @@ pub fn plan_bgp_order(
     triples: &[TriplePattern],
     bound: &[String],
 ) -> Vec<usize> {
+    if triples.len() < 2 {
+        // Nothing to order: every probe of a single pattern takes this exit.
+        return (0..triples.len()).collect();
+    }
     let estimates: Vec<u64> = (triples.iter())
         .map(|tp| store.estimate(tp.s.as_const(), tp.p.as_const(), tp.o.as_const()))
         .collect();
@@ -527,20 +664,21 @@ enum Slot {
 /// A BGP compiled for execution: the patterns in plan order with every
 /// position resolved to a [`Slot`], over the schema `vars` (the `VALUES`
 /// variables, then each pattern's new variables in plan order).
-struct Pipeline {
-    vars: Vec<String>,
+struct Pipeline<'g> {
+    vars: Vec<&'g str>,
     steps: Vec<[Slot; 3]>,
 }
 
-impl Pipeline {
+impl<'g> Pipeline<'g> {
     /// Orders the group's triple patterns ([`plan_bgp_order`], or textual
     /// order when the store's reorder flag is off — the unoptimized
     /// baseline the bench harness measures against) and resolves their
     /// positions.
-    fn compile(store: &dyn StorageBackend, g: &GroupPattern) -> Pipeline {
-        let mut vars: Vec<String> = g.values.as_ref().map_or(Vec::new(), |v| v.vars.clone());
+    fn compile(store: &dyn StorageBackend, g: &'g GroupPattern) -> Pipeline<'g> {
+        let seeded: &[String] = g.values.as_ref().map_or(&[], |v| &v.vars);
+        let mut vars: Vec<&str> = seeded.iter().map(String::as_str).collect();
         let order: Vec<usize> = if store.reorder_enabled() {
-            plan_bgp_order(store, &g.triples, &vars)
+            plan_bgp_order(store, &g.triples, seeded)
         } else {
             (0..g.triples.len()).collect()
         };
@@ -551,7 +689,7 @@ impl Pipeline {
                     PatternTerm::Const(id) => Slot::Const(*id),
                     PatternTerm::Var(v) => {
                         Slot::Col(vars.iter().position(|x| x == v).unwrap_or_else(|| {
-                            vars.push(v.clone());
+                            vars.push(v);
                             vars.len() - 1
                         }))
                     }
@@ -627,6 +765,7 @@ mod tests {
     use crate::store::TripleStore;
     use lusail_rdf::{Dictionary, Term};
     use lusail_sparql::parse_query;
+    use std::sync::Arc;
 
     /// A small two-department graph for evaluator tests.
     fn fixture() -> TripleStore {
@@ -788,6 +927,180 @@ mod tests {
         assert_eq!(s.vars, ["n"]);
         let id = s.rows[0][0].unwrap();
         assert_eq!(*st.dict().decode(id), Term::int(2));
+    }
+
+    #[test]
+    fn projected_exists_tests_are_constant_boolean_columns() {
+        let st = fixture();
+        let s = run(
+            &st,
+            "SELECT (EXISTS { ?x <http://u/type> <http://u/Student> } AS ?a0) \
+             (EXISTS { ?x <http://u/type> <http://u/Robot> } AS ?a1) \
+             (EXISTS { ?x <http://u/type> <http://u/Professor> \
+                       FILTER NOT EXISTS { ?x <http://u/takesCourse> ?c } } AS ?a2) WHERE { }",
+        );
+        assert_eq!(
+            (s.vars.as_slice(), s.len()),
+            (&["a0", "a1", "a2"].map(String::from)[..], 1)
+        );
+        let cell =
+            |sols: &SolutionSet, row, col: usize| st.dict().decode(sols.rows[row][col].unwrap());
+        let got: Vec<_> = (0..3).map(|c| cell(&s, 0, c)).collect();
+        assert_eq!(got, [true, false, true].map(|b| Arc::new(Term::boolean(b))));
+        // Beside solutions of a pattern, every row carries the test's value;
+        // without a plain projection the tests are the only columns.
+        let s = run(
+            &st,
+            "SELECT ?s (EXISTS { ?x <http://u/teacherOf> ?y } AS ?a) WHERE { ?s <http://u/advisor> ?p }",
+        );
+        assert_eq!(
+            (s.vars.as_slice(), s.len()),
+            (&["s", "a"].map(String::from)[..], 2)
+        );
+        assert!((0..2).all(|row| *cell(&s, row, 1) == Term::boolean(true)));
+        let s = run(
+            &st,
+            "SELECT (EXISTS { ?x <http://u/teacherOf> ?y } AS ?a) WHERE { ?s <http://u/advisor> ?p }",
+        );
+        assert_eq!((s.vars.as_slice(), s.len()), (&["a".to_string()][..], 2));
+    }
+
+    /// The generic route a plain-`COUNT` query takes when [`count_branches`]
+    /// does not apply: collect, group, aggregate.
+    fn counted_generically(st: &TripleStore, q: &Query) -> SolutionSet {
+        apply_modifiers(eval_group(st, &q.pattern, None), q, st.dict())
+    }
+
+    #[test]
+    fn counts_over_union_branches_match_the_generic_aggregation() {
+        let st = fixture();
+        for text in [
+            // One branch per aggregate, own variables: the coalesced form.
+            "SELECT (COUNT(?s0) AS ?c0) (COUNT(?s1) AS ?c1) (COUNT(?o2) AS ?c2) WHERE { \
+               { ?s0 <http://u/type> ?o0 } UNION { ?s1 <http://u/advisor> ?o1 } \
+               UNION { <http://u/alice> <http://u/name> ?o2 } }",
+            // A variable two branches share, one no branch binds, `*`, and
+            // a branch seeded by VALUES.
+            "SELECT (COUNT(?x) AS ?n) (COUNT(?ghost) AS ?g) (COUNT(*) AS ?all) (COUNT(?c) AS ?k) WHERE { \
+               { ?x <http://u/advisor> ?p } UNION { ?x <http://u/takesCourse> ?c } \
+               UNION { VALUES ?p { <http://u/carol> UNDEF } ?z <http://u/advisor> ?p } }",
+            // A bare BGP is a union of one.
+            "SELECT (COUNT(?x) AS ?n) (COUNT(?c) AS ?k) WHERE { ?x <http://u/advisor> ?p . ?x <http://u/takesCourse> ?c }",
+            // HAVING and LIMIT still apply to the one row.
+            "SELECT (COUNT(?x) AS ?n) WHERE { { ?x <http://u/advisor> ?p } UNION { ?x <http://u/name> ?p } } HAVING (?n > 5)",
+        ] {
+            let q = parse_query(text, st.dict()).unwrap();
+            let fast = count_branches(&st, &q).expect(text);
+            assert_eq!(fast.rows.len(), 1, "{text}");
+            assert_eq!(evaluate(&st, &q), counted_generically(&st, &q), "{text}");
+        }
+        // Not that shape: grouped, DISTINCT, another aggregate, a nested
+        // clause beside the branches, a variable only VALUES binds.
+        for text in [
+            "SELECT ?p (COUNT(?x) AS ?n) WHERE { ?x <http://u/advisor> ?p } GROUP BY ?p",
+            "SELECT (COUNT(DISTINCT ?p) AS ?n) WHERE { ?x <http://u/advisor> ?p }",
+            "SELECT (MAX(?p) AS ?n) WHERE { ?x <http://u/advisor> ?p }",
+            "SELECT (COUNT(?x) AS ?n) WHERE { ?x <http://u/advisor> ?p . { ?x <http://u/type> ?t } UNION { ?x <http://u/name> ?t } }",
+            "SELECT (COUNT(?v) AS ?n) WHERE { VALUES ?v { <http://u/carol> UNDEF } ?x <http://u/advisor> ?p }",
+        ] {
+            let q = parse_query(text, st.dict()).unwrap();
+            assert!(count_branches(&st, &q).is_none(), "{text}");
+            assert_eq!(evaluate(&st, &q), counted_generically(&st, &q), "{text}");
+        }
+    }
+
+    /// `hub` and `big` sit on 200 triples each, far above the estimate cap;
+    /// `leaf` and `small` on two.
+    fn skewed() -> TripleStore {
+        let x = |l: String| Term::iri(format!("http://u/{l}"));
+        let mut st = TripleStore::new(Dictionary::shared());
+        for i in 0..100 {
+            st.insert_terms(&x("hub".into()), &x("p".into()), &x(format!("o{i}")));
+            st.insert_terms(&x("hub".into()), &x(format!("q{i}")), &x("big".into()));
+            st.insert_terms(&x(format!("s{i}")), &x("p".into()), &x("big".into()));
+        }
+        st.insert_terms(&x("leaf".into()), &x("p".into()), &x("small".into()));
+        st.insert_terms(&x("leaf".into()), &x("r".into()), &x("small".into()));
+        st
+    }
+
+    #[test]
+    fn a_single_pattern_is_counted_off_the_index_when_the_estimate_is_exact() {
+        let btree = skewed();
+        let columns = crate::columns::ColumnStore::from_store(&btree);
+        let u = "http://u";
+        // (pattern, matches, rows a count scans).
+        let cases = [
+            // Exact on every backend whatever the size.
+            ("?s ?p ?o".to_string(), 302, 0),
+            ("?s <{u}/p> ?o".replace("{u}", u), 201, 0),
+            ("<{u}/hub> <{u}/p> <{u}/o5>".replace("{u}", u), 1, 0),
+            ("<{u}/hub> <{u}/p> <{u}/small>".replace("{u}", u), 0, 0),
+            // The other five shapes: exact below the cap ...
+            ("<{u}/leaf> ?p ?o".replace("{u}", u), 2, 0),
+            ("?s ?p <{u}/small>".replace("{u}", u), 2, 0),
+            ("<{u}/leaf> <{u}/p> ?o".replace("{u}", u), 1, 0),
+            ("<{u}/leaf> ?p <{u}/small>".replace("{u}", u), 2, 0),
+            ("?s <{u}/r> <{u}/small>".replace("{u}", u), 1, 0),
+            // ... and scanned at or above it, where BTree estimates stop.
+            ("<{u}/hub> ?p ?o".replace("{u}", u), 200, 200),
+            ("?s ?p <{u}/big>".replace("{u}", u), 200, 200),
+            ("<{u}/hub> <{u}/p> ?o".replace("{u}", u), 100, 100),
+            ("<{u}/hub> ?p <{u}/big>".replace("{u}", u), 100, 100),
+            ("?s <{u}/p> <{u}/big>".replace("{u}", u), 100, 100),
+            // A repeated variable filters the matches: always scanned.
+            ("?x <{u}/p> ?x".replace("{u}", u), 0, 201),
+        ];
+        let backends: [&dyn StorageBackend; 2] = [&btree, &columns];
+        for store in backends {
+            for (tp, matches, scanned) in &cases {
+                let q = parse_query(&format!("SELECT (COUNT(*) AS ?c) {{ {tp} }}"), store.dict());
+                let q = q.unwrap();
+                let before = store.rows_scanned();
+                assert_eq!(count(store, &q), *matches, "{}: {tp}", store.kind());
+                let charged = store.rows_scanned() - before;
+                assert_eq!(charged, *scanned, "{}: {tp} rows scanned", store.kind());
+                // The rule held to the scan it replaces.
+                let t = &q.pattern.triples[0];
+                let mut by_scan = 0;
+                store.scan(t.s.as_const(), t.p.as_const(), t.o.as_const(), |m| {
+                    by_scan += u64::from(t.s != t.o || m.s == m.o);
+                    true
+                });
+                assert_eq!(by_scan, *matches, "{}: {tp} by scan", store.kind());
+                // ASK keeps the first-hit pipeline.
+                let before = store.rows_scanned();
+                assert_eq!(ask(store, &q), *matches > 0, "{}: {tp}", store.kind());
+                assert!(
+                    store.rows_scanned() - before <= 201,
+                    "{}: {tp}",
+                    store.kind()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_existence_test_stops_at_its_first_witness() {
+        let mut st = TripleStore::new(Dictionary::shared());
+        for i in 0..10_000 {
+            st.insert_terms(
+                &Term::iri(format!("http://u/s{i}")),
+                &Term::iri("http://u/p"),
+                &Term::iri(format!("http://u/o{}", i % 7)),
+            );
+        }
+        let q = parse_query(
+            "SELECT (EXISTS { ?s <http://u/p> ?o } AS ?a0) (EXISTS { ?s <http://u/p> <http://u/o3> } AS ?a1) \
+             (EXISTS { ?s <http://u/absent> ?o } AS ?a2) WHERE { }",
+            st.dict(),
+        )
+        .unwrap();
+        let before = st.rows_scanned();
+        let sols = evaluate(&st, &q);
+        assert_eq!(sols.len(), 1);
+        // One row per member that has a witness, none for the one without.
+        assert_eq!(st.rows_scanned() - before, 2);
     }
 
     #[test]

@@ -72,20 +72,23 @@ impl EngineKind {
 
     /// Instantiates the engine. The index-building baselines preprocess
     /// the given endpoint handles (their offline phase sees clean data
-    /// even when the federation injects faults at query time). `tuning`
-    /// overrides Lusail's execution knobs (the baselines have no
-    /// equivalent and ignore it).
+    /// even when the federation injects faults at query time). `setup`'s
+    /// `tuning` and `coalesce` configure Lusail (the baselines have no
+    /// equivalent and ignore them).
     pub fn build(
         self,
         endpoints: &[Arc<LocalEndpoint>],
         policy: RequestPolicy,
-        tuning: Option<LusailTuning>,
+        setup: &Setup,
     ) -> Box<dyn FederatedEngine> {
         let refs: Vec<&LocalEndpoint> = endpoints.iter().map(|e| e.as_ref()).collect();
         match self {
             EngineKind::Lusail => {
-                let mut config = LusailConfig::default();
-                if let Some(t) = tuning {
+                let mut config = LusailConfig {
+                    coalesce_probes: setup.coalesce,
+                    ..LusailConfig::default()
+                };
+                if let Some(t) = setup.tuning {
                     (config.block_size, config.adaptive_values) = (t.block_size, t.adaptive_values);
                 }
                 Box::new(Lusail::new(config).with_policy(policy))
@@ -167,9 +170,10 @@ pub enum Violation {
     Divergence {
         /// The axis name.
         axis: &'static str,
-        /// Which facet broke its relation: `solutions`, `complete`, one
-        /// of [`COUNTERS`], `window` (the whole counter window), or a
-        /// batch-only facet (`outcome`, `failures`, `metrics`, `wire`).
+        /// Which facet broke its relation: `solutions`, `complete`,
+        /// `planned`, one of [`COUNTERS`], `window` (the whole counter
+        /// window), or a batch-only facet (`outcome`, `failures`,
+        /// `metrics`, `wire`).
         facet: &'static str,
         /// The facet's value on the left-hand side.
         left: String,
@@ -284,6 +288,9 @@ pub struct Setup {
     /// Copies of every endpoint (1 = unreplicated; see
     /// [`Case::federation_on`] for the id layout fault plans index).
     pub replication: usize,
+    /// Lusail sends an endpoint's planning probes as one request
+    /// (`LusailConfig::coalesce_probes`).
+    pub coalesce: bool,
 }
 
 impl Setup {
@@ -294,6 +301,7 @@ impl Setup {
         threads: 1,
         tuning: None,
         replication: 1,
+        coalesce: true,
     };
 }
 
@@ -308,6 +316,9 @@ pub struct Observation {
     pub complete: bool,
     /// Request counters accumulated during the run.
     pub window: StatsSnapshot,
+    /// What the trace says was planned: subqueries, global join variables,
+    /// delayed subqueries (all zero for an engine that plans none).
+    pub planned: [usize; 3],
 }
 
 /// The one run every check goes through: builds the case's federation as
@@ -332,7 +343,7 @@ pub fn observe(
             }
         }
     }
-    let runner = engine.build(&locals, policy(clean), setup.tuning);
+    let runner = engine.build(&locals, policy(clean), setup);
     let before = fed.stats_snapshot();
     let sink = TraceSink::enabled();
     let opts = ExecOptions::default()
@@ -342,7 +353,12 @@ pub fn observe(
         .run_with(&fed, &case.query, &opts)
         .map_err(|e| Violation::EngineError(format!("{e:?}")))?;
     let window = fed.stats_snapshot().since(&before);
-    check_trace_invariants(&QueryTrace::from_sink(&sink), &window)?;
+    let trace = QueryTrace::from_sink(&sink);
+    check_trace_invariants(
+        &trace,
+        &window,
+        setup.coalesce && engine == EngineKind::Lusail,
+    )?;
     let (solutions, complete) = (outcome.solutions.canonicalize(), outcome.complete);
     check_outcome(case, clean, &solutions, complete)?;
     if !complete && faults.spares_every_group(case.n_endpoints, setup.replication) {
@@ -353,6 +369,7 @@ pub fn observe(
         solutions,
         complete,
         window,
+        planned: trace.planned(),
     })
 }
 
@@ -382,18 +399,20 @@ impl Rel {
 pub type Counter = fn(&StatsSnapshot) -> u64;
 
 /// The counter facets an axis relates, in [`Axis::counters`] order: the
-/// per-kind wire requests and the store rows scanned.
-pub const COUNTERS: [(&str, Counter); 4] = [
+/// per-kind wire requests, the store rows scanned and the wire requests
+/// of all kinds together.
+pub const COUNTERS: [(&str, Counter); 5] = [
     ("ask", |w| w.ask_requests),
     ("count", |w| w.count_requests),
     ("select", |w| w.select_requests),
     ("rows_scanned", |w| w.rows_scanned),
+    ("requests", |w| w.total_requests()),
 ];
 
 /// One differential oracle: the runs under `left` and under each of
 /// `rights` (edits of a sweep's base [`Setup`]; the left is observed once
-/// per case) must agree on solutions and completeness and relate on the
-/// counters as the row says. Every run also passes [`observe`]'s own
+/// per case) must agree on solutions, completeness and what was planned,
+/// and relate on the counters as the row says. Every run also passes [`observe`]'s own
 /// contract.
 pub struct Axis {
     /// The row's name, quoted in [`Violation::Divergence`].
@@ -403,7 +422,7 @@ pub struct Axis {
     /// The right-hand setups, each compared against the left.
     pub rights: &'static [fn(Setup) -> Setup],
     /// The relation on each of [`COUNTERS`].
-    pub counters: [Rel; 4],
+    pub counters: [Rel; 5],
     /// Whether the whole counter window (bytes both ways, rows returned,
     /// fault injections, …) must coincide too.
     pub whole_window: bool,
@@ -428,12 +447,17 @@ pub struct Axis {
 /// * `threads` — the worker budget is a physical knob: the executor
 ///   preserves each endpoint's request subsequence exactly, so the same
 ///   faults fire on the same requests at any budget.
+/// * `coalesce` — sending an endpoint's planning probes as one request
+///   only merges round trips: identical answers, `ask`, `count` and total
+///   requests coalesced ≤ per-member, and the endpoints scan the very same
+///   rows. A merged request travels as a `SELECT`, so that counter is
+///   free. Merging shifts request indices, hence dead-only plans.
 pub const AXES: &[Axis] = &[
     Axis {
         name: "stats",
         left: |s| Setup { stats: false, ..s },
         rights: &[|s| Setup { stats: true, ..s }],
-        counters: [RightLe, RightLe, RightLe, Free],
+        counters: [RightLe, RightLe, RightLe, Free, RightLe],
         whole_window: false,
         faults: FaultSpec::random_dead_only,
         salt: 0xFA17_0000_0000_0002,
@@ -448,7 +472,7 @@ pub const AXES: &[Axis] = &[
             backend: Columns,
             ..s
         }],
-        counters: [Equal; 4],
+        counters: [Equal; 5],
         whole_window: true,
         faults: FaultSpec::random,
         salt: 0xFA17_0000_0000_0003,
@@ -457,10 +481,25 @@ pub const AXES: &[Axis] = &[
         name: "threads",
         left: |s| Setup { threads: 1, ..s },
         rights: &[|s| Setup { threads: 2, ..s }, |s| Setup { threads: 8, ..s }],
-        counters: [Equal; 4],
+        counters: [Equal; 5],
         whole_window: true,
         faults: FaultSpec::random,
         salt: 0xFA17_0000_0000_0001,
+    },
+    Axis {
+        name: "coalesce",
+        left: |s| Setup {
+            coalesce: false,
+            ..s
+        },
+        rights: &[|s| Setup {
+            coalesce: true,
+            ..s
+        }],
+        counters: [RightLe, RightLe, Free, Equal, RightLe],
+        whole_window: false,
+        faults: FaultSpec::random_dead_only,
+        salt: 0xFA17_0000_0000_0005,
     },
 ];
 
@@ -474,7 +513,8 @@ impl Axis {
 }
 
 /// The one differential relation: `left` and `right` must agree on
-/// solutions and completeness, and on each counter as `axis` says.
+/// solutions, completeness and what was planned, and on each counter as
+/// `axis` says.
 pub fn compare(axis: &Axis, left: &Observation, right: &Observation) -> Result<(), Violation> {
     let fail = |facet, l: &dyn Display, r: &dyn Display| {
         Err(Violation::Divergence {
@@ -490,6 +530,13 @@ pub fn compare(axis: &Axis, left: &Observation, right: &Observation) -> Result<(
     }
     if left.complete != right.complete {
         return fail("complete", &left.complete, &right.complete);
+    }
+    if left.planned != right.planned {
+        let plan = |o: &Observation| {
+            let [subqueries, gjvs, delayed] = o.planned;
+            format!("{subqueries} subqueries, {gjvs} GJVs, {delayed} delayed")
+        };
+        return fail("planned", &plan(left), &plan(right));
     }
     for ((facet, counter), rel) in COUNTERS.iter().zip(axis.counters) {
         let (l, r) = (counter(&left.window), counter(&right.window));
@@ -734,21 +781,28 @@ fn check_outcome(
 ///    federation's request counters, per kind (a [`Violation::Divergence`]
 ///    on axis `trace` otherwise). Retried requests count once per attempt
 ///    in both; circuit-broken requests count in neither. (`Check` queries
-///    are wire-level SELECTs, so their attempts merge into `select`.)
+///    are wire-level SELECTs, so their attempts merge into `select`.) A
+///    trace labels a request by what it was *for*: with `coalesced` probes
+///    an `ask` or `count` request of several members travels as a SELECT
+///    too, and only the totals can be held equal.
 /// 2. Every subquery recorded as delayed carries a delay reason.
 /// 3. The trace ends with exactly one query-finished event — nothing is
 ///    recorded after it.
-pub fn check_trace_invariants(trace: &QueryTrace, window: &StatsSnapshot) -> Result<(), Violation> {
+pub fn check_trace_invariants(
+    trace: &QueryTrace,
+    window: &StatsSnapshot,
+    coalesced: bool,
+) -> Result<(), Violation> {
     let attempts = |kind| trace.requests(kind).attempts;
-    for (facet, traced, counted) in [
-        ("ask", attempts(RequestKind::Ask), window.ask_requests),
-        ("count", attempts(RequestKind::Count), window.count_requests),
-        (
-            "select",
-            trace.select_wire_attempts(),
-            window.select_requests,
-        ),
-    ] {
+    let (ask, count) = (attempts(RequestKind::Ask), attempts(RequestKind::Count));
+    let select = trace.select_wire_attempts();
+    let per_kind = [
+        ("ask", ask, window.ask_requests),
+        ("count", count, window.count_requests),
+        ("select", select, window.select_requests),
+    ];
+    let total = [("requests", ask + count + select, window.total_requests())];
+    for (facet, traced, counted) in if coalesced { &total[..] } else { &per_kind[..] } {
         if traced != counted {
             return Err(Violation::Divergence {
                 axis: "trace",
@@ -820,7 +874,8 @@ mod tests {
     /// side that differs from the left in that facet alone is a
     /// `Divergence` naming the row and the facet exactly when the row
     /// constrains it — `Equal` both ways, `RightLe` only when the right
-    /// counts more.
+    /// counts more. (`requests` is the sum of the three kinds, so it moves
+    /// with each of them and is named when the kind itself is free.)
     #[test]
     fn every_axis_rejects_a_divergence_in_each_facet_it_constrains() {
         let left = Observation {
@@ -835,58 +890,74 @@ mod tests {
                 bytes_sent: 5,
                 ..StatsSnapshot::default()
             },
+            planned: [2, 1, 0],
         };
-        type Mutation = fn(&mut Observation, u64);
-        // Setter `i` writes the counter `COUNTERS[i]` reads.
-        let setters: [Mutation; 4] = [
-            |o, n| o.window.ask_requests = n,
-            |o, n| o.window.count_requests = n,
-            |o, n| o.window.select_requests = n,
-            |o, n| o.window.rows_scanned = n,
+        type Mutation = fn(&mut Observation, i64);
+        fn moved(counter: &mut u64, by: i64) {
+            *counter = counter.checked_add_signed(by).expect("small counters");
+        }
+        // Mover `i` moves the counter `COUNTERS[i]` reads, and the total
+        // with it when that is a request kind.
+        let movers: [Mutation; 4] = [
+            |o, by| moved(&mut o.window.ask_requests, by),
+            |o, by| moved(&mut o.window.count_requests, by),
+            |o, by| moved(&mut o.window.select_requests, by),
+            |o, by| moved(&mut o.window.rows_scanned, by),
         ];
-        for ((_, get), set) in COUNTERS.iter().zip(setters) {
+        let (total, get_total) = (COUNTERS.len() - 1, COUNTERS[COUNTERS.len() - 1].1);
+        for (i, mover) in movers.iter().enumerate() {
             let mut probe = left.clone();
-            set(&mut probe, 77);
-            assert_eq!(get(&probe.window), 77);
+            mover(&mut probe, 72);
+            let get = COUNTERS[i].1;
+            assert_eq!(get(&probe.window), get(&left.window) + 72);
+            let with_it = if i < 3 { 72 } else { 0 };
+            assert_eq!(get_total(&probe.window), get_total(&left.window) + with_it);
         }
         for axis in AXES {
             compare(axis, &left, &left).expect("an observation agrees with itself");
-            let mut facets: Vec<(&str, Rel, Mutation)> = vec![
-                ("solutions", Equal, |o, _| {
+            // A mutation, and the facets it moves in the order `compare`
+            // looks at them.
+            let mut cases: Vec<(Vec<(&str, Rel)>, Mutation)> = vec![
+                (vec![("solutions", Equal)], |o, _| {
                     o.solutions = SolutionSet::empty(vec![])
                 }),
-                ("complete", Equal, |o, _| o.complete = false),
+                (vec![("complete", Equal)], |o, _| o.complete = false),
+                (vec![("planned", Equal)], |o, _| o.planned[2] += 1),
                 (
-                    "window",
-                    if axis.whole_window { Equal } else { Free },
-                    |o, n| o.window.bytes_sent = n,
+                    vec![("window", if axis.whole_window { Equal } else { Free })],
+                    |o, by| moved(&mut o.window.bytes_sent, by),
                 ),
             ];
-            for (i, (facet, _)) in COUNTERS.iter().enumerate() {
-                facets.push((facet, axis.counters[i], setters[i]));
+            for (i, mover) in movers.into_iter().enumerate() {
+                let mut facets = vec![(COUNTERS[i].0, axis.counters[i])];
+                if i < 3 {
+                    facets.push((COUNTERS[total].0, axis.counters[total]));
+                }
+                cases.push((facets, mover));
             }
-            for (facet, rel, mutate) in facets {
-                for n in [4, 6] {
+            for (facets, mutate) in cases {
+                for by in [-1, 1] {
                     let mut right = left.clone();
-                    mutate(&mut right, n);
+                    mutate(&mut right, by);
                     let rejected = match compare(axis, &left, &right) {
-                        Ok(()) => false,
+                        Ok(()) => None,
                         Err(Violation::Divergence {
                             axis: a, facet: f, ..
                         }) => {
-                            assert_eq!((a, f), (axis.name, facet));
-                            true
+                            assert_eq!(a, axis.name);
+                            Some(f)
                         }
-                        Err(other) => panic!("axis {} facet {facet}: {other}", axis.name),
+                        Err(other) => panic!("axis {} facets {facets:?}: {other}", axis.name),
                     };
-                    let expected = match rel {
+                    let rejects = |rel: &Rel| match rel {
                         Free => false,
                         Equal => true,
-                        RightLe => n > 5,
+                        RightLe => by > 0,
                     };
+                    let expected = (facets.iter().find(|(_, rel)| rejects(rel))).map(|(f, _)| *f);
                     assert_eq!(
                         rejected, expected,
-                        "axis {} facet {facet} right-hand {n} vs left 5",
+                        "axis {} facets {facets:?} right-hand moved by {by}",
                         axis.name
                     );
                 }

@@ -5,9 +5,9 @@
 //! can run side by side.
 
 use lusail_rdf::{Dictionary, TermId, Triple};
-use lusail_sparql::ast::{GroupPattern, PatternTerm, TriplePattern};
+use lusail_sparql::ast::{AggFunc, Aggregate, GroupPattern, PatternTerm, Query, TriplePattern};
 use lusail_sparql::SolutionSet;
-use lusail_store::eval::eval_group;
+use lusail_store::eval::{eval_group, evaluate};
 use lusail_store::{ColumnStore, StorageBackend, TripleStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -111,9 +111,8 @@ fn reshaping_allocates_per_relation_not_per_row() {
     assert!(n <= budget(rows), "distinct_tuples: {n} allocations");
 }
 
-#[test]
-fn the_collect_sink_allocates_per_relation_not_per_row() {
-    // 12 000 subjects with one `p` and one `q` edge each.
+/// 12 000 subjects with one `p` and one `q` edge each, on both backends.
+fn star_stores() -> (TripleStore, ColumnStore, [TermId; 2]) {
     let dict = Dictionary::shared();
     let mut btree = TripleStore::new(dict);
     let (p, q) = (TermId(1), TermId(2));
@@ -122,15 +121,55 @@ fn the_collect_sink_allocates_per_relation_not_per_row() {
         btree.insert(Triple::new(TermId(10 + i), q, TermId(40_000 + i % 7)));
     }
     let columns = ColumnStore::from_store(&btree);
-    let var = |v: &str| PatternTerm::Var(v.to_string());
-    let group = GroupPattern::bgp(vec![
+    (btree, columns, [p, q])
+}
+
+/// `{ ?s<n> p ?o<n> . ?s<n> q ?z<n> }`: 12 000 solutions on a star store.
+fn star(n: usize, [p, q]: [TermId; 2]) -> GroupPattern {
+    let var = |v: &str| PatternTerm::Var(format!("{v}{n}"));
+    GroupPattern::bgp(vec![
         TriplePattern::new(var("s"), PatternTerm::Const(p), var("o")),
         TriplePattern::new(var("s"), PatternTerm::Const(q), var("z")),
-    ]);
+    ])
+}
+
+#[test]
+fn the_collect_sink_allocates_per_relation_not_per_row() {
+    let (btree, columns, edges) = star_stores();
+    let group = star(0, edges);
     let backends: [&dyn StorageBackend; 2] = [&btree, &columns];
     for store in backends {
         let (n, sols) = allocations(|| eval_group(store, &group, None));
         assert_eq!((sols.len(), sols.vars.len()), (12_000, 3));
         assert!(n <= budget(sols.len()), "{}: {n} allocations", store.kind());
+    }
+}
+
+/// A coalesced COUNT probe — plain counts over a `UNION` of branches with
+/// variables of their own — counts each branch on the count sink: what it
+/// allocates does not depend on how many solutions it counts.
+#[test]
+fn counts_over_union_branches_allocate_no_row() {
+    let (btree, columns, edges) = star_stores();
+    let mut query = Query::select_all(GroupPattern::default());
+    query
+        .pattern
+        .unions
+        .push(vec![star(0, edges), star(1, edges)]);
+    query.aggregates = (0..2)
+        .map(|n| Aggregate {
+            func: AggFunc::Count,
+            var: Some(format!("s{n}")),
+            distinct: false,
+            alias: format!("c{n}"),
+        })
+        .collect();
+    let backends: [&dyn StorageBackend; 2] = [&btree, &columns];
+    for store in backends {
+        let (n, sols) = allocations(|| evaluate(store, &query));
+        assert_eq!((sols.len(), sols.vars.len()), (1, 2));
+        let counted = store.dict().decode(sols.rows[0][1].expect("a count"));
+        assert_eq!(counted.lexical(), "12000");
+        assert!(n <= budget(1), "{}: {n} allocations", store.kind());
     }
 }

@@ -409,3 +409,39 @@ fn federated_order_by_non_projected_variable() {
     assert_eq!(names, ["bob", "carol", "alice"]);
     assert_eq!(sols.vars, ["n"]);
 }
+
+#[test]
+fn projected_exists_is_an_endpoint_form_every_mediator_refuses() {
+    // `(EXISTS {…} AS ?v)` is how coalesced planning probes reach an
+    // endpoint, which answers it about its own data. Shipped through a
+    // mediator it would silently become one answer per endpoint.
+    let w = lubm::generate(&lubm::LubmConfig::new(2));
+    let q = lusail_sparql::parse_query(
+        &format!(
+            "PREFIX ub: <{}> SELECT (EXISTS {{ ?u a ub:University }} AS ?any) WHERE {{ }}",
+            lubm::UB
+        ),
+        w.federation.dict(),
+    )
+    .unwrap();
+    let endpoint = lusail_store::eval::evaluate(w.endpoints[0].store(), &q);
+    assert_eq!(
+        (endpoint.vars.as_slice(), endpoint.len()),
+        (&["any".to_string()][..], 1)
+    );
+    let engines: Vec<Arc<dyn FederatedEngine>> = vec![
+        Arc::new(Lusail::default()),
+        Arc::new(FedX::default()),
+        Arc::new(HiBisCus::new(HibiscusIndex::build(&w.endpoint_refs()))),
+        Arc::new(Splendid::new(VoidIndex::build(&w.endpoint_refs()))),
+    ];
+    for engine in engines {
+        let refused = engine.run_with(&w.federation, &q, &ExecOptions::default());
+        assert_eq!(
+            refused.err(),
+            Some(lusail_endpoint::FederationError::ProjectedExists),
+            "{}",
+            engine.engine_name()
+        );
+    }
+}

@@ -1,21 +1,24 @@
 //! Pins the documented containment of [`QueryMetrics::check_queries`]:
 //! LADE check queries are wire-level SELECTs issued during the analysis
-//! phase, so the counter must equal `requests_analysis.select_requests`
-//! exactly — under faults too, where a retried check counts once per
-//! attempt in *both* quantities and a circuit-broken one in neither.
+//! phase, so — sent one by one — the counter must equal
+//! `requests_analysis.select_requests` exactly, under faults too, where a
+//! retried check counts once per attempt in *both* quantities and a
+//! circuit-broken one in neither. With probe coalescing (the default) it
+//! counts check *requests*, one per endpoint and join variable, and the
+//! analysis-phase SELECTs are those plus the coalesced COUNT requests.
 //! The structured trace is the cross-check: its `Check`-kind wire
 //! attempts are the same number, and the baselines (which run no LADE)
 //! must record zero check traffic in any mode.
 
 use lusail_benchdata::common::Rng;
-use lusail_core::{Lusail, QueryTrace, RequestKind, TraceSink};
+use lusail_core::{Lusail, LusailConfig, QueryTrace, RequestKind, TraceSink};
 use lusail_endpoint::ExecOptions;
 use lusail_endpoint::{Federation, LocalEndpoint};
 use lusail_rdf::{Dictionary, Term};
 use lusail_sparql::parse_query;
 use lusail_store::TripleStore;
 use lusail_testkit::diff::policy;
-use lusail_testkit::{Case, EngineKind, FaultSpec, GenConfig};
+use lusail_testkit::{Case, EngineKind, FaultSpec, GenConfig, Setup};
 use std::sync::Arc;
 
 /// A two-endpoint federation where both patterns of a shared-variable
@@ -103,21 +106,26 @@ fn check_queries_equal_analysis_selects_and_trace_attempts() {
 #[test]
 fn check_query_count_stays_inside_analysis_selects_under_faults() {
     // High straddle keeps the GJV machinery busy; clean and faulted runs
-    // must both uphold `check_queries == requests_analysis.select_requests`
+    // must both keep `check_queries` inside the analysis-phase SELECTs
     // (wire attempts on both sides: retries count per attempt, tripped
     // circuits not at all). On flat queries the trace agrees too; nested
-    // groups legitimately add execution-phase checks to the trace only.
+    // groups legitimately add execution-phase probes to the trace only.
     let cfg = GenConfig {
         straddle: 1.0,
         ..GenConfig::default()
     };
     for seed in 0..10u64 {
         let case = Case::generate(seed, &cfg);
-        for faulty in [false, true] {
+        for (faulty, coalesce_probes) in
+            [(false, false), (false, true), (true, false), (true, true)]
+        {
             let faults = fault_plan(seed, case.n_endpoints, faulty);
             let (fed, _locals) = case.federation(&faults);
-            let policy = policy(!faulty);
-            let engine = Lusail::default().with_policy(policy);
+            let config = LusailConfig {
+                coalesce_probes,
+                ..LusailConfig::default()
+            };
+            let engine = Lusail::new(config).with_policy(policy(!faulty));
             let sink = TraceSink::enabled();
             let result = engine
                 .execute_with(
@@ -126,16 +134,31 @@ fn check_query_count_stays_inside_analysis_selects_under_faults() {
                     &ExecOptions::default().with_trace(sink.clone()),
                 )
                 .unwrap();
-            assert_eq!(
-                result.metrics.check_queries, result.metrics.requests_analysis.select_requests,
-                "seed {seed} faulty {faulty}: check_queries diverged from analysis SELECTs"
+            let ctx = format!("seed {seed} faulty {faulty} coalesced {coalesce_probes}");
+            let (checks, analysis) = (
+                result.metrics.check_queries,
+                result.metrics.requests_analysis,
             );
+            let trace = QueryTrace::from_sink(&sink);
+            if !coalesce_probes {
+                assert_eq!(
+                    checks, analysis.select_requests,
+                    "{ctx}: check_queries diverged from analysis SELECTs"
+                );
+            } else if is_flat(&case) {
+                assert_eq!(
+                    checks + trace.requests(RequestKind::Count).attempts,
+                    analysis.select_requests,
+                    "{ctx}: check_queries counts coalesced check *requests*, and with the \
+                     coalesced COUNT requests they are the analysis SELECTs"
+                );
+            }
+            assert!(checks <= analysis.select_requests, "{ctx}");
             if is_flat(&case) {
-                let trace = QueryTrace::from_sink(&sink);
                 assert_eq!(
                     trace.requests(RequestKind::Check).attempts,
-                    result.metrics.check_queries,
-                    "seed {seed} faulty {faulty}: trace Check attempts diverged"
+                    checks,
+                    "{ctx}: trace Check attempts diverged"
                 );
             }
         }
@@ -152,7 +175,7 @@ fn baselines_issue_no_check_queries_clean_or_faulted() {
             let (fed, locals) = case.federation(&faults);
             let policy = policy(!faulty);
             for kind in [EngineKind::FedX, EngineKind::Hibiscus, EngineKind::Splendid] {
-                let runner = kind.build(&locals, policy, None);
+                let runner = kind.build(&locals, policy, &Setup::BASE);
                 let sink = TraceSink::enabled();
                 let _ = runner.run_with(
                     &fed,
