@@ -15,10 +15,9 @@ use lusail_sparql::ast::{Expression, GroupPattern, Query, TriplePattern, ValuesB
 use lusail_sparql::SolutionSet;
 use std::sync::Arc;
 
-/// The query driver all three baseline engines share: applies the
+/// The query driver the baseline engines share: applies the
 /// deadline override, builds the per-query [`Net`] from the options,
-/// normalizes a federated `SELECT (COUNT(*) AS ?c)` to a mediator-side
-/// aggregate, runs the engine's `select_sources`, answers empty when a
+/// runs the engine's `select_sources`, answers empty when a
 /// required pattern has no source, otherwise runs the engine's
 /// `evaluate_group` (handed the first-k cutoff where one is sound) and the
 /// query's modifiers, derives completeness from the network's degradation
@@ -48,8 +47,6 @@ pub fn run_query(
         opts.thread_budget(),
         opts.on_health_transition.clone(),
     );
-    let rewritten = query.count_star_as_aggregate();
-    let query = rewritten.as_ref().unwrap_or(query);
     let sources = select_sources(&query.pattern, &net);
     let solutions = if sources.any_required_empty(&query.pattern.triples) {
         SolutionSet::empty(query.output_vars())

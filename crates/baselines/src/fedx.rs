@@ -16,6 +16,7 @@
 //! identical, only the wire syntax differs.)
 
 use crate::common::{bound_fetch, evaluate_units, exclusive_groups, run_query, shared_vars};
+use crate::hibiscus::HibiscusIndex;
 use lusail_core::cache::{PatternKey, ProbeCache};
 use lusail_core::exec::Net;
 use lusail_core::fetch::concat;
@@ -26,6 +27,7 @@ use lusail_endpoint::{
 };
 use lusail_sparql::ast::{GroupPattern, Query};
 use lusail_sparql::SolutionSet;
+use std::borrow::Cow;
 
 /// FedX tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -45,11 +47,13 @@ impl Default for FedXConfig {
     }
 }
 
-/// The FedX-style engine.
+/// The FedX-style engine — and, holding a [`HibiscusIndex`], HiBISCuS:
+/// the same executor over source lists the index has pruned.
 pub struct FedX {
     config: FedXConfig,
     policy: RequestPolicy,
     ask_cache: ProbeCache<PatternKey, bool>,
+    index: Option<HibiscusIndex>,
 }
 
 impl Default for FedX {
@@ -65,6 +69,16 @@ impl FedX {
             config,
             policy: RequestPolicy::default(),
             ask_cache: ProbeCache::new(config.use_cache),
+            index: None,
+        }
+    }
+
+    /// HiBISCuS: FedX (default configuration) pruning every group's sources
+    /// by a prebuilt authority index.
+    pub fn hibiscus(index: HibiscusIndex) -> Self {
+        FedX {
+            index: Some(index),
+            ..FedX::default()
         }
     }
 
@@ -74,10 +88,8 @@ impl FedX {
         self
     }
 
-    /// Executes a query. A federated `SELECT (COUNT(*) AS ?c)` is
-    /// normalized to a mediator-side aggregate so the count is global.
-    /// Endpoint failures degrade into an incomplete [`QueryOutcome`];
-    /// only an empty federation is an `Err`.
+    /// Executes a query. Endpoint failures degrade into an incomplete
+    /// [`QueryOutcome`]; only an empty federation is an `Err`.
     pub fn execute(
         &self,
         fed: &Federation,
@@ -107,6 +119,18 @@ impl FedX {
         )
     }
 
+    /// The sources `group`'s units are formed from: authority-pruned when
+    /// the engine holds an index — fewer sources can mean more exclusive
+    /// groups. Pruning only considers *this* group's conjunctive patterns:
+    /// a join against an OPTIONAL / UNION pattern must not prune a required
+    /// pattern's sources (the optional side may simply not match).
+    fn unit_sources<'s>(&self, group: &GroupPattern, sources: &'s SourceMap) -> Cow<'s, SourceMap> {
+        match &self.index {
+            Some(index) => Cow::Owned(index.prune(&group.triples, sources)),
+            None => Cow::Borrowed(sources),
+        }
+    }
+
     /// Left-deep pipeline over the group's units, then nested clauses.
     fn evaluate_group(
         &self,
@@ -116,8 +140,15 @@ impl FedX {
         limit: Option<usize>,
         net: &Net,
     ) -> SolutionSet {
-        let (mut current, global_filters) =
-            evaluate_units(fed, group, sources, self.config.block_size, limit, net);
+        let unit_sources = self.unit_sources(group, sources);
+        let (mut current, global_filters) = evaluate_units(
+            fed,
+            group,
+            &unit_sources,
+            self.config.block_size,
+            limit,
+            net,
+        );
 
         // OPTIONALs take FedX's bound left-fetch; UNION and NOT EXISTS go
         // through the shared nested-group machinery.
@@ -152,7 +183,7 @@ impl FedX {
     ) -> SolutionSet {
         // Single-unit optionals with shared vars: bound retrieval, without
         // joining back (the caller left-joins).
-        let mut units = exclusive_groups(&group.triples, sources);
+        let mut units = exclusive_groups(&group.triples, &self.unit_sources(group, sources));
         let global_filters = push_filters_into(&group.filters, &mut units);
         if units.len() == 1
             && group.optionals.is_empty()
@@ -175,7 +206,10 @@ impl FedX {
 
 impl FederatedEngine for FedX {
     fn engine_name(&self) -> &str {
-        "FedX"
+        match self.index {
+            Some(_) => "HiBISCuS",
+            None => "FedX",
+        }
     }
 
     fn run_with(

@@ -1,5 +1,7 @@
 //! A HiBISCuS-style source-pruning add-on (Saleem & Ngonga Ngomo,
-//! ESWC 2014), run on top of the FedX executor as in the paper.
+//! ESWC 2014), run on top of the FedX executor as in the paper: the engine
+//! is [`FedX::hibiscus`](crate::fedx::FedX::hibiscus), a `FedX` holding the
+//! [`HibiscusIndex`] built here.
 //!
 //! HiBISCuS summarizes each endpoint by the **URI authorities** (scheme +
 //! host) of the subjects and objects of every predicate. At query time,
@@ -10,17 +12,10 @@
 //! Lusail's LADE — says nothing about whether the *instances* are
 //! co-located, so pattern-at-a-time execution remains.
 
-use crate::common::{evaluate_units, run_query};
-use lusail_core::cache::{PatternKey, ProbeCache};
-use lusail_core::exec::Net;
-use lusail_core::source_selection::{select_sources, SourceMap};
-use lusail_endpoint::{
-    EndpointId, ExecOptions, FederatedEngine, Federation, FederationError, LocalEndpoint,
-    QueryOutcome, RequestPolicy,
-};
+use lusail_core::source_selection::SourceMap;
+use lusail_endpoint::{EndpointId, LocalEndpoint};
 use lusail_rdf::{FxHashMap, FxHashSet, TermId};
-use lusail_sparql::ast::{GroupPattern, Query, TriplePattern};
-use lusail_sparql::SolutionSet;
+use lusail_sparql::ast::TriplePattern;
 use std::time::{Duration, Instant};
 
 /// Subject and object authority sets for one predicate at one endpoint.
@@ -139,120 +134,14 @@ impl HibiscusIndex {
     }
 }
 
-/// HiBISCuS = authority pruning + the FedX execution strategy.
-pub struct HiBisCus {
-    index: HibiscusIndex,
-    block_size: usize,
-    policy: RequestPolicy,
-    ask_cache: ProbeCache<PatternKey, bool>,
-}
-
-impl HiBisCus {
-    /// Creates the engine from a prebuilt index (FedX's default block
-    /// size).
-    pub fn new(index: HibiscusIndex) -> Self {
-        HiBisCus {
-            index,
-            block_size: 15,
-            policy: RequestPolicy::default(),
-            ask_cache: ProbeCache::new(true),
-        }
-    }
-
-    /// Replaces the retry/backoff/deadline policy for remote requests.
-    pub fn with_policy(mut self, policy: RequestPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Index build time.
-    pub fn preprocessing_time(&self) -> Duration {
-        self.index.build_time
-    }
-
-    /// Executes a query. A federated `SELECT (COUNT(*) AS ?c)` is
-    /// normalized to a mediator-side aggregate so the count is global.
-    /// Endpoint failures degrade into an incomplete [`QueryOutcome`];
-    /// only an empty federation is an `Err`.
-    pub fn execute(
-        &self,
-        fed: &Federation,
-        query: &Query,
-    ) -> Result<QueryOutcome, FederationError> {
-        self.execute_with(fed, query, &ExecOptions::default())
-    }
-
-    /// [`HiBisCus::execute`] under explicit [`ExecOptions`]: request-level
-    /// tracing (an enabled trace always ends with
-    /// [`TraceEvent::QueryFinished`]), the worker budget for per-endpoint
-    /// dispatch, and an optional deadline overriding the policy's query
-    /// budget.
-    pub fn execute_with(
-        &self,
-        fed: &Federation,
-        query: &Query,
-        opts: &ExecOptions,
-    ) -> Result<QueryOutcome, FederationError> {
-        run_query(
-            self.policy,
-            fed,
-            query,
-            opts,
-            |pattern, net| select_sources(fed, pattern, &self.ask_cache, net),
-            |group, raw_sources, cutoff, net| {
-                self.evaluate_group(fed, group, cutoff, raw_sources, net)
-            },
-        )
-    }
-
-    fn evaluate_group(
-        &self,
-        fed: &Federation,
-        group: &GroupPattern,
-        limit: Option<usize>,
-        raw_sources: &SourceMap,
-        net: &Net,
-    ) -> SolutionSet {
-        // Authority pruning before unit formation: fewer sources can mean
-        // more exclusive groups. Pruning only considers *this* group's
-        // conjunctive patterns — joins against OPTIONAL/UNION patterns
-        // must not prune a required pattern's sources (the optional side
-        // may simply not match).
-        let sources = self.index.prune(&group.triples, raw_sources);
-
-        let (mut current, global_filters) =
-            evaluate_units(fed, group, &sources, self.block_size, limit, net);
-        current = lusail_store::eval::join_nested_groups(current, group, fed.dict(), |sub| {
-            self.evaluate_group(fed, sub, None, raw_sources, net)
-        });
-        lusail_store::eval::retain_filtered(&mut current, &global_filters, fed.dict());
-        current
-    }
-}
-
-impl FederatedEngine for HiBisCus {
-    fn engine_name(&self) -> &str {
-        "HiBISCuS"
-    }
-
-    fn run_with(
-        &self,
-        fed: &Federation,
-        query: &Query,
-        opts: &ExecOptions,
-    ) -> Result<QueryOutcome, FederationError> {
-        self.execute_with(fed, query, opts)
-    }
-
-    fn reset(&self) {
-        self.ask_cache.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lusail_endpoint::SparqlEndpoint;
+    use crate::fedx::FedX;
+    use lusail_core::cache::ProbeCache;
+    use lusail_core::exec::Net;
+    use lusail_core::source_selection::select_sources;
+    use lusail_endpoint::{Federation, SparqlEndpoint};
     use lusail_rdf::{Dictionary, Term};
     use lusail_sparql::parse_query;
     use lusail_store::TripleStore;
@@ -318,7 +207,7 @@ mod tests {
     fn results_match_oracle_despite_pruning() {
         let (fed, eps, oracle) = build();
         let refs: Vec<&LocalEndpoint> = eps.iter().map(|e| e.as_ref()).collect();
-        let engine = HiBisCus::new(HibiscusIndex::build(&refs));
+        let engine = FedX::hibiscus(HibiscusIndex::build(&refs));
         let q = parse_query(
             "SELECT ?s ?o WHERE { ?s <http://x/p> ?m . ?m <http://x/q> ?o }",
             fed.dict(),
@@ -341,12 +230,12 @@ mod tests {
         )
         .unwrap();
 
-        let fedx = crate::fedx::FedX::default();
+        let fedx = FedX::default();
         let before = fed.stats_snapshot();
         fedx.execute(&fed, &q).unwrap();
         let fedx_requests = fed.stats_snapshot().since(&before).select_requests;
 
-        let hib = HiBisCus::new(HibiscusIndex::build(&refs));
+        let hib = FedX::hibiscus(HibiscusIndex::build(&refs));
         let before = fed.stats_snapshot();
         hib.execute(&fed, &q).unwrap();
         let hib_requests = fed.stats_snapshot().since(&before).select_requests;

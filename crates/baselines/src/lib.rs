@@ -18,7 +18,8 @@
 //!   join (independent retrieval) and bind join.
 //! * [`hibiscus`] — **HiBISCuS** (Saleem & Ngonga Ngomo, ESWC 2014): an
 //!   add-on that prunes sources using per-predicate URI-authority
-//!   summaries; run (as in the paper) on top of the FedX executor.
+//!   summaries; run (as in the paper) on top of the FedX executor —
+//!   [`FedX::hibiscus`].
 //!
 //! All three implement [`FederatedEngine`](lusail_endpoint::FederatedEngine)
 //! and return results equivalent to the centralized evaluation of the
@@ -31,5 +32,5 @@ pub mod hibiscus;
 pub mod splendid;
 
 pub use fedx::{FedX, FedXConfig};
-pub use hibiscus::{HiBisCus, HibiscusIndex};
+pub use hibiscus::HibiscusIndex;
 pub use splendid::{Splendid, VoidIndex};

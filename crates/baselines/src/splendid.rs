@@ -180,10 +180,8 @@ impl Splendid {
         map
     }
 
-    /// Executes a query. A federated `SELECT (COUNT(*) AS ?c)` is
-    /// normalized to a mediator-side aggregate so the count is global.
-    /// Endpoint failures degrade into an incomplete [`QueryOutcome`];
-    /// only an empty federation is an `Err`.
+    /// Executes a query. Endpoint failures degrade into an incomplete
+    /// [`QueryOutcome`]; only an empty federation is an `Err`.
     pub fn execute(
         &self,
         fed: &Federation,

@@ -10,9 +10,7 @@
 //!
 //! The configurations:
 //!
-//! * **baseline** — store-side triple-pattern reordering off, Lusail's
-//!   adaptive `VALUES` sizing off (the pre-optimization engine);
-//! * **optimized** — both on (the defaults);
+//! * **optimized** — every engine at its defaults;
 //! * **stats** — optimized plus offline characteristic-set statistics
 //!   ([`lusail_store::EndpointStats`]) attached to every endpoint, so
 //!   Lusail's planner answers conclusive ASK/COUNT/check probes locally
@@ -38,7 +36,7 @@ use std::time::Duration;
 pub const WORKLOADS: [&str; 3] = ["lubm", "qfed", "bio2rdf"];
 
 /// The configuration axis (see module docs).
-pub const CONFIGS: [&str; 3] = ["baseline", "optimized", "stats"];
+pub const CONFIGS: [&str; 2] = ["optimized", "stats"];
 
 /// Worker budgets every line must be identical at.
 const THREADS: [usize; 2] = [1, 4];
@@ -347,14 +345,9 @@ fn traced_run(
     engine: &str,
     workload: &Workload,
     query: &lusail_sparql::Query,
-    adaptive_values: bool,
     threads: usize,
 ) -> [u64; 15] {
-    let config = LusailConfig {
-        adaptive_values,
-        ..LusailConfig::default()
-    };
-    let engine = build_engine(engine, workload, config);
+    let engine = build_engine(engine, workload, LusailConfig::default());
     let sink = TraceSink::enabled();
     let before = workload.federation.stats_snapshot();
     let opts = ExecOptions::default()
@@ -389,12 +382,6 @@ fn traced_run(
 /// Returns the btree / 1-thread lines, in file order, and every column in
 /// which a twin (other budget, other backend) differs from them.
 pub fn run(scope: &Scope) -> (Vec<Line>, Vec<Mismatch>) {
-    run_with_reorder(scope, |config| config != "baseline")
-}
-
-/// [`run`] with the store-side pattern-reordering switch of each config
-/// chosen by the caller (the regression test turns it off everywhere).
-fn run_with_reorder(scope: &Scope, reorder: impl Fn(&str) -> bool) -> (Vec<Line>, Vec<Mismatch>) {
     let mut lines: Vec<Line> = Vec::new();
     let mut mismatches = Vec::new();
     for workload_name in WORKLOADS {
@@ -403,12 +390,8 @@ fn run_with_reorder(scope: &Scope, reorder: impl Fn(&str) -> bool) -> (Vec<Line>
         }
         for config in CONFIGS {
             for backend in BackendKind::ALL {
-                // A fresh federation per pass: counters start cold and the
-                // reorder flag applies to the whole pass.
+                // A fresh federation per pass: counters start cold.
                 let workload = build_workload(workload_name, backend);
-                for ep in &workload.endpoints {
-                    ep.store().set_reorder(reorder(config));
-                }
                 if config == "stats" {
                     // The offline phase: summaries built before any run
                     // window opens, so nothing of it leaks into counters.
@@ -423,13 +406,7 @@ fn run_with_reorder(scope: &Scope, reorder: impl Fn(&str) -> bool) -> (Vec<Line>
                             continue;
                         }
                         for threads in THREADS {
-                            let values = traced_run(
-                                engine,
-                                &workload,
-                                &nq.query,
-                                config != "baseline",
-                                threads,
-                            );
+                            let values = traced_run(engine, &workload, &nq.query, threads);
                             let key = [workload_name, config, engine, nq.name.as_str()]
                                 .map(str::to_string);
                             let twin = Line { key, values };
@@ -454,11 +431,9 @@ fn run_with_reorder(scope: &Scope, reorder: impl Fn(&str) -> bool) -> (Vec<Line>
 /// The optimization claims, computed from a run: on every workload a
 /// `stats` line must report the rows and completeness of its `optimized`
 /// twin (statistics may only elide work, never change answers); and, for
-/// each of LUBM and QFed run in full, Lusail's optimized configuration
-/// must scan strictly fewer store rows than baseline without issuing more
-/// wire requests, and the stats configuration must send strictly fewer
-/// request bytes than optimized in no more wire requests. Returns the
-/// printable gate lines.
+/// each of LUBM and QFed run in full, Lusail's stats configuration must
+/// send strictly fewer request bytes than optimized in no more wire
+/// requests. Returns the printable gate lines.
 pub fn check_inequalities(lines: &[Line], scope: &Scope) -> Result<Vec<String>, String> {
     let of = |workload: &'static str, config: &'static str| {
         lines
@@ -491,34 +466,20 @@ pub fn check_inequalities(lines: &[Line], scope: &Scope) -> Result<Vec<String>, 
                 .map(|l| l.get(column))
                 .sum()
         };
-        let scanned = ["baseline", "optimized"].map(|c| sum(c, "rows_scanned"));
-        let requests = CONFIGS.map(|c| sum(c, "total_requests"));
-        if scanned[1] >= scanned[0] {
-            return Err(format!(
-                "{workload}: optimized rows_scanned {} is not below baseline {}",
-                scanned[1], scanned[0]
-            ));
-        }
-        if requests[1] > requests[0] {
-            return Err(format!(
-                "{workload}: optimized total_requests {} exceeds baseline {}",
-                requests[1], requests[0]
-            ));
-        }
         // A conclusive answer takes a probe out of its endpoint's coalesced
         // request; the request itself goes only when all its members do.
-        let sent = ["optimized", "stats"].map(|c| sum(c, "bytes_sent"));
-        if requests[2] > requests[1] || sent[1] >= sent[0] {
+        let requests = CONFIGS.map(|c| sum(c, "total_requests"));
+        let sent = CONFIGS.map(|c| sum(c, "bytes_sent"));
+        if requests[1] > requests[0] || sent[1] >= sent[0] {
             return Err(format!(
                 "{workload}: stats total_requests {} / bytes_sent {} are not below optimized \
                  {} / {} — statistics elided nothing",
-                requests[2], sent[1], requests[1], sent[0]
+                requests[1], sent[1], requests[0], sent[0]
             ));
         }
         report.push(format!(
-            "{workload}/Lusail: rows_scanned {} -> {}, requests {} -> {} -> {} (stats), \
-             bytes_sent {} -> {} (stats)",
-            scanned[0], scanned[1], requests[0], requests[1], requests[2], sent[0], sent[1]
+            "{workload}/Lusail: requests {} -> {} (stats), bytes_sent {} -> {} (stats)",
+            requests[0], requests[1], sent[0], sent[1]
         ));
     }
     Ok(report)
@@ -548,7 +509,7 @@ mod tests {
     #[test]
     fn committed_file_round_trips_and_malformed_files_are_typed_errors() {
         let lines = parse(COMMITTED).unwrap();
-        assert_eq!(lines.len(), 192);
+        assert_eq!(lines.len(), 128);
         assert_eq!(render(&lines), COMMITTED);
         assert_eq!(parse(&render(&lines[..5])).unwrap(), lines[..5]);
 
@@ -592,7 +553,7 @@ mod tests {
             ParseError::DuplicateKey {
                 line: 4,
                 first_line: 3,
-                key: "lubm/baseline/Lusail/Q1".into()
+                key: "lubm/optimized/Lusail/Q1".into()
             }
         );
         assert!(err.to_string().starts_with("line 4: "), "{err}");
@@ -604,7 +565,7 @@ mod tests {
         let (fresh, twins) = run(&scope);
         assert_eq!(twins, Vec::new(), "a thread or backend twin diverged");
         assert_eq!(diff(&in_scope(&scope), &fresh), Vec::new());
-        assert_eq!(fresh.len(), 3 * 4 * 2);
+        assert_eq!(fresh.len(), 2 * 4 * 2);
         // Out of the gate's full-workload scope: no aggregate lines, but
         // the stats-vs-optimized result identity still holds.
         assert_eq!(check_inequalities(&fresh, &scope), Ok(Vec::new()));
@@ -640,57 +601,30 @@ mod tests {
         );
     }
 
-    /// The PR-14 regression: endpoints evaluating BGPs in textual pattern
-    /// order cross `University x Department` on LUBM Q1.
-    #[test]
-    fn textual_pattern_order_fails_on_lubm_q1_rows_scanned() {
-        let scope = Scope {
-            workloads: vec!["lubm".into()],
-            queries: vec!["Q1".into()],
-        };
-        let (fresh, _) = run_with_reorder(&scope, |_| false);
-        let report = diff(&in_scope(&scope), &fresh);
-        let hit = report
-            .iter()
-            .find(|m| m.key == ["lubm", "optimized", "Lusail", "Q1"] && m.column == "rows_scanned")
-            .unwrap_or_else(|| panic!("regression not caught: {report:?}"));
-        assert!(hit.got.1.parse::<u64>().unwrap() > hit.want.1.parse::<u64>().unwrap());
-        // The baseline lines never reordered: they still reproduce.
-        assert!(report.iter().all(|m| m.key[1] != "baseline"), "{report:?}");
-    }
-
     #[test]
     fn inequalities_fail_when_an_optimization_stops_paying() {
-        // (rows, rows_scanned, total_requests, bytes_sent) of one line.
-        let line = |config: &str, [rows, scanned, requests, sent]: [u64; 4]| {
+        // (rows, total_requests, bytes_sent) of one line.
+        let line = |config: &str, [rows, requests, sent]: [u64; 3]| {
             let mut values = [0u64; 15];
             values[0] = rows;
             values[1] = 1;
             values[6] = requests;
             values[7] = sent;
-            values[10] = scanned;
             ["lubm", "qfed"].map(|w| Line {
                 key: [w, config, "Lusail", "Q1"].map(str::to_string),
                 values,
             })
         };
-        let check = |base: [u64; 4], opt: [u64; 4], stats: [u64; 4]| {
-            let lines = [
-                line("baseline", base),
-                line("optimized", opt),
-                line("stats", stats),
-            ]
-            .concat();
+        let check = |opt: [u64; 3], stats: [u64; 3]| {
+            let lines = [line("optimized", opt), line("stats", stats)].concat();
             check_inequalities(&lines, &Scope::default())
         };
-        let (base, opt) = ([5, 100, 10, 900], [5, 50, 10, 900]);
-        assert_eq!(check(base, opt, [5, 50, 9, 800]).unwrap().len(), 2);
+        let opt = [5, 10, 900];
+        assert_eq!(check(opt, [5, 9, 800]).unwrap().len(), 2);
         // Fewer bytes in as many requests: members were elided.
-        assert_eq!(check(base, opt, [5, 50, 10, 800]).unwrap().len(), 2);
-        assert!(check(base, [5, 100, 10, 900], [5, 100, 9, 800]).is_err()); // no scan win
-        assert!(check(base, [5, 50, 11, 900], [5, 50, 9, 800]).is_err()); // request regress
-        assert!(check(base, opt, [5, 50, 10, 900]).is_err()); // no elision
-        assert!(check(base, opt, [5, 50, 11, 800]).is_err()); // stats added a request
-        assert!(check(base, opt, [6, 50, 9, 800]).is_err()); // stats changed rows
+        assert_eq!(check(opt, [5, 10, 800]).unwrap().len(), 2);
+        assert!(check(opt, [5, 10, 900]).is_err()); // no elision
+        assert!(check(opt, [5, 11, 800]).is_err()); // stats added a request
+        assert!(check(opt, [6, 9, 800]).is_err()); // stats changed rows
     }
 }

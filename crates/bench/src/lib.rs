@@ -8,7 +8,7 @@
 pub mod counters;
 pub mod figures;
 
-use lusail_baselines::{FedX, HiBisCus, HibiscusIndex, Splendid, VoidIndex};
+use lusail_baselines::{FedX, HibiscusIndex, Splendid, VoidIndex};
 use lusail_benchdata::Workload;
 use lusail_core::{Lusail, LusailConfig};
 use lusail_endpoint::ExecOptions;
@@ -35,7 +35,7 @@ pub fn build_engine(
     match name {
         "Lusail" => Arc::new(Lusail::new(lusail)),
         "FedX" => Arc::new(FedX::default()),
-        "HiBISCuS" => Arc::new(HiBisCus::new(HibiscusIndex::build(&refs))),
+        "HiBISCuS" => Arc::new(FedX::hibiscus(HibiscusIndex::build(&refs))),
         "SPLENDID" => Arc::new(Splendid::new(VoidIndex::build(&refs))),
         other => panic!("unknown engine {other}"),
     }

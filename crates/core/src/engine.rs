@@ -29,7 +29,6 @@ use lusail_endpoint::{
 };
 use lusail_sparql::ast::{Expression, GroupPattern, Query};
 use lusail_sparql::SolutionSet;
-use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -39,14 +38,12 @@ use std::time::Duration;
 pub struct LusailConfig {
     /// Threshold policy for delayed subqueries (Fig. 9; default `μ+σ`).
     pub delay_policy: DelayPolicy,
-    /// Bindings per `VALUES` block in bound subqueries.
+    /// Bindings in the first `VALUES` block of a bound subquery, and the
+    /// floor for the rest: the later blocks are sized from the first one's
+    /// observed response cardinality and never drop below this.
     pub block_size: usize,
     /// Memoize ASK / COUNT / check-query results across queries.
     pub use_cache: bool,
-    /// Scale `VALUES` block sizes from the first block's observed response
-    /// cardinality. The adapted size never drops below `block_size`, so the
-    /// request count never exceeds fixed sizing.
-    pub adaptive_values: bool,
     /// Ablation switch: disable locality-aware decomposition. Every triple
     /// pattern becomes its own subquery (the §II strawman of evaluating
     /// each pattern independently); SAPE still schedules and joins them.
@@ -69,7 +66,6 @@ impl Default for LusailConfig {
             delay_policy: DelayPolicy::MuSigma,
             block_size: 100,
             use_cache: true,
-            adaptive_values: true,
             disable_lade: false,
             coalesce_probes: true,
             probe_cache_capacity: None,
@@ -370,19 +366,12 @@ impl Lusail {
         caches: &ProbeCaches,
         net: &Net,
     ) -> Plan<'q> {
-        // A federated `SELECT (COUNT(*) AS ?c)` must count the *global*
-        // result, not concatenate per-endpoint counts: normalize it to an
-        // aggregate query handled at the mediator.
-        let top = top.map(|q| match q.count_star_as_aggregate() {
-            Some(rewritten) => Cow::Owned(rewritten),
-            None => Cow::Borrowed(q),
-        });
         let trace = match top {
             Some(_) => net.trace.clone(),
             None => TraceSink::disabled(),
         };
         let started = net.clock.now();
-        if let Some((endpoints, sets)) = top.as_ref().and_then(|_| fed.stats_overview()) {
+        if let Some((endpoints, sets)) = top.and_then(|_| fed.stats_overview()) {
             trace.emit(|| TraceEvent::StatsLoaded { endpoints, sets });
         }
 
@@ -421,7 +410,7 @@ impl Lusail {
         // answered independently at each endpoint — provided nothing in it
         // (nested clauses, aggregates, an ORDER BY key the endpoints would
         // project away) has to be evaluated over the global result.
-        let ships_whole = plan.top.as_deref().is_some_and(|query| {
+        let ships_whole = top.is_some_and(|query| {
             let out = query.output_vars();
             lade && !group.triples.is_empty()
                 && group.optionals.is_empty()
@@ -455,7 +444,7 @@ impl Lusail {
                 gjvs: analysis.gjvs.len(),
             });
             let global_filters = push_filters_into(&group.filters, &mut subqueries);
-            if let Some(query) = plan.top.as_deref() {
+            if let Some(query) = top {
                 shrink_projections(query, &mut subqueries, &global_filters);
             }
             // A lone subquery has nothing to be delayed behind: no probes.
@@ -516,7 +505,7 @@ impl Lusail {
     ) -> (SolutionSet, QueryMetrics) {
         let s2 = fed.stats_snapshot();
         let t2 = net.clock.now();
-        let (group, top) = (plan.group, plan.top.as_deref());
+        let (group, top) = (plan.group, plan.top);
         let mut metrics = QueryMetrics {
             source_selection: plan.source_selection,
             analysis: plan.analysis,
@@ -588,9 +577,9 @@ impl Lusail {
 pub(crate) struct Plan<'q> {
     /// The planned group pattern.
     group: &'q GroupPattern,
-    /// The query `group` is the top-level pattern of (`COUNT(*)` already
-    /// rewritten); `None` for a nested group.
-    top: Option<Cow<'q, Query>>,
+    /// The query `group` is the top-level pattern of; `None` for a nested
+    /// group.
+    top: Option<&'q Query>,
     /// Relevant endpoints per triple pattern (nested groups' included).
     pub(crate) sources: SourceMap,
     /// Global join variables of the group's BGP.

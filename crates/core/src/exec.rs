@@ -377,7 +377,7 @@ pub(crate) fn evaluate_subqueries(
                 let mut parts: Vec<Option<SolutionSet>> = Vec::new();
                 let mut rest: &[lusail_rdf::TermId] = &values;
                 let mut size = base;
-                if config.adaptive_values && values.len() > base {
+                if values.len() > base {
                     // Probe: ship the first block at the configured size and
                     // let its response cardinality set the remaining sizes.
                     let (first, tail) = values.split_at(base);
@@ -685,8 +685,7 @@ mod sape_tests {
         };
         let net = Net::default();
         let config = LusailConfig {
-            block_size: 4,
-            adaptive_values: false,
+            block_size: 20,
             ..LusailConfig::default()
         };
         let before = fed.stats_snapshot();
@@ -694,9 +693,9 @@ mod sape_tests {
         let window = fed.stats_snapshot().since(&before);
         assert_eq!(delayed, 1);
         assert_eq!(sols.len(), 10);
-        // Phase 1: one select at A. Phase 2: 20 bindings / 4 per block =
-        // 5 selects at B.
-        assert_eq!(window.select_requests, 1 + 5);
+        // Phase 1: one select at A. Phase 2: the 20 bindings fit one block,
+        // so there is no probe block to size the rest from: one select at B.
+        assert_eq!(window.select_requests, 1 + 1);
     }
 
     #[test]
@@ -720,7 +719,7 @@ mod sape_tests {
         // Phase 1: one select at A. Phase 2: the 4-binding probe block
         // returns 2 rows, so the sizer scales way past the 16 remaining
         // bindings (clamped at `MAX_BLOCK_SIZE`) and ships them in a single
-        // block: 2 selects at B instead of fixed sizing's 5.
+        // block: 2 selects at B where blocks of 4 would be 5.
         assert_eq!(window.select_requests, 1 + 2);
     }
 

@@ -20,7 +20,11 @@ pub struct QueryMetrics {
     pub execution: Duration,
     /// Total wall time.
     pub total: Duration,
-    /// Network counters accumulated during source selection.
+    /// Network counters accumulated during source selection. This and the
+    /// two windows below are differences of the *federation-wide* endpoint
+    /// counters, exact only while no other query runs against the same
+    /// `Federation`: a served query's figure includes its neighbours'
+    /// traffic (the server's `/stats` reports the totals).
     pub requests_source_selection: StatsSnapshot,
     /// Network counters accumulated during analysis.
     pub requests_analysis: StatsSnapshot,

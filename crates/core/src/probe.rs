@@ -237,13 +237,17 @@ pub(crate) fn resolve<K: Kind>(
     }
     let sent = net.handler.run(fed, tasks, |ep_id, ep, members| {
         let probes = members.iter().map(|(i, _)| items[*i].1);
-        net.client.request_kind(ep_id, K::REQUEST, || {
-            if net.coalesce_probes {
-                coalesced::<K>(ep, fed.dict(), probes.clone())
-            } else {
+        if net.coalesce_probes {
+            // Built once per task: a retry attempt only sends it again.
+            let (query, cells) = coalesced::<K>(probes);
+            net.client.request_kind(ep_id, K::REQUEST, || {
+                send_coalesced::<K>(ep, fed.dict(), &query, &cells)
+            })
+        } else {
+            net.client.request_kind(ep_id, K::REQUEST, || {
                 probes.clone().map(|probe| K::on_wire(ep, probe)).collect()
-            }
-        })
+            })
+        }
     });
     for (ep, members, result) in sent {
         match result {
@@ -295,22 +299,15 @@ impl Net {
     }
 }
 
-/// Sends `probes` to `ep` as one `SELECT` (see the module docs) and reads
-/// the members' answers off its single row. A response that lacks a cell,
-/// or holds something other than a boolean or a count in one, was cut short
-/// on the way: [`EndpointError::Interrupted`], which the client retries.
-fn coalesced<'p, K: Kind>(
-    ep: &EndpointRef,
-    dict: &Dictionary,
-    probes: impl Iterator<Item = &'p K::Probe>,
-) -> Result<Vec<K::Answer>, EndpointError>
+/// `probes` as one `SELECT` (see the module docs), and where on its single
+/// row each member's answer will be: whether among the counts, and its rank
+/// there. A row lists the counts before the existence tests.
+fn coalesced<'p, K: Kind>(probes: impl Iterator<Item = &'p K::Probe>) -> (Query, Vec<(bool, usize)>)
 where
     K::Probe: 'p,
 {
     let mut query = Query::select_all(GroupPattern::default());
     let mut branches = Vec::new();
-    // Where each member's answer will be: whether among the counts, and its
-    // rank there. A row lists the counts before the existence tests.
     let mut cells = Vec::new();
     for (n, probe) in probes.enumerate() {
         match K::member(probe) {
@@ -351,11 +348,24 @@ where
         1 => query.pattern = branches.remove(0),
         _ => query.pattern.unions.push(branches),
     }
-    let answer = ep.select(&query)?;
+    (query, cells)
+}
+
+/// Sends a [`coalesced`] request to `ep` and reads the members' answers off
+/// its single row. A response that lacks a cell, or holds something other
+/// than a boolean or a count in one, was cut short on the way:
+/// [`EndpointError::Interrupted`], which the client retries.
+fn send_coalesced<K: Kind>(
+    ep: &EndpointRef,
+    dict: &Dictionary,
+    query: &Query,
+    cells: &[(bool, usize)],
+) -> Result<Vec<K::Answer>, EndpointError> {
+    let answer = ep.select(query)?;
     let row = answer.rows.iter().next().unwrap_or_default();
     let tests_from = query.aggregates.len();
-    (cells.into_iter())
-        .map(|(counted, rank)| {
+    (cells.iter())
+        .map(|&(counted, rank)| {
             let cell = if counted { rank } else { tests_from + rank };
             let term = dict.decode((*row.get(cell)?)?);
             match term.lexical() {

@@ -320,8 +320,6 @@ pub enum QueryForm {
     Select,
     /// `ASK` — existence check.
     Ask,
-    /// `SELECT (COUNT(*) AS ?alias)` — the cardinality probes Lusail sends.
-    CountStar(String),
 }
 
 /// An aggregate function in the SELECT clause.
@@ -433,31 +431,18 @@ impl Query {
         }
     }
 
-    /// A `SELECT (COUNT(*) AS ?c)` over the given pattern.
+    /// A `SELECT (COUNT(*) AS ?c)` over the given pattern — the cardinality
+    /// probe, and what that text parses to.
     pub fn count(pattern: GroupPattern) -> Self {
         Query {
-            form: QueryForm::CountStar("c".into()),
+            aggregates: vec![Aggregate {
+                func: AggFunc::Count,
+                var: None,
+                distinct: false,
+                alias: "c".into(),
+            }],
             ..Query::select_all(pattern)
         }
-    }
-
-    /// If this query is the dedicated `SELECT (COUNT(*) AS ?alias)` wire
-    /// form, returns the equivalent general aggregate query. Federated
-    /// engines use this to count the *global* result at the mediator
-    /// instead of concatenating per-endpoint counts.
-    pub fn count_star_as_aggregate(&self) -> Option<Query> {
-        let QueryForm::CountStar(alias) = &self.form else {
-            return None;
-        };
-        let mut rewritten = self.clone();
-        rewritten.form = QueryForm::Select;
-        rewritten.aggregates = vec![Aggregate {
-            func: AggFunc::Count,
-            var: None,
-            distinct: false,
-            alias: alias.clone(),
-        }];
-        Some(rewritten)
     }
 
     /// The variables of the solution sequence this query returns: group

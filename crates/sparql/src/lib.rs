@@ -3,7 +3,7 @@
 //!
 //! The crate provides:
 //!
-//! * [`ast`] — the query algebra: `SELECT`/`ASK`/`SELECT (COUNT(*) …)`
+//! * [`ast`] — the query algebra: `SELECT` (aggregates included) and `ASK`
 //!   forms over group graph patterns with basic graph patterns, `FILTER`
 //!   (including `FILTER NOT EXISTS`), `OPTIONAL`, `UNION`, `VALUES`,
 //!   `DISTINCT` and `LIMIT`;

@@ -179,7 +179,6 @@ impl<'a> Parser<'a> {
     fn parse_select(&mut self) -> Result<Query, ParseError> {
         self.expect_keyword("SELECT")?;
         let distinct = self.eat_keyword("DISTINCT");
-        let mut form = QueryForm::Select;
         let mut projection = Vec::new();
         let mut aggregates: Vec<Aggregate> = Vec::new();
         let mut exists: Vec<ExistsTest> = Vec::new();
@@ -242,18 +241,6 @@ impl<'a> Parser<'a> {
         while self.eat_keyword("HAVING") {
             having.push(self.parse_bracketed_or_builtin()?);
         }
-        // `SELECT (COUNT(*) AS ?c)` with no grouping keeps the dedicated
-        // CountStar form (the wire protocol for cardinality probes).
-        if group_by.is_empty()
-            && projection.is_empty()
-            && exists.is_empty()
-            && aggregates.len() == 1
-            && aggregates[0].func == AggFunc::Count
-            && aggregates[0].var.is_none()
-            && !aggregates[0].distinct
-        {
-            form = QueryForm::CountStar(aggregates.pop().unwrap().alias);
-        }
         let mut order_by = Vec::new();
         if self.eat_keyword("ORDER") {
             self.expect_keyword("BY")?;
@@ -303,7 +290,7 @@ impl<'a> Parser<'a> {
             }
         }
         Ok(Query {
-            form,
+            form: QueryForm::Select,
             distinct,
             projection,
             pattern,
@@ -830,7 +817,9 @@ mod tests {
     fn parse_count_star() {
         let d = dict();
         let q = parse_query("SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }", &d).unwrap();
-        assert_eq!(q.form, QueryForm::CountStar("n".into()));
+        let mut want = Query::count(q.pattern.clone());
+        want.aggregates[0].alias = "n".into();
+        assert_eq!(q, want);
     }
 
     #[test]
@@ -983,14 +972,6 @@ mod aggregate_tests {
 
     fn dict() -> Dictionary {
         Dictionary::new()
-    }
-
-    #[test]
-    fn count_star_without_group_by_stays_countstar_form() {
-        let d = dict();
-        let q = parse_query("SELECT (COUNT(*) AS ?c) WHERE { ?s ?p ?o }", &d).unwrap();
-        assert_eq!(q.form, QueryForm::CountStar("c".into()));
-        assert!(q.aggregates.is_empty());
     }
 
     #[test]

@@ -68,12 +68,9 @@ fn write_query_to<W: Write>(out: &mut W, q: &Query, dict: &Dictionary) -> fmt::R
                     write!(out, " AS ?{}) ", test.alias)?;
                 }
             }
+            out.write_str("WHERE ")?;
         }
         QueryForm::Ask => out.write_str("ASK ")?,
-        QueryForm::CountStar(alias) => write!(out, "SELECT (COUNT(*) AS ?{alias}) ")?,
-    }
-    if !matches!(q.form, QueryForm::Ask) {
-        out.write_str("WHERE ")?;
     }
     write_group(out, &q.pattern, dict)?;
     if !q.group_by.is_empty() {
@@ -483,7 +480,10 @@ mod tests {
         let mut q = Query::select_all(rand_group(rng, dict, 2));
         match rng.below(6) {
             0 => return Query::ask(q.pattern),
-            1 => q.form = QueryForm::CountStar(rand_var(rng)),
+            1 => {
+                q = Query::count(q.pattern);
+                q.aggregates[0].alias = rand_var(rng);
+            }
             2 => {
                 let funcs = [
                     AggFunc::Count,
@@ -541,6 +541,19 @@ mod tests {
             .collect();
         q.limit = rng.coin().then(|| rng.below(100_000));
         q
+    }
+
+    /// The cardinality probe has one form: the text parses to the query
+    /// `Query::count` builds, and that query is written back as the text —
+    /// every `bytes_sent` of a COUNT probe is this string's length.
+    #[test]
+    fn count_probe_wire_form_is_pinned() {
+        let dict = Dictionary::new();
+        let text = "SELECT (COUNT(*) AS ?c) WHERE { ?s <http://x/p> ?o . }";
+        let parsed = parse_query(text, &dict).unwrap();
+        assert_eq!(write_query(&parsed, &dict), text);
+        assert_eq!(query_wire_len(&parsed, &dict), text.len());
+        assert_eq!(Query::count(parsed.pattern.clone()), parsed);
     }
 
     /// The simulated network charges a request `query_wire_len` bytes and

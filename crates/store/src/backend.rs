@@ -159,14 +159,6 @@ pub trait StorageBackend: Send + Sync {
     /// — the store-side work counter the bench harness gates on.
     fn rows_scanned(&self) -> u64;
 
-    /// Whether the BGP evaluator may reorder patterns by estimated
-    /// cardinality.
-    fn reorder_enabled(&self) -> bool;
-
-    /// Enables or disables selectivity-greedy pattern reordering for BGPs
-    /// evaluated against this backend.
-    fn set_reorder(&self, on: bool);
-
     /// Resident heap bytes held by the backend's index structures. Exact
     /// for the columnar backend (a sum over its packed buffers); a coarse
     /// per-triple model for the BTree backend. The bench harness measures

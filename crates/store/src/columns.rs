@@ -34,7 +34,7 @@
 use crate::backend::{BackendKind, StorageBackend};
 use crate::store::{PredicateStats, TripleStore};
 use lusail_rdf::{Dictionary, FxHashSet, TermId, Triple};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A fixed-width bit-packed vector of `u32` values. The width is the
@@ -153,7 +153,6 @@ pub struct ColumnStore {
     /// `obj_keys.len() + 1` offsets into `osp_perm`.
     o_offsets: PackedVec,
     rows_scanned: AtomicU64,
-    reorder: AtomicBool,
 }
 
 impl ColumnStore {
@@ -233,7 +232,6 @@ impl ColumnStore {
             obj_keys: PackedVec::build(&obj_keys),
             o_offsets: PackedVec::build(&o_offsets),
             rows_scanned: AtomicU64::new(0),
-            reorder: AtomicBool::new(true),
         }
     }
 
@@ -562,14 +560,6 @@ impl StorageBackend for ColumnStore {
 
     fn rows_scanned(&self) -> u64 {
         self.rows_scanned.load(Ordering::Relaxed)
-    }
-
-    fn reorder_enabled(&self) -> bool {
-        self.reorder.load(Ordering::Relaxed)
-    }
-
-    fn set_reorder(&self, on: bool) {
-        self.reorder.store(on, Ordering::Relaxed);
     }
 
     /// Exact: the sum of every packed column's word buffer plus the

@@ -44,10 +44,11 @@ use lusail_sparql::Rows;
 
 /// Evaluates a query against a store, producing its solution set.
 ///
-/// * For `SELECT`, applies projection, `DISTINCT`, and `LIMIT`.
+/// * For `SELECT`, applies aggregation, projection, `DISTINCT`, and
+///   `LIMIT`; plain `COUNT`s over a bare BGP (or a `UNION` of them) —
+///   `SELECT (COUNT(*) AS ?c)`, the cardinality probe, among them — are
+///   answered on the count sink (`count_branches`).
 /// * For `ASK`, returns a one-row/zero-row set over no variables.
-/// * For `SELECT (COUNT(*) AS ?alias)`, returns one row binding the alias
-///   to an integer literal.
 /// * Projected `(EXISTS {…} AS ?alias)` tests become trailing columns
 ///   holding the `xsd:boolean` of one first-hit probe each.
 pub fn evaluate(store: &dyn StorageBackend, q: &Query) -> SolutionSet {
@@ -57,14 +58,6 @@ pub fn evaluate(store: &dyn StorageBackend, q: &Query) -> SolutionSet {
                 SolutionSet::unit()
             } else {
                 SolutionSet::default()
-            }
-        }
-        QueryForm::CountStar(alias) => {
-            let n = count(store, q) as i64;
-            let id = store.dict().encode(&lusail_rdf::Term::int(n));
-            SolutionSet {
-                vars: vec![alias.clone()],
-                rows: Rows::from_cells(1, 1, vec![Some(id)]),
             }
         }
         QueryForm::Select => {
@@ -670,20 +663,14 @@ struct Pipeline<'g> {
 }
 
 impl<'g> Pipeline<'g> {
-    /// Orders the group's triple patterns ([`plan_bgp_order`], or textual
-    /// order when the store's reorder flag is off — the unoptimized
-    /// baseline the bench harness measures against) and resolves their
-    /// positions.
+    /// Orders the group's triple patterns ([`plan_bgp_order`]) and resolves
+    /// their positions.
     fn compile(store: &dyn StorageBackend, g: &'g GroupPattern) -> Pipeline<'g> {
         let seeded: &[String] = g.values.as_ref().map_or(&[], |v| &v.vars);
         let mut vars: Vec<&str> = seeded.iter().map(String::as_str).collect();
-        let order: Vec<usize> = if store.reorder_enabled() {
-            plan_bgp_order(store, &g.triples, seeded)
-        } else {
-            (0..g.triples.len()).collect()
-        };
-        let steps = (order.iter())
-            .map(|&i| {
+        let steps = plan_bgp_order(store, &g.triples, seeded)
+            .into_iter()
+            .map(|i| {
                 let tp = &g.triples[i];
                 [&tp.s, &tp.p, &tp.o].map(|t| match t {
                     PatternTerm::Const(id) => Slot::Const(*id),
@@ -802,6 +789,18 @@ mod tests {
     fn run(st: &TripleStore, q: &str) -> SolutionSet {
         let query = parse_query(q, st.dict()).unwrap();
         evaluate(st, &query)
+    }
+
+    /// The group with its triple patterns written in other orders: reversed,
+    /// and rotated by one. The evaluator owes all of them one multiset.
+    pub(super) fn permutations(g: &GroupPattern) -> [GroupPattern; 2] {
+        let mut reversed = g.clone();
+        reversed.triples.reverse();
+        let mut rotated = g.clone();
+        if !rotated.triples.is_empty() {
+            rotated.triples.rotate_left(1);
+        }
+        [reversed, rotated]
     }
 
     #[test]
@@ -1006,6 +1005,50 @@ mod tests {
             let q = parse_query(text, st.dict()).unwrap();
             assert!(count_branches(&st, &q).is_none(), "{text}");
             assert_eq!(evaluate(&st, &q), counted_generically(&st, &q), "{text}");
+        }
+    }
+
+    /// `SELECT (COUNT(*) AS ?c)` is a one-aggregate query like any other:
+    /// its one cell is `count_group`'s figure for the same rows scanned,
+    /// on the count sink for a bare BGP and through the generic aggregation
+    /// for a pattern that is not simple.
+    #[test]
+    fn count_star_is_count_group_in_one_cell() {
+        let btree = fixture();
+        let columns = crate::columns::ColumnStore::from_store(&btree);
+        let backends: [&dyn StorageBackend; 2] = [&btree, &columns];
+        for (pattern, simple, n) in [
+            (
+                "?x <http://u/advisor> ?p . ?x <http://u/takesCourse> ?c",
+                true,
+                2,
+            ),
+            (
+                "?x <http://u/type> ?t FILTER NOT EXISTS { ?x <http://u/advisor> ?p }",
+                false,
+                3,
+            ),
+        ] {
+            let text = format!("SELECT (COUNT(*) AS ?c) WHERE {{ {pattern} }}");
+            for store in backends {
+                let q = parse_query(&text, store.dict()).unwrap();
+                assert_eq!(q, Query::count(q.pattern.clone()));
+                assert_eq!(count_branches(store, &q).is_some(), simple, "{text}");
+
+                let before = store.rows_scanned();
+                let counted = count_group(store, &q.pattern, None);
+                let count_scans = store.rows_scanned() - before;
+                assert_eq!(counted, n, "{text}");
+
+                let before = store.rows_scanned();
+                let sols = evaluate(store, &q);
+                let scans = store.rows_scanned() - before;
+                assert_eq!(sols.vars, ["c"], "{text}");
+                assert_eq!(sols.rows.len(), 1, "{text}");
+                let cell = store.dict().decode(sols.rows[0][0].unwrap());
+                assert_eq!(*cell, Term::int(n as i64), "{text}");
+                assert_eq!(scans, count_scans, "{}: {text}", store.kind());
+            }
         }
     }
 
@@ -1214,14 +1257,19 @@ mod tests {
     }
 
     #[test]
-    fn reorder_off_matches_reorder_on_results() {
+    fn results_do_not_depend_on_the_textual_pattern_order() {
         let st = fixture();
         let q = "SELECT ?x ?c WHERE { ?x <http://u/advisor> ?p . ?x <http://u/takesCourse> ?c . ?p <http://u/teacherOf> ?c }";
-        let ordered = run(&st, q).canonicalize();
-        st.set_reorder(false);
-        let textual = run(&st, q).canonicalize();
-        st.set_reorder(true);
-        assert_eq!(ordered, textual);
+        let query = parse_query(q, st.dict()).unwrap();
+        let written = evaluate(&st, &query).canonicalize();
+        assert_eq!(written.len(), 1);
+        for permuted in permutations(&query.pattern) {
+            let query = Query {
+                pattern: permuted,
+                ..query.clone()
+            };
+            assert_eq!(evaluate(&st, &query).canonicalize(), written);
+        }
     }
 }
 
@@ -1250,11 +1298,7 @@ mod pipeline_tests {
             },
             None => SolutionSet::unit(),
         };
-        let order: Vec<usize> = if store.reorder_enabled() {
-            plan_bgp_order(store, &g.triples, &sols.vars)
-        } else {
-            (0..g.triples.len()).collect()
-        };
+        let order = plan_bgp_order(store, &g.triples, &sols.vars);
         for (k, &i) in order.iter().enumerate() {
             let row_cap = if k + 1 == order.len() { limit } else { None };
             sols = reference_extend(store, &sols, &g.triples[i], row_cap);
@@ -1404,42 +1448,46 @@ mod pipeline_tests {
             let query = Query::select_all(g.clone());
             let backends: [&dyn StorageBackend; 2] = [&btree, &columns];
             for store in backends {
-                for reorder in [true, false] {
-                    store.set_reorder(reorder);
-                    let ctx = format!("case {case}, {}, reorder {reorder}", store.kind());
-                    let mut full_len = 0;
-                    for limit in [None, Some(1), Some(3)] {
-                        let before = store.rows_scanned();
-                        let mut want = reference_bgp(store, &g, limit);
-                        let want_scans = store.rows_scanned() - before;
-                        let before = store.rows_scanned();
-                        let got = eval_group(store, &g, limit);
-                        let got_scans = store.rows_scanned() - before;
+                let ctx = format!("case {case}, {}", store.kind());
+                let mut full_len = 0;
+                for limit in [None, Some(1), Some(3)] {
+                    let before = store.rows_scanned();
+                    let mut want = reference_bgp(store, &g, limit);
+                    let want_scans = store.rows_scanned() - before;
+                    let before = store.rows_scanned();
+                    let got = eval_group(store, &g, limit);
+                    let got_scans = store.rows_scanned() - before;
 
-                        if let Some(l) = limit {
-                            want.truncate(l);
-                        }
-                        assert_eq!(got.rows, want.rows, "{ctx}, limit {limit:?}: row sequence");
-                        if !want.is_empty() {
-                            assert_eq!(got.vars, want.vars, "{ctx}, limit {limit:?}: schema");
-                        }
-                        match limit {
-                            None => {
-                                assert_eq!(got_scans, want_scans, "{ctx}: rows scanned");
-                                full_len = got.len();
-                                let short_circuited = want.vars.len() < got.vars.len();
-                                cov.empty_intermediate_level += usize::from(short_circuited);
-                                cov.nonempty += usize::from(!got.is_empty());
+                    if let Some(l) = limit {
+                        want.truncate(l);
+                    }
+                    assert_eq!(got.rows, want.rows, "{ctx}, limit {limit:?}: row sequence");
+                    if !want.is_empty() {
+                        assert_eq!(got.vars, want.vars, "{ctx}, limit {limit:?}: schema");
+                    }
+                    match limit {
+                        None => {
+                            assert_eq!(got_scans, want_scans, "{ctx}: rows scanned");
+                            full_len = got.len();
+                            let short_circuited = want.vars.len() < got.vars.len();
+                            cov.empty_intermediate_level += usize::from(short_circuited);
+                            cov.nonempty += usize::from(!got.is_empty());
+                            // The order the patterns are written in is not
+                            // part of the answer.
+                            let got = got.canonicalize();
+                            for permuted in super::tests::permutations(&g) {
+                                let other = eval_group(store, &permuted, None).canonicalize();
+                                assert_eq!(other, got, "{ctx}: patterns as {:?}", permuted.triples);
                             }
-                            Some(_) => {
-                                assert!(got_scans <= want_scans, "{ctx}, limit {limit:?}");
-                                cov.limit_saved_scans += usize::from(got_scans < want_scans);
-                            }
+                        }
+                        Some(_) => {
+                            assert!(got_scans <= want_scans, "{ctx}, limit {limit:?}");
+                            cov.limit_saved_scans += usize::from(got_scans < want_scans);
                         }
                     }
-                    assert_eq!(count(store, &query), full_len as u64, "{ctx}: count");
-                    assert_eq!(ask(store, &query), full_len > 0, "{ctx}: ask");
                 }
+                assert_eq!(count(store, &query), full_len as u64, "{ctx}: count");
+                assert_eq!(ask(store, &query), full_len > 0, "{ctx}: ask");
             }
         }
         assert!(

@@ -2,7 +2,7 @@
 
 use lusail_rdf::{Dictionary, FxHashMap, FxHashSet, Term, TermId, Triple};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 type Key = (u32, u32, u32);
@@ -49,10 +49,6 @@ pub struct TripleStore {
     /// Monotonic count of triples handed to [`TripleStore::scan`]
     /// callbacks — the store-side work counter the bench harness gates on.
     rows_scanned: AtomicU64,
-    /// Whether BGP evaluation may reorder patterns by estimated
-    /// cardinality (on by default; the bench harness flips it off to
-    /// measure the unordered baseline).
-    reorder: AtomicBool,
 }
 
 impl TripleStore {
@@ -65,7 +61,6 @@ impl TripleStore {
             osp: BTreeSet::new(),
             pred_stats: FxHashMap::default(),
             rows_scanned: AtomicU64::new(0),
-            reorder: AtomicBool::new(true),
         }
     }
 
@@ -74,19 +69,6 @@ impl TripleStore {
     /// precisely the number of index entries the store had to visit.
     pub fn rows_scanned(&self) -> u64 {
         self.rows_scanned.load(Ordering::Relaxed)
-    }
-
-    /// Whether the BGP evaluator may reorder patterns (see
-    /// [`TripleStore::set_reorder`]).
-    pub fn reorder_enabled(&self) -> bool {
-        self.reorder.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables selectivity-greedy pattern reordering for BGPs
-    /// evaluated against this store. Takes `&self` so an assembled
-    /// federation's endpoints can be switched without tearing them down.
-    pub fn set_reorder(&self, on: bool) {
-        self.reorder.store(on, Ordering::Relaxed);
     }
 
     /// The store's dictionary.
@@ -373,14 +355,6 @@ impl crate::backend::StorageBackend for TripleStore {
         self.rows_scanned()
     }
 
-    fn reorder_enabled(&self) -> bool {
-        self.reorder_enabled()
-    }
-
-    fn set_reorder(&self, on: bool) {
-        self.set_reorder(on)
-    }
-
     fn resident_bytes(&self) -> u64 {
         // Coarse model, not a measurement: each of the three `BTreeSet`
         // indexes holds one 12-byte key per triple in nodes that are
@@ -508,15 +482,5 @@ mod tests {
         // Estimation probes are planning work, not scan work.
         st.estimate(None, Some(p), None);
         assert_eq!(st.rows_scanned(), 7);
-    }
-
-    #[test]
-    fn reorder_flag_defaults_on_and_toggles_through_shared_ref() {
-        let st = store_with(&[("s", "p", "o")]);
-        assert!(st.reorder_enabled());
-        st.set_reorder(false);
-        assert!(!st.reorder_enabled());
-        st.set_reorder(true);
-        assert!(st.reorder_enabled());
     }
 }

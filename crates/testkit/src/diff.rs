@@ -20,7 +20,7 @@
 //! solutions and completeness, with each counter under `=` or `≤`.
 
 use crate::gen::{Case, FaultSpec};
-use lusail_baselines::{FedX, HiBisCus, HibiscusIndex, Splendid, VoidIndex};
+use lusail_baselines::{FedX, HibiscusIndex, Splendid, VoidIndex};
 use lusail_benchdata::common::Rng;
 use lusail_core::{Lusail, LusailConfig, QueryTrace, RequestKind, TraceSink};
 use lusail_endpoint::{ExecOptions, FederatedEngine, LocalEndpoint, RequestPolicy, StatsSnapshot};
@@ -73,7 +73,7 @@ impl EngineKind {
     /// Instantiates the engine. The index-building baselines preprocess
     /// the given endpoint handles (their offline phase sees clean data
     /// even when the federation injects faults at query time). `setup`'s
-    /// `tuning` and `coalesce` configure Lusail (the baselines have no
+    /// `block_size` and `coalesce` configure Lusail (the baselines have no
     /// equivalent and ignore them).
     pub fn build(
         self,
@@ -84,37 +84,23 @@ impl EngineKind {
         let refs: Vec<&LocalEndpoint> = endpoints.iter().map(|e| e.as_ref()).collect();
         match self {
             EngineKind::Lusail => {
-                let mut config = LusailConfig {
+                let defaults = LusailConfig::default();
+                let config = LusailConfig {
                     coalesce_probes: setup.coalesce,
-                    ..LusailConfig::default()
+                    block_size: setup.block_size.unwrap_or(defaults.block_size),
+                    ..defaults
                 };
-                if let Some(t) = setup.tuning {
-                    (config.block_size, config.adaptive_values) = (t.block_size, t.adaptive_values);
-                }
                 Box::new(Lusail::new(config).with_policy(policy))
             }
             EngineKind::FedX => Box::new(FedX::default().with_policy(policy)),
             EngineKind::Hibiscus => {
-                Box::new(HiBisCus::new(HibiscusIndex::build(&refs)).with_policy(policy))
+                Box::new(FedX::hibiscus(HibiscusIndex::build(&refs)).with_policy(policy))
             }
             EngineKind::Splendid => {
                 Box::new(Splendid::new(VoidIndex::build(&refs)).with_policy(policy))
             }
         }
     }
-}
-
-/// Lusail execution-tuning overrides for differential runs: a tiny
-/// `block_size` forces real `VALUES` batching (and, with
-/// `adaptive_values`, the adaptive sizer's probe-then-scale path) even on
-/// the small generated cases, so the batching machinery is exercised
-/// under the oracle contract rather than skipped for fitting in one block.
-#[derive(Debug, Clone, Copy)]
-pub struct LusailTuning {
-    /// Bindings per `VALUES` block (probe-block size when adaptive).
-    pub block_size: usize,
-    /// Enable adaptive block sizing.
-    pub adaptive_values: bool,
 }
 
 /// The ways a differential run can disagree with the oracle.
@@ -283,8 +269,12 @@ pub struct Setup {
     pub backend: BackendKind,
     /// The worker budget ([`ExecOptions::with_threads`]).
     pub threads: usize,
-    /// Lusail execution-tuning override (`None` = defaults).
-    pub tuning: Option<LusailTuning>,
+    /// Lusail's `LusailConfig::block_size` (`None` = its default). A tiny
+    /// one forces real `VALUES` batching — the probe block, then the blocks
+    /// sized from its response — even on the small generated cases, so the
+    /// batching machinery is exercised under the oracle contract rather
+    /// than skipped for fitting in one block.
+    pub block_size: Option<usize>,
     /// Copies of every endpoint (1 = unreplicated; see
     /// [`Case::federation_on`] for the id layout fault plans index).
     pub replication: usize,
@@ -299,7 +289,7 @@ impl Setup {
         stats: false,
         backend: Btree,
         threads: 1,
-        tuning: None,
+        block_size: None,
         replication: 1,
         coalesce: true,
     };

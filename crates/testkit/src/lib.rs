@@ -33,7 +33,7 @@ pub mod shrink;
 
 pub use diff::{
     check_batched, check_trace_invariants, compare, observe, oracle_solutions, Axis, EngineKind,
-    LusailTuning, Observation, Rel, Setup, Violation, AXES,
+    Observation, Rel, Setup, Violation, AXES,
 };
 pub use gen::{Case, FaultSpec, GenConfig};
 pub use seed::{parse_seed, seed_from_env, SEED_ENV_VAR};

@@ -7,7 +7,7 @@
 //! cargo run --release --example life_science_federation
 //! ```
 
-use lusail_baselines::{FedX, HiBisCus, HibiscusIndex, Splendid, VoidIndex};
+use lusail_baselines::{FedX, HibiscusIndex, Splendid, VoidIndex};
 use lusail_benchdata::qfed::{generate, QfedConfig};
 use lusail_endpoint::ExecOptions;
 use lusail_endpoint::FederatedEngine;
@@ -41,7 +41,7 @@ fn main() {
     let engines: Vec<Box<dyn FederatedEngine>> = vec![
         Box::new(Lusail::default()),
         Box::new(FedX::default()),
-        Box::new(HiBisCus::new(hib_index)),
+        Box::new(FedX::hibiscus(hib_index)),
         Box::new(Splendid::new(void)),
     ];
 

@@ -97,6 +97,33 @@ if grep -Eq 'struct Relation|\bpartitions:' crates/core/src/*.rs; then
 fi
 [ "$scattered" -eq 0 ]
 
+echo "==> no superseded path is back (one BGP order, one VALUES sizing, two gated configurations, one COUNT form, one FedX)"
+scattered=0
+total=0
+non_test=0
+while IFS= read -r f; do
+    # Non-test code is everything above a file's `#[cfg(test)]` module; the
+    # two files that are a test module by themselves have none.
+    case "$f" in
+    crates/server/src/tests.rs | crates/sparql/src/solution/reference_tests.rs) code="" ;;
+    *) code=$(sed '/#\[cfg(test)\]/,$d' "$f") ;;
+    esac
+    hit=$(grep -Eo 'set_reorder|reorder_enabled|adaptive_values|CountStar|count_star_as_aggregate|struct HiBisCus' <<<"$code" | sort -u | tr '\n' ' ' || true)
+    if [ -n "$hit" ]; then
+        echo "$f: a deleted path or its switch is back: $hit" >&2
+        scattered=1
+    fi
+    total=$((total + $(wc -l <"$f")))
+    if [ -n "$code" ]; then non_test=$((non_test + $(wc -l <<<"$code"))); fi
+done < <(find crates -name '*.rs' | sort)
+if grep -q $'\tbaseline\t' crates/bench/counters.tsv; then
+    echo "crates/bench/counters.tsv: a baseline line is back (the gate has two configurations: optimized, stats)" >&2
+    scattered=1
+fi
+[ "$scattered" -eq 0 ]
+# Informative, no ceiling: ROADMAP item 8 tracks this figure.
+echo "crates/: $total lines of .rs, $non_test of them non-test"
+
 # The benchmark crate is a workspace of its own with its own lock file; it
 # calls the engine only through public items (par_hash_join, hash_join,
 # SolutionSet { vars, rows } literals, ...), so an engine API change that
@@ -321,7 +348,7 @@ grep -q '(0 abandoned)' "$tmpdir/serve_batch.log" || {
 }
 echo "batching smoke: 2 identical tables, $shared_hits shared subquery hit(s)"
 
-echo "==> counter gate (all 192 lines of crates/bench/counters.tsv at threads {1,4} x both backends, inequalities, footprint floor; ~10 s)"
+echo "==> counter gate (all 128 lines of crates/bench/counters.tsv at threads {1,4} x both backends, inequalities, footprint floor; ~9 s)"
 cargo run --release -q -p lusail-bench -- counters
 
 echo "==> figure smoke (fig3: FedX requests grow with endpoints, Lusail stays at one per endpoint)"

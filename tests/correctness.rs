@@ -6,7 +6,7 @@
 //! Completeness" argument: locality-aware decomposition must never miss
 //! rows that require traversing an interlink.
 
-use lusail_baselines::{FedX, HiBisCus, HibiscusIndex, Splendid, VoidIndex};
+use lusail_baselines::{FedX, HibiscusIndex, Splendid, VoidIndex};
 use lusail_benchdata::{bio2rdf, lrb, lubm, qfed, Workload};
 use lusail_core::Lusail;
 use lusail_endpoint::ExecOptions;
@@ -17,7 +17,7 @@ fn engines_for(w: &Workload) -> Vec<Arc<dyn FederatedEngine>> {
     vec![
         Arc::new(Lusail::default()),
         Arc::new(FedX::default()),
-        Arc::new(HiBisCus::new(HibiscusIndex::build(&w.endpoint_refs()))),
+        Arc::new(FedX::hibiscus(HibiscusIndex::build(&w.endpoint_refs()))),
         Arc::new(Splendid::new(VoidIndex::build(&w.endpoint_refs()))),
     ]
 }

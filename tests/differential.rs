@@ -24,7 +24,7 @@
 use lusail_benchdata::common::Rng;
 use lusail_testkit::{
     observe, run_axis_case, run_batched_case, run_case, seed_from_env, Axis, Case, EngineKind,
-    FaultSpec, GenConfig, LusailTuning, Setup, SEED_ENV_VAR,
+    FaultSpec, GenConfig, Setup, SEED_ENV_VAR,
 };
 
 /// Default stream seed; overridable via `LUSAIL_TEST_SEED`.
@@ -156,20 +156,16 @@ fn whole_group_death_degrades_honestly() {
     }
 }
 
-/// Adaptive-batching + reordered-eval sweep: Lusail with a tiny fixed
-/// `block_size` (2) and adaptive sizing on, so even the small generated
-/// cases genuinely split bound subqueries into multiple `VALUES` blocks
-/// and then grow them from the first block's observed cardinality — the
-/// exact configuration the benchmark suite's "optimized" side uses. The
-/// baselines run with their defaults (tuning only affects Lusail) and
-/// every engine is held to the usual oracle contract, clean and faulted.
+/// Adaptive-batching sweep: Lusail with a tiny `block_size` (2), so even
+/// the small generated cases genuinely split bound subqueries into
+/// multiple `VALUES` blocks and then grow them from the first block's
+/// observed cardinality. The baselines run with their defaults (the block
+/// size only affects Lusail) and every engine is held to the usual oracle
+/// contract, clean and faulted.
 #[test]
 fn tuned_adaptive_batching_matches_the_oracle() {
     let tuned = Setup {
-        tuning: Some(LusailTuning {
-            block_size: 2,
-            adaptive_values: true,
-        }),
+        block_size: Some(2),
         ..Setup::BASE
     };
     let config = GenConfig::default();

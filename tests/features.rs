@@ -1,7 +1,7 @@
 //! Integration tests for the extension features: ORDER BY across engines,
 //! EXPLAIN plans, and multi-query optimization.
 
-use lusail_baselines::{FedX, HiBisCus, HibiscusIndex, Splendid, VoidIndex};
+use lusail_baselines::{FedX, HibiscusIndex, Splendid, VoidIndex};
 use lusail_benchdata::{bio2rdf, lrb, lubm, qfed};
 use lusail_core::{Lusail, TraceEvent, TraceSink};
 use lusail_endpoint::ExecOptions;
@@ -22,7 +22,7 @@ fn order_by_is_respected_by_every_engine() {
     let engines: Vec<Arc<dyn FederatedEngine>> = vec![
         Arc::new(Lusail::default()),
         Arc::new(FedX::default()),
-        Arc::new(HiBisCus::new(HibiscusIndex::build(&w.endpoint_refs()))),
+        Arc::new(FedX::hibiscus(HibiscusIndex::build(&w.endpoint_refs()))),
         Arc::new(Splendid::new(VoidIndex::build(&w.endpoint_refs()))),
     ];
     for engine in engines {
@@ -432,7 +432,7 @@ fn projected_exists_is_an_endpoint_form_every_mediator_refuses() {
     let engines: Vec<Arc<dyn FederatedEngine>> = vec![
         Arc::new(Lusail::default()),
         Arc::new(FedX::default()),
-        Arc::new(HiBisCus::new(HibiscusIndex::build(&w.endpoint_refs()))),
+        Arc::new(FedX::hibiscus(HibiscusIndex::build(&w.endpoint_refs()))),
         Arc::new(Splendid::new(VoidIndex::build(&w.endpoint_refs()))),
     ];
     for engine in engines {

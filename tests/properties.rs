@@ -878,10 +878,9 @@ fn equal_subquery_signatures_imply_multiset_equal_relations() {
 // ---------- adaptive VALUES batching ---------------------------------------
 
 /// Batching a bound subquery's bindings into `VALUES` blocks — at any
-/// block size, fixed or adaptive — must yield exactly the same solution
-/// multiset as shipping all bindings in one unbatched block. Blocks
-/// partition the *distinct* values of one variable, so no split may ever
-/// lose or duplicate a row.
+/// block size — must yield exactly the same solution multiset as shipping
+/// all bindings in one unbatched block. Blocks partition the *distinct*
+/// values of one variable, so no split may ever lose or duplicate a row.
 #[test]
 fn adaptive_values_batching_preserves_the_solution_multiset() {
     use lusail_core::{DelayPolicy, LusailConfig, QueryTrace, TraceSink};
@@ -922,10 +921,9 @@ fn adaptive_values_batching_preserves_the_solution_multiset() {
         )
         .unwrap();
 
-        let run = |block_size: usize, adaptive: bool| {
+        let run = |block_size: usize| {
             let engine = Lusail::new(LusailConfig {
                 block_size,
-                adaptive_values: adaptive,
                 // Delay past the mean so the heavier subquery really takes
                 // the bound-subquery path (μ+σ never fires with only two).
                 delay_policy: DelayPolicy::Mu,
@@ -941,13 +939,12 @@ fn adaptive_values_batching_preserves_the_solution_multiset() {
         };
 
         // Reference: one unbatched block carrying every binding.
-        let (reference, _) = run(1_000_000, false);
-        for (block_size, adaptive) in [(1, false), (1, true), (7, true), (100, true)] {
-            let (sols, blocks) = run(block_size, adaptive);
+        let (reference, _) = run(1_000_000);
+        for block_size in [1, 7, 100] {
+            let (sols, blocks) = run(block_size);
             assert_eq!(
                 sols, reference,
-                "case {case_no}: block_size {block_size} adaptive {adaptive} \
-                 changed the solution multiset"
+                "case {case_no}: block_size {block_size} changed the solution multiset"
             );
             if blocks > 1 {
                 multi_block_runs += 1;

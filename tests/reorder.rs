@@ -6,9 +6,10 @@
 //! their exact scan counts on the deterministic LUBM fixture — a plan
 //! change is a deliberate decision, not drift — hold every workload's and
 //! 200 generated BGPs' plans to the no-cross-product rule, and assert the
-//! work the ordering is supposed to save: `rows_scanned` strictly
-//! decreases against the textual-order baseline on the multi-pattern LUBM
-//! queries, and the degenerate all-unbound scan does not regress.
+//! work the ordering is supposed to save: `rows_scanned` stays strictly
+//! below the recorded textual-order figures on the multi-pattern LUBM
+//! queries however the patterns are written, and the degenerate
+//! all-unbound scan costs one visit per triple.
 
 use lusail_benchdata::common::{Rng, Workload};
 use lusail_benchdata::lubm::{generate, LubmConfig};
@@ -207,29 +208,47 @@ fn ask_on_a_multi_pattern_bgp_stops_at_the_first_solution() {
     );
 }
 
+/// `query` with its top-level triple patterns written in other orders:
+/// reversed, and rotated by one.
+fn rewritten(query: &Query) -> [Query; 2] {
+    let mut reversed = query.clone();
+    reversed.pattern.triples.reverse();
+    let mut rotated = query.clone();
+    rotated.pattern.triples.rotate_left(1);
+    [reversed, rotated]
+}
+
 #[test]
 fn reordering_strictly_reduces_rows_scanned_on_lubm() {
     let w = lubm_workload();
     let oracle = &w.oracle;
-    for name in ["Q1", "Q2", "Q4"] {
+    // What evaluating the patterns in the order they are written cost:
+    // measured at the parent commit (8aa869a, the last one with
+    // `set_reorder(false)`) on this fixture, identical on both backends.
+    // Q2 written as-is opens with `Professor x Course`.
+    for (name, textual_scans) in [("Q1", 8024), ("Q2", 942_542), ("Q4", 1626)] {
         let query = &w.query(name).query;
-
-        oracle.set_reorder(false);
-        let before = oracle.rows_scanned();
-        let unordered = evaluate(oracle, query).canonicalize();
-        let unordered_scans = oracle.rows_scanned() - before;
-
-        oracle.set_reorder(true);
         let before = oracle.rows_scanned();
         let ordered = evaluate(oracle, query).canonicalize();
         let ordered_scans = oracle.rows_scanned() - before;
-
-        assert_eq!(ordered, unordered, "{name}: reordering changed results");
         assert!(
-            ordered_scans < unordered_scans,
+            ordered_scans < textual_scans,
             "{name}: ordered evaluation scanned {ordered_scans} rows, \
-             not below the textual-order baseline {unordered_scans}"
+             not below the textual-order figure {textual_scans}"
         );
+        // The answer does not depend on how the patterns are written, and
+        // neither does the saving.
+        for other in rewritten(query) {
+            let before = oracle.rows_scanned();
+            let got = evaluate(oracle, &other).canonicalize();
+            let scans = oracle.rows_scanned() - before;
+            assert_eq!(got, ordered, "{name}: pattern order changed results");
+            assert!(
+                scans < textual_scans,
+                "{name}: rewritten as {:?} scanned {scans} rows",
+                other.pattern.triples
+            );
+        }
     }
 }
 
@@ -250,8 +269,6 @@ fn columnar_estimates_never_plan_worse_than_btree() {
     let btree: &dyn StorageBackend = &w.oracle;
     let columns = ColumnStore::from_store(&w.oracle);
     let columns: &dyn StorageBackend = &columns;
-    btree.set_reorder(true);
-    columns.set_reorder(true);
     for name in ["Q1", "Q2", "Q4"] {
         let query = &w.query(name).query;
 
@@ -329,20 +346,14 @@ fn all_unbound_scan_does_not_regress() {
     let query = parse_query("SELECT * WHERE { ?s ?p ?o }", oracle.dict()).unwrap();
     assert_eq!(plan_bgp_order(oracle, &query.pattern.triples, &[]), vec![0]);
 
-    oracle.set_reorder(false);
     let before = oracle.rows_scanned();
-    let unordered = evaluate(oracle, &query).canonicalize();
-    let unordered_scans = oracle.rows_scanned() - before;
-
-    oracle.set_reorder(true);
-    let before = oracle.rows_scanned();
-    let ordered = evaluate(oracle, &query).canonicalize();
-    let ordered_scans = oracle.rows_scanned() - before;
-
-    assert_eq!(ordered, unordered);
+    let all = evaluate(oracle, &query);
+    let scans = oracle.rows_scanned() - before;
+    assert_eq!(all.len(), oracle.len());
     assert_eq!(
-        ordered_scans, unordered_scans,
-        "a single all-unbound pattern has nothing to reorder — scan \
-         counts must match exactly"
+        scans,
+        oracle.len() as u64,
+        "a single all-unbound pattern has nothing to reorder: every triple \
+         is visited once (2357 rows here, as in textual order at the parent commit)"
     );
 }

@@ -10,7 +10,7 @@
 //!   results, `complete: false`, and a failure report naming the dead
 //!   endpoint.
 
-use lusail_baselines::{FedX, HiBisCus, HibiscusIndex, Splendid, VoidIndex};
+use lusail_baselines::{FedX, HibiscusIndex, Splendid, VoidIndex};
 use lusail_benchdata::lubm;
 use lusail_core::Lusail;
 use lusail_endpoint::ExecOptions;
@@ -65,7 +65,7 @@ fn engines(
         ("FedX", Box::new(FedX::default().with_policy(policy))),
         (
             "HiBISCuS",
-            Box::new(HiBisCus::new(HibiscusIndex::build(&w.endpoint_refs())).with_policy(policy)),
+            Box::new(FedX::hibiscus(HibiscusIndex::build(&w.endpoint_refs())).with_policy(policy)),
         ),
         (
             "SPLENDID",
