@@ -97,6 +97,32 @@ impl Term {
         let host_end = rest.find('/').unwrap_or(rest.len());
         Some(&iri[..scheme_end + 3 + host_end])
     }
+
+    /// The length in bytes of the term's `Display` text, computed without
+    /// formatting it: what a request's byte count charges per term.
+    pub fn wire_len(&self) -> usize {
+        match self {
+            Term::Iri(i) => i.len() + 2,
+            Term::Literal {
+                lexical,
+                lang,
+                datatype,
+            } => {
+                // Each escaped character is one ASCII byte written as two.
+                let escapes = lexical
+                    .bytes()
+                    .filter(|b| matches!(b, b'"' | b'\\' | b'\n' | b'\r' | b'\t'))
+                    .count();
+                let suffix = match (lang, datatype) {
+                    (Some(lang), _) => 1 + lang.len(),
+                    (None, Some(dt)) => 4 + dt.len(),
+                    (None, None) => 0,
+                };
+                2 + lexical.len() + escapes + suffix
+            }
+            Term::Blank(b) => 2 + b.len(),
+        }
+    }
 }
 
 impl fmt::Display for Term {
@@ -168,6 +194,36 @@ mod tests {
     #[test]
     fn display_blank() {
         assert_eq!(Term::Blank("b0".into()).to_string(), "_:b0");
+    }
+
+    #[test]
+    fn wire_len_is_the_display_length() {
+        let terms = [
+            Term::iri("http://x.org/a"),
+            Term::iri(""),
+            Term::lit(""),
+            Term::lit("plain"),
+            Term::lit("quote \" here"),
+            Term::lit("backslash \\ here"),
+            Term::lit("newline \n here"),
+            Term::lit("return \r here"),
+            Term::lit("tab \t here"),
+            Term::lit("all five \"\\\n\r\t at once"),
+            Term::lit("gr\u{fc}\u{df}e \u{1F600} \u{4e2d}"),
+            Term::lang_lit("hi \"there\"", "en-GB"),
+            Term::int(-42),
+            Term::boolean(true),
+            Term::Literal {
+                lexical: "both".into(),
+                lang: Some("en".into()),
+                datatype: Some("http://x/dt".into()),
+            },
+            Term::Blank("b0".into()),
+            Term::Blank(String::new()),
+        ];
+        for t in &terms {
+            assert_eq!(t.wire_len(), t.to_string().len(), "{t:?}");
+        }
     }
 
     #[test]

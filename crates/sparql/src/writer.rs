@@ -5,8 +5,38 @@
 //! emits full IRIs (no prefixes), so `parse(write(q))` reproduces `q`.
 
 use crate::ast::*;
-use lusail_rdf::{Dictionary, TermId};
+use lusail_rdf::{Dictionary, Term, TermId};
 use std::fmt::{self, Write};
+
+/// Where the writer's text goes: text is written through [`Write`], and
+/// a constant term through `term`, so a sink that only counts can count a
+/// term without formatting it.
+trait Sink: Write {
+    fn term(&mut self, t: &Term) -> fmt::Result;
+}
+
+impl Sink for String {
+    fn term(&mut self, t: &Term) -> fmt::Result {
+        write!(self, "{t}")
+    }
+}
+
+/// Counts the bytes of the text instead of keeping it.
+struct ByteCount(usize);
+
+impl Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
+impl Sink for ByteCount {
+    fn term(&mut self, t: &Term) -> fmt::Result {
+        self.0 += t.wire_len();
+        Ok(())
+    }
+}
 
 /// Serializes a query to SPARQL text.
 pub fn write_query(q: &Query, dict: &Dictionary) -> String {
@@ -16,22 +46,16 @@ pub fn write_query(q: &Query, dict: &Dictionary) -> String {
 }
 
 /// The length in bytes of [`write_query`]'s text, without building it: the
-/// same writer run over a sink that only counts. The simulated network
-/// charges every request by this number.
+/// same writer run over a sink that only counts, and counts each term by
+/// [`Term::wire_len`]. The simulated network charges every request by
+/// this number.
 pub fn query_wire_len(q: &Query, dict: &Dictionary) -> usize {
-    struct ByteCount(usize);
-    impl Write for ByteCount {
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            self.0 += s.len();
-            Ok(())
-        }
-    }
     let mut count = ByteCount(0);
     write_query_to(&mut count, q, dict).expect("counting cannot fail");
     count.0
 }
 
-fn write_query_to<W: Write>(out: &mut W, q: &Query, dict: &Dictionary) -> fmt::Result {
+fn write_query_to<W: Sink>(out: &mut W, q: &Query, dict: &Dictionary) -> fmt::Result {
     match &q.form {
         QueryForm::Select => {
             out.write_str("SELECT ")?;
@@ -100,7 +124,7 @@ fn write_query_to<W: Write>(out: &mut W, q: &Query, dict: &Dictionary) -> fmt::R
     Ok(())
 }
 
-fn write_group<W: Write>(out: &mut W, g: &GroupPattern, dict: &Dictionary) -> fmt::Result {
+fn write_group<W: Sink>(out: &mut W, g: &GroupPattern, dict: &Dictionary) -> fmt::Result {
     out.write_str("{ ")?;
     for t in &g.triples {
         write_pattern_term(out, &t.s, dict)?;
@@ -140,7 +164,7 @@ fn write_group<W: Write>(out: &mut W, g: &GroupPattern, dict: &Dictionary) -> fm
     out.write_char('}')
 }
 
-fn write_values<W: Write>(out: &mut W, v: &ValuesBlock, dict: &Dictionary) -> fmt::Result {
+fn write_values<W: Sink>(out: &mut W, v: &ValuesBlock, dict: &Dictionary) -> fmt::Result {
     out.write_str("VALUES (")?;
     for var in &v.vars {
         write!(out, "?{var} ")?;
@@ -160,18 +184,18 @@ fn write_values<W: Write>(out: &mut W, v: &ValuesBlock, dict: &Dictionary) -> fm
     out.write_str("} ")
 }
 
-fn write_pattern_term<W: Write>(out: &mut W, t: &PatternTerm, dict: &Dictionary) -> fmt::Result {
+fn write_pattern_term<W: Sink>(out: &mut W, t: &PatternTerm, dict: &Dictionary) -> fmt::Result {
     match t {
         PatternTerm::Var(v) => write!(out, "?{v}"),
         PatternTerm::Const(id) => write_const(out, *id, dict),
     }
 }
 
-fn write_const<W: Write>(out: &mut W, id: TermId, dict: &Dictionary) -> fmt::Result {
-    write!(out, "{}", dict.decode(id))
+fn write_const<W: Sink>(out: &mut W, id: TermId, dict: &Dictionary) -> fmt::Result {
+    out.term(&dict.decode(id))
 }
 
-fn write_expr<W: Write>(out: &mut W, e: &Expression, dict: &Dictionary) -> fmt::Result {
+fn write_expr<W: Sink>(out: &mut W, e: &Expression, dict: &Dictionary) -> fmt::Result {
     match e {
         Expression::Var(v) => write!(out, "?{v}")?,
         Expression::Const(id) => write_const(out, *id, dict)?,

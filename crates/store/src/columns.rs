@@ -11,25 +11,33 @@
 //!   each subject run. A triple's *row index* is its rank in this order,
 //!   and a per-row column of subject ranks inverts the offsets, so a row
 //!   reached through a permutation finds its subject in constant time.
+//! * **Subject directory**: a bitmap over the 64-id words the subject ids
+//!   span, one bit per id, plus the running popcount before each word. A
+//!   subject's rank — and so its run — is one add and one popcount, not a
+//!   search: every `(s, ·, ·)` probe a bound subquery's `VALUES` seeds
+//!   starts here.
 //! * **POS / OSP as permutations**: row indexes sorted by `(p, o, s)` and
 //!   `(o, s, p)` respectively, each fronted by a packed key directory
 //!   (distinct predicates / objects with run offsets). The directory run
 //!   lengths *are* the per-predicate histogram — predicate statistics
 //!   fall out of construction for free.
 //!
-//! Every column lives in a [`PackedVec`]: fixed-width bit-packed `u32`
-//! values, width chosen per column as the bit-length of its maximum. On
-//! the 1 M-triple LUBM store `lusail-bench counters` builds for its
-//! footprint floor this measures 12.8 bytes per triple (2.2 of them the
-//! subject ranks), versus 75.5 for the three-B-tree layout.
+//! Every other column lives in a [`PackedVec`]: fixed-width bit-packed
+//! `u32` values, width chosen per column as the bit-length of its maximum.
+//! On the 1 M-triple LUBM store `lusail-bench counters` builds for its
+//! footprint floor this measures 12.9 bytes per triple (2.2 of them the
+//! subject ranks, 0.09 the subject directory), versus 75.5 for the
+//! three-B-tree layout.
 //!
-//! All eight scan paths binary-search to the exact run and emit triples
-//! in the same index order as the BTree backend (SPO for subject-led,
-//! `(p,o,s)` for predicate-led, `(o,s,p)` for object-led), so the two
-//! backends are observationally identical — `rows_scanned` included.
-//! Estimates come from run boundaries and are therefore **exact** for
-//! every pattern shape, which is where the columnar backend feeds the
-//! join orderer better information than the BTree backend's capped walks.
+//! All eight scan paths go straight to the exact run — subject-led ones by
+//! rank, the rest by binary search over the predicate and object key
+//! directories — and emit triples in the same index order as the BTree
+//! backend (SPO for subject-led, `(p,o,s)` for predicate-led, `(o,s,p)`
+//! for object-led), so the two backends are observationally identical —
+//! `rows_scanned` included. Estimates come from run boundaries and are
+//! therefore **exact** for every pattern shape, which is where the
+//! columnar backend feeds the join orderer better information than the
+//! BTree backend's capped walks.
 
 use crate::backend::{BackendKind, StorageBackend};
 use crate::store::{PredicateStats, TripleStore};
@@ -127,8 +135,17 @@ fn partition_point(lo: usize, hi: usize, mut pred: impl FnMut(usize) -> bool) ->
 pub struct ColumnStore {
     dict: Arc<Dictionary>,
     n: usize,
-    /// Distinct subjects, ascending.
+    /// Distinct subjects, ascending: rank → id, for the full scans and
+    /// `subject_of_row`. The lookup id → rank is the subject directory.
     subjects: PackedVec,
+    /// Subject directory: bit `s % 64` of word `s / 64 - subject_word0` is
+    /// set iff `s` is a subject, over the words its ids span.
+    subject_bits: Vec<u64>,
+    /// Per directory word, the set bits in the words before it, so a
+    /// subject's rank is one add and one popcount.
+    subject_prefix: Vec<u32>,
+    /// The directory's first word, `subjects[0] / 64`.
+    subject_word0: u32,
     /// `subjects.len() + 1` row offsets delimiting each subject's run.
     s_offsets: PackedVec,
     /// Per-row rank of the row's subject in `subjects` — the inverse of
@@ -181,6 +198,23 @@ impl ColumnStore {
         }
         s_offsets.push(n as u32);
 
+        let subject_word0 = subjects.first().map_or(0, |&s| s / 64);
+        let words = subjects
+            .last()
+            .map_or(0, |&s| (s / 64 - subject_word0) as usize + 1);
+        let mut subject_bits = vec![0u64; words];
+        for &s in &subjects {
+            subject_bits[(s / 64 - subject_word0) as usize] |= 1 << (s % 64);
+        }
+        let subject_prefix = subject_bits
+            .iter()
+            .scan(0u32, |rank, w| {
+                let before = *rank;
+                *rank += w.count_ones();
+                Some(before)
+            })
+            .collect();
+
         let preds: Vec<u32> = rows.iter().map(|r| r.1).collect();
         let objs: Vec<u32> = rows.iter().map(|r| r.2).collect();
 
@@ -221,6 +255,9 @@ impl ColumnStore {
             dict,
             n,
             subjects: PackedVec::build(&subjects),
+            subject_bits,
+            subject_prefix,
+            subject_word0,
             s_offsets: PackedVec::build(&s_offsets),
             row_ranks: PackedVec::build(&row_ranks),
             preds: PackedVec::build(&preds),
@@ -240,18 +277,20 @@ impl ColumnStore {
         self.subjects.get(self.row_ranks.get(row) as usize)
     }
 
-    /// The `[start, end)` SPO row run for subject `s`, if present.
+    /// The `[start, end)` SPO row run for subject `s`, if present: its
+    /// rank is a directory lookup, not a search.
     fn subject_run(&self, s: u32) -> Option<(usize, usize)> {
-        let ns = self.subjects.len();
-        let k = partition_point(0, ns, |k| self.subjects.get(k) < s);
-        if k < ns && self.subjects.get(k) == s {
-            Some((
-                self.s_offsets.get(k) as usize,
-                self.s_offsets.get(k + 1) as usize,
-            ))
-        } else {
-            None
+        let w = (s / 64).checked_sub(self.subject_word0)? as usize;
+        let word = *self.subject_bits.get(w)?;
+        let bit = 1u64 << (s % 64);
+        if word & bit == 0 {
+            return None;
         }
+        let k = (self.subject_prefix[w] + (word & (bit - 1)).count_ones()) as usize;
+        Some((
+            self.s_offsets.get(k) as usize,
+            self.s_offsets.get(k + 1) as usize,
+        ))
     }
 
     /// Narrows a subject run to its predicate sub-run (rows sorted by
@@ -460,8 +499,8 @@ impl StorageBackend for ColumnStore {
     }
 
     /// Exact for every shape: each pattern maps to a run whose length the
-    /// sorted layout yields by binary search — no cap is needed because
-    /// no walk happens.
+    /// sorted layout yields by rank or binary search — no cap is needed
+    /// because no walk happens.
     fn estimate(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> u64 {
         match (s, p, o) {
             (Some(s), Some(p), Some(o)) => u64::from(self.contains(Triple::new(s, p, o))),
@@ -562,10 +601,12 @@ impl StorageBackend for ColumnStore {
         self.rows_scanned.load(Ordering::Relaxed)
     }
 
-    /// Exact: the sum of every packed column's word buffer plus the
-    /// struct itself.
+    /// Exact: the sum of every packed column's word buffer, the subject
+    /// directory, and the struct itself.
     fn resident_bytes(&self) -> u64 {
         self.subjects.heap_bytes()
+            + self.subject_bits.len() as u64 * 8
+            + self.subject_prefix.len() as u64 * 4
             + self.s_offsets.heap_bytes()
             + self.row_ranks.heap_bytes()
             + self.preds.heap_bytes()
@@ -849,5 +890,43 @@ mod tests {
         }
         assert!(StorageBackend::predicates(&cols).is_empty());
         assert_eq!(cols_dyn.rows_scanned(), 0);
+    }
+
+    /// The subject directory answers every id — below the words it spans,
+    /// inside them, and past them — as the BTree backend's search does.
+    #[test]
+    fn subject_directory_agrees_with_btree_on_every_id() {
+        // An empty store, then one subject at either side of a word edge.
+        for subject_id in [None, Some(63), Some(64)] {
+            let dict = Dictionary::shared();
+            let mut st = TripleStore::new(Arc::clone(&dict));
+            if let Some(target) = subject_id {
+                while dict.len() < target {
+                    dict.encode(&Term::iri(format!("pad{}", dict.len())));
+                }
+                let s = dict.encode(&Term::iri("s"));
+                assert_eq!(s, TermId(target as u32));
+                for o in ["o1", "o2"] {
+                    st.insert_terms(&Term::iri("s"), &Term::iri("p"), &Term::iri(o));
+                }
+            }
+            let cols = ColumnStore::from_store(&st);
+            let cols_dyn: &dyn StorageBackend = &cols;
+            let (p, o) = (dict.encode(&Term::iri("p")), dict.encode(&Term::iri("o1")));
+            for id in 0..=dict.len() as u32 + 70 {
+                let s = Some(TermId(id));
+                for (qp, qo) in [(None, None), (Some(p), None), (Some(p), Some(o))] {
+                    let ctx = format!("subject {subject_id:?}, probe ({id}, {qp:?}, {qo:?})");
+                    assert_eq!(st.matches(s, qp, qo), cols_dyn.matches(s, qp, qo), "{ctx}");
+                    assert_eq!(
+                        st.estimate(s, qp, qo),
+                        StorageBackend::estimate(&cols, s, qp, qo),
+                        "{ctx}"
+                    );
+                }
+                let t = Triple::new(TermId(id), p, o);
+                assert_eq!(st.contains(t), StorageBackend::contains(&cols, t), "{id}");
+            }
+        }
     }
 }

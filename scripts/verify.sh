@@ -97,7 +97,7 @@ if grep -Eq 'struct Relation|\bpartitions:' crates/core/src/*.rs; then
 fi
 [ "$scattered" -eq 0 ]
 
-echo "==> no superseded path is back (one BGP order, one VALUES sizing, two gated configurations, one COUNT form, one FedX)"
+echo "==> no superseded path is back (one BGP order, one VALUES sizing, two gated configurations, one COUNT form, one FedX, one subject lookup, one term count)"
 scattered=0
 total=0
 non_test=0
@@ -118,6 +118,17 @@ while IFS= read -r f; do
 done < <(find crates -name '*.rs' | sort)
 if grep -q $'\tbaseline\t' crates/bench/counters.tsv; then
     echo "crates/bench/counters.tsv: a baseline line is back (the gate has two configurations: optimized, stats)" >&2
+    scattered=1
+fi
+# A subject's run is a rank in the subject directory, not a search.
+if sed -n '/    fn subject_run(/,/^    }$/p' crates/store/src/columns.rs | grep -q 'partition_point'; then
+    echo "crates/store/src/columns.rs: subject_run searches the subjects column again (it ranks in the directory)" >&2
+    scattered=1
+fi
+# Request bytes count a term by Term::wire_len; only the String sink formats it.
+counting_sink=$(sed -n '/^impl Sink for ByteCount/,/^}$/p' crates/sparql/src/writer.rs)
+if [ -z "$counting_sink" ] || grep -Eq 'write!|Display|to_string|format!' <<<"$counting_sink"; then
+    echo "crates/sparql/src/writer.rs: the counting sink formats terms (or is gone) instead of adding Term::wire_len" >&2
     scattered=1
 fi
 [ "$scattered" -eq 0 ]
@@ -182,23 +193,23 @@ sed 's/ in [0-9.]* ms//' "$tmpdir/q2_t4.txt" > "$tmpdir/q2_t4.stable"
 diff -u "$tmpdir/q2_t1.stable" "$tmpdir/q2_t4.stable"
 echo "parallel smoke: --threads 4 output matches --threads 1"
 
-echo "==> backend smoke (LUBM Q2, btree vs columns byte-identical, footprint drops)"
-cargo run --release -q --bin lusail-cli -- query \
-    --endpoint "$tmpdir/univ-0.nt" --endpoint "$tmpdir/univ-1.nt" \
-    --query-file "$tmpdir/queries/Q2.rq" \
-    --backend btree > "$tmpdir/q2_btree.txt"
-cargo run --release -q --bin lusail-cli -- query \
-    --endpoint "$tmpdir/univ-0.nt" --endpoint "$tmpdir/univ-1.nt" \
-    --query-file "$tmpdir/queries/Q2.rq" \
-    --backend columns > "$tmpdir/q2_columns.txt"
-# The storage line names the backend and its resident bytes; everything
-# else (rows, request counters, scan counters) must be byte-identical
-# once the nondeterministic wall time is stripped.
-grep -q '^storage: backend btree, [0-9]* B resident' "$tmpdir/q2_btree.txt"
-grep -q '^storage: backend columns, [0-9]* B resident' "$tmpdir/q2_columns.txt"
-sed 's/ in [0-9.]* ms//; /^storage: /d' "$tmpdir/q2_btree.txt"   > "$tmpdir/q2_btree.stable"
-sed 's/ in [0-9.]* ms//; /^storage: /d' "$tmpdir/q2_columns.txt" > "$tmpdir/q2_columns.stable"
-diff -u "$tmpdir/q2_btree.stable" "$tmpdir/q2_columns.stable"
+echo "==> backend smoke (LUBM Q2 and Q4, btree vs columns byte-identical, footprint drops)"
+# Q2 ships its BGP whole; Q4 binds subjects through VALUES blocks, so the
+# columnar subject directory answers its probes.
+for q in q2 q4; do
+    for backend in btree columns; do
+        cargo run --release -q --bin lusail-cli -- query \
+            --endpoint "$tmpdir/univ-0.nt" --endpoint "$tmpdir/univ-1.nt" \
+            --query-file "$tmpdir/queries/${q^^}.rq" \
+            --backend "$backend" > "$tmpdir/${q}_$backend.txt"
+        # The storage line names the backend and its resident bytes;
+        # everything else (rows, request counters, scan counters) must be
+        # byte-identical once the nondeterministic wall time is stripped.
+        grep -q "^storage: backend $backend, [0-9]* B resident" "$tmpdir/${q}_$backend.txt"
+        sed 's/ in [0-9.]* ms//; /^storage: /d' "$tmpdir/${q}_$backend.txt" > "$tmpdir/${q}_$backend.stable"
+    done
+    diff -u "$tmpdir/${q}_btree.stable" "$tmpdir/${q}_columns.stable"
+done
 resident() { grep -o '[0-9]* B resident' "$1" | cut -d' ' -f1; }
 btree_bytes=$(resident "$tmpdir/q2_btree.txt")
 columns_bytes=$(resident "$tmpdir/q2_columns.txt")
@@ -206,7 +217,7 @@ if [ "$columns_bytes" -ge "$btree_bytes" ]; then
     echo "backend smoke: columns not smaller ($columns_bytes vs $btree_bytes B)" >&2
     exit 1
 fi
-echo "backend smoke: identical output, resident $btree_bytes -> $columns_bytes B"
+echo "backend smoke: identical Q2 and Q4 output, resident $btree_bytes -> $columns_bytes B"
 
 echo "==> plan smoke (LUBM Q2 on columns: the endpoints join without a cross product)"
 # Q2 is shipped whole to each endpoint. Connected-first ordering answers it

@@ -397,13 +397,20 @@ fn store_scan_matches_naive_filter() {
 /// five range-walk shapes (it is exact on `(?, p, ?)` and the all-free
 /// shape). Universes are sized so the cap genuinely binds in some cases;
 /// the test asserts that coverage rather than hoping for it.
+///
+/// The columnar subject lookup is a bitmap over 64-id words, so half the
+/// cases put subjects on word edges several words apart, and subject
+/// probes include raw ids below, inside and past the subjects' span.
 #[test]
 fn backend_scans_and_estimates_agree() {
     use lusail_store::{BackendKind, StorageBackend, ESTIMATE_CAP};
+    use std::collections::BTreeSet;
 
     let mut rng = Rng::new(seed_from_env(0xBAC_E4D));
     let mut cap_bound_patterns = 0u64;
     let mut nonempty_scans = 0u64;
+    let (mut below_span, mut in_gap, mut above_span, mut multi_word) = (0u64, 0u64, 0u64, 0u64);
+    let mut edge_subjects = BTreeSet::<u32>::new();
     for case in 0..60 {
         let dict = Dictionary::shared();
         // Small subject/predicate universes with a wider object universe:
@@ -414,6 +421,17 @@ fn backend_scans_and_estimates_agree() {
         let no = 1 + rng.below(80);
         let node = |n: usize, dict: &Dictionary| dict.encode(&Term::iri(format!("http://g/n{n}")));
         let pred = |n: usize, dict: &Dictionary| dict.encode(&Term::iri(format!("http://g/p{n}")));
+        if case % 2 == 1 {
+            // Filler terms before and between the subjects put node n at
+            // id 64(n + 1) − 1, + 0 or + 1.
+            for n in 0..ns {
+                let target = 64 * (n + 1) - 1 + rng.below(3);
+                while dict.len() < target {
+                    dict.encode(&Term::iri(format!("http://g/pad{}", dict.len())));
+                }
+                node(n, &dict);
+            }
+        }
         let mut st = TripleStore::new(Arc::clone(&dict));
         for _ in 0..rng.below(400) {
             st.insert(lusail_rdf::Triple::new(
@@ -435,6 +453,18 @@ fn backend_scans_and_estimates_agree() {
                 ));
             }
         }
+        let mut subjects = BTreeSet::new();
+        st.scan(None, None, None, |t| {
+            subjects.insert(t.s.0);
+            true
+        });
+        let (first, last) = (*subjects.first().unwrap(), *subjects.last().unwrap());
+        multi_word += u64::from(last / 64 - first / 64 >= 2);
+        edge_subjects.extend(
+            subjects
+                .iter()
+                .filter(|&&s| s >= 63 && matches!(s % 64, 63 | 0 | 1)),
+        );
         let backends: Vec<Box<dyn StorageBackend>> = {
             let copy = {
                 let mut c = TripleStore::new(Arc::clone(&dict));
@@ -458,10 +488,20 @@ fn backend_scans_and_estimates_agree() {
 
         for probe in 0..40 {
             // Constants range past each universe so absent terms occur in
-            // every position; every bound/unbound combination arises.
-            let qs = rng.chance(0.5).then(|| node(rng.below(ns + 2), &dict));
+            // every position; every bound/unbound combination arises. A
+            // subject may also be any id, interned or not.
+            let qs = match rng.below(8) {
+                0..=3 => None,
+                4..=6 => Some(node(rng.below(ns + 2), &dict)),
+                _ => Some(TermId(rng.below(dict.len() + 70) as u32)),
+            };
             let qp = rng.chance(0.5).then(|| pred(rng.below(np + 2), &dict));
             let qo = rng.chance(0.5).then(|| node(rng.below(no + 2), &dict));
+            if let Some(s) = qs {
+                below_span += u64::from(s.0 < first);
+                in_gap += u64::from(s.0 > first && s.0 < last && !subjects.contains(&s.0));
+                above_span += u64::from(s.0 > last);
+            }
             let ctx =
                 |what: &str| format!("case {case} probe {probe} ({qs:?},{qp:?},{qo:?}): {what}");
 
@@ -554,6 +594,17 @@ fn backend_scans_and_estimates_agree() {
         cap_bound_patterns > 20 && nonempty_scans > 400,
         "coverage too thin: {cap_bound_patterns} cap-bound patterns, {nonempty_scans} nonempty scans"
     );
+    assert!(
+        below_span > 20 && in_gap > 20 && above_span > 20 && multi_word > 10,
+        "directory coverage too thin: subject probes {below_span} below the span, {in_gap} in \
+         gaps, {above_span} above it; {multi_word} stores spanning 3+ words"
+    );
+    for id in [63, 64, 65, 127, 128] {
+        assert!(
+            edge_subjects.contains(&id),
+            "no store had subject id {id}: {edge_subjects:?}"
+        );
+    }
 }
 
 // ---------- the federation partition property --------------------------------
