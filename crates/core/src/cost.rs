@@ -1,10 +1,10 @@
 //! SAPE's cost model (§V-A): per-subquery cardinality estimation and the
 //! delayed-subquery decision.
 //!
-//! Cardinalities come from lightweight `SELECT (COUNT(*) …)` probes, one
-//! per triple pattern per relevant endpoint, memoized like ASK results.
-//! Pushed single-variable filters ride along with the probe for better
-//! estimates, as in the paper.
+//! Cardinalities come from COUNT probes of the bare triple pattern, one per
+//! distinct (pattern, relevant endpoint), memoized like ASK results and by
+//! default coalesced into one request per endpoint and phase (`probe.rs`).
+//! Pushed filters do not ride along: a filtered subquery only errs high.
 //!
 //! For a subquery `sq` and variable `v`:
 //!

@@ -183,7 +183,6 @@ mod tests {
         GjvAnalysis {
             gjvs: Vec::new(),
             conflicts: set,
-            check_queries: 0,
         }
     }
 

@@ -25,7 +25,7 @@ use crate::source_selection::{select_sources, SourceMap};
 use crate::subquery::{push_filters_into, Subquery};
 use lusail_endpoint::{
     Clock, EndpointFailure, EndpointId, ExecOptions, Federation, FederationError, QueryOutcome,
-    RequestPolicy, StatsSnapshot, SystemClock, TraceEvent, TraceSink,
+    RequestCounts, RequestKind, RequestPolicy, SystemClock, TraceEvent, TraceSink,
 };
 use lusail_sparql::ast::{Expression, GroupPattern, Query};
 use lusail_sparql::SolutionSet;
@@ -375,23 +375,22 @@ impl Lusail {
             trace.emit(|| TraceEvent::StatsLoaded { endpoints, sets });
         }
 
-        let s0 = fed.stats_snapshot();
+        let s0 = net.client.requests();
         let t0 = net.clock.now();
         let sources = select_sources(fed, group, &caches.ask, net);
         let source_selection = net.clock.now().saturating_sub(t0);
-        let s1 = fed.stats_snapshot();
+        let s1 = net.client.requests();
         let mut plan = Plan {
             group,
             top,
             sources,
             gjvs: Vec::new(),
-            check_queries: 0,
             shape: PlanShape::Empty,
             started,
             source_selection,
             analysis: Duration::ZERO,
             requests_source_selection: s1.since(&s0),
-            requests_analysis: StatsSnapshot::default(),
+            requests_analysis: RequestCounts::default(),
         };
         // A required pattern with no source ⇒ empty result, no more work.
         if plan.sources.any_required_empty(&group.triples) {
@@ -480,9 +479,8 @@ impl Lusail {
             }
         };
         plan.gjvs = analysis.gjvs;
-        plan.check_queries = analysis.check_queries;
         plan.analysis = net.clock.now().saturating_sub(t1);
-        plan.requests_analysis = fed.stats_snapshot().since(&s1);
+        plan.requests_analysis = net.client.requests().since(&s1);
         plan
     }
 
@@ -503,7 +501,7 @@ impl Lusail {
         net: &Net,
         mut memo: Option<&mut BatchMemo>,
     ) -> (SolutionSet, QueryMetrics) {
-        let s2 = fed.stats_snapshot();
+        let s2 = net.client.requests();
         let t2 = net.clock.now();
         let (group, top) = (plan.group, plan.top);
         let mut metrics = QueryMetrics {
@@ -511,7 +509,7 @@ impl Lusail {
             analysis: plan.analysis,
             requests_source_selection: plan.requests_source_selection,
             requests_analysis: plan.requests_analysis,
-            check_queries: plan.check_queries,
+            check_queries: plan.requests_analysis.get(RequestKind::Check),
             gjvs: plan.gjvs,
             ..QueryMetrics::default()
         };
@@ -565,7 +563,7 @@ impl Lusail {
             }
         };
         metrics.execution = net.clock.now().saturating_sub(t2);
-        metrics.requests_execution = fed.stats_snapshot().since(&s2);
+        metrics.requests_execution = net.client.requests().since(&s2);
         metrics.result_rows = solutions.len();
         metrics.total = net.clock.now().saturating_sub(plan.started);
         (solutions, metrics)
@@ -584,16 +582,14 @@ pub(crate) struct Plan<'q> {
     pub(crate) sources: SourceMap,
     /// Global join variables of the group's BGP.
     pub(crate) gjvs: Vec<String>,
-    /// Check queries LADE evaluated.
-    pub(crate) check_queries: u64,
     /// How the group is evaluated.
     pub(crate) shape: PlanShape,
     // What planning cost, for `execute_plan` to stamp into the metrics.
     started: Duration,
     source_selection: Duration,
     analysis: Duration,
-    requests_source_selection: StatsSnapshot,
-    requests_analysis: StatsSnapshot,
+    requests_source_selection: RequestCounts,
+    pub(crate) requests_analysis: RequestCounts,
 }
 
 /// The three ways a group is evaluated.

@@ -14,11 +14,10 @@
 //!    first, as bound subqueries: the already-found bindings of a shared
 //!    variable are attached in `VALUES` blocks (one request per block per
 //!    endpoint), with source refinement for variable-predicate patterns.
-//!    Block sizing is *adaptive* by default: the first block runs at the
-//!    configured size, and the per-binding response cardinality it reveals
-//!    scales the remaining blocks up (never down) toward a target rows-
-//!    per-request — selective subqueries ship far fewer requests, while
-//!    the worst case stays exactly the fixed-size schedule.
+//!    Blocks are sized from the first one: it runs at the configured
+//!    `block_size`, and the per-binding response cardinality it reveals
+//!    scales the remaining blocks up (never below `block_size`) toward a
+//!    target rows-per-request, so selective subqueries ship few requests.
 
 use crate::cost::SubqueryCosts;
 use crate::engine::LusailConfig;

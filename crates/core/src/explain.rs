@@ -163,7 +163,7 @@ impl Lusail {
             empty: matches!(plan.shape, PlanShape::Empty),
             disjoint: matches!(plan.shape, PlanShape::Disjoint { .. }),
             subqueries,
-            check_queries: plan.check_queries,
+            check_queries: plan.requests_analysis.get(RequestKind::Check),
         }
     }
 

@@ -38,7 +38,7 @@ use crate::cache::ProbeCache;
 use crate::exec::Net;
 use crate::probe;
 use crate::source_selection::SourceMap;
-use lusail_endpoint::{EndpointId, Federation, RequestKind};
+use lusail_endpoint::{EndpointId, Federation};
 use lusail_rdf::{vocab, FxHashSet, TermId};
 use lusail_sparql::ast::{GroupPattern, PatternTerm, Query, TriplePattern};
 
@@ -51,11 +51,6 @@ pub struct GjvAnalysis {
     /// some variable to be global. Patterns in a conflicting pair must not
     /// share a subquery.
     pub conflicts: FxHashSet<(usize, usize)>,
-    /// Check-query wire attempts at endpoints — one per select that
-    /// actually reached an endpoint, so retried checks count per attempt
-    /// (diagnostics; the paper bounds the probe count by `O(|V|·|T|²)`
-    /// and it is small in practice).
-    pub check_queries: u64,
 }
 
 impl GjvAnalysis {
@@ -255,14 +250,7 @@ pub fn detect_gjvs(
                         pairs.push(key(*i, *j));
                     }
                 }
-                // `check_queries` counts wire attempts, exactly like the
-                // endpoint-side select counter it is documented as a part
-                // of: a retried check counts once per attempt and a
-                // circuit-broken one not at all.
-                let attempts_before = net.client.wire_attempts(RequestKind::Check);
                 let nonempty = probe::resolve::<probe::Check>(fed, net, cache, &probes);
-                analysis.check_queries +=
-                    net.client.wire_attempts(RequestKind::Check) - attempts_before;
                 for (pair, nonempty) in pairs.into_iter().zip(nonempty) {
                     if nonempty {
                         analysis.conflicts.insert(pair);
@@ -498,7 +486,7 @@ pub(crate) fn stats_check_answer(stats: &lusail_store::EndpointStats, q: &Query)
 mod tests {
     use super::*;
     use crate::source_selection::select_sources;
-    use lusail_endpoint::LocalEndpoint;
+    use lusail_endpoint::{LocalEndpoint, RequestKind};
     use lusail_rdf::{Dictionary, Term};
     use lusail_sparql::parse_query;
     use lusail_store::TripleStore;
@@ -570,11 +558,14 @@ mod tests {
     }
 
     fn analyze(fed: &Federation, q: &lusail_sparql::Query) -> GjvAnalysis {
-        let net = Net::default();
+        analyze_on(fed, q, &Net::default())
+    }
+
+    fn analyze_on(fed: &Federation, q: &lusail_sparql::Query, net: &Net) -> GjvAnalysis {
         let ask_cache = ProbeCache::new(true);
-        let sources = select_sources(fed, &q.pattern, &ask_cache, &net);
+        let sources = select_sources(fed, &q.pattern, &ask_cache, net);
         let check_cache = ProbeCache::new(true);
-        detect_gjvs(fed, &q.pattern.triples, &sources, &check_cache, &net)
+        detect_gjvs(fed, &q.pattern.triples, &sources, &check_cache, net)
     }
 
     #[test]
@@ -646,10 +637,11 @@ mod tests {
             fed.dict(),
         )
         .unwrap();
-        let analysis = analyze(&fed, &q);
+        let net = Net::default();
+        let analysis = analyze_on(&fed, &q, &net);
         assert_eq!(analysis.gjvs, ["v"]);
         assert!(analysis.conflicting(0, 1));
-        assert_eq!(analysis.check_queries, 0);
+        assert_eq!(net.client.requests().get(RequestKind::Check), 0);
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Per-query metrics: phase timings and network counters.
+//! Per-query metrics: phase timings and request counts.
 //!
 //! These are the quantities the paper's evaluation plots: response time
 //! split into source selection / query analysis / query execution
-//! (Fig. 10), number of remote requests (Fig. 3), and intermediate data
-//! volume.
+//! (Fig. 10) and the number of remote requests per phase (Figs. 3, 10).
+//! Bytes and scanned rows are endpoint-side counters: read them from a
+//! `Federation::stats_snapshot` window around a solo run.
 
-use lusail_endpoint::StatsSnapshot;
+use lusail_endpoint::RequestCounts;
 use std::time::Duration;
 
 /// Everything measured while executing one query.
@@ -20,18 +21,20 @@ pub struct QueryMetrics {
     pub execution: Duration,
     /// Total wall time.
     pub total: Duration,
-    /// Network counters accumulated during source selection. This and the
-    /// two windows below are differences of the *federation-wide* endpoint
-    /// counters, exact only while no other query runs against the same
-    /// `Federation`: a served query's figure includes its neighbours'
-    /// traffic (the server's `/stats` reports the totals).
-    pub requests_source_selection: StatsSnapshot,
-    /// Network counters accumulated during analysis.
-    pub requests_analysis: StatsSnapshot,
-    /// Network counters accumulated during execution.
-    pub requests_execution: StatsSnapshot,
-    /// Check queries evaluated by LADE (already contained in
-    /// `requests_analysis`, split out for Fig. 10 commentary).
+    /// This query's wire attempts during source selection, by purpose.
+    /// This and the two windows below are windows of the query's own
+    /// request client: they count this query's requests only, whatever
+    /// else runs on the `Federation`. A coalesced probe counts under its
+    /// probe kind.
+    pub requests_source_selection: RequestCounts,
+    /// This query's wire attempts during analysis.
+    pub requests_analysis: RequestCounts,
+    /// This query's wire attempts during execution, nested groups'
+    /// planning probes included.
+    pub requests_execution: RequestCounts,
+    /// Check-query wire attempts LADE made for the top-level pattern:
+    /// `requests_analysis.get(RequestKind::Check)`, split out for Fig. 10
+    /// commentary.
     pub check_queries: u64,
     /// Global join variables detected.
     pub gjvs: Vec<String>,
@@ -58,31 +61,36 @@ impl QueryMetrics {
             + self.requests_analysis.total_requests()
             + self.requests_execution.total_requests()
     }
-
-    /// Total bytes moved (both directions) across all phases.
-    pub fn total_bytes(&self) -> u64 {
-        let sum = |s: &StatsSnapshot| s.bytes_sent + s.bytes_returned;
-        sum(&self.requests_source_selection)
-            + sum(&self.requests_analysis)
-            + sum(&self.requests_execution)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lusail_endpoint::{RequestKind, ResilientClient};
 
     #[test]
     fn totals_sum_phases() {
-        let mut m = QueryMetrics::default();
-        m.requests_source_selection.ask_requests = 4;
-        m.requests_analysis.select_requests = 2;
-        m.requests_analysis.count_requests = 3;
-        m.requests_execution.select_requests = 5;
+        let client = ResilientClient::default();
+        let send = |kind, n| {
+            for _ in 0..n {
+                client.request_kind(0, kind, || Ok(())).unwrap();
+            }
+        };
+        let s0 = client.requests();
+        send(RequestKind::Ask, 4);
+        let s1 = client.requests();
+        send(RequestKind::Check, 2);
+        send(RequestKind::Count, 3);
+        let s2 = client.requests();
+        send(RequestKind::Select, 5);
+        let m = QueryMetrics {
+            requests_source_selection: s1.since(&s0),
+            requests_analysis: s2.since(&s1),
+            requests_execution: client.requests().since(&s2),
+            ..QueryMetrics::default()
+        };
         assert_eq!(m.total_requests(), 14);
-        m.requests_execution.bytes_sent = 10;
-        m.requests_execution.bytes_returned = 20;
-        m.requests_analysis.bytes_sent = 1;
-        assert_eq!(m.total_bytes(), 31);
+        assert_eq!(m.requests_analysis.get(RequestKind::Check), 2);
+        assert_eq!(m.requests_execution.get(RequestKind::Ask), 0);
     }
 }

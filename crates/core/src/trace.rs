@@ -58,13 +58,6 @@ impl QueryTrace {
         summary
     }
 
-    /// Sum of wire attempts over every request kind whose wire form is a
-    /// SELECT (data selects *and* LADE check queries) — the number that
-    /// must equal the federation's `select_requests` counter.
-    pub fn select_wire_attempts(&self) -> u64 {
-        self.requests(RequestKind::Select).attempts + self.requests(RequestKind::Check).attempts
-    }
-
     /// Indices of subqueries recorded as delayed *without* a delay
     /// reason — always empty for a well-formed trace.
     pub fn delayed_without_reason(&self) -> Vec<usize> {
@@ -248,7 +241,7 @@ mod tests {
                 failures: 1,
             }
         );
-        assert_eq!(trace.select_wire_attempts(), 3);
+        assert_eq!(trace.requests(RequestKind::Check).attempts, 1);
         assert_eq!(
             trace.requests(RequestKind::Count),
             RequestSummary::default()

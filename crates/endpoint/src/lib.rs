@@ -35,7 +35,7 @@ pub use fault::{FaultProfile, FlakyEndpoint};
 pub use federation::{EndpointId, Federation, FederationBuilder};
 pub use network::{NetworkProfile, NetworkStats, StatsSnapshot};
 pub use resilience::{Clock, HealthHook, ManualClock, RequestPolicy, ResilientClient, SystemClock};
-pub use trace::{HealthState, RequestKind, TraceEvent, TraceSink};
+pub use trace::{HealthState, RequestCounts, RequestKind, TraceEvent, TraceSink};
 
 use lusail_sparql::{query_wire_len, Query, SolutionSet};
 use lusail_store::{BackendKind, StorageBackend, TripleStore};

@@ -20,7 +20,7 @@
 use crate::error::{EndpointError, EndpointFailure};
 use crate::fault::SplitMix64;
 use crate::federation::{EndpointId, Federation};
-use crate::trace::{HealthState, RequestKind, TraceEvent, TraceSink};
+use crate::trace::{HealthState, RequestCounts, RequestKind, TraceEvent, TraceSink};
 use lusail_sparql::{Query, SolutionSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -219,7 +219,7 @@ pub struct ResilientClient {
     /// Wire attempts per [`RequestKind`] (indexed by `kind.index()`): each
     /// increment corresponds to exactly one invocation of the request
     /// operation, i.e. one bump of the endpoint's request counter.
-    wire_attempts: [AtomicU64; 4],
+    requests: [AtomicU64; 4],
     /// Observer invoked on every circuit transition, outside the state
     /// lock — a long-lived server hangs shared-cache invalidation here.
     on_transition: Option<HealthHook>,
@@ -259,7 +259,7 @@ impl ResilientClient {
             states: Mutex::new(Vec::new()),
             nonce: AtomicU64::new(0),
             trace,
-            wire_attempts: [const { AtomicU64::new(0) }; 4],
+            requests: [const { AtomicU64::new(0) }; 4],
             on_transition: None,
         }
     }
@@ -272,11 +272,12 @@ impl ResilientClient {
         self
     }
 
-    /// Total wire attempts of the given kind routed through this client —
-    /// one per operation invocation, so retried requests count once per
-    /// attempt and circuit-broken requests count zero.
-    pub fn wire_attempts(&self, kind: RequestKind) -> u64 {
-        self.wire_attempts[kind.index()].load(Ordering::Relaxed)
+    /// Wire attempts routed through this client so far, per kind — one per
+    /// operation invocation, so a retried request counts once per attempt
+    /// and a circuit-broken one not at all. Windows of it are one query's
+    /// own traffic, whatever else runs on the federation.
+    pub fn requests(&self) -> RequestCounts {
+        RequestCounts(self.requests.each_ref().map(|n| n.load(Ordering::Relaxed)))
     }
 
     /// The client's policy.
@@ -462,7 +463,7 @@ impl ResilientClient {
                 break Err(EndpointError::Timeout);
             }
             attempts += 1;
-            self.wire_attempts[kind.index()].fetch_add(1, Ordering::Relaxed);
+            self.requests[kind.index()].fetch_add(1, Ordering::Relaxed);
             let sent = self.clock.now();
             match op() {
                 Ok(v) => {
@@ -791,17 +792,22 @@ mod tests {
         };
         let sink = TraceSink::enabled();
         let client = ResilientClient::traced(policy, clock, sink.clone());
+        assert_eq!(client.request(1, || Ok(1)), Ok(1));
+        let before = client.requests();
         let (_, op) = counting_op(vec![
             Err(EndpointError::Interrupted),
             Err(EndpointError::Interrupted),
             Ok(9),
         ]);
         assert_eq!(client.request_kind(2, RequestKind::Ask, op), Ok(9));
-        assert_eq!(client.wire_attempts(RequestKind::Ask), 3);
-        assert_eq!(client.wire_attempts(RequestKind::Select), 0);
+        let window = client.requests().since(&before);
+        assert_eq!(window.get(RequestKind::Ask), 3);
+        assert_eq!(window.get(RequestKind::Select), 0);
+        assert_eq!(window.total_requests(), 3);
+        assert_eq!(client.requests().total_requests(), 4);
         assert_eq!(
-            sink.events(),
-            vec![TraceEvent::Request {
+            sink.events()[1..],
+            [TraceEvent::Request {
                 endpoint: 2,
                 kind: RequestKind::Ask,
                 attempts: 3,
@@ -836,7 +842,7 @@ mod tests {
         // One wire attempt total (the tripping request), zero for the
         // short-circuited one — and both requests left an event, plus the
         // circuit-open transition between them.
-        assert_eq!(client.wire_attempts(RequestKind::Count), 1);
+        assert_eq!(client.requests().get(RequestKind::Count), 1);
         let events = sink.events();
         assert_eq!(events.len(), 3);
         assert_eq!(

@@ -67,6 +67,26 @@ impl RequestKind {
     }
 }
 
+/// Wire attempts per [`RequestKind`], labelled by purpose: the ledger of a
+/// [`ResilientClient`](crate::ResilientClient), or a window of it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RequestCounts(pub(crate) [u64; 4]);
+
+impl RequestCounts {
+    /// Wire attempts of one kind.
+    pub fn get(&self, kind: RequestKind) -> u64 {
+        self.0[kind.index()]
+    }
+    /// Wire attempts of every kind.
+    pub fn total_requests(&self) -> u64 {
+        self.0.iter().sum()
+    }
+    /// Kind-wise difference `self - earlier`.
+    pub fn since(&self, earlier: &RequestCounts) -> RequestCounts {
+        RequestCounts(std::array::from_fn(|i| self.0[i] - earlier.0[i]))
+    }
+}
+
 /// The circuit-breaker state of one endpoint, as recorded in
 /// [`TraceEvent::HealthTransition`] events.
 ///

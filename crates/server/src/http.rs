@@ -17,7 +17,7 @@
 //! * `GET /sparql?query=<pct-encoded>` or `POST /sparql` (query text in
 //!   the body) — execute a query. Headers: `X-Tenant` names the tenant
 //!   (default `default`), `X-Deadline-Ms` requests a per-query deadline
-//!   in milliseconds (clamped to the tenant's budget).
+//!   in milliseconds (clamped to the tenant's budget; a non-number: 400).
 //! * `GET /healthz` — `200 ok` while serving, `503 draining` during
 //!   drain.
 //! * `GET /stats` — the serving counters, wire totals, and `batch.*`
@@ -119,7 +119,7 @@ pub fn percent_decode(s: &str) -> Option<String> {
 }
 
 /// One parsed HTTP request.
-struct Request {
+pub(crate) struct Request {
     method: String,
     /// Path without the query string.
     path: String,
@@ -166,7 +166,7 @@ fn find_header_end(buf: &[u8]) -> Option<usize> {
 /// Tries to parse one complete request from the front of `buf`.
 /// `Ok(None)` means more bytes are needed; `Err` is a protocol violation
 /// the connection cannot recover from.
-fn try_parse(buf: &[u8]) -> Result<Option<(Request, usize)>, String> {
+pub(crate) fn try_parse(buf: &[u8]) -> Result<Option<(Request, usize)>, String> {
     let Some(header_end) = find_header_end(buf) else {
         if buf.len() > 1 << 20 {
             return Err("request headers too large".into());
@@ -318,27 +318,28 @@ fn stats_body(server: &QueryServer) -> String {
 
 /// Executes a `/sparql` request to a response triple. Runs on a worker
 /// thread — admission, batching windows, and the engine may all block.
-fn handle_sparql(server: &QueryServer, request: &Request) -> (u16, &'static str, String) {
+pub(crate) fn handle_sparql(server: &QueryServer, req: &Request) -> (u16, &'static str, String) {
     let bad_request = |reason: &str| {
         let body = format!("error: bad request\ncode: parse\nreason: {reason}\n");
         (400, "Bad Request", body)
     };
-    let text = if request.method == "GET" {
-        match request.query_param("query") {
+    let text = if req.method == "GET" {
+        match req.query_param("query") {
             Some(None) => return bad_request("query is not valid UTF-8"),
             text => text.flatten(),
         }
     } else {
-        (!request.body.is_empty()).then(|| request.body.clone())
+        (!req.body.is_empty()).then(|| req.body.clone())
     };
     let Some(text) = text else {
         return bad_request("missing query");
     };
-    let tenant = request.header("x-tenant").unwrap_or("default").to_string();
-    let deadline = request
-        .header("x-deadline-ms")
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(Duration::from_millis);
+    let tenant = req.header("x-tenant").unwrap_or("default").to_string();
+    let deadline = match req.header("x-deadline-ms").map(str::parse) {
+        Some(Ok(ms)) => Some(Duration::from_millis(ms)),
+        Some(Err(_)) => return bad_request("X-Deadline-Ms is not a whole number of milliseconds"),
+        None => None,
+    };
     let dict = Arc::clone(server.federation().dict());
     let query = match parse_query(&text, &dict) {
         Ok(q) => q,

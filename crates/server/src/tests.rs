@@ -617,6 +617,39 @@ fn invalid_utf8_in_head_or_body_is_a_protocol_error() {
 }
 
 #[test]
+fn malformed_deadline_header_is_a_parse_error_not_the_full_budget() {
+    let query = "SELECT ?s WHERE { ?s <http://x/p> ?o }";
+    let request = |deadline: &str| {
+        format!(
+            "POST /sparql HTTP/1.1\r\nX-Deadline-Ms: {deadline}\r\nContent-Length: {}\r\n\r\n{query}",
+            query.len()
+        )
+    };
+    // The handler refuses before admission: nothing runs.
+    let (server, _) = tiny_server(ServerConfig::default());
+    for deadline in ["5s", "-1", "1.5", ""] {
+        let (parsed, _) = crate::http::try_parse(request(deadline).as_bytes())
+            .unwrap()
+            .expect("a complete request");
+        let (status, _, body) = crate::http::handle_sparql(&server, &parsed);
+        assert_eq!(status, 400, "{deadline:?}: {body}");
+        assert!(body.contains("code: parse"), "{deadline:?}: {body}");
+    }
+    assert_eq!(server.counters().admitted, 0);
+    // Over the socket the connection stays usable, and a well-formed
+    // deadline still runs the query.
+    with_http_loop(ServerConfig::default(), |addr, server| {
+        let (status, body, closed) = raw_exchange(addr, request("5s").as_bytes());
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("X-Deadline-Ms"), "{body}");
+        assert!(!closed);
+        let (status, body, _) = raw_exchange(addr, request("5000").as_bytes());
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(server.counters().admitted, 1);
+    });
+}
+
+#[test]
 fn multi_byte_utf8_body_is_measured_in_bytes_and_answers_200() {
     with_http_loop(ServerConfig::default(), |addr, _| {
         let mut conn = std::net::TcpStream::connect(addr).unwrap();

@@ -785,7 +785,7 @@ pub fn check_trace_invariants(
 ) -> Result<(), Violation> {
     let attempts = |kind| trace.requests(kind).attempts;
     let (ask, count) = (attempts(RequestKind::Ask), attempts(RequestKind::Count));
-    let select = trace.select_wire_attempts();
+    let select = attempts(RequestKind::Select) + attempts(RequestKind::Check);
     let per_kind = [
         ("ask", ask, window.ask_requests),
         ("count", count, window.count_requests),

@@ -97,6 +97,24 @@ if grep -Eq 'struct Relation|\bpartitions:' crates/core/src/*.rs; then
 fi
 [ "$scattered" -eq 0 ]
 
+echo "==> one request ledger per query (QueryMetrics windows the query's own client, not federation-wide counters)"
+scattered=0
+for f in crates/core/src/*.rs; do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -q 'stats_snapshot('; then
+        echo "$f: reads federation-wide counters (a query's requests are windows of net.client.requests())" >&2
+        scattered=1
+    fi
+done
+if grep -rq 'wire_attempts(' crates; then
+    echo "crates/: wire_attempts( is back (ResilientClient::requests is the one per-kind counter)" >&2
+    scattered=1
+fi
+if grep -q 'check_queries +=' crates/core/src/gjv.rs; then
+    echo "crates/core/src/gjv.rs: counts check queries itself (check_queries is requests_analysis.get(Check))" >&2
+    scattered=1
+fi
+[ "$scattered" -eq 0 ]
+
 echo "==> no superseded path is back (one BGP order, one VALUES sizing, two gated configurations, one COUNT form, one FedX, one subject lookup, one term count)"
 scattered=0
 total=0
@@ -132,7 +150,7 @@ if [ -z "$counting_sink" ] || grep -Eq 'write!|Display|to_string|format!' <<<"$c
     scattered=1
 fi
 [ "$scattered" -eq 0 ]
-# Informative, no ceiling: ROADMAP item 8 tracks this figure.
+# Informative, no ceiling: ROADMAP item 9 (line budget) tracks this figure.
 echo "crates/: $total lines of .rs, $non_test of them non-test"
 
 # The benchmark crate is a workspace of its own with its own lock file; it

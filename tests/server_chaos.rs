@@ -18,7 +18,9 @@
 //!   `draining`, the wait is bounded by the longest outstanding deadline
 //!   plus the drain margin, and nothing is abandoned;
 //! * the admission ledger balances exactly: admitted + rejected equals
-//!   the attempts the tenants made.
+//!   the attempts the tenants made;
+//! * the admitted queries' request ledgers sum to the federation's wire
+//!   total: each query counts its own requests, none of its neighbours'.
 //!
 //! Odd rounds run with **cross-tenant batching enabled** (a short window
 //! and a small count trigger, so concurrent tenants really do land in
@@ -161,11 +163,12 @@ fn chaos_round(round: u64, seed: u64) -> (lusail_server::ServerCounters, BatchSt
         handles.push(thread::spawn(move || {
             let tenant = format!("tenant-{t}");
             barrier.wait();
-            let mut attempts = 0u64;
+            let (mut attempts, mut requests) = (0u64, 0u64);
             for _ in 0..QUERIES_PER_TENANT {
                 attempts += 1;
                 match server.execute(&tenant, &query) {
                     Ok(result) => {
+                        requests += result.metrics.total_requests();
                         let got = result.solutions.canonicalize();
                         if result.complete {
                             assert_eq!(
@@ -206,10 +209,22 @@ fn chaos_round(round: u64, seed: u64) -> (lusail_server::ServerCounters, BatchSt
                     }
                 }
             }
-            attempts
+            (attempts, requests)
         }));
     }
-    let attempts: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+    let (mut attempts, mut requests) = (0, 0);
+    for handle in handles {
+        let (a, r) = handle.join().unwrap();
+        (attempts, requests) = (attempts + a, requests + r);
+    }
+    // Each admitted query's ledger is its own traffic, so together they
+    // are everything the federation served: no request is counted twice
+    // (a neighbour's) or missed (a batch memo hit sends nothing).
+    assert_eq!(
+        requests,
+        server.stats_snapshot().total_requests(),
+        "the admitted queries' ledgers do not sum to the wire total (seed {seed:#x})"
+    );
 
     // Phase 2: graceful drain. Nothing is in flight anymore, so the wait
     // must come in far under its own bound, and nothing may be abandoned.
