@@ -16,7 +16,6 @@ use lusail_core::source_selection::SourceMap;
 use lusail_endpoint::{EndpointId, LocalEndpoint};
 use lusail_rdf::{FxHashMap, FxHashSet, TermId};
 use lusail_sparql::ast::TriplePattern;
-use std::time::{Duration, Instant};
 
 /// Subject and object authority sets for one predicate at one endpoint.
 type AuthoritySets = (FxHashSet<String>, FxHashSet<String>);
@@ -26,45 +25,38 @@ type AuthoritySets = (FxHashSet<String>, FxHashSet<String>);
 pub struct HibiscusIndex {
     /// Per endpoint: predicate → (subject authorities, object authorities).
     per_endpoint: Vec<FxHashMap<TermId, AuthoritySets>>,
-    /// Preprocessing wall time.
-    pub build_time: Duration,
 }
 
 impl HibiscusIndex {
-    /// Scans every endpoint and collects authority summaries.
+    /// Summarizes every endpoint in one pass over its store (the offline
+    /// iterator, which charges no scanned rows).
     pub fn build(endpoints: &[&LocalEndpoint]) -> Self {
-        let t0 = Instant::now();
-        let mut per_endpoint = Vec::with_capacity(endpoints.len());
-        for ep in endpoints {
-            let store = ep.store();
-            let dict = store.dict();
-            let mut summary: FxHashMap<TermId, AuthoritySets> = FxHashMap::default();
-            for (p, _) in store.predicates() {
-                let mut subj: FxHashSet<String> = FxHashSet::default();
-                let mut obj: FxHashSet<String> = FxHashSet::default();
-                store.scan(None, Some(p), None, |t| {
-                    // Terms without a URI authority (blank nodes, urn:,
-                    // literals) are summarized as the wildcard "*": they
-                    // can match anything, so the endpoint must never be
-                    // pruned on their account.
-                    match dict.decode(t.s).authority() {
-                        Some(a) => subj.insert(a.to_string()),
-                        None => subj.insert("*".to_string()),
-                    };
-                    match dict.decode(t.o).authority() {
-                        Some(a) => obj.insert(a.to_string()),
-                        None => obj.insert("*".to_string()),
-                    };
-                    true
+        let per_endpoint = endpoints
+            .iter()
+            .map(|ep| {
+                let store = ep.store();
+                let dict = store.dict();
+                // Terms without a URI authority (blank nodes, urn:,
+                // literals) are summarized as the wildcard "*": they can
+                // match anything, so the endpoint must never be pruned on
+                // their account.
+                let add = |set: &mut FxHashSet<String>, id| {
+                    let term = dict.decode(id);
+                    let authority = term.authority().unwrap_or("*");
+                    if !set.contains(authority) {
+                        set.insert(authority.to_string());
+                    }
+                };
+                let mut summary: FxHashMap<TermId, AuthoritySets> = FxHashMap::default();
+                store.for_each_spo(&mut |s, p, o| {
+                    let (subj, obj) = summary.entry(p).or_default();
+                    add(subj, s);
+                    add(obj, o);
                 });
-                summary.insert(p, (subj, obj));
-            }
-            per_endpoint.push(summary);
-        }
-        HibiscusIndex {
-            per_endpoint,
-            build_time: t0.elapsed(),
-        }
+                summary
+            })
+            .collect();
+        HibiscusIndex { per_endpoint }
     }
 
     fn subject_authorities(&self, ep: EndpointId, p: TermId) -> Option<&FxHashSet<String>> {

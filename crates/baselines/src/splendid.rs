@@ -4,9 +4,12 @@
 //! **preprocessing pass** that builds VOID-style statistics for every
 //! endpoint — per-predicate triple counts and distinct subject/object
 //! counts. The paper reports this pass costing 25 s (QFed) to 3,513 s
-//! (LargeRDFBench) and uses it to argue for index-free designs; the
-//! [`VoidIndex::build`] implementation here scans every endpoint store the
-//! same way, and the `preprocessing_cost` harness times it.
+//! (LargeRDFBench) and uses it to argue for index-free designs. Here the
+//! VOID description of an endpoint is its [`EndpointStats`], the summary
+//! Lusail's statistics layer builds in one pass over the endpoint's store
+//! (it also computes characteristic sets, which SPLENDID ignores);
+//! [`VoidIndex::build`] builds one per endpoint, and the
+//! `preprocessing_cost` figure times it.
 //!
 //! Query processing: source selection from the index (predicate presence,
 //! with `ASK` verification for constant subjects/objects), greedy
@@ -25,54 +28,30 @@ use lusail_endpoint::{
     EndpointId, ExecOptions, FederatedEngine, Federation, FederationError, LocalEndpoint,
     QueryOutcome, RequestPolicy,
 };
-use lusail_rdf::{FxHashMap, TermId};
+use lusail_rdf::TermId;
 use lusail_sparql::ast::{GroupPattern, Query, TriplePattern};
 use lusail_sparql::SolutionSet;
-use std::time::{Duration, Instant};
-
-/// VOID-style statistics for one endpoint.
-#[derive(Debug, Clone, Default)]
-pub struct VoidDescription {
-    /// Total triples.
-    pub triples: u64,
-    /// Per-predicate: (triples, distinct subjects, distinct objects).
-    pub predicates: FxHashMap<TermId, (u64, u64, u64)>,
-}
+use lusail_store::EndpointStats;
 
 /// The preprocessing product: a VOID description per endpoint.
 #[derive(Debug, Clone, Default)]
 pub struct VoidIndex {
-    /// One description per endpoint id.
-    pub descriptions: Vec<VoidDescription>,
-    /// Wall time the preprocessing pass took.
-    pub build_time: Duration,
+    /// One description per endpoint id: the store total and, per
+    /// predicate, its triples and distinct subjects and objects.
+    pub descriptions: Vec<EndpointStats>,
 }
 
 impl VoidIndex {
-    /// Scans every endpoint and collects its VOID statistics. This is the
-    /// pass whose cost the paper contrasts with index-free startup; it
-    /// reads every endpoint's full data (here via the [`LocalEndpoint`]
-    /// store handle, standing in for the dump/endpoint crawl the real
-    /// system performs).
+    /// Summarizes every endpoint. This is the pass whose cost the paper
+    /// contrasts with index-free startup; it reads every endpoint's full
+    /// data (here via the [`LocalEndpoint`] store handle, standing in for
+    /// the dump/endpoint crawl the real system performs).
     pub fn build(endpoints: &[&LocalEndpoint]) -> Self {
-        let t0 = Instant::now();
-        let mut descriptions = Vec::with_capacity(endpoints.len());
-        for ep in endpoints {
-            let store = ep.store();
-            let mut d = VoidDescription {
-                triples: store.len() as u64,
-                predicates: FxHashMap::default(),
-            };
-            for (p, stats) in store.predicates() {
-                let subjects = store.distinct_subjects(p);
-                let objects = store.distinct_objects(p);
-                d.predicates.insert(p, (stats.triples, subjects, objects));
-            }
-            descriptions.push(d);
-        }
         VoidIndex {
-            descriptions,
-            build_time: t0.elapsed(),
+            descriptions: endpoints
+                .iter()
+                .map(|ep| EndpointStats::build(ep.store()))
+                .collect(),
         }
     }
 
@@ -81,7 +60,7 @@ impl VoidIndex {
         self.descriptions
             .iter()
             .enumerate()
-            .filter(|(_, d)| d.predicates.contains_key(&p))
+            .filter(|(_, d)| d.predicate(p).is_some())
             .map(|(i, _)| i)
             .collect()
     }
@@ -90,20 +69,20 @@ impl VoidIndex {
     fn estimate(&self, tp: &TriplePattern, ep: EndpointId) -> f64 {
         let d = &self.descriptions[ep];
         match tp.p.as_const() {
-            Some(p) => match d.predicates.get(&p) {
-                Some(&(triples, subjects, objects)) => {
-                    let mut est = triples as f64;
+            Some(p) => match d.predicate(p) {
+                Some(summary) => {
+                    let mut est = summary.triples as f64;
                     if !tp.s.is_var() {
-                        est /= subjects.max(1) as f64;
+                        est /= summary.subjects.max(1) as f64;
                     }
                     if !tp.o.is_var() {
-                        est /= objects.max(1) as f64;
+                        est /= summary.objects.max(1) as f64;
                     }
                     est.max(1.0)
                 }
                 None => 0.0,
             },
-            None => d.triples as f64,
+            None => d.total_triples as f64,
         }
     }
 }
@@ -150,11 +129,6 @@ impl Splendid {
     pub fn with_policy(mut self, policy: RequestPolicy) -> Self {
         self.policy = policy;
         self
-    }
-
-    /// The index build time (reported by the preprocessing harness).
-    pub fn preprocessing_time(&self) -> Duration {
-        self.index.build_time
     }
 
     /// Index-driven source selection: predicate presence, narrowed by ASK
@@ -326,15 +300,14 @@ mod tests {
         let refs: Vec<&LocalEndpoint> = eps.iter().map(|e| e.as_ref()).collect();
         let index = VoidIndex::build(&refs);
         assert_eq!(index.descriptions.len(), 2);
-        assert_eq!(index.descriptions[0].triples, 12);
-        assert_eq!(index.descriptions[1].triples, 4);
+        assert_eq!(index.descriptions[0].total_triples, 12);
+        assert_eq!(index.descriptions[1].total_triples, 4);
         let p = eps[0]
             .store()
             .dict()
             .lookup(&Term::iri("http://x/p"))
             .unwrap();
-        assert_eq!(index.descriptions[0].predicates[&p], (12, 12, 12));
-        assert!(!index.descriptions[1].predicates.contains_key(&p));
+        assert_eq!(index.sources_for_predicate(p), [0]);
     }
 
     #[test]

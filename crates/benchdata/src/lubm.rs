@@ -337,7 +337,7 @@ mod tests {
             ] {
                 let id = st.dict().lookup(&ub(p)).unwrap();
                 assert!(
-                    st.predicate_stats(id).is_some(),
+                    st.estimate(None, Some(id), None) > 0,
                     "endpoint {} lacks ub:{p}",
                     ep.name()
                 );

@@ -55,13 +55,6 @@ impl RequestHandler {
         RequestHandler::with_threads(TraceSink::disabled(), 1)
     }
 
-    /// Creates a request handler that records one
-    /// [`TraceEvent::Dispatch`] per task batch into `trace`, with a
-    /// single (inline) worker.
-    pub fn traced(trace: TraceSink) -> Self {
-        RequestHandler::with_threads(trace, 1)
-    }
-
     /// Creates a request handler with an explicit worker-thread budget.
     /// A budget of `1` processes every endpoint group inline, in
     /// submission order, with no thread overhead.
@@ -239,11 +232,6 @@ impl Net {
             1,
             None,
         )
-    }
-
-    /// A single-threaded context over an injected clock (tests).
-    pub fn with_clock(policy: RequestPolicy, clock: Arc<dyn Clock>) -> Self {
-        Net::build(policy, clock, TraceSink::disabled(), 1, None)
     }
 
     /// A context over an injected clock, trace sink, worker budget, and

@@ -509,11 +509,6 @@ impl ResilientClient {
         result
     }
 
-    /// An `ASK` through the resilience layer.
-    pub fn ask(&self, fed: &Federation, ep: EndpointId, q: &Query) -> Result<bool, EndpointError> {
-        self.request_kind(ep, RequestKind::Ask, || fed.endpoint(ep).ask(q))
-    }
-
     /// A `SELECT` through the resilience layer.
     pub fn select(
         &self,
@@ -522,11 +517,6 @@ impl ResilientClient {
         q: &Query,
     ) -> Result<SolutionSet, EndpointError> {
         self.request_kind(ep, RequestKind::Select, || fed.endpoint(ep).select(q))
-    }
-
-    /// A `COUNT` through the resilience layer.
-    pub fn count(&self, fed: &Federation, ep: EndpointId, q: &Query) -> Result<u64, EndpointError> {
-        self.request_kind(ep, RequestKind::Count, || fed.endpoint(ep).count(q))
     }
 
     /// The candidate order a data-bearing select tries the endpoint's

@@ -34,7 +34,7 @@
 //! columnar estimate equal to the true match count.
 
 use crate::columns::ColumnStore;
-use crate::store::{PredicateStats, TripleStore};
+use crate::store::TripleStore;
 use lusail_rdf::{Dictionary, TermId, Triple};
 use std::sync::Arc;
 
@@ -85,8 +85,9 @@ impl std::fmt::Display for BackendKind {
 }
 
 /// The storage contract behind every [`LocalEndpoint`]: triple-pattern
-/// scans with bound-position dispatch, cardinality estimates, per-predicate
-/// statistics, and rows-scanned accounting.
+/// scans with bound-position dispatch, cardinality estimates, the
+/// subject-grouped iterator offline statistics are built from, and
+/// rows-scanned accounting.
 ///
 /// All methods take `&self`; the work counters are interior-mutable
 /// atomics so an assembled federation's endpoints can be observed and
@@ -94,9 +95,6 @@ impl std::fmt::Display for BackendKind {
 ///
 /// [`LocalEndpoint`]: ../../lusail_endpoint/struct.LocalEndpoint.html
 pub trait StorageBackend: Send + Sync {
-    /// Which backend this is.
-    fn kind(&self) -> BackendKind;
-
     /// The backend's shared term dictionary.
     fn dict(&self) -> &Arc<Dictionary>;
 
@@ -107,10 +105,6 @@ pub trait StorageBackend: Send + Sync {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// True if the exact triple is present. Planning-time probe — not
-    /// charged to [`rows_scanned`](StorageBackend::rows_scanned).
-    fn contains(&self, t: Triple) -> bool;
 
     /// Matches a triple pattern with optionally-bound positions, invoking
     /// `f` for each matching triple *in index order* (SPO order for
@@ -135,22 +129,10 @@ pub trait StorageBackend: Send + Sync {
     /// Planning work — never charged to `rows_scanned`.
     fn estimate(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> u64;
 
-    /// Per-predicate statistics (None if the predicate never occurs).
-    fn predicate_stats(&self, p: TermId) -> Option<PredicateStats>;
-
-    /// All predicates with their statistics (order unspecified).
-    fn predicates(&self) -> Vec<(TermId, PredicateStats)>;
-
-    /// Number of distinct subjects for a predicate (used by the
-    /// SPLENDID-style VOID preprocessing pass).
-    fn distinct_subjects(&self, p: TermId) -> u64;
-
-    /// Number of distinct objects for a predicate.
-    fn distinct_objects(&self, p: TermId) -> u64;
-
     /// Invokes `f` for every triple in subject-grouped (SPO) order.
-    /// Planning-time work — used by the offline statistics build — so it
-    /// is **exempt** from `rows_scanned`, unlike
+    /// Planning-time work — the one pass every offline summary is built
+    /// from (`EndpointStats`, SPLENDID's VOID index, HiBISCuS's authority
+    /// index) — so it is **exempt** from `rows_scanned`, unlike
     /// [`scan_with`](StorageBackend::scan_with). (This is the trait form
     /// of `TripleStore::triples_spo`, which carries the same exemption.)
     fn for_each_spo(&self, f: &mut dyn FnMut(TermId, TermId, TermId));
@@ -215,7 +197,6 @@ mod tests {
             st.insert_terms(&Term::iri("s"), &Term::iri("p"), &Term::iri("o"));
             st.insert_terms(&Term::iri("s2"), &Term::iri("p"), &Term::iri("o"));
             let backend = kind.realize(st);
-            assert_eq!(backend.kind(), kind);
             assert_eq!(backend.len(), 2);
             assert!(!backend.is_empty());
             assert_eq!(backend.matches(None, None, None).len(), 2);

@@ -19,8 +19,8 @@
 //! * **POS / OSP as permutations**: row indexes sorted by `(p, o, s)` and
 //!   `(o, s, p)` respectively, each fronted by a packed key directory
 //!   (distinct predicates / objects with run offsets). The directory run
-//!   lengths *are* the per-predicate histogram — predicate statistics
-//!   fall out of construction for free.
+//!   lengths *are* the per-predicate histogram — exact `(?, p, ?)`
+//!   estimates fall out of construction for free.
 //!
 //! Every other column lives in a [`PackedVec`]: fixed-width bit-packed
 //! `u32` values, width chosen per column as the bit-length of its maximum.
@@ -39,9 +39,9 @@
 //! columnar backend feeds the join orderer better information than the
 //! BTree backend's capped walks.
 
-use crate::backend::{BackendKind, StorageBackend};
-use crate::store::{PredicateStats, TripleStore};
-use lusail_rdf::{Dictionary, FxHashSet, TermId, Triple};
+use crate::backend::StorageBackend;
+use crate::store::TripleStore;
+use lusail_rdf::{Dictionary, TermId, Triple};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -358,21 +358,9 @@ impl ColumnStore {
         self.rows_scanned.fetch_add(1, Ordering::Relaxed);
         f(t)
     }
-}
 
-impl StorageBackend for ColumnStore {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Columns
-    }
-
-    fn dict(&self) -> &Arc<Dictionary> {
-        &self.dict
-    }
-
-    fn len(&self) -> usize {
-        self.n
-    }
-
+    /// True if the exact triple is present. A probe, not a scan: nothing
+    /// is charged to `rows_scanned`.
     fn contains(&self, t: Triple) -> bool {
         match self.subject_run(t.s.0) {
             Some(run) => {
@@ -382,6 +370,16 @@ impl StorageBackend for ColumnStore {
             }
             None => false,
         }
+    }
+}
+
+impl StorageBackend for ColumnStore {
+    fn dict(&self) -> &Arc<Dictionary> {
+        &self.dict
+    }
+
+    fn len(&self) -> usize {
+        self.n
     }
 
     fn scan_with(
@@ -535,52 +533,6 @@ impl StorageBackend for ColumnStore {
             }
             (None, None, None) => self.n as u64,
         }
-    }
-
-    fn predicate_stats(&self, p: TermId) -> Option<PredicateStats> {
-        let (lo, hi) = self.pred_run(p.0);
-        if lo < hi {
-            Some(PredicateStats {
-                triples: (hi - lo) as u64,
-            })
-        } else {
-            None
-        }
-    }
-
-    fn predicates(&self) -> Vec<(TermId, PredicateStats)> {
-        (0..self.pred_keys.len())
-            .map(|k| {
-                let triples =
-                    u64::from(self.p_offsets.get(k + 1)) - u64::from(self.p_offsets.get(k));
-                (TermId(self.pred_keys.get(k)), PredicateStats { triples })
-            })
-            .collect()
-    }
-
-    fn distinct_subjects(&self, p: TermId) -> u64 {
-        let (lo, hi) = self.pred_run(p.0);
-        let mut set = FxHashSet::default();
-        for j in lo..hi {
-            set.insert(self.subject_of_row(self.pos_perm.get(j) as usize));
-        }
-        set.len() as u64
-    }
-
-    fn distinct_objects(&self, p: TermId) -> u64 {
-        // The predicate run is sorted by (o, s): distinct objects are the
-        // number of value changes along the run.
-        let (lo, hi) = self.pred_run(p.0);
-        let mut count = 0u64;
-        let mut prev = None;
-        for j in lo..hi {
-            let o = self.objs.get(self.pos_perm.get(j) as usize);
-            if prev != Some(o) {
-                count += 1;
-                prev = Some(o);
-            }
-        }
-        count
     }
 
     fn for_each_spo(&self, f: &mut dyn FnMut(TermId, TermId, TermId)) {
@@ -752,10 +704,7 @@ mod tests {
             assert!(cols_dyn.matches(s, p, o).is_empty());
             assert_eq!(StorageBackend::estimate(&cols, s, p, o), 0);
         }
-        assert!(!StorageBackend::contains(
-            &cols,
-            Triple::new(ghost, ghost, ghost)
-        ));
+        assert!(!cols.contains(Triple::new(ghost, ghost, ghost)));
     }
 
     #[test]
@@ -773,7 +722,7 @@ mod tests {
         assert_eq!(cols_dyn.rows_scanned(), 7);
         // Estimation, contains, and the stats iterator are planning work.
         StorageBackend::estimate(&cols, None, Some(p), None);
-        StorageBackend::contains(&cols, Triple::new(p, p, p));
+        cols.contains(Triple::new(p, p, p));
         cols_dyn.for_each_spo(&mut |_, _, _| {});
         assert_eq!(cols_dyn.rows_scanned(), 7);
     }
@@ -788,23 +737,23 @@ mod tests {
         ]);
         let p = st.dict().lookup(&Term::iri("p")).unwrap();
         let q = st.dict().lookup(&Term::iri("q")).unwrap();
+        let from_cols = crate::stats::EndpointStats::build(&cols);
+        let from_btree = crate::stats::EndpointStats::build(&st);
+        assert_eq!(from_cols.predicate(p), from_btree.predicate(p));
+        assert_eq!(from_cols.predicate(q), from_btree.predicate(q));
+        assert_eq!(from_cols.predicate(TermId(9999)), None);
+        let p_stats = from_cols.predicate(p).unwrap();
         assert_eq!(
-            StorageBackend::predicate_stats(&cols, p),
-            st.predicate_stats(p)
+            (p_stats.triples, p_stats.subjects, p_stats.objects),
+            (3, 2, 2)
         );
+        let q_stats = from_cols.predicate(q).unwrap();
         assert_eq!(
-            StorageBackend::predicate_stats(&cols, q),
-            st.predicate_stats(q)
+            (q_stats.triples, q_stats.subjects, q_stats.objects),
+            (1, 1, 1)
         );
-        assert_eq!(StorageBackend::predicate_stats(&cols, TermId(9999)), None);
-        assert_eq!(StorageBackend::distinct_subjects(&cols, p), 2);
-        assert_eq!(StorageBackend::distinct_objects(&cols, p), 2);
-        assert_eq!(StorageBackend::distinct_subjects(&cols, q), 1);
-        let mut from_trait: Vec<_> = StorageBackend::predicates(&cols);
-        let mut from_btree: Vec<_> = st.predicates().collect();
-        from_trait.sort_by_key(|(t, _)| t.0);
-        from_btree.sort_by_key(|(t, _)| t.0);
-        assert_eq!(from_trait, from_btree);
+        assert_eq!(from_cols.predicates, from_btree.predicates);
+        assert_eq!(from_cols.total_triples, from_btree.total_triples);
     }
 
     #[test]
@@ -888,7 +837,7 @@ mod tests {
             assert!(cols_dyn.matches(s, p, o).is_empty());
             assert_eq!(StorageBackend::estimate(&cols, s, p, o), 0);
         }
-        assert!(StorageBackend::predicates(&cols).is_empty());
+        cols_dyn.for_each_spo(&mut |s, p, o| panic!("empty store yielded ({s:?}, {p:?}, {o:?})"));
         assert_eq!(cols_dyn.rows_scanned(), 0);
     }
 
@@ -925,7 +874,7 @@ mod tests {
                     );
                 }
                 let t = Triple::new(TermId(id), p, o);
-                assert_eq!(st.contains(t), StorageBackend::contains(&cols, t), "{id}");
+                assert_eq!(st.contains(t), cols.contains(t), "{id}");
             }
         }
     }

@@ -1016,7 +1016,7 @@ mod tests {
     fn count_star_is_count_group_in_one_cell() {
         let btree = fixture();
         let columns = crate::columns::ColumnStore::from_store(&btree);
-        let backends: [&dyn StorageBackend; 2] = [&btree, &columns];
+        let backends: [(&str, &dyn StorageBackend); 2] = [("btree", &btree), ("columns", &columns)];
         for (pattern, simple, n) in [
             (
                 "?x <http://u/advisor> ?p . ?x <http://u/takesCourse> ?c",
@@ -1030,7 +1030,7 @@ mod tests {
             ),
         ] {
             let text = format!("SELECT (COUNT(*) AS ?c) WHERE {{ {pattern} }}");
-            for store in backends {
+            for (kind, store) in backends {
                 let q = parse_query(&text, store.dict()).unwrap();
                 assert_eq!(q, Query::count(q.pattern.clone()));
                 assert_eq!(count_branches(store, &q).is_some(), simple, "{text}");
@@ -1047,7 +1047,7 @@ mod tests {
                 assert_eq!(sols.rows.len(), 1, "{text}");
                 let cell = store.dict().decode(sols.rows[0][0].unwrap());
                 assert_eq!(*cell, Term::int(n as i64), "{text}");
-                assert_eq!(scans, count_scans, "{}: {text}", store.kind());
+                assert_eq!(scans, count_scans, "{kind}: {text}");
             }
         }
     }
@@ -1094,15 +1094,15 @@ mod tests {
             // A repeated variable filters the matches: always scanned.
             ("?x <{u}/p> ?x".replace("{u}", u), 0, 201),
         ];
-        let backends: [&dyn StorageBackend; 2] = [&btree, &columns];
-        for store in backends {
+        let backends: [(&str, &dyn StorageBackend); 2] = [("btree", &btree), ("columns", &columns)];
+        for (kind, store) in backends {
             for (tp, matches, scanned) in &cases {
                 let q = parse_query(&format!("SELECT (COUNT(*) AS ?c) {{ {tp} }}"), store.dict());
                 let q = q.unwrap();
                 let before = store.rows_scanned();
-                assert_eq!(count(store, &q), *matches, "{}: {tp}", store.kind());
+                assert_eq!(count(store, &q), *matches, "{kind}: {tp}");
                 let charged = store.rows_scanned() - before;
-                assert_eq!(charged, *scanned, "{}: {tp} rows scanned", store.kind());
+                assert_eq!(charged, *scanned, "{kind}: {tp} rows scanned");
                 // The rule held to the scan it replaces.
                 let t = &q.pattern.triples[0];
                 let mut by_scan = 0;
@@ -1110,15 +1110,11 @@ mod tests {
                     by_scan += u64::from(t.s != t.o || m.s == m.o);
                     true
                 });
-                assert_eq!(by_scan, *matches, "{}: {tp} by scan", store.kind());
+                assert_eq!(by_scan, *matches, "{kind}: {tp} by scan");
                 // ASK keeps the first-hit pipeline.
                 let before = store.rows_scanned();
-                assert_eq!(ask(store, &q), *matches > 0, "{}: {tp}", store.kind());
-                assert!(
-                    store.rows_scanned() - before <= 201,
-                    "{}: {tp}",
-                    store.kind()
-                );
+                assert_eq!(ask(store, &q), *matches > 0, "{kind}: {tp}");
+                assert!(store.rows_scanned() - before <= 201, "{kind}: {tp}");
             }
         }
     }
@@ -1446,9 +1442,10 @@ mod pipeline_tests {
             let columns = ColumnStore::from_store(&btree);
             let g = random_group(&mut rng, &mut cov);
             let query = Query::select_all(g.clone());
-            let backends: [&dyn StorageBackend; 2] = [&btree, &columns];
-            for store in backends {
-                let ctx = format!("case {case}, {}", store.kind());
+            let backends: [(&str, &dyn StorageBackend); 2] =
+                [("btree", &btree), ("columns", &columns)];
+            for (kind, store) in backends {
+                let ctx = format!("case {case}, {kind}");
                 let mut full_len = 0;
                 for limit in [None, Some(1), Some(3)] {
                     let before = store.rows_scanned();

@@ -1,6 +1,6 @@
-//! The triple store: three sorted indexes plus predicate statistics.
+//! The triple store: three sorted indexes plus per-predicate triple counts.
 
-use lusail_rdf::{Dictionary, FxHashMap, FxHashSet, Term, TermId, Triple};
+use lusail_rdf::{Dictionary, FxHashMap, Term, TermId, Triple};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -13,13 +13,6 @@ type Key = (u32, u32, u32);
 /// Public because the cross-backend estimate contract (see
 /// [`crate::backend`]) is stated in terms of this cap.
 pub const ESTIMATE_CAP: u64 = 64;
-
-/// Statistics maintained per predicate, updated on insert.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PredicateStats {
-    /// Number of triples with this predicate.
-    pub triples: u64,
-}
 
 /// An in-memory triple store over a shared [`Dictionary`].
 ///
@@ -45,7 +38,9 @@ pub struct TripleStore {
     spo: BTreeSet<Key>,
     pos: BTreeSet<Key>,
     osp: BTreeSet<Key>,
-    pred_stats: FxHashMap<TermId, PredicateStats>,
+    /// Triples per predicate, kept on insert so `(?, p, ?)` estimates are
+    /// exact without a walk.
+    pred_triples: FxHashMap<TermId, u64>,
     /// Monotonic count of triples handed to [`TripleStore::scan`]
     /// callbacks — the store-side work counter the bench harness gates on.
     rows_scanned: AtomicU64,
@@ -59,7 +54,7 @@ impl TripleStore {
             spo: BTreeSet::new(),
             pos: BTreeSet::new(),
             osp: BTreeSet::new(),
-            pred_stats: FxHashMap::default(),
+            pred_triples: FxHashMap::default(),
             rows_scanned: AtomicU64::new(0),
         }
     }
@@ -82,7 +77,7 @@ impl TripleStore {
         if added {
             self.pos.insert((t.p.0, t.o.0, t.s.0));
             self.osp.insert((t.o.0, t.s.0, t.p.0));
-            self.pred_stats.entry(t.p).or_default().triples += 1;
+            *self.pred_triples.entry(t.p).or_default() += 1;
         }
         added
     }
@@ -117,36 +112,6 @@ impl TripleStore {
     /// True if the exact triple is present.
     pub fn contains(&self, t: Triple) -> bool {
         self.spo.contains(&(t.s.0, t.p.0, t.o.0))
-    }
-
-    /// Per-predicate statistics (None if the predicate never occurs).
-    pub fn predicate_stats(&self, p: TermId) -> Option<PredicateStats> {
-        self.pred_stats.get(&p).copied()
-    }
-
-    /// Iterates over all predicates with their statistics.
-    pub fn predicates(&self) -> impl Iterator<Item = (TermId, PredicateStats)> + '_ {
-        self.pred_stats.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Number of distinct subjects for a predicate (scan; used by the
-    /// SPLENDID-style VOID preprocessing pass, whose cost the paper
-    /// measures).
-    pub fn distinct_subjects(&self, p: TermId) -> u64 {
-        let mut set = FxHashSet::default();
-        for &(_, _, s) in self.pos.range((p.0, 0, 0)..=(p.0, u32::MAX, u32::MAX)) {
-            set.insert(s);
-        }
-        set.len() as u64
-    }
-
-    /// Number of distinct objects for a predicate (scan).
-    pub fn distinct_objects(&self, p: TermId) -> u64 {
-        let mut set = FxHashSet::default();
-        for &(_, o, _) in self.pos.range((p.0, 0, 0)..=(p.0, u32::MAX, u32::MAX)) {
-            set.insert(o);
-        }
-        set.len() as u64
     }
 
     /// Iterates over every triple in subject-grouped (SPO) order.
@@ -258,7 +223,8 @@ impl TripleStore {
     }
 
     /// Estimated number of matches for a pattern, used by the BGP join
-    /// orderer. Exact for (p)-bound patterns (from stats), for the
+    /// orderer. Exact for (p)-bound patterns (from the per-predicate
+    /// counts), for the
     /// fully-bound probe, and for the all-free scan; for every other
     /// shape the matching index range is counted directly, capped at
     /// [`ESTIMATE_CAP`] so estimation never degenerates into a full scan.
@@ -287,7 +253,7 @@ impl TripleStore {
                 .range((s.0, 0, 0)..=(s.0, MAX, MAX))
                 .take(cap)
                 .count() as u64,
-            (None, Some(p), None) => self.pred_stats.get(&p).map_or(0, |st| st.triples),
+            (None, Some(p), None) => self.pred_triples.get(&p).copied().unwrap_or(0),
             (None, None, Some(o)) => self
                 .osp
                 .range((o.0, 0, 0)..=(o.0, MAX, MAX))
@@ -299,20 +265,12 @@ impl TripleStore {
 }
 
 impl crate::backend::StorageBackend for TripleStore {
-    fn kind(&self) -> crate::backend::BackendKind {
-        crate::backend::BackendKind::Btree
-    }
-
     fn dict(&self) -> &Arc<Dictionary> {
         self.dict()
     }
 
     fn len(&self) -> usize {
         self.len()
-    }
-
-    fn contains(&self, t: Triple) -> bool {
-        self.contains(t)
     }
 
     fn scan_with(
@@ -327,22 +285,6 @@ impl crate::backend::StorageBackend for TripleStore {
 
     fn estimate(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> u64 {
         self.estimate(s, p, o)
-    }
-
-    fn predicate_stats(&self, p: TermId) -> Option<PredicateStats> {
-        self.predicate_stats(p)
-    }
-
-    fn predicates(&self) -> Vec<(TermId, PredicateStats)> {
-        self.predicates().collect()
-    }
-
-    fn distinct_subjects(&self, p: TermId) -> u64 {
-        self.distinct_subjects(p)
-    }
-
-    fn distinct_objects(&self, p: TermId) -> u64 {
-        self.distinct_objects(p)
     }
 
     fn for_each_spo(&self, f: &mut dyn FnMut(TermId, TermId, TermId)) {
@@ -385,7 +327,7 @@ mod tests {
         let t = st.matches(None, None, None)[0];
         assert!(!st.insert(t));
         assert_eq!(st.len(), 1);
-        assert_eq!(st.predicate_stats(t.p), Some(PredicateStats { triples: 1 }));
+        assert_eq!(st.estimate(None, Some(t.p), None), 1);
     }
 
     #[test]
@@ -427,8 +369,10 @@ mod tests {
     fn distinct_subject_object_counts() {
         let st = store_with(&[("s1", "p", "o1"), ("s1", "p", "o2"), ("s2", "p", "o2")]);
         let p = st.dict().lookup(&Term::iri("p")).unwrap();
-        assert_eq!(st.distinct_subjects(p), 2);
-        assert_eq!(st.distinct_objects(p), 2);
+        let stats = crate::stats::EndpointStats::build(&st);
+        let summary = stats.predicate(p).unwrap();
+        assert_eq!(summary.subjects, 2);
+        assert_eq!(summary.objects, 2);
     }
 
     #[test]

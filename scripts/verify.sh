@@ -115,7 +115,7 @@ if grep -q 'check_queries +=' crates/core/src/gjv.rs; then
 fi
 [ "$scattered" -eq 0 ]
 
-echo "==> no superseded path is back (one BGP order, one VALUES sizing, two gated configurations, one COUNT form, one FedX, one subject lookup, one term count)"
+echo "==> no superseded path is back (one BGP order, one VALUES sizing, two gated configurations, one COUNT form, one FedX, one subject lookup, one term count, one statistics builder)"
 scattered=0
 total=0
 non_test=0
@@ -126,7 +126,7 @@ while IFS= read -r f; do
     crates/server/src/tests.rs | crates/sparql/src/solution/reference_tests.rs) code="" ;;
     *) code=$(sed '/#\[cfg(test)\]/,$d' "$f") ;;
     esac
-    hit=$(grep -Eo 'set_reorder|reorder_enabled|adaptive_values|CountStar|count_star_as_aggregate|struct HiBisCus' <<<"$code" | sort -u | tr '\n' ' ' || true)
+    hit=$(grep -Eo 'set_reorder|reorder_enabled|adaptive_values|CountStar|count_star_as_aggregate|struct HiBisCus|fn predicate_stats|fn distinct_subjects|fn distinct_objects|struct PredicateStats|struct VoidDescription|fn preprocessing_time' <<<"$code" | sort -u | tr '\n' ' ' || true)
     if [ -n "$hit" ]; then
         echo "$f: a deleted path or its switch is back: $hit" >&2
         scattered=1
@@ -143,6 +143,20 @@ if sed -n '/    fn subject_run(/,/^    }$/p' crates/store/src/columns.rs | grep 
     echo "crates/store/src/columns.rs: subject_run searches the subjects column again (it ranks in the directory)" >&2
     scattered=1
 fi
+# The storage contract is scans, estimates and accounting: eight methods.
+# Per-predicate statistics come from EndpointStats::build, not the backends.
+methods=$(sed -n '/^pub trait StorageBackend/,/^}/p' crates/store/src/backend.rs | grep -c '^    fn ' || true)
+if [ "$methods" -ne 8 ]; then
+    echo "crates/store/src/backend.rs: trait StorageBackend declares $methods methods, not 8" >&2
+    scattered=1
+fi
+# The baselines' offline indexes are one uncharged for_each_spo pass each.
+for f in crates/baselines/src/hibiscus.rs crates/baselines/src/splendid.rs; do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -q '\.scan('; then
+        echo "$f: builds its index with charged scans (use the store's for_each_spo)" >&2
+        scattered=1
+    fi
+done
 # Request bytes count a term by Term::wire_len; only the String sink formats it.
 counting_sink=$(sed -n '/^impl Sink for ByteCount/,/^}$/p' crates/sparql/src/writer.rs)
 if [ -z "$counting_sink" ] || grep -Eq 'write!|Display|to_string|format!' <<<"$counting_sink"; then

@@ -58,7 +58,7 @@ use lusail_endpoint::{
 use lusail_rdf::{ntriples, Dictionary};
 use lusail_repro::lusail::{Lusail, LusailConfig};
 use lusail_sparql::{parse_query, SolutionSet};
-use lusail_store::TripleStore;
+use lusail_store::{BackendKind, EndpointStats, TripleStore};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -207,57 +207,82 @@ fn apply_kills(
     builder
 }
 
-fn load_federation(
-    paths: &[&str],
-    replicas: &[&str],
-    kills: &[&str],
-    stats_mode: Option<&str>,
-    backend: lusail_store::BackendKind,
-) -> Result<(Federation, Arc<Dictionary>), String> {
-    if paths.is_empty() {
+/// Reads one N-Triples file into a store, named after the file stem.
+fn load_endpoint(p: &str, dict: &Arc<Dictionary>) -> Result<(String, TripleStore), String> {
+    let path = Path::new(p);
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{p}: {e}"))?;
+    let triples = ntriples::parse_document(&text, dict).map_err(|e| format!("{p}: {e}"))?;
+    let mut store = TripleStore::new(Arc::clone(dict));
+    store.extend(triples);
+    let name = path
+        .file_stem()
+        .map(|s| s.to_string_lossy().into_owned())
+        .unwrap_or_else(|| p.to_string());
+    Ok((name, store))
+}
+
+/// The flags `query`, `explain` and `serve` share: the endpoint files,
+/// their replicas and kills, the statistics mode and the storage backend.
+struct FederationArgs<'a> {
+    endpoints: Vec<&'a str>,
+    replicas: Vec<&'a str>,
+    kills: Vec<&'a str>,
+    stats_mode: Option<&'a str>,
+    backend: BackendKind,
+}
+
+impl<'a> FederationArgs<'a> {
+    fn parse(args: &'a [String]) -> Result<Self, String> {
+        let backend = match flag_value(args, "--backend") {
+            None => BackendKind::Btree,
+            Some(name) => BackendKind::parse(name)
+                .ok_or_else(|| format!("unknown backend {name} (use btree|columns)"))?,
+        };
+        Ok(FederationArgs {
+            endpoints: flag_values(args, "--endpoint"),
+            replicas: flag_values(args, "--replica"),
+            kills: flag_values(args, "--kill"),
+            stats_mode: flag_value(args, "--stats"),
+            backend,
+        })
+    }
+}
+
+fn load_federation(args: &FederationArgs) -> Result<(Federation, Arc<Dictionary>), String> {
+    if args.endpoints.is_empty() {
         return Err("at least one --endpoint file is required".into());
     }
-    let mut kill_specs: Vec<(String, FaultProfile, bool)> = kills
+    let mut kill_specs: Vec<(String, FaultProfile, bool)> = args
+        .kills
         .iter()
         .map(|spec| parse_kill(spec).map(|(name, profile)| (name, profile, false)))
         .collect::<Result<_, _>>()?;
 
     let dict = Dictionary::shared();
-    let load = |p: &str| -> Result<(String, TripleStore), String> {
-        let path = Path::new(p);
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{p}: {e}"))?;
-        let triples = ntriples::parse_document(&text, &dict).map_err(|e| format!("{p}: {e}"))?;
-        let mut store = TripleStore::new(Arc::clone(&dict));
-        store.extend(triples);
-        let name = path
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| p.to_string());
-        Ok((name, store))
-    };
+    let backend = args.backend;
     let mut builder = Federation::builder(Arc::clone(&dict)).backend(backend);
     let mut primary_names = Vec::new();
     // In `--stats build` mode the summaries come straight from the loaded
     // stores (before they move into the builder); in `--stats DIR` mode
     // they are read back from a prior `lusail-cli stats` run below.
-    let mut built_stats: Vec<(String, lusail_store::EndpointStats)> = Vec::new();
-    for p in paths {
-        let (name, store) = load(p)?;
+    let mut built_stats: Vec<(String, EndpointStats)> = Vec::new();
+    for p in &args.endpoints {
+        let (name, store) = load_endpoint(p, &dict)?;
         println!("loaded endpoint {name}: {} triples", store.len());
-        if stats_mode == Some("build") {
-            built_stats.push((name.clone(), lusail_store::EndpointStats::build(&store)));
+        if args.stats_mode == Some("build") {
+            built_stats.push((name.clone(), EndpointStats::build(&store)));
         }
         builder = apply_kills(builder.endpoint(&name, store), &name, &mut kill_specs);
         primary_names.push(name);
     }
-    for spec in replicas {
+    for spec in &args.replicas {
         let (primary, file) = spec
             .split_once('=')
             .ok_or_else(|| format!("bad --replica spec {spec:?} (want NAME=FILE.nt)"))?;
         if !primary_names.iter().any(|n| n == primary) {
             return Err(format!("--replica {spec:?}: no endpoint named {primary:?}"));
         }
-        let (name, store) = load(file)?;
+        let (name, store) = load_endpoint(file, &dict)?;
         println!(
             "loaded replica {name} of {primary}: {} triples",
             store.len()
@@ -278,7 +303,7 @@ fn load_federation(
         "storage: backend {backend}, {resident} B resident across \
          {n_endpoints} endpoint(s)"
     );
-    match stats_mode {
+    match args.stats_mode {
         None => {}
         Some("build") => {
             for (name, stats) in built_stats {
@@ -296,10 +321,22 @@ fn load_federation(
                     println!("no statistics for {name} ({} not found)", path.display());
                     continue;
                 };
-                let stats = lusail_store::EndpointStats::from_text(&text, &dict)
+                let stats = EndpointStats::from_text(&text, &dict)
                     .map_err(|e| format!("{}: {e}", path.display()))?;
                 let sets = stats.sets.len();
-                let (id, _) = fed.endpoint_by_name(name).expect("endpoint just added");
+                let (id, ep) = fed.endpoint_by_name(name).expect("endpoint just added");
+                // A file built from other data would answer probes
+                // conclusively and wrongly; an edit that keeps the triple
+                // count is not caught here.
+                let triples = ep.triple_count() as u64;
+                if stats.total_triples != triples {
+                    return Err(format!(
+                        "{}: stale statistics: the file describes {} triples, endpoint {name} \
+                         holds {triples} (rerun `lusail-cli stats`)",
+                        path.display(),
+                        stats.total_triples
+                    ));
+                }
                 fed.attach_stats(id, Arc::new(stats));
                 println!("loaded statistics for {name}: {sets} characteristic set(s)");
                 attached += 1;
@@ -325,16 +362,8 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     std::fs::create_dir_all(&out).map_err(|e| e.to_string())?;
     let dict = Dictionary::shared();
     for p in endpoints {
-        let path = Path::new(p);
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{p}: {e}"))?;
-        let triples = ntriples::parse_document(&text, &dict).map_err(|e| format!("{p}: {e}"))?;
-        let mut store = TripleStore::new(Arc::clone(&dict));
-        store.extend(triples);
-        let name = path
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| p.to_string());
-        let stats = lusail_store::EndpointStats::build(&store);
+        let (name, store) = load_endpoint(p, &dict)?;
+        let stats = EndpointStats::build(&store);
         let rendered = stats.to_text(&dict)?;
         let target = out.join(format!("{name}.stats"));
         std::fs::write(&target, rendered).map_err(|e| e.to_string())?;
@@ -361,16 +390,7 @@ fn read_query(args: &[String], dict: &Dictionary) -> Result<lusail_sparql::Query
 }
 
 fn cmd_query(args: &[String], explain_only: bool) -> Result<(), String> {
-    let endpoints = flag_values(args, "--endpoint");
-    let replicas = flag_values(args, "--replica");
-    let kills = flag_values(args, "--kill");
-    let stats_mode = flag_value(args, "--stats");
-    let backend = match flag_value(args, "--backend") {
-        None => lusail_store::BackendKind::Btree,
-        Some(name) => lusail_store::BackendKind::parse(name)
-            .ok_or_else(|| format!("unknown backend {name} (use btree|columns)"))?,
-    };
-    let (fed, dict) = load_federation(&endpoints, &replicas, &kills, stats_mode, backend)?;
+    let (fed, dict) = load_federation(&FederationArgs::parse(args)?)?;
     let query = read_query(args, &dict)?;
 
     if explain_only {
@@ -434,15 +454,7 @@ fn cmd_query(args: &[String], explain_only: bool) -> Result<(), String> {
 /// drains gracefully (in-flight queries finish or hit their deadlines;
 /// new admissions are refused with typed 503/504 responses).
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let endpoints = flag_values(args, "--endpoint");
-    let replicas = flag_values(args, "--replica");
-    let kills = flag_values(args, "--kill");
-    let stats_mode = flag_value(args, "--stats");
-    let backend = match flag_value(args, "--backend") {
-        None => lusail_store::BackendKind::Btree,
-        Some(name) => lusail_store::BackendKind::parse(name)
-            .ok_or_else(|| format!("unknown backend {name} (use btree|columns)"))?,
-    };
+    let federation = FederationArgs::parse(args)?;
     let parse_num = |name: &str, default: usize| -> Result<usize, String> {
         flag_value(args, name)
             .map(|s| {
@@ -470,7 +482,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         lusail_server::BatchConfig::default().max_batch,
     )?;
 
-    let (fed, _dict) = load_federation(&endpoints, &replicas, &kills, stats_mode, backend)?;
+    let (fed, _dict) = load_federation(&federation)?;
     let engine = Lusail::new(LusailConfig {
         probe_cache_capacity: cache_capacity,
         ..LusailConfig::default()

@@ -137,11 +137,11 @@ fn star(n: usize, [p, q]: [TermId; 2]) -> GroupPattern {
 fn the_collect_sink_allocates_per_relation_not_per_row() {
     let (btree, columns, edges) = star_stores();
     let group = star(0, edges);
-    let backends: [&dyn StorageBackend; 2] = [&btree, &columns];
-    for store in backends {
+    let backends: [(&str, &dyn StorageBackend); 2] = [("btree", &btree), ("columns", &columns)];
+    for (kind, store) in backends {
         let (n, sols) = allocations(|| eval_group(store, &group, None));
         assert_eq!((sols.len(), sols.vars.len()), (12_000, 3));
-        assert!(n <= budget(sols.len()), "{}: {n} allocations", store.kind());
+        assert!(n <= budget(sols.len()), "{kind}: {n} allocations");
     }
 }
 
@@ -164,12 +164,12 @@ fn counts_over_union_branches_allocate_no_row() {
             alias: format!("c{n}"),
         })
         .collect();
-    let backends: [&dyn StorageBackend; 2] = [&btree, &columns];
-    for store in backends {
+    let backends: [(&str, &dyn StorageBackend); 2] = [("btree", &btree), ("columns", &columns)];
+    for (kind, store) in backends {
         let (n, sols) = allocations(|| evaluate(store, &query));
         assert_eq!((sols.len(), sols.vars.len()), (1, 2));
         let counted = store.dict().decode(sols.rows[0][1].expect("a count"));
         assert_eq!(counted.lexical(), "12000");
-        assert!(n <= budget(1), "{}: {n} allocations", store.kind());
+        assert!(n <= budget(1), "{kind}: {n} allocations");
     }
 }

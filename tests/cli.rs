@@ -220,6 +220,54 @@ fn stats_build_and_load_elide_requests_without_changing_rows() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `.stats` file written before its endpoint file grew would answer the
+/// new predicate with a conclusive 0 and drop its rows without a warning,
+/// so `--stats DIR` refuses a file whose triple total is not the
+/// endpoint's, naming the file and both counts.
+#[test]
+fn stale_stats_file_is_refused() {
+    let dir = tempdir("stale-stats");
+    let (a, b) = (dir.join("a.nt"), dir.join("b.nt"));
+    std::fs::write(&a, "<http://a/s1> <http://x/p> <http://a/o1> .\n").unwrap();
+    std::fs::write(&b, "<http://b/s1> <http://x/p> <http://b/o1> .\n").unwrap();
+    let stats_dir = dir.join("stats");
+    let out = cli()
+        .args(["stats", "--endpoint", a.to_str().unwrap()])
+        .args(["--endpoint", b.to_str().unwrap()])
+        .args(["--out", stats_dir.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    let mut grown = std::fs::read_to_string(&a).unwrap();
+    grown.push_str("<http://a/s1> <http://x/q> <http://a/new> .\n");
+    std::fs::write(&a, grown).unwrap();
+
+    let query = |stats: Option<&str>| {
+        let mut cmd = cli();
+        cmd.args(["query", "--endpoint", a.to_str().unwrap()])
+            .args(["--endpoint", b.to_str().unwrap()])
+            .args(["--query", "SELECT ?s ?o WHERE { ?s <http://x/q> ?o }"]);
+        if let Some(s) = stats {
+            cmd.args(["--stats", s]);
+        }
+        cmd.output().expect("spawn")
+    };
+    let wire = query(None);
+    assert!(wire.status.success());
+    assert!(String::from_utf8_lossy(&wire.stdout).contains("\n1 rows in "));
+
+    let stale = query(Some(stats_dir.to_str().unwrap()));
+    assert!(!stale.status.success(), "a stale .stats file was attached");
+    let stderr = String::from_utf8_lossy(&stale.stderr);
+    assert!(
+        stderr.contains("a.stats")
+            && stderr.contains("describes 1 triples")
+            && stderr.contains("holds 2"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn demo_prints_the_interlink_row() {
     let out = cli().arg("demo").output().expect("spawn");

@@ -776,6 +776,97 @@ fn conclusive_stats_answers_match_wire_probes() {
     );
 }
 
+/// The three offline builders — Lusail's statistics, SPLENDID's VOID
+/// index and HiBISCuS's authority index — read a store through its
+/// uncharged `for_each_spo` pass, so building them moves no endpoint's
+/// `rows_scanned`, on either backend. And the per-predicate numbers both
+/// Lusail and SPLENDID plan with are the brute-force counts over `scan`,
+/// identical across backends.
+#[test]
+fn offline_builds_charge_nothing_and_agree_across_backends() {
+    use lusail_baselines::{HibiscusIndex, VoidIndex};
+    use lusail_endpoint::NetworkProfile;
+    use lusail_store::{BackendKind, EndpointStats, PredicateSummary};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    let mut rng = Rng::new(seed_from_env(0x0FF_B1D));
+    let mut predicates_checked = 0usize;
+    for case in 0..40 {
+        let dict = Dictionary::shared();
+        let node = |n: usize| match n % 5 {
+            // Literal objects have no authority: HiBISCuS's wildcard.
+            4 => Term::lit(format!("v{n}")),
+            _ => Term::iri(format!("http://h{}.org/n{n}", n % 3)),
+        };
+        let mut triples = Vec::new();
+        for _ in 0..rng.below(120) {
+            let s = Term::iri(format!("http://h0.org/n{}", rng.below(12)));
+            let p = Term::iri(format!("http://g/p{}", rng.below(5)));
+            triples.push((s, p, node(rng.below(20))));
+        }
+        let per_backend: Vec<EndpointStats> = BackendKind::ALL
+            .into_iter()
+            .map(|kind| {
+                let mut st = TripleStore::new(Arc::clone(&dict));
+                for (s, p, o) in &triples {
+                    st.insert_terms(s, p, o);
+                }
+                let ep = LocalEndpoint::on_backend("e", st, kind, NetworkProfile::default());
+                let store = ep.store();
+                let stats = EndpointStats::build(store);
+                let void = VoidIndex::build(&[&ep]);
+                let _ = HibiscusIndex::build(&[&ep]);
+                assert_eq!(
+                    store.rows_scanned(),
+                    0,
+                    "case {case}, {kind}: a build scanned"
+                );
+
+                let mut brute: BTreeMap<TermId, (u64, BTreeSet<TermId>, BTreeSet<TermId>)> =
+                    BTreeMap::new();
+                store.scan(None, None, None, |t| {
+                    let (n, subjects, objects) = brute.entry(t.p).or_default();
+                    *n += 1;
+                    subjects.insert(t.s);
+                    objects.insert(t.o);
+                    true
+                });
+                assert_eq!(
+                    stats.total_triples,
+                    store.len() as u64,
+                    "case {case}, {kind}"
+                );
+                assert_eq!(stats.predicates.len(), brute.len(), "case {case}, {kind}");
+                for (p, (n, subjects, objects)) in brute {
+                    let got: &PredicateSummary = stats.predicate(p).expect("predicate summarized");
+                    let want = (n, subjects.len() as u64, objects.len() as u64);
+                    assert_eq!(
+                        (got.triples, got.subjects, got.objects),
+                        want,
+                        "case {case}, {kind}: {p:?}"
+                    );
+                    predicates_checked += 1;
+                }
+                // SPLENDID's VOID description is the same summary.
+                let [description] = &void.descriptions[..] else {
+                    panic!("case {case}, {kind}: one endpoint, one description");
+                };
+                assert_eq!(description.total_triples, stats.total_triples);
+                assert_eq!(description.predicates, stats.predicates);
+                stats
+            })
+            .collect();
+        let (btree, columns) = (&per_backend[0], &per_backend[1]);
+        assert_eq!(btree.total_triples, columns.total_triples, "case {case}");
+        assert_eq!(btree.predicates, columns.predicates, "case {case}");
+        assert_eq!(btree.sets, columns.sets, "case {case}");
+    }
+    assert!(
+        predicates_checked > 200,
+        "coverage too thin: {predicates_checked} predicates"
+    );
+}
+
 // ---------- retry backoff ---------------------------------------------------
 
 /// The jittered exponential backoff schedule is a pure function of
