@@ -29,28 +29,14 @@ use lusail_sparql::ast::{GroupPattern, Query};
 use lusail_sparql::SolutionSet;
 use std::borrow::Cow;
 
-/// FedX tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct FedXConfig {
-    /// Bindings per bound-join block (FedX's default is 15).
-    pub block_size: usize,
-    /// Memoize ASK probes across queries.
-    pub use_cache: bool,
-}
-
-impl Default for FedXConfig {
-    fn default() -> Self {
-        FedXConfig {
-            block_size: 15,
-            use_cache: true,
-        }
-    }
-}
+/// Bindings per bound-join block: FedX's published default, which the
+/// paper runs it with.
+pub const BLOCK_SIZE: usize = 15;
 
 /// The FedX-style engine — and, holding a [`HibiscusIndex`], HiBISCuS:
-/// the same executor over source lists the index has pruned.
+/// the same executor over source lists the index has pruned. ASK answers
+/// are memoized across queries until [`FederatedEngine::reset`].
 pub struct FedX {
-    config: FedXConfig,
     policy: RequestPolicy,
     ask_cache: ProbeCache<PatternKey, bool>,
     index: Option<HibiscusIndex>,
@@ -58,23 +44,17 @@ pub struct FedX {
 
 impl Default for FedX {
     fn default() -> Self {
-        FedX::new(FedXConfig::default())
+        FedX {
+            policy: RequestPolicy::default(),
+            ask_cache: ProbeCache::new(true),
+            index: None,
+        }
     }
 }
 
 impl FedX {
-    /// Creates an engine with the given configuration.
-    pub fn new(config: FedXConfig) -> Self {
-        FedX {
-            config,
-            policy: RequestPolicy::default(),
-            ask_cache: ProbeCache::new(config.use_cache),
-            index: None,
-        }
-    }
-
-    /// HiBISCuS: FedX (default configuration) pruning every group's sources
-    /// by a prebuilt authority index.
+    /// HiBISCuS: FedX pruning every group's sources by a prebuilt
+    /// authority index.
     pub fn hibiscus(index: HibiscusIndex) -> Self {
         FedX {
             index: Some(index),
@@ -141,14 +121,8 @@ impl FedX {
         net: &Net,
     ) -> SolutionSet {
         let unit_sources = self.unit_sources(group, sources);
-        let (mut current, global_filters) = evaluate_units(
-            fed,
-            group,
-            &unit_sources,
-            self.config.block_size,
-            limit,
-            net,
-        );
+        let (mut current, global_filters) =
+            evaluate_units(fed, group, &unit_sources, BLOCK_SIZE, limit, net);
 
         // OPTIONALs take FedX's bound left-fetch; UNION and NOT EXISTS go
         // through the shared nested-group machinery.
@@ -193,7 +167,7 @@ impl FedX {
             let shared = shared_vars(current, &units[0]);
             if !shared.is_empty() && !current.is_empty() {
                 let unit = &units[0];
-                let blocks = bound_fetch(fed, net, current, unit, &shared, self.config.block_size);
+                let blocks = bound_fetch(fed, net, current, unit, &shared, BLOCK_SIZE);
                 let mut fetched = concat(unit.projection.clone(), blocks.map(Some));
                 fetched.dedup();
                 lusail_store::eval::retain_filtered(&mut fetched, &global_filters, fed.dict());
@@ -286,42 +260,15 @@ mod tests {
             fed.dict(),
         )
         .unwrap();
-        let engine = FedX::new(FedXConfig {
-            block_size: 5,
-            use_cache: true,
-        });
+        let engine = FedX::default();
         let before = fed.stats_snapshot();
         engine.execute(&fed, &q).unwrap();
         let window = fed.stats_snapshot().since(&before);
-        // First unit: 2 selects. Second unit: 20 bindings / 5 per block =
-        // 4 blocks × 2 endpoints = 8 selects. Plus 4 ASKs.
-        assert_eq!(window.select_requests, 10);
+        // First unit: 2 selects. Second unit: 20 bindings in blocks of 15 =
+        // 2 blocks × 2 endpoints = 4 selects. Plus 4 ASKs.
+        assert_eq!(BLOCK_SIZE, 15);
+        assert_eq!(window.select_requests, 6);
         assert_eq!(window.ask_requests, 4);
-    }
-
-    #[test]
-    fn block_size_zero_answers_like_block_size_one() {
-        let (fed, _) = fed_and_oracle();
-        let q = parse_query(
-            "SELECT ?s ?o WHERE { ?s <http://x/p> ?m . ?m <http://x/q> ?o }",
-            fed.dict(),
-        )
-        .unwrap();
-        let run = |block_size: usize| {
-            let engine = FedX::new(FedXConfig {
-                block_size,
-                use_cache: true,
-            });
-            let before = fed.stats_snapshot();
-            let solutions = engine.execute(&fed, &q).unwrap().solutions;
-            let window = fed.stats_snapshot().since(&before);
-            (solutions, window.total_requests())
-        };
-        let (one, one_requests) = run(1);
-        let (zero, zero_requests) = run(0);
-        assert_eq!(zero, one);
-        // 4 ASKs, 2 unbound selects, 20 one-binding blocks × 2 endpoints.
-        assert_eq!((zero_requests, one_requests), (46, 46));
     }
 
     #[test]
@@ -346,18 +293,15 @@ mod tests {
             fed.dict(),
         )
         .unwrap();
-        let engine = FedX::new(FedXConfig {
-            block_size: 2,
-            use_cache: true,
-        });
+        let engine = FedX::default();
         let before = fed.stats_snapshot();
         let got = engine.execute(&fed, &q).unwrap().solutions;
         let window = fed.stats_snapshot().since(&before);
         assert_eq!(got.len(), 2);
-        // Without the cutoff this would be 2 + 10*2 = 22 selects; with it,
-        // far fewer.
+        // Without the cutoff this would be 2 + 2*2 = 6 selects; with it,
+        // fewer.
         assert!(
-            window.select_requests < 10,
+            window.select_requests < 6,
             "cutoff did not engage: {} selects",
             window.select_requests
         );

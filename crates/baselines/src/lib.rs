@@ -31,6 +31,6 @@ pub mod fedx;
 pub mod hibiscus;
 pub mod splendid;
 
-pub use fedx::{FedX, FedXConfig};
+pub use fedx::FedX;
 pub use hibiscus::HibiscusIndex;
 pub use splendid::{Splendid, VoidIndex};

@@ -87,40 +87,21 @@ impl VoidIndex {
     }
 }
 
-/// SPLENDID tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct SplendidConfig {
-    /// Use bind join when the bound side's estimated bindings are below
-    /// this; otherwise hash join (full retrieval).
-    pub bind_join_threshold: f64,
-}
-
-impl Default for SplendidConfig {
-    fn default() -> Self {
-        SplendidConfig {
-            bind_join_threshold: 120.0,
-        }
-    }
-}
+/// A join binds when the bound side has fewer bindings than this;
+/// otherwise it retrieves the pattern whole and hash-joins.
+pub const BIND_JOIN_THRESHOLD: usize = 120;
 
 /// The SPLENDID-style engine. Holds the prebuilt [`VoidIndex`].
 pub struct Splendid {
     index: VoidIndex,
-    config: SplendidConfig,
     policy: RequestPolicy,
 }
 
 impl Splendid {
     /// Creates the engine from a prebuilt index.
     pub fn new(index: VoidIndex) -> Self {
-        Splendid::with_config(index, SplendidConfig::default())
-    }
-
-    /// Creates the engine with custom configuration.
-    pub fn with_config(index: VoidIndex, config: SplendidConfig) -> Self {
         Splendid {
             index,
-            config,
             policy: RequestPolicy::default(),
         }
     }
@@ -216,9 +197,8 @@ impl Splendid {
             let tp = &group.triples[i];
             let unit = Subquery::new(vec![tp.clone()], sources.sources(tp).to_vec());
             let shared = shared_vars(&current, &unit);
-            let use_bind = !shared.is_empty()
-                && !current.is_empty()
-                && (current.len() as f64) < self.config.bind_join_threshold;
+            let use_bind =
+                !shared.is_empty() && !current.is_empty() && current.len() < BIND_JOIN_THRESHOLD;
             let fetched = if use_bind {
                 // SPLENDID's bind join: one request per binding (no
                 // blocking), per relevant endpoint.
@@ -344,12 +324,7 @@ mod tests {
     fn bind_join_issues_per_binding_requests() {
         let (fed, eps, _) = build();
         let refs: Vec<&LocalEndpoint> = eps.iter().map(|e| e.as_ref()).collect();
-        let engine = Splendid::with_config(
-            VoidIndex::build(&refs),
-            SplendidConfig {
-                bind_join_threshold: 1_000.0,
-            },
-        );
+        let engine = Splendid::new(VoidIndex::build(&refs));
         let q = parse_query(
             "SELECT ?s ?o WHERE { ?s <http://x/p> ?m . ?m <http://x/q> ?o }",
             fed.dict(),
@@ -369,12 +344,7 @@ mod tests {
         use lusail_endpoint::{FaultProfile, FlakyEndpoint};
         let (_, eps, _) = build();
         let refs: Vec<&LocalEndpoint> = eps.iter().map(|e| e.as_ref()).collect();
-        let engine = Splendid::with_config(
-            VoidIndex::build(&refs),
-            SplendidConfig {
-                bind_join_threshold: 1_000.0,
-            },
-        );
+        let engine = Splendid::new(VoidIndex::build(&refs));
         // A serves two of the four one-binding requests, then dies for good.
         let dying_fed = || {
             let mut fed = Federation::new(Arc::clone(eps[0].store().dict()));

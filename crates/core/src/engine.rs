@@ -184,11 +184,6 @@ impl Lusail {
         &self.config
     }
 
-    /// The engine's request policy.
-    pub fn policy(&self) -> &RequestPolicy {
-        &self.policy
-    }
-
     /// Drops every memoized probe (between benchmark repetitions).
     pub fn clear_caches(&self) {
         self.caches.clear();

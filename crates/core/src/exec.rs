@@ -65,11 +65,6 @@ impl RequestHandler {
         }
     }
 
-    /// The worker-thread budget.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Runs every `(endpoint, task)` pair, returning `(endpoint, task,
     /// result)` triples. Tasks for one endpoint run serially on that
     /// endpoint's worker, so the per-endpoint request subsequence is

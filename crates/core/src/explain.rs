@@ -325,7 +325,7 @@ pub fn render_analyze(trace: &QueryTrace, metrics: Option<&QueryMetrics>) -> Str
         }
     }
 
-    // Resilience activity (circuit transitions, failovers, hedges) is
+    // Resilience activity (circuit transitions and failovers) is
     // aggregated into sorted counts: the events are emitted by concurrent
     // workers, so their order is not deterministic but their multiset is.
     // The section is omitted entirely on a fault-free run, keeping the
@@ -334,7 +334,6 @@ pub fn render_analyze(trace: &QueryTrace, metrics: Option<&QueryMetrics>) -> Str
         let _ = writeln!(out, "resilience:");
         let mut health: BTreeMap<(usize, &str, &str), u64> = BTreeMap::new();
         let mut failovers: BTreeMap<(usize, usize, &str), u64> = BTreeMap::new();
-        let mut hedges: BTreeMap<(usize, usize), u64> = BTreeMap::new();
         for ev in &trace.events {
             match ev {
                 TraceEvent::HealthTransition { endpoint, from, to } => {
@@ -345,9 +344,6 @@ pub fn render_analyze(trace: &QueryTrace, metrics: Option<&QueryMetrics>) -> Str
                 TraceEvent::FailedOver { from, to, kind, .. } => {
                     *failovers.entry((*from, *to, kind.name())).or_default() += 1;
                 }
-                TraceEvent::Hedged { primary, replica } => {
-                    *hedges.entry((*primary, *replica)).or_default() += 1;
-                }
                 _ => {}
             }
         }
@@ -356,12 +352,6 @@ pub fn render_analyze(trace: &QueryTrace, metrics: Option<&QueryMetrics>) -> Str
         }
         for ((from, to, kind), n) in &failovers {
             let _ = writeln!(out, "  failover: endpoint {from} -> {to} on {kind}  ({n}x)");
-        }
-        for ((primary, replica), n) in &hedges {
-            let _ = writeln!(
-                out,
-                "  hedged: endpoint {primary} raced replica {replica}  ({n}x)"
-            );
         }
     }
 

@@ -109,9 +109,6 @@ fn merge_failures(into: &mut Vec<EndpointFailure>, extra: &[EndpointFailure]) {
                 f.failed_requests += e.failed_requests;
                 f.retries += e.retries;
                 f.dead |= e.dead;
-                if f.last_error.is_none() {
-                    f.last_error = e.last_error;
-                }
                 for err in &e.errors {
                     if !f.errors.contains(err) {
                         f.errors.push(*err);

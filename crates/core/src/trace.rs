@@ -123,23 +123,13 @@ impl QueryTrace {
             .collect()
     }
 
-    /// All recorded hedged requests, in emission order.
-    pub fn hedges(&self) -> Vec<&TraceEvent> {
-        self.events
-            .iter()
-            .filter(|ev| matches!(ev, TraceEvent::Hedged { .. }))
-            .collect()
-    }
-
-    /// True when the trace records any resilience activity (failover,
-    /// hedging, or a circuit transition) worth rendering.
+    /// True when the trace records any resilience activity (failover or
+    /// a circuit transition) worth rendering.
     pub fn has_resilience_events(&self) -> bool {
         self.events.iter().any(|ev| {
             matches!(
                 ev,
-                TraceEvent::FailedOver { .. }
-                    | TraceEvent::Hedged { .. }
-                    | TraceEvent::HealthTransition { .. }
+                TraceEvent::FailedOver { .. } | TraceEvent::HealthTransition { .. }
             )
         })
     }
@@ -366,15 +356,10 @@ mod tests {
                     kind: RequestKind::Select,
                     error: "Unavailable".into(),
                 },
-                TraceEvent::Hedged {
-                    primary: 0,
-                    replica: 1,
-                },
                 request(RequestKind::Select, 1, true),
             ],
         };
         assert!(trace.has_resilience_events());
         assert_eq!(trace.failovers().len(), 1);
-        assert_eq!(trace.hedges().len(), 1);
     }
 }

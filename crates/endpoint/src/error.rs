@@ -2,9 +2,10 @@
 //! federated engines report.
 //!
 //! The paper treats endpoints as autonomous remote services; real SPARQL
-//! endpoints time out, throttle, and go down. [`EndpointError`] models the
-//! failure classes a federated engine must distinguish: transient errors
-//! are worth retrying, [`EndpointError::Unavailable`] is not. Engines never
+//! endpoints time out, drop connections, and go down. [`EndpointError`]
+//! models the failure classes a federated engine must distinguish:
+//! transient errors are worth retrying, [`EndpointError::Unavailable`] is
+//! not. Engines never
 //! panic on a failing endpoint — they degrade and report the damage via
 //! [`QueryOutcome`].
 
@@ -19,8 +20,6 @@ pub enum EndpointError {
     /// The endpoint is down or refusing connections. Not transient: a
     /// resilient client fails fast instead of retrying.
     Unavailable,
-    /// The endpoint throttled the request (HTTP 429 semantics).
-    TooManyRequests,
     /// The connection dropped mid-request (reset, truncated response).
     Interrupted,
 }
@@ -28,10 +27,9 @@ pub enum EndpointError {
 impl EndpointError {
     /// All error kinds, in taxonomy order (the order deduped failure
     /// reports list them in).
-    pub const ALL: [EndpointError; 4] = [
+    pub const ALL: [EndpointError; 3] = [
         EndpointError::Timeout,
         EndpointError::Unavailable,
-        EndpointError::TooManyRequests,
         EndpointError::Interrupted,
     ];
 
@@ -47,8 +45,7 @@ impl EndpointError {
         match self {
             EndpointError::Timeout => 0,
             EndpointError::Unavailable => 1,
-            EndpointError::TooManyRequests => 2,
-            EndpointError::Interrupted => 3,
+            EndpointError::Interrupted => 2,
         }
     }
 }
@@ -58,7 +55,6 @@ impl fmt::Display for EndpointError {
         match self {
             EndpointError::Timeout => write!(f, "request timed out"),
             EndpointError::Unavailable => write!(f, "endpoint unavailable"),
-            EndpointError::TooManyRequests => write!(f, "endpoint throttled the request"),
             EndpointError::Interrupted => write!(f, "connection interrupted"),
         }
     }
@@ -110,8 +106,6 @@ pub struct EndpointFailure {
     /// during the query, even if it later recovered through a half-open
     /// probe.
     pub dead: bool,
-    /// The most recent error observed.
-    pub last_error: Option<EndpointError>,
     /// The distinct error kinds observed, deduped, in
     /// [`EndpointError::ALL`] order — deterministic regardless of the
     /// order failures arrived in.
@@ -150,7 +144,6 @@ mod tests {
     #[test]
     fn transience_classification() {
         assert!(EndpointError::Timeout.is_transient());
-        assert!(EndpointError::TooManyRequests.is_transient());
         assert!(EndpointError::Interrupted.is_transient());
         assert!(!EndpointError::Unavailable.is_transient());
     }

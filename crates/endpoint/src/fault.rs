@@ -1,5 +1,6 @@
-//! Fault injection: wrap any endpoint in a [`FlakyEndpoint`] that fails,
-//! times out, or slows down a seeded fraction of requests.
+//! Fault injection: wrap any endpoint in a [`FlakyEndpoint`] that drops a
+//! seeded fraction of requests, dies (at once or after serving `n`
+//! requests), or replays a per-request script.
 //!
 //! This is how the reproduction tests the engines against the unreliable
 //! WANs the paper's geo-distributed setting (Fig. 14) implies. Injection is
@@ -14,7 +15,6 @@ use lusail_sparql::{Query, SolutionSet};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// A deterministic SplitMix64 stream (independent of the workload
 /// generators so the endpoint crate stays dependency-free).
@@ -46,18 +46,11 @@ pub struct FaultProfile {
     pub seed: u64,
     /// Probability a request drops mid-flight ([`EndpointError::Interrupted`]).
     pub failure_rate: f64,
-    /// Probability a request times out ([`EndpointError::Timeout`]).
-    pub timeout_rate: f64,
-    /// Probability a request is slowed down by [`FaultProfile::slowdown`]
-    /// of extra virtual network time (the request still succeeds).
-    pub slowdown_rate: f64,
-    /// Extra virtual time charged on a slowdown.
-    pub slowdown: Duration,
     /// If true, every request fails with [`EndpointError::Unavailable`] —
     /// the endpoint is permanently down.
     pub dead: bool,
     /// If nonzero, the endpoint serves its first `dead_after` requests
-    /// normally (still subject to the rates above) and then goes
+    /// normally (still subject to `failure_rate`) and then goes
     /// permanently [`EndpointError::Unavailable`] — a primary killed
     /// mid-query.
     pub dead_after: u64,
@@ -69,9 +62,6 @@ impl Default for FaultProfile {
         FaultProfile {
             seed: 0,
             failure_rate: 0.0,
-            timeout_rate: 0.0,
-            slowdown_rate: 0.0,
-            slowdown: Duration::ZERO,
             dead: false,
             dead_after: 0,
         }
@@ -157,19 +147,10 @@ impl FlakyEndpoint {
                     || (self.profile.dead_after > 0 && seen > self.profile.dead_after)
                 {
                     Some(EndpointError::Unavailable)
+                } else if self.rng.lock().unwrap().chance(self.profile.failure_rate) {
+                    Some(EndpointError::Interrupted)
                 } else {
-                    let mut rng = self.rng.lock().unwrap();
-                    if rng.chance(self.profile.failure_rate) {
-                        Some(EndpointError::Interrupted)
-                    } else if rng.chance(self.profile.timeout_rate) {
-                        Some(EndpointError::Timeout)
-                    } else {
-                        if rng.chance(self.profile.slowdown_rate) {
-                            self.fault_stats.bump_slowdown();
-                            self.fault_stats.record(0, 0, 0, self.profile.slowdown);
-                        }
-                        None
-                    }
+                    None
                 }
             }
         };
@@ -305,21 +286,5 @@ mod tests {
         // Failed attempts still count as requests plus injected faults.
         let s = flaky.stats_snapshot();
         assert_eq!(s.faults_injected, 3);
-    }
-
-    #[test]
-    fn slowdowns_add_virtual_time() {
-        let (ep, q) = inner();
-        let profile = FaultProfile {
-            seed: 3,
-            slowdown_rate: 1.0,
-            slowdown: Duration::from_millis(25),
-            ..FaultProfile::default()
-        };
-        let flaky = FlakyEndpoint::new(ep, profile);
-        assert!(flaky.select(&q).is_ok());
-        let s = flaky.stats_snapshot();
-        assert_eq!(s.slowdowns_injected, 1);
-        assert!(s.virtual_time_ns >= 25_000_000);
     }
 }

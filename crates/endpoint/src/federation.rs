@@ -111,11 +111,6 @@ impl Federation {
             .collect()
     }
 
-    /// True if any replica group has more than one member.
-    pub fn is_replicated(&self) -> bool {
-        self.group_of.iter().enumerate().any(|(i, &p)| i != p)
-    }
-
     /// Number of endpoints.
     pub fn len(&self) -> usize {
         self.endpoints.len()
@@ -213,15 +208,18 @@ impl Federation {
 }
 
 /// Fluent construction of a [`Federation`]: each [`endpoint`] call adds a
-/// [`LocalEndpoint`], and [`profile`]/[`faults`] decorate the most recently
-/// added endpoint.
+/// [`LocalEndpoint`] on the default (zero-delay) network, and [`faults`] /
+/// [`replica_of`] decorate the most recently added endpoint. An endpoint
+/// with its own [`NetworkProfile`] is built by the caller and added with
+/// [`custom`].
 ///
 /// [`endpoint`]: FederationBuilder::endpoint
-/// [`profile`]: FederationBuilder::profile
 /// [`faults`]: FederationBuilder::faults
+/// [`replica_of`]: FederationBuilder::replica_of
+/// [`custom`]: FederationBuilder::custom
 ///
 /// ```
-/// # use lusail_endpoint::{FaultProfile, Federation, NetworkProfile};
+/// # use lusail_endpoint::{FaultProfile, Federation};
 /// # use lusail_rdf::Dictionary;
 /// # use lusail_store::TripleStore;
 /// # let dict = Dictionary::shared();
@@ -229,7 +227,6 @@ impl Federation {
 /// let fed = Federation::builder(dict)
 ///     .endpoint("stable", a)
 ///     .endpoint("flaky", b)
-///     .profile(NetworkProfile::wan(30, 100))
 ///     .faults(FaultProfile::transient(42, 0.2))
 ///     .build();
 /// assert_eq!(fed.len(), 2);
@@ -251,14 +248,8 @@ struct BuilderEntry {
 }
 
 enum EntryKind {
-    Local {
-        name: String,
-        store: TripleStore,
-        profile: NetworkProfile,
-    },
-    Custom {
-        ep: EndpointRef,
-    },
+    Local { name: String, store: TripleStore },
+    Custom { ep: EndpointRef },
 }
 
 impl FederationBuilder {
@@ -276,7 +267,6 @@ impl FederationBuilder {
         self.push(EntryKind::Local {
             name: name.into(),
             store,
-            profile: NetworkProfile::default(),
         });
         self
     }
@@ -294,24 +284,6 @@ impl FederationBuilder {
     /// Adds a pre-built endpoint (e.g. a custom [`SparqlEndpoint`] impl).
     pub fn custom(mut self, ep: EndpointRef) -> Self {
         self.push(EntryKind::Custom { ep });
-        self
-    }
-
-    /// Sets the network profile of the most recently added endpoint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no endpoint has been added, or the last endpoint was
-    /// added via [`FederationBuilder::custom`] (its network behaviour is
-    /// its own business).
-    pub fn profile(mut self, profile: NetworkProfile) -> Self {
-        match self.entries.last_mut().map(|e| &mut e.kind) {
-            Some(EntryKind::Local { profile: p, .. }) => *p = profile,
-            Some(EntryKind::Custom { .. }) => {
-                panic!("profile() cannot decorate an externally built endpoint")
-            }
-            None => panic!("profile() before any endpoint()"),
-        }
         self
     }
 
@@ -375,11 +347,12 @@ impl FederationBuilder {
 /// storage backend and the fault wrapper when requested.
 fn realize(kind: EntryKind, faults: Option<FaultProfile>, backend: BackendKind) -> EndpointRef {
     let base: EndpointRef = match kind {
-        EntryKind::Local {
+        EntryKind::Local { name, store } => Arc::new(LocalEndpoint::on_backend(
             name,
             store,
-            profile,
-        } => Arc::new(LocalEndpoint::on_backend(name, store, backend, profile)),
+            backend,
+            NetworkProfile::default(),
+        )),
         EntryKind::Custom { ep } => ep,
     };
     match faults {
@@ -461,9 +434,7 @@ mod tests {
         let store = || TripleStore::new(Arc::clone(&dict));
         let a = f.add(Arc::new(LocalEndpoint::new("A", store())));
         let b = f.add(Arc::new(LocalEndpoint::new("B", store())));
-        assert!(!f.is_replicated());
         let a2 = f.add_replica(a, Arc::new(LocalEndpoint::new("A-replica", store())));
-        assert!(f.is_replicated());
         assert_eq!(f.primary_of(a2), a);
         assert_eq!(f.primary_of(a), a);
         assert_eq!(f.replica_group(a), vec![a, a2]);
@@ -541,16 +512,13 @@ mod tests {
             &Term::iri("http://a/p"),
             &Term::iri("http://a/o"),
         );
-        let mut profile = NetworkProfile::wan(10, 100);
-        profile.sleep = false;
         let f = Federation::builder(Arc::clone(&dict))
             .endpoint("A", st)
-            .profile(profile)
             .faults(FaultProfile::dead())
             .endpoint("B", TripleStore::new(dict))
             .build();
         assert_eq!(f.len(), 2);
-        // The dead fault profile wraps the profiled endpoint.
+        // The dead fault profile wraps the first endpoint only.
         let q = parse_query("ASK { ?s <http://a/p> ?o }", f.dict()).unwrap();
         assert!(f.endpoint(0).ask(&q).is_err());
         assert!(!f.endpoint(1).ask(&q).unwrap());

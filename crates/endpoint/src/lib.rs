@@ -128,11 +128,6 @@ impl LocalEndpoint {
         &*self.store
     }
 
-    /// The endpoint's network profile.
-    pub fn profile(&self) -> &NetworkProfile {
-        &self.profile
-    }
-
     /// Accounts for one request: serialized request size, latency and
     /// transfer delay, sleeping if the profile says to.
     fn charge(&self, q: &Query, response_bytes: u64, rows: u64) {
@@ -248,11 +243,6 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// Default options: disabled trace, one thread, no deadline.
-    pub fn new() -> Self {
-        ExecOptions::default()
-    }
-
     /// Replaces the trace sink.
     pub fn with_trace(mut self, sink: TraceSink) -> Self {
         self.trace = sink;

@@ -59,7 +59,6 @@ pub struct NetworkStats {
     rows_returned: AtomicU64,
     virtual_time_ns: AtomicU64,
     faults_injected: AtomicU64,
-    slowdowns_injected: AtomicU64,
 }
 
 impl NetworkStats {
@@ -77,10 +76,6 @@ impl NetworkStats {
 
     pub(crate) fn bump_fault(&self) {
         self.faults_injected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn bump_slowdown(&self) {
-        self.slowdowns_injected.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record(&self, sent: u64, returned: u64, rows: u64, time: Duration) {
@@ -102,7 +97,6 @@ impl NetworkStats {
             rows_returned: self.rows_returned.load(Ordering::Relaxed),
             virtual_time_ns: self.virtual_time_ns.load(Ordering::Relaxed),
             faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            slowdowns_injected: self.slowdowns_injected.load(Ordering::Relaxed),
             rows_scanned: 0,
             queries_shed: 0,
         }
@@ -129,8 +123,6 @@ pub struct StatsSnapshot {
     pub virtual_time_ns: u64,
     /// Requests that were failed by injected faults (flaky endpoints).
     pub faults_injected: u64,
-    /// Requests that were slowed down by injected faults.
-    pub slowdowns_injected: u64,
     /// Store index entries visited while answering requests (see
     /// [`StorageBackend::rows_scanned`](lusail_store::StorageBackend::rows_scanned)).
     /// Maintained by the store itself; endpoint wrappers overlay it into
@@ -160,7 +152,6 @@ impl StatsSnapshot {
             rows_returned: self.rows_returned - earlier.rows_returned,
             virtual_time_ns: self.virtual_time_ns - earlier.virtual_time_ns,
             faults_injected: self.faults_injected - earlier.faults_injected,
-            slowdowns_injected: self.slowdowns_injected - earlier.slowdowns_injected,
             rows_scanned: self.rows_scanned - earlier.rows_scanned,
             queries_shed: self.queries_shed - earlier.queries_shed,
         }
@@ -177,7 +168,6 @@ impl StatsSnapshot {
             rows_returned: self.rows_returned + other.rows_returned,
             virtual_time_ns: self.virtual_time_ns + other.virtual_time_ns,
             faults_injected: self.faults_injected + other.faults_injected,
-            slowdowns_injected: self.slowdowns_injected + other.slowdowns_injected,
             rows_scanned: self.rows_scanned + other.rows_scanned,
             queries_shed: self.queries_shed + other.queries_shed,
         }

@@ -11,9 +11,7 @@
 //! forever. When the federation replicates partitions, data-bearing
 //! selects additionally *fail over*: a request that exhausts its retries
 //! on one replica-group member is transparently re-issued against the
-//! next healthy member ([`ResilientClient::select_failover`]), and slow
-//! primaries are *hedged* — demoted behind a healthy replica when their
-//! last observed latency exceeds the policy's hedge threshold. Time is
+//! next healthy member ([`ResilientClient::select_failover`]). Time is
 //! abstracted behind [`Clock`] so every schedule is testable without
 //! real sleeping.
 
@@ -116,18 +114,13 @@ pub struct RequestPolicy {
     /// tripping.
     pub trip_threshold: u32,
     /// How long an open circuit stays open before the next request is
-    /// admitted as a half-open recovery probe. `Duration::ZERO` keeps an
-    /// opened circuit open forever (the legacy one-way trip).
+    /// admitted as a half-open recovery probe (`Duration::ZERO`: the very
+    /// next request).
     pub open_cooldown: Duration,
-    /// Hedging threshold: when an endpoint's last observed latency
-    /// exceeds this, [`ResilientClient::select_failover`] demotes it
-    /// behind a healthy replica (the duplicate request "wins" by going
-    /// first). `Duration::ZERO` disables hedging.
-    pub hedge_threshold: Duration,
     /// Per-*query* deadline budget shared by every request this client
     /// issues, measured from the client's construction: no wire attempt
-    /// starts once the budget is spent, so hedges, retries, and failovers
-    /// can never exceed the caller's deadline. `Duration::ZERO` disables
+    /// starts once the budget is spent, so retries and failovers can
+    /// never exceed the caller's deadline. `Duration::ZERO` disables
     /// the budget.
     pub query_budget: Duration,
 }
@@ -143,7 +136,6 @@ impl Default for RequestPolicy {
             deadline: Duration::from_secs(10),
             trip_threshold: 3,
             open_cooldown: Duration::from_secs(30),
-            hedge_threshold: Duration::ZERO,
             query_budget: Duration::ZERO,
         }
     }
@@ -198,11 +190,8 @@ struct EpState {
     health: Health,
     /// True if the circuit was ever opened, even if it later recovered.
     ever_opened: bool,
-    last_error: Option<EndpointError>,
     /// Bitmask over [`EndpointError::index`] of every error kind seen.
     error_kinds: u8,
-    /// Latency of the last successful wire attempt, on the clock.
-    last_latency: Option<Duration>,
 }
 
 /// Routes requests to endpoints with retry, backoff, deadline, and
@@ -280,11 +269,6 @@ impl ResilientClient {
         RequestCounts(self.requests.each_ref().map(|n| n.load(Ordering::Relaxed)))
     }
 
-    /// The client's policy.
-    pub fn policy(&self) -> &RequestPolicy {
-        &self.policy
-    }
-
     fn with_state<R>(&self, ep: EndpointId, f: impl FnOnce(&mut EpState) -> R) -> R {
         let mut states = self.states.lock().unwrap();
         if states.len() <= ep {
@@ -294,13 +278,12 @@ impl ResilientClient {
     }
 
     /// True if a request to this endpoint would currently short-circuit:
-    /// the circuit is open and its cooldown has not yet elapsed (a zero
-    /// cooldown keeps it open forever).
+    /// the circuit is open and its cooldown has not yet elapsed.
     pub fn is_dead(&self, ep: EndpointId) -> bool {
         let now = self.clock.now();
         let cooldown = self.policy.open_cooldown;
         self.with_state(ep, |s| match s.health {
-            Health::Open { since } => cooldown.is_zero() || now.saturating_sub(since) < cooldown,
+            Health::Open { since } => now.saturating_sub(since) < cooldown,
             _ => false,
         })
     }
@@ -318,12 +301,6 @@ impl ResilientClient {
     /// Requests that ultimately failed at the endpoint.
     pub fn failed_requests(&self, ep: EndpointId) -> u64 {
         self.with_state(ep, |s| s.failed_requests)
-    }
-
-    /// Latency of the endpoint's last successful wire attempt, measured
-    /// on the clock — the signal the hedging policy reads.
-    pub fn last_latency(&self, ep: EndpointId) -> Option<Duration> {
-        self.with_state(ep, |s| s.last_latency)
     }
 
     /// True once the per-query deadline budget is spent (always false
@@ -356,7 +333,7 @@ impl ResilientClient {
             Health::Closed => true,
             Health::HalfOpen => false,
             Health::Open { since } => {
-                if !cooldown.is_zero() && now.saturating_sub(since) >= cooldown {
+                if now.saturating_sub(since) >= cooldown {
                     transition = Some((HealthState::Open, HealthState::HalfOpen));
                     s.health = Health::HalfOpen;
                     true
@@ -371,11 +348,10 @@ impl ResilientClient {
         admitted
     }
 
-    fn record_success(&self, ep: EndpointId, latency: Duration) {
+    fn record_success(&self, ep: EndpointId) {
         let mut transition = None;
         self.with_state(ep, |s| {
             s.consecutive_failures = 0;
-            s.last_latency = Some(latency);
             if matches!(s.health, Health::HalfOpen) {
                 transition = Some((HealthState::HalfOpen, HealthState::Closed));
                 s.health = Health::Closed;
@@ -393,7 +369,6 @@ impl ResilientClient {
         self.with_state(ep, |s| {
             s.consecutive_failures += 1;
             s.failed_requests += 1;
-            s.last_error = Some(e);
             s.error_kinds |= 1 << e.index();
             match s.health {
                 // A failed half-open probe re-opens the circuit.
@@ -464,10 +439,9 @@ impl ResilientClient {
             }
             attempts += 1;
             self.requests[kind.index()].fetch_add(1, Ordering::Relaxed);
-            let sent = self.clock.now();
             match op() {
                 Ok(v) => {
-                    self.record_success(ep, self.clock.now().saturating_sub(sent));
+                    self.record_success(ep);
                     break Ok(v);
                 }
                 Err(e) => {
@@ -521,10 +495,7 @@ impl ResilientClient {
 
     /// The candidate order a data-bearing select tries the endpoint's
     /// replica group in: the requested member first, then every other
-    /// *healthy* member in id order — unless the requested member is
-    /// slow (last observed latency above the hedge threshold) and a
-    /// healthy replica exists, in which case the replica is hedged in
-    /// front of it.
+    /// *healthy* member in id order.
     fn failover_candidates(&self, fed: &Federation, ep: EndpointId) -> Vec<EndpointId> {
         let mut candidates: Vec<EndpointId> = vec![ep];
         candidates.extend(
@@ -532,19 +503,6 @@ impl ResilientClient {
                 .into_iter()
                 .filter(|&m| m != ep && !self.is_dead(m)),
         );
-        let hedge = self.policy.hedge_threshold;
-        if !hedge.is_zero() && candidates.len() > 1 {
-            if let Some(latency) = self.last_latency(ep) {
-                if latency > hedge {
-                    let replica = candidates[1];
-                    self.trace.emit(|| TraceEvent::Hedged {
-                        primary: ep,
-                        replica,
-                    });
-                    candidates.swap(0, 1);
-                }
-            }
-        }
         candidates
     }
 
@@ -555,12 +513,6 @@ impl ResilientClient {
     /// success wins. Returns the winning member's id alongside the rows
     /// so callers can invalidate per-endpoint state for the losers. Errs
     /// only when every candidate failed.
-    ///
-    /// Hedging is implemented as a deterministic refinement of
-    /// first-success-wins racing: the duplicate request goes first and
-    /// elides the slow primary's attempt entirely when it succeeds, so
-    /// traces and request counters stay reproducible under the test
-    /// clock.
     pub fn select_failover(
         &self,
         fed: &Federation,
@@ -607,7 +559,6 @@ impl ResilientClient {
                 failed_requests: s.failed_requests,
                 retries: s.retries,
                 dead: s.ever_opened,
-                last_error: s.last_error,
                 errors: EndpointError::ALL
                     .into_iter()
                     .filter(|e| s.error_kinds & (1 << e.index()) != 0)
@@ -642,7 +593,7 @@ mod tests {
         let client = ResilientClient::with_clock(RequestPolicy::default(), clock);
         let (calls, op) = counting_op(vec![
             Err(EndpointError::Interrupted),
-            Err(EndpointError::TooManyRequests),
+            Err(EndpointError::Timeout),
             Ok(42),
         ]);
         assert_eq!(client.request(0, op), Ok(42));
@@ -928,7 +879,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_cooldown_keeps_the_circuit_open_forever() {
+    fn zero_cooldown_half_opens_on_the_next_request() {
         let clock = ManualClock::new();
         let policy = RequestPolicy {
             max_retries: 0,
@@ -938,13 +889,16 @@ mod tests {
             open_cooldown: Duration::ZERO,
             ..RequestPolicy::default()
         };
-        let client = ResilientClient::with_clock(policy, clock.clone());
+        let client = ResilientClient::with_clock(policy, clock);
         let _ = client.request(0, || Err::<u32, _>(EndpointError::Interrupted));
-        clock.advance(Duration::from_secs(3600));
-        assert!(client.is_dead(0));
+        // The circuit opened, but with no time elapsed the next request is
+        // already the half-open probe: it reaches the wire.
+        assert_eq!(client.health(0), HealthState::Open);
+        assert!(!client.is_dead(0));
         let (calls, op) = counting_op(vec![Ok(1)]);
-        assert_eq!(client.request(0, op), Err(EndpointError::Unavailable));
-        assert_eq!(calls.load(Ordering::Relaxed), 0);
+        assert_eq!(client.request(0, op), Ok(1));
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        assert_eq!(client.health(0), HealthState::Closed);
     }
 
     #[test]

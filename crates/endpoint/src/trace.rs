@@ -223,15 +223,6 @@ pub enum TraceEvent {
         /// The error that triggered the failover.
         error: String,
     },
-    /// A slow primary was hedged: a duplicate request was issued to a
-    /// replica because the primary's last observed latency exceeded the
-    /// policy's hedge threshold.
-    Hedged {
-        /// The slow primary.
-        primary: EndpointId,
-        /// The replica the duplicate was sent to.
-        replica: EndpointId,
-    },
     /// Offline statistics answered a planning question locally, eliding
     /// the wire probe that would otherwise have been issued. No
     /// [`TraceEvent::Request`] is emitted for an elided probe — request

@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Per-tenant admission limits.
+/// Per-tenant admission limits (every tenant gets the same ones).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantPolicy {
     /// Queries this tenant may have in flight at once.
@@ -78,10 +78,8 @@ pub struct ServerConfig {
     /// `ExecOptions` threading); total worker pressure is bounded by
     /// `max_in_flight * threads_per_query`.
     pub threads_per_query: usize,
-    /// Limits for tenants without an explicit entry in `tenants`.
-    pub default_tenant: TenantPolicy,
-    /// Per-tenant overrides, keyed by tenant name.
-    pub tenants: HashMap<String, TenantPolicy>,
+    /// The limits each tenant is admitted under.
+    pub tenant: TenantPolicy,
     /// Cross-tenant batching: admitted queries accumulate in a bounded
     /// window and shared subqueries are evaluated once (see [`batch`]).
     pub batch: BatchConfig,
@@ -92,19 +90,9 @@ impl Default for ServerConfig {
         ServerConfig {
             max_in_flight: 8,
             threads_per_query: 1,
-            default_tenant: TenantPolicy::default(),
-            tenants: HashMap::new(),
+            tenant: TenantPolicy::default(),
             batch: BatchConfig::default(),
         }
-    }
-}
-
-impl ServerConfig {
-    fn policy_for(&self, tenant: &str) -> TenantPolicy {
-        self.tenants
-            .get(tenant)
-            .copied()
-            .unwrap_or(self.default_tenant)
     }
 }
 
@@ -299,11 +287,6 @@ impl QueryServer {
         &self.fed
     }
 
-    /// The server configuration.
-    pub fn config(&self) -> &ServerConfig {
-        &self.config
-    }
-
     /// True once [`QueryServer::drain`] has started.
     pub fn is_draining(&self) -> bool {
         self.state.lock().unwrap().draining
@@ -331,12 +314,9 @@ impl QueryServer {
         query: &Query,
         requested: Option<Duration>,
     ) -> Result<QueryResult, ServeError> {
-        let policy = self.config.policy_for(tenant);
-        let deadline = match requested {
-            Some(d) => d.min(policy.deadline_budget),
-            None => policy.deadline_budget,
-        };
-        let session = match self.admit(tenant, &policy, deadline) {
+        let budget = self.config.tenant.deadline_budget;
+        let deadline = requested.map_or(budget, |d| d.min(budget));
+        let session = match self.admit(tenant, deadline) {
             Ok(session) => session,
             Err(rejection) => {
                 self.count_rejection(&rejection);
@@ -412,12 +392,7 @@ impl QueryServer {
     /// The admission decision: draining, impossible deadline, federation
     /// health, global capacity, then tenant quota — all under one lock
     /// so concurrent admissions can never overshoot a bound.
-    fn admit(
-        &self,
-        tenant: &str,
-        policy: &TenantPolicy,
-        deadline: Duration,
-    ) -> Result<u64, Rejection> {
+    fn admit(&self, tenant: &str, deadline: Duration) -> Result<u64, Rejection> {
         if deadline.is_zero() {
             return Err(Rejection::DeadlineExceeded);
         }
@@ -443,7 +418,7 @@ impl QueryServer {
             });
         }
         let tenant_load = state.per_tenant.get(tenant).copied().unwrap_or(0);
-        if tenant_load >= policy.max_in_flight {
+        if tenant_load >= self.config.tenant.max_in_flight {
             return Err(Rejection::Shed {
                 reason: format!("tenant {tenant:?} at quota ({tenant_load} queries in flight)"),
             });
@@ -518,7 +493,8 @@ impl QueryServer {
 }
 
 /// Decrements in-flight accounting (and wakes drain) even if the engine
-/// panics.
+/// panics. A tenant with nothing left in flight leaves the admission map:
+/// tenant names are client-supplied, so the map holds only live ones.
 struct SessionGuard<'a> {
     server: &'a QueryServer,
     tenant: String,
@@ -531,6 +507,9 @@ impl Drop for SessionGuard<'_> {
         state.in_flight -= 1;
         if let Some(n) = state.per_tenant.get_mut(&self.tenant) {
             *n = n.saturating_sub(1);
+            if *n == 0 {
+                state.per_tenant.remove(&self.tenant);
+            }
         }
         state.deadlines.remove(&self.session);
         self.server.drained.notify_all();

@@ -100,7 +100,7 @@ fn tenant_quota_is_independent_of_global_capacity() {
     // while B still gets in.
     let config = ServerConfig {
         max_in_flight: 8,
-        default_tenant: TenantPolicy {
+        tenant: TenantPolicy {
             max_in_flight: 1,
             deadline_budget: Duration::from_secs(30),
         },
@@ -108,9 +108,8 @@ fn tenant_quota_is_independent_of_global_capacity() {
     };
     let (server, query) = tiny_server(config);
     // Occupy tenant A's slot manually via the admission path.
-    let policy = server.config().policy_for("a");
     let session = server
-        .admit("a", &policy, Duration::from_secs(5))
+        .admit("a", Duration::from_secs(5))
         .expect("first admission fits");
     let err = server.execute("a", &query).unwrap_err();
     match err {
@@ -132,7 +131,7 @@ fn tenant_quota_is_independent_of_global_capacity() {
 #[test]
 fn requested_deadline_is_clamped_to_tenant_budget() {
     let config = ServerConfig {
-        default_tenant: TenantPolicy {
+        tenant: TenantPolicy {
             max_in_flight: 4,
             deadline_budget: Duration::from_millis(250),
         },
@@ -145,6 +144,23 @@ fn requested_deadline_is_clamped_to_tenant_budget() {
         .execute_with_deadline("a", &query, Some(Duration::from_secs(3600)))
         .unwrap();
     assert!(result.complete);
+}
+
+#[test]
+fn finished_tenants_leave_the_admission_map() {
+    // `X-Tenant` is client-supplied: a long-lived server must not keep one
+    // entry per name it has ever admitted.
+    let (server, query) = tiny_server(ServerConfig::default());
+    for t in 0..200 {
+        server.execute(&format!("tenant-{t}"), &query).unwrap();
+    }
+    let state = server.state.lock().unwrap();
+    assert!(
+        state.per_tenant.is_empty(),
+        "{} idle tenants still mapped",
+        state.per_tenant.len()
+    );
+    assert!(state.deadlines.is_empty());
 }
 
 #[test]
@@ -168,7 +184,7 @@ fn drain_waits_for_in_flight_queries() {
 fn concurrent_tenants_never_overshoot_global_capacity() {
     let config = ServerConfig {
         max_in_flight: 2,
-        default_tenant: TenantPolicy {
+        tenant: TenantPolicy {
             max_in_flight: 2,
             deadline_budget: Duration::from_secs(30),
         },

@@ -67,11 +67,6 @@ impl TriplePattern {
             .filter_map(|t| t.as_var())
     }
 
-    /// True if `var` occurs in the subject position.
-    pub fn has_subject_var(&self, var: &str) -> bool {
-        self.s.as_var() == Some(var)
-    }
-
     /// True if `var` occurs anywhere in the pattern.
     pub fn mentions(&self, var: &str) -> bool {
         self.vars().any(|v| v == var)
@@ -487,8 +482,6 @@ mod tests {
         let tp = TriplePattern::new(v("s"), PatternTerm::Const(TermId(0)), v("o"));
         let vars: Vec<_> = tp.vars().collect();
         assert_eq!(vars, ["s", "o"]);
-        assert!(tp.has_subject_var("s"));
-        assert!(!tp.has_subject_var("o"));
         assert_eq!(tp.bound_positions(), 1);
     }
 

@@ -115,7 +115,7 @@ if grep -q 'check_queries +=' crates/core/src/gjv.rs; then
 fi
 [ "$scattered" -eq 0 ]
 
-echo "==> no superseded path is back (one BGP order, one VALUES sizing, two gated configurations, one COUNT form, one FedX, one subject lookup, one term count, one statistics builder)"
+echo "==> no superseded path is back (one BGP order, one VALUES sizing, two gated configurations, one COUNT form, one FedX, one subject lookup, one term count, one statistics builder, every setting has a caller)"
 scattered=0
 total=0
 non_test=0
@@ -126,7 +126,11 @@ while IFS= read -r f; do
     crates/server/src/tests.rs | crates/sparql/src/solution/reference_tests.rs) code="" ;;
     *) code=$(sed '/#\[cfg(test)\]/,$d' "$f") ;;
     esac
-    hit=$(grep -Eo 'set_reorder|reorder_enabled|adaptive_values|CountStar|count_star_as_aggregate|struct HiBisCus|fn predicate_stats|fn distinct_subjects|fn distinct_objects|struct PredicateStats|struct VoidDescription|fn preprocessing_time' <<<"$code" | sort -u | tr '\n' ' ' || true)
+    # Settings nothing outside their own tests set, and the report fields
+    # nothing read, are deleted too: hedging, the slowdown / timeout fault
+    # modes, the 429 error kind, the last-error field, the baselines'
+    # config structs, per-tenant overrides and the builder's network profile.
+    hit=$(grep -Eo 'set_reorder|reorder_enabled|adaptive_values|CountStar|count_star_as_aggregate|struct HiBisCus|fn predicate_stats|fn distinct_subjects|fn distinct_objects|struct PredicateStats|struct VoidDescription|fn preprocessing_time|hedge_threshold|last_latency|Hedged|timeout_rate|slowdown_rate|slowdowns_injected|TooManyRequests|last_error|struct FedXConfig|struct SplendidConfig|fn with_config|fn is_replicated|fn policy_for|fn profile\(' <<<"$code" | sort -u | tr '\n' ' ' || true)
     if [ -n "$hit" ]; then
         echo "$f: a deleted path or its switch is back: $hit" >&2
         scattered=1

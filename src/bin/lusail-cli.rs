@@ -20,7 +20,7 @@
 //!   but the structured trace is rendered instead of the rows: per-kind
 //!   request/attempt counts, decomposition, per-subquery delay decisions
 //!   with their Chauvenet reasons, VALUES traffic, join steps, circuit /
-//!   failover / hedge activity, and phase timings. `--fixed-clock` runs
+//!   failover activity, and phase timings. `--fixed-clock` runs
 //!   against a manual test clock so the report is byte-stable (all
 //!   durations render as 0ns).
 //! * `explain --endpoint FILE.nt ... (--query 'SPARQL' | --query-file F)`
@@ -464,7 +464,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .transpose()
             .map(|v| v.unwrap_or(default))
     };
-    let port = parse_num("--port", 3030)? as u16;
+    let port: u16 = flag_value(args, "--port")
+        .map(|s| s.parse().map_err(|_| "bad --port (want 0-65535)"))
+        .transpose()?
+        .unwrap_or(3030);
     let max_in_flight = parse_num("--max-in-flight", 8)?;
     let threads = parse_num("--threads", 1)?;
     let tenant_quota = parse_num("--tenant-quota", 4)?;
@@ -490,7 +493,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let config = lusail_server::ServerConfig {
         max_in_flight,
         threads_per_query: threads,
-        default_tenant: lusail_server::TenantPolicy {
+        tenant: lusail_server::TenantPolicy {
             max_in_flight: tenant_quota,
             deadline_budget: std::time::Duration::from_millis(deadline_ms),
         },
@@ -499,7 +502,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             window: std::time::Duration::from_millis(batch_window_ms.unwrap_or(2)),
             max_batch: batch_max,
         },
-        ..Default::default()
     };
     let server = lusail_server::QueryServer::new(fed, engine, config);
     let listener = std::net::TcpListener::bind(("127.0.0.1", port))

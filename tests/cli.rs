@@ -334,5 +334,38 @@ fn error_paths_exit_nonzero_with_messages() {
         .expect("spawn");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("N-Triples parse error"));
+
+    // A port outside u16 is refused, not truncated into another port. A
+    // server that accepted it would serve forever, so the child is polled
+    // and killed rather than waited on.
+    let mut child = cli()
+        .args([
+            "serve",
+            "--endpoint",
+            dir.join("a.nt").to_str().unwrap(),
+            "--port",
+            "70000",
+        ])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    let started = std::time::Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll") {
+            break Some(status);
+        }
+        if started.elapsed() > std::time::Duration::from_secs(10) {
+            let _ = child.kill();
+            let _ = child.wait();
+            break None;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let status = status.expect("serve --port 70000 kept running instead of failing");
+    assert!(!status.success());
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert!(stderr.contains("bad --port"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }

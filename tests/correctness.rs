@@ -178,22 +178,3 @@ fn lusail_matches_oracle_with_tiny_blocks() {
         assert_eq!(got, expected, "block_size=3 differs on {}", nq.name);
     }
 }
-
-#[test]
-fn fedx_matches_oracle_with_tiny_blocks() {
-    use lusail_baselines::FedXConfig;
-    let w = lubm::generate(&lubm::LubmConfig::new(2));
-    let engine = FedX::new(FedXConfig {
-        block_size: 2,
-        use_cache: true,
-    });
-    for nq in &w.queries {
-        let expected = lusail_store::eval::evaluate(&w.oracle, &nq.query).canonicalize();
-        let got = engine
-            .run_with(&w.federation, &nq.query, &ExecOptions::default())
-            .unwrap()
-            .solutions
-            .canonicalize();
-        assert_eq!(got, expected, "fedx block_size=2 differs on {}", nq.name);
-    }
-}

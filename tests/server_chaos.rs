@@ -136,7 +136,7 @@ fn chaos_round(round: u64, seed: u64) -> (lusail_server::ServerCounters, BatchSt
         ServerConfig {
             max_in_flight: 3,
             threads_per_query: 1 + (round % 2) as usize,
-            default_tenant: TenantPolicy {
+            tenant: TenantPolicy {
                 max_in_flight: 2,
                 deadline_budget: DEADLINE_BUDGET,
             },
@@ -148,7 +148,6 @@ fn chaos_round(round: u64, seed: u64) -> (lusail_server::ServerCounters, BatchSt
                 window: Duration::from_millis(8),
                 max_batch: 2 + (round as usize / 2 % 2),
             },
-            ..ServerConfig::default()
         },
     );
 
