@@ -114,37 +114,10 @@ impl Workload {
     }
 }
 
-/// A tiny deterministic generator (SplitMix64): enough randomness for
-/// workload shaping without pulling rand's trait surface into every
-/// generator. Identical seeds give identical datasets on every platform.
-#[derive(Debug, Clone)]
-pub struct Rng(u64);
-
-impl Rng {
-    /// Seeds the generator.
-    pub fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_add(0x9E37_79B9_7F4A_7C15))
-    }
-
-    /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform value in `[0, n)`. `n` must be nonzero.
-    pub fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-
-    /// True with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        (self.next_u64() as f64 / u64::MAX as f64) < p
-    }
-}
+/// The workload generators' SplitMix64 stream, under the name generators
+/// and harnesses import it by. Identical seeds give identical datasets on
+/// every platform.
+pub use lusail_rdf::SplitMix64 as Rng;
 
 /// Inserts `(s, p, o)` given as terms into a store (generator shorthand).
 pub fn add(store: &mut TripleStore, s: &Term, p: &Term, o: &Term) {

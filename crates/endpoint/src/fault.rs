@@ -11,33 +11,11 @@
 use crate::error::EndpointError;
 use crate::network::{NetworkStats, StatsSnapshot};
 use crate::{EndpointRef, SparqlEndpoint};
+use lusail_rdf::SplitMix64;
 use lusail_sparql::{Query, SolutionSet};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// A deterministic SplitMix64 stream (independent of the workload
-/// generators so the endpoint crate stays dependency-free).
-#[derive(Debug, Clone)]
-pub(crate) struct SplitMix64(u64);
-
-impl SplitMix64 {
-    pub(crate) fn new(seed: u64) -> Self {
-        SplitMix64(seed.wrapping_add(0x9E37_79B9_7F4A_7C15))
-    }
-
-    pub(crate) fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn chance(&mut self, p: f64) -> bool {
-        p > 0.0 && (self.next_u64() as f64 / u64::MAX as f64) < p
-    }
-}
 
 /// Describes how often and how an endpoint misbehaves.
 #[derive(Debug, Clone, Copy)]
@@ -147,7 +125,10 @@ impl FlakyEndpoint {
                     || (self.profile.dead_after > 0 && seen > self.profile.dead_after)
                 {
                     Some(EndpointError::Unavailable)
-                } else if self.rng.lock().unwrap().chance(self.profile.failure_rate) {
+                } else if self.profile.failure_rate > 0.0
+                    // A zero rate draws nothing, so it leaves the stream as is.
+                    && self.rng.lock().unwrap().chance(self.profile.failure_rate)
+                {
                     Some(EndpointError::Interrupted)
                 } else {
                     None

@@ -98,7 +98,6 @@ impl NetworkStats {
             virtual_time_ns: self.virtual_time_ns.load(Ordering::Relaxed),
             faults_injected: self.faults_injected.load(Ordering::Relaxed),
             rows_scanned: 0,
-            queries_shed: 0,
         }
     }
 }
@@ -128,11 +127,6 @@ pub struct StatsSnapshot {
     /// Maintained by the store itself; endpoint wrappers overlay it into
     /// their snapshots, so `NetworkStats::snapshot` leaves it zero.
     pub rows_scanned: u64,
-    /// Queries refused by admission control (shed, deadline-expired, or
-    /// draining). Like `rows_scanned`, this is an overlay: the serving
-    /// layer maintains it and `NetworkStats::snapshot` leaves it zero, so
-    /// single-shot executions always report zero.
-    pub queries_shed: u64,
 }
 
 impl StatsSnapshot {
@@ -153,7 +147,6 @@ impl StatsSnapshot {
             virtual_time_ns: self.virtual_time_ns - earlier.virtual_time_ns,
             faults_injected: self.faults_injected - earlier.faults_injected,
             rows_scanned: self.rows_scanned - earlier.rows_scanned,
-            queries_shed: self.queries_shed - earlier.queries_shed,
         }
     }
 
@@ -169,7 +162,6 @@ impl StatsSnapshot {
             virtual_time_ns: self.virtual_time_ns + other.virtual_time_ns,
             faults_injected: self.faults_injected + other.faults_injected,
             rows_scanned: self.rows_scanned + other.rows_scanned,
-            queries_shed: self.queries_shed + other.queries_shed,
         }
     }
 }

@@ -16,9 +16,9 @@
 //! real sleeping.
 
 use crate::error::{EndpointError, EndpointFailure};
-use crate::fault::SplitMix64;
 use crate::federation::{EndpointId, Federation};
 use crate::trace::{HealthState, RequestCounts, RequestKind, TraceEvent, TraceSink};
+use lusail_rdf::SplitMix64;
 use lusail_sparql::{Query, SolutionSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

@@ -11,16 +11,20 @@
 //! * [`ntriples`] — a small N-Triples parser and serializer,
 //! * [`fx`] — a fast, non-cryptographic hasher used for integer-keyed maps
 //!   throughout the workspace (per the Rust perf-book guidance; implemented
-//!   here to avoid an extra dependency).
+//!   here to avoid an extra dependency),
+//! * [`SplitMix64`] — the deterministic generator every seeded dataset,
+//!   fault stream and randomized test draws from.
 
 pub mod dictionary;
 pub mod fx;
 pub mod ntriples;
+pub mod splitmix;
 pub mod term;
 pub mod triple;
 
 pub use dictionary::{Dictionary, TermId};
 pub use fx::{FxHashMap, FxHashSet};
+pub use splitmix::SplitMix64;
 pub use term::Term;
 pub use triple::Triple;
 

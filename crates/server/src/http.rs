@@ -285,7 +285,7 @@ fn rejection_response(r: &Rejection) -> (u16, &'static str, String) {
 /// counters, and the batching scheduler's `batch.*` lines.
 fn stats_body(server: &QueryServer) -> String {
     let c = server.counters();
-    let wire = server.stats_snapshot();
+    let wire = server.federation().stats_snapshot();
     let cache = server.engine().probe_cache_stats();
     let batch = server.batch_stats();
     format!(
@@ -303,7 +303,7 @@ fn stats_body(server: &QueryServer) -> String {
         c.deadline_rejected,
         c.draining_rejected,
         c.health_invalidations,
-        wire.queries_shed,
+        c.total_rejected(),
         wire.total_requests(),
         cache.hits,
         cache.misses,

@@ -19,10 +19,8 @@
 //! * **Admission control and load shedding.** Queries are never queued:
 //!   a query is either admitted immediately or rejected with a typed
 //!   [`Rejection`] (global capacity, per-tenant quota, an impossible
-//!   deadline, an unhealthy federation, or a draining server). Rejections
-//!   are counted into the `queries_shed` overlay of
-//!   [`StatsSnapshot`](lusail_endpoint::StatsSnapshot) so shed decisions
-//!   are observable wherever request counters already flow.
+//!   deadline, an unhealthy federation, or a draining server), counted by
+//!   reason in [`QueryServer::counters`].
 //! * **Graceful drain.** [`QueryServer::drain`] refuses new admissions
 //!   and waits for in-flight queries to finish, bounded by the longest
 //!   outstanding per-query deadline — deadlines are mandatory at
@@ -39,8 +37,7 @@ pub use batch::{BatchConfig, BatchStats};
 
 use lusail_core::{Lusail, QueryResult};
 use lusail_endpoint::{
-    Clock, EndpointId, Federation, FederationError, HealthHook, HealthState, StatsSnapshot,
-    SystemClock,
+    Clock, EndpointId, Federation, FederationError, HealthHook, HealthState, SystemClock,
 };
 use lusail_sparql::Query;
 use std::collections::{HashMap, HashSet};
@@ -480,15 +477,6 @@ impl QueryServer {
             draining_rejected: self.counters.draining_rejected.load(Ordering::Relaxed),
             health_invalidations: self.invalidations.load(Ordering::Relaxed),
         }
-    }
-
-    /// The federation's wire counters with the server's shed decisions
-    /// overlaid into `queries_shed` (the same overlay pattern the stores
-    /// use for `rows_scanned`).
-    pub fn stats_snapshot(&self) -> StatsSnapshot {
-        let mut snap = self.fed.stats_snapshot();
-        snap.queries_shed = self.counters().total_rejected();
-        snap
     }
 }
 

@@ -90,7 +90,7 @@ fn capacity_zero_sheds_everything_with_reason() {
         other => panic!("expected shed, got {other}"),
     }
     assert_eq!(server.counters().shed, 1);
-    assert_eq!(server.stats_snapshot().queries_shed, 1);
+    assert_eq!(server.counters().total_rejected(), 1);
 }
 
 #[test]

@@ -22,8 +22,6 @@ pub mod lexer;
 pub mod parser;
 pub mod rows;
 pub mod solution;
-#[cfg(test)]
-mod test_rng;
 pub mod writer;
 
 pub use ast::{

@@ -3,8 +3,7 @@
 //! Every comparison is on schema and row *sequence*, not on multisets.
 
 use super::*;
-use crate::test_rng::Rng;
-use lusail_rdf::FxHashSet;
+use lusail_rdf::{FxHashSet, SplitMix64 as Rng};
 
 type Row = Vec<Option<TermId>>;
 

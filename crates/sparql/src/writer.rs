@@ -271,8 +271,7 @@ fn write_expr<W: Sink>(out: &mut W, e: &Expression, dict: &Dictionary) -> fmt::R
 mod tests {
     use super::*;
     use crate::parser::parse_query;
-    use crate::test_rng::Rng;
-    use lusail_rdf::Dictionary;
+    use lusail_rdf::{Dictionary, SplitMix64 as Rng};
 
     fn roundtrip(query: &str) {
         let dict = Dictionary::new();
@@ -413,6 +412,10 @@ mod tests {
         assert_eq!(q1, q2, "roundtrip mismatch for {text:?}");
     }
 
+    fn coin(rng: &mut Rng) -> bool {
+        rng.below(2) == 0
+    }
+
     fn rand_var(rng: &mut Rng) -> String {
         ["a", "b", "c", "long_name"][rng.below(4)].to_string()
     }
@@ -431,7 +434,7 @@ mod tests {
     }
 
     fn rand_expr(rng: &mut Rng, dict: &Dictionary, depth: usize) -> Expression {
-        let leaf = |rng: &mut Rng| match rng.coin() {
+        let leaf = |rng: &mut Rng| match coin(rng) {
             true => Expression::Var(rand_var(rng)),
             false => Expression::Const(rand_const(rng, dict)),
         };
@@ -455,7 +458,7 @@ mod tests {
             2 => Expression::Or(sub(rng), sub(rng)),
             3 => Expression::Not(sub(rng)),
             4 => Expression::Bound(rand_var(rng)),
-            5 => Expression::Regex(sub(rng), "^ab+".to_string(), rng.coin()),
+            5 => Expression::Regex(sub(rng), "^ab+".to_string(), coin(rng)),
             6 => Expression::Contains(sub(rng), "needle".to_string()),
             7 => Expression::Str(sub(rng)),
             8 => Expression::Lang(sub(rng)),
@@ -465,7 +468,7 @@ mod tests {
     }
 
     fn rand_group(rng: &mut Rng, dict: &Dictionary, depth: usize) -> GroupPattern {
-        let term = |rng: &mut Rng| match rng.coin() {
+        let term = |rng: &mut Rng| match coin(rng) {
             true => PatternTerm::Var(rand_var(rng)),
             false => PatternTerm::Const(rand_const(rng, dict)),
         };
@@ -475,7 +478,7 @@ mod tests {
                 .collect(),
         );
         g.filters = (0..rng.below(3)).map(|_| rand_expr(rng, dict, 2)).collect();
-        if rng.coin() {
+        if coin(rng) {
             let vars: Vec<String> = (0..rng.below(4)).map(|i| format!("v{i}")).collect();
             let rows: Vec<Vec<Option<TermId>>> = (0..rng.below(5))
                 .map(|_| {
@@ -519,8 +522,8 @@ mod tests {
                 q.aggregates = (0..1 + rng.below(3))
                     .map(|i| Aggregate {
                         func: funcs[rng.below(5)],
-                        var: rng.coin().then(|| rand_var(rng)),
-                        distinct: rng.coin(),
+                        var: coin(rng).then(|| rand_var(rng)),
+                        distinct: coin(rng),
                         alias: format!("agg{i}"),
                     })
                     .collect();
@@ -538,7 +541,7 @@ mod tests {
                         alias: format!("a{i}"),
                     })
                     .collect();
-                if rng.coin() {
+                if coin(rng) {
                     let branches: Vec<GroupPattern> = (0..2 + rng.below(3))
                         .map(|_| rand_group(rng, dict, 0))
                         .collect();
@@ -556,14 +559,14 @@ mod tests {
             }
             _ => q.projection = (0..rng.below(3)).map(|_| rand_var(rng)).collect(),
         }
-        q.distinct = rng.coin();
+        q.distinct = coin(rng);
         q.order_by = (0..rng.below(3))
             .map(|_| OrderKey {
                 var: rand_var(rng),
-                descending: rng.coin(),
+                descending: coin(rng),
             })
             .collect();
-        q.limit = rng.coin().then(|| rng.below(100_000));
+        q.limit = coin(rng).then(|| rng.below(100_000));
         q
     }
 

@@ -1,9 +1,9 @@
 //! The compressed sorted-column backend: CSR-style SPO columns plus
 //! POS/OSP permutation indexes, all bit-packed.
 //!
-//! [`ColumnStore`] is built once from a populated [`TripleStore`] (or a
-//! raw triple list) and is immutable afterwards. Layout, in the spirit of
-//! HDT's bitmap-triples representation:
+//! [`ColumnStore`] is built once from a populated [`TripleStore`] and is
+//! immutable afterwards. Layout, in the spirit of HDT's bitmap-triples
+//! representation:
 //!
 //! * **SPO as CSR**: a sorted, deduplicated column of distinct subjects
 //!   plus an offsets column delimiting each subject's run of `(p, o)`
@@ -29,15 +29,16 @@
 //! subject ranks, 0.09 the subject directory), versus 75.5 for the
 //! three-B-tree layout.
 //!
-//! All eight scan paths go straight to the exact run — subject-led ones by
-//! rank, the rest by binary search over the predicate and object key
-//! directories — and emit triples in the same index order as the BTree
-//! backend (SPO for subject-led, `(p,o,s)` for predicate-led, `(o,s,p)`
-//! for object-led), so the two backends are observationally identical —
-//! `rows_scanned` included. Estimates come from run boundaries and are
-//! therefore **exact** for every pattern shape, which is where the
-//! columnar backend feeds the join orderer better information than the
-//! BTree backend's capped walks.
+//! One private `run` decides every pattern's access path: the index
+//! (SPO rows, `pos_perm` or `osp_perm`) and the exact `[lo, hi)` run of
+//! it that holds the matches — subject-led patterns by rank, the rest by
+//! binary search over the predicate and object key directories. Scans
+//! walk that run in the same index order as the BTree backend (SPO for
+//! subject-led, `(p,o,s)` for predicate-led, `(o,s,p)` for object-led),
+//! so the two backends are observationally identical — `rows_scanned`
+//! included. Estimates are the run's length and are therefore **exact**
+//! for every pattern shape, which is where the columnar backend feeds the
+//! join orderer better information than the BTree backend's capped walks.
 
 use crate::backend::StorageBackend;
 use crate::store::TripleStore;
@@ -135,8 +136,8 @@ fn partition_point(lo: usize, hi: usize, mut pred: impl FnMut(usize) -> bool) ->
 pub struct ColumnStore {
     dict: Arc<Dictionary>,
     n: usize,
-    /// Distinct subjects, ascending: rank → id, for the full scans and
-    /// `subject_of_row`. The lookup id → rank is the subject directory.
+    /// Distinct subjects, ascending: rank → id, for `subject_of_row`. The
+    /// lookup id → rank is the subject directory.
     subjects: PackedVec,
     /// Subject directory: bit `s % 64` of word `s / 64 - subject_word0` is
     /// set iff `s` is a subject, over the words its ids span.
@@ -149,8 +150,8 @@ pub struct ColumnStore {
     /// `subjects.len() + 1` row offsets delimiting each subject's run.
     s_offsets: PackedVec,
     /// Per-row rank of the row's subject in `subjects` — the inverse of
-    /// `s_offsets`, so the permutation-led scans map a row back to its
-    /// subject with two packed reads instead of a binary search.
+    /// `s_offsets`, so a scan with a free subject maps a row back to it
+    /// with two packed reads instead of a binary search.
     row_ranks: PackedVec,
     /// Per-row predicate, grouped by subject, sorted by `(p, o)` within
     /// each run.
@@ -354,22 +355,56 @@ impl ColumnStore {
         (lo, hi)
     }
 
-    fn emit(&self, t: Triple, f: &mut dyn FnMut(Triple) -> bool) -> bool {
-        self.rows_scanned.fetch_add(1, Ordering::Relaxed);
-        f(t)
+    /// The access path of a pattern: the index its matches are a run of —
+    /// SPO rows (`None`), `pos_perm` or `osp_perm` — and that run. The
+    /// index is chosen as the BTree backend chooses its ordering (POS when
+    /// `p` is bound and `s` is not, OSP when `o` is bound and `p` is not,
+    /// SPO otherwise), so both emit in the same order. Subject-led runs
+    /// start at the directory rank and narrow to the predicate and object
+    /// sub-runs; the rest start at a key directory.
+    fn run(
+        &self,
+        s: Option<TermId>,
+        p: Option<TermId>,
+        o: Option<TermId>,
+    ) -> (Option<&PackedVec>, (usize, usize)) {
+        match (s, p, o) {
+            (None, Some(p), o) => {
+                let run = self.pred_run(p.0);
+                let run = o.map_or(run, |o| self.pred_obj_subrun(run, o.0));
+                (Some(&self.pos_perm), run)
+            }
+            (s, None, Some(o)) => {
+                let run = self.obj_run(o.0);
+                let run = s.map_or(run, |s| self.obj_subj_subrun(run, s.0));
+                (Some(&self.osp_perm), run)
+            }
+            (Some(s), p, o) => {
+                let run = self.subject_run(s.0).unwrap_or((0, 0));
+                let run = p.map_or(run, |p| self.pred_subrun(run, p.0));
+                let run = o.map_or(run, |o| self.obj_subrun(run, o.0));
+                (None, run)
+            }
+            (None, None, None) => (None, (0, self.n)),
+        }
     }
 
-    /// True if the exact triple is present. A probe, not a scan: nothing
-    /// is charged to `rows_scanned`.
-    fn contains(&self, t: Triple) -> bool {
-        match self.subject_run(t.s.0) {
-            Some(run) => {
-                let sub = self.pred_subrun(run, t.p.0);
-                let (lo, hi) = self.obj_subrun(sub, t.o.0);
-                lo < hi
-            }
-            None => false,
-        }
+    /// The triple at SPO row `row`: bound positions come from the pattern,
+    /// free ones from the SPO columns. Always inlined: as a call, the scan
+    /// loop passed its pattern on the stack for every row.
+    #[inline(always)]
+    fn triple_at(
+        &self,
+        row: usize,
+        s: Option<TermId>,
+        p: Option<TermId>,
+        o: Option<TermId>,
+    ) -> Triple {
+        Triple::new(
+            s.unwrap_or_else(|| TermId(self.subject_of_row(row))),
+            p.unwrap_or_else(|| TermId(self.preds.get(row))),
+            o.unwrap_or_else(|| TermId(self.objs.get(row))),
+        )
     }
 }
 
@@ -389,163 +424,30 @@ impl StorageBackend for ColumnStore {
         o: Option<TermId>,
         f: &mut dyn FnMut(Triple) -> bool,
     ) -> bool {
-        match (s, p, o) {
-            (Some(s), Some(p), Some(o)) => {
-                if self.contains(Triple::new(s, p, o)) {
-                    self.emit(Triple::new(s, p, o), f)
-                } else {
-                    true
-                }
-            }
-            (Some(s), Some(p), None) => {
-                let Some(run) = self.subject_run(s.0) else {
-                    return true;
-                };
-                let (lo, hi) = self.pred_subrun(run, p.0);
-                for i in lo..hi {
-                    let t = Triple::new(s, p, TermId(self.objs.get(i)));
-                    if !self.emit(t, f) {
-                        return false;
-                    }
-                }
-                true
-            }
-            (Some(s), None, None) => {
-                let Some((lo, hi)) = self.subject_run(s.0) else {
-                    return true;
-                };
-                for i in lo..hi {
-                    let t = Triple::new(s, TermId(self.preds.get(i)), TermId(self.objs.get(i)));
-                    if !self.emit(t, f) {
-                        return false;
-                    }
-                }
-                true
-            }
-            (None, Some(p), Some(o)) => {
-                let run = self.pred_run(p.0);
-                let (lo, hi) = self.pred_obj_subrun(run, o.0);
-                for j in lo..hi {
-                    let row = self.pos_perm.get(j) as usize;
-                    let t = Triple::new(TermId(self.subject_of_row(row)), p, o);
-                    if !self.emit(t, f) {
-                        return false;
-                    }
-                }
-                true
-            }
-            (None, Some(p), None) => {
-                let (lo, hi) = self.pred_run(p.0);
-                for j in lo..hi {
-                    let row = self.pos_perm.get(j) as usize;
-                    let t = Triple::new(
-                        TermId(self.subject_of_row(row)),
-                        p,
-                        TermId(self.objs.get(row)),
-                    );
-                    if !self.emit(t, f) {
-                        return false;
-                    }
-                }
-                true
-            }
-            (None, None, Some(o)) => {
-                let (lo, hi) = self.obj_run(o.0);
-                for j in lo..hi {
-                    let row = self.osp_perm.get(j) as usize;
-                    let t = Triple::new(
-                        TermId(self.subject_of_row(row)),
-                        TermId(self.preds.get(row)),
-                        o,
-                    );
-                    if !self.emit(t, f) {
-                        return false;
-                    }
-                }
-                true
-            }
-            (Some(s), None, Some(o)) => {
-                let run = self.obj_run(o.0);
-                let (lo, hi) = self.obj_subj_subrun(run, s.0);
-                for j in lo..hi {
-                    let row = self.osp_perm.get(j) as usize;
-                    let t = Triple::new(s, TermId(self.preds.get(row)), o);
-                    if !self.emit(t, f) {
-                        return false;
-                    }
-                }
-                true
-            }
-            (None, None, None) => {
-                let ns = self.subjects.len();
-                for k in 0..ns {
-                    let s = TermId(self.subjects.get(k));
-                    let (lo, hi) = (
-                        self.s_offsets.get(k) as usize,
-                        self.s_offsets.get(k + 1) as usize,
-                    );
-                    for i in lo..hi {
-                        let t = Triple::new(s, TermId(self.preds.get(i)), TermId(self.objs.get(i)));
-                        if !self.emit(t, f) {
-                            return false;
-                        }
-                    }
-                }
-                true
+        let (perm, (lo, hi)) = self.run(s, p, o);
+        for j in lo..hi {
+            let row = perm.map_or(j, |perm| perm.get(j) as usize);
+            let t = self.triple_at(row, s, p, o);
+            self.rows_scanned.fetch_add(1, Ordering::Relaxed);
+            if !f(t) {
+                return false;
             }
         }
+        true
     }
 
     /// Exact for every shape: each pattern maps to a run whose length the
     /// sorted layout yields by rank or binary search — no cap is needed
     /// because no walk happens.
     fn estimate(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> u64 {
-        match (s, p, o) {
-            (Some(s), Some(p), Some(o)) => u64::from(self.contains(Triple::new(s, p, o))),
-            (Some(s), Some(p), None) => match self.subject_run(s.0) {
-                Some(run) => {
-                    let (lo, hi) = self.pred_subrun(run, p.0);
-                    (hi - lo) as u64
-                }
-                None => 0,
-            },
-            (Some(s), None, None) => match self.subject_run(s.0) {
-                Some((lo, hi)) => (hi - lo) as u64,
-                None => 0,
-            },
-            (None, Some(p), Some(o)) => {
-                let run = self.pred_run(p.0);
-                let (lo, hi) = self.pred_obj_subrun(run, o.0);
-                (hi - lo) as u64
-            }
-            (None, Some(p), None) => {
-                let (lo, hi) = self.pred_run(p.0);
-                (hi - lo) as u64
-            }
-            (None, None, Some(o)) => {
-                let (lo, hi) = self.obj_run(o.0);
-                (hi - lo) as u64
-            }
-            (Some(s), None, Some(o)) => {
-                let run = self.obj_run(o.0);
-                let (lo, hi) = self.obj_subj_subrun(run, s.0);
-                (hi - lo) as u64
-            }
-            (None, None, None) => self.n as u64,
-        }
+        let (_, (lo, hi)) = self.run(s, p, o);
+        (hi - lo) as u64
     }
 
     fn for_each_spo(&self, f: &mut dyn FnMut(TermId, TermId, TermId)) {
-        let ns = self.subjects.len();
-        for k in 0..ns {
-            let s = TermId(self.subjects.get(k));
-            let (lo, hi) = (
-                self.s_offsets.get(k) as usize,
-                self.s_offsets.get(k + 1) as usize,
-            );
-            for i in lo..hi {
-                f(s, TermId(self.preds.get(i)), TermId(self.objs.get(i)));
-            }
+        for row in 0..self.n {
+            let t = self.triple_at(row, None, None, None);
+            f(t.s, t.p, t.o);
         }
     }
 
@@ -704,7 +606,12 @@ mod tests {
             assert!(cols_dyn.matches(s, p, o).is_empty());
             assert_eq!(StorageBackend::estimate(&cols, s, p, o), 0);
         }
-        assert!(!cols.contains(Triple::new(ghost, ghost, ghost)));
+        // A present triple's membership reads 1 through the same runs.
+        let t = st.matches(None, None, None)[0];
+        assert_eq!(
+            StorageBackend::estimate(&cols, Some(t.s), Some(t.p), Some(t.o)),
+            1
+        );
     }
 
     #[test]
@@ -720,9 +627,10 @@ mod tests {
         // Early-exiting scans only count what they actually visited.
         cols_dyn.scan(None, None, None, |_| false);
         assert_eq!(cols_dyn.rows_scanned(), 7);
-        // Estimation, contains, and the stats iterator are planning work.
+        // Estimation (membership included) and the stats iterator are
+        // planning work.
         StorageBackend::estimate(&cols, None, Some(p), None);
-        cols.contains(Triple::new(p, p, p));
+        StorageBackend::estimate(&cols, Some(p), Some(p), Some(p));
         cols_dyn.for_each_spo(&mut |_, _, _| {});
         assert_eq!(cols_dyn.rows_scanned(), 7);
     }
@@ -874,7 +782,11 @@ mod tests {
                     );
                 }
                 let t = Triple::new(TermId(id), p, o);
-                assert_eq!(st.contains(t), cols.contains(t), "{id}");
+                assert_eq!(
+                    u64::from(st.contains(t)),
+                    StorageBackend::estimate(&cols, Some(t.s), Some(t.p), Some(t.o)),
+                    "{id}"
+                );
             }
         }
     }

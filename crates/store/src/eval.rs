@@ -1275,7 +1275,7 @@ mod pipeline_tests {
     use super::*;
     use crate::columns::ColumnStore;
     use crate::store::TripleStore;
-    use lusail_rdf::{Dictionary, Triple};
+    use lusail_rdf::{Dictionary, SplitMix64 as Rng, Triple};
     use std::sync::Arc;
 
     /// The breadth-first evaluator the pipeline replaced, kept as
@@ -1352,19 +1352,6 @@ mod pipeline_tests {
             }
         }
         out
-    }
-
-    /// SplitMix64, so the cases replay from the case index alone.
-    pub(super) struct Rng(pub(super) u64);
-
-    impl Rng {
-        pub(super) fn below(&mut self, n: usize) -> usize {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            ((z ^ (z >> 31)) % n as u64) as usize
-        }
     }
 
     /// What the generated cases exercised (asserted at the end).
@@ -1599,7 +1586,7 @@ mod order_tests {
             .chain(&[Term::lit("b"), Term::lit("a"), Term::iri("http://u/z")])
             .map(|t| dict.encode(t))
             .collect();
-        let mut rng = super::pipeline_tests::Rng(0x16_0020);
+        let mut rng = lusail_rdf::SplitMix64(0x16_0020);
         let mut below = |n: usize| rng.below(n);
         let vars: Vec<String> = ["a", "b", "c"].iter().map(|v| v.to_string()).collect();
         let (mut reordered, mut dropped) = (0, 0);

@@ -124,6 +124,49 @@ impl TripleStore {
             .map(|&(s, p, o)| (TermId(s), TermId(p), TermId(o)))
     }
 
+    /// The access path of a pattern: walks the range of the one ordering
+    /// whose key prefix is the pattern's constants — POS when `p` is bound
+    /// and `s` is not, OSP when `o` is bound and `p` is not, SPO otherwise
+    /// — handing `f` each key permuted back to `(s, p, o)`, until `f`
+    /// returns `false` (then so does this). Scans and estimates both walk
+    /// here, so a shape reads the same range for either.
+    fn range(
+        &self,
+        s: Option<TermId>,
+        p: Option<TermId>,
+        o: Option<TermId>,
+        mut f: impl FnMut(Key) -> bool,
+    ) -> bool {
+        // `rot`: how many places the ordering rotates `(s, p, o)`.
+        let (index, prefix, rot) = match (s, p, o) {
+            (None, Some(_), _) => (&self.pos, [p, o, s], 1),
+            (_, None, Some(_)) => (&self.osp, [o, s, p], 2),
+            _ => (&self.spo, [s, p, o], 0),
+        };
+        let bound = |free: u32| {
+            let at = |i: usize| prefix[i].map_or(free, |t: TermId| t.0);
+            (at(0), at(1), at(2))
+        };
+        let (lo, hi) = (bound(0), bound(u32::MAX));
+        // One rotation for every key, so the branch predicts.
+        let mut visit = |&(a, b, c): &Key| match rot {
+            0 => f((a, b, c)),
+            1 => f((c, a, b)),
+            _ => f((b, c, a)),
+        };
+        if lo == hi {
+            // A one-key range is a lookup: one descent, where a range
+            // search makes two.
+            return !index.contains(&lo) || visit(&lo);
+        }
+        for key in index.range(lo..=hi) {
+            if !visit(key) {
+                return false;
+            }
+        }
+        true
+    }
+
     /// Matches a triple pattern with optionally-bound positions, invoking
     /// `f` for each matching triple. Returns early (with `false`) if `f`
     /// returns `false`; returns `true` if the scan ran to completion.
@@ -132,83 +175,13 @@ impl TripleStore {
         s: Option<TermId>,
         p: Option<TermId>,
         o: Option<TermId>,
-        f: impl FnMut(Triple) -> bool,
+        mut f: impl FnMut(Triple) -> bool,
     ) -> bool {
-        const MAX: u32 = u32::MAX;
-        // Every triple that reaches the caller is one unit of store work;
-        // count it before delegating so all eight access paths share the
-        // same accounting.
-        let mut inner = f;
-        let mut f = |t: Triple| {
+        self.range(s, p, o, |(s, p, o)| {
+            // Every triple that reaches the caller is one unit of store work.
             self.rows_scanned.fetch_add(1, Ordering::Relaxed);
-            inner(t)
-        };
-        match (s, p, o) {
-            (Some(s), Some(p), Some(o)) => {
-                if self.spo.contains(&(s.0, p.0, o.0)) {
-                    f(Triple::new(s, p, o))
-                } else {
-                    true
-                }
-            }
-            (Some(s), Some(p), None) => {
-                for &(a, b, c) in self.spo.range((s.0, p.0, 0)..=(s.0, p.0, MAX)) {
-                    if !f(Triple::new(TermId(a), TermId(b), TermId(c))) {
-                        return false;
-                    }
-                }
-                true
-            }
-            (Some(s), None, None) => {
-                for &(a, b, c) in self.spo.range((s.0, 0, 0)..=(s.0, MAX, MAX)) {
-                    if !f(Triple::new(TermId(a), TermId(b), TermId(c))) {
-                        return false;
-                    }
-                }
-                true
-            }
-            (None, Some(p), Some(o)) => {
-                for &(b, c, a) in self.pos.range((p.0, o.0, 0)..=(p.0, o.0, MAX)) {
-                    if !f(Triple::new(TermId(a), TermId(b), TermId(c))) {
-                        return false;
-                    }
-                }
-                true
-            }
-            (None, Some(p), None) => {
-                for &(b, c, a) in self.pos.range((p.0, 0, 0)..=(p.0, MAX, MAX)) {
-                    if !f(Triple::new(TermId(a), TermId(b), TermId(c))) {
-                        return false;
-                    }
-                }
-                true
-            }
-            (None, None, Some(o)) => {
-                for &(c, a, b) in self.osp.range((o.0, 0, 0)..=(o.0, MAX, MAX)) {
-                    if !f(Triple::new(TermId(a), TermId(b), TermId(c))) {
-                        return false;
-                    }
-                }
-                true
-            }
-            (Some(s), None, Some(o)) => {
-                // OSP gives all triples with object o; filter by subject.
-                for &(c, a, b) in self.osp.range((o.0, s.0, 0)..=(o.0, s.0, MAX)) {
-                    if !f(Triple::new(TermId(a), TermId(b), TermId(c))) {
-                        return false;
-                    }
-                }
-                true
-            }
-            (None, None, None) => {
-                for &(a, b, c) in self.spo.iter() {
-                    if !f(Triple::new(TermId(a), TermId(b), TermId(c))) {
-                        return false;
-                    }
-                }
-                true
-            }
-        }
+            f(Triple::new(TermId(s), TermId(p), TermId(o)))
+        })
     }
 
     /// Collects all matches of a pattern into a vector (convenience for
@@ -229,37 +202,17 @@ impl TripleStore {
     /// shape the matching index range is counted directly, capped at
     /// [`ESTIMATE_CAP`] so estimation never degenerates into a full scan.
     pub fn estimate(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> u64 {
-        const MAX: u32 = u32::MAX;
-        let cap = ESTIMATE_CAP as usize;
         match (s, p, o) {
-            (Some(s), Some(p), Some(o)) => u64::from(self.spo.contains(&(s.0, p.0, o.0))),
-            (Some(s), Some(p), None) => self
-                .spo
-                .range((s.0, p.0, 0)..=(s.0, p.0, MAX))
-                .take(cap)
-                .count() as u64,
-            (Some(s), None, Some(o)) => self
-                .osp
-                .range((o.0, s.0, 0)..=(o.0, s.0, MAX))
-                .take(cap)
-                .count() as u64,
-            (None, Some(p), Some(o)) => self
-                .pos
-                .range((p.0, o.0, 0)..=(p.0, o.0, MAX))
-                .take(cap)
-                .count() as u64,
-            (Some(s), None, None) => self
-                .spo
-                .range((s.0, 0, 0)..=(s.0, MAX, MAX))
-                .take(cap)
-                .count() as u64,
             (None, Some(p), None) => self.pred_triples.get(&p).copied().unwrap_or(0),
-            (None, None, Some(o)) => self
-                .osp
-                .range((o.0, 0, 0)..=(o.0, MAX, MAX))
-                .take(cap)
-                .count() as u64,
             (None, None, None) => self.len() as u64,
+            _ => {
+                let mut n = 0;
+                self.range(s, p, o, |_| {
+                    n += 1;
+                    n < ESTIMATE_CAP
+                });
+                n
+            }
         }
     }
 }

@@ -171,6 +171,33 @@ fi
 # Informative, no ceiling: ROADMAP item 9 (line budget) tracks this figure.
 echo "crates/: $total lines of .rs, $non_test of them non-test"
 
+echo "==> one access path per pattern (a backend decides a pattern's index run in range / run only; one SplitMix64; no wire-side shed counter)"
+scattered=0
+for f in crates/store/src/store.rs crates/store/src/columns.rs; do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -qF '(Some(s), Some(p), Some(o))'; then
+        echo "$f: a per-shape match is back (scan and estimate read the one access path)" >&2
+        scattered=1
+    fi
+done
+if grep -q 'fn contains' crates/store/src/columns.rs; then
+    echo "crates/store/src/columns.rs: fn contains is back (membership is a fully-bound run's length)" >&2
+    scattered=1
+fi
+# The /stats body keeps its `queries_shed:` line, read from the server's
+# own rejection counters; nothing else under crates/ names it.
+stray=$(grep -rnF 'queries_shed' crates | grep -vF 'queries_shed: {}\n' || true)
+if [ -n "$stray" ]; then
+    echo "crates/: queries_shed is back outside the /stats body (rejections are QueryServer::counters):" >&2
+    echo "$stray" >&2
+    scattered=1
+fi
+copies=$(grep -rlF '0x9E37_79B9_7F4A_7C15' crates | wc -l)
+if [ "$copies" -gt 1 ]; then
+    echo "crates/: the SplitMix64 increment is in $copies files (lusail_rdf::SplitMix64 is the one generator)" >&2
+    scattered=1
+fi
+[ "$scattered" -eq 0 ]
+
 # The benchmark crate is a workspace of its own with its own lock file; it
 # calls the engine only through public items (par_hash_join, hash_join,
 # SolutionSet { vars, rows } literals, ...), so an engine API change that

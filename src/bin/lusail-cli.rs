@@ -110,6 +110,21 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// A count flag's value, `default` when the flag is absent. Zero is
+/// refused like any non-number: every count these flags set (worker
+/// threads, admission slots, deadline milliseconds, a batch's size) would
+/// turn each query away, or silently become one, at zero.
+fn positive_flag(args: &[String], name: &str, default: usize) -> Result<usize, String> {
+    match flag_value(args, name) {
+        None => Ok(default),
+        Some(s) => s
+            .parse()
+            .ok()
+            .filter(|&n| n > 0)
+            .ok_or_else(|| format!("bad {name} (want a positive integer)")),
+    }
+}
+
 fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
@@ -401,13 +416,7 @@ fn cmd_query(args: &[String], explain_only: bool) -> Result<(), String> {
     }
 
     let engine_name = flag_value(args, "--engine").unwrap_or("lusail");
-    let threads: usize = flag_value(args, "--threads")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| "bad --threads (want a positive integer)")
-        })
-        .transpose()?
-        .unwrap_or(1);
+    let threads = positive_flag(args, "--threads", 1)?;
     let exec = ExecOptions::default().with_threads(threads);
     if has_flag(args, "--explain-analyze") {
         if engine_name != "lusail" {
@@ -455,23 +464,14 @@ fn cmd_query(args: &[String], explain_only: bool) -> Result<(), String> {
 /// new admissions are refused with typed 503/504 responses).
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let federation = FederationArgs::parse(args)?;
-    let parse_num = |name: &str, default: usize| -> Result<usize, String> {
-        flag_value(args, name)
-            .map(|s| {
-                s.parse()
-                    .map_err(|_| format!("bad {name} (want an integer)"))
-            })
-            .transpose()
-            .map(|v| v.unwrap_or(default))
-    };
     let port: u16 = flag_value(args, "--port")
         .map(|s| s.parse().map_err(|_| "bad --port (want 0-65535)"))
         .transpose()?
         .unwrap_or(3030);
-    let max_in_flight = parse_num("--max-in-flight", 8)?;
-    let threads = parse_num("--threads", 1)?;
-    let tenant_quota = parse_num("--tenant-quota", 4)?;
-    let deadline_ms = parse_num("--deadline-ms", 30_000)? as u64;
+    let max_in_flight = positive_flag(args, "--max-in-flight", 8)?;
+    let threads = positive_flag(args, "--threads", 1)?;
+    let tenant_quota = positive_flag(args, "--tenant-quota", 4)?;
+    let deadline_ms = positive_flag(args, "--deadline-ms", 30_000)? as u64;
     let cache_capacity = flag_value(args, "--cache-capacity")
         .map(|s| s.parse::<usize>().map_err(|_| "bad --cache-capacity"))
         .transpose()?;
@@ -480,7 +480,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let batch_window_ms = flag_value(args, "--batch-window-ms")
         .map(|s| s.parse::<u64>().map_err(|_| "bad --batch-window-ms"))
         .transpose()?;
-    let batch_max = parse_num(
+    let batch_max = positive_flag(
+        args,
         "--batch-max",
         lusail_server::BatchConfig::default().max_batch,
     )?;

@@ -1,14 +1,18 @@
 //! What the frozen benchmark (`benchmark/`, its own workspace, never built
-//! by `cargo test`) does with `SolutionSet` and its `rows` field, mirrored
-//! expression for expression: a change that breaks one of these breaks the
-//! benchmark's build, and should fail here first.
+//! by `cargo test`) does with `SolutionSet` and its `rows` field, and with
+//! the storage backends, mirrored expression for expression: a change that
+//! breaks one of these breaks the benchmark's build, and should fail here
+//! first.
 
+use lusail_benchdata::common::Rng;
 use lusail_core::join::par_hash_join;
-use lusail_rdf::{Dictionary, Term, TermId};
+use lusail_rdf::{Dictionary, Term, TermId, Triple};
 use lusail_server::http::render_solutions;
 use lusail_sparql::{parse_query, Query, SolutionSet};
-use lusail_store::TripleStore;
+use lusail_store::{ColumnStore, EndpointStats, StorageBackend, TripleStore};
 use std::collections::HashSet;
+use std::hint::black_box;
+use std::sync::Arc;
 
 /// `micro.rs::join_inputs`: `rows` collected from `vec![…]` rows inside a
 /// `SolutionSet { vars, rows }` literal.
@@ -50,6 +54,56 @@ fn oracle() -> TripleStore {
         );
     }
     store
+}
+
+/// `micro.rs::store`: the store probes on both backends — a fresh insert
+/// pass, the columnar build, the statistics build, every scan shape driven
+/// through `scan_with`, and BGP evaluation through `&dyn StorageBackend`.
+#[test]
+fn micro_store_probes() {
+    let oracle = oracle();
+    let btree = &oracle;
+    let triples: Vec<Triple> = btree
+        .triples_spo()
+        .map(|(s, p, o)| Triple::new(s, p, o))
+        .collect();
+    let mut fresh = TripleStore::new(Arc::clone(btree.dict()));
+    for &t in &triples {
+        fresh.insert(t);
+    }
+    assert_eq!(black_box(fresh.len()), 150);
+    assert_eq!(black_box(ColumnStore::from_store(btree).len()), 150);
+    let stats = black_box(EndpointStats::build(btree));
+    assert_eq!(stats.total_triples, 150);
+
+    let columns = ColumnStore::from_store(btree);
+    let bgp = parse_query("SELECT ?s ?o WHERE { ?s <http://x/p> ?o }", btree.dict()).unwrap();
+    let seed = 1u64;
+    let mut rng = Rng::new(seed ^ 0x5CA2);
+    let samples: Vec<Triple> = (0..64).map(|_| triples[rng.below(triples.len())]).collect();
+    let backends: [(&str, &dyn StorageBackend); 2] = [("btree", btree), ("columns", &columns)];
+    for (name, backend) in backends {
+        for shape in ["s__", "_p_", "__o", "sp_", "s_o", "_po", "spo", "___"] {
+            let bound = |pos: usize, id: TermId| (shape.as_bytes()[pos] != b'_').then_some(id);
+            let probes: &[Triple] = if shape == "___" {
+                &samples[..1]
+            } else {
+                &samples
+            };
+            let mut rows = 0u64;
+            for t in probes {
+                backend.scan_with(bound(0, t.s), bound(1, t.p), bound(2, t.o), &mut |hit| {
+                    black_box(hit);
+                    rows += 1;
+                    true
+                });
+            }
+            // Every probe is a stored triple, so it matches at least itself.
+            assert!(rows >= probes.len() as u64, "{name} {shape}");
+        }
+        assert_eq!(lusail_store::eval::evaluate(backend, &bgp).len(), 150);
+        assert!(backend.resident_bytes() as f64 / backend.len() as f64 > 0.0);
+    }
 }
 
 /// `check.rs::Expected`.

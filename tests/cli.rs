@@ -335,37 +335,79 @@ fn error_paths_exit_nonzero_with_messages() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("N-Triples parse error"));
 
-    // A port outside u16 is refused, not truncated into another port. A
-    // server that accepted it would serve forever, so the child is polled
-    // and killed rather than waited on.
-    let mut child = cli()
+    // A zero worker budget is refused, not clamped to one.
+    let out = cli()
         .args([
-            "serve",
+            "query",
             "--endpoint",
             dir.join("a.nt").to_str().unwrap(),
-            "--port",
-            "70000",
+            "--query",
+            "SELECT * WHERE { ?s ?p ?o }",
+            "--threads",
+            "0",
         ])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
+        .output()
         .expect("spawn");
+    assert!(!out.status.success());
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("bad --threads (want a positive integer)")
+    );
+
+    // A port outside u16 is refused, not truncated into another port, and
+    // so is a zero limit that would shed, time out or clamp every query.
+    // A server that accepted one would serve forever, so the children are
+    // spawned at once, polled together and killed rather than waited on.
+    let refused = [
+        ("--port", "70000"),
+        ("--max-in-flight", "0"),
+        ("--tenant-quota", "0"),
+        ("--deadline-ms", "0"),
+        ("--threads", "0"),
+    ];
+    let mut children: Vec<_> = refused
+        .iter()
+        .map(|&(flag, value)| {
+            let mut cmd = cli();
+            cmd.args(["serve", "--endpoint", dir.join("a.nt").to_str().unwrap()]);
+            if flag != "--port" {
+                cmd.args(["--port", "0"]);
+            }
+            cmd.args([flag, value])
+                .stdout(std::process::Stdio::null())
+                .stderr(std::process::Stdio::piped())
+                .spawn()
+                .expect("spawn")
+        })
+        .collect();
+    let mut statuses = vec![None; children.len()];
     let started = std::time::Instant::now();
-    let status = loop {
-        if let Some(status) = child.try_wait().expect("poll") {
-            break Some(status);
-        }
-        if started.elapsed() > std::time::Duration::from_secs(10) {
-            let _ = child.kill();
-            let _ = child.wait();
-            break None;
+    while statuses.iter().any(Option::is_none)
+        && started.elapsed() < std::time::Duration::from_secs(10)
+    {
+        for (child, status) in children.iter_mut().zip(&mut statuses) {
+            if status.is_none() {
+                *status = child.try_wait().expect("poll");
+            }
         }
         std::thread::sleep(std::time::Duration::from_millis(20));
-    };
-    let status = status.expect("serve --port 70000 kept running instead of failing");
-    assert!(!status.success());
-    let mut stderr = String::new();
-    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
-    assert!(stderr.contains("bad --port"), "{stderr}");
+    }
+    for (child, status) in children.iter_mut().zip(&statuses) {
+        if status.is_none() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+    for ((child, status), (flag, value)) in children.iter_mut().zip(statuses).zip(refused) {
+        let status = status
+            .unwrap_or_else(|| panic!("serve {flag} {value} kept running instead of failing"));
+        assert!(!status.success(), "serve {flag} {value}");
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+        let message = match value {
+            "0" => format!("bad {flag} (want a positive integer)"),
+            _ => format!("bad {flag}"),
+        };
+        assert!(stderr.contains(&message), "serve {flag} {value}: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
