@@ -13,9 +13,12 @@
 //! * **optimized** — every engine at its defaults;
 //! * **stats** — optimized plus offline characteristic-set statistics
 //!   ([`lusail_store::EndpointStats`]) attached to every endpoint, so
-//!   Lusail's planner answers conclusive ASK/COUNT/check probes locally
-//!   (the baselines ignore them — their lines double as an inertness
-//!   control).
+//!   Lusail's planner answers conclusive ASK/COUNT/check probes locally.
+//!   FedX and HiBISCuS resolve their source-selection ASKs through the
+//!   same probe path and skip the conclusive ones too (LUBM Q1: 18 ASKs
+//!   optimized, 9 with statistics). Only SPLENDID, which selects sources
+//!   from its own VOID index, ignores them: its lines are the inertness
+//!   control.
 //!
 //! The axes that must not matter are asserted, not stored: [`run`]
 //! executes every line at worker budgets {1, 4} on both storage backends

@@ -638,7 +638,7 @@ fn extras_mqo_cluster() {
 /// triple pattern its own subquery (the §II strawman); the delay policies
 /// on one query (the full sweep is `fig9_delay_thresholds`); requests vs
 /// `VALUES` block size for a delayed subquery; the probe cache on a
-/// repeated query; an endpoint's planning probes as one request or one each.
+/// repeated query.
 fn ablations() {
     let w = Setting::Lubm(4).generate();
 
@@ -718,35 +718,6 @@ fn ablations() {
             fmt_count(r2.requests.total_requests()),
             r2.cell(),
         ]);
-    }
-    table.finish();
-
-    println!("\n5 — probe coalescing on/off (first run, cold caches)\n");
-    let header = [
-        "query",
-        "coalesced ms",
-        "coalesced reqs",
-        "per-probe ms",
-        "per-probe reqs",
-    ];
-    let mut table = Table::new("ablation_probe_coalescing", &header);
-    let per_probe = LusailConfig {
-        coalesce_probes: false,
-        ..Default::default()
-    };
-    for nq in &w.queries {
-        let a = crate::run(&Lusail::default(), &w.federation, &nq.query);
-        let b = crate::run(&Lusail::new(per_probe.clone()), &w.federation, &nq.query);
-        assert_eq!(
-            a.solutions.as_ref().unwrap().canonicalize(),
-            b.solutions.as_ref().unwrap().canonicalize(),
-            "probe coalescing changed results on {}",
-            nq.name
-        );
-        let mut cells = vec![nq.name.clone()];
-        cells.extend(ms_reqs(&a));
-        cells.extend(ms_reqs(&b));
-        table.row(cells);
     }
     table.finish();
 }

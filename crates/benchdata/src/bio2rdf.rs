@@ -196,7 +196,7 @@ pub fn generate(config: &Bio2RdfConfig) -> Workload {
         ("PharmGKB".to_string(), pgkb),
         ("OMIM".to_string(), omim),
     ];
-    Workload::assemble_on(
+    Workload::assemble(
         dict,
         stores,
         config.profiles.clone(),

@@ -35,22 +35,11 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Assembles a workload from named stores and query texts, with
-    /// endpoints on the default BTree backend. Parses all queries against
-    /// the shared dictionary and builds the oracle union store.
-    /// `profiles`, when given, must be one per endpoint.
+    /// Assembles a workload from named stores and query texts, with the
+    /// endpoints' stores materialized into the chosen storage backend.
+    /// Parses all queries against the shared dictionary and builds the
+    /// oracle union store. `profiles`, when given, must be one per endpoint.
     pub fn assemble(
-        dict: Arc<Dictionary>,
-        stores: Vec<(String, TripleStore)>,
-        profiles: Option<Vec<NetworkProfile>>,
-        queries: Vec<(&str, String)>,
-    ) -> Workload {
-        Self::assemble_on(dict, stores, profiles, queries, BackendKind::Btree)
-    }
-
-    /// [`Workload::assemble`] with the endpoints' stores materialized
-    /// into the chosen storage backend.
-    pub fn assemble_on(
         dict: Arc<Dictionary>,
         stores: Vec<(String, TripleStore)>,
         profiles: Option<Vec<NetworkProfile>>,
@@ -167,6 +156,7 @@ mod tests {
             vec![("A".into(), a), ("B".into(), b)],
             None,
             vec![("Q1", "SELECT * WHERE { ?s <http://x/p> ?o }".to_string())],
+            BackendKind::Btree,
         );
         assert_eq!(w.oracle.len(), 2);
         assert_eq!(w.federation.len(), 2);

@@ -547,7 +547,7 @@ pub fn generate(config: &LrbConfig) -> Workload {
         (ENDPOINT_NAMES[11].to_string(), swdf),
         (ENDPOINT_NAMES[12].to_string(), affy),
     ];
-    Workload::assemble_on(
+    Workload::assemble(
         dict,
         stores,
         config.profiles.clone(),

@@ -239,7 +239,7 @@ pub fn generate(config: &LubmConfig) -> Workload {
     }
 
     let queries = queries();
-    Workload::assemble_on(
+    Workload::assemble(
         dict,
         stores,
         config.profiles.clone(),

@@ -237,7 +237,7 @@ pub fn generate(config: &QfedConfig) -> Workload {
         ("Sider".to_string(), sider),
         ("DailyMed".to_string(), dailymed),
     ];
-    Workload::assemble_on(
+    Workload::assemble(
         dict,
         stores,
         config.profiles.clone(),

@@ -2,8 +2,8 @@
 //! delayed-subquery decision.
 //!
 //! Cardinalities come from COUNT probes of the bare triple pattern, one per
-//! distinct (pattern, relevant endpoint), memoized like ASK results and by
-//! default coalesced into one request per endpoint and phase (`probe.rs`).
+//! distinct (pattern, relevant endpoint), memoized like ASK results and
+//! sent as one request per endpoint and phase (`probe.rs`).
 //! Pushed filters do not ride along: a filtered subquery only errs high.
 //!
 //! For a subquery `sq` and variable `v`:

@@ -48,11 +48,6 @@ pub struct LusailConfig {
     /// pattern becomes its own subquery (the §II strawman of evaluating
     /// each pattern independently); SAPE still schedules and joins them.
     pub disable_lade: bool,
-    /// Ablation switch: send the planning probes (ASK, check, COUNT) bound
-    /// for one endpoint in one phase as one request instead of one each.
-    /// Plans and answers are the same either way; only the number of
-    /// round trips differs.
-    pub coalesce_probes: bool,
     /// Capacity bound for each of the ASK / COUNT / check probe caches.
     /// `None` (the default, the paper's unbounded hash table) never
     /// evicts; a long-lived server sets a bound so cache memory stays
@@ -67,7 +62,6 @@ impl Default for LusailConfig {
             block_size: 100,
             use_cache: true,
             disable_lade: false,
-            coalesce_probes: true,
             probe_cache_capacity: None,
         }
     }
@@ -222,22 +216,21 @@ impl Lusail {
     /// [`Lusail::fresh_net`] configured from per-call [`ExecOptions`]:
     /// the trace sink and worker budget are threaded through the request
     /// client and handler, and an options deadline overrides the policy's
-    /// `query_budget` for this query.
+    /// `query_budget` for this query. Lusail's probes always travel
+    /// [coalesced](Net::coalescing).
     pub(crate) fn fresh_net_with(&self, opts: &ExecOptions) -> Net {
         let mut policy = self.policy;
         if let Some(deadline) = opts.deadline {
             policy.query_budget = deadline;
         }
-        Net {
-            coalesce_probes: self.config.coalesce_probes,
-            ..Net::build(
-                policy,
-                self.timing_clock(),
-                opts.trace.clone(),
-                opts.thread_budget(),
-                opts.on_health_transition.clone(),
-            )
-        }
+        Net::build(
+            policy,
+            self.timing_clock(),
+            opts.trace.clone(),
+            opts.thread_budget(),
+            opts.on_health_transition.clone(),
+        )
+        .coalescing()
     }
 
     /// The clock phase timings (and retry backoff) are measured against:

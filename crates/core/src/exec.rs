@@ -205,10 +205,11 @@ pub struct Net {
     pub clock: Arc<dyn Clock>,
     /// The trace sink the whole context emits into (disabled by default).
     pub trace: TraceSink,
-    /// Send the planning probes bound for one endpoint as one request
-    /// (`probe.rs`). Off unless the engine turns it on: the baselines model
-    /// systems that send one `ASK` per (pattern, endpoint).
-    pub coalesce_probes: bool,
+    /// The engine's probe transport (`probe.rs`): an endpoint's planning
+    /// probes of one phase as one request ([`Net::coalescing`], Lusail's),
+    /// or one request each — the baselines model systems that send one
+    /// `ASK` per (pattern, endpoint).
+    pub(crate) coalesce_probes: bool,
 }
 
 impl Default for Net {
@@ -250,6 +251,15 @@ impl Net {
             clock,
             trace,
             coalesce_probes: false,
+        }
+    }
+
+    /// The same context, sending an endpoint's planning probes of one phase
+    /// as one request.
+    pub(crate) fn coalescing(self) -> Self {
+        Net {
+            coalesce_probes: true,
+            ..self
         }
     }
 }

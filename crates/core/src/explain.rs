@@ -52,7 +52,10 @@ pub struct QueryPlan {
     pub disjoint: bool,
     /// The subqueries (empty when `empty` or `disjoint`).
     pub subqueries: Vec<SubqueryPlan>,
-    /// Check queries evaluated during analysis.
+    /// Check requests sent during analysis, per wire attempt
+    /// (`requests_analysis.get(RequestKind::Check)`): one request may carry
+    /// several check queries, and a check the memo or statistics answer
+    /// sends none.
     pub check_queries: u64,
 }
 
@@ -193,7 +196,7 @@ impl Lusail {
         let opts = opts.clone().with_trace(sink.clone());
         let result = self.execute_with(fed, query, &opts)?;
         let trace = QueryTrace::from_sink(&sink);
-        Ok(render_analyze(&trace, Some(&result.metrics)))
+        Ok(render_analyze(&trace, &result.metrics))
     }
 }
 
@@ -201,9 +204,8 @@ impl Lusail {
 /// Request events are aggregated per kind (their emission order is not
 /// deterministic under concurrency); everything else is rendered in the
 /// deterministic order the engine's sequential planning path emitted it.
-/// `metrics` adds the phase wall-time line; baseline engines, which trace
-/// requests but keep no phase metrics, pass `None`.
-pub fn render_analyze(trace: &QueryTrace, metrics: Option<&QueryMetrics>) -> String {
+/// `metrics` adds the phase wall-time line.
+pub fn render_analyze(trace: &QueryTrace, metrics: &QueryMetrics) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "EXPLAIN ANALYZE");
 
@@ -379,13 +381,11 @@ pub fn render_analyze(trace: &QueryTrace, metrics: Option<&QueryMetrics>) -> Str
         );
     }
 
-    if let Some(m) = metrics {
-        let _ = writeln!(
-            out,
-            "phases: source selection {:?}, analysis {:?}, execution {:?}, total {:?}",
-            m.source_selection, m.analysis, m.execution, m.total
-        );
-    }
+    let _ = writeln!(
+        out,
+        "phases: source selection {:?}, analysis {:?}, execution {:?}, total {:?}",
+        metrics.source_selection, metrics.analysis, metrics.execution, metrics.total
+    );
 
     match trace
         .events

@@ -809,22 +809,23 @@ mod tests {
     fn stats_elide_check_probes_without_changing_the_analysis() {
         let (fed, locals) = universities_with_locals();
         let q = qa(&fed);
-        let baseline = analyze(&fed, &q);
-        let wire = fed.stats_snapshot();
+        let checks = |net: &Net| net.client.requests().get(RequestKind::Check);
+        let wire = Net::default();
+        let baseline = analyze_on(&fed, &q, &wire);
         for (id, local) in locals.iter().enumerate() {
             let stats = lusail_store::EndpointStats::build(local.store());
             fed.attach_stats(id, Arc::new(stats));
         }
-        let with_stats = analyze(&fed, &q);
+        let stats = Net::default();
+        let with_stats = analyze_on(&fed, &q, &stats);
         assert_eq!(with_stats.gjvs, baseline.gjvs);
         assert_eq!(with_stats.conflicts, baseline.conflicts);
-        // Some check selects were answered locally: strictly fewer wire
-        // selects than the baseline run issued.
-        let baseline_selects = wire.select_requests;
-        let stats_selects = fed.stats_snapshot().select_requests - baseline_selects;
+        // Some check probes were answered locally: strictly fewer wire
+        // check requests than the baseline run issued.
+        let (baseline_checks, stats_checks) = (checks(&wire), checks(&stats));
         assert!(
-            stats_selects < baseline_selects,
-            "stats run issued {stats_selects} selects vs {baseline_selects}"
+            stats_checks < baseline_checks,
+            "stats run issued {stats_checks} check requests vs {baseline_checks}"
         );
     }
 

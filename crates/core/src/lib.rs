@@ -4,8 +4,8 @@
 //! The engine processes a federated query in three phases, mirroring the
 //! paper's architecture (Fig. 4):
 //!
-//! 1. **Source selection** ([`source_selection`]) — one `ASK` per triple
-//!    pattern per endpoint, memoized in a cache shared across queries.
+//! 1. **Source selection** ([`source_selection`]) — is each triple pattern
+//!    matched at each endpoint? Memoized in a cache shared across queries.
 //! 2. **Query analysis / LADE** ([`gjv`], [`decompose`]) — locality-aware
 //!    decomposition. Check queries (`FILTER NOT EXISTS … LIMIT 1`) detect
 //!    *global join variables*: join variables whose instances are not
@@ -20,6 +20,10 @@
 //!    over `VALUES` blocks of already-found bindings. Non-delayed
 //!    subqueries run concurrently, one worker per endpoint, and results
 //!    are combined with dynamic-programming-ordered hash joins.
+//!
+//! The planning probes of all three phases (the paper's `ASK`s, check
+//! queries and `COUNT`s) travel as one request per endpoint and phase: a
+//! `SELECT` whose one row holds every probe's answer.
 //!
 //! Entry point: [`Lusail::execute`].
 

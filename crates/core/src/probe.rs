@@ -13,15 +13,18 @@
 //!    independently so, and mixing the two would blur that audit trail;
 //! 3. what is left goes to the **wire**, each endpoint's probes in list
 //!    order and a probe listed twice only once, through the request handler
-//!    and the resilient client; an `Ok` answer is memoized. With
-//!    [`Net::coalesce_probes`] an endpoint's probes are **one request**
-//!    (below), otherwise one request each;
+//!    and the resilient client; an `Ok` answer is memoized. The transport
+//!    is the engine's: Lusail's [`Net::coalescing`] sends an endpoint's
+//!    probes as **one request** (below); the baselines send each probe's
+//!    [`Member`] as a request of its own, as systems that send one `ASK`
+//!    per (pattern, endpoint) do;
 //! 4. a probe whose endpoint fails (after retries) **degrades** to the
 //!    kind's conservative answer, counted in [`Degradation`] and never
 //!    memoized — a wrong guess may cost extra requests, never answers. A
 //!    failed coalesced request degrades each of its members that way.
 //!
-//! What differs per kind is the three-row table of [`Kind`] impls below.
+//! What differs per kind is the three-row table of [`Kind`] impls below. A
+//! probe is described once, by its [`Member`]; both transports encode that.
 //!
 //! # The coalesced request
 //!
@@ -73,9 +76,7 @@ pub(crate) trait Kind {
     fn key(probe: &Self::Probe) -> Self::Key;
     /// `Some` only when the statistics are conclusive for this probe.
     fn from_stats(stats: &EndpointStats, probe: &Self::Probe) -> Option<Self::Answer>;
-    /// The probe as a request of its own.
-    fn on_wire(ep: &EndpointRef, probe: &Self::Probe) -> Result<Self::Answer, EndpointError>;
-    /// The probe as a member of a coalesced request.
+    /// What the probe asks an endpoint, on either transport.
     fn member(probe: &Self::Probe) -> Member<'_>;
     /// The answer the member's number stands for.
     fn from_member(n: u64) -> Self::Answer;
@@ -83,8 +84,10 @@ pub(crate) trait Kind {
     fn degrade(fed: &Federation, net: &Net, ep: EndpointId) -> Self::Answer;
 }
 
-/// What a probe asks inside a coalesced request; either way the answer is
-/// one number.
+/// What a probe asks; either way the answer is one number. Alone on the
+/// wire ([`send_member`]) an existence member is an `ASK` and a counting
+/// one a `SELECT (COUNT(*) AS ?c)`; inside a coalesced request see
+/// [`coalesced`].
 pub(crate) enum Member<'p> {
     /// Does the group have a solution? `1` or `0`.
     Exists(GroupPattern),
@@ -106,9 +109,6 @@ impl Kind for Ask {
     }
     fn from_stats(stats: &EndpointStats, tp: &TriplePattern) -> Option<bool> {
         stats.ask_pattern(tp)
-    }
-    fn on_wire(ep: &EndpointRef, tp: &TriplePattern) -> Result<bool, EndpointError> {
-        ep.ask(&Query::ask(GroupPattern::bgp(vec![tp.clone()])))
     }
     fn member(tp: &TriplePattern) -> Member<'_> {
         Member::Exists(GroupPattern::bgp(vec![tp.clone()]))
@@ -136,9 +136,6 @@ impl Kind for Count {
     }
     fn from_stats(stats: &EndpointStats, tp: &TriplePattern) -> Option<u64> {
         stats.count_pattern(tp)
-    }
-    fn on_wire(ep: &EndpointRef, tp: &TriplePattern) -> Result<u64, EndpointError> {
-        ep.count(&Query::count(GroupPattern::bgp(vec![tp.clone()])))
     }
     fn member(tp: &TriplePattern) -> Member<'_> {
         match tp.vars().next() {
@@ -173,9 +170,6 @@ impl Kind for Check {
     }
     fn from_stats(stats: &EndpointStats, check: &CheckQuery) -> Option<bool> {
         stats_check_answer(stats, &check.query)
-    }
-    fn on_wire(ep: &EndpointRef, check: &CheckQuery) -> Result<bool, EndpointError> {
-        ep.select(&check.query).map(|sols| !sols.is_empty())
     }
     fn member(check: &CheckQuery) -> Member<'_> {
         Member::Exists(check.query.pattern.clone())
@@ -245,7 +239,10 @@ pub(crate) fn resolve<K: Kind>(
             })
         } else {
             net.client.request_kind(ep_id, K::REQUEST, || {
-                probes.clone().map(|probe| K::on_wire(ep, probe)).collect()
+                probes
+                    .clone()
+                    .map(|probe| send_member::<K>(ep, probe))
+                    .collect()
             })
         }
     });
@@ -297,6 +294,15 @@ impl Net {
             .map(|(ep, _, _)| ep)
             .collect()
     }
+}
+
+/// Sends one probe's [`Member`] to `ep` as a request of its own.
+fn send_member<K: Kind>(ep: &EndpointRef, probe: &K::Probe) -> Result<K::Answer, EndpointError> {
+    let n = match K::member(probe) {
+        Member::Exists(group) => u64::from(ep.ask(&Query::ask(group))?),
+        Member::Count(tp) => ep.count(&Query::count(GroupPattern::bgp(vec![tp.clone()])))?,
+    };
+    Ok(K::from_member(n))
 }
 
 /// `probes` as one `SELECT` (see the module docs), and where on its single
@@ -384,14 +390,15 @@ mod tests {
     use crate::exec::Degradation;
     use crate::trace::QueryTrace;
     use lusail_endpoint::{
-        FaultProfile, FlakyEndpoint, LocalEndpoint, RequestPolicy, SystemClock, TraceSink,
+        FaultProfile, FlakyEndpoint, LocalEndpoint, RequestPolicy, SparqlEndpoint, StatsSnapshot,
+        SystemClock, TraceSink,
     };
     use lusail_rdf::{Dictionary, Term};
-    use lusail_sparql::parse_query;
+    use lusail_sparql::{parse_query, write_query, SolutionSet};
     use lusail_store::TripleStore;
     use std::fmt::Debug;
     use std::sync::atomic::AtomicU64;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     /// One endpoint holding `(s1 p o1) (s1 q o2) (s2 p o3)`: permanently
     /// unavailable when `dead`, its statistics attached when `with_stats`.
@@ -415,16 +422,18 @@ mod tests {
         fed
     }
 
-    fn net(sink: &TraceSink, coalesce_probes: bool) -> Net {
-        Net {
-            coalesce_probes,
-            ..Net::build(
-                RequestPolicy::default(),
-                Arc::new(SystemClock::default()),
-                sink.clone(),
-                1,
-                None,
-            )
+    fn net(sink: &TraceSink, coalescing: bool) -> Net {
+        let net = Net::build(
+            RequestPolicy::default(),
+            Arc::new(SystemClock::default()),
+            sink.clone(),
+            1,
+            None,
+        );
+        if coalescing {
+            net.coalescing()
+        } else {
+            net
         }
     }
 
@@ -599,5 +608,66 @@ mod tests {
             true,
             checks_assumed,
         );
+    }
+
+    /// Records the text of every query it is sent, then answers it.
+    struct Recording {
+        inner: LocalEndpoint,
+        dict: Arc<Dictionary>,
+        sent: Mutex<Vec<String>>,
+    }
+
+    impl Recording {
+        fn record(&self, q: &Query) {
+            self.sent.lock().unwrap().push(write_query(q, &self.dict));
+        }
+    }
+
+    impl SparqlEndpoint for Recording {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn ask(&self, q: &Query) -> Result<bool, EndpointError> {
+            self.record(q);
+            self.inner.ask(q)
+        }
+        fn select(&self, q: &Query) -> Result<SolutionSet, EndpointError> {
+            self.record(q);
+            self.inner.select(q)
+        }
+        fn count(&self, q: &Query) -> Result<u64, EndpointError> {
+            self.record(q);
+            self.inner.count(q)
+        }
+        fn stats_snapshot(&self) -> StatsSnapshot {
+            self.inner.stats_snapshot()
+        }
+        fn triple_count(&self) -> usize {
+            self.inner.triple_count()
+        }
+    }
+
+    /// On the per-member transport an `ASK` probe is the `ASK` of its one
+    /// pattern, written exactly as a stand-alone query.
+    #[test]
+    fn a_lone_ask_member_is_the_ask_of_its_pattern() {
+        let dict = Dictionary::shared();
+        let x = |l: &str| Term::iri(format!("http://x/{l}"));
+        let mut store = TripleStore::new(Arc::clone(&dict));
+        store.insert_terms(&x("s"), &x("p"), &x("o"));
+        let ep = Arc::new(Recording {
+            inner: LocalEndpoint::new("E", store),
+            dict: Arc::clone(&dict),
+            sent: Mutex::default(),
+        });
+        let mut fed = Federation::new(Arc::clone(&dict));
+        fed.add(Arc::clone(&ep) as EndpointRef);
+        let query = parse_query("SELECT * { ?s <http://x/p> ?o }", &dict).unwrap();
+        let tp = query.pattern.triples[0].clone();
+        let net = net(&TraceSink::disabled(), false);
+        let got = resolve::<Ask>(&fed, &net, &ProbeCache::new(true), &[(0, &tp)]);
+        assert_eq!(got, [true]);
+        let ask = write_query(&Query::ask(GroupPattern::bgp(vec![tp])), &dict);
+        assert_eq!(*ep.sent.lock().unwrap(), [ask]);
     }
 }

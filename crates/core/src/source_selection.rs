@@ -1,9 +1,12 @@
 //! Source selection: which endpoints are relevant to each triple pattern.
 //!
-//! Like FedX and the paper's §III, Lusail probes every triple pattern with
-//! an `ASK` at every endpoint, memoizing the answers. The probes for the
-//! patterns of one query are issued in parallel through the elastic
-//! request handler (one worker per endpoint).
+//! Like FedX and the paper's §III, every triple pattern is probed for a
+//! match at every endpoint, and the answers are memoized. How the probes
+//! travel is the engine's transport (`probe.rs`): Lusail sends an
+//! endpoint's probes as one request, while FedX and HiBISCuS, which share
+//! this function, send one `ASK` per (pattern, endpoint). Endpoints are
+//! probed in parallel through the elastic request handler (one worker per
+//! endpoint).
 
 use crate::cache::{PatternKey, ProbeCache};
 use crate::exec::Net;
@@ -51,7 +54,7 @@ impl SourceMap {
 
 /// Runs source selection for every triple pattern of `pattern` (including
 /// nested OPTIONAL/UNION/NOT EXISTS groups) against all endpoints, one
-/// `ASK` probe per distinct pattern per endpoint, answered by
+/// existence probe per distinct pattern per endpoint, answered by
 /// `probe::resolve` (memo, then statistics, then the wire — where patterns
 /// that differ only in variable names are one probe; a failed probe assumes
 /// the endpoint relevant).

@@ -392,20 +392,10 @@ impl ResilientClient {
 
     /// Runs one logical request against endpoint `ep`, retrying transient
     /// failures per the policy. Tripped endpoints fail immediately with
-    /// [`EndpointError::Unavailable`] without counting a new failure.
-    /// Equivalent to [`request_kind`](Self::request_kind) with
-    /// [`RequestKind::Select`] — the default for data-bearing calls.
-    pub fn request<T>(
-        &self,
-        ep: EndpointId,
-        op: impl Fn() -> Result<T, EndpointError>,
-    ) -> Result<T, EndpointError> {
-        self.request_kind(ep, RequestKind::Select, op)
-    }
-
-    /// [`request`](Self::request) with an explicit [`RequestKind`] label,
-    /// so the trace (and the per-kind wire-attempt counters) distinguish
-    /// ASK probes, COUNT probes, and check queries from data selects.
+    /// [`EndpointError::Unavailable`] without counting a new failure. The
+    /// [`RequestKind`] label lets the trace (and the per-kind wire-attempt
+    /// counters) distinguish ASK probes, COUNT probes, and check queries
+    /// from data selects.
     pub fn request_kind<T>(
         &self,
         ep: EndpointId,
@@ -481,16 +471,6 @@ impl ResilientClient {
             error: result.as_ref().err().map(|e| format!("{e:?}")),
         });
         result
-    }
-
-    /// A `SELECT` through the resilience layer.
-    pub fn select(
-        &self,
-        fed: &Federation,
-        ep: EndpointId,
-        q: &Query,
-    ) -> Result<SolutionSet, EndpointError> {
-        self.request_kind(ep, RequestKind::Select, || fed.endpoint(ep).select(q))
     }
 
     /// The candidate order a data-bearing select tries the endpoint's
@@ -596,7 +576,7 @@ mod tests {
             Err(EndpointError::Timeout),
             Ok(42),
         ]);
-        assert_eq!(client.request(0, op), Ok(42));
+        assert_eq!(client.request_kind(0, RequestKind::Select, op), Ok(42));
         assert_eq!(calls.load(Ordering::Relaxed), 3);
         assert_eq!(client.retries(0), 2);
         assert_eq!(client.failed_requests(0), 0);
@@ -607,7 +587,10 @@ mod tests {
         let clock = ManualClock::new();
         let client = ResilientClient::with_clock(RequestPolicy::default(), clock.clone());
         let (calls, op) = counting_op(vec![Err(EndpointError::Unavailable)]);
-        assert_eq!(client.request(0, op), Err(EndpointError::Unavailable));
+        assert_eq!(
+            client.request_kind(0, RequestKind::Select, op),
+            Err(EndpointError::Unavailable)
+        );
         assert_eq!(calls.load(Ordering::Relaxed), 1);
         assert_eq!(client.retries(0), 0);
         assert_eq!(client.failed_requests(0), 1);
@@ -670,7 +653,7 @@ mod tests {
             Err(EndpointError::Interrupted),
             Ok(1),
         ]);
-        assert_eq!(client.request(0, op), Ok(1));
+        assert_eq!(client.request_kind(0, RequestKind::Select, op), Ok(1));
         // 10 + 20 + 40 ms of backoff slept on the virtual clock.
         assert_eq!(clock.elapsed(), Duration::from_millis(70));
     }
@@ -690,7 +673,10 @@ mod tests {
         };
         let client = ResilientClient::with_clock(policy, clock.clone());
         let (calls, op) = counting_op(vec![Err(EndpointError::Interrupted); 20]);
-        assert_eq!(client.request(0, op), Err(EndpointError::Timeout));
+        assert_eq!(
+            client.request_kind(0, RequestKind::Select, op),
+            Err(EndpointError::Timeout)
+        );
         // Backoffs 30 + 60 fit in the 100 ms budget; the third (120) would
         // blow it, so the request aborts after 3 attempts.
         assert_eq!(calls.load(Ordering::Relaxed), 3);
@@ -710,16 +696,21 @@ mod tests {
         };
         let client = ResilientClient::with_clock(policy, clock);
         for _ in 0..3 {
-            let _ = client.request(1, || Err::<u32, _>(EndpointError::Interrupted));
+            let _ = client.request_kind(1, RequestKind::Select, || {
+                Err::<u32, _>(EndpointError::Interrupted)
+            });
         }
         assert!(client.is_dead(1));
         // Further requests fail fast without invoking the operation.
         let (calls, op) = counting_op(vec![Ok(5)]);
-        assert_eq!(client.request(1, op), Err(EndpointError::Unavailable));
+        assert_eq!(
+            client.request_kind(1, RequestKind::Select, op),
+            Err(EndpointError::Unavailable)
+        );
         assert_eq!(calls.load(Ordering::Relaxed), 0);
         // Other endpoints are unaffected.
         assert!(!client.is_dead(0));
-        assert_eq!(client.request(0, || Ok(7)), Ok(7));
+        assert_eq!(client.request_kind(0, RequestKind::Select, || Ok(7)), Ok(7));
     }
 
     #[test]
@@ -733,7 +724,7 @@ mod tests {
         };
         let sink = TraceSink::enabled();
         let client = ResilientClient::traced(policy, clock, sink.clone());
-        assert_eq!(client.request(1, || Ok(1)), Ok(1));
+        assert_eq!(client.request_kind(1, RequestKind::Select, || Ok(1)), Ok(1));
         let before = client.requests();
         let (_, op) = counting_op(vec![
             Err(EndpointError::Interrupted),
@@ -820,21 +811,26 @@ mod tests {
         let sink = TraceSink::enabled();
         let client = ResilientClient::traced(policy, clock.clone(), sink.clone());
         for _ in 0..2 {
-            let _ = client.request(0, || Err::<u32, _>(EndpointError::Interrupted));
+            let _ = client.request_kind(0, RequestKind::Select, || {
+                Err::<u32, _>(EndpointError::Interrupted)
+            });
         }
         assert!(client.is_dead(0));
         assert_eq!(client.health(0), HealthState::Open);
         // Before the cooldown, requests still short-circuit.
         let (calls, op) = counting_op(vec![Ok(1)]);
-        assert_eq!(client.request(0, op), Err(EndpointError::Unavailable));
+        assert_eq!(
+            client.request_kind(0, RequestKind::Select, op),
+            Err(EndpointError::Unavailable)
+        );
         assert_eq!(calls.load(Ordering::Relaxed), 0);
         // After the cooldown, the next request is the half-open probe.
         clock.advance(Duration::from_secs(5));
         assert!(!client.is_dead(0));
-        assert_eq!(client.request(0, || Ok(7)), Ok(7));
+        assert_eq!(client.request_kind(0, RequestKind::Select, || Ok(7)), Ok(7));
         assert_eq!(client.health(0), HealthState::Closed);
         // Subsequent requests flow normally again.
-        assert_eq!(client.request(0, || Ok(8)), Ok(8));
+        assert_eq!(client.request_kind(0, RequestKind::Select, || Ok(8)), Ok(8));
         let transitions: Vec<_> = sink
             .events()
             .into_iter()
@@ -865,11 +861,15 @@ mod tests {
             ..RequestPolicy::default()
         };
         let client = ResilientClient::with_clock(policy, clock.clone());
-        let _ = client.request(0, || Err::<u32, _>(EndpointError::Interrupted));
+        let _ = client.request_kind(0, RequestKind::Select, || {
+            Err::<u32, _>(EndpointError::Interrupted)
+        });
         assert_eq!(client.health(0), HealthState::Open);
         clock.advance(Duration::from_secs(5));
         // The probe fails: open again, with the cooldown restarted.
-        let _ = client.request(0, || Err::<u32, _>(EndpointError::Interrupted));
+        let _ = client.request_kind(0, RequestKind::Select, || {
+            Err::<u32, _>(EndpointError::Interrupted)
+        });
         assert_eq!(client.health(0), HealthState::Open);
         assert!(client.is_dead(0));
         clock.advance(Duration::from_secs(4));
@@ -890,13 +890,15 @@ mod tests {
             ..RequestPolicy::default()
         };
         let client = ResilientClient::with_clock(policy, clock);
-        let _ = client.request(0, || Err::<u32, _>(EndpointError::Interrupted));
+        let _ = client.request_kind(0, RequestKind::Select, || {
+            Err::<u32, _>(EndpointError::Interrupted)
+        });
         // The circuit opened, but with no time elapsed the next request is
         // already the half-open probe: it reaches the wire.
         assert_eq!(client.health(0), HealthState::Open);
         assert!(!client.is_dead(0));
         let (calls, op) = counting_op(vec![Ok(1)]);
-        assert_eq!(client.request(0, op), Ok(1));
+        assert_eq!(client.request_kind(0, RequestKind::Select, op), Ok(1));
         assert_eq!(calls.load(Ordering::Relaxed), 1);
         assert_eq!(client.health(0), HealthState::Closed);
     }
@@ -917,7 +919,10 @@ mod tests {
         };
         let client = ResilientClient::with_clock(policy, clock.clone());
         let (calls, op) = counting_op(vec![Err(EndpointError::Interrupted); 20]);
-        assert_eq!(client.request(0, op), Err(EndpointError::Timeout));
+        assert_eq!(
+            client.request_kind(0, RequestKind::Select, op),
+            Err(EndpointError::Timeout)
+        );
         // Attempts at t=0, 40, 80; sleeping to 120 would pass the 100 ms
         // budget, so the request stops after 3 attempts at t=80.
         assert_eq!(calls.load(Ordering::Relaxed), 3);
@@ -927,7 +932,10 @@ mod tests {
         clock.advance(Duration::from_millis(100));
         assert!(client.budget_exhausted());
         let (calls2, op2) = counting_op(vec![Ok(5)]);
-        assert_eq!(client.request(0, op2), Err(EndpointError::Timeout));
+        assert_eq!(
+            client.request_kind(0, RequestKind::Select, op2),
+            Err(EndpointError::Timeout)
+        );
         assert_eq!(
             calls2.load(Ordering::Relaxed),
             0,
@@ -947,10 +955,18 @@ mod tests {
         };
         let client = ResilientClient::with_clock(policy, clock);
         // Failures arrive out of id order, with repeats of the same kind.
-        let _ = client.request(2, || Err::<u32, _>(EndpointError::Interrupted));
-        let _ = client.request(0, || Err::<u32, _>(EndpointError::Timeout));
-        let _ = client.request(2, || Err::<u32, _>(EndpointError::Interrupted));
-        let _ = client.request(2, || Err::<u32, _>(EndpointError::Timeout));
+        let _ = client.request_kind(2, RequestKind::Select, || {
+            Err::<u32, _>(EndpointError::Interrupted)
+        });
+        let _ = client.request_kind(0, RequestKind::Select, || {
+            Err::<u32, _>(EndpointError::Timeout)
+        });
+        let _ = client.request_kind(2, RequestKind::Select, || {
+            Err::<u32, _>(EndpointError::Interrupted)
+        });
+        let _ = client.request_kind(2, RequestKind::Select, || {
+            Err::<u32, _>(EndpointError::Timeout)
+        });
         let mut fed = Federation::new(lusail_rdf::Dictionary::shared());
         for name in ["A", "B", "C"] {
             let store = lusail_store::TripleStore::new(fed.dict().clone());
@@ -984,11 +1000,15 @@ mod tests {
         };
         let client = ResilientClient::with_clock(policy, clock);
         for _ in 0..2 {
-            let _ = client.request(0, || Err::<u32, _>(EndpointError::Interrupted));
+            let _ = client.request_kind(0, RequestKind::Select, || {
+                Err::<u32, _>(EndpointError::Interrupted)
+            });
         }
-        assert_eq!(client.request(0, || Ok(1)), Ok(1));
+        assert_eq!(client.request_kind(0, RequestKind::Select, || Ok(1)), Ok(1));
         for _ in 0..2 {
-            let _ = client.request(0, || Err::<u32, _>(EndpointError::Interrupted));
+            let _ = client.request_kind(0, RequestKind::Select, || {
+                Err::<u32, _>(EndpointError::Interrupted)
+            });
         }
         assert!(!client.is_dead(0), "success did not reset the trip counter");
     }

@@ -73,8 +73,10 @@ impl EngineKind {
     /// Instantiates the engine. The index-building baselines preprocess
     /// the given endpoint handles (their offline phase sees clean data
     /// even when the federation injects faults at query time). `setup`'s
-    /// `block_size` and `coalesce` configure Lusail (the baselines have no
-    /// equivalent and ignore them).
+    /// `block_size` configures Lusail (the baselines have no equivalent and
+    /// ignore it). Statistics attached to the federation are consulted by
+    /// every engine's probes but SPLENDID's, which selects sources from its
+    /// own VOID index.
     pub fn build(
         self,
         endpoints: &[Arc<LocalEndpoint>],
@@ -86,7 +88,6 @@ impl EngineKind {
             EngineKind::Lusail => {
                 let defaults = LusailConfig::default();
                 let config = LusailConfig {
-                    coalesce_probes: setup.coalesce,
                     block_size: setup.block_size.unwrap_or(defaults.block_size),
                     ..defaults
                 };
@@ -276,9 +277,6 @@ pub struct Setup {
     /// Copies of every endpoint (1 = unreplicated; see
     /// [`Case::federation_on`] for the id layout fault plans index).
     pub replication: usize,
-    /// Lusail sends an endpoint's planning probes as one request
-    /// (`LusailConfig::coalesce_probes`).
-    pub coalesce: bool,
 }
 
 impl Setup {
@@ -289,7 +287,6 @@ impl Setup {
         threads: 1,
         block_size: None,
         replication: 1,
-        coalesce: true,
     };
 }
 
@@ -342,11 +339,7 @@ pub fn observe(
         .map_err(|e| Violation::EngineError(format!("{e:?}")))?;
     let window = fed.stats_snapshot().since(&before);
     let trace = QueryTrace::from_sink(&sink);
-    check_trace_invariants(
-        &trace,
-        &window,
-        setup.coalesce && engine == EngineKind::Lusail,
-    )?;
+    check_trace_invariants(&trace, &window, engine)?;
     let (solutions, complete) = (outcome.solutions.canonicalize(), outcome.complete);
     check_outcome(case, clean, &solutions, complete)?;
     if !complete && faults.spares_every_group(case.n_endpoints, setup.replication) {
@@ -435,11 +428,6 @@ pub struct Axis {
 /// * `threads` — the worker budget is a physical knob: the executor
 ///   preserves each endpoint's request subsequence exactly, so the same
 ///   faults fire on the same requests at any budget.
-/// * `coalesce` — sending an endpoint's planning probes as one request
-///   only merges round trips: identical answers, `ask`, `count` and total
-///   requests coalesced ≤ per-member, and the endpoints scan the very same
-///   rows. A merged request travels as a `SELECT`, so that counter is
-///   free. Merging shifts request indices, hence dead-only plans.
 pub const AXES: &[Axis] = &[
     Axis {
         name: "stats",
@@ -473,21 +461,6 @@ pub const AXES: &[Axis] = &[
         whole_window: true,
         faults: FaultSpec::random,
         salt: 0xFA17_0000_0000_0001,
-    },
-    Axis {
-        name: "coalesce",
-        left: |s| Setup {
-            coalesce: false,
-            ..s
-        },
-        rights: &[|s| Setup {
-            coalesce: true,
-            ..s
-        }],
-        counters: [RightLe, RightLe, Free, Equal, RightLe],
-        whole_window: false,
-        faults: FaultSpec::random_dead_only,
-        salt: 0xFA17_0000_0000_0005,
     },
 ];
 
@@ -766,31 +739,38 @@ fn check_outcome(
 /// The trace invariants every engine must uphold (clean *and* faulted):
 ///
 /// 1. The wire attempts summed over the trace's request events equal the
-///    federation's request counters, per kind (a [`Violation::Divergence`]
-///    on axis `trace` otherwise). Retried requests count once per attempt
-///    in both; circuit-broken requests count in neither. (`Check` queries
-///    are wire-level SELECTs, so their attempts merge into `select`.) A
-///    trace labels a request by what it was *for*: with `coalesced` probes
-///    an `ask` or `count` request of several members travels as a SELECT
-///    too, and only the totals can be held equal.
+///    federation's request counters (a [`Violation::Divergence`] on axis
+///    `trace` otherwise). Retried requests count once per attempt in both;
+///    circuit-broken requests count in neither. A trace labels a request by
+///    what it was *for*. The baselines send one request per probe, each
+///    travelling as its own kind, so theirs are held equal kind by kind.
+///    Lusail's coalesced probes travel as SELECTs, so only its totals can
+///    be.
 /// 2. Every subquery recorded as delayed carries a delay reason.
 /// 3. The trace ends with exactly one query-finished event — nothing is
 ///    recorded after it.
 pub fn check_trace_invariants(
     trace: &QueryTrace,
     window: &StatsSnapshot,
-    coalesced: bool,
+    engine: EngineKind,
 ) -> Result<(), Violation> {
     let attempts = |kind| trace.requests(kind).attempts;
-    let (ask, count) = (attempts(RequestKind::Ask), attempts(RequestKind::Count));
-    let select = attempts(RequestKind::Select) + attempts(RequestKind::Check);
     let per_kind = [
-        ("ask", ask, window.ask_requests),
-        ("count", count, window.count_requests),
-        ("select", select, window.select_requests),
+        ("ask", attempts(RequestKind::Ask), window.ask_requests),
+        ("count", attempts(RequestKind::Count), window.count_requests),
+        (
+            "select",
+            attempts(RequestKind::Select),
+            window.select_requests,
+        ),
     ];
-    let total = [("requests", ask + count + select, window.total_requests())];
-    for (facet, traced, counted) in if coalesced { &total[..] } else { &per_kind[..] } {
+    let traced = RequestKind::ALL.into_iter().map(attempts).sum();
+    let total = [("requests", traced, window.total_requests())];
+    let facets = match engine {
+        EngineKind::Lusail => &total[..],
+        _ => &per_kind[..],
+    };
+    for (facet, traced, counted) in facets {
         if traced != counted {
             return Err(Violation::Divergence {
                 axis: "trace",

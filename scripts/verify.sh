@@ -115,7 +115,7 @@ if grep -q 'check_queries +=' crates/core/src/gjv.rs; then
 fi
 [ "$scattered" -eq 0 ]
 
-echo "==> no superseded path is back (one BGP order, one VALUES sizing, two gated configurations, one COUNT form, one FedX, one subject lookup, one term count, one statistics builder, every setting has a caller)"
+echo "==> no superseded path is back (one BGP order, one VALUES sizing, two gated configurations, one COUNT form, one FedX, one subject lookup, one term count, one statistics builder, every setting has a caller, one probe transport per engine)"
 scattered=0
 total=0
 non_test=0
@@ -165,6 +165,25 @@ done
 counting_sink=$(sed -n '/^impl Sink for ByteCount/,/^}$/p' crates/sparql/src/writer.rs)
 if [ -z "$counting_sink" ] || grep -Eq 'write!|Display|to_string|format!' <<<"$counting_sink"; then
     echo "crates/sparql/src/writer.rs: the counting sink formats terms (or is gone) instead of adding Term::wire_len" >&2
+    scattered=1
+fi
+# One probe transport per engine: Lusail always coalesces, the baselines
+# never do, and a probe is described once, by its Member.
+stray=$(grep -rlF 'coalesce_probes' crates/core/src/engine.rs crates/bench crates/testkit tests src examples || true)
+if [ -n "$stray" ]; then
+    echo "the probe-coalescing switch is back (Net::coalescing is Lusail's fixed transport):" $stray >&2
+    scattered=1
+fi
+if grep -q 'fn on_wire' crates/core/src/probe.rs; then
+    echo "crates/core/src/probe.rs: fn on_wire is back (both transports encode a probe's Member)" >&2
+    scattered=1
+fi
+if sed -n '/^pub const AXES/,/^];/p' crates/testkit/src/diff.rs | grep -q 'name: "coalesce"'; then
+    echo "crates/testkit/src/diff.rs: AXES has a coalesce row again (there is no switch to compare)" >&2
+    scattered=1
+fi
+if grep -Eq 'pub fn request<|pub fn select\(' crates/endpoint/src/resilience.rs; then
+    echo "crates/endpoint/src/resilience.rs: a request / select shorthand is back (use request_kind or select_failover)" >&2
     scattered=1
 fi
 [ "$scattered" -eq 0 ]

@@ -2,10 +2,8 @@
 //! workloads: which queries are disjoint, which variables go global, how
 //! the caches and delays behave, and that the metrics are coherent.
 
-use lusail_benchdata::{lrb, lubm, qfed, Workload};
-use lusail_core::{Lusail, LusailConfig, QueryTrace, RequestKind, TraceEvent, TraceSink};
-use lusail_endpoint::ExecOptions;
-use lusail_store::BackendKind;
+use lusail_benchdata::{lubm, qfed};
+use lusail_core::{Lusail, LusailConfig, RequestKind};
 
 #[test]
 fn lubm_q1_q2_are_disjoint() {
@@ -192,79 +190,4 @@ fn empty_federation_source_yields_empty_results_quickly() {
     let r = engine.execute(&w.federation, &q).unwrap();
     assert!(r.solutions.is_empty());
     assert_eq!(r.metrics.requests_execution.total_requests(), 0);
-}
-
-/// Coalescing an endpoint's planning probes into one request changes how
-/// many requests a query costs and nothing else: on every query of the
-/// three benchmark workloads, on both backends and at worker budgets 1 and
-/// 4, the answers and every planning and execution event of the trace —
-/// decomposition, each subquery's patterns, sources, cardinality and delay
-/// verdict, `VALUES` batches, join steps — are those of per-member probing.
-#[test]
-fn probe_coalescing_changes_request_counts_only() {
-    let workloads: [fn(BackendKind) -> Workload; 3] = [
-        |backend| {
-            lubm::generate(&lubm::LubmConfig {
-                backend,
-                ..lubm::LubmConfig::new(3)
-            })
-        },
-        |backend| {
-            qfed::generate(&qfed::QfedConfig {
-                backend,
-                ..qfed::QfedConfig::default()
-            })
-        },
-        |backend| {
-            lrb::generate(&lrb::LrbConfig {
-                backend,
-                ..lrb::LrbConfig::default()
-            })
-        },
-    ];
-    let mut saved = 0;
-    for generate in workloads {
-        for backend in BackendKind::ALL {
-            let w = generate(backend);
-            for nq in &w.queries {
-                for threads in [1, 4] {
-                    let run = |coalesce_probes| {
-                        let engine = Lusail::new(LusailConfig {
-                            coalesce_probes,
-                            ..LusailConfig::default()
-                        });
-                        let sink = TraceSink::enabled();
-                        let opts = ExecOptions::default()
-                            .with_threads(threads)
-                            .with_trace(sink.clone());
-                        let result = engine.execute_with(&w.federation, &nq.query, &opts);
-                        let result = result.expect("benchmark federations are non-empty");
-                        let mut events = QueryTrace::from_sink(&sink).events;
-                        events.retain(|ev| {
-                            !matches!(ev, TraceEvent::Request { .. } | TraceEvent::Dispatch { .. })
-                        });
-                        (result, events)
-                    };
-                    let ((one_by_one, planned), (coalesced, planned_coalesced)) =
-                        (run(false), run(true));
-                    let ctx = format!("{} on {backend}, {threads} thread(s)", nq.name);
-                    assert_eq!(
-                        coalesced.solutions.canonicalize(),
-                        one_by_one.solutions.canonicalize(),
-                        "{ctx}: solutions"
-                    );
-                    assert_eq!(planned_coalesced, planned, "{ctx}: trace");
-                    let (m, n) = (&coalesced.metrics, &one_by_one.metrics);
-                    assert_eq!(
-                        (&m.gjvs, m.subqueries, m.delayed_subqueries),
-                        (&n.gjvs, n.subqueries, n.delayed_subqueries),
-                        "{ctx}: plan"
-                    );
-                    assert!(m.total_requests() <= n.total_requests(), "{ctx}: requests");
-                    saved += n.total_requests() - m.total_requests();
-                }
-            }
-        }
-    }
-    assert!(saved > 5_000, "coalescing saved only {saved} requests");
 }

@@ -3,18 +3,17 @@
 //! each wire attempt was *for* (a coalesced probe counts under its probe
 //! kind, although it travels as a SELECT). So:
 //!
-//! * solo, clean or faulted, coalesced or not, the ledger totals the
-//!   federation's own window around the run, matches the structured trace's
-//!   wire attempts kind by kind (retries count per attempt in both, a
-//!   circuit-broken request in neither), and `check_queries` is the
-//!   analysis window's `Check` count;
+//! * solo, clean or faulted, the ledger totals the federation's own window
+//!   around the run, matches the structured trace's wire attempts kind by
+//!   kind (retries count per attempt in both, a circuit-broken request in
+//!   neither), and `check_queries` is the analysis window's `Check` count;
 //! * with a second query running on the same `Federation` in the middle of
 //!   the first, each query's windows are still exactly its solo ones;
 //! * the baselines, which run no LADE, record zero check traffic in any
 //!   mode.
 
 use lusail_benchdata::common::Rng;
-use lusail_core::{Lusail, LusailConfig, QueryResult, QueryTrace, RequestKind, TraceSink};
+use lusail_core::{Lusail, QueryResult, QueryTrace, RequestKind, TraceSink};
 use lusail_endpoint::{
     EndpointError, EndpointRef, ExecOptions, Federation, LocalEndpoint, RequestCounts,
     SparqlEndpoint, StatsSnapshot,
@@ -147,18 +146,12 @@ fn ledger_matches_window_and_trace_clean_or_faulted() {
     };
     for seed in 0..10u64 {
         let case = Case::generate(seed, &cfg);
-        for (faulty, coalesce_probes) in
-            [(false, false), (false, true), (true, false), (true, true)]
-        {
+        for faulty in [false, true] {
             let faults = fault_plan(seed, case.n_endpoints, faulty);
             let (fed, _locals) = case.federation(&faults);
-            let config = LusailConfig {
-                coalesce_probes,
-                ..LusailConfig::default()
-            };
-            let engine = Lusail::new(config).with_policy(policy(!faulty));
+            let engine = Lusail::default().with_policy(policy(!faulty));
             let (result, window, trace) = run_traced(&engine, &fed, &case.query);
-            let ctx = format!("seed {seed} faulty {faulty} coalesced {coalesce_probes}");
+            let ctx = format!("seed {seed} faulty {faulty}");
             assert_ledger(&result, &window, &trace, &ctx);
         }
     }

@@ -186,7 +186,7 @@ fn scripted_faults_are_retried_and_reported() {
 
     let clock = ManualClock::new();
     let client = ResilientClient::with_clock(patient_policy(), clock.clone());
-    let rows = client.select(&fed, ep, &q).unwrap();
+    let (_, rows) = client.select_failover(&fed, ep, &q).unwrap();
     assert_eq!(rows.len(), 5);
     assert_eq!(client.retries(ep), 2);
     assert_eq!(client.failed_requests(ep), 0);
@@ -267,7 +267,7 @@ fn tripped_endpoint_recovers_after_manual_clock_advance() {
     let clock = ManualClock::new();
     let client = ResilientClient::with_clock(policy, clock.clone());
     for _ in 0..3 {
-        assert!(client.select(&fed, ep, &q).is_err());
+        assert!(client.select_failover(&fed, ep, &q).is_err());
     }
     assert!(client.is_dead(ep));
     assert_eq!(client.health(ep), HealthState::Open);
@@ -276,7 +276,7 @@ fn tripped_endpoint_recovers_after_manual_clock_advance() {
     // the wire.
     let before = fed.endpoint(ep).stats_snapshot();
     assert!(matches!(
-        client.select(&fed, ep, &q),
+        client.select_failover(&fed, ep, &q),
         Err(EndpointError::Unavailable)
     ));
     assert_eq!(
@@ -293,10 +293,10 @@ fn tripped_endpoint_recovers_after_manual_clock_advance() {
     // re-admitted for good.
     clock.advance(Duration::from_secs(6));
     assert!(!client.is_dead(ep));
-    let rows = client.select(&fed, ep, &q).unwrap();
+    let (_, rows) = client.select_failover(&fed, ep, &q).unwrap();
     assert_eq!(rows.len(), 5);
     assert_eq!(client.health(ep), HealthState::Closed);
-    assert!(client.select(&fed, ep, &q).is_ok());
+    assert!(client.select_failover(&fed, ep, &q).is_ok());
 }
 
 /// An endpoint whose every `SELECT` advances a [`ManualClock`] by `delay`
