@@ -13,7 +13,7 @@
 //! * **optimized** — every engine at its defaults;
 //! * **stats** — optimized plus offline characteristic-set statistics
 //!   ([`lusail_store::EndpointStats`]) attached to every endpoint, so
-//!   Lusail's planner answers conclusive ASK/COUNT/check probes locally.
+//!   Lusail's planner answers conclusive COUNT/check probes locally.
 //!   FedX and HiBISCuS resolve their source-selection ASKs through the
 //!   same probe path and skip the conclusive ones too (LUBM Q1: 18 ASKs
 //!   optimized, 9 with statistics). Only SPLENDID, which selects sources

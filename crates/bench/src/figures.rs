@@ -373,7 +373,7 @@ fn table1_datasets() {
 
 /// The paper's motivation experiment (§II): FedX on LUBM Q2 with 1–4
 /// university endpoints and on the QFed Drug query with 2–4 sources, with
-/// Lusail alongside. `run_averaged`'s warm-up primes the ASK cache, so the
+/// Lusail alongside. `run_averaged`'s warm-up primes the probe caches, so the
 /// counted window excludes source selection, as the figure specifies.
 fn fig3_fedx_sensitivity() {
     let header = [
@@ -458,7 +458,7 @@ fn fig9_delay_thresholds() {
 /// (a) Phase breakdown (source selection / query analysis / execution) on
 /// LargeRDFBench-style queries of increasing complexity; (b, c) the same
 /// for LUBM Q3 and Q4 while the number of endpoints doubles up to 64,
-/// with and without the ASK/check-query cache.
+/// with and without the COUNT/check-query cache.
 fn fig10_profiling() {
     let phases = |m: &lusail_core::QueryMetrics| {
         [m.source_selection, m.analysis, m.execution, m.total].map(ms)
@@ -496,7 +496,7 @@ fn fig10_profiling() {
         for n in [4, 8, 16, 32, 64] {
             let w = Setting::Lubm(n).generate();
             let query = &w.query(qname).query;
-            // Cached: a warm-up run primes the ASK/check/count caches.
+            // Cached: a warm-up run primes the COUNT/check caches.
             let cached = Lusail::default();
             let _ = cached.execute(&w.federation, query);
             let r = cached.execute(&w.federation, query).unwrap();

@@ -142,7 +142,7 @@ pub fn run_averaged(
     query: &Query,
     n: usize,
 ) -> RunResult {
-    let _ = run(engine, fed, query); // warm-up primes ASK/check caches
+    let _ = run(engine, fed, query); // warm-up primes the probe caches
     let mut total = Duration::ZERO;
     let mut last = None;
     for _ in 0..n.max(1) {

@@ -1,10 +1,12 @@
-//! Memoization of ASK, check-query, and COUNT probes.
+//! Memoization of source-selection and check-query probes.
 //!
 //! Lusail "caches the results of previously submitted ASK queries in a hash
-//! table" (§III). The cache key is a *normalized* triple pattern — variable
-//! names are canonicalized by order of first appearance — so syntactically
-//! different queries share probe results. Fig. 10(b,c) measures query
-//! response time with and without this cache.
+//! table" (§III); here the source-selection probe is a `COUNT`, whose answer
+//! is relevance and cardinality at once, and the baselines' an `ASK`. The
+//! cache key is a *normalized* triple pattern — variable names are
+//! canonicalized by order of first appearance — so syntactically different
+//! queries share probe results. Fig. 10(b,c) measures query response time
+//! with and without this cache.
 
 use lusail_endpoint::EndpointId;
 use lusail_rdf::{FxHashMap, TermId};
@@ -45,9 +47,8 @@ pub fn pattern_key(tp: &TriplePattern) -> PatternKey {
 }
 
 /// A thread-safe memo table keyed by `(K, EndpointId)` — `K` is a
-/// [`PatternKey`] for ASK and COUNT probes and the rendered check text for
-/// check queries, so all three memos share one bound and one set of
-/// counters.
+/// [`PatternKey`] for `ASK` and `COUNT` probes and the rendered check text
+/// for check queries, so every memo has the same bound and counters.
 ///
 /// Optionally capacity-bounded: when full, inserting a *new* key evicts
 /// the least-recently-used entry, so memory stays proportional to the
@@ -193,12 +194,11 @@ impl<K: Clone + Eq + Hash, V: Copy> ProbeCache<K, V> {
     }
 }
 
-/// The three probe memos planning reads and fills — ASK (source
-/// selection), check queries (LADE), and COUNT (cost model) — as one
-/// value, so clearing and per-endpoint invalidation cannot miss one.
+/// The two probe memos Lusail's planning reads and fills — `COUNT`
+/// (source selection, read as relevance and cardinality) and check queries
+/// (LADE) — as one value, so clearing and per-endpoint invalidation cannot
+/// miss one.
 pub struct ProbeCaches {
-    /// ASK answers per (pattern, endpoint).
-    pub ask: ProbeCache<PatternKey, bool>,
     /// COUNT answers per (pattern, endpoint).
     pub count: ProbeCache<PatternKey, u64>,
     /// Check-query verdicts per (rendered check, endpoint).
@@ -206,11 +206,10 @@ pub struct ProbeCaches {
 }
 
 impl ProbeCaches {
-    /// Creates the caches; `capacity` bounds each of the three tables
+    /// Creates the caches; `capacity` bounds each of the two tables
     /// (`None` = the paper's unbounded hash table).
     pub fn new(enabled: bool, capacity: Option<usize>) -> Self {
         ProbeCaches {
-            ask: ProbeCache::bounded(enabled, capacity),
             count: ProbeCache::bounded(enabled, capacity),
             check: ProbeCache::bounded(enabled, capacity),
         }
@@ -218,14 +217,12 @@ impl ProbeCaches {
 
     /// Drops every memoized probe.
     pub fn clear(&self) {
-        self.ask.clear();
         self.count.clear();
         self.check.clear();
     }
 
     /// Drops every answer recorded against one endpoint.
     pub fn invalidate_endpoint(&self, ep: EndpointId) {
-        self.ask.invalidate_endpoint(ep);
         self.count.invalidate_endpoint(ep);
         self.check.invalidate_endpoint(ep);
     }

@@ -1,9 +1,9 @@
 //! SAPE's cost model (§V-A): per-subquery cardinality estimation and the
 //! delayed-subquery decision.
 //!
-//! Cardinalities come from COUNT probes of the bare triple pattern, one per
-//! distinct (pattern, relevant endpoint), memoized like ASK results and
-//! sent as one request per endpoint and phase (`probe.rs`).
+//! Cardinalities are the per-(pattern, relevant endpoint) counts source
+//! selection already read off its `COUNT` probes of the bare triple
+//! pattern (`source_selection.rs`), so the cost model sends nothing.
 //! Pushed filters do not ride along: a filtered subquery only errs high.
 //!
 //! For a subquery `sq` and variable `v`:
@@ -21,12 +21,9 @@
 //! Fig. 9) is the default; the other thresholds are kept for the Fig. 9
 //! reproduction.
 
-use crate::cache::{pattern_key, PatternKey, ProbeCache};
-use crate::exec::Net;
-use crate::probe;
+use crate::source_selection::SourceMap;
 use crate::subquery::Subquery;
-use lusail_endpoint::{EndpointId, Federation};
-use lusail_rdf::FxHashMap;
+use lusail_endpoint::EndpointId;
 use lusail_sparql::ast::TriplePattern;
 
 /// The delay-threshold policy (Fig. 9 in the paper).
@@ -52,36 +49,14 @@ pub struct SubqueryCosts {
     pub delayed: Vec<bool>,
 }
 
-/// Estimates `C(sq)` for every subquery using COUNT probes, one per
-/// distinct (pattern, endpoint), answered by `probe::resolve` (memo, then
-/// statistics, then the wire; a failed probe falls back to the endpoint's
-/// total triple count).
-pub fn estimate_cardinalities(
-    fed: &Federation,
-    net: &Net,
-    subqueries: &[Subquery],
-    cache: &ProbeCache<PatternKey, u64>,
-) -> Vec<u64> {
-    // Pushed filters are attached per-subquery, so the probe key is the
-    // bare pattern; subqueries with filters probe slightly high, which
-    // only errs toward delaying them.
-    let mut probes: Vec<(EndpointId, &TriplePattern)> = Vec::new();
-    let mut index: FxHashMap<(PatternKey, EndpointId), usize> = FxHashMap::default();
-    for sq in subqueries {
-        for tp in &sq.triples {
-            let key = pattern_key(tp);
-            for &ep in &sq.sources {
-                index.entry((key.clone(), ep)).or_insert_with(|| {
-                    probes.push((ep, tp));
-                    probes.len() - 1
-                });
-            }
-        }
-    }
-    let counts = probe::resolve::<probe::Count>(fed, net, cache, &probes);
-    let count_of = |tp: &TriplePattern, ep: EndpointId| -> u64 {
-        index.get(&(pattern_key(tp), ep)).map_or(0, |&i| counts[i])
-    };
+/// Estimates `C(sq)` for every subquery from the pattern counts `sources`
+/// holds (source selection's `COUNT`s; a failed one is the endpoint's total
+/// triple count).
+pub fn estimate_cardinalities(subqueries: &[Subquery], sources: &SourceMap) -> Vec<u64> {
+    // Pushed filters are attached per-subquery, so the count is the bare
+    // pattern's; subqueries with filters estimate slightly high, which only
+    // errs toward delaying them.
+    let count_of = |tp: &TriplePattern, ep: EndpointId| sources.cardinality(tp, ep).unwrap_or(0);
 
     subqueries
         .iter()

@@ -42,13 +42,14 @@ pub struct LusailConfig {
     /// floor for the rest: the later blocks are sized from the first one's
     /// observed response cardinality and never drop below this.
     pub block_size: usize,
-    /// Memoize ASK / COUNT / check-query results across queries.
+    /// Memoize source-selection `COUNT` and check-query results across
+    /// queries.
     pub use_cache: bool,
     /// Ablation switch: disable locality-aware decomposition. Every triple
     /// pattern becomes its own subquery (the §II strawman of evaluating
     /// each pattern independently); SAPE still schedules and joins them.
     pub disable_lade: bool,
-    /// Capacity bound for each of the ASK / COUNT / check probe caches.
+    /// Capacity bound for each of the `COUNT` / check probe caches.
     /// `None` (the default, the paper's unbounded hash table) never
     /// evicts; a long-lived server sets a bound so cache memory stays
     /// proportional to it across millions of queries, with LRU eviction.
@@ -88,7 +89,7 @@ pub struct QueryResult {
     /// Phase timings and network counters.
     pub metrics: QueryMetrics,
     /// False when an endpoint failure (after retries) lost solution data.
-    /// Degraded *probes* (ASK / COUNT / check queries) never clear this —
+    /// Degraded *probes* (`COUNT`, `ASK` or check queries) never clear this —
     /// they only cost extra work.
     pub complete: bool,
     /// Per-endpoint failure report for this query.
@@ -183,7 +184,7 @@ impl Lusail {
         self.caches.clear();
     }
 
-    /// Drops every memoized probe answer (ASK / COUNT / check) recorded
+    /// Drops every memoized probe answer (`COUNT` / check) recorded
     /// against one endpoint, leaving other endpoints' entries intact.
     ///
     /// [`Lusail::finish`] already does this at the *end* of a query whose
@@ -194,16 +195,16 @@ impl Lusail {
         self.caches.invalidate_endpoint(ep);
     }
 
-    /// Aggregated diagnostics over the ASK and COUNT probe caches —
+    /// Aggregated diagnostics over the `COUNT` and check probe caches —
     /// nonzero `evictions` means the configured capacity bound is
     /// saturated, the signal a serving layer watches.
     pub fn probe_cache_stats(&self) -> ProbeCacheStats {
-        let (ask, count) = (&self.caches.ask, &self.caches.count);
+        let (count, check) = (&self.caches.count, &self.caches.check);
         ProbeCacheStats {
-            hits: ask.hits() + count.hits(),
-            misses: ask.misses() + count.misses(),
-            evictions: ask.evictions() + count.evictions(),
-            entries: ask.len() + count.len(),
+            hits: count.hits() + check.hits(),
+            misses: count.misses() + check.misses(),
+            evictions: count.evictions() + check.evictions(),
+            entries: count.len() + check.len(),
         }
     }
 
@@ -258,7 +259,6 @@ impl Lusail {
             .degradation
             .checks_assumed_conflict
             .load(Ordering::Relaxed);
-        metrics.degraded_count_probes = net.degradation.counts_defaulted.load(Ordering::Relaxed);
         let report = net.client.report(fed);
         // Any endpoint whose circuit opened during this query may have
         // answered probes *before* it started failing; those memoized
@@ -365,7 +365,7 @@ impl Lusail {
 
         let s0 = net.client.requests();
         let t0 = net.clock.now();
-        let sources = select_sources(fed, group, &caches.ask, net);
+        let sources = select_sources(fed, group, &caches.count, net);
         let source_selection = net.clock.now().saturating_sub(t0);
         let s1 = net.client.requests();
         let mut plan = Plan {
@@ -434,9 +434,9 @@ impl Lusail {
             if let Some(query) = top {
                 shrink_projections(query, &mut subqueries, &global_filters);
             }
-            // A lone subquery has nothing to be delayed behind: no probes.
+            // A lone subquery has nothing to be delayed behind: no estimate.
             let cardinality = if subqueries.len() > 1 {
-                estimate_cardinalities(fed, net, &subqueries, &caches.count)
+                estimate_cardinalities(&subqueries, &plan.sources)
             } else {
                 vec![0; subqueries.len()]
             };
@@ -873,7 +873,7 @@ mod tests {
         let engine = Lusail::default();
         let r = engine.execute(&fed, &q).unwrap();
         assert!(r.solutions.is_empty());
-        assert_eq!(r.metrics.total_requests(), 2); // two ASKs
+        assert_eq!(r.metrics.total_requests(), 2); // one COUNT request per endpoint
     }
 
     #[test]
@@ -910,6 +910,30 @@ mod tests {
         assert!(asked > 2, "only {asked} check queries were asked");
         assert!(engine.caches.check.len() <= 2);
         assert!(engine.caches.check.evictions() > 0);
+    }
+
+    #[test]
+    fn check_memo_saturation_reaches_the_probe_cache_stats() {
+        let (fed, oracle) = universities();
+        // Four predicates at two endpoints fill the COUNT memo to exactly
+        // its bound; the three joins' check verdicts overflow the check memo.
+        let engine = Lusail::new(LusailConfig {
+            probe_cache_capacity: Some(8),
+            ..LusailConfig::default()
+        });
+        for bgp in [
+            "?S ub:advisor ?P . ?S ub:takesCourse ?C",
+            "?S ub:advisor ?P . ?P ub:teacherOf ?C",
+            "?P ub:teacherOf ?C . ?P ub:PhDDegreeFrom ?U",
+        ] {
+            let text = format!("PREFIX ub: <http://ub/> SELECT * WHERE {{ {bgp} }}");
+            check_engine_against_oracle(&engine, &fed, &oracle, &text);
+        }
+        assert_eq!(engine.caches.count.evictions(), 0);
+        assert!(engine.caches.check.evictions() > 0);
+        let stats = engine.probe_cache_stats();
+        assert_eq!(stats.evictions, engine.caches.check.evictions());
+        assert_eq!(stats.entries, 16);
     }
 
     #[test]

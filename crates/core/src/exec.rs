@@ -160,14 +160,13 @@ impl RequestHandler {
 /// the final answer incomplete.
 #[derive(Debug, Default)]
 pub struct Degradation {
-    /// Failed source-selection ASKs: the endpoint was assumed relevant.
+    /// Failed source-selection probes (an `ASK`, or Lusail's `COUNT` whose
+    /// cardinality then falls back to the endpoint's triple count) and
+    /// failed execution-time `ASK`s: the endpoint was assumed relevant.
     pub asks_assumed_relevant: AtomicU64,
     /// Failed GJV check queries: the variable was conservatively assumed
     /// global (more GJVs never lose answers).
     pub checks_assumed_conflict: AtomicU64,
-    /// Failed COUNT probes: cardinality fell back to the endpoint's total
-    /// triple count.
-    pub counts_defaulted: AtomicU64,
     data_loss: AtomicBool,
 }
 

@@ -123,7 +123,7 @@ pub(crate) fn render_pattern(tp: &TriplePattern, dict: &Dictionary) -> String {
 impl Lusail {
     /// Produces the compile-time plan for `query` without executing it:
     /// the very `Plan` execution would run, so the
-    /// two cannot disagree. Probes (ASK / check / COUNT) do run against
+    /// two cannot disagree. Probes (COUNT / check) do run against
     /// the endpoints, exactly as execution would issue them, but are
     /// memoized in throw-away caches — EXPLAIN never warms the engine.
     pub fn explain(&self, fed: &Federation, query: &Query) -> QueryPlan {
@@ -573,7 +573,7 @@ plan: DISJOINT — ship the whole query to every relevant endpoint and concatena
         let expected = "\
 EXPLAIN ANALYZE
 requests:
-  ask     2 requests  2 wire attempts  0 failed
+  ask     0 requests  0 wire attempts  0 failed
   select  2 requests  2 wire attempts  0 failed
   count   2 requests  2 wire attempts  0 failed
   check   0 requests  0 wire attempts  0 failed
@@ -597,10 +597,10 @@ result: 10 rows  complete: true
         use lusail_endpoint::ManualClock;
         use lusail_store::EndpointStats;
         // The delayed-fed golden with offline statistics attached to both
-        // endpoints: every ASK (p/q presence at A/B) and both COUNT probes
-        // (10 and 1 — exact, so the delay decision and the whole
-        // downstream plan are unchanged) are answered locally, leaving
-        // only the two data-bearing selects on the wire.
+        // endpoints: every source-selection COUNT (p/q at A/B: 10, 0, 0
+        // and 1 — exact, so the sources, the delay decision and the whole
+        // downstream plan are unchanged) is answered locally, leaving only
+        // the two data-bearing selects on the wire.
         let f = delayed_fed();
         let q = delayed_query(&f);
         let stats_for = |name: &str| {
@@ -651,7 +651,7 @@ joins:
   step 1: 1 x 10 -> 10 rows  (cost 11.0)
 statistics:
   loaded: 2 endpoint(s), 2 characteristic set(s)
-  answered locally: ask 4, count 2, check 0  (probes elided: 6)
+  answered locally: ask 0, count 4, check 0  (probes elided: 4)
 phases: source selection 0ns, analysis 0ns, execution 0ns, total 0ns
 result: 10 rows  complete: true
 ";
@@ -662,8 +662,8 @@ result: 10 rows  complete: true
     fn explain_analyze_golden_with_failover_to_replica() {
         use lusail_endpoint::{FaultProfile, FlakyEndpoint, ManualClock, RequestPolicy};
         use std::time::Duration;
-        // A dead primary with a healthy replica: the ASK probe fails
-        // terminally and trips the circuit (assumed relevant, degraded),
+        // A dead primary with a healthy replica: the source-selection COUNT
+        // fails terminally and trips the circuit (assumed relevant, degraded),
         // then the SELECT short-circuits on the open breaker, fails over
         // to the replica, and the query still completes. The render is
         // pinned verbatim like the fault-free golden above.
@@ -713,9 +713,9 @@ result: 10 rows  complete: true
         let expected = "\
 EXPLAIN ANALYZE
 requests:
-  ask     1 requests  1 wire attempts  1 failed
+  ask     0 requests  0 wire attempts  0 failed
   select  2 requests  1 wire attempts  1 failed
-  count   0 requests  0 wire attempts  0 failed
+  count   1 requests  1 wire attempts  1 failed
   check   0 requests  0 wire attempts  0 failed
 decomposition: 1 subqueries  (0 global join variables)
 resilience:
@@ -752,7 +752,7 @@ result: 1 rows  complete: true
         let before = f.stats_snapshot();
         let _ = Lusail::default().explain(&f, &q);
         let window = f.stats_snapshot().since(&before);
-        // Probes only: ASK + check + COUNT, no unbounded SELECT rows.
+        // Probes only: COUNT + check, no unbounded SELECT rows.
         assert!(window.rows_returned <= window.total_requests());
     }
 }

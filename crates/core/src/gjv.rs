@@ -84,10 +84,25 @@ pub(crate) struct CheckQuery {
     pub(crate) sig: String,
 }
 
-/// Runs Algorithm 1 over the triple patterns of one conjunctive block.
-/// Check queries are answered by `probe::resolve` (memo, then
-/// statistics, then the wire; a failed check assumes the pair conflicting
-/// — a false positive costs extra remote joins, never answers).
+/// The occurrences of one variable in the analyzed patterns.
+type Occurrences = Vec<(usize, Role)>;
+
+/// Runs Algorithm 1 over the triple patterns of one conjunctive block, in
+/// three steps, so that all of its check queries travel in one wave:
+///
+/// 1. every variable's checks are built against the *static* conflicts
+///    known so far — differing sources and predicate-position joins — in
+///    variable order;
+/// 2. one `probe::resolve` call answers them all (memo, then statistics,
+///    then the wire; a failed check assumes the pair conflicting — a false
+///    positive costs extra remote joins, never answers);
+/// 3. Algorithm 1 is replayed in variable order over the answers. An answer
+///    for a pair an earlier variable already made conflicting is ignored:
+///    resolving one variable at a time, that check would not have been
+///    asked.
+///
+/// The GJVs and conflicts are therefore the per-variable algorithm's; the
+/// ignored checks' bytes are the price of the round trips saved.
 pub fn detect_gjvs(
     fed: &Federation,
     triples: &[TriplePattern],
@@ -95,176 +110,194 @@ pub fn detect_gjvs(
     cache: &ProbeCache<String, bool>,
     net: &Net,
 ) -> GjvAnalysis {
-    let mut analysis = GjvAnalysis::default();
     let rdf_type = fed.dict().encode_iri(vocab::RDF_TYPE);
 
-    // Map var -> (pattern index, role) occurrences.
-    let mut vars: Vec<(String, Vec<(usize, Role)>)> = Vec::new();
-    for (i, tp) in triples.iter().enumerate() {
-        let add = |name: &str, role: Role, vars: &mut Vec<(String, Vec<(usize, Role)>)>| match vars
-            .iter_mut()
-            .find(|(v, _)| v == name)
-        {
-            Some((_, occ)) => occ.push((i, role)),
-            None => vars.push((name.to_string(), vec![(i, role)])),
-        };
-        if let PatternTerm::Var(v) = &tp.s {
-            add(v, Role::Subject, &mut vars);
-        }
-        if let PatternTerm::Var(v) = &tp.p {
-            add(v, Role::Predicate, &mut vars);
-        }
-        if let PatternTerm::Var(v) = &tp.o {
-            add(v, Role::Object, &mut vars);
-        }
-    }
-
-    // A known type constraint per variable: (?v rdf:type <T>) with T const.
-    let type_of = |v: &str| -> Option<(usize, TermId)> {
-        triples.iter().enumerate().find_map(|(i, tp)| {
-            if tp.s.as_var() == Some(v) && tp.p.as_const() == Some(rdf_type) && !tp.o.is_var() {
-                Some((i, tp.o.as_const().unwrap()))
-            } else {
-                None
-            }
-        })
-    };
-
-    for (var, occurrences) in &vars {
-        // Occurrences in distinct patterns only (a repeated variable inside
-        // one pattern is a local constraint, not a join).
-        let patterns: Vec<(usize, Role)> = occurrences.clone();
-        let distinct: FxHashSet<usize> = patterns.iter().map(|(i, _)| *i).collect();
-        if distinct.len() < 2 {
+    // Step 1: each joining variable's static conflicts and checks.
+    let mut known: FxHashSet<(usize, usize)> = FxHashSet::default();
+    let mut steps: Vec<Step> = Vec::new();
+    for (var, occurrences) in variable_occurrences(triples) {
+        let pairs = joined_pairs(&occurrences);
+        if pairs.is_empty() {
             continue;
         }
-
-        let mut is_gjv = false;
-
-        // Pairs of distinct patterns sharing the variable.
-        let idxs: Vec<usize> = {
-            let mut v: Vec<usize> = distinct.into_iter().collect();
-            v.sort_unstable();
-            v
-        };
-
         // Case 1 (lines 8–11): differing relevant sources ⇒ GJV, no check
         // queries needed for those pairs. Unlike the paper's Algorithm 1
         // (which skips all remaining checks once the variable is known
-        // global), same-source pairs of the variable are still checked
-        // below — otherwise an unchecked pair could be grouped although
-        // its instances straddle endpoints.
-        for (a, &i) in idxs.iter().enumerate() {
-            for &j in &idxs[a + 1..] {
-                if sources.sources(&triples[i]) != sources.sources(&triples[j]) {
-                    analysis.conflicts.insert(key(i, j));
-                    is_gjv = true;
-                }
+        // global), same-source pairs of the variable are still checked —
+        // otherwise an unchecked pair could be grouped although its
+        // instances straddle endpoints.
+        let mut fixed: Vec<(usize, usize)> = (pairs.iter().copied())
+            .filter(|&(i, j)| sources.sources(&triples[i]) != sources.sources(&triples[j]))
+            .collect();
+        known.extend(fixed.iter().copied());
+        // Case 2: same sources everywhere — formulate check queries.
+        // Predicate-position joins cannot be checked with the paper's probe
+        // shapes; treat them conservatively as global.
+        let checks = if occurrences.iter().any(|(_, r)| *r == Role::Predicate) {
+            fixed.extend(pairs.iter().copied());
+            known.extend(pairs);
+            Vec::new()
+        } else {
+            let type_info = type_constraint(triples, rdf_type, &var);
+            variable_checks(&var, &occurrences, triples, type_info, |pair| {
+                known.contains(&pair)
+            })
+        };
+        steps.push(Step { var, fixed, checks });
+    }
+
+    // Step 2: every check at every relevant endpoint of its pair (identical
+    // source lists for both patterns), in one wave.
+    let mut probes: Vec<(EndpointId, &CheckQuery)> = Vec::new();
+    let mut asked: Vec<(usize, (usize, usize))> = Vec::new();
+    for (step, Step { checks, .. }) in steps.iter().enumerate() {
+        for (pair, check) in checks {
+            for &ep in sources.sources(&triples[pair.0]) {
+                probes.push((ep, check));
+                asked.push((step, *pair));
             }
         }
-        {
-            // Case 2: same sources everywhere — formulate check queries.
-            // Predicate-position joins cannot be checked with the paper's
-            // probe shapes; treat them conservatively as global.
-            let has_predicate_role = patterns.iter().any(|(_, r)| *r == Role::Predicate);
-            if has_predicate_role {
-                for (a, &i) in idxs.iter().enumerate() {
-                    for &j in &idxs[a + 1..] {
-                        analysis.conflicts.insert(key(i, j));
-                    }
-                }
+    }
+    let nonempty = probe::resolve::<probe::Check>(fed, net, cache, &probes);
+
+    // Step 3: the replay.
+    let mut analysis = GjvAnalysis::default();
+    let mut answers = asked.into_iter().zip(nonempty).peekable();
+    for (step, Step { var, fixed, .. }) in steps.into_iter().enumerate() {
+        let mut is_gjv = !fixed.is_empty();
+        analysis.conflicts.extend(fixed);
+        while let Some(((_, pair), nonempty)) = answers.next_if(|((s, _), _)| *s == step) {
+            // A pair already conflicting is not inserted: its answer is
+            // ignored.
+            if nonempty && analysis.conflicts.insert(pair) {
                 is_gjv = true;
-            } else {
-                let type_info = type_of(var);
-                let mut checks: Vec<(usize, usize, CheckQuery)> = Vec::new();
-                let difference = |keep: usize, probe: usize| {
-                    check_query(var, &triples[keep], &triples[probe], type_info, triples)
-                };
-                let home = |keep: usize| home_check_query(var, &triples[keep], type_info, triples);
-                // One check per (pair, rendered text).
-                let push =
-                    |i: usize,
-                     j: usize,
-                     check: CheckQuery,
-                     checks: &mut Vec<(usize, usize, CheckQuery)>| {
-                        if !checks
-                            .iter()
-                            .any(|(a, b, c)| (*a, *b) == (i, j) && c.sig == check.sig)
-                        {
-                            checks.push((i, j, check));
-                        }
-                    };
-                // Enumerate occurrence pairs. For an (object TPᵢ, subject
-                // TPⱼ) pair the paper's single difference vᵢ − vⱼ suffices
-                // (the probe runs at every relevant endpoint). For
-                // same-role pairs both differences are checked. The paper
-                // skips same-role pairs when the variable also has a
-                // mixed-role pair; checking them too is a strict superset
-                // — it can only add (safe) conflicts.
-                //
-                // Object–object pairs need one probe beyond the paper's
-                // differences: an object instance is a *reference* and may
-                // occur at several endpoints, so empty mutual differences
-                // do not rule out a cross-endpoint join (both endpoints
-                // bind the same value with different subjects). Under
-                // entity partitioning a value that is a local subject
-                // everywhere it matches is homed at a single endpoint and
-                // thus cannot match at two; the home check asks for an
-                // instance with **no** local subject triple and flags the
-                // pair when one exists.
-                for a in 0..patterns.len() {
-                    for b in a + 1..patterns.len() {
-                        let (i, ri) = patterns[a];
-                        let (j, rj) = patterns[b];
-                        if i == j || analysis.conflicting(i, j) {
-                            // Same pattern, or already conflicting via the
-                            // source-mismatch case: no check query needed.
-                            continue;
-                        }
-                        match (ri, rj) {
-                            (Role::Object, Role::Subject) => {
-                                push(i, j, difference(i, j), &mut checks);
-                            }
-                            (Role::Subject, Role::Object) => {
-                                push(i, j, difference(j, i), &mut checks);
-                            }
-                            _ => {
-                                push(i, j, difference(i, j), &mut checks);
-                                push(i, j, difference(j, i), &mut checks);
-                                if (ri, rj) == (Role::Object, Role::Object) {
-                                    push(i, j, home(i), &mut checks);
-                                    push(i, j, home(j), &mut checks);
-                                }
-                            }
-                        }
-                    }
-                }
-
-                // Evaluate check queries at all relevant endpoints
-                // (identical source lists for both patterns of a pair).
-                let mut probes: Vec<(EndpointId, &CheckQuery)> = Vec::new();
-                let mut pairs: Vec<(usize, usize)> = Vec::new();
-                for (i, j, check) in &checks {
-                    for &ep in sources.sources(&triples[*i]) {
-                        probes.push((ep, check));
-                        pairs.push(key(*i, *j));
-                    }
-                }
-                let nonempty = probe::resolve::<probe::Check>(fed, net, cache, &probes);
-                for (pair, nonempty) in pairs.into_iter().zip(nonempty) {
-                    if nonempty {
-                        analysis.conflicts.insert(pair);
-                        is_gjv = true;
-                    }
-                }
             }
         }
-
         if is_gjv {
-            analysis.gjvs.push(var.clone());
+            analysis.gjvs.push(var);
         }
     }
     analysis
+}
+
+/// One joining variable's part of Algorithm 1 before the wave.
+struct Step {
+    var: String,
+    /// Pairs conflicting without a check: differing sources, or every pair
+    /// of a predicate-position variable.
+    fixed: Vec<(usize, usize)>,
+    checks: Vec<Check>,
+}
+
+/// A check query and the pattern pair it tests, as a [`key`].
+type Check = ((usize, usize), CheckQuery);
+
+/// Every variable of `triples` with its occurrences, in order of first
+/// appearance.
+fn variable_occurrences(triples: &[TriplePattern]) -> Vec<(String, Occurrences)> {
+    let mut vars: Vec<(String, Occurrences)> = Vec::new();
+    for (i, tp) in triples.iter().enumerate() {
+        for (term, role) in [
+            (&tp.s, Role::Subject),
+            (&tp.p, Role::Predicate),
+            (&tp.o, Role::Object),
+        ] {
+            let PatternTerm::Var(v) = term else {
+                continue;
+            };
+            match vars.iter_mut().find(|(name, _)| name == v) {
+                Some((_, occurrences)) => occurrences.push((i, role)),
+                None => vars.push((v.clone(), vec![(i, role)])),
+            }
+        }
+    }
+    vars
+}
+
+/// The unordered pairs of distinct patterns a variable joins (a repeated
+/// variable inside one pattern is a local constraint, not a join).
+fn joined_pairs(occurrences: &Occurrences) -> Vec<(usize, usize)> {
+    let mut idxs: Vec<usize> = occurrences.iter().map(|(i, _)| *i).collect();
+    idxs.sort_unstable();
+    idxs.dedup();
+    let mut pairs = Vec::new();
+    for (a, &i) in idxs.iter().enumerate() {
+        pairs.extend(idxs[a + 1..].iter().map(|&j| (i, j)));
+    }
+    pairs
+}
+
+/// A known type constraint on `var`: `(?var rdf:type <T>)` with `T` constant.
+fn type_constraint(
+    triples: &[TriplePattern],
+    rdf_type: TermId,
+    var: &str,
+) -> Option<(usize, TermId)> {
+    triples.iter().enumerate().find_map(|(i, tp)| {
+        let typed = tp.s.as_var() == Some(var) && tp.p.as_const() == Some(rdf_type);
+        typed.then(|| tp.o.as_const().map(|class| (i, class)))?
+    })
+}
+
+/// The check queries of one variable: one per (pair, rendered text), for
+/// each pair of its occurrences in distinct patterns that `settled` does
+/// not already know to conflict.
+fn variable_checks(
+    var: &str,
+    occurrences: &Occurrences,
+    triples: &[TriplePattern],
+    type_info: Option<(usize, TermId)>,
+    settled: impl Fn((usize, usize)) -> bool,
+) -> Vec<Check> {
+    let mut checks: Vec<Check> = Vec::new();
+    let difference = |keep: usize, probe: usize| {
+        check_query(var, &triples[keep], &triples[probe], type_info, triples)
+    };
+    let home = |keep: usize| home_check_query(var, &triples[keep], type_info, triples);
+    let mut push = |pair: (usize, usize), check: CheckQuery| {
+        if !(checks.iter()).any(|(p, c)| *p == pair && c.sig == check.sig) {
+            checks.push((pair, check));
+        }
+    };
+    // Enumerate occurrence pairs. For an (object TPᵢ, subject TPⱼ) pair the
+    // paper's single difference vᵢ − vⱼ suffices (the probe runs at every
+    // relevant endpoint). For same-role pairs both differences are
+    // checked. The paper skips same-role pairs when the variable also has a
+    // mixed-role pair; checking them too is a strict superset — it can
+    // only add (safe) conflicts.
+    //
+    // Object–object pairs need one probe beyond the paper's differences:
+    // an object instance is a *reference* and may occur at several
+    // endpoints, so empty mutual differences do not rule out a
+    // cross-endpoint join (both endpoints bind the same value with
+    // different subjects). Under entity partitioning a value that is a
+    // local subject everywhere it matches is homed at a single endpoint
+    // and thus cannot match at two; the home check asks for an instance
+    // with **no** local subject triple and flags the pair when one exists.
+    for a in 0..occurrences.len() {
+        for &(j, rj) in &occurrences[a + 1..] {
+            let (i, ri) = occurrences[a];
+            let pair = key(i, j);
+            if i == j || settled(pair) {
+                // Same pattern, or already known to conflict: no check
+                // query needed.
+                continue;
+            }
+            match (ri, rj) {
+                (Role::Object, Role::Subject) => push(pair, difference(i, j)),
+                (Role::Subject, Role::Object) => push(pair, difference(j, i)),
+                _ => {
+                    push(pair, difference(i, j));
+                    push(pair, difference(j, i));
+                    if (ri, rj) == (Role::Object, Role::Object) {
+                        push(pair, home(i));
+                        push(pair, home(j));
+                    }
+                }
+            }
+        }
+    }
+    checks
 }
 
 /// Builds the paper's check query (Fig. 6): instances of `var` matching
@@ -487,7 +520,7 @@ mod tests {
     use super::*;
     use crate::source_selection::select_sources;
     use lusail_endpoint::{LocalEndpoint, RequestKind};
-    use lusail_rdf::{Dictionary, Term};
+    use lusail_rdf::{Dictionary, SplitMix64, Term};
     use lusail_sparql::parse_query;
     use lusail_store::TripleStore;
     use std::sync::Arc;
@@ -562,10 +595,185 @@ mod tests {
     }
 
     fn analyze_on(fed: &Federation, q: &lusail_sparql::Query, net: &Net) -> GjvAnalysis {
-        let ask_cache = ProbeCache::new(true);
-        let sources = select_sources(fed, &q.pattern, &ask_cache, net);
+        let sources = select_sources(fed, &q.pattern, &ProbeCache::<_, u64>::new(true), net);
         let check_cache = ProbeCache::new(true);
         detect_gjvs(fed, &q.pattern.triples, &sources, &check_cache, net)
+    }
+
+    /// Algorithm 1 one variable at a time: one `probe::resolve` call per
+    /// variable, and a pair an earlier variable made conflicting is not
+    /// checked again. [`detect_gjvs`] must replay it exactly.
+    fn per_variable_reference(
+        fed: &Federation,
+        triples: &[TriplePattern],
+        sources: &SourceMap,
+        cache: &ProbeCache<String, bool>,
+        net: &Net,
+    ) -> GjvAnalysis {
+        let mut analysis = GjvAnalysis::default();
+        let rdf_type = fed.dict().encode_iri(vocab::RDF_TYPE);
+        for (var, occurrences) in variable_occurrences(triples) {
+            let pairs = joined_pairs(&occurrences);
+            if pairs.is_empty() {
+                continue;
+            }
+            let mut is_gjv = false;
+            for &(i, j) in &pairs {
+                if sources.sources(&triples[i]) != sources.sources(&triples[j]) {
+                    analysis.conflicts.insert((i, j));
+                    is_gjv = true;
+                }
+            }
+            if occurrences.iter().any(|(_, r)| *r == Role::Predicate) {
+                analysis.conflicts.extend(pairs);
+                is_gjv = true;
+            } else {
+                let type_info = type_constraint(triples, rdf_type, &var);
+                let checks = variable_checks(&var, &occurrences, triples, type_info, |(i, j)| {
+                    analysis.conflicting(i, j)
+                });
+                let mut probes = Vec::new();
+                let mut asked = Vec::new();
+                for (pair, check) in &checks {
+                    for &ep in sources.sources(&triples[pair.0]) {
+                        probes.push((ep, check));
+                        asked.push(*pair);
+                    }
+                }
+                let nonempty = probe::resolve::<probe::Check>(fed, net, cache, &probes);
+                for (pair, nonempty) in asked.into_iter().zip(nonempty) {
+                    if nonempty {
+                        analysis.conflicts.insert(pair);
+                        is_gjv = true;
+                    }
+                }
+            }
+            if is_gjv {
+                analysis.gjvs.push(var);
+            }
+        }
+        analysis
+    }
+
+    /// A small random federation: 2–3 endpoints over six entities, three
+    /// predicates and two classes, with entities and references spread
+    /// so that patterns often share sources and checks often differ.
+    fn random_federation(rng: &mut SplitMix64) -> Federation {
+        let dict = Dictionary::shared();
+        let e = |i: usize| Term::iri(format!("http://g/e{i}"));
+        let mut fed = Federation::new(Arc::clone(&dict));
+        for ep in 0..2 + rng.below(2) {
+            let mut st = TripleStore::new(Arc::clone(&dict));
+            for _ in 0..3 + rng.below(10) {
+                let s = e(rng.below(6));
+                if rng.chance(0.2) {
+                    let class = Term::iri(format!("http://g/T{}", rng.below(2)));
+                    st.insert_terms(&s, &Term::iri(vocab::RDF_TYPE), &class);
+                    continue;
+                }
+                let p = Term::iri(format!("http://g/p{}", rng.below(3)));
+                let o = match rng.below(3) {
+                    0 => Term::lit(format!("l{}", rng.below(3))),
+                    _ => e(rng.below(6)),
+                };
+                st.insert_terms(&s, &p, &o);
+            }
+            fed.add(Arc::new(LocalEndpoint::new(format!("ep{ep}"), st)));
+        }
+        fed
+    }
+
+    /// A random BGP of 2–4 patterns over four variables: predicates are
+    /// sometimes variables, objects often shared, subjects sometimes typed.
+    fn random_bgp(rng: &mut SplitMix64, fed: &Federation) -> Vec<TriplePattern> {
+        let dict = fed.dict();
+        let var =
+            |rng: &mut SplitMix64| PatternTerm::Var(["a", "b", "c", "d"][rng.below(4)].into());
+        let iri = |text: String| PatternTerm::Const(dict.encode(&Term::iri(text)));
+        (0..2 + rng.below(3))
+            .map(|_| {
+                let s = var(rng);
+                if rng.chance(0.2) {
+                    let class = iri(format!("http://g/T{}", rng.below(2)));
+                    return TriplePattern::new(s, iri(vocab::RDF_TYPE.into()), class);
+                }
+                let p = match rng.chance(0.15) {
+                    true => var(rng),
+                    false => iri(format!("http://g/p{}", rng.below(3))),
+                };
+                let o = match rng.chance(0.15) {
+                    true => iri(format!("http://g/e{}", rng.below(6))),
+                    false => var(rng),
+                };
+                TriplePattern::new(s, p, o)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_wave_changes_no_plan() {
+        let mut rng = SplitMix64::new(0x6A75);
+        let (mut predicate_vars, mut object_pairs, mut typed, mut checked) = (0, 0, 0, 0);
+        let (mut by_checks, mut ignored) = (0, 0);
+        for case in 0..400 {
+            let fed = random_federation(&mut rng);
+            let triples = random_bgp(&mut rng, &fed);
+            let sources = select_sources(
+                &fed,
+                &GroupPattern::bgp(triples.clone()),
+                &ProbeCache::<_, u64>::new(true),
+                &Net::default(),
+            );
+            // Checks travel one per request here, so the request counts are
+            // the numbers of checks each side asked.
+            let (wave, reference) = (Net::default(), Net::default());
+            let got = detect_gjvs(&fed, &triples, &sources, &ProbeCache::new(true), &wave);
+            let want = per_variable_reference(
+                &fed,
+                &triples,
+                &sources,
+                &ProbeCache::new(true),
+                &reference,
+            );
+            assert_eq!(got.gjvs, want.gjvs, "case {case}: {triples:?}");
+            assert_eq!(got.conflicts, want.conflicts, "case {case}: {triples:?}");
+
+            let rdf_type = fed.dict().encode_iri(vocab::RDF_TYPE);
+            let occurrences = variable_occurrences(&triples);
+            for (var, occ) in &occurrences {
+                let joins = !joined_pairs(occ).is_empty();
+                let objects: FxHashSet<usize> = (occ.iter())
+                    .filter(|(_, r)| *r == Role::Object)
+                    .map(|(i, _)| *i)
+                    .collect();
+                predicate_vars += (joins && occ.iter().any(|(_, r)| *r == Role::Predicate)) as u32;
+                object_pairs += (objects.len() > 1) as u32;
+                typed += (joins && type_constraint(&triples, rdf_type, var).is_some()) as u32;
+            }
+            let checks = |net: &Net| net.client.requests().get(RequestKind::Check);
+            checked += (checks(&wave) > 0) as u32;
+            ignored += (checks(&wave) > checks(&reference)) as u32;
+            let mut fixed = FxHashSet::default();
+            for (_, occ) in &occurrences {
+                let predicate = occ.iter().any(|(_, r)| *r == Role::Predicate);
+                for (i, j) in joined_pairs(occ) {
+                    if predicate || sources.sources(&triples[i]) != sources.sources(&triples[j]) {
+                        fixed.insert((i, j));
+                    }
+                }
+            }
+            by_checks += got.conflicts.iter().any(|pair| !fixed.contains(pair)) as u32;
+        }
+        for (what, n) in [
+            ("joining predicate-position variables", predicate_vars),
+            ("variables joining objects", object_pairs),
+            ("joining typed variables", typed),
+            ("cases with check queries", checked),
+            ("cases with ignored answers", ignored),
+            ("cases with conflicts from checks", by_checks),
+        ] {
+            assert!(n >= 10, "{what}: only {n}");
+        }
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! The engine processes a federated query in three phases, mirroring the
 //! paper's architecture (Fig. 4):
 //!
-//! 1. **Source selection** ([`source_selection`]) — is each triple pattern
-//!    matched at each endpoint? Memoized in a cache shared across queries.
+//! 1. **Source selection** ([`source_selection`]) — how many triples match
+//!    each triple pattern at each endpoint? A count above zero makes the
+//!    endpoint relevant, and the counts are the cost model's cardinalities.
+//!    Memoized in a cache shared across queries.
 //! 2. **Query analysis / LADE** ([`gjv`], [`decompose`]) — locality-aware
 //!    decomposition. Check queries (`FILTER NOT EXISTS … LIMIT 1`) detect
 //!    *global join variables*: join variables whose instances are not
@@ -13,17 +15,17 @@
 //!    maximal subqueries that endpoints can answer locally without losing
 //!    results (Algorithms 1 and 2).
 //! 3. **Query execution / SAPE** ([`cost`], [`exec`], [`join`]) —
-//!    selectivity-aware parallel execution. Per-pattern `COUNT` probes
-//!    feed a cost model; subqueries with outlying estimated cardinality or
+//!    selectivity-aware parallel execution. Source selection's per-pattern
+//!    counts feed a cost model; subqueries with outlying estimated cardinality or
 //!    endpoint fan-out (threshold `μ+σ` after Chauvenet outlier
 //!    rejection) are *delayed* and later evaluated as bound subqueries
 //!    over `VALUES` blocks of already-found bindings. Non-delayed
 //!    subqueries run concurrently, one worker per endpoint, and results
 //!    are combined with dynamic-programming-ordered hash joins.
 //!
-//! The planning probes of all three phases (the paper's `ASK`s, check
-//! queries and `COUNT`s) travel as one request per endpoint and phase: a
-//! `SELECT` whose one row holds every probe's answer.
+//! Planning waits on the wire twice: source selection's `COUNT`s, then
+//! every check query of a block. Each wave travels as one request per
+//! endpoint: a `SELECT` whose one row holds every probe's answer.
 //!
 //! Entry point: [`Lusail::execute`].
 

@@ -12,10 +12,11 @@ use std::time::Duration;
 /// Everything measured while executing one query.
 #[derive(Debug, Clone, Default)]
 pub struct QueryMetrics {
-    /// Wall time of the source-selection phase (ASK probes).
+    /// Wall time of the source-selection phase (one `COUNT` probe per
+    /// pattern and endpoint, read as relevance and cardinality).
     pub source_selection: Duration,
     /// Wall time of the query-analysis phase (LADE check queries,
-    /// decomposition, COUNT probes for the cost model).
+    /// decomposition, the cost model over source selection's counts).
     pub analysis: Duration,
     /// Wall time of the execution phase (SAPE).
     pub execution: Duration,
@@ -44,14 +45,13 @@ pub struct QueryMetrics {
     pub delayed_subqueries: usize,
     /// Rows in the final result.
     pub result_rows: usize,
-    /// ASK probes that failed and were degraded to "assume relevant".
+    /// Source-selection probes (and execution-time `ASK`s) that failed and
+    /// were degraded to "assume relevant"; a failed `COUNT`'s cardinality
+    /// is the endpoint's total triple count.
     pub degraded_ask_probes: u64,
     /// LADE check queries that failed and were degraded to "assume
     /// conflict".
     pub degraded_check_queries: u64,
-    /// COUNT probes that failed and fell back to the endpoint's total
-    /// triple count.
-    pub degraded_count_probes: u64,
 }
 
 impl QueryMetrics {

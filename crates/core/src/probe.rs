@@ -1,8 +1,10 @@
 //! The one probe path: memo → statistics → wire → degrade.
 //!
-//! Planning lives on three kinds of lightweight probe — source-selection
-//! `ASK`s (§III), LADE check queries (Algorithm 1) and per-pattern `COUNT`s
-//! (§V) — and all three are answered by [`resolve`] under one rule:
+//! Planning lives on lightweight probes — source selection's per-pattern
+//! `ASK`s (§III, the baselines) or `COUNT`s (Lusail, whose answer is
+//! relevance and SAPE's cardinality at once, §V-A) and LADE's check
+//! queries (Algorithm 1) — and every kind is answered by [`resolve`] under
+//! one rule:
 //!
 //! 1. the **memo** answers first (a hit never reaches the wire);
 //! 2. on a miss, the endpoint's offline **statistics** answer when they
@@ -121,8 +123,10 @@ impl Kind for Ask {
     }
 }
 
-/// Cost-model `COUNT`: a failed probe falls back to the endpoint's total
-/// triple count, an upper bound that errs toward delaying the subquery.
+/// Source-selection `COUNT`: relevance is `count > 0`, and the count is the
+/// cost model's cardinality. A failed probe is counted like a failed `ASK`:
+/// the endpoint is assumed relevant, with its total triple count as the
+/// cardinality — an upper bound that errs toward delaying the subquery.
 pub(crate) struct Count;
 
 impl Kind for Count {
@@ -148,10 +152,9 @@ impl Kind for Count {
         n
     }
     fn degrade(fed: &Federation, net: &Net, ep: EndpointId) -> u64 {
-        net.degradation
-            .counts_defaulted
-            .fetch_add(1, Ordering::Relaxed);
-        fed.endpoint(ep).triple_count() as u64
+        net.degradation.assume_relevant();
+        // At least one, so that an empty endpoint still reads as relevant.
+        (fed.endpoint(ep).triple_count() as u64).max(1)
     }
 }
 
@@ -570,8 +573,7 @@ mod tests {
             true,
             asks_assumed,
         );
-        let counts_defaulted: fn(&Degradation) -> &AtomicU64 = |d| &d.counts_defaulted;
-        follows_the_rule::<Count>(&dict, &p, [2, 99, 3], counts_defaulted);
+        follows_the_rule::<Count>(&dict, &p, [2, 99, 3], asks_assumed);
         // The fully bound pattern has nothing to count: an existence member.
         a_group_is_one_request::<Count>(
             &dict,
@@ -579,7 +581,7 @@ mod tests {
             99,
             [2, 2, 1],
             3,
-            counts_defaulted,
+            asks_assumed,
         );
         // `keep FILTER NOT EXISTS { ?v <probe> ?__chk_o }`: statistics decide
         // it when `keep` is `?v <q> ?b`, not when it has a constant object.

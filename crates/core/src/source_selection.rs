@@ -1,12 +1,15 @@
 //! Source selection: which endpoints are relevant to each triple pattern.
 //!
-//! Like FedX and the paper's §III, every triple pattern is probed for a
-//! match at every endpoint, and the answers are memoized. How the probes
-//! travel is the engine's transport (`probe.rs`): Lusail sends an
-//! endpoint's probes as one request, while FedX and HiBISCuS, which share
-//! this function, send one `ASK` per (pattern, endpoint). Endpoints are
-//! probed in parallel through the elastic request handler (one worker per
-//! endpoint).
+//! Like FedX and the paper's §III, every triple pattern is probed at every
+//! endpoint, and the answers are memoized. What the probe asks is the
+//! engine's, named by the memo's answer type ([`SourceProbe`]): FedX and
+//! HiBISCuS send FedX's `ASK` (`bool`); Lusail sends a `COUNT` (`u64`),
+//! whose answer is relevance (`count > 0`) and, kept in the [`SourceMap`],
+//! the cardinality SAPE's cost model reads — so planning needs no second
+//! probe round. How the probes travel is the engine's transport
+//! (`probe.rs`): Lusail sends an endpoint's probes as one request, the
+//! baselines one request per (pattern, endpoint). Endpoints are probed in
+//! parallel through the elastic request handler (one worker per endpoint).
 
 use crate::cache::{PatternKey, ProbeCache};
 use crate::exec::Net;
@@ -15,19 +18,25 @@ use lusail_endpoint::{EndpointId, Federation};
 use lusail_sparql::ast::{GroupPattern, TriplePattern};
 
 /// Relevant endpoints for every triple pattern of a query, in
-/// `GroupPattern::all_triples` order.
+/// `GroupPattern::all_triples` order, with each relevant endpoint's
+/// matching-triple count when source selection counted.
 #[derive(Debug, Clone, Default)]
 pub struct SourceMap {
     entries: Vec<(TriplePattern, Vec<EndpointId>)>,
+    /// Per entry, the count of each of its sources in order; empty when
+    /// relevance was not counted.
+    counts: Vec<Vec<u64>>,
 }
 
 impl SourceMap {
-    /// Adds an entry directly (used by tests and by engines that compute
-    /// relevance through other means, e.g. the index-based baselines).
+    /// Adds an entry directly, without counts (used by tests and by engines
+    /// that compute relevance through other means, e.g. the index-based
+    /// baselines).
     pub fn push_entry(&mut self, tp: TriplePattern, mut sources: Vec<EndpointId>) {
         sources.sort_unstable();
         sources.dedup();
         self.entries.push((tp, sources));
+        self.counts.push(Vec::new());
     }
 
     /// The sorted endpoint set relevant to `tp`. Patterns not probed (not
@@ -38,6 +47,15 @@ impl SourceMap {
             .find(|(t, _)| t == tp)
             .map(|(_, s)| s.as_slice())
             .unwrap_or(&[])
+    }
+
+    /// How many triples at `ep` match `tp`, as source selection counted
+    /// them: `None` when `ep` is not relevant to `tp` or relevance was not
+    /// counted.
+    pub(crate) fn cardinality(&self, tp: &TriplePattern, ep: EndpointId) -> Option<u64> {
+        let i = self.entries.iter().position(|(t, _)| t == tp)?;
+        let at = self.entries[i].1.binary_search(&ep).ok()?;
+        self.counts[i].get(at).copied()
     }
 
     /// Iterates over `(pattern, sources)` entries.
@@ -52,16 +70,59 @@ impl SourceMap {
     }
 }
 
+/// A source-selection probe, named by its answer: `bool` is an `ASK`,
+/// `u64` a `COUNT`. An endpoint is relevant unless it answers the default,
+/// `false` or `0`.
+pub trait SourceProbe: Copy + Default + PartialEq {
+    /// Answers every `(endpoint, pattern)` probe by `probe::resolve`: memo,
+    /// then statistics, then the wire, and a failed probe assumes its
+    /// endpoint relevant.
+    fn resolve(
+        fed: &Federation,
+        net: &Net,
+        memo: &ProbeCache<PatternKey, Self>,
+        probes: &[(EndpointId, &TriplePattern)],
+    ) -> Vec<Self>;
+    /// The matching-triple count, when the probe counts.
+    fn cardinality(self) -> Option<u64>;
+}
+
+impl SourceProbe for bool {
+    fn resolve(
+        fed: &Federation,
+        net: &Net,
+        memo: &ProbeCache<PatternKey, bool>,
+        probes: &[(EndpointId, &TriplePattern)],
+    ) -> Vec<bool> {
+        probe::resolve::<probe::Ask>(fed, net, memo, probes)
+    }
+    fn cardinality(self) -> Option<u64> {
+        None
+    }
+}
+
+impl SourceProbe for u64 {
+    fn resolve(
+        fed: &Federation,
+        net: &Net,
+        memo: &ProbeCache<PatternKey, u64>,
+        probes: &[(EndpointId, &TriplePattern)],
+    ) -> Vec<u64> {
+        probe::resolve::<probe::Count>(fed, net, memo, probes)
+    }
+    fn cardinality(self) -> Option<u64> {
+        Some(self)
+    }
+}
+
 /// Runs source selection for every triple pattern of `pattern` (including
 /// nested OPTIONAL/UNION/NOT EXISTS groups) against all endpoints, one
-/// existence probe per distinct pattern per endpoint, answered by
-/// `probe::resolve` (memo, then statistics, then the wire — where patterns
-/// that differ only in variable names are one probe; a failed probe assumes
-/// the endpoint relevant).
-pub fn select_sources(
+/// probe per distinct pattern per endpoint, of the kind `cache` memoizes.
+/// Patterns that differ only in variable names are one probe.
+pub fn select_sources<A: SourceProbe>(
     fed: &Federation,
     pattern: &GroupPattern,
-    cache: &ProbeCache<PatternKey, bool>,
+    cache: &ProbeCache<PatternKey, A>,
     net: &Net,
 ) -> SourceMap {
     let triples = pattern.all_triples();
@@ -83,29 +144,25 @@ pub fn select_sources(
         .iter()
         .flat_map(|&tp| logical.iter().map(move |&ep| (ep, tp)))
         .collect();
-    let answers = probe::resolve::<probe::Ask>(fed, net, cache, &probes);
+    let answers = A::resolve(fed, net, cache, &probes);
 
-    let entries = triples
-        .into_iter()
-        .map(|tp| {
-            let mut sources: Vec<EndpointId> = probes
-                .iter()
-                .zip(&answers)
-                .filter(|((_, t), &relevant)| relevant && *t == tp)
-                .map(|((ep, _), _)| *ep)
-                .collect();
-            sources.sort_unstable();
-            sources.dedup();
-            (tp.clone(), sources)
-        })
-        .collect();
-    SourceMap { entries }
+    let mut map = SourceMap::default();
+    for tp in triples {
+        // In endpoint order: `logical_ids` ascends.
+        let relevant = (probes.iter().zip(&answers))
+            .filter(|((_, t), &answer)| *t == tp && answer != A::default());
+        let sources = relevant.clone().map(|(&(ep, _), _)| ep).collect();
+        map.entries.push((tp.clone(), sources));
+        map.counts
+            .push(relevant.filter_map(|(_, a)| a.cardinality()).collect());
+    }
+    map
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lusail_endpoint::LocalEndpoint;
+    use lusail_endpoint::{LocalEndpoint, RequestKind};
     use lusail_rdf::{Dictionary, Term};
     use lusail_sparql::parse_query;
     use lusail_store::TripleStore;
@@ -113,6 +170,11 @@ mod tests {
 
     fn fed() -> Federation {
         fed_with_a().0
+    }
+
+    /// An `ASK` memo: source selection as the baselines run it.
+    fn asks(enabled: bool) -> ProbeCache<PatternKey, bool> {
+        ProbeCache::new(enabled)
     }
 
     /// [`fed`] plus a handle on endpoint A (the federation's trait objects
@@ -146,13 +208,41 @@ mod tests {
             f.dict(),
         )
         .unwrap();
-        let cache = ProbeCache::new(true);
+        let cache = asks(true);
         let net = Net::default();
         let sm = select_sources(&f, &q.pattern, &cache, &net);
         assert_eq!(sm.sources(&q.pattern.triples[0]), &[0]);
         assert_eq!(sm.sources(&q.pattern.triples[1]), &[1]);
         assert!(sm.sources(&q.pattern.triples[2]).is_empty());
         assert!(sm.any_required_empty(&q.pattern.triples));
+    }
+
+    #[test]
+    fn counts_are_relevance_and_cardinality_in_one_request_per_endpoint() {
+        // Lusail's form: a `COUNT` per (pattern, endpoint), coalesced.
+        let f = fed();
+        let query = parse_query(
+            "SELECT * WHERE { ?s <http://x/p> ?o . ?s <http://x/q> ?o2 . ?s <http://x/r> ?o3 }",
+            f.dict(),
+        )
+        .unwrap();
+        let net = Net::default().coalescing();
+        let sm = select_sources(&f, &query.pattern, &ProbeCache::<_, u64>::new(true), &net);
+        assert_eq!(net.client.requests().get(RequestKind::Count), 2);
+        let [p, q, r] = [0, 1, 2].map(|i| &query.pattern.triples[i]);
+        assert_eq!(sm.sources(p), &[0]);
+        assert_eq!(sm.sources(q), &[1]);
+        assert!(sm.sources(r).is_empty());
+        assert_eq!(
+            (sm.cardinality(p, 0), sm.cardinality(q, 1)),
+            (Some(1), Some(1))
+        );
+        // An irrelevant endpoint has no count.
+        assert_eq!((sm.cardinality(p, 1), sm.cardinality(r, 0)), (None, None));
+        // An `ASK` map knows relevance only.
+        let asked = select_sources(&f, &query.pattern, &asks(true), &net);
+        assert_eq!(asked.sources(p), sm.sources(p));
+        assert_eq!(asked.cardinality(p, 0), None);
     }
 
     #[test]
@@ -165,7 +255,7 @@ mod tests {
             f.dict(),
         )
         .unwrap();
-        let sm = select_sources(&f, &q.pattern, &ProbeCache::new(true), &Net::default());
+        let sm = select_sources(&f, &q.pattern, &asks(true), &Net::default());
         assert_eq!(
             f.stats_snapshot().ask_requests,
             2,
@@ -193,7 +283,7 @@ mod tests {
         let primary = f.add(Arc::new(LocalEndpoint::new("A", a)));
         f.add_replica(primary, Arc::new(LocalEndpoint::new("A-replica", a2)));
         let q = parse_query("SELECT * WHERE { ?s <http://x/p> ?o }", f.dict()).unwrap();
-        let cache = ProbeCache::new(true);
+        let cache = asks(true);
         let net = Net::default();
         let before = f.stats_snapshot();
         let sm = select_sources(&f, &q.pattern, &cache, &net);
@@ -212,13 +302,13 @@ mod tests {
         )
         .unwrap();
         let net = Net::default();
-        let baseline = select_sources(&f, &q.pattern, &ProbeCache::new(false), &net);
+        let baseline = select_sources(&f, &q.pattern, &asks(false), &net);
         let wire = f.stats_snapshot();
         // Attach stats for endpoint A only: its two probes (p present,
         // q absent) are both conclusive, so only B's two go to the wire.
         let stats = lusail_store::EndpointStats::build(a.store());
         f.attach_stats(0, Arc::new(stats));
-        let sm = select_sources(&f, &q.pattern, &ProbeCache::new(false), &net);
+        let sm = select_sources(&f, &q.pattern, &asks(false), &net);
         assert_eq!(f.stats_snapshot().since(&wire).ask_requests, 2);
         for (tp, sources) in sm.iter() {
             assert_eq!(sources, baseline.sources(tp));
@@ -229,7 +319,7 @@ mod tests {
     fn cache_avoids_repeat_asks() {
         let f = fed();
         let q = parse_query("SELECT * WHERE { ?s <http://x/p> ?o }", f.dict()).unwrap();
-        let cache = ProbeCache::new(true);
+        let cache = asks(true);
         let net = Net::default();
         let before = f.stats_snapshot();
         select_sources(&f, &q.pattern, &cache, &net);
@@ -245,7 +335,7 @@ mod tests {
     fn disabled_cache_probes_again() {
         let f = fed();
         let q = parse_query("SELECT * WHERE { ?s <http://x/p> ?o }", f.dict()).unwrap();
-        let cache = ProbeCache::new(false);
+        let cache = asks(false);
         let net = Net::default();
         let before = f.stats_snapshot();
         select_sources(&f, &q.pattern, &cache, &net);

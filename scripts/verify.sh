@@ -19,7 +19,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> one probe path (memo -> statistics -> wire -> degrade, and the coalesced wire form, are written in crates/core/src/probe.rs only)"
+echo "==> one probe path (memo -> statistics -> wire -> degrade, and the coalesced wire form, are written in crates/core/src/probe.rs only; two planning waves)"
 # Non-test code is everything above a file's `#[cfg(test)]` module.
 scattered=0
 for f in crates/core/src/*.rs crates/baselines/src/*.rs; do
@@ -56,6 +56,28 @@ for method in $(sed -n '/^pub trait SparqlEndpoint/,/^}/p' crates/endpoint/src/l
         scattered=1
     fi
 done
+# Fewer planning waves: Lusail's source-selection COUNTs are also the cost
+# model's cardinalities (cost.rs sends nothing and keeps no memo; there is
+# no ASK memo or COUNT fallback counter beside them), and a block's check
+# queries are resolved in one call, after every variable's checks are built.
+gjv_code=$(sed '/#\[cfg(test)\]/,$d' crates/core/src/gjv.rs | grep -v '^ *//')
+resolves=$(grep -c 'probe::resolve' <<<"$gjv_code" || true)
+if [ "$resolves" -ne 1 ] || grep -q '^     .*probe::resolve' <<<"$gjv_code"; then
+    echo "crates/core/src/gjv.rs: probe::resolve is called $resolves time(s) or inside a loop (a block's checks travel in one wave)" >&2
+    scattered=1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/core/src/cost.rs | grep -v '^ *//' | grep -Eq 'probe::resolve|ProbeCache'; then
+    echo "crates/core/src/cost.rs: the cost model probes again (it reads source selection's counts off the SourceMap)" >&2
+    scattered=1
+fi
+if sed -n '/^pub struct ProbeCaches/,/^}/p' crates/core/src/cache.rs | grep -q 'pub ask:'; then
+    echo "crates/core/src/cache.rs: ProbeCaches has an ask memo again (Lusail's source selection counts)" >&2
+    scattered=1
+fi
+if grep -rqE 'counts_defaulted|degraded_count_probes' crates; then
+    echo "crates/: a COUNT-fallback counter is back (a failed source-selection COUNT counts in degraded_ask_probes)" >&2
+    scattered=1
+fi
 [ "$scattered" -eq 0 ]
 
 echo "==> one fetch path (dispatch -> failover -> lose -> concatenate is written in crates/core/src/fetch.rs only)"
@@ -303,7 +325,8 @@ echo "backend smoke: identical Q2 and Q4 output, resident $btree_bytes -> $colum
 
 echo "==> plan smoke (LUBM Q2 on columns: the endpoints join without a cross product)"
 # Q2 is shipped whole to each endpoint. Connected-first ordering answers it
-# in 10577 scanned rows here; `Professor x Course` first costs 15617.
+# in 10715 scanned rows here, source selection's COUNTs included;
+# `Professor x Course` first costs 15617.
 scanned=$(grep -o '[0-9]* store rows scanned' "$tmpdir/q2_columns.txt" | cut -d' ' -f1)
 if [ -z "$scanned" ] || [ "$scanned" -gt 11000 ]; then
     echo "plan smoke: Q2 scanned ${scanned:-?} store rows (ceiling 11000)" >&2

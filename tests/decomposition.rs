@@ -89,9 +89,10 @@ fn clear_caches_restores_cold_behaviour() {
     engine.clear_caches();
     let r3 = engine.execute(&w.federation, q).unwrap();
     assert_eq!(
-        r1.metrics.requests_source_selection.get(RequestKind::Ask),
-        r3.metrics.requests_source_selection.get(RequestKind::Ask)
+        r1.metrics.requests_source_selection.get(RequestKind::Count),
+        r3.metrics.requests_source_selection.get(RequestKind::Count)
     );
+    assert!(r3.metrics.requests_source_selection.get(RequestKind::Count) > 0);
 }
 
 #[test]

@@ -13,7 +13,9 @@
 //! durations render as 0ns.
 
 use lusail_benchdata::lubm::{self, LubmConfig};
-use lusail_endpoint::{ExecOptions, Federation, ManualClock, SparqlEndpoint};
+use lusail_endpoint::{
+    ExecOptions, Federation, ManualClock, SparqlEndpoint, TraceEvent, TraceSink,
+};
 use lusail_rdf::{ntriples, Dictionary};
 use lusail_repro::lusail::{Lusail, LusailConfig};
 use lusail_sparql::parse_query;
@@ -76,4 +78,23 @@ fn explain_analyze_at_four_threads_matches_the_committed_golden() {
         got, golden,
         "EXPLAIN ANALYZE at threads=4 diverged from the sequential golden"
     );
+}
+
+/// Planning waits for two waves on LUBM Q4: source selection's coalesced
+/// COUNTs, then one wave of check queries for all of its join variables.
+/// `plan()` emits its first `SubqueryPlanned` after its last probe, so
+/// every `Dispatch` before that event is a planning wave.
+#[test]
+fn lubm_q4_plans_in_two_waves() {
+    let w = lubm::generate(&LubmConfig::new(2));
+    let sink = TraceSink::enabled();
+    let opts = ExecOptions::default().with_trace(sink.clone());
+    Lusail::default()
+        .execute_with(&w.federation, &w.query("Q4").query, &opts)
+        .unwrap();
+    let waves = (sink.events().iter())
+        .take_while(|ev| !matches!(ev, TraceEvent::SubqueryPlanned { .. }))
+        .filter(|ev| matches!(ev, TraceEvent::Dispatch { .. }))
+        .count();
+    assert_eq!(waves, 2);
 }
