@@ -1,16 +1,18 @@
 //! Dependency-free SPARQL-over-HTTP front end.
 //!
-//! An **evented** HTTP/1.1 loop over `std::net::TcpListener`: one thread
-//! — the readiness loop — owns every socket and multiplexes them through
-//! raw `poll(2)` (no external crates, the same libc-FFI pattern as
-//! [`install_shutdown_flag`]). Connections are keep-alive by default, and
-//! an *idle* connection costs a poll slot, not a worker thread, so
-//! capacity applies to in-flight queries rather than open sockets: a
-//! thread is spawned per **active** `/sparql` request (queries block in
-//! admission, batching windows, and the engine) and dies when its
-//! response is written. `/healthz`, `/stats`, parse errors, and unknown
-//! routes are answered inline on the loop. Workers hand their connection
-//! back through a completion channel plus a self-pipe wakeup.
+//! HTTP/1.1 over `std::net::TcpListener` with **one thread per
+//! connection**, the way the engine's request handler talks to an
+//! endpoint: an accept loop waits on the listener alone (raw `poll(2)`
+//! on its fd, so it sees shutdown; no external crates) and hands each
+//! connection to a scoped thread that reads it, answers its requests in
+//! order with blocking writes, and blocks in admission, batching windows
+//! and the engine while a query runs. Connections are keep-alive by
+//! default. A connection thread reads with a 50 ms timeout, the cadence
+//! at which it sees shutdown, and drops a client that takes no response
+//! bytes for 30 s, so a client that stops reading stalls only itself.
+//! At most `MAX_CONNECTIONS` (256) are served at once; one more is
+//! answered `503` (code `shed`) and closed. An idle connection holds a
+//! parked thread, not a query slot: `max_in_flight` counts queries.
 //!
 //! Routes:
 //!
@@ -38,14 +40,12 @@
 use crate::{QueryServer, Rejection, ServeError};
 use lusail_rdf::Dictionary;
 use lusail_sparql::{parse_query, SolutionSet};
-use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
-use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Renders a solution set exactly like the CLI's result table: header
 /// row, up to 100 tab-separated rows (`UNDEF` for unbound), and a
@@ -240,30 +240,6 @@ fn render_response(status: u16, reason: &str, body: &str, keep_alive: bool) -> V
     out
 }
 
-/// Writes the whole buffer on a socket that may be in nonblocking mode
-/// (`O_NONBLOCK` is a property of the file description, shared with the
-/// readiness loop's duped fd), spinning briefly on `WouldBlock`. The
-/// peer may already be gone; a failed write only loses the response to
-/// a client that stopped listening.
-fn write_all_spinning(stream: &mut TcpStream, mut data: &[u8]) {
-    let give_up = Instant::now() + Duration::from_secs(30);
-    while !data.is_empty() {
-        match stream.write(data) {
-            Ok(0) => return,
-            Ok(n) => data = &data[n..],
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                if Instant::now() >= give_up {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-    let _ = stream.flush();
-}
-
 fn rejection_response(r: &Rejection) -> (u16, &'static str, String) {
     let (status, reason_phrase) = match r {
         Rejection::Shed { .. } | Rejection::Draining => (503, "Service Unavailable"),
@@ -316,8 +292,9 @@ fn stats_body(server: &QueryServer) -> String {
     )
 }
 
-/// Executes a `/sparql` request to a response triple. Runs on a worker
-/// thread — admission, batching windows, and the engine may all block.
+/// Executes a `/sparql` request to a response triple. Runs on the
+/// connection's thread — admission, batching windows, and the engine may
+/// all block.
 pub(crate) fn handle_sparql(server: &QueryServer, req: &Request) -> (u16, &'static str, String) {
     let bad_request = |reason: &str| {
         let body = format!("error: bad request\ncode: parse\nreason: {reason}\n");
@@ -365,22 +342,41 @@ pub(crate) fn handle_sparql(server: &QueryServer, req: &Request) -> (u16, &'stat
     }
 }
 
-// ---- the readiness loop ---------------------------------------------
-
-/// `poll(2)` via the C runtime — the readiness primitive of the evented
-/// loop, with no external crates (same pattern as the raw `signal(2)`
-/// in [`install_shutdown_flag`]).
-#[repr(C)]
-struct PollFd {
-    fd: RawFd,
-    events: i16,
-    revents: i16,
+/// Answers one request: `/healthz` and `/stats` from the server's
+/// state, `/sparql` through [`handle_sparql`], anything else `404`.
+fn route(server: &QueryServer, request: &Request) -> (u16, &'static str, String) {
+    match (request.method.as_str(), request.path.as_str()) {
+        ("GET", "/healthz") if server.is_draining() => {
+            (503, "Service Unavailable", "draining\n".to_string())
+        }
+        ("GET", "/healthz") => (200, "OK", "ok\n".to_string()),
+        ("GET", "/stats") => (200, "OK", stats_body(server)),
+        ("GET" | "POST", "/sparql") => handle_sparql(server, request),
+        _ => (
+            404,
+            "Not Found",
+            "error: not found\ncode: route\nreason: unknown path\n".to_string(),
+        ),
+    }
 }
 
-const POLLIN: i16 = 0x001;
+/// The most connections served at once. One accepted beyond it is
+/// answered `503` (code `shed`) and closed; admission never sees it.
+pub(crate) const MAX_CONNECTIONS: usize = 256;
 
-/// C's `nfds_t`: `unsigned long` on Linux, `unsigned int` on macOS and
-/// the BSDs.
+/// How long the accept loop waits on the listener, and a connection
+/// thread on a read, before it looks at its shutdown flag again.
+const CADENCE: Duration = Duration::from_millis(50);
+
+/// A client that takes no response bytes for this long loses its
+/// connection.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// C's `struct pollfd` (fd, events, revents) and `nfds_t` (`unsigned
+/// long` on Linux, `unsigned int` on macOS and the BSDs).
+#[repr(C)]
+struct PollFd(RawFd, i16, i16);
+const POLLIN: i16 = 0x001;
 #[cfg(any(target_os = "linux", target_os = "android"))]
 type NfdsT = std::ffi::c_ulong;
 #[cfg(not(any(target_os = "linux", target_os = "android")))]
@@ -390,247 +386,128 @@ extern "C" {
     fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: std::ffi::c_int) -> std::ffi::c_int;
 }
 
-/// Polls with a timeout in milliseconds. A signal interruption reports
-/// as an empty readiness set so the caller re-checks its shutdown flag.
-fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<()> {
-    let nfds = NfdsT::try_from(fds.len()).expect("pollfd count fits nfds_t");
-    // SAFETY: `fds` is an exclusively borrowed slice of `repr(C)` structs
-    // laid out as C's `struct pollfd`, and `nfds` is exactly its length.
-    let n = unsafe { poll(fds.as_mut_ptr(), nfds, timeout_ms) };
-    if n < 0 {
-        let e = std::io::Error::last_os_error();
-        if e.kind() != ErrorKind::Interrupted {
-            return Err(e);
-        }
-        for fd in fds.iter_mut() {
-            fd.revents = 0;
-        }
-    }
-    Ok(())
-}
-
-/// One client connection owned by the readiness loop.
-struct Conn {
-    stream: TcpStream,
-    /// Bytes read but not yet consumed by a parsed request.
-    buf: Vec<u8>,
-    /// True while a worker thread owns this connection's current
-    /// request; the loop stops polling it until the worker hands it
-    /// back.
-    busy: bool,
-}
-
-/// Drains readable bytes into the connection buffer. Returns false when
-/// the peer closed or the socket failed (the connection is done).
-fn read_into(conn: &mut Conn) -> bool {
-    let mut chunk = [0u8; 4096];
-    loop {
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => return false,
-            Ok(n) => conn.buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return false,
-        }
-    }
-}
-
-/// Runs the evented readiness loop until `shutdown` becomes true, then
-/// drains the server (in-flight queries finish or hit their deadlines)
-/// and joins the remaining request workers. Returns the drain report.
+/// Serves `listener` until `shutdown` becomes true, then drains the
+/// server (in-flight queries finish or hit their deadlines) and joins
+/// the connection threads. Returns the drain report.
 ///
-/// Keep-alive connections are parked in the poll set between requests —
-/// 64 idle clients hold 64 fds and zero threads, and admission capacity
-/// is only consumed by queries actually submitted. Worker threads exist
-/// per in-flight `/sparql` request and hand the connection back through
-/// the completion channel + self-pipe when the response is written.
+/// A failed accept (a connection reset before it was taken, no
+/// descriptor left) is logged to stderr and skipped. A failed wait on
+/// the listener ends serving as `shutdown` does, and is returned after
+/// the drain.
 pub fn run_http_loop(
     server: &Arc<QueryServer>,
     listener: TcpListener,
     shutdown: &AtomicBool,
 ) -> std::io::Result<crate::DrainReport> {
     listener.set_nonblocking(true)?;
-    // Self-pipe: workers nudge the poll loop when a connection is handed
-    // back, so an idle server still reacts to completions immediately.
-    let (wake_rx, wake_tx) = UnixStream::pair()?;
-    wake_rx.set_nonblocking(true)?;
-    wake_tx.set_nonblocking(true)?;
-    let (done_tx, done_rx) = mpsc::channel::<(u64, bool)>();
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_token: u64 = 0;
-    let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let mut fds = vec![
-            PollFd {
-                fd: listener.as_raw_fd(),
-                events: POLLIN,
-                revents: 0,
-            },
-            PollFd {
-                fd: wake_rx.as_raw_fd(),
-                events: POLLIN,
-                revents: 0,
-            },
-        ];
-        let mut polled: Vec<u64> = Vec::new();
-        for (token, conn) in conns.iter() {
-            if !conn.busy {
-                fds.push(PollFd {
-                    fd: conn.stream.as_raw_fd(),
-                    events: POLLIN,
-                    revents: 0,
-                });
-                polled.push(*token);
+    let stop = AtomicBool::new(false);
+    // Every connection thread holds a clone: the count beyond this one
+    // is the number of connections served.
+    let places = Arc::new(());
+    std::thread::scope(|scope| {
+        let listening = loop {
+            if shutdown.load(Ordering::SeqCst) {
+                break Ok(());
             }
-        }
-        // The 50ms timeout doubles as the shutdown-flag check cadence
-        // and a fallback sweep for lost wakeup bytes.
-        poll_fds(&mut fds, 50)?;
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        if fds[0].revents != 0 {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        stream.set_nonblocking(true)?;
-                        conns.insert(
-                            next_token,
-                            Conn {
-                                stream,
-                                buf: Vec::new(),
-                                busy: false,
-                            },
-                        );
-                        next_token += 1;
+            match listener.accept() {
+                // An error only loses a connection that was already
+                // failing, or the refusal of one.
+                Ok((stream, _peer)) => {
+                    let _ = open(scope, server, stream, &places, &stop);
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    // poll(2) on the listener alone, so shutdown is seen.
+                    let mut fd = PollFd(listener.as_raw_fd(), POLLIN, 0);
+                    let timeout_ms = CADENCE.as_millis() as std::ffi::c_int;
+                    // SAFETY: `fd` is one exclusively borrowed `repr(C)`
+                    // struct laid out as C's `struct pollfd`; the count is 1.
+                    if unsafe { poll(&mut fd, 1, timeout_ms) } < 0 {
+                        let e = std::io::Error::last_os_error();
+                        if e.kind() != ErrorKind::Interrupted {
+                            break Err(e);
+                        }
                     }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => {
+                    eprintln!("http: accept failed: {e}");
+                    // Out of descriptors, the listener stays readable:
+                    // back off instead of spinning.
+                    std::thread::sleep(CADENCE);
                 }
             }
-        }
-        if fds[1].revents != 0 {
-            let mut sink = [0u8; 64];
-            while matches!((&wake_rx).read(&mut sink), Ok(n) if n > 0) {}
-        }
-        // Connections to (re)examine: workers done with their request,
-        // plus idle connections that became readable.
-        let mut ready: Vec<u64> = Vec::new();
-        while let Ok((token, keep)) = done_rx.try_recv() {
-            if !keep {
-                conns.remove(&token);
-            } else if let Some(conn) = conns.get_mut(&token) {
-                conn.busy = false;
-                // A pipelined request may already sit in the buffer.
-                ready.push(token);
-            }
-        }
-        for (i, token) in polled.iter().enumerate() {
-            if fds[2 + i].revents == 0 {
-                continue;
-            }
-            if let Some(conn) = conns.get_mut(token) {
-                if read_into(conn) {
-                    ready.push(*token);
-                } else {
-                    conns.remove(token);
-                }
-            }
-        }
-        for token in ready {
-            dispatch_buffered(server, &mut conns, token, &done_tx, &wake_tx, &mut workers);
-        }
-        workers.retain(|h| !h.is_finished());
-    }
-    let report = server.drain();
-    for handle in workers {
-        let _ = handle.join();
-    }
-    Ok(report)
+        };
+        stop.store(true, Ordering::SeqCst);
+        let report = server.drain();
+        // The scope's end joins the connection threads.
+        listening.map(|()| report)
+    })
 }
 
-/// Parses and routes every complete request buffered on one connection.
-/// `/healthz`, `/stats`, parse errors, and unknown routes are answered
-/// inline; a `/sparql` request marks the connection busy and moves to a
-/// worker thread (no pipelining past an in-flight query).
-fn dispatch_buffered(
-    server: &Arc<QueryServer>,
-    conns: &mut HashMap<u64, Conn>,
-    token: u64,
-    done_tx: &mpsc::Sender<(u64, bool)>,
-    wake_tx: &UnixStream,
-    workers: &mut Vec<std::thread::JoinHandle<()>>,
-) {
-    loop {
-        let Some(conn) = conns.get_mut(&token) else {
-            return;
-        };
-        if conn.busy {
-            return;
+/// Hands an accepted connection to a scoped thread of its own, or
+/// answers it `503` and closes it when [`MAX_CONNECTIONS`] are served or
+/// no thread can be spawned.
+fn open<'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    server: &'scope QueryServer,
+    stream: TcpStream,
+    places: &Arc<()>,
+    stop: &'scope AtomicBool,
+) -> std::io::Result<()> {
+    // BSD and macOS hand out accepted sockets with the listener's O_NONBLOCK.
+    stream.set_nonblocking(false)?;
+    stream.set_read_timeout(Some(CADENCE))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    // Shared with the thread, so a failed spawn can still answer it.
+    let stream = Arc::new(stream);
+    // Only this thread adds places, so the count cannot pass the cap
+    // between this check and the clone.
+    if Arc::strong_count(places) <= MAX_CONNECTIONS {
+        let (place, conn) = (Arc::clone(places), Arc::clone(&stream));
+        let spawned = std::thread::Builder::new().spawn_scoped(scope, move || {
+            let _place = place;
+            serve_connection(server, &conn, stop);
+        });
+        if spawned.is_ok() {
+            return Ok(());
         }
-        let (request, consumed) = match try_parse(&conn.buf) {
-            Ok(Some(parsed)) => parsed,
-            Ok(None) => return,
-            Err(reason) => {
-                let body = format!("error: bad request\ncode: parse\nreason: {reason}\n");
-                let response = render_response(400, "Bad Request", &body, false);
-                write_all_spinning(&mut conn.stream, &response);
-                conns.remove(&token);
-                return;
-            }
-        };
-        conn.buf.drain(..consumed);
-        let keep = request.keep_alive();
-        let inline: Option<(u16, &'static str, String)> =
-            match (request.method.as_str(), request.path.as_str()) {
-                ("GET", "/healthz") => Some(if server.is_draining() {
-                    (503, "Service Unavailable", "draining\n".to_string())
-                } else {
-                    (200, "OK", "ok\n".to_string())
-                }),
-                ("GET", "/stats") => Some((200, "OK", stats_body(server))),
-                (m, "/sparql") if m == "GET" || m == "POST" => None,
-                _ => Some((
-                    404,
-                    "Not Found",
-                    "error: not found\ncode: route\nreason: unknown path\n".to_string(),
-                )),
-            };
-        match inline {
-            Some((status, phrase, body)) => {
+    }
+    let (status, phrase, body) = rejection_response(&Rejection::Shed {
+        reason: format!("too many connections ({MAX_CONNECTIONS} open)"),
+    });
+    (&*stream).write_all(&render_response(status, phrase, &body, false))
+}
+
+/// Answers one connection's requests in order, each response written
+/// whole before the next request is parsed, until the client closes or
+/// asks to, breaks the protocol, or takes no response for
+/// [`WRITE_TIMEOUT`]. `stop` is looked at before each request and after
+/// each read timeout: an idle thread ends within one read timeout, a busy
+/// one after its in-flight response.
+fn serve_connection(server: &QueryServer, mut stream: &TcpStream, stop: &AtomicBool) {
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while !stop.load(Ordering::SeqCst) {
+        match try_parse(&buf) {
+            Ok(Some((request, consumed))) => {
+                buf.drain(..consumed);
+                let keep = request.keep_alive();
+                let (status, phrase, body) = route(server, &request);
                 let response = render_response(status, phrase, &body, keep);
-                write_all_spinning(&mut conn.stream, &response);
-                if !keep {
-                    conns.remove(&token);
+                if stream.write_all(&response).is_err() || !keep {
                     return;
                 }
-                // Loop: another pipelined request may be buffered.
             }
-            None => {
-                let Ok(stream) = conn.stream.try_clone() else {
-                    conns.remove(&token);
-                    return;
-                };
-                conn.busy = true;
-                let server = Arc::clone(server);
-                let done = done_tx.clone();
-                let wake = wake_tx.try_clone().ok();
-                workers.push(std::thread::spawn(move || {
-                    let mut stream = stream;
-                    let (status, phrase, body) = handle_sparql(&server, &request);
-                    let response = render_response(status, phrase, &body, keep);
-                    write_all_spinning(&mut stream, &response);
-                    // Hand the connection back; the wake byte is
-                    // best-effort (the poll timeout sweeps up losses).
-                    let _ = done.send((token, keep));
-                    if let Some(mut w) = wake {
-                        let _ = w.write(&[1u8]);
-                    }
-                }));
+            Ok(None) => match stream.read(&mut chunk) {
+                Ok(0) => return,
+                Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                // A read timeout: look at `stop` again.
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+                Err(_) => return,
+            },
+            Err(reason) => {
+                let body = format!("error: bad request\ncode: parse\nreason: {reason}\n");
+                let _ = stream.write_all(&render_response(400, "Bad Request", &body, false));
                 return;
             }
         }

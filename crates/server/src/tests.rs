@@ -420,7 +420,7 @@ fn tight_deadline_tenant_is_isolated_from_a_slow_neighbour() {
     assert_eq!(c.incomplete_results, 1);
 }
 
-// ---------- evented front end ------------------------------------------------
+// ---------- HTTP front end ---------------------------------------------------
 
 /// Reads one full HTTP response (headers + Content-Length body) off a
 /// blocking client socket and returns (status, body).
@@ -472,10 +472,11 @@ fn post_sparql(stream: &mut std::net::TcpStream, query: &str) -> (u16, String) {
 
 /// Runs the HTTP loop over the tiny federation on an ephemeral port for
 /// the duration of `body`, then flips the shutdown flag and returns the
-/// drain report (the loop must exit within a bounded wait).
-fn with_http_loop(
+/// drain report. What `body` returns (client sockets, say) stays alive
+/// until the loop has returned, which it must do within 1 s of the flag.
+fn with_http_loop<Held>(
     config: ServerConfig,
-    body: impl FnOnce(std::net::SocketAddr, &Arc<QueryServer>),
+    body: impl FnOnce(std::net::SocketAddr, &Arc<QueryServer>) -> Held,
 ) -> crate::DrainReport {
     use std::sync::atomic::AtomicBool;
     let (fed, _dict) = tiny_federation();
@@ -491,11 +492,12 @@ fn with_http_loop(
             done_tx.send(report).unwrap();
         });
     }
-    body(addr, &server);
+    let held = body(addr, &server);
     shutdown.store(true, Ordering::SeqCst);
     let report = done_rx
-        .recv_timeout(Duration::from_secs(10))
-        .expect("shutdown must drain and exit promptly");
+        .recv_timeout(Duration::from_secs(1))
+        .expect("shutdown must drain and exit within 1 s");
+    drop(held);
     assert_eq!(server.in_flight(), 0);
     report
 }
@@ -508,15 +510,14 @@ fn idle_keepalive_connections_cost_no_query_slots() {
         max_in_flight: 2,
         ..ServerConfig::default()
     };
-    // SIGTERM-style shutdown at the end: the loop drains and exits within
-    // a bounded wait even with 63 sockets still idle.
+    // SIGTERM-style shutdown at the end, as the benchmark's server stops:
+    // the loop drains and exits within 1 s with all 64 sockets still open.
     let report = with_http_loop(config, |addr, _server| {
         let query = "SELECT ?s ?o WHERE { ?s <http://x/p> ?o }";
 
-        // 64 keep-alive connections that never send a byte. A thread-per-
-        // session server would burn a worker (and, with capacity counted
-        // per socket, the whole admission budget) on each; the evented
-        // loop just holds the sockets.
+        // 64 keep-alive connections that never send a byte. Each parks a
+        // connection thread, but admission slots are per query, not per
+        // connection, so none of them takes one.
         let mut idle: Vec<TcpStream> = (0..64).map(|_| TcpStream::connect(addr).unwrap()).collect();
 
         // Both query slots stay usable beneath the idle crowd.
@@ -543,6 +544,86 @@ fn idle_keepalive_connections_cost_no_query_slots() {
         // …and a second request on the *same* socket proves keep-alive reuse.
         let (status, _) = post_sparql(&mut idle[0], query);
         assert_eq!(status, 200);
+        idle
+    });
+    assert_eq!(report.abandoned, 0);
+}
+
+#[test]
+fn a_client_that_stops_reading_does_not_stall_other_connections() {
+    use std::io::Write as _;
+    use std::net::{Shutdown, TcpStream};
+    with_http_loop(ServerConfig::default(), |addr, _| {
+        // A pipelines far more /stats requests than the socket buffers
+        // hold responses for, and never reads one.
+        let a = TcpStream::connect(addr).unwrap();
+        let mut writer = a.try_clone().unwrap();
+        let flood = thread::spawn(move || {
+            let requests = "GET /stats HTTP/1.1\r\nHost: test\r\n\r\n".repeat(200_000);
+            // Fails once A is shut down below.
+            let _ = writer.write_all(requests.as_bytes());
+        });
+        thread::sleep(Duration::from_millis(500));
+
+        let mut b = TcpStream::connect(addr).unwrap();
+        b.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+        b.write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            .unwrap();
+        let (status, body) = read_response(&mut b);
+        assert_eq!((status, body.as_str()), (200, "ok\n"));
+
+        a.shutdown(Shutdown::Both).unwrap();
+        drop(a);
+        flood.join().unwrap();
+    });
+}
+
+#[test]
+fn connections_beyond_the_cap_are_refused_with_a_typed_503() {
+    use crate::http::MAX_CONNECTIONS;
+    use std::io::{Read as _, Write as _};
+    use std::net::TcpStream;
+    let report = with_http_loop(ServerConfig::default(), |addr, server| {
+        let mut idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
+        // Connections are accepted in arrival order, so every idle one
+        // holds a place by the time this one is accepted.
+        let mut refused = TcpStream::connect(addr).unwrap();
+        refused
+            .set_read_timeout(Some(Duration::from_secs(3)))
+            .unwrap();
+        let (status, body) = read_response(&mut refused);
+        assert_eq!(status, 503, "{body}");
+        assert_eq!(
+            body,
+            "error: query rejected\ncode: shed\nreason: too many connections (256 open)\n"
+        );
+        assert!(matches!(refused.read(&mut [0u8; 64]), Ok(0)), "then EOF");
+        // A refused connection never reaches admission.
+        assert_eq!(server.counters(), ServerCounters::default());
+
+        // A dropped connection's thread sees EOF and gives its place back;
+        // until it has, a newcomer may still be refused.
+        drop(idle.pop());
+        let healthz = || -> Option<String> {
+            let mut conn = TcpStream::connect(addr).ok()?;
+            conn.set_read_timeout(Some(Duration::from_secs(3))).ok()?;
+            conn.write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+                .ok()?;
+            let mut response = String::new();
+            conn.read_to_string(&mut response).ok()?;
+            Some(response)
+        };
+        let served = (0..100).any(|_| {
+            let ok = healthz().is_some_and(|r| r.starts_with("HTTP/1.1 200 OK"));
+            if !ok {
+                thread::sleep(Duration::from_millis(20));
+            }
+            ok
+        });
+        assert!(served, "a freed place must serve a new connection");
+        idle
     });
     assert_eq!(report.abandoned, 0);
 }

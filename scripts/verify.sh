@@ -239,6 +239,17 @@ if [ "$copies" -gt 1 ]; then
 fi
 [ "$scattered" -eq 0 ]
 
+echo "==> one thread per connection (the HTTP front end has no readiness loop: no self-pipe, completion channel, spinning writer or per-request dispatch)"
+scattered=0
+http_code=$(sed '/#\[cfg(test)\]/,$d' crates/server/src/http.rs)
+for name in UnixStream mpsc write_all_spinning 'fn dispatch_buffered'; do
+    if grep -qF "$name" <<<"$http_code"; then
+        echo "crates/server/src/http.rs: $name is back (a scoped thread serves each connection with blocking I/O)" >&2
+        scattered=1
+    fi
+done
+[ "$scattered" -eq 0 ]
+
 # The benchmark crate is a workspace of its own with its own lock file; it
 # calls the engine only through public items (par_hash_join, hash_join,
 # SolutionSet { vars, rows } literals, ...), so an engine API change that
@@ -409,14 +420,33 @@ sed -n '/^storage:/,$p' "$tmpdir/q4_cli.txt" | sed '1d' | sed -n '/^$/q;p' \
 for i in $(seq 1 7); do
     diff -u "$tmpdir/q4_cli.table" "$tmpdir/serve_q4_$i.txt"
 done
+# An idle keep-alive connection stays open across SIGTERM: its thread
+# must notice the shutdown by itself, and the server exit within 2 s.
+exec 3<>"/dev/tcp/127.0.0.1/$port"
+printf 'GET /healthz HTTP/1.1\r\nHost: smoke\r\n\r\n' >&3
+status_line=""
+read -r -t 5 status_line <&3 || true
+case "$status_line" in
+"HTTP/1.1 200 OK"*) ;;
+*)
+    echo "server smoke: /healthz on the keep-alive connection answered '${status_line:-nothing}'" >&2
+    exit 1
+    ;;
+esac
 kill -TERM "$serve_pid"
+if ! timeout 2 tail -s 0.05 --pid="$serve_pid" -f /dev/null; then
+    echo "server smoke: still running 2 s after SIGTERM with an idle connection open" >&2
+    kill -KILL "$serve_pid"
+    exit 1
+fi
 wait "$serve_pid"
+exec 3<&-
 grep -q '(0 abandoned)' "$tmpdir/serve.log" || {
     echo "server smoke: SIGTERM drain was not clean" >&2
     cat "$tmpdir/serve.log" >&2
     exit 1
 }
-echo "server smoke: 7 identical tables, typed deadline rejection, clean drain"
+echo "server smoke: 7 identical tables, typed deadline rejection, clean drain within 2 s with an idle connection open"
 
 echo "==> batching smoke (two overlapping clients share a window, identical bodies)"
 # A generous window with a count trigger of 2: the first client opens the
