@@ -8,6 +8,7 @@
 //! queries share probe results. Fig. 10(b,c) measures query response time
 //! with and without this cache.
 
+use crate::gjv::CheckKey;
 use lusail_endpoint::EndpointId;
 use lusail_rdf::{FxHashMap, TermId};
 use lusail_sparql::ast::{PatternTerm, TriplePattern};
@@ -47,8 +48,8 @@ pub fn pattern_key(tp: &TriplePattern) -> PatternKey {
 }
 
 /// A thread-safe memo table keyed by `(K, EndpointId)` — `K` is a
-/// [`PatternKey`] for `ASK` and `COUNT` probes and the rendered check text
-/// for check queries, so every memo has the same bound and counters.
+/// [`PatternKey`] for `ASK` and `COUNT` probes and a [`CheckKey`] for check
+/// queries, so every memo has the same bound and counters.
 ///
 /// Optionally capacity-bounded: when full, inserting a *new* key evicts
 /// the least-recently-used entry, so memory stays proportional to the
@@ -201,8 +202,8 @@ impl<K: Clone + Eq + Hash, V: Copy> ProbeCache<K, V> {
 pub struct ProbeCaches {
     /// COUNT answers per (pattern, endpoint).
     pub count: ProbeCache<PatternKey, u64>,
-    /// Check-query verdicts per (rendered check, endpoint).
-    pub check: ProbeCache<String, bool>,
+    /// Check-query verdicts per ([`CheckKey`], endpoint).
+    pub check: ProbeCache<CheckKey, bool>,
 }
 
 impl ProbeCaches {

@@ -7,9 +7,11 @@
 //! endpoint.
 //!
 //! Co-location is established by *check queries* — lightweight
-//! `SELECT … FILTER NOT EXISTS { … } LIMIT 1` probes computing the set
+//! `{ … FILTER NOT EXISTS { … } }` existence probes computing the set
 //! difference of the variable's instances under the two patterns (Fig. 6
-//! in the paper). For a variable appearing as object in `TPᵢ` and subject
+//! in the paper), each a typed [`CheckQuery`] that travels as an `EXISTS`
+//! member of its endpoint's coalesced `SELECT` (Lusail's transport) or as
+//! an `ASK` (the per-probe transport). For a variable appearing as object in `TPᵢ` and subject
 //! in `TPⱼ`, one difference (`vᵢ − vⱼ`, evaluated at every relevant
 //! endpoint) suffices; for subject-only or object-only variables both
 //! differences are checked. Constants in the inner pattern are replaced
@@ -40,7 +42,7 @@ use crate::probe;
 use crate::source_selection::SourceMap;
 use lusail_endpoint::{EndpointId, Federation};
 use lusail_rdf::{vocab, FxHashSet, TermId};
-use lusail_sparql::ast::{GroupPattern, PatternTerm, Query, TriplePattern};
+use lusail_sparql::ast::{GroupPattern, PatternTerm, TriplePattern};
 
 /// The result of GJV analysis over one basic graph pattern.
 #[derive(Debug, Clone, Default)]
@@ -76,12 +78,31 @@ enum Role {
     Predicate,
 }
 
-/// A check probe: the query the wire sees and its memo key.
+/// A check probe: is there an instance of `var` matching every `outer`
+/// pattern of its [`CheckKey`] with no local match of its `inner` triple?
+/// Both transports send [`CheckQuery::group`]; the memo keys it by `key`.
 pub(crate) struct CheckQuery {
-    pub(crate) query: Query,
-    /// The serialized structure — stable and canonical enough for
-    /// memoization (term ids are stable within a dictionary).
-    pub(crate) sig: String,
+    pub(crate) var: String,
+    pub(crate) key: CheckKey,
+}
+
+/// What a check probe asks, and its memo key: `outer` is the variable's
+/// type constraint, if any, then the kept pattern; `inner` is the one
+/// `NOT EXISTS` triple. The variable is named in the triples, not here;
+/// constants are term ids, stable within a dictionary.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct CheckKey {
+    pub(crate) outer: Vec<TriplePattern>,
+    pub(crate) inner: TriplePattern,
+}
+
+impl CheckQuery {
+    /// `{ outer… FILTER NOT EXISTS { inner } }`.
+    pub(crate) fn group(&self) -> GroupPattern {
+        let mut group = GroupPattern::bgp(self.key.outer.clone());
+        (group.not_exists).push(GroupPattern::bgp(vec![self.key.inner.clone()]));
+        group
+    }
 }
 
 /// The occurrences of one variable in the analyzed patterns.
@@ -107,7 +128,7 @@ pub fn detect_gjvs(
     fed: &Federation,
     triples: &[TriplePattern],
     sources: &SourceMap,
-    cache: &ProbeCache<String, bool>,
+    cache: &ProbeCache<CheckKey, bool>,
     net: &Net,
 ) -> GjvAnalysis {
     let rdf_type = fed.dict().encode_iri(vocab::RDF_TYPE);
@@ -239,7 +260,7 @@ fn type_constraint(
     })
 }
 
-/// The check queries of one variable: one per (pair, rendered text), for
+/// The check queries of one variable: one per (pair, [`CheckKey`]), for
 /// each pair of its occurrences in distinct patterns that `settled` does
 /// not already know to conflict.
 fn variable_checks(
@@ -255,7 +276,7 @@ fn variable_checks(
     };
     let home = |keep: usize| home_check_query(var, &triples[keep], type_info, triples);
     let mut push = |pair: (usize, usize), check: CheckQuery| {
-        if !(checks.iter()).any(|(p, c)| *p == pair && c.sig == check.sig) {
+        if !(checks.iter()).any(|(p, c)| *p == pair && c.key == check.key) {
             checks.push((pair, check));
         }
     };
@@ -319,7 +340,7 @@ fn check_query(
     let fresh = |tag: &str, t: &PatternTerm| -> PatternTerm {
         match t {
             PatternTerm::Var(v) if v == var || keep.mentions(v) => PatternTerm::Var(v.clone()),
-            _ => PatternTerm::Var(format!("__chk_{tag}")),
+            _ => fresh_var(tag, var, &[keep, probe]),
         }
     };
     let inner = TriplePattern::new(fresh("s", &probe.s), probe.p.clone(), fresh("o", &probe.o));
@@ -338,14 +359,24 @@ fn home_check_query(
 ) -> CheckQuery {
     let inner = TriplePattern::new(
         PatternTerm::Var(var.to_string()),
-        PatternTerm::Var("__chk_hp".to_string()),
-        PatternTerm::Var("__chk_ho".to_string()),
+        fresh_var("hp", var, &[keep]),
+        fresh_var("ho", var, &[keep]),
     );
     not_exists_probe(var, keep, inner, type_info, triples)
 }
 
-/// `SELECT ?var { [?var rdf:type T .] keep FILTER NOT EXISTS { inner } }
-/// LIMIT 1` — the shape both check builders share.
+/// `?__chk_<tag>`, with `_` appended until neither `var` nor `patterns`
+/// use the name: a probe's own variables never meet the query's.
+fn fresh_var(tag: &str, var: &str, patterns: &[&TriplePattern]) -> PatternTerm {
+    let mut name = format!("__chk_{tag}");
+    while name == var || patterns.iter().any(|tp| tp.mentions(&name)) {
+        name.push('_');
+    }
+    PatternTerm::Var(name)
+}
+
+/// `{ [?var rdf:type T .] keep FILTER NOT EXISTS { inner } }` — the shape
+/// both check builders share.
 fn not_exists_probe(
     var: &str,
     keep: &TriplePattern,
@@ -368,43 +399,10 @@ fn not_exists_probe(
             );
         }
     }
-    let mut pattern = GroupPattern::bgp(outer);
-    pattern.not_exists.push(GroupPattern::bgp(vec![inner]));
-    let query = Query {
-        limit: Some(1),
-        ..Query::select(vec![var.to_string()], pattern)
-    };
-    let sig = write_query_for_sig(&query);
-    CheckQuery { query, sig }
-}
-
-/// A dictionary-free signature: serialize structure with raw term ids.
-fn write_query_for_sig(q: &Query) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    let tp = |t: &TriplePattern, s: &mut String| {
-        for x in [&t.s, &t.p, &t.o] {
-            match x {
-                PatternTerm::Var(v) => {
-                    let _ = write!(s, "?{v} ");
-                }
-                PatternTerm::Const(id) => {
-                    let _ = write!(s, "#{} ", id.0);
-                }
-            }
-        }
-        s.push('|');
-    };
-    for t in &q.pattern.triples {
-        tp(t, &mut s);
+    CheckQuery {
+        var: var.to_string(),
+        key: CheckKey { outer, inner },
     }
-    s.push_str("^^");
-    for g in &q.pattern.not_exists {
-        for t in &g.triples {
-            tp(t, &mut s);
-        }
-    }
-    s
 }
 
 /// Answers a check/home-check probe from offline statistics when the
@@ -412,10 +410,9 @@ fn write_query_for_sig(q: &Query) -> String {
 /// what evaluating the probe at the endpoint would return. `None` sends
 /// the probe to the wire.
 ///
-/// Both probe shapes built above are
-/// `SELECT ?v { outer… FILTER NOT EXISTS { inner } } LIMIT 1` with a
-/// single-triple NOT EXISTS group and plain BGPs throughout — any other
-/// shape returns `None` unseen. The conclusive cases are:
+/// Every probe is `{ outer… FILTER NOT EXISTS { inner } }` by its type:
+/// plain triples outside and one triple inside. Which builder made it does
+/// not matter; the cases read its parts. The conclusive cases are:
 ///
 /// 1. Some outer pattern is locally empty (its [`ask_pattern`] is
 ///    conclusively false) ⇒ the probe is empty, answer `false`.
@@ -442,39 +439,15 @@ fn write_query_for_sig(q: &Query) -> String {
 /// [`ask_pattern`]: lusail_store::EndpointStats::ask_pattern
 /// [`objects_foreign`]: lusail_store::EndpointStats::objects_foreign
 /// [`any_signature_with_without`]: lusail_store::EndpointStats::any_signature_with_without
-pub(crate) fn stats_check_answer(stats: &lusail_store::EndpointStats, q: &Query) -> Option<bool> {
-    let var = q.projection.first()?.as_str();
-    // The reasoning below assumes the exact probe shape the builders
-    // above produce; answer only that shape, never a partial view of a
-    // richer pattern.
-    let pat = &q.pattern;
-    if !pat.filters.is_empty()
-        || !pat.optionals.is_empty()
-        || !pat.unions.is_empty()
-        || pat.values.is_some()
-    {
-        return None;
+pub(crate) fn stats_check_answer(
+    stats: &lusail_store::EndpointStats,
+    check: &CheckQuery,
+) -> Option<bool> {
+    let (var, CheckKey { outer, inner }) = (check.var.as_str(), &check.key);
+    if outer.iter().any(|tp| stats.ask_pattern(tp) == Some(false)) {
+        return Some(false);
     }
-    let [group] = pat.not_exists.as_slice() else {
-        return None;
-    };
-    let [inner] = group.triples.as_slice() else {
-        return None;
-    };
-    if !group.filters.is_empty()
-        || !group.optionals.is_empty()
-        || !group.unions.is_empty()
-        || !group.not_exists.is_empty()
-        || group.values.is_some()
-    {
-        return None;
-    }
-    for tp in &pat.triples {
-        if stats.ask_pattern(tp) == Some(false) {
-            return Some(false);
-        }
-    }
-    let outer_mentions = |name: &str| pat.triples.iter().any(|tp| tp.mentions(name));
+    let outer_mentions = |name: &str| outer.iter().any(|tp| tp.mentions(name));
     let home = inner.s.as_var() == Some(var)
         && match (inner.p.as_var(), inner.o.as_var()) {
             (Some(ip), Some(io)) => {
@@ -483,10 +456,10 @@ pub(crate) fn stats_check_answer(stats: &lusail_store::EndpointStats, q: &Query)
             _ => false,
         };
     if home {
-        if pat.triples.iter().any(|tp| tp.s.as_var() == Some(var)) {
+        if outer.iter().any(|tp| tp.s.as_var() == Some(var)) {
             return Some(false);
         }
-        if let [keep] = pat.triples.as_slice() {
+        if let [keep] = outer.as_slice() {
             if keep.o.as_var() == Some(var) && keep.s.as_var().is_some() {
                 if let Some(p) = keep.p.as_const() {
                     return Some(stats.objects_foreign(p) > 0);
@@ -495,7 +468,7 @@ pub(crate) fn stats_check_answer(stats: &lusail_store::EndpointStats, q: &Query)
         }
         return None;
     }
-    let [keep] = pat.triples.as_slice() else {
+    let [keep] = outer.as_slice() else {
         return None;
     };
     let (Some(ks), Some(pk), Some(kb)) = (keep.s.as_var(), keep.p.as_const(), keep.o.as_var())
@@ -521,7 +494,7 @@ mod tests {
     use crate::source_selection::select_sources;
     use lusail_endpoint::{LocalEndpoint, RequestKind};
     use lusail_rdf::{Dictionary, SplitMix64, Term};
-    use lusail_sparql::parse_query;
+    use lusail_sparql::{parse_query, Query};
     use lusail_store::TripleStore;
     use std::sync::Arc;
 
@@ -607,7 +580,7 @@ mod tests {
         fed: &Federation,
         triples: &[TriplePattern],
         sources: &SourceMap,
-        cache: &ProbeCache<String, bool>,
+        cache: &ProbeCache<CheckKey, bool>,
         net: &Net,
     ) -> GjvAnalysis {
         let mut analysis = GjvAnalysis::default();
@@ -965,8 +938,11 @@ mod tests {
                 TriplePattern::new(c(dict.encode(&e("s0".into()))), c(pid[0]), v("v")),
                 TriplePattern::new(v("v"), c(pid[0]), v("v")),
                 TriplePattern::new(v("v"), v("k"), v("b")),
+                // User variables named like the builders' fresh ones.
+                TriplePattern::new(v("v"), c(pid[0]), v("__chk_o")),
+                TriplePattern::new(v("__chk_ho"), c(pid[0]), v("v")),
             ];
-            let mut queries: Vec<Query> = Vec::new();
+            let mut checks: Vec<CheckQuery> = Vec::new();
             for keep in &keeps {
                 for probe in [
                     TriplePattern::new(v("v"), c(pid[1]), v("x")),
@@ -986,23 +962,24 @@ mod tests {
                     TriplePattern::new(v("v"), v("k"), v("x")),
                 ] {
                     for type_info in [None, Some((0usize, ty_id))] {
-                        queries.push(check_query("v", keep, &probe, type_info, &triples).query);
+                        checks.push(check_query("v", keep, &probe, type_info, &triples));
                     }
                 }
                 for type_info in [None, Some((0usize, ty_id))] {
-                    queries.push(home_check_query("v", keep, type_info, &triples).query);
+                    checks.push(home_check_query("v", keep, type_info, &triples));
                 }
             }
-            for q in &queries {
-                let Some(local) = stats_check_answer(&stats, q) else {
+            for check in &checks {
+                let Some(local) = stats_check_answer(&stats, check) else {
                     continue;
                 };
                 conclusive += 1;
-                let wire = !ep.select(q).unwrap().is_empty();
+                let wire = ep.ask(&Query::ask(check.group())).unwrap();
                 assert_eq!(
                     local, wire,
                     "seed {seed}: conclusive stats answer diverged from \
-                     wire evaluation for {q:?}"
+                     wire evaluation for {:?}",
+                    check.key
                 );
                 nonempty_seen |= wire;
                 empty_seen |= !wire;
@@ -1035,6 +1012,28 @@ mod tests {
             stats_checks < baseline_checks,
             "stats run issued {stats_checks} check requests vs {baseline_checks}"
         );
+    }
+
+    /// A builder's fresh variable never takes a user variable's name: the
+    /// difference check's inner `?v <q> ?__chk_o` would otherwise be
+    /// correlated with the kept pattern's object and report a false
+    /// conflict.
+    #[test]
+    fn renaming_a_variable_never_changes_the_analysis() {
+        let dict = Dictionary::shared();
+        let x = |l: &str| Term::iri(format!("http://x/{l}"));
+        let mut store = TripleStore::new(Arc::clone(&dict));
+        store.insert_terms(&x("v1"), &x("p"), &x("o1"));
+        store.insert_terms(&x("v1"), &x("q"), &x("o2"));
+        let mut fed = Federation::new(dict);
+        fed.add(Arc::new(LocalEndpoint::new("E", store)));
+        let analysis = |name: &str| {
+            let text = format!("SELECT * {{ ?v <http://x/p> ?{name} . ?v <http://x/q> ?y }}");
+            analyze(&fed, &parse_query(&text, fed.dict()).unwrap())
+        };
+        let (plain, colliding) = (analysis("z"), analysis("__chk_o"));
+        assert_eq!(plain.gjvs, colliding.gjvs);
+        assert_eq!(plain.conflicts, colliding.conflicts);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!    endpoint relevant, and the counts are the cost model's cardinalities.
 //!    Memoized in a cache shared across queries.
 //! 2. **Query analysis / LADE** ([`gjv`], [`decompose`]) — locality-aware
-//!    decomposition. Check queries (`FILTER NOT EXISTS … LIMIT 1`) detect
-//!    *global join variables*: join variables whose instances are not
-//!    co-located at the endpoints. Triple patterns are grouped into
+//!    decomposition. Check queries (`FILTER NOT EXISTS` existence tests)
+//!    detect *global join variables*: join variables whose instances are
+//!    not co-located at the endpoints. Triple patterns are grouped into
 //!    maximal subqueries that endpoints can answer locally without losing
 //!    results (Algorithms 1 and 2).
 //! 3. **Query execution / SAPE** ([`cost`], [`exec`], [`join`]) —

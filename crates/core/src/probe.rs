@@ -51,7 +51,7 @@
 
 use crate::cache::{pattern_key, PatternKey, ProbeCache};
 use crate::exec::Net;
-use crate::gjv::{stats_check_answer, CheckQuery};
+use crate::gjv::{stats_check_answer, CheckKey, CheckQuery};
 use lusail_endpoint::{
     EndpointError, EndpointId, EndpointRef, Federation, RequestKind, TraceEvent,
 };
@@ -164,18 +164,18 @@ pub(crate) struct Check;
 
 impl Kind for Check {
     type Probe = CheckQuery;
-    type Key = String;
+    type Key = CheckKey;
     type Answer = bool;
     const REQUEST: RequestKind = RequestKind::Check;
 
-    fn key(check: &CheckQuery) -> String {
-        check.sig.clone()
+    fn key(check: &CheckQuery) -> CheckKey {
+        check.key.clone()
     }
     fn from_stats(stats: &EndpointStats, check: &CheckQuery) -> Option<bool> {
-        stats_check_answer(stats, &check.query)
+        stats_check_answer(stats, check)
     }
     fn member(check: &CheckQuery) -> Member<'_> {
-        Member::Exists(check.query.pattern.clone())
+        Member::Exists(check.group())
     }
     fn from_member(n: u64) -> bool {
         n > 0
@@ -585,23 +585,21 @@ mod tests {
         );
         // `keep FILTER NOT EXISTS { ?v <probe> ?__chk_o }`: statistics decide
         // it when `keep` is `?v <q> ?b`, not when it has a constant object.
-        let check = |sig: &str, keep: &str, probe: &str| {
-            let inner = format!("?v <http://x/{probe}> ?__chk_o");
-            let text =
-                format!("SELECT ?v WHERE {{ {keep} FILTER NOT EXISTS {{ {inner} }} }} LIMIT 1");
-            CheckQuery {
-                query: parse(&text),
-                sig: sig.into(),
-            }
+        let check = |keep: &str, probe: &str| CheckQuery {
+            var: "v".into(),
+            key: CheckKey {
+                outer: vec![pattern(keep)],
+                inner: pattern(&format!("?v <http://x/{probe}> ?__chk_o")),
+            },
         };
         // Every subject with a `q` triple (s1) also has a `p` triple; s1
         // (holding o1) has a `q` triple, s2 (holding o3) has none.
-        let q_minus_p = check("q-minus-p", "?v <http://x/q> ?b", "p");
-        let o1_minus_q = check("o1-minus-q", "?v <http://x/p> <http://x/o1>", "q");
-        let o3_minus_q = check("o3-minus-q", "?v <http://x/p> <http://x/o3>", "q");
+        let q_minus_p = check("?v <http://x/q> ?b", "p");
+        let o1_minus_q = check("?v <http://x/p> <http://x/o1>", "q");
+        let o3_minus_q = check("?v <http://x/p> <http://x/o3>", "q");
         let checks_assumed: fn(&Degradation) -> &AtomicU64 = |d| &d.checks_assumed_conflict;
         follows_the_rule::<Check>(&dict, &q_minus_p, [false, true, true], checks_assumed);
-        let memoized = check("memoized", "?v <http://x/p> ?b", "q");
+        let memoized = check("?v <http://x/p> ?b", "q");
         a_group_is_one_request::<Check>(
             &dict,
             [&memoized, &q_minus_p, &o1_minus_q, &o3_minus_q],

@@ -780,3 +780,121 @@ fn bounded_probe_cache_reports_saturation_through_the_server() {
     // One entry fits; everything else must have been evicted or missed.
     assert!(stats.entries <= 2, "ask+count caches hold ≤1 entry each");
 }
+
+/// One well-formed request for the parser property test: `GET /healthz`,
+/// a percent-encoded `GET /sparql?query=…` or a `POST /sparql` with a
+/// body, over HTTP/1.0 or 1.1, with a random subset of the headers the
+/// server reads (in random order and letter case).
+fn random_request(rng: &mut lusail_rdf::SplitMix64) -> Vec<u8> {
+    const QUERIES: [&str; 3] = [
+        "SELECT ?s WHERE { ?s <http://x/p> ?o }",
+        "ASK { ?s ?p \"日本語 — é\" }",
+        "SELECT * { ?a <http://x/q?x=1&y=%> ?b } LIMIT 5",
+    ];
+    let query = QUERIES[rng.below(QUERIES.len())];
+    let encoded: String = (query.bytes())
+        .map(|b| match b.is_ascii_alphanumeric() {
+            true => char::from(b).to_string(),
+            false => format!("%{b:02X}"),
+        })
+        .collect();
+    let (line, body) = match rng.below(3) {
+        0 => ("GET /healthz".to_string(), ""),
+        1 => (format!("GET /sparql?query={encoded}"), ""),
+        _ => ("POST /sparql".to_string(), query),
+    };
+    let version = ["HTTP/1.1", "HTTP/1.0"][rng.below(2)];
+    let mut headers = vec!["Host: localhost".to_string()];
+    if rng.chance(0.3) {
+        headers.push("Connection: close".into());
+    }
+    if rng.chance(0.5) {
+        headers.push(format!("X-Tenant: tenant-{}", rng.below(4)));
+    }
+    if rng.chance(0.5) {
+        headers.push(format!("x-deadline-ms: {}", rng.below(10_000)));
+    }
+    if !body.is_empty() {
+        let name = ["Content-Length", "content-length"][rng.below(2)];
+        headers.push(format!("{name}: {}", body.len()));
+    }
+    for i in (1..headers.len()).rev() {
+        headers.swap(i, rng.below(i + 1));
+    }
+    let mut text = format!("{line} {version}\r\n");
+    for header in headers {
+        text.push_str(&header);
+        text.push_str("\r\n");
+    }
+    text.push_str("\r\n");
+    text.push_str(body);
+    text.into_bytes()
+}
+
+/// `http::try_parse` frames every generated request exactly, needs every
+/// byte of it, and meets random corruption with an answer, never a panic.
+#[test]
+fn request_parser_frames_requests_and_survives_corruption() {
+    use crate::http::try_parse;
+    let mut rng = lusail_rdf::SplitMix64::new(0x4854_5450);
+    let (mut pipelined, mut outcomes) = (0, [0u32; 3]);
+    for case in 0..300 {
+        let requests: Vec<Vec<u8>> = (0..1 + rng.below(3))
+            .map(|_| random_request(&mut rng))
+            .collect();
+        let buf = requests.concat();
+        // Each request in turn parses from where the last one ended and
+        // consumes exactly its own bytes.
+        let mut at = 0;
+        for request in &requests {
+            let parsed = try_parse(&buf[at..]).unwrap_or_else(|e| panic!("case {case}: {e}"));
+            let (_, used) = parsed.unwrap_or_else(|| panic!("case {case}: incomplete"));
+            assert_eq!(used, request.len(), "case {case}");
+            at += used;
+        }
+        pipelined += usize::from(requests.len() > 1);
+        // A proper prefix of the first request is never enough.
+        for end in 0..requests[0].len() {
+            assert!(
+                matches!(try_parse(&buf[..end]), Ok(None)),
+                "case {case}: prefix of {end} bytes"
+            );
+        }
+        // Flips, truncations and insertions: any answer but a panic, and
+        // a parsed request lies within the buffer.
+        for _ in 0..20 {
+            let mut bad = buf.clone();
+            for _ in 0..1 + rng.below(3) {
+                let i = rng.below(bad.len() + 1);
+                match rng.below(3) {
+                    0 if i < bad.len() => bad[i] ^= 1 << rng.below(8),
+                    1 => bad.truncate(i),
+                    _ => bad.insert(i, b"\r\n:0 \xFF%a"[rng.below(8)]),
+                }
+            }
+            let outcome = match try_parse(&bad) {
+                Ok(None) => 0,
+                Ok(Some((_, used))) => {
+                    assert!(used <= bad.len(), "case {case}: consumed {used}");
+                    1
+                }
+                Err(_) => 2,
+            };
+            outcomes[outcome] += 1;
+        }
+    }
+    assert!(pipelined > 100, "pipelined buffers: {pipelined}");
+    for (what, n) in ["incomplete", "parsed", "rejected"].iter().zip(outcomes) {
+        assert!(n > 200, "{what} corruptions: {n}");
+    }
+    // Unbounded input is refused, not buffered: a head over 1 MiB with no
+    // end, or a declared body over 8 MiB.
+    let mut head = b"GET /sparql?query=".to_vec();
+    head.resize(1 << 20, b'a');
+    assert!(matches!(try_parse(&head), Ok(None)));
+    head.push(b'a');
+    assert!(try_parse(&head).is_err());
+    let post = |length: usize| format!("POST /sparql HTTP/1.1\r\nContent-Length: {length}\r\n\r\n");
+    assert!(matches!(try_parse(post(8 << 20).as_bytes()), Ok(None)));
+    assert!(try_parse(post((8 << 20) + 1).as_bytes()).is_err());
+}

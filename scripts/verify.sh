@@ -250,6 +250,35 @@ for name in UnixStream mpsc write_all_spinning 'fn dispatch_buffered'; do
 done
 [ "$scattered" -eq 0 ]
 
+echo "==> one description of a check probe (a CheckQuery is its variable and a typed CheckKey: no SELECT, string signature or shape re-recognizer)"
+scattered=0
+gjv_code=$(sed '/#\[cfg(test)\]/,$d' crates/core/src/gjv.rs | grep -v '^ *//')
+if grep -q 'fn write_query_for_sig' <<<"$gjv_code"; then
+    echo "crates/core/src/gjv.rs: fn write_query_for_sig is back (a check's memo key is its CheckKey)" >&2
+    scattered=1
+fi
+if grep -Eq '^ *(pub(\(crate\))? )?sig:' <<<"$gjv_code"; then
+    echo "crates/core/src/gjv.rs: a sig field is back (a check's memo key is its CheckKey)" >&2
+    scattered=1
+fi
+if grep -Eq 'Query::select|limit: Some\(1\)' <<<"$gjv_code"; then
+    echo "crates/core/src/gjv.rs: builds a Query for a check (the wire sends CheckQuery::group)" >&2
+    scattered=1
+fi
+if grep -Eq 'fn stats_check_answer\([^)]*&Query\b' <<<"$(tr '\n' ' ' <<<"$gjv_code")"; then
+    echo "crates/core/src/gjv.rs: stats_check_answer takes a &Query again (it reads the typed CheckQuery)" >&2
+    scattered=1
+fi
+# Here-strings, not pipes: `grep -q` exiting early would fail the writer
+# under pipefail and hide the match.
+for f in crates/core/src/*.rs; do
+    if grep -q 'ProbeCache<String' <<<"$(sed '/#\[cfg(test)\]/,$d' "$f")"; then
+        echo "$f: a ProbeCache keyed by String is back (the check memo is keyed by CheckKey)" >&2
+        scattered=1
+    fi
+done
+[ "$scattered" -eq 0 ]
+
 # The benchmark crate is a workspace of its own with its own lock file; it
 # calls the engine only through public items (par_hash_join, hash_join,
 # SolutionSet { vars, rows } literals, ...), so an engine API change that
