@@ -68,37 +68,6 @@ impl FedX {
         self
     }
 
-    /// Executes a query. Endpoint failures degrade into an incomplete
-    /// [`QueryOutcome`]; only an empty federation is an `Err`.
-    pub fn execute(
-        &self,
-        fed: &Federation,
-        query: &Query,
-    ) -> Result<QueryOutcome, FederationError> {
-        self.execute_with(fed, query, &ExecOptions::default())
-    }
-
-    /// [`FedX::execute`] under explicit [`ExecOptions`]: request-level
-    /// tracing (an enabled trace always ends with
-    /// [`TraceEvent::QueryFinished`]), the worker budget for per-endpoint
-    /// dispatch, and an optional deadline overriding the policy's query
-    /// budget.
-    pub fn execute_with(
-        &self,
-        fed: &Federation,
-        query: &Query,
-        opts: &ExecOptions,
-    ) -> Result<QueryOutcome, FederationError> {
-        run_query(
-            self.policy,
-            fed,
-            query,
-            opts,
-            |pattern, net| select_sources(fed, pattern, &self.ask_cache, net),
-            |group, sources, cutoff, net| self.evaluate_group(fed, group, sources, cutoff, net),
-        )
-    }
-
     /// The sources `group`'s units are formed from: authority-pruned when
     /// the engine holds an index — fewer sources can mean more exclusive
     /// groups. Pruning only considers *this* group's conjunctive patterns:
@@ -192,7 +161,14 @@ impl FederatedEngine for FedX {
         query: &Query,
         opts: &ExecOptions,
     ) -> Result<QueryOutcome, FederationError> {
-        self.execute_with(fed, query, opts)
+        run_query(
+            self.policy,
+            fed,
+            query,
+            opts,
+            |pattern, net| select_sources(fed, pattern, &self.ask_cache, net),
+            |group, sources, cutoff, net| self.evaluate_group(fed, group, sources, cutoff, net),
+        )
     }
 
     fn reset(&self) {
@@ -245,7 +221,7 @@ mod tests {
         )
         .unwrap();
         let engine = FedX::default();
-        let outcome = engine.execute(&fed, &q).unwrap();
+        let outcome = engine.run_with(&fed, &q, &ExecOptions::default()).unwrap();
         assert!(outcome.complete);
         let want = lusail_store::eval::evaluate(&oracle, &q);
         assert_eq!(outcome.solutions.canonicalize(), want.canonicalize());
@@ -262,7 +238,7 @@ mod tests {
         .unwrap();
         let engine = FedX::default();
         let before = fed.stats_snapshot();
-        engine.execute(&fed, &q).unwrap();
+        engine.run_with(&fed, &q, &ExecOptions::default()).unwrap();
         let window = fed.stats_snapshot().since(&before);
         // First unit: 2 selects. Second unit: 20 bindings in blocks of 15 =
         // 2 blocks × 2 endpoints = 4 selects. Plus 4 ASKs.
@@ -280,7 +256,10 @@ mod tests {
         )
         .unwrap();
         let engine = FedX::default();
-        let got = engine.execute(&fed, &q).unwrap().solutions;
+        let got = engine
+            .run_with(&fed, &q, &ExecOptions::default())
+            .unwrap()
+            .solutions;
         let want = lusail_store::eval::evaluate(&oracle, &q);
         assert_eq!(got.canonicalize(), want.canonicalize());
     }
@@ -295,7 +274,10 @@ mod tests {
         .unwrap();
         let engine = FedX::default();
         let before = fed.stats_snapshot();
-        let got = engine.execute(&fed, &q).unwrap().solutions;
+        let got = engine
+            .run_with(&fed, &q, &ExecOptions::default())
+            .unwrap()
+            .solutions;
         let window = fed.stats_snapshot().since(&before);
         assert_eq!(got.len(), 2);
         // Without the cutoff this would be 2 + 2*2 = 6 selects; with it,

@@ -133,7 +133,7 @@ mod tests {
     use lusail_core::cache::ProbeCache;
     use lusail_core::exec::Net;
     use lusail_core::source_selection::select_sources;
-    use lusail_endpoint::{Federation, SparqlEndpoint};
+    use lusail_endpoint::{ExecOptions, FederatedEngine, Federation, SparqlEndpoint};
     use lusail_rdf::{Dictionary, Term};
     use lusail_sparql::parse_query;
     use lusail_store::TripleStore;
@@ -205,7 +205,7 @@ mod tests {
             fed.dict(),
         )
         .unwrap();
-        let outcome = engine.execute(&fed, &q).unwrap();
+        let outcome = engine.run_with(&fed, &q, &ExecOptions::default()).unwrap();
         assert!(outcome.complete);
         let want = lusail_store::eval::evaluate(&oracle, &q);
         assert_eq!(outcome.solutions.canonicalize(), want.canonicalize());
@@ -224,12 +224,12 @@ mod tests {
 
         let fedx = FedX::default();
         let before = fed.stats_snapshot();
-        fedx.execute(&fed, &q).unwrap();
+        fedx.run_with(&fed, &q, &ExecOptions::default()).unwrap();
         let fedx_requests = fed.stats_snapshot().since(&before).select_requests;
 
         let hib = FedX::hibiscus(HibiscusIndex::build(&refs));
         let before = fed.stats_snapshot();
-        hib.execute(&fed, &q).unwrap();
+        hib.run_with(&fed, &q, &ExecOptions::default()).unwrap();
         let hib_requests = fed.stats_snapshot().since(&before).select_requests;
         assert!(
             hib_requests < fedx_requests,

@@ -135,38 +135,6 @@ impl Splendid {
         map
     }
 
-    /// Executes a query. Endpoint failures degrade into an incomplete
-    /// [`QueryOutcome`]; only an empty federation is an `Err`.
-    pub fn execute(
-        &self,
-        fed: &Federation,
-        query: &Query,
-    ) -> Result<QueryOutcome, FederationError> {
-        self.execute_with(fed, query, &ExecOptions::default())
-    }
-
-    /// [`Splendid::execute`] under explicit [`ExecOptions`]: request-level
-    /// tracing (an enabled trace always ends with
-    /// [`TraceEvent::QueryFinished`]), the worker budget for per-endpoint
-    /// dispatch, and an optional deadline overriding the policy's query
-    /// budget.
-    pub fn execute_with(
-        &self,
-        fed: &Federation,
-        query: &Query,
-        opts: &ExecOptions,
-    ) -> Result<QueryOutcome, FederationError> {
-        run_query(
-            self.policy,
-            fed,
-            query,
-            opts,
-            |pattern, net| self.select_sources(fed, pattern, net),
-            // SPLENDID has no first-k cutoff.
-            |group, sources, _, net| self.evaluate_group(fed, group, sources, net),
-        )
-    }
-
     fn evaluate_group(
         &self,
         fed: &Federation,
@@ -235,7 +203,15 @@ impl FederatedEngine for Splendid {
         query: &Query,
         opts: &ExecOptions,
     ) -> Result<QueryOutcome, FederationError> {
-        self.execute_with(fed, query, opts)
+        run_query(
+            self.policy,
+            fed,
+            query,
+            opts,
+            |pattern, net| self.select_sources(fed, pattern, net),
+            // SPLENDID has no first-k cutoff.
+            |group, sources, _, net| self.evaluate_group(fed, group, sources, net),
+        )
     }
 }
 
@@ -300,7 +276,7 @@ mod tests {
             fed.dict(),
         )
         .unwrap();
-        let outcome = engine.execute(&fed, &q).unwrap();
+        let outcome = engine.run_with(&fed, &q, &ExecOptions::default()).unwrap();
         assert!(outcome.complete);
         let want = lusail_store::eval::evaluate(&oracle, &q);
         assert_eq!(outcome.solutions.canonicalize(), want.canonicalize());
@@ -314,7 +290,7 @@ mod tests {
         let engine = Splendid::new(VoidIndex::build(&refs));
         let q = parse_query("SELECT ?s ?m WHERE { ?s <http://x/p> ?m }", fed.dict()).unwrap();
         let before = fed.stats_snapshot();
-        engine.execute(&fed, &q).unwrap();
+        engine.run_with(&fed, &q, &ExecOptions::default()).unwrap();
         let window = fed.stats_snapshot().since(&before);
         assert_eq!(window.ask_requests, 0); // pure index-based selection
         assert_eq!(window.select_requests, 1); // only endpoint A is relevant
@@ -331,7 +307,7 @@ mod tests {
         )
         .unwrap();
         let before = fed.stats_snapshot();
-        engine.execute(&fed, &q).unwrap();
+        engine.run_with(&fed, &q, &ExecOptions::default()).unwrap();
         let window = fed.stats_snapshot().since(&before);
         // q side is smaller (4 triples at B): evaluated first with 1
         // request; then p side bind-joins with one request per binding (4)
@@ -368,7 +344,9 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert!(net.degradation.data_loss());
 
-        let outcome = engine.execute(&dying_fed(), &q).unwrap();
+        let outcome = engine
+            .run_with(&dying_fed(), &q, &ExecOptions::default())
+            .unwrap();
         assert_eq!(outcome.solutions.len(), 2);
         assert!(!outcome.complete);
         assert_eq!(outcome.failures.len(), 1);

@@ -53,21 +53,17 @@ impl Workload {
                 true
             });
         }
-        let mut builder = Federation::builder(Arc::clone(&dict));
+        let mut federation = Federation::new(Arc::clone(&dict));
         let mut endpoints = Vec::with_capacity(stores.len());
         for (i, (name, store)) in stores.into_iter().enumerate() {
-            // Endpoints are built outside the builder because the bench
-            // harness needs the concrete [`LocalEndpoint`] handles (the
-            // index-building baselines preprocess endpoint data directly).
             let profile = match &profiles {
                 Some(ps) => ps[i],
                 None => NetworkProfile::default(),
             };
             let ep = Arc::new(LocalEndpoint::on_backend(name, store, backend, profile));
-            builder = builder.custom(Arc::clone(&ep) as Arc<dyn SparqlEndpoint>);
+            federation.add(Arc::clone(&ep) as Arc<dyn SparqlEndpoint>);
             endpoints.push(ep);
         }
-        let federation = builder.build();
         let queries = queries
             .into_iter()
             .map(|(name, text)| {

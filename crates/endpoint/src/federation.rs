@@ -1,10 +1,9 @@
 //! A federation: the named set of endpoints a query runs against.
 
-use crate::fault::{FaultProfile, FlakyEndpoint};
-use crate::network::{NetworkProfile, StatsSnapshot};
-use crate::{EndpointRef, LocalEndpoint};
+use crate::network::StatsSnapshot;
+use crate::EndpointRef;
 use lusail_rdf::Dictionary;
-use lusail_store::{BackendKind, EndpointStats, TripleStore};
+use lusail_store::EndpointStats;
 use std::sync::{Arc, Mutex};
 
 /// Index of an endpoint within a [`Federation`]. Engines carry endpoint
@@ -17,9 +16,9 @@ pub type EndpointId = usize;
 /// partition served by a primary plus zero or more replicas holding the
 /// same data. [`Federation::add`] creates a singleton group (the endpoint
 /// is its own primary); [`Federation::add_replica`] joins an existing
-/// group. By convention replicas are added *after* all primaries, so a
-/// federation with replication factor 1 is id-for-id identical to an
-/// unreplicated one.
+/// group. `add` refuses a primary once any replica is in, so primaries
+/// hold ids `0..n` and a federation with replication factor 1 is
+/// id-for-id identical to an unreplicated one.
 #[derive(Clone)]
 pub struct Federation {
     dict: Arc<Dictionary>,
@@ -44,15 +43,6 @@ impl Federation {
         }
     }
 
-    /// Starts a [`FederationBuilder`] over the given dictionary.
-    pub fn builder(dict: Arc<Dictionary>) -> FederationBuilder {
-        FederationBuilder {
-            dict,
-            entries: Vec::new(),
-            backend: BackendKind::default(),
-        }
-    }
-
     /// The shared dictionary.
     pub fn dict(&self) -> &Arc<Dictionary> {
         &self.dict
@@ -60,7 +50,20 @@ impl Federation {
 
     /// Adds an endpoint as the primary of a new singleton replica group,
     /// returning its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics once any replica has been added: primaries come first, so
+    /// their ids do not depend on replication.
     pub fn add(&mut self, ep: EndpointRef) -> EndpointId {
+        if let Some(last) = self.endpoints.len().checked_sub(1) {
+            // Replicas only follow primaries, so the last endpoint is a
+            // replica iff any is.
+            assert_eq!(
+                self.group_of[last], last,
+                "primaries are added before any replica"
+            );
+        }
         self.endpoints.push(ep);
         let id = self.endpoints.len() - 1;
         self.group_of.push(id);
@@ -207,163 +210,10 @@ impl Federation {
     }
 }
 
-/// Fluent construction of a [`Federation`]: each [`endpoint`] call adds a
-/// [`LocalEndpoint`] on the default (zero-delay) network, and [`faults`] /
-/// [`replica_of`] decorate the most recently added endpoint. An endpoint
-/// with its own [`NetworkProfile`] is built by the caller and added with
-/// [`custom`].
-///
-/// [`endpoint`]: FederationBuilder::endpoint
-/// [`faults`]: FederationBuilder::faults
-/// [`replica_of`]: FederationBuilder::replica_of
-/// [`custom`]: FederationBuilder::custom
-///
-/// ```
-/// # use lusail_endpoint::{FaultProfile, Federation};
-/// # use lusail_rdf::Dictionary;
-/// # use lusail_store::TripleStore;
-/// # let dict = Dictionary::shared();
-/// # let (a, b) = (TripleStore::new(dict.clone()), TripleStore::new(dict.clone()));
-/// let fed = Federation::builder(dict)
-///     .endpoint("stable", a)
-///     .endpoint("flaky", b)
-///     .faults(FaultProfile::transient(42, 0.2))
-///     .build();
-/// assert_eq!(fed.len(), 2);
-/// assert!(fed.endpoint_by_name("flaky").is_some());
-/// ```
-pub struct FederationBuilder {
-    dict: Arc<Dictionary>,
-    entries: Vec<BuilderEntry>,
-    /// Storage backend every [`FederationBuilder::endpoint`] store is
-    /// materialized into (custom endpoints manage their own storage).
-    backend: BackendKind,
-}
-
-struct BuilderEntry {
-    kind: EntryKind,
-    faults: Option<FaultProfile>,
-    /// Name of the primary this entry replicates, if any.
-    replica_of: Option<String>,
-}
-
-enum EntryKind {
-    Local { name: String, store: TripleStore },
-    Custom { ep: EndpointRef },
-}
-
-impl FederationBuilder {
-    fn push(&mut self, kind: EntryKind) {
-        self.entries.push(BuilderEntry {
-            kind,
-            faults: None,
-            replica_of: None,
-        });
-    }
-
-    /// Adds a [`LocalEndpoint`] over the store, with the default (zero
-    /// delay, no faults) network.
-    pub fn endpoint(mut self, name: impl Into<String>, store: TripleStore) -> Self {
-        self.push(EntryKind::Local {
-            name: name.into(),
-            store,
-        });
-        self
-    }
-
-    /// Selects the storage backend that every store added via
-    /// [`FederationBuilder::endpoint`] is materialized into at
-    /// [`FederationBuilder::build`] time (default: [`BackendKind::Btree`]).
-    /// Applies to all local entries, before or after this call; endpoints
-    /// added via [`FederationBuilder::custom`] are unaffected.
-    pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Adds a pre-built endpoint (e.g. a custom [`SparqlEndpoint`] impl).
-    pub fn custom(mut self, ep: EndpointRef) -> Self {
-        self.push(EntryKind::Custom { ep });
-        self
-    }
-
-    /// Wraps the most recently added endpoint in a [`FlakyEndpoint`] with
-    /// the given fault profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no endpoint has been added yet.
-    pub fn faults(mut self, faults: FaultProfile) -> Self {
-        match self.entries.last_mut() {
-            Some(entry) => entry.faults = Some(faults),
-            None => panic!("faults() before any endpoint()"),
-        }
-        self
-    }
-
-    /// Marks the most recently added endpoint as a replica of the named
-    /// primary. Primaries are always added to the built federation before
-    /// replicas, whatever order the builder calls arrived in, so ids
-    /// `0..n_primaries` are stable under replication.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no endpoint has been added yet. An unknown primary name
-    /// (or a primary that is itself a replica) panics in
-    /// [`FederationBuilder::build`].
-    pub fn replica_of(mut self, primary: impl Into<String>) -> Self {
-        match self.entries.last_mut() {
-            Some(entry) => entry.replica_of = Some(primary.into()),
-            None => panic!("replica_of() before any endpoint()"),
-        }
-        self
-    }
-
-    /// Finishes construction: primaries first (in insertion order), then
-    /// replicas (in insertion order), each resolved to its primary by name.
-    pub fn build(self) -> Federation {
-        let mut fed = Federation::new(self.dict);
-        let (primaries, replicas): (Vec<BuilderEntry>, Vec<BuilderEntry>) = self
-            .entries
-            .into_iter()
-            .partition(|e| e.replica_of.is_none());
-        for entry in primaries {
-            let ep = realize(entry.kind, entry.faults, self.backend);
-            fed.add(ep);
-        }
-        for entry in replicas {
-            let primary_name = entry.replica_of.expect("partitioned as replica");
-            let (primary, _) = fed
-                .endpoint_by_name(&primary_name)
-                .unwrap_or_else(|| panic!("replica_of(): unknown primary {primary_name:?}"));
-            let ep = realize(entry.kind, entry.faults, self.backend);
-            fed.add_replica(primary, ep);
-        }
-        fed
-    }
-}
-
-/// Materializes one builder entry into an endpoint, applying the chosen
-/// storage backend and the fault wrapper when requested.
-fn realize(kind: EntryKind, faults: Option<FaultProfile>, backend: BackendKind) -> EndpointRef {
-    let base: EndpointRef = match kind {
-        EntryKind::Local { name, store } => Arc::new(LocalEndpoint::on_backend(
-            name,
-            store,
-            backend,
-            NetworkProfile::default(),
-        )),
-        EntryKind::Custom { ep } => ep,
-    };
-    match faults {
-        Some(f) => Arc::new(FlakyEndpoint::new(base, f)) as EndpointRef,
-        None => base,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LocalEndpoint;
     use lusail_rdf::Term;
     use lusail_sparql::parse_query;
     use lusail_store::TripleStore;
@@ -382,10 +232,10 @@ mod tests {
             &Term::iri("http://b/p"),
             &Term::iri("http://b/o"),
         );
-        Federation::builder(dict)
-            .endpoint("A", st1)
-            .endpoint("B", st2)
-            .build()
+        let mut f = Federation::new(Arc::clone(&dict));
+        f.add(Arc::new(LocalEndpoint::new("A", st1)));
+        f.add(Arc::new(LocalEndpoint::new("B", st2)));
+        f
     }
 
     #[test]
@@ -456,22 +306,14 @@ mod tests {
     }
 
     #[test]
-    fn builder_orders_primaries_before_replicas() {
+    #[should_panic(expected = "primaries are added before any replica")]
+    fn primary_after_a_replica_is_rejected() {
         let dict = Dictionary::shared();
+        let mut f = Federation::new(Arc::clone(&dict));
         let store = || TripleStore::new(Arc::clone(&dict));
-        // The replica is declared in the middle; it must still land after
-        // every primary so primary ids are stable under replication.
-        let f = Federation::builder(Arc::clone(&dict))
-            .endpoint("A", store())
-            .endpoint("A-replica", store())
-            .replica_of("A")
-            .endpoint("B", store())
-            .build();
-        assert_eq!(f.endpoint(0).name(), "A");
-        assert_eq!(f.endpoint(1).name(), "B");
-        assert_eq!(f.endpoint(2).name(), "A-replica");
-        assert_eq!(f.logical_ids(), vec![0, 1]);
-        assert_eq!(f.replica_group(0), vec![0, 2]);
+        let a = f.add(Arc::new(LocalEndpoint::new("A", store())));
+        f.add_replica(a, Arc::new(LocalEndpoint::new("A-replica", store())));
+        f.add(Arc::new(LocalEndpoint::new("B", store())));
     }
 
     #[test]
@@ -501,27 +343,5 @@ mod tests {
         // Invalidating an id without stats (or out of range) is a no-op.
         f.invalidate_stats(1);
         f.invalidate_stats(99);
-    }
-
-    #[test]
-    fn builder_applies_profiles_and_faults() {
-        let dict = Dictionary::shared();
-        let mut st = TripleStore::new(Arc::clone(&dict));
-        st.insert_terms(
-            &Term::iri("http://a/s"),
-            &Term::iri("http://a/p"),
-            &Term::iri("http://a/o"),
-        );
-        let f = Federation::builder(Arc::clone(&dict))
-            .endpoint("A", st)
-            .faults(FaultProfile::dead())
-            .endpoint("B", TripleStore::new(dict))
-            .build();
-        assert_eq!(f.len(), 2);
-        // The dead fault profile wraps the first endpoint only.
-        let q = parse_query("ASK { ?s <http://a/p> ?o }", f.dict()).unwrap();
-        assert!(f.endpoint(0).ask(&q).is_err());
-        assert!(!f.endpoint(1).ask(&q).unwrap());
-        assert_eq!(f.endpoint(0).triple_count(), 1);
     }
 }

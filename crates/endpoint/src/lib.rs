@@ -32,7 +32,7 @@ pub mod trace;
 
 pub use error::{EndpointError, EndpointFailure, FederationError, QueryOutcome};
 pub use fault::{FaultProfile, FlakyEndpoint};
-pub use federation::{EndpointId, Federation, FederationBuilder};
+pub use federation::{EndpointId, Federation};
 pub use network::{NetworkProfile, NetworkStats, StatsSnapshot};
 pub use resilience::{Clock, HealthHook, ManualClock, RequestPolicy, ResilientClient, SystemClock};
 pub use trace::{HealthState, RequestCounts, RequestKind, TraceEvent, TraceSink};
@@ -82,44 +82,24 @@ impl LocalEndpoint {
     /// Creates an endpoint with no network delay (local-cluster setting)
     /// over the default BTree backend.
     pub fn new(name: impl Into<String>, store: TripleStore) -> Self {
-        Self::with_backend(name, Box::new(store), NetworkProfile::default())
-    }
-
-    /// Creates an endpoint with the given network profile (geo-distributed
-    /// setting) over the default BTree backend.
-    pub fn with_profile(
-        name: impl Into<String>,
-        store: TripleStore,
-        profile: NetworkProfile,
-    ) -> Self {
-        Self::with_backend(name, Box::new(store), profile)
-    }
-
-    /// Creates an endpoint over an already-materialized backend — the
-    /// fully general constructor behind [`LocalEndpoint::new`] and
-    /// [`LocalEndpoint::with_profile`].
-    pub fn with_backend(
-        name: impl Into<String>,
-        store: Box<dyn StorageBackend>,
-        profile: NetworkProfile,
-    ) -> Self {
-        LocalEndpoint {
-            name: name.into(),
-            store,
-            profile,
-            stats: NetworkStats::default(),
-        }
+        Self::on_backend(name, store, BackendKind::Btree, NetworkProfile::default())
     }
 
     /// Creates an endpoint by materializing a populated [`TripleStore`]
-    /// into the chosen backend, with the given network profile.
+    /// into the chosen backend, with the given network profile
+    /// (geo-distributed setting).
     pub fn on_backend(
         name: impl Into<String>,
         store: TripleStore,
         backend: BackendKind,
         profile: NetworkProfile,
     ) -> Self {
-        Self::with_backend(name, backend.realize(store), profile)
+        LocalEndpoint {
+            name: name.into(),
+            store: backend.realize(store),
+            profile,
+            stats: NetworkStats::default(),
+        }
     }
 
     /// Read access to the underlying store (used by index-building
@@ -312,7 +292,7 @@ mod wire_tests {
                 &Term::lit(format!("value {i}")),
             );
         }
-        LocalEndpoint::with_profile("T", st, profile)
+        LocalEndpoint::on_backend("T", st, BackendKind::Btree, profile)
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //! default. A connection thread reads with a 50 ms timeout, the cadence
 //! at which it sees shutdown, and drops a client that takes no response
 //! bytes for 30 s, so a client that stops reading stalls only itself.
+//! A request still incomplete 30 s (on the server clock) after its first
+//! byte is answered `408` (code `timeout`) and closed, so a client that
+//! stops writing holds its connection place no longer.
 //! At most `MAX_CONNECTIONS` (256) are served at once; one more is
 //! answered `503` (code `shed`) and closed. An idle connection holds a
 //! parked thread, not a query slot: `max_in_flight` counts queries.
@@ -372,6 +375,10 @@ const CADENCE: Duration = Duration::from_millis(50);
 /// connection.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// A request still incomplete this long (on the server clock) after its
+/// first bytes arrived is answered `408` and its connection closed.
+const REQUEST_TIMEOUT: Duration = WRITE_TIMEOUT;
+
 /// C's `struct pollfd` (fd, events, revents) and `nfds_t` (`unsigned
 /// long` on Linux, `unsigned int` on macOS and the BSDs).
 #[repr(C)]
@@ -480,17 +487,21 @@ fn open<'scope>(
 
 /// Answers one connection's requests in order, each response written
 /// whole before the next request is parsed, until the client closes or
-/// asks to, breaks the protocol, or takes no response for
-/// [`WRITE_TIMEOUT`]. `stop` is looked at before each request and after
-/// each read timeout: an idle thread ends within one read timeout, a busy
-/// one after its in-flight response.
+/// asks to, breaks the protocol, takes no response for
+/// [`WRITE_TIMEOUT`], or leaves a request incomplete for
+/// [`REQUEST_TIMEOUT`] (answered `408`). `stop` is looked at before each
+/// request and after each read timeout: an idle thread ends within one
+/// read timeout, a busy one after its in-flight response.
 fn serve_connection(server: &QueryServer, mut stream: &TcpStream, stop: &AtomicBool) {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
+    // When the buffer first held bytes of the request not yet complete.
+    let mut started: Option<Duration> = None;
     while !stop.load(Ordering::SeqCst) {
         match try_parse(&buf) {
             Ok(Some((request, consumed))) => {
                 buf.drain(..consumed);
+                started = None;
                 let keep = request.keep_alive();
                 let (status, phrase, body) = route(server, &request);
                 let response = render_response(status, phrase, &body, keep);
@@ -498,13 +509,31 @@ fn serve_connection(server: &QueryServer, mut stream: &TcpStream, stop: &AtomicB
                     return;
                 }
             }
-            Ok(None) => match stream.read(&mut chunk) {
-                Ok(0) => return,
-                Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                // A read timeout: look at `stop` again.
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
-                Err(_) => return,
-            },
+            Ok(None) => {
+                if !buf.is_empty() {
+                    // An idle keep-alive connection has an empty buffer and
+                    // is never timed out here.
+                    let now = server.clock.now();
+                    if now.saturating_sub(*started.get_or_insert(now)) >= REQUEST_TIMEOUT {
+                        let body = format!(
+                            "error: request timeout\ncode: timeout\nreason: request \
+                             incomplete after {} s\n",
+                            REQUEST_TIMEOUT.as_secs()
+                        );
+                        let response = render_response(408, "Request Timeout", &body, false);
+                        let _ = stream.write_all(&response);
+                        return;
+                    }
+                }
+                match stream.read(&mut chunk) {
+                    Ok(0) => return,
+                    Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                    // A read timeout: look at `stop` and the clock again.
+                    Err(e)
+                        if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+                    Err(_) => return,
+                }
+            }
             Err(reason) => {
                 let body = format!("error: bad request\ncode: parse\nreason: {reason}\n");
                 let _ = stream.write_all(&render_response(400, "Bad Request", &body, false));

@@ -478,9 +478,16 @@ fn with_http_loop<Held>(
     config: ServerConfig,
     body: impl FnOnce(std::net::SocketAddr, &Arc<QueryServer>) -> Held,
 ) -> crate::DrainReport {
-    use std::sync::atomic::AtomicBool;
     let (fed, _dict) = tiny_federation();
-    let server = QueryServer::new(fed, Lusail::default(), config);
+    with_server_loop(QueryServer::new(fed, Lusail::default(), config), body)
+}
+
+/// [`with_http_loop`] over a server the caller built.
+fn with_server_loop<Held>(
+    server: Arc<QueryServer>,
+    body: impl FnOnce(std::net::SocketAddr, &Arc<QueryServer>) -> Held,
+) -> crate::DrainReport {
+    use std::sync::atomic::AtomicBool;
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let shutdown: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
@@ -547,6 +554,41 @@ fn idle_keepalive_connections_cost_no_query_slots() {
         idle
     });
     assert_eq!(report.abandoned, 0);
+}
+
+#[test]
+fn a_request_left_incomplete_is_answered_408_and_closed() {
+    use std::io::{ErrorKind, Read as _, Write as _};
+    let clock = ManualClock::new();
+    let (fed, _dict) = tiny_federation();
+    let server = QueryServer::with_clock(
+        fed,
+        Lusail::default(),
+        ServerConfig::default(),
+        clock.clone(),
+    );
+    with_server_loop(server, |addr, _| {
+        let mut conn = std::net::TcpStream::connect(addr).unwrap();
+        conn.write_all(b"GET /heal").unwrap();
+        // Nothing is answered while the server clock stands still.
+        conn.set_read_timeout(Some(Duration::from_millis(300)))
+            .unwrap();
+        let err = conn.read(&mut [0u8; 64]).unwrap_err();
+        assert!(matches!(
+            err.kind(),
+            ErrorKind::WouldBlock | ErrorKind::TimedOut
+        ));
+
+        clock.advance(Duration::from_secs(30));
+        conn.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+        let (status, body) = read_response(&mut conn);
+        assert_eq!(status, 408, "{body}");
+        assert_eq!(
+            body,
+            "error: request timeout\ncode: timeout\nreason: request incomplete after 30 s\n"
+        );
+        assert!(matches!(conn.read(&mut [0u8; 64]), Ok(0)), "then EOF");
+    });
 }
 
 #[test]

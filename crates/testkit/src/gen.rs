@@ -11,7 +11,7 @@
 //! interlinks are exactly what makes global join variables arise.
 
 use lusail_benchdata::common::Rng;
-use lusail_endpoint::{FaultProfile, Federation, LocalEndpoint, SparqlEndpoint};
+use lusail_endpoint::{EndpointRef, FaultProfile, Federation, FlakyEndpoint, LocalEndpoint};
 use lusail_rdf::{Dictionary, Term, Triple};
 use lusail_sparql::ast::{
     CmpOp, Expression, GroupPattern, PatternTerm, Query, QueryForm, TriplePattern,
@@ -311,7 +311,7 @@ impl Case {
         replication: usize,
     ) -> (Federation, Vec<Arc<LocalEndpoint>>) {
         assert!(replication >= 1, "replication must be at least 1");
-        let mut builder = Federation::builder(Arc::clone(&self.dict));
+        let mut fed = Federation::new(Arc::clone(&self.dict));
         let mut locals = Vec::with_capacity(self.n_endpoints);
         for k in 0..replication {
             for (i, store) in self.stores().into_iter().enumerate() {
@@ -319,25 +319,26 @@ impl Case {
                     0 => format!("ep{i}"),
                     _ => format!("ep{i}r{k}"),
                 };
-                let ep = Arc::new(LocalEndpoint::on_backend(
+                let local = Arc::new(LocalEndpoint::on_backend(
                     name,
                     store,
                     backend,
                     Default::default(),
                 ));
-                builder = builder.custom(Arc::clone(&ep) as Arc<dyn SparqlEndpoint>);
-                if k == 0 {
-                    locals.push(ep);
-                } else {
-                    builder = builder.replica_of(format!("ep{i}"));
-                }
+                let mut ep = Arc::clone(&local) as EndpointRef;
                 let id = k * self.n_endpoints + i;
                 if let Some(profile) = faults.profiles.get(id).copied().flatten() {
-                    builder = builder.faults(profile);
+                    ep = Arc::new(FlakyEndpoint::new(ep, profile));
+                }
+                if k == 0 {
+                    locals.push(local);
+                    fed.add(ep);
+                } else {
+                    fed.add_replica(i, ep);
                 }
             }
         }
-        (builder.build(), locals)
+        (fed, locals)
     }
 }
 

@@ -279,6 +279,27 @@ for f in crates/core/src/*.rs; do
 done
 [ "$scattered" -eq 0 ]
 
+echo "==> one way to assemble a federation (Federation::new + add / add_replica; LocalEndpoint::new / on_backend; one entry point per baseline engine)"
+scattered=0
+# Here-strings, not pipes (see the stanza above).
+while IFS= read -r f; do
+    if grep -Eq 'FederationBuilder|Federation::builder' <<<"$(sed '/#\[cfg(test)\]/,$d' "$f")"; then
+        echo "$f: the federation builder is back (assemble with Federation::new + add / add_replica)" >&2
+        scattered=1
+    fi
+done < <(find crates src -name '*.rs' -not -path crates/server/src/tests.rs | sort)
+if grep -Eq 'fn with_profile|fn with_backend' <<<"$(sed '/#\[cfg(test)\]/,$d' crates/endpoint/src/lib.rs)"; then
+    echo "crates/endpoint/src/lib.rs: a third LocalEndpoint constructor is back (new and on_backend are the two)" >&2
+    scattered=1
+fi
+for f in crates/baselines/src/fedx.rs crates/baselines/src/splendid.rs; do
+    if grep -Eq 'pub fn execute(_with)?\(' <<<"$(sed '/#\[cfg(test)\]/,$d' "$f")"; then
+        echo "$f: an execute / execute_with method is back (FederatedEngine::run_with is the entry point)" >&2
+        scattered=1
+    fi
+done
+[ "$scattered" -eq 0 ]
+
 # The benchmark crate is a workspace of its own with its own lock file; it
 # calls the engine only through public items (par_hash_join, hash_join,
 # SolutionSet { vars, rows } literals, ...), so an engine API change that

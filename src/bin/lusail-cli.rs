@@ -52,8 +52,8 @@
 use lusail_baselines::FedX;
 use lusail_benchdata::{bio2rdf, lrb, lubm, qfed, Workload};
 use lusail_endpoint::{
-    ExecOptions, FaultProfile, FederatedEngine, Federation, LocalEndpoint, ManualClock,
-    SparqlEndpoint,
+    EndpointRef, ExecOptions, FaultProfile, FederatedEngine, Federation, FlakyEndpoint,
+    LocalEndpoint, ManualClock, NetworkProfile, SparqlEndpoint,
 };
 use lusail_rdf::{ntriples, Dictionary};
 use lusail_repro::lusail::{Lusail, LusailConfig};
@@ -203,23 +203,28 @@ fn parse_kill(spec: &str) -> Result<(String, FaultProfile), String> {
     }
 }
 
-/// Applies every `--kill` spec matching the endpoint that was just
-/// added to the builder (the fault wrapper attaches to the most recent
-/// entry), marking matched specs as used.
-fn apply_kills(
-    builder: lusail_endpoint::FederationBuilder,
+/// Builds the endpoint over `store` on the chosen backend, wrapped once
+/// for each `--kill` spec naming it, and marks those specs as used.
+fn build_endpoint(
     name: &str,
+    store: TripleStore,
+    backend: BackendKind,
     kill_specs: &mut [(String, FaultProfile, bool)],
-) -> lusail_endpoint::FederationBuilder {
-    let mut builder = builder;
+) -> EndpointRef {
+    let mut ep: EndpointRef = Arc::new(LocalEndpoint::on_backend(
+        name,
+        store,
+        backend,
+        NetworkProfile::default(),
+    ));
     for (kill_name, profile, used) in kill_specs.iter_mut() {
         if kill_name == name {
             *used = true;
-            builder = builder.faults(*profile);
+            ep = Arc::new(FlakyEndpoint::new(ep, *profile));
             println!("killing endpoint {name}");
         }
     }
-    builder
+    ep
 }
 
 /// Reads one N-Triples file into a store, named after the file stem.
@@ -275,10 +280,10 @@ fn load_federation(args: &FederationArgs) -> Result<(Federation, Arc<Dictionary>
 
     let dict = Dictionary::shared();
     let backend = args.backend;
-    let mut builder = Federation::builder(Arc::clone(&dict)).backend(backend);
+    let mut fed = Federation::new(Arc::clone(&dict));
     let mut primary_names = Vec::new();
     // In `--stats build` mode the summaries come straight from the loaded
-    // stores (before they move into the builder); in `--stats DIR` mode
+    // stores (before they move into the endpoints); in `--stats DIR` mode
     // they are read back from a prior `lusail-cli stats` run below.
     let mut built_stats: Vec<(String, EndpointStats)> = Vec::new();
     for p in &args.endpoints {
@@ -287,31 +292,29 @@ fn load_federation(args: &FederationArgs) -> Result<(Federation, Arc<Dictionary>
         if args.stats_mode == Some("build") {
             built_stats.push((name.clone(), EndpointStats::build(&store)));
         }
-        builder = apply_kills(builder.endpoint(&name, store), &name, &mut kill_specs);
+        fed.add(build_endpoint(&name, store, backend, &mut kill_specs));
         primary_names.push(name);
     }
     for spec in &args.replicas {
         let (primary, file) = spec
             .split_once('=')
             .ok_or_else(|| format!("bad --replica spec {spec:?} (want NAME=FILE.nt)"))?;
-        if !primary_names.iter().any(|n| n == primary) {
+        let Some(primary_id) = primary_names.iter().position(|n| n == primary) else {
             return Err(format!("--replica {spec:?}: no endpoint named {primary:?}"));
-        }
+        };
         let (name, store) = load_endpoint(file, &dict)?;
         println!(
             "loaded replica {name} of {primary}: {} triples",
             store.len()
         );
-        builder = apply_kills(
-            builder.endpoint(&name, store).replica_of(primary),
-            &name,
-            &mut kill_specs,
+        fed.add_replica(
+            primary_id,
+            build_endpoint(&name, store, backend, &mut kill_specs),
         );
     }
     if let Some((name, _, _)) = kill_specs.iter().find(|(_, _, used)| !used) {
         return Err(format!("--kill {name:?}: no endpoint with that name"));
     }
-    let fed = builder.build();
     let resident: u64 = fed.iter().filter_map(|(_, ep)| ep.resident_bytes()).sum();
     let n_endpoints = fed.iter().count();
     println!(

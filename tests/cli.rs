@@ -411,3 +411,77 @@ fn error_paths_exit_nonzero_with_messages() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn replica_and_kill_flags_fail_over_and_name_unknown_endpoints() {
+    let dir = tempdir("replica");
+    let out = cli()
+        .args([
+            "generate",
+            "--workload",
+            "lubm",
+            "--out",
+            dir.to_str().unwrap(),
+            "--size",
+            "2",
+        ])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::copy(dir.join("univ-0.nt"), dir.join("univ-0-replica.nt")).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let query = |extra: &[String]| {
+        let mut cmd = cli();
+        cmd.args(["query", "--endpoint", &path("univ-0.nt")])
+            .args(["--endpoint", &path("univ-1.nt")])
+            .args(["--query-file", &path("queries/Q2.rq")])
+            .args(extra);
+        cmd.output().expect("spawn")
+    };
+
+    // The primary dies after two requests; its replica absorbs the rest.
+    let out = query(&[
+        "--replica".into(),
+        format!("univ-0={}", path("univ-0-replica.nt")),
+        "--kill".into(),
+        "univ-0:2".into(),
+        "--explain-analyze".into(),
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("killing endpoint univ-0\n"), "{stdout}");
+    assert!(stdout.contains("complete: true"), "{stdout}");
+    assert!(
+        stdout.contains("\n  failover: endpoint 0 -> 2 on "),
+        "{stdout}"
+    );
+
+    // A replica of, or a kill for, an endpoint nobody loaded is refused.
+    for (extra, message) in [
+        (
+            vec![
+                "--replica".into(),
+                format!("nope={}", path("univ-0-replica.nt")),
+            ],
+            "no endpoint named \"nope\"",
+        ),
+        (
+            vec!["--kill".into(), "nope".into()],
+            "no endpoint with that name",
+        ),
+    ] {
+        let out = query(&extra);
+        assert!(!out.status.success(), "{extra:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{extra:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

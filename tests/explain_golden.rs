@@ -14,7 +14,7 @@
 
 use lusail_benchdata::lubm::{self, LubmConfig};
 use lusail_endpoint::{
-    ExecOptions, Federation, ManualClock, SparqlEndpoint, TraceEvent, TraceSink,
+    ExecOptions, Federation, LocalEndpoint, ManualClock, SparqlEndpoint, TraceEvent, TraceSink,
 };
 use lusail_rdf::{ntriples, Dictionary};
 use lusail_repro::lusail::{Lusail, LusailConfig};
@@ -29,7 +29,7 @@ fn explain_analyze_at_four_threads_matches_the_committed_golden() {
     // Round-trip every endpoint through N-Triples into a fresh shared
     // dictionary, exactly as the CLI does when loading `.nt` files.
     let dict = Dictionary::shared();
-    let mut builder = Federation::builder(Arc::clone(&dict));
+    let mut fed = Federation::new(Arc::clone(&dict));
     let mut loaded_lines = String::new();
     for ep in &w.endpoints {
         let mut triples = Vec::with_capacity(ep.triple_count());
@@ -46,9 +46,8 @@ fn explain_analyze_at_four_threads_matches_the_committed_golden() {
             "loaded endpoint {name}: {} triples\n",
             store.len()
         ));
-        builder = builder.endpoint(&name, store);
+        fed.add(Arc::new(LocalEndpoint::new(name, store)));
     }
-    let fed = builder.build();
     // The CLI follows the loader lines with one `storage:` line summing
     // the backends' self-reported resident bytes.
     let resident: u64 = fed.iter().filter_map(|(_, ep)| ep.resident_bytes()).sum();

@@ -31,14 +31,15 @@ fn flaky_federation(
     target: &str,
     profile: FaultProfile,
 ) -> Federation {
-    let mut builder = Federation::builder(Arc::clone(&w.dict));
+    let mut fed = Federation::new(Arc::clone(&w.dict));
     for (_, ep) in w.federation.iter() {
-        builder = builder.custom(ep.clone());
         if ep.name() == target {
-            builder = builder.faults(profile);
+            fed.add(Arc::new(FlakyEndpoint::new(ep.clone(), profile)));
+        } else {
+            fed.add(ep.clone());
         }
     }
-    builder.build()
+    fed
 }
 
 /// A retry policy generous enough that a 20% transient failure rate is
