@@ -6,6 +6,14 @@
 //! matching the variable in the two patterns are not co-located at some
 //! endpoint.
 //!
+//! A joined pair whose two patterns have exactly one relevant source, the
+//! same one, is local without a check (case 0 of [`detect_gjvs`]): every
+//! triple matching either pattern lives at that endpoint, so their join
+//! over the federation is their join there. This holds for any data and
+//! any variable role, predicate position included. The paper's
+//! Algorithm 1 checks such pairs too; FedX's exclusive groups rest on the
+//! same argument.
+//!
 //! Co-location is established by *check queries* — lightweight
 //! `{ … FILTER NOT EXISTS { … } }` existence probes computing the set
 //! difference of the variable's instances under the two patterns (Fig. 6
@@ -29,7 +37,8 @@
 //!
 //! Two paper-inherited caveats, both documented in DESIGN.md: (1) the
 //! probes establish co-location only under entity-partitioned data (each
-//! subject's triples at its authority's endpoint — the setting of Fig. 1);
+//! subject's triples at its authority's endpoint — the setting of Fig. 1;
+//! case 0 needs no such assumption);
 //! (2) adding the `rdf:type` constraint to the outer pattern makes checks
 //! *against the type pattern itself* vacuous by construction. Both follow
 //! the paper's Fig. 6 exactly — dropping the type constraint would flag
@@ -113,7 +122,10 @@ type Occurrences = Vec<(usize, Role)>;
 ///
 /// 1. every variable's checks are built against the *static* conflicts
 ///    known so far — differing sources and predicate-position joins — in
-///    variable order;
+///    variable order. A pair whose patterns share their one relevant source
+///    is local (case 0, see the module docs): never fixed, checked or
+///    conflicting. A failed COUNT only adds sources, so a degraded probe
+///    can turn such a pair back into a checked one, never the reverse;
 /// 2. one `probe::resolve` call answers them all (memo, then statistics,
 ///    then the wire; a failed check assumes the pair conflicting — a false
 ///    positive costs extra remote joins, never answers);
@@ -136,8 +148,12 @@ pub fn detect_gjvs(
     // Step 1: each joining variable's static conflicts and checks.
     let mut known: FxHashSet<(usize, usize)> = FxHashSet::default();
     let mut steps: Vec<Step> = Vec::new();
+    let local = |pair| one_source(sources, triples, pair);
     for (var, occurrences) in variable_occurrences(triples) {
-        let pairs = joined_pairs(&occurrences);
+        // Case 0: single-source pairs are local, in any role.
+        let pairs: Vec<(usize, usize)> = (joined_pairs(&occurrences).into_iter())
+            .filter(|&pair| !local(pair))
+            .collect();
         if pairs.is_empty() {
             continue;
         }
@@ -161,7 +177,7 @@ pub fn detect_gjvs(
         } else {
             let type_info = type_constraint(triples, rdf_type, &var);
             variable_checks(&var, &occurrences, triples, type_info, |pair| {
-                known.contains(&pair)
+                local(pair) || known.contains(&pair)
             })
         };
         steps.push(Step { var, fixed, checks });
@@ -199,6 +215,13 @@ pub fn detect_gjvs(
         }
     }
     analysis
+}
+
+/// Case 0 of [`detect_gjvs`]: both patterns of `pair` have exactly one
+/// relevant source, the same one.
+fn one_source(sources: &SourceMap, triples: &[TriplePattern], (i, j): (usize, usize)) -> bool {
+    let at = sources.sources(&triples[i]);
+    at.len() == 1 && at == sources.sources(&triples[j])
 }
 
 /// One joining variable's part of Algorithm 1 before the wave.
@@ -575,18 +598,24 @@ mod tests {
 
     /// Algorithm 1 one variable at a time: one `probe::resolve` call per
     /// variable, and a pair an earlier variable made conflicting is not
-    /// checked again. [`detect_gjvs`] must replay it exactly.
+    /// checked again. With `case_0`, [`detect_gjvs`] must replay it
+    /// exactly; without, it is the paper's rule-free Algorithm 1, which
+    /// checks single-source pairs too.
     fn per_variable_reference(
         fed: &Federation,
         triples: &[TriplePattern],
         sources: &SourceMap,
         cache: &ProbeCache<CheckKey, bool>,
         net: &Net,
+        case_0: bool,
     ) -> GjvAnalysis {
         let mut analysis = GjvAnalysis::default();
         let rdf_type = fed.dict().encode_iri(vocab::RDF_TYPE);
+        let local = |pair| case_0 && one_source(sources, triples, pair);
         for (var, occurrences) in variable_occurrences(triples) {
-            let pairs = joined_pairs(&occurrences);
+            let pairs: Vec<(usize, usize)> = (joined_pairs(&occurrences).into_iter())
+                .filter(|&pair| !local(pair))
+                .collect();
             if pairs.is_empty() {
                 continue;
             }
@@ -603,7 +632,7 @@ mod tests {
             } else {
                 let type_info = type_constraint(triples, rdf_type, &var);
                 let checks = variable_checks(&var, &occurrences, triples, type_info, |(i, j)| {
-                    analysis.conflicting(i, j)
+                    local((i, j)) || analysis.conflicting(i, j)
                 });
                 let mut probes = Vec::new();
                 let mut asked = Vec::new();
@@ -687,7 +716,7 @@ mod tests {
     fn one_wave_changes_no_plan() {
         let mut rng = SplitMix64::new(0x6A75);
         let (mut predicate_vars, mut object_pairs, mut typed, mut checked) = (0, 0, 0, 0);
-        let (mut by_checks, mut ignored) = (0, 0);
+        let (mut by_checks, mut ignored, mut one_source_pairs, mut removed) = (0, 0, 0, 0);
         for case in 0..400 {
             let fed = random_federation(&mut rng);
             let triples = random_bgp(&mut rng, &fed);
@@ -707,9 +736,35 @@ mod tests {
                 &sources,
                 &ProbeCache::new(true),
                 &reference,
+                true,
             );
             assert_eq!(got.gjvs, want.gjvs, "case {case}: {triples:?}");
             assert_eq!(got.conflicts, want.conflicts, "case {case}: {triples:?}");
+            // The paper's Algorithm 1, which checks single-source pairs too:
+            // case 0 only removes conflicts, and only single-source ones.
+            let paper = per_variable_reference(
+                &fed,
+                &triples,
+                &sources,
+                &ProbeCache::new(true),
+                &Net::default(),
+                false,
+            );
+            assert!(
+                got.conflicts.is_subset(&paper.conflicts),
+                "case {case}: {triples:?}"
+            );
+            for &pair in paper.conflicts.difference(&got.conflicts) {
+                assert!(
+                    one_source(&sources, &triples, pair),
+                    "case {case}: {pair:?}"
+                );
+            }
+            removed += (paper.conflicts.len() > got.conflicts.len()) as u32;
+            assert!(
+                got.gjvs.iter().all(|v| paper.gjvs.contains(v)),
+                "case {case}"
+            );
 
             let rdf_type = fed.dict().encode_iri(vocab::RDF_TYPE);
             let occurrences = variable_occurrences(&triples);
@@ -727,15 +782,18 @@ mod tests {
             checked += (checks(&wave) > 0) as u32;
             ignored += (checks(&wave) > checks(&reference)) as u32;
             let mut fixed = FxHashSet::default();
+            let mut settled_by_one_source = false;
             for (_, occ) in &occurrences {
                 let predicate = occ.iter().any(|(_, r)| *r == Role::Predicate);
                 for (i, j) in joined_pairs(occ) {
+                    settled_by_one_source |= one_source(&sources, &triples, (i, j));
                     if predicate || sources.sources(&triples[i]) != sources.sources(&triples[j]) {
                         fixed.insert((i, j));
                     }
                 }
             }
             by_checks += got.conflicts.iter().any(|pair| !fixed.contains(pair)) as u32;
+            one_source_pairs += settled_by_one_source as u32;
         }
         for (what, n) in [
             ("joining predicate-position variables", predicate_vars),
@@ -744,6 +802,8 @@ mod tests {
             ("cases with check queries", checked),
             ("cases with ignored answers", ignored),
             ("cases with conflicts from checks", by_checks),
+            ("cases with a pair settled by one source", one_source_pairs),
+            ("cases where one source removes a paper conflict", removed),
         ] {
             assert!(n >= 10, "{what}: only {n}");
         }

@@ -300,6 +300,20 @@ for f in crates/baselines/src/fedx.rs crates/baselines/src/splendid.rs; do
 done
 [ "$scattered" -eq 0 ]
 
+echo "==> one source, no check (a joined pair whose patterns share their one relevant source is local: Lusail's qfed and bio2rdf lines of crates/bench/counters.tsv send no check query)"
+# Every qfed and bio2rdf source is the single authority for its predicates,
+# so each pair LADE could check there has one common source. Here-strings,
+# not pipes (see the stanzas above).
+tsv=$(cat crates/bench/counters.tsv)
+col=$(awk -F'\t' '$1 == "workload" { for (i = 1; i <= NF; i++) if ($i == "check_queries") print i }' <<<"$tsv")
+single=$(awk -F'\t' '$3 == "Lusail" && ($1 == "qfed" || $1 == "bio2rdf")' <<<"$tsv")
+checked=$(awk -F'\t' -v c="$col" '$c != 0 { print $1 "/" $2 "/" $3 "/" $4 ": " $c " check queries" }' <<<"$single")
+if [ -z "$col" ] || [ -z "$single" ] || [ -n "$checked" ]; then
+    echo "crates/bench/counters.tsv: Lusail checks a single-source pair (or the check_queries column or the Lusail qfed/bio2rdf lines are missing):" >&2
+    echo "$checked" >&2
+    exit 1
+fi
+
 # The benchmark crate is a workspace of its own with its own lock file; it
 # calls the engine only through public items (par_hash_join, hash_join,
 # SolutionSet { vars, rows } literals, ...), so an engine API change that

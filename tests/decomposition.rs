@@ -1,9 +1,13 @@
 //! Behavioural invariants of Lusail's pipeline on the benchmark
-//! workloads: which queries are disjoint, which variables go global, how
-//! the caches and delays behave, and that the metrics are coherent.
+//! workloads and on small hand-built federations: which queries are
+//! disjoint, which variables go global, how the caches and delays behave,
+//! and that the metrics are coherent.
 
-use lusail_benchdata::{lubm, qfed};
-use lusail_core::{Lusail, LusailConfig, RequestKind};
+use lusail_benchdata::{lrb, lubm, qfed, Workload};
+use lusail_core::{Lusail, LusailConfig, QueryResult, RequestKind};
+use lusail_rdf::{vocab, Dictionary, Term};
+use lusail_store::{BackendKind, TripleStore};
+use std::sync::Arc;
 
 #[test]
 fn lubm_q1_q2_are_disjoint() {
@@ -191,4 +195,163 @@ fn empty_federation_source_yields_empty_results_quickly() {
     let r = engine.execute(&w.federation, &q).unwrap();
     assert!(r.solutions.is_empty());
     assert_eq!(r.metrics.requests_execution.total_requests(), 0);
+}
+
+/// A federation of the given stores (each a list of IRI triples) and one
+/// query, with the merged-store oracle.
+fn federation(stores: &[(&str, Vec<[&str; 3]>)], query: &str) -> Workload {
+    let dict = Dictionary::shared();
+    let stores = (stores.iter())
+        .map(|(name, triples)| {
+            let mut store = TripleStore::new(Arc::clone(&dict));
+            for [s, p, o] in triples {
+                store.insert_terms(&Term::iri(*s), &Term::iri(*p), &Term::iri(*o));
+            }
+            (name.to_string(), store)
+        })
+        .collect();
+    let queries = vec![("q", query.to_string())];
+    Workload::assemble(dict, stores, None, queries, BackendKind::Btree)
+}
+
+/// Runs the workload's one query through Lusail and requires the oracle's
+/// answers.
+fn run_against_oracle(w: &Workload) -> QueryResult {
+    let q = &w.queries[0].query;
+    let r = Lusail::default().execute(&w.federation, q).unwrap();
+    let expected = lusail_store::eval::evaluate(&w.oracle, q).canonicalize();
+    assert!(!expected.is_empty(), "the oracle finds no answer");
+    assert_eq!(r.solutions.canonicalize(), expected);
+    r
+}
+
+/// QFed's `?drug` star: the type and `sameAs` patterns are both only at
+/// DrugBank, and some drugs have no `sameAs`, so Algorithm 1's check of
+/// the pair answers non-empty. Before single-source pairs were settled
+/// without a check, this made `?d` a GJV (one check request) and split
+/// the star into two requests to the same endpoint.
+#[test]
+fn a_star_at_one_endpoint_is_local_without_a_check() {
+    let drug = "http://drugbank/Drug";
+    let same_as = vocab::OWL_SAME_AS;
+    let w = federation(
+        &[
+            (
+                "DrugBank",
+                vec![
+                    ["http://drugbank/d1", vocab::RDF_TYPE, drug],
+                    ["http://drugbank/d1", same_as, "http://sider/s1"],
+                    ["http://drugbank/d2", vocab::RDF_TYPE, drug],
+                    ["http://drugbank/d2", same_as, "http://sider/s2"],
+                    ["http://drugbank/d3", vocab::RDF_TYPE, drug],
+                ],
+            ),
+            (
+                "Sider",
+                vec![[
+                    "http://sider/s1",
+                    "http://sider/sideEffect",
+                    "http://sider/e1",
+                ]],
+            ),
+        ],
+        &format!("SELECT * WHERE {{ ?d a <{drug}> . ?d <{same_as}> ?s }}"),
+    );
+    let r = run_against_oracle(&w);
+    assert!(r.metrics.gjvs.is_empty(), "{:?}", r.metrics.gjvs);
+    assert_eq!(r.metrics.check_queries, 0);
+    // The block ships whole: one SELECT, to DrugBank.
+    assert_eq!(r.metrics.subqueries, 1);
+    assert_eq!(r.metrics.requests_execution.get(RequestKind::Select), 1);
+}
+
+/// The rule does not rest on entity partitioning: each subject's `p` and
+/// `r` edges are at A and its `q` edges at B. The `p`–`r` pair is grouped
+/// at A without a check; `?s` is still global through the pairs whose
+/// sources differ. (Checked, the pair made a third subquery.)
+#[test]
+fn a_single_source_pair_is_local_on_per_edge_partitioned_data() {
+    let w = federation(
+        &[
+            (
+                "A",
+                vec![
+                    ["http://x/s1", "http://x/p", "http://x/o1"],
+                    ["http://x/s1", "http://x/r", "http://x/x1"],
+                    ["http://x/s2", "http://x/p", "http://x/o2"],
+                    ["http://x/s2", "http://x/r", "http://x/x2"],
+                    ["http://x/s3", "http://x/p", "http://x/o3"],
+                ],
+            ),
+            (
+                "B",
+                vec![
+                    ["http://x/s1", "http://x/q", "http://x/y1"],
+                    ["http://x/s2", "http://x/q", "http://x/y2"],
+                    ["http://x/s3", "http://x/q", "http://x/y3"],
+                ],
+            ),
+        ],
+        "SELECT * WHERE { ?s <http://x/p> ?o . ?s <http://x/r> ?x . ?s <http://x/q> ?y }",
+    );
+    let r = run_against_oracle(&w);
+    assert_eq!(r.metrics.gjvs, ["s"]);
+    assert_eq!(r.metrics.check_queries, 0);
+    assert_eq!(r.metrics.subqueries, 2);
+}
+
+/// A predicate-position join whose two patterns have one common source is
+/// local too. Algorithm 1 has no probe shape for it and made it
+/// "conservatively global".
+#[test]
+fn a_single_source_predicate_join_is_local() {
+    let w = federation(
+        &[
+            (
+                "A",
+                vec![
+                    ["http://a/s1", "http://x/p", "http://a/o1"],
+                    ["http://a/s2", "http://x/p", "http://a/o2"],
+                    ["http://a/s3", "http://x/q", "http://a/o2"],
+                ],
+            ),
+            ("B", vec![["http://b/s1", "http://x/p", "http://b/o1"]]),
+        ],
+        "SELECT * WHERE { ?s ?p <http://a/o1> . ?t ?p <http://a/o2> }",
+    );
+    let r = run_against_oracle(&w);
+    assert!(r.metrics.gjvs.is_empty(), "{:?}", r.metrics.gjvs);
+    assert_eq!(r.metrics.subqueries, 1);
+    assert_eq!(r.metrics.requests_execution.get(RequestKind::Select), 1);
+}
+
+/// In every LargeRDFBench query, each joined pair whose patterns have the
+/// same sources has one source, so Lusail answers all 29 without a check
+/// query. Before single-source pairs were settled without a check, the
+/// same run sent 28 check queries.
+#[test]
+fn lrb_needs_no_check_query() {
+    let w = lrb::generate(&lrb::LrbConfig {
+        scale: 0.4,
+        ..Default::default()
+    });
+    assert_eq!(w.queries.len(), 29);
+    let engine = Lusail::default();
+    let mut checks = 0;
+    for nq in &w.queries {
+        let r = engine.execute(&w.federation, &nq.query).unwrap();
+        let got = r.solutions.canonicalize();
+        // Any `LIMIT` rows of the unlimited answer are valid.
+        let mut unlimited = nq.query.clone();
+        let limit = unlimited.limit.take().unwrap_or(usize::MAX);
+        let expected = lusail_store::eval::evaluate(&w.oracle, &unlimited).canonicalize();
+        assert_eq!(got.len(), expected.len().min(limit), "{}", nq.name);
+        assert!(
+            (got.rows.iter()).all(|row| expected.rows.iter().any(|r| r == row)),
+            "{}",
+            nq.name
+        );
+        checks += r.metrics.check_queries;
+    }
+    assert_eq!(checks, 0);
 }
