@@ -1,4 +1,4 @@
-//! Machinery shared by the baseline engines: the query driver, exclusive
+//! Machinery shared by the baseline engines: the query body, exclusive
 //! groups, bound joins, and clause handling. The engines' work unit is
 //! Lusail's [`Subquery`] (projecting every variable), and all their data
 //! comes through `lusail_core::fetch`.
@@ -7,68 +7,33 @@ use lusail_core::exec::Net;
 use lusail_core::fetch::fetch_from;
 use lusail_core::source_selection::SourceMap;
 use lusail_core::subquery::{push_filters_into, Subquery};
-use lusail_endpoint::{
-    ExecOptions, Federation, FederationError, QueryOutcome, RequestPolicy, SystemClock, TraceEvent,
-};
+use lusail_endpoint::Federation;
 use lusail_rdf::FxHashSet;
 use lusail_sparql::ast::{Expression, GroupPattern, Query, TriplePattern, ValuesBlock};
 use lusail_sparql::SolutionSet;
-use std::sync::Arc;
 
-/// The query driver the baseline engines share: applies the
-/// deadline override, builds the per-query [`Net`] from the options,
-/// runs the engine's `select_sources`, answers empty when a
-/// required pattern has no source, otherwise runs the engine's
-/// `evaluate_group` (handed the first-k cutoff where one is sound) and the
-/// query's modifiers, derives completeness from the network's degradation
-/// record, closes the trace with [`TraceEvent::QueryFinished`] and attaches
-/// the per-endpoint failure report.
-pub fn run_query(
-    mut policy: RequestPolicy,
+/// The query body the baseline engines share, run inside the query driver
+/// (`lusail_core::exec::run_query`): the engine's `select_sources`, an
+/// empty answer when a required pattern has no source, otherwise the
+/// engine's `evaluate_group` (handed the first-k cutoff where one is
+/// sound) and the query's modifiers.
+pub fn answer(
     fed: &Federation,
     query: &Query,
-    opts: &ExecOptions,
-    select_sources: impl FnOnce(&GroupPattern, &Net) -> SourceMap,
-    evaluate_group: impl FnOnce(&GroupPattern, &SourceMap, Option<usize>, &Net) -> SolutionSet,
-) -> Result<QueryOutcome, FederationError> {
-    if fed.is_empty() {
-        return Err(FederationError::EmptyFederation);
+    select_sources: impl FnOnce(&GroupPattern) -> SourceMap,
+    evaluate_group: impl FnOnce(&GroupPattern, &SourceMap, Option<usize>) -> SolutionSet,
+) -> SolutionSet {
+    let sources = select_sources(&query.pattern);
+    if sources.any_required_empty(&query.pattern.triples) {
+        return SolutionSet::empty(query.output_vars());
     }
-    if !query.exists.is_empty() {
-        return Err(FederationError::ProjectedExists);
-    }
-    if let Some(deadline) = opts.deadline {
-        policy.query_budget = deadline;
-    }
-    let net = Net::build(
-        policy,
-        Arc::new(SystemClock::default()),
-        opts.trace.clone(),
-        opts.thread_budget(),
-        opts.on_health_transition.clone(),
-    );
-    let sources = select_sources(&query.pattern, &net);
-    let solutions = if sources.any_required_empty(&query.pattern.triples) {
-        SolutionSet::empty(query.output_vars())
-    } else {
-        // The first-k cutoff is unsound under ORDER BY, DISTINCT, and
-        // aggregation: all must see every row before truncation.
-        let cutoff = query.limit.filter(|_| {
-            query.order_by.is_empty() && !query.distinct && query.aggregates.is_empty()
-        });
-        let solutions = evaluate_group(&query.pattern, &sources, cutoff, &net);
-        lusail_store::eval::apply_modifiers(solutions, query, fed.dict())
-    };
-    let complete = !net.degradation.data_loss();
-    opts.trace.emit(|| TraceEvent::QueryFinished {
-        rows: solutions.len(),
-        complete,
-    });
-    Ok(QueryOutcome {
-        solutions,
-        complete,
-        failures: net.client.report(fed),
-    })
+    // The first-k cutoff is unsound under ORDER BY, DISTINCT, and
+    // aggregation: all must see every row before truncation.
+    let cutoff = query
+        .limit
+        .filter(|_| query.order_by.is_empty() && !query.distinct && query.aggregates.is_empty());
+    let solutions = evaluate_group(&query.pattern, &sources, cutoff);
+    lusail_store::eval::apply_modifiers(solutions, query, fed.dict())
 }
 
 /// Groups patterns into FedX's exclusive groups: patterns whose relevant

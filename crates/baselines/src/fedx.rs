@@ -15,19 +15,21 @@
 //! which is what we implement — the request counts and data volumes are
 //! identical, only the wire syntax differs.)
 
-use crate::common::{bound_fetch, evaluate_units, exclusive_groups, run_query, shared_vars};
+use crate::common::{answer, bound_fetch, evaluate_units, exclusive_groups, shared_vars};
 use crate::hibiscus::HibiscusIndex;
 use lusail_core::cache::{PatternKey, ProbeCache};
-use lusail_core::exec::Net;
+use lusail_core::exec::{run_query, Net};
 use lusail_core::fetch::concat;
 use lusail_core::source_selection::{select_sources, SourceMap};
 use lusail_core::subquery::push_filters_into;
 use lusail_endpoint::{
     ExecOptions, FederatedEngine, Federation, FederationError, QueryOutcome, RequestPolicy,
+    SystemClock,
 };
 use lusail_sparql::ast::{GroupPattern, Query};
 use lusail_sparql::SolutionSet;
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Bindings per bound-join block: FedX's published default, which the
 /// paper runs it with.
@@ -161,14 +163,21 @@ impl FederatedEngine for FedX {
         query: &Query,
         opts: &ExecOptions,
     ) -> Result<QueryOutcome, FederationError> {
-        run_query(
-            self.policy,
-            fed,
-            query,
-            opts,
-            |pattern, net| select_sources(fed, pattern, &self.ask_cache, net),
-            |group, sources, cutoff, net| self.evaluate_group(fed, group, sources, cutoff, net),
-        )
+        let clock = Arc::new(SystemClock::default());
+        let (outcome, (), dead) = run_query(fed, query, self.policy, clock, opts, |net| {
+            let solutions = answer(
+                fed,
+                query,
+                |pattern| select_sources(fed, pattern, &self.ask_cache, net),
+                |group, sources, cutoff| self.evaluate_group(fed, group, sources, cutoff, net),
+            );
+            (solutions, ())
+        })?;
+        // A dead endpoint may have answered ASKs before it started failing.
+        for ep in dead {
+            self.ask_cache.invalidate_endpoint(ep);
+        }
+        Ok(outcome)
     }
 
     fn reset(&self) {

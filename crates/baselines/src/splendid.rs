@@ -19,19 +19,20 @@
 //! bindings like FedX, which is why it collapses on large intermediate
 //! results, as the paper observes).
 
-use crate::common::{bound_fetch, run_query, shared_vars};
-use lusail_core::exec::Net;
+use crate::common::{answer, bound_fetch, shared_vars};
+use lusail_core::exec::{run_query, Net};
 use lusail_core::fetch::{concat, fetch_from};
 use lusail_core::source_selection::SourceMap;
 use lusail_core::subquery::Subquery;
 use lusail_endpoint::{
     EndpointId, ExecOptions, FederatedEngine, Federation, FederationError, LocalEndpoint,
-    QueryOutcome, RequestPolicy,
+    QueryOutcome, RequestPolicy, SystemClock,
 };
 use lusail_rdf::TermId;
 use lusail_sparql::ast::{GroupPattern, Query, TriplePattern};
 use lusail_sparql::SolutionSet;
 use lusail_store::EndpointStats;
+use std::sync::Arc;
 
 /// The preprocessing product: a VOID description per endpoint.
 #[derive(Debug, Clone, Default)]
@@ -203,15 +204,19 @@ impl FederatedEngine for Splendid {
         query: &Query,
         opts: &ExecOptions,
     ) -> Result<QueryOutcome, FederationError> {
-        run_query(
-            self.policy,
-            fed,
-            query,
-            opts,
-            |pattern, net| self.select_sources(fed, pattern, net),
-            // SPLENDID has no first-k cutoff.
-            |group, sources, _, net| self.evaluate_group(fed, group, sources, net),
-        )
+        let clock = Arc::new(SystemClock::default());
+        // SPLENDID memoizes no probe, so a dead endpoint leaves nothing to drop.
+        let (outcome, (), _) = run_query(fed, query, self.policy, clock, opts, |net| {
+            let solutions = answer(
+                fed,
+                query,
+                |pattern| self.select_sources(fed, pattern, net),
+                // SPLENDID has no first-k cutoff.
+                |group, sources, _| self.evaluate_group(fed, group, sources, net),
+            );
+            (solutions, ())
+        })?;
+        Ok(outcome)
     }
 }
 

@@ -15,7 +15,7 @@
 use crate::cache::ProbeCaches;
 use crate::cost::{decide_delays_detailed, estimate_cardinalities, DelayPolicy, SubqueryCosts};
 use crate::decompose::{decompose, is_disjoint};
-use crate::exec::{evaluate_subqueries, Net};
+use crate::exec::{evaluate_subqueries, run_query, Net};
 use crate::explain::render_pattern;
 use crate::fetch::fetch_from;
 use crate::gjv::{detect_gjvs, GjvAnalysis};
@@ -139,7 +139,7 @@ pub struct QueryResult {
 /// ```
 pub struct Lusail {
     config: LusailConfig,
-    policy: RequestPolicy,
+    pub(crate) policy: RequestPolicy,
     clock: Option<Arc<dyn Clock>>,
     pub(crate) caches: ProbeCaches,
 }
@@ -187,7 +187,7 @@ impl Lusail {
     /// Drops every memoized probe answer (`COUNT` / check) recorded
     /// against one endpoint, leaving other endpoints' entries intact.
     ///
-    /// [`Lusail::finish`] already does this at the *end* of a query whose
+    /// The query driver already does this at the *end* of a query whose
     /// circuit opened; a long-lived server additionally calls it from a
     /// health-transition hook so the invalidation lands *mid-query*,
     /// before any concurrent tenant's next planning read.
@@ -208,32 +208,6 @@ impl Lusail {
         }
     }
 
-    /// A fresh per-query network context: endpoint death (tripped circuit)
-    /// and degradation counters are scoped to one query.
-    pub(crate) fn fresh_net(&self) -> Net {
-        self.fresh_net_with(&ExecOptions::default())
-    }
-
-    /// [`Lusail::fresh_net`] configured from per-call [`ExecOptions`]:
-    /// the trace sink and worker budget are threaded through the request
-    /// client and handler, and an options deadline overrides the policy's
-    /// `query_budget` for this query. Lusail's probes always travel
-    /// [coalesced](Net::coalescing).
-    pub(crate) fn fresh_net_with(&self, opts: &ExecOptions) -> Net {
-        let mut policy = self.policy;
-        if let Some(deadline) = opts.deadline {
-            policy.query_budget = deadline;
-        }
-        Net::build(
-            policy,
-            self.timing_clock(),
-            opts.trace.clone(),
-            opts.thread_budget(),
-            opts.on_health_transition.clone(),
-        )
-        .coalescing()
-    }
-
     /// The clock phase timings (and retry backoff) are measured against:
     /// the injected test clock when present, otherwise the system clock.
     pub(crate) fn timing_clock(&self) -> Arc<dyn Clock> {
@@ -241,39 +215,6 @@ impl Lusail {
             Some(clock) => clock.clone(),
             None => Arc::new(SystemClock::default()),
         }
-    }
-
-    /// Stamps the degradation counters into `metrics` and derives the
-    /// completeness flag and failure report for this query's [`Net`].
-    pub(crate) fn finish(
-        &self,
-        fed: &Federation,
-        net: &Net,
-        metrics: &mut QueryMetrics,
-    ) -> (bool, Vec<EndpointFailure>) {
-        metrics.degraded_ask_probes = net
-            .degradation
-            .asks_assumed_relevant
-            .load(Ordering::Relaxed);
-        metrics.degraded_check_queries = net
-            .degradation
-            .checks_assumed_conflict
-            .load(Ordering::Relaxed);
-        let report = net.client.report(fed);
-        // Any endpoint whose circuit opened during this query may have
-        // answered probes *before* it started failing; those memoized
-        // answers are suspect (the endpoint may come back with different
-        // data, or its group may be served by a replica next time), so
-        // per-endpoint cache entries are dropped rather than trusted.
-        for failure in report.iter().filter(|f| f.dead) {
-            self.caches.invalidate_endpoint(failure.endpoint);
-            // Offline statistics summarize the *primary's* store; once the
-            // group is served by a replica (which may have diverged), a
-            // conclusive local answer can no longer be trusted, so the
-            // stats are dropped exactly like the memoized probe answers.
-            fed.invalidate_stats(failure.endpoint);
-        }
-        (!net.degradation.data_loss(), report)
     }
 
     /// Executes a query against the federation with default options.
@@ -301,9 +242,10 @@ impl Lusail {
     }
 
     /// The one execution path: [`Lusail::plan`] then
-    /// [`Lusail::execute_plan`] on a fresh per-query [`Net`]. A solo query
-    /// passes no memo; a batch item passes the batch's, and additionally
-    /// inherits the failure attribution of every lost relation it reused.
+    /// [`Lusail::execute_plan`] inside the query driver
+    /// ([`run_query`]). A solo query passes no memo; a batch item passes
+    /// the batch's, and additionally inherits the failure attribution of
+    /// every lost relation it reused.
     pub(crate) fn execute_on(
         &self,
         fed: &Federation,
@@ -311,23 +253,29 @@ impl Lusail {
         opts: &ExecOptions,
         mut memo: Option<&mut BatchMemo>,
     ) -> Result<QueryResult, FederationError> {
-        if fed.is_empty() {
-            return Err(FederationError::EmptyFederation);
+        let clock = self.timing_clock();
+        let (outcome, metrics, dead) = run_query(fed, query, self.policy, clock, opts, |net| {
+            let plan = self.plan(fed, &query.pattern, Some(query), &self.caches, net);
+            let (solutions, mut metrics) = self.execute_plan(fed, plan, net, memo.as_deref_mut());
+            let degradation = &net.degradation;
+            metrics.degraded_ask_probes = degradation.asks_assumed_relevant.load(Ordering::Relaxed);
+            metrics.degraded_check_queries =
+                degradation.checks_assumed_conflict.load(Ordering::Relaxed);
+            (solutions, metrics)
+        })?;
+        // A dead endpoint may have answered probes before it started
+        // failing; those memoized answers are suspect too.
+        for ep in dead {
+            self.caches.invalidate_endpoint(ep);
         }
-        if !query.exists.is_empty() {
-            return Err(FederationError::ProjectedExists);
-        }
-        let net = self.fresh_net_with(opts);
-        let plan = self.plan(fed, &query.pattern, Some(query), &self.caches, &net);
-        let (solutions, mut metrics) = self.execute_plan(fed, plan, &net, memo.as_deref_mut());
-        let (complete, mut failures) = self.finish(fed, &net, &mut metrics);
+        let QueryOutcome {
+            solutions,
+            complete,
+            mut failures,
+        } = outcome;
         if let Some(memo) = memo {
             memo.finish_item(&mut failures);
         }
-        net.trace.emit(|| TraceEvent::QueryFinished {
-            rows: solutions.len(),
-            complete,
-        });
         Ok(QueryResult {
             solutions,
             metrics,

@@ -26,8 +26,8 @@ use crate::join::join_components;
 use crate::mqo::BatchMemo;
 use crate::subquery::Subquery;
 use lusail_endpoint::{
-    Clock, EndpointId, EndpointRef, Federation, HealthHook, RequestPolicy, ResilientClient,
-    SystemClock, TraceEvent, TraceSink,
+    Clock, EndpointId, EndpointRef, ExecOptions, Federation, FederationError, QueryOutcome,
+    RequestPolicy, ResilientClient, SystemClock, TraceEvent, TraceSink,
 };
 use lusail_sparql::ast::{Query, ValuesBlock};
 use lusail_sparql::Rows;
@@ -42,19 +42,7 @@ pub struct RequestHandler {
     threads: usize,
 }
 
-impl Default for RequestHandler {
-    fn default() -> Self {
-        RequestHandler::new()
-    }
-}
-
 impl RequestHandler {
-    /// Creates a request handler with tracing disabled and a single
-    /// (inline) worker.
-    pub fn new() -> Self {
-        RequestHandler::with_threads(TraceSink::disabled(), 1)
-    }
-
     /// Creates a request handler with an explicit worker-thread budget.
     /// A budget of `1` processes every endpoint group inline, in
     /// submission order, with no thread overhead.
@@ -204,63 +192,83 @@ pub struct Net {
     pub clock: Arc<dyn Clock>,
     /// The trace sink the whole context emits into (disabled by default).
     pub trace: TraceSink,
-    /// The engine's probe transport (`probe.rs`): an endpoint's planning
-    /// probes of one phase as one request ([`Net::coalescing`], Lusail's),
-    /// or one request each — the baselines model systems that send one
-    /// `ASK` per (pattern, endpoint).
-    pub(crate) coalesce_probes: bool,
 }
 
 impl Default for Net {
     fn default() -> Self {
-        Net::new(RequestPolicy::default())
+        let clock = Arc::new(SystemClock::default());
+        Net::for_query(RequestPolicy::default(), clock, &ExecOptions::default())
     }
 }
 
 impl Net {
-    /// A single-threaded context over the real clock.
-    pub fn new(policy: RequestPolicy) -> Self {
-        Net::build(
-            policy,
-            Arc::new(SystemClock::default()),
-            TraceSink::disabled(),
-            1,
-            None,
-        )
-    }
-
-    /// A context over an injected clock, trace sink, worker budget, and
-    /// optional health-transition observer: the handler and client share
-    /// the sink, so one enabled sink sees the whole query.
-    pub fn build(
-        policy: RequestPolicy,
-        clock: Arc<dyn Clock>,
-        trace: TraceSink,
-        threads: usize,
-        hook: Option<HealthHook>,
-    ) -> Self {
-        let mut client = ResilientClient::traced(policy, Arc::clone(&clock), trace.clone());
-        if let Some(hook) = hook {
-            client = client.with_transition_hook(hook);
+    /// The context of one call: a client retrying by the engine's `policy`
+    /// on its `clock`, bounded by the call's deadline and observed by its
+    /// health hook, and a handler with the call's worker budget. Both emit
+    /// into the call's trace sink, so one enabled sink sees the whole query.
+    pub fn for_query(policy: RequestPolicy, clock: Arc<dyn Clock>, opts: &ExecOptions) -> Net {
+        let mut client = ResilientClient::traced(policy, Arc::clone(&clock), opts.trace.clone());
+        if let Some(deadline) = opts.deadline {
+            client = client.with_query_deadline(deadline);
+        }
+        if let Some(hook) = &opts.on_health_transition {
+            client = client.with_transition_hook(Arc::clone(hook));
         }
         Net {
-            handler: RequestHandler::with_threads(trace.clone(), threads),
+            handler: RequestHandler::with_threads(opts.trace.clone(), opts.thread_budget()),
             client,
             degradation: Degradation::default(),
             clock,
-            trace,
-            coalesce_probes: false,
+            trace: opts.trace.clone(),
         }
     }
+}
 
-    /// The same context, sending an endpoint's planning probes of one phase
-    /// as one request.
-    pub(crate) fn coalescing(self) -> Self {
-        Net {
-            coalesce_probes: true,
-            ..self
-        }
+/// The query driver all four engines run a query through. It refuses
+/// federation-level misuse (an empty federation, a projected `EXISTS`),
+/// builds the query's [`Net`] from the engine's `policy` and `clock` and
+/// the call's `opts`, and runs the engine's `body` on it. Then it finishes
+/// the query the same way for every engine: the answer is complete unless
+/// result data was lost, the failure report is the client's, and every
+/// endpoint whose circuit opened loses its offline statistics — they
+/// summarize the primary's store, and its replica group may be served by a
+/// replica that has diverged. [`TraceEvent::QueryFinished`] is the last
+/// event. Returns the outcome, the body's value, and the endpoints whose
+/// circuit opened, for which the engine drops its own memoized probes.
+pub fn run_query<T>(
+    fed: &Federation,
+    query: &Query,
+    policy: RequestPolicy,
+    clock: Arc<dyn Clock>,
+    opts: &ExecOptions,
+    body: impl FnOnce(&Net) -> (SolutionSet, T),
+) -> Result<(QueryOutcome, T, Vec<EndpointId>), FederationError> {
+    if fed.is_empty() {
+        return Err(FederationError::EmptyFederation);
     }
+    if !query.exists.is_empty() {
+        return Err(FederationError::ProjectedExists);
+    }
+    let net = Net::for_query(policy, clock, opts);
+    let (solutions, value) = body(&net);
+    let complete = !net.degradation.data_loss();
+    let failures = net.client.report(fed);
+    let dead: Vec<EndpointId> = (failures.iter().filter(|f| f.dead))
+        .map(|f| f.endpoint)
+        .collect();
+    for &ep in &dead {
+        fed.invalidate_stats(ep);
+    }
+    net.trace.emit(|| TraceEvent::QueryFinished {
+        rows: solutions.len(),
+        complete,
+    });
+    let outcome = QueryOutcome {
+        solutions,
+        complete,
+        failures,
+    };
+    Ok((outcome, value, dead))
 }
 
 /// Response rows per request the adaptive `VALUES` sizer aims for.
@@ -592,7 +600,7 @@ mod tests {
     #[test]
     fn handler_runs_tasks_grouped_by_endpoint() {
         let fed = two_endpoint_fed();
-        let handler = RequestHandler::new();
+        let handler = RequestHandler::with_threads(TraceSink::disabled(), 1);
         let tasks = vec![(0usize, 1u32), (1, 2), (0, 3), (1, 4)];
         let mut results = handler.run(&fed, tasks, |_, ep, &t| format!("{}-{}", ep.name(), t));
         results.sort_by_key(|(_, t, _)| *t);
@@ -603,7 +611,7 @@ mod tests {
     #[test]
     fn handler_empty_tasks() {
         let fed = two_endpoint_fed();
-        let handler = RequestHandler::new();
+        let handler = RequestHandler::with_threads(TraceSink::disabled(), 1);
         let out: Vec<(EndpointId, u32, u32)> = handler.run(&fed, Vec::new(), |_, _, &t| t);
         assert!(out.is_empty());
     }
@@ -611,7 +619,7 @@ mod tests {
     #[test]
     fn handler_single_endpoint_runs_inline() {
         let fed = two_endpoint_fed();
-        let handler = RequestHandler::new();
+        let handler = RequestHandler::with_threads(TraceSink::disabled(), 1);
         let out = handler.run(&fed, vec![(1usize, 10u32), (1, 20)], |_, _, &t| t * 2);
         assert_eq!(out, vec![(1, 10, 20), (1, 20, 40)]);
     }

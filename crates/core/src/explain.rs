@@ -15,9 +15,10 @@
 
 use crate::cache::ProbeCaches;
 use crate::engine::{Lusail, PlanShape};
+use crate::exec::Net;
 use crate::metrics::QueryMetrics;
 use crate::trace::{QueryTrace, RequestKind, TraceEvent, TraceSink};
-use lusail_endpoint::{Federation, FederationError};
+use lusail_endpoint::{ExecOptions, Federation, FederationError};
 use lusail_rdf::Dictionary;
 use lusail_sparql::ast::{PatternTerm, Query, TriplePattern};
 use std::collections::BTreeMap;
@@ -127,7 +128,7 @@ impl Lusail {
     /// the endpoints, exactly as execution would issue them, but are
     /// memoized in throw-away caches — EXPLAIN never warms the engine.
     pub fn explain(&self, fed: &Federation, query: &Query) -> QueryPlan {
-        let net = self.fresh_net();
+        let net = Net::for_query(self.policy, self.timing_clock(), &ExecOptions::default());
         let caches = ProbeCaches::new(true, None);
         let plan = self.plan(fed, &query.pattern, Some(query), &caches, &net);
         let dict = fed.dict();
@@ -178,11 +179,11 @@ impl Lusail {
         fed: &Federation,
         query: &Query,
     ) -> Result<String, FederationError> {
-        self.explain_analyze_with(fed, query, &lusail_endpoint::ExecOptions::default())
+        self.explain_analyze_with(fed, query, &ExecOptions::default())
     }
 
     /// [`Lusail::explain_analyze`] under explicit
-    /// [`ExecOptions`](lusail_endpoint::ExecOptions): the query runs with
+    /// [`ExecOptions`](ExecOptions): the query runs with
     /// the given worker budget and deadline, with tracing force-enabled
     /// (any sink in `opts.trace` is replaced by the report's own). The
     /// rendered report is byte-identical at every thread budget.
@@ -190,7 +191,7 @@ impl Lusail {
         &self,
         fed: &Federation,
         query: &Query,
-        opts: &lusail_endpoint::ExecOptions,
+        opts: &ExecOptions,
     ) -> Result<String, FederationError> {
         let sink = TraceSink::enabled();
         let opts = opts.clone().with_trace(sink.clone());
@@ -732,7 +733,7 @@ result: 1 rows  complete: true
         let f = delayed_fed();
         let q = delayed_query(&f);
         let sink = TraceSink::disabled();
-        let opts = lusail_endpoint::ExecOptions::default().with_trace(sink.clone());
+        let opts = ExecOptions::default().with_trace(sink.clone());
         let result = Lusail::default().execute_with(&f, &q, &opts).unwrap();
         assert!(!result.solutions.is_empty());
         // The zero-sink path records (and allocates) nothing.

@@ -77,7 +77,7 @@ pub fn fetch_from(
 mod tests {
     use super::*;
     use lusail_endpoint::{
-        FaultProfile, FlakyEndpoint, LocalEndpoint, RequestPolicy, SystemClock, TraceSink,
+        ExecOptions, FaultProfile, FlakyEndpoint, LocalEndpoint, RequestPolicy, SystemClock,
     };
     use lusail_rdf::{Dictionary, Term};
     use lusail_sparql::parse_query;
@@ -99,12 +99,11 @@ mod tests {
     }
 
     fn net(threads: usize) -> Net {
-        Net::build(
+        let opts = ExecOptions::default().with_threads(threads);
+        Net::for_query(
             RequestPolicy::default(),
             Arc::new(SystemClock::default()),
-            TraceSink::disabled(),
-            threads,
-            None,
+            &opts,
         )
     }
 

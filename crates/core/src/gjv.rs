@@ -18,9 +18,9 @@
 //! `{ … FILTER NOT EXISTS { … } }` existence probes computing the set
 //! difference of the variable's instances under the two patterns (Fig. 6
 //! in the paper), each a typed [`CheckQuery`] that travels as an `EXISTS`
-//! member of its endpoint's coalesced `SELECT` (Lusail's transport) or as
-//! an `ASK` (the per-probe transport). For a variable appearing as object in `TPᵢ` and subject
-//! in `TPⱼ`, one difference (`vᵢ − vⱼ`, evaluated at every relevant
+//! member of its endpoint's one coalesced `SELECT`, the check kind's only
+//! transport. For a variable appearing as object in `TPᵢ` and subject in
+//! `TPⱼ`, one difference (`vᵢ − vⱼ`, evaluated at every relevant
 //! endpoint) suffices; for subject-only or object-only variables both
 //! differences are checked. Constants in the inner pattern are replaced
 //! with fresh variables; a known `rdf:type` constraint on the variable is
@@ -89,7 +89,7 @@ enum Role {
 
 /// A check probe: is there an instance of `var` matching every `outer`
 /// pattern of its [`CheckKey`] with no local match of its `inner` triple?
-/// Both transports send [`CheckQuery::group`]; the memo keys it by `key`.
+/// The wire sends [`CheckQuery::group`]; the memo keys it by `key`.
 pub(crate) struct CheckQuery {
     pub(crate) var: String,
     pub(crate) key: CheckKey,
@@ -515,7 +515,7 @@ pub(crate) fn stats_check_answer(
 mod tests {
     use super::*;
     use crate::source_selection::select_sources;
-    use lusail_endpoint::{LocalEndpoint, RequestKind};
+    use lusail_endpoint::LocalEndpoint;
     use lusail_rdf::{Dictionary, SplitMix64, Term};
     use lusail_sparql::{parse_query, Query};
     use lusail_store::TripleStore;
@@ -587,13 +587,19 @@ mod tests {
     }
 
     fn analyze(fed: &Federation, q: &lusail_sparql::Query) -> GjvAnalysis {
-        analyze_on(fed, q, &Net::default())
+        analyze_with(fed, q, &ProbeCache::new(true))
     }
 
-    fn analyze_on(fed: &Federation, q: &lusail_sparql::Query, net: &Net) -> GjvAnalysis {
-        let sources = select_sources(fed, &q.pattern, &ProbeCache::<_, u64>::new(true), net);
-        let check_cache = ProbeCache::new(true);
-        detect_gjvs(fed, &q.pattern.triples, &sources, &check_cache, net)
+    /// [`analyze`] memoizing checks in `checks`, which then holds one entry
+    /// per (check, endpoint) the wire answered.
+    fn analyze_with(
+        fed: &Federation,
+        q: &lusail_sparql::Query,
+        checks: &ProbeCache<CheckKey, bool>,
+    ) -> GjvAnalysis {
+        let net = Net::default();
+        let sources = select_sources(fed, &q.pattern, &ProbeCache::<_, u64>::new(true), &net);
+        detect_gjvs(fed, &q.pattern.triples, &sources, checks, &net)
     }
 
     /// Algorithm 1 one variable at a time: one `probe::resolve` call per
@@ -726,18 +732,12 @@ mod tests {
                 &ProbeCache::<_, u64>::new(true),
                 &Net::default(),
             );
-            // Checks travel one per request here, so the request counts are
-            // the numbers of checks each side asked.
-            let (wave, reference) = (Net::default(), Net::default());
-            let got = detect_gjvs(&fed, &triples, &sources, &ProbeCache::new(true), &wave);
-            let want = per_variable_reference(
-                &fed,
-                &triples,
-                &sources,
-                &ProbeCache::new(true),
-                &reference,
-                true,
-            );
+            // Nothing fails and no statistics are attached, so each memo
+            // ends up holding one entry per (check, endpoint) its side asked.
+            let (wave, reference) = (ProbeCache::new(true), ProbeCache::new(true));
+            let got = detect_gjvs(&fed, &triples, &sources, &wave, &Net::default());
+            let want =
+                per_variable_reference(&fed, &triples, &sources, &reference, &Net::default(), true);
             assert_eq!(got.gjvs, want.gjvs, "case {case}: {triples:?}");
             assert_eq!(got.conflicts, want.conflicts, "case {case}: {triples:?}");
             // The paper's Algorithm 1, which checks single-source pairs too:
@@ -778,9 +778,8 @@ mod tests {
                 object_pairs += (objects.len() > 1) as u32;
                 typed += (joins && type_constraint(&triples, rdf_type, var).is_some()) as u32;
             }
-            let checks = |net: &Net| net.client.requests().get(RequestKind::Check);
-            checked += (checks(&wave) > 0) as u32;
-            ignored += (checks(&wave) > checks(&reference)) as u32;
+            checked += (!wave.is_empty()) as u32;
+            ignored += (wave.len() > reference.len()) as u32;
             let mut fixed = FxHashSet::default();
             let mut settled_by_one_source = false;
             for (_, occ) in &occurrences {
@@ -878,11 +877,11 @@ mod tests {
             fed.dict(),
         )
         .unwrap();
-        let net = Net::default();
-        let analysis = analyze_on(&fed, &q, &net);
+        let checks = ProbeCache::new(true);
+        let analysis = analyze_with(&fed, &q, &checks);
         assert_eq!(analysis.gjvs, ["v"]);
         assert!(analysis.conflicting(0, 1));
-        assert_eq!(net.client.requests().get(RequestKind::Check), 0);
+        assert!(checks.is_empty(), "a check went to the wire");
     }
 
     #[test]
@@ -1054,23 +1053,22 @@ mod tests {
     fn stats_elide_check_probes_without_changing_the_analysis() {
         let (fed, locals) = universities_with_locals();
         let q = qa(&fed);
-        let checks = |net: &Net| net.client.requests().get(RequestKind::Check);
-        let wire = Net::default();
-        let baseline = analyze_on(&fed, &q, &wire);
+        let wire = ProbeCache::new(true);
+        let baseline = analyze_with(&fed, &q, &wire);
         for (id, local) in locals.iter().enumerate() {
             let stats = lusail_store::EndpointStats::build(local.store());
             fed.attach_stats(id, Arc::new(stats));
         }
-        let stats = Net::default();
-        let with_stats = analyze_on(&fed, &q, &stats);
+        let stats = ProbeCache::new(true);
+        let with_stats = analyze_with(&fed, &q, &stats);
         assert_eq!(with_stats.gjvs, baseline.gjvs);
         assert_eq!(with_stats.conflicts, baseline.conflicts);
-        // Some check probes were answered locally: strictly fewer wire
-        // check requests than the baseline run issued.
-        let (baseline_checks, stats_checks) = (checks(&wire), checks(&stats));
+        // Some check probes were answered locally: strictly fewer checks
+        // went to the wire (and into the memo) than in the baseline run.
+        let (baseline_checks, stats_checks) = (wire.len(), stats.len());
         assert!(
             stats_checks < baseline_checks,
-            "stats run issued {stats_checks} check requests vs {baseline_checks}"
+            "stats run sent {stats_checks} checks to the wire vs {baseline_checks}"
         );
     }
 

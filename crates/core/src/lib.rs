@@ -23,11 +23,17 @@
 //!    subqueries run concurrently, one worker per endpoint, and results
 //!    are combined with dynamic-programming-ordered hash joins.
 //!
-//! Planning waits on the wire twice: source selection's `COUNT`s, then
-//! every check query of a block. Each wave travels as one request per
-//! endpoint: a `SELECT` whose one row holds every probe's answer.
+//! Planning waits on the wire at most twice: source selection's `COUNT`s,
+//! then the check queries of a block. A block sends checks only for joined
+//! pairs whose patterns share the same two or more relevant sources: a pair
+//! whose patterns have one and the same source is local, and one whose
+//! sources differ conflicts without a check, so a federation where every
+//! predicate has a single authority plans in one wave. Each wave travels as
+//! one request per endpoint: a `SELECT` whose one row holds every probe's
+//! answer.
 //!
-//! Entry point: [`Lusail::execute`].
+//! Entry point: [`Lusail::execute`]. Lusail and the three baselines run
+//! every query through one driver, [`exec::run_query`].
 
 pub mod cache;
 pub mod cost;
@@ -49,6 +55,6 @@ pub use cost::DelayPolicy;
 pub use engine::{Lusail, LusailConfig, ProbeCacheStats, QueryResult};
 pub use explain::{render_analyze, QueryPlan, SubqueryPlan};
 pub use metrics::QueryMetrics;
-pub use mqo::{subquery_signature, BatchItem, BatchOutcome, BatchReport};
+pub use mqo::{BatchItem, BatchOutcome, BatchReport, SubqueryKey};
 pub use subquery::Subquery;
 pub use trace::{QueryTrace, RequestKind, RequestSummary, TraceEvent, TraceSink};

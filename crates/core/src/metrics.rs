@@ -66,11 +66,12 @@ impl QueryMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lusail_endpoint::{RequestKind, ResilientClient};
+    use crate::exec::Net;
+    use lusail_endpoint::RequestKind;
 
     #[test]
     fn totals_sum_phases() {
-        let client = ResilientClient::default();
+        let client = Net::default().client;
         let send = |kind, n| {
             for _ in 0..n {
                 client.request_kind(0, kind, || Ok(())).unwrap();

@@ -27,25 +27,41 @@ use crate::cost::SubqueryCosts;
 use crate::engine::{Lusail, PlanShape, QueryResult};
 use crate::exec::{evaluate_subqueries, Net};
 use crate::subquery::Subquery;
-use lusail_endpoint::{EndpointFailure, ExecOptions, Federation, FederationError, TraceEvent};
-use lusail_sparql::ast::Query;
+use lusail_endpoint::{
+    EndpointFailure, EndpointId, ExecOptions, Federation, FederationError, TraceEvent,
+};
+use lusail_sparql::ast::{Expression, Query, TriplePattern};
 use lusail_sparql::SolutionSet;
 use std::collections::HashMap;
 
-/// A normalized signature for subquery sharing: the patterns (in sorted
-/// order, variable names kept — the projection names them), sources,
-/// pushed filters, and projection. Two subqueries with equal signatures
-/// evaluate to multiset-equal relations (pinned by the signature-soundness
-/// property test), which is what makes reusing a memoized relation across
-/// queries safe.
-pub fn subquery_signature(sq: &Subquery) -> String {
-    let mut keys: Vec<String> = sq.triples.iter().map(|tp| format!("{tp:?}")).collect();
-    keys.sort();
-    format!("{:?}|{:?}|{:?}|{:?}", keys, sq.sources, sq.filters, {
-        let mut p = sq.projection.clone();
-        p.sort();
-        p
-    })
+/// The batch memo's key for a subquery: its patterns (sorted, variable
+/// names kept — the projection names them), sources, pushed filters, and
+/// projection (sorted). Two subqueries with equal keys evaluate to
+/// multiset-equal relations (pinned by the signature-soundness property
+/// test), which is what makes reusing a memoized relation across queries
+/// safe.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct SubqueryKey {
+    triples: Vec<TriplePattern>,
+    sources: Vec<EndpointId>,
+    filters: Vec<Expression>,
+    projection: Vec<String>,
+}
+
+impl SubqueryKey {
+    /// The key of `sq`.
+    pub fn of(sq: &Subquery) -> Self {
+        let mut triples = sq.triples.clone();
+        triples.sort_unstable();
+        let mut projection = sq.projection.clone();
+        projection.sort_unstable();
+        SubqueryKey {
+            triples,
+            sources: sq.sources.clone(),
+            filters: sq.filters.clone(),
+            projection,
+        }
+    }
 }
 
 /// Statistics from a batch execution.
@@ -154,7 +170,7 @@ fn failure_delta(before: &[EndpointFailure], after: Vec<EndpointFailure>) -> Vec
 /// of one is wire-identical to solo execution.
 #[derive(Default)]
 pub(crate) struct BatchMemo {
-    shared: HashMap<String, SharedEntry>,
+    shared: HashMap<SubqueryKey, SharedEntry>,
     report: BatchReport,
     /// Position of the current item in the batch.
     item: usize,
@@ -167,7 +183,7 @@ impl BatchMemo {
     /// the dependent query honestly: incompleteness and the producing
     /// failures are inherited along with the rows.
     pub(crate) fn lookup(&mut self, index: usize, sq: &Subquery, net: &Net) -> Option<SolutionSet> {
-        let entry = self.shared.get(&subquery_signature(sq))?;
+        let entry = self.shared.get(&SubqueryKey::of(sq))?;
         if entry.item == self.item {
             return None;
         }
@@ -202,7 +218,7 @@ impl BatchMemo {
             failures.retain(|f| sq.sources.contains(&fed.primary_of(f.endpoint)));
         }
         self.shared.insert(
-            subquery_signature(sq),
+            SubqueryKey::of(sq),
             SharedEntry {
                 item: self.item,
                 relation: relation.clone(),
@@ -309,14 +325,14 @@ impl Lusail {
     }
 
     /// Plans `query` and returns its top-level decomposed subqueries — the
-    /// units [`subquery_signature`] keys the batch memo by. `None` when the
+    /// units the batch memo is keyed by ([`SubqueryKey`]). `None` when the
     /// plan is not a decomposition (the disjoint fast path, or a required
     /// pattern with no relevant source).
     pub fn plan_subqueries(&self, fed: &Federation, query: &Query) -> Option<Vec<Subquery>> {
         if fed.is_empty() {
             return None;
         }
-        let net = self.fresh_net();
+        let net = Net::for_query(self.policy, self.timing_clock(), &ExecOptions::default());
         match self
             .plan(fed, &query.pattern, Some(query), &self.caches, &net)
             .shape
@@ -331,7 +347,7 @@ impl Lusail {
     /// the signature-soundness property test can compare relations of
     /// signature-equal subqueries directly.
     pub fn evaluate_subquery(&self, fed: &Federation, sq: &Subquery) -> SolutionSet {
-        let net = self.fresh_net();
+        let net = Net::for_query(self.policy, self.timing_clock(), &ExecOptions::default());
         let (relation, _) = evaluate_subqueries(
             fed,
             &net,

@@ -16,17 +16,17 @@
 //! 3. what is left goes to the **wire**, each endpoint's probes in list
 //!    order and a probe listed twice only once, through the request handler
 //!    and the resilient client; an `Ok` answer is memoized. The transport
-//!    is the engine's: Lusail's [`Net::coalescing`] sends an endpoint's
-//!    probes as **one request** (below); the baselines send each probe's
-//!    [`Member`] as a request of its own, as systems that send one `ASK`
-//!    per (pattern, endpoint) do;
+//!    is the kind's: Lusail's `COUNT`s and check queries travel as **one
+//!    request** per endpoint (below); the baselines' `ASK`s one request
+//!    each, as systems that send one `ASK` per (pattern, endpoint) do;
 //! 4. a probe whose endpoint fails (after retries) **degrades** to the
 //!    kind's conservative answer, counted in [`Degradation`] and never
 //!    memoized — a wrong guess may cost extra requests, never answers. A
 //!    failed coalesced request degrades each of its members that way.
 //!
 //! What differs per kind is the three-row table of [`Kind`] impls below. A
-//! probe is described once, by its [`Member`]; both transports encode that.
+//! probe is described once, by its [`Member`], which its kind's transport
+//! encodes.
 //!
 //! # The coalesced request
 //!
@@ -74,11 +74,14 @@ pub(crate) trait Kind {
     type Answer: Copy + Send;
     /// The label wire requests and `StatsAnswered` events carry.
     const REQUEST: RequestKind;
+    /// The transport: an endpoint's probes as one [`coalesced`] `SELECT`,
+    /// or (an existence kind only) each as an `ASK` of its own.
+    const COALESCED: bool;
 
     fn key(probe: &Self::Probe) -> Self::Key;
     /// `Some` only when the statistics are conclusive for this probe.
     fn from_stats(stats: &EndpointStats, probe: &Self::Probe) -> Option<Self::Answer>;
-    /// What the probe asks an endpoint, on either transport.
+    /// What the probe asks an endpoint.
     fn member(probe: &Self::Probe) -> Member<'_>;
     /// The answer the member's number stands for.
     fn from_member(n: u64) -> Self::Answer;
@@ -87,9 +90,8 @@ pub(crate) trait Kind {
 }
 
 /// What a probe asks; either way the answer is one number. Alone on the
-/// wire ([`send_member`]) an existence member is an `ASK` and a counting
-/// one a `SELECT (COUNT(*) AS ?c)`; inside a coalesced request see
-/// [`coalesced`].
+/// wire ([`send_ask`]) an existence member is an `ASK`; inside a coalesced
+/// request see [`coalesced`].
 pub(crate) enum Member<'p> {
     /// Does the group have a solution? `1` or `0`.
     Exists(GroupPattern),
@@ -105,6 +107,7 @@ impl Kind for Ask {
     type Key = PatternKey;
     type Answer = bool;
     const REQUEST: RequestKind = RequestKind::Ask;
+    const COALESCED: bool = false;
 
     fn key(tp: &TriplePattern) -> PatternKey {
         pattern_key(tp)
@@ -134,6 +137,7 @@ impl Kind for Count {
     type Key = PatternKey;
     type Answer = u64;
     const REQUEST: RequestKind = RequestKind::Count;
+    const COALESCED: bool = true;
 
     fn key(tp: &TriplePattern) -> PatternKey {
         pattern_key(tp)
@@ -167,6 +171,7 @@ impl Kind for Check {
     type Key = CheckKey;
     type Answer = bool;
     const REQUEST: RequestKind = RequestKind::Check;
+    const COALESCED: bool = true;
 
     fn key(check: &CheckQuery) -> CheckKey {
         check.key.clone()
@@ -226,7 +231,7 @@ pub(crate) fn resolve<K: Kind>(
             repeats.push((i, first));
             continue;
         }
-        let group = (tasks.iter_mut().find(|(e, _)| *e == ep)).filter(|_| net.coalesce_probes);
+        let group = (tasks.iter_mut().find(|(e, _)| *e == ep)).filter(|_| K::COALESCED);
         match group {
             Some((_, members)) => members.push((i, key)),
             None => tasks.push((ep, vec![(i, key)])),
@@ -234,7 +239,7 @@ pub(crate) fn resolve<K: Kind>(
     }
     let sent = net.handler.run(fed, tasks, |ep_id, ep, members| {
         let probes = members.iter().map(|(i, _)| items[*i].1);
-        if net.coalesce_probes {
+        if K::COALESCED {
             // Built once per task: a retry attempt only sends it again.
             let (query, cells) = coalesced::<K>(probes);
             net.client.request_kind(ep_id, K::REQUEST, || {
@@ -244,7 +249,7 @@ pub(crate) fn resolve<K: Kind>(
             net.client.request_kind(ep_id, K::REQUEST, || {
                 probes
                     .clone()
-                    .map(|probe| send_member::<K>(ep, probe))
+                    .map(|probe| send_ask::<K>(ep, probe))
                     .collect()
             })
         }
@@ -299,13 +304,12 @@ impl Net {
     }
 }
 
-/// Sends one probe's [`Member`] to `ep` as a request of its own.
-fn send_member<K: Kind>(ep: &EndpointRef, probe: &K::Probe) -> Result<K::Answer, EndpointError> {
-    let n = match K::member(probe) {
-        Member::Exists(group) => u64::from(ep.ask(&Query::ask(group))?),
-        Member::Count(tp) => ep.count(&Query::count(GroupPattern::bgp(vec![tp.clone()])))?,
+/// Sends one probe's existence [`Member`] to `ep` as an `ASK` of its own.
+fn send_ask<K: Kind>(ep: &EndpointRef, probe: &K::Probe) -> Result<K::Answer, EndpointError> {
+    let Member::Exists(group) = K::member(probe) else {
+        unreachable!("a counting probe travels coalesced");
     };
-    Ok(K::from_member(n))
+    Ok(K::from_member(u64::from(ep.ask(&Query::ask(group))?)))
 }
 
 /// `probes` as one `SELECT` (see the module docs), and where on its single
@@ -393,8 +397,8 @@ mod tests {
     use crate::exec::Degradation;
     use crate::trace::QueryTrace;
     use lusail_endpoint::{
-        FaultProfile, FlakyEndpoint, LocalEndpoint, RequestPolicy, SparqlEndpoint, StatsSnapshot,
-        SystemClock, TraceSink,
+        ExecOptions, FaultProfile, FlakyEndpoint, LocalEndpoint, RequestPolicy, SparqlEndpoint,
+        StatsSnapshot, SystemClock, TraceSink,
     };
     use lusail_rdf::{Dictionary, Term};
     use lusail_sparql::{parse_query, write_query, SolutionSet};
@@ -425,19 +429,13 @@ mod tests {
         fed
     }
 
-    fn net(sink: &TraceSink, coalescing: bool) -> Net {
-        let net = Net::build(
+    fn net(sink: &TraceSink) -> Net {
+        let opts = ExecOptions::default().with_trace(sink.clone());
+        Net::for_query(
             RequestPolicy::default(),
             Arc::new(SystemClock::default()),
-            sink.clone(),
-            1,
-            None,
-        );
-        if coalescing {
-            net.coalescing()
-        } else {
-            net
-        }
+            &opts,
+        )
     }
 
     /// `(answer, wire requests, StatsAnswered events, degradations)` of
@@ -449,7 +447,7 @@ mod tests {
         counter: fn(&Degradation) -> &AtomicU64,
     ) -> (K::Answer, u64, u64, u64) {
         let sink = TraceSink::enabled();
-        let net = net(&sink, false);
+        let net = net(&sink);
         let answer = resolve::<K>(fed, &net, memo, &[(0, probe)])[0];
         (
             answer,
@@ -493,9 +491,9 @@ mod tests {
         assert!(memo.is_empty(), "{kind}: degraded answer memoized");
     }
 
-    /// The rule for an endpoint's probes coalesced. `group` is a probe the
-    /// memo holds (as `cached`), one the statistics decide, and two that
-    /// need the wire — the last three really answering `truths`.
+    /// The rule for a coalesced kind's probes at one endpoint. `group` is a
+    /// probe the memo holds (as `cached`), one the statistics decide, and
+    /// two that need the wire — the last three really answering `truths`.
     fn a_group_is_one_request<K: Kind>(
         dict: &Arc<Dictionary>,
         group: [&K::Probe; 4],
@@ -517,7 +515,7 @@ mod tests {
         memo.put(hit, 0, cached);
         let fed = federation(dict, false, true);
         let sink = TraceSink::enabled();
-        let got = resolve::<K>(&fed, &net(&sink, true), &memo, &items);
+        let got = resolve::<K>(&fed, &net(&sink), &memo, &items);
         assert_eq!(got, [cached, truths[0], truths[1], truths[2]], "{kind}");
         assert_eq!(
             fed.stats_snapshot().total_requests(),
@@ -536,7 +534,7 @@ mod tests {
         let memo = ProbeCache::new(true);
         let fed = federation(dict, true, false);
         let sink = TraceSink::enabled();
-        let net = net(&sink, true);
+        let net = net(&sink);
         let got = resolve::<K>(&fed, &net, &memo, &items);
         assert_eq!(got, [fallback; 4], "{kind}: dead endpoint");
         let requests = traced(&sink);
@@ -561,18 +559,9 @@ mod tests {
         let absent = pattern("?s <http://x/absent> ?o");
         let p = pattern("?s <http://x/p> ?o");
         let of_s1 = pattern("<http://x/s1> ?p ?o");
-        let s2_q = pattern("<http://x/s2> <http://x/q> ?o");
         let s1_p_o1 = pattern("<http://x/s1> <http://x/p> <http://x/o1>");
         let asks_assumed: fn(&Degradation) -> &AtomicU64 = |d| &d.asks_assumed_relevant;
         follows_the_rule::<Ask>(&dict, &absent, [false, true, true], asks_assumed);
-        a_group_is_one_request::<Ask>(
-            &dict,
-            [&absent, &p, &of_s1, &s2_q],
-            true,
-            [true, true, false],
-            true,
-            asks_assumed,
-        );
         follows_the_rule::<Count>(&dict, &p, [2, 99, 3], asks_assumed);
         // The fully bound pattern has nothing to count: an existence member.
         a_group_is_one_request::<Count>(
@@ -647,8 +636,9 @@ mod tests {
         }
     }
 
-    /// On the per-member transport an `ASK` probe is the `ASK` of its one
-    /// pattern, written exactly as a stand-alone query.
+    /// An `ASK` probe travels alone, as the `ASK` of its one pattern written
+    /// exactly as a stand-alone query: two probes at one endpoint are two
+    /// requests.
     #[test]
     fn a_lone_ask_member_is_the_ask_of_its_pattern() {
         let dict = Dictionary::shared();
@@ -662,12 +652,18 @@ mod tests {
         });
         let mut fed = Federation::new(Arc::clone(&dict));
         fed.add(Arc::clone(&ep) as EndpointRef);
-        let query = parse_query("SELECT * { ?s <http://x/p> ?o }", &dict).unwrap();
-        let tp = query.pattern.triples[0].clone();
-        let net = net(&TraceSink::disabled(), false);
-        let got = resolve::<Ask>(&fed, &net, &ProbeCache::new(true), &[(0, &tp)]);
-        assert_eq!(got, [true]);
-        let ask = write_query(&Query::ask(GroupPattern::bgp(vec![tp])), &dict);
-        assert_eq!(*ep.sent.lock().unwrap(), [ask]);
+        let query = parse_query(
+            "SELECT * { ?s <http://x/p> ?o . ?s <http://x/q> ?v }",
+            &dict,
+        );
+        let [p, q] = [0, 1].map(|i| query.as_ref().unwrap().pattern.triples[i].clone());
+        let net = net(&TraceSink::disabled());
+        let items = [(0, &p), (0, &q)];
+        let got = resolve::<Ask>(&fed, &net, &ProbeCache::new(true), &items);
+        assert_eq!(got, [true, false]);
+        let ask = |tp: &TriplePattern| {
+            write_query(&Query::ask(GroupPattern::bgp(vec![tp.clone()])), &dict)
+        };
+        assert_eq!(*ep.sent.lock().unwrap(), [ask(&p), ask(&q)]);
     }
 }

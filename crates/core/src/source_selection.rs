@@ -6,10 +6,10 @@
 //! HiBISCuS send FedX's `ASK` (`bool`); Lusail sends a `COUNT` (`u64`),
 //! whose answer is relevance (`count > 0`) and, kept in the [`SourceMap`],
 //! the cardinality SAPE's cost model reads — so planning needs no second
-//! probe round. How the probes travel is the engine's transport
-//! (`probe.rs`): Lusail sends an endpoint's probes as one request, the
-//! baselines one request per (pattern, endpoint). Endpoints are probed in
-//! parallel through the elastic request handler (one worker per endpoint).
+//! probe round. How the probes travel is the kind's transport
+//! (`probe.rs`): an endpoint's `COUNT`s go as one request, `ASK`s one
+//! request per (pattern, endpoint). Endpoints are probed in parallel
+//! through the elastic request handler (one worker per endpoint).
 
 use crate::cache::{PatternKey, ProbeCache};
 use crate::exec::Net;
@@ -226,7 +226,7 @@ mod tests {
             f.dict(),
         )
         .unwrap();
-        let net = Net::default().coalescing();
+        let net = Net::default();
         let sm = select_sources(&f, &query.pattern, &ProbeCache::<_, u64>::new(true), &net);
         assert_eq!(net.client.requests().get(RequestKind::Count), 2);
         let [p, q, r] = [0, 1, 2].map(|i| &query.pattern.triples[i]);

@@ -187,8 +187,10 @@ pub struct ExecOptions {
     /// traces, and results are identical at every budget; higher budgets
     /// only change wall-clock time.
     pub threads: std::num::NonZeroUsize,
-    /// Optional per-query wall-clock deadline. When set it overrides the
-    /// engine policy's `query_budget` for this call.
+    /// Optional per-query wall-clock deadline, measured on the engine's
+    /// clock from the start of the call: no wire attempt starts once it has
+    /// passed. Without one, only the engine policy's per-request
+    /// `deadline` bounds a request.
     pub deadline: Option<Duration>,
     /// Optional observer of circuit-breaker health transitions during
     /// this call. A long-lived server hangs shared-cache invalidation

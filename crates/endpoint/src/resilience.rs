@@ -1,6 +1,6 @@
 //! The resilience layer every engine routes remote calls through:
 //! retries with exponential backoff and jitter, per-request deadlines, a
-//! per-query deadline budget, and a per-endpoint circuit breaker.
+//! per-query deadline, and a per-endpoint circuit breaker.
 //!
 //! A [`ResilientClient`] is created per query execution. Each endpoint's
 //! circuit moves Closed → Open (after `trip_threshold` consecutive
@@ -117,12 +117,6 @@ pub struct RequestPolicy {
     /// admitted as a half-open recovery probe (`Duration::ZERO`: the very
     /// next request).
     pub open_cooldown: Duration,
-    /// Per-*query* deadline budget shared by every request this client
-    /// issues, measured from the client's construction: no wire attempt
-    /// starts once the budget is spent, so retries and failovers can
-    /// never exceed the caller's deadline. `Duration::ZERO` disables
-    /// the budget.
-    pub query_budget: Duration,
 }
 
 impl Default for RequestPolicy {
@@ -136,7 +130,6 @@ impl Default for RequestPolicy {
             deadline: Duration::from_secs(10),
             trip_threshold: 3,
             open_cooldown: Duration::from_secs(30),
-            query_budget: Duration::ZERO,
         }
     }
 }
@@ -200,8 +193,10 @@ pub struct ResilientClient {
     policy: RequestPolicy,
     clock: Arc<dyn Clock>,
     /// When the query started (clock time at construction) — the origin
-    /// the per-query deadline budget is measured from.
+    /// the query deadline is measured from.
     origin: Duration,
+    /// The query deadline ([`ResilientClient::with_query_deadline`]).
+    query_deadline: Option<Duration>,
     states: Mutex<Vec<EpState>>,
     nonce: AtomicU64,
     trace: TraceSink,
@@ -220,19 +215,8 @@ pub struct ResilientClient {
 /// keep it short.
 pub type HealthHook = Arc<dyn Fn(EndpointId, HealthState, HealthState) + Send + Sync>;
 
-impl Default for ResilientClient {
-    fn default() -> Self {
-        ResilientClient::new(RequestPolicy::default())
-    }
-}
-
 impl ResilientClient {
-    /// A client over the real clock.
-    pub fn new(policy: RequestPolicy) -> Self {
-        ResilientClient::with_clock(policy, Arc::new(SystemClock::default()))
-    }
-
-    /// A client over an injected clock (tests).
+    /// A client over an injected clock.
     pub fn with_clock(policy: RequestPolicy, clock: Arc<dyn Clock>) -> Self {
         ResilientClient::traced(policy, clock, TraceSink::disabled())
     }
@@ -245,12 +229,23 @@ impl ResilientClient {
             policy,
             clock,
             origin,
+            query_deadline: None,
             states: Mutex::new(Vec::new()),
             nonce: AtomicU64::new(0),
             trace,
             requests: [const { AtomicU64::new(0) }; 4],
             on_transition: None,
         }
+    }
+
+    /// Sets the query deadline, measured from the client's construction and
+    /// shared by every request it issues: no wire attempt starts once it
+    /// has passed, so retries and failovers can never exceed the caller's
+    /// deadline. Without one, only the policy's per-request `deadline`
+    /// bounds a request.
+    pub fn with_query_deadline(mut self, deadline: Duration) -> Self {
+        self.query_deadline = Some(deadline);
+        self
     }
 
     /// Installs a [`HealthHook`] observing every circuit transition this
@@ -303,11 +298,10 @@ impl ResilientClient {
         self.with_state(ep, |s| s.failed_requests)
     }
 
-    /// True once the per-query deadline budget is spent (always false
-    /// when the policy disables it).
-    pub fn budget_exhausted(&self) -> bool {
-        let budget = self.policy.query_budget;
-        !budget.is_zero() && self.clock.now().saturating_sub(self.origin) >= budget
+    /// True once the query deadline has passed (always false without one).
+    pub fn deadline_passed(&self) -> bool {
+        self.query_deadline
+            .is_some_and(|d| self.clock.now().saturating_sub(self.origin) >= d)
     }
 
     fn emit_transition(&self, ep: EndpointId, from: HealthState, to: HealthState) {
@@ -418,8 +412,8 @@ impl ResilientClient {
         let mut attempt: u32 = 0;
         let mut attempts: u64 = 0;
         let result = loop {
-            if self.budget_exhausted() {
-                // The per-query budget is spent: no wire attempt may
+            if self.deadline_passed() {
+                // The query deadline has passed: no wire attempt may
                 // start. The endpoint is blameless when it never got an
                 // attempt, so only record a failure against it otherwise.
                 if attempts > 0 {
@@ -448,11 +442,11 @@ impl ResilientClient {
                             break Err(EndpointError::Timeout);
                         }
                     }
-                    if !self.policy.query_budget.is_zero() {
-                        // Sleeping past the query budget would let the
-                        // next attempt start after the deadline.
+                    if let Some(deadline) = self.query_deadline {
+                        // Sleeping past the query deadline would let the
+                        // next attempt start after it.
                         let spent = self.clock.now().saturating_sub(self.origin);
-                        if spent + backoff >= self.policy.query_budget {
+                        if spent + backoff >= deadline {
                             self.record_failure(ep, EndpointError::Timeout);
                             break Err(EndpointError::Timeout);
                         }
@@ -904,7 +898,7 @@ mod tests {
     }
 
     #[test]
-    fn query_budget_blocks_wire_attempts_once_spent() {
+    fn query_deadline_blocks_wire_attempts_once_passed() {
         let clock = ManualClock::new();
         let policy = RequestPolicy {
             max_retries: 10,
@@ -914,23 +908,23 @@ mod tests {
             jitter: 0.0,
             deadline: Duration::ZERO,
             trip_threshold: 0,
-            query_budget: Duration::from_millis(100),
             ..RequestPolicy::default()
         };
-        let client = ResilientClient::with_clock(policy, clock.clone());
+        let client = ResilientClient::with_clock(policy, clock.clone())
+            .with_query_deadline(Duration::from_millis(100));
         let (calls, op) = counting_op(vec![Err(EndpointError::Interrupted); 20]);
         assert_eq!(
             client.request_kind(0, RequestKind::Select, op),
             Err(EndpointError::Timeout)
         );
         // Attempts at t=0, 40, 80; sleeping to 120 would pass the 100 ms
-        // budget, so the request stops after 3 attempts at t=80.
+        // deadline, so the request stops after 3 attempts at t=80.
         assert_eq!(calls.load(Ordering::Relaxed), 3);
         assert!(clock.elapsed() < Duration::from_millis(100));
-        // The budget is per *query*, not per request: a fresh request is
-        // refused before its first wire attempt once the budget is spent.
+        // The deadline is per *query*, not per request: a fresh request is
+        // refused before its first wire attempt once it has passed.
         clock.advance(Duration::from_millis(100));
-        assert!(client.budget_exhausted());
+        assert!(client.deadline_passed());
         let (calls2, op2) = counting_op(vec![Ok(5)]);
         assert_eq!(
             client.request_kind(0, RequestKind::Select, op2),

@@ -27,8 +27,8 @@
 //!   silently.
 
 use crate::QueryServer;
-use lusail_core::{BatchItem, BatchOutcome, QueryResult};
-use lusail_endpoint::{ExecOptions, FederationError};
+use lusail_core::{BatchItem, BatchOutcome};
+use lusail_endpoint::ExecOptions;
 use lusail_sparql::Query;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -75,31 +75,25 @@ pub struct BatchStats {
     pub wire_requests_saved: u64,
 }
 
-/// What the leader delivers to a parked query.
-pub(crate) enum Delivery {
-    Finished(Box<QueryResult>),
-    DeadlineExpired,
-    Engine(FederationError),
-}
-
-/// A parked query's mailbox.
+/// A parked query's mailbox: the leader delivers the item's
+/// [`BatchOutcome`] as the engine returned it.
 #[derive(Default)]
 struct Slot {
-    outcome: Mutex<Option<Delivery>>,
+    outcome: Mutex<Option<BatchOutcome>>,
     ready: Condvar,
 }
 
 impl Slot {
-    fn deliver(&self, delivery: Delivery) {
-        *self.outcome.lock().unwrap() = Some(delivery);
+    fn deliver(&self, outcome: BatchOutcome) {
+        *self.outcome.lock().unwrap() = Some(outcome);
         self.ready.notify_all();
     }
 
-    fn wait(&self) -> Delivery {
+    fn wait(&self) -> BatchOutcome {
         let mut guard = self.outcome.lock().unwrap();
         loop {
             match guard.take() {
-                Some(delivery) => return delivery,
+                Some(outcome) => return outcome,
                 None => guard = self.ready.wait(guard).unwrap(),
             }
         }
@@ -134,8 +128,8 @@ impl QueryServer {
     /// until its outcome is delivered. The caller still holds its
     /// admission session (so capacity applies to queries waiting in a
     /// window) and does its own counter accounting on the returned
-    /// delivery.
-    pub(crate) fn batch_submit(&self, query: &Query, deadline: Duration) -> Delivery {
+    /// outcome.
+    pub(crate) fn batch_submit(&self, query: &Query, deadline: Duration) -> BatchOutcome {
         let slot = Arc::new(Slot::default());
         let deadline_at = self.clock.now() + deadline;
         let leader = {
@@ -230,11 +224,7 @@ impl QueryServer {
             stats.wire_requests_saved += report.wire_requests_saved;
         }
         for (entry, outcome) in batch.into_iter().zip(outcomes) {
-            entry.slot.deliver(match outcome {
-                BatchOutcome::Finished(result) => Delivery::Finished(result),
-                BatchOutcome::DeadlineExpired => Delivery::DeadlineExpired,
-                BatchOutcome::Error(e) => Delivery::Engine(e),
-            });
+            entry.slot.deliver(outcome);
         }
     }
 

@@ -35,7 +35,7 @@ pub mod http;
 
 pub use batch::{BatchConfig, BatchStats};
 
-use lusail_core::{Lusail, QueryResult};
+use lusail_core::{BatchOutcome, Lusail, QueryResult};
 use lusail_endpoint::{
     Clock, EndpointId, Federation, FederationError, HealthHook, HealthState, SystemClock,
 };
@@ -329,14 +329,14 @@ impl QueryServer {
             // The session stays held across the window wait — capacity
             // applies to queries the server has accepted, whether they
             // are executing or waiting for their batch to form.
-            let delivery = self.batch_submit(query, deadline);
+            let outcome = self.batch_submit(query, deadline);
             drop(guard);
-            return match delivery {
-                batch::Delivery::Finished(result) => {
+            return match outcome {
+                BatchOutcome::Finished(result) => {
                     self.count_executed(result.complete);
                     Ok(*result)
                 }
-                batch::Delivery::DeadlineExpired => {
+                BatchOutcome::DeadlineExpired => {
                     // The window wait (or a neighbour's work) consumed the
                     // whole budget: the refusal is typed exactly like an
                     // impossible deadline at admission.
@@ -344,7 +344,7 @@ impl QueryServer {
                     self.count_rejection(&rejection);
                     Err(ServeError::Rejected(rejection))
                 }
-                batch::Delivery::Engine(e) => {
+                BatchOutcome::Error(e) => {
                     self.counters.admitted.fetch_add(1, Ordering::Relaxed);
                     Err(ServeError::Engine(e))
                 }

@@ -11,7 +11,7 @@ use lusail_rdf::TermId;
 
 /// A position in a triple pattern: either a variable (by name, without the
 /// leading `?`) or a constant term (dictionary-encoded).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PatternTerm {
     /// A query variable, e.g. `?s` is `Var("s".into())`.
     Var(String),
@@ -43,7 +43,7 @@ impl PatternTerm {
 }
 
 /// A triple pattern `subject predicate object`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TriplePattern {
     /// Subject position.
     pub s: PatternTerm,

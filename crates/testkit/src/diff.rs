@@ -244,7 +244,6 @@ pub fn faulty_policy() -> RequestPolicy {
         // Cooldown far above the µs-scale wall time of a differential run:
         // a tripped endpoint stays tripped for the whole query.
         open_cooldown: Duration::from_secs(30),
-        query_budget: Duration::ZERO,
     }
 }
 

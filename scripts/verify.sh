@@ -137,7 +137,7 @@ if grep -q 'check_queries +=' crates/core/src/gjv.rs; then
 fi
 [ "$scattered" -eq 0 ]
 
-echo "==> no superseded path is back (one BGP order, one VALUES sizing, two gated configurations, one COUNT form, one FedX, one subject lookup, one term count, one statistics builder, every setting has a caller, one probe transport per engine)"
+echo "==> no superseded path is back (one BGP order, one VALUES sizing, two gated configurations, one COUNT form, one FedX, one subject lookup, one term count, one statistics builder, every setting has a caller, one probe description)"
 scattered=0
 total=0
 non_test=0
@@ -189,13 +189,8 @@ if [ -z "$counting_sink" ] || grep -Eq 'write!|Display|to_string|format!' <<<"$c
     echo "crates/sparql/src/writer.rs: the counting sink formats terms (or is gone) instead of adding Term::wire_len" >&2
     scattered=1
 fi
-# One probe transport per engine: Lusail always coalesces, the baselines
-# never do, and a probe is described once, by its Member.
-stray=$(grep -rlF 'coalesce_probes' crates/core/src/engine.rs crates/bench crates/testkit tests src examples || true)
-if [ -n "$stray" ]; then
-    echo "the probe-coalescing switch is back (Net::coalescing is Lusail's fixed transport):" $stray >&2
-    scattered=1
-fi
+# A probe is described once, by its Member (its kind's transport is checked
+# by the "one query driver" stanza below).
 if grep -q 'fn on_wire' crates/core/src/probe.rs; then
     echo "crates/core/src/probe.rs: fn on_wire is back (both transports encode a probe's Member)" >&2
     scattered=1
@@ -313,6 +308,36 @@ if [ -z "$col" ] || [ -z "$single" ] || [ -n "$checked" ]; then
     echo "$checked" >&2
     exit 1
 fi
+
+echo "==> one query driver (every engine builds, bounds and finishes a query in lusail_core::exec::run_query; the deadline lives in ExecOptions; a probe's transport is its kind's)"
+scattered=0
+# Here-strings, not pipes (see the stanzas above).
+for f in crates/baselines/src/*.rs; do
+    if grep -q 'fn run_query' <<<"$(sed '/#\[cfg(test)\]/,$d' "$f")"; then
+        echo "$f: a baseline query driver is back (the baselines run through exec::run_query)" >&2
+        scattered=1
+    fi
+done
+stray=$(grep -rlF 'query_budget' crates src tests || true)
+if [ -n "$stray" ]; then
+    echo "query_budget is back (the query deadline is ExecOptions::deadline, handed to the client):" $stray >&2
+    scattered=1
+fi
+stray=$(grep -rlE 'coalesce_probes|fn coalescing' crates src tests examples || true)
+if [ -n "$stray" ]; then
+    echo "a probe-transport switch is back (Ask travels alone, Count and Check coalesced):" $stray >&2
+    scattered=1
+fi
+if grep -q 'fn fresh_net' crates/core/src/engine.rs; then
+    echo "crates/core/src/engine.rs: fn fresh_net is back (Net::for_query is the one constructor)" >&2
+    scattered=1
+fi
+stray=$(grep -rlF 'enum Delivery' crates/server || true)
+if [ -n "$stray" ]; then
+    echo "a second batch outcome enum is back (the scheduler delivers BatchOutcome):" $stray >&2
+    scattered=1
+fi
+[ "$scattered" -eq 0 ]
 
 # The benchmark crate is a workspace of its own with its own lock file; it
 # calls the engine only through public items (par_hash_join, hash_join,

@@ -931,7 +931,7 @@ fn backoff_schedule_is_deterministic_bounded_and_capped() {
 
 /// Soundness of the batch memo's sharing key: whenever two subqueries —
 /// possibly decomposed from *different* queries — have equal
-/// [`subquery_signature`](lusail_core::subquery_signature)s, evaluating
+/// [`SubqueryKey`](lusail_core::SubqueryKey)s, evaluating
 /// them standalone must yield multiset-equal relations. This is the
 /// safety condition for [`Lusail::execute_batch`] reusing a memoized
 /// relation across tenants: an unsound signature would silently hand one
@@ -943,7 +943,7 @@ fn backoff_schedule_is_deterministic_bounded_and_capped() {
 /// with `LUSAIL_TEST_SEED`.
 #[test]
 fn equal_subquery_signatures_imply_multiset_equal_relations() {
-    use lusail_core::subquery_signature;
+    use lusail_core::SubqueryKey;
     use lusail_testkit::{Case, FaultSpec, GenConfig};
 
     let mut rng = Rng::new(seed_from_env(0x516_A7B5));
@@ -966,7 +966,7 @@ fn equal_subquery_signatures_imply_multiset_equal_relations() {
         let variants = [case.query.clone(), permuted, case.query.clone()];
 
         // signature -> (variant index, sorted projection, canonical rows)
-        let mut memo: std::collections::HashMap<String, (usize, Vec<String>, SolutionSet)> =
+        let mut memo: std::collections::HashMap<SubqueryKey, (usize, Vec<String>, SolutionSet)> =
             std::collections::HashMap::new();
         let mut any_planned = false;
         for (vi, query) in variants.iter().enumerate() {
@@ -975,7 +975,7 @@ fn equal_subquery_signatures_imply_multiset_equal_relations() {
             };
             any_planned = true;
             for sq in &subqueries {
-                let sig = subquery_signature(sq);
+                let sig = SubqueryKey::of(sq);
                 // Compare relations over the signature's own (sorted)
                 // projection: signature-equal subqueries project the same
                 // variable set, possibly discovered in different orders.
@@ -994,7 +994,7 @@ fn equal_subquery_signatures_imply_multiset_equal_relations() {
                         assert_eq!(
                             (prev_proj, prev_rel),
                             (&proj, &rel),
-                            "case {case_no} (seed {seed:#x}): signature {sig} maps to \
+                            "case {case_no} (seed {seed:#x}): signature {sig:?} maps to \
                              different relations — sharing would be unsound"
                         );
                     }

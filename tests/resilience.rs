@@ -245,7 +245,7 @@ fn engine_retries_on_injected_clock_without_wall_sleep() {
     );
 }
 
-// ---------- circuit recovery and the per-query budget -----------------------
+// ---------- circuit recovery and the per-query deadline ---------------------
 
 #[test]
 fn tripped_endpoint_recovers_after_manual_clock_advance() {
@@ -342,15 +342,66 @@ impl SparqlEndpoint for SlowEndpoint {
 /// Offline statistics summarize the *primary's* store. Once a dead
 /// primary's group is served by a replica that has diverged from it, a
 /// conclusive local answer derived from those statistics may be wrong —
-/// so `finish()` must drop the endpoint's stats exactly like it drops
-/// the memoized probe answers (the PR-4 staleness rule). Regression
-/// scenario: the primary has no `<q>` triples (its statistics
+/// so the query driver every engine runs through
+/// (`lusail_core::exec::run_query`) drops the endpoint's stats, and the
+/// engine its memoized probe answers (the PR-4 staleness rule).
+/// Regression scenario: the primary has no `<q>` triples (its statistics
 /// conclusively deny the predicate), the replica *does*; after the first
 /// query fails over, a second query over `<q>` must reach the wire and
 /// return the replica's rows instead of being elided to empty by stale
-/// statistics.
+/// statistics. Every engine must drop the statistics; the rows come back
+/// for all but SPLENDID, which selects sources from its own VOID index of
+/// the primary and so never consults the federation's statistics.
 #[test]
 fn failover_to_diverged_replica_invalidates_stale_statistics() {
+    type MakeEngine = fn(&LocalEndpoint, RequestPolicy) -> Box<dyn FederatedEngine>;
+    let engines: [(&str, MakeEngine, bool); 4] = [
+        (
+            "Lusail",
+            |_, policy| Box::new(Lusail::default().with_policy(policy)),
+            true,
+        ),
+        (
+            "FedX",
+            |_, policy| Box::new(FedX::default().with_policy(policy)),
+            true,
+        ),
+        (
+            "HiBISCuS",
+            |primary, policy| {
+                let index = HibiscusIndex::build(&[primary]);
+                Box::new(FedX::hibiscus(index).with_policy(policy))
+            },
+            true,
+        ),
+        (
+            "SPLENDID",
+            |primary, policy| {
+                let index = VoidIndex::build(&[primary]);
+                Box::new(Splendid::new(index).with_policy(policy))
+            },
+            false,
+        ),
+    ];
+    let mut violations = Vec::new();
+    for (name, make_engine, diverged_rows) in engines {
+        violations.extend(
+            diverged_replica_after_failover(make_engine, diverged_rows)
+                .into_iter()
+                .map(|v| format!("{name}: {v}")),
+        );
+    }
+    assert!(violations.is_empty(), "{violations:#?}");
+}
+
+/// Runs the scenario above on a fresh federation with the engine
+/// `make_engine` builds from the primary's store, and returns the
+/// expectations it violated: the statistics survived the failover, or
+/// (when `diverged_rows`) the replica's `<q>` rows went missing.
+fn diverged_replica_after_failover(
+    make_engine: fn(&LocalEndpoint, RequestPolicy) -> Box<dyn FederatedEngine>,
+    diverged_rows: bool,
+) -> Vec<&'static str> {
     use lusail_sparql::ast::{PatternTerm, TriplePattern};
     use lusail_store::EndpointStats;
 
@@ -381,28 +432,34 @@ fn failover_to_diverged_replica_invalidates_stale_statistics() {
     );
     assert_eq!(stats.ask_pattern(&q_probe), Some(false));
 
+    let primary_ep = Arc::new(LocalEndpoint::new("P", primary_st));
     let mut fed = Federation::new(Arc::clone(&dict));
     let primary = fed.add(Arc::new(FlakyEndpoint::new(
-        Arc::new(LocalEndpoint::new("P", primary_st)),
+        primary_ep.clone(),
         FaultProfile::dead(),
     )));
     fed.add_replica(primary, Arc::new(LocalEndpoint::new("R", replica_st)));
     fed.attach_stats(primary, stats);
 
-    // The elided ASK leaves the SELECT as the *only* wire attempt on the
+    // The elided probe leaves the SELECT as the *only* wire attempt on the
     // primary, so the circuit must trip on that first failure for the
     // report to mark the endpoint dead.
-    let engine = Lusail::default().with_policy(RequestPolicy {
+    let policy = RequestPolicy {
         trip_threshold: 1,
         ..RequestPolicy::default()
-    });
+    };
+    let engine = make_engine(&primary_ep, policy);
+    let run = |text: &str| {
+        let q = parse_query(text, &dict).unwrap();
+        engine.run_with(&fed, &q, &ExecOptions::default()).unwrap()
+    };
 
-    // Query 1 (over <p>): the ASK is elided by the (still valid)
-    // statistics, the SELECT discovers the dead primary and fails over to
-    // the replica, and the failure report marks the primary dead — which
-    // must take its statistics down with its probe caches.
-    let q1 = parse_query("SELECT * WHERE { ?s <http://x/p> ?o }", &dict).unwrap();
-    let r1 = engine.execute(&fed, &q1).unwrap();
+    // Query 1 (over <p>): the probe is elided by the (still valid)
+    // statistics or the engine's index, the SELECT discovers the dead
+    // primary and fails over to the replica, and the failure report marks
+    // the primary dead — which must take its statistics down with its
+    // probe caches.
+    let r1 = run("SELECT * WHERE { ?s <http://x/p> ?o }");
     assert!(r1.complete, "replica failed to absorb the dead primary");
     assert_eq!(r1.solutions.len(), 4);
     assert!(
@@ -410,39 +467,38 @@ fn failover_to_diverged_replica_invalidates_stale_statistics() {
         "failure report does not mark the primary dead: {:?}",
         r1.failures
     );
-    assert!(
-        fed.stats_for(primary).is_none(),
-        "stale statistics survived the failover"
-    );
+    let mut violations = Vec::new();
+    if fed.stats_for(primary).is_some() {
+        violations.push("stale statistics survived the failover");
+    }
 
-    // Query 2 (over <q>): with the stats gone the ASK goes to the wire,
-    // fails over, and the replica answers true — so the diverged rows
-    // come back. Stale statistics would have concluded "no source" and
-    // returned an empty (yet nominally complete) result.
-    let q2 = parse_query("SELECT * WHERE { ?s <http://x/q> ?o }", &dict).unwrap();
-    let r2 = engine.execute(&fed, &q2).unwrap();
+    // Query 2 (over <q>): with the stats gone the probe goes to the wire,
+    // fails at the dead primary and so assumes it relevant; the SELECT
+    // fails over and the replica's diverged rows come back. Stale
+    // statistics would have concluded "no source" and returned an empty
+    // (yet nominally complete) result.
+    let r2 = run("SELECT * WHERE { ?s <http://x/q> ?o }");
     assert!(r2.complete, "replica failed to absorb the dead primary");
-    assert_eq!(
-        r2.solutions.len(),
-        3,
-        "diverged replica rows went missing after failover"
-    );
+    if diverged_rows && r2.solutions.len() != 3 {
+        violations.push("diverged replica rows went missing after failover");
+    }
+    violations
 }
 
 /// The multi-tenant sharpening of the staleness rule above: in a
-/// long-lived server the engine and federation are shared, so waiting for
-/// tenant A's `finish()` to drop a dead endpoint's statistics leaves a
+/// long-lived server the engine and federation are shared, so dropping a
+/// dead endpoint's statistics only when tenant A's query ends leaves a
 /// window in which tenant B plans from them. The serving layer closes the
 /// window with a circuit-transition hook ([`ExecOptions::with_health_hook`]
 /// → `lusail_server::make_invalidation_hook`) that invalidates the shared
 /// probe caches and statistics **at transition time**, mid-query.
 ///
 /// Proven from inside the window itself: tenant B's whole query runs
-/// *within the transition hook* — strictly before A's query (let alone
-/// its `finish()`) completes — and must already see the statistics gone,
-/// reaching the diverged replica's three `<q>` rows instead of a stale
-/// conclusive "no such predicate". Virtual time (`ManualClock`) keeps
-/// the retry backoffs of both tenants instant and deterministic.
+/// *within the transition hook* — strictly before A's query completes —
+/// and must already see the statistics gone, reaching the diverged
+/// replica's three `<q>` rows instead of a stale conclusive "no such
+/// predicate". Virtual time (`ManualClock`) keeps the retry backoffs of
+/// both tenants instant and deterministic.
 #[test]
 fn transition_hook_invalidates_shared_state_before_concurrent_tenant_plans() {
     use lusail_sparql::ast::{PatternTerm, TriplePattern};
@@ -549,7 +605,7 @@ fn transition_hook_invalidates_shared_state_before_concurrent_tenant_plans() {
 }
 
 #[test]
-fn exhausted_query_budget_blocks_failover_wire_attempts() {
+fn passed_query_deadline_blocks_failover_wire_attempts() {
     let (dict, st) = tiny_endpoint();
     let mut replica_st = TripleStore::new(Arc::clone(&dict));
     replica_st.insert_terms(
@@ -560,7 +616,7 @@ fn exhausted_query_budget_blocks_failover_wire_attempts() {
     let clock = ManualClock::new();
     let mut fed = Federation::new(Arc::clone(&dict));
     // The primary burns 120 ms of virtual time and then times out — more
-    // than the whole 100 ms query budget in a single attempt.
+    // than the whole 100 ms query deadline in a single attempt.
     let primary = fed.add(Arc::new(SlowEndpoint {
         inner: LocalEndpoint::new("P", st),
         clock: clock.clone(),
@@ -573,18 +629,18 @@ fn exhausted_query_budget_blocks_failover_wire_attempts() {
     let policy = RequestPolicy {
         max_retries: 3,
         base_backoff: Duration::from_millis(1),
-        query_budget: Duration::from_millis(100),
         trip_threshold: 0,
         ..RequestPolicy::default()
     };
-    let client = ResilientClient::with_clock(policy, clock.clone());
+    let client = ResilientClient::with_clock(policy, clock.clone())
+        .with_query_deadline(Duration::from_millis(100));
 
-    // The deadline pin: once the budget is spent, *no* wire attempt may
-    // start — not a retry on the primary, not the failover hop to the
+    // The deadline pin: once the deadline has passed, *no* wire attempt
+    // may start — not a retry on the primary, not the failover hop to the
     // healthy replica.
     let err = client.select_failover(&fed, primary, &q).unwrap_err();
     assert_eq!(err, EndpointError::Timeout);
-    assert!(client.budget_exhausted());
+    assert!(client.deadline_passed());
     assert_eq!(fed.endpoint(primary).stats_snapshot().select_requests, 1);
     assert_eq!(
         fed.endpoint(replica).stats_snapshot().select_requests,
