@@ -37,7 +37,8 @@ pub const BLOCK_SIZE: usize = 15;
 
 /// The FedX-style engine — and, holding a [`HibiscusIndex`], HiBISCuS:
 /// the same executor over source lists the index has pruned. ASK answers
-/// are memoized across queries until [`FederatedEngine::reset`].
+/// are memoized for the engine's lifetime, less those of an endpoint a
+/// query found dead.
 pub struct FedX {
     policy: RequestPolicy,
     ask_cache: ProbeCache<PatternKey, bool>,
@@ -48,7 +49,7 @@ impl Default for FedX {
     fn default() -> Self {
         FedX {
             policy: RequestPolicy::default(),
-            ask_cache: ProbeCache::new(true),
+            ask_cache: ProbeCache::new(),
             index: None,
         }
     }
@@ -64,7 +65,7 @@ impl FedX {
         }
     }
 
-    /// Replaces the retry/backoff/deadline policy for remote requests.
+    /// Replaces the retry/backoff/circuit policy for remote requests.
     pub fn with_policy(mut self, policy: RequestPolicy) -> Self {
         self.policy = policy;
         self
@@ -150,13 +151,6 @@ impl FedX {
 }
 
 impl FederatedEngine for FedX {
-    fn engine_name(&self) -> &str {
-        match self.index {
-            Some(_) => "HiBISCuS",
-            None => "FedX",
-        }
-    }
-
     fn run_with(
         &self,
         fed: &Federation,
@@ -178,10 +172,6 @@ impl FederatedEngine for FedX {
             self.ask_cache.invalidate_endpoint(ep);
         }
         Ok(outcome)
-    }
-
-    fn reset(&self) {
-        self.ask_cache.clear();
     }
 }
 

@@ -185,7 +185,7 @@ mod tests {
         )
         .unwrap();
         let net = Net::default();
-        let cache = ProbeCache::<_, bool>::new(true);
+        let cache = ProbeCache::<_, bool>::new();
         let raw = select_sources(&fed, &q.pattern, &cache, &net);
         // Raw: q-pattern relevant at B and C.
         assert_eq!(raw.sources(&q.pattern.triples[1]), &[1, 2]);

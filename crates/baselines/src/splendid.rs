@@ -107,7 +107,7 @@ impl Splendid {
         }
     }
 
-    /// Replaces the retry/backoff/deadline policy for remote requests.
+    /// Replaces the retry/backoff/circuit policy for remote requests.
     pub fn with_policy(mut self, policy: RequestPolicy) -> Self {
         self.policy = policy;
         self
@@ -194,10 +194,6 @@ impl Splendid {
 }
 
 impl FederatedEngine for Splendid {
-    fn engine_name(&self) -> &str {
-        "SPLENDID"
-    }
-
     fn run_with(
         &self,
         fed: &Federation,

@@ -26,10 +26,10 @@
 //! column. [`check_inequalities`] holds the fresh run to the optimization
 //! claims, and [`diff`] compares it with the committed file.
 
-use crate::{build_engine, ENGINES};
+use lusail_baselines::EngineKind;
 use lusail_benchdata::{bio2rdf, lubm, qfed, Workload};
 use lusail_core::{LusailConfig, QueryTrace, RequestKind, TraceSink};
-use lusail_endpoint::{ExecOptions, NetworkProfile};
+use lusail_endpoint::{ExecOptions, NetworkProfile, RequestPolicy};
 use lusail_store::{BackendKind, EndpointStats};
 use std::fmt;
 use std::sync::Arc;
@@ -345,12 +345,13 @@ fn build_workload(name: &str, backend: BackendKind) -> Workload {
 /// One traced run on a fresh engine: the counter window plus the
 /// trace-derived work totals, as the values of [`VALUE_COLUMNS`].
 fn traced_run(
-    engine: &str,
+    engine: EngineKind,
     workload: &Workload,
     query: &lusail_sparql::Query,
     threads: usize,
 ) -> [u64; 15] {
-    let engine = build_engine(engine, workload, LusailConfig::default());
+    let refs = workload.endpoint_refs();
+    let engine = engine.build(&refs, LusailConfig::default(), RequestPolicy::default());
     let sink = TraceSink::enabled();
     let before = workload.federation.stats_snapshot();
     let opts = ExecOptions::default()
@@ -403,14 +404,14 @@ pub fn run(scope: &Scope) -> (Vec<Line>, Vec<Mismatch>) {
                         workload.federation.attach_stats(id, Arc::new(stats));
                     }
                 }
-                for engine in ENGINES {
+                for engine in EngineKind::ALL {
                     for nq in &workload.queries {
                         if !Scope::wants(&scope.queries, &nq.name) {
                             continue;
                         }
                         for threads in THREADS {
                             let values = traced_run(engine, &workload, &nq.query, threads);
-                            let key = [workload_name, config, engine, nq.name.as_str()]
+                            let key = [workload_name, config, engine.name(), &nq.name]
                                 .map(str::to_string);
                             let twin = Line { key, values };
                             // The btree / 1-thread run of a key comes first.

@@ -6,11 +6,11 @@
 //! one function each. Every table is printed and saved as
 //! `results/<table>.csv`.
 
-use crate::{build_engine, compare_engines, fmt_count, run_averaged, RunResult, Table, ENGINES};
-use lusail_baselines::{FedX, HibiscusIndex, VoidIndex};
+use crate::{compare_engines, fmt_count, run_averaged, RunResult, Table};
+use lusail_baselines::{EngineKind, FedX, HibiscusIndex, VoidIndex};
 use lusail_benchdata::{bio2rdf, lrb, lubm, qfed, Workload};
 use lusail_core::{DelayPolicy, Lusail, LusailConfig};
-use lusail_endpoint::{FederatedEngine, Federation, NetworkProfile, SparqlEndpoint};
+use lusail_endpoint::{FederatedEngine, Federation, NetworkProfile, RequestPolicy, SparqlEndpoint};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -26,7 +26,7 @@ enum Body {
     /// One [`compare_engines`] table per row, all over one roster with
     /// one soft timeout per engine and query.
     Compare {
-        engines: &'static [&'static str],
+        engines: &'static [EngineKind],
         timeout_secs: u64,
         tables: fn() -> Vec<Comparison>,
     },
@@ -97,15 +97,20 @@ impl Setting {
 
 /// Runs the tables in order. Consecutive tables over one setting share
 /// the federation and the engines (and so their warm probe caches).
-fn compare(engines: &[&'static str], timeout_secs: u64, tables: Vec<Comparison>) {
-    type Roster = Vec<(&'static str, Arc<dyn FederatedEngine>)>;
+fn compare(engines: &[EngineKind], timeout_secs: u64, tables: Vec<Comparison>) {
+    type Roster = Vec<(EngineKind, Arc<dyn FederatedEngine>)>;
     let mut built: Option<(Setting, Workload, Roster)> = None;
     for (table, setting, subset) in tables {
         if built.as_ref().map(|b| b.0) != Some(setting) {
             let w = setting.generate();
+            let refs = w.endpoint_refs();
             let roster = engines
                 .iter()
-                .map(|&name| (name, build_engine(name, &w, LusailConfig::default())))
+                .map(|&kind| {
+                    let engine =
+                        kind.build(&refs, LusailConfig::default(), RequestPolicy::default());
+                    (kind, Arc::from(engine))
+                })
                 .collect();
             built = Some((setting, w, roster));
         }
@@ -157,7 +162,7 @@ pub const FIGURES: [Figure; 13] = [
         name: "fig11_qfed",
         title: "Figure 11 — QFed query runtimes, all systems",
         body: Body::Compare {
-            engines: &ENGINES,
+            engines: &EngineKind::ALL,
             timeout_secs: 60,
             tables: || vec![("fig11_qfed".into(), Setting::Qfed, Queries::All)],
         },
@@ -166,7 +171,7 @@ pub const FIGURES: [Figure; 13] = [
         name: "fig12_lubm",
         title: "Figure 12 — LUBM Q1–Q4 on (a) two and (b) four university endpoints",
         body: Body::Compare {
-            engines: &ENGINES,
+            engines: &EngineKind::ALL,
             timeout_secs: 60,
             tables: || {
                 [2, 4]
@@ -179,7 +184,7 @@ pub const FIGURES: [Figure; 13] = [
         name: "fig13_largerdfbench",
         title: "Figure 13 — LargeRDFBench-style runtimes, local setting",
         body: Body::Compare {
-            engines: &ENGINES,
+            engines: &EngineKind::ALL,
             timeout_secs: 120,
             tables: || {
                 ["simple", "complex", "large"]
@@ -193,7 +198,7 @@ pub const FIGURES: [Figure; 13] = [
         title: "Figure 14 — geo-distributed federation (7-region WAN, really sleeps): \
                 (a) LargeRDFBench complex, (b) large, (c) LUBM on two endpoints",
         body: Body::Compare {
-            engines: &ENGINES,
+            engines: &EngineKind::ALL,
             timeout_secs: 300,
             tables: || {
                 let lrb = |stem: &str, c| (stem.into(), Setting::LrbGeo, Queries::Category(c));
@@ -209,7 +214,7 @@ pub const FIGURES: [Figure; 13] = [
         name: "real_endpoints",
         title: "§VI-D — Bio2RDF-style real-endpoint federation (R1–R3), Lusail vs FedX",
         body: Body::Compare {
-            engines: &["Lusail", "FedX"],
+            engines: &[EngineKind::Lusail, EngineKind::FedX],
             timeout_secs: 120,
             tables: || vec![("real_endpoints".into(), Setting::Bio2rdfWan, Queries::All)],
         },
@@ -224,7 +229,7 @@ pub const FIGURES: [Figure; 13] = [
         title: "Footnote 8 — LUBM Q2 (disjoint triangle) and Q4 (cross-endpoint join) on a \
                 doubling number of endpoints, 30 s timeout per engine",
         body: Body::Compare {
-            engines: &ENGINES,
+            engines: &EngineKind::ALL,
             timeout_secs: 30,
             tables: || {
                 let mut tables = Vec::new();
@@ -500,11 +505,8 @@ fn fig10_profiling() {
             let cached = Lusail::default();
             let _ = cached.execute(&w.federation, query);
             let r = cached.execute(&w.federation, query).unwrap();
-            let uncached = Lusail::new(LusailConfig {
-                use_cache: false,
-                ..Default::default()
-            });
-            let ru = uncached.execute(&w.federation, query).unwrap();
+            // Uncached: a fresh engine's one run.
+            let ru = Lusail::default().execute(&w.federation, query).unwrap();
             let mut cells = vec![n.to_string()];
             cells.extend(phases(&r.metrics));
             cells.push(ms(ru.metrics.total));
@@ -705,12 +707,12 @@ fn ablations() {
     println!("\n4 — probe cache on/off, Q4 run twice\n");
     let header = ["config", "run1 reqs", "run2 reqs", "run2 ms"];
     let mut table = Table::new("ablation_cache", &header);
-    for (name, use_cache) in [("cache on", true), ("cache off", false)] {
-        let engine = Lusail::new(LusailConfig {
-            use_cache,
-            ..Default::default()
-        });
+    for (name, cached) in [("cache on", true), ("cache off", false)] {
+        let engine = Lusail::default();
         let r1 = crate::run(&engine, &w.federation, &w.query("Q4").query);
+        if !cached {
+            engine.clear_caches();
+        }
         let r2 = crate::run(&engine, &w.federation, &w.query("Q4").query);
         table.row(vec![
             name.to_string(),

@@ -1,16 +1,14 @@
 //! The `lusail-bench` harness: the byte-exact counter gate
 //! ([`counters`]) and the paper's tables and figures ([`figures`]).
 //!
-//! The helpers here build the four-engine roster, run an engine on a
-//! query with request accounting and a soft timeout, and print/persist
-//! result tables.
+//! The helpers here run an engine on a query with request accounting and
+//! a soft timeout, and print/persist result tables. The engines come from
+//! the one roster, [`lusail_baselines::EngineKind`].
 
 pub mod counters;
 pub mod figures;
 
-use lusail_baselines::{FedX, HibiscusIndex, Splendid, VoidIndex};
-use lusail_benchdata::Workload;
-use lusail_core::{Lusail, LusailConfig};
+use lusail_baselines::EngineKind;
 use lusail_endpoint::ExecOptions;
 use lusail_endpoint::{FederatedEngine, Federation, StatsSnapshot};
 use lusail_sparql::{Query, SolutionSet};
@@ -18,28 +16,6 @@ use std::io::Write as _;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The engine axis, in table-column order.
-pub const ENGINES: [&str; 4] = ["Lusail", "FedX", "HiBISCuS", "SPLENDID"];
-
-/// Instantiates one engine of [`ENGINES`] over `workload` — the only
-/// place the roster is built. `lusail` configures Lusail and is ignored
-/// by the baselines; the index-building baselines preprocess the endpoint
-/// handles here (their offline phase, before any counter window opens).
-pub fn build_engine(
-    name: &str,
-    workload: &Workload,
-    lusail: LusailConfig,
-) -> Arc<dyn FederatedEngine> {
-    let refs = workload.endpoint_refs();
-    match name {
-        "Lusail" => Arc::new(Lusail::new(lusail)),
-        "FedX" => Arc::new(FedX::default()),
-        "HiBISCuS" => Arc::new(FedX::hibiscus(HibiscusIndex::build(&refs))),
-        "SPLENDID" => Arc::new(Splendid::new(VoidIndex::build(&refs))),
-        other => panic!("unknown engine {other}"),
-    }
-}
 
 /// The outcome of one engine/query run.
 #[derive(Debug, Clone)]
@@ -78,8 +54,11 @@ impl RunResult {
 
 /// Runs `engine` on `query`, measuring wall time and the federation's
 /// request counters. If the run exceeds `timeout`, returns a timed-out
-/// result; the worker thread is detached and left to finish (the paper's
-/// harness likewise abandons runs at its one-hour limit).
+/// result and abandons the run (the paper's harness likewise abandons runs
+/// at its one-hour limit). The run carries `timeout` as its query deadline,
+/// so the abandoned thread starts no wire attempt after it and cannot add
+/// requests to the next run's counter window; in-memory join work may
+/// still finish.
 pub fn run_with_timeout(
     engine: &Arc<dyn FederatedEngine>,
     fed: &Federation,
@@ -94,8 +73,9 @@ pub fn run_with_timeout(
         let fed = fed.clone();
         let query = query.clone();
         std::thread::spawn(move || {
+            let opts = ExecOptions::default().with_deadline(timeout);
             let outcome = engine
-                .run_with(&fed, &query, &ExecOptions::default())
+                .run_with(&fed, &query, &opts)
                 .expect("bench federations are non-empty");
             let _ = tx.send(outcome);
         });
@@ -236,14 +216,14 @@ impl Table {
 pub fn compare_engines(
     table_name: &str,
     fed: &Federation,
-    engines: &[(&str, Arc<dyn FederatedEngine>)],
+    engines: &[(EngineKind, Arc<dyn FederatedEngine>)],
     queries: &[(&str, &Query)],
     timeout: Duration,
 ) -> Table {
     let mut header = vec!["query".to_string()];
-    for (name, _) in engines {
-        header.push(format!("{name} (ms)"));
-        header.push(format!("{name} reqs"));
+    for (kind, _) in engines {
+        header.push(format!("{} (ms)", kind.name()));
+        header.push(format!("{} reqs", kind.name()));
     }
     header.push("rows".to_string());
     let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
@@ -253,7 +233,8 @@ pub fn compare_engines(
         let mut cells = vec![qname.to_string()];
         let mut reference: Option<SolutionSet> = None;
         let mut rows = String::from("-");
-        for (ename, engine) in engines {
+        for (kind, engine) in engines {
+            let ename = kind.name();
             // Warm-up primes caches (the paper lets every system cache its
             // source selection), then the measured run.
             let warm = run_with_timeout(engine, fed, query, timeout);
@@ -309,6 +290,26 @@ pub fn fmt_count(n: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A run abandoned at its timeout stops using the wire: counters read
+    /// after it are not moved by the detached thread.
+    #[test]
+    fn timed_out_run_sends_no_request_after_its_timeout() {
+        use lusail_benchdata::lubm;
+        use lusail_endpoint::NetworkProfile;
+        let w = lubm::generate(&lubm::LubmConfig {
+            profiles: Some(vec![NetworkProfile::wan(2, 200); 4]),
+            ..lubm::LubmConfig::new(4)
+        });
+        let engine: Arc<dyn FederatedEngine> = Arc::new(lusail_baselines::FedX::default());
+        let query = &w.query("Q2").query;
+        let r = run_with_timeout(&engine, &w.federation, query, Duration::from_millis(50));
+        assert!(r.timed_out(), "FedX finished Q2 over a 2 ms WAN in 50 ms");
+        std::thread::sleep(Duration::from_millis(50));
+        let settled = w.federation.stats_snapshot().total_requests();
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(w.federation.stats_snapshot().total_requests(), settled);
+    }
 
     #[test]
     fn fmt_count_groups_thousands() {

@@ -58,9 +58,9 @@ pub fn pattern_key(tp: &TriplePattern) -> PatternKey {
 /// concurrent sharing (the server's cross-query cache) two racing hits
 /// can interleave in either order but can never leave `order`
 /// inconsistent with `map`. `new` builds an unbounded cache (the paper's
-/// hash table); `bounded` takes the capacity.
+/// hash table); `bounded` takes the capacity. A run that wants no memo
+/// uses a fresh cache, or clears it between queries.
 pub struct ProbeCache<K, V> {
-    enabled: bool,
     capacity: Option<usize>,
     inner: Mutex<ProbeCacheInner<K, V>>,
 }
@@ -73,18 +73,22 @@ struct ProbeCacheInner<K, V> {
     evictions: u64,
 }
 
+impl<K: Clone + Eq + Hash, V: Copy> Default for ProbeCache<K, V> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<K: Clone + Eq + Hash, V: Copy> ProbeCache<K, V> {
-    /// Creates an unbounded cache; if `enabled` is false, every lookup
-    /// misses (and is not counted — the cache is never consulted).
-    pub fn new(enabled: bool) -> Self {
-        Self::bounded(enabled, None)
+    /// Creates an unbounded cache.
+    pub fn new() -> Self {
+        Self::bounded(None)
     }
 
     /// Creates a cache holding at most `capacity` entries (`None` =
     /// unbounded).
-    pub fn bounded(enabled: bool, capacity: Option<usize>) -> Self {
+    pub fn bounded(capacity: Option<usize>) -> Self {
         ProbeCache {
-            enabled,
             capacity,
             inner: Mutex::new(ProbeCacheInner {
                 map: FxHashMap::default(),
@@ -101,9 +105,6 @@ impl<K: Clone + Eq + Hash, V: Copy> ProbeCache<K, V> {
     /// the same lock as the lookup, so it is atomic with respect to
     /// concurrent readers and writers.
     pub fn get(&self, key: &K, ep: EndpointId) -> Option<V> {
-        if !self.enabled {
-            return None;
-        }
         let mut inner = self.inner.lock().unwrap();
         let entry = (key.clone(), ep);
         let found = inner.map.get(&entry).copied();
@@ -127,9 +128,6 @@ impl<K: Clone + Eq + Hash, V: Copy> ProbeCache<K, V> {
     /// a capacity bound is exceeded. Overwriting an existing key never
     /// evicts.
     pub fn put(&self, key: K, ep: EndpointId, value: V) {
-        if !self.enabled {
-            return;
-        }
         let mut inner = self.inner.lock().unwrap();
         let entry = (key, ep);
         if inner.map.insert(entry.clone(), value).is_none() {
@@ -209,10 +207,10 @@ pub struct ProbeCaches {
 impl ProbeCaches {
     /// Creates the caches; `capacity` bounds each of the two tables
     /// (`None` = the paper's unbounded hash table).
-    pub fn new(enabled: bool, capacity: Option<usize>) -> Self {
+    pub fn new(capacity: Option<usize>) -> Self {
         ProbeCaches {
-            count: ProbeCache::bounded(enabled, capacity),
-            check: ProbeCache::bounded(enabled, capacity),
+            count: ProbeCache::bounded(capacity),
+            check: ProbeCache::bounded(capacity),
         }
     }
 
@@ -264,7 +262,7 @@ mod tests {
 
     #[test]
     fn cache_roundtrip_and_hits() {
-        let cache: ProbeCache<u32, bool> = ProbeCache::new(true);
+        let cache: ProbeCache<u32, bool> = ProbeCache::new();
         assert_eq!(cache.get(&1, 0), None);
         cache.put(1, 0, true);
         assert_eq!(cache.get(&1, 0), Some(true));
@@ -276,7 +274,7 @@ mod tests {
 
     #[test]
     fn hit_and_miss_accounting_is_exact() {
-        let cache: ProbeCache<u32, u64> = ProbeCache::new(true);
+        let cache: ProbeCache<u32, u64> = ProbeCache::new();
         assert_eq!(cache.get(&1, 0), None); // miss 1
         cache.put(1, 0, 7);
         assert_eq!(cache.get(&1, 0), Some(7)); // hit 1
@@ -288,17 +286,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_never_hits() {
-        let cache: ProbeCache<u32, u64> = ProbeCache::new(false);
-        cache.put(1, 0, 42);
-        assert_eq!(cache.get(&1, 0), None);
-        // A disabled cache is never consulted, so nothing is counted.
-        assert_eq!((cache.hits(), cache.misses()), (0, 0));
-    }
-
-    #[test]
     fn bounded_cache_evicts_oldest_insertion_first() {
-        let cache: ProbeCache<u32, u64> = ProbeCache::bounded(true, Some(2));
+        let cache: ProbeCache<u32, u64> = ProbeCache::bounded(Some(2));
         cache.put(1, 0, 1);
         cache.put(2, 0, 2);
         assert_eq!(cache.len(), 2);
@@ -311,7 +300,7 @@ mod tests {
 
     #[test]
     fn a_hit_refreshes_recency_so_the_cold_entry_is_evicted() {
-        let cache: ProbeCache<u32, u64> = ProbeCache::bounded(true, Some(2));
+        let cache: ProbeCache<u32, u64> = ProbeCache::bounded(Some(2));
         cache.put(1, 0, 1);
         cache.put(2, 0, 2);
         // Touch key 1: under FIFO it would still be evicted next; under LRU
@@ -326,7 +315,7 @@ mod tests {
 
     #[test]
     fn eviction_counter_tracks_saturation_and_resets_on_clear() {
-        let cache: ProbeCache<u32, u64> = ProbeCache::bounded(true, Some(1));
+        let cache: ProbeCache<u32, u64> = ProbeCache::bounded(Some(1));
         assert_eq!(cache.evictions(), 0);
         for i in 0..5 {
             cache.put(i, 0, u64::from(i));
@@ -338,7 +327,7 @@ mod tests {
 
     #[test]
     fn overwriting_an_existing_key_does_not_evict() {
-        let cache: ProbeCache<u32, u64> = ProbeCache::bounded(true, Some(2));
+        let cache: ProbeCache<u32, u64> = ProbeCache::bounded(Some(2));
         cache.put(1, 0, 1);
         cache.put(2, 0, 2);
         cache.put(1, 0, 10); // overwrite while full
@@ -349,7 +338,7 @@ mod tests {
 
     #[test]
     fn invalidate_endpoint_drops_only_that_endpoints_entries() {
-        let cache: ProbeCache<u32, u64> = ProbeCache::bounded(true, Some(4));
+        let cache: ProbeCache<u32, u64> = ProbeCache::bounded(Some(4));
         cache.put(1, 0, 1);
         cache.put(1, 1, 2);
         cache.put(2, 0, 3);
@@ -367,7 +356,7 @@ mod tests {
 
     #[test]
     fn unbounded_cache_never_evicts() {
-        let cache: ProbeCache<u32, u64> = ProbeCache::new(true);
+        let cache: ProbeCache<u32, u64> = ProbeCache::new();
         for i in 0..100 {
             cache.put(i, 0, u64::from(i));
         }

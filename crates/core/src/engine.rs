@@ -42,17 +42,16 @@ pub struct LusailConfig {
     /// floor for the rest: the later blocks are sized from the first one's
     /// observed response cardinality and never drop below this.
     pub block_size: usize,
-    /// Memoize source-selection `COUNT` and check-query results across
-    /// queries.
-    pub use_cache: bool,
     /// Ablation switch: disable locality-aware decomposition. Every triple
     /// pattern becomes its own subquery (the §II strawman of evaluating
     /// each pattern independently); SAPE still schedules and joins them.
     pub disable_lade: bool,
-    /// Capacity bound for each of the `COUNT` / check probe caches.
-    /// `None` (the default, the paper's unbounded hash table) never
-    /// evicts; a long-lived server sets a bound so cache memory stays
-    /// proportional to it across millions of queries, with LRU eviction.
+    /// Capacity bound for each of the `COUNT` / check probe caches, which
+    /// memoize probe answers across queries (a cold run uses a fresh
+    /// engine or [`Lusail::clear_caches`]). `None` (the default, the
+    /// paper's unbounded hash table) never evicts; a long-lived server
+    /// sets a bound so cache memory stays proportional to it across
+    /// millions of queries, with LRU eviction.
     pub probe_cache_capacity: Option<usize>,
 }
 
@@ -61,7 +60,6 @@ impl Default for LusailConfig {
         LusailConfig {
             delay_policy: DelayPolicy::MuSigma,
             block_size: 100,
-            use_cache: true,
             disable_lade: false,
             probe_cache_capacity: None,
         }
@@ -155,14 +153,14 @@ impl Lusail {
     /// request policy.
     pub fn new(config: LusailConfig) -> Self {
         Lusail {
-            caches: ProbeCaches::new(config.use_cache, config.probe_cache_capacity),
+            caches: ProbeCaches::new(config.probe_cache_capacity),
             config,
             policy: RequestPolicy::default(),
             clock: None,
         }
     }
 
-    /// Sets the retry/backoff/deadline policy for remote requests.
+    /// Sets the retry/backoff/circuit policy for remote requests.
     pub fn with_policy(mut self, policy: RequestPolicy) -> Self {
         self.policy = policy;
         self
@@ -562,10 +560,6 @@ fn ship_whole(fed: &Federation, query: &Query, sources: &[EndpointId], net: &Net
 }
 
 impl lusail_endpoint::FederatedEngine for Lusail {
-    fn engine_name(&self) -> &str {
-        "Lusail"
-    }
-
     fn run_with(
         &self,
         fed: &Federation,
@@ -578,10 +572,6 @@ impl lusail_endpoint::FederatedEngine for Lusail {
             complete: result.complete,
             failures: result.failures,
         })
-    }
-
-    fn reset(&self) {
-        self.clear_caches();
     }
 }
 

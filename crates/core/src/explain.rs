@@ -129,7 +129,7 @@ impl Lusail {
     /// memoized in throw-away caches — EXPLAIN never warms the engine.
     pub fn explain(&self, fed: &Federation, query: &Query) -> QueryPlan {
         let net = Net::for_query(self.policy, self.timing_clock(), &ExecOptions::default());
-        let caches = ProbeCaches::new(true, None);
+        let caches = ProbeCaches::new(None);
         let plan = self.plan(fed, &query.pattern, Some(query), &caches, &net);
         let dict = fed.dict();
         let names = |ids: &[lusail_endpoint::EndpointId]| -> Vec<String> {

@@ -587,7 +587,7 @@ mod tests {
     }
 
     fn analyze(fed: &Federation, q: &lusail_sparql::Query) -> GjvAnalysis {
-        analyze_with(fed, q, &ProbeCache::new(true))
+        analyze_with(fed, q, &ProbeCache::new())
     }
 
     /// [`analyze`] memoizing checks in `checks`, which then holds one entry
@@ -598,7 +598,7 @@ mod tests {
         checks: &ProbeCache<CheckKey, bool>,
     ) -> GjvAnalysis {
         let net = Net::default();
-        let sources = select_sources(fed, &q.pattern, &ProbeCache::<_, u64>::new(true), &net);
+        let sources = select_sources(fed, &q.pattern, &ProbeCache::<_, u64>::new(), &net);
         detect_gjvs(fed, &q.pattern.triples, &sources, checks, &net)
     }
 
@@ -729,12 +729,12 @@ mod tests {
             let sources = select_sources(
                 &fed,
                 &GroupPattern::bgp(triples.clone()),
-                &ProbeCache::<_, u64>::new(true),
+                &ProbeCache::<_, u64>::new(),
                 &Net::default(),
             );
             // Nothing fails and no statistics are attached, so each memo
             // ends up holding one entry per (check, endpoint) its side asked.
-            let (wave, reference) = (ProbeCache::new(true), ProbeCache::new(true));
+            let (wave, reference) = (ProbeCache::new(), ProbeCache::new());
             let got = detect_gjvs(&fed, &triples, &sources, &wave, &Net::default());
             let want =
                 per_variable_reference(&fed, &triples, &sources, &reference, &Net::default(), true);
@@ -746,7 +746,7 @@ mod tests {
                 &fed,
                 &triples,
                 &sources,
-                &ProbeCache::new(true),
+                &ProbeCache::new(),
                 &Net::default(),
                 false,
             );
@@ -877,7 +877,7 @@ mod tests {
             fed.dict(),
         )
         .unwrap();
-        let checks = ProbeCache::new(true);
+        let checks = ProbeCache::new();
         let analysis = analyze_with(&fed, &q, &checks);
         assert_eq!(analysis.gjvs, ["v"]);
         assert!(analysis.conflicting(0, 1));
@@ -1053,13 +1053,13 @@ mod tests {
     fn stats_elide_check_probes_without_changing_the_analysis() {
         let (fed, locals) = universities_with_locals();
         let q = qa(&fed);
-        let wire = ProbeCache::new(true);
+        let wire = ProbeCache::new();
         let baseline = analyze_with(&fed, &q, &wire);
         for (id, local) in locals.iter().enumerate() {
             let stats = lusail_store::EndpointStats::build(local.store());
             fed.attach_stats(id, Arc::new(stats));
         }
-        let stats = ProbeCache::new(true);
+        let stats = ProbeCache::new();
         let with_stats = analyze_with(&fed, &q, &stats);
         assert_eq!(with_stats.gjvs, baseline.gjvs);
         assert_eq!(with_stats.conflicts, baseline.conflicts);

@@ -470,13 +470,13 @@ mod tests {
     {
         let kind = K::REQUEST.name();
         // A memo hit never reaches statistics or the wire.
-        let memo = ProbeCache::new(true);
+        let memo = ProbeCache::new();
         memo.put(K::key(probe), 0, cached);
         let got = run::<K>(&federation(dict, false, true), &memo, probe, counter);
         assert_eq!(got, (cached, 0, 0, 0), "{kind}: memo hit");
         // Conclusive statistics answer without the wire, traced once, and
         // are not memoized.
-        let memo = ProbeCache::new(true);
+        let memo = ProbeCache::new();
         let got = run::<K>(&federation(dict, false, true), &memo, probe, counter);
         assert_eq!(got, (truth, 0, 1, 0), "{kind}: statistics");
         assert!(memo.is_empty(), "{kind}: statistics answer memoized");
@@ -485,7 +485,7 @@ mod tests {
         assert_eq!(got, (truth, 1, 0, 0), "{kind}: wire");
         assert_eq!(memo.get(&K::key(probe), 0), Some(truth), "{kind}: wire");
         // A failed probe degrades, is counted, and is not memoized.
-        let memo = ProbeCache::new(true);
+        let memo = ProbeCache::new();
         let (got, _, _, degraded) = run::<K>(&federation(dict, true, false), &memo, probe, counter);
         assert_eq!((got, degraded), (fallback, 1), "{kind}: dead endpoint");
         assert!(memo.is_empty(), "{kind}: degraded answer memoized");
@@ -511,7 +511,7 @@ mod tests {
         let traced = |sink: &TraceSink| QueryTrace::from_sink(sink).requests(K::REQUEST);
         // Only the two wire members travel, as one request, and only they
         // are memoized.
-        let memo = ProbeCache::new(true);
+        let memo = ProbeCache::new();
         memo.put(hit, 0, cached);
         let fed = federation(dict, false, true);
         let sink = TraceSink::enabled();
@@ -531,7 +531,7 @@ mod tests {
         assert_eq!(memo.get(&wire_b, 0), Some(truths[2]), "{kind}: wire");
         // A dead endpoint fails the one request; every member degrades by
         // its kind's row and is counted, and none is memoized.
-        let memo = ProbeCache::new(true);
+        let memo = ProbeCache::new();
         let fed = federation(dict, true, false);
         let sink = TraceSink::enabled();
         let net = net(&sink);
@@ -659,7 +659,7 @@ mod tests {
         let [p, q] = [0, 1].map(|i| query.as_ref().unwrap().pattern.triples[i].clone());
         let net = net(&TraceSink::disabled());
         let items = [(0, &p), (0, &q)];
-        let got = resolve::<Ask>(&fed, &net, &ProbeCache::new(true), &items);
+        let got = resolve::<Ask>(&fed, &net, &ProbeCache::new(), &items);
         assert_eq!(got, [true, false]);
         let ask = |tp: &TriplePattern| {
             write_query(&Query::ask(GroupPattern::bgp(vec![tp.clone()])), &dict)

@@ -172,9 +172,9 @@ mod tests {
         fed_with_a().0
     }
 
-    /// An `ASK` memo: source selection as the baselines run it.
-    fn asks(enabled: bool) -> ProbeCache<PatternKey, bool> {
-        ProbeCache::new(enabled)
+    /// A fresh `ASK` memo: source selection as the baselines run it.
+    fn asks() -> ProbeCache<PatternKey, bool> {
+        ProbeCache::new()
     }
 
     /// [`fed`] plus a handle on endpoint A (the federation's trait objects
@@ -208,7 +208,7 @@ mod tests {
             f.dict(),
         )
         .unwrap();
-        let cache = asks(true);
+        let cache = asks();
         let net = Net::default();
         let sm = select_sources(&f, &q.pattern, &cache, &net);
         assert_eq!(sm.sources(&q.pattern.triples[0]), &[0]);
@@ -227,7 +227,7 @@ mod tests {
         )
         .unwrap();
         let net = Net::default();
-        let sm = select_sources(&f, &query.pattern, &ProbeCache::<_, u64>::new(true), &net);
+        let sm = select_sources(&f, &query.pattern, &ProbeCache::<_, u64>::new(), &net);
         assert_eq!(net.client.requests().get(RequestKind::Count), 2);
         let [p, q, r] = [0, 1, 2].map(|i| &query.pattern.triples[i]);
         assert_eq!(sm.sources(p), &[0]);
@@ -240,7 +240,7 @@ mod tests {
         // An irrelevant endpoint has no count.
         assert_eq!((sm.cardinality(p, 1), sm.cardinality(r, 0)), (None, None));
         // An `ASK` map knows relevance only.
-        let asked = select_sources(&f, &query.pattern, &asks(true), &net);
+        let asked = select_sources(&f, &query.pattern, &asks(), &net);
         assert_eq!(asked.sources(p), sm.sources(p));
         assert_eq!(asked.cardinality(p, 0), None);
     }
@@ -255,7 +255,7 @@ mod tests {
             f.dict(),
         )
         .unwrap();
-        let sm = select_sources(&f, &q.pattern, &asks(true), &Net::default());
+        let sm = select_sources(&f, &q.pattern, &asks(), &Net::default());
         assert_eq!(
             f.stats_snapshot().ask_requests,
             2,
@@ -283,7 +283,7 @@ mod tests {
         let primary = f.add(Arc::new(LocalEndpoint::new("A", a)));
         f.add_replica(primary, Arc::new(LocalEndpoint::new("A-replica", a2)));
         let q = parse_query("SELECT * WHERE { ?s <http://x/p> ?o }", f.dict()).unwrap();
-        let cache = asks(true);
+        let cache = asks();
         let net = Net::default();
         let before = f.stats_snapshot();
         let sm = select_sources(&f, &q.pattern, &cache, &net);
@@ -302,13 +302,13 @@ mod tests {
         )
         .unwrap();
         let net = Net::default();
-        let baseline = select_sources(&f, &q.pattern, &asks(false), &net);
+        let baseline = select_sources(&f, &q.pattern, &asks(), &net);
         let wire = f.stats_snapshot();
         // Attach stats for endpoint A only: its two probes (p present,
         // q absent) are both conclusive, so only B's two go to the wire.
         let stats = lusail_store::EndpointStats::build(a.store());
         f.attach_stats(0, Arc::new(stats));
-        let sm = select_sources(&f, &q.pattern, &asks(false), &net);
+        let sm = select_sources(&f, &q.pattern, &asks(), &net);
         assert_eq!(f.stats_snapshot().since(&wire).ask_requests, 2);
         for (tp, sources) in sm.iter() {
             assert_eq!(sources, baseline.sources(tp));
@@ -319,7 +319,7 @@ mod tests {
     fn cache_avoids_repeat_asks() {
         let f = fed();
         let q = parse_query("SELECT * WHERE { ?s <http://x/p> ?o }", f.dict()).unwrap();
-        let cache = asks(true);
+        let cache = asks();
         let net = Net::default();
         let before = f.stats_snapshot();
         select_sources(&f, &q.pattern, &cache, &net);
@@ -329,18 +329,5 @@ mod tests {
         select_sources(&f, &q.pattern, &cache, &net);
         let after = f.stats_snapshot();
         assert_eq!(after.since(&mid).ask_requests, 0);
-    }
-
-    #[test]
-    fn disabled_cache_probes_again() {
-        let f = fed();
-        let q = parse_query("SELECT * WHERE { ?s <http://x/p> ?o }", f.dict()).unwrap();
-        let cache = asks(false);
-        let net = Net::default();
-        let before = f.stats_snapshot();
-        select_sources(&f, &q.pattern, &cache, &net);
-        select_sources(&f, &q.pattern, &cache, &net);
-        let after = f.stats_snapshot();
-        assert_eq!(after.since(&before).ask_requests, 4);
     }
 }

@@ -189,8 +189,8 @@ pub struct ExecOptions {
     pub threads: std::num::NonZeroUsize,
     /// Optional per-query wall-clock deadline, measured on the engine's
     /// clock from the start of the call: no wire attempt starts once it has
-    /// passed. Without one, only the engine policy's per-request
-    /// `deadline` bounds a request.
+    /// passed. Without one, a request is bounded only by its policy's
+    /// retries and backoffs.
     pub deadline: Option<Duration>,
     /// Optional observer of circuit-breaker health transitions during
     /// this call. A long-lived server hangs shared-cache invalidation
@@ -260,8 +260,6 @@ impl ExecOptions {
 /// uniformly. Request counts and byte volumes are read from the
 /// federation's [`StatsSnapshot`] around the call.
 pub trait FederatedEngine: Send + Sync {
-    /// A short display name ("Lusail", "FedX", …).
-    fn engine_name(&self) -> &str;
     /// Executes the query under the given [`ExecOptions`]. Endpoint
     /// failures degrade gracefully into an incomplete [`QueryOutcome`];
     /// only federation-level misuse (e.g. an empty federation) is an
@@ -273,8 +271,6 @@ pub trait FederatedEngine: Send + Sync {
         query: &Query,
         opts: &ExecOptions,
     ) -> Result<QueryOutcome, FederationError>;
-    /// Clears any memoized probe results (between benchmark repetitions).
-    fn reset(&self) {}
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The resilience layer every engine routes remote calls through:
-//! retries with exponential backoff and jitter, per-request deadlines, a
-//! per-query deadline, and a per-endpoint circuit breaker.
+//! retries with exponential backoff and jitter, a per-query deadline, and
+//! a per-endpoint circuit breaker.
 //!
 //! A [`ResilientClient`] is created per query execution. Each endpoint's
 //! circuit moves Closed → Open (after `trip_threshold` consecutive
@@ -92,7 +92,9 @@ impl Clock for ManualClock {
     }
 }
 
-/// Retry/backoff/deadline policy for remote requests.
+/// Retry/backoff/circuit policy for remote requests. A request is bounded
+/// by `max_retries` × `max_backoff` and by the query deadline
+/// ([`ResilientClient::with_query_deadline`]).
 #[derive(Debug, Clone, Copy)]
 pub struct RequestPolicy {
     /// Retries per request after the first attempt (transient errors only).
@@ -106,9 +108,6 @@ pub struct RequestPolicy {
     /// Jitter fraction: each backoff is scaled by a deterministic factor
     /// uniform in `[1 - jitter, 1 + jitter]`.
     pub jitter: f64,
-    /// Budget for one request including all its retries and backoffs;
-    /// `Duration::ZERO` disables the deadline.
-    pub deadline: Duration,
     /// Consecutive failed requests before the endpoint's circuit opens
     /// (requests short-circuit without a wire attempt); `0` disables
     /// tripping.
@@ -127,7 +126,6 @@ impl Default for RequestPolicy {
             backoff_multiplier: 2.0,
             max_backoff: Duration::from_secs(1),
             jitter: 0.2,
-            deadline: Duration::from_secs(10),
             trip_threshold: 3,
             open_cooldown: Duration::from_secs(30),
         }
@@ -187,7 +185,7 @@ struct EpState {
     error_kinds: u8,
 }
 
-/// Routes requests to endpoints with retry, backoff, deadline, and
+/// Routes requests to endpoints with retry, backoff, query deadline, and
 /// trip-to-dead semantics. One instance per query execution.
 pub struct ResilientClient {
     policy: RequestPolicy,
@@ -241,8 +239,7 @@ impl ResilientClient {
     /// Sets the query deadline, measured from the client's construction and
     /// shared by every request it issues: no wire attempt starts once it
     /// has passed, so retries and failovers can never exceed the caller's
-    /// deadline. Without one, only the policy's per-request `deadline`
-    /// bounds a request.
+    /// deadline.
     pub fn with_query_deadline(mut self, deadline: Duration) -> Self {
         self.query_deadline = Some(deadline);
         self
@@ -408,7 +405,6 @@ impl ResilientClient {
             });
             return Err(EndpointError::Unavailable);
         }
-        let start = self.clock.now();
         let mut attempt: u32 = 0;
         let mut attempts: u64 = 0;
         let result = loop {
@@ -435,13 +431,6 @@ impl ResilientClient {
                     }
                     let nonce = self.nonce.fetch_add(1, Ordering::Relaxed);
                     let backoff = self.policy.backoff_for(attempt, nonce);
-                    if !self.policy.deadline.is_zero() {
-                        let elapsed = self.clock.now().saturating_sub(start);
-                        if elapsed + backoff > self.policy.deadline {
-                            self.record_failure(ep, EndpointError::Timeout);
-                            break Err(EndpointError::Timeout);
-                        }
-                    }
                     if let Some(deadline) = self.query_deadline {
                         // Sleeping past the query deadline would let the
                         // next attempt start after it.
@@ -636,7 +625,6 @@ mod tests {
             backoff_multiplier: 2.0,
             max_backoff: Duration::from_secs(1),
             jitter: 0.0,
-            deadline: Duration::ZERO,
             trip_threshold: 0,
             ..RequestPolicy::default()
         };
@@ -661,11 +649,11 @@ mod tests {
             backoff_multiplier: 2.0,
             max_backoff: Duration::from_secs(10),
             jitter: 0.0,
-            deadline: Duration::from_millis(100),
             trip_threshold: 0,
             ..RequestPolicy::default()
         };
-        let client = ResilientClient::with_clock(policy, clock.clone());
+        let client = ResilientClient::with_clock(policy, clock.clone())
+            .with_query_deadline(Duration::from_millis(100));
         let (calls, op) = counting_op(vec![Err(EndpointError::Interrupted); 20]);
         assert_eq!(
             client.request_kind(0, RequestKind::Select, op),
@@ -685,7 +673,6 @@ mod tests {
             max_retries: 0,
             trip_threshold: 3,
             jitter: 0.0,
-            deadline: Duration::ZERO,
             ..RequestPolicy::default()
         };
         let client = ResilientClient::with_clock(policy, clock);
@@ -713,7 +700,6 @@ mod tests {
         let policy = RequestPolicy {
             max_retries: 2,
             jitter: 0.0,
-            deadline: Duration::ZERO,
             ..RequestPolicy::default()
         };
         let sink = TraceSink::enabled();
@@ -750,7 +736,6 @@ mod tests {
             max_retries: 0,
             trip_threshold: 1,
             jitter: 0.0,
-            deadline: Duration::ZERO,
             ..RequestPolicy::default()
         };
         let sink = TraceSink::enabled();
@@ -798,7 +783,6 @@ mod tests {
             max_retries: 0,
             trip_threshold: 2,
             jitter: 0.0,
-            deadline: Duration::ZERO,
             open_cooldown: Duration::from_secs(5),
             ..RequestPolicy::default()
         };
@@ -850,7 +834,6 @@ mod tests {
             max_retries: 0,
             trip_threshold: 1,
             jitter: 0.0,
-            deadline: Duration::ZERO,
             open_cooldown: Duration::from_secs(5),
             ..RequestPolicy::default()
         };
@@ -879,7 +862,6 @@ mod tests {
             max_retries: 0,
             trip_threshold: 1,
             jitter: 0.0,
-            deadline: Duration::ZERO,
             open_cooldown: Duration::ZERO,
             ..RequestPolicy::default()
         };
@@ -906,7 +888,6 @@ mod tests {
             backoff_multiplier: 1.0,
             max_backoff: Duration::from_secs(1),
             jitter: 0.0,
-            deadline: Duration::ZERO,
             trip_threshold: 0,
             ..RequestPolicy::default()
         };
@@ -943,7 +924,6 @@ mod tests {
         let policy = RequestPolicy {
             max_retries: 0,
             jitter: 0.0,
-            deadline: Duration::ZERO,
             trip_threshold: 0,
             ..RequestPolicy::default()
         };
@@ -989,7 +969,6 @@ mod tests {
         let policy = RequestPolicy {
             max_retries: 0,
             trip_threshold: 3,
-            deadline: Duration::ZERO,
             ..RequestPolicy::default()
         };
         let client = ResilientClient::with_clock(policy, clock);

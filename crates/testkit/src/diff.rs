@@ -20,89 +20,16 @@
 //! solutions and completeness, with each counter under `=` or `≤`.
 
 use crate::gen::{Case, FaultSpec};
-use lusail_baselines::{FedX, HibiscusIndex, Splendid, VoidIndex};
+pub use lusail_baselines::EngineKind;
 use lusail_benchdata::common::Rng;
 use lusail_core::{Lusail, LusailConfig, QueryTrace, RequestKind, TraceSink};
-use lusail_endpoint::{ExecOptions, FederatedEngine, LocalEndpoint, RequestPolicy, StatsSnapshot};
+use lusail_endpoint::{ExecOptions, LocalEndpoint, RequestPolicy, StatsSnapshot};
 use lusail_sparql::SolutionSet;
 use lusail_store::BackendKind::{self, Btree, Columns};
 use std::fmt::Display;
 use std::sync::Arc;
 use std::time::Duration;
 use Rel::{Equal, Free, RightLe};
-
-/// The four engines under differential test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// The Lusail engine (LADE + SAPE).
-    Lusail,
-    /// The FedX baseline (exclusive groups + bound joins).
-    FedX,
-    /// The HiBISCuS baseline (authority-based source pruning over FedX).
-    Hibiscus,
-    /// The SPLENDID baseline (VOID statistics + DP join ordering).
-    Splendid,
-}
-
-impl EngineKind {
-    /// All four engines.
-    pub const ALL: [EngineKind; 4] = [
-        EngineKind::Lusail,
-        EngineKind::FedX,
-        EngineKind::Hibiscus,
-        EngineKind::Splendid,
-    ];
-
-    /// The engine's display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Lusail => "Lusail",
-            EngineKind::FedX => "FedX",
-            EngineKind::Hibiscus => "HiBISCuS",
-            EngineKind::Splendid => "SPLENDID",
-        }
-    }
-
-    /// Parses a `--engine` argument (case-insensitive).
-    pub fn parse(s: &str) -> Option<EngineKind> {
-        EngineKind::ALL
-            .into_iter()
-            .find(|k| k.name().eq_ignore_ascii_case(s))
-    }
-
-    /// Instantiates the engine. The index-building baselines preprocess
-    /// the given endpoint handles (their offline phase sees clean data
-    /// even when the federation injects faults at query time). `setup`'s
-    /// `block_size` configures Lusail (the baselines have no equivalent and
-    /// ignore it). Statistics attached to the federation are consulted by
-    /// every engine's probes but SPLENDID's, which selects sources from its
-    /// own VOID index.
-    pub fn build(
-        self,
-        endpoints: &[Arc<LocalEndpoint>],
-        policy: RequestPolicy,
-        setup: &Setup,
-    ) -> Box<dyn FederatedEngine> {
-        let refs: Vec<&LocalEndpoint> = endpoints.iter().map(|e| e.as_ref()).collect();
-        match self {
-            EngineKind::Lusail => {
-                let defaults = LusailConfig::default();
-                let config = LusailConfig {
-                    block_size: setup.block_size.unwrap_or(defaults.block_size),
-                    ..defaults
-                };
-                Box::new(Lusail::new(config).with_policy(policy))
-            }
-            EngineKind::FedX => Box::new(FedX::default().with_policy(policy)),
-            EngineKind::Hibiscus => {
-                Box::new(FedX::hibiscus(HibiscusIndex::build(&refs)).with_policy(policy))
-            }
-            EngineKind::Splendid => {
-                Box::new(Splendid::new(VoidIndex::build(&refs)).with_policy(policy))
-            }
-        }
-    }
-}
 
 /// The ways a differential run can disagree with the oracle.
 #[derive(Debug, Clone)]
@@ -239,7 +166,6 @@ pub fn faulty_policy() -> RequestPolicy {
         backoff_multiplier: 2.0,
         max_backoff: Duration::from_micros(100),
         jitter: 0.0,
-        deadline: Duration::ZERO,
         trip_threshold: 3,
         // Cooldown far above the µs-scale wall time of a differential run:
         // a tripped endpoint stays tripped for the whole query.
@@ -327,7 +253,16 @@ pub fn observe(
             }
         }
     }
-    let runner = engine.build(&locals, policy(clean), setup);
+    // The index-building baselines preprocess the endpoint handles: their
+    // offline phase sees clean data even when the federation injects
+    // faults at query time.
+    let refs: Vec<&LocalEndpoint> = locals.iter().map(|e| e.as_ref()).collect();
+    let defaults = LusailConfig::default();
+    let lusail = LusailConfig {
+        block_size: setup.block_size.unwrap_or(defaults.block_size),
+        ..defaults
+    };
+    let runner = engine.build(&refs, lusail, policy(clean));
     let before = fed.stats_snapshot();
     let sink = TraceSink::enabled();
     let opts = ExecOptions::default()

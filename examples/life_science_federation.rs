@@ -7,11 +7,10 @@
 //! cargo run --release --example life_science_federation
 //! ```
 
-use lusail_baselines::{FedX, HibiscusIndex, Splendid, VoidIndex};
+use lusail_baselines::EngineKind;
 use lusail_benchdata::qfed::{generate, QfedConfig};
-use lusail_endpoint::ExecOptions;
-use lusail_endpoint::FederatedEngine;
-use lusail_repro::lusail::Lusail;
+use lusail_endpoint::{ExecOptions, FederatedEngine, RequestPolicy};
+use lusail_repro::lusail::LusailConfig;
 use std::time::Instant;
 
 fn main() {
@@ -22,28 +21,23 @@ fn main() {
         w.federation.total_triples()
     );
 
-    // Index-based baselines preprocess the endpoints first; the paper
-    // times this pass (25 s for the real QFed) to argue for index-free
-    // designs.
-    let t0 = Instant::now();
-    let void = VoidIndex::build(&w.endpoint_refs());
-    println!(
-        "SPLENDID VOID preprocessing: {:.1} ms",
-        t0.elapsed().as_secs_f64() * 1e3
-    );
-    let t0 = Instant::now();
-    let hib_index = HibiscusIndex::build(&w.endpoint_refs());
-    println!(
-        "HiBISCuS authority preprocessing: {:.1} ms\n",
-        t0.elapsed().as_secs_f64() * 1e3
-    );
-
-    let engines: Vec<Box<dyn FederatedEngine>> = vec![
-        Box::new(Lusail::default()),
-        Box::new(FedX::default()),
-        Box::new(FedX::hibiscus(hib_index)),
-        Box::new(Splendid::new(void)),
-    ];
+    // Index-based baselines preprocess the endpoints while they are
+    // built; the paper times this pass (25 s for the real QFed) to argue
+    // for index-free designs.
+    let refs = w.endpoint_refs();
+    let engines: Vec<(EngineKind, Box<dyn FederatedEngine>)> = EngineKind::ALL
+        .map(|kind| {
+            let t0 = Instant::now();
+            let engine = kind.build(&refs, LusailConfig::default(), RequestPolicy::default());
+            println!(
+                "{} preprocessing: {:.1} ms",
+                kind.name(),
+                t0.elapsed().as_secs_f64() * 1e3
+            );
+            (kind, engine)
+        })
+        .into();
+    println!();
 
     println!(
         "{:<8} {:>12} {:>14} {:>12} {:>8}",
@@ -51,7 +45,7 @@ fn main() {
     );
     for nq in &w.queries {
         let mut reference: Option<lusail_sparql::SolutionSet> = None;
-        for engine in &engines {
+        for (kind, engine) in &engines {
             let before = w.federation.stats_snapshot();
             let t0 = Instant::now();
             let sols = engine
@@ -70,14 +64,14 @@ fn main() {
                     *r,
                     sols.canonicalize(),
                     "{} disagrees on {}",
-                    engine.engine_name(),
+                    kind.name(),
                     nq.name
                 ),
             }
             println!(
                 "{:<8} {:>12} {:>14.1} {:>12} {:>8}",
                 nq.name,
-                engine.engine_name(),
+                kind.name(),
                 ms,
                 reqs,
                 sols.len()

@@ -339,6 +339,39 @@ if [ -n "$stray" ]; then
 fi
 [ "$scattered" -eq 0 ]
 
+echo "==> one engine roster (lusail_baselines::EngineKind names and builds the four engines; FederatedEngine is run_with only; no per-request deadline or cache switch)"
+scattered=0
+# Here-strings, not pipes (see the stanzas above).
+stray=$(grep -rlE --include='*.rs' 'FedX::hibiscus\(|Splendid::new\(' crates src tests examples | grep -v '^crates/baselines/src/' || true)
+if [ -n "$stray" ]; then
+    echo "a baseline is built outside the roster (use EngineKind::build):" $stray >&2
+    scattered=1
+fi
+stray=$(grep -rlF --include='*.rs' 'enum EngineKind' crates src tests examples | grep -v '^crates/baselines/' || true)
+if [ -n "$stray" ]; then
+    echo "a second engine roster is declared (lusail_baselines::EngineKind is the one):" $stray >&2
+    scattered=1
+fi
+stray=$(grep -rlE 'const ENGINES|fn build_engine' crates/bench || true)
+if [ -n "$stray" ]; then
+    echo "the bench keeps its own roster again (iterate EngineKind::ALL, build with EngineKind::build):" $stray >&2
+    scattered=1
+fi
+if grep -Eq 'fn engine_name|fn reset' <<<"$(cat crates/endpoint/src/lib.rs)"; then
+    echo "crates/endpoint/src/lib.rs: FederatedEngine names or resets itself again (EngineKind::name names; a fresh engine or clear_caches resets)" >&2
+    scattered=1
+fi
+stray=$(grep -rlF 'use_cache' crates src tests examples || true)
+if [ -n "$stray" ]; then
+    echo "a probe-cache switch is back (a cold run uses a fresh engine or clear_caches):" $stray >&2
+    scattered=1
+fi
+if grep -Eq '^ *(pub )?deadline:' <<<"$(sed -n '/^pub struct RequestPolicy/,/^}/p' crates/endpoint/src/resilience.rs)"; then
+    echo "crates/endpoint/src/resilience.rs: RequestPolicy has a per-request deadline again (the query deadline is ExecOptions::deadline)" >&2
+    scattered=1
+fi
+[ "$scattered" -eq 0 ]
+
 # The benchmark crate is a workspace of its own with its own lock file; it
 # calls the engine only through public items (par_hash_join, hash_join,
 # SolutionSet { vars, rows } literals, ...), so an engine API change that

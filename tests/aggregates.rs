@@ -2,11 +2,10 @@
 //! federated path (aggregation must happen over the *global* solution
 //! sequence, never per endpoint).
 
-use lusail_baselines::FedX;
+use lusail_baselines::EngineKind;
 use lusail_benchdata::lubm;
-use lusail_core::Lusail;
-use lusail_endpoint::ExecOptions;
-use lusail_endpoint::{FederatedEngine, Federation, LocalEndpoint};
+use lusail_core::{Lusail, LusailConfig};
+use lusail_endpoint::{ExecOptions, FederatedEngine, Federation, LocalEndpoint, RequestPolicy};
 use lusail_rdf::{Dictionary, Term};
 use lusail_sparql::parse_query;
 use lusail_store::TripleStore;
@@ -136,10 +135,8 @@ fn federated_group_by_aggregates_globally() {
     )
     .unwrap();
     let expected = lusail_store::eval::evaluate(&full, &q);
-    for engine in [
-        Box::new(Lusail::default()) as Box<dyn FederatedEngine>,
-        Box::new(FedX::default()),
-    ] {
+    for kind in [EngineKind::Lusail, EngineKind::FedX] {
+        let engine = kind.build(&[], LusailConfig::default(), RequestPolicy::default());
         let got = engine
             .run_with(&fed, &q, &ExecOptions::default())
             .unwrap()
@@ -148,7 +145,7 @@ fn federated_group_by_aggregates_globally() {
             got.canonicalize(),
             expected.canonicalize(),
             "{} aggregates wrongly",
-            engine.engine_name()
+            kind.name()
         );
     }
 }
@@ -167,20 +164,18 @@ fn federated_count_star_is_global() {
     )
     .unwrap();
     let expected = lusail_store::eval::evaluate(&w.oracle, &q);
-    for engine in [
-        Box::new(Lusail::default()) as Box<dyn FederatedEngine>,
-        Box::new(FedX::default()),
-    ] {
+    for kind in [EngineKind::Lusail, EngineKind::FedX] {
+        let engine = kind.build(&[], LusailConfig::default(), RequestPolicy::default());
         let got = engine
             .run_with(&w.federation, &q, &ExecOptions::default())
             .unwrap()
             .solutions;
-        assert_eq!(got.len(), 1, "{}", engine.engine_name());
+        assert_eq!(got.len(), 1, "{}", kind.name());
         assert_eq!(
             got.canonicalize(),
             expected.canonicalize(),
             "{} count differs",
-            engine.engine_name()
+            kind.name()
         );
     }
 }

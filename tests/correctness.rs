@@ -6,27 +6,22 @@
 //! Completeness" argument: locality-aware decomposition must never miss
 //! rows that require traversing an interlink.
 
-use lusail_baselines::{FedX, HibiscusIndex, Splendid, VoidIndex};
+use lusail_baselines::EngineKind;
 use lusail_benchdata::{bio2rdf, lrb, lubm, qfed, Workload};
-use lusail_core::Lusail;
-use lusail_endpoint::ExecOptions;
-use lusail_endpoint::FederatedEngine;
-use std::sync::Arc;
+use lusail_core::{Lusail, LusailConfig};
+use lusail_endpoint::{ExecOptions, FederatedEngine, RequestPolicy};
 
-fn engines_for(w: &Workload) -> Vec<Arc<dyn FederatedEngine>> {
-    vec![
-        Arc::new(Lusail::default()),
-        Arc::new(FedX::default()),
-        Arc::new(FedX::hibiscus(HibiscusIndex::build(&w.endpoint_refs()))),
-        Arc::new(Splendid::new(VoidIndex::build(&w.endpoint_refs()))),
-    ]
+fn engines_for(w: &Workload) -> Vec<(EngineKind, Box<dyn FederatedEngine>)> {
+    let refs = w.endpoint_refs();
+    let build = |k: EngineKind| k.build(&refs, LusailConfig::default(), RequestPolicy::default());
+    EngineKind::ALL.map(|k| (k, build(k))).into()
 }
 
 fn check_workload(w: &Workload) {
     let engines = engines_for(w);
     for nq in &w.queries {
         let expected = lusail_store::eval::evaluate(&w.oracle, &nq.query).canonicalize();
-        for engine in &engines {
+        for (kind, engine) in &engines {
             let got = engine
                 .run_with(&w.federation, &nq.query, &ExecOptions::default())
                 .unwrap()
@@ -44,14 +39,14 @@ fn check_workload(w: &Workload) {
                     got.len(),
                     unlimited.len().min(limit),
                     "{} row count wrong on {}",
-                    engine.engine_name(),
+                    kind.name(),
                     nq.name
                 );
                 for row in got.rows.iter() {
                     assert!(
                         unlimited.rows.iter().any(|r| r == row),
                         "{} produced a row not in the oracle for {}",
-                        engine.engine_name(),
+                        kind.name(),
                         nq.name
                     );
                 }
@@ -60,7 +55,7 @@ fn check_workload(w: &Workload) {
                     got,
                     expected,
                     "{} differs from oracle on {}",
-                    engine.engine_name(),
+                    kind.name(),
                     nq.name
                 );
             }
@@ -106,7 +101,7 @@ fn bio2rdf_all_engines_match_oracle() {
 
 #[test]
 fn lusail_matches_oracle_with_every_delay_policy() {
-    use lusail_core::{DelayPolicy, LusailConfig};
+    use lusail_core::DelayPolicy;
     let w = lubm::generate(&lubm::LubmConfig::new(3));
     for policy in [
         DelayPolicy::Mu,
@@ -132,19 +127,20 @@ fn lusail_matches_oracle_with_every_delay_policy() {
 
 #[test]
 fn lusail_matches_oracle_without_lade_and_without_cache() {
-    use lusail_core::LusailConfig;
     let w = qfed::generate(&qfed::QfedConfig {
         drugs: 100,
         diseases: 30,
         ..Default::default()
     });
-    for (disable_lade, use_cache) in [(true, true), (false, false), (true, false)] {
+    for (disable_lade, cached) in [(true, true), (false, false), (true, false)] {
         let engine = Lusail::new(LusailConfig {
             disable_lade,
-            use_cache,
             ..Default::default()
         });
         for nq in &w.queries {
+            if !cached {
+                engine.clear_caches();
+            }
             let expected = lusail_store::eval::evaluate(&w.oracle, &nq.query).canonicalize();
             let got = engine
                 .run_with(&w.federation, &nq.query, &ExecOptions::default())
@@ -153,7 +149,7 @@ fn lusail_matches_oracle_without_lade_and_without_cache() {
                 .canonicalize();
             assert_eq!(
                 got, expected,
-                "disable_lade={disable_lade} use_cache={use_cache} differs on {}",
+                "disable_lade={disable_lade} cached={cached} differs on {}",
                 nq.name
             );
         }
@@ -162,7 +158,6 @@ fn lusail_matches_oracle_without_lade_and_without_cache() {
 
 #[test]
 fn lusail_matches_oracle_with_tiny_blocks() {
-    use lusail_core::LusailConfig;
     let w = lubm::generate(&lubm::LubmConfig::new(4));
     let engine = Lusail::new(LusailConfig {
         block_size: 3,

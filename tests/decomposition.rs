@@ -164,11 +164,9 @@ fn check_queries_are_bounded_by_paper_formula() {
     // C_Q ≤ |V| · |T|² check-query *formulations*; each runs at ≤ N
     // endpoints.
     let w = lubm::generate(&lubm::LubmConfig::new(4));
-    let engine = Lusail::new(LusailConfig {
-        use_cache: false,
-        ..Default::default()
-    });
+    let engine = Lusail::default();
     for nq in &w.queries {
+        engine.clear_caches();
         let r = engine.execute(&w.federation, &nq.query).unwrap();
         let t = nq.query.pattern.triples.len() as u64;
         let v = nq.query.pattern.all_vars().len() as u64;

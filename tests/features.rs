@@ -1,11 +1,10 @@
 //! Integration tests for the extension features: ORDER BY across engines,
 //! EXPLAIN plans, and multi-query optimization.
 
-use lusail_baselines::{FedX, HibiscusIndex, Splendid, VoidIndex};
+use lusail_baselines::EngineKind;
 use lusail_benchdata::{bio2rdf, lrb, lubm, qfed};
-use lusail_core::{Lusail, TraceEvent, TraceSink};
-use lusail_endpoint::ExecOptions;
-use lusail_endpoint::FederatedEngine;
+use lusail_core::{Lusail, LusailConfig, TraceEvent, TraceSink};
+use lusail_endpoint::{ExecOptions, FederatedEngine, RequestPolicy};
 use std::sync::Arc;
 
 #[test]
@@ -19,13 +18,9 @@ fn order_by_is_respected_by_every_engine() {
         w.federation.dict(),
     )
     .unwrap();
-    let engines: Vec<Arc<dyn FederatedEngine>> = vec![
-        Arc::new(Lusail::default()),
-        Arc::new(FedX::default()),
-        Arc::new(FedX::hibiscus(HibiscusIndex::build(&w.endpoint_refs()))),
-        Arc::new(Splendid::new(VoidIndex::build(&w.endpoint_refs()))),
-    ];
-    for engine in engines {
+    let refs = w.endpoint_refs();
+    for kind in EngineKind::ALL {
+        let engine = kind.build(&refs, LusailConfig::default(), RequestPolicy::default());
         let sols = engine
             .run_with(&w.federation, &q, &ExecOptions::default())
             .unwrap()
@@ -41,7 +36,7 @@ fn order_by_is_respected_by_every_engine() {
         let mut sorted = names.clone();
         sorted.sort();
         sorted.reverse();
-        assert_eq!(names, sorted, "{} violates ORDER BY", engine.engine_name());
+        assert_eq!(names, sorted, "{} violates ORDER BY", kind.name());
         assert_eq!(names, ["University 1", "University 0"]);
     }
 }
@@ -197,7 +192,7 @@ fn explain_matches_execution_on_mediator_side_shapes() {
     assert!(plan.empty);
     assert!(plan.render().contains("plan: EMPTY"), "{}", plan.render());
 
-    let strawman = Lusail::new(lusail_core::LusailConfig {
+    let strawman = Lusail::new(LusailConfig {
         disable_lade: true,
         ..Default::default()
     });
@@ -429,19 +424,15 @@ fn projected_exists_is_an_endpoint_form_every_mediator_refuses() {
         (endpoint.vars.as_slice(), endpoint.len()),
         (&["any".to_string()][..], 1)
     );
-    let engines: Vec<Arc<dyn FederatedEngine>> = vec![
-        Arc::new(Lusail::default()),
-        Arc::new(FedX::default()),
-        Arc::new(FedX::hibiscus(HibiscusIndex::build(&w.endpoint_refs()))),
-        Arc::new(Splendid::new(VoidIndex::build(&w.endpoint_refs()))),
-    ];
-    for engine in engines {
+    let refs = w.endpoint_refs();
+    for kind in EngineKind::ALL {
+        let engine = kind.build(&refs, LusailConfig::default(), RequestPolicy::default());
         let refused = engine.run_with(&w.federation, &q, &ExecOptions::default());
         assert_eq!(
             refused.err(),
             Some(lusail_endpoint::FederationError::ProjectedExists),
             "{}",
-            engine.engine_name()
+            kind.name()
         );
     }
 }

@@ -13,7 +13,7 @@
 //!   mode.
 
 use lusail_benchdata::common::Rng;
-use lusail_core::{Lusail, QueryResult, QueryTrace, RequestKind, TraceSink};
+use lusail_core::{Lusail, LusailConfig, QueryResult, QueryTrace, RequestKind, TraceSink};
 use lusail_endpoint::{
     EndpointError, EndpointRef, ExecOptions, Federation, LocalEndpoint, RequestCounts,
     SparqlEndpoint, StatsSnapshot,
@@ -22,7 +22,7 @@ use lusail_rdf::{Dictionary, Term};
 use lusail_sparql::{parse_query, Query, SolutionSet};
 use lusail_store::TripleStore;
 use lusail_testkit::diff::policy;
-use lusail_testkit::{Case, EngineKind, FaultSpec, GenConfig, Setup};
+use lusail_testkit::{Case, EngineKind, FaultSpec, GenConfig};
 use std::sync::{mpsc, Arc, Mutex};
 
 /// A two-endpoint federation where both patterns of a shared-variable
@@ -241,8 +241,9 @@ fn baselines_issue_no_check_queries_clean_or_faulted() {
             let faults = fault_plan(seed, case.n_endpoints, faulty);
             let (fed, locals) = case.federation(&faults);
             let policy = policy(!faulty);
+            let refs: Vec<&LocalEndpoint> = locals.iter().map(|e| e.as_ref()).collect();
             for kind in [EngineKind::FedX, EngineKind::Hibiscus, EngineKind::Splendid] {
-                let runner = kind.build(&locals, policy, &Setup::BASE);
+                let runner = kind.build(&refs, LusailConfig::default(), policy);
                 let sink = TraceSink::enabled();
                 let _ = runner.run_with(
                     &fed,

@@ -10,9 +10,9 @@
 //!   results, `complete: false`, and a failure report naming the dead
 //!   endpoint.
 
-use lusail_baselines::{FedX, HibiscusIndex, Splendid, VoidIndex};
+use lusail_baselines::EngineKind;
 use lusail_benchdata::lubm;
-use lusail_core::Lusail;
+use lusail_core::{Lusail, LusailConfig};
 use lusail_endpoint::ExecOptions;
 use lusail_endpoint::{
     EndpointError, FaultProfile, FederatedEngine, Federation, FlakyEndpoint, HealthState,
@@ -50,7 +50,6 @@ fn patient_policy() -> RequestPolicy {
         max_retries: 8,
         base_backoff: Duration::from_micros(10),
         max_backoff: Duration::from_millis(1),
-        deadline: Duration::ZERO,
         trip_threshold: 0,
         ..RequestPolicy::default()
     }
@@ -60,18 +59,9 @@ fn engines(
     w: &lusail_benchdata::Workload,
     policy: RequestPolicy,
 ) -> Vec<(&'static str, Box<dyn FederatedEngine>)> {
-    vec![
-        ("Lusail", Box::new(Lusail::default().with_policy(policy))),
-        ("FedX", Box::new(FedX::default().with_policy(policy))),
-        (
-            "HiBISCuS",
-            Box::new(FedX::hibiscus(HibiscusIndex::build(&w.endpoint_refs())).with_policy(policy)),
-        ),
-        (
-            "SPLENDID",
-            Box::new(Splendid::new(VoidIndex::build(&w.endpoint_refs())).with_policy(policy)),
-        ),
-    ]
+    let refs = w.endpoint_refs();
+    let build = |k: EngineKind| k.build(&refs, LusailConfig::default(), policy);
+    EngineKind::ALL.map(|k| (k.name(), build(k))).into()
 }
 
 #[test]
@@ -219,7 +209,6 @@ fn engine_retries_on_injected_clock_without_wall_sleep() {
         max_retries: 5,
         base_backoff: Duration::from_secs(60),
         max_backoff: Duration::from_secs(60),
-        deadline: Duration::ZERO,
         trip_threshold: 0,
         ..RequestPolicy::default()
     };
@@ -354,54 +343,23 @@ impl SparqlEndpoint for SlowEndpoint {
 /// the primary and so never consults the federation's statistics.
 #[test]
 fn failover_to_diverged_replica_invalidates_stale_statistics() {
-    type MakeEngine = fn(&LocalEndpoint, RequestPolicy) -> Box<dyn FederatedEngine>;
-    let engines: [(&str, MakeEngine, bool); 4] = [
-        (
-            "Lusail",
-            |_, policy| Box::new(Lusail::default().with_policy(policy)),
-            true,
-        ),
-        (
-            "FedX",
-            |_, policy| Box::new(FedX::default().with_policy(policy)),
-            true,
-        ),
-        (
-            "HiBISCuS",
-            |primary, policy| {
-                let index = HibiscusIndex::build(&[primary]);
-                Box::new(FedX::hibiscus(index).with_policy(policy))
-            },
-            true,
-        ),
-        (
-            "SPLENDID",
-            |primary, policy| {
-                let index = VoidIndex::build(&[primary]);
-                Box::new(Splendid::new(index).with_policy(policy))
-            },
-            false,
-        ),
-    ];
     let mut violations = Vec::new();
-    for (name, make_engine, diverged_rows) in engines {
+    for kind in EngineKind::ALL {
+        let diverged_rows = kind != EngineKind::Splendid;
         violations.extend(
-            diverged_replica_after_failover(make_engine, diverged_rows)
+            diverged_replica_after_failover(kind, diverged_rows)
                 .into_iter()
-                .map(|v| format!("{name}: {v}")),
+                .map(|v| format!("{}: {v}", kind.name())),
         );
     }
     assert!(violations.is_empty(), "{violations:#?}");
 }
 
-/// Runs the scenario above on a fresh federation with the engine
-/// `make_engine` builds from the primary's store, and returns the
-/// expectations it violated: the statistics survived the failover, or
-/// (when `diverged_rows`) the replica's `<q>` rows went missing.
-fn diverged_replica_after_failover(
-    make_engine: fn(&LocalEndpoint, RequestPolicy) -> Box<dyn FederatedEngine>,
-    diverged_rows: bool,
-) -> Vec<&'static str> {
+/// Runs the scenario above on a fresh federation with `kind` built over
+/// the primary's store, and returns the expectations it violated: the
+/// statistics survived the failover, or (when `diverged_rows`) the
+/// replica's `<q>` rows went missing.
+fn diverged_replica_after_failover(kind: EngineKind, diverged_rows: bool) -> Vec<&'static str> {
     use lusail_sparql::ast::{PatternTerm, TriplePattern};
     use lusail_store::EndpointStats;
 
@@ -448,7 +406,7 @@ fn diverged_replica_after_failover(
         trip_threshold: 1,
         ..RequestPolicy::default()
     };
-    let engine = make_engine(&primary_ep, policy);
+    let engine = kind.build(&[&primary_ep], LusailConfig::default(), policy);
     let run = |text: &str| {
         let q = parse_query(text, &dict).unwrap();
         engine.run_with(&fed, &q, &ExecOptions::default()).unwrap()
