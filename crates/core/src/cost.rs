@@ -52,7 +52,7 @@ pub struct SubqueryCosts {
 /// Estimates `C(sq)` for every subquery from the pattern counts `sources`
 /// holds (source selection's `COUNT`s; a failed one is the endpoint's total
 /// triple count).
-pub fn estimate_cardinalities(subqueries: &[Subquery], sources: &SourceMap) -> Vec<u64> {
+pub(crate) fn estimate_cardinalities(subqueries: &[Subquery], sources: &SourceMap) -> Vec<u64> {
     // Pushed filters are attached per-subquery, so the count is the bare
     // pattern's; subqueries with filters estimate slightly high, which only
     // errs toward delaying them.
@@ -136,7 +136,7 @@ impl DelayDecision {
 
 /// Decides which subqueries to delay given cardinalities and endpoint
 /// fan-outs, with the per-channel verdicts and thresholds.
-pub fn decide_delays_detailed(
+pub(crate) fn decide_delays_detailed(
     cardinalities: &[u64],
     fanouts: &[usize],
     policy: DelayPolicy,

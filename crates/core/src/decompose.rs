@@ -23,7 +23,7 @@ use lusail_sparql::ast::TriplePattern;
 
 /// Decomposes `triples` into subqueries. Returns groups of *indices* into
 /// `triples` (callers materialize [`Subquery`] values with sources).
-pub fn decompose_indices(
+pub(crate) fn decompose_indices(
     triples: &[TriplePattern],
     sources: &SourceMap,
     analysis: &GjvAnalysis,
@@ -85,7 +85,7 @@ pub fn decompose_indices(
 
 /// Materializes subqueries from index groups: each subquery's sources are
 /// the (identical) sources of its member patterns.
-pub fn decompose(
+pub(crate) fn decompose(
     triples: &[TriplePattern],
     sources: &SourceMap,
     analysis: &GjvAnalysis,
@@ -107,7 +107,11 @@ pub fn decompose(
 /// product; concatenating per-endpoint local products would drop the
 /// cross-endpoint combinations, so disconnected blocks take the fast path
 /// only when a single endpoint holds everything.
-pub fn is_disjoint(triples: &[TriplePattern], sources: &SourceMap, analysis: &GjvAnalysis) -> bool {
+pub(crate) fn is_disjoint(
+    triples: &[TriplePattern],
+    sources: &SourceMap,
+    analysis: &GjvAnalysis,
+) -> bool {
     if triples.is_empty() {
         return true;
     }

@@ -25,10 +25,11 @@ use crate::source_selection::{select_sources, SourceMap};
 use crate::subquery::{push_filters_into, Subquery};
 use lusail_endpoint::{
     Clock, EndpointFailure, EndpointId, ExecOptions, Federation, FederationError, QueryOutcome,
-    RequestCounts, RequestKind, RequestPolicy, SystemClock, TraceEvent, TraceSink,
+    RequestKind, RequestPolicy, SystemClock, TraceEvent,
 };
 use lusail_sparql::ast::{Expression, GroupPattern, Query};
 use lusail_sparql::SolutionSet;
+use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -253,8 +254,9 @@ impl Lusail {
     ) -> Result<QueryResult, FederationError> {
         let clock = self.timing_clock();
         let (outcome, metrics, dead) = run_query(fed, query, self.policy, clock, opts, |net| {
-            let plan = self.plan(fed, &query.pattern, Some(query), &self.caches, net);
-            let (solutions, mut metrics) = self.execute_plan(fed, plan, net, memo.as_deref_mut());
+            let plan = self.plan(fed, query, &self.caches, net);
+            let (solutions, mut metrics) =
+                self.execute_plan(fed, query, plan, net, memo.as_deref_mut());
             let degradation = &net.degradation;
             metrics.degraded_ask_probes = degradation.asks_assumed_relevant.load(Ordering::Relaxed);
             metrics.degraded_check_queries =
@@ -282,218 +284,185 @@ impl Lusail {
         })
     }
 
-    /// LADE for one group pattern: source selection, GJV detection, the
-    /// disjoint check, decomposition, filter pushdown, projection
-    /// shrinking, and the cost model — the only place any of them is
-    /// called. `top` is the query whose top-level pattern `group` is;
-    /// nested OPTIONAL / UNION / NOT EXISTS groups pass `None` and differ
-    /// in exactly three ways: there is no query to ship whole (no disjoint
-    /// fast path), their consumers are joins (projections stay full), and
-    /// they emit no planning trace events (EXPLAIN ANALYZE renders the
-    /// top-level plan). `caches` is the engine's own for execution and a
-    /// throw-away set for EXPLAIN.
-    pub(crate) fn plan<'q>(
+    /// LADE for a whole query, before anything executes: source selection
+    /// once for the patterns of every group, then one [`GroupPlan`] per
+    /// group in preorder — GJV detection, the disjoint check,
+    /// decomposition, filter pushdown, projection shrinking, and the cost
+    /// model — the only place any of them is called. Only the WHERE group
+    /// may ship whole (a nested group has no query to ship) or shrink its
+    /// projections (a nested group's consumers are joins). `caches` is the
+    /// engine's own for execution and a throw-away set for EXPLAIN.
+    pub(crate) fn plan(
         &self,
         fed: &Federation,
-        group: &'q GroupPattern,
-        top: Option<&'q Query>,
+        query: &Query,
         caches: &ProbeCaches,
         net: &Net,
-    ) -> Plan<'q> {
-        let trace = match top {
-            Some(_) => net.trace.clone(),
-            None => TraceSink::disabled(),
-        };
+    ) -> QueryPlan {
+        let trace = &net.trace;
         let started = net.clock.now();
-        if let Some((endpoints, sets)) = top.and_then(|_| fed.stats_overview()) {
+        if let Some((endpoints, sets)) = fed.stats_overview() {
             trace.emit(|| TraceEvent::StatsLoaded { endpoints, sets });
         }
-
         let s0 = net.client.requests();
-        let t0 = net.clock.now();
-        let sources = select_sources(fed, group, &caches.count, net);
-        let source_selection = net.clock.now().saturating_sub(t0);
+        let sources = select_sources(fed, &query.pattern, &caches.count, net);
+        let source_selection = net.clock.now().saturating_sub(started);
         let s1 = net.client.requests();
-        let mut plan = Plan {
-            group,
-            top,
-            sources,
-            gjvs: Vec::new(),
-            shape: PlanShape::Empty,
-            started,
-            source_selection,
-            analysis: Duration::ZERO,
-            requests_source_selection: s1.since(&s0),
-            requests_analysis: RequestCounts::default(),
-        };
-        // A required pattern with no source ⇒ empty result, no more work.
-        if plan.sources.any_required_empty(&group.triples) {
-            return plan;
-        }
-
-        let t1 = net.clock.now();
-        let lade = !self.config.disable_lade;
-        let analysis = if lade {
-            detect_gjvs(fed, &group.triples, &plan.sources, &caches.check, net)
-        } else {
-            GjvAnalysis::default()
-        };
-
-        // Disjoint fast path (Algorithm 3, line 2): the entire query can be
-        // answered independently at each endpoint — provided nothing in it
-        // (nested clauses, aggregates, an ORDER BY key the endpoints would
-        // project away) has to be evaluated over the global result.
-        let ships_whole = top.is_some_and(|query| {
-            let out = query.output_vars();
-            lade && !group.triples.is_empty()
-                && group.optionals.is_empty()
-                && group.unions.is_empty()
-                && group.not_exists.is_empty()
-                && group.values.is_none()
-                && query.aggregates.is_empty()
-                && query.order_by.iter().all(|k| out.contains(&k.var))
-        });
-        plan.shape = if ships_whole && is_disjoint(&group.triples, &plan.sources, &analysis) {
-            trace.emit(|| TraceEvent::Decomposed {
-                subqueries: 1,
-                gjvs: analysis.gjvs.len(),
-            });
-            PlanShape::Disjoint {
-                sources: plan.sources.sources(&group.triples[0]).to_vec(),
-            }
-        } else {
-            let mut subqueries = if lade {
-                decompose(&group.triples, &plan.sources, &analysis)
-            } else {
-                // The §II strawman: one subquery per triple pattern.
-                group
-                    .triples
-                    .iter()
-                    .map(|tp| Subquery::new(vec![tp.clone()], plan.sources.sources(tp).to_vec()))
-                    .collect()
+        let mut groups: Vec<GroupPlan> = Vec::new();
+        let mut pending = vec![(Cow::Borrowed(&query.pattern), 0)];
+        while let Some((group, depth)) = pending.pop() {
+            let first = groups.iter().map(|g| g.subqueries().len()).sum();
+            let mut plan = GroupPlan {
+                depth,
+                first,
+                gjvs: Vec::new(),
+                shape: PlanShape::Empty,
             };
-            trace.emit(|| TraceEvent::Decomposed {
-                subqueries: subqueries.len(),
-                gjvs: analysis.gjvs.len(),
-            });
-            let global_filters = push_filters_into(&group.filters, &mut subqueries);
-            if let Some(query) = top {
-                shrink_projections(query, &mut subqueries, &global_filters);
+            // A required pattern with no source ⇒ empty; nested groups never run.
+            if sources.any_required_empty(&group.triples) {
+                groups.push(plan);
+                continue;
             }
-            // A lone subquery has nothing to be delayed behind: no estimate.
-            let cardinality = if subqueries.len() > 1 {
-                estimate_cardinalities(&subqueries, &plan.sources)
+            let lade = !self.config.disable_lade;
+            let analysis = if lade {
+                detect_gjvs(fed, &group.triples, &sources, &caches.check, net)
             } else {
-                vec![0; subqueries.len()]
+                GjvAnalysis::default()
             };
-            let fanouts: Vec<usize> = subqueries.iter().map(|sq| sq.sources.len()).collect();
-            let decision = decide_delays_detailed(&cardinality, &fanouts, self.config.delay_policy);
-            for (i, sq) in subqueries.iter().enumerate() {
-                trace.emit(|| TraceEvent::SubqueryPlanned {
-                    index: i,
-                    patterns: sq
-                        .triples
-                        .iter()
-                        .map(|tp| render_pattern(tp, fed.dict()))
-                        .collect(),
-                    sources: sq.sources.len(),
-                    cardinality: cardinality[i],
-                    fanout: fanouts[i],
-                    delayed: decision.delayed[i],
-                    delay_reason: decision.reason(i, cardinality[i], fanouts[i]),
+
+            // Disjoint fast path (Algorithm 3, line 2): the entire query can
+            // be answered independently at each endpoint — provided nothing
+            // in it (nested clauses, aggregates, an ORDER BY key the
+            // endpoints would project away) has to be evaluated over the
+            // global result.
+            let top = depth == 0;
+            let ships_whole = top && {
+                let out = query.output_vars();
+                lade && !group.triples.is_empty()
+                    && group.optionals.is_empty()
+                    && group.unions.is_empty()
+                    && group.not_exists.is_empty()
+                    && group.values.is_none()
+                    && query.aggregates.is_empty()
+                    && query.order_by.iter().all(|k| out.contains(&k.var))
+            };
+            plan.shape = if ships_whole && is_disjoint(&group.triples, &sources, &analysis) {
+                trace.emit(|| TraceEvent::Decomposed {
+                    depth,
+                    subqueries: 1,
+                    gjvs: analysis.gjvs.len(),
                 });
-            }
-            PlanShape::Decomposed {
-                subqueries,
-                costs: SubqueryCosts {
-                    cardinality,
-                    delayed: decision.delayed,
-                },
-                global_filters,
-            }
+                PlanShape::Disjoint {
+                    sources: sources.sources(&group.triples[0]).to_vec(),
+                }
+            } else {
+                let mut subqueries = if lade {
+                    decompose(&group.triples, &sources, &analysis)
+                } else {
+                    // The §II strawman: one subquery per triple pattern.
+                    (group.triples.iter())
+                        .map(|tp| Subquery::new(vec![tp.clone()], sources.sources(tp).to_vec()))
+                        .collect()
+                };
+                trace.emit(|| TraceEvent::Decomposed {
+                    depth,
+                    subqueries: subqueries.len(),
+                    gjvs: analysis.gjvs.len(),
+                });
+                let global_filters = push_filters_into(&group.filters, &mut subqueries);
+                if top {
+                    shrink_projections(query, &mut subqueries, &global_filters);
+                }
+                // A lone subquery has nothing to be delayed behind: no estimate.
+                let cardinality = if subqueries.len() > 1 {
+                    estimate_cardinalities(&subqueries, &sources)
+                } else {
+                    vec![0; subqueries.len()]
+                };
+                let fanouts: Vec<usize> = subqueries.iter().map(|sq| sq.sources.len()).collect();
+                let policy = self.config.delay_policy;
+                let decision = decide_delays_detailed(&cardinality, &fanouts, policy);
+                for (i, sq) in subqueries.iter().enumerate() {
+                    trace.emit(|| TraceEvent::SubqueryPlanned {
+                        index: first + i,
+                        patterns: (sq.triples.iter())
+                            .map(|tp| render_pattern(tp, fed.dict()))
+                            .collect(),
+                        sources: sq.sources.len(),
+                        cardinality: cardinality[i],
+                        fanout: fanouts[i],
+                        delayed: decision.delayed[i],
+                        delay_reason: decision.reason(i, cardinality[i], fanouts[i]),
+                    });
+                }
+                PlanShape::Decomposed {
+                    subqueries,
+                    costs: SubqueryCosts {
+                        cardinality,
+                        delayed: decision.delayed,
+                    },
+                    global_filters,
+                }
+            };
+            plan.gjvs = analysis.gjvs;
+            groups.push(plan);
+            // Nested groups next, in the order `join_nested_groups`
+            // evaluates them: UNION branches, OPTIONAL, NOT EXISTS.
+            let split = |g: &GroupPattern| g.split_correlated_filters().0;
+            let nested: Vec<_> = (group.unions.iter().flatten().cloned())
+                .chain(group.optionals.iter().map(split))
+                .chain(group.not_exists.iter().map(split))
+                .map(|g| (Cow::Owned(g), depth + 1))
+                .collect();
+            pending.extend(nested.into_iter().rev());
+        }
+        let requests_analysis = net.client.requests().since(&s1);
+        let metrics = QueryMetrics {
+            source_selection,
+            analysis: net.clock.now().saturating_sub(started + source_selection),
+            requests_source_selection: s1.since(&s0),
+            requests_analysis,
+            check_queries: requests_analysis.get(RequestKind::Check),
+            ..QueryMetrics::default()
         };
-        plan.gjvs = analysis.gjvs;
-        plan.analysis = net.clock.now().saturating_sub(t1);
-        plan.requests_analysis = net.client.requests().since(&s1);
-        plan
+        QueryPlan {
+            sources,
+            groups,
+            started,
+            metrics,
+        }
     }
 
-    /// SAPE for one [`Plan`]: the only caller of the subquery executor and
-    /// the only place [`QueryMetrics`] phase fields are stamped. Nested
-    /// groups are planned and executed here, lazily, through the same two
-    /// functions — after the outer BGP, in clause order, which is the wire
-    /// order seeded fault plans are drawn against — and see the same batch
-    /// `memo` as the outer group. Query-level modifiers (aggregation,
-    /// ORDER BY over the full schema, projection, DISTINCT, LIMIT) apply to
-    /// a top-level plan only, at the mediator, over the complete federated
-    /// solution sequence; the paper notes Lusail's LIMIT is naive (see the
-    /// C4 discussion, §VI-C).
+    /// SAPE for a [`QueryPlan`]: the only caller of the subquery executor.
+    /// Query-level modifiers (aggregation, ORDER BY over the full schema,
+    /// projection, DISTINCT, LIMIT) apply at the mediator, over the whole
+    /// federated result; the paper notes Lusail's LIMIT is naive (§VI-C).
     pub(crate) fn execute_plan(
         &self,
         fed: &Federation,
-        plan: Plan<'_>,
+        query: &Query,
+        plan: QueryPlan,
         net: &Net,
-        mut memo: Option<&mut BatchMemo>,
+        memo: Option<&mut BatchMemo>,
     ) -> (SolutionSet, QueryMetrics) {
         let s2 = net.client.requests();
         let t2 = net.clock.now();
-        let (group, top) = (plan.group, plan.top);
-        let mut metrics = QueryMetrics {
-            source_selection: plan.source_selection,
-            analysis: plan.analysis,
-            requests_source_selection: plan.requests_source_selection,
-            requests_analysis: plan.requests_analysis,
-            check_queries: plan.requests_analysis.get(RequestKind::Check),
-            gjvs: plan.gjvs,
-            ..QueryMetrics::default()
-        };
-        let solutions = match plan.shape {
-            PlanShape::Empty => SolutionSet::empty(match top {
-                Some(query) => query.output_vars(),
-                None => group.all_vars(),
-            }),
+        let (mut metrics, mut groups) = (plan.metrics, plan.groups);
+        metrics.gjvs = std::mem::take(&mut groups[0].gjvs);
+        let mut groups = groups.iter();
+        let top = groups.next().expect("a plan holds the WHERE group");
+        let solutions = match &top.shape {
+            PlanShape::Empty => SolutionSet::empty(query.output_vars()),
             PlanShape::Disjoint { sources } => {
                 metrics.subqueries = 1;
-                let query = top.expect("only a top-level plan is disjoint");
-                ship_whole(fed, query, &sources, net)
+                ship_whole(fed, query, sources, net)
             }
-            PlanShape::Decomposed {
-                subqueries,
-                costs,
-                global_filters,
-            } => {
+            PlanShape::Decomposed { subqueries, .. } => {
                 metrics.subqueries = subqueries.len();
-                if let Some(memo) = memo.as_deref_mut() {
-                    memo.count_subqueries(subqueries.len());
-                }
-                let (mut solutions, delayed) = evaluate_subqueries(
-                    fed,
-                    net,
-                    &subqueries,
-                    &costs,
-                    &self.config,
-                    memo.as_deref_mut(),
-                );
+                let (solutions, delayed) =
+                    self.execute_group(fed, &query.pattern, top, &mut groups, net, memo);
                 metrics.delayed_subqueries = delayed;
-                if let Some(v) = &group.values {
-                    let values_rel = SolutionSet {
-                        vars: v.vars.clone(),
-                        rows: v.rows.clone(),
-                    };
-                    solutions = solutions.hash_join(&values_rel);
-                }
-                solutions =
-                    lusail_store::eval::join_nested_groups(solutions, group, fed.dict(), |sub| {
-                        let nested = self.plan(fed, sub, None, &self.caches, net);
-                        self.execute_plan(fed, nested, net, memo.as_deref_mut()).0
-                    });
-                lusail_store::eval::retain_filtered(&mut solutions, &global_filters, fed.dict());
-                match top {
-                    Some(query) => {
-                        lusail_store::eval::apply_modifiers(solutions, query, fed.dict())
-                    }
-                    None => solutions,
-                }
+                lusail_store::eval::apply_modifiers(solutions, query, fed.dict())
             }
         };
         metrics.execution = net.clock.now().saturating_sub(t2);
@@ -502,32 +471,99 @@ impl Lusail {
         metrics.total = net.clock.now().saturating_sub(plan.started);
         (solutions, metrics)
     }
+
+    /// Evaluates one group, then its nested groups — whose plans `rest`
+    /// yields in clause order, the wire order seeded fault plans are drawn
+    /// against — with the same batch `memo`. Returns the relation and how
+    /// many subqueries stayed delayed.
+    fn execute_group(
+        &self,
+        fed: &Federation,
+        group: &GroupPattern,
+        plan: &GroupPlan,
+        rest: &mut std::slice::Iter<'_, GroupPlan>,
+        net: &Net,
+        mut memo: Option<&mut BatchMemo>,
+    ) -> (SolutionSet, usize) {
+        let PlanShape::Decomposed {
+            subqueries,
+            costs,
+            global_filters,
+        } = &plan.shape
+        else {
+            // Only the WHERE group ships whole: this one is empty.
+            return (SolutionSet::empty(group.all_vars()), 0);
+        };
+        if let Some(memo) = memo.as_deref_mut() {
+            memo.count_subqueries(subqueries.len());
+        }
+        let config = &self.config;
+        let (mut solutions, delayed) = evaluate_subqueries(
+            fed,
+            net,
+            plan.first,
+            subqueries,
+            costs,
+            config,
+            memo.as_deref_mut(),
+        );
+        if let Some(v) = &group.values {
+            let values_rel = SolutionSet {
+                vars: v.vars.clone(),
+                rows: v.rows.clone(),
+            };
+            solutions = solutions.hash_join(&values_rel);
+        }
+        solutions = lusail_store::eval::join_nested_groups(solutions, group, fed.dict(), |sub| {
+            let nested = rest.next().expect("every nested group is planned");
+            (self.execute_group(fed, sub, nested, rest, net, memo.as_deref_mut())).0
+        });
+        lusail_store::eval::retain_filtered(&mut solutions, global_filters, fed.dict());
+        (solutions, delayed)
+    }
 }
 
-/// What [`Lusail::plan`] decided for one group pattern — the value
-/// [`Lusail::execute_plan`] runs and EXPLAIN renders.
-pub(crate) struct Plan<'q> {
-    /// The planned group pattern.
-    group: &'q GroupPattern,
-    /// The query `group` is the top-level pattern of; `None` for a nested
-    /// group.
-    top: Option<&'q Query>,
-    /// Relevant endpoints per triple pattern (nested groups' included).
-    pub(crate) sources: SourceMap,
-    /// Global join variables of the group's BGP.
-    pub(crate) gjvs: Vec<String>,
-    /// How the group is evaluated.
-    pub(crate) shape: PlanShape,
-    // What planning cost, for `execute_plan` to stamp into the metrics.
+/// The plan of a whole query, built by `Lusail::plan` before anything
+/// executes: what execution walks and what [`Lusail::explain`] returns.
+#[derive(Debug, Clone)]
+pub struct QueryPlan {
+    /// Relevant endpoints per triple pattern of every group.
+    pub sources: SourceMap,
+    /// One plan per group in preorder: WHERE first, each group followed by
+    /// its UNION branches, OPTIONAL and NOT EXISTS groups in evaluation
+    /// order. An empty group's nested groups never run and are not planned.
+    pub groups: Vec<GroupPlan>,
+    /// What planning measured; execution adds the rest (the WHERE GJVs too).
+    pub metrics: QueryMetrics,
     started: Duration,
-    source_selection: Duration,
-    analysis: Duration,
-    requests_source_selection: RequestCounts,
-    pub(crate) requests_analysis: RequestCounts,
+}
+
+/// What `Lusail::plan` decided for one group pattern.
+#[derive(Debug, Clone)]
+pub struct GroupPlan {
+    /// Nesting depth: 0 for the WHERE group.
+    pub depth: usize,
+    /// The query-wide index of its first subquery (see `TraceEvent::SubqueryPlanned`).
+    pub first: usize,
+    /// Global join variables of the group's BGP.
+    pub gjvs: Vec<String>,
+    /// How the group is evaluated.
+    pub shape: PlanShape,
+}
+
+impl GroupPlan {
+    /// The group's subqueries; none unless it is decomposed.
+    pub fn subqueries(&self) -> &[Subquery] {
+        match &self.shape {
+            PlanShape::Decomposed { subqueries, .. } => subqueries,
+            _ => &[],
+        }
+    }
 }
 
 /// The three ways a group is evaluated.
-pub(crate) enum PlanShape {
+#[derive(Debug, Clone)]
+pub enum PlanShape {
     /// A required pattern has no relevant source: the answer is empty.
     Empty,
     /// The disjoint fast path (Algorithm 3, line 2): ship the whole query

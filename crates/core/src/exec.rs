@@ -291,7 +291,8 @@ fn adapted_block_size(block_size: usize, probe_bindings: usize, observed_rows: u
 
 /// SAPE subquery evaluation (Algorithm 3): evaluates all subqueries and
 /// joins their results. `costs` supplies the delay decisions and estimated
-/// cardinalities. Returns the joined solution set (one relation; genuinely
+/// cardinalities; trace events name `subqueries[i]` by `first + i`, its
+/// query-wide index. Returns the joined solution set (one relation; genuinely
 /// disconnected components are cross-joined at the end) plus how many
 /// subqueries stayed delayed.
 ///
@@ -303,6 +304,7 @@ fn adapted_block_size(block_size: usize, probe_bindings: usize, observed_rows: u
 pub(crate) fn evaluate_subqueries(
     fed: &Federation,
     net: &Net,
+    first: usize,
     subqueries: &[Subquery],
     costs: &SubqueryCosts,
     config: &LusailConfig,
@@ -325,12 +327,13 @@ pub(crate) fn evaluate_subqueries(
             .unwrap();
         delayed_idx.retain(|&i| i != best);
         non_delayed.push(best);
-        net.trace
-            .emit(|| TraceEvent::SubqueryPromoted { index: best });
+        net.trace.emit(|| TraceEvent::SubqueryPromoted {
+            index: first + best,
+        });
     }
     let delayed = delayed_idx.len();
 
-    let relations = fetch_concurrent(fed, net, subqueries, &non_delayed, memo);
+    let relations = fetch_concurrent(fed, net, first, subqueries, &non_delayed, memo);
 
     // Join whatever is joinable so the found bindings are already reduced.
     let mut components = join_components(relations, &net.trace);
@@ -362,7 +365,7 @@ pub(crate) fn evaluate_subqueries(
                     for &endpoint in &sources {
                         for (bindings, query) in &queries {
                             net.trace.emit(|| TraceEvent::ValuesBatch {
-                                subquery: pick,
+                                subquery: first + pick,
                                 endpoint,
                                 bindings: *bindings,
                             });
@@ -402,7 +405,7 @@ pub(crate) fn evaluate_subqueries(
             None => fetch_from(fed, net, &sq.to_query(None), &sq.sources),
         };
         net.trace.emit(|| TraceEvent::SubqueryEvaluated {
-            index: pick,
+            index: first + pick,
             rows: sols.len(),
         });
         components.push(sols);
@@ -433,13 +436,17 @@ pub(crate) fn evaluate_subqueries(
 fn fetch_concurrent(
     fed: &Federation,
     net: &Net,
+    first: usize,
     subqueries: &[Subquery],
     non_delayed: &[usize],
     mut memo: Option<&mut BatchMemo>,
 ) -> Vec<SolutionSet> {
     let mut shared: lusail_rdf::FxHashMap<usize, SolutionSet> = non_delayed
         .iter()
-        .filter_map(|&i| Some((i, memo.as_deref_mut()?.lookup(i, &subqueries[i], net)?)))
+        .filter_map(|&i| {
+            let memo = memo.as_deref_mut()?;
+            Some((i, memo.lookup(first + i, &subqueries[i], net)?))
+        })
         .collect();
     // One query per subquery still to fetch; each of its sources' requests
     // borrows it.
@@ -473,7 +480,7 @@ fn fetch_concurrent(
             let lost = parts.iter().any(Option::is_none);
             let rel = concat(subqueries[i].projection.clone(), parts);
             net.trace.emit(|| TraceEvent::SubqueryEvaluated {
-                index: i,
+                index: first + i,
                 rows: rel.len(),
             });
             if let Some(memo) = memo.as_deref_mut() {
@@ -688,7 +695,7 @@ mod sape_tests {
             ..LusailConfig::default()
         };
         let before = fed.stats_snapshot();
-        let (sols, delayed) = evaluate_subqueries(&fed, &net, &sqs, &costs, &config, None);
+        let (sols, delayed) = evaluate_subqueries(&fed, &net, 0, &sqs, &costs, &config, None);
         let window = fed.stats_snapshot().since(&before);
         assert_eq!(delayed, 1);
         assert_eq!(sols.len(), 10);
@@ -711,7 +718,7 @@ mod sape_tests {
             ..LusailConfig::default()
         };
         let before = fed.stats_snapshot();
-        let (sols, delayed) = evaluate_subqueries(&fed, &net, &sqs, &costs, &config, None);
+        let (sols, delayed) = evaluate_subqueries(&fed, &net, 0, &sqs, &costs, &config, None);
         let window = fed.stats_snapshot().since(&before);
         assert_eq!(delayed, 1);
         assert_eq!(sols.len(), 10);
@@ -747,7 +754,7 @@ mod sape_tests {
         };
         let net = Net::default();
         let config = LusailConfig::default();
-        let (sols, delayed) = evaluate_subqueries(&fed, &net, &sqs, &costs, &config, None);
+        let (sols, delayed) = evaluate_subqueries(&fed, &net, 0, &sqs, &costs, &config, None);
         // One was promoted to the concurrent phase; one stayed delayed.
         assert_eq!(delayed, 1);
         assert_eq!(sols.len(), 10);
@@ -764,7 +771,7 @@ mod sape_tests {
         let net = Net::default();
         let config = LusailConfig::default();
         let before = fed.stats_snapshot();
-        let (sols, delayed) = evaluate_subqueries(&fed, &net, &sqs, &costs, &config, None);
+        let (sols, delayed) = evaluate_subqueries(&fed, &net, 0, &sqs, &costs, &config, None);
         let window = fed.stats_snapshot().since(&before);
         assert_eq!(delayed, 0);
         assert_eq!(sols.len(), 10);
@@ -779,6 +786,7 @@ mod sape_tests {
         let (sols, delayed) = evaluate_subqueries(
             &fed,
             &net,
+            0,
             &[],
             &SubqueryCosts::default(),
             &LusailConfig::default(),

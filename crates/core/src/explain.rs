@@ -1,5 +1,6 @@
 //! `EXPLAIN`: run the engine's planner (`Lusail::plan` — source selection,
-//! LADE, cost model) without executing, and render the plan it returned.
+//! LADE, cost model) without executing, and render the plan it returned:
+//! the very [`QueryPlan`] execution walks, nested groups included.
 //!
 //! `EXPLAIN ANALYZE` goes further: it *executes* the query with an
 //! enabled [`TraceSink`] and renders the plan tree annotated with what
@@ -14,100 +15,86 @@
 //! planning decisions without paying for execution.
 
 use crate::cache::ProbeCaches;
-use crate::engine::{Lusail, PlanShape};
+use crate::engine::{Lusail, PlanShape, QueryPlan};
 use crate::exec::Net;
 use crate::metrics::QueryMetrics;
 use crate::trace::{QueryTrace, RequestKind, TraceEvent, TraceSink};
-use lusail_endpoint::{ExecOptions, Federation, FederationError};
+use lusail_endpoint::{EndpointId, ExecOptions, Federation, FederationError};
 use lusail_rdf::Dictionary;
 use lusail_sparql::ast::{PatternTerm, Query, TriplePattern};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// One subquery in the plan.
-#[derive(Debug, Clone)]
-pub struct SubqueryPlan {
-    /// The subquery's patterns, rendered as SPARQL.
-    pub triples: Vec<String>,
-    /// Names of its relevant endpoints.
-    pub sources: Vec<String>,
-    /// The projected variables.
-    pub projection: Vec<String>,
-    /// Estimated cardinality `C(sq)`.
-    pub cardinality: u64,
-    /// Whether SAPE delays it.
-    pub delayed: bool,
-}
-
-/// The compile-time plan for a query.
-#[derive(Debug, Clone)]
-pub struct QueryPlan {
-    /// Per-pattern relevant endpoint names.
-    pub sources: Vec<(String, Vec<String>)>,
-    /// Detected global join variables.
-    pub gjvs: Vec<String>,
-    /// True if a required pattern has no relevant source: the answer is
-    /// empty and nothing past source selection runs.
-    pub empty: bool,
-    /// True if the whole query ships unchanged to every endpoint.
-    pub disjoint: bool,
-    /// The subqueries (empty when `empty` or `disjoint`).
-    pub subqueries: Vec<SubqueryPlan>,
-    /// Check requests sent during analysis, per wire attempt
-    /// (`requests_analysis.get(RequestKind::Check)`): one request may carry
-    /// several check queries, and a check the memo or statistics answer
-    /// sends none.
-    pub check_queries: u64,
-}
-
 impl QueryPlan {
-    /// Renders the plan as indented text.
-    pub fn render(&self) -> String {
+    /// Renders the plan as indented text: source selection, the WHERE
+    /// group's plan, and each nested group's subqueries indented under its
+    /// own line, in the order execution evaluates them.
+    pub fn render(&self, fed: &Federation) -> String {
+        let dict = fed.dict();
+        let names = |ids: &[EndpointId]| -> String {
+            let names: Vec<&str> = ids.iter().map(|&id| fed.endpoint(id).name()).collect();
+            names.join(", ")
+        };
         let mut out = String::new();
         let _ = writeln!(out, "source selection:");
-        for (tp, srcs) in &self.sources {
-            let _ = writeln!(out, "  {tp}  @ [{}]", srcs.join(", "));
+        for (tp, srcs) in self.sources.iter() {
+            let _ = writeln!(out, "  {}  @ [{}]", render_pattern(tp, dict), names(srcs));
         }
         let _ = writeln!(
             out,
             "global join variables: [{}]  ({} check queries)",
-            self.gjvs.join(", "),
-            self.check_queries
+            self.groups[0].gjvs.join(", "),
+            self.metrics.check_queries
         );
-        if self.empty {
-            let _ = writeln!(
-                out,
-                "plan: EMPTY — a required pattern has no relevant source; \
-                 the answer is empty without further requests"
-            );
-            return out;
-        }
-        if self.disjoint {
-            let _ = writeln!(
-                out,
-                "plan: DISJOINT — ship the whole query to every relevant \
-                 endpoint and concatenate"
-            );
-            return out;
-        }
-        let _ = writeln!(out, "plan: {} subqueries", self.subqueries.len());
-        for (i, sq) in self.subqueries.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "  subquery {} {}  est. cardinality {}  @ [{}]",
-                i + 1,
-                if sq.delayed {
+        for group in &self.groups {
+            let (head, gjvs) = match group.depth {
+                0 => ("plan".to_string(), String::new()),
+                depth => (
+                    format!("{}group at depth {depth}", "  ".repeat(depth)),
+                    format!("  (global join variables: [{}])", group.gjvs.join(", ")),
+                ),
+            };
+            let (subqueries, costs) = match &group.shape {
+                PlanShape::Decomposed {
+                    subqueries, costs, ..
+                } => (subqueries, costs),
+                PlanShape::Empty => {
+                    let _ = writeln!(
+                        out,
+                        "{head}: EMPTY — a required pattern has no relevant source; \
+                         the answer is empty without further requests"
+                    );
+                    continue;
+                }
+                PlanShape::Disjoint { .. } => {
+                    let _ = writeln!(
+                        out,
+                        "{head}: DISJOINT — ship the whole query to every relevant \
+                         endpoint and concatenate"
+                    );
+                    continue;
+                }
+            };
+            let _ = writeln!(out, "{head}: {} subqueries{gjvs}", subqueries.len());
+            let indent = "  ".repeat(group.depth + 1);
+            for (i, sq) in subqueries.iter().enumerate() {
+                let mode = if costs.delayed[i] {
                     "[DELAYED: bound VALUES evaluation]"
                 } else {
                     "[concurrent]"
-                },
-                sq.cardinality,
-                sq.sources.join(", ")
-            );
-            for tp in &sq.triples {
-                let _ = writeln!(out, "      {tp}");
+                };
+                let _ = writeln!(
+                    out,
+                    "{indent}subquery {} {mode}  est. cardinality {}  @ [{}]",
+                    group.first + i + 1,
+                    costs.cardinality[i],
+                    names(&sq.sources)
+                );
+                for tp in &sq.triples {
+                    let _ = writeln!(out, "{indent}    {}", render_pattern(tp, dict));
+                }
+                let _ = writeln!(out, "{indent}    project: ?{}", sq.projection.join(" ?"));
             }
-            let _ = writeln!(out, "      project: ?{}", sq.projection.join(" ?"));
         }
         out
     }
@@ -123,52 +110,13 @@ pub(crate) fn render_pattern(tp: &TriplePattern, dict: &Dictionary) -> String {
 
 impl Lusail {
     /// Produces the compile-time plan for `query` without executing it:
-    /// the very `Plan` execution would run, so the
-    /// two cannot disagree. Probes (COUNT / check) do run against
-    /// the endpoints, exactly as execution would issue them, but are
-    /// memoized in throw-away caches — EXPLAIN never warms the engine.
+    /// the very plan execution would run, so the two cannot disagree.
+    /// Probes (COUNT / check) do run against the endpoints, exactly as
+    /// execution would issue them, but are memoized in throw-away caches —
+    /// EXPLAIN never warms the engine.
     pub fn explain(&self, fed: &Federation, query: &Query) -> QueryPlan {
         let net = Net::for_query(self.policy, self.timing_clock(), &ExecOptions::default());
-        let caches = ProbeCaches::new(None);
-        let plan = self.plan(fed, &query.pattern, Some(query), &caches, &net);
-        let dict = fed.dict();
-        let names = |ids: &[lusail_endpoint::EndpointId]| -> Vec<String> {
-            ids.iter()
-                .map(|&id| fed.endpoint(id).name().to_string())
-                .collect()
-        };
-        let subqueries = match &plan.shape {
-            PlanShape::Decomposed {
-                subqueries, costs, ..
-            } => subqueries
-                .iter()
-                .enumerate()
-                .map(|(i, sq)| SubqueryPlan {
-                    triples: sq
-                        .triples
-                        .iter()
-                        .map(|tp| render_pattern(tp, dict))
-                        .collect(),
-                    sources: names(&sq.sources),
-                    projection: sq.projection.clone(),
-                    cardinality: costs.cardinality[i],
-                    delayed: costs.delayed[i],
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
-        QueryPlan {
-            sources: plan
-                .sources
-                .iter()
-                .map(|(tp, srcs)| (render_pattern(tp, dict), names(srcs)))
-                .collect(),
-            gjvs: plan.gjvs,
-            empty: matches!(plan.shape, PlanShape::Empty),
-            disjoint: matches!(plan.shape, PlanShape::Disjoint { .. }),
-            subqueries,
-            check_queries: plan.requests_analysis.get(RequestKind::Check),
-        }
+        self.plan(fed, query, &ProbeCaches::new(None), &net)
     }
 
     /// `EXPLAIN ANALYZE`: executes `query` with tracing enabled and
@@ -206,7 +154,7 @@ impl Lusail {
 /// deterministic under concurrency); everything else is rendered in the
 /// deterministic order the engine's sequential planning path emitted it.
 /// `metrics` adds the phase wall-time line.
-pub fn render_analyze(trace: &QueryTrace, metrics: &QueryMetrics) -> String {
+fn render_analyze(trace: &QueryTrace, metrics: &QueryMetrics) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "EXPLAIN ANALYZE");
 
@@ -223,21 +171,8 @@ pub fn render_analyze(trace: &QueryTrace, metrics: &QueryMetrics) -> String {
         );
     }
 
-    if let Some(TraceEvent::Decomposed { subqueries, gjvs }) = trace
-        .events
-        .iter()
-        .find(|ev| matches!(ev, TraceEvent::Decomposed { .. }))
-    {
-        let _ = writeln!(
-            out,
-            "decomposition: {subqueries} subqueries  ({gjvs} global join variables)"
-        );
-    }
-
-    // Actual per-subquery outcomes, keyed by index. At the top level each
-    // subquery is evaluated exactly once (concurrent in phase 1 or bound
-    // in phase 2); nested-group re-evaluations overwrite, which keeps the
-    // render small rather than exhaustive.
+    // Actual per-subquery outcomes, keyed by their query-wide index: each
+    // subquery is evaluated once (concurrent in phase 1 or bound in phase 2).
     let mut actual: BTreeMap<usize, usize> = BTreeMap::new();
     let mut promoted: Vec<usize> = Vec::new();
     for ev in &trace.events {
@@ -250,49 +185,59 @@ pub fn render_analyze(trace: &QueryTrace, metrics: &QueryMetrics) -> String {
         }
     }
 
-    let mut planned: Vec<&TraceEvent> = trace
-        .events
-        .iter()
-        .filter(|ev| matches!(ev, TraceEvent::SubqueryPlanned { .. }))
-        .collect();
-    planned.sort_by_key(|ev| match ev {
-        TraceEvent::SubqueryPlanned { index, .. } => *index,
-        _ => usize::MAX,
-    });
-    for ev in planned {
-        let TraceEvent::SubqueryPlanned {
-            index,
-            patterns,
-            sources,
-            cardinality,
-            delayed,
-            delay_reason,
-            ..
-        } = ev
-        else {
-            continue;
-        };
-        let mode = match delay_reason {
-            Some(reason) => format!("[DELAYED: {reason}]"),
-            None if *delayed => "[DELAYED]".to_string(),
-            None if promoted.contains(index) => "[promoted to concurrent]".to_string(),
-            None => "[concurrent]".to_string(),
-        };
-        let actual_part = match actual.get(index) {
-            Some(rows) => format!("actual rows {rows}"),
-            None => "not evaluated".to_string(),
-        };
-        let _ = writeln!(
-            out,
-            "  subquery {} {}  est. cardinality {}  {}  @ {} endpoint(s)",
-            index + 1,
-            mode,
-            cardinality,
-            actual_part,
-            sources
-        );
-        for tp in patterns {
-            let _ = writeln!(out, "      {tp}");
+    // The plan, group by group in preorder: each group's `Decomposed`
+    // line, then its subqueries indented under it.
+    let mut indent = String::new();
+    for ev in &trace.events {
+        match ev {
+            TraceEvent::Decomposed {
+                depth,
+                subqueries,
+                gjvs,
+            } => {
+                let head = match depth {
+                    0 => "decomposition".to_string(),
+                    _ => format!("{}group at depth {depth}", "  ".repeat(*depth)),
+                };
+                let _ = writeln!(
+                    out,
+                    "{head}: {subqueries} subqueries  ({gjvs} global join variables)"
+                );
+                indent = "  ".repeat(depth + 1);
+            }
+            TraceEvent::SubqueryPlanned {
+                index,
+                patterns,
+                sources,
+                cardinality,
+                delayed,
+                delay_reason,
+                ..
+            } => {
+                let mode = match delay_reason {
+                    Some(reason) => format!("[DELAYED: {reason}]"),
+                    None if *delayed => "[DELAYED]".to_string(),
+                    None if promoted.contains(index) => "[promoted to concurrent]".to_string(),
+                    None => "[concurrent]".to_string(),
+                };
+                let actual_part = match actual.get(index) {
+                    Some(rows) => format!("actual rows {rows}"),
+                    None => "not evaluated".to_string(),
+                };
+                let _ = writeln!(
+                    out,
+                    "{indent}subquery {} {}  est. cardinality {}  {}  @ {} endpoint(s)",
+                    index + 1,
+                    mode,
+                    cardinality,
+                    actual_part,
+                    sources
+                );
+                for tp in patterns {
+                    let _ = writeln!(out, "{indent}    {tp}");
+                }
+            }
+            _ => {}
         }
     }
 
@@ -442,10 +387,9 @@ mod tests {
         .unwrap();
         let engine = Lusail::default();
         let plan = engine.explain(&f, &q);
-        assert_eq!(plan.gjvs, ["v"]);
-        assert!(!plan.disjoint);
-        assert_eq!(plan.subqueries.len(), 2);
-        let text = plan.render();
+        assert_eq!(plan.groups[0].gjvs, ["v"]);
+        assert_eq!(plan.groups[0].subqueries().len(), 2);
+        let text = plan.render(&f);
         assert!(text.contains("global join variables: [v]"));
         assert!(text.contains("subquery 1"));
         assert!(text.contains("?v <http://x/q> ?o"));
@@ -457,8 +401,8 @@ mod tests {
         let q = parse_query("SELECT * WHERE { ?s <http://x/p> ?v }", f.dict()).unwrap();
         let engine = Lusail::default();
         let plan = engine.explain(&f, &q);
-        assert!(plan.disjoint);
-        assert!(plan.render().contains("DISJOINT"));
+        assert!(matches!(plan.groups[0].shape, PlanShape::Disjoint { .. }));
+        assert!(plan.render(&f).contains("DISJOINT"));
     }
 
     #[test]
@@ -506,7 +450,7 @@ plan: 2 subqueries
       ?v <http://x/q> ?o
       project: ?v ?o
 ";
-        assert_eq!(plan.render(), expected);
+        assert_eq!(plan.render(&f), expected);
     }
 
     #[test]
@@ -520,7 +464,7 @@ source selection:
 global join variables: []  (0 check queries)
 plan: DISJOINT — ship the whole query to every relevant endpoint and concatenate
 ";
-        assert_eq!(plan.render(), expected);
+        assert_eq!(plan.render(&f), expected);
     }
 
     fn delayed_fed() -> Federation {

@@ -7,7 +7,7 @@
 //! endpoint.
 //!
 //! A joined pair whose two patterns have exactly one relevant source, the
-//! same one, is local without a check (case 0 of [`detect_gjvs`]): every
+//! same one, is local without a check (case 0 of `detect_gjvs`): every
 //! triple matching either pattern lives at that endpoint, so their join
 //! over the federation is their join there. This holds for any data and
 //! any variable role, predicate position included. The paper's
@@ -55,7 +55,7 @@ use lusail_sparql::ast::{GroupPattern, PatternTerm, TriplePattern};
 
 /// The result of GJV analysis over one basic graph pattern.
 #[derive(Debug, Clone, Default)]
-pub struct GjvAnalysis {
+pub(crate) struct GjvAnalysis {
     /// The global join variables, in detection order.
     pub gjvs: Vec<String>,
     /// Unordered index pairs (into the analyzed pattern slice) that caused
@@ -136,7 +136,7 @@ type Occurrences = Vec<(usize, Role)>;
 ///
 /// The GJVs and conflicts are therefore the per-variable algorithm's; the
 /// ignored checks' bytes are the price of the round trips saved.
-pub fn detect_gjvs(
+pub(crate) fn detect_gjvs(
     fed: &Federation,
     triples: &[TriplePattern],
     sources: &SourceMap,

@@ -23,14 +23,26 @@
 //!    subqueries run concurrently, one worker per endpoint, and results
 //!    are combined with dynamic-programming-ordered hash joins.
 //!
-//! Planning waits on the wire at most twice: source selection's `COUNT`s,
-//! then the check queries of a block. A block sends checks only for joined
-//! pairs whose patterns share the same two or more relevant sources: a pair
-//! whose patterns have one and the same source is local, and one whose
-//! sources differ conflicts without a check, so a federation where every
-//! predicate has a single authority plans in one wave. Each wave travels as
-//! one request per endpoint: a `SELECT` whose one row holds every probe's
-//! answer.
+//! Planning waits on the wire once for source selection's `COUNT`s — one
+//! wave per query, for the patterns of every group — plus one wave of
+//! check queries per group that has a multi-source join. A group sends
+//! checks only for joined pairs whose patterns share the same two or more
+//! relevant sources: a pair whose patterns have one and the same source is
+//! local, and one whose sources differ conflicts without a check, so a
+//! federation where every predicate has a single authority plans in one
+//! wave. Each wave travels as one request per endpoint: a `SELECT` whose
+//! one row holds every probe's answer.
+//!
+//! A query is planned whole before it runs: [`Lusail::explain`] returns
+//! the [`QueryPlan`] execution walks, one [`GroupPlan`] per group in
+//! preorder. Planning is the engine's alone — GJV detection,
+//! decomposition and the cost model are private to this crate:
+//!
+//! ```compile_fail,E0603
+//! use lusail_core::cost::{decide_delays_detailed, estimate_cardinalities};
+//! use lusail_core::decompose::{decompose, decompose_indices, is_disjoint};
+//! use lusail_core::gjv::{detect_gjvs, GjvAnalysis};
+//! ```
 //!
 //! Entry point: [`Lusail::execute`]. Lusail and the three baselines run
 //! every query through one driver, [`exec::run_query`].
@@ -52,8 +64,9 @@ pub mod subquery;
 pub mod trace;
 
 pub use cost::DelayPolicy;
-pub use engine::{Lusail, LusailConfig, ProbeCacheStats, QueryResult};
-pub use explain::{render_analyze, QueryPlan, SubqueryPlan};
+pub use engine::{
+    GroupPlan, Lusail, LusailConfig, PlanShape, ProbeCacheStats, QueryPlan, QueryResult,
+};
 pub use metrics::QueryMetrics;
 pub use mqo::{BatchItem, BatchOutcome, BatchReport, SubqueryKey};
 pub use subquery::Subquery;

@@ -16,7 +16,8 @@ pub struct QueryMetrics {
     /// pattern and endpoint, read as relevance and cardinality).
     pub source_selection: Duration,
     /// Wall time of the query-analysis phase (LADE check queries,
-    /// decomposition, the cost model over source selection's counts).
+    /// decomposition, the cost model over source selection's counts), for
+    /// every group of the query.
     pub analysis: Duration,
     /// Wall time of the execution phase (SAPE).
     pub execution: Duration,
@@ -30,16 +31,15 @@ pub struct QueryMetrics {
     pub requests_source_selection: RequestCounts,
     /// This query's wire attempts during analysis.
     pub requests_analysis: RequestCounts,
-    /// This query's wire attempts during execution, nested groups'
-    /// planning probes included.
+    /// This query's wire attempts during execution.
     pub requests_execution: RequestCounts,
-    /// Check-query wire attempts LADE made for the top-level pattern:
+    /// Check-query wire attempts LADE made for every group:
     /// `requests_analysis.get(RequestKind::Check)`, split out for Fig. 10
     /// commentary.
     pub check_queries: u64,
-    /// Global join variables detected.
+    /// Global join variables detected in the WHERE group.
     pub gjvs: Vec<String>,
-    /// Number of subqueries produced by decomposition (top-level group).
+    /// Number of subqueries produced by decomposition (WHERE group).
     pub subqueries: usize,
     /// How many of them the cost model delayed.
     pub delayed_subqueries: usize,

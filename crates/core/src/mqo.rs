@@ -333,10 +333,8 @@ impl Lusail {
             return None;
         }
         let net = Net::for_query(self.policy, self.timing_clock(), &ExecOptions::default());
-        match self
-            .plan(fed, &query.pattern, Some(query), &self.caches, &net)
-            .shape
-        {
+        let mut plan = self.plan(fed, query, &self.caches, &net);
+        match plan.groups.swap_remove(0).shape {
             PlanShape::Decomposed { subqueries, .. } => Some(subqueries),
             _ => None,
         }
@@ -351,6 +349,7 @@ impl Lusail {
         let (relation, _) = evaluate_subqueries(
             fed,
             &net,
+            0,
             std::slice::from_ref(sq),
             &SubqueryCosts {
                 cardinality: vec![1],

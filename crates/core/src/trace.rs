@@ -75,16 +75,23 @@ impl QueryTrace {
             .collect()
     }
 
-    /// What was planned at the top level: `[subqueries, global join
-    /// variables, delayed subqueries]`; zeros when nothing was decomposed.
+    /// What was planned for the WHERE group (depth 0, subqueries `0..n`):
+    /// `[subqueries, global join variables, delayed subqueries]`; zeros
+    /// when it was not decomposed.
     pub fn planned(&self) -> [usize; 3] {
         let mut planned = [0; 3];
         for ev in &self.events {
             match ev {
-                TraceEvent::Decomposed { subqueries, gjvs } => {
-                    (planned[0], planned[1]) = (*subqueries, *gjvs)
-                }
-                TraceEvent::SubqueryPlanned { delayed: true, .. } => planned[2] += 1,
+                TraceEvent::Decomposed {
+                    depth: 0,
+                    subqueries,
+                    gjvs,
+                } => (planned[0], planned[1]) = (*subqueries, *gjvs),
+                TraceEvent::SubqueryPlanned {
+                    index,
+                    delayed: true,
+                    ..
+                } if *index < planned[0] => planned[2] += 1,
                 _ => {}
             }
         }

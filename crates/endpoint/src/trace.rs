@@ -141,8 +141,12 @@ pub enum TraceEvent {
         /// Distinct endpoints the batch touches.
         endpoints: usize,
     },
-    /// The query was decomposed into subqueries.
+    /// One group pattern was decomposed into subqueries; its
+    /// [`TraceEvent::SubqueryPlanned`] events follow. Groups are planned in
+    /// preorder: the WHERE group first, each group before its nested ones.
     Decomposed {
+        /// Nesting depth of the group: 0 for the WHERE group.
+        depth: usize,
         /// Number of subqueries produced.
         subqueries: usize,
         /// Global join variables detected by LADE.
@@ -150,7 +154,8 @@ pub enum TraceEvent {
     },
     /// The cost model's verdict for one subquery.
     SubqueryPlanned {
-        /// Subquery index (position in the decomposition).
+        /// Subquery index, query-wide: numbered in group preorder, so the
+        /// WHERE group's are `0..n` and no two groups share one.
         index: usize,
         /// Rendered triple patterns.
         patterns: Vec<String>,
@@ -169,12 +174,12 @@ pub enum TraceEvent {
     /// A delayed subquery promoted to concurrent execution (all were
     /// delayed, so the most selective one runs first).
     SubqueryPromoted {
-        /// Subquery index.
+        /// Query-wide subquery index (see [`TraceEvent::SubqueryPlanned`]).
         index: usize,
     },
     /// A subquery finished evaluating.
     SubqueryEvaluated {
-        /// Subquery index.
+        /// Query-wide subquery index (see [`TraceEvent::SubqueryPlanned`]).
         index: usize,
         /// Actual rows returned (across endpoints).
         rows: usize,
@@ -184,7 +189,7 @@ pub enum TraceEvent {
     /// [`TraceEvent::Request`] events are emitted for the elided
     /// evaluation — request accounting only ever counts wire work.
     SubqueryShared {
-        /// Subquery index within this query's decomposition.
+        /// Query-wide subquery index (see [`TraceEvent::SubqueryPlanned`]).
         index: usize,
         /// Wire requests the producing evaluation spent — the traffic
         /// this reuse avoided.
@@ -192,7 +197,7 @@ pub enum TraceEvent {
     },
     /// One VALUES-bound block dispatched for a delayed subquery.
     ValuesBatch {
-        /// Subquery index.
+        /// Query-wide subquery index (see [`TraceEvent::SubqueryPlanned`]).
         subquery: usize,
         /// Target endpoint.
         endpoint: EndpointId,

@@ -940,3 +940,43 @@ fn request_parser_frames_requests_and_survives_corruption() {
     assert!(matches!(try_parse(post(8 << 20).as_bytes()), Ok(None)));
     assert!(try_parse(post((8 << 20) + 1).as_bytes()).is_err());
 }
+
+#[test]
+fn a_query_nested_past_the_parser_bound_is_a_400_not_an_abort() {
+    // 5 000 levels used to overflow a connection thread's stack and abort
+    // the whole process; the parser now refuses anything past its bound.
+    let depth = 5_000;
+    let groups = format!(
+        "SELECT * WHERE {}?s <http://x/p> ?o{} LIMIT 1",
+        "{ ".repeat(depth),
+        " }".repeat(depth)
+    );
+    let parens = format!(
+        "SELECT * WHERE {{ ?s <http://x/p> ?o FILTER {}?o{} }}",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    with_http_loop(ServerConfig::default(), |addr, server| {
+        for query in [&groups, &parens] {
+            let mut conn = std::net::TcpStream::connect(addr).unwrap();
+            let (status, body) = post_sparql(&mut conn, query);
+            assert_eq!(status, 400, "{body}");
+            assert!(body.contains("code: parse"), "{body}");
+            assert!(body.contains("nests deeper than"), "{body}");
+        }
+        assert_eq!(server.counters().admitted, 0);
+        let (status, body, _) = raw_exchange(addr, b"GET /healthz HTTP/1.1\r\n\r\n");
+        assert_eq!((status, body.as_str()), (200, "ok\n"));
+        // At the bound itself the query is planned, run and answered on
+        // the connection's thread: OPTIONAL groups nested to the limit.
+        let depth = lusail_sparql::MAX_NESTING - 1;
+        let at_limit = format!(
+            "SELECT * WHERE {{ {}?s <http://x/p> ?o{} }}",
+            "?s <http://x/p> ?o OPTIONAL { ".repeat(depth),
+            " }".repeat(depth)
+        );
+        let mut conn = std::net::TcpStream::connect(addr).unwrap();
+        let (status, body) = post_sparql(&mut conn, &at_limit);
+        assert_eq!(status, 200, "{body}");
+    });
+}

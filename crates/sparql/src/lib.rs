@@ -27,7 +27,7 @@ pub mod writer;
 pub use ast::{
     CmpOp, Expression, GroupPattern, PatternTerm, Query, QueryForm, TriplePattern, ValuesBlock,
 };
-pub use parser::{parse_query, ParseError};
+pub use parser::{parse_query, ParseError, MAX_NESTING};
 pub use rows::Rows;
 pub use solution::SolutionSet;
 pub use writer::{query_wire_len, write_query};

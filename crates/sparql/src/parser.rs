@@ -21,6 +21,15 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deeply a query may nest. Every `{ … }` group counts one level, and
+/// so does every expression level — a parenthesis, a builtin's argument, a
+/// `!` — on top of the levels of the group it sits in. The parser, and
+/// every later pass over a query (planning, evaluation, writing, dropping
+/// it), recurse once per level; the server tests run a query at this bound
+/// on a connection thread's default 2 MiB stack. A deeper query is a
+/// [`ParseError`], which the server answers with `400`.
+pub const MAX_NESTING: usize = 128;
+
 /// Parses a SPARQL query string, interning constants into `dict`.
 ///
 /// ```
@@ -45,6 +54,7 @@ pub fn parse_query(input: &str, dict: &Dictionary) -> Result<Query, ParseError> 
     let mut parser = Parser {
         tokens,
         pos: 0,
+        depth: 0,
         dict,
         prefixes: Vec::new(),
     };
@@ -56,6 +66,8 @@ pub fn parse_query(input: &str, dict: &Dictionary) -> Result<Query, ParseError> 
 struct Parser<'a> {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels entered so far (see [`MAX_NESTING`]).
+    depth: usize,
     dict: &'a Dictionary,
     prefixes: Vec<(String, String)>,
 }
@@ -75,6 +87,20 @@ impl<'a> Parser<'a> {
 
     fn error<T>(&self, msg: &str) -> Result<T, ParseError> {
         Err(ParseError(format!("{msg} (at {})", self.peek())))
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return self.error(&format!("query nests deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn eat_punct(&mut self, c: char) -> bool {
@@ -358,6 +384,10 @@ impl<'a> Parser<'a> {
 
     /// Parses `{ … }` into a flattened [`GroupPattern`].
     fn parse_group(&mut self) -> Result<GroupPattern, ParseError> {
+        self.nested(Self::parse_group_body)
+    }
+
+    fn parse_group_body(&mut self) -> Result<GroupPattern, ParseError> {
         self.expect_punct('{')?;
         let mut group = GroupPattern::default();
         loop {
@@ -566,7 +596,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_expr(&mut self) -> Result<Expression, ParseError> {
-        self.parse_or()
+        self.nested(Self::parse_or)
     }
 
     fn parse_or(&mut self) -> Result<Expression, ParseError> {
@@ -612,7 +642,7 @@ impl<'a> Parser<'a> {
     fn parse_unary(&mut self) -> Result<Expression, ParseError> {
         if *self.peek() == Token::Op("!") {
             self.next();
-            let inner = self.parse_unary()?;
+            let inner = self.nested(Self::parse_unary)?;
             return Ok(Expression::Not(Box::new(inner)));
         }
         self.parse_primary_expr()
@@ -963,6 +993,53 @@ mod tests {
     fn trailing_garbage_is_error() {
         let d = dict();
         assert!(parse_query("SELECT ?x WHERE { ?x ?p ?y } garbage", &d).is_err());
+    }
+
+    /// Parses `text` and says whether the nesting bound refused it.
+    fn too_deep(text: &str) -> bool {
+        match parse_query(text, &dict()) {
+            Ok(_) => false,
+            Err(e) if e.0.contains("nests deeper than 128 levels") => true,
+            Err(e) => panic!("unexpected error: {e}"),
+        }
+    }
+
+    #[test]
+    fn groups_nest_up_to_the_limit() {
+        let groups = |depth: usize| {
+            let (open, close) = ("{ ".repeat(depth), " }".repeat(depth));
+            format!("SELECT * WHERE {open}?s ?p ?o{close}")
+        };
+        assert!(!too_deep(&groups(MAX_NESTING)));
+        assert!(too_deep(&groups(MAX_NESTING + 1)));
+        // An OPTIONAL or UNION group nests as a plain one does.
+        let optionals = |depth: usize| {
+            let open = "{ ?s ?p ?o OPTIONAL ".repeat(depth - 1);
+            format!(
+                "SELECT * WHERE {open}{{ ?s ?p ?o }}{}",
+                " }".repeat(depth - 1)
+            )
+        };
+        assert!(!too_deep(&optionals(MAX_NESTING)));
+        assert!(too_deep(&optionals(MAX_NESTING + 1)));
+    }
+
+    #[test]
+    fn expressions_nest_up_to_the_limit() {
+        // The WHERE group is one level; each parenthesis, and each `!`
+        // after the FILTER's own parenthesis, is one more.
+        let parens = |depth: usize| {
+            let (open, close) = ("(".repeat(depth - 1), ")".repeat(depth - 1));
+            format!("SELECT * WHERE {{ ?s ?p ?o FILTER {open}?o{close} }}")
+        };
+        assert!(!too_deep(&parens(MAX_NESTING)));
+        assert!(too_deep(&parens(MAX_NESTING + 1)));
+        let negations = |depth: usize| {
+            let not = "!".repeat(depth - 2);
+            format!("SELECT * WHERE {{ ?s ?p ?o FILTER ({not}BOUND(?o)) }}")
+        };
+        assert!(!too_deep(&negations(MAX_NESTING)));
+        assert!(too_deep(&negations(MAX_NESTING + 1)));
     }
 }
 

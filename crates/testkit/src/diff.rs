@@ -22,10 +22,11 @@
 use crate::gen::{Case, FaultSpec};
 pub use lusail_baselines::EngineKind;
 use lusail_benchdata::common::Rng;
-use lusail_core::{Lusail, LusailConfig, QueryTrace, RequestKind, TraceSink};
+use lusail_core::{Lusail, LusailConfig, QueryTrace, RequestKind, TraceEvent, TraceSink};
 use lusail_endpoint::{ExecOptions, LocalEndpoint, RequestPolicy, StatsSnapshot};
 use lusail_sparql::SolutionSet;
 use lusail_store::BackendKind::{self, Btree, Columns};
+use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::sync::Arc;
 use std::time::Duration;
@@ -66,6 +67,16 @@ pub enum Violation {
     MissingDelayReason {
         /// The offending subquery's index.
         index: usize,
+    },
+    /// Trace invariant: a subquery was evaluated (or served from a batch
+    /// memo) more than once, or without exactly one plan.
+    SubqueryAccounting {
+        /// The subquery's query-wide index.
+        index: usize,
+        /// Evaluated and shared events naming it.
+        evaluated: usize,
+        /// Planned events naming it.
+        planned: usize,
     },
     /// Trace invariant: an enabled trace has no query-finished event.
     MissingFinish,
@@ -119,6 +130,15 @@ impl std::fmt::Display for Violation {
             Violation::MissingDelayReason { index } => write!(
                 f,
                 "subquery {index} was delayed without a recorded delay reason"
+            ),
+            Violation::SubqueryAccounting {
+                index,
+                evaluated,
+                planned,
+            } => write!(
+                f,
+                "subquery {index} was evaluated {evaluated} time(s) and planned \
+                 {planned} time(s); each must be exactly once"
             ),
             Violation::MissingFinish => {
                 write!(f, "trace has no query-finished event")
@@ -681,7 +701,10 @@ fn check_outcome(
 ///    Lusail's coalesced probes travel as SELECTs, so only its totals can
 ///    be.
 /// 2. Every subquery recorded as delayed carries a delay reason.
-/// 3. The trace ends with exactly one query-finished event — nothing is
+/// 3. Every subquery evaluated or served from a batch memo is so exactly
+///    once, and is planned exactly once: subquery numbers are query-wide,
+///    so a nested group's subqueries never reuse the WHERE group's.
+/// 4. The trace ends with exactly one query-finished event — nothing is
 ///    recorded after it.
 pub fn check_trace_invariants(
     trace: &QueryTrace,
@@ -716,6 +739,28 @@ pub fn check_trace_invariants(
     }
     if let Some(&index) = trace.delayed_without_reason().first() {
         return Err(Violation::MissingDelayReason { index });
+    }
+    let mut subqueries: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
+    for ev in &trace.events {
+        match ev {
+            TraceEvent::SubqueryEvaluated { index, .. }
+            | TraceEvent::SubqueryShared { index, .. } => {
+                subqueries.entry(*index).or_default().0 += 1
+            }
+            TraceEvent::SubqueryPlanned { index, .. } => {
+                subqueries.entry(*index).or_default().1 += 1
+            }
+            _ => {}
+        }
+    }
+    let misaccounted = (subqueries.into_iter())
+        .find(|&(_, (evaluated, planned))| evaluated > 1 || (evaluated == 1 && planned != 1));
+    if let Some((index, (evaluated, planned))) = misaccounted {
+        return Err(Violation::SubqueryAccounting {
+            index,
+            evaluated,
+            planned,
+        });
     }
     if trace.finish_index().is_none() {
         return Err(Violation::MissingFinish);
@@ -865,5 +910,54 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A subquery number names one subquery: evaluated or shared at most
+    /// once, and then planned exactly once. Nested groups that reused the
+    /// WHERE group's numbers broke both.
+    #[test]
+    fn each_subquery_is_planned_and_evaluated_once() {
+        let planned = |index| TraceEvent::SubqueryPlanned {
+            index,
+            patterns: Vec::new(),
+            sources: 1,
+            cardinality: 0,
+            fanout: 1,
+            delayed: false,
+            delay_reason: None,
+        };
+        let evaluated = |index| TraceEvent::SubqueryEvaluated { index, rows: 1 };
+        let shared = |index| TraceEvent::SubqueryShared {
+            index,
+            saved_requests: 1,
+        };
+        let check = |mut events: Vec<TraceEvent>| {
+            events.push(TraceEvent::QueryFinished {
+                rows: 1,
+                complete: true,
+            });
+            let trace = QueryTrace { events };
+            check_trace_invariants(&trace, &StatsSnapshot::default(), EngineKind::Lusail)
+        };
+        let accounting = |events| match check(events) {
+            Err(Violation::SubqueryAccounting {
+                index,
+                evaluated,
+                planned,
+            }) => Some((index, evaluated, planned)),
+            Ok(()) => None,
+            Err(other) => panic!("{other}"),
+        };
+        let ok = vec![planned(0), planned(1), evaluated(0), shared(1), planned(2)];
+        assert_eq!(accounting(ok), None);
+        let twice = vec![planned(0), evaluated(0), planned(0), evaluated(0)];
+        assert_eq!(accounting(twice), Some((0, 2, 2)));
+        let evaluated_and_shared = vec![planned(3), evaluated(3), shared(3)];
+        assert_eq!(accounting(evaluated_and_shared), Some((3, 2, 1)));
+        assert_eq!(accounting(vec![shared(1)]), Some((1, 1, 0)));
+        assert_eq!(
+            accounting(vec![planned(2), planned(2), evaluated(2)]),
+            Some((2, 1, 2))
+        );
     }
 }

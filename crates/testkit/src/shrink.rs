@@ -236,7 +236,7 @@ impl fmt::Display for Repro {
         let (fed, _) = case.federation(&FaultSpec::default());
         let plan = lusail_core::Lusail::default().explain(&fed, &case.query);
         writeln!(f, "lusail plan:")?;
-        for line in plan.render().lines() {
+        for line in plan.render(&fed).lines() {
             writeln!(f, "  {line}")?;
         }
         writeln!(

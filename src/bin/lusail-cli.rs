@@ -414,7 +414,7 @@ fn cmd_query(args: &[String], explain_only: bool) -> Result<(), String> {
     if explain_only {
         let engine = Lusail::new(LusailConfig::default());
         let plan = engine.explain(&fed, &query);
-        println!("\n{}", plan.render());
+        println!("\n{}", plan.render(&fed));
         return Ok(());
     }
 
@@ -616,7 +616,7 @@ fn cmd_demo() -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     let engine = Lusail::default();
-    println!("plan:\n{}", engine.explain(&fed, &q).render());
+    println!("plan:\n{}", engine.explain(&fed, &q).render(&fed));
     let result = engine.execute(&fed, &q).map_err(|e| e.to_string())?;
     print_solutions(&result.solutions, &dict);
     println!(

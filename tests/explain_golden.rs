@@ -1,5 +1,6 @@
-//! EXPLAIN ANALYZE golden under a manual clock at `--threads 4`: the
-//! committed snapshot `tests/golden/explain_analyze_lubm_q4.txt` was
+//! EXPLAIN / EXPLAIN ANALYZE goldens under a manual clock.
+//!
+//! LUBM Q4 at `--threads 4`: the committed snapshot `tests/golden/explain_analyze_lubm_q4.txt` was
 //! produced by the sequential CLI path (`scripts/verify.sh` re-checks it
 //! at every verify run), and the parallel executor must reproduce it
 //! byte for byte — worker dispatch may not change a single counter,
@@ -11,27 +12,43 @@
 //! --endpoint F.nt` does when loading files), rebuild the federation
 //! under the endpoint names, and run Q4 with `ManualClock` so all phase
 //! durations render as 0ns.
+//!
+//! LRB B1 pins the plan of a query with nested groups the same way (see
+//! [`lrb_b1_nested_goldens`]).
 
+use lusail_benchdata::common::Workload;
+use lusail_benchdata::lrb::{self, LrbConfig};
 use lusail_benchdata::lubm::{self, LubmConfig};
 use lusail_endpoint::{
-    ExecOptions, Federation, LocalEndpoint, ManualClock, SparqlEndpoint, TraceEvent, TraceSink,
+    ExecOptions, Federation, LocalEndpoint, ManualClock, NetworkProfile, SparqlEndpoint,
+    TraceEvent, TraceSink,
 };
 use lusail_rdf::{ntriples, Dictionary};
 use lusail_repro::lusail::{Lusail, LusailConfig};
 use lusail_sparql::parse_query;
-use lusail_store::TripleStore;
+use lusail_store::{BackendKind, EndpointStats, TripleStore};
 use std::sync::Arc;
 
-#[test]
-fn explain_analyze_at_four_threads_matches_the_committed_golden() {
-    let w = lubm::generate(&LubmConfig::new(2));
-
-    // Round-trip every endpoint through N-Triples into a fresh shared
-    // dictionary, exactly as the CLI does when loading `.nt` files.
+/// What `lusail-cli query|explain --endpoint DIR/*.nt --backend B
+/// [--stats build]` builds from the files `lusail-cli generate` wrote for
+/// `w`: every endpoint round-trips through its N-Triples serialization
+/// into a fresh shared dictionary, in file-name order, named after its
+/// file. Returns the federation, its dictionary, and the lines the CLI
+/// prints while loading.
+fn load_like_the_cli(
+    w: &Workload,
+    backend: BackendKind,
+    stats: bool,
+) -> (Federation, Arc<Dictionary>, String) {
     let dict = Dictionary::shared();
     let mut fed = Federation::new(Arc::clone(&dict));
-    let mut loaded_lines = String::new();
-    for ep in &w.endpoints {
+    let mut lines = String::new();
+    let mut built = Vec::new();
+    let mut endpoints: Vec<_> = (w.endpoints.iter())
+        .map(|ep| (ep.name().replace([' ', '/'], "_"), ep))
+        .collect();
+    endpoints.sort_by(|a, b| a.0.cmp(&b.0));
+    for (name, ep) in endpoints {
         let mut triples = Vec::with_capacity(ep.triple_count());
         ep.store().scan(None, None, None, |t| {
             triples.push(t);
@@ -41,42 +58,104 @@ fn explain_analyze_at_four_threads_matches_the_committed_golden() {
         let parsed = ntriples::parse_document(&text, &dict).expect("round-trip parses");
         let mut store = TripleStore::new(Arc::clone(&dict));
         store.extend(parsed);
-        let name = ep.name().replace([' ', '/'], "_");
-        loaded_lines.push_str(&format!(
+        lines.push_str(&format!(
             "loaded endpoint {name}: {} triples\n",
             store.len()
         ));
-        fed.add(Arc::new(LocalEndpoint::new(name, store)));
+        if stats {
+            built.push(EndpointStats::build(&store));
+        }
+        let profile = NetworkProfile::default();
+        fed.add(Arc::new(LocalEndpoint::on_backend(
+            name, store, backend, profile,
+        )));
     }
     // The CLI follows the loader lines with one `storage:` line summing
     // the backends' self-reported resident bytes.
     let resident: u64 = fed.iter().filter_map(|(_, ep)| ep.resident_bytes()).sum();
     let n_endpoints = fed.iter().count();
-    loaded_lines.push_str(&format!(
-        "storage: backend btree, {resident} B resident across \
+    lines.push_str(&format!(
+        "storage: backend {backend}, {resident} B resident across \
          {n_endpoints} endpoint(s)\n"
     ));
+    for (id, stats) in built.into_iter().enumerate() {
+        let name = fed.endpoint(id).name().to_string();
+        let sets = stats.sets.len();
+        fed.attach_stats(id, Arc::new(stats));
+        lines.push_str(&format!(
+            "built statistics for {name}: {sets} characteristic set(s)\n"
+        ));
+    }
+    (fed, dict, lines)
+}
 
-    let q4 = w
-        .queries
-        .iter()
-        .find(|nq| nq.name == "Q4")
-        .expect("LUBM workload has Q4");
-    let query = parse_query(&q4.text, &dict).expect("Q4 parses");
-
+/// The CLI's EXPLAIN ANALYZE stdout for `query_name` of `w`: the loader
+/// lines, then `println!("\n{report}")`, under `--fixed-clock`.
+fn explain_analyze_like_the_cli(
+    w: &Workload,
+    query_name: &str,
+    backend: BackendKind,
+    stats: bool,
+    threads: usize,
+) -> String {
+    let (fed, dict, loaded_lines) = load_like_the_cli(w, backend, stats);
+    let named = w.query(query_name);
+    let query = parse_query(&named.text, &dict).expect("the query parses");
     let engine = Lusail::new(LusailConfig::default()).with_clock(ManualClock::new());
-    let opts = ExecOptions::default().with_threads(4);
+    let opts = ExecOptions::default().with_threads(threads);
     let report = engine
         .explain_analyze_with(&fed, &query, &opts)
-        .expect("LUBM federation is non-empty");
+        .expect("the federation is non-empty");
+    format!("{loaded_lines}\n{report}\n")
+}
 
-    // The CLI prints the loader lines, then `println!("\n{report}")`.
-    let got = format!("{loaded_lines}\n{report}\n");
+#[test]
+fn explain_analyze_at_four_threads_matches_the_committed_golden() {
+    let w = lubm::generate(&LubmConfig::new(2));
+    let got = explain_analyze_like_the_cli(&w, "Q4", BackendKind::Btree, false, 4);
     let golden = include_str!("golden/explain_analyze_lubm_q4.txt");
     assert_eq!(
         got, golden,
         "EXPLAIN ANALYZE at threads=4 diverged from the sequential golden"
     );
+}
+
+/// LRB B1 joins a UNION of two one-pattern branches to a three-subquery
+/// WHERE group. The goldens are what the CLI prints over
+/// `lusail-cli generate --workload lrb --out DIR`, for
+/// `lusail-cli explain --endpoint DIR/*.nt --query-file DIR/queries/B1.rq
+/// --backend columns` and for `lusail-cli query` with the same flags plus
+/// `--explain-analyze --fixed-clock` (and `--stats build`). Each nested
+/// group's subqueries are printed under it, numbered after the WHERE
+/// group's (4 and 5); subquery 1 reports the 4 200 rows join step 1
+/// consumes, not a branch's 80; and statistics answer each pattern's
+/// COUNTs once, as for a flat query.
+#[test]
+fn lrb_b1_nested_goldens() {
+    let w = lrb::generate(&LrbConfig::default());
+    let (fed, dict, loaded_lines) = load_like_the_cli(&w, BackendKind::Columns, false);
+    let query = parse_query(&w.query("B1").text, &dict).expect("B1 parses");
+    let plan = Lusail::default().explain(&fed, &query).render(&fed);
+    assert_eq!(
+        format!("{loaded_lines}\n{plan}\n"),
+        include_str!("golden/explain_lrb_b1.txt"),
+        "EXPLAIN"
+    );
+    for (stats, golden) in [
+        (false, include_str!("golden/explain_analyze_lrb_b1.txt")),
+        (
+            true,
+            include_str!("golden/explain_analyze_lrb_b1_stats.txt"),
+        ),
+    ] {
+        for threads in [1, 4] {
+            let got = explain_analyze_like_the_cli(&w, "B1", BackendKind::Columns, stats, threads);
+            assert_eq!(
+                got, golden,
+                "EXPLAIN ANALYZE, stats {stats}, threads {threads}"
+            );
+        }
+    }
 }
 
 /// Planning waits for two waves on LUBM Q4: source selection's coalesced

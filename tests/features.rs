@@ -3,7 +3,7 @@
 
 use lusail_baselines::EngineKind;
 use lusail_benchdata::{bio2rdf, lrb, lubm, qfed};
-use lusail_core::{Lusail, LusailConfig, TraceEvent, TraceSink};
+use lusail_core::{Lusail, LusailConfig, PlanShape, QueryPlan, TraceEvent, TraceSink};
 use lusail_endpoint::{ExecOptions, FederatedEngine, RequestPolicy};
 use std::sync::Arc;
 
@@ -72,16 +72,17 @@ fn order_by_with_limit_returns_global_top_k() {
 }
 
 /// Asserts EXPLAIN's plan for `query` is the one execution runs: same
-/// GJVs, same disjoint / empty verdict, same subqueries with the same
-/// delay flags and (pushed-down, shrunk) projections. Execution's side is
-/// read from what it reports — metrics, its planning trace events, and
+/// GJVs, same disjoint / empty verdict, same subqueries — nested groups'
+/// included, under the same query-wide numbers — with the same delay
+/// flags and (pushed-down, shrunk) projections. Execution's side is read
+/// from what it reports — metrics, its planning trace events, and
 /// `plan_subqueries` — not from the plan EXPLAIN holds.
 fn assert_explain_matches_execution(
     engine: &Lusail,
     fed: &lusail_endpoint::Federation,
     query: &lusail_sparql::Query,
     name: &str,
-) -> lusail_core::QueryPlan {
+) -> QueryPlan {
     let plan = engine.explain(fed, query);
     let sink = TraceSink::enabled();
     let opts = ExecOptions::default().with_trace(sink.clone());
@@ -96,36 +97,51 @@ fn assert_explain_matches_execution(
         .collect();
     planned.sort();
 
-    assert_eq!(plan.gjvs, result.metrics.gjvs, "{name}: GJVs");
-    assert_eq!(plan.empty, result.metrics.subqueries == 0, "{name}: empty");
+    let top = &plan.groups[0];
+    assert_eq!(top.gjvs, result.metrics.gjvs, "{name}: GJVs");
     assert_eq!(
-        plan.disjoint,
+        empty(&plan),
+        result.metrics.subqueries == 0,
+        "{name}: empty"
+    );
+    assert_eq!(
+        disjoint(&plan),
         result.metrics.subqueries == 1 && planned.is_empty(),
         "{name}: disjoint"
     );
-    if plan.disjoint || plan.empty {
-        assert!(plan.subqueries.is_empty(), "{name}");
+    if disjoint(&plan) || empty(&plan) {
+        assert!(top.subqueries().is_empty(), "{name}");
         return plan;
     }
     assert_eq!(
-        plan.subqueries.len(),
+        top.subqueries().len(),
         result.metrics.subqueries,
         "{name}: subquery count"
     );
-    let delays: Vec<(usize, bool)> = plan
-        .subqueries
-        .iter()
-        .map(|sq| sq.delayed)
-        .enumerate()
+    let delays: Vec<(usize, bool)> = (plan.groups.iter())
+        .flat_map(|group| match &group.shape {
+            PlanShape::Decomposed { costs, .. } => (costs.delayed.iter().enumerate())
+                .map(|(i, &delayed)| (group.first + i, delayed))
+                .collect(),
+            _ => Vec::new(),
+        })
         .collect();
     assert_eq!(delays, planned, "{name}: delay decisions");
     let executed = engine
         .plan_subqueries(fed, query)
         .unwrap_or_else(|| panic!("{name}: execution decomposes, the planner does not"));
-    for (sq, run) in plan.subqueries.iter().zip(&executed) {
+    for (sq, run) in top.subqueries().iter().zip(&executed) {
         assert_eq!(sq.projection, run.projection, "{name}: projection");
     }
     plan
+}
+
+fn empty(plan: &QueryPlan) -> bool {
+    matches!(plan.groups[0].shape, PlanShape::Empty)
+}
+
+fn disjoint(plan: &QueryPlan) -> bool {
+    matches!(plan.groups[0].shape, PlanShape::Disjoint { .. })
 }
 
 #[test]
@@ -164,7 +180,9 @@ fn explain_matches_execution_on_mediator_side_shapes() {
 
     // The bare pattern ships whole …
     let bare = parse("SELECT ?n WHERE { ?u a ub:University . ?u ub:name ?n }");
-    assert!(assert_explain_matches_execution(&engine, fed, &bare, "bare").disjoint);
+    assert!(disjoint(&assert_explain_matches_execution(
+        &engine, fed, &bare, "bare"
+    )));
     // … but not under an aggregate, COUNT(*), or an ORDER BY key the
     // endpoints would project away.
     for (name, text) in [
@@ -182,23 +200,24 @@ fn explain_matches_execution_on_mediator_side_shapes() {
         ),
     ] {
         let plan = assert_explain_matches_execution(&engine, fed, &parse(text), name);
-        assert!(!plan.disjoint, "{name}");
-        assert_eq!(plan.subqueries.len(), 1, "{name}");
-        assert!(!plan.render().contains("DISJOINT"), "{name}");
+        assert!(!disjoint(&plan), "{name}");
+        assert_eq!(plan.groups[0].subqueries().len(), 1, "{name}");
+        assert!(!plan.render(fed).contains("DISJOINT"), "{name}");
     }
 
     let nowhere = parse("SELECT ?x WHERE { ?x <http://nowhere/p> ?y . ?x ub:name ?n }");
     let plan = assert_explain_matches_execution(&engine, fed, &nowhere, "empty");
-    assert!(plan.empty);
-    assert!(plan.render().contains("plan: EMPTY"), "{}", plan.render());
+    assert!(empty(&plan));
+    let text = plan.render(fed);
+    assert!(text.contains("plan: EMPTY"), "{text}");
 
     let strawman = Lusail::new(LusailConfig {
         disable_lade: true,
         ..Default::default()
     });
     let plan = assert_explain_matches_execution(&strawman, fed, &bare, "disable_lade");
-    assert_eq!(plan.subqueries.len(), 2);
-    assert_eq!(plan.check_queries, 0);
+    assert_eq!(plan.groups[0].subqueries().len(), 2);
+    assert_eq!(plan.metrics.check_queries, 0);
 }
 
 #[test]
@@ -207,7 +226,7 @@ fn explain_render_mentions_every_endpoint_and_pattern() {
     let engine = Lusail::default();
     let text = engine
         .explain(&w.federation, &w.query("C2P2").query)
-        .render();
+        .render(&w.federation);
     assert!(text.contains("DrugBank"));
     assert!(text.contains("Sider"));
     assert!(text.contains("sameAs"));
