@@ -58,7 +58,7 @@ impl Default for FedX {
 impl FedX {
     /// HiBISCuS: FedX pruning every group's sources by a prebuilt
     /// authority index.
-    pub fn hibiscus(index: HibiscusIndex) -> Self {
+    pub(crate) fn hibiscus(index: HibiscusIndex) -> Self {
         FedX {
             index: Some(index),
             ..FedX::default()

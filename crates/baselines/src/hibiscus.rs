@@ -1,6 +1,6 @@
 //! A HiBISCuS-style source-pruning add-on (Saleem & Ngonga Ngomo,
 //! ESWC 2014), run on top of the FedX executor as in the paper: the engine
-//! is [`FedX::hibiscus`](crate::fedx::FedX::hibiscus), a `FedX` holding the
+//! is `FedX::hibiscus`, a `FedX` holding the
 //! [`HibiscusIndex`] built here.
 //!
 //! HiBISCuS summarizes each endpoint by the **URI authorities** (scheme +

@@ -19,13 +19,25 @@
 //! * [`hibiscus`] — **HiBISCuS** (Saleem & Ngonga Ngomo, ESWC 2014): an
 //!   add-on that prunes sources using per-predicate URI-authority
 //!   summaries; run (as in the paper) on top of the FedX executor —
-//!   [`FedX::hibiscus`].
+//!   `FedX::hibiscus`.
 //!
 //! All three implement [`FederatedEngine`] and return results equivalent
 //! to the centralized evaluation of the query over the union of all
 //! endpoint graphs (verified in the workspace's integration tests).
 //! [`EngineKind`] is the one roster of the four engines: every harness
-//! names and builds them through it.
+//! names and builds them through it. The constructors it calls belong to
+//! this crate, so no caller outside it can build a baseline around the
+//! roster:
+//!
+//! ```compile_fail,E0624
+//! use lusail_baselines::{FedX, HibiscusIndex};
+//! let _ = FedX::hibiscus(HibiscusIndex::build(&[]));
+//! ```
+//!
+//! ```compile_fail,E0624
+//! use lusail_baselines::{Splendid, VoidIndex};
+//! let _ = Splendid::new(VoidIndex::build(&[]));
+//! ```
 
 pub mod common;
 pub mod fedx;

@@ -100,7 +100,7 @@ pub struct Splendid {
 
 impl Splendid {
     /// Creates the engine from a prebuilt index.
-    pub fn new(index: VoidIndex) -> Self {
+    pub(crate) fn new(index: VoidIndex) -> Self {
         Splendid {
             index,
             policy: RequestPolicy::default(),

@@ -45,8 +45,9 @@ pub enum DelayPolicy {
 pub struct SubqueryCosts {
     /// Estimated cardinality `C(sq)` per subquery.
     pub cardinality: Vec<u64>,
-    /// Whether each subquery is delayed.
-    pub delayed: Vec<bool>,
+    /// Why each subquery is delayed ([`DelayDecision::reason`]): `Some`
+    /// exactly for a delayed subquery, `None` for a concurrent one.
+    pub delayed: Vec<Option<String>>,
 }
 
 /// Estimates `C(sq)` for every subquery from the pattern counts `sources`

@@ -16,7 +16,6 @@ use crate::cache::ProbeCaches;
 use crate::cost::{decide_delays_detailed, estimate_cardinalities, DelayPolicy, SubqueryCosts};
 use crate::decompose::{decompose, is_disjoint};
 use crate::exec::{evaluate_subqueries, run_query, Net};
-use crate::explain::render_pattern;
 use crate::fetch::fetch_from;
 use crate::gjv::{detect_gjvs, GjvAnalysis};
 use crate::metrics::QueryMetrics;
@@ -237,32 +236,34 @@ impl Lusail {
         query: &Query,
         opts: &ExecOptions,
     ) -> Result<QueryResult, FederationError> {
-        self.execute_on(fed, query, opts, None)
+        Ok(self.execute_on(fed, query, opts, None)?.0)
     }
 
     /// The one execution path: [`Lusail::plan`] then
     /// [`Lusail::execute_plan`] inside the query driver
-    /// ([`run_query`]). A solo query passes no memo; a batch item passes
-    /// the batch's, and additionally inherits the failure attribution of
-    /// every lost relation it reused.
+    /// ([`run_query`]). Returns the plan that ran beside the result, for
+    /// `EXPLAIN ANALYZE` to render. A solo query passes no memo; a batch
+    /// item passes the batch's, and additionally inherits the failure
+    /// attribution of every lost relation it reused.
     pub(crate) fn execute_on(
         &self,
         fed: &Federation,
         query: &Query,
         opts: &ExecOptions,
         mut memo: Option<&mut BatchMemo>,
-    ) -> Result<QueryResult, FederationError> {
+    ) -> Result<(QueryResult, QueryPlan), FederationError> {
         let clock = self.timing_clock();
-        let (outcome, metrics, dead) = run_query(fed, query, self.policy, clock, opts, |net| {
+        let (outcome, ran, dead) = run_query(fed, query, self.policy, clock, opts, |net| {
             let plan = self.plan(fed, query, &self.caches, net);
             let (solutions, mut metrics) =
-                self.execute_plan(fed, query, plan, net, memo.as_deref_mut());
+                self.execute_plan(fed, query, &plan, net, memo.as_deref_mut());
             let degradation = &net.degradation;
             metrics.degraded_ask_probes = degradation.asks_assumed_relevant.load(Ordering::Relaxed);
             metrics.degraded_check_queries =
                 degradation.checks_assumed_conflict.load(Ordering::Relaxed);
-            (solutions, metrics)
+            (solutions, (metrics, plan))
         })?;
+        let (metrics, plan) = ran;
         // A dead endpoint may have answered probes before it started
         // failing; those memoized answers are suspect too.
         for ep in dead {
@@ -276,12 +277,13 @@ impl Lusail {
         if let Some(memo) = memo {
             memo.finish_item(&mut failures);
         }
-        Ok(QueryResult {
+        let result = QueryResult {
             solutions,
             metrics,
             complete,
             failures,
-        })
+        };
+        Ok((result, plan))
     }
 
     /// LADE for a whole query, before anything executes: source selection
@@ -382,24 +384,21 @@ impl Lusail {
                 let fanouts: Vec<usize> = subqueries.iter().map(|sq| sq.sources.len()).collect();
                 let policy = self.config.delay_policy;
                 let decision = decide_delays_detailed(&cardinality, &fanouts, policy);
-                for (i, sq) in subqueries.iter().enumerate() {
+                let delayed: Vec<Option<String>> = (0..subqueries.len())
+                    .map(|i| decision.reason(i, cardinality[i], fanouts[i]))
+                    .collect();
+                for (i, reason) in delayed.iter().enumerate() {
                     trace.emit(|| TraceEvent::SubqueryPlanned {
                         index: first + i,
-                        patterns: (sq.triples.iter())
-                            .map(|tp| render_pattern(tp, fed.dict()))
-                            .collect(),
-                        sources: sq.sources.len(),
-                        cardinality: cardinality[i],
-                        fanout: fanouts[i],
-                        delayed: decision.delayed[i],
-                        delay_reason: decision.reason(i, cardinality[i], fanouts[i]),
+                        delayed: reason.is_some(),
+                        delay_reason: reason.clone(),
                     });
                 }
                 PlanShape::Decomposed {
                     subqueries,
                     costs: SubqueryCosts {
                         cardinality,
-                        delayed: decision.delayed,
+                        delayed,
                     },
                     global_filters,
                 }
@@ -441,16 +440,18 @@ impl Lusail {
         &self,
         fed: &Federation,
         query: &Query,
-        plan: QueryPlan,
+        plan: &QueryPlan,
         net: &Net,
         memo: Option<&mut BatchMemo>,
     ) -> (SolutionSet, QueryMetrics) {
         let s2 = net.client.requests();
         let t2 = net.clock.now();
-        let (mut metrics, mut groups) = (plan.metrics, plan.groups);
-        metrics.gjvs = std::mem::take(&mut groups[0].gjvs);
-        let mut groups = groups.iter();
+        let mut groups = plan.groups.iter();
         let top = groups.next().expect("a plan holds the WHERE group");
+        let mut metrics = QueryMetrics {
+            gjvs: top.gjvs.clone(),
+            ..plan.metrics.clone()
+        };
         let solutions = match &top.shape {
             PlanShape::Empty => SolutionSet::empty(query.output_vars()),
             PlanShape::Disjoint { sources } => {

@@ -1,11 +1,14 @@
 //! The elastic request handler and SAPE's two-phase subquery evaluation
 //! (Algorithm 3 in the paper).
 //!
-//! The request handler gives each endpoint its own worker thread: requests
-//! to *different* endpoints proceed in parallel, requests to the *same*
-//! endpoint are serialized on its worker — the behaviour of one HTTP
-//! connection per endpoint that the paper's "thread per endpoint" design
-//! assumes.
+//! The request handler groups a batch's requests by endpoint and runs at
+//! most `threads` endpoint groups at once (`ExecOptions::threads`):
+//! requests to the *same* endpoint stay serialized in submission order —
+//! the behaviour of one HTTP connection per endpoint that the paper's
+//! "thread per endpoint" design assumes — and requests to *different*
+//! endpoints overlap only when the budget allows. The default budget of 1
+//! runs every group inline on the calling thread. See DESIGN.md
+//! "Parallel execution".
 //!
 //! Subquery evaluation then follows the paper:
 //! 1. non-delayed subqueries are submitted concurrently to all their
@@ -312,10 +315,10 @@ pub(crate) fn evaluate_subqueries(
 ) -> (SolutionSet, usize) {
     assert_eq!(subqueries.len(), costs.delayed.len());
     let mut delayed_idx: Vec<usize> = (0..subqueries.len())
-        .filter(|&i| costs.delayed[i])
+        .filter(|&i| costs.delayed[i].is_some())
         .collect();
     let mut non_delayed: Vec<usize> = (0..subqueries.len())
-        .filter(|&i| !costs.delayed[i])
+        .filter(|&i| costs.delayed[i].is_none())
         .collect();
 
     // Never start with an empty concurrent phase: promote the most
@@ -687,7 +690,7 @@ mod sape_tests {
         let sqs = subqueries(&dict);
         let costs = SubqueryCosts {
             cardinality: vec![20, 10],
-            delayed: vec![false, true],
+            delayed: vec![None, Some("test".into())],
         };
         let net = Net::default();
         let config = LusailConfig {
@@ -710,7 +713,7 @@ mod sape_tests {
         let sqs = subqueries(&dict);
         let costs = SubqueryCosts {
             cardinality: vec![20, 10],
-            delayed: vec![false, true],
+            delayed: vec![None, Some("test".into())],
         };
         let net = Net::default();
         let config = LusailConfig {
@@ -750,7 +753,7 @@ mod sape_tests {
         let sqs = subqueries(&dict);
         let costs = SubqueryCosts {
             cardinality: vec![20, 10],
-            delayed: vec![true, true],
+            delayed: vec![Some("test".into()), Some("test".into())],
         };
         let net = Net::default();
         let config = LusailConfig::default();
@@ -766,7 +769,7 @@ mod sape_tests {
         let sqs = subqueries(&dict);
         let costs = SubqueryCosts {
             cardinality: vec![20, 10],
-            delayed: vec![false, false],
+            delayed: vec![None, None],
         };
         let net = Net::default();
         let config = LusailConfig::default();

@@ -3,13 +3,15 @@
 //! the very [`QueryPlan`] execution walks, nested groups included.
 //!
 //! `EXPLAIN ANALYZE` goes further: it *executes* the query with an
-//! enabled [`TraceSink`] and renders the plan tree annotated with what
-//! actually happened — request counts per kind (aggregated, because
-//! concurrent request events arrive unordered), actual cardinalities,
-//! VALUES-block traffic, each hash-join step with its planned cost, and
-//! the phase wall times. All wall times come from the engine's
-//! injectable [`Clock`](lusail_endpoint::Clock), so under the test
-//! `ManualClock` the render is byte-identical across runs.
+//! enabled [`TraceSink`] and renders the plan that ran, with the function
+//! `EXPLAIN` uses, annotated with what actually happened — each
+//! subquery's actual rows beside its estimate and whether it was promoted
+//! — after the request counts per kind (aggregated, because concurrent
+//! request events arrive unordered) and before the VALUES-block traffic,
+//! each hash-join step with its planned cost, and the phase wall times.
+//! All wall times come from the engine's injectable
+//! [`Clock`](lusail_endpoint::Clock), so under the test `ManualClock` the
+//! render is byte-identical across runs.
 //!
 //! Used by the CLI's `explain` subcommand and by tests that assert on
 //! planning decisions without paying for execution.
@@ -30,6 +32,14 @@ impl QueryPlan {
     /// group's plan, and each nested group's subqueries indented under its
     /// own line, in the order execution evaluates them.
     pub fn render(&self, fed: &Federation) -> String {
+        self.render_run(fed, None)
+    }
+
+    /// The one rendering of a plan, for `EXPLAIN` and `EXPLAIN ANALYZE`
+    /// alike. With `run`, the trace of the execution that walked this
+    /// plan, each subquery line also says whether SAPE promoted it to the
+    /// concurrent phase and how many rows it returned.
+    fn render_run(&self, fed: &Federation, run: Option<&QueryTrace>) -> String {
         let dict = fed.dict();
         let names = |ids: &[EndpointId]| -> String {
             let names: Vec<&str> = ids.iter().map(|&id| fed.endpoint(id).name()).collect();
@@ -78,16 +88,22 @@ impl QueryPlan {
             let _ = writeln!(out, "{head}: {} subqueries{gjvs}", subqueries.len());
             let indent = "  ".repeat(group.depth + 1);
             for (i, sq) in subqueries.iter().enumerate() {
-                let mode = if costs.delayed[i] {
-                    "[DELAYED: bound VALUES evaluation]"
-                } else {
-                    "[concurrent]"
+                let index = group.first + i;
+                let mode = match &costs.delayed[i] {
+                    Some(reason) => format!("[DELAYED: {reason}]"),
+                    None => "[concurrent]".to_string(),
                 };
+                // `plan()` estimates only a group of several subqueries: a
+                // lone one has nothing to be delayed behind.
+                let estimate = match subqueries.len() {
+                    1 => "not estimated".to_string(),
+                    _ => format!("est. cardinality {}", costs.cardinality[i]),
+                };
+                let (promoted, actual) = measured(run, index);
                 let _ = writeln!(
                     out,
-                    "{indent}subquery {} {mode}  est. cardinality {}  @ [{}]",
-                    group.first + i + 1,
-                    costs.cardinality[i],
+                    "{indent}subquery {} {mode}{promoted}  {estimate}{actual}  @ [{}]",
+                    index + 1,
                     names(&sq.sources)
                 );
                 for tp in &sq.triples {
@@ -100,7 +116,28 @@ impl QueryPlan {
     }
 }
 
-pub(crate) fn render_pattern(tp: &TriplePattern, dict: &Dictionary) -> String {
+/// The run's annotations of subquery `index`'s plan line: the promotion
+/// mark after its mode, and its actual rows after its estimate.
+fn measured(run: Option<&QueryTrace>, index: usize) -> (&'static str, String) {
+    let Some(trace) = run else {
+        return ("", String::new());
+    };
+    let mut annotations = ("", "  not evaluated".to_string());
+    for ev in &trace.events {
+        match ev {
+            TraceEvent::SubqueryPromoted { index: i } if *i == index => {
+                annotations.0 = " [promoted to concurrent]";
+            }
+            TraceEvent::SubqueryEvaluated { index: i, rows } if *i == index => {
+                annotations.1 = format!("  actual rows {rows}");
+            }
+            _ => {}
+        }
+    }
+    annotations
+}
+
+fn render_pattern(tp: &TriplePattern, dict: &Dictionary) -> String {
     let term = |t: &PatternTerm| match t {
         PatternTerm::Var(v) => format!("?{v}"),
         PatternTerm::Const(id) => dict.decode(*id).to_string(),
@@ -119,22 +156,12 @@ impl Lusail {
         self.plan(fed, query, &ProbeCaches::new(None), &net)
     }
 
-    /// `EXPLAIN ANALYZE`: executes `query` with tracing enabled and
-    /// renders the annotated plan. The query *does* run in full — results
-    /// are discarded, the trace is kept.
-    pub fn explain_analyze(
-        &self,
-        fed: &Federation,
-        query: &Query,
-    ) -> Result<String, FederationError> {
-        self.explain_analyze_with(fed, query, &ExecOptions::default())
-    }
-
-    /// [`Lusail::explain_analyze`] under explicit
-    /// [`ExecOptions`](ExecOptions): the query runs with
-    /// the given worker budget and deadline, with tracing force-enabled
-    /// (any sink in `opts.trace` is replaced by the report's own). The
-    /// rendered report is byte-identical at every thread budget.
+    /// `EXPLAIN ANALYZE`: executes `query` under `opts` (its worker budget
+    /// and deadline) with tracing force-enabled (any sink in `opts.trace`
+    /// is replaced by the report's own), and renders the plan that ran
+    /// with what the run measured. The query *does* run in full — results
+    /// are discarded, the trace is kept. The report is byte-identical at
+    /// every thread budget.
     pub fn explain_analyze_with(
         &self,
         fed: &Federation,
@@ -143,18 +170,24 @@ impl Lusail {
     ) -> Result<String, FederationError> {
         let sink = TraceSink::enabled();
         let opts = opts.clone().with_trace(sink.clone());
-        let result = self.execute_with(fed, query, &opts)?;
+        let (result, plan) = self.execute_on(fed, query, &opts, None)?;
         let trace = QueryTrace::from_sink(&sink);
-        Ok(render_analyze(&trace, &result.metrics))
+        Ok(render_analyze(&plan, fed, &trace, &result.metrics))
     }
 }
 
-/// Renders a finished [`QueryTrace`] as the `EXPLAIN ANALYZE` report.
-/// Request events are aggregated per kind (their emission order is not
-/// deterministic under concurrency); everything else is rendered in the
-/// deterministic order the engine's sequential planning path emitted it.
-/// `metrics` adds the phase wall-time line.
-fn render_analyze(trace: &QueryTrace, metrics: &QueryMetrics) -> String {
+/// Renders the `EXPLAIN ANALYZE` report of a finished run: the request
+/// counts, the executed `plan` annotated from `trace`, then the run's
+/// values traffic, joins, resilience and statistics activity. Request
+/// events are aggregated per kind (their emission order is not
+/// deterministic under concurrency). `metrics` adds the phase wall-time
+/// line.
+fn render_analyze(
+    plan: &QueryPlan,
+    fed: &Federation,
+    trace: &QueryTrace,
+    metrics: &QueryMetrics,
+) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "EXPLAIN ANALYZE");
 
@@ -170,76 +203,7 @@ fn render_analyze(trace: &QueryTrace, metrics: &QueryMetrics) -> String {
             s.failures
         );
     }
-
-    // Actual per-subquery outcomes, keyed by their query-wide index: each
-    // subquery is evaluated once (concurrent in phase 1 or bound in phase 2).
-    let mut actual: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut promoted: Vec<usize> = Vec::new();
-    for ev in &trace.events {
-        match ev {
-            TraceEvent::SubqueryEvaluated { index, rows } => {
-                actual.insert(*index, *rows);
-            }
-            TraceEvent::SubqueryPromoted { index } => promoted.push(*index),
-            _ => {}
-        }
-    }
-
-    // The plan, group by group in preorder: each group's `Decomposed`
-    // line, then its subqueries indented under it.
-    let mut indent = String::new();
-    for ev in &trace.events {
-        match ev {
-            TraceEvent::Decomposed {
-                depth,
-                subqueries,
-                gjvs,
-            } => {
-                let head = match depth {
-                    0 => "decomposition".to_string(),
-                    _ => format!("{}group at depth {depth}", "  ".repeat(*depth)),
-                };
-                let _ = writeln!(
-                    out,
-                    "{head}: {subqueries} subqueries  ({gjvs} global join variables)"
-                );
-                indent = "  ".repeat(depth + 1);
-            }
-            TraceEvent::SubqueryPlanned {
-                index,
-                patterns,
-                sources,
-                cardinality,
-                delayed,
-                delay_reason,
-                ..
-            } => {
-                let mode = match delay_reason {
-                    Some(reason) => format!("[DELAYED: {reason}]"),
-                    None if *delayed => "[DELAYED]".to_string(),
-                    None if promoted.contains(index) => "[promoted to concurrent]".to_string(),
-                    None => "[concurrent]".to_string(),
-                };
-                let actual_part = match actual.get(index) {
-                    Some(rows) => format!("actual rows {rows}"),
-                    None => "not evaluated".to_string(),
-                };
-                let _ = writeln!(
-                    out,
-                    "{indent}subquery {} {}  est. cardinality {}  {}  @ {} endpoint(s)",
-                    index + 1,
-                    mode,
-                    cardinality,
-                    actual_part,
-                    sources
-                );
-                for tp in patterns {
-                    let _ = writeln!(out, "{indent}    {tp}");
-                }
-            }
-            _ => {}
-        }
-    }
+    out.push_str(&plan.render_run(fed, Some(trace)));
 
     let (blocks, bindings) = trace.values_batch_totals();
     if blocks > 0 {
@@ -443,7 +407,7 @@ source selection:
   ?v <http://x/q> ?o  @ [B]
 global join variables: [v]  (0 check queries)
 plan: 2 subqueries
-  subquery 1 [DELAYED: bound VALUES evaluation]  est. cardinality 10  @ [A]
+  subquery 1 [DELAYED: cardinality 10 > μ+kσ threshold 1.0]  est. cardinality 10  @ [A]
       ?s <http://x/p> ?v
       project: ?s ?v
   subquery 2 [concurrent]  est. cardinality 1  @ [B]
@@ -509,7 +473,7 @@ plan: DISJOINT — ship the whole query to every relevant endpoint and concatena
         let run = || {
             Lusail::default()
                 .with_clock(ManualClock::new())
-                .explain_analyze(&f, &q)
+                .explain_analyze_with(&f, &q, &ExecOptions::default())
                 .unwrap()
         };
         let first = run();
@@ -522,12 +486,18 @@ requests:
   select  2 requests  2 wire attempts  0 failed
   count   2 requests  2 wire attempts  0 failed
   check   0 requests  0 wire attempts  0 failed
-decomposition: 2 subqueries  (1 global join variables)
+source selection:
+  ?s <http://x/p> ?v  @ [A]
+  ?v <http://x/q> ?o  @ [B]
+global join variables: [v]  (0 check queries)
+plan: 2 subqueries
   subquery 1 [DELAYED: cardinality 10 > μ+kσ threshold 1.0]  \
-est. cardinality 10  actual rows 10  @ 1 endpoint(s)
+est. cardinality 10  actual rows 10  @ [A]
       ?s <http://x/p> ?v
-  subquery 2 [concurrent]  est. cardinality 1  actual rows 1  @ 1 endpoint(s)
+      project: ?s ?v
+  subquery 2 [concurrent]  est. cardinality 1  actual rows 1  @ [B]
       ?v <http://x/q> ?o
+      project: ?v ?o
 values traffic: 1 block(s), 1 binding(s)
 joins:
   step 1: 1 x 10 -> 10 rows  (cost 11.0)
@@ -573,7 +543,7 @@ result: 10 rows  complete: true
         let run = || {
             Lusail::default()
                 .with_clock(ManualClock::new())
-                .explain_analyze(&f, &q)
+                .explain_analyze_with(&f, &q, &ExecOptions::default())
                 .unwrap()
         };
         let first = run();
@@ -585,12 +555,18 @@ requests:
   select  2 requests  2 wire attempts  0 failed
   count   0 requests  0 wire attempts  0 failed
   check   0 requests  0 wire attempts  0 failed
-decomposition: 2 subqueries  (1 global join variables)
+source selection:
+  ?s <http://x/p> ?v  @ [A]
+  ?v <http://x/q> ?o  @ [B]
+global join variables: [v]  (0 check queries)
+plan: 2 subqueries
   subquery 1 [DELAYED: cardinality 10 > μ+kσ threshold 1.0]  \
-est. cardinality 10  actual rows 10  @ 1 endpoint(s)
+est. cardinality 10  actual rows 10  @ [A]
       ?s <http://x/p> ?v
-  subquery 2 [concurrent]  est. cardinality 1  actual rows 1  @ 1 endpoint(s)
+      project: ?s ?v
+  subquery 2 [concurrent]  est. cardinality 1  actual rows 1  @ [B]
       ?v <http://x/q> ?o
+      project: ?v ?o
 values traffic: 1 block(s), 1 binding(s)
 joins:
   step 1: 1 x 10 -> 10 rows  (cost 11.0)
@@ -646,7 +622,7 @@ result: 10 rows  complete: true
             Lusail::default()
                 .with_policy(policy)
                 .with_clock(ManualClock::new())
-                .explain_analyze(&f, &q)
+                .explain_analyze_with(&f, &q, &ExecOptions::default())
                 .unwrap()
         };
         let first = run();
@@ -662,7 +638,10 @@ requests:
   select  2 requests  1 wire attempts  1 failed
   count   1 requests  1 wire attempts  1 failed
   check   0 requests  0 wire attempts  0 failed
-decomposition: 1 subqueries  (0 global join variables)
+source selection:
+  ?s <http://x/p> ?v  @ [A]
+global join variables: []  (0 check queries)
+plan: DISJOINT — ship the whole query to every relevant endpoint and concatenate
 resilience:
   health: endpoint 0 closed -> open  (1x)
   failover: endpoint 0 -> 1 on select  (1x)
@@ -670,6 +649,56 @@ phases: source selection 0ns, analysis 0ns, execution 0ns, total 0ns
 result: 1 rows  complete: true
 ";
         assert_eq!(first, expected);
+    }
+
+    #[test]
+    fn explain_analyze_marks_the_promoted_subquery() {
+        use lusail_endpoint::ManualClock;
+        // A hundred `p` triples at A, ten `q` triples over three endpoints:
+        // the two-point rule delays subquery 1 on cardinality (100 vs 10)
+        // and subquery 2 on fan-out (3 vs 1). With both delayed, SAPE
+        // promotes the smaller one, subquery 2, to the concurrent phase.
+        let dict = Dictionary::shared();
+        let mut a = TripleStore::new(Arc::clone(&dict));
+        for i in 0..100 {
+            a.insert_terms(
+                &Term::iri(format!("http://a/s{i}")),
+                &Term::iri("http://x/p"),
+                &Term::iri(format!("http://b/v{}", i % 20)),
+            );
+        }
+        let mut f = Federation::new(Arc::clone(&dict));
+        f.add(Arc::new(LocalEndpoint::new("A", a)));
+        for (name, range) in [("B1", 0..4), ("B2", 4..7), ("B3", 7..10)] {
+            let mut b = TripleStore::new(Arc::clone(&dict));
+            for k in range {
+                b.insert_terms(
+                    &Term::iri(format!("http://b/v{k}")),
+                    &Term::iri("http://x/q"),
+                    &Term::iri("http://b/o"),
+                );
+            }
+            f.add(Arc::new(LocalEndpoint::new(name, b)));
+        }
+        let q = delayed_query(&f);
+        let report = Lusail::default()
+            .with_clock(ManualClock::new())
+            .explain_analyze_with(&f, &q, &ExecOptions::default())
+            .unwrap();
+        let line = |n: &str| {
+            let head = format!("  subquery {n} [");
+            report.lines().find(|l| l.starts_with(&head)).unwrap()
+        };
+        assert!(
+            line("1").contains("[DELAYED: cardinality 100 > μ+kσ threshold 10.0]  est."),
+            "{report}"
+        );
+        assert!(
+            line("2")
+                .contains("[DELAYED: fan-out 3 > μ+kσ threshold 1.0] [promoted to concurrent]"),
+            "{report}"
+        );
+        assert!(line("1").contains("actual rows 50") && line("2").contains("actual rows 10"));
     }
 
     #[test]

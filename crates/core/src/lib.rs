@@ -20,8 +20,10 @@
 //!    endpoint fan-out (threshold `μ+σ` after Chauvenet outlier
 //!    rejection) are *delayed* and later evaluated as bound subqueries
 //!    over `VALUES` blocks of already-found bindings. Non-delayed
-//!    subqueries run concurrently, one worker per endpoint, and results
-//!    are combined with dynamic-programming-ordered hash joins.
+//!    subqueries are dispatched together, at most `threads` endpoints at
+//!    a time (one, inline, by default; see DESIGN.md "Parallel
+//!    execution"), and results are combined with
+//!    dynamic-programming-ordered hash joins.
 //!
 //! Planning waits on the wire once for source selection's `COUNT`s — one
 //! wave per query, for the patterns of every group — plus one wave of

@@ -314,7 +314,7 @@ impl Lusail {
             };
             outcomes.push(
                 match self.execute_on(fed, &item.query, &opts, Some(&mut memo)) {
-                    Ok(result) => BatchOutcome::Finished(Box::new(result)),
+                    Ok((result, _)) => BatchOutcome::Finished(Box::new(result)),
                     Err(e) => BatchOutcome::Error(e),
                 },
             );
@@ -353,7 +353,7 @@ impl Lusail {
             std::slice::from_ref(sq),
             &SubqueryCosts {
                 cardinality: vec![1],
-                delayed: vec![false],
+                delayed: vec![None],
             },
             self.config(),
             None,

@@ -8,8 +8,10 @@
 //! the cardinality SAPE's cost model reads — so planning needs no second
 //! probe round. How the probes travel is the kind's transport
 //! (`probe.rs`): an endpoint's `COUNT`s go as one request, `ASK`s one
-//! request per (pattern, endpoint). Endpoints are probed in parallel
-//! through the elastic request handler (one worker per endpoint).
+//! request per (pattern, endpoint). The probes of all endpoints go out as
+//! one batch through the elastic request handler, which runs at most
+//! `threads` endpoints at once — one, inline, by default (DESIGN.md
+//! "Parallel execution").
 
 use crate::cache::{PatternKey, ProbeCache};
 use crate::exec::Net;

@@ -271,10 +271,6 @@ mod tests {
     fn delayed_without_reason_flags_only_malformed_entries() {
         let planned = |index, delayed, reason: Option<&str>| TraceEvent::SubqueryPlanned {
             index,
-            patterns: Vec::new(),
-            sources: 1,
-            cardinality: 10,
-            fanout: 1,
             delayed,
             delay_reason: reason.map(str::to_string),
         };

@@ -152,19 +152,13 @@ pub enum TraceEvent {
         /// Global join variables detected by LADE.
         gjvs: usize,
     },
-    /// The cost model's verdict for one subquery.
+    /// The cost model's verdict for one subquery. The subquery itself —
+    /// patterns, sources, estimate — is in the engine's plan, which
+    /// `EXPLAIN` and `EXPLAIN ANALYZE` render.
     SubqueryPlanned {
         /// Subquery index, query-wide: numbered in group preorder, so the
         /// WHERE group's are `0..n` and no two groups share one.
         index: usize,
-        /// Rendered triple patterns.
-        patterns: Vec<String>,
-        /// Number of relevant endpoints.
-        sources: usize,
-        /// Estimated cardinality `C(sq)`.
-        cardinality: u64,
-        /// Endpoint fan-out used by the delay decision.
-        fanout: usize,
         /// Whether the subquery is delayed.
         delayed: bool,
         /// Human-readable reason (the Chauvenet `μ+kσ` threshold the

@@ -28,6 +28,16 @@ impl std::error::Error for ParseError {}
 /// it), recurse once per level; the server tests run a query at this bound
 /// on a connection thread's default 2 MiB stack. A deeper query is a
 /// [`ParseError`], which the server answers with `400`.
+///
+/// Stack per level, measured by bisecting the smallest thread stack that
+/// survives (x86-64 Linux, rustc 1.95): parsing and writing back nested
+/// groups, the costliest kind, take about 1.5 KiB per level in a release
+/// build (200 KiB at this bound) and 6.7 KiB in a debug build (860 KiB);
+/// expression levels take a little less, and planning plus executing a
+/// query of nested `OPTIONAL`s at the bound needs no more than parsing
+/// it. On a connection thread's default 2 MiB stack a release server keeps
+/// about 1.8 MiB, nine tenths of it, to spare at the bound, so connection
+/// threads keep the default stack size.
 pub const MAX_NESTING: usize = 128;
 
 /// Parses a SPARQL query string, interning constants into `dict`.

@@ -919,10 +919,6 @@ mod tests {
     fn each_subquery_is_planned_and_evaluated_once() {
         let planned = |index| TraceEvent::SubqueryPlanned {
             index,
-            patterns: Vec::new(),
-            sources: 1,
-            cardinality: 0,
-            fanout: 1,
             delayed: false,
             delay_reason: None,
         };

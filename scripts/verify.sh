@@ -342,11 +342,6 @@ fi
 echo "==> one engine roster (lusail_baselines::EngineKind names and builds the four engines; FederatedEngine is run_with only; no per-request deadline or cache switch)"
 scattered=0
 # Here-strings, not pipes (see the stanzas above).
-stray=$(grep -rlE --include='*.rs' 'FedX::hibiscus\(|Splendid::new\(' crates src tests examples | grep -v '^crates/baselines/src/' || true)
-if [ -n "$stray" ]; then
-    echo "a baseline is built outside the roster (use EngineKind::build):" $stray >&2
-    scattered=1
-fi
 stray=$(grep -rlF --include='*.rs' 'enum EngineKind' crates src tests examples | grep -v '^crates/baselines/' || true)
 if [ -n "$stray" ]; then
     echo "a second engine roster is declared (lusail_baselines::EngineKind is the one):" $stray >&2

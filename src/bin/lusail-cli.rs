@@ -17,10 +17,11 @@
 //!   `--kill NAME` makes the named endpoint permanently unavailable and
 //!   `--kill NAME:N` kills it after serving N requests — a primary dying
 //!   mid-query. With `--explain-analyze` the query still runs in full,
-//!   but the structured trace is rendered instead of the rows: per-kind
-//!   request/attempt counts, decomposition, per-subquery delay decisions
-//!   with their Chauvenet reasons, VALUES traffic, join steps, circuit /
-//!   failover activity, and phase timings. `--fixed-clock` runs
+//!   but a report is printed instead of the rows: per-kind
+//!   request/attempt counts, the plan that ran as `explain` prints it
+//!   (delay decisions with their Chauvenet reasons) with each subquery's
+//!   actual rows, VALUES traffic, join steps, circuit / failover
+//!   activity, and phase timings. `--fixed-clock` runs
 //!   against a manual test clock so the report is byte-stable (all
 //!   durations render as 0ns).
 //! * `explain --endpoint FILE.nt ... (--query 'SPARQL' | --query-file F)`

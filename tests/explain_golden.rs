@@ -14,11 +14,15 @@
 //! durations render as 0ns.
 //!
 //! LRB B1 pins the plan of a query with nested groups the same way (see
-//! [`lrb_b1_nested_goldens`]).
+//! [`lrb_b1_nested_goldens`]), and every query of the four generated
+//! workloads checks that EXPLAIN ANALYZE prints the plan EXPLAIN prints
+//! (see [`analyze_prints_the_plan_explain_prints`]).
 
+use lusail_benchdata::bio2rdf::{self, Bio2RdfConfig};
 use lusail_benchdata::common::Workload;
 use lusail_benchdata::lrb::{self, LrbConfig};
 use lusail_benchdata::lubm::{self, LubmConfig};
+use lusail_benchdata::qfed::{self, QfedConfig};
 use lusail_endpoint::{
     ExecOptions, Federation, LocalEndpoint, ManualClock, NetworkProfile, SparqlEndpoint,
     TraceEvent, TraceSink,
@@ -175,4 +179,66 @@ fn lubm_q4_plans_in_two_waves() {
         .filter(|ev| matches!(ev, TraceEvent::Dispatch { .. }))
         .count();
     assert_eq!(waves, 2);
+}
+
+/// ANALYZE's plan block (from `source selection:` to the first of the
+/// run's own sections) with the run's annotations taken out of each
+/// subquery line: the promoted mark and the actual rows.
+fn plan_block_without_run(report: &str) -> String {
+    let sections = [
+        "values traffic",
+        "joins:",
+        "resilience:",
+        "statistics:",
+        "phases:",
+    ];
+    let mut block = String::new();
+    let lines = report
+        .lines()
+        .skip_while(|l| !l.starts_with("source selection:"));
+    for line in lines.take_while(|l| !sections.iter().any(|s| l.starts_with(s))) {
+        let mut line =
+            (line.replace(" [promoted to concurrent]", "")).replace("  not evaluated", "");
+        if let Some(at) = line.find("  actual rows ") {
+            let rows = &line[at + "  actual rows ".len()..];
+            let digits = rows
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(rows.len());
+            line.replace_range(at..at + "  actual rows ".len() + digits, "");
+        }
+        block.push_str(&line);
+        block.push('\n');
+    }
+    block
+}
+
+/// EXPLAIN ANALYZE renders the plan that ran with the function EXPLAIN
+/// uses: over every query of the four workloads `lusail-cli generate`
+/// writes at its default size, ANALYZE on one fresh engine and EXPLAIN on
+/// another print the same plan, byte for byte, once the run's
+/// annotations are stripped.
+#[test]
+fn analyze_prints_the_plan_explain_prints() {
+    let workloads = [
+        lubm::generate(&LubmConfig::new(4)),
+        qfed::generate(&QfedConfig::default()),
+        lrb::generate(&LrbConfig::default()),
+        bio2rdf::generate(&Bio2RdfConfig::default()),
+    ];
+    for w in &workloads {
+        let fed = &w.federation;
+        for named in &w.queries {
+            let explain = Lusail::default().explain(fed, &named.query).render(fed);
+            let report = Lusail::default()
+                .with_clock(ManualClock::new())
+                .explain_analyze_with(fed, &named.query, &ExecOptions::default())
+                .expect("the federation is non-empty");
+            assert_eq!(
+                plan_block_without_run(&report),
+                explain,
+                "{}: ANALYZE's plan differs from EXPLAIN's",
+                named.name
+            );
+        }
+    }
 }

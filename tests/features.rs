@@ -121,7 +121,7 @@ fn assert_explain_matches_execution(
     let delays: Vec<(usize, bool)> = (plan.groups.iter())
         .flat_map(|group| match &group.shape {
             PlanShape::Decomposed { costs, .. } => (costs.delayed.iter().enumerate())
-                .map(|(i, &delayed)| (group.first + i, delayed))
+                .map(|(i, reason)| (group.first + i, reason.is_some()))
                 .collect(),
             _ => Vec::new(),
         })

@@ -22,7 +22,7 @@ use lusail_endpoint::{FederatedEngine, Federation, LocalEndpoint};
 use lusail_rdf::{Dictionary, Term, TermId};
 use lusail_sparql::ast::{GroupPattern, PatternTerm, Query, TriplePattern};
 use lusail_sparql::solution::{JoinKind, JoinPredicate};
-use lusail_sparql::{parse_query, write_query, SolutionSet};
+use lusail_sparql::{parse_query, write_query, SolutionSet, MAX_NESTING};
 use lusail_store::TripleStore;
 use lusail_testkit::seed_from_env;
 use std::sync::Arc;
@@ -343,6 +343,89 @@ fn parse_write_parse_is_identity() {
             .unwrap_or_else(|e| panic!("case {case}: round-trip failed: {e}\n{written}"));
         assert_eq!(q1, q2, "case {case}:\n{text}\n{written}");
     }
+}
+
+/// A random nest of groups and expressions around one triple: `levels`
+/// openers drawn from `{`, `OPTIONAL {`, `FILTER (`, `(`, `!` and `&&`,
+/// closed in order. With `noise`, the closers are dropped, doubled or
+/// shuffled instead, so most such strings fail to parse.
+fn rand_nest(rng: &mut Rng, levels: usize, noise: bool) -> String {
+    let (mut open, mut close) = (String::new(), Vec::new());
+    let mut in_expression = false;
+    for _ in 0..levels {
+        let (opener, closer) = match (in_expression, rng.below(3)) {
+            (false, 0) => ("{ ", Some(" }")),
+            (false, 1) => ("?s <http://x/p> ?o OPTIONAL { ", Some(" }")),
+            (false, _) => ("?s <http://x/p> ?o FILTER (", Some(")")),
+            (true, 0) => ("(", Some(")")),
+            (true, 1) => ("!", None),
+            (true, _) => ("(BOUND(?s) && ", Some(")")),
+        };
+        in_expression |= opener.ends_with('(');
+        open.push_str(opener);
+        close.extend(closer);
+    }
+    close.reverse();
+    if noise {
+        for _ in 0..1 + rng.below(4) {
+            let (i, j) = (rng.below(close.len() + 1), rng.below(close.len() + 1));
+            match rng.below(3) {
+                0 if i < close.len() => drop(close.remove(i)),
+                1 => close.insert(i, if rng.chance(0.5) { " }" } else { ")" }),
+                _ if i < close.len() && j < close.len() => close.swap(i, j),
+                _ => {}
+            }
+        }
+    }
+    let core = if in_expression {
+        "BOUND(?o)"
+    } else {
+        "?s <http://x/p> ?o"
+    };
+    format!("SELECT * WHERE {{ {open}{core}{} }}", close.concat())
+}
+
+/// However a query nests, `parse_query` answers `Ok` or `Err` and never
+/// overflows its stack: the nesting bound refuses every query deeper than
+/// `MAX_NESTING` before its recursion gets there. Every query it accepts
+/// is written back too, since the writer recurses once per level for
+/// every wire request. The cases run on a thread with an explicit 1 MiB
+/// stack, half a server connection thread's default, so the test holds
+/// in a debug build whatever `RUST_MIN_STACK` says.
+#[test]
+fn nesting_never_overflows_the_parser_or_writer() {
+    let seed = seed_from_env(0xB2);
+    let cases = std::thread::Builder::new()
+        .stack_size(1 << 20)
+        .spawn(move || {
+            let mut rng = Rng::new(seed);
+            let (mut accepted, mut refused) = (0, 0);
+            for case in 0..400 {
+                // Half the cases within 16 levels of the bound, or past it.
+                let levels = match rng.chance(0.5) {
+                    true => MAX_NESTING - 16 + rng.below(48),
+                    false => rng.below(MAX_NESTING),
+                };
+                let noise = rng.chance(0.3);
+                let text = rand_nest(&mut rng, levels, noise);
+                let dict = Dictionary::new();
+                match parse_query(&text, &dict) {
+                    Ok(q) => {
+                        accepted += 1;
+                        assert!(!write_query(&q, &dict).is_empty(), "case {case}");
+                    }
+                    Err(e) => refused += usize::from(e.to_string().contains("nests deeper")),
+                }
+            }
+            (accepted, refused)
+        })
+        .expect("the test thread starts")
+        .join();
+    let (accepted, refused) = cases.expect("no case aborted the parser or writer");
+    assert!(
+        accepted > 100 && refused > 50,
+        "{accepted} accepted, {refused} refused"
+    );
 }
 
 // ---------- store vs naive matcher ------------------------------------------
