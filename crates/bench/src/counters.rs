@@ -27,7 +27,7 @@
 //! claims, and [`diff`] compares it with the committed file.
 
 use lusail_baselines::EngineKind;
-use lusail_benchdata::{bio2rdf, lubm, qfed, Workload};
+use lusail_benchdata::{bio2rdf, lrb, lubm, qfed, Workload};
 use lusail_core::{LusailConfig, QueryTrace, RequestKind, TraceSink};
 use lusail_endpoint::{ExecOptions, NetworkProfile, RequestPolicy};
 use lusail_store::{BackendKind, EndpointStats};
@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// The workload axis.
-pub const WORKLOADS: [&str; 3] = ["lubm", "qfed", "bio2rdf"];
+pub const WORKLOADS: [&str; 4] = ["lubm", "qfed", "bio2rdf", "lrb"];
 
 /// The configuration axis (see module docs).
 pub const CONFIGS: [&str; 2] = ["optimized", "stats"];
@@ -338,6 +338,11 @@ fn build_workload(name: &str, backend: BackendKind) -> Workload {
             backend,
             ..Default::default()
         }),
+        "lrb" => lrb::generate(&lrb::LrbConfig {
+            profiles: wan_sim(13),
+            backend,
+            ..Default::default()
+        }),
         other => panic!("unknown workload {other}"),
     }
 }
@@ -513,7 +518,7 @@ mod tests {
     #[test]
     fn committed_file_round_trips_and_malformed_files_are_typed_errors() {
         let lines = parse(COMMITTED).unwrap();
-        assert_eq!(lines.len(), 128);
+        assert_eq!(lines.len(), 360);
         assert_eq!(render(&lines), COMMITTED);
         assert_eq!(parse(&render(&lines[..5])).unwrap(), lines[..5]);
 

@@ -10,7 +10,7 @@ pub mod figures;
 
 use lusail_baselines::EngineKind;
 use lusail_endpoint::ExecOptions;
-use lusail_endpoint::{FederatedEngine, Federation, StatsSnapshot};
+use lusail_endpoint::{FederatedEngine, Federation, QueryOutcome, StatsSnapshot};
 use lusail_sparql::{Query, SolutionSet};
 use std::io::Write as _;
 use std::sync::mpsc;
@@ -80,16 +80,31 @@ pub fn run_with_timeout(
             let _ = tx.send(outcome);
         });
     }
-    match rx.recv_timeout(timeout) {
-        Ok(outcome) => RunResult {
-            elapsed: start.elapsed(),
-            requests: fed.stats_snapshot().since(&before),
+    let outcome = rx.recv_timeout(timeout).ok();
+    let requests = fed.stats_snapshot().since(&before);
+    settle(outcome, start.elapsed(), timeout, requests)
+}
+
+/// The result of a run whose `outcome` arrived (`Some`) or did not after
+/// `elapsed`. A run that used up its `timeout` timed out whichever came
+/// first: the engine stops at that same deadline and may hand back its
+/// cut-short outcome before the wait for it ends.
+fn settle(
+    outcome: Option<QueryOutcome>,
+    elapsed: Duration,
+    timeout: Duration,
+    requests: StatsSnapshot,
+) -> RunResult {
+    match outcome {
+        Some(outcome) if elapsed < timeout => RunResult {
+            elapsed,
+            requests,
             solutions: Some(outcome.solutions),
             complete: outcome.complete,
         },
-        Err(_) => RunResult {
-            elapsed: start.elapsed(),
-            requests: fed.stats_snapshot().since(&before),
+        _ => RunResult {
+            elapsed,
+            requests,
             solutions: None,
             complete: false,
         },
@@ -291,24 +306,107 @@ pub fn fmt_count(n: u64) -> String {
 mod tests {
     use super::*;
 
+    /// An outcome that arrives once the timeout is used up is a timeout:
+    /// the engine gave up at the same deadline, so its answer may be cut
+    /// short. Only an outcome inside the timeout counts as finished.
+    #[test]
+    fn an_outcome_at_the_timeout_is_a_timeout() {
+        let timeout = Duration::from_millis(50);
+        let outcome = || QueryOutcome {
+            solutions: SolutionSet::unit(),
+            complete: false,
+            failures: Vec::new(),
+        };
+        let at = |elapsed| settle(Some(outcome()), elapsed, timeout, StatsSnapshot::default());
+        assert!(at(timeout).timed_out());
+        assert!(at(timeout * 2).timed_out());
+        let inside = at(timeout - Duration::from_millis(1));
+        assert_eq!((inside.timed_out(), inside.rows()), (false, Some(1)));
+        assert!(settle(None, timeout, timeout, StatsSnapshot::default()).timed_out());
+    }
+
+    /// Holds every request until the test opens it.
+    #[derive(Default)]
+    struct Gate {
+        open: std::sync::Mutex<bool>,
+        opened: std::sync::Condvar,
+        in_flight: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Gate {
+        fn pass<T>(&self, request: impl FnOnce() -> T) -> T {
+            use std::sync::atomic::Ordering::SeqCst;
+            self.in_flight.fetch_add(1, SeqCst);
+            let open = self.open.lock().unwrap();
+            drop(self.opened.wait_while(open, |open| !*open).unwrap());
+            let answer = request();
+            self.in_flight.fetch_sub(1, SeqCst);
+            answer
+        }
+
+        fn open(&self) {
+            *self.open.lock().unwrap() = true;
+            self.opened.notify_all();
+        }
+    }
+
+    /// An endpoint whose every request waits at a shared [`Gate`].
+    struct Gated(Arc<lusail_endpoint::LocalEndpoint>, Arc<Gate>);
+
+    impl lusail_endpoint::SparqlEndpoint for Gated {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn ask(&self, q: &Query) -> Result<bool, lusail_endpoint::EndpointError> {
+            self.1.pass(|| self.0.ask(q))
+        }
+        fn select(&self, q: &Query) -> Result<SolutionSet, lusail_endpoint::EndpointError> {
+            self.1.pass(|| self.0.select(q))
+        }
+        fn count(&self, q: &Query) -> Result<u64, lusail_endpoint::EndpointError> {
+            self.1.pass(|| self.0.count(q))
+        }
+        fn stats_snapshot(&self) -> StatsSnapshot {
+            self.0.stats_snapshot()
+        }
+        fn triple_count(&self) -> usize {
+            self.0.triple_count()
+        }
+    }
+
     /// A run abandoned at its timeout stops using the wire: counters read
-    /// after it are not moved by the detached thread.
+    /// after it are not moved by the detached thread. Every request waits
+    /// at a gate that opens only after the run was abandoned, so the run
+    /// cannot finish in time however the machine schedules it.
     #[test]
     fn timed_out_run_sends_no_request_after_its_timeout() {
         use lusail_benchdata::lubm;
-        use lusail_endpoint::NetworkProfile;
-        let w = lubm::generate(&lubm::LubmConfig {
-            profiles: Some(vec![NetworkProfile::wan(2, 200); 4]),
-            ..lubm::LubmConfig::new(4)
-        });
+        use std::sync::atomic::Ordering::SeqCst;
+        let w = lubm::generate(&lubm::LubmConfig::new(2));
+        let gate = Arc::new(Gate::default());
+        let mut fed = Federation::new(Arc::clone(&w.dict));
+        for ep in &w.endpoints {
+            fed.add(Arc::new(Gated(Arc::clone(ep), Arc::clone(&gate))));
+        }
         let engine: Arc<dyn FederatedEngine> = Arc::new(lusail_baselines::FedX::default());
         let query = &w.query("Q2").query;
-        let r = run_with_timeout(&engine, &w.federation, query, Duration::from_millis(50));
-        assert!(r.timed_out(), "FedX finished Q2 over a 2 ms WAN in 50 ms");
+        let r = run_with_timeout(&engine, &fed, query, Duration::from_millis(50));
+        assert!(r.timed_out(), "a run whose requests are all held finished");
+        gate.open();
+        // The request held at the gate, if any, now completes; after it
+        // the deadline lets no other request start.
+        let released = Instant::now();
+        while gate.in_flight.load(SeqCst) > 0 {
+            assert!(
+                released.elapsed() < Duration::from_secs(10),
+                "a held request never returned"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
         std::thread::sleep(Duration::from_millis(50));
-        let settled = w.federation.stats_snapshot().total_requests();
+        let settled = fed.stats_snapshot().total_requests();
         std::thread::sleep(Duration::from_millis(200));
-        assert_eq!(w.federation.stats_snapshot().total_requests(), settled);
+        assert_eq!(fed.stats_snapshot().total_requests(), settled);
     }
 
     #[test]

@@ -48,6 +48,11 @@ pub struct SubqueryCosts {
     /// Why each subquery is delayed ([`DelayDecision::reason`]): `Some`
     /// exactly for a delayed subquery, `None` for a concurrent one.
     pub delayed: Vec<Option<String>>,
+    /// Per subquery, `(source, bound)` for each source whose unbound answer
+    /// has at most `bound` rows (see [`row_bounds`]). SAPE fetches a
+    /// delayed subquery whole from a source whose bounded answer is
+    /// smaller on the wire than the bindings it would be sent.
+    pub row_bounds: Vec<Vec<(EndpointId, u64)>>,
 }
 
 /// Estimates `C(sq)` for every subquery from the pattern counts `sources`
@@ -92,6 +97,26 @@ pub(crate) fn estimate_cardinalities(subqueries: &[Subquery], sources: &SourceMa
                     .unwrap_or(0);
             }
             c_sq
+        })
+        .collect()
+}
+
+/// Per subquery, an upper bound on the rows each source answers it
+/// unbound with: for a single-pattern subquery, source selection's count
+/// of its pattern there (a failed `COUNT` is the endpoint's triple count,
+/// still a bound; pushed filters only remove rows). A subquery of several
+/// patterns joins them at the endpoint, which no pattern count bounds, so
+/// it has none.
+pub(crate) fn row_bounds(
+    subqueries: &[Subquery],
+    sources: &SourceMap,
+) -> Vec<Vec<(EndpointId, u64)>> {
+    (subqueries.iter())
+        .map(|sq| match sq.triples.as_slice() {
+            [tp] => (sq.sources.iter())
+                .filter_map(|&ep| Some((ep, sources.cardinality(tp, ep)?)))
+                .collect(),
+            _ => Vec::new(),
         })
         .collect()
 }

@@ -13,7 +13,9 @@
 //! fast path for LUBM Q1/Q2.
 
 use crate::cache::ProbeCaches;
-use crate::cost::{decide_delays_detailed, estimate_cardinalities, DelayPolicy, SubqueryCosts};
+use crate::cost::{
+    decide_delays_detailed, estimate_cardinalities, row_bounds, DelayPolicy, SubqueryCosts,
+};
 use crate::decompose::{decompose, is_disjoint};
 use crate::exec::{evaluate_subqueries, run_query, Net};
 use crate::fetch::fetch_from;
@@ -40,7 +42,9 @@ pub struct LusailConfig {
     pub delay_policy: DelayPolicy,
     /// Bindings in the first `VALUES` block of a bound subquery, and the
     /// floor for the rest: the later blocks are sized from the first one's
-    /// observed response cardinality and never drop below this.
+    /// observed response cardinality and never drop below this. Blocks go
+    /// only to the sources the bindings are shipped to; a source fetched
+    /// whole (its counted answer is smaller than the bindings) gets none.
     pub block_size: usize,
     /// Ablation switch: disable locality-aware decomposition. Every triple
     /// pattern becomes its own subquery (the §II strawman of evaluating
@@ -394,11 +398,13 @@ impl Lusail {
                         delay_reason: reason.clone(),
                     });
                 }
+                let bounds = row_bounds(&subqueries, &sources);
                 PlanShape::Decomposed {
                     subqueries,
                     costs: SubqueryCosts {
                         cardinality,
                         delayed,
+                        row_bounds: bounds,
                     },
                     global_filters,
                 }

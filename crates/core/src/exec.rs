@@ -17,10 +17,16 @@
 //!    first, as bound subqueries: the already-found bindings of a shared
 //!    variable are attached in `VALUES` blocks (one request per block per
 //!    endpoint), with source refinement for variable-predicate patterns.
-//!    Blocks are sized from the first one: it runs at the configured
-//!    `block_size`, and the per-binding response cardinality it reveals
-//!    scales the remaining blocks up (never below `block_size`) toward a
-//!    target rows-per-request, so selective subqueries ship few requests.
+//!    Bind or fetch, per source: a source whose whole answer to a
+//!    single-pattern subquery — bounded by source selection's count of the
+//!    pattern there — costs fewer wire bytes than the bindings alone would
+//!    is sent the unbound subquery once instead, in the same wave as the
+//!    first block; rows matching no binding die in the join. Blocks go to
+//!    the other sources and are sized from the first one: it runs at the
+//!    configured `block_size`, and the per-binding response cardinality it
+//!    reveals at those sources scales the remaining blocks up (never below
+//!    `block_size`) toward a target rows-per-request, so selective
+//!    subqueries ship few requests.
 
 use crate::cost::SubqueryCosts;
 use crate::engine::LusailConfig;
@@ -33,8 +39,7 @@ use lusail_endpoint::{
     RequestPolicy, ResilientClient, SystemClock, TraceEvent, TraceSink,
 };
 use lusail_sparql::ast::{Query, ValuesBlock};
-use lusail_sparql::Rows;
-use lusail_sparql::SolutionSet;
+use lusail_sparql::{query_wire_len, Rows, SolutionSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -358,14 +363,36 @@ pub(crate) fn evaluate_subqueries(
                     // bindings before shipping every block everywhere.
                     sources = refine_sources(fed, net, sq, &var, &values, &sources);
                 }
-                // One query per block: every endpoint's request borrows it.
-                let dispatch = |blocks: Vec<ValuesBlock>| -> Vec<Option<SolutionSet>> {
+                // Bind or fetch, per source: a source in `whole` answers
+                // the unbound subquery once instead of receiving blocks.
+                let whole = fetched_whole(fed, sq, &costs.row_bounds[pick], &sources, &values);
+                let whole_request = |ep: EndpointId| {
+                    let (query, bounds) = whole.as_ref()?;
+                    let &(_, rows_bound) = bounds.iter().find(|&&(e, _)| e == ep)?;
+                    Some((query, rows_bound))
+                };
+                // One wave of requests: one query per block, which every
+                // shipping endpoint's request borrows, plus (in the first
+                // wave) the whole requests. Returns the answers and the
+                // rows the shipping endpoints' blocks produced.
+                let dispatch = |blocks: Vec<ValuesBlock>, first_wave: bool| {
                     let queries: Vec<(usize, Query)> = blocks
                         .into_iter()
                         .map(|block| (block.rows.len(), sq.to_query(Some(block))))
                         .collect();
                     let mut requests: Vec<(EndpointId, &Query)> = Vec::new();
                     for &endpoint in &sources {
+                        if let Some((query, rows_bound)) = whole_request(endpoint) {
+                            if first_wave {
+                                net.trace.emit(|| TraceEvent::WholeFetched {
+                                    subquery: first + pick,
+                                    endpoint,
+                                    rows_bound,
+                                });
+                                requests.push((endpoint, query));
+                            }
+                            continue;
+                        }
                         for (bindings, query) in &queries {
                             net.trace.emit(|| TraceEvent::ValuesBatch {
                                 subquery: first + pick,
@@ -375,33 +402,47 @@ pub(crate) fn evaluate_subqueries(
                             requests.push((endpoint, query));
                         }
                     }
-                    let answers = fetch(fed, net, &requests);
-                    answers.into_iter().map(|(_, part)| part).collect()
+                    let mut shipped_rows = 0;
+                    let parts: Vec<Option<SolutionSet>> = fetch(fed, net, &requests)
+                        .into_iter()
+                        .map(|(r, part)| {
+                            if whole_request(requests[r].0).is_none() {
+                                shipped_rows += part.as_ref().map_or(0, SolutionSet::len);
+                            }
+                            part
+                        })
+                        .collect();
+                    (parts, shipped_rows)
                 };
                 let base = config.block_size.max(1);
-                let mut parts: Vec<Option<SolutionSet>> = Vec::new();
-                let mut rest: &[lusail_rdf::TermId] = &values;
-                let mut size = base;
-                if values.len() > base {
-                    // Probe: ship the first block at the configured size and
-                    // let its response cardinality set the remaining sizes.
-                    let (first, tail) = values.split_at(base);
-                    let probe_parts = dispatch(vec![values_block(&var, first)]);
-                    let observed: usize = probe_parts.iter().flatten().map(SolutionSet::len).sum();
-                    parts.extend(probe_parts);
-                    rest = tail;
-                    size = adapted_block_size(base, first.len(), observed);
-                }
-                let blocks: Vec<ValuesBlock> = rest
-                    .chunks(size)
-                    .map(|chunk| values_block(&var, chunk))
-                    .collect();
-                if !blocks.is_empty() {
-                    parts.extend(dispatch(blocks));
+                // The first wave carries the probe block — the first `base`
+                // bindings, whose response cardinality sizes the remaining
+                // blocks — or every binding when they fit one block. With
+                // no shipping source it carries only the whole requests.
+                let ships = sources.iter().any(|&ep| whole_request(ep).is_none());
+                let (head, tail) = if ships {
+                    values.split_at(base.min(values.len()))
+                } else {
+                    (&values[..0], &values[..0])
+                };
+                let head_blocks = match head.is_empty() {
+                    true => Vec::new(),
+                    false => vec![values_block(&var, head)],
+                };
+                let (mut parts, observed) = dispatch(head_blocks, true);
+                if !tail.is_empty() {
+                    let size = adapted_block_size(base, head.len(), observed);
+                    let blocks: Vec<ValuesBlock> = tail
+                        .chunks(size)
+                        .map(|chunk| values_block(&var, chunk))
+                        .collect();
+                    parts.extend(dispatch(blocks, false).0);
                 }
                 // Blocks partition *distinct* values of one variable, so a
                 // row matches exactly one block: concatenation introduces
                 // no duplicates beyond what unbound evaluation would have.
+                // A whole answer's rows that match no binding die in the
+                // join with the component that supplied the bindings.
                 concat(sq.projection.clone(), parts)
             }
             // No usable bindings: evaluate unbound.
@@ -546,6 +587,48 @@ fn best_binding(
     best
 }
 
+/// Bind or fetch: the sources of delayed subquery `sq` that answer it
+/// unbound, in one request, instead of receiving `values` in `VALUES`
+/// blocks, each with its row bound, and the unbound query they are sent.
+/// A source with a row bound `c` ([`SubqueryCosts::row_bounds`]) is
+/// fetched whole when its whole answer — the query, the response header
+/// and `c` rows of 8-byte cells — is strictly smaller than the least any
+/// bound schedule sends it: the same query plus `(<term> ) ` per binding.
+/// Per source, wire bytes then strictly fall and requests do not rise.
+/// `None` when no source qualifies. Nothing is computed when no source has
+/// a bound, and the bindings are summed only until they outweigh the
+/// largest whole answer.
+fn fetched_whole(
+    fed: &Federation,
+    sq: &Subquery,
+    bounds: &[(EndpointId, u64)],
+    sources: &[EndpointId],
+    values: &[lusail_rdf::TermId],
+) -> Option<(Query, Vec<(EndpointId, u64)>)> {
+    let bounds: Vec<(EndpointId, u64)> = (bounds.iter().copied())
+        .filter(|(ep, _)| sources.contains(ep))
+        .collect();
+    if bounds.is_empty() {
+        return None;
+    }
+    let query = sq.to_query(None);
+    let dict = fed.dict();
+    let query_len = query_wire_len(&query, dict) as u64;
+    let whole_bytes = |rows| query_len + SolutionSet::wire_bytes_of(&sq.projection, rows);
+    let largest = bounds.iter().map(|&(_, rows)| whole_bytes(rows)).max()?;
+    let mut ship_floor = query_len;
+    for &v in values {
+        if ship_floor > largest {
+            break;
+        }
+        ship_floor += dict.decode(v).wire_len() as u64 + 4;
+    }
+    let whole: Vec<(EndpointId, u64)> = (bounds.into_iter())
+        .filter(|&(_, rows)| whole_bytes(rows) < ship_floor)
+        .collect();
+    (!whole.is_empty()).then_some((query, whole))
+}
+
 /// The `VALUES` block binding `var` to each of `values` in turn.
 fn values_block(var: &str, values: &[lusail_rdf::TermId]) -> ValuesBlock {
     let cells = values.iter().copied().map(Some).collect();
@@ -638,11 +721,15 @@ mod tests {
 #[cfg(test)]
 mod sape_tests {
     use super::*;
-    use crate::cost::SubqueryCosts;
+    use crate::cache::ProbeCache;
+    use crate::cost::{row_bounds, SubqueryCosts};
+    use crate::source_selection::{select_sources, SourceMap};
     use crate::subquery::Subquery;
-    use lusail_endpoint::LocalEndpoint;
+    use crate::trace::QueryTrace;
+    use lusail_endpoint::{LocalEndpoint, StatsSnapshot};
     use lusail_rdf::{Dictionary, Term};
-    use lusail_sparql::ast::{PatternTerm, TriplePattern};
+    use lusail_sparql::ast::{GroupPattern, PatternTerm, TriplePattern};
+    use lusail_sparql::parse_query;
     use lusail_store::TripleStore;
     use std::sync::Arc;
 
@@ -691,6 +778,7 @@ mod sape_tests {
         let costs = SubqueryCosts {
             cardinality: vec![20, 10],
             delayed: vec![None, Some("test".into())],
+            row_bounds: vec![Vec::new(); 2],
         };
         let net = Net::default();
         let config = LusailConfig {
@@ -714,6 +802,7 @@ mod sape_tests {
         let costs = SubqueryCosts {
             cardinality: vec![20, 10],
             delayed: vec![None, Some("test".into())],
+            row_bounds: vec![Vec::new(); 2],
         };
         let net = Net::default();
         let config = LusailConfig {
@@ -754,6 +843,7 @@ mod sape_tests {
         let costs = SubqueryCosts {
             cardinality: vec![20, 10],
             delayed: vec![Some("test".into()), Some("test".into())],
+            row_bounds: vec![Vec::new(); 2],
         };
         let net = Net::default();
         let config = LusailConfig::default();
@@ -770,6 +860,7 @@ mod sape_tests {
         let costs = SubqueryCosts {
             cardinality: vec![20, 10],
             delayed: vec![None, None],
+            row_bounds: vec![Vec::new(); 2],
         };
         let net = Net::default();
         let config = LusailConfig::default();
@@ -780,6 +871,197 @@ mod sape_tests {
         assert_eq!(sols.len(), 10);
         // Both subqueries run unbound: exactly 2 selects.
         assert_eq!(window.select_requests, 2);
+    }
+
+    /// Bind-or-fetch data, over `p`, `q` and 20 midpoints `m0..m19`: A
+    /// holds `s_i p m_i`; B holds 60 `q` edges from every midpoint (1 200
+    /// rows, far more bytes than the midpoints); C holds 20 `q` edges,
+    /// five from `m0..m4` and fifteen from subjects no binding names
+    /// (fewer bytes than the midpoints). Returns each endpoint's triples.
+    fn split_data() -> [Vec<[Term; 3]>; 3] {
+        let x = |l: String| Term::iri(format!("http://x/{l}"));
+        let (p, q) = (x("p".into()), x("q".into()));
+        let m = |i: usize| Term::iri(format!("http://m/v{i}"));
+        let a = (0..20).map(|i| [x(format!("s{i}")), p.clone(), m(i)]);
+        let b = (0..20).flat_map(|i| (0..60).map(move |k| (i, k)));
+        let b = b.map(|(i, k)| [m(i), q.clone(), Term::int(k)]);
+        let c = (0..20).map(|i| match i {
+            0..5 => [m(i), q.clone(), Term::int(100 + i as i64)],
+            _ => [
+                x(format!("foreign{i}")),
+                q.clone(),
+                Term::int(100 + i as i64),
+            ],
+        });
+        [a.collect(), b.collect(), c.collect()]
+    }
+
+    fn split_fed() -> (Federation, Arc<Dictionary>) {
+        let dict = Dictionary::shared();
+        let mut fed = Federation::new(Arc::clone(&dict));
+        for (name, triples) in ["A", "B", "C"].into_iter().zip(split_data()) {
+            let mut store = TripleStore::new(Arc::clone(&dict));
+            for [s, p, o] in &triples {
+                store.insert_terms(s, p, o);
+            }
+            fed.add(Arc::new(LocalEndpoint::new(name, store)));
+        }
+        (fed, dict)
+    }
+
+    /// `?s p ?m` at A, then `patterns` at `sources`.
+    fn split_subqueries(
+        dict: &Dictionary,
+        patterns: &[(&str, &str, &str)],
+        sources: Vec<EndpointId>,
+    ) -> Vec<Subquery> {
+        let delayed = patterns
+            .iter()
+            .map(|&(s, p, o)| tp(dict, s, p, o))
+            .collect();
+        vec![
+            Subquery::new(vec![tp(dict, "?s", "http://x/p", "?m")], vec![0]),
+            Subquery::new(delayed, sources),
+        ]
+    }
+
+    /// Evaluates `sqs` at block size 4 with the second delayed, its row
+    /// bounds from Lusail's counting source selection (`counted`) or from
+    /// relevance alone, as the `ASK`-based engines know it. Returns the
+    /// solutions, the trace and each endpoint's counter window.
+    fn run_split(
+        fed: &Federation,
+        sqs: &[Subquery],
+        counted: bool,
+    ) -> (SolutionSet, QueryTrace, Vec<StatsSnapshot>) {
+        let mut map = SourceMap::default();
+        if counted {
+            let bgp = GroupPattern::bgp(sqs.iter().flat_map(|sq| sq.triples.clone()).collect());
+            map = select_sources::<u64>(fed, &bgp, &ProbeCache::new(), &Net::default());
+        } else {
+            for sq in sqs {
+                for tp in &sq.triples {
+                    map.push_entry(tp.clone(), sq.sources.clone());
+                }
+            }
+        }
+        let costs = SubqueryCosts {
+            cardinality: vec![20, 1200],
+            delayed: vec![None, Some("test".into())],
+            row_bounds: row_bounds(sqs, &map),
+        };
+        let sink = TraceSink::enabled();
+        let opts = ExecOptions::default().with_trace(sink.clone());
+        let net = Net::for_query(
+            RequestPolicy::default(),
+            Arc::new(SystemClock::default()),
+            &opts,
+        );
+        let config = LusailConfig {
+            block_size: 4,
+            ..LusailConfig::default()
+        };
+        let before: Vec<StatsSnapshot> = fed.iter().map(|(_, ep)| ep.stats_snapshot()).collect();
+        let (sols, _) = evaluate_subqueries(fed, &net, 0, sqs, &costs, &config, None);
+        let windows = (fed.iter().zip(&before))
+            .map(|((_, ep), before)| ep.stats_snapshot().since(before))
+            .collect();
+        (sols, QueryTrace::from_sink(&sink), windows)
+    }
+
+    fn values_blocks_to(trace: &QueryTrace, endpoint: EndpointId) -> usize {
+        let to = |ev: &&TraceEvent| matches!(ev, TraceEvent::ValuesBatch { endpoint: e, .. } if *e == endpoint);
+        trace.events.iter().filter(to).count()
+    }
+
+    #[test]
+    fn a_source_cheaper_to_fetch_than_to_bind_is_fetched_whole() {
+        let (fed, dict) = split_fed();
+        let sqs = split_subqueries(&dict, &[("?m", "http://x/q", "?n")], vec![1, 2]);
+        let (sols, trace, windows) = run_split(&fed, &sqs, true);
+        // C's whole answer, 20 rows, is smaller than the 20 midpoints:
+        // one unbound request and no block.
+        let whole = TraceEvent::WholeFetched {
+            subquery: 1,
+            endpoint: 2,
+            rows_bound: 20,
+        };
+        assert_eq!(trace.events.iter().filter(|ev| **ev == whole).count(), 1);
+        assert_eq!(trace.whole_fetched(1), [2]);
+        assert_eq!(values_blocks_to(&trace, 2), 0);
+        assert_eq!(windows[2].select_requests, 1);
+        // B ships. Its 4-binding probe block returns 240 rows, which size
+        // the other 16 bindings into one block of 17; C's 20 whole rows
+        // counted in would have cut them into blocks of 15.
+        assert_eq!(adapted_block_size(4, 4, 240), 17);
+        assert_eq!(adapted_block_size(4, 4, 240 + 20), 15);
+        assert_eq!(values_blocks_to(&trace, 1), 2);
+        assert_eq!(windows[1].select_requests, 2);
+        // C's fifteen foreign rows die in the join: the answer is the
+        // merged store's.
+        let mut merged = TripleStore::new(Arc::clone(&dict));
+        for [s, p, o] in split_data().iter().flatten() {
+            merged.insert_terms(s, p, o);
+        }
+        let text = "SELECT ?s ?m ?n WHERE { ?s <http://x/p> ?m . ?m <http://x/q> ?n }";
+        let oracle = lusail_store::eval::evaluate(&merged, &parse_query(text, &dict).unwrap());
+        assert_eq!(sols.len(), 20 * 60 + 5);
+        assert_eq!(sols.canonicalize(), oracle.canonicalize());
+    }
+
+    #[test]
+    fn fetching_whole_costs_fewer_bytes_than_the_shipping_floor() {
+        let (fed, dict) = split_fed();
+        let sqs = split_subqueries(&dict, &[("?m", "http://x/q", "?n")], vec![1, 2]);
+        let (whole, _, fetched) = run_split(&fed, &sqs, true);
+        let (bound, _, shipped) = run_split(&fed, &sqs, false);
+        assert_eq!(whole.canonicalize(), bound.canonicalize());
+        let bytes = |w: &StatsSnapshot| w.bytes_sent + w.bytes_returned;
+        // What any bound schedule sends C at least: the unbound query plus
+        // `(<term> ) ` per binding.
+        let floor = query_wire_len(&sqs[1].to_query(None), &dict) as u64
+            + (0..20)
+                .map(|i| Term::iri(format!("http://m/v{i}")).wire_len() as u64 + 4)
+                .sum::<u64>();
+        assert!(
+            bytes(&fetched[2]) < floor,
+            "{} >= {floor}",
+            bytes(&fetched[2])
+        );
+        assert!(bytes(&fetched[2]) < bytes(&shipped[2]));
+        assert!(fetched[2].total_requests() <= shipped[2].total_requests());
+        // The shipping source's schedule is the same either way.
+        assert_eq!(bytes(&fetched[1]), bytes(&shipped[1]));
+        assert_eq!(fetched[1].total_requests(), shipped[1].total_requests());
+    }
+
+    #[test]
+    fn a_source_with_no_count_ships() {
+        let (fed, dict) = split_fed();
+        let sqs = split_subqueries(&dict, &[("?m", "http://x/q", "?n")], vec![1, 2]);
+        let (sols, trace, windows) = run_split(&fed, &sqs, false);
+        assert_eq!(sols.len(), 20 * 60 + 5);
+        assert!(trace.whole_fetched(1).is_empty());
+        // The probe block and the adapted rest: two blocks to each source.
+        assert_eq!(
+            (values_blocks_to(&trace, 1), values_blocks_to(&trace, 2)),
+            (2, 2)
+        );
+        assert_eq!(windows[2].select_requests, 2);
+    }
+
+    #[test]
+    fn a_multi_pattern_subquery_always_ships() {
+        let (fed, dict) = split_fed();
+        // A self-join on the midpoint, at C alone: each pattern is counted
+        // (20 rows), but no pattern count bounds the join.
+        let patterns = [("?m", "http://x/q", "?n"), ("?m", "http://x/q", "?k")];
+        let sqs = split_subqueries(&dict, &patterns, vec![2]);
+        let (sols, trace, _) = run_split(&fed, &sqs, true);
+        assert_eq!(row_bounds(&sqs, &SourceMap::default())[1], []);
+        assert_eq!(sols.len(), 5);
+        assert!(trace.whole_fetched(1).is_empty());
+        assert_eq!(values_blocks_to(&trace, 2), 2);
     }
 
     #[test]

@@ -5,10 +5,12 @@
 //! `EXPLAIN ANALYZE` goes further: it *executes* the query with an
 //! enabled [`TraceSink`] and renders the plan that ran, with the function
 //! `EXPLAIN` uses, annotated with what actually happened — each
-//! subquery's actual rows beside its estimate and whether it was promoted
-//! — after the request counts per kind (aggregated, because concurrent
-//! request events arrive unordered) and before the VALUES-block traffic,
-//! each hash-join step with its planned cost, and the phase wall times.
+//! subquery's actual rows beside its estimate, whether it was promoted,
+//! and each source it was fetched whole from instead of sent `VALUES`
+//! blocks, marked `(whole)` — after the request counts per kind
+//! (aggregated, because concurrent request events arrive unordered) and
+//! before the VALUES-block traffic, each hash-join step with its planned
+//! cost, and the phase wall times.
 //! All wall times come from the engine's injectable
 //! [`Clock`](lusail_endpoint::Clock), so under the test `ManualClock` the
 //! render is byte-identical across runs.
@@ -100,11 +102,25 @@ impl QueryPlan {
                     _ => format!("est. cardinality {}", costs.cardinality[i]),
                 };
                 let (promoted, actual) = measured(run, index);
+                // A source SAPE fetched whole instead of shipping bindings
+                // to is marked `(whole)`.
+                let whole = run
+                    .map(|trace| trace.whole_fetched(index))
+                    .unwrap_or_default();
+                let sources: Vec<String> = (sq.sources.iter())
+                    .map(|&id| {
+                        let name = fed.endpoint(id).name();
+                        match whole.contains(&id) {
+                            true => format!("{name} (whole)"),
+                            false => name.to_string(),
+                        }
+                    })
+                    .collect();
                 let _ = writeln!(
                     out,
                     "{indent}subquery {} {mode}{promoted}  {estimate}{actual}  @ [{}]",
                     index + 1,
-                    names(&sq.sources)
+                    sources.join(", ")
                 );
                 for tp in &sq.triples {
                     let _ = writeln!(out, "{indent}    {}", render_pattern(tp, dict));

@@ -19,7 +19,9 @@
 //!    counts feed a cost model; subqueries with outlying estimated cardinality or
 //!    endpoint fan-out (threshold `μ+σ` after Chauvenet outlier
 //!    rejection) are *delayed* and later evaluated as bound subqueries
-//!    over `VALUES` blocks of already-found bindings. Non-delayed
+//!    over `VALUES` blocks of already-found bindings — or, at a source
+//!    whose counted answer is smaller than those bindings, fetched whole
+//!    and filtered by the join. Non-delayed
 //!    subqueries are dispatched together, at most `threads` endpoints at
 //!    a time (one, inline, by default; see DESIGN.md "Parallel
 //!    execution"), and results are combined with

@@ -354,6 +354,7 @@ impl Lusail {
             &SubqueryCosts {
                 cardinality: vec![1],
                 delayed: vec![None],
+                row_bounds: vec![Vec::new()],
             },
             self.config(),
             None,

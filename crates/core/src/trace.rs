@@ -189,6 +189,21 @@ impl QueryTrace {
             .sum()
     }
 
+    /// The endpoints delayed subquery `subquery` was fetched whole from,
+    /// in emission order.
+    pub fn whole_fetched(&self, subquery: usize) -> Vec<lusail_endpoint::EndpointId> {
+        (self.events.iter())
+            .filter_map(|ev| match ev {
+                TraceEvent::WholeFetched {
+                    subquery: s,
+                    endpoint,
+                    ..
+                } if *s == subquery => Some(*endpoint),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// Total VALUES blocks and bindings shipped for delayed subqueries.
     pub fn values_batch_totals(&self) -> (usize, usize) {
         let mut blocks = 0;

@@ -198,6 +198,18 @@ pub enum TraceEvent {
         /// Bindings in the block.
         bindings: usize,
     },
+    /// A delayed subquery's source answers the unbound subquery in one
+    /// request instead of `VALUES` blocks: its whole answer, priced by
+    /// `rows_bound`, costs fewer wire bytes than the bindings alone.
+    WholeFetched {
+        /// Query-wide subquery index (see [`TraceEvent::SubqueryPlanned`]).
+        subquery: usize,
+        /// Target endpoint.
+        endpoint: EndpointId,
+        /// Source selection's count of the subquery's pattern there: an
+        /// upper bound on the rows the request returns.
+        rows_bound: u64,
+    },
     /// One executed hash join.
     JoinStep {
         /// Rows on the left input.

@@ -153,10 +153,17 @@ impl SolutionSet {
     }
 
     /// Estimates the wire size of this solution set in bytes (used by the
-    /// simulated network layer): 8 bytes per cell plus schema overhead.
+    /// simulated network layer): see [`SolutionSet::wire_bytes_of`].
     pub fn wire_bytes(&self) -> u64 {
-        let header: u64 = self.vars.iter().map(|v| v.len() as u64 + 1).sum();
-        header + (self.rows.len() as u64) * (self.vars.len() as u64) * 8
+        Self::wire_bytes_of(&self.vars, self.rows.len() as u64)
+    }
+
+    /// The wire size of `rows` rows over `vars`: 8 bytes per cell plus a
+    /// header of each variable's name and a separator. A planner that
+    /// knows a row count prices an answer it has not fetched by it.
+    pub fn wire_bytes_of(vars: &[String], rows: u64) -> u64 {
+        let header: u64 = vars.iter().map(|v| v.len() as u64 + 1).sum();
+        header + rows * (vars.len() as u64) * 8
     }
 
     /// Hash-joins two solution sets on their shared variables. Rows join if

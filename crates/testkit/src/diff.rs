@@ -78,6 +78,18 @@ pub enum Violation {
         /// Planned events naming it.
         planned: usize,
     },
+    /// Trace invariant: a delayed subquery fetched whole from an endpoint
+    /// sent it other than one `SELECT` request, or a `VALUES` block too.
+    WholeFetchAccounting {
+        /// The subquery's query-wide index.
+        subquery: usize,
+        /// The endpoint it was fetched whole from.
+        endpoint: usize,
+        /// `SELECT` requests to the endpoint while the subquery ran.
+        selects: usize,
+        /// `VALUES` blocks shipped to the endpoint for the subquery.
+        values_blocks: usize,
+    },
     /// Trace invariant: an enabled trace has no query-finished event.
     MissingFinish,
     /// Trace invariant: events were recorded after query-finished.
@@ -139,6 +151,17 @@ impl std::fmt::Display for Violation {
                 f,
                 "subquery {index} was evaluated {evaluated} time(s) and planned \
                  {planned} time(s); each must be exactly once"
+            ),
+            Violation::WholeFetchAccounting {
+                subquery,
+                endpoint,
+                selects,
+                values_blocks,
+            } => write!(
+                f,
+                "subquery {subquery} fetched whole from endpoint {endpoint} sent it \
+                 {selects} SELECT request(s) and {values_blocks} VALUES block(s); \
+                 it must be one request and no block"
             ),
             Violation::MissingFinish => {
                 write!(f, "trace has no query-finished event")
@@ -704,7 +727,12 @@ fn check_outcome(
 /// 3. Every subquery evaluated or served from a batch memo is so exactly
 ///    once, and is planned exactly once: subquery numbers are query-wide,
 ///    so a nested group's subqueries never reuse the WHERE group's.
-/// 4. The trace ends with exactly one query-finished event — nothing is
+/// 4. A delayed subquery fetched whole from an endpoint sends it exactly
+///    one `SELECT` request (its retries are attempts of that one request)
+///    and no `VALUES` block: phase 2 runs one delayed subquery at a time,
+///    so every request between the whole-fetch mark and the subquery's
+///    evaluated event is the subquery's.
+/// 5. The trace ends with exactly one query-finished event — nothing is
 ///    recorded after it.
 pub fn check_trace_invariants(
     trace: &QueryTrace,
@@ -762,12 +790,49 @@ pub fn check_trace_invariants(
             planned,
         });
     }
+    check_whole_fetches(trace)?;
     if trace.finish_index().is_none() {
         return Err(Violation::MissingFinish);
     }
     let count = trace.events_after_finish();
     if count > 0 {
         return Err(Violation::EventsAfterFinish { count });
+    }
+    Ok(())
+}
+
+/// Invariant 4 of [`check_trace_invariants`].
+fn check_whole_fetches(trace: &QueryTrace) -> Result<(), Violation> {
+    for (at, ev) in trace.events.iter().enumerate() {
+        let &TraceEvent::WholeFetched {
+            subquery, endpoint, ..
+        } = ev
+        else {
+            continue;
+        };
+        let ran = (trace.events[at..].iter()).take_while(
+            |ev| !matches!(ev, TraceEvent::SubqueryEvaluated { index, .. } if *index == subquery),
+        );
+        let selects = ran
+            .filter(|ev| {
+                matches!(ev, TraceEvent::Request { endpoint: e, kind: RequestKind::Select, .. }
+                    if *e == endpoint)
+            })
+            .count();
+        let values_blocks = (trace.events.iter())
+            .filter(|ev| {
+                matches!(ev, TraceEvent::ValuesBatch { subquery: s, endpoint: e, .. }
+                    if (*s, *e) == (subquery, endpoint))
+            })
+            .count();
+        if (selects, values_blocks) != (1, 0) {
+            return Err(Violation::WholeFetchAccounting {
+                subquery,
+                endpoint,
+                selects,
+                values_blocks,
+            });
+        }
     }
     Ok(())
 }
@@ -910,6 +975,65 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A source a delayed subquery was fetched whole from gets one SELECT
+    /// request and no VALUES block.
+    #[test]
+    fn a_whole_fetch_is_one_select_and_no_block() {
+        let whole = TraceEvent::WholeFetched {
+            subquery: 1,
+            endpoint: 2,
+            rows_bound: 5,
+        };
+        let select = |endpoint| TraceEvent::Request {
+            endpoint,
+            kind: RequestKind::Select,
+            attempts: 1,
+            ok: true,
+            error: None,
+        };
+        let block = |endpoint| TraceEvent::ValuesBatch {
+            subquery: 1,
+            endpoint,
+            bindings: 3,
+        };
+        let check = |events: Vec<TraceEvent>| {
+            let finish = [
+                TraceEvent::SubqueryEvaluated { index: 1, rows: 5 },
+                select(2), // a later subquery's request
+                TraceEvent::QueryFinished {
+                    rows: 5,
+                    complete: true,
+                },
+            ];
+            let planned = TraceEvent::SubqueryPlanned {
+                index: 1,
+                delayed: true,
+                delay_reason: Some("test".into()),
+            };
+            let events = [&[planned, whole.clone()][..], &events, &finish].concat();
+            let selects = events
+                .iter()
+                .filter(|ev| matches!(ev, TraceEvent::Request { .. }));
+            let window = StatsSnapshot {
+                select_requests: selects.count() as u64,
+                ..StatsSnapshot::default()
+            };
+            match check_trace_invariants(&QueryTrace { events }, &window, EngineKind::Lusail) {
+                Err(Violation::WholeFetchAccounting {
+                    selects,
+                    values_blocks,
+                    ..
+                }) => Some((selects, values_blocks)),
+                Ok(()) => None,
+                Err(other) => panic!("{other}"),
+            }
+        };
+        assert_eq!(check(vec![block(0), select(0), select(2)]), None);
+        assert_eq!(check(vec![select(0)]), Some((0, 0)));
+        assert_eq!(check(vec![select(2), select(2)]), Some((2, 0)));
+        assert_eq!(check(vec![block(2), select(2)]), Some((1, 1)));
     }
 
     /// A subquery number names one subquery: evaluated or shared at most

@@ -611,7 +611,7 @@ grep -q '(0 abandoned)' "$tmpdir/serve_batch.log" || {
 }
 echo "batching smoke: 2 identical tables, $shared_hits shared subquery hit(s)"
 
-echo "==> counter gate (all 128 lines of crates/bench/counters.tsv at threads {1,4} x both backends, inequalities, footprint floor; ~9 s)"
+echo "==> counter gate (all 360 lines of crates/bench/counters.tsv at threads {1,4} x both backends, inequalities, footprint floor; ~13 s)"
 cargo run --release -q -p lusail-bench -- counters
 
 echo "==> figure smoke (fig3: FedX requests grow with endpoints, Lusail stays at one per endpoint)"
