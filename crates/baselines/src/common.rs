@@ -39,7 +39,7 @@ pub fn answer(
 /// Groups patterns into FedX's exclusive groups: patterns whose relevant
 /// source list is exactly one endpoint are merged per endpoint; everything
 /// else becomes a singleton unit sent to all its sources.
-pub fn exclusive_groups(triples: &[TriplePattern], sources: &SourceMap) -> Vec<Subquery> {
+pub(crate) fn exclusive_groups(triples: &[TriplePattern], sources: &SourceMap) -> Vec<Subquery> {
     let mut units: Vec<Subquery> = Vec::new();
     for tp in triples {
         let srcs = sources.sources(tp).to_vec();
@@ -59,7 +59,7 @@ pub fn exclusive_groups(triples: &[TriplePattern], sources: &SourceMap) -> Vec<S
 /// FedX's variable-counting heuristic: order units so that each step binds
 /// as many variables as possible — fewest *free* variables first, with
 /// constants counting as bound, preferring exclusive groups on ties.
-pub fn order_units(mut units: Vec<Subquery>) -> Vec<Subquery> {
+pub(crate) fn order_units(mut units: Vec<Subquery>) -> Vec<Subquery> {
     let mut ordered: Vec<Subquery> = Vec::with_capacity(units.len());
     let mut bound: FxHashSet<String> = FxHashSet::default();
     while !units.is_empty() {
@@ -93,7 +93,7 @@ pub fn order_units(mut units: Vec<Subquery>) -> Vec<Subquery> {
 /// caller that stops early ships no further block; blocks go out one after
 /// the other, and within a block the per-endpoint requests fan out through
 /// the budgeted handler.
-pub fn bound_fetch<'a>(
+pub(crate) fn bound_fetch<'a>(
     fed: &'a Federation,
     net: &'a Net,
     current: &SolutionSet,
@@ -116,7 +116,7 @@ pub fn bound_fetch<'a>(
 
 /// The variables of `current` that `unit` mentions: what a bound fetch
 /// ships.
-pub fn shared_vars(current: &SolutionSet, unit: &Subquery) -> Vec<String> {
+pub(crate) fn shared_vars(current: &SolutionSet, unit: &Subquery) -> Vec<String> {
     let mentioned = |v: &&String| unit.mentions(v);
     current.vars.iter().filter(mentioned).cloned().collect()
 }
@@ -129,7 +129,7 @@ pub fn shared_vars(current: &SolutionSet, unit: &Subquery) -> Vec<String> {
 /// join only when nothing downstream (nested clauses, leftover filters)
 /// can drop or multiply rows. Returns the bindings and the filters no
 /// unit could absorb.
-pub fn evaluate_units(
+pub(crate) fn evaluate_units(
     fed: &Federation,
     group: &GroupPattern,
     sources: &SourceMap,
@@ -177,7 +177,7 @@ pub fn evaluate_units(
 /// When `limit` is `Some(k)`, block submission stops as soon as the joined
 /// output reaches `k` rows — FedX's first-k cutoff (the reason it wins the
 /// paper's C4).
-pub fn bound_join(
+pub(crate) fn bound_join(
     fed: &Federation,
     current: &SolutionSet,
     unit: &Subquery,

@@ -66,7 +66,7 @@ impl FedX {
     }
 
     /// Replaces the retry/backoff/circuit policy for remote requests.
-    pub fn with_policy(mut self, policy: RequestPolicy) -> Self {
+    pub(crate) fn with_policy(mut self, policy: RequestPolicy) -> Self {
         self.policy = policy;
         self
     }

@@ -72,7 +72,7 @@ impl HibiscusIndex {
     /// pattern only if its subject authorities intersect the union of the
     /// object authorities the other pattern can contribute (and vice
     /// versa).
-    pub fn prune(&self, triples: &[TriplePattern], sources: &SourceMap) -> SourceMap {
+    pub(crate) fn prune(&self, triples: &[TriplePattern], sources: &SourceMap) -> SourceMap {
         let mut pruned: Vec<(TriplePattern, Vec<EndpointId>)> = triples
             .iter()
             .map(|tp| (tp.clone(), sources.sources(tp).to_vec()))

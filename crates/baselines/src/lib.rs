@@ -5,18 +5,18 @@
 //! from its published algorithm so the comparison exercises the same
 //! *strategies* the original Java codebases implement:
 //!
-//! * [`fedx`] — **FedX** (Schwarte et al., ISWC 2011): index-free. ASK
+//! * [`FedX`] — **FedX** (Schwarte et al., ISWC 2011): index-free. ASK
 //!   source selection with caching, *exclusive groups* (patterns whose
 //!   single relevant source coincides), variable-counting join ordering,
 //!   and block nested-loop **bound joins** that ship intermediate bindings
 //!   in fixed-size blocks — the triple-pattern-at-a-time behaviour whose
 //!   request explosion Fig. 3 of the paper demonstrates.
-//! * [`splendid`] — **SPLENDID** (Görlitz & Staab, COLD 2011):
+//! * [`Splendid`] — **SPLENDID** (Görlitz & Staab, COLD 2011):
 //!   index-based. A VOID-style statistics index built in a preprocessing
 //!   pass (whose cost the paper reports: seconds to hours), DP-style join
 //!   ordering over index cardinalities, and per-join choice between hash
 //!   join (independent retrieval) and bind join.
-//! * [`hibiscus`] — **HiBISCuS** (Saleem & Ngonga Ngomo, ESWC 2014): an
+//! * [`HibiscusIndex`] — **HiBISCuS** (Saleem & Ngonga Ngomo, ESWC 2014): an
 //!   add-on that prunes sources using per-predicate URI-authority
 //!   summaries; run (as in the paper) on top of the FedX executor —
 //!   `FedX::hibiscus`.
@@ -39,10 +39,10 @@
 //! let _ = Splendid::new(VoidIndex::build(&[]));
 //! ```
 
-pub mod common;
-pub mod fedx;
-pub mod hibiscus;
-pub mod splendid;
+mod common;
+mod fedx;
+mod hibiscus;
+mod splendid;
 
 pub use fedx::FedX;
 pub use hibiscus::HibiscusIndex;

@@ -108,7 +108,7 @@ impl Splendid {
     }
 
     /// Replaces the retry/backoff/circuit policy for remote requests.
-    pub fn with_policy(mut self, policy: RequestPolicy) -> Self {
+    pub(crate) fn with_policy(mut self, policy: RequestPolicy) -> Self {
         self.policy = policy;
         self
     }

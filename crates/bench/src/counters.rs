@@ -82,7 +82,7 @@ pub struct Line {
 
 impl Line {
     /// The value of one of [`VALUE_COLUMNS`].
-    pub fn get(&self, column: &str) -> u64 {
+    pub(crate) fn get(&self, column: &str) -> u64 {
         let i = VALUE_COLUMNS
             .iter()
             .position(|c| *c == column)
@@ -437,12 +437,20 @@ pub fn run(scope: &Scope) -> (Vec<Line>, Vec<Mismatch>) {
     (lines, mismatches)
 }
 
-/// The optimization claims, computed from a run: on every workload a
-/// `stats` line must report the rows and completeness of its `optimized`
-/// twin (statistics may only elide work, never change answers); and, for
-/// each of LUBM and QFed run in full, Lusail's stats configuration must
-/// send strictly fewer request bytes than optimized in no more wire
-/// requests. Returns the printable gate lines.
+/// The claims a run is held to, each computed from its lines:
+///
+/// * every `stats` line reports the rows and completeness of its
+///   `optimized` twin (statistics may only elide work, never change
+///   answers);
+/// * per (workload, config, query), Lusail sends no more requests than
+///   HiBISCuS, and HiBISCuS no more than FedX;
+/// * per (workload, config) run in full, Lusail sends fewer requests in
+///   total than FedX, and fewer than SPLENDID;
+/// * per workload run in full, Lusail's `stats` configuration sends
+///   strictly fewer request bytes than `optimized` in no more requests.
+///
+/// An engine with no line in the run is compared with nothing. Returns the
+/// printable gate lines.
 pub fn check_inequalities(lines: &[Line], scope: &Scope) -> Result<Vec<String>, String> {
     let of = |workload: &'static str, config: &'static str| {
         lines
@@ -463,32 +471,73 @@ pub fn check_inequalities(lines: &[Line], scope: &Scope) -> Result<Vec<String>, 
             }
         }
     }
+    // EXPERIMENTS.md Figs. 11, 12 and 13: Lusail's subqueries never cost
+    // more requests than pattern-at-a-time bound joins, and HiBISCuS is
+    // FedX plus source pruning.
+    for lusail in lines.iter().filter(|l| l.key[2] == "Lusail") {
+        let requests = |engine| {
+            let key = [&*lusail.key[0], &lusail.key[1], engine, &lusail.key[3]];
+            let line = lines.iter().find(|l| l.key == key)?;
+            Some(line.get("total_requests"))
+        };
+        if let (Some(h), Some(f)) = (requests("HiBISCuS"), requests("FedX")) {
+            let l = lusail.get("total_requests");
+            if l > h || h > f {
+                return Err(format!(
+                    "{} total_requests: Lusail {l}, HiBISCuS {h}, FedX {f} — not Lusail <= \
+                     HiBISCuS <= FedX (Figs. 11-13)",
+                    lusail.key.join("/")
+                ));
+            }
+        }
+    }
     let mut report = Vec::new();
-    for workload in ["lubm", "qfed"] {
+    for workload in WORKLOADS {
         // Sums over a query subset prove nothing about the workload.
         if !scope.queries.is_empty() || !Scope::wants(&scope.workloads, workload) {
             continue;
         }
-        let sum = |config: &'static str, column: &str| -> u64 {
-            of(workload, config)
-                .filter(|l| l.key[2] == "Lusail")
-                .map(|l| l.get(column))
-                .sum()
+        let sum = |config, engine, column| -> u64 {
+            let of = of(workload, config).filter(|l| l.key[2] == engine);
+            of.map(|l| l.get(column)).sum()
         };
+        // Figs. 11-13: FedX's bound joins send orders of magnitude more
+        // requests than Lusail, and SPLENDID several times as many; on
+        // `lrb` SPLENDID wins single queries, never the workload.
+        for config in CONFIGS {
+            for engine in ["FedX", "SPLENDID"] {
+                let [lusail, other] = ["Lusail", engine].map(|e| sum(config, e, "total_requests"));
+                if lusail == 0 || other == 0 {
+                    continue; // an engine without lines in this run
+                }
+                let line =
+                    format!("{workload}/{config}: Lusail {lusail} requests, {engine} {other}");
+                if lusail >= other {
+                    return Err(format!("{line} — Lusail must send fewer"));
+                }
+                report.push(line);
+            }
+        }
         // A conclusive answer takes a probe out of its endpoint's coalesced
         // request; the request itself goes only when all its members do.
-        let requests = CONFIGS.map(|c| sum(c, "total_requests"));
-        let sent = CONFIGS.map(|c| sum(c, "bytes_sent"));
-        if requests[1] > requests[0] || sent[1] >= sent[0] {
+        let [r0, r1, s0, s1] = [
+            ("optimized", "total_requests"),
+            ("stats", "total_requests"),
+            ("optimized", "bytes_sent"),
+            ("stats", "bytes_sent"),
+        ]
+        .map(|(config, column)| sum(config, "Lusail", column));
+        if r0 == 0 {
+            continue; // no Lusail line of this workload in this run
+        }
+        if r1 > r0 || s1 >= s0 {
             return Err(format!(
-                "{workload}: stats total_requests {} / bytes_sent {} are not below optimized \
-                 {} / {} — statistics elided nothing",
-                requests[1], sent[1], requests[0], sent[0]
+                "{workload}: stats total_requests {r1} / bytes_sent {s1} are not below \
+                 optimized {r0} / {s0} — statistics elided nothing"
             ));
         }
         report.push(format!(
-            "{workload}/Lusail: requests {} -> {} (stats), bytes_sent {} -> {} (stats)",
-            requests[0], requests[1], sent[0], sent[1]
+            "{workload}/Lusail: requests {r0} -> {r1} (stats), bytes_sent {s0} -> {s1} (stats)"
         ));
     }
     Ok(report)
@@ -608,6 +657,78 @@ mod tests {
                 ),
             ]
         );
+    }
+
+    #[test]
+    fn committed_counters_hold_the_paper_comparisons_and_doctored_copies_fail() {
+        let committed = parse(COMMITTED).unwrap();
+        let report = check_inequalities(&committed, &Scope::default()).unwrap();
+        // Per workload: two engines in two configurations, and the stats line.
+        assert_eq!(report.len(), 5 * WORKLOADS.len(), "{report:#?}");
+        let splendid = "lrb/optimized: Lusail 533 requests, SPLENDID 2128";
+        assert!(report.contains(&splendid.into()), "{report:#?}");
+        // Sets `column` of every line whose key starts with `prefix`.
+        let doctored = |prefix: &[&str], column: &str, value: &dyn Fn(&Line) -> u64| {
+            let mut lines = committed.clone();
+            let i = VALUE_COLUMNS.iter().position(|c| *c == column).unwrap();
+            for line in (lines.iter_mut()).filter(|l| l.key.iter().zip(prefix).all(|(k, p)| k == p))
+            {
+                line.values[i] = value(line);
+            }
+            check_inequalities(&lines, &Scope::default()).unwrap_err()
+        };
+        let requests = |key: [&str; 4]| {
+            let line = committed.iter().find(|l| l.key == key).unwrap();
+            line.get("total_requests")
+        };
+        // Lusail above HiBISCuS on one query.
+        let hibiscus = requests(["lrb", "optimized", "HiBISCuS", "S13"]);
+        let err = doctored(
+            &["lrb", "optimized", "Lusail", "S13"],
+            "total_requests",
+            &|_| hibiscus + 1,
+        );
+        assert!(err.contains("not Lusail <= HiBISCuS <= FedX"), "{err}");
+        // HiBISCuS above FedX on one query.
+        let fedx = requests(["lrb", "stats", "FedX", "C10"]);
+        let err = doctored(
+            &["lrb", "stats", "HiBISCuS", "C10"],
+            "total_requests",
+            &|_| fedx + 1,
+        );
+        assert!(
+            err.starts_with("lrb/stats/Lusail/C10 total_requests"),
+            "{err}"
+        );
+        // FedX and HiBISCuS no worse than Lusail on any query: the chain
+        // holds per query, the strict total does not.
+        let lusail = |l: &Line| requests(["lubm", "stats", "Lusail", &l.key[3]]);
+        let mut lines = committed.clone();
+        for line in lines.iter_mut().filter(|l| {
+            l.key[..2] == ["lubm", "stats"] && ["FedX", "HiBISCuS"].contains(&l.key[2].as_str())
+        }) {
+            line.values[6] = lusail(line);
+        }
+        let err = check_inequalities(&lines, &Scope::default()).unwrap_err();
+        assert!(
+            err.starts_with("lubm/stats: Lusail 39 requests, FedX 39 — "),
+            "{err}"
+        );
+        // SPLENDID sends one request per query.
+        let err = doctored(&["qfed", "optimized", "SPLENDID"], "total_requests", &|_| 1);
+        assert!(err.contains("SPLENDID"), "{err}");
+        // Statistics stop paying on a workload the rule did not cover.
+        for workload in ["bio2rdf", "lrb"] {
+            let err = doctored(&[workload, "stats", "Lusail"], "bytes_sent", &|l| {
+                let optimized = [workload, "optimized", "Lusail", &l.key[3]];
+                committed
+                    .iter()
+                    .find(|o| o.key == optimized)
+                    .unwrap()
+                    .get("bytes_sent")
+            });
+            assert!(err.starts_with(&format!("{workload}: stats")), "{err}");
+        }
     }
 
     #[test]

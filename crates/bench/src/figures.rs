@@ -2,7 +2,7 @@
 //!
 //! [`FIGURES`] is keyed by the names in EXPERIMENTS.md's headings. The
 //! six figures that are "all engines over a federation's queries" are
-//! rows of [`Comparison`] data fed to [`compare_engines`]; the others keep
+//! rows of `Comparison` data fed to `compare_engines`; the others keep
 //! one function each. Every table is printed and saved as
 //! `results/<table>.csv`.
 
@@ -555,7 +555,7 @@ fn preprocessing_cost() {
     table.finish();
 }
 
-/// The extended version's features (§V, the companion report [11]):
+/// The extended version's features (§V, the companion report \[11\]):
 /// the C2P2 family executed as one batch with shared subquery relations
 /// vs. one at a time, and a LUBM workload over WAN-latency endpoints
 /// executed by 1 / 2 / 4 mediator machines.

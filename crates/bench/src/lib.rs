@@ -59,7 +59,7 @@ impl RunResult {
 /// so the abandoned thread starts no wire attempt after it and cannot add
 /// requests to the next run's counter window; in-memory join work may
 /// still finish.
-pub fn run_with_timeout(
+pub(crate) fn run_with_timeout(
     engine: &Arc<dyn FederatedEngine>,
     fed: &Federation,
     query: &Query,
@@ -131,7 +131,7 @@ pub fn run(engine: &dyn FederatedEngine, fed: &Federation, query: &Query) -> Run
 /// the results of the source selection phase ... we run each query three
 /// times and report their average") and averages the wall time. Counters
 /// are taken from the *last* repetition (steady state).
-pub fn run_averaged(
+pub(crate) fn run_averaged(
     engine: &dyn FederatedEngine,
     fed: &Federation,
     query: &Query,
@@ -228,7 +228,7 @@ impl Table {
 /// verification, producing one table row per (query, engine). Engines
 /// that finish must agree with each other (multiset equality); the first
 /// finisher's canonical result is the reference.
-pub fn compare_engines(
+pub(crate) fn compare_engines(
     table_name: &str,
     fed: &Federation,
     engines: &[(EngineKind, Arc<dyn FederatedEngine>)],
@@ -290,7 +290,7 @@ pub fn compare_engines(
 }
 
 /// Formats a request count with thousands separators.
-pub fn fmt_count(n: u64) -> String {
+pub(crate) fn fmt_count(n: u64) -> String {
     let s = n.to_string();
     let mut out = String::new();
     for (i, c) in s.chars().enumerate() {

@@ -210,7 +210,7 @@ pub fn generate(config: &Bio2RdfConfig) -> Workload {
 /// * R1 joins DrugBank, HGNC and MGI on gene symbols,
 /// * R2 joins PharmGKB and OMIM through HGNC xRefs,
 /// * R3 integrates DrugBank and OMIM via associated drugs.
-pub fn queries() -> Vec<(&'static str, String)> {
+pub(crate) fn queries() -> Vec<(&'static str, String)> {
     vec![
         (
             "R1",

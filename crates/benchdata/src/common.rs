@@ -105,7 +105,7 @@ impl Workload {
 pub use lusail_rdf::SplitMix64 as Rng;
 
 /// Inserts `(s, p, o)` given as terms into a store (generator shorthand).
-pub fn add(store: &mut TripleStore, s: &Term, p: &Term, o: &Term) {
+pub(crate) fn add(store: &mut TripleStore, s: &Term, p: &Term, o: &Term) {
     store.insert_terms(s, p, o);
 }
 

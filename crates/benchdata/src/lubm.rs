@@ -252,7 +252,7 @@ pub fn generate(config: &LubmConfig) -> Workload {
 /// (disjoint triangles), Q3 is LUBM Q13 (alumni of university 0), Q4 is
 /// the paper's Q9 variation that additionally retrieves information from
 /// remote universities.
-pub fn queries() -> Vec<(&'static str, String)> {
+pub(crate) fn queries() -> Vec<(&'static str, String)> {
     let prefix = format!("PREFIX ub: <{UB}> ");
     vec![
         (

@@ -247,7 +247,7 @@ pub fn generate(config: &QfedConfig) -> Workload {
 }
 
 /// The QFed query family of Fig. 11 plus the Drug query (§II).
-pub fn queries() -> Vec<(&'static str, String)> {
+pub(crate) fn queries() -> Vec<(&'static str, String)> {
     let prefixes = format!(
         "PREFIX drugbank: <{DRUGBANK}> PREFIX diseasome: <{DISEASOME}> \
          PREFIX sider: <{SIDER}> PREFIX dailymed: <{DAILYMED}> "

@@ -28,7 +28,7 @@ enum KeyTerm {
 }
 
 /// Normalizes a pattern into its cache key.
-pub fn pattern_key(tp: &TriplePattern) -> PatternKey {
+pub(crate) fn pattern_key(tp: &TriplePattern) -> PatternKey {
     let mut seen: [&str; 3] = [""; 3];
     let mut n = 0;
     PatternKey([&tp.s, &tp.p, &tp.o].map(|t| match t {
@@ -48,7 +48,7 @@ pub fn pattern_key(tp: &TriplePattern) -> PatternKey {
 }
 
 /// A thread-safe memo table keyed by `(K, EndpointId)` — `K` is a
-/// [`PatternKey`] for `ASK` and `COUNT` probes and a [`CheckKey`] for check
+/// [`PatternKey`] for `ASK` and `COUNT` probes and a `CheckKey` for check
 /// queries, so every memo has the same bound and counters.
 ///
 /// Optionally capacity-bounded: when full, inserting a *new* key evicts
@@ -147,34 +147,29 @@ impl<K: Clone + Eq + Hash, V: Copy> ProbeCache<K, V> {
     }
 
     /// Number of cache hits so far (diagnostics).
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.inner.lock().unwrap().hits
     }
 
     /// Number of consulted-but-absent lookups so far (diagnostics).
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.inner.lock().unwrap().misses
     }
 
     /// Number of entries evicted by the capacity bound so far — nonzero
     /// means the cache is saturated and recency actually matters.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.inner.lock().unwrap().evictions
     }
 
     /// Number of cached entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().unwrap().map.len()
-    }
-
-    /// True if the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Drops all entries and resets the counters (used between benchmark
     /// repetitions).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         let mut inner = self.inner.lock().unwrap();
         inner.map.clear();
         inner.order.clear();
@@ -200,7 +195,7 @@ impl<K: Clone + Eq + Hash, V: Copy> ProbeCache<K, V> {
 pub struct ProbeCaches {
     /// COUNT answers per (pattern, endpoint).
     pub count: ProbeCache<PatternKey, u64>,
-    /// Check-query verdicts per ([`CheckKey`], endpoint).
+    /// Check-query verdicts per (`CheckKey`, endpoint).
     pub check: ProbeCache<CheckKey, bool>,
 }
 
@@ -215,7 +210,7 @@ impl ProbeCaches {
     }
 
     /// Drops every memoized probe.
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         self.count.clear();
         self.check.clear();
     }

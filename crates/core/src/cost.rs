@@ -125,8 +125,6 @@ pub(crate) fn row_bounds(
 /// it — the payload behind trace delay-reason events.
 #[derive(Debug, Clone, Default)]
 pub struct DelayDecision {
-    /// Whether each subquery is delayed (either channel).
-    pub delayed: Vec<bool>,
     /// Whether the *cardinality* channel flagged each subquery.
     pub by_cardinality: Vec<bool>,
     /// Whether the *fan-out* channel flagged each subquery.
@@ -171,7 +169,6 @@ pub(crate) fn decide_delays_detailed(
     let n = cardinalities.len();
     if n <= 1 {
         return DelayDecision {
-            delayed: vec![false; n],
             by_cardinality: vec![false; n],
             by_fanout: vec![false; n],
             cardinality_threshold: None,
@@ -183,7 +180,6 @@ pub(crate) fn decide_delays_detailed(
     let (by_cardinality, cardinality_threshold) = threshold_exceeders(&cards, policy);
     let (by_fanout, fanout_threshold) = threshold_exceeders(&fans, policy);
     DelayDecision {
-        delayed: (0..n).map(|i| by_cardinality[i] || by_fanout[i]).collect(),
         by_cardinality,
         by_fanout,
         cardinality_threshold,
@@ -218,7 +214,7 @@ fn threshold_exceeders(xs: &[f64], policy: DelayPolicy) -> (Vec<bool>, Option<f6
 
 /// Chauvenet's criterion: a sample is rejected when the expected number of
 /// samples as extreme as it, `N · erfc(|x−μ|/(σ√2))`, falls below 1/2.
-pub fn chauvenet_inliers(xs: &[f64]) -> Vec<bool> {
+pub(crate) fn chauvenet_inliers(xs: &[f64]) -> Vec<bool> {
     let n = xs.len();
     if n == 2 {
         // Chauvenet cannot reject anything from a two-point sample (both
@@ -265,7 +261,7 @@ fn mean_std(xs: &[f64]) -> (f64, f64) {
 }
 
 /// Complementary error function (Abramowitz & Stegun 7.1.26, |ε| ≤ 1.5e−7).
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     let sign_negative = x < 0.0;
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.3275911 * x);
@@ -284,8 +280,15 @@ pub fn erfc(x: f64) -> f64 {
 mod tests {
     use super::*;
 
+    /// Whether each subquery is delayed (either channel).
+    fn delayed(d: &DelayDecision) -> Vec<bool> {
+        (d.by_cardinality.iter().zip(&d.by_fanout))
+            .map(|(&c, &f)| c || f)
+            .collect()
+    }
+
     fn decide_delays(cards: &[u64], fanouts: &[usize], policy: DelayPolicy) -> Vec<bool> {
-        decide_delays_detailed(cards, fanouts, policy).delayed
+        delayed(&decide_delays_detailed(cards, fanouts, policy))
     }
 
     #[test]
@@ -389,8 +392,8 @@ mod tests {
         let cards = [100, 100, 100, 100, 100_000];
         let fans = [2, 2, 2, 2, 2];
         let d = decide_delays_detailed(&cards, &fans, DelayPolicy::MuSigma);
-        assert_eq!(d.delayed, [false, false, false, false, true]);
-        assert_eq!(d.by_cardinality, d.delayed);
+        assert_eq!(delayed(&d), [false, false, false, false, true]);
+        assert_eq!(d.by_cardinality, delayed(&d));
         assert!(d.by_fanout.iter().all(|&b| !b));
         // Chauvenet rejects the outlier, so the threshold is computed over
         // the four identical inliers: μ = 100, σ = 0.
@@ -409,7 +412,7 @@ mod tests {
             DelayPolicy::OutliersOnly,
         ] {
             let d = decide_delays_detailed(&cards, &fans, policy);
-            for (i, &delayed) in d.delayed.iter().enumerate() {
+            for (i, delayed) in delayed(&d).into_iter().enumerate() {
                 assert_eq!(
                     d.reason(i, cards[i], fans[i]).is_some(),
                     delayed,

@@ -176,11 +176,6 @@ impl Lusail {
         self
     }
 
-    /// The engine's configuration.
-    pub fn config(&self) -> &LusailConfig {
-        &self.config
-    }
-
     /// Drops every memoized probe (between benchmark repetitions).
     pub fn clear_caches(&self) {
         self.caches.clear();

@@ -169,13 +169,13 @@ pub struct Degradation {
 impl Degradation {
     /// Counts a failed ASK and returns its conservative answer: the
     /// endpoint is assumed relevant, which can only cost extra requests.
-    pub fn assume_relevant(&self) -> bool {
+    pub(crate) fn assume_relevant(&self) -> bool {
         self.asks_assumed_relevant.fetch_add(1, Ordering::Relaxed);
         true
     }
 
     /// Marks that result-bearing data was lost (a failed execution SELECT).
-    pub fn record_data_loss(&self) {
+    pub(crate) fn record_data_loss(&self) {
         self.data_loss.store(true, Ordering::Relaxed);
     }
 
@@ -214,7 +214,11 @@ impl Net {
     /// on its `clock`, bounded by the call's deadline and observed by its
     /// health hook, and a handler with the call's worker budget. Both emit
     /// into the call's trace sink, so one enabled sink sees the whole query.
-    pub fn for_query(policy: RequestPolicy, clock: Arc<dyn Clock>, opts: &ExecOptions) -> Net {
+    pub(crate) fn for_query(
+        policy: RequestPolicy,
+        clock: Arc<dyn Clock>,
+        opts: &ExecOptions,
+    ) -> Net {
         let mut client = ResilientClient::traced(policy, Arc::clone(&clock), opts.trace.clone());
         if let Some(deadline) = opts.deadline {
             client = client.with_query_deadline(deadline);

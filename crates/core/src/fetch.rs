@@ -15,7 +15,7 @@
 //!    is `None`, recorded in [`Degradation`] — the only thing that makes a
 //!    query's outcome incomplete, for all four engines;
 //! 4. answers come back grouped by endpoint in first-submission order, the
-//!    order [`concat`] **concatenates** them in, so output bytes never
+//!    order [`concat()`] **concatenates** them in, so output bytes never
 //!    depend on thread scheduling.
 //!
 //! Callers only build request lists and map answers back.

@@ -28,7 +28,7 @@ fn shares_var(a: &SolutionSet, b: &SolutionSet) -> bool {
 /// — the caller decides whether a cross product is actually needed. Each
 /// executed hash join emits one [`TraceEvent::JoinStep`] into `trace` with
 /// its input/output cardinalities and the `JoinCost` that ordered it.
-pub fn join_components(relations: Vec<SolutionSet>, trace: &TraceSink) -> Vec<SolutionSet> {
+pub(crate) fn join_components(relations: Vec<SolutionSet>, trace: &TraceSink) -> Vec<SolutionSet> {
     let n = relations.len();
     if n <= 1 {
         return relations;

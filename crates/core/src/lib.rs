@@ -8,13 +8,13 @@
 //!    each triple pattern at each endpoint? A count above zero makes the
 //!    endpoint relevant, and the counts are the cost model's cardinalities.
 //!    Memoized in a cache shared across queries.
-//! 2. **Query analysis / LADE** ([`gjv`], [`decompose`]) — locality-aware
+//! 2. **Query analysis / LADE** (`gjv`, `decompose`) — locality-aware
 //!    decomposition. Check queries (`FILTER NOT EXISTS` existence tests)
 //!    detect *global join variables*: join variables whose instances are
 //!    not co-located at the endpoints. Triple patterns are grouped into
 //!    maximal subqueries that endpoints can answer locally without losing
 //!    results (Algorithms 1 and 2).
-//! 3. **Query execution / SAPE** ([`cost`], [`exec`], [`join`]) —
+//! 3. **Query execution / SAPE** (`cost`, [`exec`], [`join`]) —
 //!    selectivity-aware parallel execution. Source selection's per-pattern
 //!    counts feed a cost model; subqueries with outlying estimated cardinality or
 //!    endpoint fan-out (threshold `μ+σ` after Chauvenet outlier
@@ -52,20 +52,20 @@
 //! every query through one driver, [`exec::run_query`].
 
 pub mod cache;
-pub mod cost;
-pub mod decompose;
-pub mod engine;
+mod cost;
+mod decompose;
+mod engine;
 pub mod exec;
-pub mod explain;
+mod explain;
 pub mod fetch;
-pub mod gjv;
+mod gjv;
 pub mod join;
-pub mod metrics;
-pub mod mqo;
+mod metrics;
+mod mqo;
 mod probe;
 pub mod source_selection;
 pub mod subquery;
-pub mod trace;
+mod trace;
 
 pub use cost::DelayPolicy;
 pub use engine::{

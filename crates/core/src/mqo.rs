@@ -23,9 +23,8 @@
 //! degrades every dependent item with the producing evaluation's failure
 //! attribution merged into its report.
 
-use crate::cost::SubqueryCosts;
-use crate::engine::{Lusail, PlanShape, QueryResult};
-use crate::exec::{evaluate_subqueries, Net};
+use crate::engine::{Lusail, QueryResult};
+use crate::exec::Net;
 use crate::subquery::Subquery;
 use lusail_endpoint::{
     EndpointFailure, EndpointId, ExecOptions, Federation, FederationError, TraceEvent,
@@ -322,44 +321,6 @@ impl Lusail {
         let mut report = memo.report;
         report.distinct_subqueries = memo.shared.len();
         (outcomes, report)
-    }
-
-    /// Plans `query` and returns its top-level decomposed subqueries — the
-    /// units the batch memo is keyed by ([`SubqueryKey`]). `None` when the
-    /// plan is not a decomposition (the disjoint fast path, or a required
-    /// pattern with no relevant source).
-    pub fn plan_subqueries(&self, fed: &Federation, query: &Query) -> Option<Vec<Subquery>> {
-        if fed.is_empty() {
-            return None;
-        }
-        let net = Net::for_query(self.policy, self.timing_clock(), &ExecOptions::default());
-        let mut plan = self.plan(fed, query, &self.caches, &net);
-        match plan.groups.swap_remove(0).shape {
-            PlanShape::Decomposed { subqueries, .. } => Some(subqueries),
-            _ => None,
-        }
-    }
-
-    /// Evaluates one subquery standalone (no bindings from neighbours) and
-    /// returns its relation — the unit the batch memo shares. Exposed so
-    /// the signature-soundness property test can compare relations of
-    /// signature-equal subqueries directly.
-    pub fn evaluate_subquery(&self, fed: &Federation, sq: &Subquery) -> SolutionSet {
-        let net = Net::for_query(self.policy, self.timing_clock(), &ExecOptions::default());
-        let (relation, _) = evaluate_subqueries(
-            fed,
-            &net,
-            0,
-            std::slice::from_ref(sq),
-            &SubqueryCosts {
-                cardinality: vec![1],
-                delayed: vec![None],
-                row_bounds: vec![Vec::new()],
-            },
-            self.config(),
-            None,
-        );
-        relation
     }
 }
 

@@ -280,7 +280,7 @@ pub(crate) fn resolve<K: Kind>(
 
 impl Net {
     /// Narrows `candidates` to the endpoints answering `ask` with `true` —
-    /// the one probe that bypasses [`resolve`]: it carries the bindings or
+    /// the one probe that bypasses `resolve`: it carries the bindings or
     /// constants of a running query, which no memo or statistics speak
     /// for, and it is the only probe its endpoint gets at that point. A
     /// failed one keeps its endpoint, like a failed source-selection `ASK`.
@@ -479,7 +479,7 @@ mod tests {
         let memo = ProbeCache::new();
         let got = run::<K>(&federation(dict, false, true), &memo, probe, counter);
         assert_eq!(got, (truth, 0, 1, 0), "{kind}: statistics");
-        assert!(memo.is_empty(), "{kind}: statistics answer memoized");
+        assert_eq!(memo.len(), 0, "{kind}: statistics answer memoized");
         // A wire answer is memoized.
         let got = run::<K>(&federation(dict, false, false), &memo, probe, counter);
         assert_eq!(got, (truth, 1, 0, 0), "{kind}: wire");
@@ -488,7 +488,7 @@ mod tests {
         let memo = ProbeCache::new();
         let (got, _, _, degraded) = run::<K>(&federation(dict, true, false), &memo, probe, counter);
         assert_eq!((got, degraded), (fallback, 1), "{kind}: dead endpoint");
-        assert!(memo.is_empty(), "{kind}: degraded answer memoized");
+        assert_eq!(memo.len(), 0, "{kind}: degraded answer memoized");
     }
 
     /// The rule for a coalesced kind's probes at one endpoint. `group` is a
@@ -541,7 +541,7 @@ mod tests {
         assert_eq!((requests.requests, requests.failures), (1, 1), "{kind}");
         let degraded = counter(&net.degradation).load(Ordering::Relaxed);
         assert_eq!(degraded, 4, "{kind}: degradations counted");
-        assert!(memo.is_empty(), "{kind}: degraded answer memoized");
+        assert_eq!(memo.len(), 0, "{kind}: degraded answer memoized");
     }
 
     #[test]

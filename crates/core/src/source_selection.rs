@@ -61,7 +61,7 @@ impl SourceMap {
     }
 
     /// Iterates over `(pattern, sources)` entries.
-    pub fn iter(&self) -> impl Iterator<Item = &(TriplePattern, Vec<EndpointId>)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &(TriplePattern, Vec<EndpointId>)> {
         self.entries.iter()
     }
 

@@ -115,24 +115,16 @@ impl QueryTrace {
     }
 
     /// All recorded join steps, in execution order.
-    pub fn join_steps(&self) -> Vec<&TraceEvent> {
+    pub(crate) fn join_steps(&self) -> Vec<&TraceEvent> {
         self.events
             .iter()
             .filter(|ev| matches!(ev, TraceEvent::JoinStep { .. }))
             .collect()
     }
 
-    /// All recorded failover hops, in emission order.
-    pub fn failovers(&self) -> Vec<&TraceEvent> {
-        self.events
-            .iter()
-            .filter(|ev| matches!(ev, TraceEvent::FailedOver { .. }))
-            .collect()
-    }
-
     /// True when the trace records any resilience activity (failover or
     /// a circuit transition) worth rendering.
-    pub fn has_resilience_events(&self) -> bool {
+    pub(crate) fn has_resilience_events(&self) -> bool {
         self.events.iter().any(|ev| {
             matches!(
                 ev,
@@ -143,7 +135,7 @@ impl QueryTrace {
 
     /// Number of probes of one kind answered locally from offline
     /// statistics (each elided exactly one wire request of that kind).
-    pub fn stats_answered(&self, kind: RequestKind) -> u64 {
+    pub(crate) fn stats_answered(&self, kind: RequestKind) -> u64 {
         self.events
             .iter()
             .filter(|ev| matches!(ev, TraceEvent::StatsAnswered { kind: k, .. } if *k == kind))
@@ -153,7 +145,7 @@ impl QueryTrace {
     /// The statistics the engine found loaded at query start:
     /// `(endpoints with stats, total characteristic sets)`. `None` when
     /// the run had no statistics attached.
-    pub fn stats_loaded(&self) -> Option<(usize, usize)> {
+    pub(crate) fn stats_loaded(&self) -> Option<(usize, usize)> {
         self.events.iter().find_map(|ev| match ev {
             TraceEvent::StatsLoaded { endpoints, sets } => Some((*endpoints, *sets)),
             _ => None,
@@ -162,7 +154,7 @@ impl QueryTrace {
 
     /// True when the trace records any statistics activity worth
     /// rendering.
-    pub fn has_stats_events(&self) -> bool {
+    pub(crate) fn has_stats_events(&self) -> bool {
         self.events.iter().any(|ev| {
             matches!(
                 ev,
@@ -191,7 +183,7 @@ impl QueryTrace {
 
     /// The endpoints delayed subquery `subquery` was fetched whole from,
     /// in emission order.
-    pub fn whole_fetched(&self, subquery: usize) -> Vec<lusail_endpoint::EndpointId> {
+    pub(crate) fn whole_fetched(&self, subquery: usize) -> Vec<lusail_endpoint::EndpointId> {
         (self.events.iter())
             .filter_map(|ev| match ev {
                 TraceEvent::WholeFetched {
@@ -378,6 +370,9 @@ mod tests {
             ],
         };
         assert!(trace.has_resilience_events());
-        assert_eq!(trace.failovers().len(), 1);
+        let failovers = (trace.events.iter())
+            .filter(|ev| matches!(ev, TraceEvent::FailedOver { .. }))
+            .count();
+        assert_eq!(failovers, 1);
     }
 }

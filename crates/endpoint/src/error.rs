@@ -36,7 +36,7 @@ impl EndpointError {
     /// True if an immediate retry has a reasonable chance of succeeding.
     /// `Unavailable` is the one terminal class: retrying a down endpoint
     /// only burns the deadline budget.
-    pub fn is_transient(&self) -> bool {
+    pub(crate) fn is_transient(&self) -> bool {
         !matches!(self, EndpointError::Unavailable)
     }
 
@@ -124,17 +124,6 @@ pub struct QueryOutcome {
     pub complete: bool,
     /// Endpoints that failed requests, with retry counts and trip status.
     pub failures: Vec<EndpointFailure>,
-}
-
-impl QueryOutcome {
-    /// A complete outcome with no failures.
-    pub fn complete(solutions: lusail_sparql::SolutionSet) -> Self {
-        QueryOutcome {
-            solutions,
-            complete: true,
-            failures: Vec::new(),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -98,7 +98,7 @@ impl Federation {
 
     /// All members of the endpoint's replica group, in id order (the
     /// primary first, since replicas are always added after it).
-    pub fn replica_group(&self, id: EndpointId) -> Vec<EndpointId> {
+    pub(crate) fn replica_group(&self, id: EndpointId) -> Vec<EndpointId> {
         let primary = self.group_of[id];
         (0..self.endpoints.len())
             .filter(|&i| self.group_of[i] == primary)

@@ -2,7 +2,7 @@
 //!
 //! In the paper every data source is an independent SPARQL endpoint
 //! (Jena Fuseki or Virtuoso behind HTTP). Here an endpoint is a
-//! [`StorageBackend`](lusail_store::StorageBackend) — the BTree-indexed
+//! [`StorageBackend`] — the BTree-indexed
 //! [`TripleStore`] or the compressed columnar store, selected at
 //! construction — behind the [`SparqlEndpoint`] trait, with a simulated
 //! network in front of it:
@@ -23,12 +23,12 @@
 //! A [`Federation`] is a named, ordered collection of endpoints sharing a
 //! term dictionary.
 
-pub mod error;
-pub mod fault;
-pub mod federation;
-pub mod network;
-pub mod resilience;
-pub mod trace;
+mod error;
+mod fault;
+mod federation;
+mod network;
+mod resilience;
+mod trace;
 
 pub use error::{EndpointError, EndpointFailure, FederationError, QueryOutcome};
 pub use fault::{FaultProfile, FlakyEndpoint};
@@ -60,7 +60,7 @@ pub trait SparqlEndpoint: Send + Sync {
     fn triple_count(&self) -> usize;
     /// Resident heap bytes of the endpoint's storage, when the endpoint
     /// is local enough to know (see
-    /// [`StorageBackend::resident_bytes`](lusail_store::StorageBackend::resident_bytes)).
+    /// [`StorageBackend::resident_bytes`]).
     /// `None` for endpoints whose storage is not observable (the default).
     fn resident_bytes(&self) -> Option<u64> {
         None

@@ -39,7 +39,7 @@ impl NetworkProfile {
     }
 
     /// Transfer time for `bytes` at the profile's bandwidth.
-    pub fn transfer_time(&self, bytes: u64) -> Duration {
+    pub(crate) fn transfer_time(&self, bytes: u64) -> Duration {
         match self.bandwidth_bytes_per_sec {
             Some(bw) if bw > 0 => Duration::from_nanos(bytes.saturating_mul(1_000_000_000) / bw),
             _ => Duration::ZERO,

@@ -471,8 +471,7 @@ impl ResilientClient {
 
     /// A data-bearing `SELECT` with replica-aware failover: the request
     /// is issued to the endpoint's replica group one member at a time
-    /// (see [`failover_candidates`](Self::failover_candidates) for the
-    /// order; each member gets the full retry policy), and the first
+    /// (see `failover_candidates` for the order; each member gets the full retry policy), and the first
     /// success wins. Returns the winning member's id alongside the rows
     /// so callers can invalidate per-endpoint state for the losers. Errs
     /// only when every candidate failed.

@@ -57,7 +57,7 @@ impl RequestKind {
     }
 
     /// Dense index (for per-kind counters).
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             RequestKind::Ask => 0,
             RequestKind::Select => 1,
@@ -317,7 +317,7 @@ impl TraceSink {
     }
 
     /// Number of events recorded so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match &self.inner {
             Some(inner) => inner.lock().expect("trace sink poisoned").len(),
             None => 0,

@@ -19,7 +19,7 @@ pub struct TermId(pub u32);
 impl TermId {
     /// The id as a `usize` index.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }

@@ -15,12 +15,12 @@
 //! * [`SplitMix64`] — the deterministic generator every seeded dataset,
 //!   fault stream and randomized test draws from.
 
-pub mod dictionary;
+mod dictionary;
 pub mod fx;
 pub mod ntriples;
-pub mod splitmix;
-pub mod term;
-pub mod triple;
+mod splitmix;
+mod term;
+mod triple;
 
 pub use dictionary::{Dictionary, TermId};
 pub use fx::{FxHashMap, FxHashSet};
@@ -34,8 +34,6 @@ pub mod vocab {
     pub const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
     /// `rdfs:label`.
     pub const RDFS_LABEL: &str = "http://www.w3.org/2000/01/rdf-schema#label";
-    /// `rdfs:seeAlso`.
-    pub const RDFS_SEE_ALSO: &str = "http://www.w3.org/2000/01/rdf-schema#seeAlso";
     /// `owl:sameAs`.
     pub const OWL_SAME_AS: &str = "http://www.w3.org/2002/07/owl#sameAs";
     /// `xsd:integer`.
@@ -44,6 +42,4 @@ pub mod vocab {
     pub const XSD_DECIMAL: &str = "http://www.w3.org/2001/XMLSchema#decimal";
     /// `xsd:boolean`.
     pub const XSD_BOOLEAN: &str = "http://www.w3.org/2001/XMLSchema#boolean";
-    /// `xsd:string`.
-    pub const XSD_STRING: &str = "http://www.w3.org/2001/XMLSchema#string";
 }

@@ -54,7 +54,7 @@ pub fn parse_document(text: &str, dict: &Dictionary) -> Result<Vec<Triple>, Pars
 }
 
 /// Parses one N-Triples line (without trailing newline) into three terms.
-pub fn parse_line(line: &str) -> Result<(Term, Term, Term), String> {
+pub(crate) fn parse_line(line: &str) -> Result<(Term, Term, Term), String> {
     let mut cursor = Cursor::new(line);
     let s = cursor.parse_term()?;
     let p = cursor.parse_term()?;

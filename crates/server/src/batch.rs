@@ -9,7 +9,7 @@
 //! pending deadline coming due, whichever is first — then drains the
 //! queue and runs the batch. Followers park on a per-query slot until
 //! the leader delivers their outcome. All waiting is measured on the
-//! server's injectable [`Clock`] so tests drive the window
+//! server's injectable [`Clock`](lusail_endpoint::Clock) so tests drive the window
 //! deterministically; the real-time elapsed wait is used as a fallback
 //! bound so a frozen `ManualClock` can never wedge a leader.
 //!

@@ -82,7 +82,7 @@ pub fn render_solutions(sols: &SolutionSet, dict: &Dictionary) -> String {
 
 /// Decodes `%XX` escapes and `+` (space) in a URL query component.
 /// `None` when the decoded bytes are not valid UTF-8.
-pub fn percent_decode(s: &str) -> Option<String> {
+pub(crate) fn percent_decode(s: &str) -> Option<String> {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;

@@ -30,7 +30,7 @@
 //! [`http`]; `lusail-cli serve` wires it to a federation loaded from
 //! endpoint files.
 
-pub mod batch;
+mod batch;
 pub mod http;
 
 pub use batch::{BatchConfig, BatchStats};
@@ -78,7 +78,7 @@ pub struct ServerConfig {
     /// The limits each tenant is admitted under.
     pub tenant: TenantPolicy,
     /// Cross-tenant batching: admitted queries accumulate in a bounded
-    /// window and shared subqueries are evaluated once (see [`batch`]).
+    /// window and shared subqueries are evaluated once (see [`BatchConfig`]).
     pub batch: BatchConfig,
 }
 
@@ -244,7 +244,7 @@ impl QueryServer {
     /// per-query deadlines are measured on it, so a
     /// [`ManualClock`](lusail_endpoint::ManualClock) shared with the
     /// engine makes scheduler timing fully deterministic in tests.
-    pub fn with_clock(
+    pub(crate) fn with_clock(
         fed: Federation,
         engine: Lusail,
         config: ServerConfig,
@@ -285,7 +285,7 @@ impl QueryServer {
     }
 
     /// True once [`QueryServer::drain`] has started.
-    pub fn is_draining(&self) -> bool {
+    pub(crate) fn is_draining(&self) -> bool {
         self.state.lock().unwrap().draining
     }
 
@@ -305,7 +305,7 @@ impl QueryServer {
     /// is either admitted and run to completion (possibly degraded, per
     /// the engine's graceful-degradation semantics) or refused with a
     /// typed [`Rejection`] — never queued.
-    pub fn execute_with_deadline(
+    pub(crate) fn execute_with_deadline(
         &self,
         tenant: &str,
         query: &Query,

@@ -59,7 +59,7 @@ pub struct LexError {
 
 /// Tokenizes a SPARQL query string. `#` starts a comment to end of line
 /// (except inside IRIs/literals).
-pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
+pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0;

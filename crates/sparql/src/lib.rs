@@ -7,22 +7,22 @@
 //!   forms over group graph patterns with basic graph patterns, `FILTER`
 //!   (including `FILTER NOT EXISTS`), `OPTIONAL`, `UNION`, `VALUES`,
 //!   `DISTINCT` and `LIMIT`;
-//! * [`parser`] — a hand-written recursive-descent parser that interns all
+//! * [`parse_query`] — a hand-written recursive-descent parser that interns all
 //!   constant terms into a shared [`Dictionary`](lusail_rdf::Dictionary);
-//! * [`writer`] — a serializer back to SPARQL text, used to simulate the
+//! * [`write_query`] — a serializer back to SPARQL text, used to simulate the
 //!   wire format between the federated engine and the endpoints;
 //! * [`solution`] — result sets (`SolutionSet`) exchanged between engines
-//!   and endpoints, over [`rows`] — one flat buffer of cells per relation.
+//!   and endpoints, over [`Rows`] — one flat buffer of cells per relation.
 //!
 //! The subset is exactly what the paper's workloads exercise; anything
 //! outside it is a parse error rather than a silent misinterpretation.
 
 pub mod ast;
-pub mod lexer;
-pub mod parser;
-pub mod rows;
+mod lexer;
+mod parser;
+mod rows;
 pub mod solution;
-pub mod writer;
+mod writer;
 
 pub use ast::{
     CmpOp, Expression, GroupPattern, PatternTerm, Query, QueryForm, TriplePattern, ValuesBlock,

@@ -190,7 +190,7 @@ impl SolutionSet {
 
     /// The join kernel — the only build/probe loop in the workspace. A left
     /// row (`self`) and a right row (`other`) *pair* when every shared
-    /// variable bound on both sides agrees ([`compatible`]) and, if `accept`
+    /// variable bound on both sides agrees (`compatible`) and, if `accept`
     /// is given, the merged row satisfies it; `kind` says what the pairs
     /// become. The merged schema is `self`'s columns followed by `other`'s
     /// new ones, a shared cell taking whichever side is bound.

@@ -6,7 +6,7 @@
 //!
 //! * [`TripleStore`] — three `BTreeSet` orderings (SPO/POS/OSP), mutable,
 //!   the default;
-//! * [`ColumnStore`](crate::ColumnStore) — a bit-packed sorted-column
+//! * [`ColumnStore`] — a bit-packed sorted-column
 //!   layout built once from a populated store, immutable, several times
 //!   smaller in resident memory.
 //!
@@ -44,7 +44,7 @@ pub enum BackendKind {
     /// The mutable `BTreeSet`-based [`TripleStore`] (the default).
     #[default]
     Btree,
-    /// The immutable bit-packed [`ColumnStore`](crate::ColumnStore).
+    /// The immutable bit-packed [`ColumnStore`].
     Columns,
 }
 
@@ -69,7 +69,7 @@ impl BackendKind {
 
     /// Materializes a populated [`TripleStore`] into this backend: the
     /// BTree kind keeps the store as-is, the columnar kind rebuilds it
-    /// into a [`ColumnStore`](crate::ColumnStore) and drops the B-trees.
+    /// into a [`ColumnStore`] and drops the B-trees.
     pub fn realize(self, store: TripleStore) -> Box<dyn StorageBackend> {
         match self {
             BackendKind::Btree => Box::new(store),

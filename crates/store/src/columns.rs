@@ -99,18 +99,8 @@ impl PackedVec {
         self.len
     }
 
-    /// True if no values are packed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Bits per value.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
     /// Heap bytes held by the word buffer.
-    pub fn heap_bytes(&self) -> u64 {
+    pub(crate) fn heap_bytes(&self) -> u64 {
         self.words.len() as u64 * 8
     }
 }
@@ -486,7 +476,7 @@ mod tests {
         // 64-bit word grid within a few entries.
         let values: Vec<u32> = (0..200).map(|i| (i * 0x005A_5A5A) & 0x07FF_FFFF).collect();
         let pv = PackedVec::build(&values);
-        assert_eq!(pv.bits(), 27);
+        assert_eq!(pv.bits, 27);
         for (i, &v) in values.iter().enumerate() {
             assert_eq!(pv.get(i), v, "index {i}");
         }
@@ -495,13 +485,13 @@ mod tests {
     #[test]
     fn packed_vec_handles_empty_zero_and_max() {
         let empty = PackedVec::build(&[]);
-        assert!(empty.is_empty());
+        assert_eq!(empty.len(), 0);
         assert_eq!(empty.heap_bytes(), 0);
         let zeros = PackedVec::build(&[0, 0, 0]);
-        assert_eq!(zeros.bits(), 1);
+        assert_eq!(zeros.bits, 1);
         assert_eq!(zeros.get(2), 0);
         let max = PackedVec::build(&[u32::MAX, 7]);
-        assert_eq!(max.bits(), 32);
+        assert_eq!(max.bits, 32);
         assert_eq!(max.get(0), u32::MAX);
         assert_eq!(max.get(1), 7);
     }
@@ -783,7 +773,7 @@ mod tests {
                 }
                 let t = Triple::new(TermId(id), p, o);
                 assert_eq!(
-                    u64::from(st.contains(t)),
+                    st.matches(Some(t.s), Some(t.p), Some(t.o)).len() as u64,
                     StorageBackend::estimate(&cols, Some(t.s), Some(t.p), Some(t.o)),
                     "{id}"
                 );

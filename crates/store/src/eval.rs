@@ -17,7 +17,7 @@
 //!   that stops at one). The counting sinks sit on the pipeline only when
 //!   the group is a bare BGP; otherwise the group is collected first. A
 //!   projected `(EXISTS {…} AS ?a)` is a first hit too, and `COUNT`s over
-//!   a `UNION` of bare BGPs are one count per branch ([`count_branches`]),
+//!   a `UNION` of bare BGPs are one count per branch (`count_branches`),
 //!   so a request that coalesces many planning probes scans exactly the
 //!   rows its members would have scanned one by one.
 //!
@@ -32,7 +32,7 @@
 //!   joined with the surrounding solutions.
 //! * **OPTIONAL** — left join.
 //! * **FILTER NOT EXISTS** — anti join on shared variables.
-//! * **FILTER** — row predicate via [`crate::expr`].
+//! * **FILTER** — row predicate via the crate's `expr` module.
 
 use crate::backend::StorageBackend;
 use crate::expr::eval_filter;
@@ -221,7 +221,7 @@ fn apply_modifiers_after_grouping(
 /// bound values of its variable (or all rows for `*`); `SUM`/`AVG` skip
 /// non-numeric bindings; `MIN`/`MAX` use numeric order when both sides are
 /// numeric and term order otherwise.
-pub fn apply_group_by(
+pub(crate) fn apply_group_by(
     sols: &SolutionSet,
     group_by: &[String],
     aggregates: &[lusail_sparql::ast::Aggregate],
@@ -448,7 +448,7 @@ pub fn left_join_filtered(
 /// `FILTER NOT EXISTS` with correlated filters: a left row is dropped
 /// when some compatible right row makes the merged row satisfy every
 /// filter. With no filters this is [`SolutionSet::anti_join`].
-pub fn anti_join_filtered(
+pub(crate) fn anti_join_filtered(
     left: &SolutionSet,
     right: &SolutionSet,
     filters: &[lusail_sparql::ast::Expression],

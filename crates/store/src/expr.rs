@@ -34,7 +34,7 @@ impl VarContext for (&[String], &[Option<TermId>]) {
 
 /// Evaluates `expr` to its effective boolean value in `ctx`. Errors count
 /// as `false`, per SPARQL FILTER semantics.
-pub fn eval_filter(expr: &Expression, ctx: &dyn VarContext, dict: &Dictionary) -> bool {
+pub(crate) fn eval_filter(expr: &Expression, ctx: &dyn VarContext, dict: &Dictionary) -> bool {
     match eval(expr, ctx, dict) {
         Value::Bool(b) => b,
         Value::Term(id) => term_ebv(&dict.decode(id)),

@@ -6,7 +6,7 @@
 //! orderings of its triples (SPO, POS, OSP) so that any triple-pattern
 //! access path is a contiguous range scan, mirroring the index layout of
 //! engines like RDF-3X — or the immutable bit-packed [`ColumnStore`]
-//! built once from sorted triples (see [`columns`]). The backend contract
+//! built once from sorted triples. The backend contract
 //! is scans, estimates and accounting; per-predicate triple counts, which
 //! make `(?, p, ?)` estimates exact, are kept on insert (BTree) or fall
 //! out of the sorted runs (columnar).
@@ -24,11 +24,11 @@
 //! VALUES, DISTINCT and LIMIT — generic over `&dyn StorageBackend`.
 
 pub mod backend;
-pub mod columns;
+mod columns;
 pub mod eval;
-pub mod expr;
+mod expr;
 pub mod stats;
-pub mod store;
+mod store;
 
 pub use backend::{BackendKind, StorageBackend};
 pub use columns::ColumnStore;

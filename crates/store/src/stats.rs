@@ -41,7 +41,7 @@ pub struct CharacteristicSet {
 
 impl CharacteristicSet {
     /// True if the signature contains `p`.
-    pub fn has(&self, p: TermId) -> bool {
+    pub(crate) fn has(&self, p: TermId) -> bool {
         self.predicates.binary_search(&p).is_ok()
     }
 }

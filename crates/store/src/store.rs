@@ -109,11 +109,6 @@ impl TripleStore {
         self.spo.is_empty()
     }
 
-    /// True if the exact triple is present.
-    pub fn contains(&self, t: Triple) -> bool {
-        self.spo.contains(&(t.s.0, t.p.0, t.o.0))
-    }
-
     /// Iterates over every triple in subject-grouped (SPO) order.
     /// Planning-time work — used by the offline statistics build — so it
     /// does *not* count toward [`TripleStore::rows_scanned`], unlike

@@ -243,7 +243,7 @@ pub struct Setup {
     /// than skipped for fitting in one block.
     pub block_size: Option<usize>,
     /// Copies of every endpoint (1 = unreplicated; see
-    /// [`Case::federation_on`] for the id layout fault plans index).
+    /// `Case::federation_on` for the id layout fault plans index).
     pub replication: usize,
 }
 

@@ -82,7 +82,7 @@ impl FaultSpec {
     }
 
     /// True when every replica group of `n_endpoints` logical endpoints
-    /// replicated `replication` times (ids as in [`Case::federation_on`])
+    /// replicated `replication` times (ids as in `Case::federation_on`)
     /// keeps a healthy member — failover can then absorb every injected
     /// fault.
     pub fn spares_every_group(&self, n_endpoints: usize, replication: usize) -> bool {
@@ -136,7 +136,7 @@ impl FaultSpec {
     /// Draws a *primary-kill* plan for a federation of `n_endpoints`
     /// logical endpoints replicated `replication` times. Profiles are
     /// indexed by final endpoint id (see
-    /// [`Case::federation_on`]): only primaries (ids
+    /// `Case::federation_on`): only primaries (ids
     /// `0..n_endpoints`) are ever killed — dead outright or dying after
     /// serving a few requests — and at least one is. Replicas stay
     /// healthy, so every group keeps a live member and failover must be
@@ -244,7 +244,7 @@ impl Case {
     /// its seed variable — the shapes whose groups the engine plans and
     /// executes recursively. Drawn from the case's own seed (on a separate
     /// stream, so the generated case itself is untouched).
-    pub fn with_nested_groups(mut self, config: &GenConfig) -> Case {
+    pub(crate) fn with_nested_groups(mut self, config: &GenConfig) -> Case {
         let mut rng = Rng::new(self.seed ^ 0x9E57_ED00_0000_0005);
         let seed_var = self.query.pattern.triples[0].s.clone();
         let group = |rng: &mut Rng, object: &str| {
@@ -287,8 +287,7 @@ impl Case {
 
     /// Builds the federation on the BTree backend, unreplicated,
     /// optionally wrapping endpoints in
-    /// [`FlakyEndpoint`](lusail_endpoint::FlakyEndpoint)s per `faults`
-    /// (see [`Case::federation_on`]).
+    /// [`FlakyEndpoint`]s per `faults` (see `Case::federation_on`).
     pub fn federation(&self, faults: &FaultSpec) -> (Federation, Vec<Arc<LocalEndpoint>>) {
         self.federation_on(faults, lusail_store::BackendKind::Btree, 1)
     }
@@ -304,7 +303,7 @@ impl Case {
     /// baselines preprocess endpoint data directly, bypassing faults (an
     /// index is built offline, before the network gets a say), and cover
     /// logical sources only (replicas hold no data of their own).
-    pub fn federation_on(
+    pub(crate) fn federation_on(
         &self,
         faults: &FaultSpec,
         backend: lusail_store::BackendKind,

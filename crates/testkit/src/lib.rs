@@ -5,7 +5,7 @@
 //! answers a centralized evaluation would. This crate turns that claim
 //! into a permanent, seeded, shrinking test harness:
 //!
-//! 1. [`gen`] synthesizes a random-but-valid SPARQL query
+//! 1. [`Case::generate`] synthesizes a random-but-valid SPARQL query
 //!    (BGP / FILTER / OPTIONAL / DISTINCT / LIMIT) together with a random
 //!    triple set partitioned across 2–6 endpoints with controllable
 //!    locality — the `straddle` knob decides how often join instances
@@ -17,9 +17,9 @@
 //!    [`FlakyEndpoint`](lusail_endpoint::FlakyEndpoint)s) must stay a
 //!    subset of it and may claim completeness only when nothing is
 //!    missing;
-//! 3. on a mismatch, [`shrink`] greedily reduces the case — data triples,
+//! 3. on a mismatch, [`shrink()`] greedily reduces the case — data triples,
 //!    then query structure, then endpoints — and prints a self-contained
-//!    [`Repro`](shrink::Repro) (seed, partition map, query text, fault
+//!    [`Repro`] (seed, partition map, query text, fault
 //!    plan, Lusail's plan).
 //!
 //! Entry points: the `tests/differential.rs` tier-1 suite (bounded case
@@ -27,9 +27,9 @@
 //! -- --seed 1 --iters 10000`) for long-running exploration.
 
 pub mod diff;
-pub mod gen;
-pub mod seed;
-pub mod shrink;
+mod gen;
+mod seed;
+mod shrink;
 
 pub use diff::{
     check_batched, check_trace_invariants, compare, observe, oracle_solutions, Axis, EngineKind,
@@ -97,7 +97,7 @@ pub fn run_axis_case(
 /// [`check_batched`], which also says why `faulty` draws a *dead-only*
 /// plan; only Lusail batches), shrinking a failure to a repro. `nested`
 /// grafts UNION, OPTIONAL, and NOT EXISTS groups onto the query
-/// ([`Case::with_nested_groups`]). Returns the batch's report.
+/// (`Case::with_nested_groups`). Returns the batch's report.
 pub fn run_batched_case(
     case_seed: u64,
     config: &GenConfig,

@@ -19,6 +19,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# A doc link to a private, missing or ambiguous item fails here.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> one probe path (memo -> statistics -> wire -> degrade, and the coalesced wire form, are written in crates/core/src/probe.rs only; two planning waves)"
 # Non-test code is everything above a file's `#[cfg(test)]` module.
 scattered=0
@@ -204,7 +208,7 @@ if grep -Eq 'pub fn request<|pub fn select\(' crates/endpoint/src/resilience.rs;
     scattered=1
 fi
 [ "$scattered" -eq 0 ]
-# Informative, no ceiling: ROADMAP item 9 (line budget) tracks this figure.
+# Informative, no ceiling: ROADMAP item 12 (line budget) tracks this figure.
 echo "crates/: $total lines of .rs, $non_test of them non-test"
 
 echo "==> one access path per pattern (a backend decides a pattern's index run in range / run only; one SplitMix64; no wire-side shed counter)"

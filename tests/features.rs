@@ -75,8 +75,9 @@ fn order_by_with_limit_returns_global_top_k() {
 /// GJVs, same disjoint / empty verdict, same subqueries — nested groups'
 /// included, under the same query-wide numbers — with the same delay
 /// flags and (pushed-down, shrunk) projections. Execution's side is read
-/// from what it reports — metrics, its planning trace events, and
-/// `plan_subqueries` — not from the plan EXPLAIN holds.
+/// from what it reports — metrics, its planning trace events, and the
+/// `project:` lines of EXPLAIN ANALYZE's render of the plan a second run
+/// on the same warm engine executed — not from the plan EXPLAIN holds.
 fn assert_explain_matches_execution(
     engine: &Lusail,
     fed: &lusail_endpoint::Federation,
@@ -127,11 +128,26 @@ fn assert_explain_matches_execution(
         })
         .collect();
     assert_eq!(delays, planned, "{name}: delay decisions");
-    let executed = engine
-        .plan_subqueries(fed, query)
-        .unwrap_or_else(|| panic!("{name}: execution decomposes, the planner does not"));
+    let analyze = engine
+        .explain_analyze_with(fed, query, &ExecOptions::default())
+        .unwrap();
+    assert!(
+        analyze.contains(&format!("\nplan: {} subqueries", top.subqueries().len())),
+        "{name}: the plan that ran is not decomposed into the planned subqueries"
+    );
+    // A WHERE-group subquery's projection line is indented six spaces; a
+    // nested group's lines are indented deeper.
+    let executed: Vec<&str> = (analyze.lines())
+        .filter_map(|line| line.strip_prefix("      project: "))
+        .collect();
+    assert_eq!(
+        executed.len(),
+        top.subqueries().len(),
+        "{name}: projections"
+    );
     for (sq, run) in top.subqueries().iter().zip(&executed) {
-        assert_eq!(sq.projection, run.projection, "{name}: projection");
+        let projection = format!("?{}", sq.projection.join(" ?"));
+        assert_eq!(projection, *run, "{name}: projection");
     }
     plan
 }

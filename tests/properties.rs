@@ -15,10 +15,12 @@
 
 use lusail_baselines::FedX;
 use lusail_benchdata::common::Rng;
+use lusail_core::exec::run_query;
+use lusail_core::fetch::fetch_from;
 use lusail_core::join::par_hash_join;
-use lusail_core::Lusail;
+use lusail_core::{Lusail, Subquery};
 use lusail_endpoint::ExecOptions;
-use lusail_endpoint::{FederatedEngine, Federation, LocalEndpoint};
+use lusail_endpoint::{FederatedEngine, Federation, LocalEndpoint, RequestPolicy, SystemClock};
 use lusail_rdf::{Dictionary, Term, TermId};
 use lusail_sparql::ast::{GroupPattern, PatternTerm, Query, TriplePattern};
 use lusail_sparql::solution::{JoinKind, JoinPredicate};
@@ -959,7 +961,6 @@ fn offline_builds_charge_nothing_and_agree_across_backends() {
 /// (SplitMix64 plus IEEE-754 arithmetic — pinned below).
 #[test]
 fn backoff_schedule_is_deterministic_bounded_and_capped() {
-    use lusail_endpoint::RequestPolicy;
     use std::time::Duration;
 
     let policy = RequestPolicy::default();
@@ -1026,7 +1027,7 @@ fn backoff_schedule_is_deterministic_bounded_and_capped() {
 /// with `LUSAIL_TEST_SEED`.
 #[test]
 fn equal_subquery_signatures_imply_multiset_equal_relations() {
-    use lusail_core::SubqueryKey;
+    use lusail_core::{PlanShape, SubqueryKey};
     use lusail_testkit::{Case, FaultSpec, GenConfig};
 
     let mut rng = Rng::new(seed_from_env(0x516_A7B5));
@@ -1053,7 +1054,9 @@ fn equal_subquery_signatures_imply_multiset_equal_relations() {
             std::collections::HashMap::new();
         let mut any_planned = false;
         for (vi, query) in variants.iter().enumerate() {
-            let Some(subqueries) = engine.plan_subqueries(&fed, query) else {
+            let PlanShape::Decomposed { subqueries, .. } =
+                engine.explain(&fed, query).groups.swap_remove(0).shape
+            else {
                 continue;
             };
             any_planned = true;
@@ -1064,10 +1067,7 @@ fn equal_subquery_signatures_imply_multiset_equal_relations() {
                 // variable set, possibly discovered in different orders.
                 let mut proj = sq.projection.clone();
                 proj.sort();
-                let rel = engine
-                    .evaluate_subquery(&fed, sq)
-                    .project(&proj)
-                    .canonicalize();
+                let rel = evaluate_standalone(&fed, sq).project(&proj).canonicalize();
                 match memo.get(&sig) {
                     Some((prev_vi, prev_proj, prev_rel)) => {
                         collisions += 1;
@@ -1098,6 +1098,24 @@ fn equal_subquery_signatures_imply_multiset_equal_relations() {
         "coverage too thin: {planned_cases} planned cases, {collisions} collisions, \
          {cross_query_collisions} cross-query"
     );
+}
+
+/// Evaluates one subquery standalone (no bindings from neighbours): its
+/// query sent to each of its sources and concatenated, through the query
+/// driver and fetch path every engine's unbound retrieval takes. This is
+/// the relation the batch memo shares.
+fn evaluate_standalone(fed: &Federation, sq: &Subquery) -> SolutionSet {
+    let query = sq.to_query(None);
+    let (outcome, (), _) = run_query(
+        fed,
+        &query,
+        RequestPolicy::default(),
+        Arc::new(SystemClock::default()),
+        &ExecOptions::default(),
+        |net| (fetch_from(fed, net, &query, &sq.sources), ()),
+    )
+    .unwrap();
+    outcome.solutions
 }
 
 // ---------- adaptive VALUES batching ---------------------------------------
