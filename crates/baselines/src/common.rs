@@ -291,7 +291,8 @@ mod tests {
         // 10 bindings / block 3 = 4 blocks = 4 requests.
         assert_eq!(window.select_requests, 4);
         assert_eq!(joined.len(), 5);
-        assert!(!net.degradation.data_loss());
+        // No request failed or was retried, so no data was lost.
+        assert!(net.client.report(&fed).is_empty());
         // Identical to evaluating unbound then joining.
         let unbound = fetch_from(&fed, &net, &unit.to_query(None), &unit.sources);
         assert_eq!(

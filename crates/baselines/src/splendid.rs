@@ -339,11 +339,18 @@ mod tests {
         )
         .unwrap();
 
-        let net = Net::default();
-        let sources = engine.select_sources(&fed, &q.pattern, &net);
-        let rows = engine.evaluate_group(&fed, &q.pattern, &sources, &net);
-        assert_eq!(rows.len(), 2);
-        assert!(net.degradation.data_loss());
+        // The engine's evaluation alone, inside the query driver: the
+        // driver's answer is incomplete exactly when the net recorded lost
+        // data.
+        let clock = Arc::new(SystemClock::default());
+        let opts = ExecOptions::default();
+        let (alone, (), _) = run_query(&fed, &q, RequestPolicy::default(), clock, &opts, |net| {
+            let sources = engine.select_sources(&fed, &q.pattern, net);
+            (engine.evaluate_group(&fed, &q.pattern, &sources, net), ())
+        })
+        .unwrap();
+        assert_eq!(alone.solutions.len(), 2);
+        assert!(!alone.complete);
 
         let outcome = engine
             .run_with(&dying_fed(), &q, &ExecOptions::default())

@@ -40,25 +40,70 @@ pub enum DelayPolicy {
     OutliersOnly,
 }
 
-/// Per-subquery cost-model outputs.
-#[derive(Debug, Clone, Default)]
-pub struct SubqueryCosts {
-    /// Estimated cardinality `C(sq)` per subquery.
-    pub cardinality: Vec<u64>,
-    /// Why each subquery is delayed ([`DelayDecision::reason`]): `Some`
-    /// exactly for a delayed subquery, `None` for a concurrent one.
-    pub delayed: Vec<Option<String>>,
-    /// Per subquery, `(source, bound)` for each source whose unbound answer
-    /// has at most `bound` rows (see [`row_bounds`]). SAPE fetches a
-    /// delayed subquery whole from a source whose bounded answer is
-    /// smaller on the wire than the bindings it would be sent.
-    pub row_bounds: Vec<Vec<(EndpointId, u64)>>,
+/// When SAPE runs a subquery: the cost model's verdict, fixed at plan time.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Schedule {
+    /// Phase 1: fetched unbound, together with the group's other
+    /// concurrent subqueries.
+    Concurrent,
+    /// Phase 2: bound with the bindings found so far. The reason names the
+    /// channel (cardinality or fan-out) and the threshold it exceeded.
+    Delayed(String),
+    /// Delayed by the cost model like every other subquery of its group,
+    /// and the most selective of them: it runs in phase 1, so phase 1 is
+    /// never empty.
+    Promoted(String),
+}
+
+impl Schedule {
+    /// Why the cost model delayed the subquery; `None` when it did not.
+    pub fn delay_reason(&self) -> Option<&str> {
+        match self {
+            Schedule::Concurrent => None,
+            Schedule::Delayed(reason) | Schedule::Promoted(reason) => Some(reason),
+        }
+    }
+}
+
+/// The cost model over one group's subqueries: per subquery its estimate
+/// `C(sq)` and its [`Schedule`]. A lone subquery has nothing to be delayed
+/// behind: it is not estimated and runs concurrently. When every subquery
+/// is delayed, the one with the lowest estimate (the first on ties) is
+/// promoted.
+pub(crate) fn schedule(
+    subqueries: &[Subquery],
+    sources: &SourceMap,
+    policy: DelayPolicy,
+) -> Vec<(Option<u64>, Schedule)> {
+    if subqueries.len() < 2 {
+        return vec![(None, Schedule::Concurrent); subqueries.len()];
+    }
+    let cardinality = estimate_cardinalities(subqueries, sources);
+    let fanouts: Vec<usize> = subqueries.iter().map(|sq| sq.sources.len()).collect();
+    let decision = decide_delays_detailed(&cardinality, &fanouts, policy);
+    let reasons: Vec<Option<String>> = (0..subqueries.len())
+        .map(|i| decision.reason(i, cardinality[i], fanouts[i]))
+        .collect();
+    let promoted = match reasons.iter().all(Option::is_some) {
+        true => (0..cardinality.len()).min_by_key(|&i| cardinality[i]),
+        false => None,
+    };
+    (cardinality.iter().zip(reasons).enumerate())
+        .map(|(i, (&estimate, reason))| {
+            let schedule = match reason {
+                None => Schedule::Concurrent,
+                Some(reason) if promoted == Some(i) => Schedule::Promoted(reason),
+                Some(reason) => Schedule::Delayed(reason),
+            };
+            (Some(estimate), schedule)
+        })
+        .collect()
 }
 
 /// Estimates `C(sq)` for every subquery from the pattern counts `sources`
 /// holds (source selection's `COUNT`s; a failed one is the endpoint's total
 /// triple count).
-pub(crate) fn estimate_cardinalities(subqueries: &[Subquery], sources: &SourceMap) -> Vec<u64> {
+fn estimate_cardinalities(subqueries: &[Subquery], sources: &SourceMap) -> Vec<u64> {
     // Pushed filters are attached per-subquery, so the count is the bare
     // pattern's; subqueries with filters estimate slightly high, which only
     // errs toward delaying them.
@@ -97,26 +142,6 @@ pub(crate) fn estimate_cardinalities(subqueries: &[Subquery], sources: &SourceMa
                     .unwrap_or(0);
             }
             c_sq
-        })
-        .collect()
-}
-
-/// Per subquery, an upper bound on the rows each source answers it
-/// unbound with: for a single-pattern subquery, source selection's count
-/// of its pattern there (a failed `COUNT` is the endpoint's triple count,
-/// still a bound; pushed filters only remove rows). A subquery of several
-/// patterns joins them at the endpoint, which no pattern count bounds, so
-/// it has none.
-pub(crate) fn row_bounds(
-    subqueries: &[Subquery],
-    sources: &SourceMap,
-) -> Vec<Vec<(EndpointId, u64)>> {
-    (subqueries.iter())
-        .map(|sq| match sq.triples.as_slice() {
-            [tp] => (sq.sources.iter())
-                .filter_map(|&ep| Some((ep, sources.cardinality(tp, ep)?)))
-                .collect(),
-            _ => Vec::new(),
         })
         .collect()
 }

@@ -13,9 +13,7 @@
 //! fast path for LUBM Q1/Q2.
 
 use crate::cache::ProbeCaches;
-use crate::cost::{
-    decide_delays_detailed, estimate_cardinalities, row_bounds, DelayPolicy, SubqueryCosts,
-};
+use crate::cost::{schedule, DelayPolicy, Schedule};
 use crate::decompose::{decompose, is_disjoint};
 use crate::exec::{evaluate_subqueries, run_query, Net};
 use crate::fetch::fetch_from;
@@ -312,10 +310,9 @@ impl Lusail {
         let mut groups: Vec<GroupPlan> = Vec::new();
         let mut pending = vec![(Cow::Borrowed(&query.pattern), 0)];
         while let Some((group, depth)) = pending.pop() {
-            let first = groups.iter().map(|g| g.subqueries().len()).sum();
+            let first: usize = groups.iter().map(|g| g.subqueries().len()).sum();
             let mut plan = GroupPlan {
                 depth,
-                first,
                 gjvs: Vec::new(),
                 shape: PlanShape::Empty,
             };
@@ -374,33 +371,24 @@ impl Lusail {
                 if top {
                     shrink_projections(query, &mut subqueries, &global_filters);
                 }
-                // A lone subquery has nothing to be delayed behind: no estimate.
-                let cardinality = if subqueries.len() > 1 {
-                    estimate_cardinalities(&subqueries, &sources)
-                } else {
-                    vec![0; subqueries.len()]
-                };
-                let fanouts: Vec<usize> = subqueries.iter().map(|sq| sq.sources.len()).collect();
-                let policy = self.config.delay_policy;
-                let decision = decide_delays_detailed(&cardinality, &fanouts, policy);
-                let delayed: Vec<Option<String>> = (0..subqueries.len())
-                    .map(|i| decision.reason(i, cardinality[i], fanouts[i]))
-                    .collect();
-                for (i, reason) in delayed.iter().enumerate() {
-                    trace.emit(|| TraceEvent::SubqueryPlanned {
+                let scheduled = schedule(&subqueries, &sources, self.config.delay_policy);
+                let subqueries: Vec<PlannedSubquery> = (subqueries.into_iter().zip(scheduled))
+                    .enumerate()
+                    .map(|(i, (subquery, (estimate, schedule)))| PlannedSubquery {
                         index: first + i,
-                        delayed: reason.is_some(),
-                        delay_reason: reason.clone(),
+                        subquery,
+                        estimate,
+                        schedule,
+                    })
+                    .collect();
+                for sq in &subqueries {
+                    trace.emit(|| TraceEvent::SubqueryPlanned {
+                        index: sq.index,
+                        delay_reason: sq.schedule.delay_reason().map(str::to_string),
                     });
                 }
-                let bounds = row_bounds(&subqueries, &sources);
                 PlanShape::Decomposed {
                     subqueries,
-                    costs: SubqueryCosts {
-                        cardinality,
-                        delayed,
-                        row_bounds: bounds,
-                    },
                     global_filters,
                 }
             };
@@ -447,8 +435,7 @@ impl Lusail {
     ) -> (SolutionSet, QueryMetrics) {
         let s2 = net.client.requests();
         let t2 = net.clock.now();
-        let mut groups = plan.groups.iter();
-        let top = groups.next().expect("a plan holds the WHERE group");
+        let top = &plan.groups[0];
         let mut metrics = QueryMetrics {
             gjvs: top.gjvs.clone(),
             ..plan.metrics.clone()
@@ -461,8 +448,9 @@ impl Lusail {
             }
             PlanShape::Decomposed { subqueries, .. } => {
                 metrics.subqueries = subqueries.len();
+                let mut groups = plan.groups.iter();
                 let (solutions, delayed) =
-                    self.execute_group(fed, &query.pattern, top, &mut groups, net, memo);
+                    self.execute_group(fed, &query.pattern, &mut groups, &plan.sources, net, memo);
                 metrics.delayed_subqueries = delayed;
                 lusail_store::eval::apply_modifiers(solutions, query, fed.dict())
             }
@@ -474,22 +462,22 @@ impl Lusail {
         (solutions, metrics)
     }
 
-    /// Evaluates one group, then its nested groups — whose plans `rest`
-    /// yields in clause order, the wire order seeded fault plans are drawn
-    /// against — with the same batch `memo`. Returns the relation and how
-    /// many subqueries stayed delayed.
+    /// Evaluates one group, whose plan is the next `plans` yields, then
+    /// its nested groups — whose plans follow in clause order, the wire
+    /// order seeded fault plans are drawn against — with the same batch
+    /// `memo`. Returns the relation and how many subqueries were delayed.
     fn execute_group(
         &self,
         fed: &Federation,
         group: &GroupPattern,
-        plan: &GroupPlan,
-        rest: &mut std::slice::Iter<'_, GroupPlan>,
+        plans: &mut std::slice::Iter<'_, GroupPlan>,
+        sources: &SourceMap,
         net: &Net,
         mut memo: Option<&mut BatchMemo>,
     ) -> (SolutionSet, usize) {
+        let plan = plans.next().expect("every group is planned");
         let PlanShape::Decomposed {
             subqueries,
-            costs,
             global_filters,
         } = &plan.shape
         else {
@@ -499,14 +487,12 @@ impl Lusail {
         if let Some(memo) = memo.as_deref_mut() {
             memo.count_subqueries(subqueries.len());
         }
-        let config = &self.config;
         let (mut solutions, delayed) = evaluate_subqueries(
             fed,
             net,
-            plan.first,
             subqueries,
-            costs,
-            config,
+            sources,
+            &self.config,
             memo.as_deref_mut(),
         );
         if let Some(v) = &group.values {
@@ -517,8 +503,7 @@ impl Lusail {
             solutions = solutions.hash_join(&values_rel);
         }
         solutions = lusail_store::eval::join_nested_groups(solutions, group, fed.dict(), |sub| {
-            let nested = rest.next().expect("every nested group is planned");
-            (self.execute_group(fed, sub, nested, rest, net, memo.as_deref_mut())).0
+            (self.execute_group(fed, sub, plans, sources, net, memo.as_deref_mut())).0
         });
         lusail_store::eval::retain_filtered(&mut solutions, global_filters, fed.dict());
         (solutions, delayed)
@@ -545,8 +530,6 @@ pub struct QueryPlan {
 pub struct GroupPlan {
     /// Nesting depth: 0 for the WHERE group.
     pub depth: usize,
-    /// The query-wide index of its first subquery (see `TraceEvent::SubqueryPlanned`).
-    pub first: usize,
     /// Global join variables of the group's BGP.
     pub gjvs: Vec<String>,
     /// How the group is evaluated.
@@ -555,7 +538,7 @@ pub struct GroupPlan {
 
 impl GroupPlan {
     /// The group's subqueries; none unless it is decomposed.
-    pub fn subqueries(&self) -> &[Subquery] {
+    pub fn subqueries(&self) -> &[PlannedSubquery] {
         match &self.shape {
             PlanShape::Decomposed { subqueries, .. } => subqueries,
             _ => &[],
@@ -574,10 +557,25 @@ pub enum PlanShape {
     /// Subqueries for SAPE; `global_filters` could not be pushed into any
     /// of them and apply at the mediator after the joins.
     Decomposed {
-        subqueries: Vec<Subquery>,
-        costs: SubqueryCosts,
+        subqueries: Vec<PlannedSubquery>,
         global_filters: Vec<Expression>,
     },
+}
+
+/// One subquery of a decomposed group with everything SAPE reads of it.
+#[derive(Debug, Clone)]
+pub struct PlannedSubquery {
+    /// Query-wide number, in group preorder: the WHERE group's subqueries
+    /// are `0..n` and no two groups share one. Trace events name the
+    /// subquery by it.
+    pub index: usize,
+    /// The patterns, sources, pushed filters and projection sent.
+    pub subquery: Subquery,
+    /// The cost model's estimated cardinality `C(sq)`; `None` for a
+    /// group's lone subquery, which has nothing to be delayed behind.
+    pub estimate: Option<u64>,
+    /// Which SAPE phase runs it.
+    pub schedule: Schedule,
 }
 
 /// Disjoint fast path: the original query (projection, filters, DISTINCT,
@@ -910,6 +908,73 @@ mod tests {
         let stats = engine.probe_cache_stats();
         assert_eq!(stats.evictions, engine.caches.check.evictions());
         assert_eq!(stats.entries, 16);
+    }
+
+    /// One subquery per pattern (`disable_lade`) under the `μ` threshold:
+    /// `p1` and `p2`, ten triples each at A, are delayed on cardinality;
+    /// `p3` and `p4`, at each of B, C and D, on fan-out. With all four
+    /// delayed, the plan promotes the one with the lowest estimate, the
+    /// first on ties.
+    #[test]
+    fn plan_promotes_the_lowest_estimate_first_on_ties() {
+        let schedules = |p3_at_b: usize| {
+            let dict = Dictionary::shared();
+            let x = |l: String| Term::iri(format!("http://x/{l}"));
+            let mut a = TripleStore::new(Arc::clone(&dict));
+            for i in 0..10 {
+                a.insert_terms(&x(format!("a{i}")), &x("p1".into()), &x(format!("b{i}")));
+                a.insert_terms(&x(format!("b{i}")), &x("p2".into()), &x(format!("c{i}")));
+            }
+            let mut fed = Federation::new(Arc::clone(&dict));
+            fed.add(Arc::new(LocalEndpoint::new("A", a)));
+            for (name, p3) in [("B", p3_at_b), ("C", 1), ("D", 1)] {
+                let mut st = TripleStore::new(Arc::clone(&dict));
+                for i in 0..p3 {
+                    st.insert_terms(&x(format!("c{i}")), &x("p3".into()), &x(format!("d{i}")));
+                }
+                st.insert_terms(&x("d0".into()), &x("p4".into()), &x(format!("e{name}")));
+                fed.add(Arc::new(LocalEndpoint::new(name, st)));
+            }
+            let q = parse_query(
+                "PREFIX x: <http://x/> SELECT * WHERE { \
+                   ?a x:p1 ?b . ?b x:p2 ?c . ?c x:p3 ?d . ?d x:p4 ?e }",
+                &dict,
+            )
+            .unwrap();
+            let engine = Lusail::new(LusailConfig {
+                disable_lade: true,
+                delay_policy: DelayPolicy::Mu,
+                ..LusailConfig::default()
+            });
+            let plan = engine.explain(&fed, &q);
+            (plan.groups[0].subqueries().iter())
+                .map(|sq| {
+                    let promoted = matches!(sq.schedule, Schedule::Promoted(_));
+                    assert!(sq.schedule.delay_reason().is_some(), "{sq:?}");
+                    (sq.estimate, promoted)
+                })
+                .collect::<Vec<_>>()
+        };
+        let tied = schedules(1);
+        assert_eq!(
+            tied,
+            [
+                (Some(10), false),
+                (Some(10), false),
+                (Some(3), true),
+                (Some(3), false)
+            ]
+        );
+        let lower_last = schedules(2);
+        assert_eq!(
+            lower_last,
+            [
+                (Some(10), false),
+                (Some(10), false),
+                (Some(4), false),
+                (Some(3), true)
+            ]
+        );
     }
 
     #[test]

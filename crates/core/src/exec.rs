@@ -28,11 +28,12 @@
 //!    `block_size`) toward a target rows-per-request, so selective
 //!    subqueries ship few requests.
 
-use crate::cost::SubqueryCosts;
-use crate::engine::LusailConfig;
+use crate::cost::Schedule;
+use crate::engine::{LusailConfig, PlannedSubquery};
 use crate::fetch::{concat, fetch, fetch_from};
 use crate::join::join_components;
 use crate::mqo::BatchMemo;
+use crate::source_selection::SourceMap;
 use crate::subquery::Subquery;
 use lusail_endpoint::{
     Clock, EndpointId, EndpointRef, ExecOptions, Federation, FederationError, QueryOutcome,
@@ -180,7 +181,7 @@ impl Degradation {
     }
 
     /// True if any result-bearing request failed: the answer is incomplete.
-    pub fn data_loss(&self) -> bool {
+    pub(crate) fn data_loss(&self) -> bool {
         self.data_loss.load(Ordering::Relaxed)
     }
 }
@@ -301,12 +302,12 @@ fn adapted_block_size(block_size: usize, probe_bindings: usize, observed_rows: u
     ideal.clamp(block_size, MAX_BLOCK_SIZE.max(block_size))
 }
 
-/// SAPE subquery evaluation (Algorithm 3): evaluates all subqueries and
-/// joins their results. `costs` supplies the delay decisions and estimated
-/// cardinalities; trace events name `subqueries[i]` by `first + i`, its
-/// query-wide index. Returns the joined solution set (one relation; genuinely
-/// disconnected components are cross-joined at the end) plus how many
-/// subqueries stayed delayed.
+/// SAPE subquery evaluation (Algorithm 3): evaluates a group's
+/// subqueries by their planned schedules and joins their results.
+/// `counts` is the plan's source map, whose pattern counts bound a delayed
+/// subquery's unbound answers (see [`fetched_whole`]). Returns the joined
+/// solution set (one relation; genuinely disconnected components are
+/// cross-joined at the end) plus how many subqueries were delayed.
 ///
 /// `memo` is the batch hook: phase 1 takes a non-delayed relation an
 /// earlier item of the batch already fetched from it and records the ones
@@ -316,45 +317,24 @@ fn adapted_block_size(block_size: usize, probe_bindings: usize, observed_rows: u
 pub(crate) fn evaluate_subqueries(
     fed: &Federation,
     net: &Net,
-    first: usize,
-    subqueries: &[Subquery],
-    costs: &SubqueryCosts,
+    subqueries: &[PlannedSubquery],
+    counts: &SourceMap,
     config: &LusailConfig,
     memo: Option<&mut BatchMemo>,
 ) -> (SolutionSet, usize) {
-    assert_eq!(subqueries.len(), costs.delayed.len());
-    let mut delayed_idx: Vec<usize> = (0..subqueries.len())
-        .filter(|&i| costs.delayed[i].is_some())
-        .collect();
-    let mut non_delayed: Vec<usize> = (0..subqueries.len())
-        .filter(|&i| costs.delayed[i].is_none())
-        .collect();
+    let (mut delayed, concurrent): (Vec<&PlannedSubquery>, Vec<&PlannedSubquery>) =
+        (subqueries.iter()).partition(|sq| matches!(sq.schedule, Schedule::Delayed(_)));
+    let delayed_count = delayed.len();
 
-    // Never start with an empty concurrent phase: promote the most
-    // selective delayed subquery.
-    if non_delayed.is_empty() && !delayed_idx.is_empty() {
-        let best = *delayed_idx
-            .iter()
-            .min_by_key(|&&i| costs.cardinality[i])
-            .unwrap();
-        delayed_idx.retain(|&i| i != best);
-        non_delayed.push(best);
-        net.trace.emit(|| TraceEvent::SubqueryPromoted {
-            index: first + best,
-        });
-    }
-    let delayed = delayed_idx.len();
-
-    let relations = fetch_concurrent(fed, net, first, subqueries, &non_delayed, memo);
+    let relations = fetch_concurrent(fed, net, &concurrent, memo);
 
     // Join whatever is joinable so the found bindings are already reduced.
     let mut components = join_components(relations, &net.trace);
 
     // Phase 2: delayed subqueries, most selective (refined) first.
-    while !delayed_idx.is_empty() {
-        let pick = pick_most_selective(&delayed_idx, subqueries, costs, &components);
-        delayed_idx.retain(|&i| i != pick);
-        let sq = &subqueries[pick];
+    while !delayed.is_empty() {
+        let planned = delayed.remove(pick_most_selective(&delayed, &components));
+        let (index, sq) = (planned.index, &planned.subquery);
 
         // Choose the binding variable: a subquery variable bound in some
         // component, preferring the fewest distinct values.
@@ -369,7 +349,7 @@ pub(crate) fn evaluate_subqueries(
                 }
                 // Bind or fetch, per source: a source in `whole` answers
                 // the unbound subquery once instead of receiving blocks.
-                let whole = fetched_whole(fed, sq, &costs.row_bounds[pick], &sources, &values);
+                let whole = fetched_whole(fed, sq, counts, &sources, &values);
                 let whole_request = |ep: EndpointId| {
                     let (query, bounds) = whole.as_ref()?;
                     let &(_, rows_bound) = bounds.iter().find(|&&(e, _)| e == ep)?;
@@ -389,7 +369,7 @@ pub(crate) fn evaluate_subqueries(
                         if let Some((query, rows_bound)) = whole_request(endpoint) {
                             if first_wave {
                                 net.trace.emit(|| TraceEvent::WholeFetched {
-                                    subquery: first + pick,
+                                    subquery: index,
                                     endpoint,
                                     rows_bound,
                                 });
@@ -399,7 +379,7 @@ pub(crate) fn evaluate_subqueries(
                         }
                         for (bindings, query) in &queries {
                             net.trace.emit(|| TraceEvent::ValuesBatch {
-                                subquery: first + pick,
+                                subquery: index,
                                 endpoint,
                                 bindings: *bindings,
                             });
@@ -453,7 +433,7 @@ pub(crate) fn evaluate_subqueries(
             None => fetch_from(fed, net, &sq.to_query(None), &sq.sources),
         };
         net.trace.emit(|| TraceEvent::SubqueryEvaluated {
-            index: first + pick,
+            index,
             rows: sols.len(),
         });
         components.push(sols);
@@ -475,37 +455,32 @@ pub(crate) fn evaluate_subqueries(
             cost: left_rows as f64 + right_rows as f64,
         });
     }
-    (acc, delayed)
+    (acc, delayed_count)
 }
 
-/// Phase 1: the non-delayed subqueries' relations, in `non_delayed` order.
-/// Those the batch memo holds are reused; the rest are submitted
-/// concurrently to all their relevant endpoints (and memoized).
+/// Phase 1: the concurrent (and promoted) subqueries' relations, in
+/// `concurrent` order. Those the batch memo holds are reused; the rest are
+/// submitted concurrently to all their relevant endpoints (and memoized).
 fn fetch_concurrent(
     fed: &Federation,
     net: &Net,
-    first: usize,
-    subqueries: &[Subquery],
-    non_delayed: &[usize],
+    concurrent: &[&PlannedSubquery],
     mut memo: Option<&mut BatchMemo>,
 ) -> Vec<SolutionSet> {
-    let mut shared: lusail_rdf::FxHashMap<usize, SolutionSet> = non_delayed
-        .iter()
-        .filter_map(|&i| {
+    let mut shared: lusail_rdf::FxHashMap<usize, SolutionSet> = (concurrent.iter())
+        .filter_map(|sq| {
             let memo = memo.as_deref_mut()?;
-            Some((i, memo.lookup(first + i, &subqueries[i], net)?))
+            Some((sq.index, memo.lookup(sq.index, &sq.subquery, net)?))
         })
         .collect();
     // One query per subquery still to fetch; each of its sources' requests
     // borrows it.
-    let queries: Vec<(usize, Query)> = non_delayed
-        .iter()
-        .filter(|i| !shared.contains_key(i))
-        .map(|&i| (i, subqueries[i].to_query(None)))
+    let queries: Vec<(&PlannedSubquery, Query)> = (concurrent.iter())
+        .filter(|sq| !shared.contains_key(&sq.index))
+        .map(|&sq| (sq, sq.subquery.to_query(None)))
         .collect();
-    let (requests, owners): (Vec<(EndpointId, &Query)>, Vec<usize>) = queries
-        .iter()
-        .flat_map(|(i, q)| subqueries[*i].sources.iter().map(move |&ep| ((ep, q), *i)))
+    let (requests, owners): (Vec<(EndpointId, &Query)>, Vec<usize>) = (queries.iter())
+        .flat_map(|(sq, q)| (sq.subquery.sources.iter()).map(move |&ep| ((ep, q), sq.index)))
         .unzip();
     let failures_before = match memo {
         Some(_) => net.client.report(fed),
@@ -518,40 +493,35 @@ fn fetch_concurrent(
     for (r, part) in fetch(fed, net, &requests) {
         by_subquery.entry(owners[r]).or_default().push(part);
     }
-    non_delayed
-        .iter()
-        .map(|&i| {
-            if let Some(rel) = shared.remove(&i) {
+    (concurrent.iter())
+        .map(|planned| {
+            let (index, sq) = (planned.index, &planned.subquery);
+            if let Some(rel) = shared.remove(&index) {
                 return rel;
             }
-            let parts = by_subquery.remove(&i).unwrap_or_default();
+            let parts = by_subquery.remove(&index).unwrap_or_default();
             let lost = parts.iter().any(Option::is_none);
-            let rel = concat(subqueries[i].projection.clone(), parts);
+            let rel = concat(sq.projection.clone(), parts);
             net.trace.emit(|| TraceEvent::SubqueryEvaluated {
-                index: first + i,
+                index,
                 rows: rel.len(),
             });
             if let Some(memo) = memo.as_deref_mut() {
-                memo.store(fed, net, &subqueries[i], &rel, lost, &failures_before);
+                memo.store(fed, net, sq, &rel, lost, &failures_before);
             }
             rel
         })
         .collect()
 }
 
-/// The next delayed subquery: smallest cardinality after refinement by the
-/// bindings it can join with (§V-B).
-fn pick_most_selective(
-    delayed: &[usize],
-    subqueries: &[Subquery],
-    costs: &SubqueryCosts,
-    components: &[SolutionSet],
-) -> usize {
-    *delayed
-        .iter()
-        .min_by_key(|&&i| {
-            let sq = &subqueries[i];
-            let mut refined = costs.cardinality[i];
+/// The position in `delayed` of the next delayed subquery: smallest
+/// estimate after refinement by the bindings it can join with (§V-B).
+fn pick_most_selective(delayed: &[&PlannedSubquery], components: &[SolutionSet]) -> usize {
+    (0..delayed.len())
+        .min_by_key(|&i| {
+            let sq = &delayed[i].subquery;
+            // Only a lone subquery is not estimated, and it is never delayed.
+            let mut refined = delayed[i].estimate.unwrap_or_default();
             for comp in components {
                 for v in &comp.vars {
                     if sq.mentions(v) {
@@ -562,7 +532,7 @@ fn pick_most_selective(
             }
             refined
         })
-        .unwrap()
+        .expect("a delayed subquery is left")
 }
 
 /// Picks the best variable to bind a delayed subquery with: among subquery
@@ -594,23 +564,30 @@ fn best_binding(
 /// Bind or fetch: the sources of delayed subquery `sq` that answer it
 /// unbound, in one request, instead of receiving `values` in `VALUES`
 /// blocks, each with its row bound, and the unbound query they are sent.
-/// A source with a row bound `c` ([`SubqueryCosts::row_bounds`]) is
-/// fetched whole when its whole answer — the query, the response header
-/// and `c` rows of 8-byte cells — is strictly smaller than the least any
-/// bound schedule sends it: the same query plus `(<term> ) ` per binding.
-/// Per source, wire bytes then strictly fall and requests do not rise.
-/// `None` when no source qualifies. Nothing is computed when no source has
-/// a bound, and the bindings are summed only until they outweigh the
-/// largest whole answer.
+/// A single-pattern subquery's answer at a source has at most `c` rows,
+/// source selection's count of the pattern there (`counts`; a failed
+/// `COUNT` is the endpoint's triple count, still a bound; pushed filters
+/// only remove rows). A subquery of several patterns joins them at the
+/// endpoint, which no pattern count bounds, so it always ships. A source
+/// with a bound `c` is fetched whole when its whole answer — the query,
+/// the response header and `c` rows of 8-byte cells — is strictly smaller
+/// than the least any bound schedule sends it: the same query plus
+/// `(<term> ) ` per binding. Per source, wire bytes then strictly fall and
+/// requests do not rise. `None` when no source qualifies. Nothing is
+/// computed when no source has a bound, and the bindings are summed only
+/// until they outweigh the largest whole answer.
 fn fetched_whole(
     fed: &Federation,
     sq: &Subquery,
-    bounds: &[(EndpointId, u64)],
+    counts: &SourceMap,
     sources: &[EndpointId],
     values: &[lusail_rdf::TermId],
 ) -> Option<(Query, Vec<(EndpointId, u64)>)> {
-    let bounds: Vec<(EndpointId, u64)> = (bounds.iter().copied())
-        .filter(|(ep, _)| sources.contains(ep))
+    let [tp] = sq.triples.as_slice() else {
+        return None;
+    };
+    let bounds: Vec<(EndpointId, u64)> = (sources.iter())
+        .filter_map(|&ep| Some((ep, counts.cardinality(tp, ep)?)))
         .collect();
     if bounds.is_empty() {
         return None;
@@ -726,7 +703,6 @@ mod tests {
 mod sape_tests {
     use super::*;
     use crate::cache::ProbeCache;
-    use crate::cost::{row_bounds, SubqueryCosts};
     use crate::source_selection::{select_sources, SourceMap};
     use crate::subquery::Subquery;
     use crate::trace::QueryTrace;
@@ -768,29 +744,45 @@ mod sape_tests {
         TriplePattern::new(term(s), term(p), term(o))
     }
 
-    fn subqueries(dict: &Dictionary) -> Vec<Subquery> {
-        vec![
+    /// `subqueries`, numbered from 0, with their estimates and schedules.
+    fn planned(subqueries: Vec<Subquery>, plan: [(u64, Schedule); 2]) -> Vec<PlannedSubquery> {
+        (subqueries.into_iter().zip(plan).enumerate())
+            .map(
+                |(index, (subquery, (estimate, schedule)))| PlannedSubquery {
+                    index,
+                    subquery,
+                    estimate: Some(estimate),
+                    schedule,
+                },
+            )
+            .collect()
+    }
+
+    fn delayed() -> Schedule {
+        Schedule::Delayed("test".into())
+    }
+
+    /// `?s p ?m` at A, then `?m q ?n` at B, scheduled by `plan`.
+    fn subqueries(dict: &Dictionary, plan: [(u64, Schedule); 2]) -> Vec<PlannedSubquery> {
+        let sqs = vec![
             Subquery::new(vec![tp(dict, "?s", "http://x/p", "?m")], vec![0]),
             Subquery::new(vec![tp(dict, "?m", "http://x/q", "?n")], vec![1]),
-        ]
+        ];
+        planned(sqs, plan)
     }
 
     #[test]
     fn delayed_subquery_is_bound_with_values_blocks() {
         let (fed, dict) = chain_fed();
-        let sqs = subqueries(&dict);
-        let costs = SubqueryCosts {
-            cardinality: vec![20, 10],
-            delayed: vec![None, Some("test".into())],
-            row_bounds: vec![Vec::new(); 2],
-        };
+        let sqs = subqueries(&dict, [(20, Schedule::Concurrent), (10, delayed())]);
         let net = Net::default();
         let config = LusailConfig {
             block_size: 20,
             ..LusailConfig::default()
         };
         let before = fed.stats_snapshot();
-        let (sols, delayed) = evaluate_subqueries(&fed, &net, 0, &sqs, &costs, &config, None);
+        let counts = SourceMap::default();
+        let (sols, delayed) = evaluate_subqueries(&fed, &net, &sqs, &counts, &config, None);
         let window = fed.stats_snapshot().since(&before);
         assert_eq!(delayed, 1);
         assert_eq!(sols.len(), 10);
@@ -802,19 +794,15 @@ mod sape_tests {
     #[test]
     fn adaptive_batching_grows_blocks_and_preserves_results() {
         let (fed, dict) = chain_fed();
-        let sqs = subqueries(&dict);
-        let costs = SubqueryCosts {
-            cardinality: vec![20, 10],
-            delayed: vec![None, Some("test".into())],
-            row_bounds: vec![Vec::new(); 2],
-        };
+        let sqs = subqueries(&dict, [(20, Schedule::Concurrent), (10, delayed())]);
         let net = Net::default();
         let config = LusailConfig {
             block_size: 4,
             ..LusailConfig::default()
         };
         let before = fed.stats_snapshot();
-        let (sols, delayed) = evaluate_subqueries(&fed, &net, 0, &sqs, &costs, &config, None);
+        let counts = SourceMap::default();
+        let (sols, delayed) = evaluate_subqueries(&fed, &net, &sqs, &counts, &config, None);
         let window = fed.stats_snapshot().since(&before);
         assert_eq!(delayed, 1);
         assert_eq!(sols.len(), 10);
@@ -840,36 +828,55 @@ mod sape_tests {
         assert_eq!(adapted_block_size(100, 0, 0), 1024);
     }
 
+    /// The cost model delayed both subqueries and the plan promoted the
+    /// more selective one (`Lusail::plan` chooses it): SAPE runs the
+    /// promoted record in phase 1 and binds the other with its bindings.
     #[test]
     fn all_delayed_promotes_the_most_selective() {
         let (fed, dict) = chain_fed();
-        let sqs = subqueries(&dict);
-        let costs = SubqueryCosts {
-            cardinality: vec![20, 10],
-            delayed: vec![Some("test".into()), Some("test".into())],
-            row_bounds: vec![Vec::new(); 2],
-        };
-        let net = Net::default();
+        let promoted = Schedule::Promoted("test".into());
+        let sqs = subqueries(&dict, [(20, delayed()), (10, promoted)]);
+        let sink = TraceSink::enabled();
+        let opts = ExecOptions::default().with_trace(sink.clone());
+        let net = Net::for_query(
+            RequestPolicy::default(),
+            Arc::new(SystemClock::default()),
+            &opts,
+        );
         let config = LusailConfig::default();
-        let (sols, delayed) = evaluate_subqueries(&fed, &net, 0, &sqs, &costs, &config, None);
-        // One was promoted to the concurrent phase; one stayed delayed.
+        let counts = SourceMap::default();
+        let (sols, delayed) = evaluate_subqueries(&fed, &net, &sqs, &counts, &config, None);
+        // The promoted subquery ran unbound in phase 1; the other stayed
+        // delayed and was bound with its bindings.
         assert_eq!(delayed, 1);
         assert_eq!(sols.len(), 10);
+        let trace = QueryTrace::from_sink(&sink);
+        let evaluated: Vec<usize> = (trace.events.iter())
+            .filter_map(|ev| match ev {
+                TraceEvent::SubqueryEvaluated { index, .. } => Some(*index),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(evaluated, [1, 0]);
+        let bound: Vec<usize> = (trace.events.iter())
+            .filter_map(|ev| match ev {
+                TraceEvent::ValuesBatch { subquery, .. } => Some(*subquery),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(bound, [0]);
     }
 
     #[test]
     fn no_delays_joins_concurrent_results() {
         let (fed, dict) = chain_fed();
-        let sqs = subqueries(&dict);
-        let costs = SubqueryCosts {
-            cardinality: vec![20, 10],
-            delayed: vec![None, None],
-            row_bounds: vec![Vec::new(); 2],
-        };
+        let concurrent = [(20, Schedule::Concurrent), (10, Schedule::Concurrent)];
+        let sqs = subqueries(&dict, concurrent);
         let net = Net::default();
         let config = LusailConfig::default();
         let before = fed.stats_snapshot();
-        let (sols, delayed) = evaluate_subqueries(&fed, &net, 0, &sqs, &costs, &config, None);
+        let counts = SourceMap::default();
+        let (sols, delayed) = evaluate_subqueries(&fed, &net, &sqs, &counts, &config, None);
         let window = fed.stats_snapshot().since(&before);
         assert_eq!(delayed, 0);
         assert_eq!(sols.len(), 10);
@@ -929,15 +936,10 @@ mod sape_tests {
         ]
     }
 
-    /// Evaluates `sqs` at block size 4 with the second delayed, its row
-    /// bounds from Lusail's counting source selection (`counted`) or from
-    /// relevance alone, as the `ASK`-based engines know it. Returns the
-    /// solutions, the trace and each endpoint's counter window.
-    fn run_split(
-        fed: &Federation,
-        sqs: &[Subquery],
-        counted: bool,
-    ) -> (SolutionSet, QueryTrace, Vec<StatsSnapshot>) {
+    /// The source map of `sqs`' patterns: counted by Lusail's source
+    /// selection (`counted`), or relevance alone, as the `ASK`-based
+    /// engines know it.
+    fn split_counts(fed: &Federation, sqs: &[Subquery], counted: bool) -> SourceMap {
         let mut map = SourceMap::default();
         if counted {
             let bgp = GroupPattern::bgp(sqs.iter().flat_map(|sq| sq.triples.clone()).collect());
@@ -949,11 +951,22 @@ mod sape_tests {
                 }
             }
         }
-        let costs = SubqueryCosts {
-            cardinality: vec![20, 1200],
-            delayed: vec![None, Some("test".into())],
-            row_bounds: row_bounds(sqs, &map),
-        };
+        map
+    }
+
+    /// Evaluates `sqs` at block size 4 with the second delayed, its row
+    /// bounds from [`split_counts`]. Returns the solutions, the trace and
+    /// each endpoint's counter window.
+    fn run_split(
+        fed: &Federation,
+        sqs: &[Subquery],
+        counted: bool,
+    ) -> (SolutionSet, QueryTrace, Vec<StatsSnapshot>) {
+        let counts = split_counts(fed, sqs, counted);
+        let sqs = planned(
+            sqs.to_vec(),
+            [(20, Schedule::Concurrent), (1200, delayed())],
+        );
         let sink = TraceSink::enabled();
         let opts = ExecOptions::default().with_trace(sink.clone());
         let net = Net::for_query(
@@ -966,7 +979,7 @@ mod sape_tests {
             ..LusailConfig::default()
         };
         let before: Vec<StatsSnapshot> = fed.iter().map(|(_, ep)| ep.stats_snapshot()).collect();
-        let (sols, _) = evaluate_subqueries(fed, &net, 0, sqs, &costs, &config, None);
+        let (sols, _) = evaluate_subqueries(fed, &net, &sqs, &counts, &config, None);
         let windows = (fed.iter().zip(&before))
             .map(|((_, ep), before)| ep.stats_snapshot().since(before))
             .collect();
@@ -1062,7 +1075,11 @@ mod sape_tests {
         let patterns = [("?m", "http://x/q", "?n"), ("?m", "http://x/q", "?k")];
         let sqs = split_subqueries(&dict, &patterns, vec![2]);
         let (sols, trace, _) = run_split(&fed, &sqs, true);
-        assert_eq!(row_bounds(&sqs, &SourceMap::default())[1], []);
+        let counts = split_counts(&fed, &sqs, true);
+        let midpoints: Vec<lusail_rdf::TermId> = (0..20)
+            .map(|i| dict.encode(&Term::iri(format!("http://m/v{i}"))))
+            .collect();
+        assert!(fetched_whole(&fed, &sqs[1], &counts, &[2], &midpoints).is_none());
         assert_eq!(sols.len(), 5);
         assert!(trace.whole_fetched(1).is_empty());
         assert_eq!(values_blocks_to(&trace, 2), 2);
@@ -1075,9 +1092,8 @@ mod sape_tests {
         let (sols, delayed) = evaluate_subqueries(
             &fed,
             &net,
-            0,
             &[],
-            &SubqueryCosts::default(),
+            &SourceMap::default(),
             &LusailConfig::default(),
             None,
         );

@@ -5,9 +5,9 @@
 //! `EXPLAIN ANALYZE` goes further: it *executes* the query with an
 //! enabled [`TraceSink`] and renders the plan that ran, with the function
 //! `EXPLAIN` uses, annotated with what actually happened — each
-//! subquery's actual rows beside its estimate, whether it was promoted,
-//! and each source it was fetched whole from instead of sent `VALUES`
-//! blocks, marked `(whole)` — after the request counts per kind
+//! subquery's actual rows beside its estimate, and each source it was
+//! fetched whole from instead of sent `VALUES` blocks, marked `(whole)` —
+//! after the request counts per kind
 //! (aggregated, because concurrent request events arrive unordered) and
 //! before the VALUES-block traffic, each hash-join step with its planned
 //! cost, and the phase wall times.
@@ -19,6 +19,7 @@
 //! planning decisions without paying for execution.
 
 use crate::cache::ProbeCaches;
+use crate::cost::Schedule;
 use crate::engine::{Lusail, PlanShape, QueryPlan};
 use crate::exec::Net;
 use crate::metrics::QueryMetrics;
@@ -39,8 +40,8 @@ impl QueryPlan {
 
     /// The one rendering of a plan, for `EXPLAIN` and `EXPLAIN ANALYZE`
     /// alike. With `run`, the trace of the execution that walked this
-    /// plan, each subquery line also says whether SAPE promoted it to the
-    /// concurrent phase and how many rows it returned.
+    /// plan, each subquery line also says how many rows it returned and
+    /// which sources it was fetched whole from.
     fn render_run(&self, fed: &Federation, run: Option<&QueryTrace>) -> String {
         let dict = fed.dict();
         let names = |ids: &[EndpointId]| -> String {
@@ -66,10 +67,8 @@ impl QueryPlan {
                     format!("  (global join variables: [{}])", group.gjvs.join(", ")),
                 ),
             };
-            let (subqueries, costs) = match &group.shape {
-                PlanShape::Decomposed {
-                    subqueries, costs, ..
-                } => (subqueries, costs),
+            let subqueries = match &group.shape {
+                PlanShape::Decomposed { subqueries, .. } => subqueries,
                 PlanShape::Empty => {
                     let _ = writeln!(
                         out,
@@ -89,19 +88,20 @@ impl QueryPlan {
             };
             let _ = writeln!(out, "{head}: {} subqueries{gjvs}", subqueries.len());
             let indent = "  ".repeat(group.depth + 1);
-            for (i, sq) in subqueries.iter().enumerate() {
-                let index = group.first + i;
-                let mode = match &costs.delayed[i] {
-                    Some(reason) => format!("[DELAYED: {reason}]"),
-                    None => "[concurrent]".to_string(),
+            for planned in subqueries {
+                let (index, sq) = (planned.index, &planned.subquery);
+                let mode = match &planned.schedule {
+                    Schedule::Concurrent => "[concurrent]".to_string(),
+                    Schedule::Delayed(reason) => format!("[DELAYED: {reason}]"),
+                    Schedule::Promoted(reason) => {
+                        format!("[DELAYED: {reason}] [promoted to concurrent]")
+                    }
                 };
-                // `plan()` estimates only a group of several subqueries: a
-                // lone one has nothing to be delayed behind.
-                let estimate = match subqueries.len() {
-                    1 => "not estimated".to_string(),
-                    _ => format!("est. cardinality {}", costs.cardinality[i]),
+                let estimate = match planned.estimate {
+                    Some(c) => format!("est. cardinality {c}"),
+                    None => "not estimated".to_string(),
                 };
-                let (promoted, actual) = measured(run, index);
+                let actual = actual_rows(run, index);
                 // A source SAPE fetched whole instead of shipping bindings
                 // to is marked `(whole)`.
                 let whole = run
@@ -118,7 +118,7 @@ impl QueryPlan {
                     .collect();
                 let _ = writeln!(
                     out,
-                    "{indent}subquery {} {mode}{promoted}  {estimate}{actual}  @ [{}]",
+                    "{indent}subquery {} {mode}  {estimate}{actual}  @ [{}]",
                     index + 1,
                     sources.join(", ")
                 );
@@ -132,25 +132,20 @@ impl QueryPlan {
     }
 }
 
-/// The run's annotations of subquery `index`'s plan line: the promotion
-/// mark after its mode, and its actual rows after its estimate.
-fn measured(run: Option<&QueryTrace>, index: usize) -> (&'static str, String) {
+/// The run's annotation of subquery `index`'s plan line, after its
+/// estimate: the rows it returned, or that it was not evaluated.
+fn actual_rows(run: Option<&QueryTrace>, index: usize) -> String {
     let Some(trace) = run else {
-        return ("", String::new());
+        return String::new();
     };
-    let mut annotations = ("", "  not evaluated".to_string());
-    for ev in &trace.events {
-        match ev {
-            TraceEvent::SubqueryPromoted { index: i } if *i == index => {
-                annotations.0 = " [promoted to concurrent]";
-            }
-            TraceEvent::SubqueryEvaluated { index: i, rows } if *i == index => {
-                annotations.1 = format!("  actual rows {rows}");
-            }
-            _ => {}
-        }
+    let rows = trace.events.iter().find_map(|ev| match ev {
+        TraceEvent::SubqueryEvaluated { index: i, rows } if *i == index => Some(rows),
+        _ => None,
+    });
+    match rows {
+        Some(rows) => format!("  actual rows {rows}"),
+        None => "  not evaluated".to_string(),
     }
-    annotations
 }
 
 fn render_pattern(tp: &TriplePattern, dict: &Dictionary) -> String {
@@ -672,8 +667,9 @@ result: 1 rows  complete: true
         use lusail_endpoint::ManualClock;
         // A hundred `p` triples at A, ten `q` triples over three endpoints:
         // the two-point rule delays subquery 1 on cardinality (100 vs 10)
-        // and subquery 2 on fan-out (3 vs 1). With both delayed, SAPE
-        // promotes the smaller one, subquery 2, to the concurrent phase.
+        // and subquery 2 on fan-out (3 vs 1). With both delayed, the plan
+        // promotes the smaller one, subquery 2, to the concurrent phase,
+        // and EXPLAIN prints it so before anything runs.
         let dict = Dictionary::shared();
         let mut a = TripleStore::new(Arc::clone(&dict));
         for i in 0..100 {
@@ -697,6 +693,12 @@ result: 1 rows  complete: true
             f.add(Arc::new(LocalEndpoint::new(name, b)));
         }
         let q = delayed_query(&f);
+        let promoted = "[DELAYED: fan-out 3 > μ+kσ threshold 1.0] [promoted to concurrent]";
+        let plan = Lusail::default().explain(&f, &q).render(&f);
+        let planned = (plan.lines())
+            .find(|l| l.starts_with("  subquery 2 ["))
+            .unwrap();
+        assert!(planned.contains(promoted), "{plan}");
         let report = Lusail::default()
             .with_clock(ManualClock::new())
             .explain_analyze_with(&f, &q, &ExecOptions::default())
@@ -709,11 +711,7 @@ result: 1 rows  complete: true
             line("1").contains("[DELAYED: cardinality 100 > μ+kσ threshold 10.0]  est."),
             "{report}"
         );
-        assert!(
-            line("2")
-                .contains("[DELAYED: fan-out 3 > μ+kσ threshold 1.0] [promoted to concurrent]"),
-            "{report}"
-        );
+        assert!(line("2").contains(promoted), "{report}");
         assert!(line("1").contains("actual rows 50") && line("2").contains("actual rows 10"));
     }
 
@@ -726,7 +724,6 @@ result: 1 rows  complete: true
         let result = Lusail::default().execute_with(&f, &q, &opts).unwrap();
         assert!(!result.solutions.is_empty());
         // The zero-sink path records (and allocates) nothing.
-        assert!(!sink.is_enabled());
         assert!(sink.is_empty());
         assert!(sink.events().is_empty());
     }

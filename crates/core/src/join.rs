@@ -177,20 +177,16 @@ fn dp_join(relations: Vec<SolutionSet>, trace: &TraceSink) -> SolutionSet {
         }
     }
 
-    // Execute the chosen plan bottom-up. If DP never connected the full
-    // mask (shouldn't happen for a connected component), fall back to
-    // greedy.
-    if !plans.contains_key(&full) {
-        return greedy_join(relations, trace);
-    }
-
+    // Execute the chosen plan bottom-up.
     fn execute(
         mask: u32,
         plans: &FxHashMap<u32, Plan>,
         relations: &mut [Option<SolutionSet>],
         trace: &TraceSink,
     ) -> SolutionSet {
-        let plan = &plans[&mask];
+        // Every connected set has a plan (split off a leaf of a spanning
+        // tree), and `join_connected` only receives connected sets.
+        let plan = plans.get(&mask).expect("a connected set has a DP plan");
         match plan.split {
             None => {
                 // Each leaf participates in exactly one place of the plan
@@ -211,8 +207,8 @@ fn dp_join(relations: Vec<SolutionSet>, trace: &TraceSink) -> SolutionSet {
     execute(full, &plans, &mut slots, trace)
 }
 
-/// Greedy fallback: repeatedly join the connected pair with the smallest
-/// combined work.
+/// Greedy ordering for sets too wide for the DP: repeatedly join the
+/// connected pair with the smallest combined work.
 fn greedy_join(mut relations: Vec<SolutionSet>, trace: &TraceSink) -> SolutionSet {
     while relations.len() > 1 {
         let mut best: Option<(usize, usize, f64)> = None;
@@ -227,14 +223,9 @@ fn greedy_join(mut relations: Vec<SolutionSet>, trace: &TraceSink) -> SolutionSe
                 }
             }
         }
-        let Some((i, j, _)) = best else {
-            // Not connected after all: cross-join the first two.
-            let b = relations.remove(1);
-            let a = relations.remove(0);
-            let joined = join_step(&a, &b, (a.len() + b.len()) as f64, trace);
-            relations.insert(0, joined);
-            continue;
-        };
+        // A pairwise join keeps a connected set connected, so a pair
+        // sharing a variable is always left.
+        let (i, j, _) = best.expect("a connected set has a joinable pair");
         let b = relations.remove(j);
         let a = relations.remove(i);
         relations.push(join_step(&a, &b, (a.len() + b.len()) as f64, trace));

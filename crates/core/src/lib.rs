@@ -39,7 +39,8 @@
 //!
 //! A query is planned whole before it runs: [`Lusail::explain`] returns
 //! the [`QueryPlan`] execution walks, one [`GroupPlan`] per group in
-//! preorder. Planning is the engine's alone — GJV detection,
+//! preorder, each subquery a [`PlannedSubquery`] whose [`Schedule`] says
+//! which SAPE phase runs it. Planning is the engine's alone — GJV detection,
 //! decomposition and the cost model are private to this crate:
 //!
 //! ```compile_fail,E0603
@@ -67,9 +68,10 @@ pub mod source_selection;
 pub mod subquery;
 mod trace;
 
-pub use cost::DelayPolicy;
+pub use cost::{DelayPolicy, Schedule};
 pub use engine::{
-    GroupPlan, Lusail, LusailConfig, PlanShape, ProbeCacheStats, QueryPlan, QueryResult,
+    GroupPlan, Lusail, LusailConfig, PlanShape, PlannedSubquery, ProbeCacheStats, QueryPlan,
+    QueryResult,
 };
 pub use metrics::QueryMetrics;
 pub use mqo::{BatchItem, BatchOutcome, BatchReport, SubqueryKey};

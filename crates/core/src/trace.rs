@@ -44,35 +44,18 @@ impl QueryTrace {
             if let TraceEvent::Request {
                 kind: k,
                 attempts,
-                ok,
+                error,
                 ..
             } = ev
             {
                 if *k == kind {
                     summary.requests += 1;
                     summary.attempts += attempts;
-                    summary.failures += u64::from(!ok);
+                    summary.failures += u64::from(error.is_some());
                 }
             }
         }
         summary
-    }
-
-    /// Indices of subqueries recorded as delayed *without* a delay
-    /// reason — always empty for a well-formed trace.
-    pub fn delayed_without_reason(&self) -> Vec<usize> {
-        self.events
-            .iter()
-            .filter_map(|ev| match ev {
-                TraceEvent::SubqueryPlanned {
-                    index,
-                    delayed: true,
-                    delay_reason: None,
-                    ..
-                } => Some(*index),
-                _ => None,
-            })
-            .collect()
     }
 
     /// What was planned for the WHERE group (depth 0, subqueries `0..n`):
@@ -89,8 +72,7 @@ impl QueryTrace {
                 } => (planned[0], planned[1]) = (*subqueries, *gjvs),
                 TraceEvent::SubqueryPlanned {
                     index,
-                    delayed: true,
-                    ..
+                    delay_reason: Some(_),
                 } if *index < planned[0] => planned[2] += 1,
                 _ => {}
             }
@@ -222,7 +204,6 @@ mod tests {
             endpoint: 0,
             kind,
             attempts,
-            ok,
             error: if ok { None } else { Some("x".into()) },
         }
     }
@@ -272,23 +253,6 @@ mod tests {
         };
         assert_eq!(ok.events_after_finish(), 0);
         assert_eq!(QueryTrace::default().finish_index(), None);
-    }
-
-    #[test]
-    fn delayed_without_reason_flags_only_malformed_entries() {
-        let planned = |index, delayed, reason: Option<&str>| TraceEvent::SubqueryPlanned {
-            index,
-            delayed,
-            delay_reason: reason.map(str::to_string),
-        };
-        let trace = QueryTrace {
-            events: vec![
-                planned(0, false, None),
-                planned(1, true, Some("cardinality 100 > threshold 10")),
-                planned(2, true, None),
-            ],
-        };
-        assert_eq!(trace.delayed_without_reason(), vec![2]);
     }
 
     #[test]

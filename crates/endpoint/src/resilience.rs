@@ -135,7 +135,7 @@ impl Default for RequestPolicy {
 impl RequestPolicy {
     /// The backoff before retry number `attempt` (0-based), with the
     /// deterministic jitter stream keyed by `nonce`.
-    pub fn backoff_for(&self, attempt: u32, nonce: u64) -> Duration {
+    fn backoff_for(&self, attempt: u32, nonce: u64) -> Duration {
         let base = self.base_backoff.as_secs_f64()
             * self
                 .backoff_multiplier
@@ -161,16 +161,6 @@ enum Health {
         since: Duration,
     },
     HalfOpen,
-}
-
-impl Health {
-    fn state(self) -> HealthState {
-        match self {
-            Health::Closed => HealthState::Closed,
-            Health::Open { .. } => HealthState::Open,
-            Health::HalfOpen => HealthState::HalfOpen,
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -214,11 +204,6 @@ pub struct ResilientClient {
 pub type HealthHook = Arc<dyn Fn(EndpointId, HealthState, HealthState) + Send + Sync>;
 
 impl ResilientClient {
-    /// A client over an injected clock.
-    pub fn with_clock(policy: RequestPolicy, clock: Arc<dyn Clock>) -> Self {
-        ResilientClient::traced(policy, clock, TraceSink::disabled())
-    }
-
     /// A client over an injected clock that emits one
     /// [`TraceEvent::Request`] per logical request into `trace`.
     pub fn traced(policy: RequestPolicy, clock: Arc<dyn Clock>, trace: TraceSink) -> Self {
@@ -271,7 +256,7 @@ impl ResilientClient {
 
     /// True if a request to this endpoint would currently short-circuit:
     /// the circuit is open and its cooldown has not yet elapsed.
-    pub fn is_dead(&self, ep: EndpointId) -> bool {
+    fn is_dead(&self, ep: EndpointId) -> bool {
         let now = self.clock.now();
         let cooldown = self.policy.open_cooldown;
         self.with_state(ep, |s| match s.health {
@@ -280,23 +265,8 @@ impl ResilientClient {
         })
     }
 
-    /// The endpoint's current circuit state.
-    pub fn health(&self, ep: EndpointId) -> HealthState {
-        self.with_state(ep, |s| s.health.state())
-    }
-
-    /// Retries spent on the endpoint so far.
-    pub fn retries(&self, ep: EndpointId) -> u64 {
-        self.with_state(ep, |s| s.retries)
-    }
-
-    /// Requests that ultimately failed at the endpoint.
-    pub fn failed_requests(&self, ep: EndpointId) -> u64 {
-        self.with_state(ep, |s| s.failed_requests)
-    }
-
     /// True once the query deadline has passed (always false without one).
-    pub fn deadline_passed(&self) -> bool {
+    fn deadline_passed(&self) -> bool {
         self.query_deadline
             .is_some_and(|d| self.clock.now().saturating_sub(self.origin) >= d)
     }
@@ -400,7 +370,6 @@ impl ResilientClient {
                 endpoint: ep,
                 kind,
                 attempts: 0,
-                ok: false,
                 error: Some(format!("{:?}", EndpointError::Unavailable)),
             });
             return Err(EndpointError::Unavailable);
@@ -450,7 +419,6 @@ impl ResilientClient {
             endpoint: ep,
             kind,
             attempts,
-            ok: result.is_ok(),
             error: result.as_ref().err().map(|e| format!("{e:?}")),
         });
         result
@@ -535,6 +503,32 @@ impl ResilientClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ResilientClient {
+        /// A client over an injected clock, tracing nothing.
+        fn with_clock(policy: RequestPolicy, clock: Arc<dyn Clock>) -> Self {
+            ResilientClient::traced(policy, clock, TraceSink::disabled())
+        }
+
+        /// The endpoint's current circuit state.
+        fn health(&self, ep: EndpointId) -> HealthState {
+            self.with_state(ep, |s| match s.health {
+                Health::Closed => HealthState::Closed,
+                Health::Open { .. } => HealthState::Open,
+                Health::HalfOpen => HealthState::HalfOpen,
+            })
+        }
+
+        /// Retries spent on the endpoint so far.
+        fn retries(&self, ep: EndpointId) -> u64 {
+            self.with_state(ep, |s| s.retries)
+        }
+
+        /// Requests that ultimately failed at the endpoint.
+        fn failed_requests(&self, ep: EndpointId) -> u64 {
+            self.with_state(ep, |s| s.failed_requests)
+        }
+    }
     use std::sync::atomic::AtomicUsize;
 
     fn counting_op(
@@ -722,7 +716,6 @@ mod tests {
                 endpoint: 2,
                 kind: RequestKind::Ask,
                 attempts: 3,
-                ok: true,
                 error: None,
             }]
         );
@@ -769,7 +762,6 @@ mod tests {
                 endpoint: 0,
                 kind: RequestKind::Count,
                 attempts: 0,
-                ok: false,
                 error: Some(format!("{:?}", EndpointError::Unavailable)),
             }
         );
@@ -983,5 +975,60 @@ mod tests {
             });
         }
         assert!(!client.is_dead(0), "success did not reset the trip counter");
+    }
+
+    /// The jittered exponential backoff schedule is a pure function of
+    /// `(policy, attempt, nonce)`: deterministic (same inputs, same delay),
+    /// jitter-bounded around the capped exponential base, monotone and
+    /// exactly capped when jitter is off, and bit-identical across platforms
+    /// (SplitMix64 plus IEEE-754 arithmetic — pinned below).
+    #[test]
+    fn backoff_schedule_is_deterministic_bounded_and_capped() {
+        let policy = RequestPolicy::default();
+        let mut rng = SplitMix64::new(0xBAC0FF);
+        for case in 0..500 {
+            let attempt = rng.below(64) as u32;
+            let nonce = rng.next_u64();
+            let d = policy.backoff_for(attempt, nonce);
+            assert_eq!(
+                d,
+                policy.backoff_for(attempt, nonce),
+                "case {case}: same (attempt, nonce) must reproduce the delay"
+            );
+            let base =
+                policy.base_backoff.as_secs_f64() * policy.backoff_multiplier.powi(attempt as i32);
+            let capped = base.min(policy.max_backoff.as_secs_f64());
+            let got = d.as_secs_f64();
+            assert!(
+                got >= capped * (1.0 - policy.jitter) - 1e-12
+                    && got <= capped * (1.0 + policy.jitter) + 1e-12,
+                "case {case}: delay {got} outside jitter bounds around {capped}"
+            );
+        }
+
+        // Jitter off: the schedule is non-decreasing and saturates exactly
+        // at the cap.
+        let flat = RequestPolicy {
+            jitter: 0.0,
+            ..RequestPolicy::default()
+        };
+        let mut prev = Duration::ZERO;
+        for attempt in 0..64 {
+            let d = flat.backoff_for(attempt, 12345);
+            assert!(d >= prev, "attempt {attempt}: schedule decreased");
+            assert!(d <= flat.max_backoff, "attempt {attempt}: cap exceeded");
+            prev = d;
+        }
+        assert_eq!(prev, flat.max_backoff, "schedule never reached the cap");
+
+        // Cross-platform pin: these exact nanosecond delays must come out on
+        // every platform, or seeded reproductions stop replaying elsewhere.
+        let pinned: Vec<u128> = (0..4)
+            .map(|i| policy.backoff_for(i, 0xC0FFEE).as_nanos())
+            .collect();
+        assert_eq!(
+            pinned,
+            vec![11_701_438u128, 23_402_876, 46_805_751, 93_611_503]
+        );
     }
 }

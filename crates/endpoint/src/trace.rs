@@ -129,9 +129,8 @@ pub enum TraceEvent {
         kind: RequestKind,
         /// Wire attempts (each bumps the endpoint's request counter).
         attempts: u64,
-        /// Whether the request ultimately succeeded.
-        ok: bool,
-        /// The final error, when it did not.
+        /// The final error when the request failed; `None` when it
+        /// succeeded.
         error: Option<String>,
     },
     /// A batch of tasks handed to the request handler's fan-out.
@@ -159,17 +158,11 @@ pub enum TraceEvent {
         /// Subquery index, query-wide: numbered in group preorder, so the
         /// WHERE group's are `0..n` and no two groups share one.
         index: usize,
-        /// Whether the subquery is delayed.
-        delayed: bool,
-        /// Human-readable reason (the Chauvenet `μ+kσ` threshold the
-        /// estimate exceeded). `Some` exactly when `delayed`.
+        /// Why the cost model delayed the subquery (the Chauvenet `μ+kσ`
+        /// threshold the estimate exceeded); `None` when it did not. A
+        /// delayed subquery promoted to the concurrent phase (every
+        /// subquery of its group was delayed) keeps its reason.
         delay_reason: Option<String>,
-    },
-    /// A delayed subquery promoted to concurrent execution (all were
-    /// delayed, so the most selective one runs first).
-    SubqueryPromoted {
-        /// Query-wide subquery index (see [`TraceEvent::SubqueryPlanned`]).
-        index: usize,
     },
     /// A subquery finished evaluating.
     SubqueryEvaluated {
@@ -295,11 +288,6 @@ impl TraceSink {
         }
     }
 
-    /// Whether events are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Records the event built by `f` — which is *not invoked* when the
     /// sink is disabled, so arbitrary rendering work may sit inside it.
     pub fn emit(&self, f: impl FnOnce() -> TraceEvent) {
@@ -334,6 +322,13 @@ impl TraceSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TraceSink {
+        /// Whether events are being recorded.
+        fn is_enabled(&self) -> bool {
+            self.inner.is_some()
+        }
+    }
 
     #[test]
     fn disabled_sink_never_invokes_the_constructor() {

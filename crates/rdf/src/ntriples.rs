@@ -189,11 +189,7 @@ impl<'a> Cursor<'a> {
             if lang.is_empty() {
                 return Err("empty language tag".into());
             }
-            Ok(Term::Literal {
-                lexical,
-                lang: Some(lang),
-                datatype: None,
-            })
+            Ok(Term::lang_lit(lexical, lang))
         } else if self.eat('^') {
             if !self.eat('^') {
                 return Err("expected '^^' before datatype".into());

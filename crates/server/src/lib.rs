@@ -289,11 +289,6 @@ impl QueryServer {
         self.state.lock().unwrap().draining
     }
 
-    /// Queries currently executing.
-    pub fn in_flight(&self) -> usize {
-        self.state.lock().unwrap().in_flight
-    }
-
     /// Executes `query` for `tenant` with the tenant's full deadline
     /// budget.
     pub fn execute(&self, tenant: &str, query: &Query) -> Result<QueryResult, ServeError> {
@@ -509,7 +504,7 @@ impl Drop for SessionGuard<'_> {
 /// statistics are dropped (conservative — an endpoint coming back may
 /// have diverged just as much as one going away), and the unhealthy set
 /// feeding health-driven shedding is updated.
-pub fn make_invalidation_hook(
+fn make_invalidation_hook(
     engine: Arc<Lusail>,
     fed: Federation,
     unhealthy: Arc<Mutex<HashSet<EndpointId>>>,

@@ -1,12 +1,21 @@
 use super::*;
 use crate::http::{percent_decode, render_solutions, run_http_loop};
 use lusail_core::LusailConfig;
-use lusail_endpoint::{FaultProfile, FlakyEndpoint, LocalEndpoint, ManualClock, RequestPolicy};
+use lusail_endpoint::{
+    ExecOptions, FaultProfile, FlakyEndpoint, LocalEndpoint, ManualClock, RequestPolicy,
+};
 use lusail_rdf::{Dictionary, Term};
 use lusail_sparql::parse_query;
 use lusail_store::TripleStore;
 use std::sync::Arc;
 use std::thread;
+
+impl QueryServer {
+    /// Queries currently executing.
+    fn in_flight(&self) -> usize {
+        self.state.lock().unwrap().in_flight
+    }
+}
 
 fn tiny_federation() -> (Federation, Arc<Dictionary>) {
     let dict = Dictionary::shared();
@@ -979,4 +988,123 @@ fn a_query_nested_past_the_parser_bound_is_a_400_not_an_abort() {
         let (status, body) = post_sparql(&mut conn, &at_limit);
         assert_eq!(status, 200, "{body}");
     });
+}
+
+/// The multi-tenant sharpening of the rule that a dead endpoint's
+/// statistics are dropped when its query ends: in a long-lived server the engine and federation are shared, so dropping a
+/// dead endpoint's statistics only when tenant A's query ends leaves a
+/// window in which tenant B plans from them. The serving layer closes the
+/// window with a circuit-transition hook ([`ExecOptions::with_health_hook`]
+/// → [`make_invalidation_hook`]) that invalidates the shared
+/// probe caches and statistics **at transition time**, mid-query.
+///
+/// Proven from inside the window itself: tenant B's whole query runs
+/// *within the transition hook* — strictly before A's query completes —
+/// and must already see the statistics gone, reaching the diverged
+/// replica's three `<q>` rows instead of a stale conclusive "no such
+/// predicate". Virtual time (`ManualClock`) keeps the retry backoffs of
+/// both tenants instant and deterministic.
+#[test]
+fn transition_hook_invalidates_shared_state_before_concurrent_tenant_plans() {
+    use lusail_sparql::ast::{PatternTerm, TriplePattern};
+    use lusail_store::EndpointStats;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
+
+    let dict = Dictionary::shared();
+    let mut primary_st = TripleStore::new(Arc::clone(&dict));
+    let mut replica_st = TripleStore::new(Arc::clone(&dict));
+    for i in 0..4 {
+        let s = Term::iri(format!("http://x/s{i}"));
+        primary_st.insert_terms(&s, &Term::iri("http://x/p"), &Term::int(i));
+        replica_st.insert_terms(&s, &Term::iri("http://x/p"), &Term::int(i));
+    }
+    for i in 0..3 {
+        replica_st.insert_terms(
+            &Term::iri(format!("http://x/s{i}")),
+            &Term::iri("http://x/q"),
+            &Term::int(100 + i),
+        );
+    }
+    let stats = Arc::new(EndpointStats::build(&primary_st));
+    let q_probe = TriplePattern::new(
+        PatternTerm::Var("s".into()),
+        PatternTerm::Const(dict.encode(&Term::iri("http://x/q"))),
+        PatternTerm::Var("o".into()),
+    );
+    assert_eq!(stats.ask_pattern(&q_probe), Some(false));
+
+    let mut fed = Federation::new(Arc::clone(&dict));
+    let primary = fed.add(Arc::new(FlakyEndpoint::new(
+        Arc::new(LocalEndpoint::new("P", primary_st)),
+        FaultProfile::dead(),
+    )));
+    fed.add_replica(primary, Arc::new(LocalEndpoint::new("R", replica_st)));
+    fed.attach_stats(primary, stats);
+
+    let engine = Arc::new(
+        Lusail::default()
+            .with_policy(RequestPolicy {
+                trip_threshold: 1,
+                ..RequestPolicy::default()
+            })
+            .with_clock(ManualClock::new()),
+    );
+
+    // The server's standard invalidation hook, wrapped so that the first
+    // primary-circuit-open transition immediately runs tenant B's query —
+    // the tightest possible interleaving against tenant A.
+    let invalidations = Arc::new(AtomicU64::new(0));
+    let inner = make_invalidation_hook(
+        Arc::clone(&engine),
+        fed.clone(),
+        Arc::default(),
+        Arc::clone(&invalidations),
+    );
+    let tenant_b: Arc<Mutex<Option<lusail_core::QueryResult>>> = Arc::default();
+    let hook: lusail_endpoint::HealthHook = Arc::new({
+        let fed = fed.clone();
+        let engine = Arc::clone(&engine);
+        let dict = Arc::clone(&dict);
+        let tenant_b = Arc::clone(&tenant_b);
+        move |ep, _from, to| {
+            inner(ep, _from, to);
+            if ep != primary || to != HealthState::Open {
+                return;
+            }
+            let mut slot = tenant_b.lock().unwrap();
+            if slot.is_some() {
+                return;
+            }
+            assert!(
+                fed.stats_for(primary).is_none(),
+                "statistics still attached at transition time — tenant B \
+                 would plan from them"
+            );
+            let q2 = parse_query("SELECT * WHERE { ?s <http://x/q> ?o }", &dict).unwrap();
+            *slot = Some(engine.execute(&fed, &q2).unwrap());
+        }
+    });
+
+    // Tenant A's query (over <p>): its SELECT hits the dead primary,
+    // trips the circuit, and fires the hook mid-flight.
+    let q1 = parse_query("SELECT * WHERE { ?s <http://x/p> ?o }", &dict).unwrap();
+    let opts = ExecOptions::default().with_health_hook(hook);
+    let r1 = engine.execute_with(&fed, &q1, &opts).unwrap();
+    assert!(r1.complete, "replica failed to absorb the dead primary");
+    assert_eq!(r1.solutions.len(), 4);
+
+    // Tenant B ran inside the window and saw fresh state.
+    let r2 = tenant_b
+        .lock()
+        .unwrap()
+        .take()
+        .expect("the primary's circuit never opened during tenant A's query");
+    assert!(r2.complete, "tenant B failed to absorb the dead primary");
+    assert_eq!(
+        r2.solutions.len(),
+        3,
+        "tenant B was elided to a stale empty answer"
+    );
+    assert!(invalidations.load(Ordering::Relaxed) > 0);
 }

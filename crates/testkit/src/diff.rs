@@ -63,11 +63,6 @@ pub enum Violation {
     },
     /// The engine returned a federation-level error on a legal input.
     EngineError(String),
-    /// Trace invariant: a subquery was recorded delayed without a reason.
-    MissingDelayReason {
-        /// The offending subquery's index.
-        index: usize,
-    },
     /// Trace invariant: a subquery was evaluated (or served from a batch
     /// memo) more than once, or without exactly one plan.
     SubqueryAccounting {
@@ -139,10 +134,6 @@ impl std::fmt::Display for Violation {
                 "outcome flagged complete but rows are missing ({got} of {want})"
             ),
             Violation::EngineError(e) => write!(f, "engine error: {e}"),
-            Violation::MissingDelayReason { index } => write!(
-                f,
-                "subquery {index} was delayed without a recorded delay reason"
-            ),
             Violation::SubqueryAccounting {
                 index,
                 evaluated,
@@ -723,16 +714,15 @@ fn check_outcome(
 ///    travelling as its own kind, so theirs are held equal kind by kind.
 ///    Lusail's coalesced probes travel as SELECTs, so only its totals can
 ///    be.
-/// 2. Every subquery recorded as delayed carries a delay reason.
-/// 3. Every subquery evaluated or served from a batch memo is so exactly
+/// 2. Every subquery evaluated or served from a batch memo is so exactly
 ///    once, and is planned exactly once: subquery numbers are query-wide,
 ///    so a nested group's subqueries never reuse the WHERE group's.
-/// 4. A delayed subquery fetched whole from an endpoint sends it exactly
+/// 3. A delayed subquery fetched whole from an endpoint sends it exactly
 ///    one `SELECT` request (its retries are attempts of that one request)
 ///    and no `VALUES` block: phase 2 runs one delayed subquery at a time,
 ///    so every request between the whole-fetch mark and the subquery's
 ///    evaluated event is the subquery's.
-/// 5. The trace ends with exactly one query-finished event — nothing is
+/// 4. The trace ends with exactly one query-finished event — nothing is
 ///    recorded after it.
 pub fn check_trace_invariants(
     trace: &QueryTrace,
@@ -764,9 +754,6 @@ pub fn check_trace_invariants(
                 right: format!("{counted} requests counted by the federation"),
             });
         }
-    }
-    if let Some(&index) = trace.delayed_without_reason().first() {
-        return Err(Violation::MissingDelayReason { index });
     }
     let mut subqueries: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
     for ev in &trace.events {
@@ -801,7 +788,7 @@ pub fn check_trace_invariants(
     Ok(())
 }
 
-/// Invariant 4 of [`check_trace_invariants`].
+/// Invariant 3 of [`check_trace_invariants`].
 fn check_whole_fetches(trace: &QueryTrace) -> Result<(), Violation> {
     for (at, ev) in trace.events.iter().enumerate() {
         let &TraceEvent::WholeFetched {
@@ -990,7 +977,6 @@ mod tests {
             endpoint,
             kind: RequestKind::Select,
             attempts: 1,
-            ok: true,
             error: None,
         };
         let block = |endpoint| TraceEvent::ValuesBatch {
@@ -1009,7 +995,6 @@ mod tests {
             ];
             let planned = TraceEvent::SubqueryPlanned {
                 index: 1,
-                delayed: true,
                 delay_reason: Some("test".into()),
             };
             let events = [&[planned, whole.clone()][..], &events, &finish].concat();
@@ -1043,7 +1028,6 @@ mod tests {
     fn each_subquery_is_planned_and_evaluated_once() {
         let planned = |index| TraceEvent::SubqueryPlanned {
             index,
-            delayed: false,
             delay_reason: None,
         };
         let evaluated = |index| TraceEvent::SubqueryEvaluated { index, rows: 1 };

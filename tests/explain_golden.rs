@@ -183,8 +183,8 @@ fn lubm_q4_plans_in_two_waves() {
 
 /// ANALYZE's plan block (from `source selection:` to the first of the
 /// run's own sections) with the run's annotations taken out of each
-/// subquery line: the promoted mark, the actual rows and the `(whole)`
-/// marks of sources fetched whole.
+/// subquery line: the actual rows and the `(whole)` marks of sources
+/// fetched whole.
 fn plan_block_without_run(report: &str) -> String {
     let sections = [
         "values traffic",
@@ -198,9 +198,7 @@ fn plan_block_without_run(report: &str) -> String {
         .lines()
         .skip_while(|l| !l.starts_with("source selection:"));
     for line in lines.take_while(|l| !sections.iter().any(|s| l.starts_with(s))) {
-        let mut line = (line.replace(" [promoted to concurrent]", ""))
-            .replace("  not evaluated", "")
-            .replace(" (whole)", "");
+        let mut line = line.replace("  not evaluated", "").replace(" (whole)", "");
         if let Some(at) = line.find("  actual rows ") {
             let rows = &line[at + "  actual rows ".len()..];
             let digits = rows

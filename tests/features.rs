@@ -3,8 +3,10 @@
 
 use lusail_baselines::EngineKind;
 use lusail_benchdata::{bio2rdf, lrb, lubm, qfed};
-use lusail_core::{Lusail, LusailConfig, PlanShape, QueryPlan, TraceEvent, TraceSink};
-use lusail_endpoint::{ExecOptions, FederatedEngine, RequestPolicy};
+use lusail_core::{Lusail, LusailConfig, PlanShape, QueryPlan, Schedule, TraceEvent, TraceSink};
+use lusail_endpoint::{ExecOptions, FederatedEngine, Federation, LocalEndpoint, RequestPolicy};
+use lusail_rdf::{Dictionary, Term};
+use lusail_store::TripleStore;
 use std::sync::Arc;
 
 #[test]
@@ -92,7 +94,10 @@ fn assert_explain_matches_execution(
         .events()
         .into_iter()
         .filter_map(|ev| match ev {
-            TraceEvent::SubqueryPlanned { index, delayed, .. } => Some((index, delayed)),
+            TraceEvent::SubqueryPlanned {
+                index,
+                delay_reason,
+            } => Some((index, delay_reason.is_some())),
             _ => None,
         })
         .collect();
@@ -120,14 +125,17 @@ fn assert_explain_matches_execution(
         "{name}: subquery count"
     );
     let delays: Vec<(usize, bool)> = (plan.groups.iter())
-        .flat_map(|group| match &group.shape {
-            PlanShape::Decomposed { costs, .. } => (costs.delayed.iter().enumerate())
-                .map(|(i, reason)| (group.first + i, reason.is_some()))
-                .collect(),
-            _ => Vec::new(),
-        })
+        .flat_map(|group| group.subqueries())
+        .map(|sq| (sq.index, sq.schedule.delay_reason().is_some()))
         .collect();
     assert_eq!(delays, planned, "{name}: delay decisions");
+    let delayed = (top.subqueries().iter())
+        .filter(|sq| matches!(sq.schedule, Schedule::Delayed(_)))
+        .count();
+    assert_eq!(
+        delayed, result.metrics.delayed_subqueries,
+        "{name}: delayed subqueries"
+    );
     let analyze = engine
         .explain_analyze_with(fed, query, &ExecOptions::default())
         .unwrap();
@@ -146,7 +154,7 @@ fn assert_explain_matches_execution(
         "{name}: projections"
     );
     for (sq, run) in top.subqueries().iter().zip(&executed) {
-        let projection = format!("?{}", sq.projection.join(" ?"));
+        let projection = format!("?{}", sq.subquery.projection.join(" ?"));
         assert_eq!(projection, *run, "{name}: projection");
     }
     plan
@@ -180,10 +188,11 @@ fn explain_matches_execution_decisions() {
     }
 }
 
-/// The shapes EXPLAIN used to get wrong because it re-derived the plan:
-/// anything the mediator must evaluate over the global result is not
-/// DISJOINT, a sourceless required pattern is EMPTY, and `disable_lade`
-/// decomposes per pattern.
+/// The shapes EXPLAIN used to get wrong because it re-derived the plan
+/// or execution decided part of it: anything the mediator must evaluate
+/// over the global result is not DISJOINT, a sourceless required pattern
+/// is EMPTY, `disable_lade` decomposes per pattern, and a group whose
+/// every subquery is delayed runs the one the plan promoted.
 #[test]
 fn explain_matches_execution_on_mediator_side_shapes() {
     let w = lubm::generate(&lubm::LubmConfig::new(2));
@@ -234,6 +243,52 @@ fn explain_matches_execution_on_mediator_side_shapes() {
     let plan = assert_explain_matches_execution(&strawman, fed, &bare, "disable_lade");
     assert_eq!(plan.groups[0].subqueries().len(), 2);
     assert_eq!(plan.metrics.check_queries, 0);
+
+    // A group whose every subquery the cost model delays: a hundred `p`
+    // triples at A and ten `q` triples over three endpoints delay
+    // subquery 1 on cardinality and subquery 2 on fan-out, and the plan
+    // promotes the smaller, subquery 2, so only one runs delayed.
+    let (fed, query) = all_delayed();
+    let plan = assert_explain_matches_execution(&engine, &fed, &query, "promoted");
+    let schedules: Vec<&Schedule> = (plan.groups[0].subqueries().iter())
+        .map(|sq| &sq.schedule)
+        .collect();
+    assert!(
+        matches!(schedules[..], [Schedule::Delayed(_), Schedule::Promoted(_)]),
+        "{schedules:?}"
+    );
+}
+
+/// The federation and query of a group whose every subquery is delayed.
+fn all_delayed() -> (Federation, lusail_sparql::Query) {
+    let dict = Dictionary::shared();
+    let mut a = TripleStore::new(Arc::clone(&dict));
+    for i in 0..100 {
+        a.insert_terms(
+            &Term::iri(format!("http://a/s{i}")),
+            &Term::iri("http://x/p"),
+            &Term::iri(format!("http://b/v{}", i % 20)),
+        );
+    }
+    let mut fed = Federation::new(Arc::clone(&dict));
+    fed.add(Arc::new(LocalEndpoint::new("A", a)));
+    for (name, range) in [("B1", 0..4), ("B2", 4..7), ("B3", 7..10)] {
+        let mut b = TripleStore::new(Arc::clone(&dict));
+        for k in range {
+            b.insert_terms(
+                &Term::iri(format!("http://b/v{k}")),
+                &Term::iri("http://x/q"),
+                &Term::iri("http://b/o"),
+            );
+        }
+        fed.add(Arc::new(LocalEndpoint::new(name, b)));
+    }
+    let query = lusail_sparql::parse_query(
+        "SELECT * WHERE { ?s <http://x/p> ?v . ?v <http://x/q> ?o }",
+        &dict,
+    )
+    .unwrap();
+    (fed, query)
 }
 
 #[test]

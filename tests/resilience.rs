@@ -17,6 +17,7 @@ use lusail_endpoint::ExecOptions;
 use lusail_endpoint::{
     EndpointError, FaultProfile, FederatedEngine, Federation, FlakyEndpoint, HealthState,
     LocalEndpoint, ManualClock, RequestPolicy, ResilientClient, SparqlEndpoint, StatsSnapshot,
+    TraceEvent, TraceSink,
 };
 use lusail_rdf::{Dictionary, Term};
 use lusail_sparql::parse_query;
@@ -176,17 +177,17 @@ fn scripted_faults_are_retried_and_reported() {
     let q = parse_query("SELECT * WHERE { ?s <http://x/p> ?o }", &dict).unwrap();
 
     let clock = ManualClock::new();
-    let client = ResilientClient::with_clock(patient_policy(), clock.clone());
+    let client = ResilientClient::traced(patient_policy(), clock.clone(), TraceSink::disabled());
     let (_, rows) = client.select_failover(&fed, ep, &q).unwrap();
     assert_eq!(rows.len(), 5);
-    assert_eq!(client.retries(ep), 2);
-    assert_eq!(client.failed_requests(ep), 0);
     assert!(clock.elapsed() > Duration::ZERO, "backoffs were not slept");
 
     let report = client.report(&fed);
     assert_eq!(report.len(), 1);
+    assert_eq!(report[0].endpoint, ep);
     assert_eq!(report[0].name, "S");
     assert_eq!(report[0].retries, 2);
+    assert_eq!(report[0].failed_requests, 0);
     assert!(!report[0].dead);
 }
 
@@ -255,12 +256,23 @@ fn tripped_endpoint_recovers_after_manual_clock_advance() {
         ..RequestPolicy::default()
     };
     let clock = ManualClock::new();
-    let client = ResilientClient::with_clock(policy, clock.clone());
+    let sink = TraceSink::enabled();
+    let client = ResilientClient::traced(policy, clock.clone(), sink.clone());
+    // The circuit transitions of `ep` so far.
+    let transitions = || -> Vec<(HealthState, HealthState)> {
+        (sink.events().into_iter())
+            .filter_map(|ev| match ev {
+                TraceEvent::HealthTransition { endpoint, from, to } if endpoint == ep => {
+                    Some((from, to))
+                }
+                _ => None,
+            })
+            .collect()
+    };
     for _ in 0..3 {
         assert!(client.select_failover(&fed, ep, &q).is_err());
     }
-    assert!(client.is_dead(ep));
-    assert_eq!(client.health(ep), HealthState::Open);
+    assert_eq!(transitions(), [(HealthState::Closed, HealthState::Open)]);
 
     // While the cooldown runs, requests short-circuit without touching
     // the wire.
@@ -277,15 +289,20 @@ fn tripped_endpoint_recovers_after_manual_clock_advance() {
         0
     );
 
-    // The regression this pins: `is_dead` used to be a one-way trip, so a
-    // recovered endpoint stayed banned forever. After the cooldown the
-    // circuit half-opens, the probe succeeds, and the endpoint is
-    // re-admitted for good.
+    // The regression this pins: a tripped endpoint used to stay banned
+    // forever. After the cooldown the circuit half-opens, the probe
+    // succeeds, and the endpoint is re-admitted for good.
     clock.advance(Duration::from_secs(6));
-    assert!(!client.is_dead(ep));
     let (_, rows) = client.select_failover(&fed, ep, &q).unwrap();
     assert_eq!(rows.len(), 5);
-    assert_eq!(client.health(ep), HealthState::Closed);
+    assert_eq!(
+        transitions(),
+        [
+            (HealthState::Closed, HealthState::Open),
+            (HealthState::Open, HealthState::HalfOpen),
+            (HealthState::HalfOpen, HealthState::Closed),
+        ]
+    );
     assert!(client.select_failover(&fed, ep, &q).is_ok());
 }
 
@@ -443,125 +460,6 @@ fn diverged_replica_after_failover(kind: EngineKind, diverged_rows: bool) -> Vec
     violations
 }
 
-/// The multi-tenant sharpening of the staleness rule above: in a
-/// long-lived server the engine and federation are shared, so dropping a
-/// dead endpoint's statistics only when tenant A's query ends leaves a
-/// window in which tenant B plans from them. The serving layer closes the
-/// window with a circuit-transition hook ([`ExecOptions::with_health_hook`]
-/// → `lusail_server::make_invalidation_hook`) that invalidates the shared
-/// probe caches and statistics **at transition time**, mid-query.
-///
-/// Proven from inside the window itself: tenant B's whole query runs
-/// *within the transition hook* — strictly before A's query completes —
-/// and must already see the statistics gone, reaching the diverged
-/// replica's three `<q>` rows instead of a stale conclusive "no such
-/// predicate". Virtual time (`ManualClock`) keeps the retry backoffs of
-/// both tenants instant and deterministic.
-#[test]
-fn transition_hook_invalidates_shared_state_before_concurrent_tenant_plans() {
-    use lusail_sparql::ast::{PatternTerm, TriplePattern};
-    use lusail_store::EndpointStats;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
-
-    let dict = Dictionary::shared();
-    let mut primary_st = TripleStore::new(Arc::clone(&dict));
-    let mut replica_st = TripleStore::new(Arc::clone(&dict));
-    for i in 0..4 {
-        let s = Term::iri(format!("http://x/s{i}"));
-        primary_st.insert_terms(&s, &Term::iri("http://x/p"), &Term::int(i));
-        replica_st.insert_terms(&s, &Term::iri("http://x/p"), &Term::int(i));
-    }
-    for i in 0..3 {
-        replica_st.insert_terms(
-            &Term::iri(format!("http://x/s{i}")),
-            &Term::iri("http://x/q"),
-            &Term::int(100 + i),
-        );
-    }
-    let stats = Arc::new(EndpointStats::build(&primary_st));
-    let q_probe = TriplePattern::new(
-        PatternTerm::Var("s".into()),
-        PatternTerm::Const(dict.encode(&Term::iri("http://x/q"))),
-        PatternTerm::Var("o".into()),
-    );
-    assert_eq!(stats.ask_pattern(&q_probe), Some(false));
-
-    let mut fed = Federation::new(Arc::clone(&dict));
-    let primary = fed.add(Arc::new(FlakyEndpoint::new(
-        Arc::new(LocalEndpoint::new("P", primary_st)),
-        FaultProfile::dead(),
-    )));
-    fed.add_replica(primary, Arc::new(LocalEndpoint::new("R", replica_st)));
-    fed.attach_stats(primary, stats);
-
-    let engine = Arc::new(
-        Lusail::default()
-            .with_policy(RequestPolicy {
-                trip_threshold: 1,
-                ..RequestPolicy::default()
-            })
-            .with_clock(ManualClock::new()),
-    );
-
-    // The server's standard invalidation hook, wrapped so that the first
-    // primary-circuit-open transition immediately runs tenant B's query —
-    // the tightest possible interleaving against tenant A.
-    let invalidations = Arc::new(AtomicU64::new(0));
-    let inner = lusail_server::make_invalidation_hook(
-        Arc::clone(&engine),
-        fed.clone(),
-        Arc::default(),
-        Arc::clone(&invalidations),
-    );
-    let tenant_b: Arc<Mutex<Option<lusail_core::QueryResult>>> = Arc::default();
-    let hook: lusail_endpoint::HealthHook = Arc::new({
-        let fed = fed.clone();
-        let engine = Arc::clone(&engine);
-        let dict = Arc::clone(&dict);
-        let tenant_b = Arc::clone(&tenant_b);
-        move |ep, _from, to| {
-            inner(ep, _from, to);
-            if ep != primary || to != HealthState::Open {
-                return;
-            }
-            let mut slot = tenant_b.lock().unwrap();
-            if slot.is_some() {
-                return;
-            }
-            assert!(
-                fed.stats_for(primary).is_none(),
-                "statistics still attached at transition time — tenant B \
-                 would plan from them"
-            );
-            let q2 = parse_query("SELECT * WHERE { ?s <http://x/q> ?o }", &dict).unwrap();
-            *slot = Some(engine.execute(&fed, &q2).unwrap());
-        }
-    });
-
-    // Tenant A's query (over <p>): its SELECT hits the dead primary,
-    // trips the circuit, and fires the hook mid-flight.
-    let q1 = parse_query("SELECT * WHERE { ?s <http://x/p> ?o }", &dict).unwrap();
-    let opts = ExecOptions::default().with_health_hook(hook);
-    let r1 = engine.execute_with(&fed, &q1, &opts).unwrap();
-    assert!(r1.complete, "replica failed to absorb the dead primary");
-    assert_eq!(r1.solutions.len(), 4);
-
-    // Tenant B ran inside the window and saw fresh state.
-    let r2 = tenant_b
-        .lock()
-        .unwrap()
-        .take()
-        .expect("the primary's circuit never opened during tenant A's query");
-    assert!(r2.complete, "tenant B failed to absorb the dead primary");
-    assert_eq!(
-        r2.solutions.len(),
-        3,
-        "tenant B was elided to a stale empty answer"
-    );
-    assert!(invalidations.load(Ordering::Relaxed) > 0);
-}
-
 #[test]
 fn passed_query_deadline_blocks_failover_wire_attempts() {
     let (dict, st) = tiny_endpoint();
@@ -590,7 +488,7 @@ fn passed_query_deadline_blocks_failover_wire_attempts() {
         trip_threshold: 0,
         ..RequestPolicy::default()
     };
-    let client = ResilientClient::with_clock(policy, clock.clone())
+    let client = ResilientClient::traced(policy, clock.clone(), TraceSink::disabled())
         .with_query_deadline(Duration::from_millis(100));
 
     // The deadline pin: once the deadline has passed, *no* wire attempt
@@ -598,11 +496,15 @@ fn passed_query_deadline_blocks_failover_wire_attempts() {
     // healthy replica.
     let err = client.select_failover(&fed, primary, &q).unwrap_err();
     assert_eq!(err, EndpointError::Timeout);
-    assert!(client.deadline_passed());
     assert_eq!(fed.endpoint(primary).stats_snapshot().select_requests, 1);
     assert_eq!(
         fed.endpoint(replica).stats_snapshot().select_requests,
         0,
         "failover crossed the wire after the query deadline"
     );
+    // The deadline has passed for the whole client: a request to the
+    // healthy replica itself now times out without a wire attempt.
+    let err = client.select_failover(&fed, replica, &q).unwrap_err();
+    assert_eq!(err, EndpointError::Timeout);
+    assert_eq!(fed.endpoint(replica).stats_snapshot().select_requests, 0);
 }

@@ -263,7 +263,8 @@ fn chaos_round(round: u64, seed: u64) -> (lusail_server::ServerCounters, BatchSt
         attempts - counters.admitted + TENANTS as u64,
         "rejection total diverged from the admission ledger (seed {seed:#x})"
     );
-    assert_eq!(server.in_flight(), 0);
+    // Nothing is left in flight: a second drain abandons nothing.
+    assert_eq!(server.drain().abandoned, 0);
     (counters, server.batch_stats())
 }
 
