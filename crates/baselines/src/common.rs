@@ -27,12 +27,7 @@ pub fn answer(
     if sources.any_required_empty(&query.pattern.triples) {
         return SolutionSet::empty(query.output_vars());
     }
-    // The first-k cutoff is unsound under ORDER BY, DISTINCT, and
-    // aggregation: all must see every row before truncation.
-    let cutoff = query
-        .limit
-        .filter(|_| query.order_by.is_empty() && !query.distinct && query.aggregates.is_empty());
-    let solutions = evaluate_group(&query.pattern, &sources, cutoff);
+    let solutions = evaluate_group(&query.pattern, &sources, query.first_k_limit());
     lusail_store::eval::apply_modifiers(solutions, query, fed.dict())
 }
 
@@ -207,7 +202,7 @@ pub(crate) fn bound_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lusail_endpoint::LocalEndpoint;
+    use lusail_endpoint::{ExecOptions, LocalEndpoint};
     use lusail_rdf::{Dictionary, Term, TermId};
     use lusail_sparql::ast::PatternTerm;
     use lusail_store::TripleStore;
@@ -284,7 +279,7 @@ mod tests {
             vec![TriplePattern::new(v("s"), PatternTerm::Const(p2id), v("o"))],
             vec![0],
         );
-        let net = Net::default();
+        let net = Net::for_query(&fed, &ExecOptions::default());
         let before = fed.stats_snapshot();
         let joined = bound_join(&fed, &current, &unit, 3, None, &net);
         let window = fed.stats_snapshot().since(&before);

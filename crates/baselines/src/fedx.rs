@@ -22,14 +22,10 @@ use lusail_core::exec::{run_query, Net};
 use lusail_core::fetch::concat;
 use lusail_core::source_selection::{select_sources, SourceMap};
 use lusail_core::subquery::push_filters_into;
-use lusail_endpoint::{
-    ExecOptions, FederatedEngine, Federation, FederationError, QueryOutcome, RequestPolicy,
-    SystemClock,
-};
+use lusail_endpoint::{ExecOptions, FederatedEngine, Federation, FederationError, QueryOutcome};
 use lusail_sparql::ast::{GroupPattern, Query};
 use lusail_sparql::SolutionSet;
 use std::borrow::Cow;
-use std::sync::Arc;
 
 /// Bindings per bound-join block: FedX's published default, which the
 /// paper runs it with.
@@ -40,7 +36,6 @@ pub const BLOCK_SIZE: usize = 15;
 /// are memoized for the engine's lifetime, less those of an endpoint a
 /// query found dead.
 pub struct FedX {
-    policy: RequestPolicy,
     ask_cache: ProbeCache<PatternKey, bool>,
     index: Option<HibiscusIndex>,
 }
@@ -48,7 +43,6 @@ pub struct FedX {
 impl Default for FedX {
     fn default() -> Self {
         FedX {
-            policy: RequestPolicy::default(),
             ask_cache: ProbeCache::new(),
             index: None,
         }
@@ -63,12 +57,6 @@ impl FedX {
             index: Some(index),
             ..FedX::default()
         }
-    }
-
-    /// Replaces the retry/backoff/circuit policy for remote requests.
-    pub(crate) fn with_policy(mut self, policy: RequestPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// The sources `group`'s units are formed from: authority-pruned when
@@ -157,8 +145,7 @@ impl FederatedEngine for FedX {
         query: &Query,
         opts: &ExecOptions,
     ) -> Result<QueryOutcome, FederationError> {
-        let clock = Arc::new(SystemClock::default());
-        let (outcome, (), dead) = run_query(fed, query, self.policy, clock, opts, |net| {
+        let (outcome, (), dead) = run_query(fed, query, opts, |net| {
             let solutions = answer(
                 fed,
                 query,

@@ -184,7 +184,7 @@ mod tests {
             fed.dict(),
         )
         .unwrap();
-        let net = Net::default();
+        let net = Net::for_query(&fed, &ExecOptions::default());
         let cache = ProbeCache::<_, bool>::new();
         let raw = select_sources(&fed, &q.pattern, &cache, &net);
         // Raw: q-pattern relevant at B and C.

@@ -49,7 +49,7 @@ pub use hibiscus::HibiscusIndex;
 pub use splendid::{Splendid, VoidIndex};
 
 use lusail_core::{Lusail, LusailConfig};
-use lusail_endpoint::{FederatedEngine, LocalEndpoint, RequestPolicy};
+use lusail_endpoint::{FederatedEngine, LocalEndpoint};
 
 /// The four engines of the paper's evaluation, in its table-column order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,21 +96,18 @@ impl EngineKind {
     /// `lusail` configures Lusail; the baselines ignore it. Statistics
     /// attached to the federation are consulted by every engine's probes
     /// but SPLENDID's, which selects sources from its own VOID index.
+    /// Every engine runs its queries on the federation's request policy
+    /// and clock.
     pub fn build(
         self,
         endpoints: &[&LocalEndpoint],
         lusail: LusailConfig,
-        policy: RequestPolicy,
     ) -> Box<dyn FederatedEngine> {
         match self {
-            EngineKind::Lusail => Box::new(Lusail::new(lusail).with_policy(policy)),
-            EngineKind::FedX => Box::new(FedX::default().with_policy(policy)),
-            EngineKind::Hibiscus => {
-                Box::new(FedX::hibiscus(HibiscusIndex::build(endpoints)).with_policy(policy))
-            }
-            EngineKind::Splendid => {
-                Box::new(Splendid::new(VoidIndex::build(endpoints)).with_policy(policy))
-            }
+            EngineKind::Lusail => Box::new(Lusail::new(lusail)),
+            EngineKind::FedX => Box::new(FedX::default()),
+            EngineKind::Hibiscus => Box::new(FedX::hibiscus(HibiscusIndex::build(endpoints))),
+            EngineKind::Splendid => Box::new(Splendid::new(VoidIndex::build(endpoints))),
         }
     }
 }

@@ -26,13 +26,12 @@ use lusail_core::source_selection::SourceMap;
 use lusail_core::subquery::Subquery;
 use lusail_endpoint::{
     EndpointId, ExecOptions, FederatedEngine, Federation, FederationError, LocalEndpoint,
-    QueryOutcome, RequestPolicy, SystemClock,
+    QueryOutcome,
 };
 use lusail_rdf::TermId;
 use lusail_sparql::ast::{GroupPattern, Query, TriplePattern};
 use lusail_sparql::SolutionSet;
 use lusail_store::EndpointStats;
-use std::sync::Arc;
 
 /// The preprocessing product: a VOID description per endpoint.
 #[derive(Debug, Clone, Default)]
@@ -95,22 +94,12 @@ pub const BIND_JOIN_THRESHOLD: usize = 120;
 /// The SPLENDID-style engine. Holds the prebuilt [`VoidIndex`].
 pub struct Splendid {
     index: VoidIndex,
-    policy: RequestPolicy,
 }
 
 impl Splendid {
     /// Creates the engine from a prebuilt index.
     pub(crate) fn new(index: VoidIndex) -> Self {
-        Splendid {
-            index,
-            policy: RequestPolicy::default(),
-        }
-    }
-
-    /// Replaces the retry/backoff/circuit policy for remote requests.
-    pub(crate) fn with_policy(mut self, policy: RequestPolicy) -> Self {
-        self.policy = policy;
-        self
+        Splendid { index }
     }
 
     /// Index-driven source selection: predicate presence, narrowed by ASK
@@ -200,9 +189,8 @@ impl FederatedEngine for Splendid {
         query: &Query,
         opts: &ExecOptions,
     ) -> Result<QueryOutcome, FederationError> {
-        let clock = Arc::new(SystemClock::default());
         // SPLENDID memoizes no probe, so a dead endpoint leaves nothing to drop.
-        let (outcome, (), _) = run_query(fed, query, self.policy, clock, opts, |net| {
+        let (outcome, (), _) = run_query(fed, query, opts, |net| {
             let solutions = answer(
                 fed,
                 query,
@@ -342,9 +330,8 @@ mod tests {
         // The engine's evaluation alone, inside the query driver: the
         // driver's answer is incomplete exactly when the net recorded lost
         // data.
-        let clock = Arc::new(SystemClock::default());
         let opts = ExecOptions::default();
-        let (alone, (), _) = run_query(&fed, &q, RequestPolicy::default(), clock, &opts, |net| {
+        let (alone, (), _) = run_query(&fed, &q, &opts, |net| {
             let sources = engine.select_sources(&fed, &q.pattern, net);
             (engine.evaluate_group(&fed, &q.pattern, &sources, net), ())
         })

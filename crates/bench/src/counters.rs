@@ -29,7 +29,7 @@
 use lusail_baselines::EngineKind;
 use lusail_benchdata::{bio2rdf, lrb, lubm, qfed, Workload};
 use lusail_core::{LusailConfig, QueryTrace, RequestKind, TraceSink};
-use lusail_endpoint::{ExecOptions, NetworkProfile, RequestPolicy};
+use lusail_endpoint::{ExecOptions, NetworkProfile};
 use lusail_store::{BackendKind, EndpointStats};
 use std::fmt;
 use std::sync::Arc;
@@ -356,7 +356,7 @@ fn traced_run(
     threads: usize,
 ) -> [u64; 15] {
     let refs = workload.endpoint_refs();
-    let engine = engine.build(&refs, LusailConfig::default(), RequestPolicy::default());
+    let engine = engine.build(&refs, LusailConfig::default());
     let sink = TraceSink::enabled();
     let before = workload.federation.stats_snapshot();
     let opts = ExecOptions::default()

@@ -10,7 +10,7 @@ use crate::{compare_engines, fmt_count, run_averaged, RunResult, Table};
 use lusail_baselines::{EngineKind, FedX, HibiscusIndex, VoidIndex};
 use lusail_benchdata::{bio2rdf, lrb, lubm, qfed, Workload};
 use lusail_core::{DelayPolicy, Lusail, LusailConfig};
-use lusail_endpoint::{FederatedEngine, Federation, NetworkProfile, RequestPolicy, SparqlEndpoint};
+use lusail_endpoint::{FederatedEngine, Federation, NetworkProfile, SparqlEndpoint};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -107,8 +107,7 @@ fn compare(engines: &[EngineKind], timeout_secs: u64, tables: Vec<Comparison>) {
             let roster = engines
                 .iter()
                 .map(|&kind| {
-                    let engine =
-                        kind.build(&refs, LusailConfig::default(), RequestPolicy::default());
+                    let engine = kind.build(&refs, LusailConfig::default());
                     (kind, Arc::from(engine))
                 })
                 .collect();

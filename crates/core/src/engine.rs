@@ -23,14 +23,13 @@ use crate::mqo::BatchMemo;
 use crate::source_selection::{select_sources, SourceMap};
 use crate::subquery::{push_filters_into, Subquery};
 use lusail_endpoint::{
-    Clock, EndpointFailure, EndpointId, ExecOptions, Federation, FederationError, QueryOutcome,
-    RequestKind, RequestPolicy, SystemClock, TraceEvent,
+    EndpointFailure, EndpointId, ExecOptions, Federation, FederationError, QueryOutcome,
+    RequestKind, TraceEvent,
 };
 use lusail_sparql::ast::{Expression, GroupPattern, Query};
 use lusail_sparql::SolutionSet;
 use std::borrow::Cow;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Engine configuration.
@@ -137,10 +136,18 @@ pub struct QueryResult {
 /// assert_eq!(result.metrics.gjvs, ["b"]); // ?b is a global join variable
 /// assert!(result.complete); // no endpoint failed
 /// ```
+///
+/// The engine holds no request policy or clock of its own: every query
+/// runs on the federation's ([`Federation::with_policy`],
+/// [`Federation::with_clock`]).
+///
+/// ```compile_fail,E0599
+/// use lusail_core::Lusail;
+/// use lusail_endpoint::RequestPolicy;
+/// let _ = Lusail::default().with_policy(RequestPolicy::default());
+/// ```
 pub struct Lusail {
     config: LusailConfig,
-    pub(crate) policy: RequestPolicy,
-    clock: Option<Arc<dyn Clock>>,
     pub(crate) caches: ProbeCaches,
 }
 
@@ -151,27 +158,12 @@ impl Default for Lusail {
 }
 
 impl Lusail {
-    /// Creates an engine with the given configuration and the default
-    /// request policy.
+    /// Creates an engine with the given configuration.
     pub fn new(config: LusailConfig) -> Self {
         Lusail {
             caches: ProbeCaches::new(config.probe_cache_capacity),
             config,
-            policy: RequestPolicy::default(),
-            clock: None,
         }
-    }
-
-    /// Sets the retry/backoff/circuit policy for remote requests.
-    pub fn with_policy(mut self, policy: RequestPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Injects a clock for backoff sleeps and deadlines (tests).
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = Some(clock);
-        self
     }
 
     /// Drops every memoized probe (between benchmark repetitions).
@@ -200,15 +192,6 @@ impl Lusail {
             misses: count.misses() + check.misses(),
             evictions: count.evictions() + check.evictions(),
             entries: count.len() + check.len(),
-        }
-    }
-
-    /// The clock phase timings (and retry backoff) are measured against:
-    /// the injected test clock when present, otherwise the system clock.
-    pub(crate) fn timing_clock(&self) -> Arc<dyn Clock> {
-        match &self.clock {
-            Some(clock) => clock.clone(),
-            None => Arc::new(SystemClock::default()),
         }
     }
 
@@ -249,8 +232,7 @@ impl Lusail {
         opts: &ExecOptions,
         mut memo: Option<&mut BatchMemo>,
     ) -> Result<(QueryResult, QueryPlan), FederationError> {
-        let clock = self.timing_clock();
-        let (outcome, ran, dead) = run_query(fed, query, self.policy, clock, opts, |net| {
+        let (outcome, ran, dead) = run_query(fed, query, opts, |net| {
             let plan = self.plan(fed, query, &self.caches, net);
             let (solutions, mut metrics) =
                 self.execute_plan(fed, query, &plan, net, memo.as_deref_mut());
@@ -299,13 +281,13 @@ impl Lusail {
         net: &Net,
     ) -> QueryPlan {
         let trace = &net.trace;
-        let started = net.clock.now();
+        let started = fed.clock().now();
         if let Some((endpoints, sets)) = fed.stats_overview() {
             trace.emit(|| TraceEvent::StatsLoaded { endpoints, sets });
         }
         let s0 = net.client.requests();
         let sources = select_sources(fed, &query.pattern, &caches.count, net);
-        let source_selection = net.clock.now().saturating_sub(started);
+        let source_selection = fed.clock().now().saturating_sub(started);
         let s1 = net.client.requests();
         let mut groups: Vec<GroupPlan> = Vec::new();
         let mut pending = vec![(Cow::Borrowed(&query.pattern), 0)];
@@ -407,7 +389,7 @@ impl Lusail {
         let requests_analysis = net.client.requests().since(&s1);
         let metrics = QueryMetrics {
             source_selection,
-            analysis: net.clock.now().saturating_sub(started + source_selection),
+            analysis: fed.clock().now().saturating_sub(started + source_selection),
             requests_source_selection: s1.since(&s0),
             requests_analysis,
             check_queries: requests_analysis.get(RequestKind::Check),
@@ -434,7 +416,7 @@ impl Lusail {
         memo: Option<&mut BatchMemo>,
     ) -> (SolutionSet, QueryMetrics) {
         let s2 = net.client.requests();
-        let t2 = net.clock.now();
+        let t2 = fed.clock().now();
         let top = &plan.groups[0];
         let mut metrics = QueryMetrics {
             gjvs: top.gjvs.clone(),
@@ -455,10 +437,10 @@ impl Lusail {
                 lusail_store::eval::apply_modifiers(solutions, query, fed.dict())
             }
         };
-        metrics.execution = net.clock.now().saturating_sub(t2);
+        metrics.execution = fed.clock().now().saturating_sub(t2);
         metrics.requests_execution = net.client.requests().since(&s2);
         metrics.result_rows = solutions.len();
-        metrics.total = net.clock.now().saturating_sub(plan.started);
+        metrics.total = fed.clock().now().saturating_sub(plan.started);
         (solutions, metrics)
     }
 

@@ -36,11 +36,11 @@ use crate::mqo::BatchMemo;
 use crate::source_selection::SourceMap;
 use crate::subquery::Subquery;
 use lusail_endpoint::{
-    Clock, EndpointId, EndpointRef, ExecOptions, Federation, FederationError, QueryOutcome,
-    RequestPolicy, ResilientClient, SystemClock, TraceEvent, TraceSink,
+    EndpointId, EndpointRef, ExecOptions, Federation, FederationError, QueryOutcome,
+    ResilientClient, TraceEvent, TraceSink,
 };
 use lusail_sparql::ast::{Query, ValuesBlock};
-use lusail_sparql::{query_wire_len, Rows, SolutionSet};
+use lusail_sparql::{query_wire_len, values_row_wire_len, Rows, SolutionSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -196,31 +196,19 @@ pub struct Net {
     pub client: ResilientClient,
     /// Conservative-fallback counters for this query.
     pub degradation: Degradation,
-    /// The clock the client schedules against; phase timings read the
-    /// same one, so EXPLAIN ANALYZE is deterministic under a test clock.
-    pub clock: Arc<dyn Clock>,
     /// The trace sink the whole context emits into (disabled by default).
     pub trace: TraceSink,
 }
 
-impl Default for Net {
-    fn default() -> Self {
-        let clock = Arc::new(SystemClock::default());
-        Net::for_query(RequestPolicy::default(), clock, &ExecOptions::default())
-    }
-}
-
 impl Net {
-    /// The context of one call: a client retrying by the engine's `policy`
-    /// on its `clock`, bounded by the call's deadline and observed by its
-    /// health hook, and a handler with the call's worker budget. Both emit
-    /// into the call's trace sink, so one enabled sink sees the whole query.
-    pub(crate) fn for_query(
-        policy: RequestPolicy,
-        clock: Arc<dyn Clock>,
-        opts: &ExecOptions,
-    ) -> Net {
-        let mut client = ResilientClient::traced(policy, Arc::clone(&clock), opts.trace.clone());
+    /// The context of one call: a client retrying by the federation's
+    /// policy on its clock, bounded by the call's deadline and observed by
+    /// its health hook, and a handler with the call's worker budget. Both
+    /// emit into the call's trace sink, so one enabled sink sees the whole
+    /// query.
+    pub fn for_query(fed: &Federation, opts: &ExecOptions) -> Net {
+        let mut client =
+            ResilientClient::traced(fed.policy(), Arc::clone(fed.clock()), opts.trace.clone());
         if let Some(deadline) = opts.deadline {
             client = client.with_query_deadline(deadline);
         }
@@ -231,7 +219,6 @@ impl Net {
             handler: RequestHandler::with_threads(opts.trace.clone(), opts.thread_budget()),
             client,
             degradation: Degradation::default(),
-            clock,
             trace: opts.trace.clone(),
         }
     }
@@ -239,20 +226,18 @@ impl Net {
 
 /// The query driver all four engines run a query through. It refuses
 /// federation-level misuse (an empty federation, a projected `EXISTS`),
-/// builds the query's [`Net`] from the engine's `policy` and `clock` and
-/// the call's `opts`, and runs the engine's `body` on it. Then it finishes
-/// the query the same way for every engine: the answer is complete unless
-/// result data was lost, the failure report is the client's, and every
-/// endpoint whose circuit opened loses its offline statistics — they
-/// summarize the primary's store, and its replica group may be served by a
-/// replica that has diverged. [`TraceEvent::QueryFinished`] is the last
-/// event. Returns the outcome, the body's value, and the endpoints whose
-/// circuit opened, for which the engine drops its own memoized probes.
+/// builds the query's [`Net`] from the federation and the call's `opts`,
+/// and runs the engine's `body` on it. Then it finishes the query the same
+/// way for every engine: the answer is complete unless result data was
+/// lost, the failure report is the client's, and every endpoint whose
+/// circuit opened loses its offline statistics — they summarize the
+/// primary's store, and its replica group may be served by a replica that
+/// has diverged. [`TraceEvent::QueryFinished`] is the last event. Returns
+/// the outcome, the body's value, and the endpoints whose circuit opened,
+/// for which the engine drops its own memoized probes.
 pub fn run_query<T>(
     fed: &Federation,
     query: &Query,
-    policy: RequestPolicy,
-    clock: Arc<dyn Clock>,
     opts: &ExecOptions,
     body: impl FnOnce(&Net) -> (SolutionSet, T),
 ) -> Result<(QueryOutcome, T, Vec<EndpointId>), FederationError> {
@@ -262,7 +247,7 @@ pub fn run_query<T>(
     if !query.exists.is_empty() {
         return Err(FederationError::ProjectedExists);
     }
-    let net = Net::for_query(policy, clock, opts);
+    let net = Net::for_query(fed, opts);
     let (solutions, value) = body(&net);
     let complete = !net.degradation.data_loss();
     let failures = net.client.report(fed);
@@ -571,11 +556,11 @@ fn best_binding(
 /// endpoint, which no pattern count bounds, so it always ships. A source
 /// with a bound `c` is fetched whole when its whole answer — the query,
 /// the response header and `c` rows of 8-byte cells — is strictly smaller
-/// than the least any bound schedule sends it: the same query plus
-/// `(<term> ) ` per binding. Per source, wire bytes then strictly fall and
-/// requests do not rise. `None` when no source qualifies. Nothing is
-/// computed when no source has a bound, and the bindings are summed only
-/// until they outweigh the largest whole answer.
+/// than the least any bound schedule sends it: the same query plus one
+/// `VALUES` row per binding ([`values_row_wire_len`]). Per source, wire
+/// bytes then strictly fall and requests do not rise. `None` when no source
+/// qualifies. Nothing is computed when no source has a bound, and the
+/// bindings are summed only until they outweigh the largest whole answer.
 fn fetched_whole(
     fed: &Federation,
     sq: &Subquery,
@@ -602,7 +587,7 @@ fn fetched_whole(
         if ship_floor > largest {
             break;
         }
-        ship_floor += dict.decode(v).wire_len() as u64 + 4;
+        ship_floor += values_row_wire_len(&dict.decode(v)) as u64;
     }
     let whole: Vec<(EndpointId, u64)> = (bounds.into_iter())
         .filter(|&(_, rows)| whole_bytes(rows) < ship_floor)
@@ -775,7 +760,7 @@ mod sape_tests {
     fn delayed_subquery_is_bound_with_values_blocks() {
         let (fed, dict) = chain_fed();
         let sqs = subqueries(&dict, [(20, Schedule::Concurrent), (10, delayed())]);
-        let net = Net::default();
+        let net = Net::for_query(&fed, &ExecOptions::default());
         let config = LusailConfig {
             block_size: 20,
             ..LusailConfig::default()
@@ -795,7 +780,7 @@ mod sape_tests {
     fn adaptive_batching_grows_blocks_and_preserves_results() {
         let (fed, dict) = chain_fed();
         let sqs = subqueries(&dict, [(20, Schedule::Concurrent), (10, delayed())]);
-        let net = Net::default();
+        let net = Net::for_query(&fed, &ExecOptions::default());
         let config = LusailConfig {
             block_size: 4,
             ..LusailConfig::default()
@@ -838,11 +823,7 @@ mod sape_tests {
         let sqs = subqueries(&dict, [(20, delayed()), (10, promoted)]);
         let sink = TraceSink::enabled();
         let opts = ExecOptions::default().with_trace(sink.clone());
-        let net = Net::for_query(
-            RequestPolicy::default(),
-            Arc::new(SystemClock::default()),
-            &opts,
-        );
+        let net = Net::for_query(&fed, &opts);
         let config = LusailConfig::default();
         let counts = SourceMap::default();
         let (sols, delayed) = evaluate_subqueries(&fed, &net, &sqs, &counts, &config, None);
@@ -872,7 +853,7 @@ mod sape_tests {
         let (fed, dict) = chain_fed();
         let concurrent = [(20, Schedule::Concurrent), (10, Schedule::Concurrent)];
         let sqs = subqueries(&dict, concurrent);
-        let net = Net::default();
+        let net = Net::for_query(&fed, &ExecOptions::default());
         let config = LusailConfig::default();
         let before = fed.stats_snapshot();
         let counts = SourceMap::default();
@@ -943,7 +924,12 @@ mod sape_tests {
         let mut map = SourceMap::default();
         if counted {
             let bgp = GroupPattern::bgp(sqs.iter().flat_map(|sq| sq.triples.clone()).collect());
-            map = select_sources::<u64>(fed, &bgp, &ProbeCache::new(), &Net::default());
+            map = select_sources::<u64>(
+                fed,
+                &bgp,
+                &ProbeCache::new(),
+                &Net::for_query(fed, &ExecOptions::default()),
+            );
         } else {
             for sq in sqs {
                 for tp in &sq.triples {
@@ -969,11 +955,7 @@ mod sape_tests {
         );
         let sink = TraceSink::enabled();
         let opts = ExecOptions::default().with_trace(sink.clone());
-        let net = Net::for_query(
-            RequestPolicy::default(),
-            Arc::new(SystemClock::default()),
-            &opts,
-        );
+        let net = Net::for_query(fed, &opts);
         let config = LusailConfig {
             block_size: 4,
             ..LusailConfig::default()
@@ -1088,7 +1070,7 @@ mod sape_tests {
     #[test]
     fn empty_subquery_list_yields_single_empty_row() {
         let (fed, _) = chain_fed();
-        let net = Net::default();
+        let net = Net::for_query(&fed, &ExecOptions::default());
         let (sols, delayed) = evaluate_subqueries(
             &fed,
             &net,

@@ -163,7 +163,7 @@ impl Lusail {
     /// execution would issue them, but are memoized in throw-away caches —
     /// EXPLAIN never warms the engine.
     pub fn explain(&self, fed: &Federation, query: &Query) -> QueryPlan {
-        let net = Net::for_query(self.policy, self.timing_clock(), &ExecOptions::default());
+        let net = Net::for_query(fed, &ExecOptions::default());
         self.plan(fed, query, &ProbeCaches::new(None), &net)
     }
 
@@ -482,8 +482,8 @@ plan: DISJOINT — ship the whole query to every relevant endpoint and concatena
         // Fresh engine + fresh manual clock per run: the report must be
         // byte-identical, and is pinned verbatim like the plan goldens.
         let run = || {
+            let f = f.clone().with_clock(ManualClock::new());
             Lusail::default()
-                .with_clock(ManualClock::new())
                 .explain_analyze_with(&f, &q, &ExecOptions::default())
                 .unwrap()
         };
@@ -552,8 +552,8 @@ result: 10 rows  complete: true
             f.attach_stats(id, stats_for(f.endpoint(id).name()));
         }
         let run = || {
+            let f = f.clone().with_clock(ManualClock::new());
             Lusail::default()
-                .with_clock(ManualClock::new())
                 .explain_analyze_with(&f, &q, &ExecOptions::default())
                 .unwrap()
         };
@@ -611,15 +611,6 @@ result: 10 rows  complete: true
         triple(&mut a);
         let mut a2 = TripleStore::new(Arc::clone(&dict));
         triple(&mut a2);
-        let mut f = Federation::new(dict);
-        let primary = f.add(Arc::new(FlakyEndpoint::new(
-            Arc::new(LocalEndpoint::new("A", a)),
-            FaultProfile::dead(),
-        )));
-        f.add_replica(primary, Arc::new(LocalEndpoint::new("A-replica", a2)));
-        assert_eq!(f.endpoint(primary).name(), "A");
-
-        let q = parse_query("SELECT * WHERE { ?s <http://x/p> ?v }", f.dict()).unwrap();
         let policy = RequestPolicy {
             max_retries: 2,
             base_backoff: Duration::from_micros(10),
@@ -629,10 +620,18 @@ result: 10 rows  complete: true
             trip_threshold: 1,
             ..RequestPolicy::default()
         };
+        let mut f = Federation::new(dict).with_policy(policy);
+        let primary = f.add(Arc::new(FlakyEndpoint::new(
+            Arc::new(LocalEndpoint::new("A", a)),
+            FaultProfile::dead(),
+        )));
+        f.add_replica(primary, Arc::new(LocalEndpoint::new("A-replica", a2)));
+        assert_eq!(f.endpoint(primary).name(), "A");
+
+        let q = parse_query("SELECT * WHERE { ?s <http://x/p> ?v }", f.dict()).unwrap();
         let run = || {
+            let f = f.clone().with_clock(ManualClock::new());
             Lusail::default()
-                .with_policy(policy)
-                .with_clock(ManualClock::new())
                 .explain_analyze_with(&f, &q, &ExecOptions::default())
                 .unwrap()
         };
@@ -699,8 +698,8 @@ result: 1 rows  complete: true
             .find(|l| l.starts_with("  subquery 2 ["))
             .unwrap();
         assert!(planned.contains(promoted), "{plan}");
+        let f = f.with_clock(ManualClock::new());
         let report = Lusail::default()
-            .with_clock(ManualClock::new())
             .explain_analyze_with(&f, &q, &ExecOptions::default())
             .unwrap();
         let line = |n: &str| {
@@ -724,7 +723,6 @@ result: 1 rows  complete: true
         let result = Lusail::default().execute_with(&f, &q, &opts).unwrap();
         assert!(!result.solutions.is_empty());
         // The zero-sink path records (and allocates) nothing.
-        assert!(sink.is_empty());
         assert!(sink.events().is_empty());
     }
 

@@ -76,9 +76,7 @@ pub fn fetch_from(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lusail_endpoint::{
-        ExecOptions, FaultProfile, FlakyEndpoint, LocalEndpoint, RequestPolicy, SystemClock,
-    };
+    use lusail_endpoint::{ExecOptions, FaultProfile, FlakyEndpoint, LocalEndpoint};
     use lusail_rdf::{Dictionary, Term};
     use lusail_sparql::parse_query;
     use lusail_store::TripleStore;
@@ -98,13 +96,9 @@ mod tests {
         }
     }
 
-    fn net(threads: usize) -> Net {
+    fn net(fed: &Federation, threads: usize) -> Net {
         let opts = ExecOptions::default().with_threads(threads);
-        Net::for_query(
-            RequestPolicy::default(),
-            Arc::new(SystemClock::default()),
-            &opts,
-        )
+        Net::for_query(fed, &opts)
     }
 
     #[test]
@@ -124,7 +118,7 @@ mod tests {
 
         for threads in [1, 4] {
             // `Ok` is `Some`, and failover to a healthy replica loses nothing.
-            let net = net(threads);
+            let net = net(&fed, threads);
             let requests = [(0, &so), (1, &so), (0, &s), (1, &s)];
             let answers = fetch(&fed, &net, &requests);
             // Grouped by endpoint in first-submission order, each

@@ -515,7 +515,7 @@ pub(crate) fn stats_check_answer(
 mod tests {
     use super::*;
     use crate::source_selection::select_sources;
-    use lusail_endpoint::LocalEndpoint;
+    use lusail_endpoint::{ExecOptions, LocalEndpoint};
     use lusail_rdf::{Dictionary, SplitMix64, Term};
     use lusail_sparql::{parse_query, Query};
     use lusail_store::TripleStore;
@@ -597,7 +597,7 @@ mod tests {
         q: &lusail_sparql::Query,
         checks: &ProbeCache<CheckKey, bool>,
     ) -> GjvAnalysis {
-        let net = Net::default();
+        let net = Net::for_query(fed, &ExecOptions::default());
         let sources = select_sources(fed, &q.pattern, &ProbeCache::<_, u64>::new(), &net);
         detect_gjvs(fed, &q.pattern.triples, &sources, checks, &net)
     }
@@ -725,31 +725,25 @@ mod tests {
         let (mut by_checks, mut ignored, mut one_source_pairs, mut removed) = (0, 0, 0, 0);
         for case in 0..400 {
             let fed = random_federation(&mut rng);
+            let net = || Net::for_query(&fed, &ExecOptions::default());
             let triples = random_bgp(&mut rng, &fed);
             let sources = select_sources(
                 &fed,
                 &GroupPattern::bgp(triples.clone()),
                 &ProbeCache::<_, u64>::new(),
-                &Net::default(),
+                &net(),
             );
             // Nothing fails and no statistics are attached, so each memo
             // ends up holding one entry per (check, endpoint) its side asked.
             let (wave, reference) = (ProbeCache::new(), ProbeCache::new());
-            let got = detect_gjvs(&fed, &triples, &sources, &wave, &Net::default());
-            let want =
-                per_variable_reference(&fed, &triples, &sources, &reference, &Net::default(), true);
+            let got = detect_gjvs(&fed, &triples, &sources, &wave, &net());
+            let want = per_variable_reference(&fed, &triples, &sources, &reference, &net(), true);
             assert_eq!(got.gjvs, want.gjvs, "case {case}: {triples:?}");
             assert_eq!(got.conflicts, want.conflicts, "case {case}: {triples:?}");
             // The paper's Algorithm 1, which checks single-source pairs too:
             // case 0 only removes conflicts, and only single-source ones.
-            let paper = per_variable_reference(
-                &fed,
-                &triples,
-                &sources,
-                &ProbeCache::new(),
-                &Net::default(),
-                false,
-            );
+            let paper =
+                per_variable_reference(&fed, &triples, &sources, &ProbeCache::new(), &net(), false);
             assert!(
                 got.conflicts.is_subset(&paper.conflicts),
                 "case {case}: {triples:?}"

@@ -66,12 +66,15 @@ impl QueryMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Net;
-    use lusail_endpoint::RequestKind;
+    use lusail_endpoint::{ManualClock, RequestKind, RequestPolicy, ResilientClient, TraceSink};
 
     #[test]
     fn totals_sum_phases() {
-        let client = Net::default().client;
+        let client = ResilientClient::traced(
+            RequestPolicy::default(),
+            ManualClock::new(),
+            TraceSink::disabled(),
+        );
         let send = |kind, n| {
             for _ in 0..n {
                 client.request_kind(0, kind, || Ok(())).unwrap();

@@ -279,8 +279,8 @@ impl Lusail {
     /// items. The contracts the server's batching scheduler relies on:
     ///
     /// * **Deadlines are absolute.** An item's `opts.deadline` is measured
-    ///   from the *batch* start on the engine clock, so time burned by
-    ///   earlier items counts against it — sharing can only shorten a
+    ///   from the *batch* start on the federation's clock, so time burned
+    ///   by earlier items counts against it — sharing can only shorten a
     ///   query, never extend it past what it asked for. An item whose
     ///   deadline elapsed before its turn yields
     ///   [`BatchOutcome::DeadlineExpired`] without touching the wire.
@@ -297,7 +297,7 @@ impl Lusail {
         fed: &Federation,
         items: &[BatchItem],
     ) -> (Vec<BatchOutcome>, BatchReport) {
-        let clock = self.timing_clock();
+        let clock = fed.clock();
         let start = clock.now();
         let mut memo = BatchMemo::default();
         let mut outcomes = Vec::with_capacity(items.len());
@@ -639,19 +639,19 @@ mod tests {
         // always-interrupting endpoint; item 1's deadline is charged from
         // the batch start, so it must expire without touching the wire.
         let clock = ManualClock::new();
-        let fed = fed_with_faulty_b(FaultProfile::transient(7, 1.0));
-        let q = parse_query(
-            "SELECT * WHERE { ?s <http://x/p> ?v . ?v <http://x/q> ?o }",
-            fed.dict(),
-        )
-        .unwrap();
-        let engine = Lusail::default()
+        let fed = fed_with_faulty_b(FaultProfile::transient(7, 1.0))
             .with_policy(RequestPolicy {
                 max_retries: 2,
                 base_backoff: Duration::from_millis(100),
                 ..RequestPolicy::default()
             })
             .with_clock(clock.clone());
+        let q = parse_query(
+            "SELECT * WHERE { ?s <http://x/p> ?v . ?v <http://x/q> ?o }",
+            fed.dict(),
+        )
+        .unwrap();
+        let engine = Lusail::default();
         let items = vec![
             BatchItem {
                 query: q.clone(),

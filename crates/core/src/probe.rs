@@ -397,8 +397,8 @@ mod tests {
     use crate::exec::Degradation;
     use crate::trace::QueryTrace;
     use lusail_endpoint::{
-        ExecOptions, FaultProfile, FlakyEndpoint, LocalEndpoint, RequestPolicy, SparqlEndpoint,
-        StatsSnapshot, SystemClock, TraceSink,
+        ExecOptions, FaultProfile, FlakyEndpoint, LocalEndpoint, SparqlEndpoint, StatsSnapshot,
+        TraceSink,
     };
     use lusail_rdf::{Dictionary, Term};
     use lusail_sparql::{parse_query, write_query, SolutionSet};
@@ -429,13 +429,9 @@ mod tests {
         fed
     }
 
-    fn net(sink: &TraceSink) -> Net {
+    fn net(fed: &Federation, sink: &TraceSink) -> Net {
         let opts = ExecOptions::default().with_trace(sink.clone());
-        Net::for_query(
-            RequestPolicy::default(),
-            Arc::new(SystemClock::default()),
-            &opts,
-        )
+        Net::for_query(fed, &opts)
     }
 
     /// `(answer, wire requests, StatsAnswered events, degradations)` of
@@ -447,7 +443,7 @@ mod tests {
         counter: fn(&Degradation) -> &AtomicU64,
     ) -> (K::Answer, u64, u64, u64) {
         let sink = TraceSink::enabled();
-        let net = net(&sink);
+        let net = net(fed, &sink);
         let answer = resolve::<K>(fed, &net, memo, &[(0, probe)])[0];
         (
             answer,
@@ -515,7 +511,7 @@ mod tests {
         memo.put(hit, 0, cached);
         let fed = federation(dict, false, true);
         let sink = TraceSink::enabled();
-        let got = resolve::<K>(&fed, &net(&sink), &memo, &items);
+        let got = resolve::<K>(&fed, &net(&fed, &sink), &memo, &items);
         assert_eq!(got, [cached, truths[0], truths[1], truths[2]], "{kind}");
         assert_eq!(
             fed.stats_snapshot().total_requests(),
@@ -534,7 +530,7 @@ mod tests {
         let memo = ProbeCache::new();
         let fed = federation(dict, true, false);
         let sink = TraceSink::enabled();
-        let net = net(&sink);
+        let net = net(&fed, &sink);
         let got = resolve::<K>(&fed, &net, &memo, &items);
         assert_eq!(got, [fallback; 4], "{kind}: dead endpoint");
         let requests = traced(&sink);
@@ -657,7 +653,7 @@ mod tests {
             &dict,
         );
         let [p, q] = [0, 1].map(|i| query.as_ref().unwrap().pattern.triples[i].clone());
-        let net = net(&TraceSink::disabled());
+        let net = net(&fed, &TraceSink::disabled());
         let items = [(0, &p), (0, &q)];
         let got = resolve::<Ask>(&fed, &net, &ProbeCache::new(), &items);
         assert_eq!(got, [true, false]);

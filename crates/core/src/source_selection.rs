@@ -164,7 +164,7 @@ pub fn select_sources<A: SourceProbe>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lusail_endpoint::{LocalEndpoint, RequestKind};
+    use lusail_endpoint::{ExecOptions, LocalEndpoint, RequestKind};
     use lusail_rdf::{Dictionary, Term};
     use lusail_sparql::parse_query;
     use lusail_store::TripleStore;
@@ -211,7 +211,7 @@ mod tests {
         )
         .unwrap();
         let cache = asks();
-        let net = Net::default();
+        let net = Net::for_query(&f, &ExecOptions::default());
         let sm = select_sources(&f, &q.pattern, &cache, &net);
         assert_eq!(sm.sources(&q.pattern.triples[0]), &[0]);
         assert_eq!(sm.sources(&q.pattern.triples[1]), &[1]);
@@ -228,7 +228,7 @@ mod tests {
             f.dict(),
         )
         .unwrap();
-        let net = Net::default();
+        let net = Net::for_query(&f, &ExecOptions::default());
         let sm = select_sources(&f, &query.pattern, &ProbeCache::<_, u64>::new(), &net);
         assert_eq!(net.client.requests().get(RequestKind::Count), 2);
         let [p, q, r] = [0, 1, 2].map(|i| &query.pattern.triples[i]);
@@ -257,7 +257,12 @@ mod tests {
             f.dict(),
         )
         .unwrap();
-        let sm = select_sources(&f, &q.pattern, &asks(), &Net::default());
+        let sm = select_sources(
+            &f,
+            &q.pattern,
+            &asks(),
+            &Net::for_query(&f, &ExecOptions::default()),
+        );
         assert_eq!(
             f.stats_snapshot().ask_requests,
             2,
@@ -286,7 +291,7 @@ mod tests {
         f.add_replica(primary, Arc::new(LocalEndpoint::new("A-replica", a2)));
         let q = parse_query("SELECT * WHERE { ?s <http://x/p> ?o }", f.dict()).unwrap();
         let cache = asks();
-        let net = Net::default();
+        let net = Net::for_query(&f, &ExecOptions::default());
         let before = f.stats_snapshot();
         let sm = select_sources(&f, &q.pattern, &cache, &net);
         // Only the primary is probed and only it is a relevant source —
@@ -303,7 +308,7 @@ mod tests {
             f.dict(),
         )
         .unwrap();
-        let net = Net::default();
+        let net = Net::for_query(&f, &ExecOptions::default());
         let baseline = select_sources(&f, &q.pattern, &asks(), &net);
         let wire = f.stats_snapshot();
         // Attach stats for endpoint A only: its two probes (p present,
@@ -322,7 +327,7 @@ mod tests {
         let f = fed();
         let q = parse_query("SELECT * WHERE { ?s <http://x/p> ?o }", f.dict()).unwrap();
         let cache = asks();
-        let net = Net::default();
+        let net = Net::for_query(&f, &ExecOptions::default());
         let before = f.stats_snapshot();
         select_sources(&f, &q.pattern, &cache, &net);
         let mid = f.stats_snapshot();

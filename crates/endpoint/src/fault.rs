@@ -17,33 +17,20 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Describes how often and how an endpoint misbehaves.
-#[derive(Debug, Clone, Copy)]
+/// Describes how often and how an endpoint misbehaves. The default never
+/// injects anything.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FaultProfile {
     /// Seed for the per-endpoint fault stream.
     pub seed: u64,
     /// Probability a request drops mid-flight ([`EndpointError::Interrupted`]).
     pub failure_rate: f64,
-    /// If true, every request fails with [`EndpointError::Unavailable`] —
-    /// the endpoint is permanently down.
-    pub dead: bool,
-    /// If nonzero, the endpoint serves its first `dead_after` requests
-    /// normally (still subject to `failure_rate`) and then goes
-    /// permanently [`EndpointError::Unavailable`] — a primary killed
-    /// mid-query.
-    pub dead_after: u64,
-}
-
-impl Default for FaultProfile {
-    /// A profile that never injects anything.
-    fn default() -> Self {
-        FaultProfile {
-            seed: 0,
-            failure_rate: 0.0,
-            dead: false,
-            dead_after: 0,
-        }
-    }
+    /// `Some(n)`: the endpoint serves its first `n` requests normally
+    /// (still subject to `failure_rate`) and then goes permanently
+    /// [`EndpointError::Unavailable`] — a primary killed mid-query, or
+    /// with `n = 0` an endpoint that is down from the start. `None`: it
+    /// never dies.
+    pub dead_after: Option<u64>,
 }
 
 impl FaultProfile {
@@ -56,19 +43,17 @@ impl FaultProfile {
         }
     }
 
-    /// A permanently unavailable endpoint.
+    /// A permanently unavailable endpoint: [`FaultProfile::dies_after`]
+    /// zero requests.
     pub fn dead() -> Self {
-        FaultProfile {
-            dead: true,
-            ..FaultProfile::default()
-        }
+        FaultProfile::dies_after(0)
     }
 
     /// An endpoint that dies permanently after serving `n` requests —
     /// the "primary killed mid-query" scenario failover tests exercise.
     pub fn dies_after(n: u64) -> Self {
         FaultProfile {
-            dead_after: n,
+            dead_after: Some(n),
             ..FaultProfile::default()
         }
     }
@@ -121,9 +106,7 @@ impl FlakyEndpoint {
         let fault = match scripted {
             Some(decision) => decision,
             None => {
-                if self.profile.dead
-                    || (self.profile.dead_after > 0 && seen > self.profile.dead_after)
-                {
+                if self.profile.dead_after.is_some_and(|n| seen > n) {
                     Some(EndpointError::Unavailable)
                 } else if self.profile.failure_rate > 0.0
                     // A zero rate draws nothing, so it leaves the stream as is.
@@ -267,5 +250,13 @@ mod tests {
         // Failed attempts still count as requests plus injected faults.
         let s = flaky.stats_snapshot();
         assert_eq!(s.faults_injected, 3);
+    }
+
+    #[test]
+    fn dies_after_zero_fails_the_first_request() {
+        let (ep, q) = inner();
+        let flaky = FlakyEndpoint::new(ep, FaultProfile::dies_after(0));
+        assert_eq!(flaky.select(&q), Err(EndpointError::Unavailable));
+        assert_eq!(flaky.stats_snapshot().faults_injected, 1);
     }
 }

@@ -1,6 +1,7 @@
 //! A federation: the named set of endpoints a query runs against.
 
 use crate::network::StatsSnapshot;
+use crate::resilience::{Clock, RequestPolicy, SystemClock};
 use crate::EndpointRef;
 use lusail_rdf::Dictionary;
 use lusail_store::EndpointStats;
@@ -19,6 +20,18 @@ pub type EndpointId = usize;
 /// group. `add` refuses a primary once any replica is in, so primaries
 /// hold ids `0..n` and a federation with replication factor 1 is
 /// id-for-id identical to an unreplicated one.
+///
+/// The federation also carries the one [`RequestPolicy`] and the one
+/// [`Clock`] every engine and the server run its queries on: each query's
+/// client retries by that policy, and backoffs, deadlines, phase timings
+/// and the server's batching windows are all measured on that clock. Both
+/// are set while the federation is assembled ([`Federation::with_policy`],
+/// [`Federation::with_clock`]); [`Federation::new`] builds the only system
+/// clock, so no other crate can name one:
+///
+/// ```compile_fail,E0432
+/// use lusail_endpoint::SystemClock;
+/// ```
 #[derive(Clone)]
 pub struct Federation {
     dict: Arc<Dictionary>,
@@ -30,17 +43,46 @@ pub struct Federation {
     /// and shared across clones (so an engine invalidating an entry after
     /// an endpoint death is seen by every holder of the federation).
     stats: Arc<Mutex<Vec<Option<Arc<EndpointStats>>>>>,
+    policy: RequestPolicy,
+    clock: Arc<dyn Clock>,
 }
 
 impl Federation {
-    /// Creates an empty federation over the given dictionary.
+    /// Creates an empty federation over the given dictionary, with the
+    /// default request policy and the system clock.
     pub fn new(dict: Arc<Dictionary>) -> Self {
         Federation {
             dict,
             endpoints: Vec::new(),
             group_of: Vec::new(),
             stats: Arc::new(Mutex::new(Vec::new())),
+            policy: RequestPolicy::default(),
+            clock: Arc::new(SystemClock::default()),
         }
+    }
+
+    /// Replaces the retry/backoff/circuit policy every query's requests
+    /// follow.
+    pub fn with_policy(mut self, policy: RequestPolicy) -> Self {
+        self.policy = policy;
+        self
+    }
+
+    /// Replaces the clock (a test's
+    /// [`ManualClock`](crate::ManualClock), or the CLI's `--fixed-clock`).
+    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
+        self.clock = clock;
+        self
+    }
+
+    /// The request policy.
+    pub fn policy(&self) -> RequestPolicy {
+        self.policy
+    }
+
+    /// The clock.
+    pub fn clock(&self) -> &Arc<dyn Clock> {
+        &self.clock
     }
 
     /// The shared dictionary.

@@ -21,7 +21,7 @@
 //!   [`ResilientClient`] that retries, backs off, and trips dead endpoints.
 //!
 //! A [`Federation`] is a named, ordered collection of endpoints sharing a
-//! term dictionary.
+//! term dictionary, one [`RequestPolicy`] and one [`Clock`].
 
 mod error;
 mod fault;
@@ -34,7 +34,7 @@ pub use error::{EndpointError, EndpointFailure, FederationError, QueryOutcome};
 pub use fault::{FaultProfile, FlakyEndpoint};
 pub use federation::{EndpointId, Federation};
 pub use network::{NetworkProfile, NetworkStats, StatsSnapshot};
-pub use resilience::{Clock, HealthHook, ManualClock, RequestPolicy, ResilientClient, SystemClock};
+pub use resilience::{Clock, HealthHook, ManualClock, RequestPolicy, ResilientClient};
 pub use trace::{HealthState, RequestCounts, RequestKind, TraceEvent, TraceSink};
 
 use lusail_sparql::{query_wire_len, Query, SolutionSet};
@@ -187,10 +187,10 @@ pub struct ExecOptions {
     /// traces, and results are identical at every budget; higher budgets
     /// only change wall-clock time.
     pub threads: std::num::NonZeroUsize,
-    /// Optional per-query wall-clock deadline, measured on the engine's
-    /// clock from the start of the call: no wire attempt starts once it has
-    /// passed. Without one, a request is bounded only by its policy's
-    /// retries and backoffs.
+    /// Optional per-query wall-clock deadline, measured on the
+    /// federation's clock from the start of the call: no wire attempt
+    /// starts once it has passed. Without one, a request is bounded only
+    /// by its policy's retries and backoffs.
     pub deadline: Option<Duration>,
     /// Optional observer of circuit-breaker health transitions during
     /// this call. A long-lived server hangs shared-cache invalidation

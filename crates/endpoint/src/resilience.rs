@@ -32,8 +32,9 @@ pub trait Clock: Send + Sync {
     fn sleep(&self, d: Duration);
 }
 
-/// The real clock: `Instant`-based, actually sleeps.
-pub struct SystemClock {
+/// The real clock: `Instant`-based, actually sleeps. Only
+/// [`Federation::new`] builds one.
+pub(crate) struct SystemClock {
     origin: Instant,
 }
 

@@ -303,20 +303,6 @@ impl TraceSink {
             None => Vec::new(),
         }
     }
-
-    /// Number of events recorded so far.
-    pub(crate) fn len(&self) -> usize {
-        match &self.inner {
-            Some(inner) => inner.lock().expect("trace sink poisoned").len(),
-            None => 0,
-        }
-    }
-
-    /// True when no events have been recorded (always true when
-    /// disabled).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -327,6 +313,17 @@ mod tests {
         /// Whether events are being recorded.
         fn is_enabled(&self) -> bool {
             self.inner.is_some()
+        }
+
+        /// Number of events recorded so far.
+        fn len(&self) -> usize {
+            self.events().len()
+        }
+
+        /// True when no events have been recorded (always true when
+        /// disabled).
+        fn is_empty(&self) -> bool {
+            self.len() == 0
         }
     }
 

@@ -39,9 +39,9 @@ pub struct BatchConfig {
     /// Route admitted queries through the batching scheduler. Off by
     /// default: a query then executes immediately on its own thread.
     pub enabled: bool,
-    /// How long an open window collects queries, measured on the server
-    /// clock (real elapsed time is a fallback bound under a frozen test
-    /// clock).
+    /// How long an open window collects queries, measured on the
+    /// federation's clock (real elapsed time is a fallback bound under a
+    /// frozen test clock).
     pub window: Duration,
     /// Count trigger: the window closes as soon as this many queries are
     /// pending.
@@ -102,8 +102,8 @@ impl Slot {
 
 struct Entry {
     query: Query,
-    /// Absolute deadline on the server clock, fixed at submission —
-    /// window waits and neighbours' work are charged against it.
+    /// Absolute deadline on the federation's clock, fixed at submission
+    /// — window waits and neighbours' work are charged against it.
     deadline_at: Duration,
     slot: Arc<Slot>,
 }
@@ -131,7 +131,7 @@ impl QueryServer {
     /// outcome.
     pub(crate) fn batch_submit(&self, query: &Query, deadline: Duration) -> BatchOutcome {
         let slot = Arc::new(Slot::default());
-        let deadline_at = self.clock.now() + deadline;
+        let deadline_at = self.fed.clock().now() + deadline;
         let leader = {
             let mut queue = self.batcher.state.lock().unwrap();
             queue.pending.push(Entry {
@@ -154,13 +154,13 @@ impl QueryServer {
     fn lead_window(&self) {
         let cfg = self.config.batch;
         let opened_real = Instant::now();
-        let opened_clock = self.clock.now();
+        let opened_clock = self.fed.clock().now();
         let mut queue = self.batcher.state.lock().unwrap();
         loop {
             if queue.pending.len() >= cfg.max_batch {
                 break;
             }
-            let clock_now = self.clock.now();
+            let clock_now = self.fed.clock().now();
             let clock_left = cfg
                 .window
                 .saturating_sub(clock_now.saturating_sub(opened_clock));
@@ -204,7 +204,7 @@ impl QueryServer {
                 // wait itself consumed the deadline and the engine will
                 // refuse the item without touching the wire. The engine
                 // further charges earlier items' work against it.
-                let remaining = entry.deadline_at.saturating_sub(self.clock.now());
+                let remaining = entry.deadline_at.saturating_sub(self.fed.clock().now());
                 BatchItem {
                     query: entry.query.clone(),
                     opts: ExecOptions::default()

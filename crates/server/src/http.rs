@@ -10,9 +10,9 @@
 //! default. A connection thread reads with a 50 ms timeout, the cadence
 //! at which it sees shutdown, and drops a client that takes no response
 //! bytes for 30 s, so a client that stops reading stalls only itself.
-//! A request still incomplete 30 s (on the server clock) after its first
-//! byte is answered `408` (code `timeout`) and closed, so a client that
-//! stops writing holds its connection place no longer.
+//! A request still incomplete 30 s (on the federation's clock) after its
+//! first byte is answered `408` (code `timeout`) and closed, so a client
+//! that stops writing holds its connection place no longer.
 //! At most `MAX_CONNECTIONS` (256) are served at once; one more is
 //! answered `503` (code `shed`) and closed. An idle connection holds a
 //! parked thread, not a query slot: `max_in_flight` counts queries.
@@ -375,8 +375,8 @@ const CADENCE: Duration = Duration::from_millis(50);
 /// connection.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// A request still incomplete this long (on the server clock) after its
-/// first bytes arrived is answered `408` and its connection closed.
+/// A request still incomplete this long (on the federation's clock) after
+/// its first bytes arrived is answered `408` and its connection closed.
 const REQUEST_TIMEOUT: Duration = WRITE_TIMEOUT;
 
 /// C's `struct pollfd` (fd, events, revents) and `nfds_t` (`unsigned
@@ -513,7 +513,7 @@ fn serve_connection(server: &QueryServer, mut stream: &TcpStream, stop: &AtomicB
                 if !buf.is_empty() {
                     // An idle keep-alive connection has an empty buffer and
                     // is never timed out here.
-                    let now = server.clock.now();
+                    let now = server.federation().clock().now();
                     if now.saturating_sub(*started.get_or_insert(now)) >= REQUEST_TIMEOUT {
                         let body = format!(
                             "error: request timeout\ncode: timeout\nreason: request \

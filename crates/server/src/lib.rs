@@ -36,9 +36,7 @@ pub mod http;
 pub use batch::{BatchConfig, BatchStats};
 
 use lusail_core::{BatchOutcome, Lusail, QueryResult};
-use lusail_endpoint::{
-    Clock, EndpointId, Federation, FederationError, HealthHook, HealthState, SystemClock,
-};
+use lusail_endpoint::{EndpointId, Federation, FederationError, HealthHook, HealthState};
 use lusail_sparql::Query;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -226,30 +224,17 @@ pub struct QueryServer {
     /// Shared-cache invalidations performed by the hook (the hook holds
     /// a clone of this `Arc`, not a reference back to the server).
     invalidations: Arc<AtomicU64>,
-    /// The clock batching windows and deadlines are measured on
-    /// (injectable so scheduler tests are deterministic).
-    pub(crate) clock: Arc<dyn Clock>,
     /// Cross-tenant batching scheduler state (see [`batch`]).
     pub(crate) batcher: batch::Batcher,
 }
 
 impl QueryServer {
-    /// Builds a server around a federation, constructing the shared
-    /// engine with the given configuration.
+    /// Builds a server around a federation and its shared engine.
+    /// Batching windows, per-query deadlines and the HTTP request timer
+    /// are measured on the federation's clock — the one its queries run
+    /// on — so a [`ManualClock`](lusail_endpoint::ManualClock) there makes
+    /// scheduler timing fully deterministic in tests.
     pub fn new(fed: Federation, engine: Lusail, config: ServerConfig) -> Arc<Self> {
-        Self::with_clock(fed, engine, config, Arc::new(SystemClock::default()))
-    }
-
-    /// [`QueryServer::new`] with an injected clock: batching windows and
-    /// per-query deadlines are measured on it, so a
-    /// [`ManualClock`](lusail_endpoint::ManualClock) shared with the
-    /// engine makes scheduler timing fully deterministic in tests.
-    pub(crate) fn with_clock(
-        fed: Federation,
-        engine: Lusail,
-        config: ServerConfig,
-        clock: Arc<dyn Clock>,
-    ) -> Arc<Self> {
         let engine = Arc::new(engine);
         let unhealthy: Arc<Mutex<HashSet<EndpointId>>> = Arc::default();
         let invalidations = Arc::new(AtomicU64::new(0));
@@ -269,7 +254,6 @@ impl QueryServer {
             counters: Atomics::default(),
             unhealthy,
             invalidations,
-            clock,
             batcher: batch::Batcher::default(),
         })
     }

@@ -371,20 +371,19 @@ fn tight_deadline_tenant_is_isolated_from_a_slow_neighbour() {
         a.insert_terms(&s, &Term::iri("http://x/p"), &v);
         b.insert_terms(&v, &Term::iri("http://x/q"), &o);
     }
-    let mut fed = Federation::new(Arc::clone(&dict));
-    fed.add(Arc::new(LocalEndpoint::new("A", a)));
-    fed.add(Arc::new(FlakyEndpoint::new(
-        Arc::new(LocalEndpoint::new("B", b)),
-        FaultProfile::transient(7, 1.0),
-    )));
-    let query = join_query(&dict);
-    let engine = Lusail::default()
+    let mut fed = Federation::new(Arc::clone(&dict))
         .with_policy(RequestPolicy {
             max_retries: 2,
             base_backoff: Duration::from_millis(100),
             ..RequestPolicy::default()
         })
         .with_clock(clock.clone());
+    fed.add(Arc::new(LocalEndpoint::new("A", a)));
+    fed.add(Arc::new(FlakyEndpoint::new(
+        Arc::new(LocalEndpoint::new("B", b)),
+        FaultProfile::transient(7, 1.0),
+    )));
+    let query = join_query(&dict);
     let config = ServerConfig {
         batch: BatchConfig {
             enabled: true,
@@ -393,7 +392,7 @@ fn tight_deadline_tenant_is_isolated_from_a_slow_neighbour() {
         },
         ..ServerConfig::default()
     };
-    let server = QueryServer::with_clock(fed, engine, config, clock.clone());
+    let server = QueryServer::new(fed, Lusail::default(), config);
 
     // The slow tenant opens the window and leads it.
     let slow = {
@@ -570,16 +569,12 @@ fn a_request_left_incomplete_is_answered_408_and_closed() {
     use std::io::{ErrorKind, Read as _, Write as _};
     let clock = ManualClock::new();
     let (fed, _dict) = tiny_federation();
-    let server = QueryServer::with_clock(
-        fed,
-        Lusail::default(),
-        ServerConfig::default(),
-        clock.clone(),
-    );
+    let fed = fed.with_clock(clock.clone());
+    let server = QueryServer::new(fed, Lusail::default(), ServerConfig::default());
     with_server_loop(server, |addr, _| {
         let mut conn = std::net::TcpStream::connect(addr).unwrap();
         conn.write_all(b"GET /heal").unwrap();
-        // Nothing is answered while the server clock stands still.
+        // Nothing is answered while the federation's clock stands still.
         conn.set_read_timeout(Some(Duration::from_millis(300)))
             .unwrap();
         let err = conn.read(&mut [0u8; 64]).unwrap_err();
@@ -1034,7 +1029,12 @@ fn transition_hook_invalidates_shared_state_before_concurrent_tenant_plans() {
     );
     assert_eq!(stats.ask_pattern(&q_probe), Some(false));
 
-    let mut fed = Federation::new(Arc::clone(&dict));
+    let mut fed = Federation::new(Arc::clone(&dict))
+        .with_policy(RequestPolicy {
+            trip_threshold: 1,
+            ..RequestPolicy::default()
+        })
+        .with_clock(ManualClock::new());
     let primary = fed.add(Arc::new(FlakyEndpoint::new(
         Arc::new(LocalEndpoint::new("P", primary_st)),
         FaultProfile::dead(),
@@ -1042,14 +1042,7 @@ fn transition_hook_invalidates_shared_state_before_concurrent_tenant_plans() {
     fed.add_replica(primary, Arc::new(LocalEndpoint::new("R", replica_st)));
     fed.attach_stats(primary, stats);
 
-    let engine = Arc::new(
-        Lusail::default()
-            .with_policy(RequestPolicy {
-                trip_threshold: 1,
-                ..RequestPolicy::default()
-            })
-            .with_clock(ManualClock::new()),
-    );
+    let engine = Arc::new(Lusail::default());
 
     // The server's standard invalidation hook, wrapped so that the first
     // primary-circuit-open transition immediately runs tenant B's query —

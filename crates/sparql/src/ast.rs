@@ -413,6 +413,14 @@ impl Query {
         }
     }
 
+    /// The `LIMIT` that may cut matching off after its first `k` rows:
+    /// none under DISTINCT (which collapses rows afterwards), ORDER BY or
+    /// aggregation (both must see every row before truncation).
+    pub fn first_k_limit(&self) -> Option<usize> {
+        (self.limit)
+            .filter(|_| !self.distinct && self.order_by.is_empty() && self.aggregates.is_empty())
+    }
+
     /// A plain `SELECT *` over the given pattern.
     pub fn select_all(pattern: GroupPattern) -> Self {
         Query::select(Vec::new(), pattern)
@@ -475,6 +483,41 @@ mod tests {
 
     fn v(name: &str) -> PatternTerm {
         PatternTerm::Var(name.into())
+    }
+
+    #[test]
+    fn first_k_limit_is_refused_by_each_of_its_three_disqualifiers() {
+        let mut q = Query::select_all(GroupPattern::bgp(vec![TriplePattern::new(
+            v("s"),
+            PatternTerm::Const(TermId(0)),
+            v("o"),
+        )]));
+        assert_eq!(q.first_k_limit(), None, "no LIMIT");
+        q.limit = Some(3);
+        assert_eq!(q.first_k_limit(), Some(3));
+        let distinct = Query {
+            distinct: true,
+            ..q.clone()
+        };
+        assert_eq!(distinct.first_k_limit(), None, "DISTINCT");
+        let ordered = Query {
+            order_by: vec![OrderKey {
+                var: "o".into(),
+                descending: false,
+            }],
+            ..q.clone()
+        };
+        assert_eq!(ordered.first_k_limit(), None, "ORDER BY");
+        let counted = Query {
+            aggregates: vec![Aggregate {
+                func: AggFunc::Count,
+                var: None,
+                distinct: false,
+                alias: "n".into(),
+            }],
+            ..q
+        };
+        assert_eq!(counted.first_k_limit(), None, "aggregation");
     }
 
     #[test]

@@ -30,4 +30,4 @@ pub use ast::{
 pub use parser::{parse_query, ParseError, MAX_NESTING};
 pub use rows::Rows;
 pub use solution::SolutionSet;
-pub use writer::{query_wire_len, write_query};
+pub use writer::{query_wire_len, values_row_wire_len, write_query};

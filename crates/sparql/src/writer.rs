@@ -164,6 +164,12 @@ fn write_group<W: Sink>(out: &mut W, g: &GroupPattern, dict: &Dictionary) -> fmt
     out.write_char('}')
 }
 
+/// The bytes one row of a one-variable `VALUES` block adds to a request:
+/// `(<term> ) `, as `write_values` renders it.
+pub fn values_row_wire_len(term: &Term) -> usize {
+    "(".len() + term.wire_len() + " ) ".len()
+}
+
 fn write_values<W: Sink>(out: &mut W, v: &ValuesBlock, dict: &Dictionary) -> fmt::Result {
     out.write_str("VALUES (")?;
     for var in &v.vars {
@@ -280,6 +286,27 @@ mod tests {
         let q2 = parse_query(&text, &dict)
             .unwrap_or_else(|e| panic!("re-parse of {text:?} failed: {e}"));
         assert_eq!(q1, q2, "roundtrip mismatch for {text:?}");
+    }
+
+    #[test]
+    fn a_one_variable_values_block_costs_its_header_plus_its_rows() {
+        let dict = Dictionary::new();
+        let mut q = parse_query("SELECT ?s ?o WHERE { ?s <http://x/p> ?o }", &dict).unwrap();
+        let bare = query_wire_len(&q, &dict);
+        let terms = [
+            Term::iri("http://x/a"),
+            Term::lit("a \"quoted\" literal"),
+            Term::int(42),
+        ];
+        let ids: Vec<TermId> = terms.iter().map(|t| dict.encode(t)).collect();
+        q.pattern.values = Some(ValuesBlock {
+            vars: vec!["s".into()],
+            rows: crate::Rows::from_cells(1, ids.len(), ids.into_iter().map(Some).collect()),
+        });
+        let header = "VALUES (?s ) { } ".len();
+        let rows: usize = terms.iter().map(values_row_wire_len).sum();
+        assert_eq!(query_wire_len(&q, &dict), bare + header + rows);
+        assert_eq!(write_query(&q, &dict).len(), bare + header + rows);
     }
 
     #[test]

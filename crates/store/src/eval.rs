@@ -64,17 +64,7 @@ pub fn evaluate(store: &dyn StorageBackend, q: &Query) -> SolutionSet {
             let sols = match count_branches(store, q) {
                 Some(counted) => apply_modifiers_after_grouping(counted, q, store.dict()),
                 None => {
-                    // LIMIT can only be pushed into matching when there is
-                    // no DISTINCT (which collapses rows afterwards), no
-                    // ORDER BY, and no aggregation (both must see every row
-                    // before truncation).
-                    let push_limit =
-                        if q.distinct || !q.order_by.is_empty() || !q.aggregates.is_empty() {
-                            None
-                        } else {
-                            q.limit
-                        };
-                    let sols = eval_group(store, &q.pattern, push_limit);
+                    let sols = eval_group(store, &q.pattern, q.first_k_limit());
                     apply_modifiers(sols, q, store.dict())
                 }
             };

@@ -181,7 +181,7 @@ impl std::fmt::Display for Violation {
 /// The request policy of a run: in a clean one nothing fails, so the
 /// default (whose retries never fire) serves; a faulty one gets
 /// [`faulty_policy`].
-pub fn policy(clean: bool) -> RequestPolicy {
+pub(crate) fn policy(clean: bool) -> RequestPolicy {
     if clean {
         RequestPolicy::default()
     } else {
@@ -296,7 +296,7 @@ pub fn observe(
         block_size: setup.block_size.unwrap_or(defaults.block_size),
         ..defaults
     };
-    let runner = engine.build(&refs, lusail, policy(clean));
+    let runner = engine.build(&refs, lusail);
     let before = fed.stats_snapshot();
     let sink = TraceSink::enabled();
     let opts = ExecOptions::default()
@@ -513,12 +513,11 @@ pub fn check_batched(
     use lusail_core::{BatchItem, BatchOutcome, QueryResult};
 
     let clean = faults.is_clean();
-    let engine = || Lusail::default().with_policy(policy(clean));
     let opts = ExecOptions::default().with_threads(threads);
 
     // Solo baseline: sequential runs on one engine, own federation.
     let (fed, _locals) = case.federation(faults);
-    let solo_engine = engine();
+    let solo_engine = Lusail::default();
     let before = fed.stats_snapshot();
     let solos = (0..window)
         .map(|_| solo_engine.execute_with(&fed, &case.query, &opts))
@@ -543,7 +542,7 @@ pub fn check_batched(
     let query = case.query.clone();
     let items = vec![BatchItem { query, opts }; window];
     let before = fed.stats_snapshot();
-    let (outcomes, report) = engine().execute_batch_with(&fed, &items);
+    let (outcomes, report) = Lusail::default().execute_batch_with(&fed, &items);
     let batch_window = fed.stats_snapshot().since(&before);
 
     let diverged = |facet, solo: String, batch: String| Violation::Divergence {

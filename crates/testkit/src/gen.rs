@@ -293,7 +293,8 @@ impl Case {
     }
 
     /// Builds the federation with the endpoints' stores materialized into
-    /// `backend` and every endpoint replicated `replication` times.
+    /// `backend` and every endpoint replicated `replication` times, on the
+    /// request policy of `faults` (`diff::policy`).
     /// Primaries keep ids `0..n_endpoints` (so an unreplicated federation
     /// is id-identical); copy `k ≥ 1` of endpoint `i` gets id
     /// `k * n_endpoints + i` and serves the same partition.
@@ -310,7 +311,8 @@ impl Case {
         replication: usize,
     ) -> (Federation, Vec<Arc<LocalEndpoint>>) {
         assert!(replication >= 1, "replication must be at least 1");
-        let mut fed = Federation::new(Arc::clone(&self.dict));
+        let policy = crate::diff::policy(faults.is_clean());
+        let mut fed = Federation::new(Arc::clone(&self.dict)).with_policy(policy);
         let mut locals = Vec::with_capacity(self.n_endpoints);
         for k in 0..replication {
             for (i, store) in self.stores().into_iter().enumerate() {

@@ -210,7 +210,7 @@ impl fmt::Display for Repro {
         writeln!(f, "partition map ({} endpoints):", case.n_endpoints)?;
         for ep in 0..case.n_endpoints {
             let fault = match self.faults.profiles.get(ep).copied().flatten() {
-                Some(p) if p.dead => "  [DEAD]".to_string(),
+                Some(p) if p.dead_after == Some(0) => "  [DEAD]".to_string(),
                 Some(p) => format!(
                     "  [flaky: fail {:.0}% / seed {:#x}]",
                     p.failure_rate * 100.0,

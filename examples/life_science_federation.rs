@@ -9,7 +9,7 @@
 
 use lusail_baselines::EngineKind;
 use lusail_benchdata::qfed::{generate, QfedConfig};
-use lusail_endpoint::{ExecOptions, FederatedEngine, RequestPolicy};
+use lusail_endpoint::{ExecOptions, FederatedEngine};
 use lusail_repro::lusail::LusailConfig;
 use std::time::Instant;
 
@@ -28,7 +28,7 @@ fn main() {
     let engines: Vec<(EngineKind, Box<dyn FederatedEngine>)> = EngineKind::ALL
         .map(|kind| {
             let t0 = Instant::now();
-            let engine = kind.build(&refs, LusailConfig::default(), RequestPolicy::default());
+            let engine = kind.build(&refs, LusailConfig::default());
             println!(
                 "{} preprocessing: {:.1} ms",
                 kind.name(),

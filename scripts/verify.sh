@@ -158,7 +158,8 @@ while IFS= read -r f; do
     # config structs, per-tenant overrides and the builder's network profile.
     # SAPE's schedule is planned: no run-time promotion event, no cost
     # arrays beside the subqueries, no delay flag a reason already implies.
-    hit=$(grep -Eo 'set_reorder|reorder_enabled|adaptive_values|CountStar|count_star_as_aggregate|struct HiBisCus|fn predicate_stats|fn distinct_subjects|fn distinct_objects|struct PredicateStats|struct VoidDescription|fn preprocessing_time|hedge_threshold|last_latency|Hedged|timeout_rate|slowdown_rate|slowdowns_injected|TooManyRequests|last_error|struct FedXConfig|struct SplendidConfig|fn with_config|fn is_replicated|fn policy_for|fn profile\(|SubqueryPromoted|struct SubqueryCosts|fn delayed_without_reason|MissingDelayReason|fn row_bounds' <<<"$code" | sort -u | tr '\n' ' ' || true)
+    # An engine has no clock of its own: queries run on the federation's.
+    hit=$(grep -Eo 'set_reorder|reorder_enabled|adaptive_values|CountStar|count_star_as_aggregate|struct HiBisCus|fn predicate_stats|fn distinct_subjects|fn distinct_objects|struct PredicateStats|struct VoidDescription|fn preprocessing_time|hedge_threshold|last_latency|Hedged|timeout_rate|slowdown_rate|slowdowns_injected|TooManyRequests|last_error|struct FedXConfig|struct SplendidConfig|fn with_config|fn is_replicated|fn policy_for|fn profile\(|SubqueryPromoted|struct SubqueryCosts|fn delayed_without_reason|MissingDelayReason|fn row_bounds|fn timing_clock' <<<"$code" | sort -u | tr '\n' ' ' || true)
     if [ -n "$hit" ]; then
         echo "$f: a deleted path or its switch is back: $hit" >&2
         scattered=1

@@ -426,11 +426,12 @@ fn cmd_query(args: &[String], explain_only: bool) -> Result<(), String> {
         if engine_name != "lusail" {
             return Err("--explain-analyze is only available for the lusail engine".into());
         }
-        let mut engine = Lusail::new(LusailConfig::default());
-        if has_flag(args, "--fixed-clock") {
-            engine = engine.with_clock(ManualClock::new());
-        }
-        let report = engine
+        let fed = if has_flag(args, "--fixed-clock") {
+            fed.with_clock(ManualClock::new())
+        } else {
+            fed
+        };
+        let report = Lusail::new(LusailConfig::default())
             .explain_analyze_with(&fed, &query, &exec)
             .map_err(|e| e.to_string())?;
         println!("\n{report}");

@@ -5,7 +5,7 @@
 use lusail_baselines::EngineKind;
 use lusail_benchdata::lubm;
 use lusail_core::{Lusail, LusailConfig};
-use lusail_endpoint::{ExecOptions, FederatedEngine, Federation, LocalEndpoint, RequestPolicy};
+use lusail_endpoint::{ExecOptions, FederatedEngine, Federation, LocalEndpoint};
 use lusail_rdf::{Dictionary, Term};
 use lusail_sparql::parse_query;
 use lusail_store::TripleStore;
@@ -136,7 +136,7 @@ fn federated_group_by_aggregates_globally() {
     .unwrap();
     let expected = lusail_store::eval::evaluate(&full, &q);
     for kind in [EngineKind::Lusail, EngineKind::FedX] {
-        let engine = kind.build(&[], LusailConfig::default(), RequestPolicy::default());
+        let engine = kind.build(&[], LusailConfig::default());
         let got = engine
             .run_with(&fed, &q, &ExecOptions::default())
             .unwrap()
@@ -165,7 +165,7 @@ fn federated_count_star_is_global() {
     .unwrap();
     let expected = lusail_store::eval::evaluate(&w.oracle, &q);
     for kind in [EngineKind::Lusail, EngineKind::FedX] {
-        let engine = kind.build(&[], LusailConfig::default(), RequestPolicy::default());
+        let engine = kind.build(&[], LusailConfig::default());
         let got = engine
             .run_with(&w.federation, &q, &ExecOptions::default())
             .unwrap()

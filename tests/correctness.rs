@@ -9,11 +9,11 @@
 use lusail_baselines::EngineKind;
 use lusail_benchdata::{bio2rdf, lrb, lubm, qfed, Workload};
 use lusail_core::{Lusail, LusailConfig};
-use lusail_endpoint::{ExecOptions, FederatedEngine, RequestPolicy};
+use lusail_endpoint::{ExecOptions, FederatedEngine};
 
 fn engines_for(w: &Workload) -> Vec<(EngineKind, Box<dyn FederatedEngine>)> {
     let refs = w.endpoint_refs();
-    let build = |k: EngineKind| k.build(&refs, LusailConfig::default(), RequestPolicy::default());
+    let build = |k: EngineKind| k.build(&refs, LusailConfig::default());
     EngineKind::ALL.map(|k| (k, build(k))).into()
 }
 

@@ -105,9 +105,9 @@ fn explain_analyze_like_the_cli(
     let (fed, dict, loaded_lines) = load_like_the_cli(w, backend, stats);
     let named = w.query(query_name);
     let query = parse_query(&named.text, &dict).expect("the query parses");
-    let engine = Lusail::new(LusailConfig::default()).with_clock(ManualClock::new());
+    let fed = fed.with_clock(ManualClock::new());
     let opts = ExecOptions::default().with_threads(threads);
-    let report = engine
+    let report = Lusail::new(LusailConfig::default())
         .explain_analyze_with(&fed, &query, &opts)
         .expect("the federation is non-empty");
     format!("{loaded_lines}\n{report}\n")
@@ -229,9 +229,9 @@ fn analyze_prints_the_plan_explain_prints() {
         let fed = &w.federation;
         for named in &w.queries {
             let explain = Lusail::default().explain(fed, &named.query).render(fed);
+            let clocked = fed.clone().with_clock(ManualClock::new());
             let report = Lusail::default()
-                .with_clock(ManualClock::new())
-                .explain_analyze_with(fed, &named.query, &ExecOptions::default())
+                .explain_analyze_with(&clocked, &named.query, &ExecOptions::default())
                 .expect("the federation is non-empty");
             assert_eq!(
                 plan_block_without_run(&report),

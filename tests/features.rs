@@ -4,7 +4,7 @@
 use lusail_baselines::EngineKind;
 use lusail_benchdata::{bio2rdf, lrb, lubm, qfed};
 use lusail_core::{Lusail, LusailConfig, PlanShape, QueryPlan, Schedule, TraceEvent, TraceSink};
-use lusail_endpoint::{ExecOptions, FederatedEngine, Federation, LocalEndpoint, RequestPolicy};
+use lusail_endpoint::{ExecOptions, FederatedEngine, Federation, LocalEndpoint};
 use lusail_rdf::{Dictionary, Term};
 use lusail_store::TripleStore;
 use std::sync::Arc;
@@ -22,7 +22,7 @@ fn order_by_is_respected_by_every_engine() {
     .unwrap();
     let refs = w.endpoint_refs();
     for kind in EngineKind::ALL {
-        let engine = kind.build(&refs, LusailConfig::default(), RequestPolicy::default());
+        let engine = kind.build(&refs, LusailConfig::default());
         let sols = engine
             .run_with(&w.federation, &q, &ExecOptions::default())
             .unwrap()
@@ -516,7 +516,7 @@ fn projected_exists_is_an_endpoint_form_every_mediator_refuses() {
     );
     let refs = w.endpoint_refs();
     for kind in EngineKind::ALL {
-        let engine = kind.build(&refs, LusailConfig::default(), RequestPolicy::default());
+        let engine = kind.build(&refs, LusailConfig::default());
         let refused = engine.run_with(&w.federation, &q, &ExecOptions::default());
         assert_eq!(
             refused.err(),

@@ -21,7 +21,6 @@ use lusail_endpoint::{
 use lusail_rdf::{Dictionary, Term};
 use lusail_sparql::{parse_query, Query, SolutionSet};
 use lusail_store::TripleStore;
-use lusail_testkit::diff::policy;
 use lusail_testkit::{Case, EngineKind, FaultSpec, GenConfig};
 use std::sync::{mpsc, Arc, Mutex};
 
@@ -149,8 +148,7 @@ fn ledger_matches_window_and_trace_clean_or_faulted() {
         for faulty in [false, true] {
             let faults = fault_plan(seed, case.n_endpoints, faulty);
             let (fed, _locals) = case.federation(&faults);
-            let engine = Lusail::default().with_policy(policy(!faulty));
-            let (result, window, trace) = run_traced(&engine, &fed, &case.query);
+            let (result, window, trace) = run_traced(&Lusail::default(), &fed, &case.query);
             let ctx = format!("seed {seed} faulty {faulty}");
             assert_ledger(&result, &window, &trace, &ctx);
         }
@@ -240,10 +238,9 @@ fn baselines_issue_no_check_queries_clean_or_faulted() {
         for faulty in [false, true] {
             let faults = fault_plan(seed, case.n_endpoints, faulty);
             let (fed, locals) = case.federation(&faults);
-            let policy = policy(!faulty);
             let refs: Vec<&LocalEndpoint> = locals.iter().map(|e| e.as_ref()).collect();
             for kind in [EngineKind::FedX, EngineKind::Hibiscus, EngineKind::Splendid] {
-                let runner = kind.build(&refs, LusailConfig::default(), policy);
+                let runner = kind.build(&refs, LusailConfig::default());
                 let sink = TraceSink::enabled();
                 let _ = runner.run_with(
                     &fed,

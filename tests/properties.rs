@@ -20,7 +20,7 @@ use lusail_core::fetch::fetch_from;
 use lusail_core::join::par_hash_join;
 use lusail_core::{Lusail, Subquery};
 use lusail_endpoint::ExecOptions;
-use lusail_endpoint::{FederatedEngine, Federation, LocalEndpoint, RequestPolicy, SystemClock};
+use lusail_endpoint::{FederatedEngine, Federation, LocalEndpoint};
 use lusail_rdf::{Dictionary, Term, TermId};
 use lusail_sparql::ast::{GroupPattern, PatternTerm, Query, TriplePattern};
 use lusail_sparql::solution::{JoinKind, JoinPredicate};
@@ -1047,14 +1047,9 @@ fn equal_subquery_signatures_imply_multiset_equal_relations() {
 /// the relation the batch memo shares.
 fn evaluate_standalone(fed: &Federation, sq: &Subquery) -> SolutionSet {
     let query = sq.to_query(None);
-    let (outcome, (), _) = run_query(
-        fed,
-        &query,
-        RequestPolicy::default(),
-        Arc::new(SystemClock::default()),
-        &ExecOptions::default(),
-        |net| (fetch_from(fed, net, &query, &sq.sources), ()),
-    )
+    let (outcome, (), _) = run_query(fed, &query, &ExecOptions::default(), |net| {
+        (fetch_from(fed, net, &query, &sq.sources), ())
+    })
     .unwrap();
     outcome.solutions
 }

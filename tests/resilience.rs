@@ -15,14 +15,14 @@ use lusail_benchdata::lubm;
 use lusail_core::{Lusail, LusailConfig};
 use lusail_endpoint::ExecOptions;
 use lusail_endpoint::{
-    EndpointError, FaultProfile, FederatedEngine, Federation, FlakyEndpoint, HealthState,
-    LocalEndpoint, ManualClock, RequestPolicy, ResilientClient, SparqlEndpoint, StatsSnapshot,
-    TraceEvent, TraceSink,
+    EndpointError, EndpointRef, FaultProfile, FederatedEngine, Federation, FlakyEndpoint,
+    HealthState, LocalEndpoint, ManualClock, RequestPolicy, ResilientClient, SparqlEndpoint,
+    StatsSnapshot, TraceEvent, TraceSink,
 };
 use lusail_rdf::{Dictionary, Term};
 use lusail_sparql::parse_query;
 use lusail_store::TripleStore;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Rebuilds the workload's federation with `target` wrapped in a
@@ -56,24 +56,22 @@ fn patient_policy() -> RequestPolicy {
     }
 }
 
-fn engines(
-    w: &lusail_benchdata::Workload,
-    policy: RequestPolicy,
-) -> Vec<(&'static str, Box<dyn FederatedEngine>)> {
+fn engines(w: &lusail_benchdata::Workload) -> Vec<(&'static str, Box<dyn FederatedEngine>)> {
     let refs = w.endpoint_refs();
-    let build = |k: EngineKind| k.build(&refs, LusailConfig::default(), policy);
+    let build = |k: EngineKind| k.build(&refs, LusailConfig::default());
     EngineKind::ALL.map(|k| (k.name(), build(k))).into()
 }
 
 #[test]
 fn transient_faults_are_absorbed_by_retries() {
     let w = lubm::generate(&lubm::LubmConfig::new(4));
-    let fed = flaky_federation(&w, "univ-1", FaultProfile::transient(42, 0.2));
+    let fed = flaky_federation(&w, "univ-1", FaultProfile::transient(42, 0.2))
+        .with_policy(patient_policy());
     let q = &w.query("Q2").query;
     let expected = lusail_store::eval::evaluate(&w.oracle, q).canonicalize();
     assert!(!expected.is_empty(), "Q2 oracle result is empty");
 
-    for (name, engine) in engines(&w, patient_policy()) {
+    for (name, engine) in engines(&w) {
         let outcome = engine.run_with(&fed, q, &ExecOptions::default()).unwrap();
         assert!(
             outcome.complete,
@@ -101,7 +99,7 @@ fn dead_endpoint_degrades_to_partial_results() {
     let q = &w.query("Q2").query;
     let expected = lusail_store::eval::evaluate(&w.oracle, q).canonicalize();
 
-    for (name, engine) in engines(&w, RequestPolicy::default()) {
+    for (name, engine) in engines(&w) {
         let outcome = engine.run_with(&fed, q, &ExecOptions::default()).unwrap();
         assert!(
             !outcome.complete,
@@ -200,10 +198,6 @@ fn engine_retries_on_injected_clock_without_wall_sleep() {
         // them in; everything afterwards passes.
         [Some(EndpointError::Interrupted); 3],
     );
-    let mut fed = Federation::new(Arc::clone(&dict));
-    fed.add(Arc::new(flaky));
-    let q = parse_query("SELECT * WHERE { ?s <http://x/p> ?o }", &dict).unwrap();
-
     // Deliberately huge backoffs: only tolerable because the injected
     // clock sleeps virtually.
     let policy = RequestPolicy {
@@ -214,9 +208,12 @@ fn engine_retries_on_injected_clock_without_wall_sleep() {
         ..RequestPolicy::default()
     };
     let clock = ManualClock::new();
-    let engine = Lusail::default()
+    let mut fed = Federation::new(Arc::clone(&dict))
         .with_policy(policy)
         .with_clock(clock.clone());
+    fed.add(Arc::new(flaky));
+    let q = parse_query("SELECT * WHERE { ?s <http://x/p> ?o }", &dict).unwrap();
+    let engine = Lusail::default();
     let started = std::time::Instant::now();
     let result = engine.execute(&fed, &q).unwrap();
     assert!(
@@ -407,15 +404,6 @@ fn diverged_replica_after_failover(kind: EngineKind, diverged_rows: bool) -> Vec
     );
     assert_eq!(stats.ask_pattern(&q_probe), Some(false));
 
-    let primary_ep = Arc::new(LocalEndpoint::new("P", primary_st));
-    let mut fed = Federation::new(Arc::clone(&dict));
-    let primary = fed.add(Arc::new(FlakyEndpoint::new(
-        primary_ep.clone(),
-        FaultProfile::dead(),
-    )));
-    fed.add_replica(primary, Arc::new(LocalEndpoint::new("R", replica_st)));
-    fed.attach_stats(primary, stats);
-
     // The elided probe leaves the SELECT as the *only* wire attempt on the
     // primary, so the circuit must trip on that first failure for the
     // report to mark the endpoint dead.
@@ -423,7 +411,16 @@ fn diverged_replica_after_failover(kind: EngineKind, diverged_rows: bool) -> Vec
         trip_threshold: 1,
         ..RequestPolicy::default()
     };
-    let engine = kind.build(&[&primary_ep], LusailConfig::default(), policy);
+    let primary_ep = Arc::new(LocalEndpoint::new("P", primary_st));
+    let mut fed = Federation::new(Arc::clone(&dict)).with_policy(policy);
+    let primary = fed.add(Arc::new(FlakyEndpoint::new(
+        primary_ep.clone(),
+        FaultProfile::dead(),
+    )));
+    fed.add_replica(primary, Arc::new(LocalEndpoint::new("R", replica_st)));
+    fed.attach_stats(primary, stats);
+
+    let engine = kind.build(&[&primary_ep], LusailConfig::default());
     let run = |text: &str| {
         let q = parse_query(text, &dict).unwrap();
         engine.run_with(&fed, &q, &ExecOptions::default()).unwrap()
@@ -507,4 +504,78 @@ fn passed_query_deadline_blocks_failover_wire_attempts() {
     let err = client.select_failover(&fed, replica, &q).unwrap_err();
     assert_eq!(err, EndpointError::Timeout);
     assert_eq!(fed.endpoint(replica).stats_snapshot().select_requests, 0);
+}
+
+/// Advances the federation's [`ManualClock`] by one second on every
+/// request, after noting the clock time the attempt started at.
+struct TickingEndpoint {
+    inner: EndpointRef,
+    clock: Arc<ManualClock>,
+    starts: Arc<Mutex<Vec<Duration>>>,
+}
+
+impl TickingEndpoint {
+    fn tick(&self) {
+        self.starts.lock().unwrap().push(self.clock.elapsed());
+        self.clock.advance(Duration::from_secs(1));
+    }
+}
+
+impl SparqlEndpoint for TickingEndpoint {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn ask(&self, q: &lusail_sparql::Query) -> Result<bool, EndpointError> {
+        self.tick();
+        self.inner.ask(q)
+    }
+    fn select(
+        &self,
+        q: &lusail_sparql::Query,
+    ) -> Result<lusail_sparql::SolutionSet, EndpointError> {
+        self.tick();
+        self.inner.select(q)
+    }
+    fn count(&self, q: &lusail_sparql::Query) -> Result<u64, EndpointError> {
+        self.tick();
+        self.inner.count(q)
+    }
+    fn stats_snapshot(&self) -> StatsSnapshot {
+        self.inner.stats_snapshot()
+    }
+    fn triple_count(&self) -> usize {
+        self.inner.triple_count()
+    }
+}
+
+/// Every engine measures the query deadline on the federation's clock:
+/// with each request costing a virtual second, a 1.5 s deadline admits
+/// the attempts that start at 0 s and 1 s and no later one, and the
+/// data lost to it makes every engine's answer incomplete.
+#[test]
+fn every_engine_stops_at_the_deadline_on_the_federations_clock() {
+    let w = lubm::generate(&lubm::LubmConfig::new(4));
+    let q = &w.query("Q2").query;
+    let deadline = Duration::from_millis(1500);
+    for (name, engine) in engines(&w) {
+        let clock = ManualClock::new();
+        let starts = Arc::new(Mutex::new(Vec::new()));
+        let mut fed = Federation::new(Arc::clone(&w.dict)).with_clock(clock.clone());
+        for (_, ep) in w.federation.iter() {
+            fed.add(Arc::new(TickingEndpoint {
+                inner: ep.clone(),
+                clock: clock.clone(),
+                starts: Arc::clone(&starts),
+            }));
+        }
+        let opts = ExecOptions::default().with_deadline(deadline);
+        let outcome = engine.run_with(&fed, q, &opts).unwrap();
+        let starts = starts.lock().unwrap();
+        assert!(!starts.is_empty(), "{name}: no request reached the wire");
+        assert!(
+            starts.iter().all(|&t| t < deadline),
+            "{name}: a wire attempt started after the deadline: {starts:?}"
+        );
+        assert!(!outcome.complete, "{name}: complete despite the deadline");
+    }
 }

@@ -124,12 +124,12 @@ fn chaos_round(round: u64, seed: u64) -> (lusail_server::ServerCounters, BatchSt
     let clean = faults.is_clean();
     let oracle = oracle_solutions(&case);
     let (fed, _locals) = case.federation(&faults);
+    let fed = fed.with_policy(faulty_policy());
 
     let engine = Lusail::new(LusailConfig {
         probe_cache_capacity: Some(64), // small: force LRU churn under load
         ..LusailConfig::default()
-    })
-    .with_policy(faulty_policy());
+    });
     let server = QueryServer::new(
         fed,
         engine,
